@@ -66,7 +66,7 @@ fn run_kill_and_recover(plan: FaultPlan, victim: usize) -> Vec<RankOutcome> {
         let (sub, plan2) = desc.recover_mapping(comm, &owned, e1_need(r)).unwrap();
         let mut need2 = vec![-1.0f32; 16];
         plan2
-            .reorganize_salvage_with(&sub, &refs, &mut need2, ddr_core::Strategy::Alltoallw)
+            .reorganize_with_stats(&sub, &refs, &mut need2, ddr_core::Strategy::Alltoallw)
             .unwrap();
         (first, Some((sub.size(), need2)))
     })

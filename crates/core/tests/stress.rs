@@ -345,15 +345,14 @@ fn chaos_soak_respawn_restores_byte_identical_redistribution() {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline chaos soak: faults landing while two rounds are in flight.
+// Multi-round chaos soak: faults landing anywhere in a two-round exchange.
 // ---------------------------------------------------------------------------
 
-/// One depth-2 pipelined redistribution: each rank owns two column slabs
-/// (two rounds), needs a row slab, and both rounds' `ialltoallw` requests
-/// are posted before the first is waited — so a fault injected anywhere in
-/// the exchange lands with nonblocking requests (and, under zero-copy,
-/// their loans) outstanding.
-fn pipelined_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrError> {
+/// One two-round redistribution: each rank owns two column slabs (two
+/// rounds) and needs a row slab — so a fault injected anywhere in the
+/// exchange lands either mid-round (under zero-copy, with loans
+/// outstanding) or between the rounds.
+fn two_round_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrError> {
     let n = c.size();
     let r = c.rank();
     let owned = vec![slab(domain, 1, 2 * n, r).unwrap(), slab(domain, 1, 2 * n, r + n).unwrap()];
@@ -364,8 +363,7 @@ fn pipelined_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrErro
     let data: Vec<Vec<u64>> = owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
     let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
     let mut out = vec![0u64; need.count() as usize];
-    let (report, _) =
-        plan.reorganize_with_stats_depth(c, &refs, &mut out, Strategy::Alltoallw, 2)?;
+    let (report, _) = plan.reorganize_with_stats(c, &refs, &mut out, Strategy::Alltoallw)?;
     if !report.is_complete() {
         return Err(DdrError::Incomplete(Box::new(report)));
     }
@@ -375,32 +373,30 @@ fn pipelined_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrErro
     Ok(out)
 }
 
-/// 24-seed pipeline chaos soak. Even seeds kill a rank at a seeded op count
-/// somewhere in the depth-2 exchange; survivors must fail fast (the two
-/// outstanding requests are cancelled, their loans drained — a leak would
-/// panic the universe teardown under `check`), reconfigure into epoch 1
+/// 24-seed multi-round chaos soak. Even seeds kill a rank at a seeded op
+/// count somewhere in the two-round exchange; survivors must fail fast (the
+/// round under fire is aborted, its loans drained), reconfigure into epoch 1
 /// with the casualty respawned, and redistribute byte-identically to an
 /// unfaulted reference. Odd seeds corrupt an in-flight message under
 /// checksums: when it hits an exchange payload the NACK/retransmit path
-/// must recover to exact bytes with requests still in flight; when it hits
-/// a setup collective the run must surface `IntegrityFailure` fast — either
-/// way, no hang and no leak.
+/// must recover to exact bytes; when it hits a setup collective the run
+/// must surface `IntegrityFailure` fast — either way, no hang and no leak.
 #[test]
-fn pipeline_chaos_soak_recovers_with_two_rounds_in_flight() {
+fn multiround_chaos_soak_recovers_from_kills_and_corruption() {
     let n = 4usize;
     let domain = Block::d2([0, 0], [16, 16]).unwrap();
 
     // Unfaulted reference for the post-recovery epoch-1 bytes.
     let reference = Universe::builder().timeout(Duration::from_secs(30)).run(n, move |comm| {
-        pipelined_step(comm, &domain).unwrap();
+        two_round_step(comm, &domain).unwrap();
         let c = comm.reconfigure().unwrap();
-        pipelined_step(&c, &domain).unwrap()
+        two_round_step(&c, &domain).unwrap()
     });
 
     // Kill-op bound: the minimum clean op count over ranks, so every even
     // seed's kill fires during step 0 whoever the victim is.
     let max_op = Universe::run(n, move |comm| {
-        pipelined_step(comm, &domain).unwrap();
+        two_round_step(comm, &domain).unwrap();
         comm.op_count()
     })
     .into_iter()
@@ -411,8 +407,8 @@ fn pipeline_chaos_soak_recovers_with_two_rounds_in_flight() {
     for seed in 0..24u64 {
         let start = Instant::now();
         if seed % 2 == 0 {
-            // Kill arm: mirror the respawn soak, but with the depth-2
-            // pipeline under fire and zero-copy loans outstanding.
+            // Kill arm: mirror the respawn soak, but with a two-round
+            // exchange under fire and zero-copy loans outstanding.
             let plan = FaultPlan::seeded(seed, n, max_op);
             let out = Universe::builder()
                 .zerocopy(true)
@@ -422,7 +418,7 @@ fn pipeline_chaos_soak_recovers_with_two_rounds_in_flight() {
                 .run(n, move |comm| {
                     let rec = if comm.epoch() == 0 {
                         comm.set_timeout(Duration::from_millis(800));
-                        let _ = pipelined_step(comm, &domain);
+                        let _ = two_round_step(comm, &domain);
                         if !comm.is_alive(comm.rank()) {
                             return None;
                         }
@@ -437,7 +433,7 @@ fn pipeline_chaos_soak_recovers_with_two_rounds_in_flight() {
                     let c = rec.as_ref().unwrap_or(comm);
                     assert_eq!(c.epoch(), 1, "seed {seed}: recovery must land in epoch 1");
                     assert_eq!(c.size(), n, "seed {seed}: respawn must restore membership");
-                    Some(pipelined_step(c, &domain).unwrap())
+                    Some(two_round_step(c, &domain).unwrap())
                 });
             let finished = out.iter().filter(|o| o.is_some()).count();
             assert!(finished >= n - 1, "seed {seed}: at most one original thread may die");
@@ -460,7 +456,7 @@ fn pipeline_chaos_soak_recovers_with_two_rounds_in_flight() {
                 .checksum(true)
                 .timeout(Duration::from_secs(20))
                 .fault_plan(plan)
-                .run(n, move |comm| pipelined_step(comm, &domain));
+                .run(n, move |comm| two_round_step(comm, &domain));
             for (r, res) in out.iter().enumerate() {
                 match res {
                     // Retransmit recovered (or the occurrence never matched):
@@ -498,54 +494,6 @@ fn pipeline_chaos_soak_recovers_with_two_rounds_in_flight() {
 // Backpressure chaos soak: faults under 1-credit windows and a tiny budget.
 // ---------------------------------------------------------------------------
 
-/// Flow control must degrade the pipeline, not change its answer: with a
-/// 1-message credit window the executor clamps the requested depth-2
-/// pipeline to 1 and reports the throttling; with a memory budget below the
-/// depth-2 window's analytic peak the governor does the same. Either way
-/// the exchange completes with exact bytes.
-#[test]
-fn flow_control_clamps_pipeline_depth_and_reports_throttling() {
-    let n = 4usize;
-    // Big enough that redistribution bytes dwarf the setup collectives: each
-    // rank stages ~3 KiB of cross-rank sends per round, so the depth-2
-    // window's analytic peak is ~24 KiB globally and depth-1's is ~12 KiB.
-    let domain = Block::d2([0, 0], [64, 64]).unwrap();
-    let step = move |c: &minimpi::Comm| {
-        let r = c.rank();
-        let owned =
-            vec![slab(&domain, 1, 2 * n, r).unwrap(), slab(&domain, 1, 2 * n, r + n).unwrap()];
-        let need = slab(&domain, 0, n, r).unwrap();
-        let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
-        let plan = desc.setup_data_mapping_with(c, &owned, need, ValidationPolicy::Strict).unwrap();
-        let data: Vec<Vec<u64>> =
-            owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
-        let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-        let mut out = vec![0u64; need.count() as usize];
-        let (report, stats) =
-            plan.reorganize_with_stats_depth(c, &refs, &mut out, Strategy::Alltoallw, 2).unwrap();
-        assert!(report.is_complete());
-        for (got, co) in out.iter().zip(need.coords()) {
-            assert_eq!(*got, cell_value(co), "rank {r}");
-        }
-        (stats.effective_depth, stats.throttled_rounds)
-    };
-
-    // Credit clamp: a 1-message window cannot keep 2 rounds in flight.
-    let by_credits = Universe::builder().flow_control(1, 1 << 20).run(n, step);
-    // Governor clamp: a 16 KiB budget sits between the depth-1 and depth-2
-    // analytic peaks, so the executor must shrink the window to fit.
-    let by_budget = Universe::builder().mem_budget(16 << 10).run(n, step);
-    for (clamp, out) in [("credits", by_credits), ("budget", by_budget)] {
-        for (r, got) in out.iter().enumerate() {
-            assert_eq!(
-                *got,
-                (1, 1),
-                "{clamp} clamp rank {r}: expected effective depth 1 with 1 throttled round"
-            );
-        }
-    }
-}
-
 /// 24-seed chaos soak with flow control at its meanest settings: 1-message
 /// credit windows, a 512-byte pair window, and a memory budget a few KiB
 /// above one round's global staging footprint — every deposit of the run
@@ -565,9 +513,9 @@ fn backpressure_chaos_soak_stays_byte_identical_within_budget() {
 
     // Unconstrained, unfaulted reference for the epoch-1 bytes.
     let reference = Universe::builder().timeout(Duration::from_secs(30)).run(n, move |comm| {
-        pipelined_step(comm, &domain).unwrap();
+        two_round_step(comm, &domain).unwrap();
         let c = comm.reconfigure().unwrap();
-        pipelined_step(&c, &domain).unwrap()
+        two_round_step(&c, &domain).unwrap()
     });
 
     // Kill-op bound probed under the SAME flow constraints (backpressure
@@ -576,7 +524,7 @@ fn backpressure_chaos_soak_stays_byte_identical_within_budget() {
         .flow_control(1, 512)
         .mem_budget(BUDGET)
         .run(n, move |comm| {
-            pipelined_step(comm, &domain).unwrap();
+            two_round_step(comm, &domain).unwrap();
             comm.op_count()
         })
         .into_iter()
@@ -603,7 +551,7 @@ fn backpressure_chaos_soak_stays_byte_identical_within_budget() {
                 .run(n, move |comm| {
                     let rec = if comm.epoch() == 0 {
                         comm.set_timeout(Duration::from_millis(800));
-                        let res = pipelined_step(comm, &domain);
+                        let res = two_round_step(comm, &domain);
                         if let Err(DdrError::Mpi(MpiError::MemoryPressure { .. })) = &res {
                             panic!("seed {seed}: MemoryPressure escaped under faults");
                         }
@@ -620,7 +568,7 @@ fn backpressure_chaos_soak_stays_byte_identical_within_budget() {
                     };
                     let c = rec.as_ref().unwrap_or(comm);
                     assert_eq!(c.epoch(), 1, "seed {seed}: recovery must land in epoch 1");
-                    let bytes = pipelined_step(c, &domain).unwrap();
+                    let bytes = two_round_step(c, &domain).unwrap();
                     assert!(
                         c.mem_high_water() <= BUDGET,
                         "seed {seed}: governor peak {} exceeded the {BUDGET}-byte budget",
@@ -653,7 +601,7 @@ fn backpressure_chaos_soak_stays_byte_identical_within_budget() {
                 .timeout(Duration::from_secs(20))
                 .fault_plan(plan)
                 .run(n, move |comm| {
-                    let res = pipelined_step(comm, &domain);
+                    let res = two_round_step(comm, &domain);
                     (res, comm.mem_high_water(), comm.flow_counters())
                 });
             for (r, (res, high_water, _)) in out.iter().enumerate() {

@@ -440,11 +440,10 @@ impl Comm {
     /// `salvage` decides whether a failed source aborts the exchange or is
     /// recorded in the report while the remaining sources are drained.
     ///
-    /// The blocking collective is post-then-wait on the nonblocking engine,
-    /// so both paths share one wire protocol, one error classification, and
-    /// one loan-drain discipline — the differential suite's byte-identity
-    /// between pipelined and round-synchronous execution holds by
-    /// construction.
+    /// Post-then-wait on an [`Exchange`] guard: the send phase runs eagerly
+    /// (loaning or staging each message), then `wait` drains every source.
+    /// Whichever way the call leaves — clean, abort, a mid-post error, a
+    /// panic — the guard drains or revokes its zero-copy loans.
     #[track_caller]
     fn alltoallw_impl(
         &self,
@@ -454,55 +453,6 @@ impl Comm {
         recv_types: &[Datatype],
         salvage: bool,
     ) -> Result<ExchangeReport> {
-        self.ialltoallw_impl(send_buf, send_types, recv_types, salvage)?.wait(recv_buf)
-    }
-
-    /// Nonblocking [`Comm::alltoallw`]: runs the eager send phase (loaning
-    /// or staging exactly as the blocking collective would) and returns an
-    /// [`AlltoallwRequest`] without waiting for any source. Complete it with
-    /// [`AlltoallwRequest::wait`] or poll it with [`AlltoallwRequest::test`],
-    /// passing the receive buffer at completion time.
-    ///
-    /// Counts toward the communicator's collective order at *post* time:
-    /// every rank must post matching exchanges in the same sequence, but may
-    /// hold several open concurrently — each exchange lives in its own
-    /// sequence-numbered tag namespace, so in-flight exchanges never
-    /// interfere. A failed source aborts the whole exchange at wait time;
-    /// see [`Comm::ialltoallw_salvage`] for per-source failure reporting.
-    #[track_caller]
-    pub fn ialltoallw<'a>(
-        &'a self,
-        send_buf: &'a [u8],
-        send_types: &'a [Datatype],
-        recv_types: &'a [Datatype],
-    ) -> Result<AlltoallwRequest<'a>> {
-        self.ialltoallw_impl(send_buf, send_types, recv_types, false)
-    }
-
-    /// Nonblocking [`Comm::alltoallw_salvage`]: like [`Comm::ialltoallw`],
-    /// but a failed source is recorded in the completion report while the
-    /// remaining sources still drain.
-    #[track_caller]
-    pub fn ialltoallw_salvage<'a>(
-        &'a self,
-        send_buf: &'a [u8],
-        send_types: &'a [Datatype],
-        recv_types: &'a [Datatype],
-    ) -> Result<AlltoallwRequest<'a>> {
-        self.ialltoallw_impl(send_buf, send_types, recv_types, true)
-    }
-
-    /// Post one alltoallw exchange: validate, claim a collective sequence
-    /// number, and run the send phase eagerly. All receive-side work is
-    /// deferred to the returned request.
-    #[track_caller]
-    fn ialltoallw_impl<'a>(
-        &'a self,
-        send_buf: &'a [u8],
-        send_types: &'a [Datatype],
-        recv_types: &'a [Datatype],
-        salvage: bool,
-    ) -> Result<AlltoallwRequest<'a>> {
         let n = self.size();
         if send_types.len() != n || recv_types.len() != n {
             return Err(Error::CollectiveMismatch {
@@ -517,7 +467,7 @@ impl Comm {
         // Salvage is wire-compatible with the plain variant, so both record
         // the same kind: they may legitimately pair across ranks.
         self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoallw, None, 0))?;
-        self.sched_point("ialltoallw");
+        self.sched_point("alltoallw_post");
         let me = self.rank();
         let tag = coll_key_tag(seq, PHASE_DATA);
         let zerocopy = self.world.zerocopy_active();
@@ -528,21 +478,11 @@ impl Comm {
         let retx = self.recovery_armed();
         let span = ddrtrace::span_arg("minimpi", "alltoallw", "seq", seq as i64);
 
-        let progress = recv_types
-            .iter()
-            .enumerate()
-            .map(|(s, dt)| {
-                if s == me || dt.packed_len() == 0 {
-                    SrcProgress::Skip
-                } else {
-                    SrcProgress::Pending { attempt: 0 }
-                }
-            })
-            .collect();
-        // The request is built before the send phase so that a mid-post
-        // error drops it — and Drop drains whatever loans went out before
-        // the failure, exactly as the old in-line guard did.
-        let mut req = AlltoallwRequest {
+        let owed = recv_types.iter().enumerate().map(|(s, dt)| s != me && dt.packed_len() > 0);
+        // The guard is built before the send phase so that a mid-post error
+        // drops it — and Drop drains whatever loans went out before the
+        // failure.
+        let mut xchg = Exchange {
             comm: self,
             seq,
             send_buf,
@@ -552,20 +492,17 @@ impl Comm {
             retx,
             loans: Vec::new(),
             duties: None,
-            progress,
+            owed: owed.collect(),
             failed: Vec::new(),
-            self_copy_done: false,
             settled: false,
             _span: span,
         };
 
         // Send phase (buffered; blocks only on the flow-control gate when a
-        // pair's credit window or the memory budget is full — the executor
-        // in ddr-core clamps pipeline depth to the credit window precisely
-        // so these eager deposits cannot deadlock). A deposit fails if this
-        // rank itself is dead — a hard error even under salvage — or with a
-        // structured Timeout/MemoryPressure if a full gate makes no
-        // progress for the whole watchdog window.
+        // pair's credit window or the memory budget is full). A deposit
+        // fails if this rank itself is dead — a hard error even under
+        // salvage — or with a structured Timeout/MemoryPressure if a full
+        // gate makes no progress for the whole watchdog window.
         for (d, dt) in send_types.iter().enumerate() {
             if d == me || dt.packed_len() == 0 {
                 continue;
@@ -579,7 +516,7 @@ impl Comm {
                 // would have failed packing.
                 dt.check_bounds(send_buf.len())?;
                 let cell = self.deposit_shared(d, tag, send_buf, *dt)?;
-                req.loans.push((d, cell));
+                xchg.loans.push((d, cell));
             } else {
                 let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", dt.packed_len() as i64);
                 // Fused pack+checksum: one traversal of the source selection
@@ -592,8 +529,8 @@ impl Comm {
         // Recovery-mode sender duties: track which destinations still owe a
         // terminal verdict and answer their NACKs with staged retransmits
         // from the still-borrowed `send_buf`.
-        req.duties = retx.then(|| RetxSender::new(self, send_buf, send_types, seq));
-        Ok(req)
+        xchg.duties = retx.then(|| RetxSender::new(self, send_buf, send_types, seq));
+        xchg.wait(recv_buf)
     }
 
     /// Receive one alltoallw message from `s` with NACK/retransmit recovery:
@@ -603,9 +540,7 @@ impl Comm {
     /// failed. Always leaves the sender terminally settled (ACK or FAIL) so
     /// no outcome of this rank can strand it — exhaustion is a structured
     /// error, never a hang. Waits poll via [`Comm::take_polling`] so this
-    /// rank's own sender duties stay serviced throughout.
-    /// `start_attempt` carries recovery progress made by a nonblocking
-    /// [`AlltoallwRequest::test`] into the blocking wait: attempt 0 takes
+    /// rank's own sender duties stay serviced throughout. Attempt 0 takes
     /// from the data phase, later attempts from the retransmit phase.
     fn recv_with_retransmit(
         &self,
@@ -614,12 +549,11 @@ impl Comm {
         dt: &Datatype,
         recv_buf: &mut [u8],
         duties: &mut RetxSender<'_>,
-        start_attempt: u32,
     ) -> Result<()> {
         let data_tag = coll_key_tag(seq, PHASE_DATA);
         let verdict_tag = coll_key_tag(seq, PHASE_VERDICT);
         let retx_tag = coll_key_tag(seq, PHASE_RETX);
-        let mut attempt: u32 = start_attempt;
+        let mut attempt: u32 = 0;
         loop {
             let take_tag = if attempt == 0 { data_tag } else { retx_tag };
             let env = match self.take_polling(s, take_tag, duties) {
@@ -1004,37 +938,15 @@ impl Comm {
     }
 }
 
-/// Receive progress of one source within an in-flight exchange.
-#[derive(Clone, Copy)]
-enum SrcProgress {
-    /// Nothing is owed by this source (self rank or empty selection).
-    Skip,
-    /// Still owed a message; `attempt` counts NACKed retransmit rounds so a
-    /// recovery started under [`AlltoallwRequest::test`] resumes correctly
-    /// inside a later [`AlltoallwRequest::wait`].
-    Pending { attempt: u32 },
-    /// Terminally resolved: delivered, or recorded as failed under salvage.
-    Done,
-}
-
-/// An in-flight nonblocking alltoallw exchange (see [`Comm::ialltoallw`]).
+/// One alltoallw exchange between its send phase and its completion.
 ///
 /// Soundness anchor of the zero-copy fast path: `send_buf` is lent to peers
-/// as raw pointers, so the borrow the request holds must stay alive while
-/// any peer might still read it — and *every* exit path must drain the
-/// loans. [`AlltoallwRequest::wait`] and [`AlltoallwRequest::test`] do so on
-/// completion; the `Drop` impl covers early exits (errors, panics, a request
-/// abandoned without waiting) by revoking unclaimed loans immediately and
-/// waiting out claims already in flight (a bounded memcpy).
-///
-/// The receive buffer is supplied at completion time (`wait`/`test`), not at
-/// post time, so several requests receiving into disjoint selections of the
-/// same buffer — the pipelined redistribution pattern — need no aliasing
-/// tricks. Epoch fencing, checksum verification, NACK/retransmit recovery,
-/// and vector-clock checking all behave exactly as in the blocking
-/// collective: the blocking path *is* post-then-wait on this type.
-#[must_use = "an exchange completes only through wait()/test(); dropping the request revokes its zero-copy loans"]
-pub struct AlltoallwRequest<'a> {
+/// as raw pointers, so the borrow the guard holds must stay alive while any
+/// peer might still read it — and *every* exit path must drain the loans.
+/// [`Exchange::wait`] does so on completion; the `Drop` impl covers early
+/// exits (a mid-post error, a panic) by revoking unclaimed loans immediately
+/// and waiting out claims already in flight (a bounded memcpy).
+struct Exchange<'a> {
     comm: &'a Comm,
     seq: u64,
     send_buf: &'a [u8],
@@ -1044,9 +956,10 @@ pub struct AlltoallwRequest<'a> {
     retx: bool,
     loans: Vec<(usize, Arc<ZcCell>)>,
     duties: Option<RetxSender<'a>>,
-    progress: Vec<SrcProgress>,
+    /// `owed[s]` — source `s` has not been terminally resolved (delivered,
+    /// or recorded as failed); self and empty selections start resolved.
+    owed: Vec<bool>,
     failed: Vec<(usize, Error)>,
-    self_copy_done: bool,
     /// Verdict/sweep cleanup already ran (completion or abort); Drop only
     /// drains loans.
     settled: bool,
@@ -1055,39 +968,33 @@ pub struct AlltoallwRequest<'a> {
     _span: ddrtrace::SpanGuard,
 }
 
-impl<'a> AlltoallwRequest<'a> {
-    /// The collective sequence number this exchange runs under.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
+impl Exchange<'_> {
     /// Block until every source resolved, then finish the exchange: drain
     /// the zero-copy loans, settle retransmit duties, and report per-source
-    /// failures (salvage mode) or abort on the first (plain mode). Consumes
-    /// the request; `recv_buf` must be the same buffer every completion call
-    /// on this request receives into.
-    #[track_caller]
-    pub fn wait(mut self, recv_buf: &mut [u8]) -> Result<ExchangeReport> {
+    /// failures (salvage mode) or abort on the first (plain mode).
+    fn wait(mut self, recv_buf: &mut [u8]) -> Result<ExchangeReport> {
         let comm = self.comm;
-        comm.sched_point("iwait");
+        comm.sched_point("alltoallw_wait");
         let me = comm.rank();
         let tag = coll_key_tag(self.seq, PHASE_DATA);
         let mut abort = self.self_copy(recv_buf).err();
         if abort.is_none() {
             // Receive phase: under salvage, drain every source and record
             // failures; otherwise abort on the first one.
-            for s in 0..self.progress.len() {
-                let SrcProgress::Pending { attempt } = self.progress[s] else { continue };
+            for s in 0..self.owed.len() {
+                if !self.owed[s] {
+                    continue;
+                }
                 let dt = self.recv_types[s];
                 let res = match self.duties.as_mut() {
-                    Some(d) => comm.recv_with_retransmit(s, self.seq, &dt, recv_buf, d, attempt),
+                    Some(d) => comm.recv_with_retransmit(s, self.seq, &dt, recv_buf, d),
                     None => comm
                         .take_envelope_from(s, tag)
                         .and_then(|env| comm.deliver_alltoallw(s, tag, env, &dt, recv_buf)),
                 };
                 // Whatever the outcome, the source is terminally resolved:
                 // `recv_with_retransmit` always settles it with ACK or FAIL.
-                self.progress[s] = SrcProgress::Done;
+                self.owed[s] = false;
                 match res {
                     Ok(()) => {}
                     // Malformed local arguments are hard errors in both modes.
@@ -1116,197 +1023,9 @@ impl<'a> AlltoallwRequest<'a> {
         self.finish_clean()
     }
 
-    /// Nonblocking progress poll: delivers whatever has already arrived into
-    /// `recv_buf`, settles loans whose receivers finished copying, services
-    /// retransmit duties, and returns `Ok(true)` once the exchange is fully
-    /// complete (after which the request may be dropped freely). Never
-    /// sleeps on a mailbox; an incomplete exchange returns `Ok(false)`.
-    ///
-    /// Errors carry the same classification as [`AlltoallwRequest::wait`]:
-    /// salvage mode records per-source failures for the final report instead
-    /// of erroring, and a returned `Err` means the exchange aborted (its
-    /// cleanup has already run).
-    #[track_caller]
-    pub fn test(&mut self, recv_buf: &mut [u8]) -> Result<bool> {
-        if self.settled {
-            return Ok(true);
-        }
-        let comm = self.comm;
-        comm.sched_point("itest");
-        if let Err(e) = comm.fault_tick().and_then(|()| self.self_copy(recv_buf)) {
-            self.abort_cleanup();
-            return Err(e);
-        }
-        let me = comm.rank();
-        let data_tag = coll_key_tag(self.seq, PHASE_DATA);
-        let retx_tag = coll_key_tag(self.seq, PHASE_RETX);
-        let verdict_tag = coll_key_tag(self.seq, PHASE_VERDICT);
-        let mut abort = None;
-        for s in 0..self.progress.len() {
-            let SrcProgress::Pending { attempt } = self.progress[s] else { continue };
-            let dt = self.recv_types[s];
-            let take_tag = if attempt == 0 { data_tag } else { retx_tag };
-            // Nonblocking probe with the match-time epoch fence of the
-            // blocking receives.
-            let env = loop {
-                match comm.my_mailbox().try_take((comm.comm_id, s, take_tag)) {
-                    Some(env) if env.epoch != comm.epoch => {
-                        comm.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                        ddrtrace::instant_arg("minimpi", "fenced_msg", "src", s as i64);
-                    }
-                    other => break other,
-                }
-            };
-            let res = match env {
-                None if comm.is_alive(s) => continue, // still in flight
-                None => Err(Error::PeerDead { rank: s }),
-                Some(env) => {
-                    comm.note_delivery(&env);
-                    comm.deliver_alltoallw(s, take_tag, env, &dt, recv_buf)
-                }
-            };
-            match res {
-                Ok(()) => {
-                    if self.retx {
-                        let _ = comm.deposit_control(s, verdict_tag, vec![VERDICT_ACK]);
-                    }
-                    self.progress[s] = SrcProgress::Done;
-                }
-                Err(Error::IntegrityFailure { .. }) if self.retx => {
-                    let next = attempt + 1;
-                    if next > comm.world.retransmit_max {
-                        comm.world.integrity.exhausted.fetch_add(1, Ordering::Relaxed);
-                        ddrtrace::instant_arg("minimpi", "integrity_exhausted", "src", s as i64);
-                        let _ = comm.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
-                        let e = Error::IntegrityFailure {
-                            src: s,
-                            dst: me,
-                            tag: data_tag,
-                            attempt: next - 1,
-                        };
-                        self.progress[s] = SrcProgress::Done;
-                        if self.salvage {
-                            self.failed.push((s, e));
-                        } else {
-                            abort = Some(e);
-                            break;
-                        }
-                    } else {
-                        // A nonblocking poll never sleeps a backoff — NACK
-                        // right away; the sender's retransmit lands for a
-                        // later test()/wait() to consume.
-                        self.progress[s] = SrcProgress::Pending { attempt: next };
-                        if let Err(e) = comm.deposit_control(s, verdict_tag, vec![VERDICT_NACK]) {
-                            abort = Some(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    if self.retx {
-                        let _ = comm.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
-                    }
-                    self.progress[s] = SrcProgress::Done;
-                    match e {
-                        Error::DatatypeMismatch { .. } | Error::SizeMismatch { .. } => {
-                            abort = Some(e);
-                            break;
-                        }
-                        Error::PeerDead { rank } if rank == me && !comm.is_alive(me) => {
-                            abort = Some(Error::PeerDead { rank });
-                            break;
-                        }
-                        e if self.salvage => self.failed.push((s, e)),
-                        e => {
-                            abort = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if abort.is_none() {
-            if let Some(d) = self.duties.as_mut() {
-                if let Err(e) = d.service(comm) {
-                    abort = Some(e);
-                }
-            }
-        }
-        if let Some(e) = abort {
-            self.abort_cleanup();
-            return Err(e);
-        }
-        // Settle loans whose cells already reached a terminal state. A
-        // PENDING cell must *not* be probed through ZcCell::wait with an
-        // expired deadline — that would revoke a loan the receiver simply
-        // has not reached yet — so only terminal cells (or loans to dead
-        // receivers, revoked eagerly here) are classified.
-        let mut revoked = 0u64;
-        self.loans.retain(|(dest, cell)| {
-            if !cell.is_terminal() && (comm.is_alive(*dest) || !cell.revoke_if_pending()) {
-                return true; // pending or mid-copy: check again next poll
-            }
-            comm.sched_point("zc_wait");
-            match cell.wait(Instant::now(), || false) {
-                ZcWait::Revoked => {
-                    ddrtrace::instant_arg("minimpi", "zc_revoke", "dest", *dest as i64);
-                    revoked += 1;
-                }
-                ZcWait::Done => comm.note_loan_settled(cell),
-            }
-            false
-        });
-        if revoked > 0 {
-            comm.world.transport.revoked_msgs.fetch_add(revoked, Ordering::Relaxed);
-        }
-        let sources_done = !self.progress.iter().any(|p| matches!(p, SrcProgress::Pending { .. }));
-        let duties_settled = self.duties.as_ref().is_none_or(|d| !d.pending.iter().any(|&p| p));
-        if !(sources_done && self.loans.is_empty() && duties_settled) {
-            return Ok(false);
-        }
-        if let Some(mut d) = self.duties.take() {
-            // Nothing pending: settle() returns without polling.
-            let settled = d.settle(comm);
-            comm.sweep_exchange(self.seq);
-            self.settled = true;
-            settled?;
-        }
-        self.settled = true;
-        Ok(true)
-    }
-
-    /// The completion report accumulated so far. Meaningful after
-    /// [`AlltoallwRequest::test`] returned `Ok(true)`; `wait` returns the
-    /// report directly.
-    pub fn report(&mut self) -> ExchangeReport {
-        ExchangeReport { failed: std::mem::take(&mut self.failed) }
-    }
-
-    /// Wait on several exchanges in post order, delivering into the same
-    /// receive buffer — the callers' selections must be pairwise disjoint
-    /// (the redistribution plan guarantees this across rounds). On error the
-    /// remaining requests are dropped, which drains their loans and settles
-    /// their peers exactly like an individual abort.
-    #[track_caller]
-    pub fn wait_all(
-        requests: Vec<AlltoallwRequest<'a>>,
-        recv_buf: &mut [u8],
-    ) -> Result<Vec<ExchangeReport>> {
-        let mut reports = Vec::with_capacity(requests.len());
-        for req in requests {
-            reports.push(req.wait(recv_buf)?);
-        }
-        Ok(reports)
-    }
-
     /// Self-transfer: direct selection-to-selection copy (no staging in
-    /// either mode — faults never apply to self-messages). Runs once, on the
-    /// first completion call that supplies the receive buffer.
-    fn self_copy(&mut self, recv_buf: &mut [u8]) -> Result<()> {
-        if self.self_copy_done {
-            return Ok(());
-        }
-        self.self_copy_done = true;
+    /// either mode — faults never apply to self-messages).
+    fn self_copy(&self, recv_buf: &mut [u8]) -> Result<()> {
         let me = self.comm.rank();
         if self.send_types[me].packed_len() > 0 || self.recv_types[me].packed_len() > 0 {
             let _copy = ddrtrace::span_arg(
@@ -1353,23 +1072,23 @@ impl<'a> AlltoallwRequest<'a> {
         Ok(ExchangeReport { failed: std::mem::take(&mut self.failed) })
     }
 
-    /// Abort-path settlement (shared by wait, test, and Drop): FAIL every
-    /// source still owed a verdict so our departure can't strand a healthy
-    /// sender, give our own receivers their retransmit settlement, and sweep
-    /// the exchange's queued remainder — dropping a queued zero-copy
-    /// envelope revokes its loan, releasing the sender immediately.
+    /// FAIL every source still owed a verdict, so this rank's departure
+    /// can't strand a healthy sender in its settlement wait.
+    fn fail_owed_sources(&self) {
+        let verdict_tag = coll_key_tag(self.seq, PHASE_VERDICT);
+        for s in (0..self.owed.len()).filter(|&s| self.owed[s]) {
+            let _ = self.comm.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
+        }
+    }
+
+    /// Abort-path settlement: FAIL every source still owed a verdict, give
+    /// our own receivers their retransmit settlement, and sweep the
+    /// exchange's queued remainder — dropping a queued zero-copy envelope
+    /// revokes its loan, releasing the sender immediately.
     fn abort_cleanup(&mut self) {
         let comm = self.comm;
         if self.retx {
-            for (s, p) in self.progress.iter().enumerate() {
-                if matches!(p, SrcProgress::Pending { .. }) {
-                    let _ = comm.deposit_control(
-                        s,
-                        coll_key_tag(self.seq, PHASE_VERDICT),
-                        vec![VERDICT_FAIL],
-                    );
-                }
-            }
+            self.fail_owed_sources();
             // Our *data* went out in the send phase regardless of this
             // abort — stay available (best-effort) until every receiver
             // recovering from us reaches a terminal verdict.
@@ -1405,25 +1124,17 @@ impl<'a> AlltoallwRequest<'a> {
     }
 }
 
-impl Drop for AlltoallwRequest<'_> {
+impl Drop for Exchange<'_> {
     fn drop(&mut self) {
         if !self.settled {
-            // Dropped without completing (the latent-leak exit path): settle
-            // peers best-effort without blocking — queued NACKs are answered
-            // once, unreached sources are FAILed — then sweep. Receivers
-            // whose verdicts arrive after this point resolve through their
-            // own bounded waits.
+            // Dropped without completing (a mid-post error or a panic):
+            // settle peers best-effort without blocking — queued NACKs are
+            // answered once, unreached sources are FAILed — then sweep.
+            // Receivers whose verdicts arrive after this point resolve
+            // through their own bounded waits.
             let comm = self.comm;
             if self.retx {
-                for (s, p) in self.progress.iter().enumerate() {
-                    if matches!(p, SrcProgress::Pending { .. }) {
-                        let _ = comm.deposit_control(
-                            s,
-                            coll_key_tag(self.seq, PHASE_VERDICT),
-                            vec![VERDICT_FAIL],
-                        );
-                    }
-                }
+                self.fail_owed_sources();
                 if let Some(mut d) = self.duties.take() {
                     let _ = d.service(comm);
                 }

@@ -190,15 +190,28 @@ impl WorldState {
     /// shrink round so they re-check liveness. Idempotent.
     pub fn mark_dead(&self, world_rank: usize) {
         if self.liveness.mark_dead(world_rank) {
-            for mb in &self.mailboxes {
-                mb.interrupt();
-            }
-            // Senders parked on the credit gate re-run their liveness probe
-            // on wake, so a death releases them with PeerDead immediately.
-            self.flow.wake_all();
-            self.shrink.on_death(&self.liveness);
-            self.reconfig.on_death(&self.liveness);
+            self.on_death();
         }
+    }
+
+    /// A rank thread running as `incarnation` of `world_rank` finished:
+    /// departed (or crashed) ranks count as dead, so peers blocked on them
+    /// fail fast — unless the rank was already revived for a replacement.
+    pub fn retire(&self, world_rank: usize, incarnation: u64) {
+        if self.liveness.retire(world_rank, incarnation) {
+            self.on_death();
+        }
+    }
+
+    fn on_death(&self) {
+        for mb in &self.mailboxes {
+            mb.interrupt();
+        }
+        // Senders parked on the credit gate re-run their liveness probe
+        // on wake, so a death releases them with PeerDead immediately.
+        self.flow.wake_all();
+        self.shrink.on_death(&self.liveness);
+        self.reconfig.on_death(&self.liveness);
     }
 }
 
@@ -735,16 +748,6 @@ impl Comm {
             None
         };
         Ok((packed, pre))
-    }
-
-    /// True when any timing-perturbing instrumentation is armed (fault
-    /// injection, runtime checking, seeded schedule exploration). Adaptive
-    /// heuristics that compare wall-clock measurements (e.g. the pipeline
-    /// auto-fallback gate) must stay inert under these modes: the timings
-    /// are not representative, and injected sleeps would make the decision
-    /// seed-dependent.
-    pub fn timing_perturbed(&self) -> bool {
-        self.world.faults.is_some() || self.world.check.is_some() || self.world.sched.is_some()
     }
 
     /// Deposit a control-plane message (retransmit verdicts/NACKs). Control

@@ -48,6 +48,8 @@ const EPOCH_SALT: u64 = 0x4550_4f43_4821;
 pub(crate) struct RespawnRequest {
     /// World rank to respawn.
     pub world_rank: usize,
+    /// Incarnation of that rank the replacement thread runs as.
+    pub incarnation: u64,
     /// Epoch the replacement joins in.
     pub epoch: u64,
     /// Communicator id of the reconfigured communicator it starts with.
@@ -301,23 +303,21 @@ impl Comm {
             }
             let dead: Vec<usize> =
                 self.members.iter().copied().filter(|w| !survivors.contains(w)).collect();
+            let mut revived = Vec::new();
             if respawn {
-                for &w in &dead {
-                    self.world.liveness.revive(w);
-                }
+                revived.extend(dead.iter().map(|&w| (w, self.world.liveness.revive(w))));
                 self.world.elastic.add_respawns(dead.len() as u64);
             }
             self.world.elastic.set_epoch(new_epoch);
             let fenced = self.world.sweep_stale(new_epoch);
-            if respawn {
-                for &w in &dead {
-                    self.world.elastic.request_respawn(RespawnRequest {
-                        world_rank: w,
-                        epoch: new_epoch,
-                        comm_id,
-                        members: Arc::clone(&new_members),
-                    });
-                }
+            for (world_rank, incarnation) in revived {
+                self.world.elastic.request_respawn(RespawnRequest {
+                    world_rank,
+                    incarnation,
+                    epoch: new_epoch,
+                    comm_id,
+                    members: Arc::clone(&new_members),
+                });
             }
             if ddrtrace::enabled() {
                 ddrtrace::instant_arg("minimpi", "epoch_bump", "epoch", new_epoch as i64);
@@ -386,6 +386,7 @@ mod tests {
         e.add_respawns(1);
         e.request_respawn(RespawnRequest {
             world_rank: 0,
+            incarnation: 1,
             epoch: 1,
             comm_id: 7,
             members: Arc::new(vec![0]),

@@ -128,9 +128,9 @@ pub enum Error {
     /// single request exceeds the whole `DDR_MEM_BUDGET`, or the budget
     /// stayed exhausted with no global progress for a full watchdog
     /// timeout. This is the *final* stage of the degradation ladder — the
-    /// runtime first sheds zero-copy to staged, shrinks pipeline depth, and
-    /// trims the buffer pool before failing a reservation. Note that slow
-    /// peers are an advisory (`flow.slow_peers` counter), never an error.
+    /// runtime first sheds zero-copy to staged and trims the buffer pool
+    /// before failing a reservation. Note that slow peers are an advisory
+    /// (`flow.slow_peers` counter), never an error.
     MemoryPressure {
         /// Bytes the denied reservation asked for.
         requested: usize,

@@ -22,11 +22,11 @@
 //!   `mem.high_water` metric and the bench's `peak_staging_bytes` column);
 //!   the *gate* only engages when a budget is configured. Degradation is
 //!   staged: zero-copy sheds to the staged path at 50% occupancy
-//!   ([`FlowLedger::shedding_zerocopy`]), the pipelined executor shrinks its
-//!   depth (see `ddr-core`), the buffer pool drops returned buffers instead
-//!   of retaining them ([`FlowLedger::pool_try_retain`]), and only a single
-//!   request larger than the whole budget — or a budget wait that makes no
-//!   progress for a full timeout — returns [`Error::MemoryPressure`].
+//!   ([`FlowLedger::shedding_zerocopy`]), the buffer pool drops returned
+//!   buffers instead of retaining them ([`FlowLedger::pool_try_retain`]),
+//!   and only a single request larger than the whole budget — or a budget
+//!   wait that makes no progress for a full timeout — returns
+//!   [`Error::MemoryPressure`].
 //! * **Straggler detection** — each pair keeps an EWMA of credit-stall
 //!   durations; a pair whose EWMA crosses `DDR_SLOW_PEER_MS` is flagged once
 //!   as a *SlowPeer* advisory (`flow.slow_peers` metric + trace instant),
@@ -326,7 +326,7 @@ impl FlowLedger {
     /// death (or the sender's own fault-kill) unparks immediately with the
     /// appropriate error. The deadline slides forward whenever any release
     /// happens anywhere in the universe — a sender parked behind a *live*
-    /// pipeline never times out — but a gate that sees no global progress
+    /// exchange never times out — but a gate that sees no global progress
     /// for a full timeout (or `HARD_CAP_TIMEOUTS`× in total) fails
     /// structurally: [`Error::MemoryPressure`] when the governor is the
     /// blocker, [`Error::Timeout`] when the pair window is.

@@ -168,12 +168,11 @@ impl UniverseBuilder {
     /// Cap the universe's staging footprint: mailbox payloads and
     /// pool-retained capacity are metered against this budget, and the
     /// runtime degrades in stages as it fills — zero-copy sheds to the
-    /// staged path at 50% occupancy, the pipelined executor (in `ddr-core`)
-    /// shrinks its depth, the pool drops returned buffers instead of
-    /// retaining them — before a reservation that cannot ever fit (or a
-    /// budget wait with no global progress for a full timeout) fails with
-    /// [`crate::Error::MemoryPressure`]. `0` (the default) meters without
-    /// enforcing. Overrides `DDR_MEM_BUDGET`.
+    /// staged path at 50% occupancy, the pool drops returned buffers
+    /// instead of retaining them — before a reservation that cannot ever
+    /// fit (or a budget wait with no global progress for a full timeout)
+    /// fails with [`crate::Error::MemoryPressure`]. `0` (the default)
+    /// meters without enforcing. Overrides `DDR_MEM_BUDGET`.
     pub fn mem_budget(mut self, bytes: usize) -> Self {
         self.mem_budget = Some(bytes);
         self
@@ -274,9 +273,7 @@ impl UniverseBuilder {
                         let _body = ddrtrace::span("rank", "rank_body");
                         let comm = Comm::world_comm(Arc::clone(&world), rank);
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                        // Departed (or crashed) ranks count as dead: peers
-                        // blocked on them should fail fast.
-                        world.mark_dead(rank);
+                        world.retire(rank, 0);
                         world.elastic.rank_finished();
                         match out {
                             Ok(v) => v,
@@ -295,7 +292,7 @@ impl UniverseBuilder {
             while let SupervisorEvent::Spawn(req) = world.elastic.next_event() {
                 let world = Arc::clone(&world);
                 let f = &f;
-                let rank = req.world_rank;
+                let (rank, incarnation) = (req.world_rank, req.incarnation);
                 let handle = std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
                     .stack_size(RANK_STACK_BYTES)
@@ -304,7 +301,7 @@ impl UniverseBuilder {
                         let _body = ddrtrace::span("rank", "rank_body");
                         let comm = Comm::respawned_comm(Arc::clone(&world), &req);
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                        world.mark_dead(rank);
+                        world.retire(rank, incarnation);
                         world.elastic.rank_finished();
                         // A replacement's result is observable only
                         // through its communication; `run` returns

@@ -242,53 +242,64 @@ fn untyped_send_passes_typed_receive_under_check() {
     assert_eq!(out[1], 7);
 }
 
-/// The error path of the nonblocking API: an `ialltoallw` request posted
-/// with a zero-copy loan outstanding is dropped without `wait` — the shape
-/// of any `?` between post and completion. Drop must drain the loan on the
-/// way out: the never-claimed loan is revoked immediately (not stranded
-/// until the watchdog fires), and the checker's finalize must not panic
-/// with a LoanLeak — this test running under `check(true)` without
-/// `#[should_panic]` is that assertion.
+/// An `alltoallw` whose send phase fails *after* a zero-copy loan already
+/// went out: rank 0 lends to rank 1, then its datatype for rank 2 fails the
+/// sender-side bounds check. The exchange guard's drop must drain the loan
+/// on the way out — revoked at once if rank 1 has not claimed it (`late`:
+/// rank 1 enters only after rank 0 reported the failure), waited out if the
+/// claim is already copying — so nobody is stranded until the watchdog, and
+/// the checker's finalize must not panic with a LoanLeak: this test running
+/// under `check(true)` without `#[should_panic]` is that assertion.
 #[test]
-fn dropped_request_without_wait_drains_loans() {
+fn send_phase_error_after_a_loan_drains_it() {
+    const FAILED: minimpi::Tag = 4242;
     let len = 4096usize;
     let watchdog = Duration::from_secs(30);
-    let start = Instant::now();
-    let out =
-        Universe::builder().check(true).zerocopy(true).zerocopy_threshold(0).timeout(watchdog).run(
-            2,
-            move |comm| {
-                if comm.rank() == 1 {
-                    // Never touches the exchange: the loan stays unclaimed, so
-                    // only rank 0's drop path can release it.
-                    return None;
-                }
+    for late in [false, true] {
+        let start = Instant::now();
+        let out = Universe::builder()
+            .check(true)
+            .zerocopy(true)
+            .zerocopy_threshold(0)
+            .timeout(watchdog)
+            .run(3, move |comm| {
                 let contig = Datatype::Contiguous { len_bytes: len, offset: 0 };
-                let send_types = [Datatype::Empty, contig];
-                let recv_types = [Datatype::Empty, contig];
-                let buf: &'static [u8] = Box::leak(vec![9u8; len].into_boxed_slice());
-                let req = comm.ialltoallw(buf, &send_types, &recv_types).unwrap();
-                let loans_posted = comm.transport_counters().zerocopy_msgs;
-                // The planted error between post and wait; `req` unwinds with
-                // the exchange still in flight.
-                comm.set_timeout(Duration::from_millis(100));
-                let err = comm.recv_bytes(1, 4242).unwrap_err();
-                drop(req);
-                Some((err, loans_posted))
-            },
+                let empty = Datatype::Empty;
+                let mut recv = vec![0u8; len];
+                if comm.rank() > 0 {
+                    if late && comm.rank() == 1 {
+                        comm.recv_bytes(0, FAILED)?;
+                    }
+                    let res = comm.alltoallw(&[], &[empty; 3], &mut recv, &[contig, empty, empty]);
+                    return res.map(|()| recv);
+                }
+                let send = vec![9u8; len];
+                let past_the_end = Datatype::Contiguous { len_bytes: len, offset: 1 };
+                let before = comm.transport_counters().zerocopy_msgs;
+                let res =
+                    comm.alltoallw(&send, &[empty, contig, past_the_end], &mut recv, &[empty; 3]);
+                assert!(
+                    comm.transport_counters().zerocopy_msgs > before,
+                    "the loan to rank 1 must have gone out before the bounds check failed"
+                );
+                if late {
+                    comm.send_bytes(1, FAILED, &[])?;
+                }
+                res.map(|()| recv)
+            });
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "late={late}: a loan was stranded until the watchdog"
         );
-    // Teardown reached without a LoanLeak panic and without burning the
-    // watchdog: the drop really drained the loan.
-    assert!(
-        start.elapsed() < Duration::from_secs(10),
-        "request drop must not block on the unclaimed loan"
-    );
-    let (err, loans_posted) = out[0].clone().unwrap();
-    assert!(loans_posted >= 1, "the post must actually have minted a zero-copy loan");
-    assert!(
-        matches!(err, Error::Timeout { .. } | Error::PeerDead { .. }),
-        "planted error path took an unexpected shape: {err}"
-    );
+        assert!(matches!(out[0], Err(Error::DatatypeMismatch { .. })), "late={late}: {:?}", out[0]);
+        // Rank 1 either copied the loan out before rank 0 left, or found it revoked.
+        match &out[1] {
+            Ok(bytes) if !late => assert_eq!(bytes, &vec![9u8; len]),
+            Err(Error::PeerDead { rank: 0 }) => {}
+            other => panic!("late={late}: rank 1 got {other:?}"),
+        }
+        assert_eq!(out[2], Err(Error::PeerDead { rank: 0 }), "late={late}");
+    }
 }
 
 #[test]
