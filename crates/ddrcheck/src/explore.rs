@@ -17,13 +17,12 @@
 //! sweep stops early.
 //!
 //! ```no_run
-//! use minimpi::Universe;
+//! use minimpi::{Error, Universe};
 //!
 //! let report = ddrcheck::explore::explore(64, |seed| {
-//!     let out = Universe::builder().check(true).sched_seed(seed).run(2, |comm| {
-//!         comm.barrier().map_err(|e| e.to_string())
-//!     });
-//!     out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ())
+//!     let out = Universe::builder().check(true).sched_seed(seed).run(2, |comm| comm.barrier());
+//!     // The cause, not a peer's `PeerDead` fallout from it.
+//!     Error::root_cause(out).map(|_| ()).map_err(|e| e.to_string())
 //! });
 //! assert!(report.passed(), "{}", ddrcheck::explore::render_explore_report("barrier", &report));
 //! ```

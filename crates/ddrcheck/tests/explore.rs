@@ -11,6 +11,12 @@ use ddrcheck::explore::{default_seed_budget, explore, render_explore_report};
 use minimpi::{Comm, Datatype, Error, FaultPlan, Universe};
 use std::time::Duration;
 
+/// One run's outcome for the explorer: clean, or the message of the error
+/// that caused the failure — not of a peer's `PeerDead` fallout from it.
+fn verdict(out: Vec<Result<(), Error>>) -> Result<(), String> {
+    Error::root_cause(out).map(|_| ()).map_err(|e| e.to_string())
+}
+
 /// A planted race, driven through the public access-annotation API: both
 /// ranks declare a write to the same shared buffer with no message between
 /// them, so the two writes are causally unordered on *every* schedule and
@@ -22,8 +28,8 @@ fn explorer_finds_planted_shared_buffer_race() {
         let out = Universe::builder()
             .check(true)
             .sched_seed(seed)
-            .run(2, move |comm| comm.check_write(buf).map_err(|e| e.to_string()));
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ())
+            .run(2, move |comm| comm.check_write(buf));
+        verdict(out)
     };
     let report = explore(default_seed_budget(), run);
     let failure = report.failure.clone().expect("the unsynchronized writes must be convicted");
@@ -50,7 +56,7 @@ fn message_ordered_accesses_stay_clean_across_schedules() {
             }
             Ok::<_, Error>(())
         });
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+        verdict(out)
     });
     assert!(report.passed(), "{}", render_explore_report("ordered accesses", &report));
 }
@@ -96,7 +102,7 @@ fn run_verdict_protocol(seed: u64, buggy: bool) -> Result<(), String> {
         .check(true)
         .sched_seed(seed)
         .run(3, move |comm| verdict_ack_protocol(comm, buggy));
-    out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+    verdict(out)
 }
 
 #[test]
@@ -182,7 +188,7 @@ fn alltoallw_under_check_is_clean_across_schedules() {
                 }
                 Ok::<_, Error>(())
             });
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+        verdict(out)
     });
     assert!(report.passed(), "{}", render_explore_report("alltoallw", &report));
 }
@@ -262,7 +268,7 @@ fn corrupt_retransmit_recovery_is_clean_across_schedules() {
                 }
                 Ok::<_, Error>(())
             });
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+        verdict(out)
     });
     assert!(report.passed(), "{}", render_explore_report("retransmit recovery", &report));
 }
@@ -301,7 +307,7 @@ fn credit_handshake_is_clean_across_schedules() {
                 }
                 Ok::<_, Error>(())
             });
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+        verdict(out)
     });
     assert!(report.passed(), "{}", render_explore_report("credit handshake", &report));
 }
@@ -329,7 +335,7 @@ fn explorer_convicts_head_of_line_credit_deadlock() {
                 comm.recv_bytes(other, 3)?;
                 Ok::<_, Error>(())
             });
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+        verdict(out)
     };
     let report = explore(default_seed_budget(), run);
     let failure =

@@ -2,10 +2,10 @@
 //!
 //! Usage: `ddr-trace <trace.json>`
 //!
-//! Reads a Chrome trace-event JSON file written by this crate (or by the
-//! redistribute bench), rebuilds the per-phase summary table and prints it
-//! together with the unified metrics registry. Exits non-zero if the file is
-//! missing or not valid trace JSON, so CI can use it as a format check.
+//! Reads a Chrome trace-event JSON file written by this crate, rebuilds the
+//! per-phase summary table and prints it together with the unified metrics
+//! registry. Exits non-zero if the file is missing or not valid trace JSON,
+//! so CI can use it as a format check.
 
 use ddrtrace::json::{self, Value};
 use std::collections::BTreeMap;

@@ -13,7 +13,7 @@ use crate::error::{Error, Result};
 use crate::fault::{mix64, Keystream};
 use crate::mailbox::{Envelope, Payload};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
-use crate::zerocopy::{ZcCell, ZcWait, PARALLEL_COPY_MIN_BYTES};
+use crate::zerocopy::{ZcCell, ZcWait};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -738,7 +738,7 @@ impl Comm {
                 // SAFETY: the claim succeeded, so the sender is blocked in
                 // ZcCell::wait and `send_buf` stays alive until finish().
                 let src_buf = unsafe { h.src_slice() };
-                let res = self.zc_copy_in(src_buf, &h.dt, dt, recv_buf).and_then(|()| {
+                let res = copy_selection(src_buf, &h.dt, recv_buf, dt).and_then(|()| {
                     // Claim-time fault injection: the loan had no in-flight
                     // bytes to scramble, so the injector recorded keystream
                     // inits and the corruption lands on *our* copy here —
@@ -761,23 +761,6 @@ impl Comm {
                 }
             }
         }
-    }
-
-    /// Copy `src_dt`'s selection of the sender's buffer into `dst_dt`'s
-    /// selection of `recv_buf`. [`copy_selection`] dispatches through the
-    /// pack-kernel layer, which fans large copies out across the copy pool;
-    /// this wrapper only keeps the transport-level counter.
-    fn zc_copy_in(
-        &self,
-        src_buf: &[u8],
-        src_dt: &Datatype,
-        dst_dt: &Datatype,
-        recv_buf: &mut [u8],
-    ) -> Result<()> {
-        if src_dt.packed_len() >= PARALLEL_COPY_MIN_BYTES {
-            self.world.transport.parallel_copies.fetch_add(1, Ordering::Relaxed);
-        }
-        copy_selection(src_buf, src_dt, recv_buf, dst_dt)
     }
 
     /// Sparse personalized exchange: send each `(dest, payload)` pair and

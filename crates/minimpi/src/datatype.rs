@@ -157,8 +157,7 @@ impl Subarray {
 
     /// Pack the selected rectangle out of `src` (the full array, as bytes)
     /// and append it to `out`, through the tiered kernel dispatcher
-    /// (fused memcpy / lane gather / pooled fan-out — see
-    /// [`crate::kernels`]).
+    /// (fused memcpy / lane gather / per-run loop — see [`crate::kernels`]).
     pub fn pack_into(&self, src: &[u8], out: &mut Vec<u8>) -> Result<()> {
         self.check_buf(src.len())?;
         kernels::pack_runs(src, &self.shape, out);
@@ -323,10 +322,9 @@ pub(crate) fn for_each_run_pair(
 }
 
 /// Copy `src_dt`'s selection of `src` directly into `dst_dt`'s selection of
-/// `dst`. Both buffers are validated against their datatypes up front.
-/// Large copies (≥ 4 MiB) collect the run pairs and fan out across the
-/// [`crate::kernels`] pool dispatcher — the same tier `pack_into`/`unpack`
-/// use — so `copy_to` and the zero-copy claim share one dispatch point.
+/// `dst`, on the calling thread, one `copy_from_slice` per run pair at every
+/// size. Both buffers are validated against their datatypes up front. The
+/// single copy routine behind `copy_to`, self-sends and the zero-copy claim.
 pub(crate) fn copy_selection(
     src: &[u8],
     src_dt: &Datatype,
@@ -335,13 +333,6 @@ pub(crate) fn copy_selection(
 ) -> Result<()> {
     src_dt.check_bounds(src.len())?;
     dst_dt.check_bounds(dst.len())?;
-    let total = src_dt.packed_len();
-    if total >= crate::zerocopy::PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        let mut pairs = Vec::new();
-        for_each_run_pair(src_dt, dst_dt, |s, d, n| pairs.push((s, d, n)))?;
-        kernels::copy_pairs(src, dst, pairs, total);
-        return Ok(());
-    }
     for_each_run_pair(src_dt, dst_dt, |s, d, n| {
         dst[d..d + n].copy_from_slice(&src[s..s + n]);
     })

@@ -149,6 +149,29 @@ pub enum Error {
     },
 }
 
+impl Error {
+    /// Collapse the per-rank outcomes of one run into every result or the
+    /// error that explains the failure: the first error (by rank order) that
+    /// is not [`Error::PeerDead`], else the first `PeerDead`. A rank that
+    /// fails and exits makes its peers fail fast with `PeerDead`, so
+    /// collecting by rank order alone reports whichever rank is lower —
+    /// fallout as often as cause.
+    pub fn root_cause<R>(outcomes: Vec<Result<R>>) -> Result<Vec<R>> {
+        let mut results = Vec::with_capacity(outcomes.len());
+        let mut fallout = None;
+        for outcome in outcomes {
+            match outcome {
+                Ok(r) => results.push(r),
+                Err(e @ Error::PeerDead { .. }) => {
+                    fallout.get_or_insert(e);
+                }
+                Err(cause) => return Err(cause),
+            }
+        }
+        fallout.map_or(Ok(results), Err)
+    }
+}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

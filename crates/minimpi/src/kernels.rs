@@ -12,14 +12,14 @@
 //! 1. **Fused**: a selection whose runs merged into a single contiguous
 //!    stretch (full-array selections, 2-D slabs with contiguous rows) is one
 //!    `memcpy` — no per-run loop at all.
-//! 2. **Pooled**: at or above [`PARALLEL_COPY_MIN_BYTES`] (the existing
-//!    ≥ 4 MiB zero-copy bound) the runs are sharded across the process
-//!    [`CopyPool`], so huge packs, unpacks and claim copies all use the same
-//!    parallel dispatcher.
-//! 3. **Lanes**: strided interior selections copy through a fixed-width
-//!    lane loop (`[u8; N]` reads/writes for the common run widths), which
-//!    the compiler vectorizes; other widths fall back to a scalar
-//!    `copy_nonoverlapping` per run.
+//! 2. **Lanes**: strided interior selections whose run width is one of the
+//!    eight lane widths copy through a fixed-width lane loop (`[u8; N]`
+//!    reads/writes), which the compiler vectorizes.
+//! 3. **Per-run loop**: every other width is one `copy_nonoverlapping` per
+//!    run.
+//!
+//! All three run on the calling thread at every size: a rank moves its own
+//! bytes with its own core.
 //!
 //! Sender-side envelope checksums fold *during* the gather
 //! ([`pack_runs_hashed`]): the 4-lane hash is split-point independent
@@ -30,8 +30,8 @@
 //! Every tier bumps a process-global counter, published as `pack.*` metrics
 //! in the ddr-trace report and exported via [`crate::pack_counters`].
 
+use crate::datatype::ByteRuns;
 use crate::integrity::Checksum;
-use crate::zerocopy::{shard_runs, CopyPool, PARALLEL_COPY_MIN_BYTES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The derived run structure of a subarray selection, computed once at
@@ -135,17 +135,13 @@ pub struct PackCounters {
     pub fused_runs: u64,
     /// Bytes moved through the fixed-width lane gather/scatter loops.
     pub vector_bytes: u64,
-    /// Bytes moved through the scalar per-run fallback (odd run widths and
-    /// run-pair copies).
+    /// Bytes moved through the scalar per-run loop (non-lane run widths).
     pub scalar_bytes: u64,
-    /// Batches fanned out across the [`CopyPool`] (≥ 4 MiB).
-    pub pool_dispatches: u64,
 }
 
 static FUSED_RUNS: AtomicU64 = AtomicU64::new(0);
 static VECTOR_BYTES: AtomicU64 = AtomicU64::new(0);
 static SCALAR_BYTES: AtomicU64 = AtomicU64::new(0);
-static POOL_DISPATCHES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-global kernel counters (monotone totals).
 pub fn snapshot() -> PackCounters {
@@ -153,13 +149,19 @@ pub fn snapshot() -> PackCounters {
         fused_runs: FUSED_RUNS.load(Ordering::Relaxed),
         vector_bytes: VECTOR_BYTES.load(Ordering::Relaxed),
         scalar_bytes: SCALAR_BYTES.load(Ordering::Relaxed),
-        pool_dispatches: POOL_DISPATCHES.load(Ordering::Relaxed),
     }
 }
 
 /// Run widths that go through the lane loops. Covers the element sizes the
 /// DDR stack actually moves (u8..f64 and small multiples — a strided column
 /// of f32 is a 4-byte lane, a pair of f64 a 16-byte one).
+///
+/// The tier is measured, not assumed: routing these widths through the
+/// scalar per-run loop instead cost 2–3× on the one-element-wide (ghost
+/// column) shapes of `crates/bench/benches/pack.rs` —
+/// `unpack_column_major_1x1024` 10.0 → 31.4 µs, `unpack_inner_stride_1elem`
+/// 4.1 → 9.3 µs, `pencil_1x1x128` 0.11 → 0.32 µs — while non-lane widths
+/// (`thin_columns_32x512`, 128-byte runs) did not slow down.
 const fn is_lane_width(n: usize) -> bool {
     matches!(n, 1 | 2 | 4 | 8 | 12 | 16 | 32 | 64)
 }
@@ -202,37 +204,6 @@ fn pack_impl(src: &[u8], shape: &RunShape, out: &mut Vec<u8>, mut sum: Option<&m
     }
     let start = out.len();
     out.reserve(total);
-    if total >= PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        // Fan the copy out across the pool. When a checksum is requested the
-        // submitting thread hashes the source runs (in packed order — equal
-        // to hashing the packed image) concurrently with the workers'
-        // copies, so the hash still costs no extra pass.
-        let mut pairs = Vec::with_capacity(shape.nruns);
-        let mut cursor = 0usize;
-        for (off, len) in runs(shape) {
-            pairs.push((off, cursor, len));
-            cursor += len;
-        }
-        let shards = shard_runs(pairs);
-        // SAFETY: `reserve(total)` above guarantees `total` spare bytes
-        // after `start`; the shard destinations partition exactly
-        // [0, total), so every reserved byte is written before `set_len`.
-        // Sources stay in-bounds by the `max_end` assert.
-        unsafe {
-            let dst = out.as_mut_ptr().add(start);
-            match sum {
-                Some(s) => CopyPool::global().run_batch_with(src.as_ptr(), dst, shards, || {
-                    for (off, len) in runs(shape) {
-                        s.update(&src[off..off + len]);
-                    }
-                }),
-                None => CopyPool::global().run_batch(src.as_ptr(), dst, shards),
-            }
-            out.set_len(start + total);
-        }
-        POOL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
     // SAFETY: spare capacity of `total` bytes was reserved; the lane/scalar
     // loops write runs at consecutive cursor positions covering exactly
     // [start, start + total); source offsets are bounded by the `max_end`
@@ -250,7 +221,7 @@ fn pack_impl(src: &[u8], shape: &RunShape, out: &mut Vec<u8>, mut sum: Option<&m
             64 => gather_lanes::<64>(src.as_ptr(), shape, dst),
             n => {
                 let mut cur = dst;
-                for (off, _) in runs(shape) {
+                for (off, _) in ByteRuns::from_shape(shape) {
                     std::ptr::copy_nonoverlapping(src.as_ptr().add(off), cur, n);
                     cur = cur.add(n);
                 }
@@ -307,28 +278,6 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
         FUSED_RUNS.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    if total >= PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        let mut pairs = Vec::with_capacity(shape.nruns);
-        let mut cursor = 0usize;
-        for (off, len) in runs(shape) {
-            pairs.push((cursor, off, len));
-            cursor += len;
-        }
-        let shards = shard_runs(pairs);
-        // The destination runs of one selection are pairwise disjoint, so
-        // sharding them across workers is race-free; `dst` is initialized
-        // memory throughout. The submitting thread folds the (contiguous)
-        // packed image concurrently with the workers' copies.
-        match sum {
-            Some(s) => {
-                CopyPool::global()
-                    .run_batch_with(packed.as_ptr(), dst.as_mut_ptr(), shards, || s.update(packed))
-            }
-            None => CopyPool::global().run_batch(packed.as_ptr(), dst.as_mut_ptr(), shards),
-        }
-        POOL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
     // SAFETY: destination runs are in-bounds by the `max_end` assert;
     // source cursor positions cover exactly `packed`.
     unsafe {
@@ -344,7 +293,7 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
             64 => scatter_lanes::<64>(srcp, shape, dst.as_mut_ptr()),
             n => {
                 let mut cur = srcp;
-                for (off, _) in runs(shape) {
+                for (off, _) in ByteRuns::from_shape(shape) {
                     std::ptr::copy_nonoverlapping(cur, dst.as_mut_ptr().add(off), n);
                     cur = cur.add(n);
                 }
@@ -361,38 +310,6 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
         // hits L1-hot bytes instead of paying a separate cold pass.
         s.update(packed);
     }
-}
-
-/// Copy pre-walked `(src_off, dst_off, len)` run pairs totalling `total`
-/// bytes, fanning out across the pool at the ≥ 4 MiB bound — the shared
-/// dispatcher behind `copy_to` and the zero-copy claim copy. Destination
-/// ranges must be pairwise disjoint (selection runs are).
-pub(crate) fn copy_pairs(
-    src: &[u8],
-    dst: &mut [u8],
-    pairs: Vec<(usize, usize, usize)>,
-    total: usize,
-) {
-    if total >= PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        let shards = shard_runs(pairs);
-        CopyPool::global().run_batch(src.as_ptr(), dst.as_mut_ptr(), shards);
-        POOL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    for (s, d, n) in pairs {
-        dst[d..d + n].copy_from_slice(&src[s..s + n]);
-    }
-    SCALAR_BYTES.fetch_add(total as u64, Ordering::Relaxed);
-}
-
-/// Iterate the shape's `(offset, len)` runs in packed order (cheap,
-/// allocation-free; the shape is already derived).
-fn runs(shape: &RunShape) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let (n0, s0) = shape.dims[0];
-    let (n1, s1) = shape.dims[1];
-    (0..n1).flat_map(move |i1| {
-        (0..n0).map(move |i0| (shape.base + i0 * s0 + i1 * s1, shape.run_bytes))
-    })
 }
 
 /// Strided gather with a compile-time run width: one `[u8; N]` load/store
@@ -447,7 +364,7 @@ mod tests {
     /// Reference gather: straight byte loop over the run iterator.
     fn reference_pack(src: &[u8], shape: &RunShape) -> Vec<u8> {
         let mut out = Vec::new();
-        for (off, len) in runs(shape) {
+        for (off, len) in ByteRuns::from_shape(shape) {
             out.extend_from_slice(&src[off..off + len]);
         }
         out
@@ -480,29 +397,38 @@ mod tests {
         }
     }
 
+    /// Inputs of the hashed-kernel tests, each with the buffer it selects
+    /// from: strided lane and scalar widths, the fused single-run shape, and
+    /// a strided selection whose packed image (128 KiB runs x 40 = 5 MiB) is
+    /// not cache-resident, so the fold-after-loop checksum reads cold bytes.
+    fn hashed_cases() -> Vec<(Vec<u8>, RunShape)> {
+        let small: Vec<u8> = (0..2048).map(|i| (i % 241) as u8).collect();
+        let mut cases: Vec<_> = [1usize, 4, 5, 8, 16]
+            .map(|run| (small.clone(), shape_2d(3, run, 7, run + 1, 2, 7 * (run + 1) + 5)))
+            .into();
+        cases.push((small, RunShape::contiguous(11, 777)));
+        let (run, n1) = (128 * 1024, 40);
+        let big = (0..(run + 64) * n1 + 16).map(|i| (i % 247) as u8).collect();
+        cases.push((big, shape_2d(16, run, 1, 0, n1, run + 64)));
+        cases
+    }
+
     #[test]
     fn hashed_pack_matches_one_shot_checksum() {
         use crate::integrity::checksum64;
-        let src: Vec<u8> = (0..2048).map(|i| (i % 241) as u8).collect();
-        for run in [1usize, 4, 5, 8, 16] {
-            let shape = shape_2d(3, run, 7, run + 1, 2, 7 * (run + 1) + 5);
+        for (src, shape) in hashed_cases() {
             let mut out = Vec::new();
             let mut sum = Checksum::new(99);
             pack_runs_hashed(&src, &shape, &mut out, &mut sum);
-            assert_eq!(sum.finish(), checksum64(99, &out), "run width {run}");
+            assert_eq!(out, reference_pack(&src, &shape), "shape {shape:?}");
+            assert_eq!(sum.finish(), checksum64(99, &out), "shape {shape:?}");
         }
     }
 
     #[test]
     fn hashed_unpack_matches_one_shot_checksum() {
         use crate::integrity::checksum64;
-        let src: Vec<u8> = (0..2048).map(|i| (i % 241) as u8).collect();
-        // Strided widths plus the fused single-run shape.
-        let shapes = [1usize, 4, 5, 8, 16]
-            .map(|run| shape_2d(3, run, 7, run + 1, 2, 7 * (run + 1) + 5))
-            .into_iter()
-            .chain([RunShape::contiguous(11, 777)]);
-        for shape in shapes {
+        for (src, shape) in hashed_cases() {
             let packed = reference_pack(&src, &shape);
             let mut dst = vec![0u8; src.len()];
             let mut sum = Checksum::new(42);
@@ -510,21 +436,6 @@ mod tests {
             assert_eq!(sum.finish(), checksum64(42, &packed), "shape {shape:?}");
             assert_eq!(reference_pack(&dst, &shape), packed, "shape {shape:?}");
         }
-    }
-
-    #[test]
-    fn pooled_hashed_unpack_matches_one_shot_checksum() {
-        use crate::integrity::checksum64;
-        let run = 128 * 1024;
-        let n1 = 40; // 5 MiB
-        let shape = shape_2d(16, run, 1, 0, n1, run + 64);
-        let src: Vec<u8> = (0..(run + 64) * n1 + 16).map(|i| (i % 247) as u8).collect();
-        let packed = reference_pack(&src, &shape);
-        let mut dst = vec![0u8; src.len()];
-        let mut sum = Checksum::new(13);
-        unpack_runs_hashed(&packed, &shape, &mut dst, &mut sum);
-        assert_eq!(sum.finish(), checksum64(13, &packed));
-        assert_eq!(reference_pack(&dst, &shape), packed);
     }
 
     #[test]
@@ -539,16 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_pairs_moves_disjoint_runs() {
-        let src: Vec<u8> = (0..=255).collect();
-        let mut dst = vec![0u8; 256];
-        let pairs = vec![(0usize, 128usize, 64usize), (128, 0, 64)];
-        copy_pairs(&src, &mut dst, pairs, 128);
-        assert_eq!(&dst[128..192], &src[0..64]);
-        assert_eq!(&dst[0..64], &src[128..192]);
-    }
-
-    #[test]
     fn empty_and_zero_width_shapes_are_noops() {
         let src = [0u8; 16];
         let mut out = Vec::new();
@@ -558,37 +459,5 @@ mod tests {
         let mut dst = [9u8; 16];
         unpack_runs(&[], &RunShape::EMPTY, &mut dst);
         assert_eq!(dst, [9u8; 16]);
-    }
-
-    #[test]
-    fn pooled_pack_and_unpack_match_reference() {
-        // Large enough to cross PARALLEL_COPY_MIN_BYTES with strided runs.
-        let run = 64 * 1024;
-        let n1 = 96; // 96 runs x 64 KiB = 6 MiB > 4 MiB
-        let src: Vec<u8> = (0..(run + 512) * n1 + 64).map(|i| (i % 253) as u8).collect();
-        let shape = shape_2d(32, run, 1, 0, n1, run + 512);
-        let before = snapshot().pool_dispatches;
-        let mut out = Vec::new();
-        pack_runs(&src, &shape, &mut out);
-        assert_eq!(out, reference_pack(&src, &shape));
-        let mut dst = vec![0u8; src.len()];
-        unpack_runs(&out, &shape, &mut dst);
-        assert_eq!(reference_pack(&dst, &shape), out);
-        if !cfg!(miri) {
-            assert!(snapshot().pool_dispatches >= before + 2);
-        }
-    }
-
-    #[test]
-    fn pooled_hashed_pack_matches_one_shot_checksum() {
-        use crate::integrity::checksum64;
-        let run = 128 * 1024;
-        let n1 = 40; // 5 MiB
-        let src: Vec<u8> = (0..(run + 64) * n1 + 16).map(|i| (i % 249) as u8).collect();
-        let shape = shape_2d(16, run, 1, 0, n1, run + 64);
-        let mut out = Vec::new();
-        let mut sum = Checksum::new(7);
-        pack_runs_hashed(&src, &shape, &mut out, &mut sum);
-        assert_eq!(sum.finish(), checksum64(7, &out));
     }
 }

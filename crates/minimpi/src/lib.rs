@@ -176,7 +176,7 @@ pub use vclock::VectorClock;
 pub use zerocopy::{PoolStats, TransportCounters};
 
 /// Snapshot of the process-global pack-kernel dispatch counters
-/// (`pack.{fused_runs,vector_bytes,scalar_bytes,pool_dispatches}` in the
+/// (`pack.{fused_runs,vector_bytes,scalar_bytes}` in the
 /// ddr-trace report). Totals are monotone across the process lifetime;
 /// take deltas around a region to attribute work to it.
 pub fn pack_counters() -> PackCounters {

@@ -394,7 +394,6 @@ fn record_world_metrics(world: &WorldState) {
     ddrtrace::metrics::add("minimpi.transport", "zerocopy_msgs", t.zerocopy_msgs);
     ddrtrace::metrics::add("minimpi.transport", "staged_msgs", t.staged_msgs);
     ddrtrace::metrics::add("minimpi.transport", "revoked_msgs", t.revoked_msgs);
-    ddrtrace::metrics::add("minimpi.transport", "parallel_copies", t.parallel_copies);
     let p = world.pool.stats();
     ddrtrace::metrics::add("minimpi.pool", "acquires", p.acquires);
     ddrtrace::metrics::add("minimpi.pool", "reuse_hits", p.reuse_hits);
@@ -411,7 +410,6 @@ fn record_world_metrics(world: &WorldState) {
     ddrtrace::metrics::set("pack", "fused_runs", k.fused_runs);
     ddrtrace::metrics::set("pack", "vector_bytes", k.vector_bytes);
     ddrtrace::metrics::set("pack", "scalar_bytes", k.scalar_bytes);
-    ddrtrace::metrics::set("pack", "pool_dispatches", k.pool_dispatches);
     let fl = world.flow.counters();
     ddrtrace::metrics::add("flow", "credit_waits", fl.credit_waits);
     ddrtrace::metrics::add("flow", "stalled_ms", fl.stalled_ms);

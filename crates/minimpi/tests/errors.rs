@@ -152,6 +152,24 @@ fn peer_dead_from_departed_rank() {
     assert_eq!(out[0], Some(Error::PeerDead { rank: 1 }));
 }
 
+/// One rank's watchdog fires and it exits; the other then fails fast with
+/// `PeerDead`. Whichever rank is lower, the timeout is the cause to report.
+#[test]
+fn root_cause_prefers_the_cause_over_peer_dead_fallout() {
+    let dead = Error::PeerDead { rank: 1 };
+    let timeout = Error::Timeout { rank: 1, src: Some(0), tag: 3, comm_id: 0 };
+    for outcomes in [
+        vec![Err::<(), _>(dead.clone()), Err(timeout.clone())],
+        vec![Err(timeout.clone()), Err(dead.clone())],
+    ] {
+        assert_eq!(Error::root_cause(outcomes), Err(timeout.clone()));
+    }
+    // Nothing but fallout: the first PeerDead stands in for the cause.
+    let only_fallout = vec![Ok(0), Err(dead.clone()), Err(Error::PeerDead { rank: 0 })];
+    assert_eq!(Error::root_cause(only_fallout), Err(dead));
+    assert_eq!(Error::root_cause(vec![Ok(1), Ok(2)]), Ok(vec![1, 2]));
+}
+
 #[test]
 fn size_mismatch_from_typed_receive() {
     let out = Universe::run(2, |comm| {

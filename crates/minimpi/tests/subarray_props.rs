@@ -63,7 +63,7 @@ fn filled(len: usize) -> Vec<u8> {
 /// coordinate `(x, y, z)` lives at array index
 /// `(starts.0 + x) + sizes.0 * ((starts.1 + y) + sizes.1 * (starts.2 + z))`,
 /// and packed order walks `x` fastest. This is the ground truth the fused /
-/// vectorized / pooled kernels must reproduce byte for byte.
+/// vectorized / per-run kernels must reproduce byte for byte.
 fn reference_pack(sa: &Subarray, src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(sa.packed_len());
     for z in 0..sa.subsizes[2] {
