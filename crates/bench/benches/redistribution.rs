@@ -4,25 +4,17 @@
 //! * slices → bricks throughput vs rank count,
 //! * **rounds ablation** — the same bytes moved as 1 chunk/rank vs k
 //!   chunks/rank (the consecutive vs round-robin trade-off of Table III at
-//!   microbenchmark scale),
-//! * **wire-strategy ablation** — `alltoallw` vs the paper's proposed
-//!   sparse point-to-point sends.
+//!   microbenchmark scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddr_core::decompose::{brick, near_cubic_grid, round_robin_items, slab};
-use ddr_core::{Block, DataKind, Descriptor, Strategy, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, ValidationPolicy};
 use minimpi::Universe;
 use std::hint::black_box;
 
 /// One full cycle: map once, reorganize `reps` times (the dynamic-data
 /// pattern). Returns a checksum so the work cannot be optimized away.
-fn run_cycle(
-    nprocs: usize,
-    domain: Block,
-    chunks_per_rank: usize,
-    reps: usize,
-    strategy: Strategy,
-) -> u64 {
+fn run_cycle(nprocs: usize, domain: Block, chunks_per_rank: usize, reps: usize) -> u64 {
     let counts = near_cubic_grid(nprocs);
     let sums = Universe::run(nprocs, |comm| {
         let r = comm.rank();
@@ -46,7 +38,7 @@ fn run_cycle(
         let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
         let mut out = vec![0f32; need.count() as usize];
         for _ in 0..reps {
-            plan.reorganize_with(comm, &refs, &mut out, strategy).unwrap();
+            plan.reorganize(comm, &refs, &mut out).unwrap();
         }
         out.iter().map(|v| *v as u64).sum::<u64>()
     });
@@ -60,7 +52,7 @@ fn bench_rank_scaling(c: &mut Criterion) {
     for nprocs in [2usize, 4, 8] {
         g.throughput(criterion::Throughput::Bytes(domain.count() * 4));
         g.bench_with_input(BenchmarkId::from_parameter(nprocs), &nprocs, |b, &n| {
-            b.iter(|| black_box(run_cycle(n, domain, 1, 1, Strategy::Alltoallw)));
+            b.iter(|| black_box(run_cycle(n, domain, 1, 1)));
         });
     }
     g.finish();
@@ -72,19 +64,7 @@ fn bench_rounds_ablation(c: &mut Criterion) {
     let domain = Block::d3([0, 0, 0], [96, 96, 64]).unwrap();
     for chunks in [1usize, 4, 16] {
         g.bench_with_input(BenchmarkId::new("chunks_per_rank", chunks), &chunks, |b, &k| {
-            b.iter(|| black_box(run_cycle(4, domain, k, 1, Strategy::Alltoallw)));
-        });
-    }
-    g.finish();
-}
-
-fn bench_strategy_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire_strategy");
-    g.sample_size(10);
-    let domain = Block::d3([0, 0, 0], [96, 96, 64]).unwrap();
-    for (name, strategy) in [("alltoallw", Strategy::Alltoallw), ("p2p", Strategy::PointToPoint)] {
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(run_cycle(6, domain, 1, 1, strategy)));
+            b.iter(|| black_box(run_cycle(4, domain, k, 1)));
         });
     }
     g.finish();
@@ -97,19 +77,13 @@ fn bench_plan_reuse(c: &mut Criterion) {
     g.sample_size(10);
     let domain = Block::d3([0, 0, 0], [96, 96, 48]).unwrap();
     g.bench_function("map_once_reorganize_8x", |b| {
-        b.iter(|| black_box(run_cycle(4, domain, 1, 8, Strategy::Alltoallw)));
+        b.iter(|| black_box(run_cycle(4, domain, 1, 8)));
     });
     g.bench_function("map_once_reorganize_1x", |b| {
-        b.iter(|| black_box(run_cycle(4, domain, 1, 1, Strategy::Alltoallw)));
+        b.iter(|| black_box(run_cycle(4, domain, 1, 1)));
     });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_rank_scaling,
-    bench_rounds_ablation,
-    bench_strategy_ablation,
-    bench_plan_reuse
-);
+criterion_group!(benches, bench_rank_scaling, bench_rounds_ablation, bench_plan_reuse);
 criterion_main!(benches);

@@ -9,32 +9,6 @@ use minimpi::{bytes_of, bytes_of_mut, Comm, Datatype, Pod};
 /// Marker trait for element types DDR can move: any plain-old-data type.
 pub use minimpi::Pod as Element;
 
-/// How the per-round exchange is carried out on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// One `alltoallw` collective per round — the paper's published
-    /// implementation (§III-C).
-    #[default]
-    Alltoallw,
-    /// Direct sends/receives only between ranks that actually exchange data
-    /// — the paper's proposed future-work optimization for sparse mappings.
-    PointToPoint,
-    /// Inspect the mapping and pick: point-to-point when this plan touches
-    /// only a few neighbors, `alltoallw` otherwise. This implements the
-    /// paper's future-work idea: "By looking at how an application sets up
-    /// the data mapping, we could determine if data only needs to be
-    /// redistributed to a few neighboring processes and use direct send and
-    /// receive calls to improve efficiency."
-    Auto,
-}
-
-/// Neighbor-count threshold below which [`Strategy::Auto`] selects direct
-/// messages: sparser than `2·log2(P)` peers beats the collective's
-/// coordination cost in the common case.
-fn auto_threshold(nprocs: usize) -> usize {
-    (2.0 * (nprocs.max(2) as f64).log2()).ceil() as usize
-}
-
 impl Plan {
     fn check_buffers<T: Pod>(&self, owned: &[&[T]], need: &[T]) -> Result<()> {
         if std::mem::size_of::<T>() != self.elem_size {
@@ -86,30 +60,19 @@ impl Plan {
     ///
     /// May be called any number of times with fresh data; the mapping is
     /// reused (the paper's "dynamic data" property).
-    pub fn reorganize<T: Element>(
-        &self,
-        comm: &Comm,
-        owned: &[&[T]],
-        need: &mut [T],
-    ) -> Result<()> {
-        self.reorganize_with(comm, owned, need, Strategy::Alltoallw)
-    }
-
-    /// [`Plan::reorganize`] with an explicit wire [`Strategy`].
     ///
     /// On peer failure (a rank died or dropped out mid-exchange) the
     /// remaining rounds are still drained so every byte that can arrive
     /// does, and the call returns [`DdrError::Incomplete`] carrying a
     /// [`PartialCompletion`] report of exactly what was delivered and lost,
     /// per peer and per round.
-    pub fn reorganize_with<T: Element>(
+    pub fn reorganize<T: Element>(
         &self,
         comm: &Comm,
         owned: &[&[T]],
         need: &mut [T],
-        strategy: Strategy,
     ) -> Result<()> {
-        let (report, _) = self.reorganize_with_stats(comm, owned, need, strategy)?;
+        let (report, _) = self.reorganize_with_stats(comm, owned, need)?;
         if report.is_complete() {
             Ok(())
         } else {
@@ -117,7 +80,7 @@ impl Plan {
         }
     }
 
-    /// Degraded-mode redistribution: like [`Plan::reorganize_with`], but a
+    /// Degraded-mode redistribution: like [`Plan::reorganize`], but a
     /// lossy exchange is an `Ok` outcome — the returned
     /// [`PartialCompletion`] says what arrived, and the [`RedistStats`]
     /// account for what this call moved. Hard errors (mismatched buffers,
@@ -130,7 +93,6 @@ impl Plan {
         comm: &Comm,
         owned: &[&[T]],
         need: &mut [T],
-        strategy: Strategy,
     ) -> Result<(PartialCompletion, RedistStats)> {
         if comm.size() != self.nprocs || comm.rank() != self.rank {
             return Err(DdrError::ProcessCountMismatch {
@@ -140,11 +102,7 @@ impl Plan {
         }
         self.check_buffers(owned, need)?;
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
-        let failures = match self.resolve_strategy(strategy) {
-            Strategy::Alltoallw => self.reorganize_alltoallw(comm, owned, need)?,
-            Strategy::PointToPoint => self.reorganize_p2p(comm, owned, need)?,
-            Strategy::Auto => unreachable!("resolved above"),
-        };
+        let failures = self.reorganize_alltoallw(comm, owned, need)?;
         let stats = RedistStats::from_plan(self, &failures);
         if ddrtrace::enabled() {
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
@@ -160,25 +118,6 @@ impl Plan {
     /// fails).
     pub fn expected_stats(&self) -> RedistStats {
         RedistStats::from_plan(self, &[])
-    }
-
-    /// The concrete strategy [`Strategy::Auto`] resolves to for this plan.
-    ///
-    /// The decision must be identical on every rank (mixing strategies would
-    /// deadlock), so it consults [`Plan::max_neighbor_count`] — the global
-    /// maximum over all ranks, computed from the allgathered layouts during
-    /// mapping setup and therefore the same everywhere.
-    pub fn resolve_strategy(&self, requested: Strategy) -> Strategy {
-        match requested {
-            Strategy::Auto => {
-                if self.max_neighbor_count() <= auto_threshold(self.nprocs) {
-                    Strategy::PointToPoint
-                } else {
-                    Strategy::Alltoallw
-                }
-            }
-            other => other,
-        }
     }
 
     /// Returns `(round, peer, loss kind)` receive failures; drains every
@@ -212,43 +151,6 @@ impl Plan {
             failures.extend(
                 report.failed.into_iter().map(|(peer, e)| (r, peer, LossKind::from_error(&e))),
             );
-        }
-        Ok(failures)
-    }
-
-    fn reorganize_p2p<T: Pod>(
-        &self,
-        comm: &Comm,
-        owned: &[&[T]],
-        need: &mut [T],
-    ) -> Result<Vec<(usize, usize, LossKind)>> {
-        let need_bytes = bytes_of_mut(need);
-        let mut failures = Vec::new();
-        for (r, round) in self.rounds.iter().enumerate() {
-            let _round = ddrtrace::span_arg("redist", "round", "round", r as i64);
-            let send_buf: &[u8] = owned.get(r).map(|b| bytes_of(b)).unwrap_or(&[]);
-            let mut sends = Vec::with_capacity(round.sends.len());
-            for t in &round.sends {
-                // Stage through the universe's shared buffer pool: receivers
-                // recycle the buffer after unpacking, so repeated
-                // redistributions reuse a bounded working set.
-                let mut packed = comm.acquire_staging(t.subarray.packed_len());
-                t.subarray.pack_into(send_buf, &mut packed)?;
-                sends.push((t.peer, packed));
-            }
-            let recv_srcs: Vec<usize> = round.recvs.iter().map(|t| t.peer).collect();
-            let received = comm.sparse_exchange_salvage(sends, &recv_srcs)?;
-            for (t, (src, payload)) in round.recvs.iter().zip(received) {
-                debug_assert_eq!(t.peer, src);
-                match payload {
-                    Ok(p) => {
-                        let res = t.subarray.unpack(&p, need_bytes);
-                        comm.release_staging(p);
-                        res?;
-                    }
-                    Err(e) => failures.push((r, src, LossKind::from_error(&e))),
-                }
-            }
         }
         Ok(failures)
     }

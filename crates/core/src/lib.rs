@@ -71,7 +71,7 @@ mod validate;
 pub use block::{bounding_box, Block, MAX_DIMS};
 pub use descriptor::{DataKind, Descriptor};
 pub use error::{DdrError, Result};
-pub use exec::{Element, Strategy};
+pub use exec::Element;
 pub use layout::Layout;
 pub use lint::{
     has_errors, lint_layouts, lint_mapping, lint_memory, lint_plan, lint_plans, lint_staging,

@@ -74,37 +74,7 @@ pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) ->
         rounds.push(round);
     }
 
-    Ok(Plan {
-        rank,
-        nprocs,
-        elem_size,
-        ndims,
-        owned: me.owned.clone(),
-        need: me.need,
-        rounds,
-        global_max_neighbors: global_max_neighbors(layouts),
-    })
-}
-
-/// Largest number of distinct communication partners any rank has under
-/// these layouts (send and receive sides combined, self excluded). Every
-/// rank computes the same value from the allgathered layouts, so strategy
-/// decisions based on it are collective-safe.
-fn global_max_neighbors(layouts: &[Layout]) -> usize {
-    let n = layouts.len();
-    let mut peer = vec![false; n * n];
-    for (s, src) in layouts.iter().enumerate() {
-        for (d, dst) in layouts.iter().enumerate() {
-            if s == d || peer[s * n + d] {
-                continue;
-            }
-            if src.owned.iter().any(|c| c.intersect(&dst.need).is_some()) {
-                peer[s * n + d] = true;
-                peer[d * n + s] = true;
-            }
-        }
-    }
-    (0..n).map(|r| (0..n).filter(|&o| peer[r * n + o]).count()).max().unwrap_or(0)
+    Ok(Plan { rank, nprocs, elem_size, ndims, owned: me.owned.clone(), need: me.need, rounds })
 }
 
 impl Descriptor {

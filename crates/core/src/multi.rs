@@ -10,10 +10,9 @@
 //! `MPI_Alltoallw` carries at most one datatype per rank pair, so a mapping
 //! where one sender feeds several of a receiver's blocks in the same round
 //! does not fit the collective. Generalized plans therefore always use
-//! direct sends/receives (the same sparse path as
-//! [`crate::Strategy::PointToPoint`]), with a deterministic
-//! `(peer, need-index)` message order derived identically on both sides
-//! from the allgathered layouts.
+//! direct sends/receives ([`minimpi::Comm::sparse_exchange`]), with a
+//! deterministic `(peer, need-index)` message order derived identically on
+//! both sides from the allgathered layouts.
 
 use crate::block::Block;
 use crate::descriptor::Descriptor;

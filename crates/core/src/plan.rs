@@ -63,10 +63,6 @@ pub struct Plan {
     pub(crate) owned: Vec<Block>,
     pub(crate) need: Block,
     pub(crate) rounds: Vec<RoundPlan>,
-    /// Largest neighbor count over *all* ranks, derived from the global
-    /// layout set at mapping time. Identical on every rank, which makes it
-    /// safe to base collective-vs-direct strategy decisions on.
-    pub(crate) global_max_neighbors: usize,
 }
 
 impl Plan {
@@ -121,14 +117,8 @@ impl Plan {
         self.rounds.iter().map(|r| r.local_bytes(self.rank)).sum()
     }
 
-    /// Largest neighbor count over all ranks of the mapping (identical on
-    /// every rank) — the quantity [`crate::Strategy::Auto`] consults.
-    pub fn max_neighbor_count(&self) -> usize {
-        self.global_max_neighbors
-    }
-
-    /// Ranks this plan actually exchanges data with (excluding self); used
-    /// to decide whether the sparse point-to-point strategy pays off.
+    /// Ranks this plan actually exchanges data with (excluding self) — how
+    /// sparse the mapping is from this rank's side.
     pub fn neighbor_count(&self) -> usize {
         let mut peers: Vec<usize> = self
             .rounds

@@ -16,7 +16,7 @@ use crate::mapping::compute_local_plan;
 use crate::plan::{Plan, RoundPlan, Transfer};
 use minimpi::{Comm, Subarray};
 
-const MAGIC: u64 = 0x4444_5250_4C41_4E31; // "DDRPLAN1"
+const MAGIC: u64 = 0x4444_5250_4C41_4E32; // "DDRPLAN2"
 const SNAP_MAGIC: u64 = 0x4444_5253_4E50_3031; // "DDRSNP01"
 
 struct Writer(Vec<u8>);
@@ -103,7 +103,6 @@ impl Plan {
         w.u(self.nprocs as u64);
         w.u(self.elem_size as u64);
         w.u(self.ndims as u64);
-        w.u(self.global_max_neighbors as u64);
         w.u(self.owned.len() as u64);
         for b in &self.owned {
             w.block(b);
@@ -135,7 +134,6 @@ impl Plan {
         let nprocs = r.u()? as usize;
         let elem_size = r.u()? as usize;
         let ndims = r.u()? as usize;
-        let global_max_neighbors = r.u()? as usize;
         if nprocs == 0 || rank >= nprocs || elem_size == 0 || !(1..=3).contains(&ndims) {
             return Err(DdrError::InvalidBlock("implausible plan header".into()));
         }
@@ -162,7 +160,7 @@ impl Plan {
                 }
             }
         }
-        Ok(Plan { rank, nprocs, elem_size, ndims, owned, need, rounds, global_max_neighbors })
+        Ok(Plan { rank, nprocs, elem_size, ndims, owned, need, rounds })
     }
 }
 
@@ -312,16 +310,24 @@ mod tests {
         for cut in [7, 8, 48, bytes.len() - 1] {
             assert!(Plan::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
+        // A well-formed previous-format buffer ("DDRPLAN1": old magic, one
+        // extra header word after `ndims`) is refused by magic, not parsed
+        // one word out of step.
+        let mut v1 = bytes.clone();
+        v1[..8].copy_from_slice(&0x4444_5250_4C41_4E31u64.to_le_bytes());
+        v1.splice(40..40, 3u64.to_le_bytes());
+        let err = Plan::from_bytes(&v1).unwrap_err();
+        assert!(matches!(&err, DdrError::InvalidBlock(m) if m.contains("bad magic")), "{err}");
     }
 
     #[test]
     fn rejects_corrupted_peer() {
         let plan = sample_plan();
         let mut bytes = plan.to_bytes();
-        // Corrupt the first transfer's peer field (header is 6 u64s, then
+        // Corrupt the first transfer's peer field (header is 5 u64s, then
         // owned count + 2 blocks (7 u64 each) + need block + round count +
         // send count; peer is the next u64).
-        let peer_pos = 8 * (6 + 1 + 7 + 7 + 7 + 1 + 1);
+        let peer_pos = 8 * (5 + 1 + 7 + 7 + 7 + 1 + 1);
         bytes[peer_pos..peer_pos + 8].copy_from_slice(&999u64.to_le_bytes());
         assert!(Plan::from_bytes(&bytes).is_err());
     }

@@ -7,9 +7,7 @@
 //! forces both runs onto the staged path). The headline property: a
 //! producer → consumer → producer round-trip is the identity on the data.
 
-use ddr_core::{
-    decompose, Block, DataKind, Descriptor, Layout, RedistStats, Strategy, ValidationPolicy,
-};
+use ddr_core::{decompose, Block, DataKind, Descriptor, Layout, RedistStats, ValidationPolicy};
 use minimpi::{FaultPlan, PoolStats, TransportCounters, Universe};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -135,8 +133,8 @@ struct RankRun {
 }
 
 /// Execute `case` through one wire path. `zerocopy` selects the plane under
-/// test; everything else (layouts, data, strategy) is held identical.
-fn run_path(case: &Case, zerocopy: bool, check: bool, strategy: Strategy) -> Vec<RankRun> {
+/// test; everything else (layouts, data) is held identical.
+fn run_path(case: &Case, zerocopy: bool, check: bool) -> Vec<RankRun> {
     // Threshold 0: loan every cross-rank message regardless of size, so the
     // fast path under test is pure zero-copy (the differential cases are far
     // smaller than the production 64 KiB staging floor).
@@ -153,7 +151,7 @@ fn run_path(case: &Case, zerocopy: bool, check: bool, strategy: Strategy) -> Vec
             me.owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
         let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
         let mut need = vec![u64::MAX; me.need.count() as usize];
-        let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need, strategy).unwrap();
+        let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
         assert!(report.is_complete());
         RankRun {
             need,
@@ -199,8 +197,8 @@ fn assert_paths_agree(seed: u64, case: &Case, fast: &[RankRun], legacy: &[RankRu
 fn fifty_seeded_cases_are_byte_identical_across_paths() {
     for seed in 0..50u64 {
         let case = case_from_seed(seed);
-        let fast = run_path(&case, true, false, Strategy::Alltoallw);
-        let legacy = run_path(&case, false, false, Strategy::Alltoallw);
+        let fast = run_path(&case, true, false);
+        let legacy = run_path(&case, false, false);
         assert_paths_agree(seed, &case, &fast, &legacy);
     }
 }
@@ -211,8 +209,8 @@ fn fifty_seeded_cases_are_byte_identical_across_paths() {
 fn differential_holds_under_check_mode() {
     for seed in 0..10u64 {
         let case = case_from_seed(seed);
-        let fast = run_path(&case, true, true, Strategy::Alltoallw);
-        let legacy = run_path(&case, false, true, Strategy::Alltoallw);
+        let fast = run_path(&case, true, true);
+        let legacy = run_path(&case, false, true);
         assert_paths_agree(seed, &case, &fast, &legacy);
     }
 }
@@ -236,8 +234,7 @@ fn default_threshold_mixes_paths_and_stays_byte_identical() {
                 me.owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
             let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
             let mut need = vec![u64::MAX; me.need.count() as usize];
-            let (report, _) =
-                plan.reorganize_with_stats(comm, &refs, &mut need, Strategy::Alltoallw).unwrap();
+            let (report, _) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
             assert!(report.is_complete());
             need
         })
@@ -245,26 +242,10 @@ fn default_threshold_mixes_paths_and_stays_byte_identical() {
     for seed in 0..10u64 {
         let case = case_from_seed(seed);
         let mixed = run_with_default_threshold(&case);
-        let legacy = run_path(&case, false, false, Strategy::Alltoallw);
+        let legacy = run_path(&case, false, false);
         for (r, (m, l)) in mixed.iter().zip(&legacy).enumerate() {
             assert_eq!(m, &oracle(&case, r), "seed {seed}: rank {r} mixed-path buffer wrong");
             assert_eq!(m, &l.need, "seed {seed}: rank {r} mixed-path buffer diverges");
-        }
-    }
-}
-
-/// Point-to-point strategy stages through the shared buffer pool; it must
-/// agree with the collective path byte for byte too.
-#[test]
-fn differential_holds_for_point_to_point_strategy() {
-    for seed in 0..10u64 {
-        let case = case_from_seed(seed);
-        let fast = run_path(&case, true, false, Strategy::Alltoallw);
-        let p2p = run_path(&case, true, false, Strategy::PointToPoint);
-        for (r, (f, p)) in fast.iter().zip(&p2p).enumerate() {
-            assert_eq!(p.need, oracle(&case, r), "seed {seed}: rank {r} p2p buffer wrong");
-            assert_eq!(f.need, p.need, "seed {seed}: rank {r} p2p buffer diverges");
-            assert_eq!(f.stats, p.stats, "seed {seed}: rank {r} p2p stats diverge");
         }
     }
 }
@@ -294,9 +275,7 @@ fn fault_plan_forces_staging_and_paths_still_agree() {
                     e1_owned(r).iter().map(|b| b.coords().map(cell_value).collect()).collect();
                 let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
                 let mut need = vec![u64::MAX; 16];
-                let (report, stats) = plan
-                    .reorganize_with_stats(comm, &refs, &mut need, Strategy::Alltoallw)
-                    .unwrap();
+                let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
                 (need, report.is_complete(), stats, comm.transport_counters())
             })
     };

@@ -17,7 +17,7 @@
 //! every message on the wire is redistribution data (or recovery control),
 //! which makes the seeded corrupt-rule targeting deterministic.
 
-use ddr_core::{compute_local_plan, Block, DataKind, Descriptor, Layout, Strategy};
+use ddr_core::{compute_local_plan, Block, DataKind, Descriptor, Layout};
 use minimpi::{Error as MpiError, FaultPlan, Universe};
 use std::time::{Duration, Instant};
 
@@ -80,7 +80,7 @@ fn run_soak(plan: FaultPlan, zerocopy: bool) -> Vec<RankOutcome> {
                 [r, r + 4].iter().map(|&y| (0..8).map(|x| cell(x, y)).collect()).collect();
             let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
             let mut need = vec![-1.0f32; 16];
-            let res = plan.reorganize_with_stats(comm, &refs, &mut need, Strategy::Alltoallw);
+            let res = plan.reorganize_with_stats(comm, &refs, &mut need);
             // Counters are world-global but snapshotted per rank: fence so
             // no rank reads them while another is still mid-recovery.
             comm.barrier().unwrap();

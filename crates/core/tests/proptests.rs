@@ -1,7 +1,7 @@
 //! Property-based tests: random disjoint-and-complete partitions are
 //! redistributed correctly to random (possibly overlapping) needs.
 
-use ddr_core::{Block, DataKind, Descriptor, Layout, Strategy, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Layout, ValidationPolicy};
 use minimpi::Universe;
 use proptest::prelude::*;
 
@@ -68,7 +68,7 @@ fn cell_value(c: [usize; 3]) -> u64 {
     (c[0] as u64) | ((c[1] as u64) << 20) | ((c[2] as u64) << 40)
 }
 
-fn run_case(kind: DataKind, domain: Block, nprocs: usize, seeds: Vec<u64>, strategy: Strategy) {
+fn run_case(kind: DataKind, domain: Block, nprocs: usize, seeds: Vec<u64>) {
     // Distribute the partition's blocks to ranks round-robin; some ranks may
     // receive several chunks, some exactly one.
     let parts = random_partition(domain, (nprocs * 2).min(12), &seeds);
@@ -94,7 +94,7 @@ fn run_case(kind: DataKind, domain: Block, nprocs: usize, seeds: Vec<u64>, strat
             me.owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
         let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
         let mut need = vec![u64::MAX; me.need.count() as usize];
-        plan.reorganize_with(comm, &refs, &mut need, strategy).unwrap();
+        plan.reorganize(comm, &refs, &mut need).unwrap();
         for (got, coord) in need.iter().zip(me.need.coords()) {
             prop_assert_eq!(*got, cell_value(coord), "coord {:?}", coord);
         }
@@ -115,7 +115,7 @@ proptest! {
         seeds in prop::collection::vec(any::<u64>(), 4..8),
     ) {
         let domain = Block::d1(0, len).unwrap();
-        run_case(DataKind::D1, domain, nprocs, seeds, Strategy::Alltoallw);
+        run_case(DataKind::D1, domain, nprocs, seeds);
     }
 
     #[test]
@@ -126,7 +126,7 @@ proptest! {
         seeds in prop::collection::vec(any::<u64>(), 4..8),
     ) {
         let domain = Block::d2([0, 0], [w, h]).unwrap();
-        run_case(DataKind::D2, domain, nprocs, seeds, Strategy::Alltoallw);
+        run_case(DataKind::D2, domain, nprocs, seeds);
     }
 
     #[test]
@@ -138,18 +138,7 @@ proptest! {
         seeds in prop::collection::vec(any::<u64>(), 4..8),
     ) {
         let domain = Block::d3([0, 0, 0], [w, h, d]).unwrap();
-        run_case(DataKind::D3, domain, nprocs, seeds, Strategy::Alltoallw);
-    }
-
-    #[test]
-    fn point_to_point_strategy_matches_alltoallw(
-        w in 2usize..24,
-        h in 2usize..24,
-        nprocs in 1usize..6,
-        seeds in prop::collection::vec(any::<u64>(), 4..8),
-    ) {
-        let domain = Block::d2([0, 0], [w, h]).unwrap();
-        run_case(DataKind::D2, domain, nprocs, seeds.clone(), Strategy::PointToPoint);
+        run_case(DataKind::D3, domain, nprocs, seeds);
     }
 
     #[test]

@@ -65,9 +65,7 @@ fn run_kill_and_recover(plan: FaultPlan, victim: usize) -> Vec<RankOutcome> {
         // Shrink-and-remap: survivors keep their own chunks and needs.
         let (sub, plan2) = desc.recover_mapping(comm, &owned, e1_need(r)).unwrap();
         let mut need2 = vec![-1.0f32; 16];
-        plan2
-            .reorganize_with_stats(&sub, &refs, &mut need2, ddr_core::Strategy::Alltoallw)
-            .unwrap();
+        plan2.reorganize_with_stats(&sub, &refs, &mut need2).unwrap();
         (first, Some((sub.size(), need2)))
     })
 }

@@ -1,7 +1,7 @@
 //! End-to-end redistribution tests: real rank threads, real exchanges,
 //! verified against a global reference array.
 
-use ddr_core::{Block, DataKind, Descriptor, Layout, Strategy, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Layout, ValidationPolicy};
 use minimpi::Universe;
 
 /// Global reference value at a coordinate: unique per cell.
@@ -15,31 +15,21 @@ fn fill(block: &Block) -> Vec<u64> {
 }
 
 /// Run a full redistribution for the given per-rank layouts and check every
-/// received element against the reference, for both wire strategies.
+/// received element against the reference.
 fn check_redistribution(kind: DataKind, layouts: &[Layout], policy: ValidationPolicy) {
-    for strategy in [Strategy::Alltoallw, Strategy::PointToPoint] {
-        let layouts_ref = &layouts;
-        let n = layouts.len();
-        Universe::run(n, move |comm| {
-            let me = &layouts_ref[comm.rank()];
-            let desc = Descriptor::for_type::<u64>(n, kind).unwrap();
-            let plan = desc.setup_data_mapping_with(comm, &me.owned, me.need, policy).unwrap();
-            let owned_data: Vec<Vec<u64>> = me.owned.iter().map(fill).collect();
-            let refs: Vec<&[u64]> = owned_data.iter().map(|v| v.as_slice()).collect();
-            let mut need = vec![u64::MAX; me.need.count() as usize];
-            plan.reorganize_with(comm, &refs, &mut need, strategy).unwrap();
-            for (got, coord) in need.iter().zip(me.need.coords()) {
-                assert_eq!(
-                    *got,
-                    cell_value(coord),
-                    "rank {} coord {:?} strategy {:?}",
-                    comm.rank(),
-                    coord,
-                    strategy
-                );
-            }
-        });
-    }
+    let n = layouts.len();
+    Universe::run(n, move |comm| {
+        let me = &layouts[comm.rank()];
+        let desc = Descriptor::for_type::<u64>(n, kind).unwrap();
+        let plan = desc.setup_data_mapping_with(comm, &me.owned, me.need, policy).unwrap();
+        let owned_data: Vec<Vec<u64>> = me.owned.iter().map(fill).collect();
+        let refs: Vec<&[u64]> = owned_data.iter().map(|v| v.as_slice()).collect();
+        let mut need = vec![u64::MAX; me.need.count() as usize];
+        plan.reorganize(comm, &refs, &mut need).unwrap();
+        for (got, coord) in need.iter().zip(me.need.coords()) {
+            assert_eq!(*got, cell_value(coord), "rank {} coord {:?}", comm.rank(), coord);
+        }
+    });
 }
 
 /// The paper's E1 (Fig. 1): rows → quadrants on 4 ranks.
@@ -303,7 +293,7 @@ fn elem_sizes_from_1_to_16_bytes() {
 }
 
 #[test]
-fn auto_strategy_resolves_by_mapping_sparsity() {
+fn dense_and_neighbour_only_mappings_redistribute() {
     use ddr_core::decompose::{brick, slab};
     let n = 8;
     // Dense: slabs along z feeding x/y bricks -> every rank talks to all.
@@ -313,47 +303,18 @@ fn auto_strategy_resolves_by_mapping_sparsity() {
         let owned = vec![slab(&domain, 2, n, r).unwrap()];
         let dense_need = brick(&domain, [4, 2, 1], r).unwrap();
         let desc = Descriptor::for_type::<u64>(n, DataKind::D3).unwrap();
-        let plan = desc.setup_data_mapping(comm, &owned, dense_need).unwrap();
-        assert_eq!(plan.resolve_strategy(Strategy::Auto), Strategy::Alltoallw);
-        assert_eq!(plan.max_neighbor_count(), n - 1);
-
         // Sparse: shift slabs by one -> at most 2 neighbors each.
         let sparse_need = slab(&domain, 2, n, (r + 1) % n).unwrap();
-        let plan = desc.setup_data_mapping(comm, &owned, sparse_need).unwrap();
-        assert_eq!(plan.resolve_strategy(Strategy::Auto), Strategy::PointToPoint);
-        assert!(plan.max_neighbor_count() <= 2);
-
-        // And Auto actually runs correctly end to end on both.
-        for need in [dense_need, sparse_need] {
+        for (need, max_neighbors) in [(dense_need, n - 1), (sparse_need, 2)] {
             let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
+            let widest = comm.allreduce(&[plan.neighbor_count() as u64], u64::max)[0];
+            assert_eq!(widest as usize, max_neighbors);
             let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
             let mut out = vec![0u64; need.count() as usize];
-            plan.reorganize_with(comm, &[&data], &mut out, Strategy::Auto).unwrap();
+            plan.reorganize(comm, &[&data], &mut out).unwrap();
             for (got, coord) in out.iter().zip(need.coords()) {
                 assert_eq!(*got, cell_value(coord));
             }
         }
-    });
-}
-
-#[test]
-fn explicit_strategies_match_auto_results() {
-    let n = 5;
-    let domain = Block::d2([0, 0], [20, 15]).unwrap();
-    Universe::run(n, |comm| {
-        let r = comm.rank();
-        let owned = vec![ddr_core::decompose::slab(&domain, 1, n, r).unwrap()];
-        let need = ddr_core::decompose::brick(&domain, [5, 1, 1], r).unwrap();
-        let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
-        let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
-        let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
-        let mut outs = Vec::new();
-        for strategy in [Strategy::Alltoallw, Strategy::PointToPoint, Strategy::Auto] {
-            let mut out = vec![0u64; need.count() as usize];
-            plan.reorganize_with(comm, &[&data], &mut out, strategy).unwrap();
-            outs.push(out);
-        }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[1], outs[2]);
     });
 }

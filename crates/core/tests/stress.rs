@@ -2,7 +2,7 @@
 //! interleaved collectives, and failure-path behaviour under load.
 
 use ddr_core::decompose::{brick, near_cubic_grid, slab};
-use ddr_core::{Block, DataKind, DdrError, Descriptor, Strategy, ValidationPolicy};
+use ddr_core::{Block, DataKind, DdrError, Descriptor, ValidationPolicy};
 use minimpi::{Error as MpiError, FaultPlan, Universe};
 use std::time::{Duration, Instant};
 
@@ -198,37 +198,35 @@ fn big_single_transfer() {
 }
 
 #[test]
-fn strategies_agree_under_stress() {
-    // 12 ranks, ragged chunk counts, both strategies, multiple rounds.
+fn ragged_three_round_layout_under_stress() {
+    // 12 ranks, ragged chunk counts, multiple rounds.
     let n = 12;
     let domain = Block::d3([0, 0, 0], [24, 24, 36]).unwrap();
-    for strategy in [Strategy::Alltoallw, Strategy::PointToPoint] {
-        Universe::run(n, |comm| {
-            let r = comm.rank();
-            // Rank r owns r%3+1 interleaved z-sub-slabs of its portion.
-            let (z0, zlen) = ddr_core::decompose::split_axis(36, n, r);
-            let pieces = (r % 3) + 1;
-            let owned: Vec<Block> = (0..pieces)
-                .map(|p| {
-                    let (o, l) = ddr_core::decompose::split_axis(zlen, pieces, p);
-                    Block::d3([0, 0, z0 + o], [24, 24, l]).unwrap()
-                })
-                .collect();
-            let need = brick(&domain, [3, 2, 2], r).unwrap();
-            let desc = Descriptor::for_type::<u64>(n, DataKind::D3).unwrap();
-            let plan =
-                desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Strict).unwrap();
-            assert_eq!(plan.num_rounds(), 3); // max pieces
-            let data: Vec<Vec<u64>> =
-                owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
-            let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut out = vec![0u64; need.count() as usize];
-            plan.reorganize_with(comm, &refs, &mut out, strategy).unwrap();
-            for (got, c) in out.iter().zip(need.coords()) {
-                assert_eq!(*got, cell_value(c), "{strategy:?}");
-            }
-        });
-    }
+    Universe::run(n, |comm| {
+        let r = comm.rank();
+        // Rank r owns r%3+1 interleaved z-sub-slabs of its portion.
+        let (z0, zlen) = ddr_core::decompose::split_axis(36, n, r);
+        let pieces = (r % 3) + 1;
+        let owned: Vec<Block> = (0..pieces)
+            .map(|p| {
+                let (o, l) = ddr_core::decompose::split_axis(zlen, pieces, p);
+                Block::d3([0, 0, z0 + o], [24, 24, l]).unwrap()
+            })
+            .collect();
+        let need = brick(&domain, [3, 2, 2], r).unwrap();
+        let desc = Descriptor::for_type::<u64>(n, DataKind::D3).unwrap();
+        let plan =
+            desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Strict).unwrap();
+        assert_eq!(plan.num_rounds(), 3); // max pieces
+        let data: Vec<Vec<u64>> =
+            owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
+        let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
+        let mut out = vec![0u64; need.count() as usize];
+        plan.reorganize(comm, &refs, &mut out).unwrap();
+        for (got, c) in out.iter().zip(need.coords()) {
+            assert_eq!(*got, cell_value(c));
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -363,7 +361,7 @@ fn two_round_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrErro
     let data: Vec<Vec<u64>> = owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
     let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
     let mut out = vec![0u64; need.count() as usize];
-    let (report, _) = plan.reorganize_with_stats(c, &refs, &mut out, Strategy::Alltoallw)?;
+    let (report, _) = plan.reorganize_with_stats(c, &refs, &mut out)?;
     if !report.is_complete() {
         return Err(DdrError::Incomplete(Box::new(report)));
     }

@@ -15,7 +15,7 @@
 //!   the [`lint_staging`] peak-staging prediction against
 //!   `DDR_LINT_STAGING_BOUND`) and exits non-zero on any error-severity
 //!   finding — the CI gate that keeps the shipped examples honest, and
-//! * the [`explore`] module: a deterministic schedule-exploration driver
+//! * the [`mod@explore`] module: a deterministic schedule-exploration driver
 //!   that sweeps minimpi scheduler seeds over a closure and reports the
 //!   first seed that makes it fail, with a `DDR_SCHED_SEED` replay line.
 //!

@@ -177,7 +177,7 @@ impl FrameWindow {
         self.backpressured
     }
 
-    /// This window's contribution to a whole-resource [`FrameStats`]
+    /// This window's contribution to a whole-resource [`crate::FrameStats`]
     /// summary: only the producer-side `backpressured` counter is set.
     pub fn stats(&self) -> crate::FrameStats {
         crate::FrameStats { backpressured: self.backpressured, ..Default::default() }

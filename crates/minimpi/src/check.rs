@@ -96,7 +96,7 @@ pub enum CollectiveKind {
     Alltoall,
     /// [`crate::Comm::alltoallw`] and its salvage variant
     Alltoallw,
-    /// [`crate::Comm::sparse_exchange`] and its salvage variant
+    /// [`crate::Comm::sparse_exchange`]
     SparseExchange,
     /// [`crate::Comm::scan`]
     Scan,

@@ -56,27 +56,17 @@ fn encode_multi(parts: &[Vec<u8>]) -> Vec<u8> {
 
 fn decode_multi(buf: &[u8]) -> Result<Vec<Vec<u8>>> {
     let fail = || Error::SizeMismatch { expected: 8, got: buf.len() };
-    if buf.len() < 8 {
-        return Err(fail());
-    }
-    let n = u64::from_le_bytes(buf[0..8].try_into().unwrap()) as usize;
-    let header = 8 + 8 * n;
-    if buf.len() < header {
-        return Err(fail());
-    }
-    let mut lens = Vec::with_capacity(n);
-    for i in 0..n {
-        let o = 8 + 8 * i;
-        lens.push(u64::from_le_bytes(buf[o..o + 8].try_into().unwrap()) as usize);
-    }
+    let word = |i: usize| Some(u64::from_le_bytes(buf.get(8 * i..8 * i + 8)?.try_into().ok()?));
+    // The header is input from the wire: a count or length it cannot back
+    // with bytes is rejected before anything is sized or summed from it.
+    let n = word(0).filter(|&n| n < (buf.len() / 8) as u64).ok_or_else(fail)? as usize;
     let mut parts = Vec::with_capacity(n);
-    let mut cursor = header;
-    for len in lens {
-        if cursor + len > buf.len() {
-            return Err(fail());
-        }
-        parts.push(buf[cursor..cursor + len].to_vec());
-        cursor += len;
+    let mut cursor = 8 + 8 * n;
+    for i in 0..n {
+        let len = usize::try_from(word(1 + i).ok_or_else(fail)?).map_err(|_| fail())?;
+        let end = cursor.checked_add(len).filter(|&e| e <= buf.len()).ok_or_else(fail)?;
+        parts.push(buf[cursor..end].to_vec());
+        cursor = end;
     }
     Ok(parts)
 }
@@ -436,6 +426,25 @@ impl Comm {
         self.alltoallw_impl(send_buf, send_types, recv_buf, recv_types, false).map(|_| ())
     }
 
+    /// Like [`Comm::alltoallw`], but a failed receive from one source does
+    /// not abort the exchange: the remaining sources are still drained so
+    /// the maximum amount of data survives, and the per-source failures are
+    /// reported in an [`ExchangeReport`].
+    ///
+    /// Errors that indicate *this* rank cannot continue (it was fault-killed
+    /// mid-exchange, or its own arguments are malformed) are still returned
+    /// as `Err`.
+    #[track_caller]
+    pub fn alltoallw_salvage(
+        &self,
+        send_buf: &[u8],
+        send_types: &[Datatype],
+        recv_buf: &mut [u8],
+        recv_types: &[Datatype],
+    ) -> Result<ExchangeReport> {
+        self.alltoallw_impl(send_buf, send_types, recv_buf, recv_types, true)
+    }
+
     /// Shared engine of [`Comm::alltoallw`] and [`Comm::alltoallw_salvage`]:
     /// `salvage` decides whether a failed source aborts the exchange or is
     /// recorded in the report while the remaining sources are drained.
@@ -519,10 +528,7 @@ impl Comm {
                 xchg.loans.push((d, cell));
             } else {
                 let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", dt.packed_len() as i64);
-                // Fused pack+checksum: one traversal of the source selection
-                // produces both the packed payload and its envelope checksum.
-                let (packed, pre) = self.pack_staged(dt, send_buf, tag)?;
-                self.deposit_sig_pre(d, tag, packed, Some(TypeSig::of(dt)), pre)?;
+                self.deposit_packed(d, tag, dt, send_buf)?;
             }
         }
 
@@ -554,26 +560,15 @@ impl Comm {
         let verdict_tag = coll_key_tag(seq, PHASE_VERDICT);
         let retx_tag = coll_key_tag(seq, PHASE_RETX);
         let mut attempt: u32 = 0;
-        loop {
+        let res = (|| loop {
             let take_tag = if attempt == 0 { data_tag } else { retx_tag };
-            let env = match self.take_polling(s, take_tag, duties) {
-                Ok(env) => env,
-                Err(e) => {
-                    let _ = self.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
-                    return Err(e);
-                }
-            };
+            let env = self.take_polling(s, take_tag, duties)?;
             match self.deliver_alltoallw(s, take_tag, env, dt, recv_buf) {
-                Ok(()) => {
-                    let _ = self.deposit_control(s, verdict_tag, vec![VERDICT_ACK]);
-                    return Ok(());
-                }
                 Err(Error::IntegrityFailure { .. }) => {
                     attempt += 1;
                     if attempt > self.world.retransmit_max {
                         self.world.integrity.exhausted.fetch_add(1, Ordering::Relaxed);
                         ddrtrace::instant_arg("minimpi", "integrity_exhausted", "src", s as i64);
-                        let _ = self.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
                         return Err(Error::IntegrityFailure {
                             src: s,
                             dst: self.rank(),
@@ -584,12 +579,13 @@ impl Comm {
                     std::thread::sleep(self.retransmit_backoff_delay(s, attempt));
                     self.deposit_control(s, verdict_tag, vec![VERDICT_NACK])?;
                 }
-                Err(e) => {
-                    let _ = self.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
-                    return Err(e);
-                }
+                res => return res,
             }
-        }
+        })();
+        // The one terminal verdict, whatever the outcome above.
+        let verdict = if res.is_ok() { VERDICT_ACK } else { VERDICT_FAIL };
+        let _ = self.deposit_control(s, verdict_tag, vec![verdict]);
+        res
     }
 
     /// Recovery-mode receive: poll for a message from `src` under `key_tag`
@@ -607,28 +603,17 @@ impl Comm {
         let deadline = Instant::now() + self.timeout();
         loop {
             self.sched_point("retx_poll");
-            match self.my_mailbox().try_take((self.comm_id, src, key_tag)) {
-                // Match-time epoch fence, as in `take_envelope_from`.
-                Some(env) if env.epoch != self.epoch => {
-                    self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                    ddrtrace::instant_arg("minimpi", "fenced_msg", "src", src as i64);
-                }
-                Some(env) => {
-                    self.note_delivery(&env);
-                    return Ok(env);
-                }
+            match self.my_mailbox().try_take((self.comm_id, src, key_tag)).map(|e| self.admit(e)) {
+                Some(Some(env)) => return Ok(env),
+                // Fenced: poll again.
+                Some(None) => {}
                 None => {
                     if !self.world.is_alive(src_world) {
                         return Err(Error::PeerDead { rank: src });
                     }
                     duties.service(self)?;
                     if Instant::now() >= deadline {
-                        return Err(Error::Timeout {
-                            rank: self.rank(),
-                            src: Some(src),
-                            tag: key_tag,
-                            comm_id: self.comm_id,
-                        });
+                        return Err(self.timed_out(Some(src), key_tag));
                     }
                     std::thread::sleep(RETX_POLL);
                 }
@@ -674,14 +659,11 @@ impl Comm {
     }
 
     /// Place one received alltoallw message into `recv_buf` through `dt`,
-    /// verifying its envelope checksum along the way. Staged payloads verify
-    /// in packed form — *before* unpacking when recovery is armed (a corrupt
-    /// payload must never touch `recv_buf` ahead of its retransmit), fused
-    /// into the unpack traversal otherwise; zero-copy loans are claimed, copied
+    /// verifying its envelope checksum along the way ([`Comm::verify`] owns
+    /// the verify-vs-unpack order). Zero-copy loans are claimed, copied
     /// straight out of the sender's buffer, tainted with any claim-time
-    /// corrupt-fault keystreams, and re-verified over the receiver's copy
-    /// *before* the loan cell flips to DONE — a corrupt claim never silently
-    /// releases the sender.
+    /// corrupt-fault keystreams and verified over the receiver's copy, all
+    /// inside [`Comm::claim_loan`].
     fn deliver_alltoallw(
         &self,
         src: usize,
@@ -699,18 +681,14 @@ impl Comm {
         match payload {
             Payload::Bytes(packed) => {
                 let _unpack = ddrtrace::span_arg("minimpi", "unpack", "bytes", packed.len() as i64);
-                let res = if self.recovery_armed() {
-                    // Verify in packed form *before* unpacking: a corrupt
-                    // payload must never touch `recv_buf`, because the
-                    // NACK/retransmit protocol will deliver a clean copy
-                    // into it afterwards.
-                    self.verify_payload(src, key_tag, epoch, checksum, &packed)
-                        .and_then(|()| dt.unpack(&packed, recv_buf))
-                } else {
-                    // No retransmit can follow, so a mismatch is terminal
-                    // either way — fold verification into the unpack
-                    // traversal and skip the separate hash pass.
-                    self.unpack_verifying(src, key_tag, epoch, checksum, dt, &packed, recv_buf)
+                let res = match checksum {
+                    Some(_) if self.recovery_armed() => self
+                        .verify_payload(src, key_tag, epoch, checksum, &packed)
+                        .and_then(|()| dt.unpack(&packed, recv_buf)),
+                    Some(_) => self.verify(src, key_tag, epoch, checksum, |sum| {
+                        dt.unpack_hashed(&packed, recv_buf, sum)
+                    }),
+                    None => dt.unpack(&packed, recv_buf),
                 };
                 // The buffer came from the sender's pool.acquire; the pool is
                 // world-shared, so recycling here closes the loop.
@@ -720,25 +698,8 @@ impl Comm {
             Payload::Shared(h) => {
                 let _zc =
                     ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.dt.packed_len() as i64);
-                self.sched_point("zc_claim");
-                if !h.cell.try_claim() {
-                    // The sender revoked the loan before we got here.
-                    return Err(Error::PeerDead { rank: src });
-                }
-                // A claim-time race (the sender wrote the lent region while
-                // our claim is causally unordered with that write) is
-                // surfaced only after the copy completes: erroring before
-                // `finish()` would strand the sender in its wait.
-                let race = match &self.world.check {
-                    Some(check) => {
-                        check.loan_claimed(&h.cell, self.world_rank()).err().map(Error::DataRace)
-                    }
-                    None => None,
-                };
-                // SAFETY: the claim succeeded, so the sender is blocked in
-                // ZcCell::wait and `send_buf` stays alive until finish().
-                let src_buf = unsafe { h.src_slice() };
-                let res = copy_selection(src_buf, &h.dt, recv_buf, dt).and_then(|()| {
+                self.claim_loan(src, &h, |lent| {
+                    copy_selection(lent, &h.dt, recv_buf, dt)?;
                     // Claim-time fault injection: the loan had no in-flight
                     // bytes to scramble, so the injector recorded keystream
                     // inits and the corruption lands on *our* copy here —
@@ -749,16 +710,15 @@ impl Comm {
                             ks.scramble(&mut recv_buf[off..off + len]);
                         }
                     }
-                    self.verify_selection(src, key_tag, epoch, checksum, dt, recv_buf)
-                });
-                if let Some(check) = &self.world.check {
-                    check.loan_done(&h.cell, self.world_rank());
-                }
-                h.cell.finish();
-                match race {
-                    Some(race) if res.is_ok() => Err(race),
-                    _ => res,
-                }
+                    // In place, walking `dt`'s byte runs in packed order —
+                    // equal to hashing the packed form.
+                    self.verify(src, key_tag, epoch, checksum, |sum| {
+                        for (off, len) in dt.byte_runs() {
+                            sum.update(&recv_buf[off..off + len]);
+                        }
+                        Ok(())
+                    })
+                })
             }
         }
     }
@@ -789,7 +749,7 @@ impl Comm {
         // in send order.
         let mut self_payloads = std::collections::VecDeque::new();
         for (dest, payload) in sends {
-            self.check_rank_pub(dest)?;
+            self.check_rank(dest)?;
             if dest == me {
                 self_payloads.push_back(payload);
             } else {
@@ -798,7 +758,7 @@ impl Comm {
         }
         let mut out = Vec::with_capacity(recv_srcs.len());
         for &src in recv_srcs {
-            self.check_rank_pub(src)?;
+            self.check_rank(src)?;
             if src == me {
                 let payload =
                     self_payloads.pop_front().ok_or_else(|| Error::CollectiveMismatch {
@@ -850,74 +810,6 @@ impl Comm {
             self.deposit_to(me + 1, coll_key_tag(seq, 0), bytes_of(&acc).to_vec())?;
         }
         Ok(acc)
-    }
-
-    // ------------------------------------------------------------------
-    // Salvage variants (degraded-mode collectives)
-    // ------------------------------------------------------------------
-
-    /// Like [`Comm::alltoallw`], but a failed receive from one source does
-    /// not abort the exchange: the remaining sources are still drained so
-    /// the maximum amount of data survives, and the per-source failures are
-    /// reported in an [`ExchangeReport`].
-    ///
-    /// Errors that indicate *this* rank cannot continue (it was fault-killed
-    /// mid-exchange, or its own arguments are malformed) are still returned
-    /// as `Err`.
-    #[track_caller]
-    pub fn alltoallw_salvage(
-        &self,
-        send_buf: &[u8],
-        send_types: &[Datatype],
-        recv_buf: &mut [u8],
-        recv_types: &[Datatype],
-    ) -> Result<ExchangeReport> {
-        self.alltoallw_impl(send_buf, send_types, recv_buf, recv_types, true)
-    }
-
-    /// Like [`Comm::sparse_exchange`], but failures on individual sources
-    /// are reported per source instead of aborting the whole exchange.
-    /// Returns one entry per element of `recv_srcs`, in order.
-    #[track_caller]
-    pub fn sparse_exchange_salvage(
-        &self,
-        sends: Vec<(usize, Vec<u8>)>,
-        recv_srcs: &[usize],
-    ) -> Result<Vec<(usize, Result<Vec<u8>>)>> {
-        let seq = self.next_coll_seq();
-        self.record_collective(
-            seq,
-            CollFingerprint::here(CollectiveKind::SparseExchange, None, 0),
-        )?;
-        let me = self.rank();
-        let mut self_payloads = std::collections::VecDeque::new();
-        for (dest, payload) in sends {
-            self.check_rank_pub(dest)?;
-            if dest == me {
-                self_payloads.push_back(payload);
-            } else {
-                self.deposit_to(dest, coll_key_tag(seq, 0), payload)?;
-            }
-        }
-        let mut out = Vec::with_capacity(recv_srcs.len());
-        for &src in recv_srcs {
-            self.check_rank_pub(src)?;
-            if src == me {
-                let res = self_payloads.pop_front().ok_or_else(|| Error::CollectiveMismatch {
-                    detail: "sparse_exchange: self receive without matching self send".into(),
-                });
-                out.push((src, res));
-            } else {
-                match self.take_from(src, coll_key_tag(seq, 0)) {
-                    Ok(p) => out.push((src, Ok(p))),
-                    Err(Error::PeerDead { rank }) if rank == me && !self.is_alive(me) => {
-                        return Err(Error::PeerDead { rank })
-                    }
-                    Err(e) => out.push((src, Err(e))),
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -1176,11 +1068,7 @@ impl<'a> RetxSender<'a> {
                 continue;
             }
             while let Some(env) = comm.my_mailbox().try_take((comm.comm_id, d, self.verdict_tag)) {
-                if env.epoch != comm.epoch {
-                    comm.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                comm.note_delivery(&env);
+                let Some(env) = comm.admit(env) else { continue };
                 let verdict = match &env.payload {
                     Payload::Bytes(b) if b.len() == 1 => b[0],
                     _ => {
@@ -1198,8 +1086,7 @@ impl<'a> RetxSender<'a> {
                             "bytes",
                             dt.packed_len() as i64,
                         );
-                        let (packed, pre) = comm.pack_staged(dt, self.send_buf, self.retx_tag)?;
-                        comm.deposit_sig_pre(d, self.retx_tag, packed, Some(TypeSig::of(dt)), pre)?;
+                        comm.deposit_packed(d, self.retx_tag, dt, self.send_buf)?;
                         comm.world.integrity.retransmits.fetch_add(1, Ordering::Relaxed);
                         ddrtrace::instant_arg("minimpi", "integrity_retransmit", "dest", d as i64);
                     }
@@ -1234,12 +1121,7 @@ impl<'a> RetxSender<'a> {
             }
             if Instant::now() >= deadline {
                 let unsettled = self.pending.iter().position(|&p| p);
-                return Err(Error::Timeout {
-                    rank: comm.rank(),
-                    src: unsettled,
-                    tag: self.verdict_tag,
-                    comm_id: comm.comm_id,
-                });
+                return Err(comm.timed_out(unsettled, self.verdict_tag));
             }
             std::thread::sleep(RETX_POLL);
         }
@@ -1267,6 +1149,19 @@ mod tests {
     use crate::fault::mix64;
     use crate::Universe;
     use std::time::Duration;
+
+    /// A damaged `encode_multi` header — a count that wraps `8 + 8 * n`, a
+    /// length that overflows the cursor — is a structured error, not a panic.
+    #[test]
+    fn decode_multi_rejects_overflowing_headers() {
+        let good = encode_multi(&[vec![1, 2, 3], vec![4]]);
+        assert_eq!(decode_multi(&good).unwrap(), [vec![1, 2, 3], vec![4]]);
+        for (word, value) in [(0, 1u64 << 61), (1, u64::MAX)] {
+            let mut bad = good.clone();
+            bad[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(matches!(decode_multi(&bad), Err(Error::SizeMismatch { .. })), "word {word}");
+        }
+    }
 
     /// Tentpole regression: the planted "sender mutates a lent buffer while
     /// the receiver's claim may still be copying" bug must be convicted as a

@@ -343,11 +343,13 @@ impl Comm {
         self.timeout.set(t);
     }
 
-    pub(crate) fn check_rank_pub(&self, r: usize) -> Result<()> {
-        self.check_rank(r)
+    /// The watchdog's verdict on a wait for `src` (`None`: any source, or a
+    /// rendezvous) under `tag` that outlived this handle's timeout.
+    pub(crate) fn timed_out(&self, src: Option<usize>, tag: u64) -> Error {
+        Error::Timeout { rank: self.rank, src, tag, comm_id: self.comm_id }
     }
 
-    fn check_rank(&self, r: usize) -> Result<()> {
+    pub(crate) fn check_rank(&self, r: usize) -> Result<()> {
         if r >= self.size() {
             return Err(Error::RankOutOfRange { rank: r, size: self.size() });
         }
@@ -408,9 +410,38 @@ impl Comm {
         stream_seed(self.comm_id, src, key_tag, epoch)
     }
 
-    /// Verify a delivered payload against its envelope checksum (a no-op
-    /// when the envelope carries none). `attempt 0` marks paths with no
+    /// The one checksum verdict. A no-op when the envelope carries no
+    /// checksum; otherwise `fold` walks the delivered bytes (in packed order)
+    /// through the stream's hasher and the result is judged against
+    /// `expected`. Whether that walk runs before the bytes reach the
+    /// receive buffer or fused into the copy that places them is the
+    /// caller's choice, under one rule: **verify-before-unpack when recovery
+    /// is armed** (a corrupt payload must never touch a buffer its
+    /// retransmit will fill), **fused otherwise** (no retransmit can follow,
+    /// so a mismatch is terminal and the buffer contents are unspecified, as
+    /// for any other mid-exchange error). `attempt: 0` marks paths with no
     /// retransmit protocol; alltoallw rewrites it when recovery is in play.
+    pub(crate) fn verify(
+        &self,
+        src: usize,
+        key_tag: u64,
+        epoch: u64,
+        expected: Option<u64>,
+        fold: impl FnOnce(&mut Checksum) -> Result<()>,
+    ) -> Result<()> {
+        let Some(want) = expected else { return Ok(()) };
+        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
+        let mut sum = Checksum::new(self.stream_seed(src, key_tag, epoch));
+        fold(&mut sum)?;
+        if sum.finish() == want {
+            return Ok(());
+        }
+        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
+        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
+        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
+    }
+
+    /// [`Comm::verify`] over a contiguous packed payload.
     pub(crate) fn verify_payload(
         &self,
         src: usize,
@@ -419,79 +450,18 @@ impl Comm {
         expected: Option<u64>,
         bytes: &[u8],
     ) -> Result<()> {
-        let Some(want) = expected else { return Ok(()) };
-        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
-        if checksum64(self.stream_seed(src, key_tag, epoch), bytes) == want {
-            return Ok(());
-        }
-        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
-        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
-    }
-
-    /// Unpack a staged payload into `recv_buf` with envelope verification
-    /// folded into the same traversal — the receive-side counterpart of
-    /// checksum-during-pack. Only sound on paths with **no retransmit
-    /// protocol**: the payload reaches `recv_buf` before the verdict is
-    /// known, so a mismatch here must be terminal (the collective fails and
-    /// the buffer contents are unspecified, exactly as for any other
-    /// mid-exchange error). Callers with recovery armed must keep the
-    /// verify-then-unpack order ([`Comm::verify_payload`]) instead.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn unpack_verifying(
-        &self,
-        src: usize,
-        key_tag: u64,
-        epoch: u64,
-        expected: Option<u64>,
-        dt: &Datatype,
-        packed: &[u8],
-        recv_buf: &mut [u8],
-    ) -> Result<()> {
-        let Some(want) = expected else { return dt.unpack(packed, recv_buf) };
-        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
-        let mut c = Checksum::new(self.stream_seed(src, key_tag, epoch));
-        dt.unpack_hashed(packed, recv_buf, &mut c)?;
-        if c.finish() == want {
-            return Ok(());
-        }
-        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
-        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
+        self.verify(src, key_tag, epoch, expected, |sum| {
+            sum.update(bytes);
+            Ok(())
+        })
     }
 
     /// True when corruption recovery (NACK/retransmit) is armed: checksums
     /// are on *and* an installed fault plan can actually corrupt messages.
     /// Gates both the alltoallw recovery protocol and the receive-side
-    /// checksum fusion (which is only sound when no retransmit can follow).
+    /// checksum fusion (see [`Comm::verify`]).
     pub(crate) fn recovery_armed(&self) -> bool {
         self.world.checksum && self.world.faults.as_ref().is_some_and(|f| f.has_corrupt_rules())
-    }
-
-    /// Verify a delivered payload *in place* in `buf`, walking `dt`'s byte
-    /// runs in packed order — the zero-copy claim path's counterpart of
-    /// [`Comm::verify_payload`], equal to hashing the packed form.
-    pub(crate) fn verify_selection(
-        &self,
-        src: usize,
-        key_tag: u64,
-        epoch: u64,
-        expected: Option<u64>,
-        dt: &Datatype,
-        buf: &[u8],
-    ) -> Result<()> {
-        let Some(want) = expected else { return Ok(()) };
-        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
-        let mut c = Checksum::new(self.stream_seed(src, key_tag, epoch));
-        for (off, len) in dt.byte_runs() {
-            c.update(&buf[off..off + len]);
-        }
-        if c.finish() == want {
-            return Ok(());
-        }
-        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
-        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
     }
 
     /// Maybe-delay hook for the seeded schedule explorer: a no-op (one
@@ -503,10 +473,20 @@ impl Comm {
         }
     }
 
-    /// Record a delivered envelope: fold it into the schedule fingerprint
-    /// and join its piggybacked clock into this rank's clock. Call at every
-    /// point an envelope is accepted for this rank.
-    pub(crate) fn note_delivery(&self, env: &Envelope) {
+    /// Match-time admission — the one gate every envelope popped from this
+    /// rank's mailbox passes before it is delivered. The epoch fence comes
+    /// first: an envelope stamped by a different membership epoch is never
+    /// delivered; it is counted, traced and dropped here (the drop revokes
+    /// any zero-copy loan it carried, releasing its sender) and `None` tells
+    /// the caller to keep waiting for a current-epoch message. An admitted
+    /// envelope is folded into the schedule fingerprint and its piggybacked
+    /// clock joined into this rank's clock.
+    pub(crate) fn admit(&self, env: Envelope) -> Option<Envelope> {
+        if env.epoch != self.epoch {
+            self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
+            ddrtrace::instant_arg("minimpi", "fenced_msg", "src", env.src as i64);
+            return None;
+        }
         if let Some(s) = &self.world.sched {
             s.observe(self.world_rank(), env.src);
         }
@@ -515,6 +495,7 @@ impl Comm {
                 check.on_recv(self.world_rank(), clock);
             }
         }
+        Some(env)
     }
 
     /// Clock snapshot + datatype signature to stamp on an outgoing envelope;
@@ -641,30 +622,57 @@ impl Comm {
         })
     }
 
-    pub(crate) fn deposit_to(&self, dest: usize, key_tag: u64, payload: Vec<u8>) -> Result<()> {
-        self.deposit_sig(dest, key_tag, payload, None)
-    }
-
-    /// [`Comm::deposit_to`] with an explicit datatype signature (typed sends
-    /// and datatype-carrying collective fragments stamp theirs; everything
-    /// else defaults to untyped bytes).
-    pub(crate) fn deposit_sig(
+    /// The one place an envelope is built: stamped with this handle's rank
+    /// and epoch and queued in `dest`'s mailbox under (communicator, this
+    /// rank, `key_tag`). What varies by payload kind — checksum, taints,
+    /// stamp, charge — is decided by the `deposit_*` caller.
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue(
         &self,
         dest: usize,
         key_tag: u64,
-        payload: Vec<u8>,
-        sig: Option<TypeSig>,
-    ) -> Result<()> {
-        self.deposit_sig_pre(dest, key_tag, payload, sig, None)
+        payload: Payload,
+        checksum: Option<u64>,
+        taints: Vec<u64>,
+        (clock, type_sig): (Option<VectorClock>, Option<TypeSig>),
+        charge: Option<FlowCharge>,
+    ) {
+        let key: MsgKey = (self.comm_id, self.rank, key_tag);
+        self.world.mailboxes[self.members[dest]].deposit(
+            key,
+            Envelope {
+                src: self.rank,
+                epoch: self.epoch,
+                payload,
+                checksum,
+                taints,
+                clock,
+                type_sig,
+                charge,
+            },
+        );
     }
 
-    /// [`Comm::deposit_sig`] with an optionally precomputed envelope
-    /// checksum: the staged alltoallw path folds the checksum *during* the
-    /// pack copy ([`crate::kernels`]) and passes it here, skipping the
-    /// second pass over the payload. `precomputed` must equal
-    /// `checksum64(stream_seed(rank, key_tag, epoch), &payload)` — the
-    /// split-point independence of the hash guarantees the fused fold does.
-    pub(crate) fn deposit_sig_pre(
+    /// [`Comm::deposit_staged`] of untyped bytes.
+    pub(crate) fn deposit_to(&self, dest: usize, key_tag: u64, payload: Vec<u8>) -> Result<()> {
+        self.deposit_staged(dest, key_tag, payload, None, None)
+    }
+
+    /// Deposit owned, packed bytes — the staged data path. `sig` is the
+    /// datatype signature to stamp (typed sends and datatype-carrying
+    /// collective fragments pass theirs; `None` means untyped bytes).
+    /// `precomputed` is the envelope checksum when the caller already folded
+    /// it during the pack copy ([`Comm::deposit_packed`]); it must equal
+    /// `checksum64(stream_seed(rank, key_tag, epoch), &payload)`, which the
+    /// split-point independence of the hash guarantees.
+    ///
+    /// Ordering, stated once for the staged path: the checksum is sealed
+    /// over the *pristine* payload **before fault injection** — the injector
+    /// models wire damage, which by definition happens after the sender
+    /// sealed the envelope — and the credit is acquired **after the fault
+    /// verdict**, so a dropped or fenced message never reserves anything and
+    /// there is no reserve-without-deposit window.
+    pub(crate) fn deposit_staged(
         &self,
         dest: usize,
         key_tag: u64,
@@ -674,18 +682,12 @@ impl Comm {
     ) -> Result<()> {
         self.sched_point("send");
         self.fault_tick()?;
-        // Checksum the *pristine* payload before fault injection: the
-        // injector models wire damage, which by definition happens after the
-        // sender sealed the envelope. (A precomputed checksum was folded at
-        // pack time, equally before injection.)
-        let checksum = match precomputed {
-            Some(c) if self.world.checksum => Some(c),
-            _ => self
-                .world
-                .checksum
-                .then(|| checksum64(self.stream_seed(self.rank, key_tag, self.epoch), &payload)),
-        };
-        let (clock, type_sig) = self.send_stamp(sig, payload.len());
+        let checksum = self.world.checksum.then(|| {
+            precomputed.unwrap_or_else(|| {
+                checksum64(self.stream_seed(self.rank, key_tag, self.epoch), &payload)
+            })
+        });
+        let stamp = self.send_stamp(sig, payload.len());
         if let Some(faults) = &self.world.faults {
             let (src_w, dst_w) = (self.world_rank(), self.members[dest]);
             match faults.on_message(src_w, dst_w, key_tag, &mut payload) {
@@ -705,39 +707,31 @@ impl Comm {
                 }
             }
         }
-        // Credit gate, after the fault verdict: a dropped or fenced message
-        // never reserves anything, so there is no reserve-without-deposit
-        // window. Staged payloads charge the governor for their full length.
+        // Staged payloads charge the governor for their full length.
         let charge = self.acquire_charge(dest, key_tag, payload.len(), payload.len())?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
-        let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        self.world.mailboxes[self.members[dest]].deposit(
-            key,
-            Envelope {
-                src: self.rank,
-                epoch: self.epoch,
-                payload: Payload::Bytes(payload),
-                checksum,
-                taints: Vec::new(),
-                clock,
-                type_sig,
-                charge: Some(charge),
-            },
+        self.enqueue(
+            dest,
+            key_tag,
+            Payload::Bytes(payload),
+            checksum,
+            Vec::new(),
+            stamp,
+            Some(charge),
         );
         Ok(())
     }
 
-    /// Pack `dt`'s selection of `send_buf` into a pool buffer, folding the
-    /// envelope checksum for (`key_tag`, this epoch) into the same pass when
-    /// checksumming is on. Returns the packed payload and the checksum to
-    /// hand to [`Comm::deposit_sig_pre`] — one traversal of the source bytes
-    /// instead of pack-then-hash.
-    pub(crate) fn pack_staged(
+    /// Pack `dt`'s selection of `send_buf` into a pool buffer and deposit it,
+    /// folding the envelope checksum into the pack copy when checksumming is
+    /// on — one traversal of the source bytes instead of pack-then-hash.
+    pub(crate) fn deposit_packed(
         &self,
+        dest: usize,
+        key_tag: u64,
         dt: &Datatype,
         send_buf: &[u8],
-        key_tag: u64,
-    ) -> Result<(Vec<u8>, Option<u64>)> {
+    ) -> Result<()> {
         let mut packed = self.world.pool.acquire(dt.packed_len());
         let pre = if self.world.checksum {
             let mut sum = Checksum::new(self.stream_seed(self.rank, key_tag, self.epoch));
@@ -747,14 +741,16 @@ impl Comm {
             dt.pack_into(send_buf, &mut packed)?;
             None
         };
-        Ok((packed, pre))
+        self.deposit_staged(dest, key_tag, packed, Some(TypeSig::of(dt)), pre)
     }
 
     /// Deposit a control-plane message (retransmit verdicts/NACKs). Control
     /// traffic is neither checksummed nor fault-injected: the recovery
     /// protocol must itself stay reliable, and letting message rules consume
     /// match counts on 1-byte verdicts would make data-message targeting
-    /// (the `nth` coordinate) depend on recovery timing.
+    /// (the `nth` coordinate) depend on recovery timing. It is also
+    /// uncharged: verdicts and NACKs are tiny, and gating them behind the
+    /// very windows they exist to drain could deadlock the recovery protocol.
     pub(crate) fn deposit_control(
         &self,
         dest: usize,
@@ -763,24 +759,8 @@ impl Comm {
     ) -> Result<()> {
         self.sched_point("send_control");
         self.fault_tick()?;
-        let (clock, type_sig) = self.send_stamp(None, payload.len());
-        let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        // Control traffic is uncharged (`charge: None`): verdicts and NACKs
-        // are tiny, and gating them behind the very windows they exist to
-        // drain could deadlock the recovery protocol.
-        self.world.mailboxes[self.members[dest]].deposit(
-            key,
-            Envelope {
-                src: self.rank,
-                epoch: self.epoch,
-                payload: Payload::Bytes(payload),
-                checksum: None,
-                taints: Vec::new(),
-                clock,
-                type_sig,
-                charge: None,
-            },
-        );
+        let stamp = self.send_stamp(None, payload.len());
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), None, Vec::new(), stamp, None);
         Ok(())
     }
 
@@ -800,13 +780,13 @@ impl Comm {
         dt: Datatype,
     ) -> Result<Arc<ZcCell>> {
         self.sched_point("lend");
-        // Same op accounting as `deposit_to`, so op positions (the fault
+        // Same op accounting as `deposit_staged`, so op positions (the fault
         // plan coordinate system) are identical across wire paths.
         self.fault_tick()?;
         // A loan occupies a mailbox slot but stages no bytes: it charges one
         // message credit and nothing against the byte window or governor.
-        // Acquired before the loan is created/registered so a gate failure
-        // leaves no half-registered loan behind.
+        // Acquired **before the loan is created or registered**, so a gate
+        // failure leaves no half-registered loan behind.
         let charge = self.acquire_charge(dest, key_tag, 0, 0)?;
         // Lend-time checksum: walk the selection's byte runs in packed order
         // through the streaming hasher, which equals hashing the packed form
@@ -828,7 +808,7 @@ impl Comm {
         };
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(ZcCell::default());
-        let (clock, type_sig) = self.send_stamp(Some(TypeSig::of(&dt)), 0);
+        let stamp = self.send_stamp(Some(TypeSig::of(&dt)), 0);
         // Track the loan *after* the send tick, so the lend clock covers the
         // lend event itself.
         if let Some(check) = &self.world.check {
@@ -841,28 +821,57 @@ impl Comm {
             );
         }
         let handle = ZcHandle::new(buf, dt, Arc::clone(&cell));
-        let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        self.world.mailboxes[self.members[dest]].deposit(
-            key,
-            Envelope {
-                src: self.rank,
-                epoch: self.epoch,
-                payload: Payload::Shared(handle),
-                checksum,
-                taints,
-                clock,
-                type_sig,
-                charge: Some(charge),
-            },
-        );
+        self.enqueue(dest, key_tag, Payload::Shared(handle), checksum, taints, stamp, Some(charge));
         Ok(cell)
+    }
+
+    /// The one zero-copy claim: claim the loan, let `copy_out` move the lent
+    /// bytes into the receiver's own storage (and taint and verify that
+    /// copy), then release the sender. **A claimed loan always reaches
+    /// `finish`**: once the claim succeeded the sender is parked until then,
+    /// so nothing may return early in between. That is why a claim-time race
+    /// (the sender wrote the lent region while our claim is causally
+    /// unordered with that write) is surfaced only past `finish`, and why
+    /// verification runs inside `copy_out` — the cell flips to DONE only
+    /// after the receiver's copy was judged, so a corrupt claim never
+    /// silently releases the sender.
+    pub(crate) fn claim_loan(
+        &self,
+        src: usize,
+        loan: &ZcHandle,
+        copy_out: impl FnOnce(&[u8]) -> Result<()>,
+    ) -> Result<()> {
+        self.sched_point("zc_claim");
+        if !loan.cell.try_claim() {
+            // The sender revoked the loan (timeout / death) before we got
+            // here; the payload is unrecoverable.
+            return Err(Error::PeerDead { rank: src });
+        }
+        // Record the claim (a read of the loaned range).
+        let race = match &self.world.check {
+            Some(check) => {
+                check.loan_claimed(&loan.cell, self.world_rank()).err().map(Error::DataRace)
+            }
+            None => None,
+        };
+        // SAFETY: the claim succeeded, so the sender is blocked in
+        // ZcCell::wait and its buffer stays alive until finish().
+        let res = copy_out(unsafe { loan.src_slice() });
+        if let Some(check) = &self.world.check {
+            check.loan_done(&loan.cell, self.world_rank());
+        }
+        loan.cell.finish();
+        match race {
+            Some(race) if res.is_ok() => Err(race),
+            _ => res,
+        }
     }
 
     /// Turn a received envelope into owned, *verified* bytes. For zero-copy
     /// loans this is the slow path (generic receives don't have a
     /// destination selection to copy into directly): claim, pack out of the
-    /// sender's buffer, release, then apply any claim-time corruption taints
-    /// and check the checksum. Verification failure surfaces as
+    /// sender's buffer, apply any claim-time corruption taints, check the
+    /// checksum, release. Verification failure surfaces as
     /// [`Error::IntegrityFailure`] with `attempt: 0` — these paths are
     /// detect-only (recovery lives in alltoallw, where the sender's buffer
     /// is provably still owned).
@@ -874,39 +883,14 @@ impl Comm {
                 Ok(b)
             }
             Payload::Shared(h) => {
-                self.sched_point("zc_claim");
-                if !h.cell.try_claim() {
-                    // The sender revoked the loan (timeout / death) before we
-                    // got here; the payload is unrecoverable.
-                    return Err(Error::PeerDead { rank: src });
-                }
-                // Record the claim (a read of the loaned range). A detected
-                // race is surfaced only after the copy completes: the claim
-                // succeeded, so the sender is parked until finish() — erroring
-                // out before driving the cell to Done would strand it.
-                let race = match &self.world.check {
-                    Some(check) => {
-                        check.loan_claimed(&h.cell, self.world_rank()).err().map(Error::DataRace)
-                    }
-                    None => None,
-                };
-                // SAFETY: the claim succeeded, so the sender is blocked in
-                // ZcCell::wait and its buffer stays alive until finish().
-                let src_buf = unsafe { h.src_slice() };
                 let mut out = Vec::with_capacity(h.packed_len());
-                let packed = h.dt.pack_into(src_buf, &mut out);
-                if let Some(check) = &self.world.check {
-                    check.loan_done(&h.cell, self.world_rank());
-                }
-                h.cell.finish();
-                packed?;
-                if let Some(race) = race {
-                    return Err(race);
-                }
-                for &init in &taints {
-                    Keystream::new(init).scramble(&mut out);
-                }
-                self.verify_payload(src, key_tag, epoch, checksum, &out)?;
+                self.claim_loan(src, &h, |lent| {
+                    h.dt.pack_into(lent, &mut out)?;
+                    for &init in &taints {
+                        Keystream::new(init).scramble(&mut out);
+                    }
+                    self.verify_payload(src, key_tag, epoch, checksum, &out)
+                })?;
                 Ok(out)
             }
         }
@@ -932,26 +916,21 @@ impl Comm {
                 !self.world.is_alive(src_world)
                     || self.world.check.as_ref().is_some_and(|c| c.is_deadlocked(me_world))
             });
-            // Match-time epoch fence: a message stamped by a different epoch
-            // must never be delivered. Dropping it revokes any zero-copy
-            // loan it carried; keep waiting for a current-epoch message.
-            if let TakeOutcome::Delivered(env) = &o {
-                if env.epoch != self.epoch {
-                    self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                    ddrtrace::instant_arg("minimpi", "fenced_msg", "src", src as i64);
-                    continue;
+            match o {
+                TakeOutcome::Delivered(env) => match self.admit(env) {
+                    Some(env) => break TakeOutcome::Delivered(env),
+                    None => continue,
+                },
+                // Watchdog deferral: a sender parked on the credit gate or
+                // the governor is applying backpressure, not deadlocked —
+                // re-arm the deadline instead of reporting a false timeout.
+                // Bounded because the sender's own gate wait is bounded (it
+                // either acquires, errors, or leaves the parked state).
+                TakeOutcome::TimedOut if self.world.flow.rank_in_wait(src_world) => {
+                    self.world.flow.note_watchdog_defer();
                 }
+                o => break o,
             }
-            // Watchdog deferral: a sender parked on the credit gate or the
-            // governor is applying backpressure, not deadlocked — re-arm the
-            // deadline instead of reporting a false timeout. Bounded because
-            // the sender's own gate wait is bounded (it either acquires,
-            // errors, or leaves the parked state).
-            if matches!(o, TakeOutcome::TimedOut) && self.world.flow.rank_in_wait(src_world) {
-                self.world.flow.note_watchdog_defer();
-                continue;
-            }
-            break o;
         };
         drop(wait);
         let deadlock =
@@ -959,16 +938,8 @@ impl Comm {
                 c.finish_wait(me_world, matches!(outcome, TakeOutcome::Delivered(_)))
             });
         match outcome {
-            TakeOutcome::Delivered(env) => {
-                self.note_delivery(&env);
-                Ok(env)
-            }
-            TakeOutcome::TimedOut => Err(Error::Timeout {
-                rank: self.rank,
-                src: Some(src),
-                tag: key_tag,
-                comm_id: self.comm_id,
-            }),
+            TakeOutcome::Delivered(env) => Ok(env),
+            TakeOutcome::TimedOut => Err(self.timed_out(Some(src), key_tag)),
             TakeOutcome::Aborted => match deadlock {
                 Some(report) => Err(Error::Deadlock(Box::new(report))),
                 None => Err(Error::PeerDead { rank: src }),
@@ -1068,7 +1039,7 @@ impl Comm {
         let bytes = bytes_of(data).to_vec();
         let sig =
             TypeSig { extent: bytes.len() as u64, elem: std::mem::size_of::<T>() as u32, shape: 0 };
-        self.deposit_sig(dest, user_key_tag(tag), bytes, Some(sig))
+        self.deposit_staged(dest, user_key_tag(tag), bytes, Some(sig), None)
     }
 
     /// Send an owned byte buffer without copying it.
@@ -1106,38 +1077,28 @@ impl Comm {
                 self.timeout.get(),
                 || (0..self.size()).all(|r| r == me || !self.is_alive(r)),
             );
-            if let TakeOutcome::Delivered(env) = &o {
-                if env.epoch != self.epoch {
-                    self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                    ddrtrace::instant_arg("minimpi", "fenced_msg", "src", env.src as i64);
-                    continue;
+            match o {
+                TakeOutcome::Delivered(env) => match self.admit(env) {
+                    Some(env) => break TakeOutcome::Delivered(env),
+                    None => continue,
+                },
+                // Any-source watchdog deferral: if any live peer is parked
+                // on the flow gate, its message may still be coming —
+                // backpressure must not read as a timeout.
+                TakeOutcome::TimedOut if self.world.flow.any_other_in_wait(self.world_rank()) => {
+                    self.world.flow.note_watchdog_defer();
                 }
+                o => break o,
             }
-            // Any-source watchdog deferral: if any live peer is parked on
-            // the flow gate, its message may still be coming — backpressure
-            // must not read as a timeout.
-            if matches!(o, TakeOutcome::TimedOut)
-                && self.world.flow.any_other_in_wait(self.world_rank())
-            {
-                self.world.flow.note_watchdog_defer();
-                continue;
-            }
-            break o;
         };
         drop(wait);
         match outcome {
             TakeOutcome::Delivered(env) => {
-                self.note_delivery(&env);
                 let src = env.src;
                 let bytes = self.materialize(src, user_key_tag(tag), env)?;
                 Ok((RecvStatus { src, len: bytes.len() }, bytes))
             }
-            TakeOutcome::TimedOut => Err(Error::Timeout {
-                rank: self.rank,
-                src: None,
-                tag: user_key_tag(tag),
-                comm_id: self.comm_id,
-            }),
+            TakeOutcome::TimedOut => Err(self.timed_out(None, user_key_tag(tag))),
             // Every possible source is gone; report the lowest dead rank.
             TakeOutcome::Aborted => Err(Error::PeerDead {
                 rank: (0..self.size()).find(|&r| !self.is_alive(r)).unwrap_or(0),
@@ -1182,19 +1143,12 @@ impl Comm {
         self.check_rank(src)?;
         self.sched_point("try_recv");
         self.fault_tick()?;
-        loop {
-            match self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
-                Some(env) if env.epoch != self.epoch => {
-                    self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                    ddrtrace::instant_arg("minimpi", "fenced_msg", "src", src as i64);
-                }
-                Some(env) => {
-                    self.note_delivery(&env);
-                    return Ok(Some(self.materialize(src, user_key_tag(tag), env)?));
-                }
-                None => return Ok(None),
+        while let Some(env) = self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
+            if let Some(env) = self.admit(env) {
+                return Ok(Some(self.materialize(src, user_key_tag(tag), env)?));
             }
         }
+        Ok(None)
     }
 
     /// Combined send+receive, safe against head-of-line blocking because
@@ -1277,12 +1231,7 @@ impl Comm {
                 &self.world.liveness,
                 self.timeout.get(),
             )
-            .ok_or(Error::Timeout {
-                rank: self.rank,
-                src: None,
-                tag: SHRINK_TAG,
-                comm_id: self.comm_id,
-            })?;
+            .ok_or(self.timed_out(None, SHRINK_TAG))?;
         let new_rank = survivors.iter().position(|&w| w == self.world_rank()).ok_or_else(|| {
             Error::Internal {
                 detail: format!(
@@ -1326,14 +1275,7 @@ impl Comm {
 }
 
 /// Watchdog timeout used when none is set on the [`crate::Universe`]
-/// builder: `DDR_TIMEOUT_MS` (milliseconds), else the legacy
-/// `MINIMPI_TIMEOUT_SECS` (seconds), else 120 s.
+/// builder: `DDR_TIMEOUT_MS` (milliseconds), else 120 s.
 pub(crate) fn default_timeout() -> Duration {
-    if let Some(ms) = crate::env::u64_var("DDR_TIMEOUT_MS") {
-        return Duration::from_millis(ms);
-    }
-    match crate::env::u64_var("MINIMPI_TIMEOUT_SECS") {
-        Some(s) => Duration::from_secs(s),
-        None => Duration::from_secs(120),
-    }
+    Duration::from_millis(crate::env::u64_var("DDR_TIMEOUT_MS").unwrap_or(120_000))
 }

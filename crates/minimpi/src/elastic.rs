@@ -263,12 +263,7 @@ impl Comm {
                 &self.world.liveness,
                 timeout,
             )
-            .ok_or(Error::Timeout {
-                rank: self.rank,
-                src: None,
-                tag: RECONFIG_TAG,
-                comm_id: self.comm_id,
-            })?;
+            .ok_or(self.timed_out(None, RECONFIG_TAG))?;
         // The agreement may have declared *this* rank dead (its kill raced
         // this call — by now it may even have been revived for a respawned
         // replacement). The zombie thread must exit instead of rejoining and
@@ -329,12 +324,7 @@ impl Comm {
                 }
             }
         } else if !self.world.elastic.wait_for_epoch(new_epoch, timeout) {
-            return Err(Error::Timeout {
-                rank: self.rank,
-                src: None,
-                tag: RECONFIG_TAG,
-                comm_id: self.comm_id,
-            });
+            return Err(self.timed_out(None, RECONFIG_TAG));
         }
         drop(span);
 

@@ -141,18 +141,31 @@ impl Mailbox {
 
     /// Like [`Mailbox::take`], but also gives up early — returning
     /// [`TakeOutcome::Aborted`] — once `abort()` reports true and no matching
-    /// message is queued. Queued messages always win over the abort
-    /// condition, preserving "messages sent before death are deliverable".
+    /// message is queued.
     pub fn take_watched(
         &self,
         key: MsgKey,
         timeout: Duration,
         abort: impl Fn() -> bool,
     ) -> TakeOutcome {
+        self.take_by(timeout, abort, |q| Self::pop(q, key))
+    }
+
+    /// The one blocking wait: block until `pop` yields a message, `abort()`
+    /// reports true, or `timeout` passes. Every wakeup re-checks in that
+    /// order, so a queued message always wins over the abort condition
+    /// ("messages sent before death are deliverable") and a deposit that
+    /// races the deadline is still delivered.
+    fn take_by(
+        &self,
+        timeout: Duration,
+        abort: impl Fn() -> bool,
+        pop: impl Fn(&mut Queues) -> Option<Envelope>,
+    ) -> TakeOutcome {
         let deadline = Instant::now() + timeout;
         let mut q = self.lock();
         loop {
-            if let Some(mut env) = Self::pop(&mut q, key) {
+            if let Some(mut env) = pop(&mut q) {
                 drop(q);
                 self.settle(&mut env);
                 return TakeOutcome::Delivered(env);
@@ -164,26 +177,10 @@ impl Mailbox {
             if now >= deadline {
                 return TakeOutcome::TimedOut;
             }
-            let (guard, res) = match self.cv.wait_timeout(q, deadline - now) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    let (guard, res) = e.into_inner();
-                    (guard, res)
-                }
+            q = match self.cv.wait_timeout(q, deadline - now) {
+                Ok((guard, _)) => guard,
+                Err(e) => e.into_inner().0,
             };
-            q = guard;
-            if res.timed_out() {
-                // Re-check once after timeout in case of a race with deposit.
-                return match Self::pop(&mut q, key) {
-                    Some(mut env) => {
-                        drop(q);
-                        self.settle(&mut env);
-                        TakeOutcome::Delivered(env)
-                    }
-                    None if abort() => TakeOutcome::Aborted,
-                    None => TakeOutcome::TimedOut,
-                };
-            }
         }
     }
 
@@ -255,50 +252,9 @@ impl Mailbox {
         timeout: Duration,
         abort: impl Fn() -> bool,
     ) -> TakeOutcome {
-        fn scan(
-            q: &mut Queues,
-            comm_id: u64,
-            tag: u64,
-            size: usize,
-            start: usize,
-        ) -> Option<Envelope> {
-            (0..size).find_map(|i| Mailbox::pop(q, (comm_id, (start + i) % size.max(1), tag)))
-        }
-
-        let deadline = Instant::now() + timeout;
-        let mut q = self.lock();
-        loop {
-            if let Some(mut env) = scan(&mut q, comm_id, tag, size, start) {
-                drop(q);
-                self.settle(&mut env);
-                return TakeOutcome::Delivered(env);
-            }
-            if abort() {
-                return TakeOutcome::Aborted;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return TakeOutcome::TimedOut;
-            }
-            let (guard, res) = match self.cv.wait_timeout(q, deadline - now) {
-                Ok(ok) => ok,
-                Err(e) => e.into_inner(),
-            };
-            q = guard;
-            if res.timed_out() {
-                // One last scan after the final wakeup, in case a deposit
-                // raced with the timeout.
-                return match scan(&mut q, comm_id, tag, size, start) {
-                    Some(mut env) => {
-                        drop(q);
-                        self.settle(&mut env);
-                        TakeOutcome::Delivered(env)
-                    }
-                    None if abort() => TakeOutcome::Aborted,
-                    None => TakeOutcome::TimedOut,
-                };
-            }
-        }
+        self.take_by(timeout, abort, |q| {
+            (0..size).find_map(|i| Self::pop(q, (comm_id, (start + i) % size.max(1), tag)))
+        })
     }
 
     /// Number of queued messages (diagnostics only).

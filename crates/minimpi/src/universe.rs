@@ -48,8 +48,7 @@ pub struct UniverseBuilder {
 
 impl UniverseBuilder {
     /// Watchdog timeout applied to every blocking receive. Defaults to
-    /// `DDR_TIMEOUT_MS` (ms), else legacy `MINIMPI_TIMEOUT_SECS` (s),
-    /// else 120 s.
+    /// `DDR_TIMEOUT_MS` (ms), else 120 s.
     pub fn timeout(mut self, t: Duration) -> Self {
         self.timeout = Some(t);
         self

@@ -2,7 +2,7 @@
 //! valid, well-formed Chrome trace JSON, and tracing-off must cost nothing
 //! measurable.
 
-use ddr::core::{decompose, DataKind, Descriptor, Strategy, ValidationPolicy};
+use ddr::core::{decompose, DataKind, Descriptor, ValidationPolicy};
 use ddr::minimpi::Universe;
 use ddr::trace::json::{self, Value};
 use std::sync::Mutex;
@@ -27,8 +27,7 @@ fn redistribute_once(builder: minimpi::UniverseBuilder, dim: usize, iters: usize
         let data: Vec<u64> = (0..owned[0].count()).collect();
         let mut out = vec![0u64; need.count() as usize];
         for _ in 0..iters {
-            let (report, _) =
-                plan.reorganize_with_stats(comm, &[&data], &mut out, Strategy::Alltoallw).unwrap();
+            let (report, _) = plan.reorganize_with_stats(comm, &[&data], &mut out).unwrap();
             assert!(report.is_complete());
         }
     });
