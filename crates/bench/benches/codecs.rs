@@ -21,6 +21,22 @@ fn bench_tiff(c: &mut Criterion) {
     g.bench_function("decode_1024x512_u32", |b| {
         b.iter(|| black_box(TiffImage::decode(black_box(&bytes)).unwrap().width));
     });
+
+    // One slice of the `tiff_stack_load` stack: the typed decode, and the
+    // loader's route straight to normalized `f32` in a reused buffer.
+    let slice = TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap();
+    let bytes = slice.encode(Endian::Little).unwrap();
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("decode_256x256_u16", |b| {
+        b.iter(|| black_box(TiffImage::decode(black_box(&bytes)).unwrap().width));
+    });
+    let mut plane = vec![0f32; 256 * 256];
+    g.bench_function("decode_normalized_256x256_u16", |b| {
+        b.iter(|| {
+            TiffImage::decode_normalized_into(black_box(&bytes), &mut plane).unwrap();
+            black_box(plane[0])
+        });
+    });
     g.finish();
 }
 

@@ -104,22 +104,25 @@ fn cmd_preview(args: &[String]) -> ExitCode {
     let shaded = rest.iter().any(|a| a == "--shaded");
 
     let vol: [usize; 3] = [nx, ny, nz];
-    let mut data = Vec::with_capacity(nx * ny * nz);
-    for z in 0..nz {
-        let img = match dtiff::read_stack_slice(Path::new(dir), z) {
-            Ok(i) => i,
+    if nx * ny == 0 {
+        return usage();
+    }
+    let mut data = vec![0f32; nx * ny * nz];
+    for (z, plane) in data.chunks_exact_mut(nx * ny).enumerate() {
+        let decoded = std::fs::read(dtiff::stack_slice_path(Path::new(dir), z))
+            .map_err(dtiff::TiffError::from)
+            .and_then(|bytes| TiffImage::decode_normalized_into(&bytes, plane));
+        match decoded {
+            Ok((w, h)) if (w as usize, h as usize) == (nx, ny) => {}
+            Ok((w, h)) => {
+                eprintln!("error: slice {z} is {w}x{h}, expected {nx}x{ny}");
+                return ExitCode::FAILURE;
+            }
             Err(e) => {
                 eprintln!("error reading slice {z}: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let scale = match img.kind() {
-            dtiff::PixelKind::U8 => 255.0,
-            dtiff::PixelKind::U16 => 65535.0,
-            dtiff::PixelKind::U32 => u32::MAX as f64,
-            dtiff::PixelKind::F32 => 1.0,
-        };
-        data.extend((0..img.data.len()).map(|i| (img.data.get_f64(i) / scale) as f32));
+        }
     }
     let tf = volren::TransferFunction::tooth();
     let image = if shaded {

@@ -8,9 +8,10 @@
 
 use crate::tiffcase::{image_block, Method};
 use ddr_core::decompose::{brick, consecutive_items, near_cubic_grid};
-use ddr_core::{Block, DataKind, Descriptor, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Plan, ValidationPolicy};
 use dtiff::TiffImage;
 use minimpi::Comm;
+use std::io::Read;
 use std::path::Path;
 
 /// Errors from the stack loader.
@@ -48,22 +49,32 @@ impl From<ddr_core::DdrError> for LoadError {
     }
 }
 
-/// Decode one slice and normalize its samples to `f32` in `[0, 1]`.
-fn decode_slice(dir: &Path, z: usize, vol: [usize; 3]) -> Result<Vec<f32>, LoadError> {
-    let img = dtiff::read_stack_slice(dir, z)?;
-    if img.width as usize != vol[0] || img.height as usize != vol[1] {
+/// Read slice `z` into `file` and decode it, normalized to `[0, 1]`, into
+/// `plane` (one `vol[0] × vol[1]` image). `file` is scratch: callers pass the
+/// same buffer for every slice. A slice of the wrong shape is refused from
+/// its IFD, before a sample is converted.
+fn read_slice_into(
+    dir: &Path,
+    z: usize,
+    vol: [usize; 3],
+    file: &mut Vec<u8>,
+    plane: &mut [f32],
+) -> Result<(), LoadError> {
+    file.clear();
+    std::fs::File::open(dtiff::stack_slice_path(dir, z))
+        .and_then(|mut f| f.read_to_end(file))
+        .map_err(dtiff::TiffError::from)?;
+    let page = dtiff::Page::first(file)?;
+    if page.width() as usize != vol[0] || page.height() as usize != vol[1] {
         return Err(LoadError::Shape(format!(
             "slice {z} is {}x{}, volume says {}x{}",
-            img.width, img.height, vol[0], vol[1]
+            page.width(),
+            page.height(),
+            vol[0],
+            vol[1]
         )));
     }
-    let scale = match img.kind() {
-        dtiff::PixelKind::U8 => 255.0,
-        dtiff::PixelKind::U16 => 65535.0,
-        dtiff::PixelKind::U32 => u32::MAX as f64,
-        dtiff::PixelKind::F32 => 1.0,
-    };
-    Ok((0..img.data.len()).map(|i| (img.data.get_f64(i) / scale) as f32).collect())
+    Ok(page.decode_normalized_into(plane)?)
 }
 
 /// Statistics of one load, for the measured benchmark.
@@ -89,15 +100,18 @@ pub fn load_stack(
     let domain = Block::d3([0, 0, 0], vol).expect("valid volume");
     let counts = near_cubic_grid(nprocs);
     let need = brick(&domain, counts, rank).expect("brick within domain");
+    let plane = vol[0] * vol[1];
     let mut stats = LoadStats::default();
+    let mut file = Vec::new();
+    let mut out = vec![0f32; need.count() as usize];
 
     match method {
         Method::NoDdr => {
             // Read every image the brick intersects; throw away the rest of
             // each decoded image (the cost the paper eliminates).
-            let mut out = vec![0f32; need.count() as usize];
+            let mut slice = vec![0f32; plane];
             for z in need.offset[2]..need.offset[2] + need.dims[2] {
-                let slice = decode_slice(dir, z, vol)?;
+                read_slice_into(dir, z, vol, &mut file, &mut slice)?;
                 stats.images_read += 1;
                 for y in 0..need.dims[1] {
                     let gy = need.offset[1] + y;
@@ -106,55 +120,56 @@ pub fn load_stack(
                     out[dst..dst + need.dims[0]].copy_from_slice(&slice[src..src + need.dims[0]]);
                 }
             }
-            Ok((need, out, stats))
         }
         Method::RoundRobin => {
-            let mut owned_blocks = Vec::new();
-            let mut owned_data: Vec<Vec<f32>> = Vec::new();
-            let mut z = rank;
-            while z < vol[2] {
-                owned_blocks.push(image_block(vol, z)?);
-                owned_data.push(decode_slice(dir, z, vol)?);
-                stats.images_read += 1;
-                z += nprocs;
-            }
-            redistribute(comm, vol, owned_blocks, owned_data, need, &mut stats)
+            // One image per round: round `r` decodes this rank's `r`-th
+            // image into the one chunk buffer and ships it, so a rank holds
+            // one decoded image at a time, not its whole share of the stack.
+            let zs: Vec<usize> = (rank..vol[2]).step_by(nprocs).collect();
+            let owned = zs.iter().map(|&z| image_block(vol, z)).collect::<Result<Vec<_>, _>>()?;
+            let plan = mapping(comm, &owned, need, &mut stats)?;
+            plan.reorganize_from(
+                comm,
+                |r, chunk: &mut Vec<f32>| {
+                    chunk.resize(plane, 0.0);
+                    read_slice_into(dir, zs[r], vol, &mut file, chunk)?;
+                    stats.images_read += 1;
+                    Ok::<(), LoadError>(())
+                },
+                &mut out,
+            )?;
         }
         Method::Consecutive => {
             let (z0, len) = consecutive_items(vol[2], nprocs, rank);
-            let (owned_blocks, owned_data) = if len == 0 {
-                (Vec::new(), Vec::new())
-            } else {
-                let chunk = Block::d3([0, 0, z0], [vol[0], vol[1], len]).expect("valid chunk");
-                let mut data = Vec::with_capacity(chunk.count() as usize);
-                for z in z0..z0 + len {
-                    data.extend(decode_slice(dir, z, vol)?);
-                    stats.images_read += 1;
-                }
-                (vec![chunk], vec![data])
-            };
-            redistribute(comm, vol, owned_blocks, owned_data, need, &mut stats)
+            let mut data = vec![0f32; len * plane];
+            for (i, slice) in data.chunks_exact_mut(plane).enumerate() {
+                read_slice_into(dir, z0 + i, vol, &mut file, slice)?;
+                stats.images_read += 1;
+            }
+            // A rank past the end of the stack owns no chunk at all.
+            let chunk = (len > 0)
+                .then(|| Block::d3([0, 0, z0], [vol[0], vol[1], len]).expect("valid chunk"));
+            let plan = mapping(comm, chunk.as_slice(), need, &mut stats)?;
+            let held: &[&[f32]] = if len > 0 { &[&data] } else { &[] };
+            plan.reorganize(comm, held, &mut out)?;
         }
     }
+    Ok((need, out, stats))
 }
 
-fn redistribute(
+/// Build the redistribution plan from this rank's owned blocks to its brick.
+fn mapping(
     comm: &Comm,
-    _vol: [usize; 3],
-    owned_blocks: Vec<Block>,
-    owned_data: Vec<Vec<f32>>,
+    owned: &[Block],
     need: Block,
     stats: &mut LoadStats,
-) -> Result<(Block, Vec<f32>, LoadStats), LoadError> {
+) -> Result<Plan, LoadError> {
     let desc = Descriptor::for_type::<f32>(comm.size(), DataKind::D3)?;
     // Round-robin stacks can have thousands of chunks; their disjointness
     // holds by construction, so skip the O(n²) validation pass.
-    let plan = desc.setup_data_mapping_with(comm, &owned_blocks, need, ValidationPolicy::Skip)?;
+    let plan = desc.setup_data_mapping_with(comm, owned, need, ValidationPolicy::Skip)?;
     stats.bytes_sent = plan.total_sent_bytes();
-    let refs: Vec<&[f32]> = owned_data.iter().map(|v| v.as_slice()).collect();
-    let mut out = vec![0f32; need.count() as usize];
-    plan.reorganize(comm, &refs, &mut out)?;
-    Ok((need, out, *stats))
+    Ok(plan)
 }
 
 fn phantom_slices(vol: [usize; 3]) -> Vec<TiffImage> {
@@ -207,9 +222,10 @@ pub fn load_multipage(
     let need = brick(&domain, counts, rank).expect("brick within domain");
     let mut stats = LoadStats::default();
 
-    let (owned_blocks, owned_data) = if rank == 0 {
+    let mut data = Vec::new();
+    if rank == 0 {
         let bytes = std::fs::read(path).map_err(dtiff::TiffError::from)?;
-        let pages = TiffImage::decode_all(&bytes)?;
+        let pages = dtiff::Page::all(&bytes)?;
         if pages.len() != vol[2] {
             return Err(LoadError::Shape(format!(
                 "file holds {} pages, volume says {}",
@@ -217,25 +233,23 @@ pub fn load_multipage(
                 vol[2]
             )));
         }
-        stats.images_read = pages.len();
-        let mut data = Vec::with_capacity(domain.count() as usize);
-        for (z, img) in pages.iter().enumerate() {
-            if img.width as usize != vol[0] || img.height as usize != vol[1] {
-                return Err(LoadError::Shape(format!("page {z} has wrong dimensions")));
-            }
-            let scale = match img.kind() {
-                dtiff::PixelKind::U8 => 255.0,
-                dtiff::PixelKind::U16 => 65535.0,
-                dtiff::PixelKind::U32 => u32::MAX as f64,
-                dtiff::PixelKind::F32 => 1.0,
-            };
-            data.extend((0..img.data.len()).map(|i| (img.data.get_f64(i) / scale) as f32));
+        if let Some(z) =
+            pages.iter().position(|p| p.width() as usize != vol[0] || p.height() as usize != vol[1])
+        {
+            return Err(LoadError::Shape(format!("page {z} has wrong dimensions")));
         }
-        (vec![domain], vec![data])
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    redistribute(comm, vol, owned_blocks, owned_data, need, &mut stats)
+        data.resize(domain.count() as usize, 0f32);
+        for (page, slice) in pages.iter().zip(data.chunks_exact_mut(vol[0] * vol[1])) {
+            page.decode_normalized_into(slice)?;
+        }
+        stats.images_read = pages.len();
+    }
+    let (owned, chunks): (&[Block], &[&[f32]]) =
+        if rank == 0 { (&[domain], &[&data]) } else { (&[], &[]) };
+    let plan = mapping(comm, owned, need, &mut stats)?;
+    let mut out = vec![0f32; need.count() as usize];
+    plan.reorganize(comm, chunks, &mut out)?;
+    Ok((need, out, stats))
 }
 
 #[cfg(test)]
@@ -281,6 +295,52 @@ mod tests {
             // All three loaders produce the identical volume.
             assert_eq!(per_method[0], per_method[1]);
             assert_eq!(per_method[1], per_method[2]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupted_slice_is_a_tiff_error_for_its_reader_and_a_structured_error_for_peers() {
+        let vol = [16usize, 8, 12];
+        let nprocs = 4;
+        // Slice 5 is read by rank 1 under both assignments (round-robin: its
+        // second of 1, 5, 9; consecutive: the last of 3..6), and every brick
+        // of the 1x2x2 grid needs slice 5 or slice 9 from it.
+        let (bad_z, reader) = (5, 1);
+        let dir = tmpdir("corrupt");
+        write_phantom_stack(&dir, vol).unwrap();
+        std::fs::write(dtiff::stack_slice_path(&dir, bad_z), b"II*\0 not a TIFF past its magic")
+            .unwrap();
+
+        let watchdog = std::time::Duration::from_secs(20);
+        for method in [Method::RoundRobin, Method::Consecutive] {
+            let started = std::time::Instant::now();
+            let dir = dir.clone();
+            let results = Universe::builder()
+                .timeout(watchdog)
+                .run(nprocs, move |comm| load_stack(comm, &dir, vol, method).map(|_| ()));
+            assert!(started.elapsed() < watchdog, "{method:?}: a rank sat out the watchdog");
+            for (rank, result) in results.iter().enumerate() {
+                match result {
+                    Err(LoadError::Tiff(_)) if rank == reader => {}
+                    Err(LoadError::Ddr(_)) if rank != reader => {}
+                    other => panic!("{method:?}: rank {rank} got {other:?}"),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wrong_sized_slice_is_a_shape_error() {
+        let dir = tmpdir("shape");
+        write_phantom_stack(&dir, [8, 4, 2]).unwrap();
+        // Same pixel count, other shape: only the IFD's dimensions tell.
+        let d = dir.clone();
+        let got = Universe::run(1, move |comm| load_stack(comm, &d, [4, 8, 2], Method::NoDdr));
+        match &got[0] {
+            Err(LoadError::Shape(m)) => assert_eq!(m, "slice 0 is 8x4, volume says 4x8"),
+            other => panic!("{other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,8 +9,51 @@ use minimpi::{bytes_of, bytes_of_mut, Comm, Datatype, Pod};
 /// Marker trait for element types DDR can move: any plain-old-data type.
 pub use minimpi::Pod as Element;
 
+/// Where the round loop gets round `r`'s owned chunk from. Only asked for
+/// rounds this rank owns a chunk in, once each, in round order.
+trait ChunkSource<T> {
+    /// What fetching a chunk can fail with; the loop's own errors convert
+    /// into it.
+    type Error: From<DdrError>;
+    fn chunk(&mut self, round: usize) -> std::result::Result<&[T], Self::Error>;
+}
+
+/// The trivial source: every chunk already sits in the caller's memory.
+impl<T> ChunkSource<T> for &[&[T]] {
+    type Error = DdrError;
+    fn chunk(&mut self, round: usize) -> Result<&[T]> {
+        Ok(self[round])
+    }
+}
+
+/// A source that makes each chunk when its round comes, in one buffer that
+/// every round reuses.
+struct Produced<T, F> {
+    fill: F,
+    buf: Vec<T>,
+}
+
+impl<T, E, F> ChunkSource<T> for Produced<T, F>
+where
+    E: From<DdrError>,
+    F: FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
+{
+    type Error = E;
+    fn chunk(&mut self, round: usize) -> std::result::Result<&[T], E> {
+        (self.fill)(round, &mut self.buf)?;
+        Ok(&self.buf)
+    }
+}
+
 impl Plan {
-    fn check_buffers<T: Pod>(&self, owned: &[&[T]], need: &[T]) -> Result<()> {
+    /// What every entry point checks before the first message.
+    fn check_call<T: Pod>(&self, comm: &Comm, need: &[T]) -> Result<()> {
+        if comm.size() != self.nprocs || comm.rank() != self.rank {
+            return Err(DdrError::ProcessCountMismatch {
+                descriptor: self.nprocs,
+                actual: comm.size(),
+            });
+        }
         if std::mem::size_of::<T>() != self.elem_size {
             return Err(DdrError::BufferMismatch {
                 detail: format!(
@@ -20,6 +63,23 @@ impl Plan {
                 ),
             });
         }
+        if need.len() as u64 != self.need.count() {
+            return Err(DdrError::BufferMismatch {
+                detail: format!(
+                    "need buffer has {} elements but block {:?} holds {}",
+                    need.len(),
+                    self.need,
+                    self.need.count()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// [`Plan::check_call`], plus every owned chunk's length: a mismatch
+    /// found here never leaves peers waiting inside a round.
+    fn check_buffers<T: Pod>(&self, comm: &Comm, owned: &[&[T]], need: &[T]) -> Result<()> {
+        self.check_call(comm, need)?;
         if owned.len() != self.owned.len() {
             return Err(DdrError::BufferMismatch {
                 detail: format!(
@@ -40,16 +100,6 @@ impl Plan {
                     ),
                 });
             }
-        }
-        if need.len() as u64 != self.need.count() {
-            return Err(DdrError::BufferMismatch {
-                detail: format!(
-                    "need buffer has {} elements but block {:?} holds {}",
-                    need.len(),
-                    self.need,
-                    self.need.count()
-                ),
-            });
         }
         Ok(())
     }
@@ -73,11 +123,7 @@ impl Plan {
         need: &mut [T],
     ) -> Result<()> {
         let (report, _) = self.reorganize_with_stats(comm, owned, need)?;
-        if report.is_complete() {
-            Ok(())
-        } else {
-            Err(DdrError::Incomplete(Box::new(report)))
-        }
+        complete(report)
     }
 
     /// Degraded-mode redistribution: like [`Plan::reorganize`], but a
@@ -94,23 +140,33 @@ impl Plan {
         owned: &[&[T]],
         need: &mut [T],
     ) -> Result<(PartialCompletion, RedistStats)> {
-        if comm.size() != self.nprocs || comm.rank() != self.rank {
-            return Err(DdrError::ProcessCountMismatch {
-                descriptor: self.nprocs,
-                actual: comm.size(),
-            });
-        }
-        self.check_buffers(owned, need)?;
-        let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
-        let failures = self.reorganize_alltoallw(comm, owned, need)?;
-        let stats = RedistStats::from_plan(self, &failures);
-        if ddrtrace::enabled() {
-            ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
-            ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
-            ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
-            ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
-        }
-        Ok((PartialCompletion::from_failures(self, &failures), stats))
+        self.check_buffers(comm, owned, need)?;
+        self.run_rounds(comm, owned, need)
+    }
+
+    /// [`Plan::reorganize`] for chunks that are produced rather than held:
+    /// right before round `r`'s exchange, `produce(r, &mut chunk)` must leave
+    /// exactly owned chunk `r`'s elements in `chunk` (anything else is
+    /// [`DdrError::BufferMismatch`] naming the round). `chunk` is one buffer,
+    /// handed back as the previous round left it, so a rank that owns many
+    /// chunks — a reader walking a stack of images — keeps one of them in
+    /// memory instead of all. `produce` is called once per owned chunk, in
+    /// round order, and never for the padded rounds of a rank that owns
+    /// fewer chunks than its peers.
+    ///
+    /// A producer's own failure `E` returns at once. The peers are then
+    /// inside that round, and see this rank's exit as any other dead peer:
+    /// a structured error, within the watchdog.
+    pub fn reorganize_from<T: Element, E: From<DdrError>>(
+        &self,
+        comm: &Comm,
+        produce: impl FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
+        need: &mut [T],
+    ) -> std::result::Result<(), E> {
+        self.check_call(comm, need)?;
+        let (report, _) =
+            self.run_rounds(comm, Produced { fill: produce, buf: Vec::new() }, need)?;
+        Ok(complete(report)?)
     }
 
     /// The [`RedistStats`] a fully successful execution of this plan will
@@ -120,38 +176,75 @@ impl Plan {
         RedistStats::from_plan(self, &[])
     }
 
-    /// Returns `(round, peer, loss kind)` receive failures; drains every
-    /// round so the maximum amount of data survives a peer death, and
-    /// classifies each loss so retransmit exhaustion (the peer is alive but
-    /// its data never verified) is reported distinctly from death.
+    /// The one round loop behind every entry point. Drains every round so
+    /// the maximum amount of data survives a peer death, and classifies each
+    /// receive failure so retransmit exhaustion (the peer is alive but its
+    /// data never verified) is reported distinctly from death.
     ///
     /// Round-synchronous, like the paper: one blocking `alltoallw` per
     /// round, so at most one round's bytes are ever staged.
-    fn reorganize_alltoallw<T: Pod>(
+    fn run_rounds<T: Pod, S: ChunkSource<T>>(
         &self,
         comm: &Comm,
-        owned: &[&[T]],
+        mut source: S,
         need: &mut [T],
-    ) -> Result<Vec<(usize, usize, LossKind)>> {
-        let n = self.nprocs;
+    ) -> std::result::Result<(PartialCompletion, RedistStats), S::Error> {
+        let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
         let need_bytes = bytes_of_mut(need);
+        let mut send_types = vec![Datatype::Empty; self.nprocs];
+        let mut recv_types = vec![Datatype::Empty; self.nprocs];
         let mut failures = Vec::new();
         for (r, round) in self.rounds.iter().enumerate() {
             let _round = ddrtrace::span_arg("redist", "round", "round", r as i64);
-            let send_buf: &[u8] = owned.get(r).map(|b| bytes_of(b)).unwrap_or(&[]);
-            let mut send_types = vec![Datatype::Empty; n];
-            let mut recv_types = vec![Datatype::Empty; n];
+            let chunk: &[T] = match self.owned.get(r) {
+                Some(block) => {
+                    let chunk = source.chunk(r)?;
+                    if chunk.len() as u64 != block.count() {
+                        return Err(DdrError::BufferMismatch {
+                            detail: format!(
+                                "round {r}: chunk has {} elements but chunk {:?} holds {}",
+                                chunk.len(),
+                                block,
+                                block.count()
+                            ),
+                        }
+                        .into());
+                    }
+                    chunk
+                }
+                None => &[],
+            };
+            send_types.fill(Datatype::Empty);
+            recv_types.fill(Datatype::Empty);
             for t in &round.sends {
                 send_types[t.peer] = Datatype::Subarray(t.subarray);
             }
             for t in &round.recvs {
                 recv_types[t.peer] = Datatype::Subarray(t.subarray);
             }
-            let report = comm.alltoallw_salvage(send_buf, &send_types, need_bytes, &recv_types)?;
+            let report = comm
+                .alltoallw_salvage(bytes_of(chunk), &send_types, need_bytes, &recv_types)
+                .map_err(DdrError::from)?;
             failures.extend(
                 report.failed.into_iter().map(|(peer, e)| (r, peer, LossKind::from_error(&e))),
             );
         }
-        Ok(failures)
+        let stats = RedistStats::from_plan(self, &failures);
+        if ddrtrace::enabled() {
+            ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
+            ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
+            ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
+            ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
+        }
+        Ok((PartialCompletion::from_failures(self, &failures), stats))
+    }
+}
+
+/// A lossy exchange as the error [`Plan::reorganize`] promises.
+fn complete(report: PartialCompletion) -> Result<()> {
+    if report.is_complete() {
+        Ok(())
+    } else {
+        Err(DdrError::Incomplete(Box::new(report)))
     }
 }

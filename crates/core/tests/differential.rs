@@ -6,8 +6,12 @@
 //! [`RedistStats`], also under `check(true)` and under a fault plan (which
 //! forces both runs onto the staged path). The headline property: a
 //! producer → consumer → producer round-trip is the identity on the data.
+//! The same cases also run through `Plan::reorganize_from`, which produces
+//! each chunk in its round instead of holding them all.
 
-use ddr_core::{decompose, Block, DataKind, Descriptor, Layout, RedistStats, ValidationPolicy};
+use ddr_core::{
+    decompose, Block, DataKind, DdrError, Descriptor, Layout, RedistStats, ValidationPolicy,
+};
 use minimpi::{FaultPlan, PoolStats, TransportCounters, Universe};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -201,6 +205,76 @@ fn fifty_seeded_cases_are_byte_identical_across_paths() {
         let legacy = run_path(&case, false, false);
         assert_paths_agree(seed, &case, &fast, &legacy);
     }
+}
+
+/// Execute `case` through the producer-driven entry: each owned chunk is
+/// generated when its round asks for it, in the one buffer every round
+/// reuses. Returns each rank's need buffer and the rounds its producer was
+/// called for, in call order.
+fn run_produced(case: &Case) -> Vec<(Vec<u64>, Vec<usize>)> {
+    let layouts = &case.layouts;
+    let (kind, nprocs) = (case.kind, case.nprocs);
+    Universe::builder().zerocopy_threshold(0).run(nprocs, move |comm| {
+        let me = &layouts[comm.rank()];
+        let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
+        let plan = desc
+            .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
+            .unwrap();
+        let mut need = vec![u64::MAX; me.need.count() as usize];
+        let mut asked = Vec::new();
+        plan.reorganize_from(
+            comm,
+            |round, chunk: &mut Vec<u64>| {
+                asked.push(round);
+                chunk.clear();
+                chunk.extend(me.owned[round].coords().map(cell_value));
+                Ok::<(), DdrError>(())
+            },
+            &mut need,
+        )
+        .unwrap();
+        (need, asked)
+    })
+}
+
+/// Rank 0 owns three chunks, rank 1 one, rank 2 none: three rounds, of which
+/// rank 1 pads two and rank 2 all.
+fn ragged_case() -> Case {
+    let d1 = |off, len| Block::d1(off, len).unwrap();
+    Case {
+        kind: DataKind::D1,
+        nprocs: 3,
+        layouts: vec![
+            Layout { owned: vec![d1(0, 10), d1(10, 5), d1(15, 15)], need: d1(20, 20) },
+            Layout { owned: vec![d1(30, 10)], need: d1(0, 25) },
+            Layout { owned: vec![], need: d1(5, 30) },
+        ],
+    }
+}
+
+/// The producer-driven and the slice-driven entry are one loop: both must
+/// reproduce the serial oracle byte for byte on the suite's layouts, and the
+/// producer must be asked for each owned chunk exactly once, in round order,
+/// and never for a padded round.
+#[test]
+fn produced_and_held_chunks_are_byte_identical_to_the_oracle() {
+    let mut ragged = 0;
+    for (seed, case) in
+        (0..50u64).map(|s| (s, case_from_seed(s))).chain([(u64::MAX, ragged_case())])
+    {
+        let produced = run_produced(&case);
+        let held = run_path(&case, true, false);
+        let chunks: Vec<usize> = case.layouts.iter().map(|l| l.owned.len()).collect();
+        ragged += chunks.iter().any(|&c| c != chunks[0]) as usize;
+        for (r, ((need, asked), held)) in produced.iter().zip(&held).enumerate() {
+            let want = oracle(&case, r);
+            assert_eq!(need, &want, "seed {seed}: rank {r} produced-chunk buffer wrong");
+            assert_eq!(held.need, want, "seed {seed}: rank {r} held-chunk buffer wrong");
+            let owned: Vec<usize> = (0..chunks[r]).collect();
+            assert_eq!(asked, &owned, "seed {seed}: rank {r} producer calls");
+        }
+    }
+    assert!(ragged > 0, "no case had ranks with different chunk counts");
 }
 
 /// A subset re-run under `check(true)`: the collective-matching checker's

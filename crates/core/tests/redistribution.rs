@@ -238,6 +238,78 @@ fn buffer_mismatches_are_rejected() {
 }
 
 #[test]
+fn produced_chunk_of_wrong_length_is_a_buffer_mismatch_naming_the_round() {
+    Universe::run(1, |comm| {
+        let owned = [Block::d1(0, 5).unwrap(), Block::d1(5, 3).unwrap()];
+        let need = Block::d1(0, 8).unwrap();
+        let desc = Descriptor::for_type::<u32>(1, DataKind::D1).unwrap();
+        let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
+        let mut out = vec![0u32; 8];
+
+        // The buffer comes back as round 0 left it: five elements, where
+        // chunk 1 holds three.
+        let err = plan
+            .reorganize_from(
+                comm,
+                |r, chunk: &mut Vec<u32>| {
+                    if r == 0 {
+                        chunk.extend(0..5);
+                    }
+                    Ok::<(), ddr_core::DdrError>(())
+                },
+                &mut out,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, ddr_core::DdrError::BufferMismatch { detail } if detail.starts_with("round 1:")),
+            "{err}"
+        );
+
+        // A need buffer of the wrong length is refused before the producer
+        // is asked for anything.
+        let refused = plan.reorganize_from(
+            comm,
+            |_, _: &mut Vec<u32>| -> Result<(), ddr_core::DdrError> { unreachable!("not called") },
+            &mut out[..7],
+        );
+        assert!(matches!(refused, Err(ddr_core::DdrError::BufferMismatch { .. })));
+
+        // A producer's own error comes back as it is, from the round it
+        // happened in.
+        let mut asked = Vec::new();
+        let own = plan.reorganize_from(
+            comm,
+            |r, chunk: &mut Vec<u32>| {
+                asked.push(r);
+                chunk.resize(5, 0);
+                if r == 1 {
+                    Err(ProducerError::Own("slice unreadable".into()))
+                } else {
+                    Ok(())
+                }
+            },
+            &mut out,
+        );
+        assert_eq!(own, Err(ProducerError::Own("slice unreadable".into())));
+        assert_eq!(asked, [0, 1]);
+    });
+}
+
+/// A caller-side error type for [`ddr_core::Plan::reorganize_from`]: its own
+/// failures, or the redistribution's.
+#[derive(Debug, PartialEq)]
+enum ProducerError {
+    Own(String),
+    Ddr(ddr_core::DdrError),
+}
+
+impl From<ddr_core::DdrError> for ProducerError {
+    fn from(e: ddr_core::DdrError) -> Self {
+        ProducerError::Ddr(e)
+    }
+}
+
+#[test]
 fn invalid_ownership_fails_on_every_rank() {
     // All ranks see the same validation error from setup (collective check).
     let n = 3;

@@ -142,38 +142,6 @@ impl PixelData {
             PixelData::F32(v) => ser!(v),
         }
     }
-
-    /// Parse `count` samples of `kind` from raw file bytes.
-    pub(crate) fn from_bytes(
-        kind: PixelKind,
-        endian: Endian,
-        bytes: &[u8],
-        count: usize,
-    ) -> Result<PixelData> {
-        let need = count * kind.sample_bytes();
-        if bytes.len() < need {
-            return Err(TiffError::Truncated { context: "pixel data" });
-        }
-        macro_rules! de {
-            ($t:ty, $variant:ident, $w:expr) => {{
-                let mut v = Vec::with_capacity(count);
-                for c in bytes[..need].chunks_exact($w) {
-                    let arr: [u8; $w] = c.try_into().unwrap();
-                    v.push(match endian {
-                        Endian::Little => <$t>::from_le_bytes(arr),
-                        Endian::Big => <$t>::from_be_bytes(arr),
-                    });
-                }
-                PixelData::$variant(v)
-            }};
-        }
-        Ok(match kind {
-            PixelKind::U8 => PixelData::U8(bytes[..need].to_vec()),
-            PixelKind::U16 => de!(u16, U16, 2),
-            PixelKind::U32 => de!(u32, U32, 4),
-            PixelKind::F32 => de!(f32, F32, 4),
-        })
-    }
 }
 
 /// A single grayscale image (one slice of a volume stack).

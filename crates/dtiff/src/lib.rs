@@ -10,9 +10,22 @@
 //! little- or big-endian, baseline/uncompressed), plus helpers for image
 //! stacks on disk.
 //!
-//! Decoding deliberately goes through the whole file — strip assembly,
-//! endian conversion, sample widening — so the loader exhibits the same
-//! whole-image cost structure the paper's experiments measure.
+//! Decoding deliberately goes through the whole file. "Whole-image cost"
+//! means: every strip of the page is located, bounds-checked, (PackBits)
+//! decompressed, endian-converted and widened, whether the caller wants one
+//! pixel or all of them — so the loader exhibits the cost structure the
+//! paper's experiments measure. It does not mean extra copies. One strip
+//! walker ([`Page`]) feeds two sinks, the typed [`TiffImage::decode`] and
+//! the loader's [`TiffImage::decode_normalized_into`], and both write each
+//! sample once, straight from the file's bytes: no assembled byte vector of
+//! all strips, and on the normalized route no typed `Vec<u16>` and no
+//! per-index [`PixelData::get_f64`] either. A [`Page`] is a parsed,
+//! validated IFD whose samples have not been touched, so a caller can refuse
+//! an image of the wrong shape before paying for it.
+//!
+//! One thing the walker is stricter about than a byte-assembling decoder: a
+//! strip whose contribution ends in the middle of a sample is
+//! [`TiffError::Malformed`] (TIFF strips hold whole rows).
 //!
 //! ```
 //! use dtiff::{PixelData, TiffImage, Endian};
@@ -33,5 +46,6 @@ mod writer;
 
 pub use error::{Result, TiffError};
 pub use image::{Compression, Endian, PixelData, PixelKind, TiffImage};
-pub use stack::{read_stack_slice, stack_paths, write_stack};
+pub use reader::Page;
+pub use stack::{read_stack_slice, stack_paths, stack_slice_path, write_stack};
 pub use writer::encode_multipage;

@@ -5,9 +5,14 @@ use crate::error::Result;
 use crate::image::{Endian, TiffImage};
 use std::path::{Path, PathBuf};
 
-/// Paths of an `n`-slice stack under `dir` (zero-padded, z ascending).
+/// Path of slice `z` of the stack under `dir` (zero-padded).
+pub fn stack_slice_path(dir: &Path, z: usize) -> PathBuf {
+    dir.join(format!("slice_{z:05}.tif"))
+}
+
+/// Paths of an `n`-slice stack under `dir` (z ascending).
 pub fn stack_paths(dir: &Path, n: usize) -> Vec<PathBuf> {
-    (0..n).map(|z| dir.join(format!("slice_{z:05}.tif"))).collect()
+    (0..n).map(|z| stack_slice_path(dir, z)).collect()
 }
 
 /// Write a stack of slices to `dir` (created if missing). Slice `z` of the
@@ -22,7 +27,6 @@ pub fn write_stack(dir: &Path, slices: &[TiffImage], endian: Endian) -> Result<(
 
 /// Read and decode one slice of a stack — the whole file, as TIFF demands.
 pub fn read_stack_slice(dir: &Path, z: usize) -> Result<TiffImage> {
-    let path = dir.join(format!("slice_{z:05}.tif"));
-    let bytes = std::fs::read(path)?;
+    let bytes = std::fs::read(stack_slice_path(dir, z))?;
     TiffImage::decode(&bytes)
 }

@@ -291,3 +291,152 @@ fn cyclic_ifd_chain_rejected() {
     bytes[second_ptr_pos..second_ptr_pos + 4].copy_from_slice(&first_ifd.to_le_bytes());
     assert!(TiffImage::decode_all(&bytes).is_err());
 }
+
+/// The normalization oracle, written out independently of the codec: the
+/// typed decode, widened per index and divided by the kind's full scale.
+fn normalized_reference(img: &TiffImage) -> Vec<f32> {
+    let scale = match img.kind() {
+        PixelKind::U8 => 255.0,
+        PixelKind::U16 => 65535.0,
+        PixelKind::U32 => u32::MAX as f64,
+        PixelKind::F32 => 1.0,
+    };
+    (0..img.data.len()).map(|i| (img.data.get_f64(i) / scale) as f32).collect()
+}
+
+/// Both decodes of `bytes` agree with `img`, the normalized one bit for bit.
+fn assert_normalized_matches(img: &TiffImage, bytes: &[u8], what: &str) {
+    assert_eq!(&TiffImage::decode(bytes).unwrap(), img, "{what}: typed decode");
+    let mut out = vec![f32::NAN; img.data.len()];
+    let dims = TiffImage::decode_normalized_into(bytes, &mut out).unwrap();
+    assert_eq!(dims, (img.width, img.height), "{what}: dimensions");
+    let want = normalized_reference(img);
+    assert!(
+        out.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{what}: normalized decode differs from (get_f64 / scale) as f32"
+    );
+}
+
+#[test]
+fn normalized_decode_is_bit_identical_for_every_u16_value() {
+    let img = TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap();
+    for endian in [Endian::Little, Endian::Big] {
+        assert_normalized_matches(&img, &img.encode(endian).unwrap(), &format!("{endian:?}"));
+    }
+}
+
+#[test]
+fn normalized_decode_matches_for_every_kind_compression_and_ragged_strips() {
+    use dtiff::Compression;
+    // 300 u32 columns are 1200 B a row, so 54 rows fill a 64 KiB strip and
+    // 131 rows make strips of 54, 54 and 23: the last one is short.
+    let (w, h) = (300u32, 131u32);
+    let n = (w * h) as usize;
+    let mix = |i: usize| (i as u32).wrapping_mul(2654435761);
+    let images = [
+        TiffImage::new(w, h, PixelData::U8((0..n).map(|i| (mix(i) >> 24) as u8).collect())),
+        TiffImage::new(w, h, PixelData::U16((0..n).map(|i| (mix(i) >> 16) as u16).collect())),
+        TiffImage::new(
+            w,
+            h,
+            PixelData::U32((0..n).map(|i| if i == 0 { u32::MAX } else { mix(i) }).collect()),
+        ),
+        TiffImage::new(w, h, PixelData::F32((0..n).map(|i| mix(i) as f32 / 3e9 - 0.25).collect())),
+        // Runs, so PackBits has something to pack.
+        TiffImage::new(
+            w,
+            h,
+            PixelData::U16((0..n).map(|i| ((i / 500) as u16).wrapping_mul(4099)).collect()),
+        ),
+    ];
+    for img in images {
+        let img = img.unwrap();
+        for endian in [Endian::Little, Endian::Big] {
+            for compression in [Compression::None, Compression::PackBits] {
+                let bytes = img.encode_with(endian, compression).unwrap();
+                let what = format!("{:?} {endian:?} {compression:?}", img.kind());
+                assert_normalized_matches(&img, &bytes, &what);
+            }
+        }
+    }
+}
+
+/// Overwrite the 4-byte value field of `tag` in the first IFD of a
+/// little-endian file (for a one-strip image the strip's offset and byte
+/// count sit inline there).
+fn patch_tag(bytes: &mut [u8], tag: u16, value: u32) {
+    let ifd = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+    let n = u16::from_le_bytes(bytes[ifd..ifd + 2].try_into().unwrap()) as usize;
+    let pos = (0..n)
+        .map(|i| ifd + 2 + i * 12)
+        .find(|&pos| u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) == tag)
+        .expect("tag present");
+    bytes[pos + 8..pos + 12].copy_from_slice(&value.to_le_bytes());
+}
+
+#[test]
+fn both_decodes_reject_bad_strips_with_the_same_structured_errors() {
+    const STRIP_BYTE_COUNTS: u16 = 279;
+    let img = TiffImage::new(16, 8, PixelData::U16((0..128).collect())).unwrap();
+    let good = img.encode(Endian::Little).unwrap();
+    let mut out = vec![0f32; 128];
+    let mut both = |bytes: &[u8]| {
+        let typed = TiffImage::decode(bytes).unwrap_err();
+        (typed, TiffImage::decode_normalized_into(bytes, &mut out).unwrap_err())
+    };
+
+    // A strip that runs past the end of the file.
+    let mut truncated = good.clone();
+    patch_tag(&mut truncated, STRIP_BYTE_COUNTS, good.len() as u32);
+    assert!(matches!(
+        both(&truncated),
+        (
+            TiffError::Truncated { context: "strip data" },
+            TiffError::Truncated { context: "strip data" }
+        )
+    ));
+
+    // Strips that supply fewer bytes than the dimensions imply.
+    let mut short = good.clone();
+    patch_tag(&mut short, STRIP_BYTE_COUNTS, 254);
+    let (a, b) = both(&short);
+    for e in [a, b] {
+        assert!(
+            matches!(&e, TiffError::Malformed(m) if m == "strips supply 254 bytes, dimensions imply 256"),
+            "{e}"
+        );
+    }
+
+    // A strip that stops in the middle of a sample.
+    let mut split = good.clone();
+    patch_tag(&mut split, STRIP_BYTE_COUNTS, 255);
+    let (a, b) = both(&split);
+    assert!(matches!((a, b), (TiffError::Malformed(_), TiffError::Malformed(_))));
+
+    // An output buffer of the wrong length converts nothing.
+    let mut wrong = vec![7f32; 127];
+    assert!(matches!(
+        TiffImage::decode_normalized_into(&good, &mut wrong),
+        Err(TiffError::DimensionMismatch { expected: 128, got: 127 })
+    ));
+    assert!(wrong.iter().all(|&v| v == 7.0));
+}
+
+#[test]
+fn pages_expose_dimensions_before_any_sample_is_decoded() {
+    use dtiff::{encode_multipage, Compression, Page};
+    let pages = vec![gradient_u8(4, 6), gradient_u32(9, 2)];
+    let mut bytes = encode_multipage(&pages, Endian::Big, Compression::None).unwrap();
+    // Wreck the first page's strip data: the IFDs still parse.
+    bytes[8..32].fill(0xFF);
+    let parsed = Page::all(&bytes).unwrap();
+    let dims: Vec<_> = parsed.iter().map(|p| (p.width(), p.height(), p.kind())).collect();
+    assert_eq!(dims, [(4, 6, PixelKind::U8), (9, 2, PixelKind::U32)]);
+    assert_eq!(parsed[1].decode().unwrap(), pages[1]);
+    // Dimensions no file of this size can back are refused before anything
+    // is allocated for them.
+    let mut huge = gradient_u8(8, 8).encode(Endian::Little).unwrap();
+    patch_tag(&mut huge, 256, u32::MAX);
+    patch_tag(&mut huge, 257, u32::MAX);
+    assert!(matches!(Page::first(&huge), Err(TiffError::Truncated { context: "pixel data" })));
+}
