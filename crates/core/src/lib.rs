@@ -74,8 +74,8 @@ pub use error::{DdrError, Result};
 pub use exec::Element;
 pub use layout::Layout;
 pub use lint::{
-    has_errors, lint_layouts, lint_mapping, lint_memory, lint_plan, lint_plans, lint_staging,
-    LintCode, LintDiagnostic, Severity,
+    has_errors, lint_layouts, lint_mapping, lint_plan, lint_plans, lint_staging, LintCode,
+    LintDiagnostic, Severity,
 };
 pub use mapping::compute_local_plan;
 pub use multi::{

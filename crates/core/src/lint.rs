@@ -79,13 +79,6 @@ pub enum LintCode {
     /// runtime's pack/unpack pool when the zero-copy path is off) exceeds
     /// the configured bound.
     PeakStagingExceeded,
-    /// The analytic peak of in-flight staged bytes — what the memory
-    /// governor meters — exceeds the configured `DDR_MEM_BUDGET`. Error
-    /// severity when a single transfer alone is larger than the whole
-    /// budget (the runtime fails that deposit with `MemoryPressure`);
-    /// warning severity when only a whole round's total overflows
-    /// (senders park on the governor gate, so throughput suffers).
-    MemBudgetExceeded,
 }
 
 impl fmt::Display for LintCode {
@@ -100,7 +93,6 @@ impl fmt::Display for LintCode {
             LintCode::RoundCountMismatch => "round-count-mismatch",
             LintCode::PhantomTransfer => "phantom-transfer",
             LintCode::PeakStagingExceeded => "peak-staging-exceeded",
-            LintCode::MemBudgetExceeded => "mem-budget-exceeded",
         })
     }
 }
@@ -546,82 +538,6 @@ pub fn lint_staging(plans: &[Plan], bound_bytes: u64) -> Vec<LintDiagnostic> {
     diags
 }
 
-/// Predict whether executing `plans` fits a `budget_bytes` memory-governor
-/// budget (`DDR_MEM_BUDGET`), extending [`lint_staging`]'s per-rank model to
-/// the whole communicator.
-///
-/// The model matches the runtime's governor accounting: every cross-rank
-/// staged send materializes once — in the receiver's mailbox until popped —
-/// and the executor is round-synchronous, so the global in-flight footprint
-/// peaks at the heaviest round's summed cross-rank send bytes (self-sends
-/// are local copies and are never metered). Two classes of finding:
-///
-/// * **error** — a single staged transfer larger than the entire budget:
-///   the runtime can never admit it and fails that deposit with
-///   `MemoryPressure`;
-/// * **warning** — one round's total exceeds the budget: senders park on
-///   the governor gate rather than failing, but throughput suffers and the
-///   degradation is worth knowing about before the job runs.
-///
-/// A `budget_bytes` of 0 means unbudgeted (the governor only meters); no
-/// diagnostics are produced.
-pub fn lint_memory(plans: &[Plan], budget_bytes: u64) -> Vec<LintDiagnostic> {
-    let mut diags = Vec::new();
-    if budget_bytes == 0 {
-        return diags;
-    }
-    for p in plans {
-        for (r, round) in p.rounds.iter().enumerate() {
-            for t in round.sends.iter().filter(|t| t.peer != p.rank) {
-                if t.bytes() > budget_bytes {
-                    diags.push(
-                        LintDiagnostic::error(
-                            LintCode::MemBudgetExceeded,
-                            format!(
-                                "a single {}-byte staged send to rank {} exceeds the whole \
-                                 {budget_bytes}-byte memory budget",
-                                t.bytes(),
-                                t.peer
-                            ),
-                            "split the transfer over more rounds or raise DDR_MEM_BUDGET — \
-                             the runtime will reject this deposit with MemoryPressure",
-                        )
-                        .at_rank(p.rank)
-                        .at_round(r),
-                    );
-                }
-            }
-        }
-    }
-
-    // Global cross-rank staged bytes per round; the heaviest round is the peak.
-    let rounds = plans.iter().map(|p| p.rounds.len()).max().unwrap_or(0);
-    let mut per_round = vec![0u64; rounds];
-    for p in plans {
-        for (r, round) in p.rounds.iter().enumerate() {
-            per_round[r] +=
-                round.sends.iter().filter(|t| t.peer != p.rank).map(|t| t.bytes()).sum::<u64>();
-        }
-    }
-    let peak = per_round.iter().copied().max().unwrap_or(0);
-    if peak > budget_bytes {
-        let round = per_round.iter().position(|&bytes| bytes == peak).unwrap_or(0);
-        diags.push(
-            LintDiagnostic::warning(
-                LintCode::MemBudgetExceeded,
-                format!(
-                    "round {round} keeps up to {peak} staged bytes in flight, exceeding \
-                     the {budget_bytes}-byte memory budget"
-                ),
-                "senders will park on the memory governor; split the round's chunks or \
-                 raise DDR_MEM_BUDGET",
-            )
-            .at_round(round),
-        );
-    }
-    diags
-}
-
 /// Full static analysis of a mapping before execution: lint the layouts,
 /// recompute every rank's plan and lint each one, then cross-check the set.
 /// This is what [`ValidationPolicy::Audit`] runs inside
@@ -804,54 +720,6 @@ mod tests {
         assert_eq!(d.code, LintCode::PeakStagingExceeded);
         assert!(d.rank.is_some() && d.round.is_some());
         assert!(d.message.contains("95-byte bound"), "got: {}", d.message);
-    }
-
-    /// Cross-rank staged send bytes of round `r` across all plans — the
-    /// quantity `lint_memory` compares to the budget.
-    fn round_total(plans: &[Plan], r: usize) -> u64 {
-        plans
-            .iter()
-            .filter_map(|p| p.rounds.get(r).map(|round| (p.rank, round)))
-            .flat_map(|(rank, round)| {
-                round.sends.iter().filter(move |t| t.peer != rank).map(|t| t.bytes())
-            })
-            .sum()
-    }
-
-    #[test]
-    fn memory_within_budget_is_clean_and_unbudgeted_is_silent() {
-        let plans = e1_plans();
-        let heaviest = (0..2).map(|r| round_total(&plans, r)).max().unwrap();
-        assert!(lint_memory(&plans, heaviest).is_empty(), "one round in flight at a time");
-        assert!(lint_memory(&plans, 0).is_empty(), "budget 0 means unbudgeted");
-    }
-
-    #[test]
-    fn round_over_budget_warns() {
-        let plans = e1_plans();
-        let (r0, r1) = (round_total(&plans, 0), round_total(&plans, 1));
-        // Every single transfer fits, but the heaviest round as a whole does not.
-        let diags = lint_memory(&plans, r0.max(r1) - 1);
-        assert_eq!(diags.len(), 1, "got {diags:?}");
-        assert_eq!(diags[0].code, LintCode::MemBudgetExceeded);
-        assert!(!has_errors(&diags), "a full round parks senders, it does not abort");
-        assert_eq!(diags[0].round, Some(if r1 > r0 { 1 } else { 0 }));
-    }
-
-    #[test]
-    fn transfer_larger_than_whole_budget_is_an_error() {
-        let plans = e1_plans();
-        let biggest = plans
-            .iter()
-            .flat_map(|p| {
-                p.rounds.iter().flat_map(move |r| r.sends.iter().filter(move |t| t.peer != p.rank))
-            })
-            .map(|t| t.bytes())
-            .max()
-            .unwrap();
-        let diags = lint_memory(&plans, biggest - 1);
-        assert!(has_errors(&diags), "an inadmissible transfer must be an error: {diags:?}");
-        assert!(diags.iter().any(|d| d.code == LintCode::MemBudgetExceeded && d.rank.is_some()));
     }
 
     #[test]

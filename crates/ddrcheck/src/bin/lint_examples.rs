@@ -9,15 +9,9 @@
 //! Each entry is also checked against the peak-staging predictor
 //! ([`ddrcheck::lint_staging`]): the bound comes from
 //! `DDR_LINT_STAGING_BOUND` (bytes, default 64 MiB) and findings are
-//! warnings — they show up in the report without failing the gate. When
-//! `DDR_MEM_BUDGET` is set, the memory-governor predictor
-//! ([`ddrcheck::lint_memory`]) runs too, forecasting whether the heaviest
-//! round fits the budget (a round overflow is a warning; a transfer no
-//! budget could ever admit is an error and fails the gate).
+//! warnings — they show up in the report without failing the gate.
 
-use ddrcheck::{
-    examples, has_errors, lint_mapping, lint_memory, lint_staging, render_report, Severity,
-};
+use ddrcheck::{examples, has_errors, lint_mapping, lint_staging, render_report, Severity};
 use std::process::ExitCode;
 
 /// Staging-footprint bound for the catalog: `DDR_LINT_STAGING_BOUND`
@@ -29,16 +23,9 @@ fn staging_bound() -> u64 {
         .unwrap_or(64 * 1024 * 1024)
 }
 
-/// Memory-governor budget to forecast against: `DDR_MEM_BUDGET` (bytes),
-/// 0 (skip the pass) when unset — mirroring the runtime default.
-fn mem_budget() -> u64 {
-    std::env::var("DDR_MEM_BUDGET").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
 fn main() -> ExitCode {
     let cases = examples::catalog();
     let bound = staging_bound();
-    let budget = mem_budget();
     println!("ddrcheck: linting {} example scenario(s) (staging bound {bound} B)\n", cases.len());
 
     let mut failed = 0usize;
@@ -55,7 +42,6 @@ fn main() -> ExitCode {
                 })
                 .collect();
             diags.extend(lint_staging(&plans, bound));
-            diags.extend(lint_memory(&plans, budget));
         }
         println!("{}", render_report(&case.name, &diags));
         if has_errors(&diags) {

@@ -35,8 +35,8 @@ pub mod examples;
 pub mod explore;
 
 pub use ddr_core::{
-    has_errors, lint_layouts, lint_mapping, lint_memory, lint_plan, lint_plans, lint_staging,
-    LintCode, LintDiagnostic, Severity,
+    has_errors, lint_layouts, lint_mapping, lint_plan, lint_plans, lint_staging, LintCode,
+    LintDiagnostic, Severity,
 };
 pub use explore::{explore, render_explore_report, ExploreFailure, ExploreReport};
 

@@ -100,96 +100,6 @@ pub fn send_frame(comm: &Comm, dest: usize, step: u64, block: Block, data: Vec<f
     Frame::new(step, block, data).send(comm, dest)
 }
 
-/// Control tag reserved for frame-window acknowledgements (consumer →
-/// producer), distinct from [`FRAME_TAG`] so acks never collide with data.
-pub const FRAME_ACK_TAG: u32 = 0x4954_0002;
-
-/// Producer-side admission control: a bounded window of frames in flight
-/// toward one consumer, driven by the consumer's per-frame acks.
-///
-/// An unconstrained producer that outruns its consumer piles frames into the
-/// consumer's mailbox until the transport's credit window (or the memory
-/// governor) pushes back deep in the stack. A `FrameWindow` applies the
-/// backpressure at the *application* layer instead: at most `limit` frames
-/// are outstanding, and [`FrameWindow::send`] blocks on the consumer's ack
-/// stream ([`FRAME_ACK_TAG`]) once the window fills — counting each stall in
-/// [`FrameWindow::backpressured`]. The consumer calls [`ack_frame`] after it
-/// has consumed (decoded and released) each frame.
-#[derive(Debug)]
-pub struct FrameWindow {
-    dest: usize,
-    limit: usize,
-    in_flight: usize,
-    backpressured: u64,
-}
-
-impl FrameWindow {
-    /// Window toward consumer `dest` admitting up to `limit` unacked frames
-    /// (clamped to at least 1 — a zero window could never send).
-    pub fn new(dest: usize, limit: usize) -> Self {
-        FrameWindow { dest, limit: limit.max(1), in_flight: 0, backpressured: 0 }
-    }
-
-    /// Send `frame`, first waiting for acks if the window is full. Also
-    /// opportunistically drains acks that already arrived, so `in_flight`
-    /// tracks the consumer's true lag rather than only saturating.
-    pub fn send(&mut self, comm: &Comm, frame: &Frame) -> Result<()> {
-        while self.in_flight > 0 {
-            match comm.try_recv_bytes(self.dest, FRAME_ACK_TAG)? {
-                Some(_) => self.in_flight -= 1,
-                None => break,
-            }
-        }
-        if self.in_flight >= self.limit {
-            self.backpressured += 1;
-            ddrtrace::instant_arg("intransit", "frame_backpressure", "dest", self.dest as i64);
-            while self.in_flight >= self.limit {
-                self.recv_ack(comm)?;
-            }
-        }
-        frame.send(comm, self.dest)?;
-        self.in_flight += 1;
-        Ok(())
-    }
-
-    /// Block until every outstanding frame has been acked (end of stream, or
-    /// a synchronization point such as a reconfiguration).
-    pub fn drain(&mut self, comm: &Comm) -> Result<()> {
-        while self.in_flight > 0 {
-            self.recv_ack(comm)?;
-        }
-        Ok(())
-    }
-
-    fn recv_ack(&mut self, comm: &Comm) -> Result<()> {
-        comm.recv_vec::<u8>(self.dest, FRAME_ACK_TAG)?;
-        self.in_flight -= 1;
-        Ok(())
-    }
-
-    /// Frames currently sent but not yet acked.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// How many sends found the window full and had to wait for an ack.
-    pub fn backpressured(&self) -> u64 {
-        self.backpressured
-    }
-
-    /// This window's contribution to a whole-resource [`crate::FrameStats`]
-    /// summary: only the producer-side `backpressured` counter is set.
-    pub fn stats(&self) -> crate::FrameStats {
-        crate::FrameStats { backpressured: self.backpressured, ..Default::default() }
-    }
-}
-
-/// Consumer side: acknowledge one consumed frame back to `producer`,
-/// releasing a slot in its [`FrameWindow`].
-pub fn ack_frame(comm: &Comm, producer: usize) -> Result<()> {
-    comm.send(producer, FRAME_ACK_TAG, &[1u8])
-}
-
 /// Consumer side: receive one frame from each listed source (world ranks)
 /// and verify they all belong to the same time step. Frames are returned in
 /// source order — the consumer's "owned chunks" for redistribution.
@@ -290,40 +200,6 @@ mod tests {
             }
         });
         assert!(hits[1] > 0, "frame staging must come from the shared pool, got {:?}", hits[1]);
-    }
-
-    /// A producer driving a slow consumer through a [`FrameWindow`] must
-    /// stall at the window bound — every frame still arrives, in order, and
-    /// the stalls are counted — instead of piling frames into the mailbox.
-    #[test]
-    fn frame_window_backpressures_a_fast_producer() {
-        use minimpi::Universe;
-        const STEPS: u64 = 8;
-        let out = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                let mut win = FrameWindow::new(1, 2);
-                for step in 0..STEPS {
-                    let frame = Frame::new(step, Block::d1(0, 16).unwrap(), vec![step as f32; 16]);
-                    win.send(comm, &frame).unwrap();
-                }
-                win.drain(comm).unwrap();
-                assert_eq!(win.in_flight(), 0);
-                (win.backpressured(), win.stats().backpressured)
-            } else {
-                for step in 0..STEPS {
-                    // A deliberately slow consumer: the 2-frame window must
-                    // fill while it dawdles.
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    let frames = recv_frames(comm, &[0], Some(step)).unwrap();
-                    assert_eq!(frames[0].data[0], step as f32);
-                    ack_frame(comm, 0).unwrap();
-                }
-                (0, 0)
-            }
-        });
-        let (backpressured, via_stats) = out[0];
-        assert!(backpressured > 0, "slow consumer never filled the 2-frame window");
-        assert_eq!(backpressured, via_stats);
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //! * [`FrameReceiver`] — loss-tolerant reception: per-frame deadlines,
 //!   bounded retry with backoff, and skip-ahead past lost frames, with
 //!   [`FrameStats`] accounting; pair with [`Repartitioner::degraded`] so a
-//!   step missing a frame still redistributes and renders,
-//! * [`FrameWindow`] / [`ack_frame`] — producer-side admission control: a
-//!   bounded window of unacked frames in flight toward each consumer, so a
-//!   producer that outruns its analysis resource stalls at the application
-//!   layer (counted in [`FrameStats::backpressured`]) instead of piling
-//!   frames into transport mailboxes.
+//!   step missing a frame still redistributes and renders.
+//!
+//! A producer that outruns its analysis resource is held back by the
+//! transport: each consumer's mailbox is a bounded queue per sender, so
+//! [`send_frame`] parks once a pair is full (`minimpi`'s
+//! `TransportCounters::credit_waits`).
 //!
 //! Both halves are **elastic**: after a [`minimpi::Comm::reconfigure`] the
 //! [`Repartitioner`] detects the epoch bump (and any [`Repartitioner::resize`]
@@ -45,7 +45,7 @@ mod resources;
 mod schedule;
 mod stream;
 
-pub use frame::{ack_frame, recv_frames, send_frame, Frame, FrameWindow, FRAME_ACK_TAG, FRAME_TAG};
+pub use frame::{recv_frames, send_frame, Frame, FRAME_TAG};
 pub use repartition::{analysis_block, Repartitioner};
 pub use resources::{consumer_sources, producer_targets, split_resources, Role};
 pub use schedule::OutputSchedule;

@@ -68,11 +68,6 @@ pub struct FrameStats {
     /// *arrived* — retrying the receive cannot recover it, so an integrity
     /// loss never burns the retry budget.
     pub corrupted: u64,
-    /// Producer-side admission-control stalls: sends that found the frame
-    /// window full and waited for a consumer ack (see
-    /// [`crate::FrameWindow`]). Zero on pure consumers; populated via
-    /// [`crate::FrameWindow::stats`] when merging whole-resource summaries.
-    pub backpressured: u64,
 }
 
 impl fmt::Display for FrameStats {
@@ -80,15 +75,14 @@ impl fmt::Display for FrameStats {
         write!(
             f,
             "{} received, {} skipped ({} from dead sources, {} to reconfiguration, \
-             {} corrupt), {} retries, {} stale, {} backpressured",
+             {} corrupt), {} retries, {} stale",
             self.received,
             self.skipped,
             self.dead_sources,
             self.reconfigured,
             self.corrupted,
             self.retries,
-            self.stale,
-            self.backpressured
+            self.stale
         )
     }
 }
@@ -103,7 +97,6 @@ impl FrameStats {
         self.stale += other.stale;
         self.reconfigured += other.reconfigured;
         self.corrupted += other.corrupted;
-        self.backpressured += other.backpressured;
     }
 }
 
@@ -426,7 +419,6 @@ mod tests {
             stale: 0,
             reconfigured: 1,
             corrupted: 0,
-            backpressured: 4,
         };
         let b = FrameStats {
             received: 5,
@@ -436,17 +428,14 @@ mod tests {
             stale: 2,
             reconfigured: 0,
             corrupted: 1,
-            backpressured: 1,
         };
         a.merge(&b);
         assert_eq!(a.received, 8);
         assert_eq!(a.stale, 2);
         assert_eq!(a.corrupted, 1);
-        assert_eq!(a.backpressured, 5);
         let s = a.to_string();
         assert!(s.contains("8 received") && s.contains("1 skipped"), "{s}");
         assert!(s.contains("1 corrupt"), "{s}");
-        assert!(s.contains("5 backpressured"), "{s}");
     }
 
     /// A corrupt frame is an *arrived-but-unusable* loss: the receiver must

@@ -599,6 +599,13 @@ impl CheckState {
         });
     }
 
+    /// Stop tracking a loan that was never made visible to its receiver (its
+    /// deposit was refused): nobody will read it, so no later write can race
+    /// it.
+    pub fn forget_loan(&self, cell: &Arc<ZcCell>) {
+        Self::lock(&self.loans).retain(|l| !Arc::ptr_eq(&l.cell, cell));
+    }
+
     /// Run `f` on the loan identified by `cell`, if tracked. Latest match
     /// wins; cell addresses are unique while the table holds strong refs.
     fn with_loan<R>(&self, cell: &Arc<ZcCell>, f: impl FnOnce(&mut Loan) -> R) -> Option<R> {

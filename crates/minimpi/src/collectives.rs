@@ -507,11 +507,10 @@ impl Comm {
             _span: span,
         };
 
-        // Send phase (buffered; blocks only on the flow-control gate when a
-        // pair's credit window or the memory budget is full). A deposit
-        // fails if this rank itself is dead — a hard error even under
-        // salvage — or with a structured Timeout/MemoryPressure if a full
-        // gate makes no progress for the whole watchdog window.
+        // Send phase (buffered; parks only while a peer's mailbox holds this
+        // pair's full depth). A deposit fails if this rank itself is dead —
+        // a hard error even under salvage — or with a structured Timeout if
+        // a full pair sees no pop for the whole watchdog window.
         for (d, dt) in send_types.iter().enumerate() {
             if d == me || dt.packed_len() == 0 {
                 continue;

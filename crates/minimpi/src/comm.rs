@@ -5,7 +5,6 @@ use crate::datatype::Datatype;
 use crate::elastic::ElasticState;
 use crate::error::{Error, Result};
 use crate::fault::{mix64, FaultPlan, FaultState, Keystream, MessageVerdict};
-use crate::flow::{AcquireCtx, FlowCharge, FlowConfig, FlowCounters, FlowLedger};
 use crate::integrity::{checksum64, stream_seed, Checksum, IntegrityCells, IntegrityCounters};
 use crate::life::{Liveness, ShrinkBarrier};
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
@@ -95,9 +94,6 @@ pub(crate) struct WorldState {
     /// Integrity-plane counters (verifications, detections, retransmits,
     /// exhaustions).
     pub integrity: IntegrityCells,
-    /// Flow-control ledger: per-pair credit windows, the memory governor,
-    /// and the sender parking gate (see [`crate::flow`]).
-    pub flow: Arc<FlowLedger>,
 }
 
 impl WorldState {
@@ -114,11 +110,10 @@ impl WorldState {
         retransmit_max: Option<u32>,
         retransmit_backoff: Option<Duration>,
         sched_seed: Option<u64>,
-        flow_cfg: FlowConfig,
+        (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
-        let flow = Arc::new(FlowLedger::new(n, flow_cfg));
         WorldState {
-            mailboxes: (0..n).map(|i| Mailbox::with_flow(i, Arc::clone(&flow))).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes)).collect(),
             liveness: Liveness::new(n),
             shrink: ShrinkBarrier::default(),
             faults: fault_plan.map(FaultState::new),
@@ -130,7 +125,7 @@ impl WorldState {
             default_timeout,
             zerocopy: zerocopy.unwrap_or_else(zerocopy_env_default),
             zc_threshold: zc_threshold.unwrap_or_else(crate::zerocopy::zc_threshold_env_default),
-            pool: BufferPool::with_flow(Arc::clone(&flow)),
+            pool: BufferPool::default(),
             transport: TransportCells::default(),
             elastic: ElasticState::new(n),
             reconfig: ShrinkBarrier::default(),
@@ -141,7 +136,6 @@ impl WorldState {
             retransmit_backoff: retransmit_backoff
                 .unwrap_or_else(crate::integrity::retransmit_backoff_env_default),
             integrity: IntegrityCells::default(),
-            flow,
         }
     }
 
@@ -171,23 +165,15 @@ impl WorldState {
     /// (see [`FaultState::on_message_zc`]), so the fastest path stays
     /// exercised under corruption faults.
     pub fn zerocopy_active(&self) -> bool {
-        let base = self.zerocopy && self.faults.as_ref().is_none_or(|f| !f.forces_staging());
-        // First rung of the degradation ladder: past half the memory budget,
-        // shed loans to the staged path — staged traffic is metered by the
-        // governor and recycled through the pool, loans are not.
-        if base && self.flow.shedding_zerocopy() {
-            self.flow.note_zerocopy_shed();
-            return false;
-        }
-        base
+        self.zerocopy && self.faults.as_ref().is_none_or(|f| !f.forces_staging())
     }
 
     pub fn is_alive(&self, world_rank: usize) -> bool {
         self.liveness.is_alive(world_rank)
     }
 
-    /// Mark a world rank dead and wake every blocked receiver and pending
-    /// shrink round so they re-check liveness. Idempotent.
+    /// Mark a world rank dead and wake every blocked receiver, parked sender
+    /// and pending shrink round so they re-check liveness. Idempotent.
     pub fn mark_dead(&self, world_rank: usize) {
         if self.liveness.mark_dead(world_rank) {
             self.on_death();
@@ -207,9 +193,6 @@ impl WorldState {
         for mb in &self.mailboxes {
             mb.interrupt();
         }
-        // Senders parked on the credit gate re-run their liveness probe
-        // on wake, so a death releases them with PeerDead immediately.
-        self.flow.wake_all();
         self.shrink.on_death(&self.liveness);
         self.reconfig.on_death(&self.liveness);
     }
@@ -579,53 +562,14 @@ impl Comm {
         }
     }
 
-    /// Acquire flow-control credits for one envelope to `dest`: `bytes`
-    /// against the pair's byte window, `mem` against the memory governor
-    /// (plus one message credit, always). Blocks — boundedly — when the
-    /// window or budget is full; a peer death, the sender's own fault-kill,
-    /// or an epoch bump during the wait unparks with the matching error.
-    /// The mailbox releases the returned charge when the envelope is popped
-    /// or swept.
-    fn acquire_charge(
-        &self,
-        dest: usize,
-        key_tag: u64,
-        bytes: usize,
-        mem: usize,
-    ) -> Result<FlowCharge> {
-        self.sched_point("credit");
-        let src_world = self.world_rank();
-        let dst_world = self.members[dest];
-        let ctx = AcquireCtx {
-            src_world,
-            dst_world,
-            bytes,
-            mem,
-            timeout: self.timeout.get(),
-            rank_local: self.rank,
-            dest_local: dest,
-            tag: key_tag,
-            comm_id: self.comm_id,
-        };
-        self.world.flow.acquire(&ctx, || {
-            if !self.world.is_alive(src_world) {
-                return Some(Error::PeerDead { rank: self.rank });
-            }
-            if !self.world.is_alive(dst_world) {
-                return Some(Error::PeerDead { rank: dest });
-            }
-            let world_epoch = self.world.epoch();
-            if world_epoch != self.epoch {
-                return Some(Error::StaleEpoch { comm_epoch: self.epoch, world_epoch });
-            }
-            None
-        })
-    }
-
-    /// The one place an envelope is built: stamped with this handle's rank
-    /// and epoch and queued in `dest`'s mailbox under (communicator, this
-    /// rank, `key_tag`). What varies by payload kind — checksum, taints,
-    /// stamp, charge — is decided by the `deposit_*` caller.
+    /// The one place an envelope is built and queued: stamped with this
+    /// handle's rank and epoch, then reserved-and-enqueued in `dest`'s
+    /// mailbox under (communicator, this rank, `key_tag`). What varies by
+    /// payload kind — checksum, taints, stamp — is decided by the `deposit_*`
+    /// caller. A `bounded` envelope counts against this pair's depth and
+    /// parks while the pair is full: no pop within [`Comm::timeout`] is
+    /// [`Error::Timeout`] naming `dest`; the receiver's death, this rank's
+    /// own fault-kill or an epoch bump unparks with the matching error.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &self,
@@ -635,22 +579,37 @@ impl Comm {
         checksum: Option<u64>,
         taints: Vec<u64>,
         (clock, type_sig): (Option<VectorClock>, Option<TypeSig>),
-        charge: Option<FlowCharge>,
-    ) {
+        bounded: bool,
+    ) -> Result<()> {
+        let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
+        if bounded {
+            self.sched_point("credit");
+        }
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        self.world.mailboxes[self.members[dest]].deposit(
-            key,
-            Envelope {
-                src: self.rank,
-                epoch: self.epoch,
-                payload,
-                checksum,
-                taints,
-                clock,
-                type_sig,
-                charge,
-            },
-        );
+        let env = Envelope {
+            src: self.rank,
+            epoch: self.epoch,
+            payload,
+            checksum,
+            taints,
+            clock,
+            type_sig,
+            pair: bounded.then_some(src_world),
+        };
+        let abort = || {
+            if !self.world.is_alive(src_world) {
+                return Some(Error::PeerDead { rank: self.rank });
+            }
+            if !self.world.is_alive(dst_world) {
+                return Some(Error::PeerDead { rank: dest });
+            }
+            let world_epoch = self.world.epoch();
+            (world_epoch != self.epoch)
+                .then_some(Error::StaleEpoch { comm_epoch: self.epoch, world_epoch })
+        };
+        self.world.mailboxes[dst_world]
+            .deposit(key, env, self.timeout.get(), abort, &self.world.transport)
+            .map_err(|refused| refused.unwrap_or_else(|| self.timed_out(Some(dest), key_tag)))
     }
 
     /// [`Comm::deposit_staged`] of untyped bytes.
@@ -669,9 +628,8 @@ impl Comm {
     /// Ordering, stated once for the staged path: the checksum is sealed
     /// over the *pristine* payload **before fault injection** — the injector
     /// models wire damage, which by definition happens after the sender
-    /// sealed the envelope — and the credit is acquired **after the fault
-    /// verdict**, so a dropped or fenced message never reserves anything and
-    /// there is no reserve-without-deposit window.
+    /// sealed the envelope — and a dropped or fenced message returns before
+    /// [`Comm::enqueue`], the only step that reserves anything.
     pub(crate) fn deposit_staged(
         &self,
         dest: usize,
@@ -707,18 +665,8 @@ impl Comm {
                 }
             }
         }
-        // Staged payloads charge the governor for their full length.
-        let charge = self.acquire_charge(dest, key_tag, payload.len(), payload.len())?;
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), checksum, Vec::new(), stamp, true)?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(
-            dest,
-            key_tag,
-            Payload::Bytes(payload),
-            checksum,
-            Vec::new(),
-            stamp,
-            Some(charge),
-        );
         Ok(())
     }
 
@@ -749,8 +697,8 @@ impl Comm {
     /// protocol must itself stay reliable, and letting message rules consume
     /// match counts on 1-byte verdicts would make data-message targeting
     /// (the `nth` coordinate) depend on recovery timing. It is also
-    /// uncharged: verdicts and NACKs are tiny, and gating them behind the
-    /// very windows they exist to drain could deadlock the recovery protocol.
+    /// unbounded: verdicts and NACKs are tiny, and parking them behind the
+    /// very pairs they exist to drain could deadlock the recovery protocol.
     pub(crate) fn deposit_control(
         &self,
         dest: usize,
@@ -760,8 +708,7 @@ impl Comm {
         self.sched_point("send_control");
         self.fault_tick()?;
         let stamp = self.send_stamp(None, payload.len());
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), None, Vec::new(), stamp, None);
-        Ok(())
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), None, Vec::new(), stamp, false)
     }
 
     /// Deposit a zero-copy loan of `dt`'s selection of `buf` into `dest`'s
@@ -783,11 +730,6 @@ impl Comm {
         // Same op accounting as `deposit_staged`, so op positions (the fault
         // plan coordinate system) are identical across wire paths.
         self.fault_tick()?;
-        // A loan occupies a mailbox slot but stages no bytes: it charges one
-        // message credit and nothing against the byte window or governor.
-        // Acquired **before the loan is created or registered**, so a gate
-        // failure leaves no half-registered loan behind.
-        let charge = self.acquire_charge(dest, key_tag, 0, 0)?;
         // Lend-time checksum: walk the selection's byte runs in packed order
         // through the streaming hasher, which equals hashing the packed form
         // — so a receiver can verify its claimed copy without the sender
@@ -806,7 +748,6 @@ impl Comm {
             Some(f) => f.on_message_zc(self.world_rank(), self.members[dest], key_tag),
             None => Vec::new(),
         };
-        self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(ZcCell::default());
         let stamp = self.send_stamp(Some(TypeSig::of(&dt)), 0);
         // Track the loan *after* the send tick, so the lend clock covers the
@@ -820,8 +761,20 @@ impl Comm {
                 buf.len(),
             );
         }
+        // A loan occupies a slot in the pair but stages no bytes. A refused
+        // one was dropped — and so revoked — by the mailbox; un-track it so
+        // the sender's later writes are not judged against a loan nobody
+        // will ever read.
         let handle = ZcHandle::new(buf, dt, Arc::clone(&cell));
-        self.enqueue(dest, key_tag, Payload::Shared(handle), checksum, taints, stamp, Some(charge));
+        if let Err(e) =
+            self.enqueue(dest, key_tag, Payload::Shared(handle), checksum, taints, stamp, true)
+        {
+            if let Some(check) = &self.world.check {
+                check.forget_loan(&cell);
+            }
+            return Err(e);
+        }
+        self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(cell)
     }
 
@@ -921,14 +874,6 @@ impl Comm {
                     Some(env) => break TakeOutcome::Delivered(env),
                     None => continue,
                 },
-                // Watchdog deferral: a sender parked on the credit gate or
-                // the governor is applying backpressure, not deadlocked —
-                // re-arm the deadline instead of reporting a false timeout.
-                // Bounded because the sender's own gate wait is bounded (it
-                // either acquires, errors, or leaves the parked state).
-                TakeOutcome::TimedOut if self.world.flow.rank_in_wait(src_world) => {
-                    self.world.flow.note_watchdog_defer();
-                }
                 o => break o,
             }
         };
@@ -967,7 +912,8 @@ impl Comm {
         self.world.pool.release(buf)
     }
 
-    /// Counters of which wire path messages took so far in this universe.
+    /// Counters of which wire path messages took so far in this universe,
+    /// and how often (and how long) senders parked on a full pair.
     pub fn transport_counters(&self) -> TransportCounters {
         self.world.transport.snapshot()
     }
@@ -988,36 +934,6 @@ impl Comm {
     /// path (builder / `DDR_NO_ZEROCOPY` opt-out, and no fault plan).
     pub fn zerocopy_active(&self) -> bool {
         self.world.zerocopy_active()
-    }
-
-    /// Flow-control counters so far in this universe: credit waits, total
-    /// stall time, watchdog deferrals, slow-peer advisories, zero-copy
-    /// sheds, budget denials, pool trims.
-    pub fn flow_counters(&self) -> FlowCounters {
-        self.world.flow.counters()
-    }
-
-    /// The universe's resolved flow-control configuration (builder or
-    /// `DDR_MAILBOX_CREDITS` / `DDR_MAILBOX_BYTES` / `DDR_MEM_BUDGET`).
-    pub fn flow_config(&self) -> FlowConfig {
-        self.world.flow.config()
-    }
-
-    /// Configured memory budget in bytes (0 = unlimited).
-    pub fn mem_budget(&self) -> usize {
-        self.world.flow.config().mem_budget
-    }
-
-    /// Current memory-governor occupancy in bytes (staged mailbox payloads
-    /// plus pool-retained capacity).
-    pub fn mem_usage(&self) -> usize {
-        self.world.flow.mem_used()
-    }
-
-    /// Largest memory-governor occupancy observed so far — the measured
-    /// peak staging footprint. With a budget configured, never exceeds it.
-    pub fn mem_high_water(&self) -> usize {
-        self.world.flow.mem_high_water()
     }
 
     // ------------------------------------------------------------------
@@ -1082,12 +998,6 @@ impl Comm {
                     Some(env) => break TakeOutcome::Delivered(env),
                     None => continue,
                 },
-                // Any-source watchdog deferral: if any live peer is parked
-                // on the flow gate, its message may still be coming —
-                // backpressure must not read as a timeout.
-                TakeOutcome::TimedOut if self.world.flow.any_other_in_wait(self.world_rank()) => {
-                    self.world.flow.note_watchdog_defer();
-                }
                 o => break o,
             }
         };

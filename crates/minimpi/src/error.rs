@@ -124,21 +124,6 @@ pub enum Error {
         /// path; `n > 0` means the original plus `n` retransmits all failed.
         attempt: u32,
     },
-    /// The memory governor could not admit a staging reservation: either a
-    /// single request exceeds the whole `DDR_MEM_BUDGET`, or the budget
-    /// stayed exhausted with no global progress for a full watchdog
-    /// timeout. This is the *final* stage of the degradation ladder — the
-    /// runtime first sheds zero-copy to staged and trims the buffer pool
-    /// before failing a reservation. Note that slow peers are an advisory
-    /// (`flow.slow_peers` counter), never an error.
-    MemoryPressure {
-        /// Bytes the denied reservation asked for.
-        requested: usize,
-        /// Configured budget (`DDR_MEM_BUDGET` / `mem_budget(..)`), bytes.
-        budget: usize,
-        /// Governor occupancy at the time of the denial, bytes.
-        used: usize,
-    },
     /// A runtime invariant was violated (e.g. a rendezvous protocol state
     /// that should be unreachable). Converted from what used to be panics in
     /// hot paths, so a broken invariant on one rank fails that rank's
@@ -230,10 +215,6 @@ impl fmt::Display for Error {
                     )
                 }
             }
-            Error::MemoryPressure { requested, budget, used } => write!(
-                f,
-                "memory budget exhausted: {requested}-byte staging reservation denied (budget {budget} bytes, {used} in use)"
-            ),
             Error::Internal { detail } => {
                 write!(f, "internal runtime invariant violated: {detail}")
             }

@@ -90,20 +90,17 @@
 //! When checking is off (the default) the cost is one `Option` branch per
 //! operation and no detector thread exists.
 //!
-//! ## Flow control and memory governance
+//! ## Bounded mailboxes
 //!
-//! Sends are eager but no longer unbounded: every `(sender, receiver)` pair
-//! has a credit window ([`FlowConfig`], `DDR_MAILBOX_CREDITS` /
-//! `DDR_MAILBOX_BYTES`, or [`UniverseBuilder::flow_control`]) and a
-//! process-global **memory governor** meters staged bytes against
-//! `DDR_MEM_BUDGET` ([`UniverseBuilder::mem_budget`]). Overloaded senders
-//! park on a credit gate — observable via [`Comm::flow_counters`] and never
-//! mistaken for a deadlock by the watchdog or the wait-for-graph detector —
-//! and the runtime degrades in stages (shed zero-copy → trim the pool)
-//! before the terminal [`Error::MemoryPressure`].
-//! Credits ride on the envelopes themselves, so the epoch sweep performed by
-//! [`Comm::reconfigure`] restores them exactly: no credit leaks or
-//! duplicates across a membership change.
+//! Sends are eager but not unbounded: each rank's mailbox holds at most
+//! 1024 messages / 32 MiB of staged bytes per sender (resized only by
+//! [`UniverseBuilder::flow_control`]). A sender whose pair is full parks
+//! until the receiver pops, under the same watchdog and liveness rule as a
+//! receive — [`Error::Timeout`], [`Error::PeerDead`] or
+//! [`Error::StaleEpoch`], never a hang — and
+//! [`TransportCounters::credit_waits`] / `stalled_ms` count how often that
+//! happened. The depth lives in the mailbox, so the epoch sweep performed by
+//! [`Comm::reconfigure`] resets every pair exactly.
 //!
 //! ## Deterministic schedule exploration
 //!
@@ -133,7 +130,6 @@
 
 #![warn(missing_docs)]
 
-mod cart;
 mod check;
 mod collectives;
 mod comm;
@@ -142,19 +138,16 @@ mod elastic;
 pub mod env;
 mod error;
 mod fault;
-mod flow;
 mod integrity;
 mod kernels;
 mod life;
 mod mailbox;
 mod pod;
-mod request;
 mod sched;
 mod universe;
 mod vclock;
 mod zerocopy;
 
-pub use cart::CartComm;
 pub use check::{
     CheckCounters, CollFingerprint, CollectiveKind, DeadlockReport, DivergenceReport, LeakedLoan,
     LoanLeakReport, PendingRecv, RaceReport, TypeSig,
@@ -165,11 +158,9 @@ pub use datatype::{ByteRuns, Datatype, Subarray};
 pub use elastic::RecoveryCounters;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
-pub use flow::{FlowConfig, FlowCounters};
 pub use integrity::IntegrityCounters;
 pub use kernels::PackCounters;
 pub use pod::{bytes_of, bytes_of_mut, Pod};
-pub use request::RecvRequest;
 pub use sched::take_last_fingerprint;
 pub use universe::{Universe, UniverseBuilder};
 pub use vclock::VectorClock;

@@ -1,10 +1,27 @@
-//! Per-rank message stores with blocking, tag-matched retrieval.
+//! Per-rank message stores with blocking, tag-matched retrieval and a
+//! per-pair depth bound.
 
-use crate::flow::{FlowCharge, FlowLedger};
-use crate::zerocopy::ZcHandle;
+use crate::zerocopy::{TransportCells, ZcHandle};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Default per-pair depth: messages one sender may have queued at one
+/// receiver before its next deposit parks.
+///
+/// A safety net for a producer that outruns its consumer (the in-transit
+/// stream; the paper had a socket buffer for this), not a tuning knob: a
+/// traced `--smoke` run of the four `BENCHMARK.json` workloads at PR 16
+/// (2 ranks / 2 cores) read `flow.credit_waits` 0 and `flow.stalled_ms` 0 on
+/// all of them, with peak staged bytes of 264 B / 16 KiB / 7 KiB / 72 KiB
+/// against this 32 MiB — `reorganize` is round-synchronous, so a pair never
+/// holds more than two DDR messages. Only
+/// [`crate::UniverseBuilder::flow_control`] resizes it, for the suites that
+/// must *reach* the bound.
+pub(crate) const PAIR_MSGS: usize = 1024;
+/// Default per-pair depth in staged payload bytes (see [`PAIR_MSGS`]).
+pub(crate) const PAIR_BYTES: usize = 32 << 20;
 
 /// Key identifying a message stream: (communicator id, sender's rank within
 /// that communicator, tag). The tag space is split between user tags and
@@ -47,86 +64,139 @@ pub(crate) struct Envelope {
     /// Sender's datatype signature, stamped when checking is enabled and
     /// verified against the receiver's declared expectation.
     pub type_sig: Option<crate::check::TypeSig>,
-    /// Flow-control credits this envelope holds while queued. Released by
-    /// the mailbox exactly once — when the envelope is popped for delivery
-    /// or discarded by the epoch sweep — which is what makes credit grants
-    /// "piggyback" on delivery and makes the sweep an exact credit reset
-    /// across [`crate::Comm::reconfigure`]. `None` for control traffic.
-    pub charge: Option<FlowCharge>,
+    /// Sender's *world* rank when this envelope counts against the pair
+    /// bound (envelopes carry communicator-local ranks, but the bound must
+    /// survive splits and renumbering); `None` for control traffic, which is
+    /// never bounded.
+    pub pair: Option<usize>,
+}
+
+impl Envelope {
+    /// Bytes this envelope holds against its pair's byte bound: the staged
+    /// payload. A loan occupies a slot but stages nothing.
+    fn staged_len(&self) -> usize {
+        match &self.payload {
+            Payload::Bytes(b) => b.len(),
+            Payload::Shared(_) => 0,
+        }
+    }
+}
+
+/// What one sender currently has queued here.
+#[derive(Default, Clone, Copy)]
+struct Pair {
+    msgs: usize,
+    bytes: usize,
 }
 
 #[derive(Default)]
 struct Queues {
     by_key: HashMap<MsgKey, VecDeque<Envelope>>,
+    /// Queued depth per sending world rank. Charged by `deposit`, given back
+    /// by every pop and by the epoch sweep — all under this one lock, which
+    /// is what makes the sweep an exact reset across
+    /// [`crate::Comm::reconfigure`].
+    pairs: Vec<Pair>,
+    /// Senders currently parked on `room`.
+    parked: usize,
 }
 
-/// One rank's incoming message store.
+/// Give a popped or swept envelope's slot back to its pair.
+fn give_back(pairs: &mut [Pair], env: &Envelope) {
+    if let Some(src) = env.pair {
+        pairs[src].msgs -= 1;
+        pairs[src].bytes -= env.staged_len();
+    }
+}
+
+/// One rank's incoming message store — a bounded queue per sender.
 ///
 /// Senders deposit into the receiving rank's mailbox and notify the condvar;
 /// receivers block until a matching key has a queued message. FIFO order is
 /// preserved per key, matching MPI's non-overtaking rule for messages with
-/// the same (source, tag, communicator).
+/// the same (source, tag, communicator). A sender whose pair is full parks
+/// on `room` until the receiver pops, under the same deadline / abort rule
+/// receives use.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     queues: Mutex<Queues>,
     cv: Condvar,
-    /// World rank that owns (receives from) this mailbox — the credit
-    /// pair's column when releasing charges.
-    owner: usize,
-    /// The universe's flow ledger; `None` in bare unit tests.
-    flow: Option<Arc<FlowLedger>>,
+    /// Sibling of `cv` on the same mutex: parked senders wait here, pops and
+    /// sweeps signal it.
+    room: Condvar,
+    /// Per-pair depth in messages and staged bytes; `0` = unbounded.
+    max_msgs: usize,
+    max_bytes: usize,
 }
 
 impl Mailbox {
-    /// A mailbox wired to the universe's flow ledger: every charged
-    /// envelope it releases returns its credits to `flow`.
-    pub fn with_flow(owner: usize, flow: Arc<FlowLedger>) -> Self {
-        Mailbox { owner, flow: Some(flow), ..Default::default() }
+    /// The mailbox of one rank in a universe of `n`, holding at most
+    /// `max_msgs` messages and `max_bytes` staged bytes per sender.
+    pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize) -> Self {
+        let queues = Queues { pairs: vec![Pair::default(); n], ..Default::default() };
+        Mailbox { queues: Mutex::new(queues), max_msgs, max_bytes, ..Default::default() }
     }
 
     fn lock(&self) -> MutexGuard<'_, Queues> {
         self.queues.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Return the envelope's credits (if any) to the ledger. Called exactly
-    /// once per charged envelope: on pop-for-delivery or on epoch sweep.
-    /// `take()` makes a second call a no-op by construction.
-    fn settle(&self, env: &mut Envelope) {
-        if let Some(charge) = env.charge.take() {
-            if let Some(flow) = &self.flow {
-                flow.release(charge, self.owner);
-            }
-        }
+    /// Whether `pair` can take one more message of `bytes`. A message larger
+    /// than the whole byte bound is admitted into an *empty* pair, so
+    /// oversize transfers degrade to stop-and-wait instead of never fitting.
+    fn has_room(&self, pair: Pair, bytes: usize) -> bool {
+        (self.max_msgs == 0 || pair.msgs < self.max_msgs)
+            && (self.max_bytes == 0 || pair.bytes == 0 || pair.bytes + bytes <= self.max_bytes)
     }
 
-    pub fn deposit(&self, key: MsgKey, env: Envelope) {
-        // The sender acquired this envelope's credits *before* depositing,
-        // so the queue depth per (sender, receiver) pair can never exceed
-        // the configured window.
-        #[cfg(debug_assertions)]
-        if let (Some(flow), Some(charge)) = (&self.flow, env.charge.as_ref()) {
-            debug_assert!(
-                flow.pair_within_cap(charge.src_world, self.owner),
-                "deposit from world rank {} would exceed the credit cap",
-                charge.src_world
-            );
-        }
+    /// Reserve a slot in the sender's pair and enqueue `env` — one step under
+    /// one lock, so nothing is ever reserved without being queued. A full
+    /// pair parks the sender on `room` under [`Mailbox::wait_until`]'s rule:
+    /// until a pop or sweep makes room, `abort()` yields an error
+    /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`) — counted, with
+    /// the time parked, in `stalls`. A refused envelope is dropped (revoking
+    /// a loan it carried) and leaves no count behind. Unbounded envelopes
+    /// (`pair: None`) never wait.
+    pub fn deposit<E>(
+        &self,
+        key: MsgKey,
+        env: Envelope,
+        timeout: Duration,
+        abort: impl Fn() -> Option<E>,
+        stalls: &TransportCells,
+    ) -> Result<(), Option<E>> {
         let mut q = self.lock();
+        if let Some(src) = env.pair {
+            let bytes = env.staged_len();
+            if !self.has_room(q.pairs[src], bytes) {
+                let start = Instant::now();
+                stalls.credit_waits.fetch_add(1, Ordering::Relaxed);
+                q.parked += 1;
+                let room = |q: &mut Queues| self.has_room(q.pairs[src], bytes).then_some(());
+                let (guard, admitted) = self.wait_until(&self.room, q, timeout, abort, room);
+                q = guard;
+                q.parked -= 1;
+                stalls.stalled_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+                admitted?;
+            }
+            q.pairs[src].msgs += 1;
+            q.pairs[src].bytes += bytes;
+        }
         q.by_key.entry(key).or_default().push_back(env);
         drop(q);
-        // Receivers may be waiting on any key; notify them all. The queue
-        // itself is bounded by the credit window: a sender without credits
-        // parks on the flow gate and never reaches this deposit.
+        // Receivers may be waiting on any key; notify them all.
         self.cv.notify_all();
+        Ok(())
     }
 
-    /// Wake any blocked receiver so it can re-check liveness conditions
-    /// (used when a rank dies or departs).
+    /// Wake every blocked receiver and parked sender so they re-check their
+    /// liveness conditions (used when a rank dies or departs).
     pub fn interrupt(&self) {
-        // Take the lock so the wakeup cannot slot between a receiver's
+        // Take the lock so the wakeup cannot slot between a waiter's
         // condition check and its wait.
         drop(self.lock());
         self.cv.notify_all();
+        self.room.notify_all();
     }
 
     /// Block until a message with `key` is available, or `deadline` passes.
@@ -148,56 +218,73 @@ impl Mailbox {
         timeout: Duration,
         abort: impl Fn() -> bool,
     ) -> TakeOutcome {
-        self.take_by(timeout, abort, |q| Self::pop(q, key))
+        self.take_by(timeout, abort, |q| self.pop(q, key))
     }
 
-    /// The one blocking wait: block until `pop` yields a message, `abort()`
-    /// reports true, or `timeout` passes. Every wakeup re-checks in that
-    /// order, so a queued message always wins over the abort condition
-    /// ("messages sent before death are deliverable") and a deposit that
-    /// races the deadline is still delivered.
-    fn take_by(
+    /// The one blocking wait, for receivers (on `cv`) and parked senders (on
+    /// `room`) alike: block until `ready` yields, `abort()` yields an error
+    /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`). Every wakeup
+    /// re-checks in that order, so a queued message always wins over the
+    /// abort condition ("messages sent before death are deliverable") and a
+    /// deposit or pop that races the deadline still counts.
+    fn wait_until<'a, T, E>(
         &self,
+        cv: &Condvar,
+        mut q: MutexGuard<'a, Queues>,
         timeout: Duration,
-        abort: impl Fn() -> bool,
-        pop: impl Fn(&mut Queues) -> Option<Envelope>,
-    ) -> TakeOutcome {
+        abort: impl Fn() -> Option<E>,
+        ready: impl Fn(&mut Queues) -> Option<T>,
+    ) -> (MutexGuard<'a, Queues>, Result<T, Option<E>>) {
         let deadline = Instant::now() + timeout;
-        let mut q = self.lock();
         loop {
-            if let Some(mut env) = pop(&mut q) {
-                drop(q);
-                self.settle(&mut env);
-                return TakeOutcome::Delivered(env);
+            if let Some(t) = ready(&mut q) {
+                return (q, Ok(t));
             }
-            if abort() {
-                return TakeOutcome::Aborted;
+            if let Some(e) = abort() {
+                return (q, Err(Some(e)));
             }
             let now = Instant::now();
             if now >= deadline {
-                return TakeOutcome::TimedOut;
+                return (q, Err(None));
             }
-            q = match self.cv.wait_timeout(q, deadline - now) {
+            q = match cv.wait_timeout(q, deadline - now) {
                 Ok((guard, _)) => guard,
                 Err(e) => e.into_inner().0,
             };
         }
     }
 
-    fn pop(q: &mut Queues, key: MsgKey) -> Option<Envelope> {
+    fn take_by(
+        &self,
+        timeout: Duration,
+        abort: impl Fn() -> bool,
+        pop: impl Fn(&mut Queues) -> Option<Envelope>,
+    ) -> TakeOutcome {
+        match self.wait_until(&self.cv, self.lock(), timeout, || abort().then_some(()), pop).1 {
+            Ok(env) => TakeOutcome::Delivered(env),
+            Err(Some(())) => TakeOutcome::Aborted,
+            Err(None) => TakeOutcome::TimedOut,
+        }
+    }
+
+    /// The one pop: every delivery gives its slot back and wakes parked
+    /// senders under the lock the caller already holds.
+    fn pop(&self, q: &mut Queues, key: MsgKey) -> Option<Envelope> {
         let dq = q.by_key.get_mut(&key)?;
-        let env = dq.pop_front();
+        let env = dq.pop_front()?;
         if dq.is_empty() {
             q.by_key.remove(&key);
         }
-        env
+        give_back(&mut q.pairs, &env);
+        if q.parked > 0 {
+            self.room.notify_all();
+        }
+        Some(env)
     }
 
     /// Non-blocking probe-and-take.
     pub fn try_take(&self, key: MsgKey) -> Option<Envelope> {
-        let mut env = Self::pop(&mut self.lock(), key)?;
-        self.settle(&mut env);
-        Some(env)
+        self.pop(&mut self.lock(), key)
     }
 
     /// Drop every queued envelope whose epoch is not `current_epoch` and
@@ -205,19 +292,20 @@ impl Mailbox {
     /// the epoch bump: pre-reconfiguration messages must never match a
     /// post-reconfiguration receive, and dropping a stale zero-copy loan
     /// revokes it so its sender is released instead of waiting out the
-    /// watchdog.
+    /// watchdog. Every discarded envelope gives its slot back, so the sweep
+    /// leaves each pair counting exactly what is still queued; senders parked
+    /// here are woken either way — the epoch they wait in may be the one
+    /// that just ended.
     pub fn sweep_stale(&self, current_epoch: u64) -> u64 {
         let mut q = self.lock();
+        let Queues { by_key, pairs, .. } = &mut *q;
         let mut fenced = 0u64;
-        q.by_key.retain(|_, dq| {
-            dq.retain_mut(|env| {
+        by_key.retain(|_, dq| {
+            dq.retain(|env| {
                 let keep = env.epoch == current_epoch;
                 if !keep {
                     fenced += 1;
-                    // Discarding a stale envelope returns its credits: the
-                    // sweep is the epoch-fenced credit reset, so a
-                    // reconfigure can neither leak nor duplicate credits.
-                    self.settle(env);
+                    give_back(pairs, env);
                 }
                 keep
             });
@@ -227,6 +315,7 @@ impl Mailbox {
         if fenced > 0 {
             self.cv.notify_all();
         }
+        self.room.notify_all();
         fenced
     }
 
@@ -253,7 +342,7 @@ impl Mailbox {
         abort: impl Fn() -> bool,
     ) -> TakeOutcome {
         self.take_by(timeout, abort, |q| {
-            (0..size).find_map(|i| Self::pop(q, (comm_id, (start + i) % size.max(1), tag)))
+            (0..size).find_map(|i| self.pop(q, (comm_id, (start + i) % size.max(1), tag)))
         })
     }
 
@@ -282,8 +371,13 @@ pub(crate) enum TakeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
+    const KEY: MsgKey = (1, 0, 7);
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// An unbounded (control-style) envelope from `src`.
     fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
         Envelope {
             src,
@@ -293,8 +387,18 @@ mod tests {
             taints: Vec::new(),
             clock: None,
             type_sig: None,
-            charge: None,
+            pair: None,
         }
+    }
+
+    /// A data envelope from world rank `src`, counted against its pair.
+    fn bounded_env(src: usize, bytes: Vec<u8>) -> Envelope {
+        Envelope { pair: Some(src), ..bytes_env(src, bytes) }
+    }
+
+    /// Deposit with no abort rule: `Err(None)` is a timeout.
+    fn put(mb: &Mailbox, key: MsgKey, env: Envelope, timeout: Duration) -> Result<(), Option<()>> {
+        mb.deposit(key, env, timeout, || None, &TransportCells::default())
     }
 
     fn into_bytes(env: Envelope) -> Vec<u8> {
@@ -304,25 +408,36 @@ mod tests {
         }
     }
 
+    /// Spin until a sender is parked on `mb`.
+    fn until_parked(mb: &Mailbox) {
+        while mb.lock().parked == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// (messages, staged bytes) world rank `src` has queued in `mb`.
+    fn depth(mb: &Mailbox, src: usize) -> (usize, usize) {
+        let p = mb.lock().pairs[src];
+        (p.msgs, p.bytes)
+    }
+
     #[test]
     fn deposit_take_fifo() {
         let mb = Mailbox::default();
-        let key = (1, 0, 7);
-        mb.deposit(key, bytes_env(0, vec![1]));
-        mb.deposit(key, bytes_env(0, vec![2]));
-        assert_eq!(into_bytes(mb.take(key, Duration::from_secs(1)).unwrap()), vec![1]);
-        assert_eq!(into_bytes(mb.take(key, Duration::from_secs(1)).unwrap()), vec![2]);
+        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
+        assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![1]);
+        assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![2]);
         assert_eq!(mb.pending(), 0);
     }
 
     #[test]
     fn take_blocks_until_deposit() {
         let mb = Arc::new(Mailbox::default());
-        let key = (9, 3, 0);
         let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || mb2.take(key, Duration::from_secs(5)));
+        let h = std::thread::spawn(move || mb2.take(KEY, LONG));
         std::thread::sleep(Duration::from_millis(30));
-        mb.deposit(key, bytes_env(3, vec![42]));
+        put(&mb, KEY, bytes_env(0, vec![42]), LONG).unwrap();
         assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![42]);
     }
 
@@ -335,21 +450,126 @@ mod tests {
     #[test]
     fn try_take_nonblocking() {
         let mb = Mailbox::default();
-        let key = (1, 1, 1);
-        assert!(mb.try_take(key).is_none());
-        mb.deposit(key, bytes_env(1, vec![5]));
-        assert_eq!(into_bytes(mb.try_take(key).unwrap()), vec![5]);
+        assert!(mb.try_take(KEY).is_none());
+        put(&mb, KEY, bytes_env(0, vec![5]), LONG).unwrap();
+        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![5]);
     }
 
     #[test]
     fn take_any_prefers_lowest_source() {
         let mb = Mailbox::default();
-        mb.deposit((2, 4, 8), bytes_env(4, vec![4]));
-        mb.deposit((2, 1, 8), bytes_env(1, vec![1]));
-        let env = match mb.take_any_watched(2, 8, 8, 0, Duration::from_secs(1), || false) {
+        put(&mb, (2, 4, 8), bytes_env(4, vec![4]), LONG).unwrap();
+        put(&mb, (2, 1, 8), bytes_env(1, vec![1]), LONG).unwrap();
+        let env = match mb.take_any_watched(2, 8, 8, 0, LONG, || false) {
             TakeOutcome::Delivered(env) => env,
             _ => panic!("expected delivery"),
         };
         assert_eq!(env.src, 1);
+    }
+
+    #[test]
+    fn full_pair_parks_and_resumes_on_pop() {
+        let mb = Arc::new(Mailbox::bounded(2, 1, 0));
+        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        let stalls = Arc::new(TransportCells::default());
+        let (mb2, stalls2) = (Arc::clone(&mb), Arc::clone(&stalls));
+        let h = std::thread::spawn(move || {
+            mb2.deposit(KEY, bounded_env(0, vec![2]), LONG, || None::<()>, &stalls2)
+        });
+        until_parked(&mb);
+        assert_eq!(mb.pending(), 1, "a parked sender has queued nothing");
+        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
+        h.join().unwrap().unwrap();
+        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![2]);
+        assert_eq!((depth(&mb, 0), stalls.snapshot().credit_waits), ((0, 0), 1));
+    }
+
+    #[test]
+    fn oversize_message_enters_an_empty_pair_and_the_next_waits() {
+        let mb = Mailbox::bounded(2, 4, 64);
+        // 100 > 64, but the pair is empty: stop-and-wait admission.
+        put(&mb, KEY, bounded_env(0, vec![0; 100]), LONG).unwrap();
+        // Pair non-empty now: even a small follow-up must wait.
+        assert_eq!(put(&mb, KEY, bounded_env(0, vec![0; 8]), Duration::ZERO), Err(None));
+        mb.try_take(KEY).unwrap();
+        put(&mb, KEY, bounded_env(0, vec![0; 8]), LONG).unwrap();
+        assert_eq!(depth(&mb, 0), (1, 8));
+    }
+
+    #[test]
+    fn sweep_frees_the_pair_and_wakes_the_parked_sender() {
+        let mb = Arc::new(Mailbox::bounded(2, 2, 0));
+        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        put(&mb, KEY, bounded_env(0, vec![2]), LONG).unwrap();
+        let mb2 = Arc::clone(&mb);
+        let next = Envelope { epoch: 1, ..bounded_env(0, vec![3]) };
+        let h = std::thread::spawn(move || put(&mb2, KEY, next, LONG));
+        until_parked(&mb);
+        assert_eq!(mb.sweep_stale(1), 2);
+        h.join().unwrap().unwrap();
+        assert_eq!(depth(&mb, 0), (1, 1), "the sweep is an exact reset of the pair");
+        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![3]);
+    }
+
+    #[test]
+    fn abort_unparks_with_its_error_and_leaves_no_count() {
+        let mb = Arc::new(Mailbox::bounded(2, 1, 0));
+        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        let dead = Arc::new(AtomicBool::new(false));
+        let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
+        let h = std::thread::spawn(move || {
+            let abort = || dead2.load(Ordering::Acquire).then_some("peer dead");
+            mb2.deposit(KEY, bounded_env(0, vec![2]), LONG, abort, &TransportCells::default())
+        });
+        until_parked(&mb);
+        dead.store(true, Ordering::Release);
+        mb.interrupt();
+        assert_eq!(h.join().unwrap(), Err(Some("peer dead")));
+        assert_eq!((depth(&mb, 0), mb.pending()), ((1, 1), 1));
+    }
+
+    #[test]
+    fn pairs_are_independent_and_control_is_unbounded() {
+        let mb = Mailbox::bounded(3, 1, 0);
+        let now = Duration::ZERO;
+        put(&mb, KEY, bounded_env(0, vec![1]), now).unwrap();
+        // A different sender has its own depth at this receiver ...
+        put(&mb, (1, 2, 7), bounded_env(2, vec![2]), now).unwrap();
+        // ... and control traffic from the full sender is never counted.
+        put(&mb, (1, 0, 9), bytes_env(0, vec![3]), now).unwrap();
+        assert_eq!(put(&mb, KEY, bounded_env(0, vec![4]), now), Err(None));
+        assert_eq!((depth(&mb, 0), depth(&mb, 1), depth(&mb, 2)), ((1, 1), (0, 0), (1, 1)));
+    }
+
+    /// A refused loan is revoked by the drop of its envelope, un-tracked by
+    /// the checker (the sender may write the buffer again; the finalize-time
+    /// leak scan in `run` passes) and holds no slot once the pair drains.
+    #[test]
+    fn refused_loan_is_revoked_and_forgotten() {
+        use crate::{Datatype, Error, Universe};
+        let gate = std::sync::Barrier::new(2);
+        let tag = crate::comm::coll_key_tag(0, 0);
+        let dt = Datatype::Contiguous { len_bytes: 64, offset: 0 };
+        let short = Duration::from_millis(50);
+        Universe::builder().check(true).flow_control(1, 0).timeout(short).run(2, |comm| {
+            if comm.rank() == 0 {
+                let (first, second) = ([1u8; 64], [2u8; 64]);
+                let cell = comm.deposit_shared(1, tag, &first, dt).unwrap();
+                let err = comm.deposit_shared(1, tag, &second, dt).unwrap_err();
+                assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
+                comm.check_write(&second).unwrap();
+                gate.wait();
+                let done = cell.wait(Instant::now() + LONG, || false);
+                assert_eq!(done, crate::zerocopy::ZcWait::Done);
+                comm.note_loan_settled(&cell);
+                comm.set_timeout(LONG);
+                comm.send_bytes(1, 3, &second).unwrap();
+                assert_eq!(comm.transport_counters().credit_waits, 1);
+            } else {
+                gate.wait();
+                assert_eq!(comm.take_from(0, tag).unwrap(), vec![1u8; 64]);
+                assert_eq!(comm.recv_bytes(0, 3).unwrap(), vec![2u8; 64]);
+            }
+        });
     }
 }

@@ -41,9 +41,7 @@ pub struct UniverseBuilder {
     retransmit_backoff: Option<Duration>,
     sched_seed: Option<u64>,
     trace: Option<PathBuf>,
-    flow_credits: Option<u64>,
-    flow_bytes: Option<usize>,
-    mem_budget: Option<usize>,
+    flow: Option<(usize, usize)>,
 }
 
 impl UniverseBuilder {
@@ -149,31 +147,17 @@ impl UniverseBuilder {
         self
     }
 
-    /// Bound every `(sender, receiver)` pair's mailbox: at most `credits`
-    /// messages and `bytes` payload bytes queued per pair. A sender without
-    /// credits parks on the flow gate until the receiver pops (or an epoch
-    /// sweep discards) enough envelopes — backpressure instead of unbounded
-    /// queue growth. `0` disables the respective window. Overrides
-    /// `DDR_MAILBOX_CREDITS` / `DDR_MAILBOX_BYTES` (defaults: 1024 messages,
-    /// 32 MiB). A single message larger than the byte window is still
-    /// admitted when the pair is empty (stop-and-wait), so oversize
-    /// transfers degrade instead of erroring.
-    pub fn flow_control(mut self, credits: u64, bytes: usize) -> Self {
-        self.flow_credits = Some(credits);
-        self.flow_bytes = Some(bytes);
-        self
-    }
-
-    /// Cap the universe's staging footprint: mailbox payloads and
-    /// pool-retained capacity are metered against this budget, and the
-    /// runtime degrades in stages as it fills — zero-copy sheds to the
-    /// staged path at 50% occupancy, the pool drops returned buffers
-    /// instead of retaining them — before a reservation that cannot ever
-    /// fit (or a budget wait with no global progress for a full timeout)
-    /// fails with [`crate::Error::MemoryPressure`]. `0` (the default)
-    /// meters without enforcing. Overrides `DDR_MEM_BUDGET`.
-    pub fn mem_budget(mut self, bytes: usize) -> Self {
-        self.mem_budget = Some(bytes);
+    /// Resize every `(sender, receiver)` pair's mailbox bound: at most
+    /// `msgs` messages and `bytes` staged payload bytes queued per pair
+    /// (default 1024 messages, 32 MiB; `0` lifts the respective bound). A
+    /// sender whose pair is full parks until the receiver pops (or an epoch
+    /// sweep discards) enough envelopes. A single message larger than the
+    /// byte bound is still admitted when the pair is empty (stop-and-wait),
+    /// so oversize transfers degrade instead of erroring. The defaults are
+    /// out of reach of DDR traffic; this setter exists for the suites that
+    /// must reach the bound.
+    pub fn flow_control(mut self, msgs: usize, bytes: usize) -> Self {
+        self.flow = Some((msgs, bytes));
         self
     }
 
@@ -208,12 +192,6 @@ impl UniverseBuilder {
         assert!(n > 0, "Universe::run requires at least one rank");
         let timeout = self.timeout.unwrap_or_else(default_timeout);
         let check_on = self.check.unwrap_or_else(crate::check::check_env_default);
-        let env_flow = crate::flow::FlowConfig::env_default();
-        let flow_cfg = crate::flow::FlowConfig {
-            msg_credits: self.flow_credits.unwrap_or(env_flow.msg_credits),
-            byte_credits: self.flow_bytes.unwrap_or(env_flow.byte_credits),
-            mem_budget: self.mem_budget.unwrap_or(env_flow.mem_budget),
-        };
         let world = Arc::new(WorldState::new(
             n,
             timeout,
@@ -226,7 +204,7 @@ impl UniverseBuilder {
             self.retransmit_max,
             self.retransmit_backoff,
             self.sched_seed,
-            flow_cfg,
+            self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),
         ));
         // Tracing: the builder's path wins over `DDR_TRACE`. If a capture
         // window is already open (a bench tracing across several universes),
@@ -409,17 +387,8 @@ fn record_world_metrics(world: &WorldState) {
     ddrtrace::metrics::set("pack", "fused_runs", k.fused_runs);
     ddrtrace::metrics::set("pack", "vector_bytes", k.vector_bytes);
     ddrtrace::metrics::set("pack", "scalar_bytes", k.scalar_bytes);
-    let fl = world.flow.counters();
-    ddrtrace::metrics::add("flow", "credit_waits", fl.credit_waits);
-    ddrtrace::metrics::add("flow", "stalled_ms", fl.stalled_ms);
-    ddrtrace::metrics::add("flow", "watchdog_defers", fl.watchdog_defers);
-    ddrtrace::metrics::add("flow", "slow_peers", fl.slow_peers);
-    ddrtrace::metrics::add("mem", "zerocopy_sheds", fl.zerocopy_sheds);
-    ddrtrace::metrics::add("mem", "denials", fl.mem_denials);
-    ddrtrace::metrics::add("mem", "pool_trims", fl.pool_trims);
-    ddrtrace::metrics::set("mem", "used_bytes", world.flow.mem_used() as u64);
-    ddrtrace::metrics::set("mem", "high_water_bytes", world.flow.mem_high_water() as u64);
-    ddrtrace::metrics::set("mem", "budget_bytes", world.flow.config().mem_budget as u64);
+    ddrtrace::metrics::add("flow", "credit_waits", t.credit_waits);
+    ddrtrace::metrics::add("flow", "stalled_ms", t.stalled_ms);
     let i = world.integrity.snapshot();
     ddrtrace::metrics::add("integrity", "checked", i.checked);
     ddrtrace::metrics::add("integrity", "detected", i.detected);

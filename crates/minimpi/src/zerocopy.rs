@@ -23,7 +23,6 @@
 //! (`datatype::copy_selection`): one thread per rank moves that rank's bytes.
 
 use crate::datatype::Datatype;
-use crate::flow::FlowLedger;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -244,19 +243,9 @@ const POOL_MAX_BUFFERS: usize = 64;
 #[derive(Default)]
 pub(crate) struct BufferPool {
     inner: Mutex<PoolInner>,
-    /// Memory governor: parked free-list capacity is metered against the
-    /// universe budget, and retention past it is denied (buffers are freed
-    /// instead — the trim stage of the degradation ladder). `None` only in
-    /// bare unit tests.
-    flow: Option<Arc<FlowLedger>>,
 }
 
 impl BufferPool {
-    /// A pool whose retained capacity is metered by `flow`.
-    pub fn with_flow(flow: Arc<FlowLedger>) -> Self {
-        BufferPool { flow: Some(flow), ..Default::default() }
-    }
-
     fn lock(&self) -> MutexGuard<'_, PoolInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -279,12 +268,6 @@ impl BufferPool {
             inner.free_bytes -= buf.capacity();
             inner.stats.reuse_hits += 1;
             buf.clear();
-            drop(inner);
-            // The buffer leaves the free list: return its metered capacity
-            // to the governor (a staged deposit will re-meter the payload).
-            if let Some(flow) = &self.flow {
-                flow.mem_sub(buf.capacity());
-            }
             return buf;
         }
         drop(inner);
@@ -301,15 +284,6 @@ impl BufferPool {
         }
         buf.clear();
         let cap = buf.capacity();
-        // Governor gate on retention: parked capacity counts against the
-        // budget; a denial frees the buffer to the allocator instead.
-        if let Some(flow) = &self.flow {
-            if !flow.pool_try_retain(cap) {
-                self.lock().stats.trimmed_bytes += cap as u64;
-                ddrtrace::instant_arg("minimpi", "pool_trim", "bytes", cap as i64);
-                return;
-            }
-        }
         let mut inner = self.lock();
         let at = inner.free.partition_point(|b| b.capacity() < cap);
         inner.free.insert(at, buf);
@@ -329,13 +303,6 @@ impl BufferPool {
             }
         }
         drop(inner);
-        // Capacity evicted by the demand-decay trim is no longer parked:
-        // give its metered bytes back to the governor.
-        if trimmed > 0 {
-            if let Some(flow) = &self.flow {
-                flow.mem_sub(trimmed as usize);
-            }
-        }
         if ddrtrace::enabled() {
             if trimmed > 0 {
                 ddrtrace::instant_arg("minimpi", "pool_trim", "bytes", trimmed as i64);
@@ -370,6 +337,13 @@ pub struct TransportCounters {
     /// Stale-epoch messages rejected by the membership fence instead of
     /// being delivered (swept at reconfiguration or caught at match time).
     pub fenced_msgs: u64,
+    /// Deposits that found their pair's mailbox bound full and had to park
+    /// (`flow.credit_waits` in the trace). DDR traffic never reaches the
+    /// bound; a non-zero count means a producer is outrunning its consumer.
+    pub credit_waits: u64,
+    /// Total time senders spent parked on a full pair, in milliseconds
+    /// (`flow.stalled_ms` in the trace).
+    pub stalled_ms: u64,
 }
 
 /// Atomic backing store for [`TransportCounters`], kept on the world state.
@@ -379,6 +353,8 @@ pub(crate) struct TransportCells {
     pub staged_msgs: AtomicU64,
     pub revoked_msgs: AtomicU64,
     pub fenced_msgs: AtomicU64,
+    pub credit_waits: AtomicU64,
+    pub stalled_us: AtomicU64,
 }
 
 impl TransportCells {
@@ -388,6 +364,8 @@ impl TransportCells {
             staged_msgs: self.staged_msgs.load(Ordering::Relaxed),
             revoked_msgs: self.revoked_msgs.load(Ordering::Relaxed),
             fenced_msgs: self.fenced_msgs.load(Ordering::Relaxed),
+            credit_waits: self.credit_waits.load(Ordering::Relaxed),
+            stalled_ms: self.stalled_us.load(Ordering::Relaxed) / 1000,
         }
     }
 }

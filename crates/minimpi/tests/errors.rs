@@ -55,7 +55,6 @@ fn all_variants() -> Vec<Error> {
         Error::StaleEpoch { comm_epoch: 0, world_epoch: 2 },
         Error::IntegrityFailure { src: 2, dst: 0, tag: 9, attempt: 0 },
         Error::IntegrityFailure { src: 2, dst: 0, tag: 9, attempt: 3 },
-        Error::MemoryPressure { requested: 4096, budget: 1024, used: 900 },
         Error::Internal { detail: "split: world rank 2 missing from its own color group".into() },
     ];
     for v in &variants {
@@ -73,7 +72,6 @@ fn all_variants() -> Vec<Error> {
             | Error::TypeMismatch { .. }
             | Error::StaleEpoch { .. }
             | Error::IntegrityFailure { .. }
-            | Error::MemoryPressure { .. }
             | Error::Internal { .. } => {}
         }
     }
@@ -106,8 +104,6 @@ fn display_is_informative_for_every_variant() {
          failed checksum verification (no retransmit path)",
         "integrity failure: payload from rank 2 to rank 0 (user tag 9) \
          still corrupt after 3 retransmit attempt(s)",
-        "memory budget exhausted: 4096-byte staging reservation denied \
-         (budget 1024 bytes, 900 in use)",
         "internal runtime invariant violated: split: world rank 2 missing from its own color group",
     ];
     for (e, want) in all_variants().iter().zip(expected) {
