@@ -324,10 +324,12 @@ fn default_threshold_mixes_paths_and_stays_byte_identical() {
     }
 }
 
-/// Under a fault plan, `zerocopy_active()` is false: both configurations run
-/// the staged path and must report the identical degraded outcome. Uses the
-/// E1 scenario where the only 0→3 message of the whole program is the
-/// round-1 alltoallw payload.
+/// Under a fault plan — corrupt-only ones included — `zerocopy_active()` is
+/// false: both configurations run the staged path (even with a threshold
+/// that would loan everything) and must report the identical outcome. Uses
+/// the E1 scenario where the only 0→3 message of the whole program is the
+/// round-1 alltoallw payload: dropped it is lost, corrupted it is detected
+/// and retransmitted.
 #[test]
 fn fault_plan_forces_staging_and_paths_still_agree() {
     fn e1_owned(r: usize) -> [Block; 2] {
@@ -336,11 +338,12 @@ fn fault_plan_forces_staging_and_paths_still_agree() {
     fn e1_need(r: usize) -> Block {
         Block::d2([4 * (r % 2), 4 * (r / 2)], [4, 4]).unwrap()
     }
-    let run = |zerocopy: bool| {
+    let run = |plan: &FaultPlan, zerocopy: bool| {
         Universe::builder()
             .zerocopy(zerocopy)
+            .zerocopy_threshold(0)
             .timeout(Duration::from_millis(300))
-            .fault_plan(FaultPlan::new(3).drop_message(0, 3, None, 0))
+            .fault_plan(plan.clone())
             .run(4, move |comm| {
                 let r = comm.rank();
                 let desc = Descriptor::for_type::<u64>(4, DataKind::D2).unwrap();
@@ -353,19 +356,28 @@ fn fault_plan_forces_staging_and_paths_still_agree() {
                 (need, report.is_complete(), stats, comm.transport_counters())
             })
     };
-    let a = run(true);
-    let b = run(false);
-    for (r, ((na, ca, sa, counters), (nb, cb, sb, _))) in a.iter().zip(&b).enumerate() {
-        assert_eq!(na, nb, "rank {r}: degraded buffers diverge");
-        assert_eq!(ca, cb, "rank {r}: completion status diverges");
-        assert_eq!(sa, sb, "rank {r}: degraded stats diverge");
-        // The fault plan must have forced staging even with zerocopy requested.
-        assert_eq!(counters.zerocopy_msgs, 0, "rank {r}: zerocopy engaged under a fault plan");
+    let drop_plan = FaultPlan::new(3).drop_message(0, 3, None, 0);
+    let corrupt_plan = FaultPlan::new(3).corrupt_message(0, 3, None, 0);
+    for (plan, lost) in [(&drop_plan, true), (&corrupt_plan, false)] {
+        let a = run(plan, true);
+        let b = run(plan, false);
+        for (r, ((na, ca, sa, counters), (nb, cb, sb, _))) in a.iter().zip(&b).enumerate() {
+            assert_eq!(na, nb, "rank {r}: buffers diverge");
+            assert_eq!(ca, cb, "rank {r}: completion status diverges");
+            assert_eq!(sa, sb, "rank {r}: stats diverge");
+            // The fault plan must have forced staging even with zerocopy requested.
+            assert_eq!(counters.zerocopy_msgs, 0, "rank {r}: zerocopy engaged under a fault plan");
+            if !lost {
+                let want: Vec<u64> = e1_need(r).coords().map(cell_value).collect();
+                assert_eq!(na, &want, "rank {r}: recovered buffer diverges from the oracle");
+            }
+        }
+        // Rank 3 really lost the dropped message in both runs, and really
+        // recovered the corrupted one.
+        assert_eq!(a[3].1, !lost, "rank 3 completion");
+        assert_eq!(a[3].2.failed_recvs, lost as u64);
+        assert_eq!(a[3].2.lost_bytes > 0, lost);
     }
-    // Rank 3 really lost the dropped message in both runs.
-    assert!(!a[3].1, "rank 3 should report an incomplete exchange");
-    assert_eq!(a[3].2.failed_recvs, 1);
-    assert!(a[3].2.lost_bytes > 0);
 }
 
 /// Multi-MiB differential: a repartition whose every cross-rank transfer is

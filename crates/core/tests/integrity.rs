@@ -1,6 +1,7 @@
-//! Corruption chaos soak: seeded corrupt-message faults across many seeds
-//! and both wire paths (staged and zero-copy loans), with runtime checking
-//! (`DDR_CHECK`) armed throughout.
+//! Corruption chaos soak: seeded corrupt-message faults across many seeds,
+//! with runtime checking (`DDR_CHECK`) armed throughout. Zero-copy is
+//! requested with a loan-everything threshold; the fault plan must stage
+//! every message regardless.
 //!
 //! Two regimes, both exercised per seed:
 //!
@@ -65,12 +66,13 @@ type RankOutcome = (
 );
 
 /// One full redistribution under `plan`, salvage mode, checking armed.
-fn run_soak(plan: FaultPlan, zerocopy: bool) -> Vec<RankOutcome> {
+/// Asserts the plan kept every message off the loan path.
+fn run_soak(plan: FaultPlan) -> Vec<RankOutcome> {
     Universe::builder()
         .timeout(Duration::from_secs(30))
         .check(true)
-        .zerocopy(zerocopy)
-        .zerocopy_threshold(0) // loans on the zc pass even for tiny fragments
+        .zerocopy(true)
+        .zerocopy_threshold(0) // would loan even these tiny fragments
         .fault_plan(plan)
         .run(4, move |comm| {
             let r = comm.rank();
@@ -84,6 +86,7 @@ fn run_soak(plan: FaultPlan, zerocopy: bool) -> Vec<RankOutcome> {
             // Counters are world-global but snapshotted per rank: fence so
             // no rank reads them while another is still mid-recovery.
             comm.barrier().unwrap();
+            assert_eq!(comm.transport_counters().zerocopy_msgs, 0, "a fault plan stages");
             (res, need, comm.integrity_counters())
         })
 }
@@ -95,34 +98,28 @@ fn pick_pair(seed: u64) -> (usize, usize) {
     (src, dst)
 }
 
-/// Recoverable regime: one corrupt delivery per seed, per wire path. The
-/// redistribution must complete byte-identically on every rank, with the
-/// corruption visible only in the integrity counters.
+/// Recoverable regime: one corrupt delivery per seed. The redistribution
+/// must complete byte-identically on every rank, with the corruption visible
+/// only in the integrity counters.
 #[test]
 fn corruption_chaos_soak_recovers_byte_identical() {
     for seed in 0..SEEDS {
-        for zerocopy in [false, true] {
-            let (src, dst) = pick_pair(seed);
-            let plan = FaultPlan::new(seed).corrupt_message(src, dst, None, 0);
-            let start = Instant::now();
-            let out = run_soak(plan, zerocopy);
-            assert!(
-                start.elapsed() < Duration::from_secs(20),
-                "seed {seed} zc={zerocopy}: recovery must not crawl"
-            );
-            for (r, (res, need, counters)) in out.iter().enumerate() {
-                let ctx = format!("seed {seed} zc={zerocopy} rank {r}");
-                let (report, stats) = res
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{ctx}: reorganize failed outright: {e:?}"));
-                assert!(report.is_complete(), "{ctx}: {report}");
-                assert_eq!(stats.failed_recvs, 0, "{ctx}");
-                assert_eq!(need, &expected_need(r), "{ctx}: byte-identical output");
-                // Counters are world-global: every rank sees the recovery.
-                assert!(counters.detected >= 1, "{ctx}: {counters:?}");
-                assert!(counters.retransmits >= 1, "{ctx}: {counters:?}");
-                assert_eq!(counters.exhausted, 0, "{ctx}: {counters:?}");
-            }
+        let (src, dst) = pick_pair(seed);
+        let plan = FaultPlan::new(seed).corrupt_message(src, dst, None, 0);
+        let start = Instant::now();
+        let out = run_soak(plan);
+        assert!(start.elapsed() < Duration::from_secs(20), "seed {seed}: recovery must not crawl");
+        for (r, (res, need, counters)) in out.iter().enumerate() {
+            let ctx = format!("seed {seed} rank {r}");
+            let (report, stats) =
+                res.as_ref().unwrap_or_else(|e| panic!("{ctx}: reorganize failed outright: {e:?}"));
+            assert!(report.is_complete(), "{ctx}: {report}");
+            assert_eq!(stats.failed_recvs, 0, "{ctx}");
+            assert_eq!(need, &expected_need(r), "{ctx}: byte-identical output");
+            // Counters are world-global: every rank sees the recovery.
+            assert!(counters.detected >= 1, "{ctx}: {counters:?}");
+            assert!(counters.retransmits >= 1, "{ctx}: {counters:?}");
+            assert_eq!(counters.exhausted, 0, "{ctx}: {counters:?}");
         }
     }
 }
@@ -135,56 +132,47 @@ fn corruption_chaos_soak_recovers_byte_identical() {
 #[test]
 fn corruption_chaos_soak_exhaustion_is_structured_and_classified() {
     for seed in 0..SEEDS {
-        for zerocopy in [false, true] {
-            let (src, dst) = pick_pair(seed);
-            let mut plan = FaultPlan::new(seed);
-            for nth in 0..=3 {
-                plan = plan.corrupt_message(src, dst, None, nth);
-            }
-            let start = Instant::now();
-            let out = run_soak(plan, zerocopy);
-            assert!(
-                start.elapsed() < Duration::from_secs(25),
-                "seed {seed} zc={zerocopy}: exhaustion must not hang"
-            );
-            for (r, (res, need, counters)) in out.iter().enumerate() {
-                let ctx = format!("seed {seed} zc={zerocopy} rank {r}");
-                let (report, stats) = res
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{ctx}: salvage must not hard-fail: {e:?}"));
-                if r == dst {
-                    // The victim's report names the corrupt source as an
-                    // integrity loss — not a liveness one.
-                    assert!(!report.is_complete(), "{ctx}: loss must be reported");
-                    assert_eq!(report.integrity_peers, vec![src], "{ctx}: {report}");
-                    assert_eq!(report.dead_peers, vec![src], "{ctx}: {report}");
-                    assert!(stats.integrity_recvs >= 1, "{ctx}: {stats:?}");
-                    assert!(report.missing_bytes() > 0, "{ctx}");
-                    let txt = report.to_string();
-                    assert!(txt.contains("failed integrity"), "{ctx}: {txt}");
-                    // Every cell outside the lost region is bitwise
-                    // correct. The lost region itself is unspecified: the
-                    // staged path leaves the sentinel, while a zero-copy
-                    // claim copies before it verifies, so exhausted bytes
-                    // may be scrambled — the report marks them missing
-                    // either way.
-                    let need_blk = &e1_layouts()[r].need;
-                    let expect = expected_need(r);
-                    for ly in 0..4 {
-                        let gy = need_blk.offset[1] + ly;
-                        if gy == src || gy == src + 4 {
-                            continue; // row owned by the corrupt source
-                        }
-                        for lx in 0..4 {
-                            let i = ly * 4 + lx;
-                            assert_eq!(need[i], expect[i], "{ctx}: cell {i}");
-                        }
+        let (src, dst) = pick_pair(seed);
+        let mut plan = FaultPlan::new(seed);
+        for nth in 0..=3 {
+            plan = plan.corrupt_message(src, dst, None, nth);
+        }
+        let start = Instant::now();
+        let out = run_soak(plan);
+        assert!(start.elapsed() < Duration::from_secs(25), "seed {seed}: exhaustion must not hang");
+        for (r, (res, need, counters)) in out.iter().enumerate() {
+            let ctx = format!("seed {seed} rank {r}");
+            let (report, stats) =
+                res.as_ref().unwrap_or_else(|e| panic!("{ctx}: salvage must not hard-fail: {e:?}"));
+            if r == dst {
+                // The victim's report names the corrupt source as an
+                // integrity loss — not a liveness one.
+                assert!(!report.is_complete(), "{ctx}: loss must be reported");
+                assert_eq!(report.integrity_peers, vec![src], "{ctx}: {report}");
+                assert_eq!(report.dead_peers, vec![src], "{ctx}: {report}");
+                assert!(stats.integrity_recvs >= 1, "{ctx}: {stats:?}");
+                assert!(report.missing_bytes() > 0, "{ctx}");
+                let txt = report.to_string();
+                assert!(txt.contains("failed integrity"), "{ctx}: {txt}");
+                // Every cell outside the lost region is bitwise correct,
+                // and the lost region keeps its sentinel: with recovery
+                // armed a payload is verified before it is unpacked, so no
+                // corrupt byte ever reaches the need buffer.
+                let need_blk = &e1_layouts()[r].need;
+                let expect = expected_need(r);
+                for ly in 0..4 {
+                    let gy = need_blk.offset[1] + ly;
+                    let lost = gy == src || gy == src + 4; // row owned by the corrupt source
+                    for lx in 0..4 {
+                        let i = ly * 4 + lx;
+                        let want = if lost { -1.0 } else { expect[i] };
+                        assert_eq!(need[i], want, "{ctx}: cell {i}");
                     }
-                    assert!(counters.exhausted >= 1, "{ctx}: {counters:?}");
-                } else {
-                    assert!(report.is_complete(), "{ctx}: {report}");
-                    assert_eq!(need, &expected_need(r), "{ctx}: byte-identical output");
                 }
+                assert!(counters.exhausted >= 1, "{ctx}: {counters:?}");
+            } else {
+                assert!(report.is_complete(), "{ctx}: {report}");
+                assert_eq!(need, &expected_need(r), "{ctx}: byte-identical output");
             }
         }
     }
@@ -266,7 +254,7 @@ fn exhaustion_never_reports_peer_death() {
     for nth in 0..=3 {
         fplan = fplan.corrupt_message(2, 0, None, nth);
     }
-    let out = run_soak(fplan, true);
+    let out = run_soak(fplan);
     for (r, (res, _, _)) in out.iter().enumerate() {
         let (report, _) = res.as_ref().unwrap();
         assert!(

@@ -10,7 +10,7 @@ use crate::check::{CollFingerprint, CollectiveKind, TypeSig};
 use crate::comm::{coll_key_tag, Comm};
 use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
-use crate::fault::{mix64, Keystream};
+use crate::fault::mix64;
 use crate::mailbox::{Envelope, Payload};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::zerocopy::{ZcCell, ZcWait};
@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 
 // Alltoallw's phase namespace under one collective sequence number. Phase 0
 // carries the data; phases 1 and 2 exist only when NACK/retransmit recovery
-// is armed (checksums on + a corrupt-capable fault plan installed).
+// is armed (checksums on + a corrupt-capable fault plan installed, which
+// also means every message of the exchange is staged).
 const PHASE_DATA: u64 = 0;
 /// Receiver → sender verdict channel: one byte per message.
 const PHASE_VERDICT: u64 = 1;
@@ -657,12 +658,11 @@ impl Comm {
         }
     }
 
-    /// Place one received alltoallw message into `recv_buf` through `dt`,
-    /// verifying its envelope checksum along the way ([`Comm::verify`] owns
-    /// the verify-vs-unpack order). Zero-copy loans are claimed, copied
-    /// straight out of the sender's buffer, tainted with any claim-time
-    /// corrupt-fault keystreams and verified over the receiver's copy, all
-    /// inside [`Comm::claim_loan`].
+    /// Place one received alltoallw message into `recv_buf` through `dt`. A
+    /// staged payload has its envelope checksum verified along the way
+    /// ([`Comm::verify`] owns the verify-vs-unpack order); a zero-copy loan
+    /// is claimed and copied straight out of the sender's buffer in one
+    /// traversal inside [`Comm::claim_loan`] — it carries no checksum.
     fn deliver_alltoallw(
         &self,
         src: usize,
@@ -676,7 +676,7 @@ impl Comm {
         // unclaimed zero-copy envelope revokes the loan, releasing its
         // sender.
         self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &TypeSig::of(dt))?;
-        let Envelope { epoch, payload, checksum, taints, .. } = env;
+        let Envelope { epoch, payload, checksum, .. } = env;
         match payload {
             Payload::Bytes(packed) => {
                 let _unpack = ddrtrace::span_arg("minimpi", "unpack", "bytes", packed.len() as i64);
@@ -697,27 +697,7 @@ impl Comm {
             Payload::Shared(h) => {
                 let _zc =
                     ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.dt.packed_len() as i64);
-                self.claim_loan(src, &h, |lent| {
-                    copy_selection(lent, &h.dt, recv_buf, dt)?;
-                    // Claim-time fault injection: the loan had no in-flight
-                    // bytes to scramble, so the injector recorded keystream
-                    // inits and the corruption lands on *our* copy here —
-                    // the sender's buffer stays pristine for retransmits.
-                    for &init in &taints {
-                        let mut ks = Keystream::new(init);
-                        for (off, len) in dt.byte_runs() {
-                            ks.scramble(&mut recv_buf[off..off + len]);
-                        }
-                    }
-                    // In place, walking `dt`'s byte runs in packed order —
-                    // equal to hashing the packed form.
-                    self.verify(src, key_tag, epoch, checksum, |sum| {
-                        for (off, len) in dt.byte_runs() {
-                            sum.update(&recv_buf[off..off + len]);
-                        }
-                        Ok(())
-                    })
-                })
+                self.claim_loan(src, &h, |lent| copy_selection(lent, &h.dt, recv_buf, dt))
             }
         }
     }
@@ -918,13 +898,9 @@ impl Exchange<'_> {
     fn finish_clean(&mut self) -> Result<ExchangeReport> {
         let comm = self.comm;
         // Completion: wait until every lent region was consumed (or revoke
-        // loans to receivers that can no longer claim them). Safe to do
-        // before settlement even though the drain doesn't service NACKs: a
-        // receiver blocked on a retransmit has, by the ascending source
-        // order, already claimed every loan from the sender it waits on, so
-        // any chain of "draining sender → receiver waiting on a
-        // lower-ranked sender" strictly descends and bottoms out at a rank
-        // that is still servicing.
+        // loans to receivers that can no longer claim them). The drain
+        // doesn't service NACKs and needn't: an exchange with retransmit
+        // duties runs under a fault plan, so it lent nothing.
         {
             let _complete = ddrtrace::span("minimpi", "zc_complete");
             let revoked = self.drain_loans(Instant::now() + comm.timeout());

@@ -4,7 +4,7 @@ use crate::check::{CheckCounters, CheckState, CollFingerprint, TypeSig};
 use crate::datatype::Datatype;
 use crate::elastic::ElasticState;
 use crate::error::{Error, Result};
-use crate::fault::{mix64, FaultPlan, FaultState, Keystream, MessageVerdict};
+use crate::fault::{mix64, FaultPlan, FaultState, MessageVerdict};
 use crate::integrity::{checksum64, stream_seed, Checksum, IntegrityCells, IntegrityCounters};
 use crate::life::{Liveness, ShrinkBarrier};
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
@@ -58,8 +58,8 @@ pub(crate) struct WorldState {
     pub ops: Vec<AtomicU64>,
     pub default_timeout: Duration,
     /// Whether the zero-copy fast path is allowed for this universe (builder
-    /// override, else `DDR_NO_ZEROCOPY`). Fault plans additionally force the
-    /// staged path at use sites — see [`WorldState::zerocopy_active`].
+    /// override, else `DDR_NO_ZEROCOPY`). A fault plan additionally forces
+    /// the staged path — see [`WorldState::zerocopy_active`].
     pub zerocopy: bool,
     /// Per-message byte floor for loaning: messages strictly smaller than
     /// this are staged even when zero-copy is on, because the rendezvous
@@ -80,9 +80,10 @@ pub(crate) struct WorldState {
     /// Whether reconfigure respawns replacements for dead ranks (builder
     /// override, else `DDR_RESPAWN`, default true).
     pub respawn: bool,
-    /// Whether envelopes carry a pack/lend-time checksum verified at
-    /// match/claim time (builder override, else `DDR_CHECKSUM`, default
-    /// **on**). Off, the only cost left is one branch per deposit.
+    /// Whether staged envelopes carry a pack-time checksum verified at match
+    /// time (builder override, else `DDR_CHECKSUM`, default **on**). Off, the
+    /// only cost left is one branch per deposit. Loans carry none either way:
+    /// see [`Comm::deposit_shared`].
     pub checksum: bool,
     /// Bounded retransmit attempts per corrupt transfer before the receiver
     /// fails with [`Error::IntegrityFailure`] (builder override, else
@@ -116,7 +117,8 @@ impl WorldState {
             mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes)).collect(),
             liveness: Liveness::new(n),
             shrink: ShrinkBarrier::default(),
-            faults: fault_plan.map(FaultState::new),
+            // An empty plan injects nothing, so it is no plan.
+            faults: fault_plan.filter(|p| !p.is_empty()).map(FaultState::new),
             check: check.then(|| CheckState::new(n)),
             sched: sched_seed
                 .or_else(crate::sched::sched_seed_env_default)
@@ -158,14 +160,12 @@ impl WorldState {
         fenced
     }
 
-    /// Whether exchanges should take the zero-copy fast path. Kill and
-    /// drop/delay fault plans force staging — those faults act on an
-    /// in-flight copy a loan doesn't have — but corrupt-*only* plans ride
-    /// zero-copy: their scramble is applied by the receiver at claim time
-    /// (see [`FaultState::on_message_zc`]), so the fastest path stays
-    /// exercised under corruption faults.
+    /// Whether exchanges should take the zero-copy fast path. Every
+    /// (non-empty) fault plan forces staging: drop, delay and corrupt rules
+    /// act on an in-flight copy, which a loan doesn't have — and the staged
+    /// path is where checksums and NACK/retransmit live.
     pub fn zerocopy_active(&self) -> bool {
-        self.zerocopy && self.faults.as_ref().is_none_or(|f| !f.forces_staging())
+        self.zerocopy && self.faults.is_none()
     }
 
     pub fn is_alive(&self, world_rank: usize) -> bool {
@@ -565,19 +565,17 @@ impl Comm {
     /// The one place an envelope is built and queued: stamped with this
     /// handle's rank and epoch, then reserved-and-enqueued in `dest`'s
     /// mailbox under (communicator, this rank, `key_tag`). What varies by
-    /// payload kind — checksum, taints, stamp — is decided by the `deposit_*`
+    /// payload kind — checksum, stamp — is decided by the `deposit_*`
     /// caller. A `bounded` envelope counts against this pair's depth and
     /// parks while the pair is full: no pop within [`Comm::timeout`] is
     /// [`Error::Timeout`] naming `dest`; the receiver's death, this rank's
     /// own fault-kill or an epoch bump unparks with the matching error.
-    #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &self,
         dest: usize,
         key_tag: u64,
         payload: Payload,
         checksum: Option<u64>,
-        taints: Vec<u64>,
         (clock, type_sig): (Option<VectorClock>, Option<TypeSig>),
         bounded: bool,
     ) -> Result<()> {
@@ -591,7 +589,6 @@ impl Comm {
             epoch: self.epoch,
             payload,
             checksum,
-            taints,
             clock,
             type_sig,
             pair: bounded.then_some(src_world),
@@ -665,7 +662,7 @@ impl Comm {
                 }
             }
         }
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), checksum, Vec::new(), stamp, true)?;
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), checksum, stamp, true)?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -708,7 +705,7 @@ impl Comm {
         self.sched_point("send_control");
         self.fault_tick()?;
         let stamp = self.send_stamp(None, payload.len());
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), None, Vec::new(), stamp, false)
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), None, stamp, false)
     }
 
     /// Deposit a zero-copy loan of `dt`'s selection of `buf` into `dest`'s
@@ -716,8 +713,22 @@ impl Comm {
     /// `Done` or `Revoked` (via [`ZcCell::wait`]) before `buf`'s borrow ends
     /// — that wait is what makes the receiver's raw-pointer read sound.
     ///
-    /// Callers must have checked [`WorldState::zerocopy_active`]: a message
-    /// fault plan would need to mutate the payload, which a loan forbids.
+    /// A loan is a pointer hand-off and carries **no checksum**: it has no
+    /// in-flight bytes — the receiver reads the sender's own buffer, pinned
+    /// by the caller's borrow until the loan settles — so nothing between
+    /// lend and claim can flip a bit. Callers must have checked
+    /// [`WorldState::zerocopy_active`]: under a fault plan every message
+    /// stages, which is where the injector, the checksum and the retransmit
+    /// protocol act. A sender write during a live loan is the race checker's
+    /// to catch ([`Comm::check_write`]), not the checksum's.
+    ///
+    /// Measured, not assumed: a lend-time hash here plus the receiver's
+    /// verify pass walked every loaned byte three times for one copy that
+    /// already runs at the strided roofline. Removing both took the
+    /// benchmark's `bulk_transpose_2d` (2 ranks / 2 cores, two 4 MiB loans
+    /// per op) from `op_ms_p50` 1.72 to 0.96 ms and `cpu_ms_per_op` 3.3 to
+    /// 1.8 — medians of ten alternating pairs, lower in all ten, and what
+    /// `DDR_CHECKSUM=0` had read beforehand (0.92–1.02 ms, 6 of 6 pairs).
     #[track_caller]
     pub(crate) fn deposit_shared(
         &self,
@@ -730,24 +741,6 @@ impl Comm {
         // Same op accounting as `deposit_staged`, so op positions (the fault
         // plan coordinate system) are identical across wire paths.
         self.fault_tick()?;
-        // Lend-time checksum: walk the selection's byte runs in packed order
-        // through the streaming hasher, which equals hashing the packed form
-        // — so a receiver can verify its claimed copy without the sender
-        // ever staging the payload.
-        let checksum = self.world.checksum.then(|| {
-            let mut c = Checksum::new(self.stream_seed(self.rank, key_tag, self.epoch));
-            for (off, len) in dt.byte_runs() {
-                c.update(&buf[off..off + len]);
-            }
-            c.finish()
-        });
-        // Corrupt rules can't scramble a loan in flight (there are no
-        // in-flight bytes); record which rules fired so the receiver applies
-        // the identical keystream to its copy at claim time.
-        let taints = match &self.world.faults {
-            Some(f) => f.on_message_zc(self.world_rank(), self.members[dest], key_tag),
-            None => Vec::new(),
-        };
         let cell = Arc::new(ZcCell::default());
         let stamp = self.send_stamp(Some(TypeSig::of(&dt)), 0);
         // Track the loan *after* the send tick, so the lend clock covers the
@@ -766,9 +759,7 @@ impl Comm {
         // the sender's later writes are not judged against a loan nobody
         // will ever read.
         let handle = ZcHandle::new(buf, dt, Arc::clone(&cell));
-        if let Err(e) =
-            self.enqueue(dest, key_tag, Payload::Shared(handle), checksum, taints, stamp, true)
-        {
+        if let Err(e) = self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp, true) {
             if let Some(check) = &self.world.check {
                 check.forget_loan(&cell);
             }
@@ -779,15 +770,12 @@ impl Comm {
     }
 
     /// The one zero-copy claim: claim the loan, let `copy_out` move the lent
-    /// bytes into the receiver's own storage (and taint and verify that
-    /// copy), then release the sender. **A claimed loan always reaches
-    /// `finish`**: once the claim succeeded the sender is parked until then,
-    /// so nothing may return early in between. That is why a claim-time race
-    /// (the sender wrote the lent region while our claim is causally
-    /// unordered with that write) is surfaced only past `finish`, and why
-    /// verification runs inside `copy_out` — the cell flips to DONE only
-    /// after the receiver's copy was judged, so a corrupt claim never
-    /// silently releases the sender.
+    /// bytes into the receiver's own storage — one traversal, nothing else —
+    /// then release the sender. **A claimed loan always reaches `finish`**:
+    /// once the claim succeeded the sender is parked until then, so nothing
+    /// may return early in between. That is why a claim-time race (the
+    /// sender wrote the lent region while our claim is causally unordered
+    /// with that write) is surfaced only past `finish`.
     pub(crate) fn claim_loan(
         &self,
         src: usize,
@@ -820,30 +808,22 @@ impl Comm {
         }
     }
 
-    /// Turn a received envelope into owned, *verified* bytes. For zero-copy
-    /// loans this is the slow path (generic receives don't have a
+    /// Turn a received envelope into owned bytes, *verified* when they were
+    /// staged. Verification failure surfaces as [`Error::IntegrityFailure`]
+    /// with `attempt: 0` — these paths are detect-only (recovery lives in
+    /// alltoallw, where the sender's buffer is provably still owned). For
+    /// zero-copy loans this is the slow path (generic receives don't have a
     /// destination selection to copy into directly): claim, pack out of the
-    /// sender's buffer, apply any claim-time corruption taints, check the
-    /// checksum, release. Verification failure surfaces as
-    /// [`Error::IntegrityFailure`] with `attempt: 0` — these paths are
-    /// detect-only (recovery lives in alltoallw, where the sender's buffer
-    /// is provably still owned).
+    /// sender's buffer, release.
     pub(crate) fn materialize(&self, src: usize, key_tag: u64, env: Envelope) -> Result<Vec<u8>> {
-        let Envelope { epoch, checksum, taints, payload, .. } = env;
-        match payload {
+        match env.payload {
             Payload::Bytes(b) => {
-                self.verify_payload(src, key_tag, epoch, checksum, &b)?;
+                self.verify_payload(src, key_tag, env.epoch, env.checksum, &b)?;
                 Ok(b)
             }
             Payload::Shared(h) => {
                 let mut out = Vec::with_capacity(h.packed_len());
-                self.claim_loan(src, &h, |lent| {
-                    h.dt.pack_into(lent, &mut out)?;
-                    for &init in &taints {
-                        Keystream::new(init).scramble(&mut out);
-                    }
-                    self.verify_payload(src, key_tag, epoch, checksum, &out)
-                })?;
+                self.claim_loan(src, &h, |lent| h.dt.pack_into(lent, &mut out))?;
                 Ok(out)
             }
         }

@@ -19,6 +19,10 @@
 //! - **Corrupt** — a matched message's payload is XOR-scrambled with a
 //!   seeded keystream, modelling payload corruption that length checks
 //!   cannot catch.
+//!
+//! Message rules act on a message's *in-flight copy*, which a zero-copy loan
+//! doesn't have, so a universe with any non-empty plan (kill-only ones
+//! included) stages every message.
 
 use crate::comm::Tag;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,15 +171,6 @@ impl FaultPlan {
     pub(crate) fn has_corrupt_rules(&self) -> bool {
         self.rules.iter().any(|r| r.action == FaultAction::Corrupt)
     }
-
-    /// True if the plan needs every message staged through the mailbox:
-    /// kills and drop/delay rules act on the in-flight copy, which a
-    /// zero-copy loan doesn't have. Corrupt-only plans return `false` —
-    /// corruption is injected at claim time on the loan path, so the fastest
-    /// path stays exercised under corrupt faults.
-    pub(crate) fn forces_staging(&self) -> bool {
-        !self.kills.is_empty() || self.rules.iter().any(|r| r.action != FaultAction::Corrupt)
-    }
 }
 
 /// Seeded byte keystream used to scramble payloads. Every byte has its low
@@ -260,56 +255,15 @@ impl FaultState {
                 FaultAction::Drop => return MessageVerdict::Drop,
                 FaultAction::Delay(d) => verdict = MessageVerdict::DeliverAfter(d),
                 FaultAction::Corrupt => {
-                    Keystream::new(self.keystream_init(i)).scramble(payload);
+                    Keystream::new(self.plan.seed ^ mix64(i as u64 + 1)).scramble(payload);
                 }
             }
         }
         verdict
     }
 
-    /// Apply message rules to a zero-copy loan from `src` to `dst`. There is
-    /// no staged payload to mutate at lend time, so instead of scrambling
-    /// bytes this returns the keystream inits of every corrupt rule that
-    /// fired; the *receiver* applies them to its copy at claim time. Match
-    /// counters advance for every matching rule — corrupt or not — so a
-    /// plan's rule indices line up identically whether a message rode the
-    /// staged or the loan path. Drop/delay rules never fire here because
-    /// such plans force staging (see [`FaultPlan::forces_staging`]).
-    pub fn on_message_zc(&self, src: usize, dst: usize, key_tag: u64) -> Vec<u64> {
-        let mut taints = Vec::new();
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            let m = &rule.matcher;
-            if m.src != src || m.dst != dst {
-                continue;
-            }
-            if let Some(t) = m.tag {
-                if key_tag != t as u64 {
-                    continue;
-                }
-            }
-            let count = self.matches[i].fetch_add(1, Ordering::Relaxed);
-            if count != m.nth {
-                continue;
-            }
-            if rule.action == FaultAction::Corrupt {
-                taints.push(self.keystream_init(i));
-            }
-        }
-        taints
-    }
-
-    /// Keystream init for corrupt rule `i` — shared by the staged scramble
-    /// and the claim-time loan taint so both paths corrupt identically.
-    fn keystream_init(&self, i: usize) -> u64 {
-        self.plan.seed ^ mix64(i as u64 + 1)
-    }
-
     pub fn has_corrupt_rules(&self) -> bool {
         self.plan.has_corrupt_rules()
-    }
-
-    pub fn forces_staging(&self) -> bool {
-        self.plan.forces_staging()
     }
 }
 
@@ -392,33 +346,19 @@ mod tests {
         }
     }
 
+    /// Any non-empty plan turns the zero-copy path off — a loan has no
+    /// in-flight copy to inject into; an empty one is no plan at all.
     #[test]
-    fn zc_taint_matches_staged_scramble() {
-        // The loan path must corrupt byte-for-byte identically to the staged
-        // path: same plan, same rule, same nth ⇒ same keystream.
-        let plan = FaultPlan::new(7).corrupt_message(0, 1, None, 1);
-        let staged = FaultState::new(plan.clone());
-        let zc = FaultState::new(plan);
-        let mut a = vec![0xABu8; 32];
-        staged.on_message(0, 1, 5, &mut a); // nth 0: no fire
-        staged.on_message(0, 1, 5, &mut a); // nth 1: fires
-        assert!(zc.on_message_zc(0, 1, 5).is_empty());
-        let taints = zc.on_message_zc(0, 1, 5);
-        assert_eq!(taints.len(), 1);
-        let mut b = vec![0xABu8; 32];
-        Keystream::new(taints[0]).scramble(&mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn staging_forced_only_by_kills_drops_and_delays() {
-        assert!(!FaultPlan::new(0).forces_staging());
-        assert!(!FaultPlan::new(0).corrupt_message(0, 1, None, 0).forces_staging());
-        assert!(FaultPlan::new(0).kill_rank_at_op(0, 1).forces_staging());
-        assert!(FaultPlan::new(0).drop_message(0, 1, None, 0).forces_staging());
-        assert!(FaultPlan::new(0)
-            .delay_message(0, 1, None, 0, Duration::from_millis(1))
-            .forces_staging());
+    fn staging_forced_by_every_non_empty_plan() {
+        let loans = |plan: FaultPlan| {
+            let b = crate::Universe::builder().zerocopy(true).fault_plan(plan);
+            b.run(1, |comm| comm.zerocopy_active())[0]
+        };
+        assert!(loans(FaultPlan::new(0)));
+        assert!(!loans(FaultPlan::new(0).corrupt_message(0, 1, None, 0)));
+        assert!(!loans(FaultPlan::new(0).kill_rank_at_op(0, 1)));
+        assert!(!loans(FaultPlan::new(0).drop_message(0, 1, None, 0)));
+        assert!(!loans(FaultPlan::new(0).delay_message(0, 1, None, 0, Duration::from_millis(1))));
         assert!(FaultPlan::new(0).corrupt_message(0, 1, None, 0).has_corrupt_rules());
         assert!(!FaultPlan::new(0).drop_message(0, 1, None, 0).has_corrupt_rules());
     }

@@ -1,12 +1,14 @@
 //! End-to-end payload integrity: seeded envelope checksums.
 //!
-//! Every envelope a rank deposits — staged bytes, collective fragments, and
-//! zero-copy loan completions alike — carries a 64-bit checksum computed at
-//! pack/lend time over the *pristine* payload and verified at match/claim
-//! time, so corruption on the wire (modelled by [`crate::FaultPlan`]'s
-//! `Corrupt` rules) is detected instead of sailing silently into the
-//! receiver's buffer. Detection is the first rung of the ladder; the
-//! NACK/retransmit recovery protocol lives in `collectives::alltoallw`.
+//! Every envelope of *staged* bytes a rank deposits — point-to-point sends
+//! and collective fragments alike — carries a 64-bit checksum computed at
+//! pack time over the *pristine* payload and verified at match time, so
+//! corruption on the wire (modelled by [`crate::FaultPlan`]'s `Corrupt`
+//! rules) is detected instead of sailing silently into the receiver's
+//! buffer. Detection is the first rung of the ladder; the NACK/retransmit
+//! recovery protocol lives in `collectives::alltoallw`. A zero-copy loan is
+//! outside the plane: it is a pointer hand-off with no wire copy to damage
+//! (see `Comm::deposit_shared`), and any fault plan stages every message.
 //!
 //! The hash folds 8-byte chunks into four independent lanes (lane = absolute
 //! chunk index mod 4) with one odd-constant multiply per chunk
@@ -23,8 +25,9 @@
 //!
 //! Checksumming is **on by default**; `DDR_CHECKSUM=0` (or
 //! [`crate::UniverseBuilder::checksum`]) disables it, and the disabled path
-//! costs one branch per deposit — the bench matrix holds it to <1 %
-//! overhead against the pre-integrity numbers.
+//! costs one branch per deposit. What the enabled path costs is the
+//! benchmark's `p2p.checksum_ratio_staged`: staged message time with the
+//! checksum ÷ with `DDR_CHECKSUM=0`, on each workload's own message size.
 
 use crate::fault::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,9 +36,9 @@ use std::time::Duration;
 /// Streaming 64-bit checksum over a (possibly discontiguous) byte sequence.
 ///
 /// Feeding the same bytes in different split points yields the same value,
-/// so hashing a zero-copy selection run-by-run equals hashing its packed
-/// form — the property that lets lend-time and claim-time checksums agree
-/// without ever staging the payload.
+/// so hashing a selection run-by-run equals hashing its packed form — the
+/// property that lets the hash fold into the pack and unpack copies instead
+/// of taking a pass of its own.
 #[derive(Debug, Clone)]
 pub(crate) struct Checksum {
     /// Four independent accumulation chains; chunk `i` folds into lane
@@ -307,7 +310,7 @@ pub(crate) fn stream_seed(comm_id: u64, src: usize, key_tag: u64, epoch: u64) ->
 /// metrics in the ddr-trace report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityCounters {
-    /// Payload verifications performed.
+    /// Staged-payload verifications performed (a loan carries no checksum).
     pub checked: u64,
     /// Verifications that failed — corruption detected before delivery.
     pub detected: u64,
@@ -488,15 +491,16 @@ mod tests {
         use proptest::prelude::*;
 
         /// Sizes spanning the zero-copy threshold (`DDR_ZC_THRESHOLD`,
-        /// default 64 KiB): both the staged path (small) and the loan path
-        /// (large) hash payloads of these lengths. `size_class` picks the
-        /// band, `len_seed` picks the exact length within it.
+        /// default 64 KiB): messages of every one of these lengths are
+        /// staged, and hashed, whenever loans are off or a fault plan is
+        /// installed. `size_class` picks the band, `len_seed` picks the
+        /// exact length within it.
         fn pick_len(size_class: usize, len_seed: u64) -> usize {
             match size_class {
-                0 => 1 + (len_seed as usize % 511),         // staged path
+                0 => 1 + (len_seed as usize % 511),         // always staged
                 1 => 60_000 + (len_seed as usize % 10_000), // around the threshold
                 2 => 65_536,                                // exactly at threshold
-                _ => 65_537,                                // first loan-path size
+                _ => 65_537,                                // first loan-sized length
             }
         }
 
@@ -542,7 +546,7 @@ mod tests {
             }
 
             /// Split-point independence over arbitrary run boundaries — the
-            /// exact property the zero-copy run walk relies on.
+            /// exact property the pack- and unpack-fused folds rely on.
             #[test]
             fn arbitrary_run_splits_hash_identically(
                 seed in any::<u64>(),

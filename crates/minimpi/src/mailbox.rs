@@ -48,16 +48,12 @@ pub(crate) struct Envelope {
     pub src: usize,
     pub epoch: u64,
     pub payload: Payload,
-    /// Seeded 64-bit checksum of the pristine payload, computed at
-    /// pack/lend time (before fault injection) and verified at match/claim
-    /// time. `None` when checksumming is disabled (`DDR_CHECKSUM=0`).
+    /// Seeded 64-bit checksum of a staged (`Bytes`) payload, sealed at pack
+    /// time over the pristine bytes (before fault injection) and verified at
+    /// match time. `None` when checksumming is disabled (`DDR_CHECKSUM=0`),
+    /// on control traffic, and always on a `Shared` loan — a pointer
+    /// hand-off has no in-flight bytes to protect.
     pub checksum: Option<u64>,
-    /// Corrupt-fault keystream inits for a `Shared` payload: a zero-copy
-    /// loan has no in-flight bytes to scramble at lend time, so the injector
-    /// records which corrupt rules fired and the *receiver* applies the
-    /// scramble to its own copy at claim time. Empty (no allocation) in the
-    /// overwhelmingly common clean case; always empty for `Bytes`.
-    pub taints: Vec<u64>,
     /// Sender's vector-clock snapshot, piggybacked when checking is enabled
     /// (`None` otherwise) and joined into the receiver's clock at delivery.
     pub clock: Option<crate::vclock::VectorClock>,
@@ -384,7 +380,6 @@ mod tests {
             epoch: 0,
             payload: Payload::Bytes(bytes),
             checksum: None,
-            taints: Vec::new(),
             clock: None,
             type_sig: None,
             pair: None,

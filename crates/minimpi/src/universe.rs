@@ -103,13 +103,13 @@ impl UniverseBuilder {
 
     /// Enable (or force off) end-to-end envelope checksums for this
     /// universe, overriding `DDR_CHECKSUM`. Checksumming is **on by
-    /// default**: every staged payload and zero-copy loan is hashed at
-    /// pack/lend time and verified at match/claim time, so corruption
-    /// surfaces as [`crate::Error::IntegrityFailure`] (and, inside
-    /// `alltoallw`, triggers NACK/retransmit recovery) instead of delivering
-    /// scrambled bytes. Off, the only remaining cost is one branch per
-    /// deposit — the bench matrix holds it to <1 % against the
-    /// pre-integrity numbers.
+    /// default**: every staged payload is hashed at pack time and verified
+    /// at match time, so corruption surfaces as
+    /// [`crate::Error::IntegrityFailure`] (and, inside `alltoallw`, triggers
+    /// NACK/retransmit recovery) instead of delivering scrambled bytes. A
+    /// zero-copy loan has no in-flight bytes and carries no checksum. Off,
+    /// the only remaining cost is one branch per deposit; on, the cost is
+    /// the benchmark's `p2p.checksum_ratio_staged`.
     pub fn checksum(mut self, on: bool) -> Self {
         self.checksum = Some(on);
         self

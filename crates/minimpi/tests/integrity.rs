@@ -27,28 +27,28 @@ fn expected_from(src: usize, len: usize) -> Vec<u8> {
 
 /// A single corrupt message is detected, NACKed, and retransmitted from the
 /// sender's still-owned buffer — the exchange completes byte-identical to a
-/// clean run, on both wire paths (staged and zero-copy loans).
+/// clean run. Zero-copy is requested with a threshold that would loan
+/// everything; the fault plan stages it regardless.
 #[test]
 fn corrupt_alltoallw_recovers_via_retransmit() {
-    for zerocopy in [false, true] {
-        let len = 2048usize;
-        let out = Universe::builder()
-            .timeout(Duration::from_secs(20))
-            .zerocopy(zerocopy)
-            .zerocopy_threshold(0) // loans on the zc pass, staged otherwise
-            .fault_plan(FaultPlan::new(7).corrupt_message(0, 1, None, 0))
-            .run(2, move |comm| {
-                let got = exchange(comm, len)?;
-                Ok::<_, Error>((got, comm.integrity_counters()))
-            });
-        let (got1, c1) = out[1].as_ref().expect("receiver must recover");
-        assert_eq!(got1, &expected_from(0, len), "zerocopy={zerocopy}");
-        assert!(c1.detected >= 1, "corruption must be detected: {c1:?}");
-        assert_eq!(c1.exhausted, 0, "one retransmit suffices: {c1:?}");
-        let (got0, c0) = out[0].as_ref().expect("sender side is clean");
-        assert_eq!(got0, &expected_from(1, len));
-        assert!(c0.retransmits >= 1, "sender must have retransmitted: {c0:?}");
-    }
+    let len = 2048usize;
+    let out = Universe::builder()
+        .timeout(Duration::from_secs(20))
+        .zerocopy(true)
+        .zerocopy_threshold(0)
+        .fault_plan(FaultPlan::new(7).corrupt_message(0, 1, None, 0))
+        .run(2, move |comm| {
+            let got = exchange(comm, len)?;
+            Ok::<_, Error>((got, comm.integrity_counters(), comm.transport_counters()))
+        });
+    let (got1, c1, t1) = out[1].as_ref().expect("receiver must recover");
+    assert_eq!(got1, &expected_from(0, len));
+    assert!(c1.detected >= 1, "corruption must be detected: {c1:?}");
+    assert_eq!(c1.exhausted, 0, "one retransmit suffices: {c1:?}");
+    assert_eq!(t1.zerocopy_msgs, 0, "a fault plan stages every message: {t1:?}");
+    let (got0, c0, _) = out[0].as_ref().expect("sender side is clean");
+    assert_eq!(got0, &expected_from(1, len));
+    assert!(c0.retransmits >= 1, "sender must have retransmitted: {c0:?}");
 }
 
 /// Both directions corrupt at once: each rank is simultaneously recovering
@@ -177,21 +177,33 @@ fn checksum_off_delivers_corrupt_bytes_silently() {
     assert_eq!(counters.checked, 0, "no verification may run with DDR_CHECKSUM off");
 }
 
-/// Clean exchanges under checksumming verify every envelope and detect
-/// nothing — the integrity plane is pure bookkeeping on the happy path.
+/// Clean exchanges under checksumming verify every *staged* envelope and
+/// detect nothing — the integrity plane is pure bookkeeping on the happy
+/// path. A loan has no in-flight bytes and is not checked: the loan-sized leg
+/// (above the default 64 KiB threshold) verifies nothing at all.
 #[test]
 fn clean_run_checks_everything_and_detects_nothing() {
-    let out = Universe::builder().timeout(Duration::from_secs(20)).run(2, |comm| {
-        let got = exchange(comm, 1024)?;
-        Ok::<_, Error>((got, comm.integrity_counters(), comm.checksum_active()))
-    });
-    for (r, res) in out.iter().enumerate() {
-        let (got, c, active) = res.as_ref().unwrap();
-        assert!(active, "checksumming is on by default");
-        assert_eq!(got, &expected_from(1 - r, 1024));
-        assert!(c.checked >= 1, "envelopes must be verified: {c:?}");
-        assert_eq!(c.detected, 0);
-        assert_eq!(c.retransmits, 0);
-        assert_eq!(c.exhausted, 0);
+    for (len, staged) in [(1024usize, 2u64), (1 << 20, 0)] {
+        // Counters are world-global, so the snapshot waits for both ranks —
+        // on a thread barrier, because a `Comm::barrier` would add staged,
+        // checksummed messages of its own.
+        let done = std::sync::Barrier::new(2);
+        let out =
+            Universe::builder().timeout(Duration::from_secs(20)).zerocopy(true).run(2, |comm| {
+                let got = exchange(comm, len);
+                done.wait();
+                let (c, t) = (comm.integrity_counters(), comm.transport_counters());
+                Ok::<_, Error>((got?, c, t, comm.checksum_active()))
+            });
+        for (r, res) in out.iter().enumerate() {
+            let (got, c, t, active) = res.as_ref().unwrap();
+            assert!(active, "checksumming is on by default");
+            assert_eq!(got, &expected_from(1 - r, len));
+            assert_eq!((t.staged_msgs, t.zerocopy_msgs), (staged, 2 - staged), "len {len}");
+            assert_eq!(c.checked, staged, "len {len}: staged messages only: {c:?}");
+            assert_eq!(c.detected, 0);
+            assert_eq!(c.retransmits, 0);
+            assert_eq!(c.exhausted, 0);
+        }
     }
 }

@@ -298,21 +298,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// End-to-end: a corrupt alltoallw payload of any size — below, at, and
-    /// above the zero-copy loan threshold — is detected and recovered by
-    /// retransmission, restoring byte-identical output.
+    /// above the zero-copy loan threshold, all of which the fault plan
+    /// stages — is detected and recovered by retransmission, restoring
+    /// byte-identical output.
     #[test]
     fn corruption_recovers_across_zc_threshold(
         seed in any::<u64>(),
         size_class in 0usize..4,
         len_seed in any::<u64>(),
     ) {
-        // Explicit threshold 1024: `len` lands on the staged path, the
-        // boundary, and the loan path across cases.
+        // Explicit threshold 1024: without the plan, `len` would land on
+        // the staged path, the boundary, and the loan path across cases.
         let len = match size_class {
             0 => 1 + (len_seed as usize % 63),       // well below threshold
             1 => 1000 + (len_seed as usize % 48),    // straddling the boundary
             2 => 1024,                               // exactly at threshold
-            _ => 1025,                               // first loan-path size
+            _ => 1025,                               // first loan-sized length
         };
         let out = Universe::builder()
             .timeout(Duration::from_secs(20))
@@ -321,16 +322,17 @@ proptest! {
             .fault_plan(FaultPlan::new(seed).corrupt_message(0, 1, None, 0))
             .run(2, move |comm| {
                 let got = paired_exchange(comm, seed, len)?;
-                Ok::<_, Error>((got, comm.integrity_counters()))
+                Ok::<_, Error>((got, comm.integrity_counters(), comm.transport_counters()))
             });
         let expect = |r: usize| -> Vec<u8> {
             (0..len).map(|i| (seed as u8) ^ (r as u8) ^ (i as u8).wrapping_mul(13)).collect()
         };
-        let (got1, c1) = out[1].as_ref().expect("corrupt transfer must recover");
+        let (got1, c1, t1) = out[1].as_ref().expect("corrupt transfer must recover");
         prop_assert_eq!(got1, &expect(0));
         prop_assert!(c1.detected >= 1);
         prop_assert_eq!(c1.exhausted, 0);
-        let (got0, _) = out[0].as_ref().expect("clean direction must succeed");
+        prop_assert_eq!(t1.zerocopy_msgs, 0);
+        let (got0, ..) = out[0].as_ref().expect("clean direction must succeed");
         prop_assert_eq!(got0, &expect(1));
     }
 
