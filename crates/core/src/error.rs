@@ -47,10 +47,6 @@ pub enum DdrError {
         /// Processes observed at the call site.
         actual: usize,
     },
-    /// The static plan linter ([`crate::lint`]) found error-severity
-    /// problems; the mapping was rejected before any exchange ran. Carries
-    /// every finding (warnings included) for a complete report.
-    PlanRejected(Vec<crate::lint::LintDiagnostic>),
     /// Failure in the underlying message-passing runtime.
     Mpi(minimpi::Error),
     /// A redistribution lost data to dead or unresponsive peers but drained
@@ -80,17 +76,6 @@ impl fmt::Display for DdrError {
                 f,
                 "process count mismatch: descriptor says {descriptor}, call site has {actual}"
             ),
-            DdrError::PlanRejected(diags) => {
-                let errors = diags
-                    .iter()
-                    .filter(|d| d.severity == crate::lint::Severity::Error)
-                    .count();
-                write!(f, "plan rejected by linter: {errors} error(s), {} finding(s)", diags.len())?;
-                for d in diags {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
             DdrError::Mpi(e) => write!(f, "mpi error: {e}"),
             DdrError::Incomplete(report) => {
                 write!(f, "redistribution incomplete: {report}")

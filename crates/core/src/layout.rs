@@ -17,7 +17,7 @@ pub struct Layout {
 
 impl Layout {
     /// Serialize to a u64 stream for allgather.
-    pub(crate) fn encode(&self) -> Vec<u64> {
+    fn encode(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(2 + (self.owned.len() + 1) * (1 + 2 * MAX_DIMS));
         out.push(self.owned.len() as u64);
         for b in self.owned.iter().chain(std::iter::once(&self.need)) {
@@ -28,7 +28,7 @@ impl Layout {
         out
     }
 
-    pub(crate) fn decode(data: &[u64]) -> Result<Layout> {
+    fn decode(data: &[u64]) -> Result<Layout> {
         let fail = || DdrError::InvalidBlock("malformed layout encoding".into());
         let mut it = data.iter().copied();
         let mut next = || it.next().ok_or_else(fail);

@@ -58,13 +58,11 @@ mod descriptor;
 mod error;
 mod exec;
 mod layout;
-pub mod lint;
 mod mapping;
 mod multi;
 pub mod papi;
 mod plan;
 mod recover;
-mod serialize;
 mod stats;
 mod validate;
 
@@ -73,10 +71,6 @@ pub use descriptor::{DataKind, Descriptor};
 pub use error::{DdrError, Result};
 pub use exec::Element;
 pub use layout::Layout;
-pub use lint::{
-    has_errors, lint_layouts, lint_mapping, lint_plan, lint_plans, lint_staging, LintCode,
-    LintDiagnostic, Severity,
-};
 pub use mapping::compute_local_plan;
 pub use multi::{
     compute_multi_plan, recover_multi_mappings, remap_multi, MultiLayout, MultiPlan, MultiTransfer,
@@ -84,6 +78,5 @@ pub use multi::{
 };
 pub use plan::{Plan, RoundPlan, Transfer};
 pub use recover::{LossKind, PartialCompletion, RoundReport};
-pub use serialize::MappingSnapshot;
 pub use stats::{GlobalStats, RedistStats, RemapStats};
 pub use validate::{validate, Domain, ValidationPolicy};

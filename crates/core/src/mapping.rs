@@ -111,9 +111,6 @@ impl Descriptor {
         {
             let _v = ddrtrace::span("redist", "validate_layouts");
             validate(&layouts, policy)?;
-            if crate::lint::is_audit(policy) {
-                crate::lint::audit(self, &layouts)?;
-            }
         }
         let _p = ddrtrace::span("redist", "compute_plan");
         compute_local_plan(comm.rank(), &layouts, self)

@@ -7,19 +7,20 @@
 //! implements that extension: a rank may declare any number of needed
 //! blocks (e.g. its own slab *plus* ghost/halo regions owned by neighbors).
 //!
-//! `MPI_Alltoallw` carries at most one datatype per rank pair, so a mapping
-//! where one sender feeds several of a receiver's blocks in the same round
-//! does not fit the collective. Generalized plans therefore always use
-//! direct sends/receives ([`minimpi::Comm::sparse_exchange`]), with a
-//! deterministic `(peer, need-index)` message order derived identically on
-//! both sides from the allgathered layouts.
+//! `MPI_Alltoallw` carries at most one datatype per rank pair, and one sender
+//! may feed several of a receiver's blocks in the same round. A chunk ∩ need
+//! is one rectangle, though, so a generalized plan runs one `alltoallw` per
+//! (round, need index): exchange `k` of a round fills every rank's `k`-th
+//! needed block. Every rank walks the global maximum need count so the
+//! collectives match across ranks; `alltoallw` elides empty pairs, so the
+//! messages on the wire are exactly the non-empty overlaps.
 
 use crate::block::Block;
 use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
 use crate::layout::Layout;
 use crate::validate::{validate, ValidationPolicy};
-use minimpi::{bytes_of, bytes_of_mut, Comm, Pod, Subarray};
+use minimpi::{bytes_of, bytes_of_mut, Comm, Datatype, Pod, Subarray};
 
 /// A rank's declaration for generalized redistribution: owned chunks plus
 /// *any number* of needed blocks (which may overlap other ranks' needs, and
@@ -89,9 +90,9 @@ pub struct MultiTransfer {
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct MultiRound {
-    /// Ordered by `(peer, peer's need_idx)` — the wire order.
+    /// Ordered by `(peer, peer's need_idx)`.
     sends: Vec<MultiTransfer>,
-    /// Ordered by `(peer, local need_idx)` — matches the senders' order.
+    /// Ordered by `(peer, local need_idx)`.
     recvs: Vec<MultiTransfer>,
 }
 
@@ -103,6 +104,8 @@ pub struct MultiPlan {
     elem_size: usize,
     owned: Vec<Block>,
     needs: Vec<Block>,
+    /// The most needed blocks any rank declared: exchanges per round.
+    max_needs: usize,
     rounds: Vec<MultiRound>,
 }
 
@@ -176,19 +179,23 @@ impl MultiPlan {
             }
         }
 
+        let mut send_types = vec![Datatype::Empty; self.nprocs];
+        let mut recv_types = vec![Datatype::Empty; self.nprocs];
         for (r, round) in self.rounds.iter().enumerate() {
             let send_buf: &[u8] = owned.get(r).map(|b| bytes_of(b)).unwrap_or(&[]);
-            let mut sends = Vec::with_capacity(round.sends.len());
-            for t in &round.sends {
-                let mut packed = Vec::with_capacity(t.subarray.packed_len());
-                t.subarray.pack_into(send_buf, &mut packed)?;
-                sends.push((t.peer, packed));
-            }
-            let recv_srcs: Vec<usize> = round.recvs.iter().map(|t| t.peer).collect();
-            let received = comm.sparse_exchange(sends, &recv_srcs)?;
-            for (t, (src, payload)) in round.recvs.iter().zip(received) {
-                debug_assert_eq!(t.peer, src);
-                t.subarray.unpack(&payload, bytes_of_mut(needs[t.need_idx]))?;
+            for k in 0..self.max_needs {
+                send_types.fill(Datatype::Empty);
+                recv_types.fill(Datatype::Empty);
+                for t in round.sends.iter().filter(|t| t.need_idx == k) {
+                    send_types[t.peer] = Datatype::Subarray(t.subarray);
+                }
+                for t in round.recvs.iter().filter(|t| t.need_idx == k) {
+                    recv_types[t.peer] = Datatype::Subarray(t.subarray);
+                }
+                // A rank with fewer than `k + 1` needs still joins the
+                // exchange: it may send, and receives nothing.
+                let recv_buf: &mut [u8] = needs.get_mut(k).map_or(&mut [], |b| bytes_of_mut(b));
+                comm.alltoallw(send_buf, &send_types, recv_buf, &recv_types)?;
             }
         }
         Ok(())
@@ -219,6 +226,7 @@ pub fn compute_multi_plan(
     }
     let me = &layouts[rank];
     let num_rounds = layouts.iter().map(|l| l.owned.len()).max().unwrap_or(0);
+    let max_needs = layouts.iter().map(|l| l.needs.len()).max().unwrap_or(0);
     let mut rounds = Vec::with_capacity(num_rounds);
     for r in 0..num_rounds {
         let mut round = MultiRound::default();
@@ -258,6 +266,7 @@ pub fn compute_multi_plan(
         elem_size,
         owned: me.owned.clone(),
         needs: me.needs.clone(),
+        max_needs,
         rounds,
     })
 }
@@ -301,12 +310,7 @@ impl Descriptor {
             })
             .collect();
         let relaxed = match policy {
-            // Audit's plan-level lint targets single-need plans; for the
-            // multi-need path it degrades to the same ownership checks as
-            // Strict (the synthesized needs here are placeholders anyway).
-            ValidationPolicy::Strict | ValidationPolicy::Relaxed | ValidationPolicy::Audit => {
-                ValidationPolicy::Relaxed
-            }
+            ValidationPolicy::Strict | ValidationPolicy::Relaxed => ValidationPolicy::Relaxed,
             ValidationPolicy::Degraded => ValidationPolicy::Degraded,
             ValidationPolicy::Skip => ValidationPolicy::Skip,
         };

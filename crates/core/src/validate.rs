@@ -13,13 +13,6 @@ pub enum ValidationPolicy {
     /// inside the domain. This is the paper's stated contract.
     #[default]
     Strict,
-    /// Everything [`ValidationPolicy::Strict`] checks, plus a full static
-    /// lint of the mapping (see [`crate::lint::lint_mapping`]): every rank's
-    /// plan is recomputed and checked for internal consistency, cross-rank
-    /// byte symmetry, and per-round invariants. Error-severity findings
-    /// reject the mapping with [`crate::DdrError::PlanRejected`] before any
-    /// exchange runs.
-    Audit,
     /// Check exclusivity and completeness of ownership but allow needed
     /// blocks to extend outside the domain (those elements are simply never
     /// written — useful for ghost-padded consumers).
@@ -109,7 +102,7 @@ pub fn validate(layouts: &[Layout], policy: ValidationPolicy) -> Result<Domain> 
         return Err(DdrError::OwnershipIncomplete { domain_elems: bbox.count(), owned_elems });
     }
 
-    if matches!(policy, ValidationPolicy::Strict | ValidationPolicy::Audit) {
+    if matches!(policy, ValidationPolicy::Strict) {
         for (rank, l) in layouts.iter().enumerate() {
             if !bbox.contains(&l.need) {
                 return Err(DdrError::NeedOutsideDomain { rank });

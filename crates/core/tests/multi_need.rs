@@ -2,29 +2,32 @@
 //! ghost/halo layouts, scattered gathers, and reuse across steps.
 
 use ddr_core::{Block, DataKind, Descriptor, ValidationPolicy};
-use minimpi::Universe;
+use minimpi::{TransportCounters, Universe, UniverseBuilder};
 
 fn cell_value(c: [usize; 3]) -> u64 {
     (c[0] as u64) | ((c[1] as u64) << 20) | ((c[2] as u64) << 40)
 }
 
-#[test]
-fn ghost_halo_exchange_via_multi_need() {
-    // 2-D domain split into row slabs; every rank needs its own slab plus
-    // one-row halos above and below — three needed blocks, the classic
-    // ghost-zone pattern the single-need API cannot express.
-    let (nx, ny, n) = (16usize, 20, 4usize);
+/// Row slabs of an `nx × ny` domain on `n` ranks; every rank needs its own
+/// slab plus `halo`-row halos above and below — three needed blocks, the
+/// classic ghost-zone pattern the single-need API cannot express. Returns the
+/// universe's transport counters once every rank has checked its blocks.
+fn ghost_halo_exchange(
+    builder: UniverseBuilder,
+    (nx, ny, n): (usize, usize, usize),
+    halo: usize,
+) -> TransportCounters {
     let domain = Block::d2([0, 0], [nx, ny]).unwrap();
-    Universe::run(n, |comm| {
+    let out = builder.run(n, |comm| {
         let r = comm.rank();
         let slab = ddr_core::decompose::slab(&domain, 1, n, r).unwrap();
         let owned = vec![slab];
         let mut needs = vec![slab];
         if slab.offset[1] > 0 {
-            needs.push(Block::d2([0, slab.offset[1] - 1], [nx, 1]).unwrap());
+            needs.push(Block::d2([0, slab.offset[1] - halo], [nx, halo]).unwrap());
         }
         if slab.offset[1] + slab.dims[1] < ny {
-            needs.push(Block::d2([0, slab.offset[1] + slab.dims[1]], [nx, 1]).unwrap());
+            needs.push(Block::d2([0, slab.offset[1] + slab.dims[1]], [nx, halo]).unwrap());
         }
         let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
         let plan =
@@ -42,7 +45,25 @@ fn ghost_halo_exchange_via_multi_need() {
                 assert_eq!(*got, cell_value(coord), "rank {r} block {blk:?}");
             }
         }
+        comm.barrier().unwrap();
+        comm.transport_counters()
     });
+    out[0]
+}
+
+#[test]
+fn ghost_halo_exchange_via_multi_need() {
+    ghost_halo_exchange(Universe::builder(), (16, 20, 4), 1);
+}
+
+#[test]
+fn loan_sized_halos_ride_the_zero_copy_path() {
+    // 16 rows × 1024 u64 = 128 KiB per halo, above the 64 KiB loan threshold:
+    // a multi-need plan's bytes move through `alltoallw`, so they are lent,
+    // not packed. Zero-copy is requested explicitly so `DDR_NO_ZEROCOPY`
+    // cannot change the case.
+    let transport = ghost_halo_exchange(Universe::builder().zerocopy(true), (1024, 64, 2), 16);
+    assert!(transport.zerocopy_msgs > 0, "{transport:?}");
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests: random disjoint-and-complete partitions are
 //! redistributed correctly to random (possibly overlapping) needs.
 
-use ddr_core::{Block, DataKind, Descriptor, Layout, ValidationPolicy};
+use ddr_core::{
+    compute_local_plan, Block, DataKind, Descriptor, Layout, Plan, Transfer, ValidationPolicy,
+};
 use minimpi::Universe;
 use proptest::prelude::*;
 
@@ -68,6 +70,59 @@ fn cell_value(c: [usize; 3]) -> u64 {
     (c[0] as u64) | ((c[1] as u64) << 20) | ((c[2] as u64) << 40)
 }
 
+/// The structural properties of a schedule, asserted on every rank's plan
+/// for a valid layout set: each plan is well-formed on its own, and every
+/// pair of plans agrees on exactly what crosses between them.
+fn assert_plan_invariants(layouts: &[Layout], desc: &Descriptor) {
+    let nprocs = layouts.len();
+    let plans: Vec<Plan> =
+        (0..nprocs).map(|r| compute_local_plan(r, layouts, desc).unwrap()).collect();
+    let max_chunks = layouts.iter().map(|l| l.owned.len()).max().unwrap();
+    for plan in &plans {
+        assert_eq!(plan.num_rounds(), max_chunks, "rank {}", plan.rank());
+    }
+    // The regions `list` exchanges with `peer`: exactly one when the pair does.
+    let regions_with = |list: &[Transfer], peer: usize| -> Vec<Block> {
+        list.iter().filter(|t| t.peer == peer).map(|t| t.region).collect()
+    };
+    for (rank, plan) in plans.iter().enumerate() {
+        let mut received: Vec<Block> = Vec::new();
+        for (r, round) in plan.rounds().iter().enumerate() {
+            let at = format!("rank {rank} round {r}");
+            let chunk = plan.owned().get(r);
+            assert!(chunk.is_some() || round.sends.is_empty(), "{at}: sends without a chunk");
+            for (transfers, holder) in [(&round.sends, chunk), (&round.recvs, Some(plan.need()))] {
+                for (i, t) in transfers.iter().enumerate() {
+                    assert!(t.peer < nprocs, "{at}: peer {} of {nprocs}", t.peer);
+                    assert!(t.bytes() > 0, "{at}: empty transfer with {}", t.peer);
+                    assert_eq!(t.subarray.elem_size, desc.elem_size(), "{at}");
+                    assert_eq!(t.subarray.count() as u64, t.region.count(), "{at}");
+                    assert!(holder.unwrap().contains(&t.region), "{at}: {:?} escapes", t.region);
+                    // One datatype per pair per round.
+                    assert!(transfers[..i].iter().all(|u| u.peer != t.peer), "{at}: peer twice");
+                }
+            }
+            // The region a sender ships is the region its receiver expects.
+            for t in &round.sends {
+                let theirs = regions_with(&plans[t.peer].rounds()[r].recvs, rank);
+                assert_eq!(theirs, [t.region], "{at}");
+            }
+            for t in &round.recvs {
+                let theirs = regions_with(&plans[t.peer].rounds()[r].sends, rank);
+                assert_eq!(theirs, [t.region], "{at}");
+            }
+            received.extend(round.recvs.iter().map(|t| t.region));
+        }
+        // Every needed element arrives exactly once.
+        for (i, a) in received.iter().enumerate() {
+            for b in &received[i + 1..] {
+                assert!(a.intersect(b).is_none(), "rank {rank}: {a:?} and {b:?} both arrive");
+            }
+        }
+        assert_eq!(received.iter().map(Block::count).sum::<u64>(), plan.need().count());
+    }
+}
+
 fn run_case(kind: DataKind, domain: Block, nprocs: usize, seeds: Vec<u64>) {
     // Distribute the partition's blocks to ranks round-robin; some ranks may
     // receive several chunks, some exactly one.
@@ -83,10 +138,12 @@ fn run_case(kind: DataKind, domain: Block, nprocs: usize, seeds: Vec<u64>) {
         .map(|(r, o)| Layout { owned: o, need: random_subblock(&domain, seeds[r % seeds.len()]) })
         .collect();
 
+    let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
+    assert_plan_invariants(&layouts, &desc);
+
     let layouts_ref = &layouts;
     Universe::run(nprocs, move |comm| {
         let me = &layouts_ref[comm.rank()];
-        let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
         let plan = desc
             .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
             .unwrap();

@@ -19,20 +19,37 @@ fn zero_extent_blocks_never_construct() {
 }
 
 #[test]
-fn zero_extent_smuggled_past_constructors_is_caught_by_lint() {
-    // Deserialization and FFI can bypass `Block::new`; the linter checks
-    // extents defensively so such layouts are still diagnosed.
-    let mut owned = Block::d2([0, 0], [8, 8]).unwrap();
-    owned.dims[1] = 0;
-    let layouts =
-        vec![ddr_core::Layout { owned: vec![owned], need: Block::d2([0, 0], [8, 8]).unwrap() }];
-    let diags = ddr_core::lint_layouts(&layouts);
-    assert!(ddr_core::has_errors(&diags), "zero extent must be reported: {diags:?}");
+fn zero_extent_smuggled_past_constructors_is_refused_by_setup_under_every_policy() {
+    // `Block`'s fields are public, so a caller can zero an extent after
+    // construction. The allgathered layouts are decoded through
+    // `Block::new`, so every rank refuses it — even under `Skip`.
+    for policy in [
+        ValidationPolicy::Strict,
+        ValidationPolicy::Relaxed,
+        ValidationPolicy::Degraded,
+        ValidationPolicy::Skip,
+    ] {
+        let results = Universe::run(2, move |comm| {
+            let desc = Descriptor::for_type::<f32>(2, DataKind::D2).unwrap();
+            let mut owned = Block::d2([0, comm.rank() * 4], [8, 4]).unwrap();
+            if comm.rank() == 1 {
+                owned.dims[1] = 0;
+            }
+            let need = Block::d2([0, 0], [8, 4]).unwrap();
+            desc.setup_data_mapping_with(comm, &[owned], need, policy).err()
+        });
+        for (r, e) in results.iter().enumerate() {
+            assert!(
+                matches!(e, Some(DdrError::InvalidBlock(_))),
+                "rank {r} under {policy:?}: expected InvalidBlock, got {e:?}"
+            );
+        }
+    }
 }
 
 #[test]
 fn overlapping_owned_fails_on_every_rank_under_every_checking_policy() {
-    for policy in [ValidationPolicy::Strict, ValidationPolicy::Audit, ValidationPolicy::Degraded] {
+    for policy in [ValidationPolicy::Strict, ValidationPolicy::Degraded] {
         let results = Universe::run(3, move |comm| {
             let desc = Descriptor::for_type::<f32>(3, DataKind::D1).unwrap();
             // Rank r owns 8..14 when r == 1, else the clean slab [8r, 8r+8) —
@@ -76,25 +93,4 @@ fn producer_consumer_elem_size_disagreement_surfaces_as_an_error() {
         results.iter().any(|e| e.is_some()),
         "mismatched element sizes must not pass silently: {results:?}"
     );
-}
-
-#[test]
-fn elem_size_disagreement_is_diagnosed_statically_by_the_linter() {
-    // The same disagreement caught before any exchange: each rank's plan is
-    // self-consistent, so only the cross-plan lint can see it.
-    let layouts: Vec<ddr_core::Layout> = (0..2)
-        .map(|r| ddr_core::Layout {
-            owned: vec![Block::d1(r * 4, 4).unwrap()],
-            need: Block::d1((1 - r) * 4, 4).unwrap(),
-        })
-        .collect();
-    let plans: Vec<_> = (0..2)
-        .map(|r| {
-            let desc = Descriptor::new(2, DataKind::D1, if r == 1 { 8 } else { 4 }).unwrap();
-            ddr_core::compute_local_plan(r, &layouts, &desc).unwrap()
-        })
-        .collect();
-    let diags = ddr_core::lint_plans(&plans);
-    assert!(ddr_core::has_errors(&diags));
-    assert!(diags.iter().any(|d| d.code == ddr_core::LintCode::ElemSizeMismatch));
 }

@@ -96,8 +96,6 @@ pub enum CollectiveKind {
     Alltoall,
     /// [`crate::Comm::alltoallw`] and its salvage variant
     Alltoallw,
-    /// [`crate::Comm::sparse_exchange`]
-    SparseExchange,
     /// [`crate::Comm::scan`]
     Scan,
 }
@@ -111,7 +109,6 @@ impl fmt::Display for CollectiveKind {
             CollectiveKind::Scatter => "scatter",
             CollectiveKind::Alltoall => "alltoall",
             CollectiveKind::Alltoallw => "alltoallw",
-            CollectiveKind::SparseExchange => "sparse_exchange",
             CollectiveKind::Scan => "scan",
         };
         f.write_str(name)

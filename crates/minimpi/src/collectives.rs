@@ -702,55 +702,6 @@ impl Comm {
         }
     }
 
-    /// Sparse personalized exchange: send each `(dest, payload)` pair and
-    /// receive exactly one message from each rank in `recv_srcs`. Runs in the
-    /// private collective namespace, so it composes with user-tag traffic.
-    ///
-    /// This is the "direct send/receive instead of `MPI_Alltoallw`" pattern
-    /// the DDR paper proposes as future work for mappings that only touch a
-    /// few neighbors. Every rank of the communicator must call it in the same
-    /// collective order (ranks with nothing to send or receive pass empty
-    /// arguments). Returns `(src, payload)` pairs ordered by `recv_srcs`.
-    #[track_caller]
-    pub fn sparse_exchange(
-        &self,
-        sends: Vec<(usize, Vec<u8>)>,
-        recv_srcs: &[usize],
-    ) -> Result<Vec<(usize, Vec<u8>)>> {
-        let seq = self.next_coll_seq();
-        self.record_collective(
-            seq,
-            CollFingerprint::here(CollectiveKind::SparseExchange, None, 0),
-        )?;
-        let me = self.rank();
-        // Self messages stay local; several per call are allowed (a plan may
-        // move multiple rectangles from a rank to itself) and are consumed
-        // in send order.
-        let mut self_payloads = std::collections::VecDeque::new();
-        for (dest, payload) in sends {
-            self.check_rank(dest)?;
-            if dest == me {
-                self_payloads.push_back(payload);
-            } else {
-                self.deposit_to(dest, coll_key_tag(seq, 0), payload)?;
-            }
-        }
-        let mut out = Vec::with_capacity(recv_srcs.len());
-        for &src in recv_srcs {
-            self.check_rank(src)?;
-            if src == me {
-                let payload =
-                    self_payloads.pop_front().ok_or_else(|| Error::CollectiveMismatch {
-                        detail: "sparse_exchange: self receive without matching self send".into(),
-                    })?;
-                out.push((src, payload));
-            } else {
-                out.push((src, self.take_from(src, coll_key_tag(seq, 0))?));
-            }
-        }
-        Ok(out)
-    }
-
     // ------------------------------------------------------------------
     // Scan
     // ------------------------------------------------------------------

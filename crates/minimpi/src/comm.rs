@@ -90,7 +90,7 @@ pub(crate) struct WorldState {
     /// `DDR_RETRANSMIT_MAX`, default 3).
     pub retransmit_max: u32,
     /// Base of the receiver's exponential NACK backoff (builder override,
-    /// else `DDR_RETRANSMIT_BACKOFF_MS`, default 1 ms).
+    /// default 1 ms).
     pub retransmit_backoff: Duration,
     /// Integrity-plane counters (verifications, detections, retransmits,
     /// exhaustions).
@@ -136,7 +136,7 @@ impl WorldState {
             retransmit_max: retransmit_max
                 .unwrap_or_else(crate::integrity::retransmit_max_env_default),
             retransmit_backoff: retransmit_backoff
-                .unwrap_or_else(crate::integrity::retransmit_backoff_env_default),
+                .unwrap_or(crate::integrity::RETRANSMIT_BACKOFF_DEFAULT),
             integrity: IntegrityCells::default(),
         }
     }

@@ -200,12 +200,6 @@ pub(crate) fn respawn_env_default() -> bool {
     crate::env::flag("DDR_RESPAWN").unwrap_or(true)
 }
 
-/// `DDR_RECONFIG_TIMEOUT_MS`: how long reconfigure waits for the survivor
-/// rendezvous and the epoch publication, else the handle's watchdog timeout.
-fn reconfig_timeout(fallback: Duration) -> Duration {
-    crate::env::u64_var("DDR_RECONFIG_TIMEOUT_MS").map(Duration::from_millis).unwrap_or(fallback)
-}
-
 impl Comm {
     /// Snapshot of the universe's recovery counters.
     pub fn recovery_counters(&self) -> RecoveryCounters {
@@ -248,7 +242,7 @@ impl Comm {
         if entry_epoch != self.epoch {
             return Err(Error::StaleEpoch { comm_epoch: self.epoch, world_epoch: entry_epoch });
         }
-        let timeout = reconfig_timeout(self.timeout());
+        let timeout = self.timeout();
         self.sched_point("reconfig");
         let generation = self.reconfig_seq.get();
         self.reconfig_seq.set(generation + 1);

@@ -353,12 +353,10 @@ pub(crate) fn retransmit_max_env_default() -> u32 {
     crate::env::u64_var("DDR_RETRANSMIT_MAX").map_or(RETRANSMIT_MAX_DEFAULT, |v| v as u32)
 }
 
-/// `DDR_RETRANSMIT_BACKOFF_MS`: base of the exponential backoff the receiver
-/// sleeps before NACK attempt `k` (`base × 2^(k-1)`). Default 1 ms — faults
-/// here are injected, not physical, so recovery should be prompt.
-pub(crate) fn retransmit_backoff_env_default() -> Duration {
-    Duration::from_millis(crate::env::u64_var("DDR_RETRANSMIT_BACKOFF_MS").unwrap_or(1))
-}
+/// Base of the exponential backoff the receiver sleeps before NACK attempt
+/// `k` (`base × 2^(k-1)`). 1 ms — faults here are injected, not physical, so
+/// recovery should be prompt.
+pub(crate) const RETRANSMIT_BACKOFF_DEFAULT: Duration = Duration::from_millis(1);
 
 #[cfg(test)]
 mod tests {

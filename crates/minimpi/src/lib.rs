@@ -57,7 +57,7 @@
 //! revoked) is fenced rather than matched, and the checker state is reset
 //! across the bump so a reconfigure never produces a false
 //! [`Error::Deadlock`] or [`Error::Timeout`]. See [`RecoveryCounters`] and
-//! the `DDR_RESPAWN` / `DDR_RECONFIG_TIMEOUT_MS` knobs.
+//! the `DDR_RESPAWN` knob.
 //!
 //! ## Correctness checking
 //!

@@ -125,8 +125,7 @@ impl UniverseBuilder {
     }
 
     /// Base of the receiver's exponential backoff before NACK attempt `k`
-    /// (`base × 2^(k-1)`), overriding `DDR_RETRANSMIT_BACKOFF_MS`
-    /// (default 1 ms).
+    /// (`base × 2^(k-1)`; default 1 ms).
     pub fn retransmit_backoff(mut self, base: Duration) -> Self {
         self.retransmit_backoff = Some(base);
         self

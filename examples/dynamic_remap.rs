@@ -11,15 +11,13 @@
 //! slab): `alltoallw` elides every empty transfer, so the one path sends
 //! only the messages the mapping has.
 //!
-//! Both mappings are linted with `ddrcheck` before any rank starts and the
-//! universes run with correctness checking on; any error exits non-zero
+//! The universes run with correctness checking on; any error exits non-zero
 //! with the diagnostic.
 //!
 //! Run with: `cargo run --release --example dynamic_remap`
 
-use ddr::check::{enforce, lint_mapping, render_report};
 use ddr::core::decompose::{brick, slab};
-use ddr::core::{Block, DataKind, DdrError, Descriptor, Layout};
+use ddr::core::{Block, DataKind, DdrError, Descriptor};
 use ddr::minimpi::Universe;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -42,15 +40,6 @@ fn need_block(domain: &Block, sparse: bool, r: usize) -> Block {
     } else {
         brick(domain, [3, 2, 1], r).unwrap()
     }
-}
-
-fn layouts(domain: &Block, sparse: bool) -> Vec<Layout> {
-    (0..NPROCS)
-        .map(|r| Layout {
-            owned: vec![slab(domain, 2, NPROCS, r).unwrap()],
-            need: need_block(domain, sparse, r),
-        })
-        .collect()
 }
 
 fn run(sparse: bool) -> Result<(f64, usize, usize), String> {
@@ -91,20 +80,6 @@ fn main() -> ExitCode {
         "dynamic remap: {STEPS} steps of a {}x{}x{} field on {NPROCS} ranks\n",
         DOMAIN[0], DOMAIN[1], DOMAIN[2]
     );
-
-    // Lint both mappings before running anything.
-    let domain = Block::d3([0, 0, 0], DOMAIN).unwrap();
-    let desc = Descriptor::for_type::<f32>(NPROCS, DataKind::D3).expect("descriptor");
-    for (label, sparse) in [("dense", false), ("sparse", true)] {
-        let diags = lint_mapping(&desc, &layouts(&domain, sparse));
-        println!("{}", render_report(&format!("ddrcheck {label} mapping"), &diags));
-        if let Err(diags) = enforce(&diags) {
-            eprintln!("dynamic_remap: {label} mapping rejected ({} findings)", diags.len());
-            return ExitCode::FAILURE;
-        }
-    }
-    println!();
-
     println!("{:<24} {:>10} {:>8} {:>14}", "mapping", "time", "rounds", "max neighbors");
     for (label, sparse) in [("slabs -> bricks", false), ("slabs -> shifted slabs", true)] {
         match run(sparse) {

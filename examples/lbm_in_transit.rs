@@ -16,9 +16,8 @@
 //! demonstrates degraded-mode streaming — it skips ahead after the per-frame
 //! deadline, keeps rendering, and reports the skip in its stream stats.
 
-use ddr::check::{has_errors, lint_mapping, render_report};
-use ddr::core::{Block, DataKind, Descriptor, Layout};
-use ddr::lbm::{barrier_line, split_rows, Config, DistributedLbm};
+use ddr::core::Block;
+use ddr::lbm::{barrier_line, Config, DistributedLbm};
 use ddr::minimpi::{FaultPlan, Universe};
 use intransit::{
     analysis_block, consumer_sources, producer_targets, send_frame, split_resources, FrameReceiver,
@@ -35,36 +34,9 @@ const NY: usize = 256;
 const STEPS: usize = 1000;
 const OUTPUT_EVERY: usize = 100;
 
-/// The analysis-side redistribution this example will perform, as static
-/// layouts: analysis rank `c` owns the y-slabs its simulation sources
-/// stream and needs one near-square tile.
-fn analysis_layouts() -> Vec<Layout> {
-    (0..N)
-        .map(|c| {
-            let owned = consumer_sources(M, N, c)
-                .into_iter()
-                .map(|s| {
-                    let (y0, rows) = split_rows(NY, M, s);
-                    Block::d2([0, y0], [NX, rows]).unwrap()
-                })
-                .collect();
-            Layout { owned, need: analysis_block(NX, NY, N, c).unwrap() }
-        })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let out_dir = std::path::PathBuf::from("target/lbm_in_transit");
     std::fs::create_dir_all(&out_dir).expect("create output dir");
-
-    // Lint the analysis repartitioning before launching 14 rank threads.
-    let desc = Descriptor::for_type::<f32>(N, DataKind::D2).expect("descriptor");
-    let diags = lint_mapping(&desc, &analysis_layouts());
-    println!("{}\n", render_report("ddrcheck analysis mapping", &diags));
-    if has_errors(&diags) {
-        eprintln!("lbm_in_transit: analysis mapping rejected by the plan linter");
-        return ExitCode::FAILURE;
-    }
 
     println!("M-to-N mapping (Figure 4): {M} simulation ranks -> {N} analysis ranks");
     for c in 0..N {

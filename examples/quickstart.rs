@@ -7,26 +7,15 @@
 //! performs the redistribution with the three DDR calls, and shows the data
 //! movement of Figure 1.
 //!
-//! The mapping is linted with `ddrcheck` before any rank starts, and the
-//! universe runs with correctness checking on; if either reports an error
-//! the example prints the diagnostic and exits non-zero.
+//! The universe runs with correctness checking on; if a rank reports an
+//! error the example prints it and exits non-zero.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use ddr::check::{has_errors, lint_mapping, render_report};
 use ddr::core::papi::{ddr_new_data_descriptor, ddr_reorganize_data, ddr_setup_data_mapping};
-use ddr::core::{Block, DataKind, DdrError, Descriptor, Layout};
+use ddr::core::{DataKind, DdrError};
 use ddr::minimpi::Universe;
 use std::process::ExitCode;
-
-fn e1_layouts() -> Vec<Layout> {
-    (0..4usize)
-        .map(|r| Layout {
-            owned: vec![Block::d2([0, r], [8, 1]).unwrap(), Block::d2([0, r + 4], [8, 1]).unwrap()],
-            need: Block::d2([4 * (r % 2), 4 * (r / 2)], [4, 4]).unwrap(),
-        })
-        .collect()
-}
 
 type RankResult = (usize, [usize; 2], usize, u64, Vec<f32>);
 
@@ -72,17 +61,6 @@ fn rank_body(comm: &ddr::minimpi::Comm) -> Result<RankResult, DdrError> {
 
 fn main() -> ExitCode {
     println!("E1: 4 ranks, 8x8 domain, rows {{r, r+4}} -> 4x4 quadrants\n");
-
-    // Static analysis first: lint the mapping before any rank exists. An
-    // error-severity finding means the plan must not run.
-    let desc = Descriptor::for_type::<f32>(4, DataKind::D2).expect("descriptor");
-    let diags = lint_mapping(&desc, &e1_layouts());
-    println!("{}\n", render_report("ddrcheck e1 mapping", &diags));
-    if has_errors(&diags) {
-        eprintln!("quickstart: mapping rejected by the plan linter");
-        return ExitCode::FAILURE;
-    }
-
     println!("Table I parameter values (P1 rank, P3 #chunks, P4/P5 owned dims/offsets,");
     println!("P6/P7 needed dims/offset):\n");
 

@@ -7,18 +7,15 @@
 //! volume by brick-decomposed direct volume rendering and composites the
 //! final image.
 //!
-//! Both DDR load mappings are linted with `ddrcheck` up front, the
-//! universes run with correctness checking on, and any error exits
+//! The universes run with correctness checking on, and any error exits
 //! non-zero with its diagnostic.
 //!
 //! Run with: `cargo run --release --example tiff_stack_dvr`
 //! Outputs: `target/tiff_stack_dvr/tooth.ppm` and `tooth.jpg`
 
-use ddr::check::{has_errors, lint_mapping, render_report};
-use ddr::core::{DataKind, Descriptor};
 use ddr::minimpi::Universe;
 use ddr_bench::loader::{load_stack, write_phantom_stack};
-use ddr_bench::tiffcase::{layouts, Method};
+use ddr_bench::tiffcase::Method;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -30,19 +27,7 @@ fn main() -> ExitCode {
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let stack_dir = out_dir.join("stack");
 
-    // Lint both DDR image-assignment mappings before touching the disk.
-    let desc = Descriptor::new(NPROCS, DataKind::D3, 2).expect("descriptor");
-    for method in [Method::RoundRobin, Method::Consecutive] {
-        let ls = layouts(VOL, NPROCS, method).expect("DDR method has layouts");
-        let diags = lint_mapping(&desc, &ls);
-        println!("{}", render_report(&format!("ddrcheck {}", method.label()), &diags));
-        if has_errors(&diags) {
-            eprintln!("tiff_stack_dvr: {} mapping rejected by the plan linter", method.label());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    println!("\nwriting synthetic {}x{}x{} 16-bit TIFF stack…", VOL[0], VOL[1], VOL[2]);
+    println!("writing synthetic {}x{}x{} 16-bit TIFF stack…", VOL[0], VOL[1], VOL[2]);
     write_phantom_stack(&stack_dir, VOL).expect("write stack");
 
     // Load three ways and time them (the Table II comparison in miniature).

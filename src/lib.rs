@@ -8,7 +8,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | `Descriptor` / `setup_data_mapping` / `reorganize` — the DDR library |
-//! | [`check`] | static plan linter front end + example-layout catalog (`lint_examples`) |
+//! | [`check`] | deterministic schedule exploration over minimpi scheduler seeds (`explore`) |
 //! | [`minimpi`] | in-process MPI-like runtime (ranks, collectives, `alltoallw` + subarrays) |
 //! | [`netsim`] | calibrated Cooley cluster cost model for paper-scale projection |
 //! | [`dtiff`] | baseline TIFF codec (use case 1's image stacks) |
