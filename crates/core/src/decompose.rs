@@ -124,58 +124,6 @@ pub fn consecutive_items(n_items: usize, nprocs: usize, rank: usize) -> (usize, 
     split_axis(n_items, nprocs, rank)
 }
 
-/// Merge adjacent blocks into fewer, larger blocks wherever possible.
-///
-/// Two blocks merge when they agree on every axis except one, where they
-/// are contiguous. Fewer owned chunks means fewer `alltoallw` rounds — this
-/// generalizes the paper's observation that "consecutive images can be
-/// grouped together into a single chunk", trading per-round overhead for
-/// per-round volume (Table III).
-///
-/// The result covers exactly the same cells. Cost: `O(n log n)` per sweep,
-/// a few sweeps until fixed point.
-pub fn coalesce(blocks: &[Block]) -> Vec<Block> {
-    let mut blocks: Vec<Block> = blocks.to_vec();
-    loop {
-        let before = blocks.len();
-        for axis in 0..3 {
-            // Group by the geometry on the other two axes, then merge runs
-            // contiguous along `axis`.
-            let key = |b: &Block| {
-                let mut k = [0usize; 4];
-                let mut i = 0;
-                for d in 0..3 {
-                    if d != axis {
-                        k[i] = b.offset[d];
-                        k[i + 1] = b.dims[d];
-                        i += 2;
-                    }
-                }
-                (k, b.offset[axis])
-            };
-            blocks.sort_by_key(key);
-            let mut merged: Vec<Block> = Vec::with_capacity(blocks.len());
-            for b in blocks.drain(..) {
-                if let Some(last) = merged.last_mut() {
-                    let same_cross = (0..3).all(|d| {
-                        d == axis || (last.offset[d] == b.offset[d] && last.dims[d] == b.dims[d])
-                    });
-                    if same_cross && last.offset[axis] + last.dims[axis] == b.offset[axis] {
-                        last.dims[axis] += b.dims[axis];
-                        last.ndims = last.ndims.max(b.ndims);
-                        continue;
-                    }
-                }
-                merged.push(b);
-            }
-            blocks = merged;
-        }
-        if blocks.len() == before {
-            return blocks;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,58 +204,6 @@ mod tests {
             blocks,
             vec![Block::d1(5, 5).unwrap(), Block::d1(25, 5).unwrap(), Block::d1(45, 5).unwrap()]
         );
-    }
-
-    #[test]
-    fn coalesce_merges_consecutive_slices() {
-        // The round-robin -> consecutive transformation: 4 adjacent z-planes
-        // collapse into one chunk.
-        let planes: Vec<Block> = (0..4).map(|z| Block::d3([0, 0, z], [8, 4, 1]).unwrap()).collect();
-        let merged = coalesce(&planes);
-        assert_eq!(merged, vec![Block::d3([0, 0, 0], [8, 4, 4]).unwrap()]);
-    }
-
-    #[test]
-    fn coalesce_keeps_non_adjacent_chunks() {
-        // Round-robin stride-2 planes cannot merge.
-        let planes: Vec<Block> =
-            (0..4).map(|z| Block::d3([0, 0, 2 * z], [8, 4, 1]).unwrap()).collect();
-        assert_eq!(coalesce(&planes).len(), 4);
-    }
-
-    #[test]
-    fn coalesce_handles_2d_tilings() {
-        // A 2x2 tiling of 4 quadrants merges into one block (needs two
-        // passes: first along x, then along y).
-        let quads = vec![
-            Block::d2([0, 0], [4, 4]).unwrap(),
-            Block::d2([4, 0], [4, 4]).unwrap(),
-            Block::d2([0, 4], [4, 4]).unwrap(),
-            Block::d2([4, 4], [4, 4]).unwrap(),
-        ];
-        assert_eq!(coalesce(&quads), vec![Block::d2([0, 0], [8, 8]).unwrap()]);
-    }
-
-    #[test]
-    fn coalesce_is_conservative_on_ragged_shapes() {
-        // An L-shape cannot merge into one rectangle; coverage must be
-        // preserved exactly.
-        let l_shape = vec![Block::d2([0, 0], [8, 2]).unwrap(), Block::d2([0, 2], [2, 6]).unwrap()];
-        let merged = coalesce(&l_shape);
-        let total: u64 = merged.iter().map(|b| b.count()).sum();
-        assert_eq!(total, 16 + 12);
-        for (i, a) in merged.iter().enumerate() {
-            for b in &merged[i + 1..] {
-                assert!(a.intersect(b).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn coalesce_empty_and_single() {
-        assert!(coalesce(&[]).is_empty());
-        let b = Block::d1(3, 5).unwrap();
-        assert_eq!(coalesce(&[b]), vec![b]);
     }
 
     #[test]

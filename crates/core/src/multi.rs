@@ -358,7 +358,7 @@ pub fn remap_multi(comm: &Comm, specs: &[RemapSpec<'_>]) -> Result<Vec<MultiPlan
 /// and could interleave with further failures, leaving descriptors mapped
 /// over *different* member sets.
 ///
-/// Under `DDR_RESPAWN` (the default) the returned communicator has the
+/// With respawn on (the default) the returned communicator has the
 /// original size and the replacement ranks re-enter through the universe
 /// closure, where they should call [`remap_multi`] with the same specs; with
 /// respawn disabled this degrades to a shrinking recovery like the

@@ -87,10 +87,11 @@ fn report(doc: &Value) -> Result<String, String> {
         "\n{:<28} {:>8} {:>10} {:>10} {:>10} {:>7}\n",
         "phase", "count", "total", "mean", "max", "tracks"
     ));
+    let metric = |name: &str| doc.get("metrics")?.get(name)?.as_f64();
     for (phase, r) in &rows {
         let mean = r.total_ns.checked_div(r.count).unwrap_or(0);
         out.push_str(&format!(
-            "{:<28} {:>8} {:>10} {:>10} {:>10} {:>7}\n",
+            "{:<28} {:>8} {:>10} {:>10} {:>10} {:>7}",
             phase,
             r.count,
             fmt_ns(r.total_ns),
@@ -98,6 +99,18 @@ fn report(doc: &Value) -> Result<String, String> {
             fmt_ns(r.max_ns),
             r.tracks.len()
         ));
+        // Beside the time spent waiting, how the waits resolved (mailbox and
+        // loan cell alike): a parked wait paid a wake-up, a spin hit did not.
+        if phase == "minimpi/mailbox_wait" {
+            if let Some(parks) = metric("wait.parks") {
+                let immediate = metric("wait.immediate").unwrap_or(0.0);
+                let spin_hits = metric("wait.spin_hits").unwrap_or(0.0);
+                out.push_str(&format!(
+                    "   waits: {immediate} immediate, {spin_hits} spin hits, {parks} parks"
+                ));
+            }
+        }
+        out.push('\n');
     }
     if !instants.is_empty() {
         out.push_str(&format!("\n{:<28} {:>8}\n", "events", "count"));

@@ -910,7 +910,7 @@ impl Exchange<'_> {
             comm.sched_point("zc_wait");
             // A dead receiver can never claim the loan — revoke right away
             // rather than burning the watchdog.
-            match cell.wait(deadline, || !comm.is_alive(dest)) {
+            match cell.wait(&comm.my_mailbox().waiter, deadline, || !comm.is_alive(dest)) {
                 ZcWait::Revoked => {
                     ddrtrace::instant_arg("minimpi", "zc_revoke", "dest", dest as i64);
                     revoked += 1;
@@ -1116,7 +1116,11 @@ mod tests {
                     assert!(race.to_string().contains("zero-copy loan"), "got {race}");
                     // Fixed version: wait for the copy, settle, then write —
                     // now the write is ordered after the claim and is clean.
-                    let w = cell.wait(Instant::now() + Duration::from_secs(10), || false);
+                    let w = cell.wait(
+                        &comm.my_mailbox().waiter,
+                        Instant::now() + Duration::from_secs(10),
+                        || false,
+                    );
                     assert_eq!(w, ZcWait::Done);
                     comm.note_loan_settled(&cell);
                     comm.check_write(buf).unwrap();

@@ -78,7 +78,7 @@ pub(crate) struct WorldState {
     /// shrink generations on the same communicator.
     pub reconfig: ShrinkBarrier,
     /// Whether reconfigure respawns replacements for dead ranks (builder
-    /// override, else `DDR_RESPAWN`, default true).
+    /// override, default true).
     pub respawn: bool,
     /// Whether staged envelopes carry a pack-time checksum verified at match
     /// time (builder override, else `DDR_CHECKSUM`, default **on**). Off, the
@@ -113,8 +113,11 @@ impl WorldState {
         sched_seed: Option<u64>,
         (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
+        // Decided once, from what the universe can observe: spin only when
+        // every rank can have a core to itself.
+        let spin = crate::wait::spin_budget(n);
         WorldState {
-            mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes)).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes, spin)).collect(),
             liveness: Liveness::new(n),
             shrink: ShrinkBarrier::default(),
             // An empty plan injects nothing, so it is no plan.
@@ -131,7 +134,7 @@ impl WorldState {
             transport: TransportCells::default(),
             elastic: ElasticState::new(n),
             reconfig: ShrinkBarrier::default(),
-            respawn: respawn.unwrap_or_else(crate::elastic::respawn_env_default),
+            respawn: respawn.unwrap_or(true),
             checksum: checksum.unwrap_or_else(crate::integrity::checksum_env_default),
             retransmit_max: retransmit_max
                 .unwrap_or_else(crate::integrity::retransmit_max_env_default),

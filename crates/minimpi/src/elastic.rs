@@ -194,12 +194,6 @@ pub struct RecoveryCounters {
     pub fenced_msgs: u64,
 }
 
-/// `DDR_RESPAWN`: whether reconfigure respawns replacements for dead ranks
-/// (default true; set `0`/`false` to shrink instead).
-pub(crate) fn respawn_env_default() -> bool {
-    crate::env::flag("DDR_RESPAWN").unwrap_or(true)
-}
-
 impl Comm {
     /// Snapshot of the universe's recovery counters.
     pub fn recovery_counters(&self) -> RecoveryCounters {
@@ -214,13 +208,13 @@ impl Comm {
     /// open a new membership epoch, and return this rank's handle onto the
     /// reconfigured communicator.
     ///
-    /// With respawn enabled (the default; [`crate::UniverseBuilder::respawn`]
-    /// or `DDR_RESPAWN`), every dead member is revived and a replacement
-    /// thread re-running the universe closure is spawned into the new epoch,
-    /// so the returned communicator has the **same size** as this one. With
-    /// respawn disabled the returned communicator contains only the
-    /// survivors, like [`Comm::shrink`] — but still in a new epoch, with
-    /// stale traffic fenced.
+    /// With respawn enabled (the default; see
+    /// [`crate::UniverseBuilder::respawn`]), every dead member is revived
+    /// and a replacement thread re-running the universe closure is spawned
+    /// into the new epoch, so the returned communicator has the **same
+    /// size** as this one. With respawn disabled the returned communicator
+    /// contains only the survivors, like [`Comm::shrink`] — but still in a
+    /// new epoch, with stale traffic fenced.
     ///
     /// The epoch fence means all communicator handles from before the call —
     /// including this one, the world communicator, and any splits — are

@@ -57,7 +57,7 @@
 //! revoked) is fenced rather than matched, and the checker state is reset
 //! across the bump so a reconfigure never produces a false
 //! [`Error::Deadlock`] or [`Error::Timeout`]. See [`RecoveryCounters`] and
-//! the `DDR_RESPAWN` knob.
+//! [`UniverseBuilder::respawn`].
 //!
 //! ## Correctness checking
 //!
@@ -101,6 +101,11 @@
 //! [`TransportCounters::credit_waits`] / `stalled_ms` count how often that
 //! happened. The depth lives in the mailbox, so the epoch sweep performed by
 //! [`Comm::reconfigure`] resets every pair exactly.
+//!
+//! Every blocking wait on the data path — a receive, a sender parked on a
+//! full pair, a lender waiting for its loan to be copied — checks, spins for
+//! about one wake-up's worth (20 µs), then parks on its condvar. A universe
+//! with more ranks than cores never spins; there is no setting.
 //!
 //! ## Deterministic schedule exploration
 //!
@@ -146,6 +151,7 @@ mod pod;
 mod sched;
 mod universe;
 mod vclock;
+mod wait;
 mod zerocopy;
 
 pub use check::{

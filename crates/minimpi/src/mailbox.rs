@@ -1,9 +1,10 @@
 //! Per-rank message stores with blocking, tag-matched retrieval and a
 //! per-pair depth bound.
 
+use crate::wait::{spin_until, Resolved, Waiter};
 use crate::zerocopy::{TransportCells, ZcHandle};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -93,8 +94,12 @@ struct Queues {
     /// is what makes the sweep an exact reset across
     /// [`crate::Comm::reconfigure`].
     pairs: Vec<Pair>,
-    /// Senders currently parked on `room`.
+    /// Senders currently waiting for room (spinning or asleep on `room`).
     parked: usize,
+    /// Threads currently asleep in [`Mailbox::wait_until`], on either
+    /// condvar. A deposit that finds none skips its notify: std's futex
+    /// condvar makes the wake syscall whether or not anyone waits.
+    sleepers: usize,
 }
 
 /// Give a popped or swept envelope's slot back to its pair.
@@ -113,6 +118,8 @@ fn give_back(pairs: &mut [Pair], env: &Envelope) {
 /// the same (source, tag, communicator). A sender whose pair is full parks
 /// on `room` until the receiver pops, under the same deadline / abort rule
 /// receives use.
+///
+/// `Mailbox::default()` is unbounded and never spins.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     queues: Mutex<Queues>,
@@ -120,6 +127,15 @@ pub(crate) struct Mailbox {
     /// Sibling of `cv` on the same mutex: parked senders wait here, pops and
     /// sweeps signal it.
     room: Condvar,
+    /// Event sequence number, bumped under `queues`' lock by everything that
+    /// notifies a condvar. A spinning waiter holds no lock and watches this
+    /// instead, re-taking the lock only when something happened. `Relaxed`
+    /// on both sides: the number publishes nothing — whoever sees it move
+    /// takes the lock before reading anything the event changed.
+    events: AtomicU64,
+    /// The owning rank's wait policy and tally; its lender waits
+    /// ([`crate::zerocopy::ZcCell::wait`]) go through it too.
+    pub waiter: Waiter,
     /// Per-pair depth in messages and staged bytes; `0` = unbounded.
     max_msgs: usize,
     max_bytes: usize,
@@ -127,10 +143,17 @@ pub(crate) struct Mailbox {
 
 impl Mailbox {
     /// The mailbox of one rank in a universe of `n`, holding at most
-    /// `max_msgs` messages and `max_bytes` staged bytes per sender.
-    pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize) -> Self {
+    /// `max_msgs` messages and `max_bytes` staged bytes per sender; waits on
+    /// it spin for `spin` before they park.
+    pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize, spin: Duration) -> Self {
         let queues = Queues { pairs: vec![Pair::default(); n], ..Default::default() };
-        Mailbox { queues: Mutex::new(queues), max_msgs, max_bytes, ..Default::default() }
+        let waiter = Waiter::new(spin);
+        Mailbox { queues: Mutex::new(queues), max_msgs, max_bytes, waiter, ..Default::default() }
+    }
+
+    /// Tell spinning waiters something happened. Call with the lock held.
+    fn bump(&self) {
+        self.events.fetch_add(1, Ordering::Relaxed);
     }
 
     fn lock(&self) -> MutexGuard<'_, Queues> {
@@ -179,9 +202,13 @@ impl Mailbox {
             q.pairs[src].bytes += bytes;
         }
         q.by_key.entry(key).or_default().push_back(env);
+        self.bump();
+        let asleep = q.sleepers > 0;
         drop(q);
-        // Receivers may be waiting on any key; notify them all.
-        self.cv.notify_all();
+        if asleep {
+            // Receivers may be waiting on any key; notify them all.
+            self.cv.notify_all();
+        }
         Ok(())
     }
 
@@ -190,7 +217,9 @@ impl Mailbox {
     pub fn interrupt(&self) {
         // Take the lock so the wakeup cannot slot between a waiter's
         // condition check and its wait.
-        drop(self.lock());
+        let q = self.lock();
+        self.bump();
+        drop(q);
         self.cv.notify_all();
         self.room.notify_all();
     }
@@ -223,31 +252,53 @@ impl Mailbox {
     /// re-checks in that order, so a queued message always wins over the
     /// abort condition ("messages sent before death are deliverable") and a
     /// deposit or pop that races the deadline still counts.
+    ///
+    /// Check, spin, then park: for the first `waiter.spin` of the wait (never
+    /// past the deadline) the lock is released and the waiter watches
+    /// `events`; every event sends it back through the checks above. Nothing
+    /// is lost in between — `events` is read under the lock the checks ran
+    /// under, and the park that follows re-checks under the lock again.
     fn wait_until<'a, T, E>(
-        &self,
+        &'a self,
         cv: &Condvar,
         mut q: MutexGuard<'a, Queues>,
         timeout: Duration,
         abort: impl Fn() -> Option<E>,
         ready: impl Fn(&mut Queues) -> Option<T>,
     ) -> (MutexGuard<'a, Queues>, Result<T, Option<E>>) {
-        let deadline = Instant::now() + timeout;
-        loop {
+        let start = Instant::now();
+        let deadline = start + timeout;
+        let spin_end = (start + self.waiter.spin).min(deadline);
+        let mut how = Resolved::Immediate;
+        let outcome = loop {
             if let Some(t) = ready(&mut q) {
-                return (q, Ok(t));
+                break Ok(t);
             }
             if let Some(e) = abort() {
-                return (q, Err(Some(e)));
+                break Err(Some(e));
             }
             let now = Instant::now();
             if now >= deadline {
-                return (q, Err(None));
+                break Err(None);
             }
+            if now < spin_end {
+                how = Resolved::SpinHit;
+                let seen = self.events.load(Ordering::Relaxed);
+                drop(q);
+                spin_until(spin_end, || self.events.load(Ordering::Relaxed) != seen);
+                q = self.lock();
+                continue;
+            }
+            how = Resolved::Park;
+            q.sleepers += 1;
             q = match cv.wait_timeout(q, deadline - now) {
                 Ok((guard, _)) => guard,
                 Err(e) => e.into_inner().0,
             };
-        }
+            q.sleepers -= 1;
+        };
+        self.waiter.note(how);
+        (q, outcome)
     }
 
     fn take_by(
@@ -273,6 +324,7 @@ impl Mailbox {
         }
         give_back(&mut q.pairs, &env);
         if q.parked > 0 {
+            self.bump();
             self.room.notify_all();
         }
         Some(env)
@@ -307,6 +359,7 @@ impl Mailbox {
             });
             !dq.is_empty()
         });
+        self.bump();
         drop(q);
         if fenced > 0 {
             self.cv.notify_all();
@@ -410,6 +463,29 @@ mod tests {
         }
     }
 
+    /// Spin until a waiter is asleep on one of `mb`'s condvars.
+    fn until_asleep(mb: &Mailbox) {
+        while mb.lock().sleepers == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spin until `flag` is raised. A waiter raises it from its abort check,
+    /// which runs under the lock right before the wait spins or parks — so
+    /// whoever takes the lock after seeing it finds the waiter doing one of
+    /// the two.
+    fn until_raised(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// How `mb`'s waits resolved so far: (immediate, spin hits, parks).
+    fn resolved(mb: &Mailbox) -> (u64, u64, u64) {
+        let w = &mb.waiter;
+        (w.count(Resolved::Immediate), w.count(Resolved::SpinHit), w.count(Resolved::Park))
+    }
+
     /// (messages, staged bytes) world rank `src` has queued in `mb`.
     fn depth(mb: &Mailbox, src: usize) -> (usize, usize) {
         let p = mb.lock().pairs[src];
@@ -426,14 +502,81 @@ mod tests {
         assert_eq!(mb.pending(), 0);
     }
 
+    /// `Mailbox::default()` never spins: a blocked take goes straight to its
+    /// condvar, as before there was a spin.
     #[test]
     fn take_blocks_until_deposit() {
         let mb = Arc::new(Mailbox::default());
         let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || mb2.take(KEY, LONG));
-        std::thread::sleep(Duration::from_millis(30));
+        until_asleep(&mb);
         put(&mb, KEY, bytes_env(0, vec![42]), LONG).unwrap();
         assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![42]);
+        assert_eq!(resolved(&mb), (0, 0, 1));
+    }
+
+    #[test]
+    fn deposit_inside_the_budget_is_delivered_without_a_park() {
+        let mb = Mailbox::bounded(2, 0, 0, LONG);
+        let spinning = AtomicBool::new(false);
+        let watch = || {
+            spinning.store(true, Ordering::Release);
+            false
+        };
+        let got = std::thread::scope(|s| {
+            let h = s.spawn(|| mb.take_watched(KEY, LONG, watch));
+            until_raised(&spinning);
+            put(&mb, KEY, bytes_env(0, vec![7]), LONG).unwrap();
+            h.join().unwrap()
+        });
+        let TakeOutcome::Delivered(env) = got else { panic!("expected delivery") };
+        assert_eq!(into_bytes(env), vec![7]);
+        assert_eq!(resolved(&mb), (0, 1, 0));
+    }
+
+    #[test]
+    fn deposit_after_the_budget_is_delivered_with_one_park() {
+        let mb = Mailbox::bounded(2, 0, 0, Duration::from_micros(1));
+        std::thread::scope(|s| {
+            let h = s.spawn(|| mb.take(KEY, LONG));
+            until_asleep(&mb);
+            put(&mb, KEY, bytes_env(0, vec![8]), LONG).unwrap();
+            assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![8]);
+        });
+        assert_eq!(resolved(&mb), (0, 0, 1));
+    }
+
+    #[test]
+    fn interrupt_ends_a_spinning_wait_with_aborted() {
+        let mb = Mailbox::bounded(2, 0, 0, LONG);
+        let (spinning, dead) = (AtomicBool::new(false), AtomicBool::new(false));
+        let peer_died = || {
+            spinning.store(true, Ordering::Release);
+            dead.load(Ordering::Acquire)
+        };
+        let got = std::thread::scope(|s| {
+            let h = s.spawn(|| mb.take_watched(KEY, LONG, peer_died));
+            until_raised(&spinning);
+            dead.store(true, Ordering::Release);
+            mb.interrupt();
+            h.join().unwrap()
+        });
+        assert!(matches!(got, TakeOutcome::Aborted));
+        assert_eq!(resolved(&mb), (0, 1, 0), "the wait ended in its spin, not after a park");
+    }
+
+    /// The deadline bounds the spin: with a 10 s budget, a zero timeout fails
+    /// on the first check and a short one at its deadline.
+    #[test]
+    fn spin_never_outlasts_the_deadline() {
+        let mb = Mailbox::bounded(2, 0, 0, LONG);
+        let start = Instant::now();
+        assert!(matches!(mb.take_watched(KEY, Duration::ZERO, || false), TakeOutcome::TimedOut));
+        assert_eq!(resolved(&mb), (1, 0, 0));
+        let short = Duration::from_millis(5);
+        assert!(matches!(mb.take_watched(KEY, short, || false), TakeOutcome::TimedOut));
+        assert_eq!(resolved(&mb), (1, 1, 0));
+        assert!(start.elapsed() < LONG / 2);
     }
 
     #[test]
@@ -464,7 +607,7 @@ mod tests {
 
     #[test]
     fn full_pair_parks_and_resumes_on_pop() {
-        let mb = Arc::new(Mailbox::bounded(2, 1, 0));
+        let mb = Arc::new(Mailbox::bounded(2, 1, 0, Duration::ZERO));
         put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
         let stalls = Arc::new(TransportCells::default());
         let (mb2, stalls2) = (Arc::clone(&mb), Arc::clone(&stalls));
@@ -480,8 +623,50 @@ mod tests {
     }
 
     #[test]
+    fn pop_during_the_spin_releases_the_parked_sender() {
+        let mb = Mailbox::bounded(2, 1, 0, LONG);
+        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        let spinning = AtomicBool::new(false);
+        let stalls = TransportCells::default();
+        let watch = || {
+            spinning.store(true, Ordering::Release);
+            None::<()>
+        };
+        std::thread::scope(|s| {
+            let h = s.spawn(|| mb.deposit(KEY, bounded_env(0, vec![2]), LONG, watch, &stalls));
+            until_raised(&spinning);
+            assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
+            h.join().unwrap().unwrap();
+        });
+        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![2]);
+        assert_eq!(resolved(&mb), (0, 1, 0));
+    }
+
+    /// The ranks-vs-cores selection, park-only side: a universe with more
+    /// ranks than cores gets mailboxes with no budget, and real traffic
+    /// through them resolves no wait from a spin.
+    #[test]
+    fn more_ranks_than_cores_never_spin() {
+        use crate::wait::{spin_budget, SPIN_BUDGET};
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!((spin_budget(cores), spin_budget(cores + 1)), (SPIN_BUDGET, Duration::ZERO));
+        let n = cores + 1;
+        let spin_hits = crate::Universe::builder().run(n, |comm| {
+            assert!(comm.my_mailbox().waiter.spin.is_zero());
+            let (next, prev) = ((comm.rank() + 1) % n, (comm.rank() + n - 1) % n);
+            for round in 0..8u8 {
+                comm.send_bytes(next, 1, &[round]).unwrap();
+                assert_eq!(comm.recv_bytes(prev, 1).unwrap(), vec![round]);
+            }
+            comm.barrier().unwrap();
+            comm.my_mailbox().waiter.count(Resolved::SpinHit)
+        });
+        assert_eq!(spin_hits, vec![0; n]);
+    }
+
+    #[test]
     fn oversize_message_enters_an_empty_pair_and_the_next_waits() {
-        let mb = Mailbox::bounded(2, 4, 64);
+        let mb = Mailbox::bounded(2, 4, 64, Duration::ZERO);
         // 100 > 64, but the pair is empty: stop-and-wait admission.
         put(&mb, KEY, bounded_env(0, vec![0; 100]), LONG).unwrap();
         // Pair non-empty now: even a small follow-up must wait.
@@ -493,7 +678,7 @@ mod tests {
 
     #[test]
     fn sweep_frees_the_pair_and_wakes_the_parked_sender() {
-        let mb = Arc::new(Mailbox::bounded(2, 2, 0));
+        let mb = Arc::new(Mailbox::bounded(2, 2, 0, Duration::ZERO));
         put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
         put(&mb, KEY, bounded_env(0, vec![2]), LONG).unwrap();
         let mb2 = Arc::clone(&mb);
@@ -508,7 +693,7 @@ mod tests {
 
     #[test]
     fn abort_unparks_with_its_error_and_leaves_no_count() {
-        let mb = Arc::new(Mailbox::bounded(2, 1, 0));
+        let mb = Arc::new(Mailbox::bounded(2, 1, 0, Duration::ZERO));
         put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
         let dead = Arc::new(AtomicBool::new(false));
         let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
@@ -525,7 +710,7 @@ mod tests {
 
     #[test]
     fn pairs_are_independent_and_control_is_unbounded() {
-        let mb = Mailbox::bounded(3, 1, 0);
+        let mb = Mailbox::bounded(3, 1, 0, Duration::ZERO);
         let now = Duration::ZERO;
         put(&mb, KEY, bounded_env(0, vec![1]), now).unwrap();
         // A different sender has its own depth at this receiver ...
@@ -554,7 +739,7 @@ mod tests {
                 assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
                 comm.check_write(&second).unwrap();
                 gate.wait();
-                let done = cell.wait(Instant::now() + LONG, || false);
+                let done = cell.wait(&comm.my_mailbox().waiter, Instant::now() + LONG, || false);
                 assert_eq!(done, crate::zerocopy::ZcWait::Done);
                 comm.note_loan_settled(&cell);
                 comm.set_timeout(LONG);

@@ -3,6 +3,7 @@
 use crate::comm::{default_timeout, Comm, WorldState};
 use crate::elastic::SupervisorEvent;
 use crate::fault::FaultPlan;
+use crate::wait::Resolved;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,8 +95,7 @@ impl UniverseBuilder {
     /// default), every dead member is replaced by a fresh thread re-running
     /// the universe closure in the new epoch, so the communicator keeps its
     /// size; with respawn off, reconfigure shrinks to the survivors (still
-    /// fencing the old epoch). When unset, `DDR_RESPAWN` decides
-    /// (default on).
+    /// fencing the old epoch).
     pub fn respawn(mut self, on: bool) -> Self {
         self.respawn = Some(on);
         self
@@ -388,6 +388,17 @@ fn record_world_metrics(world: &WorldState) {
     ddrtrace::metrics::set("pack", "scalar_bytes", k.scalar_bytes);
     ddrtrace::metrics::add("flow", "credit_waits", t.credit_waits);
     ddrtrace::metrics::add("flow", "stalled_ms", t.stalled_ms);
+    // How every blocking wait of the data path (mailbox and loan cell alike)
+    // resolved: the evidence the spin-before-park budget is judged by.
+    for mb in &world.mailboxes {
+        for (name, how) in [
+            ("immediate", Resolved::Immediate),
+            ("spin_hits", Resolved::SpinHit),
+            ("parks", Resolved::Park),
+        ] {
+            ddrtrace::metrics::add("wait", name, mb.waiter.count(how));
+        }
+    }
     let i = world.integrity.snapshot();
     ddrtrace::metrics::add("integrity", "checked", i.checked);
     ddrtrace::metrics::add("integrity", "detected", i.detected);

@@ -23,6 +23,7 @@
 //! (`datatype::copy_selection`): one thread per rank moves that rank's bytes.
 
 use crate::datatype::Datatype;
+use crate::wait::{spin_until, Resolved, Waiter};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -75,13 +76,19 @@ impl ZcCell {
     /// `deadline` passes or `abort()` reports the receiver can no longer
     /// claim it. Never returns while the receiver might still dereference
     /// the lent pointer — that is the zero-copy soundness invariant.
-    pub fn wait(&self, deadline: Instant, abort: impl Fn() -> bool) -> ZcWait {
-        loop {
+    ///
+    /// Check, spin, then park, under the lender's `waiter`: the spin watches
+    /// `state` alone and takes no lock, so a copy that finishes inside the
+    /// budget (never past `deadline`) costs the lender no sleep.
+    pub fn wait(&self, waiter: &Waiter, deadline: Instant, abort: impl Fn() -> bool) -> ZcWait {
+        let spin_end = (Instant::now() + waiter.spin).min(deadline);
+        let mut how = Resolved::Immediate;
+        let outcome = loop {
             match self.state.load(Ordering::Acquire) {
-                DONE => return ZcWait::Done,
+                DONE => break ZcWait::Done,
                 // A third party revoked the loan (the queued envelope was
                 // discarded — epoch fence, aborted exchange, teardown).
-                REVOKED => return ZcWait::Revoked,
+                REVOKED => break ZcWait::Revoked,
                 // Expired or aborted: revoke. Losing the CAS race means the
                 // receiver just claimed it — its memcpy is in flight and
                 // bounded, so fall through, loop, and wait for Done.
@@ -92,21 +99,30 @@ impl ZcCell {
                             .compare_exchange(PENDING, REVOKED, Ordering::AcqRel, Ordering::Acquire)
                             .is_ok() =>
                 {
-                    return ZcWait::Revoked;
+                    break ZcWait::Revoked;
                 }
                 _ => {}
             }
+            if Instant::now() < spin_end {
+                how = Resolved::SpinHit;
+                spin_until(spin_end, || self.is_terminal());
+                continue;
+            }
+            how = Resolved::Park;
             let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            if self.state.load(Ordering::Acquire) != DONE {
-                // Re-check under the lock so a finish() cannot slot between
-                // the state load and the wait. Bounded wait keeps the abort
-                // condition live even if no notification ever comes.
+            if !self.is_terminal() {
+                // Re-check under the lock so a finish() or a third party's
+                // revoke cannot slot between the state load and the wait.
+                // Bounded wait keeps the abort condition live even if no
+                // notification ever comes.
                 let _ = self
                     .cv
                     .wait_timeout(guard, Duration::from_millis(25))
                     .unwrap_or_else(|e| e.into_inner());
             }
-        }
+        };
+        waiter.note(how);
+        outcome
     }
 
     /// Third party (neither endpoint actively copying): revoke the loan if it
@@ -393,56 +409,140 @@ pub(crate) fn zc_threshold_env_default() -> usize {
 mod tests {
     use super::*;
 
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// Both sides of the wait policy: park at once, and a spin long enough
+    /// that whatever the test does next lands inside it. Every cell outcome
+    /// below must be the same under either.
+    fn policies() -> [Waiter; 2] {
+        [Waiter::default(), Waiter::new(LONG)]
+    }
+
     #[test]
     fn cell_done_path() {
-        let cell = Arc::new(ZcCell::default());
-        let c2 = Arc::clone(&cell);
-        let h = std::thread::spawn(move || {
-            assert!(c2.try_claim());
-            c2.finish();
+        for waiter in policies() {
+            let cell = Arc::new(ZcCell::default());
+            let c2 = Arc::clone(&cell);
+            let h = std::thread::spawn(move || {
+                assert!(c2.try_claim());
+                c2.finish();
+            });
+            assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || false), ZcWait::Done);
+            h.join().unwrap();
+        }
+    }
+
+    /// A copy that finishes inside the budget releases the lender from its
+    /// spin: it never touches the cell's mutex (held here throughout — a
+    /// lender that locked would hang) and never parks.
+    #[test]
+    fn done_inside_the_spin_returns_without_locking() {
+        let (cell, waiter) = (ZcCell::default(), Waiter::new(LONG));
+        let spinning = std::sync::atomic::AtomicBool::new(false);
+        let held = cell.lock.lock().unwrap();
+        // The abort check runs right before the spin starts.
+        let watch = || {
+            spinning.store(true, Ordering::Release);
+            false
+        };
+        let out = std::thread::scope(|s| {
+            let h = s.spawn(|| cell.wait(&waiter, Instant::now() + LONG, watch));
+            while !spinning.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            assert!(cell.try_claim());
+            cell.state.store(DONE, Ordering::Release);
+            h.join().unwrap()
         });
-        let out = cell.wait(Instant::now() + Duration::from_secs(5), || false);
+        drop(held);
         assert_eq!(out, ZcWait::Done);
-        h.join().unwrap();
+        assert_eq!((waiter.count(Resolved::SpinHit), waiter.count(Resolved::Park)), (1, 0));
     }
 
     #[test]
     fn cell_revoke_on_timeout_blocks_claim() {
-        let cell = ZcCell::default();
-        let out = cell.wait(Instant::now(), || false);
-        assert_eq!(out, ZcWait::Revoked);
-        assert!(!cell.try_claim());
+        for waiter in policies() {
+            let cell = ZcCell::default();
+            assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Revoked);
+            assert!(!cell.try_claim());
+            assert_eq!(waiter.count(Resolved::Immediate), 1, "an expired wait spins for nothing");
+        }
+    }
+
+    /// The deadline race: a loan claimed before the deadline passed is being
+    /// copied, so an expired lender still waits for `Done` — it may not
+    /// return while the receiver can dereference the pointer.
+    #[test]
+    fn expired_wait_on_a_claimed_loan_waits_for_done() {
+        for waiter in policies() {
+            let cell = ZcCell::default();
+            assert!(cell.try_claim());
+            std::thread::scope(|s| {
+                let h = s.spawn(|| cell.wait(&waiter, Instant::now(), || true));
+                std::thread::yield_now();
+                cell.finish();
+                assert_eq!(h.join().unwrap(), ZcWait::Done);
+            });
+        }
+    }
+
+    /// The revoke-vs-claim race has exactly two outcomes, spinning or not:
+    /// the claim wins and the lender waits out the copy, or the revoke wins
+    /// and the receiver never touches the loan.
+    #[test]
+    fn revoke_racing_claim_has_one_winner() {
+        for waiter in policies() {
+            for _ in 0..if cfg!(miri) { 4 } else { 200 } {
+                let cell = ZcCell::default();
+                std::thread::scope(|s| {
+                    let h = s.spawn(|| {
+                        let claimed = cell.try_claim();
+                        if claimed {
+                            cell.finish();
+                        }
+                        claimed
+                    });
+                    let out = cell.wait(&waiter, Instant::now() + LONG, || true);
+                    let claimed = h.join().unwrap();
+                    assert_eq!(out, if claimed { ZcWait::Done } else { ZcWait::Revoked });
+                });
+            }
+        }
     }
 
     #[test]
     fn dropping_unclaimed_handle_revokes_loan() {
-        let cell = Arc::new(ZcCell::default());
-        let buf = vec![0u8; 16];
-        let dt = Datatype::Contiguous { len_bytes: 16, offset: 0 };
-        drop(ZcHandle::new(&buf, dt, Arc::clone(&cell)));
-        // The loan is dead: the receiver can no longer claim it, and a
-        // sender blocked in wait() observes the revocation immediately.
-        assert!(!cell.try_claim());
-        let out = cell.wait(Instant::now() + Duration::from_secs(5), || false);
-        assert_eq!(out, ZcWait::Revoked);
+        for waiter in policies() {
+            let cell = Arc::new(ZcCell::default());
+            let buf = vec![0u8; 16];
+            let dt = Datatype::Contiguous { len_bytes: 16, offset: 0 };
+            drop(ZcHandle::new(&buf, dt, Arc::clone(&cell)));
+            // The loan is dead: the receiver can no longer claim it, and a
+            // sender blocked in wait() observes the revocation immediately.
+            assert!(!cell.try_claim());
+            assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || false), ZcWait::Revoked);
+        }
     }
 
     #[test]
     fn dropping_claimed_handle_does_not_disturb_copy() {
-        let cell = Arc::new(ZcCell::default());
-        assert!(cell.try_claim());
-        let buf = vec![0u8; 4];
-        let dt = Datatype::Contiguous { len_bytes: 4, offset: 0 };
-        drop(ZcHandle::new(&buf, dt, Arc::clone(&cell)));
-        cell.finish();
-        assert_eq!(cell.wait(Instant::now(), || false), ZcWait::Done);
+        for waiter in policies() {
+            let cell = Arc::new(ZcCell::default());
+            assert!(cell.try_claim());
+            let buf = vec![0u8; 4];
+            let dt = Datatype::Contiguous { len_bytes: 4, offset: 0 };
+            drop(ZcHandle::new(&buf, dt, Arc::clone(&cell)));
+            cell.finish();
+            assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Done);
+        }
     }
 
     #[test]
     fn cell_abort_revokes() {
-        let cell = ZcCell::default();
-        let out = cell.wait(Instant::now() + Duration::from_secs(60), || true);
-        assert_eq!(out, ZcWait::Revoked);
+        for waiter in policies() {
+            let cell = ZcCell::default();
+            assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || true), ZcWait::Revoked);
+        }
     }
 
     #[test]
