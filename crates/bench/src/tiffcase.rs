@@ -206,7 +206,9 @@ mod tests {
         // so check the small scale strictly and the rest structurally.
         for method in [Method::RoundRobin, Method::Consecutive] {
             let ls = layouts(PAPER_VOLUME, 27, method).unwrap();
-            validate(&ls, ValidationPolicy::Strict).unwrap();
+            let owned: Vec<_> = ls.iter().map(|l| l.owned.as_slice()).collect();
+            let needs: Vec<_> = ls.iter().map(|l| std::slice::from_ref(&l.need)).collect();
+            validate(&owned, &needs, ValidationPolicy::Strict).unwrap();
         }
         for &p in &PAPER_SCALES {
             for method in [Method::RoundRobin, Method::Consecutive] {

@@ -63,13 +63,13 @@ impl Plan {
                 ),
             });
         }
-        if need.len() as u64 != self.need.count() {
+        let need_count = self.need.map_or(0, |b| b.count());
+        if need.len() as u64 != need_count {
             return Err(DdrError::BufferMismatch {
                 detail: format!(
-                    "need buffer has {} elements but block {:?} holds {}",
+                    "need buffer has {} elements but block {:?} holds {need_count}",
                     need.len(),
                     self.need,
-                    self.need.count()
                 ),
             });
         }
@@ -78,7 +78,12 @@ impl Plan {
 
     /// [`Plan::check_call`], plus every owned chunk's length: a mismatch
     /// found here never leaves peers waiting inside a round.
-    fn check_buffers<T: Pod>(&self, comm: &Comm, owned: &[&[T]], need: &[T]) -> Result<()> {
+    pub(crate) fn check_buffers<T: Pod>(
+        &self,
+        comm: &Comm,
+        owned: &[&[T]],
+        need: &[T],
+    ) -> Result<()> {
         self.check_call(comm, need)?;
         if owned.len() != self.owned.len() {
             return Err(DdrError::BufferMismatch {
@@ -241,7 +246,7 @@ impl Plan {
 }
 
 /// A lossy exchange as the error [`Plan::reorganize`] promises.
-fn complete(report: PartialCompletion) -> Result<()> {
+pub(crate) fn complete(report: PartialCompletion) -> Result<()> {
     if report.is_complete() {
         Ok(())
     } else {

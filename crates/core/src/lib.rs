@@ -20,6 +20,13 @@
 //! needed blocks may overlap between ranks and may leave parts of the domain
 //! unconsumed — both checked by [`ValidationPolicy`].
 //!
+//! Beyond the paper's single needed block,
+//! [`Descriptor::setup_multi_mapping`] takes any number of them per rank (the
+//! paper's "more data patterns" future work): a [`MultiPlan`] is a list of
+//! ordinary [`Plan`]s, one per need index, made, checked and run by the same
+//! code — one `alltoallw` per (need, round), with [`Plan::reorganize`]'s
+//! failure semantics.
+//!
 //! The plan is independent of the data, so when the application's data is
 //! dynamic (a running simulation) the mapping is set up once and
 //! [`Plan::reorganize`] is called every time step.
@@ -72,10 +79,7 @@ pub use error::{DdrError, Result};
 pub use exec::Element;
 pub use layout::Layout;
 pub use mapping::compute_local_plan;
-pub use multi::{
-    compute_multi_plan, recover_multi_mappings, remap_multi, MultiLayout, MultiPlan, MultiTransfer,
-    RemapSpec,
-};
+pub use multi::{recover_multi_mappings, remap_multi, MultiPlan, RemapSpec};
 pub use plan::{Plan, RoundPlan, Transfer};
 pub use recover::{LossKind, PartialCompletion, RoundReport};
 pub use stats::{GlobalStats, RedistStats, RemapStats};

@@ -10,7 +10,7 @@
 use crate::block::Block;
 use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
-use crate::layout::{exchange_layouts, Layout};
+use crate::layout::{exchange_layouts, Declared, Layout};
 use crate::plan::{Plan, RoundPlan, Transfer};
 use crate::validate::{validate, ValidationPolicy};
 use minimpi::Comm;
@@ -22,7 +22,21 @@ use minimpi::Comm;
 /// "the number of `MPI_Alltoallw` calls is equivalent to the maximum number
 /// of chunks that any one process owns".
 pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) -> Result<Plan> {
-    let nprocs = layouts.len();
+    let owned: Vec<&[Block]> = layouts.iter().map(|l| l.owned.as_slice()).collect();
+    let need: Vec<Option<Block>> = layouts.iter().map(|l| Some(l.need)).collect();
+    plan_core(rank, &owned, &need, desc)
+}
+
+/// The one geometry loop. `owned[r]` are rank `r`'s chunks and `need[r]` the
+/// block it receives into; a rank with `None` only sends (a multi-need
+/// mapping's rank that declared fewer blocks than its peers).
+fn plan_core(
+    rank: usize,
+    owned: &[&[Block]],
+    need: &[Option<Block>],
+    desc: &Descriptor,
+) -> Result<Plan> {
+    let nprocs = owned.len();
     if nprocs != desc.nprocs() {
         return Err(DdrError::ProcessCountMismatch { descriptor: desc.nprocs(), actual: nprocs });
     }
@@ -31,8 +45,8 @@ pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) ->
     }
     let elem_size = desc.elem_size();
     let ndims = desc.kind().ndims();
-    for (r, l) in layouts.iter().enumerate() {
-        for b in l.owned.iter().chain(std::iter::once(&l.need)) {
+    for (r, (chunks, need)) in owned.iter().zip(need).enumerate() {
+        for b in chunks.iter().chain(need) {
             if b.ndims != ndims {
                 return Err(DdrError::InvalidBlock(format!(
                     "rank {r}: block has {} dims but descriptor declares {}",
@@ -42,15 +56,15 @@ pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) ->
         }
     }
 
-    let me = &layouts[rank];
-    let num_rounds = layouts.iter().map(|l| l.owned.len()).max().unwrap_or(0);
+    let (my_owned, my_need) = (owned[rank], need[rank]);
+    let num_rounds = owned.iter().map(|chunks| chunks.len()).max().unwrap_or(0);
     let mut rounds = Vec::with_capacity(num_rounds);
     for r in 0..num_rounds {
         let mut round = RoundPlan::default();
         // Sends: my r-th chunk intersected with every rank's need.
-        if let Some(chunk) = me.owned.get(r) {
-            for (d, peer) in layouts.iter().enumerate() {
-                if let Some(region) = chunk.intersect(&peer.need) {
+        if let Some(chunk) = my_owned.get(r) {
+            for (d, peer_need) in need.iter().enumerate() {
+                if let Some(region) = peer_need.and_then(|n| chunk.intersect(&n)) {
                     round.sends.push(Transfer {
                         peer: d,
                         region,
@@ -60,13 +74,13 @@ pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) ->
             }
         }
         // Receives: every rank's r-th chunk intersected with my need.
-        for (s, peer) in layouts.iter().enumerate() {
-            if let Some(chunk) = peer.owned.get(r) {
-                if let Some(region) = chunk.intersect(&me.need) {
+        if let Some(my_need) = my_need {
+            for (s, chunks) in owned.iter().enumerate() {
+                if let Some(region) = chunks.get(r).and_then(|c| c.intersect(&my_need)) {
                     round.recvs.push(Transfer {
                         peer: s,
                         region,
-                        subarray: me.need.subarray_for(&region, elem_size)?,
+                        subarray: my_need.subarray_for(&region, elem_size)?,
                     });
                 }
             }
@@ -74,7 +88,17 @@ pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) ->
         rounds.push(round);
     }
 
-    Ok(Plan { rank, nprocs, elem_size, ndims, owned: me.owned.clone(), need: me.need, rounds })
+    Ok(Plan { rank, nprocs, elem_size, owned: my_owned.to_vec(), need: my_need, rounds })
+}
+
+impl Declared {
+    /// Rank `rank`'s plan for need index `k`: the ordinary plan that fills
+    /// every rank's `k`-th needed block.
+    pub(crate) fn plan(&self, rank: usize, k: usize, desc: &Descriptor) -> Result<Plan> {
+        let owned: Vec<&[Block]> = self.owned.iter().map(Vec::as_slice).collect();
+        let need: Vec<Option<Block>> = self.needs.iter().map(|n| n.get(k).copied()).collect();
+        plan_core(rank, &owned, &need, desc)
+    }
 }
 
 impl Descriptor {
@@ -96,24 +120,36 @@ impl Descriptor {
         need: Block,
         policy: ValidationPolicy,
     ) -> Result<Plan> {
+        let _setup = ddrtrace::span("redist", "setup_mapping");
+        let all = self.declared(comm, owned, &[need], policy)?;
+        let _p = ddrtrace::span("redist", "compute_plan");
+        all.plan(comm.rank(), 0, self)
+    }
+
+    /// What both setup calls start with: gather every rank's declaration and
+    /// check it under `policy`.
+    pub(crate) fn declared(
+        &self,
+        comm: &Comm,
+        owned: &[Block],
+        needs: &[Block],
+        policy: ValidationPolicy,
+    ) -> Result<Declared> {
         if comm.size() != self.nprocs() {
             return Err(DdrError::ProcessCountMismatch {
                 descriptor: self.nprocs(),
                 actual: comm.size(),
             });
         }
-        let _setup = ddrtrace::span("redist", "setup_mapping");
-        let mine = Layout { owned: owned.to_vec(), need };
-        let layouts = {
+        let all = {
             let _x = ddrtrace::span("redist", "layout_exchange");
-            exchange_layouts(comm, &mine)?
+            exchange_layouts(comm, owned, needs)?
         };
-        {
-            let _v = ddrtrace::span("redist", "validate_layouts");
-            validate(&layouts, policy)?;
-        }
-        let _p = ddrtrace::span("redist", "compute_plan");
-        compute_local_plan(comm.rank(), &layouts, self)
+        let _v = ddrtrace::span("redist", "validate_layouts");
+        let owned: Vec<&[Block]> = all.owned.iter().map(Vec::as_slice).collect();
+        let needs: Vec<&[Block]> = all.needs.iter().map(Vec::as_slice).collect();
+        validate(&owned, &needs, policy)?;
+        Ok(all)
     }
 }
 
@@ -237,6 +273,12 @@ mod tests {
         assert!(matches!(
             compute_local_plan(0, &e1_layouts(), &desc).unwrap_err(),
             DdrError::ProcessCountMismatch { descriptor: 8, actual: 4 }
+        ));
+        // A rank outside the layouts is the same error.
+        let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
+        assert!(matches!(
+            compute_local_plan(5, &e1_layouts(), &desc).unwrap_err(),
+            DdrError::ProcessCountMismatch { descriptor: 4, actual: 5 }
         ));
     }
 }

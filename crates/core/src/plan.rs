@@ -59,9 +59,10 @@ pub struct Plan {
     pub(crate) rank: usize,
     pub(crate) nprocs: usize,
     pub(crate) elem_size: usize,
-    pub(crate) ndims: usize,
     pub(crate) owned: Vec<Block>,
-    pub(crate) need: Block,
+    /// `None` only inside a [`crate::MultiPlan`], for a rank that declared
+    /// fewer needed blocks than its peers: such a plan only sends.
+    pub(crate) need: Option<Block>,
     pub(crate) rounds: Vec<RoundPlan>,
 }
 
@@ -88,7 +89,7 @@ impl Plan {
 
     /// Block this rank receives into.
     pub fn need(&self) -> &Block {
-        &self.need
+        self.need.as_ref().expect("a plan handed out by a setup call has a needed block")
     }
 
     /// Number of communication rounds (`MPI_Alltoallw` calls): the maximum

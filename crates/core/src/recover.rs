@@ -131,6 +131,23 @@ impl PartialCompletion {
         PartialCompletion { rank, dead_peers, integrity_peers, rounds }
     }
 
+    /// Fold in the report of another need's plan run over the same rounds
+    /// (a [`crate::MultiPlan`] reports all its needs as one).
+    pub(crate) fn merge(&mut self, other: PartialCompletion) {
+        fn union(into: &mut Vec<usize>, from: Vec<usize>) {
+            into.extend(from);
+            into.sort_unstable();
+            into.dedup();
+        }
+        for (mine, theirs) in self.rounds.iter_mut().zip(other.rounds) {
+            mine.delivered_bytes += theirs.delivered_bytes;
+            mine.missing_bytes += theirs.missing_bytes;
+            union(&mut mine.failed_sources, theirs.failed_sources);
+        }
+        union(&mut self.dead_peers, other.dead_peers);
+        union(&mut self.integrity_peers, other.integrity_peers);
+    }
+
     /// Total bytes that landed in the need buffer.
     pub fn delivered_bytes(&self) -> u64 {
         self.rounds.iter().map(|r| r.delivered_bytes).sum()

@@ -3,14 +3,13 @@
 
 use crate::block::{bounding_box, Block};
 use crate::error::{DdrError, Result};
-use crate::layout::Layout;
 
 /// How strictly `setup_data_mapping` checks the declared layouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValidationPolicy {
     /// Check that owned chunks are pairwise disjoint, that they cover the
-    /// full (bounding-box) domain, and that every rank's needed block lies
-    /// inside the domain. This is the paper's stated contract.
+    /// full (bounding-box) domain, and that every needed block of every rank
+    /// lies inside the domain. This is the paper's stated contract.
     #[default]
     Strict,
     /// Check exclusivity and completeness of ownership but allow needed
@@ -38,17 +37,23 @@ pub struct Domain {
     pub owned_elems: u64,
 }
 
-/// Validate layouts according to `policy` and infer the global domain.
+/// Validate what every rank declared — `owned[r]` are rank `r`'s chunks,
+/// `needs[r]` the blocks it receives into — according to `policy`, and infer
+/// the global domain.
 ///
 /// Exclusivity uses a sweep over the slowest-varying axis: blocks are sorted
 /// by their start on that axis and only pairs whose intervals overlap on it
 /// are compared, which is `O(n log n)` for slab-style decompositions (the
 /// common case in the paper's use cases) and degrades gracefully otherwise.
-pub fn validate(layouts: &[Layout], policy: ValidationPolicy) -> Result<Domain> {
-    let all: Vec<(usize, usize, &Block)> = layouts
+pub fn validate(
+    owned: &[&[Block]],
+    needs: &[&[Block]],
+    policy: ValidationPolicy,
+) -> Result<Domain> {
+    let all: Vec<(usize, usize, &Block)> = owned
         .iter()
         .enumerate()
-        .flat_map(|(r, l)| l.owned.iter().enumerate().map(move |(c, b)| (r, c, b)))
+        .flat_map(|(r, chunks)| chunks.iter().enumerate().map(move |(c, b)| (r, c, b)))
         .collect();
     if all.is_empty() {
         return Err(DdrError::InvalidBlock("no rank owns any data".into()));
@@ -103,8 +108,8 @@ pub fn validate(layouts: &[Layout], policy: ValidationPolicy) -> Result<Domain> 
     }
 
     if matches!(policy, ValidationPolicy::Strict) {
-        for (rank, l) in layouts.iter().enumerate() {
-            if !bbox.contains(&l.need) {
+        for (rank, blocks) in needs.iter().enumerate() {
+            if blocks.iter().any(|b| !bbox.contains(b)) {
                 return Err(DdrError::NeedOutsideDomain { rank });
             }
         }
@@ -115,9 +120,16 @@ pub fn validate(layouts: &[Layout], policy: ValidationPolicy) -> Result<Domain> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Layout;
 
     fn layout(owned: Vec<Block>, need: Block) -> Layout {
         Layout { owned, need }
+    }
+
+    fn validate(layouts: &[Layout], policy: ValidationPolicy) -> Result<Domain> {
+        let owned: Vec<&[Block]> = layouts.iter().map(|l| l.owned.as_slice()).collect();
+        let needs: Vec<&[Block]> = layouts.iter().map(|l| std::slice::from_ref(&l.need)).collect();
+        super::validate(&owned, &needs, policy)
     }
 
     fn quad_need(rank: usize) -> Block {

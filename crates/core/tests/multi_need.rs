@@ -1,8 +1,9 @@
 //! End-to-end tests of the generalized multi-block receive extension:
 //! ghost/halo layouts, scattered gathers, and reuse across steps.
 
-use ddr_core::{Block, DataKind, Descriptor, ValidationPolicy};
-use minimpi::{TransportCounters, Universe, UniverseBuilder};
+use ddr_core::{Block, DataKind, DdrError, Descriptor, ValidationPolicy};
+use minimpi::{FaultPlan, TransportCounters, Universe, UniverseBuilder};
+use std::time::{Duration, Instant};
 
 fn cell_value(c: [usize; 3]) -> u64 {
     (c[0] as u64) | ((c[1] as u64) << 20) | ((c[2] as u64) << 40)
@@ -164,12 +165,117 @@ fn multi_buffer_mismatches_rejected() {
     });
 }
 
+/// `Strict` checks every declared need, not only ownership: the last rank's
+/// lower halo lies one row past the domain edge.
+#[test]
+fn strict_rejects_a_halo_past_the_domain_edge_and_relaxed_leaves_it_untouched() {
+    let (nx, ny, n) = (8usize, 12, 3usize);
+    let domain = Block::d2([0, 0], [nx, ny]).unwrap();
+    Universe::run(n, |comm| {
+        let r = comm.rank();
+        let slab = ddr_core::decompose::slab(&domain, 1, n, r).unwrap();
+        let needs = [slab, Block::d2([0, slab.offset[1] + slab.dims[1]], [nx, 1]).unwrap()];
+        let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
+        // Every rank learns of the bad need from the gathered layouts, so
+        // none of them gets a plan to start an exchange with.
+        let strict = desc.setup_multi_mapping(comm, &[slab], &needs, ValidationPolicy::Strict);
+        assert!(
+            matches!(strict, Err(DdrError::NeedOutsideDomain { rank }) if rank == n - 1),
+            "rank {r}: {strict:?}"
+        );
+        let plan =
+            desc.setup_multi_mapping(comm, &[slab], &needs, ValidationPolicy::Relaxed).unwrap();
+        let data: Vec<u64> = slab.coords().map(cell_value).collect();
+        let mut bufs: Vec<Vec<u64>> =
+            needs.iter().map(|b| vec![u64::MAX; b.count() as usize]).collect();
+        let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
+        plan.reorganize(comm, &[&data], &mut refs).unwrap();
+        for (buf, blk) in bufs.iter().zip(&needs) {
+            for (got, coord) in buf.iter().zip(blk.coords()) {
+                let want = if coord[1] < ny { cell_value(coord) } else { u64::MAX };
+                assert_eq!(*got, want, "rank {r} block {blk:?}");
+            }
+        }
+    });
+}
+
+/// An `nx × ny` domain in row slabs on `n` ranks, as `(nx, ny, n)`.
+const HALO_DOMAIN: (usize, usize, usize) = (8, 12, 3);
+
+/// *Periodic* one-row halos: every rank needs its slab, the row above it and
+/// the row below it (wrapping), so each of ranks 0 and 2 is owed exactly one
+/// row by rank 1.
+fn periodic_halo_needs(r: usize) -> [Block; 3] {
+    let (nx, ny, n) = HALO_DOMAIN;
+    let slab = ddr_core::decompose::slab(&Block::d2([0, 0], [nx, ny]).unwrap(), 1, n, r).unwrap();
+    let (y0, y1) = (slab.offset[1], slab.offset[1] + slab.dims[1]);
+    let row = |y: usize| Block::d2([0, y % ny], [nx, 1]).unwrap();
+    [slab, row(y0 + ny - 1), row(y1)]
+}
+
+/// Per rank: the op count after setup, what `reorganize` returned, and the
+/// need buffers (sentinel `u64::MAX` where nothing landed).
+type HaloOutcome = (u64, Result<(), DdrError>, Vec<Vec<u64>>);
+
+fn periodic_halo_exchange(faults: FaultPlan) -> Vec<HaloOutcome> {
+    let n = HALO_DOMAIN.2;
+    Universe::builder().timeout(Duration::from_secs(30)).fault_plan(faults).run(n, move |comm| {
+        let needs = periodic_halo_needs(comm.rank());
+        let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
+        let plan =
+            desc.setup_multi_mapping(comm, &needs[..1], &needs, ValidationPolicy::Strict).unwrap();
+        let ops = comm.op_count();
+        let data: Vec<u64> = needs[0].coords().map(cell_value).collect();
+        let mut bufs: Vec<Vec<u64>> =
+            needs.iter().map(|b| vec![u64::MAX; b.count() as usize]).collect();
+        let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
+        let outcome = plan.reorganize(comm, &[&data], &mut refs);
+        (ops, outcome, bufs)
+    })
+}
+
+/// A multi-need exchange fails the way `Plan::reorganize` does: every need's
+/// rounds are drained and the survivors get one structured report.
+#[test]
+fn rank_killed_mid_halo_exchange_yields_partial_completion_on_every_survivor() {
+    let victim = 1;
+    let clean = periodic_halo_exchange(FaultPlan::new(0));
+    assert!(clean.iter().all(|(_, outcome, _)| outcome.is_ok()));
+    // The victim's first op inside `reorganize`: it dies before shipping
+    // either of the halo rows it owes.
+    let kill_at = clean[victim].0;
+    let start = Instant::now();
+    let out = periodic_halo_exchange(FaultPlan::new(5).kill_rank_at_op(victim, kill_at));
+    assert!(start.elapsed() < Duration::from_secs(15), "survivors waited out the watchdog");
+
+    let victim_slab = periodic_halo_needs(victim)[0];
+    for (r, (_, outcome, bufs)) in out.iter().enumerate() {
+        if r == victim {
+            assert!(outcome.is_err(), "victim should not complete");
+            continue;
+        }
+        let report = match outcome {
+            Err(DdrError::Incomplete(report)) => report,
+            other => panic!("rank {r}: expected Incomplete, got {other:?}"),
+        };
+        assert_eq!((report.rank, &report.dead_peers), (r, &vec![victim]));
+        assert_eq!(report.missing_bytes(), (HALO_DOMAIN.0 * 8) as u64, "one halo row lost");
+        // Everything the dead rank did not feed arrived, in every block.
+        for (buf, blk) in bufs.iter().zip(&periodic_halo_needs(r)) {
+            let lost = victim_slab.intersect(blk).is_some();
+            for (got, coord) in buf.iter().zip(blk.coords()) {
+                let want = if lost { u64::MAX } else { cell_value(coord) };
+                assert_eq!(*got, want, "rank {r} block {blk:?}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Elastic recovery of several descriptors in one epoch.
 // ---------------------------------------------------------------------------
 
 use ddr_core::{recover_multi_mappings, remap_multi, RemapSpec};
-use std::time::Duration;
 
 /// Shrink: two descriptors with different element types recover through ONE
 /// reconfigure — `recover_multi_mappings` bumps the epoch once and remaps

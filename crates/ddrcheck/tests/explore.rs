@@ -1,6 +1,6 @@
 //! Schedule exploration end-to-end: the explorer must *find* planted
-//! concurrency bugs (a real data race, a dropped-ACK protocol bug) with a
-//! replayable seed, and must pass clean workloads across the whole seed
+//! concurrency bugs (a real data race, a head-of-line credit deadlock) with
+//! a replayable seed, and must pass clean workloads across the whole seed
 //! budget without false positives.
 //!
 //! The failing-seed assertions re-run the closure with the reported seed and
@@ -59,80 +59,6 @@ fn message_ordered_accesses_stay_clean_across_schedules() {
         verdict(out)
     });
     assert!(report.passed(), "{}", render_explore_report("ordered accesses", &report));
-}
-
-/// A dropped-verdict-ACK protocol bug, modelled on the alltoallw verdict
-/// phase: rank 1 collects one fragment each from ranks 0 and 2 with
-/// any-source receives and must ACK rank 0, but the buggy version only ACKs
-/// when rank 0's fragment happens to be processed *first*. Which fragment an
-/// any-source receive takes first is exactly what the seeded scheduler
-/// rotates, so the sweep must drive the protocol into the forgotten-ACK
-/// order and catch rank 0 timing out.
-fn verdict_ack_protocol(comm: &Comm, buggy: bool) -> Result<(), Error> {
-    const FRAG: u32 = 7;
-    const ACK: u32 = 8;
-    // Sync the ranks, then give both fragments time to land in rank 1's
-    // mailbox before it starts taking: the schedule decision under test is
-    // the *take order* of two ready messages, not raw thread-start skew.
-    comm.barrier()?;
-    match comm.rank() {
-        0 => {
-            comm.send_bytes(1, FRAG, &[0xA0; 16])?;
-            comm.set_timeout(Duration::from_secs(2));
-            comm.recv_bytes(1, ACK).map(|_| ())
-        }
-        2 => comm.send_bytes(1, FRAG, &[0xC2; 16]),
-        _ => {
-            std::thread::sleep(Duration::from_millis(2));
-            let (first, _) = comm.recv_bytes_any(FRAG)?;
-            let (_second, _) = comm.recv_bytes_any(FRAG)?;
-            // Bug: the ACK is only issued from the first-fragment handler;
-            // when rank 2's fragment is taken first, rank 0's goes
-            // unacknowledged. The fix ACKs regardless of processing order.
-            if first.src == 0 || !buggy {
-                comm.send_bytes(0, ACK, &[1])?;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn run_verdict_protocol(seed: u64, buggy: bool) -> Result<(), String> {
-    let out = Universe::builder()
-        .check(true)
-        .sched_seed(seed)
-        .run(3, move |comm| verdict_ack_protocol(comm, buggy));
-    verdict(out)
-}
-
-#[test]
-fn explorer_finds_dropped_verdict_ack() {
-    let report = explore(default_seed_budget(), |seed| run_verdict_protocol(seed, true));
-    let failure = report
-        .failure
-        .clone()
-        .expect("some schedule must take rank 2's fragment first and expose the dropped ACK");
-    // Rank 0 either times out waiting for the ACK or sees rank 1 depart.
-    assert!(
-        failure.message.contains("timed out") || failure.message.contains("dead"),
-        "got: {}",
-        failure.message
-    );
-    // The take order is a pure function of the seed, so the replay must
-    // reproduce the dropped ACK — this is the debugging workflow the report's
-    // DDR_SCHED_SEED line promises.
-    assert!(
-        run_verdict_protocol(failure.seed, true).is_err(),
-        "seed {} did not replay the dropped ACK",
-        failure.seed
-    );
-}
-
-#[test]
-fn fixed_verdict_ack_is_clean_across_schedules() {
-    let report = explore(default_seed_budget(), |seed| run_verdict_protocol(seed, false));
-    assert!(report.passed(), "{}", render_explore_report("fixed verdict ACK", &report));
-    assert!(report.distinct_schedules >= 2, "the sweep should reach both take orders");
 }
 
 /// Bidirectional 2-rank alltoallw shipping `len` seeded bytes each way.

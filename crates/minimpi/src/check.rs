@@ -30,9 +30,7 @@
 //! in minimpi are eager, so an in-flight message is always already in the
 //! destination mailbox). Every member of the cycle is interrupted and fails
 //! with [`crate::Error::Deadlock`] carrying the full cycle, long before the
-//! watchdog expires. Any-source receives take part as waiters only when they
-//! time out naturally — an OR-wait cannot soundly be modeled as one edge —
-//! so the watchdog remains the backstop for those.
+//! watchdog expires.
 //!
 //! ## Happens-before race & lifetime checking
 //!
@@ -86,18 +84,14 @@ const DETECTOR_INTERVAL: Duration = Duration::from_millis(2);
 pub enum CollectiveKind {
     /// [`crate::Comm::barrier`]
     Barrier,
-    /// [`crate::Comm::broadcast`] and byte variants
+    /// [`crate::Comm::broadcast_bytes`] (including the broadcast leg of
+    /// allgather and allreduce)
     Broadcast,
-    /// [`crate::Comm::gather`] family (including the gather leg of reduce)
+    /// [`crate::Comm::gather_bytes`] (including the gather leg of allgather
+    /// and allreduce)
     Gather,
-    /// [`crate::Comm::scatter`] / `scatterv_bytes`
-    Scatter,
-    /// [`crate::Comm::alltoallv`] / `alltoall_bytes`
-    Alltoall,
     /// [`crate::Comm::alltoallw`] and its salvage variant
     Alltoallw,
-    /// [`crate::Comm::scan`]
-    Scan,
 }
 
 impl fmt::Display for CollectiveKind {
@@ -106,10 +100,7 @@ impl fmt::Display for CollectiveKind {
             CollectiveKind::Barrier => "barrier",
             CollectiveKind::Broadcast => "broadcast",
             CollectiveKind::Gather => "gather",
-            CollectiveKind::Scatter => "scatter",
-            CollectiveKind::Alltoall => "alltoall",
             CollectiveKind::Alltoallw => "alltoallw",
-            CollectiveKind::Scan => "scan",
         };
         f.write_str(name)
     }
@@ -124,10 +115,6 @@ pub struct CollFingerprint {
     pub kind: CollectiveKind,
     /// Root rank for rooted collectives (`usize::MAX` = not rooted).
     pub root: usize,
-    /// Op-specific signature that must agree across ranks (e.g. the
-    /// contribution byte length for `scan`; 0 where nothing further is
-    /// comparable).
-    pub sig: u64,
     /// Source file of the user call site.
     pub file: &'static str,
     /// Line of the user call site.
@@ -137,12 +124,11 @@ pub struct CollFingerprint {
 impl CollFingerprint {
     /// Capture a fingerprint at the (track_caller-propagated) call site.
     #[track_caller]
-    pub(crate) fn here(kind: CollectiveKind, root: Option<usize>, sig: u64) -> Self {
+    pub(crate) fn here(kind: CollectiveKind, root: Option<usize>) -> Self {
         let loc = Location::caller();
         CollFingerprint {
             kind,
             root: root.unwrap_or(usize::MAX),
-            sig,
             file: loc.file(),
             line: loc.line(),
         }
@@ -151,7 +137,7 @@ impl CollFingerprint {
     /// Fields the MPI contract requires to match (call sites may legitimately
     /// differ between ranks taking different branches of an SPMD program).
     fn matches(&self, other: &CollFingerprint) -> bool {
-        self.kind == other.kind && self.root == other.root && self.sig == other.sig
+        self.kind == other.kind && self.root == other.root
     }
 }
 
@@ -160,9 +146,6 @@ impl fmt::Display for CollFingerprint {
         write!(f, "{}", self.kind)?;
         if self.root != usize::MAX {
             write!(f, "(root {})", self.root)?;
-        }
-        if self.sig != 0 {
-            write!(f, "[sig {}]", self.sig)?;
         }
         write!(f, " at {}:{}", self.file, self.line)
     }
@@ -916,14 +899,14 @@ pub(crate) fn check_env_default() -> bool {
 mod tests {
     use super::*;
 
-    fn fp(kind: CollectiveKind, root: Option<usize>, sig: u64) -> CollFingerprint {
-        CollFingerprint { kind, root: root.unwrap_or(usize::MAX), sig, file: "t.rs", line: 1 }
+    fn fp(kind: CollectiveKind, root: Option<usize>) -> CollFingerprint {
+        CollFingerprint { kind, root: root.unwrap_or(usize::MAX), file: "t.rs", line: 1 }
     }
 
     #[test]
     fn matching_fingerprints_retire_the_entry() {
         let c = CheckState::new(2);
-        let f = fp(CollectiveKind::Barrier, None, 0);
+        let f = fp(CollectiveKind::Barrier, None);
         c.record_collective(7, 0, 0, 2, f).unwrap();
         c.record_collective(7, 0, 1, 2, f).unwrap();
         assert!(CheckState::lock(&c.colls).is_empty());
@@ -932,23 +915,22 @@ mod tests {
     #[test]
     fn diverging_fingerprint_is_reported_with_both_sides() {
         let c = CheckState::new(2);
-        c.record_collective(7, 0, 0, 2, fp(CollectiveKind::Broadcast, Some(0), 0)).unwrap();
-        let err =
-            c.record_collective(7, 0, 1, 2, fp(CollectiveKind::Alltoallw, None, 0)).unwrap_err();
+        c.record_collective(7, 0, 0, 2, fp(CollectiveKind::Broadcast, Some(0))).unwrap();
+        let err = c.record_collective(7, 0, 1, 2, fp(CollectiveKind::Alltoallw, None)).unwrap_err();
         assert_eq!(err.rank_a, 0);
         assert_eq!(err.rank_b, 1);
         assert_eq!(err.fp_a.kind, CollectiveKind::Broadcast);
         assert_eq!(err.fp_b.kind, CollectiveKind::Alltoallw);
         // A third diverging member still gets diagnosed.
-        assert!(c.record_collective(7, 0, 2, 3, fp(CollectiveKind::Scan, None, 8)).is_err());
+        assert!(c.record_collective(7, 0, 2, 3, fp(CollectiveKind::Gather, Some(0))).is_err());
     }
 
     #[test]
     fn root_mismatch_is_a_divergence() {
         let c = CheckState::new(2);
-        c.record_collective(1, 4, 0, 2, fp(CollectiveKind::Broadcast, Some(0), 0)).unwrap();
+        c.record_collective(1, 4, 0, 2, fp(CollectiveKind::Broadcast, Some(0))).unwrap();
         let err =
-            c.record_collective(1, 4, 1, 2, fp(CollectiveKind::Broadcast, Some(1), 0)).unwrap_err();
+            c.record_collective(1, 4, 1, 2, fp(CollectiveKind::Broadcast, Some(1))).unwrap_err();
         assert_eq!(err.fp_a.root, 0);
         assert_eq!(err.fp_b.root, 1);
     }

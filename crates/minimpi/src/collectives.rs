@@ -86,7 +86,7 @@ impl Comm {
             return Ok(());
         }
         let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Barrier, None, 0))?;
+        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Barrier, None))?;
         let _coll = ddrtrace::span("minimpi", "barrier");
         let mut dist = 1usize;
         let mut phase = 0u64;
@@ -115,10 +115,7 @@ impl Comm {
             return Err(Error::RankOutOfRange { rank: root, size: n });
         }
         let seq = self.next_coll_seq();
-        self.record_collective(
-            seq,
-            CollFingerprint::here(CollectiveKind::Broadcast, Some(root), 0),
-        )?;
+        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Broadcast, Some(root)))?;
         let relative = (self.rank() + n - root) % n;
 
         let mut payload: Option<Vec<u8>> = if relative == 0 { Some(data.to_vec()) } else { None };
@@ -151,14 +148,6 @@ impl Comm {
         Ok(payload)
     }
 
-    /// Broadcast a typed slice from `root`; all ranks receive the root's data.
-    #[track_caller]
-    pub fn broadcast<T: Pod>(&self, root: usize, data: &[T]) -> Result<Vec<T>> {
-        let bytes = self.broadcast_bytes(root, bytes_of(data))?;
-        vec_from_bytes(&bytes)
-            .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: bytes.len() })
-    }
-
     // ------------------------------------------------------------------
     // Gather / Allgather
     // ------------------------------------------------------------------
@@ -172,7 +161,7 @@ impl Comm {
             return Err(Error::RankOutOfRange { rank: root, size: n });
         }
         let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Gather, Some(root), 0))?;
+        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Gather, Some(root)))?;
         if self.rank() == root {
             let mut parts = vec![Vec::new(); n];
             parts[root] = data.to_vec();
@@ -185,24 +174,6 @@ impl Comm {
         } else {
             self.deposit_to(root, coll_key_tag(seq, 0), data.to_vec())?;
             Ok(None)
-        }
-    }
-
-    /// Typed gather at `root`.
-    #[track_caller]
-    pub fn gather<T: Pod>(&self, root: usize, data: &[T]) -> Result<Option<Vec<Vec<T>>>> {
-        match self.gather_bytes(root, bytes_of(data))? {
-            None => Ok(None),
-            Some(parts) => parts
-                .iter()
-                .map(|p| {
-                    vec_from_bytes(p).ok_or(Error::SizeMismatch {
-                        expected: std::mem::size_of::<T>(),
-                        got: p.len(),
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-                .map(Some),
         }
     }
 
@@ -232,102 +203,8 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Scatter
+    // Allreduce
     // ------------------------------------------------------------------
-
-    /// Scatter variable-length byte buffers from `root`: rank `i` receives
-    /// `parts[i]`. Non-root ranks pass `None`.
-    #[track_caller]
-    pub fn scatterv_bytes(&self, root: usize, parts: Option<&[Vec<u8>]>) -> Result<Vec<u8>> {
-        let n = self.size();
-        if root >= n {
-            return Err(Error::RankOutOfRange { rank: root, size: n });
-        }
-        let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Scatter, Some(root), 0))?;
-        if self.rank() == root {
-            let parts = parts.ok_or_else(|| Error::CollectiveMismatch {
-                detail: "scatterv: root must supply parts".into(),
-            })?;
-            if parts.len() != n {
-                return Err(Error::CollectiveMismatch {
-                    detail: format!("scatterv: expected {n} parts, got {}", parts.len()),
-                });
-            }
-            for (dest, part) in parts.iter().enumerate() {
-                if dest != root {
-                    self.deposit_to(dest, coll_key_tag(seq, 0), part.clone())?;
-                }
-            }
-            Ok(parts[root].clone())
-        } else {
-            self.take_from(root, coll_key_tag(seq, 0))
-        }
-    }
-
-    /// Typed equal-size scatter: the root's slice is split into
-    /// `size` equal chunks, rank `i` receiving the `i`-th.
-    #[track_caller]
-    pub fn scatter<T: Pod>(&self, root: usize, data: Option<&[T]>) -> Result<Vec<T>> {
-        let n = self.size();
-        let parts: Option<Vec<Vec<u8>>> = match (self.rank() == root, data) {
-            (true, Some(d)) => {
-                if d.len() % n != 0 {
-                    return Err(Error::CollectiveMismatch {
-                        detail: format!(
-                            "scatter: {} elements do not divide evenly over {n} ranks",
-                            d.len()
-                        ),
-                    });
-                }
-                let chunk = d.len() / n;
-                Some((0..n).map(|i| bytes_of(&d[i * chunk..(i + 1) * chunk]).to_vec()).collect())
-            }
-            (true, None) => {
-                return Err(Error::CollectiveMismatch {
-                    detail: "scatter: root must supply data".into(),
-                })
-            }
-            _ => None,
-        };
-        let mine = self.scatterv_bytes(root, parts.as_deref())?;
-        vec_from_bytes(&mine)
-            .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: mine.len() })
-    }
-
-    // ------------------------------------------------------------------
-    // Reduce / Allreduce
-    // ------------------------------------------------------------------
-
-    /// Element-wise reduction at `root` with operator `op`, folding in rank
-    /// order (deterministic for non-associative float ops). All ranks must
-    /// contribute slices of the same length.
-    #[track_caller]
-    pub fn reduce<T: Pod>(
-        &self,
-        root: usize,
-        data: &[T],
-        op: impl Fn(T, T) -> T,
-    ) -> Result<Option<Vec<T>>> {
-        match self.gather(root, data)? {
-            None => Ok(None),
-            Some(parts) => {
-                let len = parts[0].len();
-                if parts.iter().any(|p| p.len() != len) {
-                    return Err(Error::CollectiveMismatch {
-                        detail: "reduce: contribution lengths differ across ranks".into(),
-                    });
-                }
-                let mut acc = parts[0].clone();
-                for part in &parts[1..] {
-                    for (a, &b) in acc.iter_mut().zip(part.iter()) {
-                        *a = op(*a, b);
-                    }
-                }
-                Ok(Some(acc))
-            }
-        }
-    }
 
     /// Element-wise reduction delivered to all ranks.
     ///
@@ -339,65 +216,36 @@ impl Comm {
         self.try_allreduce(data, op).expect("allreduce failed")
     }
 
-    /// Fallible element-wise reduction delivered to all ranks.
+    /// Fallible element-wise reduction delivered to all ranks: gathered at
+    /// rank 0, folded there in rank order (deterministic for non-associative
+    /// float ops) and broadcast. All ranks must contribute slices of the
+    /// same length.
     #[track_caller]
     pub fn try_allreduce<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Result<Vec<T>> {
-        let reduced = self.reduce(0, data, op)?;
-        let bytes = match reduced {
-            Some(v) => bytes_of(&v).to_vec(),
+        let reduced = match self.gather_bytes(0, bytes_of(data))? {
             None => Vec::new(),
+            Some(parts) => {
+                let mut acc = data.to_vec();
+                for part in &parts[1..] {
+                    let part = vec_from_bytes(part).filter(|p: &Vec<T>| p.len() == acc.len());
+                    let part = part.ok_or_else(|| Error::CollectiveMismatch {
+                        detail: "allreduce: contribution lengths differ across ranks".into(),
+                    })?;
+                    for (a, &b) in acc.iter_mut().zip(&part) {
+                        *a = op(*a, b);
+                    }
+                }
+                bytes_of(&acc).to_vec()
+            }
         };
-        let all = self.broadcast_bytes(0, &bytes)?;
+        let all = self.broadcast_bytes(0, &reduced)?;
         vec_from_bytes(&all)
             .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: all.len() })
     }
 
     // ------------------------------------------------------------------
-    // Alltoall family
+    // Alltoallw
     // ------------------------------------------------------------------
-
-    /// Personalized all-to-all of variable-length byte buffers. `msgs[d]` is
-    /// sent to rank `d`; the result's index `s` holds rank `s`'s message to
-    /// this rank. The self-message is moved, not copied through a mailbox.
-    #[track_caller]
-    pub fn alltoall_bytes(&self, mut msgs: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        let n = self.size();
-        if msgs.len() != n {
-            return Err(Error::CollectiveMismatch {
-                detail: format!("alltoall: expected {n} messages, got {}", msgs.len()),
-            });
-        }
-        let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoall, None, 0))?;
-        let me = self.rank();
-        let self_msg = std::mem::take(&mut msgs[me]);
-        for (d, m) in msgs.into_iter().enumerate() {
-            if d != me {
-                self.deposit_to(d, coll_key_tag(seq, 0), m)?;
-            }
-        }
-        let mut out = vec![Vec::new(); n];
-        out[me] = self_msg;
-        for (s, slot) in out.iter_mut().enumerate() {
-            if s != me {
-                *slot = self.take_from(s, coll_key_tag(seq, 0))?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Typed personalized all-to-all with per-destination counts.
-    #[track_caller]
-    pub fn alltoallv<T: Pod>(&self, msgs: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
-        let bytes: Vec<Vec<u8>> = msgs.iter().map(|m| bytes_of(m).to_vec()).collect();
-        self.alltoall_bytes(bytes)?
-            .iter()
-            .map(|p| {
-                vec_from_bytes(p)
-                    .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: p.len() })
-            })
-            .collect()
-    }
 
     /// `MPI_Alltoallw` over derived datatypes: for every destination `d`,
     /// `send_types[d]` selects the part of `send_buf` to ship; for every
@@ -476,7 +324,7 @@ impl Comm {
         let seq = self.next_coll_seq();
         // Salvage is wire-compatible with the plain variant, so both record
         // the same kind: they may legitimately pair across ranks.
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoallw, None, 0))?;
+        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoallw, None))?;
         self.sched_point("alltoallw_post");
         let me = self.rank();
         let tag = coll_key_tag(seq, PHASE_DATA);
@@ -700,46 +548,6 @@ impl Comm {
                 self.claim_loan(src, &h, |lent| copy_selection(lent, &h.dt, recv_buf, dt))
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Scan
-    // ------------------------------------------------------------------
-
-    /// Inclusive prefix reduction: rank `r` receives `op` folded over the
-    /// contributions of ranks `0..=r`, in rank order.
-    #[track_caller]
-    pub fn scan<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Result<Vec<T>> {
-        // Linear chain: rank r waits for the prefix of r-1, folds, forwards.
-        let seq = self.next_coll_seq();
-        // The contribution's byte length doubles as the datatype signature:
-        // scan requires equal-length contributions, so a mismatch is a
-        // divergence detectable before the chain stalls.
-        self.record_collective(
-            seq,
-            CollFingerprint::here(CollectiveKind::Scan, None, bytes_of(data).len() as u64),
-        )?;
-        let me = self.rank();
-        let mut acc: Vec<T> = data.to_vec();
-        if me > 0 {
-            let prev_bytes = self.take_from(me - 1, coll_key_tag(seq, 0))?;
-            let prev: Vec<T> = vec_from_bytes(&prev_bytes).ok_or(Error::SizeMismatch {
-                expected: std::mem::size_of::<T>(),
-                got: prev_bytes.len(),
-            })?;
-            if prev.len() != acc.len() {
-                return Err(Error::CollectiveMismatch {
-                    detail: "scan: contribution lengths differ across ranks".into(),
-                });
-            }
-            for (a, &p) in acc.iter_mut().zip(prev.iter()) {
-                *a = op(p, *a);
-            }
-        }
-        if me + 1 < self.size() {
-            self.deposit_to(me + 1, coll_key_tag(seq, 0), bytes_of(&acc).to_vec())?;
-        }
-        Ok(acc)
     }
 }
 

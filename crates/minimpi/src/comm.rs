@@ -25,18 +25,6 @@ use std::time::Duration;
 /// collective traffic lives in a disjoint internal namespace.
 pub type Tag = u32;
 
-/// Pseudo-rank accepted by [`Comm::recv_bytes_any`]-style operations.
-pub const ANY_SOURCE: usize = usize::MAX;
-
-/// Result metadata for receives that report their matched source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvStatus {
-    /// Communicator-local rank the message came from.
-    pub src: usize,
-    /// Payload length in bytes.
-    pub len: usize,
-}
-
 /// Shared state of one [`crate::Universe`] run: a mailbox per world rank,
 /// the liveness registry, the shrink rendezvous, and (optionally) the
 /// installed fault plan's runtime state.
@@ -243,8 +231,8 @@ pub(crate) fn describe_key_tag(key_tag: u64) -> String {
 /// A communicator: a rank's handle onto an ordered group of ranks.
 ///
 /// Each rank-thread owns its `Comm` (it is `Send` but deliberately not
-/// `Sync`); cloning is not provided — use [`Comm::duplicate`], which is a
-/// collective, mirroring `MPI_Comm_dup`.
+/// `Sync`); cloning is not provided — [`Comm::split`] with one color is the
+/// collective that makes an independent handle, as `MPI_Comm_dup` does.
 pub struct Comm {
     pub(crate) world: Arc<WorldState>,
     pub(crate) comm_id: u64,
@@ -329,8 +317,8 @@ impl Comm {
         self.timeout.set(t);
     }
 
-    /// The watchdog's verdict on a wait for `src` (`None`: any source, or a
-    /// rendezvous) under `tag` that outlived this handle's timeout.
+    /// The watchdog's verdict on a wait for `src` (`None`: a rendezvous)
+    /// under `tag` that outlived this handle's timeout.
     pub(crate) fn timed_out(&self, src: Option<usize>, tag: u64) -> Error {
         Error::Timeout { rank: self.rank, src, tag, comm_id: self.comm_id }
     }
@@ -349,11 +337,6 @@ impl Comm {
     /// Is communicator member `r` still alive?
     pub fn is_alive(&self, r: usize) -> bool {
         self.world.is_alive(self.members[r])
-    }
-
-    /// Communicator-local ranks of the members still alive, in rank order.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.size()).filter(|&r| self.is_alive(r)).collect()
     }
 
     /// Number of communication primitives (sends, receives, collective
@@ -953,52 +936,6 @@ impl Comm {
         self.take_from(src, user_key_tag(tag))
     }
 
-    /// Receive from any source; returns the payload and its origin. Fails
-    /// fast with [`Error::PeerDead`] once every other member is dead.
-    pub fn recv_bytes_any(&self, tag: Tag) -> Result<(RecvStatus, Vec<u8>)> {
-        self.sched_point("recv_any");
-        self.fault_tick()?;
-        let me = self.rank;
-        // Seeded rotation of the source-scan start explores different
-        // delivery orders when several sources are ready; 0 (lowest source
-        // first) without a scheduler.
-        let start = match &self.world.sched {
-            Some(s) => s.pick(self.world_rank()) % self.size().max(1),
-            None => 0,
-        };
-        let wait = ddrtrace::span("minimpi", "mailbox_wait_any");
-        let outcome = loop {
-            let o = self.my_mailbox().take_any_watched(
-                self.comm_id,
-                user_key_tag(tag),
-                self.size(),
-                start,
-                self.timeout.get(),
-                || (0..self.size()).all(|r| r == me || !self.is_alive(r)),
-            );
-            match o {
-                TakeOutcome::Delivered(env) => match self.admit(env) {
-                    Some(env) => break TakeOutcome::Delivered(env),
-                    None => continue,
-                },
-                o => break o,
-            }
-        };
-        drop(wait);
-        match outcome {
-            TakeOutcome::Delivered(env) => {
-                let src = env.src;
-                let bytes = self.materialize(src, user_key_tag(tag), env)?;
-                Ok((RecvStatus { src, len: bytes.len() }, bytes))
-            }
-            TakeOutcome::TimedOut => Err(self.timed_out(None, user_key_tag(tag))),
-            // Every possible source is gone; report the lowest dead rank.
-            TakeOutcome::Aborted => Err(Error::PeerDead {
-                rank: (0..self.size()).find(|&r| !self.is_alive(r)).unwrap_or(0),
-            }),
-        }
-    }
-
     /// Typed receive: take the envelope, verify the sender's datatype
     /// signature against `want` *before* consuming the payload (a mismatched
     /// zero-copy loan is dropped, revoking it), then materialize.
@@ -1044,19 +981,6 @@ impl Comm {
         Ok(None)
     }
 
-    /// Combined send+receive, safe against head-of-line blocking because
-    /// sends are buffered (as in `MPI_Sendrecv` with eager protocol).
-    pub fn sendrecv<T: Pod>(
-        &self,
-        dest: usize,
-        send_data: &[T],
-        src: usize,
-        tag: Tag,
-    ) -> Result<Vec<T>> {
-        self.send(dest, tag, send_data)?;
-        self.recv_vec(src, tag)
-    }
-
     // ------------------------------------------------------------------
     // Communicator management
     // ------------------------------------------------------------------
@@ -1089,13 +1013,6 @@ impl Comm {
             self.epoch,
             self.timeout.get(),
         ))
-    }
-
-    /// Collective: duplicate this communicator into an independent one with
-    /// the same group but a private message namespace.
-    #[track_caller]
-    pub fn duplicate(&self) -> Result<Comm> {
-        self.split(0)
     }
 
     /// Collective over the *surviving* members: agree on the set of members

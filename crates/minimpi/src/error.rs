@@ -24,7 +24,8 @@ pub enum Error {
     Timeout {
         /// Receiving rank (communicator-local).
         rank: usize,
-        /// Expected source rank, or `None` for any-source receives.
+        /// Expected source rank, or `None` for a rendezvous (shrink,
+        /// reconfigure), which waits on no single rank.
         src: Option<usize>,
         /// Raw key tag of the awaited message. User tags are `< 2^32`;
         /// larger values are internal collective sequence numbers (the
@@ -172,7 +173,7 @@ impl fmt::Display for Error {
                     ),
                     None => write!(
                         f,
-                        "rank {rank}: any-source receive ({op} on comm {comm_id:#x}) timed out — likely deadlock"
+                        "rank {rank}: {op} on comm {comm_id:#x} timed out — likely deadlock"
                     ),
                 }
             }

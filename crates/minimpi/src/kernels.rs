@@ -28,7 +28,7 @@
 //! pass the old path paid.
 //!
 //! Every tier bumps a process-global counter, published as `pack.*` metrics
-//! in the ddr-trace report and exported via [`crate::pack_counters`].
+//! in the ddr-trace report.
 
 use crate::datatype::ByteRuns;
 use crate::integrity::Checksum;
@@ -128,7 +128,7 @@ impl RunShape {
 }
 
 /// Per-kernel dispatch counters, process-global (the kernels have no world
-/// handle). Exported as `pack.*` metrics and via [`crate::pack_counters`].
+/// handle). Exported as `pack.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackCounters {
     /// Selections moved as a single fused memcpy (runs merged to one).

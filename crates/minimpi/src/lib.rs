@@ -12,9 +12,9 @@
 //! * a [`Universe`] that launches `n` ranks and hands each a [`Comm`],
 //! * reliable, ordered, tag-matched point-to-point messaging
 //!   ([`Comm::send`], [`Comm::recv_vec`], byte-level variants),
-//! * collectives: [`Comm::barrier`], [`Comm::broadcast`], gather /
-//!   allgather(v), reduce / allreduce, alltoall(v), and crucially
-//!   [`Comm::alltoallw`] with **subarray datatypes** ([`Datatype`],
+//! * collectives: [`Comm::barrier`], [`Comm::broadcast_bytes`],
+//!   [`Comm::gather_bytes`], [`Comm::allgather`], [`Comm::allreduce`], and
+//!   crucially [`Comm::alltoallw`] with **subarray datatypes** ([`Datatype`],
 //!   [`Subarray`]) — the operation the paper builds data redistribution on,
 //! * communicator splitting ([`Comm::split`]) so disjoint rank groups (e.g. a
 //!   simulation resource and an analysis resource) can run their own
@@ -112,9 +112,9 @@
 //! `Universe::builder().sched_seed(s)` (or `DDR_SCHED_SEED=s`) arms a seeded
 //! scheduler hook at every wait/poll point: sends, receives, zero-copy
 //! claims, retransmit polls, and the reconfigure rendezvous may yield or
-//! sleep for a few hundred microseconds, and any-source receives rotate
-//! their source preference — all as a pure function of (seed, rank, op
-//! count), so a given seed replays the same perturbation. Each run folds its
+//! sleep for a few hundred microseconds — all as a pure function of (seed,
+//! rank, op count), so a given seed replays the same perturbation. Each run
+//! folds its
 //! delivery orders into a seed-independent fingerprint
 //! ([`take_last_fingerprint`]) that an explorer (see the `ddrcheck` crate)
 //! uses to prune equivalent schedules while sweeping seeds. Unseeded, the
@@ -159,23 +159,14 @@ pub use check::{
     LoanLeakReport, PendingRecv, RaceReport, TypeSig,
 };
 pub use collectives::ExchangeReport;
-pub use comm::{Comm, RecvStatus, Tag, ANY_SOURCE};
+pub use comm::{Comm, Tag};
 pub use datatype::{ByteRuns, Datatype, Subarray};
 pub use elastic::RecoveryCounters;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
 pub use integrity::IntegrityCounters;
-pub use kernels::PackCounters;
 pub use pod::{bytes_of, bytes_of_mut, Pod};
 pub use sched::take_last_fingerprint;
 pub use universe::{Universe, UniverseBuilder};
 pub use vclock::VectorClock;
 pub use zerocopy::{PoolStats, TransportCounters};
-
-/// Snapshot of the process-global pack-kernel dispatch counters
-/// (`pack.{fused_runs,vector_bytes,scalar_bytes}` in the
-/// ddr-trace report). Totals are monotone across the process lifetime;
-/// take deltas around a region to attribute work to it.
-pub fn pack_counters() -> PackCounters {
-    kernels::snapshot()
-}

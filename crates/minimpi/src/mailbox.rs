@@ -40,9 +40,8 @@ pub(crate) enum Payload {
     Shared(ZcHandle),
 }
 
-/// A message queued for delivery. `src` is re-recorded so any-source
-/// receives can report where a message came from. `epoch` is the membership
-/// epoch of the *sending* communicator handle; receivers and the
+/// A message queued for delivery, from communicator-local rank `src`.
+/// `epoch` is the membership epoch of the *sending* communicator handle; receivers and the
 /// reconfigure-time sweep reject envelopes whose epoch is not current
 /// (dropping a stale `Shared` payload revokes the loan, waking its sender).
 pub(crate) struct Envelope {
@@ -234,16 +233,21 @@ impl Mailbox {
         }
     }
 
-    /// Like [`Mailbox::take`], but also gives up early — returning
-    /// [`TakeOutcome::Aborted`] — once `abort()` reports true and no matching
-    /// message is queued.
+    /// Block until a message with `key` is available ([`TakeOutcome::Delivered`]),
+    /// `timeout` passes, or `abort()` reports true while no matching message
+    /// is queued ([`TakeOutcome::Aborted`]).
     pub fn take_watched(
         &self,
         key: MsgKey,
         timeout: Duration,
         abort: impl Fn() -> bool,
     ) -> TakeOutcome {
-        self.take_by(timeout, abort, |q| self.pop(q, key))
+        let pop = |q: &mut Queues| self.pop(q, key);
+        match self.wait_until(&self.cv, self.lock(), timeout, || abort().then_some(()), pop).1 {
+            Ok(env) => TakeOutcome::Delivered(env),
+            Err(Some(())) => TakeOutcome::Aborted,
+            Err(None) => TakeOutcome::TimedOut,
+        }
     }
 
     /// The one blocking wait, for receivers (on `cv`) and parked senders (on
@@ -299,19 +303,6 @@ impl Mailbox {
         };
         self.waiter.note(how);
         (q, outcome)
-    }
-
-    fn take_by(
-        &self,
-        timeout: Duration,
-        abort: impl Fn() -> bool,
-        pop: impl Fn(&mut Queues) -> Option<Envelope>,
-    ) -> TakeOutcome {
-        match self.wait_until(&self.cv, self.lock(), timeout, || abort().then_some(()), pop).1 {
-            Ok(env) => TakeOutcome::Delivered(env),
-            Err(Some(())) => TakeOutcome::Aborted,
-            Err(None) => TakeOutcome::TimedOut,
-        }
     }
 
     /// The one pop: every delivery gives its slot back and wakes parked
@@ -373,26 +364,6 @@ impl Mailbox {
     /// an in-flight message is always already queued here).
     pub fn contains(&self, key: MsgKey) -> bool {
         self.lock().by_key.contains_key(&key)
-    }
-
-    /// Block until a message with communicator `comm_id` and tag `tag` from
-    /// *any* source is available. Scans sources in ascending order starting
-    /// at `start` (wrapping) — deterministic when several are ready, but a
-    /// seeded scheduler can rotate the preference to explore different
-    /// delivery orders. Gives up early when `abort()` reports true (e.g.
-    /// every possible source is dead).
-    pub fn take_any_watched(
-        &self,
-        comm_id: u64,
-        tag: u64,
-        size: usize,
-        start: usize,
-        timeout: Duration,
-        abort: impl Fn() -> bool,
-    ) -> TakeOutcome {
-        self.take_by(timeout, abort, |q| {
-            (0..size).find_map(|i| self.pop(q, (comm_id, (start + i) % size.max(1), tag)))
-        })
     }
 
     /// Number of queued messages (diagnostics only).
@@ -591,18 +562,6 @@ mod tests {
         assert!(mb.try_take(KEY).is_none());
         put(&mb, KEY, bytes_env(0, vec![5]), LONG).unwrap();
         assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![5]);
-    }
-
-    #[test]
-    fn take_any_prefers_lowest_source() {
-        let mb = Mailbox::default();
-        put(&mb, (2, 4, 8), bytes_env(4, vec![4]), LONG).unwrap();
-        put(&mb, (2, 1, 8), bytes_env(1, vec![1]), LONG).unwrap();
-        let env = match mb.take_any_watched(2, 8, 8, 0, LONG, || false) {
-            TakeOutcome::Delivered(env) => env,
-            _ => panic!("expected delivery"),
-        };
-        assert_eq!(env.src, 1);
     }
 
     #[test]

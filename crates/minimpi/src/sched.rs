@@ -34,8 +34,6 @@ pub(crate) struct SchedState {
     seed: u64,
     /// Per-rank perturbation-point counters (how many hooks this rank hit).
     ops: Vec<AtomicU64>,
-    /// Per-rank any-source rotation counters.
-    picks: Vec<AtomicU64>,
     /// Per-rank delivery counters feeding the fingerprint.
     deliveries: Vec<AtomicU64>,
     /// XOR-fold of all delivery events — the schedule fingerprint.
@@ -58,7 +56,6 @@ impl SchedState {
         SchedState {
             seed,
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            picks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             deliveries: (0..n).map(|_| AtomicU64::new(0)).collect(),
             fp: AtomicU64::new(0),
         }
@@ -84,14 +81,6 @@ impl SchedState {
             13 => std::thread::sleep(Duration::from_micros((h >> 8) % 50)),
             _ => std::thread::sleep(Duration::from_micros(100 + (h >> 8) % 400)),
         }
-    }
-
-    /// Seeded rotation offset for any-source receives: instead of always
-    /// scanning sources from 0, start the scan at a seed-dependent source so
-    /// different seeds deliver ready messages in different orders.
-    pub fn pick(&self, rank: usize) -> usize {
-        let n = self.picks[rank].fetch_add(1, Ordering::Relaxed);
-        mix64(self.seed ^ mix64((rank as u64) << 32 | n)) as usize
     }
 
     /// Fold one delivery (`src` → `rank`) into the schedule fingerprint.

@@ -134,9 +134,8 @@ impl UniverseBuilder {
     /// Seed the deterministic schedule explorer for this universe: every
     /// wait/poll point (sends, receives, zero-copy claims, retransmit polls,
     /// reconfigure rendezvous) consults a per-rank counterful hash of this
-    /// seed and may yield or inject a short adversarial delay, and any-source
-    /// receives rotate their source-scan preference — so different seeds
-    /// exercise different (but individually reproducible) interleavings.
+    /// seed and may yield or inject a short adversarial delay — so different
+    /// seeds exercise different (but individually reproducible) interleavings.
     /// When unset, `DDR_SCHED_SEED` decides; with neither, the hook
     /// compiles down to one `Option` branch per operation. Orthogonal to
     /// [`UniverseBuilder::check`]: seed + check finds races *and* explores

@@ -6,7 +6,7 @@
 //! watchdog timeout is set far higher — proving the checker, not the
 //! watchdog, caught the bug.
 
-use minimpi::{CollectiveKind, Error, Universe};
+use minimpi::{CollectiveKind, Datatype, Error, Universe};
 use std::time::{Duration, Instant};
 
 /// Watchdog high enough that any test passing under it proves the checker
@@ -143,12 +143,17 @@ fn matched_program_runs_clean_under_checking() {
     // may be flagged, results must be identical to an unchecked run.
     let body = |comm: &minimpi::Comm| -> minimpi::Result<u64> {
         comm.barrier()?;
-        let b = comm.broadcast(0, &[comm.size() as u64])?;
+        let b = comm.broadcast_bytes(0, &[comm.size() as u8])?;
         let g = comm.allgather(&[comm.rank() as u64])?;
         let sum = comm.try_allreduce(&[comm.rank() as u64 + 1], |a, b| a + b)?[0];
-        let scanned = comm.scan(&[1u64], |a, b| a + b)?[0];
-        let swapped = comm.alltoallv(&vec![vec![comm.rank() as u64]; comm.size()])?;
-        Ok(b[0] + g.len() as u64 + sum + scanned + swapped.len() as u64)
+        let at_root = comm.gather_bytes(1, &[comm.rank() as u8])?.map_or(0, |parts| parts.len());
+        let byte_at = |offset| Datatype::Contiguous { len_bytes: 1, offset };
+        let send_types = vec![byte_at(0); comm.size()];
+        let recv_types: Vec<Datatype> = (0..comm.size()).map(byte_at).collect();
+        let mut swapped = vec![0u8; comm.size()];
+        comm.alltoallw(&[comm.rank() as u8 + 1], &send_types, &mut swapped, &recv_types)?;
+        let swapped: u64 = swapped.iter().map(|&v| v as u64).sum();
+        Ok(b[0] as u64 + g.len() as u64 + sum + at_root as u64 + swapped)
     };
     let checked = Universe::builder().check(true).timeout(WATCHDOG).run(4, |c| body(c).unwrap());
     let plain = Universe::builder().check(false).timeout(WATCHDOG).run(4, |c| body(c).unwrap());
@@ -174,7 +179,7 @@ fn split_communicators_check_independently() {
         } else {
             // Odd child: perfectly matched collectives succeed.
             child.barrier().unwrap();
-            assert_eq!(child.broadcast(1, &[7u8]).unwrap(), vec![7]);
+            assert_eq!(child.broadcast_bytes(1, &[7u8]).unwrap(), vec![7]);
             None
         }
     });

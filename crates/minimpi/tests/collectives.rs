@@ -28,12 +28,11 @@ fn barrier_orders_side_effects() {
 fn broadcast_from_each_root() {
     for root in 0..5 {
         let out = Universe::run(5, |comm| {
-            let data: Vec<u32> =
-                if comm.rank() == root { vec![root as u32, 99, 7] } else { vec![] };
-            comm.broadcast(root, &data).unwrap()
+            let data: Vec<u8> = if comm.rank() == root { vec![root as u8, 99, 7] } else { vec![] };
+            comm.broadcast_bytes(root, &data).unwrap()
         });
         for got in out {
-            assert_eq!(got, vec![root as u32, 99, 7]);
+            assert_eq!(got, vec![root as u8, 99, 7]);
         }
     }
 }
@@ -42,26 +41,26 @@ fn broadcast_from_each_root() {
 fn broadcast_large_payload() {
     let out = Universe::run(9, |comm| {
         let data: Vec<u64> = if comm.rank() == 3 { (0..100_000).collect() } else { vec![] };
-        let got = comm.broadcast(3, &data).unwrap();
-        (got.len(), got[12_345])
+        let got = comm.broadcast_bytes(3, minimpi::bytes_of(&data)).unwrap();
+        (got.len(), got[8 * 12_345])
     });
     for (len, v) in out {
-        assert_eq!(len, 100_000);
-        assert_eq!(v, 12_345);
+        assert_eq!(len, 800_000);
+        assert_eq!(v, (12_345 % 256) as u8);
     }
 }
 
 #[test]
 fn gather_collects_in_rank_order() {
     let out = Universe::run(6, |comm| {
-        let mine = vec![comm.rank() as i64; comm.rank() + 1];
-        comm.gather(2, &mine).unwrap()
+        let mine = vec![comm.rank() as u8; comm.rank() + 1];
+        comm.gather_bytes(2, &mine).unwrap()
     });
     for (rank, res) in out.into_iter().enumerate() {
         if rank == 2 {
             let parts = res.unwrap();
             for (r, p) in parts.iter().enumerate() {
-                assert_eq!(p, &vec![r as i64; r + 1]);
+                assert_eq!(p, &vec![r as u8; r + 1]);
             }
         } else {
             assert!(res.is_none());
@@ -84,7 +83,7 @@ fn allgather_variable_lengths() {
 }
 
 #[test]
-fn reduce_and_allreduce_sum() {
+fn allreduce_sum() {
     let out = Universe::run(8, |comm| {
         let mine = vec![comm.rank() as u64, 1];
         comm.allreduce(&mine, |a, b| a + b)
@@ -95,42 +94,10 @@ fn reduce_and_allreduce_sum() {
 }
 
 #[test]
-fn reduce_is_rank_ordered_for_nonassociative_ops() {
+fn allreduce_is_rank_ordered_for_nonassociative_ops() {
     // Subtraction is order-sensitive: ((0 - 1) - 2) - 3 = -6.
-    let out = Universe::run(4, |comm| {
-        let mine = vec![comm.rank() as i64];
-        comm.reduce(0, &mine, |a, b| a - b).unwrap()
-    });
-    assert_eq!(out[0].as_ref().unwrap(), &vec![-6]);
-}
-
-#[test]
-fn scan_prefix_sums() {
-    let out = Universe::run(6, |comm| {
-        let mine = vec![comm.rank() as u32 + 1];
-        comm.scan(&mine, |a, b| a + b).unwrap()[0]
-    });
-    assert_eq!(out, vec![1, 3, 6, 10, 15, 21]);
-}
-
-#[test]
-fn alltoallv_exchanges_personalized_payloads() {
-    let n = 6;
-    let out = Universe::run(n, |comm| {
-        let me = comm.rank();
-        // Rank s sends to rank d a payload [s, d] repeated (s + d) times.
-        let msgs: Vec<Vec<u32>> = (0..n)
-            .map(|d| std::iter::repeat_n([me as u32, d as u32], me + d).flatten().collect())
-            .collect();
-        comm.alltoallv(&msgs).unwrap()
-    });
-    for (d, received) in out.into_iter().enumerate() {
-        for (s, msg) in received.into_iter().enumerate() {
-            let expect: Vec<u32> =
-                std::iter::repeat_n([s as u32, d as u32], s + d).flatten().collect();
-            assert_eq!(msg, expect, "payload from {s} to {d}");
-        }
-    }
+    let out = Universe::run(4, |comm| comm.allreduce(&[comm.rank() as i64], |a, b| a - b)[0]);
+    assert_eq!(out, vec![-6; 4]);
 }
 
 #[test]
@@ -215,10 +182,10 @@ fn split_then_cross_group_p2p_on_parent() {
 }
 
 #[test]
-fn duplicate_gives_isolated_namespace() {
+fn one_color_split_gives_isolated_namespace() {
     Universe::run(4, |comm| {
-        let dup = comm.duplicate().unwrap();
-        // Send on parent, then a collective on the duplicate, then receive on
+        let dup = comm.split(0).unwrap();
+        // Send on parent, then a collective on the copy, then receive on
         // parent: traffic must not cross namespaces.
         let peer = (comm.rank() + 1) % 4;
         let from = (comm.rank() + 3) % 4;
@@ -228,37 +195,6 @@ fn duplicate_gives_isolated_namespace() {
         let got = comm.recv_vec::<u32>(from, 1).unwrap();
         assert_eq!(got, vec![from as u32]);
     });
-}
-
-#[test]
-fn sendrecv_ring_rotation() {
-    let n = 5;
-    let out = Universe::run(n, |comm| {
-        let right = (comm.rank() + 1) % n;
-        let left = (comm.rank() + n - 1) % n;
-        comm.sendrecv(right, &[comm.rank() as u64], left, 3).unwrap()[0]
-    });
-    assert_eq!(out, vec![4, 0, 1, 2, 3]);
-}
-
-#[test]
-fn any_source_receive_collects_all() {
-    let out = Universe::run(5, |comm| {
-        if comm.rank() == 0 {
-            let mut got = Vec::new();
-            for _ in 0..4 {
-                let (status, bytes) = comm.recv_bytes_any(7).unwrap();
-                assert_eq!(bytes, vec![status.src as u8]);
-                got.push(status.src);
-            }
-            got.sort_unstable();
-            got
-        } else {
-            comm.send_bytes(0, 7, &[comm.rank() as u8]).unwrap();
-            vec![]
-        }
-    });
-    assert_eq!(out[0], vec![1, 2, 3, 4]);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use minimpi::{
 use std::time::{Duration, Instant};
 
 fn fingerprint(kind: CollectiveKind, root: usize, line: u32) -> CollFingerprint {
-    CollFingerprint { kind, root, sig: 0, file: "app.rs", line }
+    CollFingerprint { kind, root, file: "app.rs", line }
 }
 
 /// One representative value per variant — a match here fails to compile when
@@ -17,7 +17,8 @@ fn all_variants() -> Vec<Error> {
     let variants = vec![
         Error::RankOutOfRange { rank: 9, size: 4 },
         Error::Timeout { rank: 1, src: Some(2), tag: 77, comm_id: 5 },
-        Error::Timeout { rank: 1, src: None, tag: 77, comm_id: 5 },
+        // No source: a rendezvous, here under the shrink sentinel tag.
+        Error::Timeout { rank: 1, src: None, tag: (1 << 63) | 0xfff, comm_id: 5 },
         Error::PeerDead { rank: 3 },
         Error::SizeMismatch { expected: 16, got: 12 },
         Error::DatatypeMismatch { detail: "subarray exceeds buffer".into() },
@@ -83,7 +84,7 @@ fn display_is_informative_for_every_variant() {
     let expected = [
         "rank 9 out of range for communicator of size 4",
         "rank 1: receive from rank 2 (user tag 77 on comm 0x5) timed out — likely deadlock",
-        "rank 1: any-source receive (user tag 77 on comm 0x5) timed out — likely deadlock",
+        "rank 1: shrink rendezvous on comm 0x5 timed out — likely deadlock",
         "rank 3 is dead (fault-killed, panicked, or exited) — failing fast",
         "message size mismatch: expected 16 bytes, got 12",
         "datatype mismatch: subarray exceeds buffer",
@@ -319,17 +320,16 @@ fn send_phase_error_after_a_loan_drains_it() {
 }
 
 #[test]
-fn collective_mismatch_from_wrong_message_count() {
-    // Rank 0 hands alltoall one message on a 2-rank communicator; it is
+fn collective_mismatch_from_wrong_datatype_count() {
+    // Rank 0 hands alltoallw one datatype on a 2-rank communicator; it is
     // rejected locally, and rank 1 — left without a partner — fails fast
     // with PeerDead rather than timing out.
     let out = Universe::run(2, |comm| {
-        let msgs = if comm.rank() == 0 { vec![vec![1u8]] } else { vec![vec![1u8], vec![1u8]] };
-        comm.alltoall_bytes(msgs).map(|_| ())
+        let byte = Datatype::Contiguous { len_bytes: 1, offset: 0 };
+        let types = vec![byte; if comm.rank() == 0 { 1 } else { 2 }];
+        comm.alltoallw(&[1], &types, &mut [0], &types)
     });
-    assert_eq!(
-        out[0],
-        Err(Error::CollectiveMismatch { detail: "alltoall: expected 2 messages, got 1".into() })
-    );
+    let detail = "alltoallw: expected 2 send and recv types, got 1 and 1".into();
+    assert_eq!(out[0], Err(Error::CollectiveMismatch { detail }));
     assert_eq!(out[1], Err(Error::PeerDead { rank: 0 }));
 }
