@@ -1,6 +1,9 @@
 //! Runtime correctness checking: collective-matching verification,
-//! wait-for-graph deadlock detection, happens-before race & lifetime
-//! checking, and datatype signature verification.
+//! wait-for-graph deadlock detection and datatype signature verification —
+//! each a mistake a safe program can make. (Writing a lent buffer while the
+//! loan is live, or finishing with a loan outstanding, it cannot: the only
+//! lender is `alltoallw`'s send phase, whose shared borrow of the send
+//! buffer outlives the drain its `Drop` runs on every exit path.)
 //!
 //! All of these facilities are off by default and enabled together via
 //! [`crate::UniverseBuilder::check`] or `DDR_CHECK=1`. When disabled the only
@@ -32,26 +35,6 @@
 //! with [`crate::Error::Deadlock`] carrying the full cycle, long before the
 //! watchdog expires.
 //!
-//! ## Happens-before race & lifetime checking
-//!
-//! Every world rank carries a [`VectorClock`]: ticked on each send, with the
-//! sender's snapshot piggybacked on the envelope and joined into the
-//! receiver's clock at match/claim time. Against that partial order, two
-//! kinds of resources are tracked. **Zero-copy loans**: each lent buffer
-//! region records its lend-time clock and (once the receiver finishes
-//! copying) its done-time clock; a write to the region that is neither
-//! ordered before the lend nor after the *settled* copy-out races the
-//! receiver's read and fails with [`crate::Error::DataRace`]. **Annotated
-//! buffers**: applications (and the runtime's own claim path) record
-//! accesses via [`crate::Comm::check_write`] / [`crate::Comm::check_read`];
-//! any two causally-unordered overlapping accesses with at least one write
-//! are a race. Loans still live — neither copied out nor revoked — when the
-//! universe finishes are reported as [`crate::Error::LoanLeak`]. The tables
-//! grow with the number of tracked events; this is a debugging facility,
-//! not a production mode. (Address ranges identify buffers, so a freed and
-//! reallocated buffer at the same address aliases its predecessor — events
-//! are cleared at epoch fences to bound the effect.)
-//!
 //! ## Datatype signatures
 //!
 //! With checking on, every envelope is stamped with a [`TypeSig`] — packed
@@ -65,13 +48,11 @@ use crate::comm::WorldState;
 use crate::datatype::Datatype;
 use crate::fault::mix64;
 use crate::mailbox::MsgKey;
-use crate::vclock::VectorClock;
-use crate::zerocopy::ZcCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// How often the deadlock detector rescans the wait-for graph. A cycle must
@@ -295,77 +276,10 @@ impl fmt::Display for TypeSig {
     }
 }
 
-/// Two causally-unordered accesses to one tracked buffer, at least one a
-/// write — the structured report behind [`crate::Error::DataRace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RaceReport {
-    /// The tracked resource both accesses touched.
-    pub resource: String,
-    /// World ranks of the two accessors (earlier-recorded first).
-    pub ranks: (usize, usize),
-    /// What each side was doing.
-    pub ops: (String, String),
-    /// Call site of each access.
-    pub call_sites: (String, String),
-}
-
-impl fmt::Display for RaceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "on {}: rank {} ({} at {}) is causally unordered with rank {} ({} at {})",
-            self.resource,
-            self.ranks.0,
-            self.ops.0,
-            self.call_sites.0,
-            self.ranks.1,
-            self.ops.1,
-            self.call_sites.1
-        )
-    }
-}
-
-/// One zero-copy loan still live at finalize.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeakedLoan {
-    /// World rank that lent the buffer.
-    pub src: usize,
-    /// World rank the loan was addressed to.
-    pub dst: usize,
-    /// Size of the lent region in bytes.
-    pub bytes: usize,
-    /// Where the loan was made.
-    pub site: String,
-}
-
-/// Loans never driven to a terminal state (copied out or revoked) by the
-/// end of the universe — the structured report behind
-/// [`crate::Error::LoanLeak`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoanLeakReport {
-    /// Every loan still live, in lend order.
-    pub loans: Vec<LeakedLoan>,
-}
-
-impl fmt::Display for LoanLeakReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} zero-copy loan(s) still live at finalize: ", self.loans.len())?;
-        for (i, l) in self.loans.iter().enumerate() {
-            if i > 0 {
-                write!(f, "; ")?;
-            }
-            write!(f, "{}B from rank {} to rank {} (lent at {})", l.bytes, l.src, l.dst, l.site)?;
-        }
-        Ok(())
-    }
-}
-
 /// Snapshot of the check-plane counters, exported into the ddrtrace metrics
 /// registry as `check.*` and queryable via [`crate::Comm::check_counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckCounters {
-    /// Data races convicted by the happens-before checker.
-    pub races: u64,
     /// Deadlock cycles convicted by the wait-for-graph detector.
     pub deadlocks: u64,
     /// Collective divergences reported.
@@ -400,36 +314,8 @@ struct WaitTable {
     next_gen: u64,
 }
 
-/// One recorded access to a tracked buffer range.
-struct AccessEvent {
-    rank: usize,
-    start: usize,
-    end: usize,
-    write: bool,
-    clock: VectorClock,
-    op: String,
-    site: String,
-}
-
-/// One tracked zero-copy loan. The strong `cell` reference keeps the
-/// completion cell queryable for the finalize-time leak check even after
-/// the envelope is consumed, and its address is the loan's identity.
-struct Loan {
-    cell: Arc<ZcCell>,
-    src_world: usize,
-    dst_world: usize,
-    start: usize,
-    end: usize,
-    /// Sender clock at lend time (after the send tick).
-    lend_clock: VectorClock,
-    /// Receiver clock when the copy-out finished; `None` while outstanding.
-    done_clock: Option<VectorClock>,
-    site: String,
-}
-
 #[derive(Default)]
 struct Counters {
-    races: AtomicU64,
     deadlocks: AtomicU64,
     divergences: AtomicU64,
     type_mismatches: AtomicU64,
@@ -442,12 +328,6 @@ pub(crate) struct CheckState {
     waits: Mutex<WaitTable>,
     /// Ranks declared deadlocked by the detector, with their cycle report.
     deadlocked: Mutex<HashMap<usize, DeadlockReport>>,
-    /// Per-world-rank vector clocks (the happens-before order).
-    clocks: Mutex<Vec<VectorClock>>,
-    /// Tracked zero-copy loans, in lend order.
-    loans: Mutex<Vec<Loan>>,
-    /// Recorded buffer accesses (annotated + claim-path reads).
-    accesses: Mutex<Vec<AccessEvent>>,
     counters: Counters,
 }
 
@@ -457,9 +337,6 @@ impl CheckState {
             colls: Mutex::new(HashMap::new()),
             waits: Mutex::new(WaitTable { edges: vec![None; n], next_gen: 0 }),
             deadlocked: Mutex::new(HashMap::new()),
-            clocks: Mutex::new(vec![VectorClock::new(n); n]),
-            loans: Mutex::new(Vec::new()),
-            accesses: Mutex::new(Vec::new()),
             counters: Counters::default(),
         }
     }
@@ -537,215 +414,6 @@ impl CheckState {
         Self::lock(&self.deadlocked).contains_key(&world_rank)
     }
 
-    /// Tick `world_rank`'s clock for a send and return the snapshot to
-    /// piggyback on the envelope.
-    pub fn on_send(&self, world_rank: usize) -> VectorClock {
-        let mut clocks = Self::lock(&self.clocks);
-        clocks[world_rank].tick(world_rank);
-        clocks[world_rank].clone()
-    }
-
-    /// Join a delivered envelope's clock into `world_rank`'s clock (the
-    /// receive is itself an event, so the clock also ticks).
-    pub fn on_recv(&self, world_rank: usize, msg: &VectorClock) {
-        let mut clocks = Self::lock(&self.clocks);
-        clocks[world_rank].tick(world_rank);
-        clocks[world_rank].join(msg);
-    }
-
-    /// Track a zero-copy loan of `len` bytes at `start` from `src_world` to
-    /// `dst_world`, identified by its completion cell. Call after the send
-    /// tick so the lend clock covers the lend itself.
-    #[track_caller]
-    pub fn register_loan(
-        &self,
-        cell: &Arc<ZcCell>,
-        src_world: usize,
-        dst_world: usize,
-        start: usize,
-        len: usize,
-    ) {
-        let loc = Location::caller();
-        let lend_clock = Self::lock(&self.clocks)[src_world].clone();
-        Self::lock(&self.loans).push(Loan {
-            cell: Arc::clone(cell),
-            src_world,
-            dst_world,
-            start,
-            end: start + len,
-            lend_clock,
-            done_clock: None,
-            site: format!("{}:{}", loc.file(), loc.line()),
-        });
-    }
-
-    /// Stop tracking a loan that was never made visible to its receiver (its
-    /// deposit was refused): nobody will read it, so no later write can race
-    /// it.
-    pub fn forget_loan(&self, cell: &Arc<ZcCell>) {
-        Self::lock(&self.loans).retain(|l| !Arc::ptr_eq(&l.cell, cell));
-    }
-
-    /// Run `f` on the loan identified by `cell`, if tracked. Latest match
-    /// wins; cell addresses are unique while the table holds strong refs.
-    fn with_loan<R>(&self, cell: &Arc<ZcCell>, f: impl FnOnce(&mut Loan) -> R) -> Option<R> {
-        let key = Arc::as_ptr(cell);
-        let mut loans = Self::lock(&self.loans);
-        loans.iter_mut().rev().find(|l| std::ptr::eq(Arc::as_ptr(&l.cell), key)).map(f)
-    }
-
-    /// Record the receiver's successful claim of a loan: the copy-out
-    /// begins. The claim is registered as a read of the loaned range, so a
-    /// write racing the copy window is convicted from whichever side the
-    /// checker sees second.
-    pub fn loan_claimed(
-        &self,
-        cell: &Arc<ZcCell>,
-        dst_world: usize,
-    ) -> Result<(), Box<RaceReport>> {
-        let Some((start, end, site)) =
-            self.with_loan(cell, |l| (l.start, l.end, format!("claim of loan lent at {}", l.site)))
-        else {
-            return Ok(());
-        };
-        self.access(
-            dst_world,
-            start,
-            end - start,
-            false,
-            "zero-copy claim (copy out of loan)",
-            site,
-        )
-    }
-
-    /// Record that the receiver finished copying out of a loan (just before
-    /// the cell is driven to `Done`).
-    pub fn loan_done(&self, cell: &Arc<ZcCell>, dst_world: usize) {
-        let done = {
-            let mut clocks = Self::lock(&self.clocks);
-            clocks[dst_world].tick(dst_world);
-            clocks[dst_world].clone()
-        };
-        self.with_loan(cell, |l| l.done_clock = Some(done));
-    }
-
-    /// Record that the sender observed the loan's completion (its drain wait
-    /// returned): the receiver's copy-out now happens-before everything the
-    /// sender does next, so later writes to the buffer are clean.
-    pub fn loan_settled(&self, cell: &Arc<ZcCell>, src_world: usize) {
-        let done = self.with_loan(cell, |l| l.done_clock.clone()).flatten();
-        if let Some(d) = done {
-            Self::lock(&self.clocks)[src_world].join(&d);
-        }
-    }
-
-    /// Check an access of `len` bytes at `start` by `world_rank` against
-    /// every outstanding loan (writes only) and every previously recorded
-    /// overlapping access, then record it. Returns the race if one is found
-    /// (the access is still recorded, so each pair is convicted once).
-    pub fn access(
-        &self,
-        world_rank: usize,
-        start: usize,
-        len: usize,
-        write: bool,
-        op: &str,
-        site: String,
-    ) -> Result<(), Box<RaceReport>> {
-        let end = start + len;
-        let clock = {
-            let mut clocks = Self::lock(&self.clocks);
-            clocks[world_rank].tick(world_rank);
-            clocks[world_rank].clone()
-        };
-        let mut race = None;
-        if write {
-            let loans = Self::lock(&self.loans);
-            for l in loans.iter() {
-                if l.end <= start || end <= l.start {
-                    continue;
-                }
-                // Safe only if the write is ordered before the lend or after
-                // the receiver's (settled) copy-out.
-                let after_done = l.done_clock.as_ref().is_some_and(|d| d.leq(&clock));
-                let before_lend = clock.leq(&l.lend_clock);
-                if !after_done && !before_lend {
-                    race = Some(Box::new(RaceReport {
-                        resource: format!(
-                            "zero-copy loan [{:#x}..{:#x}) ({}B)",
-                            l.start,
-                            l.end,
-                            l.end - l.start
-                        ),
-                        ranks: (l.dst_world, world_rank),
-                        ops: (format!("reads the loan from rank {}", l.src_world), op.to_string()),
-                        call_sites: (l.site.clone(), site.clone()),
-                    }));
-                    break;
-                }
-            }
-        }
-        let mut events = Self::lock(&self.accesses);
-        if race.is_none() {
-            for e in events.iter() {
-                if e.end <= start || end <= e.start {
-                    continue;
-                }
-                if !(e.write || write) {
-                    continue;
-                }
-                if e.clock.concurrent(&clock) {
-                    race = Some(Box::new(RaceReport {
-                        resource: format!(
-                            "buffer [{:#x}..{:#x}) ({}B)",
-                            start.max(e.start),
-                            end.min(e.end),
-                            end.min(e.end) - start.max(e.start)
-                        ),
-                        ranks: (e.rank, world_rank),
-                        ops: (e.op.clone(), op.to_string()),
-                        call_sites: (e.site.clone(), site.clone()),
-                    }));
-                    break;
-                }
-            }
-        }
-        events.push(AccessEvent {
-            rank: world_rank,
-            start,
-            end,
-            write,
-            clock,
-            op: op.to_string(),
-            site,
-        });
-        drop(events);
-        match race {
-            Some(r) => {
-                self.counters.races.fetch_add(1, Ordering::Relaxed);
-                Err(r)
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Loans still live (neither copied out nor revoked) — the finalize-time
-    /// lifetime check behind [`crate::Error::LoanLeak`].
-    pub fn leaked_loans(&self) -> Option<Box<LoanLeakReport>> {
-        let loans = Self::lock(&self.loans);
-        let leaked: Vec<LeakedLoan> = loans
-            .iter()
-            .filter(|l| !l.cell.is_terminal())
-            .map(|l| LeakedLoan {
-                src: l.src_world,
-                dst: l.dst_world,
-                bytes: l.end - l.start,
-                site: l.site.clone(),
-            })
-            .collect();
-        (!leaked.is_empty()).then(|| Box::new(LoanLeakReport { loans: leaked }))
-    }
-
     /// Count one datatype signature mismatch.
     pub fn note_type_mismatch(&self) {
         self.counters.type_mismatches.fetch_add(1, Ordering::Relaxed);
@@ -754,7 +422,6 @@ impl CheckState {
     /// Snapshot the check-plane counters.
     pub fn counters(&self) -> CheckCounters {
         CheckCounters {
-            races: self.counters.races.load(Ordering::Relaxed),
             deadlocks: self.counters.deadlocks.load(Ordering::Relaxed),
             divergences: self.counters.divergences.load(Ordering::Relaxed),
             type_mismatches: self.counters.type_mismatches.load(Ordering::Relaxed),
@@ -778,13 +445,6 @@ impl CheckState {
         }
         drop(w);
         Self::lock(&self.deadlocked).clear();
-        // Loans and access events of the old epoch are orphans too: their
-        // envelopes are about to be swept (revoking outstanding loans), and
-        // buffers freed by departed ranks may be reallocated at the same
-        // addresses in the new epoch. The clocks survive — happens-before is
-        // monotone across epochs.
-        Self::lock(&self.loans).clear();
-        Self::lock(&self.accesses).clear();
     }
 
     /// One detector scan: find cycles in the current wait-for graph, confirm

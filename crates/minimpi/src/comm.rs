@@ -10,13 +10,11 @@ use crate::life::{Liveness, ShrinkBarrier};
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::sched::SchedState;
-use crate::vclock::VectorClock;
 use crate::zerocopy::{
     zerocopy_env_default, BufferPool, PoolStats, TransportCells, TransportCounters, ZcCell,
     ZcHandle,
 };
 use std::cell::Cell;
-use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,9 +31,8 @@ pub(crate) struct WorldState {
     pub liveness: Liveness,
     pub shrink: ShrinkBarrier,
     pub faults: Option<FaultState>,
-    /// Correctness-checking state (collective epoch log + wait-for graph +
-    /// happens-before race/lifetime tables); `None` unless checking was
-    /// enabled on the universe builder.
+    /// Correctness-checking state (collective epoch log + wait-for graph);
+    /// `None` unless checking was enabled on the universe builder.
     pub check: Option<CheckState>,
     /// Seeded schedule-perturbation state; `None` (zero cost) unless a
     /// schedule seed was set via the builder or `DDR_SCHED_SEED`.
@@ -447,41 +444,21 @@ impl Comm {
     /// first: an envelope stamped by a different membership epoch is never
     /// delivered; it is counted, traced and dropped here (the drop revokes
     /// any zero-copy loan it carried, releasing its sender) and `None` tells
-    /// the caller to keep waiting for a current-epoch message. An admitted
-    /// envelope is folded into the schedule fingerprint and its piggybacked
-    /// clock joined into this rank's clock.
+    /// the caller to keep waiting for a current-epoch message.
     pub(crate) fn admit(&self, env: Envelope) -> Option<Envelope> {
         if env.epoch != self.epoch {
             self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
             ddrtrace::instant_arg("minimpi", "fenced_msg", "src", env.src as i64);
             return None;
         }
-        if let Some(s) = &self.world.sched {
-            s.observe(self.world_rank(), env.src);
-        }
-        if let Some(check) = &self.world.check {
-            if let Some(clock) = &env.clock {
-                check.on_recv(self.world_rank(), clock);
-            }
-        }
         Some(env)
     }
 
-    /// Clock snapshot + datatype signature to stamp on an outgoing envelope;
-    /// `(None, None)` (no work at all) when checking is off. `sig` defaults
-    /// to an untyped-bytes signature of `payload_len`.
-    fn send_stamp(
-        &self,
-        sig: Option<TypeSig>,
-        payload_len: usize,
-    ) -> (Option<VectorClock>, Option<TypeSig>) {
-        match &self.world.check {
-            Some(check) => (
-                Some(check.on_send(self.world_rank())),
-                Some(sig.unwrap_or_else(|| TypeSig::bytes(payload_len as u64))),
-            ),
-            None => (None, None),
-        }
+    /// Datatype signature to stamp on an outgoing envelope; `None` (no work
+    /// at all) when checking is off. `sig` defaults to an untyped-bytes
+    /// signature of `payload_len`.
+    fn send_stamp(&self, sig: Option<TypeSig>, payload_len: usize) -> Option<TypeSig> {
+        self.world.check.as_ref().map(|_| sig.unwrap_or_else(|| TypeSig::bytes(payload_len as u64)))
     }
 
     /// With checking enabled, verify a sender's stamped datatype signature
@@ -504,48 +481,10 @@ impl Comm {
         Err(Error::TypeMismatch { src, dst: self.rank, tag: key_tag, expected: *want, got: *got })
     }
 
-    /// Declare a *write* access to `buf` for the happens-before race
-    /// checker. With checking enabled, fails with [`Error::DataRace`] if the
-    /// write is causally unordered with another tracked access to an
-    /// overlapping range — in particular, writing a buffer lent via the
-    /// zero-copy path while the receiver's claim may still be copying.
-    /// A no-op (one `Option` branch) when checking is off.
-    #[track_caller]
-    pub fn check_write(&self, buf: &[u8]) -> Result<()> {
-        self.check_access(buf, true, "writes the buffer")
-    }
-
-    /// Declare a *read* access to `buf` for the happens-before race checker.
-    /// Reads race only with causally unordered writes. A no-op when checking
-    /// is off.
-    #[track_caller]
-    pub fn check_read(&self, buf: &[u8]) -> Result<()> {
-        self.check_access(buf, false, "reads the buffer")
-    }
-
-    #[track_caller]
-    fn check_access(&self, buf: &[u8], write: bool, op: &str) -> Result<()> {
-        let Some(check) = &self.world.check else { return Ok(()) };
-        let loc = Location::caller();
-        let site = format!("{}:{}", loc.file(), loc.line());
-        check
-            .access(self.world_rank(), buf.as_ptr() as usize, buf.len(), write, op, site)
-            .map_err(Error::DataRace)
-    }
-
     /// Snapshot of the checker's violation counters, or `None` when checking
     /// is off. Counts are world-wide (shared by every communicator handle).
     pub fn check_counters(&self) -> Option<CheckCounters> {
         self.world.check.as_ref().map(|c| c.counters())
-    }
-
-    /// Tell the checker the sender observed a loan reaching a terminal
-    /// state: join the receiver's copy-done clock into this (sender) rank's
-    /// clock, so later sender writes are ordered after the copy.
-    pub(crate) fn note_loan_settled(&self, cell: &Arc<ZcCell>) {
-        if let Some(check) = &self.world.check {
-            check.loan_settled(cell, self.world_rank());
-        }
     }
 
     /// The one place an envelope is built and queued: stamped with this
@@ -562,7 +501,7 @@ impl Comm {
         key_tag: u64,
         payload: Payload,
         checksum: Option<u64>,
-        (clock, type_sig): (Option<VectorClock>, Option<TypeSig>),
+        type_sig: Option<TypeSig>,
         bounded: bool,
     ) -> Result<()> {
         let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
@@ -575,7 +514,6 @@ impl Comm {
             epoch: self.epoch,
             payload,
             checksum,
-            clock,
             type_sig,
             pair: bounded.then_some(src_world),
         };
@@ -705,8 +643,8 @@ impl Comm {
     /// lend and claim can flip a bit. Callers must have checked
     /// [`WorldState::zerocopy_active`]: under a fault plan every message
     /// stages, which is where the injector, the checksum and the retransmit
-    /// protocol act. A sender write during a live loan is the race checker's
-    /// to catch ([`Comm::check_write`]), not the checksum's.
+    /// protocol act. A sender cannot write during a live loan: the caller's
+    /// shared borrow of `buf` outlives the wait on the returned cell.
     ///
     /// Measured, not assumed: a lend-time hash here plus the receiver's
     /// verify pass walked every loaned byte three times for one copy that
@@ -715,7 +653,6 @@ impl Comm {
     /// per op) from `op_ms_p50` 1.72 to 0.96 ms and `cpu_ms_per_op` 3.3 to
     /// 1.8 — medians of ten alternating pairs, lower in all ten, and what
     /// `DDR_CHECKSUM=0` had read beforehand (0.92–1.02 ms, 6 of 6 pairs).
-    #[track_caller]
     pub(crate) fn deposit_shared(
         &self,
         dest: usize,
@@ -729,28 +666,10 @@ impl Comm {
         self.fault_tick()?;
         let cell = Arc::new(ZcCell::default());
         let stamp = self.send_stamp(Some(TypeSig::of(&dt)), 0);
-        // Track the loan *after* the send tick, so the lend clock covers the
-        // lend event itself.
-        if let Some(check) = &self.world.check {
-            check.register_loan(
-                &cell,
-                self.world_rank(),
-                self.members[dest],
-                buf.as_ptr() as usize,
-                buf.len(),
-            );
-        }
         // A loan occupies a slot in the pair but stages no bytes. A refused
-        // one was dropped — and so revoked — by the mailbox; un-track it so
-        // the sender's later writes are not judged against a loan nobody
-        // will ever read.
+        // one was dropped — and so revoked — by the mailbox.
         let handle = ZcHandle::new(buf, dt, Arc::clone(&cell));
-        if let Err(e) = self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp, true) {
-            if let Some(check) = &self.world.check {
-                check.forget_loan(&cell);
-            }
-            return Err(e);
-        }
+        self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp, true)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(cell)
     }
@@ -759,9 +678,7 @@ impl Comm {
     /// bytes into the receiver's own storage — one traversal, nothing else —
     /// then release the sender. **A claimed loan always reaches `finish`**:
     /// once the claim succeeded the sender is parked until then, so nothing
-    /// may return early in between. That is why a claim-time race (the
-    /// sender wrote the lent region while our claim is causally unordered
-    /// with that write) is surfaced only past `finish`.
+    /// may return early in between.
     pub(crate) fn claim_loan(
         &self,
         src: usize,
@@ -774,24 +691,11 @@ impl Comm {
             // here; the payload is unrecoverable.
             return Err(Error::PeerDead { rank: src });
         }
-        // Record the claim (a read of the loaned range).
-        let race = match &self.world.check {
-            Some(check) => {
-                check.loan_claimed(&loan.cell, self.world_rank()).err().map(Error::DataRace)
-            }
-            None => None,
-        };
         // SAFETY: the claim succeeded, so the sender is blocked in
         // ZcCell::wait and its buffer stays alive until finish().
         let res = copy_out(unsafe { loan.src_slice() });
-        if let Some(check) = &self.world.check {
-            check.loan_done(&loan.cell, self.world_rank());
-        }
         loan.cell.finish();
-        match race {
-            Some(race) if res.is_ok() => Err(race),
-            _ => res,
-        }
+        res
     }
 
     /// Turn a received envelope into owned bytes, *verified* when they were

@@ -1,6 +1,6 @@
 //! Error type for runtime failures.
 
-use crate::check::{DeadlockReport, DivergenceReport, LoanLeakReport, RaceReport, TypeSig};
+use crate::check::{DeadlockReport, DivergenceReport, TypeSig};
 use std::fmt;
 
 /// Errors surfaced by the minimpi runtime.
@@ -71,16 +71,6 @@ pub enum Error {
     /// a confirmed receive cycle. The report lists every member of the cycle
     /// and what it was waiting for — the watchdog never needs to fire.
     Deadlock(Box<DeadlockReport>),
-    /// With checking enabled, the happens-before checker found two causally
-    /// unordered accesses to the same tracked buffer, at least one of them a
-    /// write — e.g. a sender mutating a buffer while a receiver's zero-copy
-    /// claim is still copying out of it. The report names the resource, both
-    /// ranks, both operations and both call sites.
-    DataRace(Box<RaceReport>),
-    /// With checking enabled, one or more zero-copy loans were still live
-    /// (never claimed and copied, never revoked) when the universe finished —
-    /// a lent buffer whose ownership was never returned to the application.
-    LoanLeak(Box<LoanLeakReport>),
     /// With checking enabled, a receive matched a message whose datatype
     /// signature (extent, element size, subarray shape) disagrees with what
     /// the receiver declared — caught before the bytes are silently
@@ -189,8 +179,6 @@ impl fmt::Display for Error {
                 write!(f, "collective divergence: {report}")
             }
             Error::Deadlock(report) => write!(f, "{report}"),
-            Error::DataRace(report) => write!(f, "data race: {report}"),
-            Error::LoanLeak(report) => write!(f, "loan leak: {report}"),
             Error::TypeMismatch { src, dst, tag, expected, got } => {
                 let op = crate::comm::describe_key_tag(*tag);
                 write!(

@@ -61,8 +61,8 @@
 //!
 //! ## Correctness checking
 //!
-//! `Universe::builder().check(true)` (or `DDR_CHECK=1`) turns on two
-//! runtime analyses:
+//! `Universe::builder().check(true)` (or `DDR_CHECK=1`) turns on three
+//! runtime analyses, each convicting a mistake a safe program can make:
 //!
 //! * **Collective matching** — every collective records a fingerprint
 //!   (operation kind, root, datatype signature) keyed by its per-communicator
@@ -73,15 +73,6 @@
 //!   wait-for edges; a detector thread runs cycle detection and converts a
 //!   confirmed cycle into [`Error::Deadlock`] on every member, listing the
 //!   full cycle, long before the watchdog would fire.
-//!
-//! * **Happens-before race & lifetime checking** — each rank carries a
-//!   vector clock, piggybacked on every envelope and joined at delivery;
-//!   zero-copy loans and explicitly annotated buffers ([`Comm::check_write`]
-//!   / [`Comm::check_read`]) are tracked resources. Two causally unordered
-//!   accesses to overlapping bytes, at least one a write — e.g. a sender
-//!   mutating a buffer while a receiver's claim is still copying — fail with
-//!   [`Error::DataRace`]; loans still live at the end of the run panic with
-//!   [`Error::LoanLeak`].
 //! * **Datatype signature verification** — sends stamp a [`TypeSig`]
 //!   (extent, element size, subarray shape) into the envelope; typed
 //!   receives and `alltoallw` deliveries that disagree fail with
@@ -113,12 +104,10 @@
 //! scheduler hook at every wait/poll point: sends, receives, zero-copy
 //! claims, retransmit polls, and the reconfigure rendezvous may yield or
 //! sleep for a few hundred microseconds — all as a pure function of (seed,
-//! rank, op count), so a given seed replays the same perturbation. Each run
-//! folds its
-//! delivery orders into a seed-independent fingerprint
-//! ([`take_last_fingerprint`]) that an explorer (see the `ddrcheck` crate)
-//! uses to prune equivalent schedules while sweeping seeds. Unseeded, the
-//! hook is one `Option` branch per operation.
+//! rank, op count), so a given seed replays the same perturbation. An
+//! explorer (see the `ddrcheck` crate) sweeps a budget of seeds and stops at
+//! the first failure. Unseeded, the hook is one `Option` branch per
+//! operation.
 //!
 //! ## Example
 //!
@@ -150,13 +139,12 @@ mod mailbox;
 mod pod;
 mod sched;
 mod universe;
-mod vclock;
 mod wait;
 mod zerocopy;
 
 pub use check::{
-    CheckCounters, CollFingerprint, CollectiveKind, DeadlockReport, DivergenceReport, LeakedLoan,
-    LoanLeakReport, PendingRecv, RaceReport, TypeSig,
+    CheckCounters, CollFingerprint, CollectiveKind, DeadlockReport, DivergenceReport, PendingRecv,
+    TypeSig,
 };
 pub use collectives::ExchangeReport;
 pub use comm::{Comm, Tag};
@@ -166,7 +154,5 @@ pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
 pub use integrity::IntegrityCounters;
 pub use pod::{bytes_of, bytes_of_mut, Pod};
-pub use sched::take_last_fingerprint;
 pub use universe::{Universe, UniverseBuilder};
-pub use vclock::VectorClock;
 pub use zerocopy::{PoolStats, TransportCounters};

@@ -54,9 +54,6 @@ pub(crate) struct Envelope {
     /// on control traffic, and always on a `Shared` loan — a pointer
     /// hand-off has no in-flight bytes to protect.
     pub checksum: Option<u64>,
-    /// Sender's vector-clock snapshot, piggybacked when checking is enabled
-    /// (`None` otherwise) and joined into the receiver's clock at delivery.
-    pub clock: Option<crate::vclock::VectorClock>,
     /// Sender's datatype signature, stamped when checking is enabled and
     /// verified against the receiver's declared expectation.
     pub type_sig: Option<crate::check::TypeSig>,
@@ -404,7 +401,6 @@ mod tests {
             epoch: 0,
             payload: Payload::Bytes(bytes),
             checksum: None,
-            clock: None,
             type_sig: None,
             pair: None,
         }
@@ -680,9 +676,8 @@ mod tests {
         assert_eq!((depth(&mb, 0), depth(&mb, 1), depth(&mb, 2)), ((1, 1), (0, 0), (1, 1)));
     }
 
-    /// A refused loan is revoked by the drop of its envelope, un-tracked by
-    /// the checker (the sender may write the buffer again; the finalize-time
-    /// leak scan in `run` passes) and holds no slot once the pair drains.
+    /// A refused loan is revoked by the drop of its envelope and holds no
+    /// slot once the pair drains.
     #[test]
     fn refused_loan_is_revoked_and_forgotten() {
         use crate::{Datatype, Error, Universe};
@@ -696,11 +691,9 @@ mod tests {
                 let cell = comm.deposit_shared(1, tag, &first, dt).unwrap();
                 let err = comm.deposit_shared(1, tag, &second, dt).unwrap_err();
                 assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
-                comm.check_write(&second).unwrap();
                 gate.wait();
                 let done = cell.wait(&comm.my_mailbox().waiter, Instant::now() + LONG, || false);
                 assert_eq!(done, crate::zerocopy::ZcWait::Done);
-                comm.note_loan_settled(&cell);
                 comm.set_timeout(LONG);
                 comm.send_bytes(1, 3, &second).unwrap();
                 assert_eq!(comm.transport_counters().credit_waits, 1);

@@ -14,18 +14,15 @@
 //! interleavings, and any failure replays by re-running with the printed
 //! seed.
 //!
-//! Each run also folds every message delivery into an order-insensitive
-//! *schedule fingerprint* (per-rank delivery sequences, combined with XOR so
-//! rank threads need no ordering between them). The fingerprint is
-//! independent of the seed: two seeds that produce the same deliveries in
-//! the same per-rank order are the *same* schedule, which is what lets the
-//! explorer prune equivalent seeds instead of re-testing them. When no seed
-//! is set the scheduler is absent (`Option::None`) and every hook is a
-//! single branch.
+//! When no seed is set the scheduler is absent (`Option::None`) and every
+//! hook is a single branch.
+//!
+//! Every receive names its source, so a rank's delivery order is fixed by
+//! program order: a seed varies timing, not which message a receive gets,
+//! and no two seeds can be told apart as "the same schedule" in advance.
 
 use crate::fault::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Per-universe scheduler state, present in [`crate::comm::WorldState`] only
@@ -34,10 +31,6 @@ pub(crate) struct SchedState {
     seed: u64,
     /// Per-rank perturbation-point counters (how many hooks this rank hit).
     ops: Vec<AtomicU64>,
-    /// Per-rank delivery counters feeding the fingerprint.
-    deliveries: Vec<AtomicU64>,
-    /// XOR-fold of all delivery events — the schedule fingerprint.
-    fp: AtomicU64,
 }
 
 /// FNV-1a over a point name, so distinct hook sites perturb independently
@@ -53,12 +46,7 @@ fn fnv(s: &str) -> u64 {
 
 impl SchedState {
     pub fn new(seed: u64, n: usize) -> Self {
-        SchedState {
-            seed,
-            ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            deliveries: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            fp: AtomicU64::new(0),
-        }
+        SchedState { seed, ops: (0..n).map(|_| AtomicU64::new(0)).collect() }
     }
 
     /// Maybe delay `rank` at hook site `point`. The decision is a pure
@@ -82,38 +70,6 @@ impl SchedState {
             _ => std::thread::sleep(Duration::from_micros(100 + (h >> 8) % 400)),
         }
     }
-
-    /// Fold one delivery (`src` → `rank`) into the schedule fingerprint.
-    /// Deliberately seed-independent — see the module docs.
-    pub fn observe(&self, rank: usize, src: usize) {
-        let n = self.deliveries[rank].fetch_add(1, Ordering::Relaxed);
-        let h = mix64(mix64((rank as u64) ^ (0xddcc_0feeu64 << 32)) ^ mix64(src as u64) ^ mix64(n));
-        self.fp.fetch_xor(h, Ordering::Relaxed);
-    }
-
-    /// The schedule fingerprint accumulated so far.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp.load(Ordering::Relaxed)
-    }
-
-    /// Publish this run's fingerprint for [`take_last_fingerprint`].
-    pub fn publish(&self) {
-        *lock_last() = Some(self.fingerprint());
-    }
-}
-
-static LAST_FP: Mutex<Option<u64>> = Mutex::new(None);
-
-fn lock_last() -> std::sync::MutexGuard<'static, Option<u64>> {
-    LAST_FP.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Take the schedule fingerprint of the most recently completed seeded
-/// universe run in this process (`None` if no seeded run has finished since
-/// the last call). The explorer uses this to prune seeds that reproduced an
-/// already-tested schedule.
-pub fn take_last_fingerprint() -> Option<u64> {
-    lock_last().take()
 }
 
 /// `DDR_SCHED_SEED` supplies a schedule seed when the builder did not.
@@ -128,8 +84,7 @@ mod tests {
     #[test]
     fn perturb_is_deterministic_per_seed() {
         // Same seed → same op-count stream → same decisions; we can't observe
-        // sleeps directly, but the underlying hash must be stable, which we
-        // check through the fingerprint path (pure function of inputs).
+        // sleeps directly, so check the op counters the hash is keyed on.
         let a = SchedState::new(7, 2);
         let b = SchedState::new(7, 2);
         for _ in 0..100 {
@@ -137,40 +92,5 @@ mod tests {
             b.perturb(0, "send");
         }
         assert_eq!(a.ops[0].load(Ordering::Relaxed), b.ops[0].load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn fingerprint_ignores_cross_rank_interleaving() {
-        // Two ranks' delivery streams folded in either global order produce
-        // the same fingerprint — only per-rank order matters.
-        let a = SchedState::new(1, 2);
-        a.observe(0, 1);
-        a.observe(1, 0);
-        let b = SchedState::new(2, 2);
-        b.observe(1, 0);
-        b.observe(0, 1);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_delivery_orders() {
-        // Same multiset of sources delivered to one rank in a different
-        // order must fingerprint differently.
-        let a = SchedState::new(1, 3);
-        a.observe(0, 1);
-        a.observe(0, 2);
-        let b = SchedState::new(1, 3);
-        b.observe(0, 2);
-        b.observe(0, 1);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn publish_take_roundtrip() {
-        let s = SchedState::new(3, 2);
-        s.observe(0, 1);
-        s.publish();
-        assert_eq!(take_last_fingerprint(), Some(s.fingerprint()));
-        assert_eq!(take_last_fingerprint(), None);
     }
 }

@@ -138,8 +138,9 @@ impl UniverseBuilder {
     /// seeds exercise different (but individually reproducible) interleavings.
     /// When unset, `DDR_SCHED_SEED` decides; with neither, the hook
     /// compiles down to one `Option` branch per operation. Orthogonal to
-    /// [`UniverseBuilder::check`]: seed + check finds races *and* explores
-    /// schedules, seed alone just perturbs timing.
+    /// [`UniverseBuilder::check`]: seed + check convicts deadlocks,
+    /// divergences and type mismatches under perturbed timing, seed alone
+    /// just perturbs it.
     pub fn sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = Some(seed);
         self
@@ -301,25 +302,6 @@ impl UniverseBuilder {
             if ddrtrace::enabled() {
                 record_world_metrics(&world);
             }
-            // Publish the schedule fingerprint before any panic can
-            // propagate: the explorer reads it even for failing schedules.
-            if let Some(sched) = &world.sched {
-                sched.publish();
-            }
-            // Loan-leak scan: only meaningful when every rank finished
-            // cleanly — a panicked or failed rank legitimately strands its
-            // in-flight loans (the epoch sweep / Drop revocation handles
-            // them), so a leak report there would be noise on top of the
-            // real failure.
-            let all_clean =
-                outcomes.iter().all(|o| o.is_ok()) && respawn_outcomes.iter().all(|o| o.is_ok());
-            if all_clean {
-                if let Some(check) = &world.check {
-                    if let Some(report) = check.leaked_loans() {
-                        panic!("{}", crate::Error::LoanLeak(report));
-                    }
-                }
-            }
             if own_capture {
                 let trace = ddrtrace::capture::stop();
                 if let Some(path) = &trace_path {
@@ -405,13 +387,9 @@ fn record_world_metrics(world: &WorldState) {
     ddrtrace::metrics::add("integrity", "exhausted", i.exhausted);
     if let Some(check) = &world.check {
         let c = check.counters();
-        ddrtrace::metrics::add("check", "races", c.races);
         ddrtrace::metrics::add("check", "deadlocks", c.deadlocks);
         ddrtrace::metrics::add("check", "divergences", c.divergences);
         ddrtrace::metrics::add("check", "type_mismatches", c.type_mismatches);
-    }
-    if world.sched.is_some() {
-        ddrtrace::metrics::add("check", "schedules_explored", 1);
     }
 }
 

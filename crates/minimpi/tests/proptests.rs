@@ -1,170 +1,9 @@
 //! Property-based tests of minimpi collectives with randomized payloads,
 //! sizes, and rank counts.
 
-use minimpi::{Datatype, Error, FaultPlan, Universe, VectorClock};
+use minimpi::{Datatype, Error, FaultPlan, Universe};
 use proptest::prelude::*;
 use std::time::Duration;
-
-/// Build a clock with the given per-rank components through the public API
-/// (ticking each component up to its target value).
-fn clock_from(components: &[u64]) -> VectorClock {
-    let mut c = VectorClock::new(components.len());
-    for (rank, &v) in components.iter().enumerate() {
-        for _ in 0..v {
-            c.tick(rank);
-        }
-    }
-    c
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Ticking strictly advances the clock: the old snapshot happens-before
-    /// the new one and never the other way around. This is what makes every
-    /// recorded access comparable to later accesses by the same rank.
-    #[test]
-    fn vclock_tick_is_strictly_monotonic(
-        n in 1usize..6,
-        raw in prop::collection::vec(0u64..12, 6),
-        rank_pick in any::<u8>(),
-    ) {
-        let a = &raw[..n];
-        let before = clock_from(a);
-        let mut after = before.clone();
-        let rank = rank_pick as usize % a.len();
-        after.tick(rank);
-        prop_assert!(before.leq(&after));
-        prop_assert!(!after.leq(&before));
-        prop_assert_eq!(after.get(rank), before.get(rank) + 1);
-    }
-
-    /// Join is the least upper bound: both inputs happen-before the join,
-    /// and any other upper bound dominates it. The checker relies on this
-    /// when a receive folds the sender's snapshot into the receiver's clock.
-    #[test]
-    fn vclock_join_is_least_upper_bound(
-        n in 1usize..6,
-        ra in prop::collection::vec(0u64..12, 6),
-        rb in prop::collection::vec(0u64..12, 6),
-        rc in prop::collection::vec(0u64..12, 6),
-    ) {
-        let (a, b, c) = (&ra[..n], &rb[..n], &rc[..n]);
-        let (ca, cb, cc) = (clock_from(a), clock_from(b), clock_from(c));
-        let mut joined = ca.clone();
-        joined.join(&cb);
-        prop_assert!(ca.leq(&joined));
-        prop_assert!(cb.leq(&joined));
-        if ca.leq(&cc) && cb.leq(&cc) {
-            prop_assert!(joined.leq(&cc));
-        }
-    }
-
-    /// Join is commutative, idempotent, and associative — so the clock a
-    /// rank ends up with is independent of the order its deliveries were
-    /// folded in, which is what lets the race verdict be schedule-stable.
-    #[test]
-    fn vclock_join_laws(
-        n in 1usize..6,
-        ra in prop::collection::vec(0u64..12, 6),
-        rb in prop::collection::vec(0u64..12, 6),
-        rc in prop::collection::vec(0u64..12, 6),
-    ) {
-        let (a, b, c) = (&ra[..n], &rb[..n], &rc[..n]);
-        let (ca, cb, cc) = (clock_from(a), clock_from(b), clock_from(c));
-        let mut ab = ca.clone();
-        ab.join(&cb);
-        let mut ba = cb.clone();
-        ba.join(&ca);
-        prop_assert_eq!(&ab, &ba);
-        let mut aa = ca.clone();
-        aa.join(&ca);
-        prop_assert_eq!(&aa, &ca);
-        let mut ab_c = ab.clone();
-        ab_c.join(&cc);
-        let mut bc = cb.clone();
-        bc.join(&cc);
-        let mut a_bc = ca.clone();
-        a_bc.join(&bc);
-        prop_assert_eq!(&ab_c, &a_bc);
-    }
-
-    /// `leq` is a partial order (reflexive, antisymmetric, transitive) and
-    /// `concurrent` is exactly its incomparability relation — symmetric,
-    /// irreflexive, and matching a componentwise model.
-    #[test]
-    fn vclock_leq_is_a_partial_order_and_concurrent_its_complement(
-        n in 1usize..6,
-        ra in prop::collection::vec(0u64..12, 6),
-        rb in prop::collection::vec(0u64..12, 6),
-        rc in prop::collection::vec(0u64..12, 6),
-    ) {
-        let (a, b, c) = (&ra[..n], &rb[..n], &rc[..n]);
-        let (ca, cb, cc) = (clock_from(a), clock_from(b), clock_from(c));
-        prop_assert!(ca.leq(&ca));
-        prop_assert!(!ca.concurrent(&ca));
-        if ca.leq(&cb) && cb.leq(&ca) {
-            prop_assert_eq!(&ca, &cb);
-        }
-        if ca.leq(&cb) && cb.leq(&cc) {
-            prop_assert!(ca.leq(&cc));
-        }
-        prop_assert_eq!(ca.concurrent(&cb), cb.concurrent(&ca));
-        let model_leq = a.iter().zip(b.iter()).all(|(x, y)| x <= y);
-        prop_assert_eq!(ca.leq(&cb), model_leq);
-    }
-}
-
-/// Regression corpus for the clock laws: fixed component vectors that pin
-/// the boundary cases the random sweep only sometimes lands on.
-mod vclock_regressions {
-    use super::clock_from;
-    use minimpi::VectorClock;
-
-    #[test]
-    fn equal_clocks_are_ordered_both_ways_and_not_concurrent() {
-        let a = clock_from(&[3, 1, 4]);
-        let b = clock_from(&[3, 1, 4]);
-        assert!(a.leq(&b) && b.leq(&a));
-        assert!(!a.concurrent(&b));
-    }
-
-    #[test]
-    fn classic_crossing_pair_is_concurrent() {
-        // Each side is ahead on its own component: neither orders the other.
-        let a = clock_from(&[2, 0]);
-        let b = clock_from(&[0, 2]);
-        assert!(a.concurrent(&b));
-        let mut join = a.clone();
-        join.join(&b);
-        assert_eq!(join, clock_from(&[2, 2]));
-    }
-
-    #[test]
-    fn zero_clock_precedes_everything() {
-        let zero = VectorClock::new(3);
-        let any = clock_from(&[0, 7, 1]);
-        assert!(zero.leq(&any));
-        assert!(!zero.concurrent(&any));
-    }
-
-    #[test]
-    fn single_rank_world_is_totally_ordered() {
-        // With one component, concurrency is impossible by construction.
-        let a = clock_from(&[5]);
-        let b = clock_from(&[9]);
-        assert!(a.leq(&b));
-        assert!(!a.concurrent(&b));
-    }
-
-    #[test]
-    fn empty_world_clock_is_leq_itself() {
-        let a = VectorClock::new(0);
-        assert!(a.is_empty());
-        assert!(a.leq(&a));
-        assert!(!a.concurrent(&a));
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
