@@ -1,6 +1,7 @@
 //! Property-based tests: random disjoint-and-complete partitions are
 //! redistributed correctly to random (possibly overlapping) needs.
 
+use ddr_core::decompose::{brick, near_cubic_grid, round_robin_items};
 use ddr_core::{
     compute_local_plan, Block, DataKind, Descriptor, Layout, Plan, Transfer, ValidationPolicy,
 };
@@ -137,13 +138,18 @@ fn run_case(kind: DataKind, domain: Block, nprocs: usize, seeds: Vec<u64>) {
         .enumerate()
         .map(|(r, o)| Layout { owned: o, need: random_subblock(&domain, seeds[r % seeds.len()]) })
         .collect();
+    check_and_execute(kind, &layouts);
+}
 
+/// Assert the plan invariants on `layouts` (one per rank), then run the
+/// redistribution and check every needed cell's bytes.
+fn check_and_execute(kind: DataKind, layouts: &[Layout]) {
+    let nprocs = layouts.len();
     let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
-    assert_plan_invariants(&layouts, &desc);
+    assert_plan_invariants(layouts, &desc);
 
-    let layouts_ref = &layouts;
     Universe::run(nprocs, move |comm| {
-        let me = &layouts_ref[comm.rank()];
+        let me = &layouts[comm.rank()];
         let plan = desc
             .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
             .unwrap();
@@ -196,6 +202,35 @@ proptest! {
     ) {
         let domain = Block::d3([0, 0, 0], [w, h, d]).unwrap();
         run_case(DataKind::D3, domain, nprocs, seeds);
+    }
+
+    /// The stack loader's shape: single z-planes dealt round-robin, bricks
+    /// of a near-cubic grid that leaves a remainder on every axis it splits.
+    #[test]
+    fn loader_round_robin_planes_to_ragged_bricks(
+        nprocs in 2usize..=7,
+        quotients in prop::collection::vec(1usize..4, 3..4),
+        remainders in prop::collection::vec(any::<u64>(), 3..4),
+    ) {
+        let counts = near_cubic_grid(nprocs);
+        // An axis split into c > 1 parts is q·c + (1..c) long, so c never
+        // divides it; an unsplit axis is 1..=4 long.
+        let extent = |a: usize| match counts[a] {
+            1 => 1 + remainders[a] as usize % 4,
+            c => quotients[a] * c + 1 + remainders[a] as usize % (c - 1),
+        };
+        let vol = [extent(0), extent(1), extent(2)];
+        let domain = Block::d3([0, 0, 0], vol).unwrap();
+        let layouts: Vec<Layout> = (0..nprocs)
+            .map(|r| Layout {
+                owned: round_robin_items(vol[2], nprocs, r, |z| {
+                    Block::d3([0, 0, z], [vol[0], vol[1], 1])
+                })
+                .unwrap(),
+                need: brick(&domain, counts, r).unwrap(),
+            })
+            .collect();
+        check_and_execute(DataKind::D3, &layouts);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! a receive gets, so no seed can be skipped as already seen.
 //!
 //! ```no_run
-//! use minimpi::{Error, Universe};
+//! use minimpi::Universe;
 //!
 //! let report = ddrcheck::explore::explore(64, |seed| {
-//!     let out = Universe::builder().check(true).sched_seed(seed).run(2, |comm| comm.barrier());
-//!     // The cause, not a peer's `PeerDead` fallout from it.
-//!     Error::root_cause(out).map(|_| ()).map_err(|e| e.to_string())
+//!     // `try_run` reports the cause, not a peer's `PeerDead` fallout from it.
+//!     let out = Universe::builder().check(true).sched_seed(seed).try_run(2, |c| c.barrier());
+//!     out.map(|_| ()).map_err(|e| e.to_string())
 //! });
 //! assert!(report.passed(), "{}", ddrcheck::explore::render_explore_report("barrier", &report));
 //! ```
@@ -115,8 +115,9 @@ mod tests {
         let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         ddrtrace::capture::start();
         let report = explore(3, |seed| {
-            let out = minimpi::Universe::builder().sched_seed(seed).run(2, |comm| comm.barrier());
-            minimpi::Error::root_cause(out).map(|_| ()).map_err(|e| e.to_string())
+            let out =
+                minimpi::Universe::builder().sched_seed(seed).try_run(2, |comm| comm.barrier());
+            out.map(|_| ()).map_err(|e| e.to_string())
         });
         let trace = ddrtrace::capture::stop();
         assert!(report.passed(), "{}", render_explore_report("barrier", &report));

@@ -12,9 +12,9 @@ use minimpi::{Comm, Datatype, Error, FaultPlan, Universe};
 use std::time::Duration;
 
 /// One run's outcome for the explorer: clean, or the message of the error
-/// that caused the failure — not of a peer's `PeerDead` fallout from it.
-fn verdict(out: Vec<Result<(), Error>>) -> Result<(), String> {
-    Error::root_cause(out).map(|_| ()).map_err(|e| e.to_string())
+/// `try_run` reports — the cause, not a peer's `PeerDead` fallout from it.
+fn verdict(out: minimpi::Result<Vec<()>>) -> Result<(), String> {
+    out.map(|_| ()).map_err(|e| e.to_string())
 }
 
 /// Bidirectional 2-rank alltoallw shipping `len` seeded bytes each way.
@@ -46,7 +46,7 @@ fn alltoallw_under_check_is_clean_across_schedules() {
             .zerocopy_threshold(0)
             .sched_seed(seed)
             .timeout(Duration::from_secs(20))
-            .run(n, move |comm| {
+            .try_run(n, move |comm| {
                 let me = comm.rank();
                 let send: Vec<u8> = (0..n * len).map(|i| (me as u8) ^ (i as u8)).collect();
                 let mut recv = vec![0u8; n * len];
@@ -136,7 +136,7 @@ fn corrupt_retransmit_recovery_is_clean_across_schedules() {
             .sched_seed(seed)
             .timeout(Duration::from_secs(20))
             .fault_plan(FaultPlan::new(7).corrupt_message(0, 1, None, 0))
-            .run(2, move |comm| {
+            .try_run(2, move |comm| {
                 let got = exchange(comm, len)?;
                 let other = 1 - comm.rank();
                 let want: Vec<u8> =
@@ -169,7 +169,7 @@ fn credit_handshake_is_clean_across_schedules() {
             .flow_control(1, 256)
             .sched_seed(seed)
             .timeout(Duration::from_secs(10))
-            .run(n, move |comm| {
+            .try_run(n, move |comm| {
                 let me = comm.rank();
                 let next = (me + 1) % n;
                 let prev = (me + n - 1) % n;
@@ -207,7 +207,7 @@ fn explorer_convicts_head_of_line_credit_deadlock() {
             .flow_control(1, 1 << 20)
             .sched_seed(seed)
             .timeout(Duration::from_millis(300))
-            .run(2, move |comm| {
+            .try_run(2, move |comm| {
                 let other = 1 - comm.rank();
                 comm.send_bytes(other, 3, &[1u8; 32])?;
                 // Bug under test: this send needs a credit only the peer's

@@ -387,29 +387,33 @@ impl<'a> Page<'a> {
     /// anything else is [`TiffError::DimensionMismatch`] and converts
     /// nothing.
     ///
+    /// u8/u16 samples divide in `f32` with the same bits: sample and odd scale
+    /// are exact, so the quotient rounds once and sits ≥ 2⁻⁴¹ (relative) from
+    /// any midpoint, beyond the f64 divide's 2⁻⁵³ error. A u32 is not exact in
+    /// `f32`, so u32 (and float) samples keep the f64 route.
+    ///
     /// Measured (`crates/bench/benches/codecs.rs`, one 256×256 16-bit slice
-    /// of the `tiff_stack_load` stack, 2 vCPUs):
-    /// `tiff/decode_normalized_256x256_u16` 38 µs, against 130 µs for the
-    /// route it replaces, the typed decode followed by the per-index
-    /// `get_f64(i) / scale` loop into a fresh `Vec<f32>`. The typed
-    /// `tiff/decode_256x256_u16` alone went 47 → 5.8 µs on the same walker.
+    /// of the `tiff_stack_load` stack, 2 vCPUs, three alternating runs):
+    /// `tiff/decode_normalized_256x256_u16` 47.2–49.0 µs dividing in `f64`,
+    /// 18.0–18.3 µs dividing in `f32`.
     pub fn decode_normalized_into(&self, out: &mut [f32]) -> Result<()> {
         if out.len() != self.pixels() {
             return Err(TiffError::DimensionMismatch { expected: self.pixels(), got: out.len() });
         }
         let scale = full_scale(self.kind);
         macro_rules! normalized {
-            ($t:ty) => {
+            ($t:ty, $div:ty) => {{
+                let scale = scale as $div;
                 self.samples_into(out, <$t>::from_le_bytes, <$t>::from_be_bytes, |x| {
-                    (x as f64 / scale) as f32
+                    (<$div>::from(x) / scale) as f32
                 })
-            };
+            }};
         }
         match self.kind {
-            PixelKind::U8 => normalized!(u8),
-            PixelKind::U16 => normalized!(u16),
-            PixelKind::U32 => normalized!(u32),
-            PixelKind::F32 => normalized!(f32),
+            PixelKind::U8 => normalized!(u8, f32),
+            PixelKind::U16 => normalized!(u16, f32),
+            PixelKind::U32 => normalized!(u32, f64),
+            PixelKind::F32 => normalized!(f32, f64),
         }
     }
 }

@@ -317,11 +317,19 @@ fn assert_normalized_matches(img: &TiffImage, bytes: &[u8], what: &str) {
     );
 }
 
+/// Pins both `f32`-divide arms exhaustively; the u32 and f32 arms are
+/// covered by `..._for_every_kind_compression_and_ragged_strips`.
 #[test]
-fn normalized_decode_is_bit_identical_for_every_u16_value() {
-    let img = TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap();
-    for endian in [Endian::Little, Endian::Big] {
-        assert_normalized_matches(&img, &img.encode(endian).unwrap(), &format!("{endian:?}"));
+fn normalized_decode_is_bit_identical_for_every_u8_and_u16_value() {
+    let images = [
+        TiffImage::new(16, 16, PixelData::U8((0..=u8::MAX).collect())).unwrap(),
+        TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap(),
+    ];
+    for img in &images {
+        for endian in [Endian::Little, Endian::Big] {
+            let what = format!("{:?} {endian:?}", img.kind());
+            assert_normalized_matches(img, &img.encode(endian).unwrap(), &what);
+        }
     }
 }
 

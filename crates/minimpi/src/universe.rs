@@ -2,6 +2,7 @@
 
 use crate::comm::{default_timeout, Comm, WorldState};
 use crate::elastic::SupervisorEvent;
+use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use crate::wait::Resolved;
 use std::panic::AssertUnwindSafe;
@@ -332,14 +333,14 @@ impl UniverseBuilder {
     }
 
     /// Like [`UniverseBuilder::run`] but for fallible rank bodies: returns
-    /// the first error (by rank order) or all results.
-    pub fn try_run<R, E, F>(&self, n: usize, f: F) -> Result<Vec<R>, E>
+    /// all results or the error that explains the failure
+    /// ([`Error::root_cause`]), not a peer's [`Error::PeerDead`] fallout.
+    pub fn try_run<R, F>(&self, n: usize, f: F) -> Result<Vec<R>>
     where
         R: Send,
-        E: Send,
-        F: Fn(&Comm) -> Result<R, E> + Sync,
+        F: Fn(&Comm) -> Result<R> + Sync,
     {
-        self.run(n, f).into_iter().collect()
+        Error::root_cause(self.run(n, f))
     }
 }
 
@@ -409,13 +410,12 @@ impl Universe {
         Self::builder().run(n, f)
     }
 
-    /// Like [`Universe::run`] but for fallible rank bodies: returns the
-    /// first error (by rank order) or all results.
-    pub fn try_run<R, E, F>(n: usize, f: F) -> Result<Vec<R>, E>
+    /// Like [`Universe::run`] but for fallible rank bodies. See
+    /// [`UniverseBuilder::try_run`].
+    pub fn try_run<R, F>(n: usize, f: F) -> Result<Vec<R>>
     where
         R: Send,
-        E: Send,
-        F: Fn(&Comm) -> Result<R, E> + Sync,
+        F: Fn(&Comm) -> Result<R> + Sync,
     {
         Self::builder().try_run(n, f)
     }
@@ -439,18 +439,28 @@ mod tests {
 
     #[test]
     fn try_run_propagates_errors() {
-        let r: Result<Vec<()>, String> =
-            Universe::try_run(
-                3,
-                |comm| {
-                    if comm.rank() == 1 {
-                        Err("boom".to_string())
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-        assert_eq!(r.unwrap_err(), "boom");
+        let boom = Error::Internal { detail: "boom".into() };
+        let r =
+            Universe::try_run(3, |comm| if comm.rank() == 1 { Err(boom.clone()) } else { Ok(()) });
+        assert_eq!(r, Err(boom));
+        assert_eq!(Universe::try_run(2, |comm| Ok(comm.rank())), Ok(vec![0, 1]));
+    }
+
+    #[test]
+    fn try_run_reports_the_cause_not_the_peer_dead_fallout() {
+        // Rank 0 hands rank 1 a message and blocks receiving the reply; rank
+        // 1 fails instead of replying, so rank 0 fails with PeerDead. Rank
+        // order alone would report rank 0's fallout.
+        let r = Universe::try_run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send_bytes(1, 0, b"go")?;
+                comm.recv_bytes(1, 1).map(|_| ())
+            } else {
+                comm.recv_bytes(0, 0)?;
+                comm.send_bytes(2, 1, b"reply")
+            }
+        });
+        assert_eq!(r, Err(Error::RankOutOfRange { rank: 2, size: 2 }));
     }
 
     #[test]
