@@ -5,29 +5,31 @@ use crate::plan::Plan;
 use crate::recover::{LossKind, PartialCompletion};
 use crate::stats::RedistStats;
 use minimpi::{bytes_of, bytes_of_mut, Comm, Datatype, Pod};
+use std::ops::Range;
 
 /// Marker trait for element types DDR can move: any plain-old-data type.
 pub use minimpi::Pod as Element;
 
-/// Where the round loop gets round `r`'s owned chunk from. Only asked for
-/// rounds this rank owns a chunk in, once each, in round order.
+/// Where the round loop gets an exchange's owned chunks from. Asked once
+/// per exchange, in round order, and only for rounds this rank owns a chunk
+/// in.
 trait ChunkSource<T> {
     /// What fetching a chunk can fail with; the loop's own errors convert
     /// into it.
     type Error: From<DdrError>;
-    fn chunk(&mut self, round: usize) -> std::result::Result<&[T], Self::Error>;
+    fn chunks(&mut self, rounds: Range<usize>) -> std::result::Result<Vec<&[T]>, Self::Error>;
 }
 
 /// The trivial source: every chunk already sits in the caller's memory.
 impl<T> ChunkSource<T> for &[&[T]] {
     type Error = DdrError;
-    fn chunk(&mut self, round: usize) -> Result<&[T]> {
-        Ok(self[round])
+    fn chunks(&mut self, rounds: Range<usize>) -> Result<Vec<&[T]>> {
+        Ok(self[rounds].to_vec())
     }
 }
 
 /// A source that makes each chunk when its round comes, in one buffer that
-/// every round reuses.
+/// every round reuses — so it runs one round per exchange.
 struct Produced<T, F> {
     fill: F,
     buf: Vec<T>,
@@ -39,9 +41,10 @@ where
     F: FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
 {
     type Error = E;
-    fn chunk(&mut self, round: usize) -> std::result::Result<&[T], E> {
-        (self.fill)(round, &mut self.buf)?;
-        Ok(&self.buf)
+    fn chunks(&mut self, rounds: Range<usize>) -> std::result::Result<Vec<&[T]>, E> {
+        debug_assert_eq!(rounds.len(), 1, "one buffer holds one round's chunk");
+        (self.fill)(rounds.start, &mut self.buf)?;
+        Ok(vec![&self.buf])
     }
 }
 
@@ -111,7 +114,9 @@ impl Plan {
 
     /// Collective: move data from each rank's owned-chunk buffers into its
     /// needed-block buffer according to this plan — the paper's
-    /// `DDR_ReorganizeData` (§III-C), using one `alltoallw` per round.
+    /// `DDR_ReorganizeData` (§III-C). The paper runs one `alltoallw` per
+    /// round; here consecutive rounds whose chunks all fit under the
+    /// universe's loan threshold share one ([`Plan::exchanges`]).
     ///
     /// May be called any number of times with fresh data; the mapping is
     /// reused (the paper's "dynamic data" property).
@@ -146,7 +151,7 @@ impl Plan {
         need: &mut [T],
     ) -> Result<(PartialCompletion, RedistStats)> {
         self.check_buffers(comm, owned, need)?;
-        self.run_rounds(comm, owned, need)
+        self.run_rounds(comm, owned, need, comm.zerocopy_threshold())
     }
 
     /// [`Plan::reorganize`] for chunks that are produced rather than held:
@@ -157,7 +162,7 @@ impl Plan {
     /// chunks — a reader walking a stack of images — keeps one of them in
     /// memory instead of all. `produce` is called once per owned chunk, in
     /// round order, and never for the padded rounds of a rank that owns
-    /// fewer chunks than its peers.
+    /// fewer chunks than its peers. Each round is an exchange of its own.
     ///
     /// A producer's own failure `E` returns at once. The peers are then
     /// inside that round, and see this rank's exit as any other dead peer:
@@ -170,40 +175,50 @@ impl Plan {
     ) -> std::result::Result<(), E> {
         self.check_call(comm, need)?;
         let (report, _) =
-            self.run_rounds(comm, Produced { fill: produce, buf: Vec::new() }, need)?;
+            self.run_rounds(comm, Produced { fill: produce, buf: Vec::new() }, need, 0)?;
         Ok(complete(report)?)
     }
 
     /// The [`RedistStats`] a fully successful execution of this plan will
     /// report (what [`Plan::reorganize_with_stats`] returns when nothing
-    /// fails).
+    /// fails) on the universe it was set up on. A plan from
+    /// [`crate::compute_local_plan`] has met no universe, so its count of
+    /// exchanges is the paper's: one per round.
     pub fn expected_stats(&self) -> RedistStats {
-        RedistStats::from_plan(self, &[])
+        RedistStats::from_plan(self, self.loan_threshold.unwrap_or(0), &[])
     }
 
-    /// The one round loop behind every entry point. Drains every round so
-    /// the maximum amount of data survives a peer death, and classifies each
-    /// receive failure so retransmit exhaustion (the peer is alive but its
-    /// data never verified) is reported distinctly from death.
+    /// The one round loop behind every entry point. Drains every exchange
+    /// so the maximum amount of data survives a peer death, and classifies
+    /// each receive failure so retransmit exhaustion (the peer is alive but
+    /// its data never verified) is reported distinctly from death. A source
+    /// lost in an exchange is lost in every round of it that received from
+    /// that source.
     ///
-    /// Round-synchronous, like the paper: one blocking `alltoallw` per
-    /// round, so at most one round's bytes are ever staged.
+    /// Exchange-synchronous: one blocking exchange per group of
+    /// [`Plan::exchanges`] under `loan_threshold`. A round whose chunks
+    /// exceed the threshold is an exchange of its own, as in the paper, and
+    /// stages at most that round's bytes; a shared exchange stages at most
+    /// `loan_threshold` bytes per message.
     fn run_rounds<T: Pod, S: ChunkSource<T>>(
         &self,
         comm: &Comm,
         mut source: S,
         need: &mut [T],
+        loan_threshold: usize,
     ) -> std::result::Result<(PartialCompletion, RedistStats), S::Error> {
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
         let need_bytes = bytes_of_mut(need);
-        let mut send_types = vec![Datatype::Empty; self.nprocs];
-        let mut recv_types = vec![Datatype::Empty; self.nprocs];
         let mut failures = Vec::new();
-        for (r, round) in self.rounds.iter().enumerate() {
-            let _round = ddrtrace::span_arg("redist", "round", "round", r as i64);
-            let chunk: &[T] = match self.owned.get(r) {
-                Some(block) => {
-                    let chunk = source.chunk(r)?;
+        for group in self.exchanges(loan_threshold) {
+            let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", group.len() as i64);
+            let owned = group.start.min(self.owned.len())..group.end.min(self.owned.len());
+            let chunks = if owned.is_empty() { Vec::new() } else { source.chunks(owned)? };
+            let mut sends: Vec<Vec<(&[u8], Datatype)>> = vec![Vec::new(); self.nprocs];
+            let mut recvs: Vec<Vec<Datatype>> = vec![Vec::new(); self.nprocs];
+            for r in group.clone() {
+                if let Some(block) = self.owned.get(r) {
+                    let chunk = chunks[r - group.start];
                     if chunk.len() as u64 != block.count() {
                         return Err(DdrError::BufferMismatch {
                             detail: format!(
@@ -215,30 +230,30 @@ impl Plan {
                         }
                         .into());
                     }
-                    chunk
+                    for t in &self.rounds[r].sends {
+                        sends[t.peer].push((bytes_of(chunk), Datatype::Subarray(t.subarray)));
+                    }
                 }
-                None => &[],
-            };
-            send_types.fill(Datatype::Empty);
-            recv_types.fill(Datatype::Empty);
-            for t in &round.sends {
-                send_types[t.peer] = Datatype::Subarray(t.subarray);
+                for t in &self.rounds[r].recvs {
+                    recvs[t.peer].push(Datatype::Subarray(t.subarray));
+                }
             }
-            for t in &round.recvs {
-                recv_types[t.peer] = Datatype::Subarray(t.subarray);
+            let report =
+                comm.alltoallw_parts(&sends, need_bytes, &recvs).map_err(DdrError::from)?;
+            for (peer, e) in report.failed {
+                let kind = LossKind::from_error(&e);
+                let lost =
+                    group.clone().filter(|&r| self.rounds[r].recvs.iter().any(|t| t.peer == peer));
+                failures.extend(lost.map(|r| (r, peer, kind)));
             }
-            let report = comm
-                .alltoallw_salvage(bytes_of(chunk), &send_types, need_bytes, &recv_types)
-                .map_err(DdrError::from)?;
-            failures.extend(
-                report.failed.into_iter().map(|(peer, e)| (r, peer, LossKind::from_error(&e))),
-            );
         }
-        let stats = RedistStats::from_plan(self, &failures);
+        let stats = RedistStats::from_plan(self, loan_threshold, &failures);
         if ddrtrace::enabled() {
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
             ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
+            ddrtrace::metrics::add("redist", "rounds", stats.rounds as u64);
+            ddrtrace::metrics::add("redist", "exchanges", stats.exchanges as u64);
             ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
         }
         Ok((PartialCompletion::from_failures(self, &failures), stats))

@@ -20,7 +20,9 @@ use minimpi::Comm;
 /// Round `r` exchanges every rank's `r`-th owned chunk; the number of rounds
 /// is the maximum chunk count over all ranks, matching the paper's
 /// "the number of `MPI_Alltoallw` calls is equivalent to the maximum number
-/// of chunks that any one process owns".
+/// of chunks that any one process owns". The plan meets no universe here,
+/// so `reorganize` groups its rounds under the loan threshold of whichever
+/// communicator runs it.
 pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) -> Result<Plan> {
     let owned: Vec<&[Block]> = layouts.iter().map(|l| l.owned.as_slice()).collect();
     let need: Vec<Option<Block>> = layouts.iter().map(|l| Some(l.need)).collect();
@@ -59,7 +61,11 @@ fn plan_core(
     let (my_owned, my_need) = (owned[rank], need[rank]);
     let num_rounds = owned.iter().map(|chunks| chunks.len()).max().unwrap_or(0);
     let mut rounds = Vec::with_capacity(num_rounds);
+    let mut round_bytes = Vec::with_capacity(num_rounds);
     for r in 0..num_rounds {
+        let chunks = owned.iter().filter_map(|chunks| chunks.get(r));
+        let largest = chunks.map(|c| c.count().saturating_mul(elem_size as u64)).max();
+        round_bytes.push(largest.unwrap_or(0));
         let mut round = RoundPlan::default();
         // Sends: my r-th chunk intersected with every rank's need.
         if let Some(chunk) = my_owned.get(r) {
@@ -88,16 +94,26 @@ fn plan_core(
         rounds.push(round);
     }
 
-    Ok(Plan { rank, nprocs, elem_size, owned: my_owned.to_vec(), need: my_need, rounds })
+    Ok(Plan {
+        rank,
+        nprocs,
+        elem_size,
+        owned: my_owned.to_vec(),
+        need: my_need,
+        rounds,
+        round_bytes,
+        loan_threshold: None,
+    })
 }
 
 impl Declared {
-    /// Rank `rank`'s plan for need index `k`: the ordinary plan that fills
-    /// every rank's `k`-th needed block.
-    pub(crate) fn plan(&self, rank: usize, k: usize, desc: &Descriptor) -> Result<Plan> {
+    /// This rank's plan for need index `k`: the ordinary plan that fills
+    /// every rank's `k`-th needed block, on `comm`'s universe.
+    pub(crate) fn plan(&self, comm: &Comm, k: usize, desc: &Descriptor) -> Result<Plan> {
         let owned: Vec<&[Block]> = self.owned.iter().map(Vec::as_slice).collect();
         let need: Vec<Option<Block>> = self.needs.iter().map(|n| n.get(k).copied()).collect();
-        plan_core(rank, &owned, &need, desc)
+        let plan = plan_core(comm.rank(), &owned, &need, desc)?;
+        Ok(Plan { loan_threshold: Some(comm.zerocopy_threshold()), ..plan })
     }
 }
 
@@ -123,7 +139,7 @@ impl Descriptor {
         let _setup = ddrtrace::span("redist", "setup_mapping");
         let all = self.declared(comm, owned, &[need], policy)?;
         let _p = ddrtrace::span("redist", "compute_plan");
-        all.plan(comm.rank(), 0, self)
+        all.plan(comm, 0, self)
     }
 
     /// What both setup calls start with: gather every rank's declaration and
@@ -156,6 +172,7 @@ impl Descriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::slab;
     use crate::descriptor::DataKind;
 
     /// Layouts for the paper's running example E1 (Fig. 1 / Table I).
@@ -252,6 +269,108 @@ mod tests {
         // its need 3..6 at element 4..6).
         assert_eq!(p1.rounds()[1].recvs.len(), 1);
         assert_eq!(p1.rounds()[1].recvs[0].region, Block::d1(4, 2).unwrap());
+    }
+
+    const LOAN_THRESHOLD: usize = 64 << 10;
+
+    /// Each exchange as its `(first round, end round)`.
+    fn exchanges(plan: &Plan, loan_threshold: usize) -> Vec<(usize, usize)> {
+        plan.exchanges(loan_threshold).map(|g| (g.start, g.end)).collect()
+    }
+
+    fn plans(layouts: &[Layout], desc: &Descriptor) -> Vec<Plan> {
+        (0..layouts.len()).map(|r| compute_local_plan(r, layouts, desc).unwrap()).collect()
+    }
+
+    /// `rounds_small_2d`'s shape: a 256x256 f32 grid cut into 16 column
+    /// slabs of 16 KiB, 8 per rank, redistributed to two row slabs.
+    fn small_column_slabs() -> (Vec<Layout>, Descriptor) {
+        let domain = Block::d2([0, 0], [256, 256]).unwrap();
+        let layouts = (0..2)
+            .map(|r| Layout {
+                owned: (0..8).map(|i| slab(&domain, 0, 16, 2 * i + r).unwrap()).collect(),
+                need: slab(&domain, 1, 2, r).unwrap(),
+            })
+            .collect();
+        (layouts, Descriptor::new(2, DataKind::D2, 4).unwrap())
+    }
+
+    #[test]
+    fn e1_runs_its_two_rounds_in_one_exchange() {
+        let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
+        for plan in plans(&e1_layouts(), &desc) {
+            assert_eq!(plan.num_rounds(), 2);
+            assert_eq!(exchanges(&plan, LOAN_THRESHOLD), [(0, 2)]);
+        }
+    }
+
+    #[test]
+    fn small_chunks_coalesce_up_to_the_threshold() {
+        // Four 16 KiB chunks fill 64 KiB exactly; the fifth starts anew.
+        let (layouts, desc) = small_column_slabs();
+        for plan in plans(&layouts, &desc) {
+            assert_eq!(plan.num_rounds(), 8);
+            assert_eq!(exchanges(&plan, LOAN_THRESHOLD), [(0, 4), (4, 8)]);
+            assert_eq!(exchanges(&plan, LOAN_THRESHOLD - 1), [(0, 3), (3, 6), (6, 8)]);
+        }
+    }
+
+    #[test]
+    fn chunks_over_the_threshold_run_alone() {
+        // `tiff_stack_load`'s shape: 256x256 f32 planes of 256 KiB dealt
+        // round-robin to two ranks, redistributed to two bricks.
+        let domain = Block::d3([0, 0, 0], [256, 256, 128]).unwrap();
+        let layouts: Vec<Layout> = (0..2)
+            .map(|r| Layout {
+                owned: (r..128).step_by(2).map(|z| slab(&domain, 2, 128, z).unwrap()).collect(),
+                need: slab(&domain, 0, 2, r).unwrap(),
+            })
+            .collect();
+        let desc = Descriptor::new(2, DataKind::D3, 4).unwrap();
+        for plan in plans(&layouts, &desc) {
+            assert_eq!(plan.num_rounds(), 64);
+            let alone: Vec<_> = (0..64).map(|r| (r, r + 1)).collect();
+            assert_eq!(exchanges(&plan, LOAN_THRESHOLD), alone);
+        }
+    }
+
+    #[test]
+    fn threshold_zero_runs_one_exchange_per_round() {
+        let (layouts, desc) = small_column_slabs();
+        let e1_desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
+        for plan in plans(&layouts, &desc).iter().chain(&plans(&e1_layouts(), &e1_desc)) {
+            let alone: Vec<_> = (0..plan.num_rounds()).map(|r| (r, r + 1)).collect();
+            assert_eq!(exchanges(plan, 0), alone);
+        }
+    }
+
+    #[test]
+    fn ragged_chunk_counts_give_every_rank_the_same_boundaries() {
+        // Five, two and zero chunks of uneven sizes: a rank that owns none
+        // in a round (or at all) still groups by every rank's chunks.
+        let d1 = |off, len| Block::d1(off, len).unwrap();
+        let layouts = vec![
+            Layout {
+                owned: vec![d1(0, 10), d1(10, 30), d1(40, 5), d1(45, 40), d1(85, 8)],
+                need: d1(0, 50),
+            },
+            Layout { owned: vec![d1(93, 20), d1(113, 7)], need: d1(50, 40) },
+            Layout { owned: vec![], need: d1(90, 30) },
+        ];
+        let desc = Descriptor::new(3, DataKind::D1, 8).unwrap();
+        let plans = plans(&layouts, &desc);
+        for threshold in [0, 80, 200, 400, 1 << 20] {
+            let groups = exchanges(&plans[0], threshold);
+            for plan in &plans[1..] {
+                assert_eq!(exchanges(plan, threshold), groups, "threshold {threshold}");
+            }
+            // The groups tile the rounds in order.
+            let flat: Vec<usize> = groups.iter().flat_map(|&(a, b)| a..b).collect();
+            assert_eq!(flat, (0..5).collect::<Vec<_>>(), "threshold {threshold}");
+        }
+        // Largest chunk per round, in bytes: 160, 240, 40, 320, 64.
+        assert_eq!(exchanges(&plans[2], 400), [(0, 2), (2, 4), (4, 5)]);
+        assert_eq!(exchanges(&plans[2], 1 << 20), [(0, 5)]);
     }
 
     #[test]

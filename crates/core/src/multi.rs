@@ -12,8 +12,8 @@
 //! is one rectangle, though, so a [`MultiPlan`] is a list of ordinary
 //! [`Plan`]s: plan `k` fills every rank's `k`-th needed block, and is built,
 //! checked and executed by the code every single-need plan goes through —
-//! one `alltoallw` per (need, round), in the one round loop behind
-//! [`Plan::reorganize`]. Every rank holds the global maximum need count of
+//! one exchange per need and per group of [`Plan::exchanges`], in the one
+//! round loop behind [`Plan::reorganize`]. Every rank holds the global maximum need count of
 //! plans so the collectives match across ranks (a rank with fewer needs
 //! joins with a plan that only sends); `alltoallw` elides empty pairs, so
 //! the messages on the wire are exactly the non-empty overlaps.
@@ -40,8 +40,9 @@ pub struct MultiPlan {
 }
 
 impl MultiPlan {
-    /// Number of communication rounds (max owned-chunk count over ranks);
-    /// executing the plan takes one exchange per round and need index.
+    /// Number of logical communication rounds (max owned-chunk count over
+    /// ranks); executing the plan takes, per need index, one exchange per
+    /// group of rounds that fits under the loan threshold.
     pub fn num_rounds(&self) -> usize {
         self.num_rounds
     }
@@ -120,8 +121,7 @@ impl Descriptor {
         let all = self.declared(comm, owned, needs, policy)?;
         let _p = ddrtrace::span("redist", "compute_plan");
         let max_needs = all.needs.iter().map(Vec::len).max().unwrap_or(0);
-        let plans =
-            (0..max_needs).map(|k| all.plan(comm.rank(), k, self)).collect::<Result<_>>()?;
+        let plans = (0..max_needs).map(|k| all.plan(comm, k, self)).collect::<Result<_>>()?;
         let num_rounds = all.owned.iter().map(Vec::len).max().unwrap_or(0);
         Ok(MultiPlan { needs: needs.to_vec(), plans, num_rounds })
     }

@@ -2,6 +2,7 @@
 
 use crate::block::Block;
 use minimpi::Subarray;
+use std::ops::Range;
 
 /// One rectangular transfer between this rank and a peer within one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +65,12 @@ pub struct Plan {
     /// fewer needed blocks than its peers: such a plan only sends.
     pub(crate) need: Option<Block>,
     pub(crate) rounds: Vec<RoundPlan>,
+    /// Per round, the largest chunk any rank owns in it, in bytes: no
+    /// message of that round can be larger.
+    pub(crate) round_bytes: Vec<u64>,
+    /// The loan threshold of the universe a setup call built this plan on;
+    /// `None` from [`crate::compute_local_plan`], which meets no universe.
+    pub(crate) loan_threshold: Option<usize>,
 }
 
 impl Plan {
@@ -92,8 +99,9 @@ impl Plan {
         self.need.as_ref().expect("a plan handed out by a setup call has a needed block")
     }
 
-    /// Number of communication rounds (`MPI_Alltoallw` calls): the maximum
-    /// number of chunks owned by any one rank (paper §III-C).
+    /// Number of logical communication rounds (the paper's `MPI_Alltoallw`
+    /// calls): the maximum number of chunks owned by any one rank (paper
+    /// §III-C). [`Plan::exchanges`] says how many exchanges carry them.
     pub fn num_rounds(&self) -> usize {
         self.rounds.len()
     }
@@ -101,6 +109,34 @@ impl Plan {
     /// Per-round transfer descriptions.
     pub fn rounds(&self) -> &[RoundPlan] {
         &self.rounds
+    }
+
+    /// The physical exchanges that carry the logical rounds under a loan
+    /// threshold of `loan_threshold` bytes: consecutive rounds share one
+    /// exchange while the sum of their largest chunks stays within it. A
+    /// message is never larger than its chunk, so every message of a shared
+    /// exchange stays within the threshold and stages, exactly as each of
+    /// its parts would have. A round whose largest chunk exceeds the
+    /// threshold runs alone, and threshold 0 gives one exchange per round.
+    /// Every plan of a mapping holds every rank's chunk sizes, so every rank
+    /// derives the same boundaries.
+    pub fn exchanges(&self, loan_threshold: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let bytes = &self.round_bytes;
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let mut sum = *bytes.get(start)?;
+            let mut end = start + 1;
+            while let Some(&b) = bytes.get(end) {
+                sum = sum.saturating_add(b);
+                if sum > loan_threshold as u64 {
+                    break;
+                }
+                end += 1;
+            }
+            let group = start..end;
+            start = end;
+            Some(group)
+        })
     }
 
     /// Total bytes this rank sends to other ranks across all rounds.

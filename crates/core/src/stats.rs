@@ -19,17 +19,22 @@ use crate::recover::LossKind;
 /// relies on exactly this property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RedistStats {
-    /// Number of communication rounds executed.
+    /// Number of logical communication rounds executed (the paper's
+    /// `MPI_Alltoallw` calls).
     pub rounds: usize,
+    /// Number of physical exchanges that carried them (see
+    /// [`Plan::exchanges`]).
+    pub exchanges: usize,
     /// Bytes shipped to other ranks.
     pub sent_bytes: u64,
     /// Bytes successfully received from other ranks.
     pub recv_bytes: u64,
     /// Bytes satisfied locally (owned ∩ needed overlap).
     pub local_bytes: u64,
-    /// Non-empty messages sent to other ranks.
+    /// Non-empty per-round transfers sent to other ranks (one exchange's
+    /// message to a peer carries one of these from each of its rounds).
     pub messages_sent: u64,
-    /// Non-empty messages received from other ranks.
+    /// Non-empty per-round transfers received from other ranks.
     pub messages_recv: u64,
     /// Receives that failed (peer dead / dropped / timed out / corrupt).
     pub failed_recvs: u64,
@@ -41,10 +46,19 @@ pub struct RedistStats {
 }
 
 impl RedistStats {
-    /// Account an executed redistribution of `plan` given the
-    /// `(round, peer, loss kind)` receive failures its exchange reported.
-    pub fn from_plan(plan: &Plan, failures: &[(usize, usize, LossKind)]) -> RedistStats {
-        let mut s = RedistStats { rounds: plan.rounds.len(), ..RedistStats::default() };
+    /// Account an executed redistribution of `plan`, run in the exchanges
+    /// of loan threshold `loan_threshold`, given the `(round, peer, loss
+    /// kind)` receive failures its exchanges reported.
+    pub fn from_plan(
+        plan: &Plan,
+        loan_threshold: usize,
+        failures: &[(usize, usize, LossKind)],
+    ) -> RedistStats {
+        let mut s = RedistStats {
+            rounds: plan.rounds.len(),
+            exchanges: plan.exchanges(loan_threshold).count(),
+            ..RedistStats::default()
+        };
         for (r, round) in plan.rounds.iter().enumerate() {
             for t in &round.sends {
                 if t.peer == plan.rank {

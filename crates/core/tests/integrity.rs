@@ -216,6 +216,49 @@ fn strict_reorganize_reports_exhaustion_as_incomplete() {
     }
 }
 
+/// One exchange carries three rounds, so rank 0's message to rank 1 has a
+/// part from round 0 and one from round 2. Corrupted once, it is detected,
+/// NACKed and retransmitted whole — every part re-packed — and both ranks
+/// end byte-identical to the oracle.
+#[test]
+fn retransmit_repairs_a_coalesced_message_bit_for_bit() {
+    let d1 = |off, len| Block::d1(off, len).unwrap();
+    let layouts = vec![
+        Layout { owned: vec![d1(12, 3), d1(0, 4), d1(15, 6)], need: d1(0, 12) },
+        Layout { owned: vec![d1(4, 4), d1(8, 4), d1(21, 3)], need: d1(12, 12) },
+    ];
+    let layouts = &layouts;
+    let out = Universe::builder()
+        .timeout(Duration::from_secs(30))
+        .check(true)
+        .zerocopy_threshold(64 << 10)
+        .fault_plan(FaultPlan::new(17).corrupt_message(0, 1, None, 0))
+        .run(2, move |comm| {
+            let r = comm.rank();
+            let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();
+            let plan = compute_local_plan(r, layouts, &desc).unwrap();
+            let data: Vec<Vec<u32>> = layouts[r]
+                .owned
+                .iter()
+                .map(|b| (b.offset[0]..b.offset[0] + b.dims[0]).map(|x| x as u32).collect())
+                .collect();
+            let refs: Vec<&[u32]> = data.iter().map(|v| v.as_slice()).collect();
+            let mut need = vec![u32::MAX; 12];
+            let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
+            comm.barrier().unwrap();
+            (report.is_complete(), stats, need, comm.integrity_counters())
+        });
+    for (r, (complete, stats, need, counters)) in out.iter().enumerate() {
+        assert!(complete, "rank {r}");
+        assert_eq!((stats.rounds, stats.exchanges), (3, 1), "rank {r}");
+        let want: Vec<u32> = (12 * r as u32..12 * r as u32 + 12).collect();
+        assert_eq!(need, &want, "rank {r}: byte-identical output");
+        assert!(counters.detected >= 1, "rank {r}: {counters:?}");
+        assert!(counters.retransmits >= 1, "rank {r}: {counters:?}");
+        assert_eq!(counters.exhausted, 0, "rank {r}: {counters:?}");
+    }
+}
+
 /// Checksum-off escape hatch at the ddr-core level: with `DDR_CHECKSUM=0`
 /// semantics the corrupt bytes land in the need buffer silently — the
 /// documented trade-off — and no retransmit traffic is generated.

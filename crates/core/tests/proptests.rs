@@ -312,6 +312,57 @@ proptest! {
         .unwrap();
     }
 
+    /// Many small chunks under a generated loan threshold, so rounds group
+    /// into exchanges of every size: the output must equal the serial
+    /// oracle, the executed stats must be what the plan predicts, and every
+    /// rank must group the rounds identically.
+    #[test]
+    fn coalesced_exchanges_match_the_oracle_and_the_plan(
+        w in 4usize..40,
+        h in 4usize..40,
+        nprocs in 1usize..5,
+        threshold in 0usize..2048,
+        seeds in prop::collection::vec(any::<u64>(), 4..8),
+    ) {
+        let domain = Block::d2([0, 0], [w, h]).unwrap();
+        let parts = random_partition(domain, nprocs * 6, &seeds);
+        let mut owned: Vec<Vec<Block>> = vec![Vec::new(); nprocs];
+        for (i, b) in parts.into_iter().enumerate() {
+            owned[i % nprocs].push(b);
+        }
+        let layouts: Vec<Layout> = owned
+            .into_iter()
+            .enumerate()
+            .map(|(r, o)| Layout { owned: o, need: random_subblock(&domain, seeds[r % seeds.len()]) })
+            .collect();
+        let layouts = &layouts;
+        let groups = Universe::builder().zerocopy_threshold(threshold).run(nprocs, move |comm| {
+            let me = &layouts[comm.rank()];
+            let desc = Descriptor::for_type::<u64>(nprocs, DataKind::D2).unwrap();
+            let plan = desc
+                .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
+                .unwrap();
+            let data: Vec<Vec<u64>> =
+                me.owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
+            let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
+            let mut need = vec![u64::MAX; me.need.count() as usize];
+            let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
+            prop_assert!(report.is_complete());
+            for (got, coord) in need.iter().zip(me.need.coords()) {
+                prop_assert_eq!(*got, cell_value(coord), "coord {:?}", coord);
+            }
+            prop_assert_eq!(stats, plan.expected_stats());
+            let groups: Vec<_> = plan.exchanges(threshold).collect();
+            prop_assert_eq!(stats.exchanges, groups.len());
+            Ok::<_, TestCaseError>(groups)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        for (r, g) in groups.iter().enumerate() {
+            prop_assert_eq!(g, &groups[0], "rank {} groups differently", r);
+        }
+    }
+
     #[test]
     fn stats_agree_with_executed_transfers(
         w in 2usize..24,

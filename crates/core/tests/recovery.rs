@@ -3,7 +3,9 @@
 //! remap, and verify the retried redistribution is bitwise correct for the
 //! surviving data.
 
-use ddr_core::{Block, DataKind, DdrError, Descriptor, PartialCompletion};
+use ddr_core::{
+    compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout, PartialCompletion,
+};
 use minimpi::{Comm, FaultPlan, Universe};
 use std::time::{Duration, Instant};
 
@@ -171,6 +173,63 @@ fn dropped_message_surfaces_as_timeout_in_report_without_hanging() {
         }
         other => panic!("rank 3: expected Incomplete, got {other:?}"),
     }
+}
+
+/// Two ranks, three rounds of small 1-D chunks that one exchange carries.
+/// Rank 0 sends rank 1 a part in rounds 0 and 2 only: its round-1 chunk is
+/// its own.
+fn coalesced_layouts() -> Vec<Layout> {
+    let d1 = |off, len| Block::d1(off, len).unwrap();
+    vec![
+        Layout { owned: vec![d1(12, 3), d1(0, 4), d1(15, 6)], need: d1(0, 12) },
+        Layout { owned: vec![d1(4, 4), d1(8, 4), d1(21, 3)], need: d1(12, 12) },
+    ]
+}
+
+#[test]
+fn dropped_coalesced_message_fails_every_round_that_received_from_the_peer() {
+    // `compute_local_plan` sends no setup traffic, so rank 0's one message
+    // to rank 1 is the exchange's, carrying rounds 0 and 2.
+    let layouts = coalesced_layouts();
+    let layouts = &layouts;
+    let out = Universe::builder()
+        .timeout(Duration::from_millis(300))
+        .zerocopy_threshold(64 << 10)
+        .fault_plan(FaultPlan::new(5).drop_message(0, 1, None, 0))
+        .run(2, move |comm| {
+            let r = comm.rank();
+            let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();
+            let plan = compute_local_plan(r, layouts, &desc).unwrap();
+            let data: Vec<Vec<u32>> = layouts[r]
+                .owned
+                .iter()
+                .map(|b| (b.offset[0]..b.offset[0] + b.dims[0]).map(|x| x as u32).collect())
+                .collect();
+            let refs: Vec<&[u32]> = data.iter().map(|v| v.as_slice()).collect();
+            let mut need = vec![u32::MAX; 12];
+            let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
+            (report, stats, need)
+        });
+    let (report, stats, need) = &out[0];
+    assert!(report.is_complete(), "{report}");
+    assert_eq!(need, &(0..12).collect::<Vec<u32>>());
+    assert_eq!((stats.rounds, stats.exchanges), (3, 1));
+
+    let (report, stats, need) = &out[1];
+    assert_eq!((stats.rounds, stats.exchanges), (3, 1));
+    assert_eq!(report.dead_peers, vec![0]);
+    let failed: Vec<&[usize]> = report.rounds.iter().map(|r| &r.failed_sources[..]).collect();
+    assert_eq!(failed, [&[0][..], &[], &[0]], "every round that received from 0, and only those");
+    let missing: Vec<u64> = report.rounds.iter().map(|r| r.missing_bytes).collect();
+    assert_eq!(missing, [12, 0, 24]);
+    // Plan-exact accounting: rank 1's own round-2 chunk still landed.
+    assert_eq!(report.delivered_bytes(), 12);
+    assert_eq!(report.delivered_bytes() + report.missing_bytes(), 12 * 4);
+    assert_eq!((stats.failed_recvs, stats.lost_bytes), (2, 36));
+    assert_eq!(stats.local_bytes, 12);
+    let mut want = vec![u32::MAX; 9];
+    want.extend(21..24);
+    assert_eq!(need, &want);
 }
 
 #[test]

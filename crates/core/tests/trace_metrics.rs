@@ -53,7 +53,7 @@ fn elastic_recovery_counters_reach_the_metrics_registry() {
 /// traced like any other: three row slabs, each needing its slab plus the
 /// neighbouring rows that exist.
 #[test]
-fn multi_need_reorganize_publishes_redist_metrics_and_round_spans() {
+fn multi_need_reorganize_publishes_redist_metrics_and_exchange_spans() {
     let _one_at_a_time = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
     ddrtrace::capture::start();
     let (nx, ny, n) = (8usize, 12, 3usize);
@@ -80,7 +80,10 @@ fn multi_need_reorganize_publishes_redist_metrics_and_round_spans() {
     assert_eq!(sent.iter().sum::<u64>(), 4 * (nx * 4) as u64);
     assert_eq!(get("redist.sent_bytes"), Some(sent.iter().sum()));
     assert_eq!(get("redist.messages_sent"), Some(4));
-    // One round per (rank, need index), up to the most needs any rank has.
-    let rounds = trace.events.iter().filter(|e| (e.cat, e.name) == ("redist", "round")).count();
-    assert_eq!(rounds, n * 3);
+    // One exchange per (rank, need index), up to the most needs any rank
+    // has: the plan has one round.
+    let exchanges =
+        trace.events.iter().filter(|e| (e.cat, e.name) == ("redist", "exchange")).count();
+    assert_eq!(exchanges, n * 3);
+    assert_eq!(get("redist.exchanges"), Some((n * 3) as u64));
 }

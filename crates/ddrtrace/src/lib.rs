@@ -377,7 +377,7 @@ pub fn counter(name: &'static str, value: i64) {
 
 /// Open a timed span for the enclosing scope:
 /// `let _s = ddrtrace::span!("redist", "pack");` or with an argument,
-/// `let _s = ddrtrace::span!("redist", "round", "round" => r as i64);`.
+/// `let _s = ddrtrace::span!("redist", "exchange", "rounds" => n as i64);`.
 #[macro_export]
 macro_rules! span {
     ($cat:expr, $name:expr) => {

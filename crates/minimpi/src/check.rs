@@ -246,6 +246,20 @@ impl TypeSig {
         }
     }
 
+    /// The signature of one message packed from `dts` back to back: extents
+    /// add, an element size survives only when every part shares it, and
+    /// the shapes fold in order. A one-part message signs as its datatype.
+    pub(crate) fn of_parts<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> TypeSig {
+        dts.into_iter()
+            .map(TypeSig::of)
+            .reduce(|a, b| TypeSig {
+                extent: a.extent + b.extent,
+                elem: if a.elem == b.elem { a.elem } else { 1 },
+                shape: mix64(a.shape ^ b.shape.rotate_left(1)),
+            })
+            .unwrap_or(TypeSig::bytes(0))
+    }
+
     /// An untyped-bytes signature of `extent` bytes.
     pub(crate) fn bytes(extent: u64) -> TypeSig {
         TypeSig { extent, elem: 1, shape: 0 }

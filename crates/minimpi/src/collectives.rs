@@ -264,6 +264,9 @@ impl Comm {
     /// buffers exist anywhere. With a fault plan installed, or with the fast
     /// path disabled, messages stage through the universe's shared buffer
     /// pool instead.
+    ///
+    /// This is the one-part case of [`Comm::alltoallw_parts`]: the same
+    /// engine, aborting on the first failed source.
     #[track_caller]
     pub fn alltoallw(
         &self,
@@ -272,31 +275,51 @@ impl Comm {
         recv_buf: &mut [u8],
         recv_types: &[Datatype],
     ) -> Result<()> {
-        self.alltoallw_impl(send_buf, send_types, recv_buf, recv_types, false).map(|_| ())
+        // An empty selection is no part at all.
+        let part = |dt: &Datatype| (*dt != Datatype::Empty).then_some(*dt);
+        let sends: Vec<Vec<(&[u8], Datatype)>> = send_types
+            .iter()
+            .map(|dt| part(dt).map(|dt| (send_buf, dt)).into_iter().collect())
+            .collect();
+        let recvs: Vec<Vec<Datatype>> =
+            recv_types.iter().map(|dt| part(dt).into_iter().collect()).collect();
+        self.alltoallw_impl(&sends, recv_buf, &recvs, false).map(|_| ())
     }
 
-    /// Like [`Comm::alltoallw`], but a failed receive from one source does
-    /// not abort the exchange: the remaining sources are still drained so
-    /// the maximum amount of data survives, and the per-source failures are
-    /// reported in an [`ExchangeReport`].
+    /// `MPI_Alltoallw` whose messages are lists of parts. For every
+    /// destination `d`, `sends[d]` is an ordered list of `(buffer,
+    /// selection)` parts, packed back to back into one message; for every
+    /// source `s`, `recvs[s]` is the ordered list of selections of
+    /// `recv_buf` that source's message unpacks into. The self parts are
+    /// copied pairwise, in order. The contract of [`Comm::alltoallw`]
+    /// carries over per message: `sends[d]` on rank `r` packs to as many
+    /// bytes as `recvs[r]` on rank `d` expects.
     ///
-    /// Errors that indicate *this* rank cannot continue (it was fault-killed
-    /// mid-exchange, or its own arguments are malformed) are still returned
-    /// as `Err`.
+    /// A message loans only when it is a single part larger than the loan
+    /// threshold ([`Comm::zerocopy_threshold`]); any other message stages
+    /// through one pooled buffer under one running checksum, and a
+    /// retransmit re-packs all of its parts.
+    ///
+    /// A failed receive from one source does not abort the exchange: the
+    /// remaining sources are still drained so the maximum amount of data
+    /// survives, and the per-source failures are reported in an
+    /// [`ExchangeReport`]. Errors that indicate *this* rank cannot continue
+    /// (it was fault-killed mid-exchange, or its own arguments are
+    /// malformed) are still returned as `Err`.
     #[track_caller]
-    pub fn alltoallw_salvage(
+    pub fn alltoallw_parts(
         &self,
-        send_buf: &[u8],
-        send_types: &[Datatype],
+        sends: &[Vec<(&[u8], Datatype)>],
         recv_buf: &mut [u8],
-        recv_types: &[Datatype],
+        recvs: &[Vec<Datatype>],
     ) -> Result<ExchangeReport> {
-        self.alltoallw_impl(send_buf, send_types, recv_buf, recv_types, true)
+        self.alltoallw_impl(sends, recv_buf, recvs, true)
     }
 
-    /// Shared engine of [`Comm::alltoallw`] and [`Comm::alltoallw_salvage`]:
-    /// `salvage` decides whether a failed source aborts the exchange or is
-    /// recorded in the report while the remaining sources are drained.
+    /// The one engine behind [`Comm::alltoallw`] and
+    /// [`Comm::alltoallw_parts`]: `salvage` decides whether a failed source
+    /// aborts the exchange or is recorded in the report while the remaining
+    /// sources are drained.
     ///
     /// Post-then-wait on an [`Exchange`] guard: the send phase runs eagerly
     /// (loaning or staging each message), then `wait` drains every source.
@@ -305,25 +328,24 @@ impl Comm {
     #[track_caller]
     fn alltoallw_impl(
         &self,
-        send_buf: &[u8],
-        send_types: &[Datatype],
+        sends: &[Vec<(&[u8], Datatype)>],
         recv_buf: &mut [u8],
-        recv_types: &[Datatype],
+        recvs: &[Vec<Datatype>],
         salvage: bool,
     ) -> Result<ExchangeReport> {
         let n = self.size();
-        if send_types.len() != n || recv_types.len() != n {
+        if sends.len() != n || recvs.len() != n {
             return Err(Error::CollectiveMismatch {
                 detail: format!(
                     "alltoallw: expected {n} send and recv types, got {} and {}",
-                    send_types.len(),
-                    recv_types.len()
+                    sends.len(),
+                    recvs.len()
                 ),
             });
         }
         let seq = self.next_coll_seq();
-        // Salvage is wire-compatible with the plain variant, so both record
-        // the same kind: they may legitimately pair across ranks.
+        // Both entries share one wire protocol, so both record the same
+        // kind: they may legitimately pair across ranks.
         self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoallw, None))?;
         self.sched_point("alltoallw_post");
         let me = self.rank();
@@ -336,16 +358,15 @@ impl Comm {
         let retx = self.recovery_armed();
         let span = ddrtrace::span_arg("minimpi", "alltoallw", "seq", seq as i64);
 
-        let owed = recv_types.iter().enumerate().map(|(s, dt)| s != me && dt.packed_len() > 0);
+        let owed = recvs.iter().enumerate().map(|(s, parts)| s != me && message_len(parts) > 0);
         // The guard is built before the send phase so that a mid-post error
         // drops it — and Drop drains whatever loans went out before the
         // failure.
         let mut xchg = Exchange {
             comm: self,
             seq,
-            send_buf,
-            send_types,
-            recv_types,
+            sends,
+            recvs,
             salvage,
             retx,
             loans: Vec::new(),
@@ -360,30 +381,34 @@ impl Comm {
         // pair's full depth). A deposit fails if this rank itself is dead —
         // a hard error even under salvage — or with a structured Timeout if
         // a full pair sees no pop for the whole watchdog window.
-        for (d, dt) in send_types.iter().enumerate() {
-            if d == me || dt.packed_len() == 0 {
+        for (d, parts) in sends.iter().enumerate() {
+            let len = message_len(parts.iter().map(|(_, dt)| dt));
+            if d == me || len == 0 {
                 continue;
             }
-            // At or below the threshold the rendezvous handshake costs as
-            // much as (or more than) the copy it avoids, so small messages
-            // stage even in zero-copy mode; only strictly larger messages
-            // loan (threshold 0 loans everything).
-            if zerocopy && dt.packed_len() > self.world.zc_threshold {
-                // Validate sender-side bounds eagerly, where the legacy path
-                // would have failed packing.
-                dt.check_bounds(send_buf.len())?;
-                let cell = self.deposit_shared(d, tag, send_buf, *dt)?;
-                xchg.loans.push((d, cell));
-            } else {
-                let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", dt.packed_len() as i64);
-                self.deposit_packed(d, tag, dt, send_buf)?;
+            match parts.as_slice() {
+                // At or below the threshold the rendezvous handshake costs
+                // as much as (or more than) the copy it avoids, so small
+                // messages stage even in zero-copy mode; only a single part
+                // strictly larger loans (threshold 0 loans every one).
+                [(buf, dt)] if zerocopy && len > self.world.zc_threshold => {
+                    // Validate sender-side bounds eagerly, where the staged
+                    // path would have failed packing.
+                    dt.check_bounds(buf.len())?;
+                    let cell = self.deposit_shared(d, tag, buf, *dt)?;
+                    xchg.loans.push((d, cell));
+                }
+                _ => {
+                    let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", len as i64);
+                    self.deposit_packed(d, tag, parts)?;
+                }
             }
         }
 
         // Recovery-mode sender duties: track which destinations still owe a
         // terminal verdict and answer their NACKs with staged retransmits
-        // from the still-borrowed `send_buf`.
-        xchg.duties = retx.then(|| RetxSender::new(self, send_buf, send_types, seq));
+        // from the still-borrowed send buffers.
+        xchg.duties = retx.then(|| RetxSender::new(self, sends, seq));
         xchg.wait(recv_buf)
     }
 
@@ -400,7 +425,7 @@ impl Comm {
         &self,
         s: usize,
         seq: u64,
-        dt: &Datatype,
+        dts: &[Datatype],
         recv_buf: &mut [u8],
         duties: &mut RetxSender<'_>,
     ) -> Result<()> {
@@ -411,7 +436,7 @@ impl Comm {
         let res = (|| loop {
             let take_tag = if attempt == 0 { data_tag } else { retx_tag };
             let env = self.take_polling(s, take_tag, duties)?;
-            match self.deliver_alltoallw(s, take_tag, env, dt, recv_buf) {
+            match self.deliver_alltoallw(s, take_tag, env, dts, recv_buf) {
                 Err(Error::IntegrityFailure { .. }) => {
                     attempt += 1;
                     if attempt > self.world.retransmit_max {
@@ -506,24 +531,25 @@ impl Comm {
         }
     }
 
-    /// Place one received alltoallw message into `recv_buf` through `dt`. A
-    /// staged payload has its envelope checksum verified along the way
-    /// ([`Comm::verify`] owns the verify-vs-unpack order); a zero-copy loan
-    /// is claimed and copied straight out of the sender's buffer in one
-    /// traversal inside [`Comm::claim_loan`] — it carries no checksum.
+    /// Place one received alltoallw message into `recv_buf` through its
+    /// parts `dts`, in order. A staged payload has its envelope checksum
+    /// verified along the way ([`Comm::verify`] owns the verify-vs-unpack
+    /// order); a zero-copy loan — always one part — is claimed and copied
+    /// straight out of the sender's buffer in one traversal inside
+    /// [`Comm::claim_loan`]: it carries no checksum.
     fn deliver_alltoallw(
         &self,
         src: usize,
         key_tag: u64,
         env: Envelope,
-        dt: &Datatype,
+        dts: &[Datatype],
         recv_buf: &mut [u8],
     ) -> Result<()> {
         // Signature check happens *before* the payload is consumed: failing a
         // staged message leaves `recv_buf` untouched, and dropping an
         // unclaimed zero-copy envelope revokes the loan, releasing its
         // sender.
-        self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &TypeSig::of(dt))?;
+        self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &TypeSig::of_parts(dts))?;
         let Envelope { epoch, payload, checksum, .. } = env;
         match payload {
             Payload::Bytes(packed) => {
@@ -531,11 +557,11 @@ impl Comm {
                 let res = match checksum {
                     Some(_) if self.recovery_armed() => self
                         .verify_payload(src, key_tag, epoch, checksum, &packed)
-                        .and_then(|()| dt.unpack(&packed, recv_buf)),
+                        .and_then(|()| unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf))),
                     Some(_) => self.verify(src, key_tag, epoch, checksum, |sum| {
-                        dt.unpack_hashed(&packed, recv_buf, sum)
+                        unpack_parts(&packed, dts, |dt, p| dt.unpack_hashed(p, recv_buf, sum))
                     }),
-                    None => dt.unpack(&packed, recv_buf),
+                    None => unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf)),
                 };
                 // The buffer came from the sender's pool.acquire; the pool is
                 // world-shared, so recycling here closes the loop.
@@ -543,6 +569,12 @@ impl Comm {
                 res
             }
             Payload::Shared(h) => {
+                let [dt] = dts else {
+                    // Dropping the unclaimed envelope revokes the loan.
+                    return Err(Error::DatatypeMismatch {
+                        detail: format!("a one-part loan from rank {src} into {} parts", dts.len()),
+                    });
+                };
                 let _zc =
                     ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.dt.packed_len() as i64);
                 self.claim_loan(src, &h, |lent| copy_selection(lent, &h.dt, recv_buf, dt))
@@ -551,20 +583,47 @@ impl Comm {
     }
 }
 
+/// Bytes one message of parts `dts` packs to.
+fn message_len<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> usize {
+    dts.into_iter().map(Datatype::packed_len).sum()
+}
+
+/// Walk a packed message part by part: `unpack(dt, bytes)` gets each part's
+/// datatype and its slice of `packed`, in order. A message whose length is
+/// not the parts' total is a [`Error::SizeMismatch`], found before any part
+/// is unpacked.
+fn unpack_parts(
+    packed: &[u8],
+    dts: &[Datatype],
+    mut unpack: impl FnMut(&Datatype, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let expected = message_len(dts);
+    if packed.len() != expected {
+        return Err(Error::SizeMismatch { expected, got: packed.len() });
+    }
+    let mut at = 0;
+    for dt in dts {
+        let end = at + dt.packed_len();
+        unpack(dt, &packed[at..end])?;
+        at = end;
+    }
+    Ok(())
+}
+
 /// One alltoallw exchange between its send phase and its completion.
 ///
-/// Soundness anchor of the zero-copy fast path: `send_buf` is lent to peers
-/// as raw pointers, so the borrow the guard holds must stay alive while any
-/// peer might still read it — and *every* exit path must drain the loans.
-/// [`Exchange::wait`] does so on completion; the `Drop` impl covers early
-/// exits (a mid-post error, a panic) by revoking unclaimed loans immediately
-/// and waiting out claims already in flight (a bounded memcpy).
+/// Soundness anchor of the zero-copy fast path: send buffers are lent to
+/// peers as raw pointers, so the borrow the guard holds must stay alive
+/// while any peer might still read them — and *every* exit path must drain
+/// the loans. [`Exchange::wait`] does so on completion; the `Drop` impl
+/// covers early exits (a mid-post error, a panic) by revoking unclaimed
+/// loans immediately and waiting out claims already in flight (a bounded
+/// memcpy).
 struct Exchange<'a> {
     comm: &'a Comm,
     seq: u64,
-    send_buf: &'a [u8],
-    send_types: &'a [Datatype],
-    recv_types: &'a [Datatype],
+    sends: &'a [Vec<(&'a [u8], Datatype)>],
+    recvs: &'a [Vec<Datatype>],
     salvage: bool,
     retx: bool,
     loans: Vec<(usize, Arc<ZcCell>)>,
@@ -594,16 +653,15 @@ impl Exchange<'_> {
         if abort.is_none() {
             // Receive phase: under salvage, drain every source and record
             // failures; otherwise abort on the first one.
-            for s in 0..self.owed.len() {
+            for (s, dts) in self.recvs.iter().enumerate() {
                 if !self.owed[s] {
                     continue;
                 }
-                let dt = self.recv_types[s];
                 let res = match self.duties.as_mut() {
-                    Some(d) => comm.recv_with_retransmit(s, self.seq, &dt, recv_buf, d),
+                    Some(d) => comm.recv_with_retransmit(s, self.seq, dts, recv_buf, d),
                     None => comm
                         .take_envelope_from(s, tag)
-                        .and_then(|env| comm.deliver_alltoallw(s, tag, env, &dt, recv_buf)),
+                        .and_then(|env| comm.deliver_alltoallw(s, tag, env, dts, recv_buf)),
                 };
                 // Whatever the outcome, the source is terminally resolved:
                 // `recv_with_retransmit` always settles it with ACK or FAIL.
@@ -636,18 +694,31 @@ impl Exchange<'_> {
         self.finish_clean()
     }
 
-    /// Self-transfer: direct selection-to-selection copy (no staging in
-    /// either mode — faults never apply to self-messages).
+    /// Self-transfer: the self parts paired in order, each a direct
+    /// selection-to-selection copy (no staging in either mode — faults
+    /// never apply to self-messages).
     fn self_copy(&self, recv_buf: &mut [u8]) -> Result<()> {
         let me = self.comm.rank();
-        if self.send_types[me].packed_len() > 0 || self.recv_types[me].packed_len() > 0 {
-            let _copy = ddrtrace::span_arg(
-                "minimpi",
-                "self_copy",
-                "bytes",
-                self.send_types[me].packed_len() as i64,
-            );
-            copy_selection(self.send_buf, &self.send_types[me], recv_buf, &self.recv_types[me])?;
+        let (sends, recvs) = (&self.sends[me], &self.recvs[me]);
+        let (sent, expected) = (message_len(sends.iter().map(|(_, dt)| dt)), message_len(recvs));
+        if sent == 0 && expected == 0 {
+            return Ok(());
+        }
+        let _copy = ddrtrace::span_arg("minimpi", "self_copy", "bytes", sent as i64);
+        if sent != expected {
+            return Err(Error::SizeMismatch { expected, got: sent });
+        }
+        if sends.len() != recvs.len() {
+            return Err(Error::DatatypeMismatch {
+                detail: format!(
+                    "self-transfer of {} send parts into {} receive parts",
+                    sends.len(),
+                    recvs.len()
+                ),
+            });
+        }
+        for ((buf, send_dt), recv_dt) in sends.iter().zip(recvs) {
+            copy_selection(buf, send_dt, recv_buf, recv_dt)?;
         }
         Ok(())
     }
@@ -668,8 +739,8 @@ impl Exchange<'_> {
             }
         }
         // Settlement: keep servicing NACKs until every destination delivered
-        // its terminal verdict (or died) — only then is `send_buf` allowed
-        // to go out of scope without breaking an in-progress recovery.
+        // its terminal verdict (or died) — only then may the send buffers go
+        // out of scope without breaking an in-progress recovery.
         if let Some(mut d) = self.duties.take() {
             let _settle = ddrtrace::span("minimpi", "retx_settle");
             let settled = d.settle(comm);
@@ -747,24 +818,23 @@ impl Drop for Exchange<'_> {
         }
         // Every exit path drains the zero-copy loans: revoke anything still
         // unclaimed *now*; claims already in flight are waited out so the
-        // borrow of `send_buf` stays sound.
+        // borrow of the send buffers stays sound.
         self.drain_loans(Instant::now());
     }
 }
 
 /// Sender half of the alltoallw NACK/retransmit protocol.
 ///
-/// Holds borrows of `send_buf`/`send_types` (keeping the pristine data alive
-/// and provably unmoved), and tracks which destinations still owe a terminal
+/// Holds a borrow of the send parts (keeping the pristine data alive and
+/// provably unmoved), and tracks which destinations still owe a terminal
 /// verdict. [`RetxSender::service`] is called from every recovery-mode wait
 /// loop on this rank — answering NACKs with freshly staged retransmits even
 /// while the rank is itself blocked on some other sender — and
 /// [`RetxSender::settle`] holds the rank in the exchange until every
-/// destination ACKed, FAILed, or died, so `send_buf` cannot go out of scope
-/// mid-recovery.
+/// destination ACKed, FAILed, or died, so no send buffer can go out of
+/// scope mid-recovery.
 struct RetxSender<'a> {
-    send_buf: &'a [u8],
-    send_types: &'a [Datatype],
+    sends: &'a [Vec<(&'a [u8], Datatype)>],
     verdict_tag: u64,
     retx_tag: u64,
     /// `pending[d]` — destination `d` has our data but no terminal verdict
@@ -773,24 +843,27 @@ struct RetxSender<'a> {
 }
 
 impl<'a> RetxSender<'a> {
-    fn new(comm: &Comm, send_buf: &'a [u8], send_types: &'a [Datatype], seq: u64) -> Self {
+    fn new(comm: &Comm, sends: &'a [Vec<(&'a [u8], Datatype)>], seq: u64) -> Self {
         let me = comm.rank();
-        let pending =
-            send_types.iter().enumerate().map(|(d, dt)| d != me && dt.packed_len() > 0).collect();
+        let pending = sends
+            .iter()
+            .enumerate()
+            .map(|(d, parts)| d != me && message_len(parts.iter().map(|(_, dt)| dt)) > 0)
+            .collect();
         RetxSender {
-            send_buf,
-            send_types,
+            sends,
             verdict_tag: coll_key_tag(seq, PHASE_VERDICT),
             retx_tag: coll_key_tag(seq, PHASE_RETX),
             pending,
         }
     }
 
-    /// Drain queued verdicts: a NACK re-packs that destination's selection
-    /// from the pristine `send_buf` and stages it on the retransmit phase
-    /// (through the normal fault-injecting deposit — retransmits can be
-    /// corrupted again); ACK/FAIL settles the destination. Dead destinations
-    /// settle implicitly: no verdict can ever arrive from them.
+    /// Drain queued verdicts: a NACK re-packs every part of that
+    /// destination's message from the pristine send buffers and stages it
+    /// on the retransmit phase (through the normal fault-injecting deposit —
+    /// retransmits can be corrupted again); ACK/FAIL settles the
+    /// destination. Dead destinations settle implicitly: no verdict can ever
+    /// arrive from them.
     fn service(&mut self, comm: &Comm) -> Result<()> {
         for d in 0..self.pending.len() {
             if !self.pending[d] {
@@ -808,14 +881,10 @@ impl<'a> RetxSender<'a> {
                 };
                 match verdict {
                     VERDICT_NACK => {
-                        let dt = &self.send_types[d];
-                        let _pack = ddrtrace::span_arg(
-                            "minimpi",
-                            "retx_pack",
-                            "bytes",
-                            dt.packed_len() as i64,
-                        );
-                        comm.deposit_packed(d, self.retx_tag, dt, self.send_buf)?;
+                        let parts = &self.sends[d];
+                        let len = message_len(parts.iter().map(|(_, dt)| dt));
+                        let _pack = ddrtrace::span_arg("minimpi", "retx_pack", "bytes", len as i64);
+                        comm.deposit_packed(d, self.retx_tag, parts)?;
                         comm.world.integrity.retransmits.fetch_add(1, Ordering::Relaxed);
                         ddrtrace::instant_arg("minimpi", "integrity_retransmit", "dest", d as i64);
                     }

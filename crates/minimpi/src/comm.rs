@@ -591,26 +591,33 @@ impl Comm {
         Ok(())
     }
 
-    /// Pack `dt`'s selection of `send_buf` into a pool buffer and deposit it,
-    /// folding the envelope checksum into the pack copy when checksumming is
-    /// on — one traversal of the source bytes instead of pack-then-hash.
+    /// Pack `parts` — each a datatype's selection of its own buffer — back to
+    /// back into one pool buffer and deposit it, folding the envelope
+    /// checksum into the pack copies when checksumming is on: one running
+    /// hash over the parts in order, one traversal of the source bytes
+    /// instead of pack-then-hash, and bit-identical to hashing the packed
+    /// payload because the hash does not depend on where its input splits.
     pub(crate) fn deposit_packed(
         &self,
         dest: usize,
         key_tag: u64,
-        dt: &Datatype,
-        send_buf: &[u8],
+        parts: &[(&[u8], Datatype)],
     ) -> Result<()> {
-        let mut packed = self.world.pool.acquire(dt.packed_len());
+        let mut packed = self.world.pool.acquire(parts.iter().map(|(_, dt)| dt.packed_len()).sum());
         let pre = if self.world.checksum {
             let mut sum = Checksum::new(self.stream_seed(self.rank, key_tag, self.epoch));
-            dt.pack_into_hashed(send_buf, &mut packed, &mut sum)?;
+            for (buf, dt) in parts {
+                dt.pack_into_hashed(buf, &mut packed, &mut sum)?;
+            }
             Some(sum.finish())
         } else {
-            dt.pack_into(send_buf, &mut packed)?;
+            for (buf, dt) in parts {
+                dt.pack_into(buf, &mut packed)?;
+            }
             None
         };
-        self.deposit_staged(dest, key_tag, packed, Some(TypeSig::of(dt)), pre)
+        let sig = TypeSig::of_parts(parts.iter().map(|(_, dt)| dt));
+        self.deposit_staged(dest, key_tag, packed, Some(sig), pre)
     }
 
     /// Deposit a control-plane message (retransmit verdicts/NACKs). Control
@@ -804,6 +811,15 @@ impl Comm {
     /// path (builder / `DDR_NO_ZEROCOPY` opt-out, and no fault plan).
     pub fn zerocopy_active(&self) -> bool {
         self.world.zerocopy_active()
+    }
+
+    /// This universe's loan threshold in bytes: an `alltoallw` message loans
+    /// only when it is one part strictly larger than this, so a message of
+    /// this size or smaller always stages (builder
+    /// [`crate::UniverseBuilder::zerocopy_threshold`], else
+    /// `DDR_ZC_THRESHOLD`, else 64 KiB).
+    pub fn zerocopy_threshold(&self) -> usize {
+        self.world.zc_threshold
     }
 
     // ------------------------------------------------------------------

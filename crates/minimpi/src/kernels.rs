@@ -1,10 +1,13 @@
 //! Specialized pack/unpack kernels for subarray selections.
 //!
 //! The datatype engine describes every selection as a stream of contiguous
-//! byte runs ([`crate::Subarray::byte_runs`]). This module is the single
-//! place those runs are *moved*: `pack` (gather into a packed buffer),
-//! `unpack` (scatter a packed buffer back into a selection), and the
-//! run-pair copy behind `copy_to` / the zero-copy claim all dispatch here.
+//! byte runs ([`crate::Subarray::byte_runs`]). This module moves those runs
+//! for a subarray's `pack` (gather into a packed buffer) and `unpack`
+//! (scatter a packed buffer back into a selection). The selection-to-
+//! selection copy behind `copy_to`, self-sends and the zero-copy claim does
+//! not come here: `datatype::copy_selection` runs its own `copy_from_slice`
+//! per run pair and bumps none of the counters below, so bytes that move
+//! only by loans and self-copies read 0 on them.
 //!
 //! Three tiers, chosen per call from the [`RunShape`] cached on the
 //! datatype at construction time:

@@ -15,7 +15,9 @@
 //! * collectives: [`Comm::barrier`], [`Comm::broadcast_bytes`],
 //!   [`Comm::gather_bytes`], [`Comm::allgather`], [`Comm::allreduce`], and
 //!   crucially [`Comm::alltoallw`] with **subarray datatypes** ([`Datatype`],
-//!   [`Subarray`]) — the operation the paper builds data redistribution on,
+//!   [`Subarray`]) — the operation the paper builds data redistribution on —
+//!   and its multi-part form [`Comm::alltoallw_parts`], which carries several
+//!   rounds' selections per peer in one message,
 //! * communicator splitting ([`Comm::split`]) so disjoint rank groups (e.g. a
 //!   simulation resource and an analysis resource) can run their own
 //!   collectives, as in the paper's in-transit streaming use case.

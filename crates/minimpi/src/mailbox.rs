@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// traced `--smoke` run of the four `BENCHMARK.json` workloads at PR 16
 /// (2 ranks / 2 cores) read `flow.credit_waits` 0 and `flow.stalled_ms` 0 on
 /// all of them, with peak staged bytes of 264 B / 16 KiB / 7 KiB / 72 KiB
-/// against this 32 MiB — `reorganize` is round-synchronous, so a pair never
+/// against this 32 MiB — `reorganize` runs one exchange at a time, so a pair never
 /// holds more than two DDR messages. Only
 /// [`crate::UniverseBuilder::flow_control`] resizes it, for the suites that
 /// must *reach* the bound.

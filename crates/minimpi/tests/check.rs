@@ -6,7 +6,7 @@
 //! watchdog timeout is set far higher — proving the checker, not the
 //! watchdog, caught the bug.
 
-use minimpi::{CollectiveKind, Datatype, Error, Universe};
+use minimpi::{CollectiveKind, Datatype, Error, Subarray, Universe};
 use std::time::{Duration, Instant};
 
 /// Watchdog high enough that any test passing under it proves the checker
@@ -158,6 +158,42 @@ fn matched_program_runs_clean_under_checking() {
     let checked = Universe::builder().check(true).timeout(WATCHDOG).run(4, |c| body(c).unwrap());
     let plain = Universe::builder().check(false).timeout(WATCHDOG).run(4, |c| body(c).unwrap());
     assert_eq!(checked, plain);
+}
+
+/// A message of several parts signs as its parts together: a receiver that
+/// expects other parts than the sender packed gets a structured
+/// `TypeMismatch` for that source, the bytes are never unpacked, and the
+/// exchange itself completes.
+#[test]
+fn mismatched_coalesced_message_is_a_type_mismatch() {
+    let start = Instant::now();
+    let out = Universe::builder().check(true).timeout(WATCHDOG).run(2, |comm| {
+        let words = |count, at, elem| {
+            Datatype::Subarray(Subarray::d1(16, count, at, elem).expect("valid subarray"))
+        };
+        let send = [7u8; 128];
+        let mut recv = vec![0u8; 128];
+        let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+        if comm.rank() == 0 {
+            // Two parts of four 4-byte elements: 32 bytes.
+            sends[1] = vec![(&send[..], words(4, 0, 4)), (&send[..], words(4, 8, 4))];
+        } else {
+            // The same 32 bytes, expected as two parts of 8-byte elements.
+            recvs[0] = vec![words(2, 0, 8), words(2, 4, 8)];
+        }
+        comm.alltoallw_parts(&sends, &mut recv, &recvs).map(|report| (report, recv))
+    });
+    assert!(start.elapsed() < FAST, "checker must beat the watchdog");
+    assert!(out[0].as_ref().is_ok_and(|(report, _)| report.is_complete()), "{:?}", out[0]);
+    let (report, recv) = out[1].as_ref().expect("a mismatched source is reported, not fatal");
+    match report.failed.as_slice() {
+        [(0, Error::TypeMismatch { src: 0, dst: 1, expected, got, .. })] => {
+            assert_eq!((expected.extent, expected.elem), (32, 8));
+            assert_eq!((got.extent, got.elem), (32, 4));
+        }
+        other => panic!("expected one TypeMismatch from rank 0, got {other:?}"),
+    }
+    assert!(recv.iter().all(|&b| b == 0), "a mismatched message must not be unpacked");
 }
 
 #[test]

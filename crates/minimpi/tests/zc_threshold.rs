@@ -70,6 +70,38 @@ fn threshold_boundary_stages() {
     assert!(c.staged_msgs > 0, "{c:?}");
 }
 
+/// Only a one-part message loans: a message of two parts stages, however
+/// low the threshold, and still lands part by part in order.
+#[test]
+fn coalesced_message_stages_and_a_single_part_loans() {
+    let out = Universe::builder().zerocopy(true).zerocopy_threshold(0).run(2, |comm| {
+        let (me, peer) = (comm.rank(), 1 - comm.rank());
+        let send: Vec<u8> = (0..64).map(|i| (64 * me + i) as u8).collect();
+        let half = |offset| Datatype::Contiguous { len_bytes: 32, offset };
+        let whole = Datatype::Contiguous { len_bytes: 64, offset: 0 };
+        let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+        if me == 0 {
+            // Second half first: two parts, one message.
+            sends[peer] = vec![(&send[..], half(32)), (&send[..], half(0))];
+            recvs[peer] = vec![whole];
+        } else {
+            sends[peer] = vec![(&send[..], whole)];
+            recvs[peer] = vec![half(32), half(0)];
+        }
+        let mut recv = vec![0u8; 64];
+        let report = comm.alltoallw_parts(&sends, &mut recv, &recvs).expect("exchange succeeds");
+        assert!(report.is_complete(), "{report:?}");
+        // Each rank's deposits happen before its barrier message.
+        comm.barrier().expect("barrier");
+        (recv, comm.transport_counters())
+    });
+    assert_eq!(out[0].0, (64..128).map(|i| i as u8).collect::<Vec<_>>());
+    assert_eq!(out[1].0, (0..64).map(|i| i as u8).collect::<Vec<_>>());
+    let c = out[0].1;
+    assert_eq!(c.zerocopy_msgs, 1, "only the one-part message may loan: {c:?}");
+    assert!(c.staged_msgs > 0, "{c:?}");
+}
+
 #[test]
 fn just_above_threshold_loans() {
     // One element over the boundary: (8 Ki + 1) u64 = 64 KiB + 8 bytes.

@@ -67,7 +67,7 @@ fn traced_run_emits_valid_chrome_json_with_all_ranks() {
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
         .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
         .collect();
-    for expected in ["rank_body", "setup_mapping", "reorganize", "round", "alltoallw"] {
+    for expected in ["rank_body", "setup_mapping", "reorganize", "exchange", "alltoallw"] {
         assert!(span_names.contains(expected), "missing span {expected:?} in {span_names:?}");
     }
 
