@@ -190,8 +190,8 @@ impl Plan {
 
     /// The one round loop behind every entry point. Drains every exchange
     /// so the maximum amount of data survives a peer death, and classifies
-    /// each receive failure so retransmit exhaustion (the peer is alive but
-    /// its data never verified) is reported distinctly from death. A source
+    /// each receive failure so a corrupt message (the peer is alive but its
+    /// data failed verification) is reported distinctly from death. A source
     /// lost in an exchange is lost in every round of it that received from
     /// that source.
     ///

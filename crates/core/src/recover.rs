@@ -30,15 +30,14 @@ use minimpi::Comm;
 /// the same way (the bytes are gone, the survivors carry on) but reports
 /// them separately, because the operator's response differs: a dead peer
 /// calls for [`Comm::reconfigure`], a corrupt one for inspecting the
-/// transport (`integrity.*` metrics) and the retransmit budget
-/// (`DDR_RETRANSMIT_MAX`).
+/// transport (`integrity.*` metrics) and the installed fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// The peer died (fault-killed, panicked, or exited) or timed out.
     PeerDeath,
-    /// Every delivery attempt from a live peer failed checksum verification
-    /// — the retransmit budget is exhausted
-    /// ([`minimpi::Error::IntegrityFailure`]).
+    /// The transfer from a live peer failed checksum verification
+    /// ([`minimpi::Error::IntegrityFailure`]); it was discarded whole, so the
+    /// cells it targets keep the caller's bytes.
     Integrity,
 }
 
@@ -78,8 +77,8 @@ pub struct PartialCompletion {
     /// All peers that failed to deliver, deduplicated and sorted —
     /// whatever the [`LossKind`].
     pub dead_peers: Vec<usize>,
-    /// The subset of failed peers that were *alive but corrupt*: every
-    /// retransmit attempt failed verification. Disjoint response path from
+    /// The subset of failed peers that were *alive but corrupt*: a transfer
+    /// from them failed verification. Disjoint response path from
     /// `dead_peers` − `integrity_peers` (which need membership recovery).
     pub integrity_peers: Vec<usize>,
     /// Per-round accounting.
@@ -311,7 +310,7 @@ mod tests {
 
     /// An integrity loss shows up in both peer lists (it *is* a failed peer)
     /// and is called out separately by the human-readable rendering, so a
-    /// checksum-exhausted transfer is never mistaken for a death.
+    /// transfer that failed verification is never mistaken for a death.
     #[test]
     fn integrity_losses_are_classified_separately() {
         let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();

@@ -38,8 +38,8 @@ pub struct RedistStats {
     pub messages_recv: u64,
     /// Receives that failed (peer dead / dropped / timed out / corrupt).
     pub failed_recvs: u64,
-    /// The subset of `failed_recvs` lost to checksum-exhausted corruption
-    /// ([`LossKind::Integrity`]) rather than peer death.
+    /// The subset of `failed_recvs` lost to a message that failed checksum
+    /// verification ([`LossKind::Integrity`]) rather than to peer death.
     pub integrity_recvs: u64,
     /// Bytes those failed receives would have delivered.
     pub lost_bytes: u64,

@@ -3,20 +3,16 @@
 //! requested with a loan-everything threshold; the fault plan must stage
 //! every message regardless.
 //!
-//! Two regimes, both exercised per seed:
-//!
-//! - **Recoverable** (one corrupt delivery): the retransmit protocol must
-//!   restore a byte-identical redistribution — indistinguishable from a
-//!   clean run except for the `integrity.*` counters.
-//! - **Exhausting** (original + every retransmit corrupted): the receiver
-//!   must fail *structurally* — `IntegrityFailure` classified as an
-//!   integrity loss in [`PartialCompletion`], never a hang — while every
-//!   uninvolved rank completes byte-identically.
+//! Corruption is detected, never repaired: the receiver of a corrupt
+//! message must fail *structurally* — `IntegrityFailure` classified as an
+//! integrity loss in [`PartialCompletion`], never a hang — with the lost
+//! cells untouched, while every other cell and every uninvolved rank matches
+//! the serial oracle.
 //!
 //! Layouts are built with [`compute_local_plan`] rather than
 //! `setup_data_mapping`, so the universe carries **zero** setup traffic:
-//! every message on the wire is redistribution data (or recovery control),
-//! which makes the seeded corrupt-rule targeting deterministic.
+//! every message on the wire is redistribution data, which makes the seeded
+//! corrupt-rule targeting deterministic.
 
 use ddr_core::{compute_local_plan, Block, DataKind, Descriptor, Layout};
 use minimpi::{Error as MpiError, FaultPlan, Universe};
@@ -84,7 +80,7 @@ fn run_soak(plan: FaultPlan) -> Vec<RankOutcome> {
             let mut need = vec![-1.0f32; 16];
             let res = plan.reorganize_with_stats(comm, &refs, &mut need);
             // Counters are world-global but snapshotted per rank: fence so
-            // no rank reads them while another is still mid-recovery.
+            // no rank reads them while another is still mid-exchange.
             comm.barrier().unwrap();
             assert_eq!(comm.transport_counters().zerocopy_msgs, 0, "a fault plan stages");
             (res, need, comm.integrity_counters())
@@ -98,97 +94,61 @@ fn pick_pair(seed: u64) -> (usize, usize) {
     (src, dst)
 }
 
-/// Recoverable regime: one corrupt delivery per seed. The redistribution
-/// must complete byte-identically on every rank, with the corruption visible
-/// only in the integrity counters.
+/// One corrupt delivery per seed. The victim's salvage report names the
+/// corrupt source as an integrity loss — not a liveness one — the cells that
+/// source owed keep their sentinel, and everything else is byte-identical.
+/// Never a hang.
 #[test]
-fn corruption_chaos_soak_recovers_byte_identical() {
+fn corruption_chaos_soak_is_detected_and_classified() {
     for seed in 0..SEEDS {
         let (src, dst) = pick_pair(seed);
         let plan = FaultPlan::new(seed).corrupt_message(src, dst, None, 0);
         let start = Instant::now();
         let out = run_soak(plan);
-        assert!(start.elapsed() < Duration::from_secs(20), "seed {seed}: recovery must not crawl");
-        for (r, (res, need, counters)) in out.iter().enumerate() {
-            let ctx = format!("seed {seed} rank {r}");
-            let (report, stats) =
-                res.as_ref().unwrap_or_else(|e| panic!("{ctx}: reorganize failed outright: {e:?}"));
-            assert!(report.is_complete(), "{ctx}: {report}");
-            assert_eq!(stats.failed_recvs, 0, "{ctx}");
-            assert_eq!(need, &expected_need(r), "{ctx}: byte-identical output");
-            // Counters are world-global: every rank sees the recovery.
-            assert!(counters.detected >= 1, "{ctx}: {counters:?}");
-            assert!(counters.retransmits >= 1, "{ctx}: {counters:?}");
-            assert_eq!(counters.exhausted, 0, "{ctx}: {counters:?}");
-        }
-    }
-}
-
-/// Exhausting regime: the original delivery and both retransmits are all
-/// corrupted, so the receiver's budget (`retransmit_max`, default 3 — here
-/// the rules cover nth 0..=3) runs dry. The loss must surface as a
-/// classified integrity failure in the salvage report; everyone else
-/// completes byte-identically. Never a hang.
-#[test]
-fn corruption_chaos_soak_exhaustion_is_structured_and_classified() {
-    for seed in 0..SEEDS {
-        let (src, dst) = pick_pair(seed);
-        let mut plan = FaultPlan::new(seed);
-        for nth in 0..=3 {
-            plan = plan.corrupt_message(src, dst, None, nth);
-        }
-        let start = Instant::now();
-        let out = run_soak(plan);
-        assert!(start.elapsed() < Duration::from_secs(25), "seed {seed}: exhaustion must not hang");
+        assert!(start.elapsed() < Duration::from_secs(20), "seed {seed}: detection must not hang");
         for (r, (res, need, counters)) in out.iter().enumerate() {
             let ctx = format!("seed {seed} rank {r}");
             let (report, stats) =
                 res.as_ref().unwrap_or_else(|e| panic!("{ctx}: salvage must not hard-fail: {e:?}"));
-            if r == dst {
-                // The victim's report names the corrupt source as an
-                // integrity loss — not a liveness one.
-                assert!(!report.is_complete(), "{ctx}: loss must be reported");
-                assert_eq!(report.integrity_peers, vec![src], "{ctx}: {report}");
-                assert_eq!(report.dead_peers, vec![src], "{ctx}: {report}");
-                assert!(stats.integrity_recvs >= 1, "{ctx}: {stats:?}");
-                assert!(report.missing_bytes() > 0, "{ctx}");
-                let txt = report.to_string();
-                assert!(txt.contains("failed integrity"), "{ctx}: {txt}");
-                // Every cell outside the lost region is bitwise correct,
-                // and the lost region keeps its sentinel: with recovery
-                // armed a payload is verified before it is unpacked, so no
-                // corrupt byte ever reaches the need buffer.
-                let need_blk = &e1_layouts()[r].need;
-                let expect = expected_need(r);
-                for ly in 0..4 {
-                    let gy = need_blk.offset[1] + ly;
-                    let lost = gy == src || gy == src + 4; // row owned by the corrupt source
-                    for lx in 0..4 {
-                        let i = ly * 4 + lx;
-                        let want = if lost { -1.0 } else { expect[i] };
-                        assert_eq!(need[i], want, "{ctx}: cell {i}");
-                    }
-                }
-                assert!(counters.exhausted >= 1, "{ctx}: {counters:?}");
-            } else {
+            // Counters are world-global: every rank sees the one detection.
+            assert_eq!(counters.detected, 1, "{ctx}: {counters:?}");
+            if r != dst {
                 assert!(report.is_complete(), "{ctx}: {report}");
                 assert_eq!(need, &expected_need(r), "{ctx}: byte-identical output");
+                continue;
+            }
+            assert_eq!(report.integrity_peers, vec![src], "{ctx}: {report}");
+            assert_eq!(report.dead_peers, vec![src], "{ctx}: {report}");
+            assert!(stats.integrity_recvs >= 1, "{ctx}: {stats:?}");
+            assert!(report.missing_bytes() > 0, "{ctx}");
+            let txt = report.to_string();
+            assert!(txt.contains("failed integrity"), "{ctx}: {txt}");
+            // Under a corrupt-capable plan a payload is verified before it
+            // is unpacked, so no corrupt byte reaches the need buffer: the
+            // lost region keeps its sentinel, every other cell is exact.
+            let need_blk = &e1_layouts()[r].need;
+            let expect = expected_need(r);
+            for ly in 0..4 {
+                let gy = need_blk.offset[1] + ly;
+                let lost = gy == src || gy == src + 4; // row owned by the corrupt source
+                for lx in 0..4 {
+                    let i = ly * 4 + lx;
+                    let want = if lost { -1.0 } else { expect[i] };
+                    assert_eq!(need[i], want, "{ctx}: cell {i}");
+                }
             }
         }
     }
 }
 
-/// The strict (non-salvage) API under exhaustion: the raw minimpi error is
-/// a fully-coordinated [`minimpi::Error::IntegrityFailure`] when surfaced
+/// The strict (non-salvage) API: the raw minimpi error is a
+/// fully-coordinated [`minimpi::Error::IntegrityFailure`] when surfaced
 /// through `alltoallw`'s abort path — driven here at the ddr-core level via
 /// `reorganize`, whose contract wraps losses as `Incomplete`.
 #[test]
-fn strict_reorganize_reports_exhaustion_as_incomplete() {
+fn strict_reorganize_reports_corruption_as_incomplete() {
     let (src, dst) = (0usize, 1usize);
-    let mut fplan = FaultPlan::new(99);
-    for nth in 0..=3 {
-        fplan = fplan.corrupt_message(src, dst, None, nth);
-    }
+    let fplan = FaultPlan::new(99).corrupt_message(src, dst, None, 0);
     let out = Universe::builder()
         .timeout(Duration::from_secs(30))
         .check(true)
@@ -217,11 +177,12 @@ fn strict_reorganize_reports_exhaustion_as_incomplete() {
 }
 
 /// One exchange carries three rounds, so rank 0's message to rank 1 has a
-/// part from round 0 and one from round 2. Corrupted once, it is detected,
-/// NACKed and retransmitted whole — every part re-packed — and both ranks
-/// end byte-identical to the oracle.
+/// part from round 0 and one from round 2. Corrupted once, it is lost whole:
+/// rank 1's salvage report names rank 0 as an integrity loss in exactly
+/// those two rounds, every cell either part targets keeps its sentinel, and
+/// every other cell — rank 1's self-copy, all of rank 0 — is exact.
 #[test]
-fn retransmit_repairs_a_coalesced_message_bit_for_bit() {
+fn a_corrupt_coalesced_message_is_lost_whole_and_touches_nothing() {
     let d1 = |off, len| Block::d1(off, len).unwrap();
     let layouts = vec![
         Layout { owned: vec![d1(12, 3), d1(0, 4), d1(15, 6)], need: d1(0, 12) },
@@ -245,23 +206,34 @@ fn retransmit_repairs_a_coalesced_message_bit_for_bit() {
             let refs: Vec<&[u32]> = data.iter().map(|v| v.as_slice()).collect();
             let mut need = vec![u32::MAX; 12];
             let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
-            comm.barrier().unwrap();
-            (report.is_complete(), stats, need, comm.integrity_counters())
+            (report, stats, need)
         });
-    for (r, (complete, stats, need, counters)) in out.iter().enumerate() {
-        assert!(complete, "rank {r}");
+    for (r, (report, stats, need)) in out.iter().enumerate() {
         assert_eq!((stats.rounds, stats.exchanges), (3, 1), "rank {r}");
-        let want: Vec<u32> = (12 * r as u32..12 * r as u32 + 12).collect();
-        assert_eq!(need, &want, "rank {r}: byte-identical output");
-        assert!(counters.detected >= 1, "rank {r}: {counters:?}");
-        assert!(counters.retransmits >= 1, "rank {r}: {counters:?}");
-        assert_eq!(counters.exhausted, 0, "rank {r}: {counters:?}");
+        // Rank 1's cells 12..15 came in round 0's part, 15..21 in round 2's.
+        let lost = |x: u32| r == 1 && (12..21).contains(&x);
+        let want: Vec<u32> = (12 * r as u32..12 * r as u32 + 12)
+            .map(|x| if lost(x) { u32::MAX } else { x })
+            .collect();
+        assert_eq!(need, &want, "rank {r}");
+        if r == 0 {
+            assert!(report.is_complete(), "rank 0: {report}");
+            continue;
+        }
+        assert_eq!(report.integrity_peers, vec![0], "{report}");
+        let failed: Vec<&[usize]> =
+            report.rounds.iter().map(|round| round.failed_sources.as_slice()).collect();
+        assert_eq!(
+            failed,
+            [&[0][..], &[][..], &[0][..]],
+            "lost in rounds 0 and 2 only: {report:?}"
+        );
     }
 }
 
 /// Checksum-off escape hatch at the ddr-core level: with `DDR_CHECKSUM=0`
 /// semantics the corrupt bytes land in the need buffer silently — the
-/// documented trade-off — and no retransmit traffic is generated.
+/// documented trade-off — and nothing is verified.
 #[test]
 fn checksum_off_redistribution_delivers_corrupt_data() {
     let out = Universe::builder()
@@ -281,7 +253,6 @@ fn checksum_off_redistribution_delivers_corrupt_data() {
     let (need, counters) = out[1].as_ref().unwrap();
     assert_ne!(need, &expected_need(1), "corruption must have landed undetected");
     assert_eq!(counters.checked, 0);
-    assert_eq!(counters.retransmits, 0);
     // The other three ranks saw only clean fragments.
     for r in [0usize, 2, 3] {
         assert_eq!(out[r].as_ref().unwrap().0, expected_need(r), "rank {r}");
@@ -289,15 +260,11 @@ fn checksum_off_redistribution_delivers_corrupt_data() {
 }
 
 /// Integrity losses must not masquerade as peer deaths anywhere in the
-/// error surface: the exhausting receiver's peers stay alive, settle, and
-/// complete — no rank observes a [`minimpi::Error::PeerDead`].
+/// error surface: the corrupt receiver's peers stay alive and complete — no
+/// rank observes a [`minimpi::Error::PeerDead`].
 #[test]
-fn exhaustion_never_reports_peer_death() {
-    let mut fplan = FaultPlan::new(41);
-    for nth in 0..=3 {
-        fplan = fplan.corrupt_message(2, 0, None, nth);
-    }
-    let out = run_soak(fplan);
+fn integrity_loss_never_reports_peer_death() {
+    let out = run_soak(FaultPlan::new(41).corrupt_message(2, 0, None, 0));
     for (r, (res, _, _)) in out.iter().enumerate() {
         let (report, _) = res.as_ref().unwrap();
         assert!(
@@ -309,13 +276,7 @@ fn exhaustion_never_reports_peer_death() {
     // fault plan (sanity via a direct strict run on the victim pair).
     let strict = Universe::builder()
         .timeout(Duration::from_secs(30))
-        .fault_plan({
-            let mut p = FaultPlan::new(41);
-            for nth in 0..=3 {
-                p = p.corrupt_message(0, 1, None, nth);
-            }
-            p
-        })
+        .fault_plan(FaultPlan::new(41).corrupt_message(0, 1, None, 0))
         .run(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 8, &[1u8; 32])?;

@@ -209,11 +209,11 @@ impl FrameReceiver {
             loop {
                 let polled = match comm.try_recv_bytes(src, FRAME_TAG) {
                     // The frame arrived but failed checksum verification —
-                    // it is consumed and gone (point-to-point receives are
-                    // detect-only; there is no retransmit path here), so
-                    // retrying would only wait out deadlines for a frame
-                    // that can never be re-delivered. Skip immediately and
-                    // classify the loss as corruption, not as a timeout.
+                    // it is consumed and gone (corruption is detected, never
+                    // repaired), so retrying would only wait out deadlines
+                    // for a frame that can never be re-delivered. Skip
+                    // immediately and classify the loss as corruption, not
+                    // as a timeout.
                     Err(minimpi::Error::IntegrityFailure { .. }) => {
                         self.stats.corrupted += 1;
                         return Ok(self.skip(comm, src, step, "frame failed checksum"));

@@ -10,35 +10,12 @@ use crate::check::{CollFingerprint, CollectiveKind, TypeSig};
 use crate::comm::{coll_key_tag, Comm};
 use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
-use crate::fault::mix64;
 use crate::mailbox::{Envelope, Payload};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::zerocopy::{ZcCell, ZcWait};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-// Alltoallw's phase namespace under one collective sequence number. Phase 0
-// carries the data; phases 1 and 2 exist only when NACK/retransmit recovery
-// is armed (checksums on + a corrupt-capable fault plan installed, which
-// also means every message of the exchange is staged).
-const PHASE_DATA: u64 = 0;
-/// Receiver → sender verdict channel: one byte per message.
-const PHASE_VERDICT: u64 = 1;
-/// Sender → receiver retransmitted payloads (always staged).
-const PHASE_RETX: u64 = 2;
-
-/// Verdict bytes on the `PHASE_VERDICT` channel. FIFO per (comm, src, tag)
-/// means zero or more NACKs are followed by exactly one terminal ACK/FAIL.
-const VERDICT_ACK: u8 = 0;
-const VERDICT_NACK: u8 = 1;
-const VERDICT_FAIL: u8 = 2;
-
-/// Poll interval of the recovery-mode waits. Recovery waits poll (instead of
-/// blocking on the mailbox condvar) so a rank can keep servicing its *own*
-/// senders' NACK duties while it waits — two ranks each recovering from the
-/// other would otherwise deadlock.
-const RETX_POLL: Duration = Duration::from_micros(200);
+use std::time::Instant;
 
 /// Encode a list of byte buffers into one buffer (u64 count + u64 lengths +
 /// concatenated payloads). Used to ship gathered results through broadcast.
@@ -297,8 +274,7 @@ impl Comm {
     ///
     /// A message loans only when it is a single part larger than the loan
     /// threshold ([`Comm::zerocopy_threshold`]); any other message stages
-    /// through one pooled buffer under one running checksum, and a
-    /// retransmit re-packs all of its parts.
+    /// through one pooled buffer under one running checksum.
     ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
@@ -349,29 +325,20 @@ impl Comm {
         self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoallw, None))?;
         self.sched_point("alltoallw_post");
         let me = self.rank();
-        let tag = coll_key_tag(seq, PHASE_DATA);
+        let tag = coll_key_tag(seq, 0);
         let zerocopy = self.world.zerocopy_active();
-        // Recovery is armed only when corruption is both detectable
-        // (checksums on) and possible (a corrupt-capable plan installed):
-        // clean runs keep the exact wire protocol, op counts, and blocking
-        // receive paths they had before the integrity plane existed.
-        let retx = self.recovery_armed();
         let span = ddrtrace::span_arg("minimpi", "alltoallw", "seq", seq as i64);
 
-        let owed = recvs.iter().enumerate().map(|(s, parts)| s != me && message_len(parts) > 0);
         // The guard is built before the send phase so that a mid-post error
         // drops it — and Drop drains whatever loans went out before the
         // failure.
         let mut xchg = Exchange {
             comm: self,
-            seq,
+            tag,
             sends,
             recvs,
             salvage,
-            retx,
             loans: Vec::new(),
-            duties: None,
-            owed: owed.collect(),
             failed: Vec::new(),
             settled: false,
             _span: span,
@@ -404,126 +371,22 @@ impl Comm {
                 }
             }
         }
-
-        // Recovery-mode sender duties: track which destinations still owe a
-        // terminal verdict and answer their NACKs with staged retransmits
-        // from the still-borrowed send buffers.
-        xchg.duties = retx.then(|| RetxSender::new(self, sends, seq));
         xchg.wait(recv_buf)
     }
 
-    /// Receive one alltoallw message from `s` with NACK/retransmit recovery:
-    /// verify, NACK on corruption (after seeded exponential backoff),
-    /// consume the staged retransmit, give up with
-    /// [`Error::IntegrityFailure`] once `DDR_RETRANSMIT_MAX` retransmits all
-    /// failed. Always leaves the sender terminally settled (ACK or FAIL) so
-    /// no outcome of this rank can strand it — exhaustion is a structured
-    /// error, never a hang. Waits poll via [`Comm::take_polling`] so this
-    /// rank's own sender duties stay serviced throughout. Attempt 0 takes
-    /// from the data phase, later attempts from the retransmit phase.
-    fn recv_with_retransmit(
-        &self,
-        s: usize,
-        seq: u64,
-        dts: &[Datatype],
-        recv_buf: &mut [u8],
-        duties: &mut RetxSender<'_>,
-    ) -> Result<()> {
-        let data_tag = coll_key_tag(seq, PHASE_DATA);
-        let verdict_tag = coll_key_tag(seq, PHASE_VERDICT);
-        let retx_tag = coll_key_tag(seq, PHASE_RETX);
-        let mut attempt: u32 = 0;
-        let res = (|| loop {
-            let take_tag = if attempt == 0 { data_tag } else { retx_tag };
-            let env = self.take_polling(s, take_tag, duties)?;
-            match self.deliver_alltoallw(s, take_tag, env, dts, recv_buf) {
-                Err(Error::IntegrityFailure { .. }) => {
-                    attempt += 1;
-                    if attempt > self.world.retransmit_max {
-                        self.world.integrity.exhausted.fetch_add(1, Ordering::Relaxed);
-                        ddrtrace::instant_arg("minimpi", "integrity_exhausted", "src", s as i64);
-                        return Err(Error::IntegrityFailure {
-                            src: s,
-                            dst: self.rank(),
-                            tag: data_tag,
-                            attempt: attempt - 1,
-                        });
-                    }
-                    std::thread::sleep(self.retransmit_backoff_delay(s, attempt));
-                    self.deposit_control(s, verdict_tag, vec![VERDICT_NACK])?;
-                }
-                res => return res,
-            }
-        })();
-        // The one terminal verdict, whatever the outcome above.
-        let verdict = if res.is_ok() { VERDICT_ACK } else { VERDICT_FAIL };
-        let _ = self.deposit_control(s, verdict_tag, vec![verdict]);
-        res
-    }
-
-    /// Recovery-mode receive: poll for a message from `src` under `key_tag`
-    /// while servicing this rank's own sender duties every iteration.
-    /// Blocking on the mailbox condvar instead would deadlock two ranks that
-    /// each need a retransmit from the other.
-    fn take_polling(
-        &self,
-        src: usize,
-        key_tag: u64,
-        duties: &mut RetxSender<'_>,
-    ) -> Result<Envelope> {
-        self.fault_tick()?;
-        let src_world = self.members[src];
-        let deadline = Instant::now() + self.timeout();
-        loop {
-            self.sched_point("retx_poll");
-            match self.my_mailbox().try_take((self.comm_id, src, key_tag)).map(|e| self.admit(e)) {
-                Some(Some(env)) => return Ok(env),
-                // Fenced: poll again.
-                Some(None) => {}
-                None => {
-                    if !self.world.is_alive(src_world) {
-                        return Err(Error::PeerDead { rank: src });
-                    }
-                    duties.service(self)?;
-                    if Instant::now() >= deadline {
-                        return Err(self.timed_out(Some(src), key_tag));
-                    }
-                    std::thread::sleep(RETX_POLL);
-                }
-            }
-        }
-    }
-
-    /// Backoff before NACK attempt `k` (1-based): `base × 2^(k-1)` plus a
-    /// deterministic sub-`base` jitter seeded per stream, so receivers
-    /// recovering from the same sender don't NACK in lockstep.
-    fn retransmit_backoff_delay(&self, src: usize, attempt: u32) -> Duration {
-        let base = self.world.retransmit_backoff;
-        if base.is_zero() {
-            return base;
-        }
-        let exp = base.saturating_mul(1u32 << (attempt - 1).min(10));
-        let span = base.as_nanos().max(1) as u64;
-        let jitter = mix64(self.stream_seed(src, attempt as u64, self.epoch)) % span;
-        exp + Duration::from_nanos(jitter)
-    }
-
-    /// Drop every message still queued under this exchange's sequence number
-    /// — data, verdicts, and retransmits alike. Called on abort paths (and
-    /// after settlement): dropping a staged payload discards bytes nobody
-    /// will read, and dropping a zero-copy envelope revokes its loan via
-    /// [`crate::zerocopy::ZcHandle`]'s `Drop`, so the alive-but-departing
-    /// receiver cannot strand a healthy sender on the watchdog.
-    fn sweep_exchange(&self, seq: u64) {
+    /// Drop every message still queued under an exchange's data tag. Called
+    /// when the exchange leaves early: dropping a staged payload discards
+    /// bytes nobody will read, and dropping a zero-copy envelope revokes its
+    /// loan via [`crate::zerocopy::ZcHandle`]'s `Drop`, so the
+    /// alive-but-departing receiver cannot strand a healthy sender on the
+    /// watchdog.
+    fn sweep_exchange(&self, tag: u64) {
         let mb = self.my_mailbox();
         let mut swept = 0i64;
-        for phase in [PHASE_DATA, PHASE_VERDICT, PHASE_RETX] {
-            let tag = coll_key_tag(seq, phase);
-            for s in 0..self.size() {
-                while let Some(env) = mb.try_take((self.comm_id, s, tag)) {
-                    drop(env);
-                    swept += 1;
-                }
+        for s in 0..self.size() {
+            while let Some(env) = mb.try_take((self.comm_id, s, tag)) {
+                drop(env);
+                swept += 1;
             }
         }
         if swept > 0 {
@@ -555,7 +418,7 @@ impl Comm {
             Payload::Bytes(packed) => {
                 let _unpack = ddrtrace::span_arg("minimpi", "unpack", "bytes", packed.len() as i64);
                 let res = match checksum {
-                    Some(_) if self.recovery_armed() => self
+                    Some(_) if self.verify_before_unpack() => self
                         .verify_payload(src, key_tag, epoch, checksum, &packed)
                         .and_then(|()| unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf))),
                     Some(_) => self.verify(src, key_tag, epoch, checksum, |sum| {
@@ -616,24 +479,20 @@ fn unpack_parts(
 /// peers as raw pointers, so the borrow the guard holds must stay alive
 /// while any peer might still read them — and *every* exit path must drain
 /// the loans. [`Exchange::wait`] does so on completion; the `Drop` impl
-/// covers early exits (a mid-post error, a panic) by revoking unclaimed
-/// loans immediately and waiting out claims already in flight (a bounded
-/// memcpy).
+/// covers early exits (an abort, a mid-post error, a panic) by revoking
+/// unclaimed loans immediately and waiting out claims already in flight (a
+/// bounded memcpy).
 struct Exchange<'a> {
     comm: &'a Comm,
-    seq: u64,
+    /// Key tag every message of this exchange travels under.
+    tag: u64,
     sends: &'a [Vec<(&'a [u8], Datatype)>],
     recvs: &'a [Vec<Datatype>],
     salvage: bool,
-    retx: bool,
     loans: Vec<(usize, Arc<ZcCell>)>,
-    duties: Option<RetxSender<'a>>,
-    /// `owed[s]` — source `s` has not been terminally resolved (delivered,
-    /// or recorded as failed); self and empty selections start resolved.
-    owed: Vec<bool>,
     failed: Vec<(usize, Error)>,
-    /// Verdict/sweep cleanup already ran (completion or abort); Drop only
-    /// drains loans.
+    /// The exchange completed; Drop only drains loans. Left early, Drop
+    /// sweeps the exchange's queued remainder first.
     settled: bool,
     /// Keeps the `minimpi/alltoallw` trace span open from post to
     /// completion, so phase tables attribute the full exchange lifetime.
@@ -642,56 +501,50 @@ struct Exchange<'a> {
 
 impl Exchange<'_> {
     /// Block until every source resolved, then finish the exchange: drain
-    /// the zero-copy loans, settle retransmit duties, and report per-source
-    /// failures (salvage mode) or abort on the first (plain mode).
+    /// the zero-copy loans and report per-source failures (salvage mode),
+    /// or abort on the first (plain mode). An abort returns through Drop,
+    /// which sweeps what is still queued for this exchange — dropping a
+    /// queued zero-copy envelope revokes its loan, releasing the sender
+    /// immediately — and revokes this rank's own outstanding loans.
     fn wait(mut self, recv_buf: &mut [u8]) -> Result<ExchangeReport> {
         let comm = self.comm;
         comm.sched_point("alltoallw_wait");
         let me = comm.rank();
-        let tag = coll_key_tag(self.seq, PHASE_DATA);
-        let mut abort = self.self_copy(recv_buf).err();
-        if abort.is_none() {
-            // Receive phase: under salvage, drain every source and record
-            // failures; otherwise abort on the first one.
-            for (s, dts) in self.recvs.iter().enumerate() {
-                if !self.owed[s] {
-                    continue;
+        self.self_copy(recv_buf)?;
+        // Receive phase: under salvage, drain every source and record
+        // failures; otherwise abort on the first one.
+        for (s, dts) in self.recvs.iter().enumerate() {
+            if s == me || message_len(dts) == 0 {
+                continue;
+            }
+            let res = comm
+                .take_envelope_from(s, self.tag)
+                .and_then(|env| comm.deliver_alltoallw(s, self.tag, env, dts, recv_buf));
+            match res {
+                Ok(()) => {}
+                // Malformed local arguments are hard errors in both modes.
+                Err(e @ (Error::DatatypeMismatch { .. } | Error::SizeMismatch { .. })) => {
+                    return Err(e)
                 }
-                let res = match self.duties.as_mut() {
-                    Some(d) => comm.recv_with_retransmit(s, self.seq, dts, recv_buf, d),
-                    None => comm
-                        .take_envelope_from(s, tag)
-                        .and_then(|env| comm.deliver_alltoallw(s, tag, env, dts, recv_buf)),
-                };
-                // Whatever the outcome, the source is terminally resolved:
-                // `recv_with_retransmit` always settles it with ACK or FAIL.
-                self.owed[s] = false;
-                match res {
-                    Ok(()) => {}
-                    // Malformed local arguments are hard errors in both modes.
-                    Err(e @ (Error::DatatypeMismatch { .. } | Error::SizeMismatch { .. })) => {
-                        abort = Some(e);
-                        break;
-                    }
-                    // Killed mid-drain: everything still missing is lost.
-                    Err(Error::PeerDead { rank }) if rank == me && !comm.is_alive(me) => {
-                        abort = Some(Error::PeerDead { rank });
-                        break;
-                    }
-                    Err(e) if self.salvage => self.failed.push((s, e)),
-                    Err(e) => {
-                        abort = Some(e);
-                        break;
-                    }
+                // Killed mid-drain: everything still missing is lost.
+                Err(Error::PeerDead { rank }) if rank == me && !comm.is_alive(me) => {
+                    return Err(Error::PeerDead { rank })
                 }
+                Err(e) if self.salvage => self.failed.push((s, e)),
+                Err(e) => return Err(e),
             }
         }
-        if let Some(e) = abort {
-            // Our own outstanding loans are revoked by Drop on this return.
-            self.abort_cleanup();
-            return Err(e);
+        // Completion: wait until every lent region was consumed (or revoke
+        // loans to receivers that can no longer claim them).
+        {
+            let _complete = ddrtrace::span("minimpi", "zc_complete");
+            let revoked = self.drain_loans(Instant::now() + comm.timeout());
+            if revoked > 0 {
+                comm.world.transport.revoked_msgs.fetch_add(revoked, Ordering::Relaxed);
+            }
         }
-        self.finish_clean()
+        self.settled = true;
+        Ok(ExchangeReport { failed: std::mem::take(&mut self.failed) })
     }
 
     /// Self-transfer: the self parts paired in order, each a direct
@@ -723,63 +576,6 @@ impl Exchange<'_> {
         Ok(())
     }
 
-    /// Clean completion: drain the loans against the watchdog deadline,
-    /// settle retransmit duties, sweep, and emit the report.
-    fn finish_clean(&mut self) -> Result<ExchangeReport> {
-        let comm = self.comm;
-        // Completion: wait until every lent region was consumed (or revoke
-        // loans to receivers that can no longer claim them). The drain
-        // doesn't service NACKs and needn't: an exchange with retransmit
-        // duties runs under a fault plan, so it lent nothing.
-        {
-            let _complete = ddrtrace::span("minimpi", "zc_complete");
-            let revoked = self.drain_loans(Instant::now() + comm.timeout());
-            if revoked > 0 {
-                comm.world.transport.revoked_msgs.fetch_add(revoked, Ordering::Relaxed);
-            }
-        }
-        // Settlement: keep servicing NACKs until every destination delivered
-        // its terminal verdict (or died) — only then may the send buffers go
-        // out of scope without breaking an in-progress recovery.
-        if let Some(mut d) = self.duties.take() {
-            let _settle = ddrtrace::span("minimpi", "retx_settle");
-            let settled = d.settle(comm);
-            comm.sweep_exchange(self.seq);
-            self.settled = true;
-            settled?;
-        }
-        self.settled = true;
-        Ok(ExchangeReport { failed: std::mem::take(&mut self.failed) })
-    }
-
-    /// FAIL every source still owed a verdict, so this rank's departure
-    /// can't strand a healthy sender in its settlement wait.
-    fn fail_owed_sources(&self) {
-        let verdict_tag = coll_key_tag(self.seq, PHASE_VERDICT);
-        for s in (0..self.owed.len()).filter(|&s| self.owed[s]) {
-            let _ = self.comm.deposit_control(s, verdict_tag, vec![VERDICT_FAIL]);
-        }
-    }
-
-    /// Abort-path settlement: FAIL every source still owed a verdict, give
-    /// our own receivers their retransmit settlement, and sweep the
-    /// exchange's queued remainder — dropping a queued zero-copy envelope
-    /// revokes its loan, releasing the sender immediately.
-    fn abort_cleanup(&mut self) {
-        let comm = self.comm;
-        if self.retx {
-            self.fail_owed_sources();
-            // Our *data* went out in the send phase regardless of this
-            // abort — stay available (best-effort) until every receiver
-            // recovering from us reaches a terminal verdict.
-            if let Some(mut d) = self.duties.take() {
-                let _ = d.settle(comm);
-            }
-        }
-        comm.sweep_exchange(self.seq);
-        self.settled = true;
-    }
-
     /// Wait until every loan was copied or revoked, giving receivers until
     /// `deadline`. Returns the number revoked.
     fn drain_loans(&mut self, deadline: Instant) -> u64 {
@@ -802,127 +598,14 @@ impl Exchange<'_> {
 impl Drop for Exchange<'_> {
     fn drop(&mut self) {
         if !self.settled {
-            // Dropped without completing (a mid-post error or a panic):
-            // settle peers best-effort without blocking — queued NACKs are
-            // answered once, unreached sources are FAILed — then sweep.
-            // Receivers whose verdicts arrive after this point resolve
-            // through their own bounded waits.
-            let comm = self.comm;
-            if self.retx {
-                self.fail_owed_sources();
-                if let Some(mut d) = self.duties.take() {
-                    let _ = d.service(comm);
-                }
-            }
-            comm.sweep_exchange(self.seq);
+            // Left early (an abort, a mid-post error or a panic): nobody will
+            // receive the rest of this exchange.
+            self.comm.sweep_exchange(self.tag);
         }
         // Every exit path drains the zero-copy loans: revoke anything still
         // unclaimed *now*; claims already in flight are waited out so the
         // borrow of the send buffers stays sound.
         self.drain_loans(Instant::now());
-    }
-}
-
-/// Sender half of the alltoallw NACK/retransmit protocol.
-///
-/// Holds a borrow of the send parts (keeping the pristine data alive and
-/// provably unmoved), and tracks which destinations still owe a terminal
-/// verdict. [`RetxSender::service`] is called from every recovery-mode wait
-/// loop on this rank — answering NACKs with freshly staged retransmits even
-/// while the rank is itself blocked on some other sender — and
-/// [`RetxSender::settle`] holds the rank in the exchange until every
-/// destination ACKed, FAILed, or died, so no send buffer can go out of
-/// scope mid-recovery.
-struct RetxSender<'a> {
-    sends: &'a [Vec<(&'a [u8], Datatype)>],
-    verdict_tag: u64,
-    retx_tag: u64,
-    /// `pending[d]` — destination `d` has our data but no terminal verdict
-    /// from it yet. Self and empty transfers start settled.
-    pending: Vec<bool>,
-}
-
-impl<'a> RetxSender<'a> {
-    fn new(comm: &Comm, sends: &'a [Vec<(&'a [u8], Datatype)>], seq: u64) -> Self {
-        let me = comm.rank();
-        let pending = sends
-            .iter()
-            .enumerate()
-            .map(|(d, parts)| d != me && message_len(parts.iter().map(|(_, dt)| dt)) > 0)
-            .collect();
-        RetxSender {
-            sends,
-            verdict_tag: coll_key_tag(seq, PHASE_VERDICT),
-            retx_tag: coll_key_tag(seq, PHASE_RETX),
-            pending,
-        }
-    }
-
-    /// Drain queued verdicts: a NACK re-packs every part of that
-    /// destination's message from the pristine send buffers and stages it
-    /// on the retransmit phase (through the normal fault-injecting deposit —
-    /// retransmits can be corrupted again); ACK/FAIL settles the
-    /// destination. Dead destinations settle implicitly: no verdict can ever
-    /// arrive from them.
-    fn service(&mut self, comm: &Comm) -> Result<()> {
-        for d in 0..self.pending.len() {
-            if !self.pending[d] {
-                continue;
-            }
-            while let Some(env) = comm.my_mailbox().try_take((comm.comm_id, d, self.verdict_tag)) {
-                let Some(env) = comm.admit(env) else { continue };
-                let verdict = match &env.payload {
-                    Payload::Bytes(b) if b.len() == 1 => b[0],
-                    _ => {
-                        return Err(Error::Internal {
-                            detail: format!("malformed retransmit verdict from rank {d}"),
-                        })
-                    }
-                };
-                match verdict {
-                    VERDICT_NACK => {
-                        let parts = &self.sends[d];
-                        let len = message_len(parts.iter().map(|(_, dt)| dt));
-                        let _pack = ddrtrace::span_arg("minimpi", "retx_pack", "bytes", len as i64);
-                        comm.deposit_packed(d, self.retx_tag, parts)?;
-                        comm.world.integrity.retransmits.fetch_add(1, Ordering::Relaxed);
-                        ddrtrace::instant_arg("minimpi", "integrity_retransmit", "dest", d as i64);
-                    }
-                    VERDICT_ACK | VERDICT_FAIL => {
-                        self.pending[d] = false;
-                        break;
-                    }
-                    other => {
-                        return Err(Error::Internal {
-                            detail: format!("unknown retransmit verdict {other} from rank {d}"),
-                        })
-                    }
-                }
-            }
-            if self.pending[d] && !comm.is_alive(d) {
-                self.pending[d] = false;
-            }
-        }
-        Ok(())
-    }
-
-    /// Keep servicing until every destination reached a terminal verdict or
-    /// died. Bounded by the communicator watchdog: a destination that is
-    /// alive but never settles (it would itself be stuck in a bounded wait)
-    /// surfaces as a structured timeout, never a hang.
-    fn settle(&mut self, comm: &Comm) -> Result<()> {
-        let deadline = Instant::now() + comm.timeout();
-        loop {
-            self.service(comm)?;
-            if !self.pending.iter().any(|&p| p) {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                let unsettled = self.pending.iter().position(|&p| p);
-                return Err(comm.timed_out(unsettled, self.verdict_tag));
-            }
-            std::thread::sleep(RETX_POLL);
-        }
     }
 }
 
@@ -1021,7 +704,7 @@ mod tests {
                     // the abort below is what must release it.
                     let key = (0u64, 1usize, tag);
                     while !comm.my_mailbox().contains(key) {
-                        std::thread::sleep(Duration::from_millis(1));
+                        std::thread::yield_now();
                     }
                     let mut recv = vec![0u8; 2 * len];
                     let st = [empty, empty, empty];

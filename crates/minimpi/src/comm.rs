@@ -70,15 +70,7 @@ pub(crate) struct WorldState {
     /// only cost left is one branch per deposit. Loans carry none either way:
     /// see [`Comm::deposit_shared`].
     pub checksum: bool,
-    /// Bounded retransmit attempts per corrupt transfer before the receiver
-    /// fails with [`Error::IntegrityFailure`] (builder override, else
-    /// `DDR_RETRANSMIT_MAX`, default 3).
-    pub retransmit_max: u32,
-    /// Base of the receiver's exponential NACK backoff (builder override,
-    /// default 1 ms).
-    pub retransmit_backoff: Duration,
-    /// Integrity-plane counters (verifications, detections, retransmits,
-    /// exhaustions).
+    /// Integrity-plane counters (verifications, detections).
     pub integrity: IntegrityCells,
 }
 
@@ -93,8 +85,6 @@ impl WorldState {
         zc_threshold: Option<usize>,
         respawn: Option<bool>,
         checksum: Option<bool>,
-        retransmit_max: Option<u32>,
-        retransmit_backoff: Option<Duration>,
         sched_seed: Option<u64>,
         (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
@@ -121,10 +111,6 @@ impl WorldState {
             reconfig: ShrinkBarrier::default(),
             respawn: respawn.unwrap_or(true),
             checksum: checksum.unwrap_or_else(crate::integrity::checksum_env_default),
-            retransmit_max: retransmit_max
-                .unwrap_or_else(crate::integrity::retransmit_max_env_default),
-            retransmit_backoff: retransmit_backoff
-                .unwrap_or(crate::integrity::RETRANSMIT_BACKOFF_DEFAULT),
             integrity: IntegrityCells::default(),
         }
     }
@@ -151,7 +137,7 @@ impl WorldState {
     /// Whether exchanges should take the zero-copy fast path. Every
     /// (non-empty) fault plan forces staging: drop, delay and corrupt rules
     /// act on an in-flight copy, which a loan doesn't have — and the staged
-    /// path is where checksums and NACK/retransmit live.
+    /// path is where checksums detect what a corrupt rule did.
     pub fn zerocopy_active(&self) -> bool {
         self.zerocopy && self.faults.is_none()
     }
@@ -381,12 +367,12 @@ impl Comm {
     /// through the stream's hasher and the result is judged against
     /// `expected`. Whether that walk runs before the bytes reach the
     /// receive buffer or fused into the copy that places them is the
-    /// caller's choice, under one rule: **verify-before-unpack when recovery
-    /// is armed** (a corrupt payload must never touch a buffer its
-    /// retransmit will fill), **fused otherwise** (no retransmit can follow,
-    /// so a mismatch is terminal and the buffer contents are unspecified, as
-    /// for any other mid-exchange error). `attempt: 0` marks paths with no
-    /// retransmit protocol; alltoallw rewrites it when recovery is in play.
+    /// caller's choice, under one rule: **verify-before-unpack when
+    /// [`Comm::verify_before_unpack`]** (a corrupt payload must never touch
+    /// the receive buffer, so a salvaged exchange keeps the caller's bytes
+    /// wherever a message was lost), **fused otherwise** (nothing can
+    /// corrupt, so a mismatch would be a bug and the buffer contents are
+    /// unspecified, as for any other mid-exchange error).
     pub(crate) fn verify(
         &self,
         src: usize,
@@ -404,7 +390,7 @@ impl Comm {
         }
         self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
         ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
+        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag })
     }
 
     /// [`Comm::verify`] over a contiguous packed payload.
@@ -422,11 +408,11 @@ impl Comm {
         })
     }
 
-    /// True when corruption recovery (NACK/retransmit) is armed: checksums
-    /// are on *and* an installed fault plan can actually corrupt messages.
-    /// Gates both the alltoallw recovery protocol and the receive-side
-    /// checksum fusion (see [`Comm::verify`]).
-    pub(crate) fn recovery_armed(&self) -> bool {
+    /// True when a staged payload must be verified before any of it is
+    /// unpacked: checksums are on *and* an installed fault plan can actually
+    /// corrupt messages. Otherwise verification is fused into the unpack
+    /// copy (see [`Comm::verify`]).
+    pub(crate) fn verify_before_unpack(&self) -> bool {
         self.world.checksum && self.world.faults.as_ref().is_some_and(|f| f.has_corrupt_rules())
     }
 
@@ -491,8 +477,8 @@ impl Comm {
     /// handle's rank and epoch, then reserved-and-enqueued in `dest`'s
     /// mailbox under (communicator, this rank, `key_tag`). What varies by
     /// payload kind — checksum, stamp — is decided by the `deposit_*`
-    /// caller. A `bounded` envelope counts against this pair's depth and
-    /// parks while the pair is full: no pop within [`Comm::timeout`] is
+    /// caller. The envelope counts against this pair's depth and parks
+    /// while the pair is full: no pop within [`Comm::timeout`] is
     /// [`Error::Timeout`] naming `dest`; the receiver's death, this rank's
     /// own fault-kill or an epoch bump unparks with the matching error.
     fn enqueue(
@@ -502,12 +488,9 @@ impl Comm {
         payload: Payload,
         checksum: Option<u64>,
         type_sig: Option<TypeSig>,
-        bounded: bool,
     ) -> Result<()> {
         let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
-        if bounded {
-            self.sched_point("credit");
-        }
+        self.sched_point("credit");
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
         let env = Envelope {
             src: self.rank,
@@ -515,7 +498,7 @@ impl Comm {
             payload,
             checksum,
             type_sig,
-            pair: bounded.then_some(src_world),
+            pair: src_world,
         };
         let abort = || {
             if !self.world.is_alive(src_world) {
@@ -586,7 +569,7 @@ impl Comm {
                 }
             }
         }
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), checksum, stamp, true)?;
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), checksum, stamp)?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -620,25 +603,6 @@ impl Comm {
         self.deposit_staged(dest, key_tag, packed, Some(sig), pre)
     }
 
-    /// Deposit a control-plane message (retransmit verdicts/NACKs). Control
-    /// traffic is neither checksummed nor fault-injected: the recovery
-    /// protocol must itself stay reliable, and letting message rules consume
-    /// match counts on 1-byte verdicts would make data-message targeting
-    /// (the `nth` coordinate) depend on recovery timing. It is also
-    /// unbounded: verdicts and NACKs are tiny, and parking them behind the
-    /// very pairs they exist to drain could deadlock the recovery protocol.
-    pub(crate) fn deposit_control(
-        &self,
-        dest: usize,
-        key_tag: u64,
-        payload: Vec<u8>,
-    ) -> Result<()> {
-        self.sched_point("send_control");
-        self.fault_tick()?;
-        let stamp = self.send_stamp(None, payload.len());
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), None, stamp, false)
-    }
-
     /// Deposit a zero-copy loan of `dt`'s selection of `buf` into `dest`'s
     /// mailbox. Returns the completion cell the caller **must** drive to
     /// `Done` or `Revoked` (via [`ZcCell::wait`]) before `buf`'s borrow ends
@@ -649,9 +613,9 @@ impl Comm {
     /// by the caller's borrow until the loan settles — so nothing between
     /// lend and claim can flip a bit. Callers must have checked
     /// [`WorldState::zerocopy_active`]: under a fault plan every message
-    /// stages, which is where the injector, the checksum and the retransmit
-    /// protocol act. A sender cannot write during a live loan: the caller's
-    /// shared borrow of `buf` outlives the wait on the returned cell.
+    /// stages, which is where the injector and the checksum act. A sender
+    /// cannot write during a live loan: the caller's shared borrow of `buf`
+    /// outlives the wait on the returned cell.
     ///
     /// Measured, not assumed: a lend-time hash here plus the receiver's
     /// verify pass walked every loaned byte three times for one copy that
@@ -676,7 +640,7 @@ impl Comm {
         // A loan occupies a slot in the pair but stages no bytes. A refused
         // one was dropped — and so revoked — by the mailbox.
         let handle = ZcHandle::new(buf, dt, Arc::clone(&cell));
-        self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp, true)?;
+        self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(cell)
     }
@@ -706,12 +670,10 @@ impl Comm {
     }
 
     /// Turn a received envelope into owned bytes, *verified* when they were
-    /// staged. Verification failure surfaces as [`Error::IntegrityFailure`]
-    /// with `attempt: 0` — these paths are detect-only (recovery lives in
-    /// alltoallw, where the sender's buffer is provably still owned). For
-    /// zero-copy loans this is the slow path (generic receives don't have a
-    /// destination selection to copy into directly): claim, pack out of the
-    /// sender's buffer, release.
+    /// staged. Verification failure surfaces as [`Error::IntegrityFailure`].
+    /// For zero-copy loans this is the slow path (generic receives don't
+    /// have a destination selection to copy into directly): claim, pack out
+    /// of the sender's buffer, release.
     pub(crate) fn materialize(&self, src: usize, key_tag: u64, env: Envelope) -> Result<Vec<u8>> {
         match env.payload {
             Payload::Bytes(b) => {
@@ -795,8 +757,8 @@ impl Comm {
         self.world.transport.snapshot()
     }
 
-    /// Integrity-plane counters so far in this universe: payloads verified,
-    /// corruptions detected, retransmits performed, transfers exhausted.
+    /// Integrity-plane counters so far in this universe: payloads verified
+    /// and corruptions detected.
     pub fn integrity_counters(&self) -> IntegrityCounters {
         self.world.integrity.snapshot()
     }

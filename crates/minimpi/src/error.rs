@@ -17,21 +17,23 @@ pub enum Error {
         /// Communicator size.
         size: usize,
     },
-    /// A receive did not complete within the watchdog timeout — almost
-    /// always a deadlock or a mismatched send/recv pair. Carries the full
-    /// pending op so the hang is diagnosable: who waited, on whom, for what
-    /// tag, on which communicator.
+    /// A blocking wait — a receive, or a send parked on a full pair — did
+    /// not complete within the watchdog timeout: almost always a deadlock or
+    /// a mismatched send/recv pair. Carries the full pending op so the hang
+    /// is diagnosable: who waited, on whom, for what tag, on which
+    /// communicator.
     Timeout {
-        /// Receiving rank (communicator-local).
+        /// Waiting rank (communicator-local).
         rank: usize,
-        /// Expected source rank, or `None` for a rendezvous (shrink,
-        /// reconfigure), which waits on no single rank.
+        /// The peer that was waited on: the source of a receive, or the
+        /// destination a parked send needed room at. `None` for a rendezvous
+        /// (shrink, reconfigure), which waits on no single rank.
         src: Option<usize>,
         /// Raw key tag of the awaited message. User tags are `< 2^32`;
         /// larger values are internal collective sequence numbers (the
         /// `Display` impl decodes both).
         tag: u64,
-        /// Communicator the receive was posted on.
+        /// Communicator the wait was posted on.
         comm_id: u64,
     },
     /// A peer rank is known to be dead — fault-killed, panicked, or already
@@ -98,11 +100,11 @@ pub enum Error {
         /// Current world membership epoch.
         world_epoch: u64,
     },
-    /// A payload failed checksum verification and could not be recovered:
-    /// either retransmission is unavailable on this path (point-to-point and
-    /// non-alltoallw collective receives are detect-only), or every one of
-    /// the `DDR_RETRANSMIT_MAX` retransmit attempts arrived corrupt too.
-    /// Checksumming is on by default (`DDR_CHECKSUM=0` disables it).
+    /// A staged payload failed checksum verification, so it was discarded
+    /// instead of delivered. Detection is terminal: the message is lost, and
+    /// under a corrupt-capable fault plan none of its bytes reached the
+    /// receive buffer. Checksumming is on by default (`DDR_CHECKSUM=0`
+    /// disables it).
     IntegrityFailure {
         /// Sender of the corrupt payload (communicator-local).
         src: usize,
@@ -111,9 +113,6 @@ pub enum Error {
         /// Raw key tag of the corrupt message (the `Display` impl decodes
         /// user tags and collective phases alike).
         tag: u64,
-        /// Delivery attempts consumed: 0 means detection with no retransmit
-        /// path; `n > 0` means the original plus `n` retransmits all failed.
-        attempt: u32,
     },
     /// A runtime invariant was violated (e.g. a rendezvous protocol state
     /// that should be unreachable). Converted from what used to be panics in
@@ -159,7 +158,7 @@ impl fmt::Display for Error {
                 match src {
                     Some(s) => write!(
                         f,
-                        "rank {rank}: receive from rank {s} ({op} on comm {comm_id:#x}) timed out — likely deadlock"
+                        "rank {rank}: waiting on rank {s} ({op} on comm {comm_id:#x}) timed out — likely deadlock"
                     ),
                     None => write!(
                         f,
@@ -190,19 +189,12 @@ impl fmt::Display for Error {
                 f,
                 "communicator from epoch {comm_epoch} used after reconfiguration to epoch {world_epoch} — rebuild it via reconfigure()"
             ),
-            Error::IntegrityFailure { src, dst, tag, attempt } => {
+            Error::IntegrityFailure { src, dst, tag } => {
                 let op = crate::comm::describe_key_tag(*tag);
-                if *attempt == 0 {
-                    write!(
-                        f,
-                        "integrity failure: payload from rank {src} to rank {dst} ({op}) failed checksum verification (no retransmit path)"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "integrity failure: payload from rank {src} to rank {dst} ({op}) still corrupt after {attempt} retransmit attempt(s)"
-                    )
-                }
+                write!(
+                    f,
+                    "integrity failure: payload from rank {src} to rank {dst} ({op}) failed checksum verification"
+                )
             }
             Error::Internal { detail } => {
                 write!(f, "internal runtime invariant violated: {detail}")

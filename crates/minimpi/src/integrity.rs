@@ -5,10 +5,12 @@
 //! pack time over the *pristine* payload and verified at match time, so
 //! corruption on the wire (modelled by [`crate::FaultPlan`]'s `Corrupt`
 //! rules) is detected instead of sailing silently into the receiver's
-//! buffer. Detection is the first rung of the ladder; the NACK/retransmit
-//! recovery protocol lives in `collectives::alltoallw`. A zero-copy loan is
-//! outside the plane: it is a pointer hand-off with no wire copy to damage
-//! (see `Comm::deposit_shared`), and any fault plan stages every message.
+//! buffer. Detection is all there is: a corrupt payload becomes
+//! `Error::IntegrityFailure`, and nothing repairs it. A staged payload is a
+//! pooled buffer that never leaves the process, so only an injected
+//! `Corrupt` rule can damage one. A zero-copy loan is outside the plane: it
+//! is a pointer hand-off with no wire copy to damage (see
+//! `Comm::deposit_shared`), and any fault plan stages every message.
 //!
 //! The hash folds 8-byte chunks into four independent lanes (lane = absolute
 //! chunk index mod 4) with one odd-constant multiply per chunk
@@ -31,7 +33,6 @@
 
 use crate::fault::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Streaming 64-bit checksum over a (possibly discontiguous) byte sequence.
 ///
@@ -153,9 +154,9 @@ impl Checksum {
     /// [`Checksum::update_copying`] for an initialized slice destination:
     /// copies `src` into `dst` (equal lengths) and folds it in the same
     /// pass. Bit-identical to `dst.copy_from_slice(src); self.update(src)`
-    /// — the kernel behind verify-during-unpack on receive paths with no
-    /// retransmit protocol, where a second hash pass over the payload was
-    /// the last remaining double traversal.
+    /// — the kernel behind verify-during-unpack when no installed fault plan
+    /// can corrupt, where a second hash pass over the payload was the last
+    /// remaining double traversal.
     pub fn update_copying_to(&mut self, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "copy-fold length mismatch");
         self.total = self.total.wrapping_add(src.len() as u64);
@@ -314,10 +315,6 @@ pub struct IntegrityCounters {
     pub checked: u64,
     /// Verifications that failed — corruption detected before delivery.
     pub detected: u64,
-    /// Retransmissions performed after a receiver NACKed a corrupt payload.
-    pub retransmits: u64,
-    /// Transfers abandoned after `DDR_RETRANSMIT_MAX` attempts all failed.
-    pub exhausted: u64,
 }
 
 /// Atomic backing store for [`IntegrityCounters`], kept on the world state.
@@ -325,8 +322,6 @@ pub struct IntegrityCounters {
 pub(crate) struct IntegrityCells {
     pub checked: AtomicU64,
     pub detected: AtomicU64,
-    pub retransmits: AtomicU64,
-    pub exhausted: AtomicU64,
 }
 
 impl IntegrityCells {
@@ -334,8 +329,6 @@ impl IntegrityCells {
         IntegrityCounters {
             checked: self.checked.load(Ordering::Relaxed),
             detected: self.detected.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
         }
     }
 }
@@ -344,19 +337,6 @@ impl IntegrityCells {
 pub(crate) fn checksum_env_default() -> bool {
     crate::env::flag("DDR_CHECKSUM").unwrap_or(true)
 }
-
-/// `DDR_RETRANSMIT_MAX`: bounded retransmit attempts per corrupt transfer
-/// before the receiver gives up with `Error::IntegrityFailure`. Default 3.
-pub(crate) const RETRANSMIT_MAX_DEFAULT: u32 = 3;
-
-pub(crate) fn retransmit_max_env_default() -> u32 {
-    crate::env::u64_var("DDR_RETRANSMIT_MAX").map_or(RETRANSMIT_MAX_DEFAULT, |v| v as u32)
-}
-
-/// Base of the exponential backoff the receiver sleeps before NACK attempt
-/// `k` (`base × 2^(k-1)`). 1 ms — faults here are injected, not physical, so
-/// recovery should be prompt.
-pub(crate) const RETRANSMIT_BACKOFF_DEFAULT: Duration = Duration::from_millis(1);
 
 #[cfg(test)]
 mod tests {

@@ -253,7 +253,7 @@ pub(crate) fn unpack_runs(packed: &[u8], shape: &RunShape, dst: &mut [u8]) {
 /// Scatter `packed` into `dst`, folding the packed bytes into `sum` in the
 /// same traversal — the receive-side counterpart of [`pack_runs_hashed`],
 /// used when envelope verification can be fused into the unpack (no
-/// retransmit protocol in play).
+/// installed fault plan can corrupt).
 pub(crate) fn unpack_runs_hashed(
     packed: &[u8],
     shape: &RunShape,

@@ -104,9 +104,9 @@
 //!
 //! `Universe::builder().sched_seed(s)` (or `DDR_SCHED_SEED=s`) arms a seeded
 //! scheduler hook at every wait/poll point: sends, receives, zero-copy
-//! claims, retransmit polls, and the reconfigure rendezvous may yield or
-//! sleep for a few hundred microseconds — all as a pure function of (seed,
-//! rank, op count), so a given seed replays the same perturbation. An
+//! claims and the reconfigure rendezvous may yield or sleep for a few
+//! hundred microseconds — all as a pure function of (seed, rank, op count),
+//! so a given seed replays the same perturbation. An
 //! explorer (see the `ddrcheck` crate) sweeps a budget of seeds and stops at
 //! the first failure. Unseeded, the hook is one `Option` branch per
 //! operation.

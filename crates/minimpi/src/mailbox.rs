@@ -51,17 +51,16 @@ pub(crate) struct Envelope {
     /// Seeded 64-bit checksum of a staged (`Bytes`) payload, sealed at pack
     /// time over the pristine bytes (before fault injection) and verified at
     /// match time. `None` when checksumming is disabled (`DDR_CHECKSUM=0`),
-    /// on control traffic, and always on a `Shared` loan — a pointer
-    /// hand-off has no in-flight bytes to protect.
+    /// and always on a `Shared` loan — a pointer hand-off has no in-flight
+    /// bytes to protect.
     pub checksum: Option<u64>,
     /// Sender's datatype signature, stamped when checking is enabled and
     /// verified against the receiver's declared expectation.
     pub type_sig: Option<crate::check::TypeSig>,
-    /// Sender's *world* rank when this envelope counts against the pair
-    /// bound (envelopes carry communicator-local ranks, but the bound must
-    /// survive splits and renumbering); `None` for control traffic, which is
-    /// never bounded.
-    pub pair: Option<usize>,
+    /// Sender's *world* rank, whose pair this envelope counts against
+    /// (envelopes carry communicator-local ranks, but the bound must survive
+    /// splits and renumbering).
+    pub pair: usize,
 }
 
 impl Envelope {
@@ -100,10 +99,8 @@ struct Queues {
 
 /// Give a popped or swept envelope's slot back to its pair.
 fn give_back(pairs: &mut [Pair], env: &Envelope) {
-    if let Some(src) = env.pair {
-        pairs[src].msgs -= 1;
-        pairs[src].bytes -= env.staged_len();
-    }
+    pairs[env.pair].msgs -= 1;
+    pairs[env.pair].bytes -= env.staged_len();
 }
 
 /// One rank's incoming message store — a bounded queue per sender.
@@ -114,9 +111,6 @@ fn give_back(pairs: &mut [Pair], env: &Envelope) {
 /// the same (source, tag, communicator). A sender whose pair is full parks
 /// on `room` until the receiver pops, under the same deadline / abort rule
 /// receives use.
-///
-/// `Mailbox::default()` is unbounded and never spins.
-#[derive(Default)]
 pub(crate) struct Mailbox {
     queues: Mutex<Queues>,
     cv: Condvar,
@@ -143,8 +137,15 @@ impl Mailbox {
     /// it spin for `spin` before they park.
     pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize, spin: Duration) -> Self {
         let queues = Queues { pairs: vec![Pair::default(); n], ..Default::default() };
-        let waiter = Waiter::new(spin);
-        Mailbox { queues: Mutex::new(queues), max_msgs, max_bytes, waiter, ..Default::default() }
+        Mailbox {
+            queues: Mutex::new(queues),
+            cv: Condvar::new(),
+            room: Condvar::new(),
+            events: AtomicU64::new(0),
+            waiter: Waiter::new(spin),
+            max_msgs,
+            max_bytes,
+        }
     }
 
     /// Tell spinning waiters something happened. Call with the lock held.
@@ -170,8 +171,7 @@ impl Mailbox {
     /// until a pop or sweep makes room, `abort()` yields an error
     /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`) — counted, with
     /// the time parked, in `stalls`. A refused envelope is dropped (revoking
-    /// a loan it carried) and leaves no count behind. Unbounded envelopes
-    /// (`pair: None`) never wait.
+    /// a loan it carried) and leaves no count behind.
     pub fn deposit<E>(
         &self,
         key: MsgKey,
@@ -181,22 +181,20 @@ impl Mailbox {
         stalls: &TransportCells,
     ) -> Result<(), Option<E>> {
         let mut q = self.lock();
-        if let Some(src) = env.pair {
-            let bytes = env.staged_len();
-            if !self.has_room(q.pairs[src], bytes) {
-                let start = Instant::now();
-                stalls.credit_waits.fetch_add(1, Ordering::Relaxed);
-                q.parked += 1;
-                let room = |q: &mut Queues| self.has_room(q.pairs[src], bytes).then_some(());
-                let (guard, admitted) = self.wait_until(&self.room, q, timeout, abort, room);
-                q = guard;
-                q.parked -= 1;
-                stalls.stalled_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                admitted?;
-            }
-            q.pairs[src].msgs += 1;
-            q.pairs[src].bytes += bytes;
+        let (src, bytes) = (env.pair, env.staged_len());
+        if !self.has_room(q.pairs[src], bytes) {
+            let start = Instant::now();
+            stalls.credit_waits.fetch_add(1, Ordering::Relaxed);
+            q.parked += 1;
+            let room = |q: &mut Queues| self.has_room(q.pairs[src], bytes).then_some(());
+            let (guard, admitted) = self.wait_until(&self.room, q, timeout, abort, room);
+            q = guard;
+            q.parked -= 1;
+            stalls.stalled_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+            admitted?;
         }
+        q.pairs[src].msgs += 1;
+        q.pairs[src].bytes += bytes;
         q.by_key.entry(key).or_default().push_back(env);
         self.bump();
         let asleep = q.sleepers > 0;
@@ -394,7 +392,7 @@ mod tests {
     const KEY: MsgKey = (1, 0, 7);
     const LONG: Duration = Duration::from_secs(10);
 
-    /// An unbounded (control-style) envelope from `src`.
+    /// A data envelope from world rank `src`, counted against its pair.
     fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
         Envelope {
             src,
@@ -402,13 +400,13 @@ mod tests {
             payload: Payload::Bytes(bytes),
             checksum: None,
             type_sig: None,
-            pair: None,
+            pair: src,
         }
     }
 
-    /// A data envelope from world rank `src`, counted against its pair.
-    fn bounded_env(src: usize, bytes: Vec<u8>) -> Envelope {
-        Envelope { pair: Some(src), ..bytes_env(src, bytes) }
+    /// A mailbox with no depth bound and no spin, in a universe of 3.
+    fn unbounded() -> Mailbox {
+        Mailbox::bounded(3, 0, 0, Duration::ZERO)
     }
 
     /// Deposit with no abort rule: `Err(None)` is a timeout.
@@ -461,7 +459,7 @@ mod tests {
 
     #[test]
     fn deposit_take_fifo() {
-        let mb = Mailbox::default();
+        let mb = unbounded();
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
         assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![1]);
@@ -469,11 +467,11 @@ mod tests {
         assert_eq!(mb.pending(), 0);
     }
 
-    /// `Mailbox::default()` never spins: a blocked take goes straight to its
-    /// condvar, as before there was a spin.
+    /// A zero spin budget never spins: a blocked take goes straight to its
+    /// condvar.
     #[test]
     fn take_blocks_until_deposit() {
-        let mb = Arc::new(Mailbox::default());
+        let mb = Arc::new(unbounded());
         let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || mb2.take(KEY, LONG));
         until_asleep(&mb);
@@ -548,13 +546,13 @@ mod tests {
 
     #[test]
     fn take_times_out() {
-        let mb = Mailbox::default();
+        let mb = unbounded();
         assert!(mb.take((0, 0, 0), Duration::from_millis(20)).is_none());
     }
 
     #[test]
     fn try_take_nonblocking() {
-        let mb = Mailbox::default();
+        let mb = unbounded();
         assert!(mb.try_take(KEY).is_none());
         put(&mb, KEY, bytes_env(0, vec![5]), LONG).unwrap();
         assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![5]);
@@ -563,11 +561,11 @@ mod tests {
     #[test]
     fn full_pair_parks_and_resumes_on_pop() {
         let mb = Arc::new(Mailbox::bounded(2, 1, 0, Duration::ZERO));
-        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         let stalls = Arc::new(TransportCells::default());
         let (mb2, stalls2) = (Arc::clone(&mb), Arc::clone(&stalls));
         let h = std::thread::spawn(move || {
-            mb2.deposit(KEY, bounded_env(0, vec![2]), LONG, || None::<()>, &stalls2)
+            mb2.deposit(KEY, bytes_env(0, vec![2]), LONG, || None::<()>, &stalls2)
         });
         until_parked(&mb);
         assert_eq!(mb.pending(), 1, "a parked sender has queued nothing");
@@ -580,7 +578,7 @@ mod tests {
     #[test]
     fn pop_during_the_spin_releases_the_parked_sender() {
         let mb = Mailbox::bounded(2, 1, 0, LONG);
-        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         let spinning = AtomicBool::new(false);
         let stalls = TransportCells::default();
         let watch = || {
@@ -588,7 +586,7 @@ mod tests {
             None::<()>
         };
         std::thread::scope(|s| {
-            let h = s.spawn(|| mb.deposit(KEY, bounded_env(0, vec![2]), LONG, watch, &stalls));
+            let h = s.spawn(|| mb.deposit(KEY, bytes_env(0, vec![2]), LONG, watch, &stalls));
             until_raised(&spinning);
             assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
             h.join().unwrap().unwrap();
@@ -623,21 +621,21 @@ mod tests {
     fn oversize_message_enters_an_empty_pair_and_the_next_waits() {
         let mb = Mailbox::bounded(2, 4, 64, Duration::ZERO);
         // 100 > 64, but the pair is empty: stop-and-wait admission.
-        put(&mb, KEY, bounded_env(0, vec![0; 100]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![0; 100]), LONG).unwrap();
         // Pair non-empty now: even a small follow-up must wait.
-        assert_eq!(put(&mb, KEY, bounded_env(0, vec![0; 8]), Duration::ZERO), Err(None));
+        assert_eq!(put(&mb, KEY, bytes_env(0, vec![0; 8]), Duration::ZERO), Err(None));
         mb.try_take(KEY).unwrap();
-        put(&mb, KEY, bounded_env(0, vec![0; 8]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![0; 8]), LONG).unwrap();
         assert_eq!(depth(&mb, 0), (1, 8));
     }
 
     #[test]
     fn sweep_frees_the_pair_and_wakes_the_parked_sender() {
         let mb = Arc::new(Mailbox::bounded(2, 2, 0, Duration::ZERO));
-        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
-        put(&mb, KEY, bounded_env(0, vec![2]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
         let mb2 = Arc::clone(&mb);
-        let next = Envelope { epoch: 1, ..bounded_env(0, vec![3]) };
+        let next = Envelope { epoch: 1, ..bytes_env(0, vec![3]) };
         let h = std::thread::spawn(move || put(&mb2, KEY, next, LONG));
         until_parked(&mb);
         assert_eq!(mb.sweep_stale(1), 2);
@@ -649,12 +647,12 @@ mod tests {
     #[test]
     fn abort_unparks_with_its_error_and_leaves_no_count() {
         let mb = Arc::new(Mailbox::bounded(2, 1, 0, Duration::ZERO));
-        put(&mb, KEY, bounded_env(0, vec![1]), LONG).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         let dead = Arc::new(AtomicBool::new(false));
         let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
         let h = std::thread::spawn(move || {
             let abort = || dead2.load(Ordering::Acquire).then_some("peer dead");
-            mb2.deposit(KEY, bounded_env(0, vec![2]), LONG, abort, &TransportCells::default())
+            mb2.deposit(KEY, bytes_env(0, vec![2]), LONG, abort, &TransportCells::default())
         });
         until_parked(&mb);
         dead.store(true, Ordering::Release);
@@ -664,15 +662,15 @@ mod tests {
     }
 
     #[test]
-    fn pairs_are_independent_and_control_is_unbounded() {
+    fn pairs_are_independent_and_span_every_tag() {
         let mb = Mailbox::bounded(3, 1, 0, Duration::ZERO);
         let now = Duration::ZERO;
-        put(&mb, KEY, bounded_env(0, vec![1]), now).unwrap();
+        put(&mb, KEY, bytes_env(0, vec![1]), now).unwrap();
         // A different sender has its own depth at this receiver ...
-        put(&mb, (1, 2, 7), bounded_env(2, vec![2]), now).unwrap();
-        // ... and control traffic from the full sender is never counted.
-        put(&mb, (1, 0, 9), bytes_env(0, vec![3]), now).unwrap();
-        assert_eq!(put(&mb, KEY, bounded_env(0, vec![4]), now), Err(None));
+        put(&mb, (1, 2, 7), bytes_env(2, vec![2]), now).unwrap();
+        // ... while the full sender waits under any tag.
+        assert_eq!(put(&mb, (1, 0, 9), bytes_env(0, vec![3]), now), Err(None));
+        assert_eq!(put(&mb, KEY, bytes_env(0, vec![4]), now), Err(None));
         assert_eq!((depth(&mb, 0), depth(&mb, 1), depth(&mb, 2)), ((1, 1), (0, 0), (1, 1)));
     }
 

@@ -4,10 +4,9 @@
 //! different one survive indefinitely. When a schedule seed is set
 //! ([`crate::UniverseBuilder::sched_seed`] or `DDR_SCHED_SEED`), every
 //! wait/poll point in the runtime — mailbox sends and receives, zero-copy
-//! lend/claim/drain handshakes, retransmit verdict polls, the reconfigure
-//! rendezvous, and the two halves of an `alltoallw` (post, wait) — calls
-//! [`SchedState::perturb`], which deterministically
-//! decides from `(seed, rank, per-rank op count, point name)` whether to do
+//! lend/claim/drain handshakes, the reconfigure rendezvous, and the two
+//! halves of an `alltoallw` (post, wait) — calls [`SchedState::perturb`],
+//! which deterministically decides from `(seed, rank, per-rank op count, point name)` whether to do
 //! nothing, yield, or sleep briefly. That shifts the relative timing of
 //! ranks without changing any program semantics, so a sweep over seeds (see
 //! `ddrcheck`'s explorer) drives the same program through many distinct

@@ -39,8 +39,6 @@ pub struct UniverseBuilder {
     zc_threshold: Option<usize>,
     respawn: Option<bool>,
     checksum: Option<bool>,
-    retransmit_max: Option<u32>,
-    retransmit_backoff: Option<Duration>,
     sched_seed: Option<u64>,
     trace: Option<PathBuf>,
     flow: Option<(usize, usize)>,
@@ -106,9 +104,8 @@ impl UniverseBuilder {
     /// universe, overriding `DDR_CHECKSUM`. Checksumming is **on by
     /// default**: every staged payload is hashed at pack time and verified
     /// at match time, so corruption surfaces as
-    /// [`crate::Error::IntegrityFailure`] (and, inside `alltoallw`, triggers
-    /// NACK/retransmit recovery) instead of delivering scrambled bytes. A
-    /// zero-copy loan has no in-flight bytes and carries no checksum. Off,
+    /// [`crate::Error::IntegrityFailure`] instead of delivering scrambled
+    /// bytes. A zero-copy loan has no in-flight bytes and carries no checksum. Off,
     /// the only remaining cost is one branch per deposit; on, the cost is
     /// the benchmark's `p2p.checksum_ratio_staged`.
     pub fn checksum(mut self, on: bool) -> Self {
@@ -116,25 +113,9 @@ impl UniverseBuilder {
         self
     }
 
-    /// Bounded retransmit attempts per corrupt transfer before the receiver
-    /// gives up with [`crate::Error::IntegrityFailure`], overriding
-    /// `DDR_RETRANSMIT_MAX` (default 3). `0` makes every detection
-    /// immediately fatal (detect-only).
-    pub fn retransmit_max(mut self, attempts: u32) -> Self {
-        self.retransmit_max = Some(attempts);
-        self
-    }
-
-    /// Base of the receiver's exponential backoff before NACK attempt `k`
-    /// (`base × 2^(k-1)`; default 1 ms).
-    pub fn retransmit_backoff(mut self, base: Duration) -> Self {
-        self.retransmit_backoff = Some(base);
-        self
-    }
-
     /// Seed the deterministic schedule explorer for this universe: every
-    /// wait/poll point (sends, receives, zero-copy claims, retransmit polls,
-    /// reconfigure rendezvous) consults a per-rank counterful hash of this
+    /// wait/poll point (sends, receives, zero-copy claims, reconfigure
+    /// rendezvous) consults a per-rank counterful hash of this
     /// seed and may yield or inject a short adversarial delay — so different
     /// seeds exercise different (but individually reproducible) interleavings.
     /// When unset, `DDR_SCHED_SEED` decides; with neither, the hook
@@ -201,8 +182,6 @@ impl UniverseBuilder {
             self.zc_threshold,
             self.respawn,
             self.checksum,
-            self.retransmit_max,
-            self.retransmit_backoff,
             self.sched_seed,
             self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),
         ));
@@ -384,8 +363,6 @@ fn record_world_metrics(world: &WorldState) {
     let i = world.integrity.snapshot();
     ddrtrace::metrics::add("integrity", "checked", i.checked);
     ddrtrace::metrics::add("integrity", "detected", i.detected);
-    ddrtrace::metrics::add("integrity", "retransmits", i.retransmits);
-    ddrtrace::metrics::add("integrity", "exhausted", i.exhausted);
     if let Some(check) = &world.check {
         let c = check.counters();
         ddrtrace::metrics::add("check", "deadlocks", c.deadlocks);

@@ -45,8 +45,7 @@ fn all_variants() -> Vec<Error> {
             got: TypeSig { extent: 16, elem: 4, shape: 0 },
         },
         Error::StaleEpoch { comm_epoch: 0, world_epoch: 2 },
-        Error::IntegrityFailure { src: 2, dst: 0, tag: 9, attempt: 0 },
-        Error::IntegrityFailure { src: 2, dst: 0, tag: 9, attempt: 3 },
+        Error::IntegrityFailure { src: 2, dst: 0, tag: 9 },
         Error::Internal { detail: "split: world rank 2 missing from its own color group".into() },
     ];
     for v in &variants {
@@ -72,7 +71,7 @@ fn all_variants() -> Vec<Error> {
 fn display_is_informative_for_every_variant() {
     let expected = [
         "rank 9 out of range for communicator of size 4",
-        "rank 1: receive from rank 2 (user tag 77 on comm 0x5) timed out — likely deadlock",
+        "rank 1: waiting on rank 2 (user tag 77 on comm 0x5) timed out — likely deadlock",
         "rank 1: shrink rendezvous on comm 0x5 timed out — likely deadlock",
         "rank 3 is dead (fault-killed, panicked, or exited) — failing fast",
         "message size mismatch: expected 16 bytes, got 12",
@@ -87,9 +86,7 @@ fn display_is_informative_for_every_variant() {
         "communicator from epoch 0 used after reconfiguration to epoch 2 — \
          rebuild it via reconfigure()",
         "integrity failure: payload from rank 2 to rank 0 (user tag 9) \
-         failed checksum verification (no retransmit path)",
-        "integrity failure: payload from rank 2 to rank 0 (user tag 9) \
-         still corrupt after 3 retransmit attempt(s)",
+         failed checksum verification",
         "internal runtime invariant violated: split: world rank 2 missing from its own color group",
     ];
     for (e, want) in all_variants().iter().zip(expected) {

@@ -30,6 +30,8 @@ fn full_window_with_no_progress_times_out_structurally() {
         matches!(err, Error::Timeout { rank: 0, src: Some(1), tag: 9, .. }),
         "credit starvation must surface as a structured timeout, got: {err}"
     );
+    // The parked op is a send: its message must not call it a receive.
+    assert!(!err.to_string().contains("receive"), "{err}");
     assert!(elapsed >= Duration::from_millis(200), "gave up early: {elapsed:?}");
     assert!(elapsed < Duration::from_millis(400), "one timeout, not more: took {elapsed:?}");
 }
