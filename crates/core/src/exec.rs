@@ -115,17 +115,25 @@ impl Plan {
     /// Collective: move data from each rank's owned-chunk buffers into its
     /// needed-block buffer according to this plan — the paper's
     /// `DDR_ReorganizeData` (§III-C). The paper runs one `alltoallw` per
-    /// round; here consecutive rounds whose chunks all fit under the
-    /// universe's loan threshold share one ([`Plan::exchanges`]).
+    /// round because MPI stages every message, so rounds bound staging
+    /// memory. A zero-copy loan stages nothing, so when the universe loans
+    /// every round rides one exchange; when it stages, consecutive rounds
+    /// share one while their chunks fit under [`Plan::STAGING_BOUND`]
+    /// ([`Plan::exchanges`]).
     ///
     /// May be called any number of times with fresh data; the mapping is
     /// reused (the paper's "dynamic data" property).
     ///
     /// On peer failure (a rank died or dropped out mid-exchange) the
-    /// remaining rounds are still drained so every byte that can arrive
+    /// remaining exchanges are still drained so every byte that can arrive
     /// does, and the call returns [`DdrError::Incomplete`] carrying a
     /// [`PartialCompletion`] report of exactly what was delivered and lost,
-    /// per peer and per round.
+    /// per peer and per round. Salvage is per exchange: a source lost in an
+    /// exchange is lost in every round of it that received from that
+    /// source. Under loans that is one exchange, so a peer that dies loses
+    /// everything it would have sent; under a fault plan (which stages)
+    /// the rounds group under [`Plan::STAGING_BOUND`] and salvage stays per
+    /// group.
     pub fn reorganize<T: Element>(
         &self,
         comm: &Comm,
@@ -142,8 +150,11 @@ impl Plan {
     /// account for what this call moved. Hard errors (mismatched buffers,
     /// this rank itself fault-killed) are still `Err`. The stats are
     /// derived from the plan and the recorded failures — never from wire
-    /// observations — so they are identical whichever data-movement path
-    /// (zero-copy or staged) carried the bytes.
+    /// observations — so every field but [`RedistStats::exchanges`] is
+    /// identical whichever data-movement path (zero-copy or staged) carried
+    /// the bytes. `exchanges` counts the physical exchanges, which depend on
+    /// the path (one when the universe loans), and equals
+    /// [`Plan::expected_stats`] on the same universe.
     pub fn reorganize_with_stats<T: Element>(
         &self,
         comm: &Comm,
@@ -151,7 +162,7 @@ impl Plan {
         need: &mut [T],
     ) -> Result<(PartialCompletion, RedistStats)> {
         self.check_buffers(comm, owned, need)?;
-        self.run_rounds(comm, owned, need, comm.zerocopy_threshold())
+        self.run_rounds(comm, owned, need, exchange_bound(comm))
     }
 
     /// [`Plan::reorganize`] for chunks that are produced rather than held:
@@ -162,7 +173,8 @@ impl Plan {
     /// chunks — a reader walking a stack of images — keeps one of them in
     /// memory instead of all. `produce` is called once per owned chunk, in
     /// round order, and never for the padded rounds of a rank that owns
-    /// fewer chunks than its peers. Each round is an exchange of its own.
+    /// fewer chunks than its peers. Each round is an exchange of its own,
+    /// because the one buffer holds one round's chunk.
     ///
     /// A producer's own failure `E` returns at once. The peers are then
     /// inside that round, and see this rank's exit as any other dead peer:
@@ -185,7 +197,7 @@ impl Plan {
     /// [`crate::compute_local_plan`] has met no universe, so its count of
     /// exchanges is the paper's: one per round.
     pub fn expected_stats(&self) -> RedistStats {
-        RedistStats::from_plan(self, self.loan_threshold.unwrap_or(0), &[])
+        RedistStats::from_plan(self, self.exchange_bound.unwrap_or(0), &[])
     }
 
     /// The one round loop behind every entry point. Drains every exchange
@@ -196,21 +208,22 @@ impl Plan {
     /// that source.
     ///
     /// Exchange-synchronous: one blocking exchange per group of
-    /// [`Plan::exchanges`] under `loan_threshold`. A round whose chunks
-    /// exceed the threshold is an exchange of its own, as in the paper, and
-    /// stages at most that round's bytes; a shared exchange stages at most
-    /// `loan_threshold` bytes per message.
+    /// [`Plan::exchanges`] under `bound`. Loaned, `bound` is `usize::MAX`
+    /// and every round rides one exchange. Staged, a round whose chunks
+    /// exceed `bound` is an exchange of its own, as in the paper, and stages
+    /// at most that round's bytes; a shared exchange stages at most `bound`
+    /// bytes per message.
     fn run_rounds<T: Pod, S: ChunkSource<T>>(
         &self,
         comm: &Comm,
         mut source: S,
         need: &mut [T],
-        loan_threshold: usize,
+        bound: usize,
     ) -> std::result::Result<(PartialCompletion, RedistStats), S::Error> {
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
         let need_bytes = bytes_of_mut(need);
         let mut failures = Vec::new();
-        for group in self.exchanges(loan_threshold) {
+        for group in self.exchanges(bound) {
             let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", group.len() as i64);
             let owned = group.start.min(self.owned.len())..group.end.min(self.owned.len());
             let chunks = if owned.is_empty() { Vec::new() } else { source.chunks(owned)? };
@@ -247,7 +260,7 @@ impl Plan {
                 failures.extend(lost.map(|r| (r, peer, kind)));
             }
         }
-        let stats = RedistStats::from_plan(self, loan_threshold, &failures);
+        let stats = RedistStats::from_plan(self, bound, &failures);
         if ddrtrace::enabled() {
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
@@ -257,6 +270,17 @@ impl Plan {
             ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
         }
         Ok((PartialCompletion::from_failures(self, &failures), stats))
+    }
+}
+
+/// The bound `comm`'s universe groups held rounds by. A universe that loans
+/// stages nothing, so every round rides one exchange; otherwise
+/// [`Plan::STAGING_BOUND`] caps what a shared exchange stages.
+pub(crate) fn exchange_bound(comm: &Comm) -> usize {
+    if comm.zerocopy_active() {
+        usize::MAX
+    } else {
+        Plan::STAGING_BOUND
     }
 }
 

@@ -10,6 +10,7 @@
 use crate::block::Block;
 use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
+use crate::exec::exchange_bound;
 use crate::layout::{exchange_layouts, Declared, Layout};
 use crate::plan::{Plan, RoundPlan, Transfer};
 use crate::validate::{validate, ValidationPolicy};
@@ -21,8 +22,7 @@ use minimpi::Comm;
 /// is the maximum chunk count over all ranks, matching the paper's
 /// "the number of `MPI_Alltoallw` calls is equivalent to the maximum number
 /// of chunks that any one process owns". The plan meets no universe here,
-/// so `reorganize` groups its rounds under the loan threshold of whichever
-/// communicator runs it.
+/// so `reorganize` groups its rounds by whichever communicator runs it.
 pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) -> Result<Plan> {
     let owned: Vec<&[Block]> = layouts.iter().map(|l| l.owned.as_slice()).collect();
     let need: Vec<Option<Block>> = layouts.iter().map(|l| Some(l.need)).collect();
@@ -102,7 +102,7 @@ fn plan_core(
         need: my_need,
         rounds,
         round_bytes,
-        loan_threshold: None,
+        exchange_bound: None,
     })
 }
 
@@ -113,7 +113,7 @@ impl Declared {
         let owned: Vec<&[Block]> = self.owned.iter().map(Vec::as_slice).collect();
         let need: Vec<Option<Block>> = self.needs.iter().map(|n| n.get(k).copied()).collect();
         let plan = plan_core(comm.rank(), &owned, &need, desc)?;
-        Ok(Plan { loan_threshold: Some(comm.zerocopy_threshold()), ..plan })
+        Ok(Plan { exchange_bound: Some(exchange_bound(comm)), ..plan })
     }
 }
 
@@ -271,11 +271,12 @@ mod tests {
         assert_eq!(p1.rounds()[1].recvs[0].region, Block::d1(4, 2).unwrap());
     }
 
-    const LOAN_THRESHOLD: usize = 64 << 10;
+    const STAGED: usize = Plan::STAGING_BOUND;
+    const LOANED: usize = usize::MAX;
 
     /// Each exchange as its `(first round, end round)`.
-    fn exchanges(plan: &Plan, loan_threshold: usize) -> Vec<(usize, usize)> {
-        plan.exchanges(loan_threshold).map(|g| (g.start, g.end)).collect()
+    fn exchanges(plan: &Plan, bound: usize) -> Vec<(usize, usize)> {
+        plan.exchanges(bound).map(|g| (g.start, g.end)).collect()
     }
 
     fn plans(layouts: &[Layout], desc: &Descriptor) -> Vec<Plan> {
@@ -300,23 +301,25 @@ mod tests {
         let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
         for plan in plans(&e1_layouts(), &desc) {
             assert_eq!(plan.num_rounds(), 2);
-            assert_eq!(exchanges(&plan, LOAN_THRESHOLD), [(0, 2)]);
+            assert_eq!(exchanges(&plan, STAGED), [(0, 2)]);
+            assert_eq!(exchanges(&plan, LOANED), [(0, 2)]);
         }
     }
 
     #[test]
-    fn small_chunks_coalesce_up_to_the_threshold() {
+    fn small_chunks_coalesce_up_to_the_bound() {
         // Four 16 KiB chunks fill 64 KiB exactly; the fifth starts anew.
         let (layouts, desc) = small_column_slabs();
         for plan in plans(&layouts, &desc) {
             assert_eq!(plan.num_rounds(), 8);
-            assert_eq!(exchanges(&plan, LOAN_THRESHOLD), [(0, 4), (4, 8)]);
-            assert_eq!(exchanges(&plan, LOAN_THRESHOLD - 1), [(0, 3), (3, 6), (6, 8)]);
+            assert_eq!(exchanges(&plan, STAGED), [(0, 4), (4, 8)]);
+            assert_eq!(exchanges(&plan, STAGED - 1), [(0, 3), (3, 6), (6, 8)]);
+            assert_eq!(exchanges(&plan, LOANED), [(0, 8)]);
         }
     }
 
     #[test]
-    fn chunks_over_the_threshold_run_alone() {
+    fn staged_chunks_over_the_bound_run_alone_and_loaned_ones_share_one() {
         // `tiff_stack_load`'s shape: 256x256 f32 planes of 256 KiB dealt
         // round-robin to two ranks, redistributed to two bricks.
         let domain = Block::d3([0, 0, 0], [256, 256, 128]).unwrap();
@@ -330,12 +333,13 @@ mod tests {
         for plan in plans(&layouts, &desc) {
             assert_eq!(plan.num_rounds(), 64);
             let alone: Vec<_> = (0..64).map(|r| (r, r + 1)).collect();
-            assert_eq!(exchanges(&plan, LOAN_THRESHOLD), alone);
+            assert_eq!(exchanges(&plan, STAGED), alone);
+            assert_eq!(exchanges(&plan, LOANED), [(0, 64)]);
         }
     }
 
     #[test]
-    fn threshold_zero_runs_one_exchange_per_round() {
+    fn bound_zero_runs_one_exchange_per_round() {
         let (layouts, desc) = small_column_slabs();
         let e1_desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
         for plan in plans(&layouts, &desc).iter().chain(&plans(&e1_layouts(), &e1_desc)) {
@@ -359,14 +363,14 @@ mod tests {
         ];
         let desc = Descriptor::new(3, DataKind::D1, 8).unwrap();
         let plans = plans(&layouts, &desc);
-        for threshold in [0, 80, 200, 400, 1 << 20] {
-            let groups = exchanges(&plans[0], threshold);
+        for bound in [0, 80, 200, 400, 1 << 20, LOANED] {
+            let groups = exchanges(&plans[0], bound);
             for plan in &plans[1..] {
-                assert_eq!(exchanges(plan, threshold), groups, "threshold {threshold}");
+                assert_eq!(exchanges(plan, bound), groups, "bound {bound}");
             }
             // The groups tile the rounds in order.
             let flat: Vec<usize> = groups.iter().flat_map(|&(a, b)| a..b).collect();
-            assert_eq!(flat, (0..5).collect::<Vec<_>>(), "threshold {threshold}");
+            assert_eq!(flat, (0..5).collect::<Vec<_>>(), "bound {bound}");
         }
         // Largest chunk per round, in bytes: 160, 240, 40, 320, 64.
         assert_eq!(exchanges(&plans[2], 400), [(0, 2), (2, 4), (4, 5)]);

@@ -41,8 +41,8 @@ pub struct MultiPlan {
 
 impl MultiPlan {
     /// Number of logical communication rounds (max owned-chunk count over
-    /// ranks); executing the plan takes, per need index, one exchange per
-    /// group of rounds that fits under the loan threshold.
+    /// ranks); executing the plan takes, per need index, the exchanges of
+    /// [`Plan::reorganize`]: one when the universe loans.
     pub fn num_rounds(&self) -> usize {
         self.num_rounds
     }

@@ -68,12 +68,21 @@ pub struct Plan {
     /// Per round, the largest chunk any rank owns in it, in bytes: no
     /// message of that round can be larger.
     pub(crate) round_bytes: Vec<u64>,
-    /// The loan threshold of the universe a setup call built this plan on;
-    /// `None` from [`crate::compute_local_plan`], which meets no universe.
-    pub(crate) loan_threshold: Option<usize>,
+    /// The bound the universe a setup call built this plan on groups its
+    /// rounds by ([`Plan::exchanges`]); `None` from
+    /// [`crate::compute_local_plan`], which meets no universe.
+    pub(crate) exchange_bound: Option<usize>,
 }
 
 impl Plan {
+    /// The most bytes a shared staged exchange stages per message:
+    /// consecutive rounds share a staged exchange while their largest chunks
+    /// sum to at most this, so a fault plan or `DDR_NO_ZEROCOPY` still
+    /// bounds staging memory as the paper's rounds do, in fewer exchanges
+    /// (16 KiB chunks go four to an exchange). A universe that loans stages
+    /// nothing and runs every round in one exchange instead.
+    pub const STAGING_BOUND: usize = 64 << 10;
+
     /// Rank this plan belongs to.
     pub fn rank(&self) -> usize {
         self.rank
@@ -111,16 +120,17 @@ impl Plan {
         &self.rounds
     }
 
-    /// The physical exchanges that carry the logical rounds under a loan
-    /// threshold of `loan_threshold` bytes: consecutive rounds share one
-    /// exchange while the sum of their largest chunks stays within it. A
-    /// message is never larger than its chunk, so every message of a shared
-    /// exchange stays within the threshold and stages, exactly as each of
-    /// its parts would have. A round whose largest chunk exceeds the
-    /// threshold runs alone, and threshold 0 gives one exchange per round.
-    /// Every plan of a mapping holds every rank's chunk sizes, so every rank
-    /// derives the same boundaries.
-    pub fn exchanges(&self, loan_threshold: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    /// The physical exchanges that carry the logical rounds under a bound
+    /// of `bound` bytes: consecutive rounds share one exchange while the sum
+    /// of their largest chunks stays within it. A message is never larger
+    /// than its chunk, so no message of a shared exchange exceeds the bound.
+    /// A round whose largest chunk exceeds the bound runs alone, bound 0
+    /// gives one exchange per round and `usize::MAX` gives one exchange.
+    /// [`Plan::reorganize`] groups by `usize::MAX` when its universe loans
+    /// and by [`Plan::STAGING_BOUND`] when it stages. Every plan of a
+    /// mapping holds every rank's chunk sizes, so every rank derives the
+    /// same boundaries.
+    pub fn exchanges(&self, bound: usize) -> impl Iterator<Item = Range<usize>> + '_ {
         let bytes = &self.round_bytes;
         let mut start = 0;
         std::iter::from_fn(move || {
@@ -128,7 +138,7 @@ impl Plan {
             let mut end = start + 1;
             while let Some(&b) = bytes.get(end) {
                 sum = sum.saturating_add(b);
-                if sum > loan_threshold as u64 {
+                if sum > bound as u64 {
                     break;
                 }
                 end += 1;

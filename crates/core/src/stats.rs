@@ -14,9 +14,11 @@ use crate::recover::LossKind;
 ///
 /// Derived from the plan's transfer list minus the recorded per-round
 /// failures — never from wire observations — so two executions of the same
-/// plan report identical stats regardless of which data-movement path
-/// (zero-copy or staged) carried the bytes. The differential test harness
-/// relies on exactly this property.
+/// plan report identical stats, every field but `exchanges`, regardless of
+/// which data-movement path (zero-copy or staged) carried the bytes.
+/// `exchanges` depends on the path (one when the universe loans) and equals
+/// [`Plan::expected_stats`] on the same universe. The differential test
+/// harness checks exactly this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RedistStats {
     /// Number of logical communication rounds executed (the paper's
@@ -47,16 +49,16 @@ pub struct RedistStats {
 
 impl RedistStats {
     /// Account an executed redistribution of `plan`, run in the exchanges
-    /// of loan threshold `loan_threshold`, given the `(round, peer, loss
+    /// of [`Plan::exchanges`] under `bound`, given the `(round, peer, loss
     /// kind)` receive failures its exchanges reported.
     pub fn from_plan(
         plan: &Plan,
-        loan_threshold: usize,
+        bound: usize,
         failures: &[(usize, usize, LossKind)],
     ) -> RedistStats {
         let mut s = RedistStats {
             rounds: plan.rounds.len(),
-            exchanges: plan.exchanges(loan_threshold).count(),
+            exchanges: plan.exchanges(bound).count(),
             ..RedistStats::default()
         };
         for (r, round) in plan.rounds.iter().enumerate() {

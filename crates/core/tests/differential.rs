@@ -3,7 +3,8 @@
 //! layout pairs are redistributed through both, and the receive buffers must
 //! be byte-for-byte equal — to each other *and* to the serial oracle (every
 //! needed cell holds its globally unique value) — with identical
-//! [`RedistStats`], also under `check(true)` and under a fault plan (which
+//! [`RedistStats`] but for `exchanges`, which each path must report as its
+//! plan predicts, also under `check(true)` and under a fault plan (which
 //! forces both runs onto the staged path). The headline property: a
 //! producer → consumer → producer round-trip is the identity on the data.
 //! The same cases also run through `Plan::reorganize_from`, which produces
@@ -137,14 +138,12 @@ struct RankRun {
 }
 
 /// Execute `case` through one wire path. `zerocopy` selects the plane under
-/// test; everything else (layouts, data) is held identical.
+/// test — with it on, every cross-rank message loans, whatever its size;
+/// everything else (layouts, data) is held identical.
 fn run_path(case: &Case, zerocopy: bool, check: bool) -> Vec<RankRun> {
-    // Threshold 0: loan every cross-rank message regardless of size, so the
-    // fast path under test is pure zero-copy (the differential cases are far
-    // smaller than the production 64 KiB staging floor).
     let layouts = &case.layouts;
     let (kind, nprocs) = (case.kind, case.nprocs);
-    let builder = Universe::builder().zerocopy(zerocopy).zerocopy_threshold(0).check(check);
+    let builder = Universe::builder().zerocopy(zerocopy).check(check);
     builder.run(nprocs, move |comm| {
         let me = &layouts[comm.rank()];
         let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
@@ -172,15 +171,23 @@ fn oracle(case: &Case, r: usize) -> Vec<u64> {
     case.layouts[r].need.coords().map(cell_value).collect()
 }
 
-/// Receive buffers byte-identical to the oracle (hence to each other) and
-/// identical stats across the two paths.
+/// Receive buffers byte-identical to the oracle (hence to each other), and
+/// stats identical across the two paths in every field but `exchanges`,
+/// which depends on the path: each path's stats, `exchanges` included, are
+/// what its plan predicted on its universe.
 fn assert_paths_agree(seed: u64, case: &Case, fast: &[RankRun], legacy: &[RankRun]) {
+    let path_free = |s: RedistStats| RedistStats { exchanges: 0, ..s };
     for (r, (f, l)) in fast.iter().zip(legacy).enumerate() {
         let want = oracle(case, r);
         assert_eq!(f.need, want, "seed {seed}: rank {r} fast-path buffer diverges from oracle");
         assert_eq!(l.need, want, "seed {seed}: rank {r} legacy buffer diverges from oracle");
-        assert_eq!(f.stats, l.stats, "seed {seed}: rank {r} stats diverge between paths");
-        assert_eq!(f.stats, f.expected, "seed {seed}: rank {r} stats diverge from plan");
+        assert_eq!(
+            path_free(f.stats),
+            path_free(l.stats),
+            "seed {seed}: rank {r} stats diverge between paths"
+        );
+        assert_eq!(f.stats, f.expected, "seed {seed}: rank {r} fast-path stats diverge from plan");
+        assert_eq!(l.stats, l.expected, "seed {seed}: rank {r} legacy stats diverge from plan");
     }
     // The legacy path must never have minted a zero-copy loan...
     for (r, l) in legacy.iter().enumerate() {
@@ -214,7 +221,7 @@ fn fifty_seeded_cases_are_byte_identical_across_paths() {
 fn run_produced(case: &Case) -> Vec<(Vec<u64>, Vec<usize>)> {
     let layouts = &case.layouts;
     let (kind, nprocs) = (case.kind, case.nprocs);
-    Universe::builder().zerocopy_threshold(0).run(nprocs, move |comm| {
+    Universe::builder().zerocopy(true).run(nprocs, move |comm| {
         let me = &layouts[comm.rank()];
         let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
         let plan = desc
@@ -289,44 +296,41 @@ fn differential_holds_under_check_mode() {
     }
 }
 
-/// Under the production default threshold (64 KiB), per-pair messages of the
-/// seeded cases straddle the staging floor, so one exchange mixes loaned and
-/// staged deliveries. The mixed run must stay byte-identical to a pure
-/// staged run.
+/// Held chunks ride one exchange when the universe loans, and stage in
+/// groups under `Plan::STAGING_BOUND` when it does not: here eight 32 KiB
+/// column-slab chunks per rank, two to a staged exchange. Both runs must
+/// reproduce the oracle byte for byte and agree on every stat but the
+/// exchange count, which is 1 loaned against 4 staged.
 #[test]
-fn default_threshold_mixes_paths_and_stays_byte_identical() {
-    let run_with_default_threshold = |case: &Case| {
-        let layouts = &case.layouts;
-        let (kind, nprocs) = (case.kind, case.nprocs);
-        Universe::builder().zerocopy(true).run(nprocs, move |comm| {
-            let me = &layouts[comm.rank()];
-            let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
-            let plan = desc
-                .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
-                .unwrap();
-            let data: Vec<Vec<u64>> =
-                me.owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
-            let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut need = vec![u64::MAX; me.need.count() as usize];
-            let (report, _) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
-            assert!(report.is_complete());
-            need
-        })
+fn held_chunks_ride_one_loaned_exchange_and_stage_in_bounded_groups() {
+    let domain = Block::d2([0, 0], [256, 256]).unwrap();
+    let case = Case {
+        kind: DataKind::D2,
+        nprocs: 2,
+        layouts: (0..2)
+            .map(|r| Layout {
+                owned: (0..8)
+                    .map(|i| decompose::slab(&domain, 0, 16, 2 * i + r).unwrap())
+                    .collect(),
+                need: decompose::slab(&domain, 1, 2, r).unwrap(),
+            })
+            .collect(),
     };
-    for seed in 0..10u64 {
-        let case = case_from_seed(seed);
-        let mixed = run_with_default_threshold(&case);
-        let legacy = run_path(&case, false, false);
-        for (r, (m, l)) in mixed.iter().zip(&legacy).enumerate() {
-            assert_eq!(m, &oracle(&case, r), "seed {seed}: rank {r} mixed-path buffer wrong");
-            assert_eq!(m, &l.need, "seed {seed}: rank {r} mixed-path buffer diverges");
-        }
+    let loaned = run_path(&case, true, false);
+    let staged = run_path(&case, false, false);
+    assert_paths_agree(0, &case, &loaned, &staged);
+    for (r, (l, s)) in loaned.iter().zip(&staged).enumerate() {
+        assert_eq!((l.stats.rounds, l.stats.exchanges), (8, 1), "rank {r} loaned");
+        assert_eq!((s.stats.rounds, s.stats.exchanges), (8, 4), "rank {r} staged");
+        // One loan per direction carries all eight rounds.
+        assert_eq!(l.counters.zerocopy_msgs, 2, "rank {r}: {:?}", l.counters);
     }
 }
 
 /// Under a fault plan — corrupt-only ones included — `zerocopy_active()` is
-/// false: both configurations run the staged path (even with a threshold
-/// that would loan everything) and must report the identical outcome. Uses
+/// false: both configurations run the staged path (even with zero-copy
+/// requested, which would loan everything) and must report the identical
+/// outcome. Uses
 /// the E1 scenario where the only 0→3 message of the whole program is the
 /// round-1 alltoallw payload: dropped or corrupted, it is lost — the corrupt
 /// one classified as an integrity loss.
@@ -341,7 +345,6 @@ fn fault_plan_forces_staging_and_paths_still_agree() {
     let run = |plan: &FaultPlan, zerocopy: bool| {
         Universe::builder()
             .zerocopy(zerocopy)
-            .zerocopy_threshold(0)
             .timeout(Duration::from_millis(300))
             .fault_plan(plan.clone())
             .run(4, move |comm| {

@@ -67,8 +67,7 @@ fn run_soak(plan: FaultPlan) -> Vec<RankOutcome> {
     Universe::builder()
         .timeout(Duration::from_secs(30))
         .check(true)
-        .zerocopy(true)
-        .zerocopy_threshold(0) // would loan even these tiny fragments
+        .zerocopy(true) // would loan even these tiny fragments
         .fault_plan(plan)
         .run(4, move |comm| {
             let r = comm.rank();
@@ -192,7 +191,6 @@ fn a_corrupt_coalesced_message_is_lost_whole_and_touches_nothing() {
     let out = Universe::builder()
         .timeout(Duration::from_secs(30))
         .check(true)
-        .zerocopy_threshold(64 << 10)
         .fault_plan(FaultPlan::new(17).corrupt_message(0, 1, None, 0))
         .run(2, move |comm| {
             let r = comm.rank();

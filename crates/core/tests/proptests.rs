@@ -312,16 +312,18 @@ proptest! {
         .unwrap();
     }
 
-    /// Many small chunks under a generated loan threshold, so rounds group
-    /// into exchanges of every size: the output must equal the serial
-    /// oracle, the executed stats must be what the plan predicts, and every
-    /// rank must group the rounds identically.
+    /// Many chunks, loaned or staged: loaned, every round rides one
+    /// exchange; staged, rounds group under `Plan::STAGING_BOUND` into
+    /// exchanges of every size (chunks here run from a few bytes to a few
+    /// hundred KiB). Either way the output must equal the serial oracle, the
+    /// executed stats must be what the plan predicts, and every rank must
+    /// group the rounds identically.
     #[test]
     fn coalesced_exchanges_match_the_oracle_and_the_plan(
-        w in 4usize..40,
-        h in 4usize..40,
+        w in 4usize..300,
+        h in 4usize..300,
         nprocs in 1usize..5,
-        threshold in 0usize..2048,
+        zerocopy in any::<bool>(),
         seeds in prop::collection::vec(any::<u64>(), 4..8),
     ) {
         let domain = Block::d2([0, 0], [w, h]).unwrap();
@@ -336,7 +338,8 @@ proptest! {
             .map(|(r, o)| Layout { owned: o, need: random_subblock(&domain, seeds[r % seeds.len()]) })
             .collect();
         let layouts = &layouts;
-        let groups = Universe::builder().zerocopy_threshold(threshold).run(nprocs, move |comm| {
+        let bound = if zerocopy { usize::MAX } else { Plan::STAGING_BOUND };
+        let groups = Universe::builder().zerocopy(zerocopy).run(nprocs, move |comm| {
             let me = &layouts[comm.rank()];
             let desc = Descriptor::for_type::<u64>(nprocs, DataKind::D2).unwrap();
             let plan = desc
@@ -352,8 +355,11 @@ proptest! {
                 prop_assert_eq!(*got, cell_value(coord), "coord {:?}", coord);
             }
             prop_assert_eq!(stats, plan.expected_stats());
-            let groups: Vec<_> = plan.exchanges(threshold).collect();
+            let groups: Vec<_> = plan.exchanges(bound).collect();
             prop_assert_eq!(stats.exchanges, groups.len());
+            if zerocopy {
+                prop_assert_eq!(stats.exchanges, usize::from(stats.rounds > 0));
+            }
             Ok::<_, TestCaseError>(groups)
         })
         .into_iter()

@@ -194,7 +194,6 @@ fn dropped_coalesced_message_fails_every_round_that_received_from_the_peer() {
     let layouts = &layouts;
     let out = Universe::builder()
         .timeout(Duration::from_millis(300))
-        .zerocopy_threshold(64 << 10)
         .fault_plan(FaultPlan::new(5).drop_message(0, 1, None, 0))
         .run(2, move |comm| {
             let r = comm.rank();

@@ -410,7 +410,6 @@ fn multiround_chaos_soak_recovers_from_kills_and_corruption() {
             let plan = FaultPlan::seeded(seed, n, max_op);
             let out = Universe::builder()
                 .zerocopy(true)
-                .zerocopy_threshold(0)
                 .timeout(Duration::from_secs(30))
                 .fault_plan(plan)
                 .run(n, move |comm| {
@@ -543,7 +542,6 @@ fn backpressure_chaos_soak_stays_byte_identical() {
             let out = Universe::builder()
                 .flow_control(1, 512)
                 .zerocopy(true)
-                .zerocopy_threshold(0)
                 .check(seed % 4 == 0)
                 .timeout(Duration::from_secs(30))
                 .fault_plan(plan)
@@ -634,7 +632,6 @@ fn elastic_e2e_under_checker_and_zerocopy() {
         let out = Universe::builder()
             .check(check)
             .zerocopy(zerocopy)
-            .zerocopy_threshold(0)
             .timeout(Duration::from_secs(30))
             .run(n, move |comm| {
                 let rec = if comm.epoch() == 0 {

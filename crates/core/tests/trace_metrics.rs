@@ -81,7 +81,8 @@ fn multi_need_reorganize_publishes_redist_metrics_and_exchange_spans() {
     assert_eq!(get("redist.sent_bytes"), Some(sent.iter().sum()));
     assert_eq!(get("redist.messages_sent"), Some(4));
     // One exchange per (rank, need index), up to the most needs any rank
-    // has: the plan has one round.
+    // has: each need's plan has one round, so staged or loaned it is one
+    // exchange.
     let exchanges =
         trace.events.iter().filter(|e| (e.cat, e.name) == ("redist", "exchange")).count();
     assert_eq!(exchanges, n * 3);

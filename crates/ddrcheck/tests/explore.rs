@@ -28,7 +28,6 @@ fn alltoallw_under_check_is_clean_across_schedules() {
         let out = Universe::builder()
             .check(true)
             .zerocopy(true)
-            .zerocopy_threshold(0)
             .sched_seed(seed)
             .timeout(Duration::from_secs(20))
             .try_run(n, move |comm| {
@@ -76,7 +75,6 @@ fn multiround_reorganize_under_check_is_clean_across_schedules() {
         let out = Universe::builder()
             .check(true)
             .zerocopy(true)
-            .zerocopy_threshold(0)
             .sched_seed(seed)
             .timeout(Duration::from_secs(20))
             .run(n, move |comm| {

@@ -235,8 +235,8 @@ impl Comm {
     /// copy.
     ///
     /// When the universe's zero-copy fast path is active (the default; see
-    /// [`crate::UniverseBuilder::zerocopy`] and `DDR_NO_ZEROCOPY`), each
-    /// message is delivered by the *receiver* copying contiguous runs
+    /// [`crate::UniverseBuilder::zerocopy`] and `DDR_NO_ZEROCOPY`), every
+    /// message, whatever its size, is delivered by the *receiver* copying
     /// straight out of the sender's `send_buf` — no pack/unpack staging
     /// buffers exist anywhere. With a fault plan installed, or with the fast
     /// path disabled, messages stage through the universe's shared buffer
@@ -272,9 +272,12 @@ impl Comm {
     /// carries over per message: `sends[d]` on rank `r` packs to as many
     /// bytes as `recvs[r]` on rank `d` expects.
     ///
-    /// A message loans only when it is a single part larger than the loan
-    /// threshold ([`Comm::zerocopy_threshold`]); any other message stages
-    /// through one pooled buffer under one running checksum.
+    /// With zero-copy active every message is one loan of all its parts,
+    /// whatever its size, and the receiver copies part `i` of the loan into
+    /// its receive part `i`, so under loans `sends[d]` and `recvs[r]` must
+    /// also agree part by part (count and each part's packed length), as the
+    /// self parts always must. Otherwise a message stages through one pooled
+    /// buffer under one running checksum.
     ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
@@ -353,22 +356,12 @@ impl Comm {
             if d == me || len == 0 {
                 continue;
             }
-            match parts.as_slice() {
-                // At or below the threshold the rendezvous handshake costs
-                // as much as (or more than) the copy it avoids, so small
-                // messages stage even in zero-copy mode; only a single part
-                // strictly larger loans (threshold 0 loans every one).
-                [(buf, dt)] if zerocopy && len > self.world.zc_threshold => {
-                    // Validate sender-side bounds eagerly, where the staged
-                    // path would have failed packing.
-                    dt.check_bounds(buf.len())?;
-                    let cell = self.deposit_shared(d, tag, buf, *dt)?;
-                    xchg.loans.push((d, cell));
-                }
-                _ => {
-                    let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", len as i64);
-                    self.deposit_packed(d, tag, parts)?;
-                }
+            if zerocopy {
+                let cell = self.deposit_shared(d, tag, parts)?;
+                xchg.loans.push((d, cell));
+            } else {
+                let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", len as i64);
+                self.deposit_packed(d, tag, parts)?;
             }
         }
         xchg.wait(recv_buf)
@@ -397,9 +390,10 @@ impl Comm {
     /// Place one received alltoallw message into `recv_buf` through its
     /// parts `dts`, in order. A staged payload has its envelope checksum
     /// verified along the way ([`Comm::verify`] owns the verify-vs-unpack
-    /// order); a zero-copy loan — always one part — is claimed and copied
-    /// straight out of the sender's buffer in one traversal inside
-    /// [`Comm::claim_loan`]: it carries no checksum.
+    /// order); a zero-copy loan carries no checksum: it is claimed once and
+    /// each lent part copied straight out of the sender's buffers into the
+    /// receive part it pairs with, in one traversal inside
+    /// [`Comm::claim_loan`].
     fn deliver_alltoallw(
         &self,
         src: usize,
@@ -432,15 +426,21 @@ impl Comm {
                 res
             }
             Payload::Shared(h) => {
-                let [dt] = dts else {
-                    // Dropping the unclaimed envelope revokes the loan.
+                // Parts pair in order, as the self parts do, so they must
+                // agree before anything is claimed. Dropping the unclaimed
+                // envelope revokes the loan, releasing its sender.
+                if !h.dts().map(Datatype::packed_len).eq(dts.iter().map(Datatype::packed_len)) {
+                    let lent: Vec<usize> = h.dts().map(Datatype::packed_len).collect();
+                    let want: Vec<usize> = dts.iter().map(Datatype::packed_len).collect();
                     return Err(Error::DatatypeMismatch {
-                        detail: format!("a one-part loan from rank {src} into {} parts", dts.len()),
+                        detail: format!(
+                            "a loan of parts of {lent:?} bytes from rank {src} into parts of \
+                             {want:?} bytes"
+                        ),
                     });
-                };
-                let _zc =
-                    ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.dt.packed_len() as i64);
-                self.claim_loan(src, &h, |lent| copy_selection(lent, &h.dt, recv_buf, dt))
+                }
+                let _zc = ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.packed_len() as i64);
+                self.claim_loan(src, &h, |i, lent, dt| copy_selection(lent, dt, recv_buf, &dts[i]))
             }
         }
     }
@@ -647,79 +647,78 @@ mod tests {
     /// Satellite regression for elastic recovery: a receiver that aborts an
     /// exchange early (because some *other* source died) must not strand a
     /// healthy sender's zero-copy loan until the watchdog fires. Seeded over
-    /// several message sizes.
+    /// several message sizes, with the loan under test of one part and of
+    /// two.
     ///
-    /// Geometry per run (3 ranks, zero-copy with threshold 0):
+    /// Geometry per run (3 ranks, zero-copy):
     /// * rank 0 hand-deposits a loan to rank 1 under the exchange's tag,
     ///   then departs — so rank 1's receive phase succeeds while rank 2's
     ///   aborts with `PeerDead { rank: 0 }`.
-    /// * rank 1 lends `len` bytes to rank 2 and completes cleanly; without
-    ///   the abort-path sweep it would sit in `ZcSendGuard::complete` for
-    ///   the full watchdog, because rank 2 is alive but has left the
-    ///   exchange with the loan still queued.
+    /// * rank 1 lends `len` bytes to rank 2, as one part or two, and
+    ///   completes cleanly; without the abort-path sweep it would sit in
+    ///   `Exchange::wait` for the full watchdog, because rank 2 is alive but
+    ///   has left the exchange with the loan still queued.
     /// * rank 2 waits until rank 1's loan is queued (making the stranding
     ///   deterministic), then aborts on the dead source.
     #[test]
     fn departing_receiver_revokes_unclaimed_loans() {
-        for seed in 0..6u64 {
+        for (seed, nparts) in (0..6u64).flat_map(|seed| [(seed, 1), (seed, 2)]) {
             let len = 32 + (mix64(seed ^ 0xA11_0C8) % 4096) as usize;
             let watchdog = Duration::from_secs(30);
             let start = Instant::now();
-            let out = Universe::builder()
-                .zerocopy(true)
-                .zerocopy_threshold(0)
-                .timeout(watchdog)
-                .run(3, move |comm| {
-                    let me = comm.rank();
-                    let tag = coll_key_tag(0, 0);
-                    if me == 0 {
-                        // Loan to rank 1 only, then die with it outstanding.
-                        let buf: &'static [u8] = Box::leak(vec![0xAB; len].into_boxed_slice());
-                        let cell = comm
-                            .deposit_shared(
-                                1,
-                                tag,
-                                buf,
-                                Datatype::Contiguous { len_bytes: len, offset: 0 },
-                            )
-                            .unwrap();
-                        drop(cell); // nobody waits: the buffer is leaked
-                        return Ok(());
-                    }
-                    let empty = Datatype::Empty;
-                    let contig = |offset| Datatype::Contiguous { len_bytes: len, offset };
-                    if me == 1 {
-                        let send = vec![1u8; len];
-                        let mut recv = vec![0u8; len];
-                        let st = [empty, empty, contig(0)]; // loan under test → rank 2
-                        let rt = [contig(0), empty, empty]; // rank 0's hand deposit
-                        let res = comm.alltoallw(&send, &st, &mut recv, &rt);
-                        assert_eq!(recv, vec![0xAB; len]);
-                        // The loan to rank 2 must have come back *revoked* —
-                        // this rank counted it on its own completion path.
-                        assert!(comm.transport_counters().revoked_msgs >= 1);
-                        return res;
-                    }
-                    // Rank 2: make sure rank 1's loan is already queued, so
-                    // the abort below is what must release it.
-                    let key = (0u64, 1usize, tag);
-                    while !comm.my_mailbox().contains(key) {
-                        std::thread::yield_now();
-                    }
-                    let mut recv = vec![0u8; 2 * len];
-                    let st = [empty, empty, empty];
-                    let rt = [contig(0), contig(len), empty];
-                    comm.alltoallw(&[], &st, &mut recv, &rt)
-                });
+            let out = Universe::builder().zerocopy(true).timeout(watchdog).run(3, move |comm| {
+                let me = comm.rank();
+                let tag = coll_key_tag(0, 0);
+                let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
+                if me == 0 {
+                    // Loan to rank 1 only, then die with it outstanding.
+                    let buf: &'static [u8] = Box::leak(vec![0xAB; len].into_boxed_slice());
+                    let cell = comm.deposit_shared(1, tag, &[(buf, contig(0, len))]).unwrap();
+                    drop(cell); // nobody waits: the buffer is leaked
+                    return Ok(());
+                }
+                if me == 1 {
+                    let send = vec![1u8; len];
+                    let mut recv = vec![0u8; len];
+                    // The loan under test → rank 2, in `nparts` parts.
+                    let half = len / 2;
+                    let lent = match nparts {
+                        1 => vec![(&send[..], contig(0, len))],
+                        _ => vec![
+                            (&send[..], contig(half, len - half)),
+                            (&send[..], contig(0, half)),
+                        ],
+                    };
+                    let sends = [vec![], vec![], lent];
+                    let recvs = [vec![contig(0, len)], vec![], vec![]]; // rank 0's hand deposit
+                    let res = comm.alltoallw_parts(&sends, &mut recv, &recvs);
+                    assert_eq!(recv, vec![0xAB; len]);
+                    // The loan to rank 2 must have come back *revoked* —
+                    // this rank counted it on its own completion path.
+                    assert!(comm.transport_counters().revoked_msgs >= 1);
+                    return res.map(|report| assert!(report.is_complete(), "{report:?}"));
+                }
+                // Rank 2: make sure rank 1's loan is already queued, so the
+                // abort below is what must release it.
+                let key = (0u64, 1usize, tag);
+                while !comm.my_mailbox().contains(key) {
+                    std::thread::yield_now();
+                }
+                let mut recv = vec![0u8; 2 * len];
+                let empty = Datatype::Empty;
+                let rt = [contig(0, len), contig(len, len), empty];
+                comm.alltoallw(&[], &[empty; 3], &mut recv, &rt)
+            });
             let elapsed = start.elapsed();
-            assert_eq!(out[0], Ok(()), "seed {seed}");
-            assert_eq!(out[1], Ok(()), "seed {seed}: sender must complete");
-            assert_eq!(out[2], Err(Error::PeerDead { rank: 0 }), "seed {seed}");
+            let case = format!("seed {seed}, {nparts} part(s)");
+            assert_eq!(out[0], Ok(()), "{case}");
+            assert_eq!(out[1], Ok(()), "{case}: sender must complete");
+            assert_eq!(out[2], Err(Error::PeerDead { rank: 0 }), "{case}");
             // Liveness: nowhere near the watchdog. Without the sweep, rank 1
-            // burns the full 30 s in ZcSendGuard::complete.
+            // burns the full 30 s waiting on its loan.
             assert!(
                 elapsed < Duration::from_secs(10),
-                "seed {seed}: exchange took {elapsed:?} — a loan was stranded"
+                "{case}: took {elapsed:?}, a loan was stranded"
             );
         }
     }

@@ -46,11 +46,6 @@ pub(crate) struct WorldState {
     /// override, else `DDR_NO_ZEROCOPY`). A fault plan additionally forces
     /// the staged path — see [`WorldState::zerocopy_active`].
     pub zerocopy: bool,
-    /// Per-message byte floor for loaning: messages strictly smaller than
-    /// this are staged even when zero-copy is on, because the rendezvous
-    /// handshake costs more than the copy it avoids (builder override, else
-    /// `DDR_ZC_THRESHOLD`, else 64 KiB).
-    pub zc_threshold: usize,
     /// Shared staging-buffer pool for the pack/unpack path.
     pub pool: BufferPool,
     /// Wire-path counters (zero-copy vs staged deliveries).
@@ -82,7 +77,6 @@ impl WorldState {
         fault_plan: Option<FaultPlan>,
         check: bool,
         zerocopy: Option<bool>,
-        zc_threshold: Option<usize>,
         respawn: Option<bool>,
         checksum: Option<bool>,
         sched_seed: Option<u64>,
@@ -104,7 +98,6 @@ impl WorldState {
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
             default_timeout,
             zerocopy: zerocopy.unwrap_or_else(zerocopy_env_default),
-            zc_threshold: zc_threshold.unwrap_or_else(crate::zerocopy::zc_threshold_env_default),
             pool: BufferPool::default(),
             transport: TransportCells::default(),
             elastic: ElasticState::new(n),
@@ -603,19 +596,21 @@ impl Comm {
         self.deposit_staged(dest, key_tag, packed, Some(sig), pre)
     }
 
-    /// Deposit a zero-copy loan of `dt`'s selection of `buf` into `dest`'s
-    /// mailbox. Returns the completion cell the caller **must** drive to
-    /// `Done` or `Revoked` (via [`ZcCell::wait`]) before `buf`'s borrow ends
-    /// — that wait is what makes the receiver's raw-pointer read sound.
+    /// Deposit a zero-copy loan of one message into `dest`'s mailbox: every
+    /// `(buffer, selection)` part of `parts`, in order. Each part's bounds
+    /// are checked here, where the staged path would have failed packing.
+    /// Returns the completion cell the caller **must** drive to `Done` or
+    /// `Revoked` (via [`ZcCell::wait`]) before the buffers' borrows end —
+    /// that wait is what makes the receiver's raw-pointer reads sound.
     ///
     /// A loan is a pointer hand-off and carries **no checksum**: it has no
-    /// in-flight bytes — the receiver reads the sender's own buffer, pinned
-    /// by the caller's borrow until the loan settles — so nothing between
+    /// in-flight bytes — the receiver reads the sender's own buffers, pinned
+    /// by the caller's borrows until the loan settles — so nothing between
     /// lend and claim can flip a bit. Callers must have checked
     /// [`WorldState::zerocopy_active`]: under a fault plan every message
     /// stages, which is where the injector and the checksum act. A sender
-    /// cannot write during a live loan: the caller's shared borrow of `buf`
-    /// outlives the wait on the returned cell.
+    /// cannot write during a live loan: the caller's shared borrows of the
+    /// buffers outlive the wait on the returned cell.
     ///
     /// Measured, not assumed: a lend-time hash here plus the receiver's
     /// verify pass walked every loaned byte three times for one copy that
@@ -628,33 +623,36 @@ impl Comm {
         &self,
         dest: usize,
         key_tag: u64,
-        buf: &[u8],
-        dt: Datatype,
+        parts: &[(&[u8], Datatype)],
     ) -> Result<Arc<ZcCell>> {
+        for (buf, dt) in parts {
+            dt.check_bounds(buf.len())?;
+        }
         self.sched_point("lend");
         // Same op accounting as `deposit_staged`, so op positions (the fault
         // plan coordinate system) are identical across wire paths.
         self.fault_tick()?;
         let cell = Arc::new(ZcCell::default());
-        let stamp = self.send_stamp(Some(TypeSig::of(&dt)), 0);
+        let stamp = self.send_stamp(Some(TypeSig::of_parts(parts.iter().map(|(_, dt)| dt))), 0);
         // A loan occupies a slot in the pair but stages no bytes. A refused
         // one was dropped — and so revoked — by the mailbox.
-        let handle = ZcHandle::new(buf, dt, Arc::clone(&cell));
+        let handle = ZcHandle::new(parts, Arc::clone(&cell));
         self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(cell)
     }
 
-    /// The one zero-copy claim: claim the loan, let `copy_out` move the lent
-    /// bytes into the receiver's own storage — one traversal, nothing else —
-    /// then release the sender. **A claimed loan always reaches `finish`**:
-    /// once the claim succeeded the sender is parked until then, so nothing
-    /// may return early in between.
+    /// The one zero-copy claim: claim the loan, let `copy_part(i, lent,
+    /// selection)` move each lent part `i` into the receiver's own storage,
+    /// in message order — one traversal, nothing else — then release the
+    /// sender. The first failing part ends the copy. **A claimed loan always
+    /// reaches `finish`**: once the claim succeeded the sender is parked
+    /// until then, so nothing may return early in between.
     pub(crate) fn claim_loan(
         &self,
         src: usize,
         loan: &ZcHandle,
-        copy_out: impl FnOnce(&[u8]) -> Result<()>,
+        mut copy_part: impl FnMut(usize, &[u8], &Datatype) -> Result<()>,
     ) -> Result<()> {
         self.sched_point("zc_claim");
         if !loan.cell.try_claim() {
@@ -663,8 +661,11 @@ impl Comm {
             return Err(Error::PeerDead { rank: src });
         }
         // SAFETY: the claim succeeded, so the sender is blocked in
-        // ZcCell::wait and its buffer stays alive until finish().
-        let res = copy_out(unsafe { loan.src_slice() });
+        // ZcCell::wait and its buffers stay alive until finish(); the lent
+        // slices do not outlive this statement.
+        let res = unsafe { loan.parts() }
+            .enumerate()
+            .try_for_each(|(i, (lent, dt))| copy_part(i, lent, dt));
         loan.cell.finish();
         res
     }
@@ -672,8 +673,8 @@ impl Comm {
     /// Turn a received envelope into owned bytes, *verified* when they were
     /// staged. Verification failure surfaces as [`Error::IntegrityFailure`].
     /// For zero-copy loans this is the slow path (generic receives don't
-    /// have a destination selection to copy into directly): claim, pack out
-    /// of the sender's buffer, release.
+    /// have a destination selection to copy into directly): claim, pack
+    /// every part out of the sender's buffers, release.
     pub(crate) fn materialize(&self, src: usize, key_tag: u64, env: Envelope) -> Result<Vec<u8>> {
         match env.payload {
             Payload::Bytes(b) => {
@@ -682,7 +683,7 @@ impl Comm {
             }
             Payload::Shared(h) => {
                 let mut out = Vec::with_capacity(h.packed_len());
-                self.claim_loan(src, &h, |lent| h.dt.pack_into(lent, &mut out))?;
+                self.claim_loan(src, &h, |_, lent, dt| dt.pack_into(lent, &mut out))?;
                 Ok(out)
             }
         }
@@ -773,15 +774,6 @@ impl Comm {
     /// path (builder / `DDR_NO_ZEROCOPY` opt-out, and no fault plan).
     pub fn zerocopy_active(&self) -> bool {
         self.world.zerocopy_active()
-    }
-
-    /// This universe's loan threshold in bytes: an `alltoallw` message loans
-    /// only when it is one part strictly larger than this, so a message of
-    /// this size or smaller always stages (builder
-    /// [`crate::UniverseBuilder::zerocopy_threshold`], else
-    /// `DDR_ZC_THRESHOLD`, else 64 KiB).
-    pub fn zerocopy_threshold(&self) -> usize {
-        self.world.zc_threshold
     }
 
     // ------------------------------------------------------------------

@@ -216,9 +216,10 @@ impl Subarray {
     }
 
     /// Copy the rectangle directly from `src` into the rectangle described by
-    /// `dst_type` in `dst`, without an intermediate packed buffer: source and
-    /// destination runs are walked in lockstep, one `copy_from_slice` per
-    /// overlapping stretch. Used for self-sends and the zero-copy exchange.
+    /// `dst_type` in `dst`, without an intermediate packed buffer. A side
+    /// that is a single run makes the copy the other side's pack or unpack
+    /// kernel; two strided sides are walked run pair by run pair. Used for
+    /// self-sends and the zero-copy exchange.
     pub fn copy_to(&self, src: &[u8], dst_type: &Subarray, dst: &mut [u8]) -> Result<()> {
         if self.count() != dst_type.count() || self.elem_size != dst_type.elem_size {
             return Err(Error::DatatypeMismatch {
@@ -277,21 +278,11 @@ impl Iterator for ByteRuns {
 
 impl ExactSizeIterator for ByteRuns {}
 
-/// Walk the runs of two equal-length selections in lockstep, invoking
-/// `f(src_offset, dst_offset, len)` for every maximal stretch that is
-/// contiguous in *both*. This is the engine of the zero-copy exchange: one
-/// callback per `copy_from_slice`, no staging buffer anywhere.
-pub(crate) fn for_each_run_pair(
-    src_dt: &Datatype,
-    dst_dt: &Datatype,
-    mut f: impl FnMut(usize, usize, usize),
-) -> Result<()> {
-    if src_dt.packed_len() != dst_dt.packed_len() {
-        return Err(Error::SizeMismatch {
-            expected: dst_dt.packed_len(),
-            got: src_dt.packed_len(),
-        });
-    }
+/// Walk the runs of two selections of equal packed length in lockstep,
+/// invoking `f(src_offset, dst_offset, len)` for every maximal stretch that
+/// is contiguous in *both*: one callback per `copy_from_slice`, no staging
+/// buffer anywhere.
+fn for_each_run_pair(src_dt: &Datatype, dst_dt: &Datatype, mut f: impl FnMut(usize, usize, usize)) {
     let mut src_runs = src_dt.byte_runs();
     let mut dst_runs = dst_dt.byte_runs();
     let (mut so, mut sl) = (0usize, 0usize);
@@ -300,7 +291,7 @@ pub(crate) fn for_each_run_pair(
         if sl == 0 {
             match src_runs.next() {
                 Some((o, l)) => (so, sl) = (o, l),
-                None => return Ok(()),
+                None => return,
             }
             continue;
         }
@@ -322,9 +313,16 @@ pub(crate) fn for_each_run_pair(
 }
 
 /// Copy `src_dt`'s selection of `src` directly into `dst_dt`'s selection of
-/// `dst`, on the calling thread, one `copy_from_slice` per run pair at every
-/// size. Both buffers are validated against their datatypes up front. The
-/// single copy routine behind `copy_to`, self-sends and the zero-copy claim.
+/// `dst`, on the calling thread. Both buffers are validated against their
+/// datatypes up front, and the selections must pack to the same length.
+/// The single copy routine behind `copy_to`, self-sends and the zero-copy
+/// claim.
+///
+/// A side that is a single run is a packed image already, so the copy is
+/// the other side's kernel — its scatter ([`kernels::unpack_runs`]) or its
+/// gather ([`kernels::pack_runs_to`]) — and lane-width runs vectorise. Only
+/// a copy strided on both sides walks the two run streams in lockstep, one
+/// `copy_from_slice` per stretch contiguous in both.
 pub(crate) fn copy_selection(
     src: &[u8],
     src_dt: &Datatype,
@@ -333,9 +331,21 @@ pub(crate) fn copy_selection(
 ) -> Result<()> {
     src_dt.check_bounds(src.len())?;
     dst_dt.check_bounds(dst.len())?;
-    for_each_run_pair(src_dt, dst_dt, |s, d, n| {
-        dst[d..d + n].copy_from_slice(&src[s..s + n]);
-    })
+    let (from, to) = (src_dt.shape(), dst_dt.shape());
+    let len = from.total_bytes();
+    if len != to.total_bytes() {
+        return Err(Error::SizeMismatch { expected: to.total_bytes(), got: len });
+    }
+    if from.nruns <= 1 {
+        kernels::unpack_runs(&src[from.base..from.base + len], &to, dst);
+    } else if to.nruns <= 1 {
+        kernels::pack_runs_to(src, &from, &mut dst[to.base..to.base + len]);
+    } else {
+        for_each_run_pair(src_dt, dst_dt, |s, d, n| {
+            dst[d..d + n].copy_from_slice(&src[s..s + n]);
+        });
+    }
+    Ok(())
 }
 
 /// Wire-facing datatype used by [`crate::Comm::alltoallw`].
@@ -367,12 +377,15 @@ impl Datatype {
     /// Iterate this datatype's selection as contiguous `(offset, len)` byte
     /// runs in packed order (see [`Subarray::byte_runs`]).
     pub fn byte_runs(&self) -> ByteRuns {
+        ByteRuns::from_shape(&self.shape())
+    }
+
+    /// The run structure of this datatype's selection.
+    fn shape(&self) -> RunShape {
         match self {
-            Datatype::Empty => ByteRuns::from_shape(&RunShape::EMPTY),
-            Datatype::Contiguous { len_bytes, offset } => {
-                ByteRuns::from_shape(&RunShape::contiguous(*offset, *len_bytes))
-            }
-            Datatype::Subarray(s) => s.byte_runs(),
+            Datatype::Empty => RunShape::EMPTY,
+            Datatype::Contiguous { len_bytes, offset } => RunShape::contiguous(*offset, *len_bytes),
+            Datatype::Subarray(s) => s.shape,
         }
     }
 

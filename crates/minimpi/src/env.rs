@@ -50,19 +50,6 @@ pub fn u64_var(name: &'static str) -> Option<u64> {
     }
 }
 
-/// A byte count with an optional `K`/`M`/`G` (or `KiB`/`MiB`/`GiB`) suffix,
-/// e.g. `64K`, `1M`, `65536`. Malformed values warn once and read as `None`.
-pub fn bytes_var(name: &'static str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    match parse_bytes(raw.trim()) {
-        Some(v) => Some(v),
-        None => {
-            warn_once(name, &raw, "a byte count like 65536, 64K, 4M or 1G");
-            None
-        }
-    }
-}
-
 /// A non-empty path-like string (no validation beyond non-emptiness).
 pub fn path_var(name: &'static str) -> Option<String> {
     let raw = std::env::var(name).ok()?;
@@ -75,49 +62,12 @@ pub fn path_var(name: &'static str) -> Option<String> {
     }
 }
 
-fn parse_bytes(s: &str) -> Option<usize> {
-    if s.is_empty() {
-        return None;
-    }
-    let lower = s.to_ascii_lowercase();
-    let (digits, mult) = if let Some(d) = lower.strip_suffix("kib").or(lower.strip_suffix("kb")) {
-        (d, 1usize << 10)
-    } else if let Some(d) = lower.strip_suffix("mib").or(lower.strip_suffix("mb")) {
-        (d, 1 << 20)
-    } else if let Some(d) = lower.strip_suffix("gib").or(lower.strip_suffix("gb")) {
-        (d, 1 << 30)
-    } else if let Some(d) = lower.strip_suffix('k') {
-        (d, 1 << 10)
-    } else if let Some(d) = lower.strip_suffix('m') {
-        (d, 1 << 20)
-    } else if let Some(d) = lower.strip_suffix('g') {
-        (d, 1 << 30)
-    } else {
-        (lower.as_str(), 1)
-    };
-    let n = digits.trim().parse::<usize>().ok()?;
-    n.checked_mul(mult)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Env mutation races other tests in this binary; these tests only use
     // variable names nothing else reads.
-
-    #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("65536"), Some(65536));
-        assert_eq!(parse_bytes("64K"), Some(64 << 10));
-        assert_eq!(parse_bytes("64k"), Some(64 << 10));
-        assert_eq!(parse_bytes("4MiB"), Some(4 << 20));
-        assert_eq!(parse_bytes("1g"), Some(1 << 30));
-        assert_eq!(parse_bytes("2kb"), Some(2 << 10));
-        assert_eq!(parse_bytes(""), None);
-        assert_eq!(parse_bytes("x"), None);
-        assert_eq!(parse_bytes("12x"), None);
-    }
 
     #[test]
     fn flag_values() {

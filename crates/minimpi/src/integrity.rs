@@ -468,17 +468,16 @@ mod tests {
         use crate::fault::Keystream;
         use proptest::prelude::*;
 
-        /// Sizes spanning the zero-copy threshold (`DDR_ZC_THRESHOLD`,
-        /// default 64 KiB): messages of every one of these lengths are
-        /// staged, and hashed, whenever loans are off or a fault plan is
-        /// installed. `size_class` picks the band, `len_seed` picks the
-        /// exact length within it.
+        /// Sizes from a few bytes to just past 64 KiB: messages of every one
+        /// of these lengths are staged, and hashed, whenever loans are off or
+        /// a fault plan is installed. `size_class` picks the band,
+        /// `len_seed` picks the exact length within it.
         fn pick_len(size_class: usize, len_seed: u64) -> usize {
             match size_class {
-                0 => 1 + (len_seed as usize % 511),         // always staged
-                1 => 60_000 + (len_seed as usize % 10_000), // around the threshold
-                2 => 65_536,                                // exactly at threshold
-                _ => 65_537,                                // first loan-sized length
+                0 => 1 + (len_seed as usize % 511),
+                1 => 60_000 + (len_seed as usize % 10_000),
+                2 => 65_536,
+                _ => 65_537,
             }
         }
 

@@ -4,10 +4,11 @@
 //! byte runs ([`crate::Subarray::byte_runs`]). This module moves those runs
 //! for a subarray's `pack` (gather into a packed buffer) and `unpack`
 //! (scatter a packed buffer back into a selection). The selection-to-
-//! selection copy behind `copy_to`, self-sends and the zero-copy claim does
-//! not come here: `datatype::copy_selection` runs its own `copy_from_slice`
-//! per run pair and bumps none of the counters below, so bytes that move
-//! only by loans and self-copies read 0 on them.
+//! selection copy behind `copy_to`, self-sends and the zero-copy claim comes
+//! here too whenever one side of it is a single run: that side *is* a packed
+//! image, so the copy is the other side's gather or scatter
+//! (`datatype::copy_selection`). Only a copy strided on both sides walks the
+//! two run streams in lockstep instead, one `copy_from_slice` per stretch.
 //!
 //! Three tiers, chosen per call from the [`RunShape`] cached on the
 //! datatype at construction time:
@@ -30,11 +31,14 @@
 //! bit-identical to re-hashing the packed payload afterwards — the second
 //! pass the old path paid.
 //!
-//! Every tier bumps a process-global counter, published as `pack.*` metrics
-//! in the ddr-trace report.
+//! While a trace is recording ([`ddrtrace::enabled`]) every kernel call
+//! bumps a process-global counter for its tier, published as `pack.*`
+//! metrics in the ddr-trace report; an untraced run leaves them alone, so
+//! rank threads never contend on them.
 
 use crate::datatype::ByteRuns;
 use crate::integrity::Checksum;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The derived run structure of a subarray selection, computed once at
@@ -169,9 +173,38 @@ const fn is_lane_width(n: usize) -> bool {
     matches!(n, 1 | 2 | 4 | 8 | 12 | 16 | 32 | 64)
 }
 
+/// Count one kernel call of `shape` against its tier — only while a trace
+/// is recording, the one time anything reads the counters.
+fn count(shape: &RunShape) {
+    if !ddrtrace::enabled() || shape.nruns == 0 {
+        return;
+    }
+    if shape.nruns == 1 {
+        FUSED_RUNS.fetch_add(1, Ordering::Relaxed);
+    } else if is_lane_width(shape.run_bytes) {
+        VECTOR_BYTES.fetch_add(shape.total_bytes() as u64, Ordering::Relaxed);
+    } else {
+        SCALAR_BYTES.fetch_add(shape.total_bytes() as u64, Ordering::Relaxed);
+    }
+}
+
 /// Gather the selection out of `src`, appending to `out`.
 pub(crate) fn pack_runs(src: &[u8], shape: &RunShape, out: &mut Vec<u8>) {
-    pack_impl(src, shape, out, None);
+    let (start, total) = (out.len(), shape.total_bytes());
+    out.reserve(total);
+    pack_impl(src, shape, &mut out.spare_capacity_mut()[..total]);
+    // SAFETY: pack_impl initialized all `total` bytes past `start`, inside
+    // the capacity reserved above.
+    unsafe { out.set_len(start + total) };
+}
+
+/// Gather the selection out of `src` into `dst`, which is exactly the
+/// selection's packed length: the pack side of a selection-to-selection
+/// copy into a single run.
+pub(crate) fn pack_runs_to(src: &[u8], shape: &RunShape, dst: &mut [u8]) {
+    // SAFETY: `[u8]` and `[MaybeUninit<u8>]` have the same layout, and
+    // pack_impl only ever stores initialized bytes through it.
+    pack_impl(src, shape, unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) });
 }
 
 /// Gather the selection out of `src`, appending to `out`, folding the bytes
@@ -183,66 +216,58 @@ pub(crate) fn pack_runs_hashed(
     out: &mut Vec<u8>,
     sum: &mut Checksum,
 ) {
-    pack_impl(src, shape, out, Some(sum));
+    if shape.nruns == 1 {
+        // Single pass: each 32-byte group is loaded once, stored to the
+        // packed buffer, and folded into the hash lanes while still in
+        // registers — a fused pack with checksumming costs one traversal of
+        // the payload, not two.
+        sum.update_copying(&src[shape.base..shape.base + shape.run_bytes], out);
+        count(shape);
+        return;
+    }
+    let start = out.len();
+    pack_runs(src, shape, out);
+    // The packed image was just written — folding it now reads L1-hot
+    // bytes, which is what "checksum during pack" buys over the old second
+    // pass at deposit time.
+    sum.update(&out[start..]);
 }
 
-fn pack_impl(src: &[u8], shape: &RunShape, out: &mut Vec<u8>, mut sum: Option<&mut Checksum>) {
+/// The gather kernel: store the selection's packed image into `dst`, which
+/// must be exactly the selection's packed length.
+fn pack_impl(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
     let total = shape.total_bytes();
+    assert_eq!(dst.len(), total, "destination is not the selection's packed length");
     if total == 0 {
         return;
     }
     assert!(shape.max_end() <= src.len(), "run shape exceeds source buffer");
-    if shape.nruns == 1 {
-        let run = &src[shape.base..shape.base + shape.run_bytes];
-        match sum.as_deref_mut() {
-            // Single pass: each 32-byte group is loaded once, stored to the
-            // packed buffer, and folded into the hash lanes while still in
-            // registers — a fused pack with checksumming costs one traversal
-            // of the payload, not two.
-            Some(s) => s.update_copying(run, out),
-            None => out.extend_from_slice(run),
-        }
-        FUSED_RUNS.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let start = out.len();
-    out.reserve(total);
-    // SAFETY: spare capacity of `total` bytes was reserved; the lane/scalar
-    // loops write runs at consecutive cursor positions covering exactly
-    // [start, start + total); source offsets are bounded by the `max_end`
+    let (src, dst) = (src.as_ptr(), dst.as_mut_ptr().cast::<u8>());
+    // SAFETY: `dst` holds exactly `total` bytes and the fused copy, lane and
+    // scalar loops write runs at consecutive cursor positions covering
+    // exactly [0, total); source offsets are bounded by the `max_end`
     // assert.
     unsafe {
-        let dst = out.as_mut_ptr().add(start);
         match shape.run_bytes {
-            1 => gather_lanes::<1>(src.as_ptr(), shape, dst),
-            2 => gather_lanes::<2>(src.as_ptr(), shape, dst),
-            4 => gather_lanes::<4>(src.as_ptr(), shape, dst),
-            8 => gather_lanes::<8>(src.as_ptr(), shape, dst),
-            12 => gather_lanes::<12>(src.as_ptr(), shape, dst),
-            16 => gather_lanes::<16>(src.as_ptr(), shape, dst),
-            32 => gather_lanes::<32>(src.as_ptr(), shape, dst),
-            64 => gather_lanes::<64>(src.as_ptr(), shape, dst),
+            n if shape.nruns == 1 => std::ptr::copy_nonoverlapping(src.add(shape.base), dst, n),
+            1 => gather_lanes::<1>(src, shape, dst),
+            2 => gather_lanes::<2>(src, shape, dst),
+            4 => gather_lanes::<4>(src, shape, dst),
+            8 => gather_lanes::<8>(src, shape, dst),
+            12 => gather_lanes::<12>(src, shape, dst),
+            16 => gather_lanes::<16>(src, shape, dst),
+            32 => gather_lanes::<32>(src, shape, dst),
+            64 => gather_lanes::<64>(src, shape, dst),
             n => {
                 let mut cur = dst;
                 for (off, _) in ByteRuns::from_shape(shape) {
-                    std::ptr::copy_nonoverlapping(src.as_ptr().add(off), cur, n);
+                    std::ptr::copy_nonoverlapping(src.add(off), cur, n);
                     cur = cur.add(n);
                 }
             }
         }
-        out.set_len(start + total);
     }
-    if is_lane_width(shape.run_bytes) {
-        VECTOR_BYTES.fetch_add(total as u64, Ordering::Relaxed);
-    } else {
-        SCALAR_BYTES.fetch_add(total as u64, Ordering::Relaxed);
-    }
-    if let Some(s) = sum {
-        // The packed image was just written — folding it now reads L1-hot
-        // bytes, which is what "checksum during pack" buys over the old
-        // second pass at deposit time.
-        s.update(&out[start..start + total]);
-    }
+    count(shape);
 }
 
 /// Scatter `packed` (exactly the selection's packed bytes) into `dst`.
@@ -278,7 +303,7 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
             Some(s) => s.update_copying_to(packed, run),
             None => run.copy_from_slice(packed),
         }
-        FUSED_RUNS.fetch_add(1, Ordering::Relaxed);
+        count(shape);
         return;
     }
     // SAFETY: destination runs are in-bounds by the `max_end` assert;
@@ -303,11 +328,7 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
             }
         }
     }
-    if is_lane_width(shape.run_bytes) {
-        VECTOR_BYTES.fetch_add(total as u64, Ordering::Relaxed);
-    } else {
-        SCALAR_BYTES.fetch_add(total as u64, Ordering::Relaxed);
-    }
+    count(shape);
     if let Some(s) = sum {
         // The packed image was just read by the scatter — folding it now
         // hits L1-hot bytes instead of paying a separate cold pass.
@@ -441,15 +462,20 @@ mod tests {
         }
     }
 
+    /// The counters record only while a trace does, so the recorder is on
+    /// for the test's duration.
     #[test]
     fn fused_single_run_is_one_memcpy() {
         let src: Vec<u8> = (0..64).collect();
         let shape = RunShape::contiguous(8, 16);
+        ddrtrace::capture::start();
         let before = snapshot().fused_runs;
         let mut out = Vec::new();
         pack_runs(&src, &shape, &mut out);
+        let after = snapshot().fused_runs;
+        ddrtrace::capture::stop();
         assert_eq!(out, &src[8..24]);
-        assert_eq!(snapshot().fused_runs, before + 1);
+        assert_eq!(after, before + 1);
     }
 
     #[test]

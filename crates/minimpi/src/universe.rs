@@ -36,7 +36,6 @@ pub struct UniverseBuilder {
     fault_plan: Option<FaultPlan>,
     check: Option<bool>,
     zerocopy: Option<bool>,
-    zc_threshold: Option<usize>,
     respawn: Option<bool>,
     checksum: Option<bool>,
     sched_seed: Option<u64>,
@@ -76,17 +75,6 @@ impl UniverseBuilder {
     /// both wire paths. Fault plans force the staged path regardless.
     pub fn zerocopy(mut self, on: bool) -> Self {
         self.zerocopy = Some(on);
-        self
-    }
-
-    /// Per-message byte floor for zero-copy loans: messages of `bytes` or
-    /// smaller are staged even when zero-copy is on, because for small
-    /// payloads the rendezvous handshake costs as much as (or more than) the
-    /// copy it avoids — only strictly larger messages loan. `0` loans
-    /// everything. When unset, `DDR_ZC_THRESHOLD` decides (with `K`/`M`/`G`
-    /// suffixes), defaulting to 64 KiB.
-    pub fn zerocopy_threshold(mut self, bytes: usize) -> Self {
-        self.zc_threshold = Some(bytes);
         self
     }
 
@@ -179,7 +167,6 @@ impl UniverseBuilder {
             self.fault_plan.clone(),
             check_on,
             self.zerocopy,
-            self.zc_threshold,
             self.respawn,
             self.checksum,
             self.sched_seed,

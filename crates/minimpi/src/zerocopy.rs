@@ -2,25 +2,52 @@
 //!
 //! minimpi ranks are threads in one address space, so a non-contiguous
 //! message does not need MPI's pack → send → unpack staging: the *receiver*
-//! can copy each contiguous run straight out of the sender's source buffer
-//! into its own destination buffer — one `copy_from_slice` per run, zero
-//! intermediate allocations. This module provides the two pieces that make
-//! that safe and fast:
+//! can copy each part of the message straight out of the sender's source
+//! buffers into its own destination buffer, with zero intermediate
+//! allocations. This module provides the two pieces that make that safe and
+//! fast:
 //!
-//! * [`ZcCell`] / [`ZcHandle`] — a rendezvous protocol for lending a borrowed
-//!   send buffer across threads. The sender deposits a handle (raw pointer +
-//!   datatype + completion cell) and **blocks at the end of the collective**
-//!   until every lent region was either copied (`Done`) or provably never
-//!   will be (`Revoked`). The receiver must *claim* a region before touching
-//!   it, so a sender that gives up (peer death, watchdog) can revoke safely:
-//!   either the claim wins and the sender waits out the (bounded) memcpy, or
-//!   the revoke wins and the receiver never dereferences the pointer.
+//! * [`ZcCell`] / [`ZcHandle`] — a rendezvous protocol for lending borrowed
+//!   send buffers across threads. The sender deposits a handle (one raw
+//!   pointer + datatype per part of the message, and a completion cell) and
+//!   **blocks at the end of the collective** until the loan was either
+//!   copied (`Done`) or provably never will be (`Revoked`). The receiver
+//!   must *claim* the loan before touching it, so a sender that gives up
+//!   (peer death, watchdog) can revoke safely: either the claim wins and the
+//!   sender waits out the (bounded) memcpy, or the revoke wins and the
+//!   receiver never dereferences a pointer.
 //! * [`BufferPool`] — reusable staging buffers for the paths that still must
 //!   pack (fault-injected routes, explicit opt-out), with a high-water-mark
 //!   trim so a one-off huge exchange does not pin memory forever.
 //!
-//! The copy itself always runs on the claiming rank's own thread, run by run
-//! (`datatype::copy_selection`): one thread per rank moves that rank's bytes.
+//! The copy itself always runs on the claiming rank's own thread, part by
+//! part (`datatype::copy_selection`): one thread per rank moves that rank's
+//! bytes.
+//!
+//! When zero-copy is active every `alltoallw` message loans, whatever its
+//! size or number of parts. Measured with a symmetric 2-rank `alltoallw`
+//! (µs per exchange, staged vs loaned, three runs each, 2 ranks on 2 cores):
+//!
+//! | message | staged      | loaned    |
+//! |---------|-------------|-----------|
+//! | 64 B    | 2.3–2.4     | 2.1–2.9   |
+//! | 1 KiB   | 2.7–3.7     | 2.1–2.9   |
+//! | 8 KiB   | 4.5–5.3     | 2.2–3.1   |
+//! | 32 KiB  | 10.3–12.8   | 2.8–3.2   |
+//! | 64 KiB  | 20.8–21.1   | 3.8–4.1   |
+//!
+//! (One 32 KiB loaned run read 47.6 µs, a one-off stall the other sizes of
+//! the same run did not show; the range gives the other two.) So at ranks ≤
+//! cores a loan is never slower. Pinned to one core
+//! (`taskset -c 0`, so the spin budget is 0 and every wait parks), a lone
+//! loan of 8 KiB or less costs 1–2 µs more than staging it (64 B: 3.0–3.3
+//! staged vs 5.1–5.4 loaned; 8 KiB: 4.8–5.0 vs 5.9–6.3), while 32 KiB and
+//! up still favour the loan. Loaning everything is what lets held chunks
+//! ride one exchange, and that collapse wins even there: the
+//! `rounds_small_2d` shape (8 rounds of 8 KiB parts), two staged exchanges
+//! per op before and one loaned exchange after, went from 42–46 to 24–31 µs
+//! per op pinned to one core, and from 27–31 to 13–15 µs on two (three runs
+//! each).
 
 use crate::datatype::Datatype;
 use crate::wait::{spin_until, Resolved, Waiter};
@@ -37,8 +64,8 @@ const COPYING: u8 = 1;
 const DONE: u8 = 2;
 const REVOKED: u8 = 3;
 
-/// Completion state of one lent region, shared between the sending and
-/// receiving rank. State machine: `Pending → Copying → Done` (receiver) or
+/// Completion state of one loan, shared between the sending and receiving
+/// rank. State machine: `Pending → Copying → Done` (receiver) or
 /// `Pending → Revoked` (sender giving up). The claim CAS makes the two
 /// races — revoke-vs-claim and wait-vs-finish — well ordered.
 #[derive(Debug, Default)]
@@ -151,45 +178,62 @@ impl ZcCell {
     }
 }
 
-/// A lent region travelling through a mailbox: the sender's whole send
-/// buffer (as raw parts) plus the datatype selecting the message's bytes
-/// within it, and the completion cell the sender is waiting on.
-pub(crate) struct ZcHandle {
+/// One part of a loan: a sender buffer (as raw parts) and the datatype
+/// selecting the part's bytes within it.
+struct LentPart {
     ptr: *const u8,
     len: usize,
-    /// Selection of the message within the lent buffer.
-    pub dt: Datatype,
+    dt: Datatype,
+}
+
+/// A loan travelling through a mailbox: every part of one message, in
+/// message order, and the completion cell the sender is waiting on. A
+/// one-part message is the `n = 1` case.
+pub(crate) struct ZcHandle {
+    parts: Vec<LentPart>,
     /// Completion cell shared with the sender.
     pub cell: Arc<ZcCell>,
 }
 
-// SAFETY: the raw pointer crosses threads by design. The sender guarantees
-// the pointed-to buffer outlives the rendezvous (it blocks in ZcCell::wait
-// until Done/Revoked before the borrow ends), and the receiver only reads
-// it between a successful try_claim() and finish().
+// SAFETY: the raw pointers cross threads by design. The sender guarantees
+// the pointed-to buffers outlive the rendezvous (it blocks in ZcCell::wait
+// until Done/Revoked before the borrows end), and the receiver only reads
+// them between a successful try_claim() and finish().
 unsafe impl Send for ZcHandle {}
 
 impl ZcHandle {
-    /// Lend `buf` with selection `dt`, reporting completion through `cell`.
-    pub fn new(buf: &[u8], dt: Datatype, cell: Arc<ZcCell>) -> Self {
-        ZcHandle { ptr: buf.as_ptr(), len: buf.len(), dt, cell }
+    /// Lend every `(buffer, selection)` part of `parts`, reporting
+    /// completion through `cell`.
+    pub fn new(parts: &[(&[u8], Datatype)], cell: Arc<ZcCell>) -> Self {
+        let parts =
+            parts.iter().map(|(buf, dt)| LentPart { ptr: buf.as_ptr(), len: buf.len(), dt: *dt });
+        ZcHandle { parts: parts.collect(), cell }
     }
 
-    /// The lent buffer.
+    /// The selections of the lent parts, in message order. Reads no lent
+    /// byte, so a receiver may compare them before it claims.
+    pub fn dts(&self) -> impl Iterator<Item = &Datatype> {
+        self.parts.iter().map(|p| &p.dt)
+    }
+
+    /// The lent parts, each its buffer and selection, in message order.
     ///
     /// # Safety
     /// Callable only between a successful [`ZcCell::try_claim`] and the
     /// matching [`ZcCell::finish`], while the sender is still blocked in
-    /// [`ZcCell::wait`] — that is what keeps the borrow alive.
-    pub unsafe fn src_slice(&self) -> &[u8] {
-        // SAFETY: per the function contract the sender's buffer is alive and
-        // not mutated for the duration of the claim.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    /// [`ZcCell::wait`] — that is what keeps the borrows alive — and the
+    /// slices must not be used after that `finish`.
+    pub unsafe fn parts(&self) -> impl Iterator<Item = (&[u8], &Datatype)> {
+        self.parts.iter().map(|p| {
+            // SAFETY: per the function contract the sender's buffers are
+            // alive and not mutated for the duration of the claim.
+            (unsafe { std::slice::from_raw_parts(p.ptr, p.len) }, &p.dt)
+        })
     }
 
     /// Number of payload bytes this handle carries.
     pub fn packed_len(&self) -> usize {
-        self.dt.packed_len()
+        self.dts().map(Datatype::packed_len).sum()
     }
 }
 
@@ -387,22 +431,10 @@ impl TransportCells {
 }
 
 /// Reads `DDR_NO_ZEROCOPY`: a truthy value disables the zero-copy fast path
-/// for the whole process.
+/// for the whole process. There is no size floor: with zero-copy on, every
+/// `alltoallw` message loans (the measurements are in the module doc).
 pub(crate) fn zerocopy_env_default() -> bool {
     !crate::env::flag("DDR_NO_ZEROCOPY").unwrap_or(false)
-}
-
-/// Per-message byte threshold at or below which the sender stages even when
-/// zero-copy is enabled: small loans cost as much in rendezvous handshakes
-/// as the copy they avoid (measured breakeven at 64 KiB), so only strictly
-/// larger messages loan. Default 64 KiB, overridable via `DDR_ZC_THRESHOLD`
-/// (supports `K`/`M`/`G` suffixes; `0` loans everything).
-pub(crate) const ZC_THRESHOLD_DEFAULT: usize = 64 << 10;
-
-/// The process-wide threshold from the environment, used when the builder
-/// did not decide explicitly.
-pub(crate) fn zc_threshold_env_default() -> usize {
-    crate::env::bytes_var("DDR_ZC_THRESHOLD").unwrap_or(ZC_THRESHOLD_DEFAULT)
 }
 
 #[cfg(test)]
@@ -516,7 +548,7 @@ mod tests {
             let cell = Arc::new(ZcCell::default());
             let buf = vec![0u8; 16];
             let dt = Datatype::Contiguous { len_bytes: 16, offset: 0 };
-            drop(ZcHandle::new(&buf, dt, Arc::clone(&cell)));
+            drop(ZcHandle::new(&[(&buf, dt)], Arc::clone(&cell)));
             // The loan is dead: the receiver can no longer claim it, and a
             // sender blocked in wait() observes the revocation immediately.
             assert!(!cell.try_claim());
@@ -531,9 +563,46 @@ mod tests {
             assert!(cell.try_claim());
             let buf = vec![0u8; 4];
             let dt = Datatype::Contiguous { len_bytes: 4, offset: 0 };
-            drop(ZcHandle::new(&buf, dt, Arc::clone(&cell)));
+            drop(ZcHandle::new(&[(&buf, dt)], Arc::clone(&cell)));
             cell.finish();
             assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Done);
+        }
+    }
+
+    /// A three-part loan over two buffers, lent from one thread and claimed,
+    /// copied part by part and finished on another: the receiver reads every
+    /// part through its raw pointer, in message order, while the lender is
+    /// blocked, and the lender wakes to `Done`.
+    #[test]
+    fn three_part_loan_over_two_buffers_is_copied_in_order() {
+        let a: Vec<u8> = (0..32).collect();
+        let b: Vec<u8> = (100..116).collect();
+        let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
+        let parts = [(&b[..], contig(8, 8)), (&a[..], contig(0, 4)), (&a[..], contig(28, 4))];
+        for waiter in policies() {
+            let cell = Arc::new(ZcCell::default());
+            let handle = ZcHandle::new(&parts, Arc::clone(&cell));
+            assert_eq!(handle.packed_len(), 16);
+            let lens: Vec<usize> = handle.dts().map(Datatype::packed_len).collect();
+            assert_eq!(lens, [8, 4, 4]);
+            let got = std::thread::scope(|s| {
+                let copier = s.spawn(move || {
+                    assert!(handle.cell.try_claim());
+                    let mut out = Vec::new();
+                    // SAFETY: the claim succeeded and the lender is blocked in
+                    // wait() until finish() below; the slices die first.
+                    for (lent, dt) in unsafe { handle.parts() } {
+                        dt.pack_into(lent, &mut out).unwrap();
+                    }
+                    handle.cell.finish();
+                    out
+                });
+                assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || false), ZcWait::Done);
+                copier.join().unwrap()
+            });
+            let want: Vec<u8> =
+                b[8..16].iter().chain(&a[0..4]).chain(&a[28..32]).copied().collect();
+            assert_eq!(got, want);
         }
     }
 

@@ -254,12 +254,8 @@ fn send_phase_error_after_a_loan_drains_it() {
     let watchdog = Duration::from_secs(30);
     for late in [false, true] {
         let start = Instant::now();
-        let out = Universe::builder()
-            .check(true)
-            .zerocopy(true)
-            .zerocopy_threshold(0)
-            .timeout(watchdog)
-            .run(3, move |comm| {
+        let out =
+            Universe::builder().check(true).zerocopy(true).timeout(watchdog).run(3, move |comm| {
                 let contig = Datatype::Contiguous { len_bytes: len, offset: 0 };
                 let empty = Datatype::Empty;
                 let mut recv = vec![0u8; len];
@@ -296,6 +292,46 @@ fn send_phase_error_after_a_loan_drains_it() {
             other => panic!("late={late}: rank 1 got {other:?}"),
         }
         assert_eq!(out[2], Err(Error::PeerDead { rank: 0 }), "late={late}");
+    }
+}
+
+/// A loan pairs its parts with the receiver's in order, so a loan whose part
+/// count, or one part's length, disagrees with the receive parts is a
+/// `DatatypeMismatch`, found before the loan is claimed: the receive buffer
+/// is untouched, and dropping the unclaimed loan revokes it, so the sender
+/// completes at once with the loan counted revoked instead of waiting out
+/// the watchdog. The totals agree (64 bytes), so only the part check can
+/// catch it.
+#[test]
+fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
+    let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
+    let cases =
+        [("part count", vec![contig(0, 64)]), ("part length", vec![contig(0, 16), contig(16, 48)])];
+    for (what, recv_parts) in cases {
+        let watchdog = Duration::from_secs(30);
+        let start = Instant::now();
+        let out = Universe::builder().zerocopy(true).timeout(watchdog).run(2, |comm| {
+            let send: Vec<u8> = (0..64).collect();
+            let mut recv = vec![0xEE; 64];
+            let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+            if comm.rank() == 0 {
+                sends[1] = vec![(&send[..], contig(0, 32)), (&send[..], contig(32, 32))];
+            } else {
+                recvs[0] = recv_parts.clone();
+            }
+            let res = comm.alltoallw_parts(&sends, &mut recv, &recvs);
+            (res.map(|report| report.is_complete()), recv, comm.transport_counters())
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{what}: a loan waited out the watchdog"
+        );
+        let (res, _, counters) = &out[0];
+        assert_eq!(res, &Ok(true), "{what}: the sender completes");
+        assert!(counters.revoked_msgs >= 1, "{what}: the loan comes back revoked: {counters:?}");
+        let (res, recv, _) = &out[1];
+        assert!(matches!(res, Err(Error::DatatypeMismatch { .. })), "{what}: {res:?}");
+        assert_eq!(recv, &vec![0xEE; 64], "{what}: the receive buffer is untouched");
     }
 }
 

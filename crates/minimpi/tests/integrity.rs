@@ -29,8 +29,8 @@ fn expected_from(src: usize, len: usize) -> Vec<u8> {
 /// A corrupt staged message is detected, not repaired: the receiver fails
 /// with a structured [`Error::IntegrityFailure`] naming both ranks and the
 /// exchange's tag, while the sender, whose own receive was clean, completes
-/// with exact bytes. Zero-copy is requested with a threshold that would loan
-/// everything; the fault plan stages it regardless.
+/// with exact bytes. Zero-copy is requested, which would loan the message;
+/// the fault plan stages it regardless.
 #[test]
 fn corrupt_alltoallw_is_detected_and_the_sender_completes() {
     let len = 2048usize;
@@ -38,7 +38,6 @@ fn corrupt_alltoallw_is_detected_and_the_sender_completes() {
     let out = Universe::builder()
         .timeout(Duration::from_secs(20))
         .zerocopy(true)
-        .zerocopy_threshold(0)
         .fault_plan(FaultPlan::new(7).corrupt_message(0, 1, None, 0))
         .run(2, move |comm| {
             let got = exchange(comm, len);
@@ -124,22 +123,25 @@ fn checksum_off_delivers_corrupt_bytes_silently() {
 
 /// Clean exchanges under checksumming verify every *staged* envelope and
 /// detect nothing — the integrity plane is pure bookkeeping on the happy
-/// path. A loan has no in-flight bytes and is not checked: the loan-sized leg
-/// (above the default 64 KiB threshold) verifies nothing at all.
+/// path. A loan has no in-flight bytes and is not checked: with zero-copy on,
+/// every message loans, small or large, and nothing is verified at all.
 #[test]
 fn clean_run_checks_everything_and_detects_nothing() {
-    for (len, staged) in [(1024usize, 2u64), (1 << 20, 0)] {
+    for (len, zerocopy) in [(1024usize, false), (1 << 20, false), (1024, true), (1 << 20, true)] {
+        let staged = if zerocopy { 0 } else { 2u64 };
         // Counters are world-global, so the snapshot waits for both ranks —
         // on a thread barrier, because a `Comm::barrier` would add staged,
         // checksummed messages of its own.
         let done = std::sync::Barrier::new(2);
-        let out =
-            Universe::builder().timeout(Duration::from_secs(20)).zerocopy(true).run(2, |comm| {
+        let out = Universe::builder().timeout(Duration::from_secs(20)).zerocopy(zerocopy).run(
+            2,
+            |comm| {
                 let got = exchange(comm, len);
                 done.wait();
                 let (c, t) = (comm.integrity_counters(), comm.transport_counters());
                 Ok::<_, Error>((got?, c, t, comm.checksum_active()))
-            });
+            },
+        );
         for (r, res) in out.iter().enumerate() {
             let (got, c, t, active) = res.as_ref().unwrap();
             assert!(active, "checksumming is on by default");

@@ -91,30 +91,27 @@ fn paired_exchange(comm: &minimpi::Comm, seed: u64, len: usize) -> minimpi::Resu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// End-to-end: a corrupt alltoallw payload of any size — below, at, and
-    /// above the zero-copy loan threshold, all of which the fault plan
+    /// End-to-end: a corrupt alltoallw payload of any size — each of which
+    /// would loan without the plan, and every one of which the fault plan
     /// stages — is detected on its first delivery and reported as a
     /// structured error carrying the full coordinates (source, destination,
     /// collective tag), while the clean direction delivers byte-identical
     /// output. Never a hang.
     #[test]
-    fn corruption_is_detected_across_zc_threshold(
+    fn corruption_is_detected_at_every_message_size(
         seed in any::<u64>(),
         size_class in 0usize..4,
         len_seed in any::<u64>(),
     ) {
-        // Explicit threshold 1024: without the plan, `len` would land on
-        // the staged path, the boundary, and the loan path across cases.
         let len = match size_class {
-            0 => 1 + (len_seed as usize % 63),       // well below threshold
-            1 => 1000 + (len_seed as usize % 48),    // straddling the boundary
-            2 => 1024,                               // exactly at threshold
-            _ => 1025,                               // first loan-sized length
+            0 => 1 + (len_seed as usize % 63),       // a few bytes
+            1 => 1000 + (len_seed as usize % 48),    // about a KiB
+            2 => 8 << 10,                            // one small-round part
+            _ => (64 << 10) + 1,                     // past the staging bound
         };
         let out = Universe::builder()
             .timeout(Duration::from_secs(20))
             .zerocopy(true)
-            .zerocopy_threshold(1024)
             .fault_plan(FaultPlan::new(seed).corrupt_message(0, 1, None, 0))
             .run(2, move |comm| {
                 let got = paired_exchange(comm, seed, len);

@@ -180,7 +180,87 @@ fn check_roundtrip(seed: u64, edge: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Run widths in bytes: every lane width of the kernels (1, 2, 4, 8, 12, 16,
+/// 32, 64) and widths the lane loops do not take.
+const RUN_WIDTHS: [usize; 14] = [1, 2, 3, 4, 5, 8, 12, 16, 24, 32, 40, 64, 65, 100];
+
+/// A strided 2-D selection of `rows` runs of `width` elements of `elem`
+/// bytes: every row is padded, so no two runs merge.
+fn strided(s: &mut u64, width: usize, rows: usize, elem: usize) -> Subarray {
+    let pad = 1 + (mix(s) % 3) as usize;
+    let extra = (mix(s) % 3) as usize;
+    let x0 = (mix(s) % (pad as u64 + 1)) as usize;
+    let y0 = (mix(s) % (extra as u64 + 1)) as usize;
+    Subarray::d2([width + pad, rows + extra], [width, rows], [x0, y0], elem).unwrap()
+}
+
+/// A single-run selection of `count` elements of `elem` bytes, at a seeded
+/// offset into a longer 1-D array.
+fn single_run(s: &mut u64, count: usize, elem: usize) -> Subarray {
+    let extra = (mix(s) % 5) as usize;
+    let start = (mix(s) % (extra as u64 + 1)) as usize;
+    Subarray::d1(count + extra, count, start, elem).unwrap()
+}
+
+/// `copy_to` must equal `pack` then `unpack` byte for byte — bytes outside
+/// the destination selection included — on an equal-count pair whose runs
+/// are `RUN_WIDTHS[width_class]` bytes wide. `route` picks the copy's route:
+/// `0` a single-run source (the destination's scatter kernel), `1` a
+/// single-run destination (the source's gather kernel), `2` both sides
+/// strided (the lockstep run-pair walk, at equal or doubled run widths).
+fn check_copy_matches_pack_unpack(
+    seed: u64,
+    width_class: usize,
+    route: usize,
+) -> Result<(), TestCaseError> {
+    let mut s = seed | 1;
+    let run_bytes = RUN_WIDTHS[width_class % RUN_WIDTHS.len()];
+    let elem = [4, 2, 1].into_iter().find(|e| run_bytes % e == 0).unwrap();
+    let width = run_bytes / elem;
+    let rows = 2 + (mix(&mut s) % 6) as usize;
+    let strided_side = strided(&mut s, width, rows, elem);
+    let (src_t, dst_t) = match route {
+        0 => (single_run(&mut s, width * rows, elem), strided_side),
+        1 => (strided_side, single_run(&mut s, width * rows, elem)),
+        _ => {
+            let doubled = rows % 2 == 0 && rows >= 4 && mix(&mut s) % 2 == 0;
+            let (w2, r2) = if doubled { (2 * width, rows / 2) } else { (width, rows) };
+            (strided_side, strided(&mut s, w2, r2, elem))
+        }
+    };
+    let src = filled(src_t.full_len());
+    let mut direct = vec![0xEE; dst_t.full_len()];
+    src_t.copy_to(&src, &dst_t, &mut direct).unwrap();
+    let mut staged = vec![0xEE; dst_t.full_len()];
+    dst_t.unpack(&src_t.pack(&src).unwrap(), &mut staged).unwrap();
+    prop_assert_eq!(direct, staged, "{:?} -> {:?}", src_t, dst_t);
+    Ok(())
+}
+
+/// Every run width on every route, a few geometries each.
+#[test]
+fn both_copy_routes_equal_pack_then_unpack_at_every_width() {
+    for (width_class, width) in RUN_WIDTHS.iter().enumerate() {
+        for route in 0..3 {
+            for seed in 0..4 {
+                if let Err(e) = check_copy_matches_pack_unpack(seed, width_class, route) {
+                    panic!("width {width} route {route} seed {seed}: {e}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn copy_to_equals_pack_then_unpack(
+        seed in any::<u64>(),
+        width_class in 0usize..14,
+        route in 0usize..3,
+    ) {
+        check_copy_matches_pack_unpack(seed, width_class, route)?;
+    }
+
     #[test]
     fn pack_unpack_roundtrip_random_rects(seed in any::<u64>()) {
         check_roundtrip(seed, 0)?;

@@ -25,14 +25,13 @@ fn exchange(comm: &Comm, len: usize) -> Result<Vec<u8>, Error> {
     Ok(recv)
 }
 
-/// One exchange on a 2-rank universe with zero-copy requested explicitly (so
-/// `DDR_NO_ZEROCOPY` cannot change the case) and everything else default.
-/// Returns the universe-wide counters once *both* ranks are done, and what
-/// each rank received; the rendezvous is a thread barrier because a
-/// `Comm::barrier` would add staged, checksummed messages of its own.
+/// One exchange on a 2-rank universe of `builder`. Returns the universe-wide
+/// counters once *both* ranks are done, and what each rank received; the
+/// rendezvous is a thread barrier because a `Comm::barrier` would add
+/// staged, checksummed messages of its own.
 fn run(builder: UniverseBuilder, len: usize) -> (TransportCounters, IntegrityCounters, Vec<Got>) {
     let done = Barrier::new(2);
-    let out = builder.zerocopy(true).timeout(Duration::from_secs(20)).run(2, |comm| {
+    let out = builder.timeout(Duration::from_secs(20)).run(2, |comm| {
         let got = exchange(comm, len);
         done.wait();
         (got, comm.transport_counters(), comm.integrity_counters())
@@ -43,6 +42,12 @@ fn run(builder: UniverseBuilder, len: usize) -> (TransportCounters, IntegrityCou
 
 type Got = Result<Vec<u8>, Error>;
 
+/// Zero-copy requested explicitly, so `DDR_NO_ZEROCOPY` cannot change the
+/// case, and everything else default.
+fn loaning() -> UniverseBuilder {
+    Universe::builder().zerocopy(true)
+}
+
 /// Rank `r` received exactly what its peer sent.
 fn exact(got: &Got, r: usize, len: usize) -> bool {
     got.as_ref().is_ok_and(|bytes| *bytes == payload(1 - r, len))
@@ -50,15 +55,21 @@ fn exact(got: &Got, r: usize, len: usize) -> bool {
 
 #[test]
 fn loans_carry_no_checksum_and_every_fault_plan_stages() {
-    // Above the 64 KiB threshold both messages loan: one copy each, nothing
-    // hashed, nothing verified.
-    let (transport, integrity, got) = run(Universe::builder(), 1 << 20);
+    // A large exchange loans both messages: one copy each, nothing hashed,
+    // nothing verified.
+    let (transport, integrity, got) = run(loaning(), 1 << 20);
     assert!(exact(&got[0], 0, 1 << 20) && exact(&got[1], 1, 1 << 20));
     assert_eq!(transport.zerocopy_msgs, 2);
     assert_eq!(integrity.checked, 0, "a loan has no in-flight bytes to verify");
 
-    // Below it both stage, and every staged payload is verified.
-    let (transport, integrity, got) = run(Universe::builder(), 1 << 10);
+    // So does a small one: there is no size floor under a loan. With
+    // zero-copy off the same exchange stages both messages, and every staged
+    // payload is verified.
+    let (transport, integrity, got) = run(loaning(), 1 << 10);
+    assert!(exact(&got[0], 0, 1 << 10) && exact(&got[1], 1, 1 << 10));
+    assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (2, 0));
+    assert_eq!(integrity.checked, 0);
+    let (transport, integrity, got) = run(Universe::builder().zerocopy(false), 1 << 10);
     assert!(exact(&got[0], 0, 1 << 10) && exact(&got[1], 1, 1 << 10));
     assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (0, 2));
     assert_eq!(integrity.checked, 2);
@@ -67,7 +78,7 @@ fn loans_carry_no_checksum_and_every_fault_plan_stages() {
     // hits real in-flight bytes and is detected. The receiver loses that
     // message with a structured error; the sender completes exactly.
     let plan = FaultPlan::new(7).corrupt_message(0, 1, None, 0);
-    let (transport, integrity, got) = run(Universe::builder().fault_plan(plan), 1 << 20);
+    let (transport, integrity, got) = run(loaning().fault_plan(plan), 1 << 20);
     assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (0, 2), "every plan stages");
     assert_eq!((integrity.checked, integrity.detected), (2, 1), "{integrity:?}");
     assert!(
