@@ -2,7 +2,7 @@
 
 use crate::error::{DdrError, Result};
 use crate::plan::Plan;
-use crate::recover::{LossKind, PartialCompletion};
+use crate::recover::PartialCompletion;
 use crate::stats::RedistStats;
 use minimpi::{bytes_of, bytes_of_mut, Comm, Datatype, Pod};
 use std::ops::Range;
@@ -201,11 +201,9 @@ impl Plan {
     }
 
     /// The one round loop behind every entry point. Drains every exchange
-    /// so the maximum amount of data survives a peer death, and classifies
-    /// each receive failure so a corrupt message (the peer is alive but its
-    /// data failed verification) is reported distinctly from death. A source
-    /// lost in an exchange is lost in every round of it that received from
-    /// that source.
+    /// so the maximum amount of data survives a peer death. A source lost in
+    /// an exchange is lost in every round of it that received from that
+    /// source.
     ///
     /// Exchange-synchronous: one blocking exchange per group of
     /// [`Plan::exchanges`] under `bound`. Loaned, `bound` is `usize::MAX`
@@ -253,11 +251,10 @@ impl Plan {
             }
             let report =
                 comm.alltoallw_parts(&sends, need_bytes, &recvs).map_err(DdrError::from)?;
-            for (peer, e) in report.failed {
-                let kind = LossKind::from_error(&e);
+            for (peer, _) in report.failed {
                 let lost =
                     group.clone().filter(|&r| self.rounds[r].recvs.iter().any(|t| t.peer == peer));
-                failures.extend(lost.map(|r| (r, peer, kind)));
+                failures.extend(lost.map(|r| (r, peer)));
             }
         }
         let stats = RedistStats::from_plan(self, bound, &failures);

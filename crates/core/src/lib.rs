@@ -81,6 +81,6 @@ pub use layout::Layout;
 pub use mapping::compute_local_plan;
 pub use multi::{recover_multi_mappings, remap_multi, MultiPlan, RemapSpec};
 pub use plan::{Plan, RoundPlan, Transfer};
-pub use recover::{LossKind, PartialCompletion, RoundReport};
+pub use recover::{PartialCompletion, RoundReport};
 pub use stats::{GlobalStats, RedistStats, RemapStats};
 pub use validate::{validate, Domain, ValidationPolicy};

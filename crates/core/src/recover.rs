@@ -26,31 +26,6 @@ use crate::validate::ValidationPolicy;
 use crate::Block;
 use minimpi::Comm;
 
-/// Why a peer's transfer was lost — graceful degradation treats the two
-/// the same way (the bytes are gone, the survivors carry on) but reports
-/// them separately, because the operator's response differs: a dead peer
-/// calls for [`Comm::reconfigure`], a corrupt one for inspecting the
-/// transport (`integrity.*` metrics) and the installed fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LossKind {
-    /// The peer died (fault-killed, panicked, or exited) or timed out.
-    PeerDeath,
-    /// The transfer from a live peer failed checksum verification
-    /// ([`minimpi::Error::IntegrityFailure`]); it was discarded whole, so the
-    /// cells it targets keep the caller's bytes.
-    Integrity,
-}
-
-impl LossKind {
-    /// Classify the error a salvaged exchange reported for one peer.
-    pub(crate) fn from_error(e: &minimpi::Error) -> LossKind {
-        match e {
-            minimpi::Error::IntegrityFailure { .. } => LossKind::Integrity,
-            _ => LossKind::PeerDeath,
-        }
-    }
-}
-
 /// What one communication round delivered and lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundReport {
@@ -74,22 +49,17 @@ pub struct RoundReport {
 pub struct PartialCompletion {
     /// Rank the report belongs to.
     pub rank: usize,
-    /// All peers that failed to deliver, deduplicated and sorted —
-    /// whatever the [`LossKind`].
+    /// All peers that failed to deliver (died, timed out, or had a message
+    /// dropped), deduplicated and sorted.
     pub dead_peers: Vec<usize>,
-    /// The subset of failed peers that were *alive but corrupt*: a transfer
-    /// from them failed verification. Disjoint response path from
-    /// `dead_peers` − `integrity_peers` (which need membership recovery).
-    pub integrity_peers: Vec<usize>,
     /// Per-round accounting.
     pub rounds: Vec<RoundReport>,
 }
 
 impl PartialCompletion {
-    /// Build the report from the plan and the set of
-    /// `(round, peer, loss kind)` receive failures observed during a
-    /// salvaged reorganize.
-    pub(crate) fn from_failures(plan: &Plan, failures: &[(usize, usize, LossKind)]) -> Self {
+    /// Build the report from the plan and the set of `(round, peer)` receive
+    /// failures observed during a salvaged reorganize.
+    pub(crate) fn from_failures(plan: &Plan, failures: &[(usize, usize)]) -> Self {
         let rank = plan.rank();
         let rounds = plan
             .rounds()
@@ -100,7 +70,7 @@ impl PartialCompletion {
                     .recvs
                     .iter()
                     .map(|t| t.peer)
-                    .filter(|&p| failures.iter().any(|&(fr, fp, _)| (fr, fp) == (r, p)))
+                    .filter(|&p| failures.contains(&(r, p)))
                     .collect();
                 let missing_bytes: u64 = round
                     .recvs
@@ -117,17 +87,10 @@ impl PartialCompletion {
                 }
             })
             .collect::<Vec<_>>();
-        let mut dead_peers: Vec<usize> = failures.iter().map(|&(_, p, _)| p).collect();
+        let mut dead_peers: Vec<usize> = failures.iter().map(|&(_, p)| p).collect();
         dead_peers.sort_unstable();
         dead_peers.dedup();
-        let mut integrity_peers: Vec<usize> = failures
-            .iter()
-            .filter(|&&(_, _, kind)| kind == LossKind::Integrity)
-            .map(|&(_, p, _)| p)
-            .collect();
-        integrity_peers.sort_unstable();
-        integrity_peers.dedup();
-        PartialCompletion { rank, dead_peers, integrity_peers, rounds }
+        PartialCompletion { rank, dead_peers, rounds }
     }
 
     /// Fold in the report of another need's plan run over the same rounds
@@ -144,7 +107,6 @@ impl PartialCompletion {
             union(&mut mine.failed_sources, theirs.failed_sources);
         }
         union(&mut self.dead_peers, other.dead_peers);
-        union(&mut self.integrity_peers, other.integrity_peers);
     }
 
     /// Total bytes that landed in the need buffer.
@@ -173,11 +135,7 @@ impl std::fmt::Display for PartialCompletion {
             self.delivered_bytes() + self.missing_bytes(),
             self.missing_bytes(),
             self.dead_peers
-        )?;
-        if !self.integrity_peers.is_empty() {
-            write!(f, " (of which {:?} failed integrity, not liveness)", self.integrity_peers)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -274,9 +232,8 @@ mod tests {
         let plan = compute_local_plan(0, &e1_layouts(), &desc).unwrap();
         // Rank 0's round-0 receives: one 4x1 half-row (16 bytes) from each
         // of ranks 0..4. Lose rank 2 in round 0.
-        let pc = PartialCompletion::from_failures(&plan, &[(0, 2, LossKind::PeerDeath)]);
+        let pc = PartialCompletion::from_failures(&plan, &[(0, 2)]);
         assert_eq!(pc.dead_peers, vec![2]);
-        assert!(pc.integrity_peers.is_empty());
         assert_eq!(pc.rounds[0].missing_bytes, 16);
         assert_eq!(pc.rounds[0].delivered_bytes, 48);
         assert_eq!(pc.rounds[0].failed_sources, vec![2]);
@@ -301,28 +258,9 @@ mod tests {
     fn display_reads_naturally() {
         let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
         let plan = compute_local_plan(0, &e1_layouts(), &desc).unwrap();
-        let pc = PartialCompletion::from_failures(&plan, &[(0, 2, LossKind::PeerDeath)]);
+        let pc = PartialCompletion::from_failures(&plan, &[(0, 2)]);
         let s = pc.to_string();
         assert!(s.contains("48 of 64 bytes delivered"), "{s}");
         assert!(s.contains("[2]"), "{s}");
-        assert!(!s.contains("integrity"), "{s}");
-    }
-
-    /// An integrity loss shows up in both peer lists (it *is* a failed peer)
-    /// and is called out separately by the human-readable rendering, so a
-    /// transfer that failed verification is never mistaken for a death.
-    #[test]
-    fn integrity_losses_are_classified_separately() {
-        let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
-        let plan = compute_local_plan(0, &e1_layouts(), &desc).unwrap();
-        let pc = PartialCompletion::from_failures(
-            &plan,
-            &[(0, 2, LossKind::Integrity), (0, 3, LossKind::PeerDeath)],
-        );
-        assert_eq!(pc.dead_peers, vec![2, 3]);
-        assert_eq!(pc.integrity_peers, vec![2]);
-        assert_eq!(pc.missing_bytes(), 32);
-        let s = pc.to_string();
-        assert!(s.contains("failed integrity"), "{s}");
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::layout::Layout;
 use crate::plan::Plan;
-use crate::recover::LossKind;
 
 /// Per-rank accounting of one *executed* redistribution.
 ///
@@ -38,24 +37,17 @@ pub struct RedistStats {
     pub messages_sent: u64,
     /// Non-empty per-round transfers received from other ranks.
     pub messages_recv: u64,
-    /// Receives that failed (peer dead / dropped / timed out / corrupt).
+    /// Receives that failed (peer dead / dropped / timed out).
     pub failed_recvs: u64,
-    /// The subset of `failed_recvs` lost to a message that failed checksum
-    /// verification ([`LossKind::Integrity`]) rather than to peer death.
-    pub integrity_recvs: u64,
     /// Bytes those failed receives would have delivered.
     pub lost_bytes: u64,
 }
 
 impl RedistStats {
     /// Account an executed redistribution of `plan`, run in the exchanges
-    /// of [`Plan::exchanges`] under `bound`, given the `(round, peer, loss
-    /// kind)` receive failures its exchanges reported.
-    pub fn from_plan(
-        plan: &Plan,
-        bound: usize,
-        failures: &[(usize, usize, LossKind)],
-    ) -> RedistStats {
+    /// of [`Plan::exchanges`] under `bound`, given the `(round, peer)`
+    /// receive failures its exchanges reported.
+    pub fn from_plan(plan: &Plan, bound: usize, failures: &[(usize, usize)]) -> RedistStats {
         let mut s = RedistStats {
             rounds: plan.rounds.len(),
             exchanges: plan.exchanges(bound).count(),
@@ -74,18 +66,12 @@ impl RedistStats {
                 if t.peer == plan.rank {
                     continue; // the self-overlap is counted on the send side
                 }
-                match failures.iter().find(|&&(fr, fp, _)| (fr, fp) == (r, t.peer)) {
-                    Some(&(_, _, kind)) => {
-                        s.failed_recvs += 1;
-                        if kind == LossKind::Integrity {
-                            s.integrity_recvs += 1;
-                        }
-                        s.lost_bytes += t.bytes();
-                    }
-                    None => {
-                        s.recv_bytes += t.bytes();
-                        s.messages_recv += 1;
-                    }
+                if failures.contains(&(r, t.peer)) {
+                    s.failed_recvs += 1;
+                    s.lost_bytes += t.bytes();
+                } else {
+                    s.recv_bytes += t.bytes();
+                    s.messages_recv += 1;
                 }
             }
         }

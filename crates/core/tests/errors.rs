@@ -85,21 +85,3 @@ fn death_during_setup_propagates_peer_dead_from_setup_collectives() {
     assert_eq!(out[0], Some(DdrError::Mpi(MpiError::PeerDead { rank: 0 })));
     assert_eq!(out[1], Some(DdrError::Mpi(MpiError::PeerDead { rank: 0 })));
 }
-
-#[test]
-fn corrupted_mapping_traffic_propagates_a_runtime_error() {
-    // Corrupt the payload rank 0 sends rank 1 during setup's allgather; the
-    // garbled layout must surface as an error on some rank, not silently
-    // produce a wrong plan (layout decode validates counts and dims).
-    let out = Universe::builder()
-        .timeout(Duration::from_secs(20))
-        .fault_plan(FaultPlan::new(3).corrupt_message(0, 1, None, 0))
-        .run(2, |comm| {
-            let (desc, owned, need) = swap_scenario(comm);
-            desc.setup_data_mapping(comm, &owned, need).err()
-        });
-    assert!(
-        out.iter().any(|e| e.is_some()),
-        "corrupted layout exchange must not pass validation: {out:?}"
-    );
-}

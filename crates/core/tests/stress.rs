@@ -2,8 +2,8 @@
 //! interleaved collectives, and failure-path behaviour under load.
 
 use ddr_core::decompose::{brick, near_cubic_grid, slab};
-use ddr_core::{Block, DataKind, DdrError, Descriptor, ValidationPolicy};
-use minimpi::{Error as MpiError, FaultPlan, Universe};
+use ddr_core::{Block, DataKind, DdrError, Descriptor, PartialCompletion, ValidationPolicy};
+use minimpi::{Error as MpiError, FaultPlan, Universe, UniverseBuilder};
 use std::time::{Duration, Instant};
 
 fn cell_value(c: [usize; 3]) -> u64 {
@@ -346,11 +346,18 @@ fn chaos_soak_respawn_restores_byte_identical_redistribution() {
 // Multi-round chaos soak: faults landing anywhere in a two-round exchange.
 // ---------------------------------------------------------------------------
 
+/// Sentinel a salvaged redistribution leaves in every cell it lost.
+const LOST: u64 = u64::MAX;
+
 /// One two-round redistribution: each rank owns two column slabs (two
 /// rounds) and needs a row slab — so a fault injected anywhere in the
 /// exchange lands either mid-round (under zero-copy, with loans
-/// outstanding) or between the rounds.
-fn two_round_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrError> {
+/// outstanding) or between the rounds. Returns the need block, the output
+/// (lost cells hold [`LOST`]) and the salvage report.
+fn two_round_salvage(
+    c: &minimpi::Comm,
+    domain: &Block,
+) -> Result<(Block, Vec<u64>, PartialCompletion), DdrError> {
     let n = c.size();
     let r = c.rank();
     let owned = vec![slab(domain, 1, 2 * n, r).unwrap(), slab(domain, 1, 2 * n, r + n).unwrap()];
@@ -360,27 +367,72 @@ fn two_round_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrErro
     assert_eq!(plan.num_rounds(), 2, "the soak needs a genuinely multi-round plan");
     let data: Vec<Vec<u64>> = owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
     let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-    let mut out = vec![0u64; need.count() as usize];
+    let mut out = vec![LOST; need.count() as usize];
     let (report, _) = plan.reorganize_with_stats(c, &refs, &mut out)?;
+    Ok((need, out, report))
+}
+
+/// [`two_round_salvage`] that must deliver every cell exactly.
+fn two_round_step(c: &minimpi::Comm, domain: &Block) -> Result<Vec<u64>, DdrError> {
+    let (need, out, report) = two_round_salvage(c, domain)?;
     if !report.is_complete() {
         return Err(DdrError::Incomplete(Box::new(report)));
     }
     for (got, co) in out.iter().zip(need.coords()) {
-        assert_eq!(*got, cell_value(co), "rank {r} epoch {}", c.epoch());
+        assert_eq!(*got, cell_value(co), "rank {} epoch {}", c.rank(), c.epoch());
     }
     Ok(out)
+}
+
+/// One drop seed of a chaos soak: the seeded `(src, dest, occurrence)`
+/// message is dropped under a 500 ms watchdog. Every rank ends in a
+/// salvaged result whose cells are either lost or equal to the oracle — the
+/// victim's loss naming `src` in `dead_peers` — or in a structured fallout
+/// error, never a hang. Returns whether the drop hit real traffic.
+fn drop_seed(seed: u64, n: usize, domain: Block, builder: UniverseBuilder) -> bool {
+    let src = (seed as usize / 2) % n;
+    let dest = (src + 1 + (seed as usize / 3) % (n - 1)) % n;
+    let occurrence = (seed / 5) % 4;
+    let plan = FaultPlan::new(seed).drop_message(src, dest, None, occurrence);
+    let out = builder
+        .timeout(Duration::from_millis(500))
+        .fault_plan(plan)
+        .run(n, move |comm| two_round_salvage(comm, &domain));
+    let mut hit = false;
+    for (r, res) in out.iter().enumerate() {
+        match res {
+            Ok((need, got, report)) => {
+                let lost = got.iter().filter(|&&v| v == LOST).count() as u64;
+                assert_eq!(8 * lost, report.missing_bytes(), "seed {seed} rank {r}: {report}");
+                for (v, co) in got.iter().zip(need.coords()) {
+                    assert!(*v == LOST || *v == cell_value(co), "seed {seed} rank {r}: {co:?}");
+                }
+                if r == dest && !report.is_complete() {
+                    assert!(report.dead_peers.contains(&src), "seed {seed}: {report}");
+                }
+                hit |= !report.is_complete();
+            }
+            // The victim's timeout, or its fallout on peers: a dead peer, or
+            // under the checker the wait cycle the lost message closed.
+            Err(DdrError::Mpi(
+                MpiError::PeerDead { .. } | MpiError::Timeout { .. } | MpiError::Deadlock(_),
+            )) => hit = true,
+            other => panic!("seed {seed} rank {r}: unexpected outcome {other:?}"),
+        }
+    }
+    hit
 }
 
 /// 24-seed multi-round chaos soak. Even seeds kill a rank at a seeded op
 /// count somewhere in the two-round exchange; survivors must fail fast (the
 /// round under fire is aborted, its loans drained), reconfigure into epoch 1
 /// with the casualty respawned, and redistribute byte-identically to an
-/// unfaulted reference. Odd seeds corrupt an in-flight message under
-/// checksums: whether it hits an exchange payload or a setup collective,
-/// the receiver must surface a classified integrity loss fast, and every
-/// rank that succeeds must hold exact bytes — no hang and no leak.
+/// unfaulted reference. Odd seeds drop an in-flight message (see
+/// [`drop_seed`]): whether it hits an exchange payload or a setup
+/// collective, the loss is structured and fast, and every cell that arrived
+/// is exact — no hang and no leak.
 #[test]
-fn multiround_chaos_soak_recovers_from_kills_and_corruption() {
+fn multiround_chaos_soak_recovers_from_kills_and_drops() {
     let n = 4usize;
     let domain = Block::d2([0, 0], [16, 16]).unwrap();
 
@@ -401,7 +453,7 @@ fn multiround_chaos_soak_recovers_from_kills_and_corruption() {
     .min()
     .unwrap();
 
-    let mut detected = 0u32;
+    let mut hits = 0u32;
     for seed in 0..24u64 {
         let start = Instant::now();
         if seed % 2 == 0 {
@@ -443,55 +495,16 @@ fn multiround_chaos_soak_recovers_from_kills_and_corruption() {
                 }
             }
         } else {
-            // Corrupt arm: flip bytes in one seeded in-flight message with
-            // checksums armed.
-            let src = (seed as usize / 2) % n;
-            let dest = (src + 1 + (seed as usize / 3) % (n - 1)) % n;
-            let occurrence = (seed / 5) % 4;
-            let plan = FaultPlan::new(seed).corrupt_message(src, dest, None, occurrence);
-            let out = Universe::builder()
-                .checksum(true)
-                .timeout(Duration::from_secs(20))
-                .fault_plan(plan)
-                .run(n, move |comm| two_round_step(comm, &domain));
-            for (r, res) in out.iter().enumerate() {
-                match res {
-                    // Untouched by the corruption: exact bytes, in-place
-                    // assertions already ran.
-                    Ok(bytes) => {
-                        assert_eq!(bytes.len(), 16 * 4, "seed {seed} rank {r}");
-                    }
-                    // The victim's integrity loss, or a structured fallout
-                    // on the peers it left behind — never a hang.
-                    Err(DdrError::Mpi(MpiError::IntegrityFailure { .. }))
-                    | Err(DdrError::Mpi(MpiError::PeerDead { .. }))
-                    | Err(DdrError::Mpi(MpiError::Timeout { .. }))
-                    | Err(DdrError::Incomplete(_)) => {}
-                    other => panic!("seed {seed} rank {r}: unexpected outcome {other:?}"),
-                }
-            }
-            if out.iter().any(is_integrity_loss) {
-                detected += 1;
-            }
+            hits += u32::from(drop_seed(seed, n, domain, Universe::builder()));
         }
         assert!(
             start.elapsed() < Duration::from_secs(15),
             "seed {seed}: resolution must not burn the watchdog"
         );
     }
-    // The corrupt arm must actually have hit real traffic on a decent share
+    // The drop arm must actually have hit real traffic on a decent share
     // of its seeds, not miss every time.
-    assert!(detected >= 6, "only {detected}/12 corrupt seeds ended in an integrity loss");
-}
-
-/// Whether a rank's outcome is a loss classified as corruption: the raw
-/// error, or a salvage report naming an integrity peer.
-fn is_integrity_loss(res: &Result<Vec<u64>, DdrError>) -> bool {
-    match res {
-        Err(DdrError::Mpi(MpiError::IntegrityFailure { .. })) => true,
-        Err(DdrError::Incomplete(report)) => !report.integrity_peers.is_empty(),
-        _ => false,
-    }
+    assert!(hits >= 6, "only {hits}/12 drop seeds hit real traffic");
 }
 
 // ---------------------------------------------------------------------------
@@ -501,11 +514,10 @@ fn is_integrity_loss(res: &Result<Vec<u64>, DdrError>) -> bool {
 /// 24-seed chaos soak with the mailbox bound at its meanest setting: one
 /// message and 512 bytes per pair, so every deposit of the run flows through
 /// a nearly-closed queue. Even seeds kill a rank mid-exchange (zero-copy on,
-/// so loan revocation interleaves with the recovery); odd seeds corrupt an
-/// in-flight message under checksums, so detection runs behind the same
-/// nearly-closed pairs. Whatever the fault, every rank that finishes holds
-/// byte-identical output against an unconstrained, unfaulted reference, and
-/// a corrupt seed ends in a classified integrity loss, not a hang.
+/// so loan revocation interleaves with the recovery); odd seeds drop an
+/// in-flight message behind the same nearly-closed pairs (see
+/// [`drop_seed`]). Whatever the fault, every cell a rank holds at the end is
+/// exact, and a lost message ends in a structured loss, not a hang.
 #[test]
 fn backpressure_chaos_soak_stays_byte_identical() {
     let n = 4usize;
@@ -530,7 +542,7 @@ fn backpressure_chaos_soak_stays_byte_identical() {
         .min()
         .unwrap();
 
-    let mut detected = 0u32;
+    let mut hits = 0u32;
     for seed in 0..24u64 {
         let start = Instant::now();
         if seed % 2 == 0 {
@@ -575,43 +587,17 @@ fn backpressure_chaos_soak_stays_byte_identical() {
                 }
             }
         } else {
-            // Corrupt arm: checksums on, so the corrupt message is detected
-            // while every deposit is counted against the bounded pairs.
-            let src = (seed as usize / 2) % n;
-            let dest = (src + 1 + (seed as usize / 3) % (n - 1)) % n;
-            let occurrence = (seed / 5) % 4;
-            let plan = FaultPlan::new(seed).corrupt_message(src, dest, None, occurrence);
-            let out = Universe::builder()
-                .flow_control(1, 512)
-                .checksum(true)
-                .check(seed % 3 == 0)
-                .timeout(Duration::from_secs(20))
-                .fault_plan(plan)
-                .run(n, move |comm| two_round_step(comm, &domain));
-            for (r, res) in out.iter().enumerate() {
-                match res {
-                    Ok(bytes) => {
-                        assert_eq!(bytes, &reference[r], "seed {seed} rank {r}: bytes differ");
-                    }
-                    Err(DdrError::Mpi(MpiError::IntegrityFailure { .. }))
-                    | Err(DdrError::Mpi(MpiError::PeerDead { .. }))
-                    | Err(DdrError::Mpi(MpiError::Timeout { .. }))
-                    | Err(DdrError::Incomplete(_)) => {}
-                    other => panic!("seed {seed} rank {r}: unexpected outcome {other:?}"),
-                }
-            }
-            if out.iter().any(is_integrity_loss) {
-                detected += 1;
-            }
+            let builder = Universe::builder().flow_control(1, 512).check(seed % 3 == 0);
+            hits += u32::from(drop_seed(seed, n, domain, builder));
         }
         assert!(
             start.elapsed() < Duration::from_secs(15),
             "seed {seed}: backpressured resolution must not burn the watchdog"
         );
     }
-    // The corrupt arm must genuinely have hit traffic through the
-    // constrained windows on a decent share of seeds.
-    assert!(detected >= 6, "only {detected}/12 corrupt seeds ended in an integrity loss");
+    // The drop arm must genuinely have hit traffic through the constrained
+    // windows on a decent share of seeds.
+    assert!(hits >= 6, "only {hits}/12 drop seeds hit real traffic");
 }
 
 /// End-to-end elasticity under the deadlock checker AND under zero-copy: a

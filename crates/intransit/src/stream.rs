@@ -63,24 +63,18 @@ pub struct FrameStats {
     /// frame (subset of `skipped`): traffic sent before the membership
     /// change can never be delivered, so these are not deadline misses.
     pub reconfigured: u64,
-    /// Skips caused by a frame failing checksum verification (subset of
-    /// `skipped`). Classified separately from deadline misses: the frame
-    /// *arrived* — retrying the receive cannot recover it, so an integrity
-    /// loss never burns the retry budget.
-    pub corrupted: u64,
 }
 
 impl fmt::Display for FrameStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} received, {} skipped ({} from dead sources, {} to reconfiguration, \
-             {} corrupt), {} retries, {} stale",
+            "{} received, {} skipped ({} from dead sources, {} to reconfiguration), \
+             {} retries, {} stale",
             self.received,
             self.skipped,
             self.dead_sources,
             self.reconfigured,
-            self.corrupted,
             self.retries,
             self.stale
         )
@@ -96,7 +90,6 @@ impl FrameStats {
         self.retries += other.retries;
         self.stale += other.stale;
         self.reconfigured += other.reconfigured;
-        self.corrupted += other.corrupted;
     }
 }
 
@@ -207,20 +200,7 @@ impl FrameReceiver {
             }
             let deadline = Instant::now() + self.cfg.deadline;
             loop {
-                let polled = match comm.try_recv_bytes(src, FRAME_TAG) {
-                    // The frame arrived but failed checksum verification —
-                    // it is consumed and gone (corruption is detected, never
-                    // repaired), so retrying would only wait out deadlines
-                    // for a frame that can never be re-delivered. Skip
-                    // immediately and classify the loss as corruption, not
-                    // as a timeout.
-                    Err(minimpi::Error::IntegrityFailure { .. }) => {
-                        self.stats.corrupted += 1;
-                        return Ok(self.skip(comm, src, step, "frame failed checksum"));
-                    }
-                    other => other?,
-                };
-                match polled {
+                match comm.try_recv_bytes(src, FRAME_TAG)? {
                     Some(bytes) => {
                         let frame = Frame::decode(&bytes);
                         // The payload is copied out by decode; recycle the
@@ -418,7 +398,6 @@ mod tests {
             retries: 2,
             stale: 0,
             reconfigured: 1,
-            corrupted: 0,
         };
         let b = FrameStats {
             received: 5,
@@ -427,33 +406,14 @@ mod tests {
             retries: 0,
             stale: 2,
             reconfigured: 0,
-            corrupted: 1,
         };
         a.merge(&b);
         assert_eq!(a.received, 8);
         assert_eq!(a.stale, 2);
-        assert_eq!(a.corrupted, 1);
         let s = a.to_string();
         assert!(s.contains("8 received") && s.contains("1 skipped"), "{s}");
-        assert!(s.contains("1 corrupt"), "{s}");
     }
 
-    /// A corrupt frame is an *arrived-but-unusable* loss: the receiver must
-    /// skip it immediately — without burning the retry budget on deadlines —
-    /// classify it under `corrupted`, and keep consuming the stream.
-    #[test]
-    fn corrupt_frame_is_skipped_without_retrying() {
-        let start = Instant::now();
-        let (got, stats) = run_stream(FaultPlan::new(4).corrupt_message(0, 1, Some(FRAME_TAG), 1));
-        assert_eq!(got, vec![true, false, true]);
-        assert_eq!(stats.received, 2);
-        assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.corrupted, 1);
-        assert_eq!(stats.dead_sources, 0);
-        assert_eq!(stats.retries, 0, "integrity loss must not burn the retry budget");
-        // Three deadline-less steps: far under even one full retry cycle.
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
     /// A frame sent before a reconfiguration is fenced at the epoch bump;
     /// the receiver must classify the miss as reconfiguration loss — fast,
     /// without burning the retry budget — and resume on the new epoch.

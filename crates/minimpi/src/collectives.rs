@@ -277,7 +277,7 @@ impl Comm {
     /// its receive part `i`, so under loans `sends[d]` and `recvs[r]` must
     /// also agree part by part (count and each part's packed length), as the
     /// self parts always must. Otherwise a message stages through one pooled
-    /// buffer under one running checksum.
+    /// buffer.
     ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
@@ -388,12 +388,10 @@ impl Comm {
     }
 
     /// Place one received alltoallw message into `recv_buf` through its
-    /// parts `dts`, in order. A staged payload has its envelope checksum
-    /// verified along the way ([`Comm::verify`] owns the verify-vs-unpack
-    /// order); a zero-copy loan carries no checksum: it is claimed once and
-    /// each lent part copied straight out of the sender's buffers into the
-    /// receive part it pairs with, in one traversal inside
-    /// [`Comm::claim_loan`].
+    /// parts `dts`, in order. A staged payload is unpacked part by part; a
+    /// zero-copy loan is claimed once and each lent part copied straight out
+    /// of the sender's buffers into the receive part it pairs with, in one
+    /// traversal inside [`Comm::claim_loan`].
     fn deliver_alltoallw(
         &self,
         src: usize,
@@ -407,19 +405,10 @@ impl Comm {
         // unclaimed zero-copy envelope revokes the loan, releasing its
         // sender.
         self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &TypeSig::of_parts(dts))?;
-        let Envelope { epoch, payload, checksum, .. } = env;
-        match payload {
+        match env.payload {
             Payload::Bytes(packed) => {
                 let _unpack = ddrtrace::span_arg("minimpi", "unpack", "bytes", packed.len() as i64);
-                let res = match checksum {
-                    Some(_) if self.verify_before_unpack() => self
-                        .verify_payload(src, key_tag, epoch, checksum, &packed)
-                        .and_then(|()| unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf))),
-                    Some(_) => self.verify(src, key_tag, epoch, checksum, |sum| {
-                        unpack_parts(&packed, dts, |dt, p| dt.unpack_hashed(p, recv_buf, sum))
-                    }),
-                    None => unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf)),
-                };
+                let res = unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf));
                 // The buffer came from the sender's pool.acquire; the pool is
                 // world-shared, so recycling here closes the loop.
                 self.world.pool.release(packed);

@@ -5,7 +5,6 @@ use crate::datatype::Datatype;
 use crate::elastic::ElasticState;
 use crate::error::{Error, Result};
 use crate::fault::{mix64, FaultPlan, FaultState, MessageVerdict};
-use crate::integrity::{checksum64, stream_seed, Checksum, IntegrityCells, IntegrityCounters};
 use crate::life::{Liveness, ShrinkBarrier};
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
@@ -60,13 +59,6 @@ pub(crate) struct WorldState {
     /// Whether reconfigure respawns replacements for dead ranks (builder
     /// override, default true).
     pub respawn: bool,
-    /// Whether staged envelopes carry a pack-time checksum verified at match
-    /// time (builder override, else `DDR_CHECKSUM`, default **on**). Off, the
-    /// only cost left is one branch per deposit. Loans carry none either way:
-    /// see [`Comm::deposit_shared`].
-    pub checksum: bool,
-    /// Integrity-plane counters (verifications, detections).
-    pub integrity: IntegrityCells,
 }
 
 impl WorldState {
@@ -78,7 +70,6 @@ impl WorldState {
         check: bool,
         zerocopy: Option<bool>,
         respawn: Option<bool>,
-        checksum: Option<bool>,
         sched_seed: Option<u64>,
         (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
@@ -103,8 +94,6 @@ impl WorldState {
             elastic: ElasticState::new(n),
             reconfig: ShrinkBarrier::default(),
             respawn: respawn.unwrap_or(true),
-            checksum: checksum.unwrap_or_else(crate::integrity::checksum_env_default),
-            integrity: IntegrityCells::default(),
         }
     }
 
@@ -128,9 +117,8 @@ impl WorldState {
     }
 
     /// Whether exchanges should take the zero-copy fast path. Every
-    /// (non-empty) fault plan forces staging: drop, delay and corrupt rules
-    /// act on an in-flight copy, which a loan doesn't have — and the staged
-    /// path is where checksums detect what a corrupt rule did.
+    /// (non-empty) fault plan forces staging: drop and delay rules act on an
+    /// in-flight copy, which a loan doesn't have.
     pub fn zerocopy_active(&self) -> bool {
         self.zerocopy && self.faults.is_none()
     }
@@ -349,66 +337,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Checksum seed for the stream (this communicator, sender `src`,
-    /// `key_tag`) in `epoch`. Sender and receiver derive it independently.
-    pub(crate) fn stream_seed(&self, src: usize, key_tag: u64, epoch: u64) -> u64 {
-        stream_seed(self.comm_id, src, key_tag, epoch)
-    }
-
-    /// The one checksum verdict. A no-op when the envelope carries no
-    /// checksum; otherwise `fold` walks the delivered bytes (in packed order)
-    /// through the stream's hasher and the result is judged against
-    /// `expected`. Whether that walk runs before the bytes reach the
-    /// receive buffer or fused into the copy that places them is the
-    /// caller's choice, under one rule: **verify-before-unpack when
-    /// [`Comm::verify_before_unpack`]** (a corrupt payload must never touch
-    /// the receive buffer, so a salvaged exchange keeps the caller's bytes
-    /// wherever a message was lost), **fused otherwise** (nothing can
-    /// corrupt, so a mismatch would be a bug and the buffer contents are
-    /// unspecified, as for any other mid-exchange error).
-    pub(crate) fn verify(
-        &self,
-        src: usize,
-        key_tag: u64,
-        epoch: u64,
-        expected: Option<u64>,
-        fold: impl FnOnce(&mut Checksum) -> Result<()>,
-    ) -> Result<()> {
-        let Some(want) = expected else { return Ok(()) };
-        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
-        let mut sum = Checksum::new(self.stream_seed(src, key_tag, epoch));
-        fold(&mut sum)?;
-        if sum.finish() == want {
-            return Ok(());
-        }
-        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
-        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag })
-    }
-
-    /// [`Comm::verify`] over a contiguous packed payload.
-    pub(crate) fn verify_payload(
-        &self,
-        src: usize,
-        key_tag: u64,
-        epoch: u64,
-        expected: Option<u64>,
-        bytes: &[u8],
-    ) -> Result<()> {
-        self.verify(src, key_tag, epoch, expected, |sum| {
-            sum.update(bytes);
-            Ok(())
-        })
-    }
-
-    /// True when a staged payload must be verified before any of it is
-    /// unpacked: checksums are on *and* an installed fault plan can actually
-    /// corrupt messages. Otherwise verification is fused into the unpack
-    /// copy (see [`Comm::verify`]).
-    pub(crate) fn verify_before_unpack(&self) -> bool {
-        self.world.checksum && self.world.faults.as_ref().is_some_and(|f| f.has_corrupt_rules())
-    }
-
     /// Maybe-delay hook for the seeded schedule explorer: a no-op (one
     /// `Option` branch) unless a schedule seed is set.
     #[inline]
@@ -469,8 +397,7 @@ impl Comm {
     /// The one place an envelope is built and queued: stamped with this
     /// handle's rank and epoch, then reserved-and-enqueued in `dest`'s
     /// mailbox under (communicator, this rank, `key_tag`). What varies by
-    /// payload kind — checksum, stamp — is decided by the `deposit_*`
-    /// caller. The envelope counts against this pair's depth and parks
+    /// payload kind — the stamp — is decided by the `deposit_*` caller. The envelope counts against this pair's depth and parks
     /// while the pair is full: no pop within [`Comm::timeout`] is
     /// [`Error::Timeout`] naming `dest`; the receiver's death, this rank's
     /// own fault-kill or an epoch bump unparks with the matching error.
@@ -479,20 +406,13 @@ impl Comm {
         dest: usize,
         key_tag: u64,
         payload: Payload,
-        checksum: Option<u64>,
         type_sig: Option<TypeSig>,
     ) -> Result<()> {
         let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
         self.sched_point("credit");
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        let env = Envelope {
-            src: self.rank,
-            epoch: self.epoch,
-            payload,
-            checksum,
-            type_sig,
-            pair: src_world,
-        };
+        let env =
+            Envelope { src: self.rank, epoch: self.epoch, payload, type_sig, pair: src_world };
         let abort = || {
             if !self.world.is_alive(src_world) {
                 return Some(Error::PeerDead { rank: self.rank });
@@ -511,41 +431,27 @@ impl Comm {
 
     /// [`Comm::deposit_staged`] of untyped bytes.
     pub(crate) fn deposit_to(&self, dest: usize, key_tag: u64, payload: Vec<u8>) -> Result<()> {
-        self.deposit_staged(dest, key_tag, payload, None, None)
+        self.deposit_staged(dest, key_tag, payload, None)
     }
 
     /// Deposit owned, packed bytes — the staged data path. `sig` is the
     /// datatype signature to stamp (typed sends and datatype-carrying
-    /// collective fragments pass theirs; `None` means untyped bytes).
-    /// `precomputed` is the envelope checksum when the caller already folded
-    /// it during the pack copy ([`Comm::deposit_packed`]); it must equal
-    /// `checksum64(stream_seed(rank, key_tag, epoch), &payload)`, which the
-    /// split-point independence of the hash guarantees.
-    ///
-    /// Ordering, stated once for the staged path: the checksum is sealed
-    /// over the *pristine* payload **before fault injection** — the injector
-    /// models wire damage, which by definition happens after the sender
-    /// sealed the envelope — and a dropped or fenced message returns before
-    /// [`Comm::enqueue`], the only step that reserves anything.
+    /// collective fragments pass theirs; `None` means untyped bytes). A
+    /// dropped or fenced message returns before [`Comm::enqueue`], the only
+    /// step that reserves anything.
     pub(crate) fn deposit_staged(
         &self,
         dest: usize,
         key_tag: u64,
-        mut payload: Vec<u8>,
+        payload: Vec<u8>,
         sig: Option<TypeSig>,
-        precomputed: Option<u64>,
     ) -> Result<()> {
         self.sched_point("send");
         self.fault_tick()?;
-        let checksum = self.world.checksum.then(|| {
-            precomputed.unwrap_or_else(|| {
-                checksum64(self.stream_seed(self.rank, key_tag, self.epoch), &payload)
-            })
-        });
         let stamp = self.send_stamp(sig, payload.len());
         if let Some(faults) = &self.world.faults {
             let (src_w, dst_w) = (self.world_rank(), self.members[dest]);
-            match faults.on_message(src_w, dst_w, key_tag, &mut payload) {
+            match faults.on_message(src_w, dst_w, key_tag) {
                 MessageVerdict::Deliver => {}
                 MessageVerdict::Drop => return Ok(()),
                 MessageVerdict::DeliverAfter(d) => {
@@ -562,17 +468,13 @@ impl Comm {
                 }
             }
         }
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), checksum, stamp)?;
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), stamp)?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Pack `parts` — each a datatype's selection of its own buffer — back to
-    /// back into one pool buffer and deposit it, folding the envelope
-    /// checksum into the pack copies when checksumming is on: one running
-    /// hash over the parts in order, one traversal of the source bytes
-    /// instead of pack-then-hash, and bit-identical to hashing the packed
-    /// payload because the hash does not depend on where its input splits.
+    /// back into one pool buffer and deposit it.
     pub(crate) fn deposit_packed(
         &self,
         dest: usize,
@@ -580,20 +482,11 @@ impl Comm {
         parts: &[(&[u8], Datatype)],
     ) -> Result<()> {
         let mut packed = self.world.pool.acquire(parts.iter().map(|(_, dt)| dt.packed_len()).sum());
-        let pre = if self.world.checksum {
-            let mut sum = Checksum::new(self.stream_seed(self.rank, key_tag, self.epoch));
-            for (buf, dt) in parts {
-                dt.pack_into_hashed(buf, &mut packed, &mut sum)?;
-            }
-            Some(sum.finish())
-        } else {
-            for (buf, dt) in parts {
-                dt.pack_into(buf, &mut packed)?;
-            }
-            None
-        };
+        for (buf, dt) in parts {
+            dt.pack_into(buf, &mut packed)?;
+        }
         let sig = TypeSig::of_parts(parts.iter().map(|(_, dt)| dt));
-        self.deposit_staged(dest, key_tag, packed, Some(sig), pre)
+        self.deposit_staged(dest, key_tag, packed, Some(sig))
     }
 
     /// Deposit a zero-copy loan of one message into `dest`'s mailbox: every
@@ -603,22 +496,12 @@ impl Comm {
     /// `Revoked` (via [`ZcCell::wait`]) before the buffers' borrows end —
     /// that wait is what makes the receiver's raw-pointer reads sound.
     ///
-    /// A loan is a pointer hand-off and carries **no checksum**: it has no
-    /// in-flight bytes — the receiver reads the sender's own buffers, pinned
-    /// by the caller's borrows until the loan settles — so nothing between
-    /// lend and claim can flip a bit. Callers must have checked
-    /// [`WorldState::zerocopy_active`]: under a fault plan every message
-    /// stages, which is where the injector and the checksum act. A sender
-    /// cannot write during a live loan: the caller's shared borrows of the
-    /// buffers outlive the wait on the returned cell.
-    ///
-    /// Measured, not assumed: a lend-time hash here plus the receiver's
-    /// verify pass walked every loaned byte three times for one copy that
-    /// already runs at the strided roofline. Removing both took the
-    /// benchmark's `bulk_transpose_2d` (2 ranks / 2 cores, two 4 MiB loans
-    /// per op) from `op_ms_p50` 1.72 to 0.96 ms and `cpu_ms_per_op` 3.3 to
-    /// 1.8 — medians of ten alternating pairs, lower in all ten, and what
-    /// `DDR_CHECKSUM=0` had read beforehand (0.92–1.02 ms, 6 of 6 pairs).
+    /// A loan is a pointer hand-off: the receiver reads the sender's own
+    /// buffers, pinned by the caller's borrows until the loan settles.
+    /// Callers must have checked [`WorldState::zerocopy_active`]: under a
+    /// fault plan every message stages, which is where the injector acts. A
+    /// sender cannot write during a live loan: the caller's shared borrows of
+    /// the buffers outlive the wait on the returned cell.
     pub(crate) fn deposit_shared(
         &self,
         dest: usize,
@@ -637,7 +520,7 @@ impl Comm {
         // A loan occupies a slot in the pair but stages no bytes. A refused
         // one was dropped — and so revoked — by the mailbox.
         let handle = ZcHandle::new(parts, Arc::clone(&cell));
-        self.enqueue(dest, key_tag, Payload::Shared(handle), None, stamp)?;
+        self.enqueue(dest, key_tag, Payload::Shared(handle), stamp)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(cell)
     }
@@ -670,17 +553,13 @@ impl Comm {
         res
     }
 
-    /// Turn a received envelope into owned bytes, *verified* when they were
-    /// staged. Verification failure surfaces as [`Error::IntegrityFailure`].
-    /// For zero-copy loans this is the slow path (generic receives don't
-    /// have a destination selection to copy into directly): claim, pack
-    /// every part out of the sender's buffers, release.
-    pub(crate) fn materialize(&self, src: usize, key_tag: u64, env: Envelope) -> Result<Vec<u8>> {
+    /// Turn a received envelope into owned bytes. For zero-copy loans this
+    /// is the slow path (generic receives don't have a destination selection
+    /// to copy into directly): claim, pack every part out of the sender's
+    /// buffers, release.
+    pub(crate) fn materialize(&self, src: usize, env: Envelope) -> Result<Vec<u8>> {
         match env.payload {
-            Payload::Bytes(b) => {
-                self.verify_payload(src, key_tag, env.epoch, env.checksum, &b)?;
-                Ok(b)
-            }
+            Payload::Bytes(b) => Ok(b),
             Payload::Shared(h) => {
                 let mut out = Vec::with_capacity(h.packed_len());
                 self.claim_loan(src, &h, |_, lent, dt| dt.pack_into(lent, &mut out))?;
@@ -691,7 +570,7 @@ impl Comm {
 
     pub(crate) fn take_from(&self, src: usize, key_tag: u64) -> Result<Vec<u8>> {
         let env = self.take_envelope_from(src, key_tag)?;
-        self.materialize(src, key_tag, env)
+        self.materialize(src, env)
     }
 
     pub(crate) fn take_envelope_from(&self, src: usize, key_tag: u64) -> Result<Envelope> {
@@ -758,18 +637,6 @@ impl Comm {
         self.world.transport.snapshot()
     }
 
-    /// Integrity-plane counters so far in this universe: payloads verified
-    /// and corruptions detected.
-    pub fn integrity_counters(&self) -> IntegrityCounters {
-        self.world.integrity.snapshot()
-    }
-
-    /// Whether envelopes on this universe carry checksums (builder /
-    /// `DDR_CHECKSUM` opt-out; on by default).
-    pub fn checksum_active(&self) -> bool {
-        self.world.checksum
-    }
-
     /// Whether exchanges on this universe currently take the zero-copy fast
     /// path (builder / `DDR_NO_ZEROCOPY` opt-out, and no fault plan).
     pub fn zerocopy_active(&self) -> bool {
@@ -795,7 +662,7 @@ impl Comm {
         let bytes = bytes_of(data).to_vec();
         let sig =
             TypeSig { extent: bytes.len() as u64, elem: std::mem::size_of::<T>() as u32, shape: 0 };
-        self.deposit_staged(dest, user_key_tag(tag), bytes, Some(sig), None)
+        self.deposit_staged(dest, user_key_tag(tag), bytes, Some(sig))
     }
 
     /// Send an owned byte buffer without copying it.
@@ -816,7 +683,7 @@ impl Comm {
     fn take_from_typed(&self, src: usize, key_tag: u64, want: TypeSig) -> Result<Vec<u8>> {
         let env = self.take_envelope_from(src, key_tag)?;
         self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &want)?;
-        self.materialize(src, key_tag, env)
+        self.materialize(src, env)
     }
 
     /// Receive a `Vec<T>` of POD values from `src` with `tag`.
@@ -849,7 +716,7 @@ impl Comm {
         self.fault_tick()?;
         while let Some(env) = self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
             if let Some(env) = self.admit(env) {
-                return Ok(Some(self.materialize(src, user_key_tag(tag), env)?));
+                return Ok(Some(self.materialize(src, env)?));
             }
         }
         Ok(None)

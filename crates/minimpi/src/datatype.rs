@@ -13,7 +13,6 @@
 //! `[sx, sy, sz]`, element `(x, y, z)` lives at `x + sx * (y + sy * z)`.
 
 use crate::error::{Error, Result};
-use crate::integrity::Checksum;
 use crate::kernels::{self, RunShape};
 
 /// Maximum dimensionality supported (the paper supports 1-D, 2-D and 3-D).
@@ -164,21 +163,6 @@ impl Subarray {
         Ok(())
     }
 
-    /// [`Subarray::pack_into`] that additionally folds the packed bytes into
-    /// `sum` during the copy. Bit-identical to packing and then hashing the
-    /// packed payload (the envelope checksum is split-point independent),
-    /// without the second pass.
-    pub(crate) fn pack_into_hashed(
-        &self,
-        src: &[u8],
-        out: &mut Vec<u8>,
-        sum: &mut Checksum,
-    ) -> Result<()> {
-        self.check_buf(src.len())?;
-        kernels::pack_runs_hashed(src, &self.shape, out, sum);
-        Ok(())
-    }
-
     /// Pack the selected rectangle into a fresh buffer.
     pub fn pack(&self, src: &[u8]) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(self.packed_len());
@@ -194,24 +178,6 @@ impl Subarray {
             return Err(Error::SizeMismatch { expected: self.packed_len(), got: packed.len() });
         }
         kernels::unpack_runs(packed, &self.shape, dst);
-        Ok(())
-    }
-
-    /// [`Subarray::unpack`] that additionally folds the packed bytes into
-    /// `sum` during the scatter — the receive-side counterpart of
-    /// [`Subarray::pack_into_hashed`], for paths that fuse envelope
-    /// verification into the unpack.
-    pub(crate) fn unpack_hashed(
-        &self,
-        packed: &[u8],
-        dst: &mut [u8],
-        sum: &mut Checksum,
-    ) -> Result<()> {
-        self.check_buf(dst.len())?;
-        if packed.len() != self.packed_len() {
-            return Err(Error::SizeMismatch { expected: self.packed_len(), got: packed.len() });
-        }
-        kernels::unpack_runs_hashed(packed, &self.shape, dst, sum);
         Ok(())
     }
 
@@ -430,27 +396,6 @@ impl Datatype {
         }
     }
 
-    /// [`Datatype::pack_into`] that folds the packed bytes into `sum` during
-    /// the copy — the sender-side checksum fusion (see
-    /// [`Subarray::pack_into_hashed`]).
-    pub(crate) fn pack_into_hashed(
-        &self,
-        src: &[u8],
-        out: &mut Vec<u8>,
-        sum: &mut Checksum,
-    ) -> Result<()> {
-        match self {
-            Datatype::Empty => Ok(()),
-            Datatype::Contiguous { .. } => {
-                let start = out.len();
-                self.pack_into(src, out)?;
-                sum.update(&out[start..]);
-                Ok(())
-            }
-            Datatype::Subarray(s) => s.pack_into_hashed(src, out, sum),
-        }
-    }
-
     /// Unpack `packed` into this datatype's selection of `dst`.
     pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) -> Result<()> {
         match self {
@@ -478,37 +423,6 @@ impl Datatype {
                 Ok(())
             }
             Datatype::Subarray(s) => s.unpack(packed, dst),
-        }
-    }
-
-    /// [`Datatype::unpack`] that folds the packed bytes into `sum` during
-    /// the scatter — the receive-side checksum fusion (see
-    /// [`Subarray::unpack_hashed`]).
-    pub(crate) fn unpack_hashed(
-        &self,
-        packed: &[u8],
-        dst: &mut [u8],
-        sum: &mut Checksum,
-    ) -> Result<()> {
-        match self {
-            Datatype::Empty => self.unpack(packed, dst),
-            Datatype::Contiguous { len_bytes, offset } => {
-                if packed.len() != *len_bytes {
-                    return Err(Error::SizeMismatch { expected: *len_bytes, got: packed.len() });
-                }
-                let end = offset + len_bytes;
-                if end > dst.len() {
-                    return Err(Error::DatatypeMismatch {
-                        detail: format!(
-                            "contiguous range {offset}..{end} exceeds buffer of {} bytes",
-                            dst.len()
-                        ),
-                    });
-                }
-                sum.update_copying_to(packed, &mut dst[*offset..end]);
-                Ok(())
-            }
-            Datatype::Subarray(s) => s.unpack_hashed(packed, dst, sum),
         }
     }
 }

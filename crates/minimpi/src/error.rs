@@ -100,20 +100,6 @@ pub enum Error {
         /// Current world membership epoch.
         world_epoch: u64,
     },
-    /// A staged payload failed checksum verification, so it was discarded
-    /// instead of delivered. Detection is terminal: the message is lost, and
-    /// under a corrupt-capable fault plan none of its bytes reached the
-    /// receive buffer. Checksumming is on by default (`DDR_CHECKSUM=0`
-    /// disables it).
-    IntegrityFailure {
-        /// Sender of the corrupt payload (communicator-local).
-        src: usize,
-        /// Receiver that detected the corruption (communicator-local).
-        dst: usize,
-        /// Raw key tag of the corrupt message (the `Display` impl decodes
-        /// user tags and collective phases alike).
-        tag: u64,
-    },
     /// A runtime invariant was violated (e.g. a rendezvous protocol state
     /// that should be unreachable). Converted from what used to be panics in
     /// hot paths, so a broken invariant on one rank fails that rank's
@@ -189,13 +175,6 @@ impl fmt::Display for Error {
                 f,
                 "communicator from epoch {comm_epoch} used after reconfiguration to epoch {world_epoch} — rebuild it via reconfigure()"
             ),
-            Error::IntegrityFailure { src, dst, tag } => {
-                let op = crate::comm::describe_key_tag(*tag);
-                write!(
-                    f,
-                    "integrity failure: payload from rank {src} to rank {dst} ({op}) failed checksum verification"
-                )
-            }
             Error::Internal { detail } => {
                 write!(f, "internal runtime invariant violated: {detail}")
             }

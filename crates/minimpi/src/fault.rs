@@ -13,12 +13,15 @@
 //!   registry marks it dead and interrupts every blocked receiver so peers
 //!   fail fast with [`crate::Error::PeerDead`] instead of burning the full
 //!   watchdog timeout.
-//! - **Drop / Delay** — a matched in-flight message is silently discarded or
-//!   stalled for a fixed duration (sender-side), modelling transient loss
-//!   and congestion.
-//! - **Corrupt** — a matched message's payload is XOR-scrambled with a
-//!   seeded keystream, modelling payload corruption that length checks
-//!   cannot catch.
+//! - **Drop** — a matched in-flight message is silently discarded,
+//!   modelling a missing message.
+//! - **Delay** — a matched in-flight message is stalled for a fixed duration
+//!   (sender-side), modelling congestion and, past the watchdog, a hang.
+//!
+//! There is no corruption kind: a staged payload is an owned buffer moved
+//! through an in-process mailbox, so nothing between sender and receiver can
+//! damage its bytes. The one real source of a wrong byte is a bug in the
+//! pack/unpack kernels, which the oracle suites test directly.
 //!
 //! Message rules act on a message's *in-flight copy*, which a zero-copy loan
 //! doesn't have, so a universe with any non-empty plan (kill-only ones
@@ -36,8 +39,6 @@ pub enum FaultAction {
     /// Stall delivery by this long (the sending rank sleeps — minimpi sends
     /// are otherwise instantaneous).
     Delay(Duration),
-    /// XOR-scramble the payload with a keystream derived from the plan seed.
-    Corrupt,
 }
 
 /// Pattern selecting one in-flight message: the `nth` (0-based) message from
@@ -98,8 +99,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Empty plan carrying `seed` (used to derive corruption keystreams and
-    /// by [`FaultPlan::seeded`] to place faults).
+    /// Empty plan carrying `seed` (used by [`FaultPlan::seeded`] to place
+    /// faults).
     pub fn new(seed: u64) -> Self {
         FaultPlan { seed, kills: Vec::new(), rules: Vec::new() }
     }
@@ -142,15 +143,6 @@ impl FaultPlan {
         self
     }
 
-    /// XOR-corrupt the payload of the `nth` message from `src` to `dst`.
-    pub fn corrupt_message(mut self, src: usize, dst: usize, tag: Option<Tag>, nth: u64) -> Self {
-        self.rules.push(MessageRule {
-            matcher: MessageMatcher { src, dst, tag, nth },
-            action: FaultAction::Corrupt,
-        });
-        self
-    }
-
     /// Derive a single-kill plan from `seed` alone: some rank in
     /// `0..nprocs` dies at some op in `0..max_op`. Used by seed-sweep tests
     /// to scatter one failure per seed across the execution.
@@ -165,36 +157,6 @@ impl FaultPlan {
     /// True if the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.kills.is_empty() && self.rules.is_empty()
-    }
-
-    /// True if any rule corrupts payloads.
-    pub(crate) fn has_corrupt_rules(&self) -> bool {
-        self.rules.iter().any(|r| r.action == FaultAction::Corrupt)
-    }
-}
-
-/// Seeded byte keystream used to scramble payloads. Every byte has its low
-/// bit forced on, so XOR-ing it is never a no-op — a zero keystream byte
-/// would be a phantom "corruption" that no checksum could (or should)
-/// detect, making detection tests flaky at unlucky seeds.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Keystream(u64);
-
-impl Keystream {
-    pub fn new(init: u64) -> Self {
-        Keystream(init)
-    }
-
-    pub fn next_byte(&mut self) -> u8 {
-        self.0 = mix64(self.0);
-        (self.0 & 0xff) as u8 | 1
-    }
-
-    /// Scramble `bytes` in place.
-    pub fn scramble(&mut self, bytes: &mut [u8]) {
-        for b in bytes.iter_mut() {
-            *b ^= self.next_byte();
-        }
     }
 }
 
@@ -228,14 +190,8 @@ impl FaultState {
     /// Apply message rules to a message from world rank `src` to world rank
     /// `dst`. `key_tag` is the internal key tag (user tag or collective
     /// encoding); rules with `tag: Some(t)` match only user messages with
-    /// that tag. Corruption mutates `payload` in place.
-    pub fn on_message(
-        &self,
-        src: usize,
-        dst: usize,
-        key_tag: u64,
-        payload: &mut [u8],
-    ) -> MessageVerdict {
+    /// that tag.
+    pub fn on_message(&self, src: usize, dst: usize, key_tag: u64) -> MessageVerdict {
         let mut verdict = MessageVerdict::Deliver;
         for (i, rule) in self.plan.rules.iter().enumerate() {
             let m = &rule.matcher;
@@ -254,16 +210,9 @@ impl FaultState {
             match rule.action {
                 FaultAction::Drop => return MessageVerdict::Drop,
                 FaultAction::Delay(d) => verdict = MessageVerdict::DeliverAfter(d),
-                FaultAction::Corrupt => {
-                    Keystream::new(self.plan.seed ^ mix64(i as u64 + 1)).scramble(payload);
-                }
             }
         }
         verdict
-    }
-
-    pub fn has_corrupt_rules(&self) -> bool {
-        self.plan.has_corrupt_rules()
     }
 }
 
@@ -291,59 +240,17 @@ mod tests {
     #[test]
     fn drop_matches_nth_only() {
         let st = FaultState::new(FaultPlan::new(0).drop_message(0, 1, Some(7), 1));
-        let mut p = vec![0u8; 4];
-        assert!(matches!(st.on_message(0, 1, 7, &mut p), MessageVerdict::Deliver));
-        assert!(matches!(st.on_message(0, 1, 7, &mut p), MessageVerdict::Drop));
-        assert!(matches!(st.on_message(0, 1, 7, &mut p), MessageVerdict::Deliver));
+        assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Deliver));
+        assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Drop));
+        assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Deliver));
     }
 
     #[test]
     fn tag_filter_ignores_other_traffic() {
         let st = FaultState::new(FaultPlan::new(0).drop_message(0, 1, Some(7), 0));
-        let mut p = vec![];
         // Collective key-tags (high bit set) never equal a user tag.
-        assert!(matches!(st.on_message(0, 1, 1 << 63, &mut p), MessageVerdict::Deliver));
-        assert!(matches!(st.on_message(0, 1, 7, &mut p), MessageVerdict::Drop));
-    }
-
-    #[test]
-    fn corrupt_changes_payload_deterministically() {
-        let plan = FaultPlan::new(99).corrupt_message(0, 1, None, 0);
-        let st1 = FaultState::new(plan.clone());
-        let st2 = FaultState::new(plan);
-        let mut a = vec![5u8; 16];
-        let mut b = vec![5u8; 16];
-        st1.on_message(0, 1, 3, &mut a);
-        st2.on_message(0, 1, 3, &mut b);
-        assert_eq!(a, b);
-        assert_ne!(a, vec![5u8; 16]);
-    }
-
-    #[test]
-    fn keystream_bytes_are_never_zero() {
-        // Regression: a zero keystream byte is a no-op "corruption" — the
-        // rule claims to have fired but the payload is untouched, so a
-        // detection test at that seed passes vacuously. Every byte must
-        // change under XOR.
-        for seed in 0..256u64 {
-            let mut ks = Keystream::new(seed);
-            for pos in 0..4096 {
-                assert_ne!(ks.next_byte(), 0, "seed {seed} pos {pos}");
-            }
-        }
-        // End to end: an all-zero payload must come out with every byte
-        // nonzero (XOR with zero exposes the keystream directly).
-        for seed in [0u64, 1, 42, 0xdead_beef] {
-            for len in [1usize, 7, 8, 65, 4096] {
-                let st = FaultState::new(FaultPlan::new(seed).corrupt_message(0, 1, None, 0));
-                let mut p = vec![0u8; len];
-                st.on_message(0, 1, 3, &mut p);
-                assert!(
-                    p.iter().all(|&b| b != 0),
-                    "seed {seed} len {len}: zero byte survived corruption"
-                );
-            }
-        }
+        assert!(matches!(st.on_message(0, 1, 1 << 63), MessageVerdict::Deliver));
+        assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Drop));
     }
 
     /// Any non-empty plan turns the zero-copy path off — a loan has no
@@ -355,12 +262,9 @@ mod tests {
             b.run(1, |comm| comm.zerocopy_active())[0]
         };
         assert!(loans(FaultPlan::new(0)));
-        assert!(!loans(FaultPlan::new(0).corrupt_message(0, 1, None, 0)));
         assert!(!loans(FaultPlan::new(0).kill_rank_at_op(0, 1)));
         assert!(!loans(FaultPlan::new(0).drop_message(0, 1, None, 0)));
         assert!(!loans(FaultPlan::new(0).delay_message(0, 1, None, 0, Duration::from_millis(1))));
-        assert!(FaultPlan::new(0).corrupt_message(0, 1, None, 0).has_corrupt_rules());
-        assert!(!FaultPlan::new(0).drop_message(0, 1, None, 0).has_corrupt_rules());
     }
 
     #[test]

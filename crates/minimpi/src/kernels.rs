@@ -25,19 +25,12 @@
 //! All three run on the calling thread at every size: a rank moves its own
 //! bytes with its own core.
 //!
-//! Sender-side envelope checksums fold *during* the gather
-//! ([`pack_runs_hashed`]): the 4-lane hash is split-point independent
-//! (`integrity.rs`), so hashing run-by-run while the bytes are cache-hot is
-//! bit-identical to re-hashing the packed payload afterwards — the second
-//! pass the old path paid.
-//!
 //! While a trace is recording ([`ddrtrace::enabled`]) every kernel call
 //! bumps a process-global counter for its tier, published as `pack.*`
 //! metrics in the ddr-trace report; an untraced run leaves them alone, so
 //! rank threads never contend on them.
 
 use crate::datatype::ByteRuns;
-use crate::integrity::Checksum;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,32 +200,6 @@ pub(crate) fn pack_runs_to(src: &[u8], shape: &RunShape, dst: &mut [u8]) {
     pack_impl(src, shape, unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) });
 }
 
-/// Gather the selection out of `src`, appending to `out`, folding the bytes
-/// into `sum` during the copy (in packed order, so the result equals
-/// hashing the packed payload).
-pub(crate) fn pack_runs_hashed(
-    src: &[u8],
-    shape: &RunShape,
-    out: &mut Vec<u8>,
-    sum: &mut Checksum,
-) {
-    if shape.nruns == 1 {
-        // Single pass: each 32-byte group is loaded once, stored to the
-        // packed buffer, and folded into the hash lanes while still in
-        // registers — a fused pack with checksumming costs one traversal of
-        // the payload, not two.
-        sum.update_copying(&src[shape.base..shape.base + shape.run_bytes], out);
-        count(shape);
-        return;
-    }
-    let start = out.len();
-    pack_runs(src, shape, out);
-    // The packed image was just written — folding it now reads L1-hot
-    // bytes, which is what "checksum during pack" buys over the old second
-    // pass at deposit time.
-    sum.update(&out[start..]);
-}
-
 /// The gather kernel: store the selection's packed image into `dst`, which
 /// must be exactly the selection's packed length.
 fn pack_impl(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
@@ -272,23 +239,6 @@ fn pack_impl(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
 
 /// Scatter `packed` (exactly the selection's packed bytes) into `dst`.
 pub(crate) fn unpack_runs(packed: &[u8], shape: &RunShape, dst: &mut [u8]) {
-    unpack_impl(packed, shape, dst, None);
-}
-
-/// Scatter `packed` into `dst`, folding the packed bytes into `sum` in the
-/// same traversal — the receive-side counterpart of [`pack_runs_hashed`],
-/// used when envelope verification can be fused into the unpack (no
-/// installed fault plan can corrupt).
-pub(crate) fn unpack_runs_hashed(
-    packed: &[u8],
-    shape: &RunShape,
-    dst: &mut [u8],
-    sum: &mut Checksum,
-) {
-    unpack_impl(packed, shape, dst, Some(sum));
-}
-
-fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<&mut Checksum>) {
     let total = shape.total_bytes();
     debug_assert_eq!(packed.len(), total);
     if total == 0 {
@@ -296,13 +246,7 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
     }
     assert!(shape.max_end() <= dst.len(), "run shape exceeds destination buffer");
     if shape.nruns == 1 {
-        let run = &mut dst[shape.base..shape.base + shape.run_bytes];
-        match sum.as_deref_mut() {
-            // Single pass: load each group once, store it to the selection
-            // and fold it into the hash lanes while still in registers.
-            Some(s) => s.update_copying_to(packed, run),
-            None => run.copy_from_slice(packed),
-        }
+        dst[shape.base..shape.base + shape.run_bytes].copy_from_slice(packed);
         count(shape);
         return;
     }
@@ -329,11 +273,6 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
         }
     }
     count(shape);
-    if let Some(s) = sum {
-        // The packed image was just read by the scatter — folding it now
-        // hits L1-hot bytes instead of paying a separate cold pass.
-        s.update(packed);
-    }
 }
 
 /// Strided gather with a compile-time run width: one `[u8; N]` load/store
@@ -418,47 +357,6 @@ mod tests {
             unpack_runs(&packed, &shape, &mut dst);
             // Re-gathering the scattered bytes restores the packed image.
             assert_eq!(reference_pack(&dst, &shape), packed, "run width {run}");
-        }
-    }
-
-    /// Inputs of the hashed-kernel tests, each with the buffer it selects
-    /// from: strided lane and scalar widths, the fused single-run shape, and
-    /// a strided selection whose packed image (128 KiB runs x 40 = 5 MiB) is
-    /// not cache-resident, so the fold-after-loop checksum reads cold bytes.
-    fn hashed_cases() -> Vec<(Vec<u8>, RunShape)> {
-        let small: Vec<u8> = (0..2048).map(|i| (i % 241) as u8).collect();
-        let mut cases: Vec<_> = [1usize, 4, 5, 8, 16]
-            .map(|run| (small.clone(), shape_2d(3, run, 7, run + 1, 2, 7 * (run + 1) + 5)))
-            .into();
-        cases.push((small, RunShape::contiguous(11, 777)));
-        let (run, n1) = (128 * 1024, 40);
-        let big = (0..(run + 64) * n1 + 16).map(|i| (i % 247) as u8).collect();
-        cases.push((big, shape_2d(16, run, 1, 0, n1, run + 64)));
-        cases
-    }
-
-    #[test]
-    fn hashed_pack_matches_one_shot_checksum() {
-        use crate::integrity::checksum64;
-        for (src, shape) in hashed_cases() {
-            let mut out = Vec::new();
-            let mut sum = Checksum::new(99);
-            pack_runs_hashed(&src, &shape, &mut out, &mut sum);
-            assert_eq!(out, reference_pack(&src, &shape), "shape {shape:?}");
-            assert_eq!(sum.finish(), checksum64(99, &out), "shape {shape:?}");
-        }
-    }
-
-    #[test]
-    fn hashed_unpack_matches_one_shot_checksum() {
-        use crate::integrity::checksum64;
-        for (src, shape) in hashed_cases() {
-            let packed = reference_pack(&src, &shape);
-            let mut dst = vec![0u8; src.len()];
-            let mut sum = Checksum::new(42);
-            unpack_runs_hashed(&packed, &shape, &mut dst, &mut sum);
-            assert_eq!(sum.finish(), checksum64(42, &packed), "shape {shape:?}");
-            assert_eq!(reference_pack(&dst, &shape), packed, "shape {shape:?}");
         }
     }
 

@@ -39,8 +39,8 @@
 //! ## Fault injection and liveness
 //!
 //! A deterministic [`FaultPlan`] can be installed via [`Universe::builder`]:
-//! it kills ranks at exact communication-op counts and drops, delays, or
-//! corrupts matched in-flight messages — identically on every run, because
+//! it kills ranks at exact communication-op counts and drops or delays
+//! matched in-flight messages — identically on every run, because
 //! faults trigger on counters, never on wall clock. A **liveness registry**
 //! tracks dead ranks (fault-killed, panicked, or returned early); blocking
 //! receives and collectives aimed at a dead peer fail fast with
@@ -134,7 +134,6 @@ mod elastic;
 pub mod env;
 mod error;
 mod fault;
-mod integrity;
 mod kernels;
 mod life;
 mod mailbox;
@@ -154,7 +153,6 @@ pub use datatype::{ByteRuns, Datatype, Subarray};
 pub use elastic::RecoveryCounters;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
-pub use integrity::IntegrityCounters;
 pub use pod::{bytes_of, bytes_of_mut, Pod};
 pub use universe::{Universe, UniverseBuilder};
 pub use zerocopy::{PoolStats, TransportCounters};

@@ -48,12 +48,6 @@ pub(crate) struct Envelope {
     pub src: usize,
     pub epoch: u64,
     pub payload: Payload,
-    /// Seeded 64-bit checksum of a staged (`Bytes`) payload, sealed at pack
-    /// time over the pristine bytes (before fault injection) and verified at
-    /// match time. `None` when checksumming is disabled (`DDR_CHECKSUM=0`),
-    /// and always on a `Shared` loan — a pointer hand-off has no in-flight
-    /// bytes to protect.
-    pub checksum: Option<u64>,
     /// Sender's datatype signature, stamped when checking is enabled and
     /// verified against the receiver's declared expectation.
     pub type_sig: Option<crate::check::TypeSig>,
@@ -394,14 +388,7 @@ mod tests {
 
     /// A data envelope from world rank `src`, counted against its pair.
     fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
-        Envelope {
-            src,
-            epoch: 0,
-            payload: Payload::Bytes(bytes),
-            checksum: None,
-            type_sig: None,
-            pair: src,
-        }
+        Envelope { src, epoch: 0, payload: Payload::Bytes(bytes), type_sig: None, pair: src }
     }
 
     /// A mailbox with no depth bound and no spin, in a universe of 3.

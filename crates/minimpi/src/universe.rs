@@ -37,7 +37,6 @@ pub struct UniverseBuilder {
     check: Option<bool>,
     zerocopy: Option<bool>,
     respawn: Option<bool>,
-    checksum: Option<bool>,
     sched_seed: Option<u64>,
     trace: Option<PathBuf>,
     flow: Option<(usize, usize)>,
@@ -85,19 +84,6 @@ impl UniverseBuilder {
     /// fencing the old epoch).
     pub fn respawn(mut self, on: bool) -> Self {
         self.respawn = Some(on);
-        self
-    }
-
-    /// Enable (or force off) end-to-end envelope checksums for this
-    /// universe, overriding `DDR_CHECKSUM`. Checksumming is **on by
-    /// default**: every staged payload is hashed at pack time and verified
-    /// at match time, so corruption surfaces as
-    /// [`crate::Error::IntegrityFailure`] instead of delivering scrambled
-    /// bytes. A zero-copy loan has no in-flight bytes and carries no checksum. Off,
-    /// the only remaining cost is one branch per deposit; on, the cost is
-    /// the benchmark's `p2p.checksum_ratio_staged`.
-    pub fn checksum(mut self, on: bool) -> Self {
-        self.checksum = Some(on);
         self
     }
 
@@ -168,7 +154,6 @@ impl UniverseBuilder {
             check_on,
             self.zerocopy,
             self.respawn,
-            self.checksum,
             self.sched_seed,
             self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),
         ));
@@ -347,9 +332,6 @@ fn record_world_metrics(world: &WorldState) {
             ddrtrace::metrics::add("wait", name, mb.waiter.count(how));
         }
     }
-    let i = world.integrity.snapshot();
-    ddrtrace::metrics::add("integrity", "checked", i.checked);
-    ddrtrace::metrics::add("integrity", "detected", i.detected);
     if let Some(check) = &world.check {
         let c = check.counters();
         ddrtrace::metrics::add("check", "deadlocks", c.deadlocks);
