@@ -18,6 +18,13 @@ fn bench_serial_step(c: &mut Criterion) {
             black_box(lat.macroscopic(1, 1).0)
         });
     });
+    g.bench_function("stream_256x128", |b| {
+        let mut lat = Lattice::new(cfg, 0, cfg.ny, &barrier);
+        b.iter(|| {
+            lat.stream();
+            black_box(lat.macroscopic(1, 1).0)
+        });
+    });
     g.finish();
 }
 

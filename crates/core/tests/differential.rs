@@ -357,7 +357,7 @@ fn fault_plan_forces_staging_and_paths_still_agree() {
                 (need, report.is_complete(), stats, comm.transport_counters())
             })
     };
-    let plan = FaultPlan::new(3).drop_message(0, 3, None, 0);
+    let plan = FaultPlan::new().drop_message(0, 3, None, 0);
     let a = run(&plan, true);
     let b = run(&plan, false);
     for (r, ((na, ca, sa, counters), (nb, cb, sb, _))) in a.iter().zip(&b).enumerate() {

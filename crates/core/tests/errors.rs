@@ -50,7 +50,7 @@ fn self_death_mid_reorganize_propagates_peer_dead_and_peers_get_incomplete() {
 
     let out = Universe::builder()
         .timeout(Duration::from_secs(20))
-        .fault_plan(FaultPlan::new(1).kill_rank_at_op(1, at))
+        .fault_plan(FaultPlan::new().kill_rank_at_op(1, at))
         .run(2, |comm| {
             let (desc, owned, need) = swap_scenario(comm);
             let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
@@ -77,7 +77,7 @@ fn death_during_setup_propagates_peer_dead_from_setup_collectives() {
     // surviving rank's setup itself fails with a propagated PeerDead.
     let out = Universe::builder()
         .timeout(Duration::from_secs(20))
-        .fault_plan(FaultPlan::new(2).kill_rank_at_op(0, 0))
+        .fault_plan(FaultPlan::new().kill_rank_at_op(0, 0))
         .run(2, |comm| {
             let (desc, owned, need) = swap_scenario(comm);
             desc.setup_data_mapping(comm, &owned, need).err()

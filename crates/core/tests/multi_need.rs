@@ -238,13 +238,13 @@ fn periodic_halo_exchange(faults: FaultPlan) -> Vec<HaloOutcome> {
 #[test]
 fn rank_killed_mid_halo_exchange_yields_partial_completion_on_every_survivor() {
     let victim = 1;
-    let clean = periodic_halo_exchange(FaultPlan::new(0));
+    let clean = periodic_halo_exchange(FaultPlan::new());
     assert!(clean.iter().all(|(_, outcome, _)| outcome.is_ok()));
     // The victim's first op inside `reorganize`: it dies before shipping
     // either of the halo rows it owes.
     let kill_at = clean[victim].0;
     let start = Instant::now();
-    let out = periodic_halo_exchange(FaultPlan::new(5).kill_rank_at_op(victim, kill_at));
+    let out = periodic_halo_exchange(FaultPlan::new().kill_rank_at_op(victim, kill_at));
     assert!(start.elapsed() < Duration::from_secs(15), "survivors waited out the watchdog");
 
     let victim_slab = periodic_halo_needs(victim)[0];

@@ -80,7 +80,7 @@ fn killed_producer_yields_partial_completion_and_recovery_is_bitwise_correct() {
     // quadrant is missing the victim's contribution.
     let kill_at = ops_after_setup(victim);
     let start = Instant::now();
-    let out = run_kill_and_recover(FaultPlan::new(7).kill_rank_at_op(victim, kill_at), victim);
+    let out = run_kill_and_recover(FaultPlan::new().kill_rank_at_op(victim, kill_at), victim);
     // No hang: everything resolves in a fraction of the 30 s watchdog.
     assert!(start.elapsed() < Duration::from_secs(15));
 
@@ -127,7 +127,7 @@ fn killed_producer_yields_partial_completion_and_recovery_is_bitwise_correct() {
 fn same_fault_plan_yields_identical_failure_point_and_report() {
     let victim = 2;
     let kill_at = ops_after_setup(victim);
-    let plan = FaultPlan::new(11).kill_rank_at_op(victim, kill_at);
+    let plan = FaultPlan::new().kill_rank_at_op(victim, kill_at);
 
     let reports = |out: Vec<RankOutcome>| -> Vec<Option<PartialCompletion>> {
         out.into_iter()
@@ -153,7 +153,7 @@ fn dropped_message_surfaces_as_timeout_in_report_without_hanging() {
     // and everything else must complete.
     let out = Universe::builder()
         .timeout(Duration::from_millis(300))
-        .fault_plan(FaultPlan::new(3).drop_message(0, 3, None, 0))
+        .fault_plan(FaultPlan::new().drop_message(0, 3, None, 0))
         .run(4, |comm| {
             let r = comm.rank();
             let desc = Descriptor::for_type::<f32>(4, DataKind::D2).unwrap();
@@ -194,7 +194,7 @@ fn dropped_coalesced_message_fails_every_round_that_received_from_the_peer() {
     let layouts = &layouts;
     let out = Universe::builder()
         .timeout(Duration::from_millis(300))
-        .fault_plan(FaultPlan::new(5).drop_message(0, 1, None, 0))
+        .fault_plan(FaultPlan::new().drop_message(0, 1, None, 0))
         .run(2, move |comm| {
             let r = comm.rank();
             let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();

@@ -393,7 +393,7 @@ fn drop_seed(seed: u64, n: usize, domain: Block, builder: UniverseBuilder) -> bo
     let src = (seed as usize / 2) % n;
     let dest = (src + 1 + (seed as usize / 3) % (n - 1)) % n;
     let occurrence = (seed / 5) % 4;
-    let plan = FaultPlan::new(seed).drop_message(src, dest, None, occurrence);
+    let plan = FaultPlan::new().drop_message(src, dest, None, occurrence);
     let out = builder
         .timeout(Duration::from_millis(500))
         .fault_plan(plan)

@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn healthy_stream_delivers_everything() {
-        let (got, stats) = run_stream(FaultPlan::new(0));
+        let (got, stats) = run_stream(FaultPlan::new());
         assert_eq!(got, vec![true, true, true]);
         assert_eq!(stats.received, 3);
         assert_eq!(stats.skipped, 0);
@@ -330,7 +330,7 @@ mod tests {
         // sees step 3 arrive instead — proof of loss — so it skips without
         // burning the deadline, stashes step 3, and serves it next.
         let start = Instant::now();
-        let (got, stats) = run_stream(FaultPlan::new(1).drop_message(0, 1, Some(FRAME_TAG), 1));
+        let (got, stats) = run_stream(FaultPlan::new().drop_message(0, 1, Some(FRAME_TAG), 1));
         assert_eq!(got, vec![true, false, true]);
         assert_eq!(stats.received, 2);
         assert_eq!(stats.skipped, 1);
@@ -342,7 +342,7 @@ mod tests {
     fn delayed_frame_is_recovered_by_retry() {
         // Stall frame 1 (step 1) past one deadline but well inside the
         // retry budget (200 + 20 + 200 = 420 ms of patience vs 300 ms).
-        let (got, stats) = run_stream(FaultPlan::new(2).delay_message(
+        let (got, stats) = run_stream(FaultPlan::new().delay_message(
             0,
             1,
             Some(FRAME_TAG),
@@ -360,7 +360,7 @@ mod tests {
         // The producer dies on its very first op; the consumer must not wait
         // out deadline × retries for each of the 3 steps.
         let start = Instant::now();
-        let (got, stats) = run_stream(FaultPlan::new(3).kill_rank_at_op(0, 0));
+        let (got, stats) = run_stream(FaultPlan::new().kill_rank_at_op(0, 0));
         assert_eq!(got, vec![false, false, false]);
         assert_eq!(stats.skipped, 3);
         assert_eq!(stats.dead_sources, 3);

@@ -122,7 +122,7 @@ fn dropped_frame_skips_ahead_and_later_steps_are_exact() {
     let start = Instant::now();
     let out = Universe::builder()
         .timeout(Duration::from_secs(20))
-        .fault_plan(FaultPlan::new(5).drop_message(0, m, Some(FRAME_TAG), 1))
+        .fault_plan(FaultPlan::new().drop_message(0, m, Some(FRAME_TAG), 1))
         .run(m + n, move |world| {
             let (role, group) = split_resources(world, m).unwrap();
             match role {

@@ -21,12 +21,14 @@ pub struct Lattice {
     rows: usize,
     /// Distributions: `f[d * stride + (y + 1) * nx + x]`, y ∈ -1..=rows.
     f: Vec<f64>,
-    /// Streaming target, swapped with `f` after every stream.
-    tmp: Vec<f64>,
     /// Solid mask over interior + ghost rows.
     solid: Vec<bool>,
-    /// Indices into `solid` of its solid cells: the bounce-back worklist.
-    solid_cells: Vec<usize>,
+    /// Bounce-back `(destination, source)` index pairs into `f`: direction
+    /// `d` of an interior cell whose upstream cell is solid, and the opposite
+    /// direction of that same cell.
+    bounce: Vec<(usize, usize)>,
+    /// Pre-stream values of the bounce sources, one per pair.
+    saved: Vec<f64>,
 }
 
 /// Density and velocity of one cell from its nine distributions, summed in
@@ -100,8 +102,23 @@ impl Lattice {
                 }
             }
         }
-        let solid_cells = (0..cells).filter(|&c| solid[c]).collect();
-        Lattice { cfg, y0, rows, tmp: f.clone(), f, solid, solid_cells }
+        // Every solid cell (ghost rows included) bounces back into each
+        // neighbour that lies inside x and in an interior row. That upstream
+        // cell is inside x, so no equilibrium column is overwritten; the rest
+        // direction (d = 0) streams a cell onto itself and is skipped.
+        let mut bounce = Vec::new();
+        for c in (0..cells).filter(|&c| solid[c]) {
+            let (sx, sy) = ((c % nx) as i64, (c / nx) as i64);
+            for (d, e) in E.iter().enumerate().skip(1) {
+                let (x, y) = (sx + e[0] as i64, sy + e[1] as i64);
+                if (0..nx as i64).contains(&x) && (1..=rows as i64).contains(&y) {
+                    let i = y as usize * nx + x as usize;
+                    bounce.push((d * cells + i, OPP[d] * cells + i));
+                }
+            }
+        }
+        let saved = vec![0.0; bounce.len()];
+        Lattice { cfg, y0, rows, f, solid, bounce, saved }
     }
 
     /// Simulation configuration.
@@ -214,59 +231,54 @@ impl Lattice {
     /// domain edge cells (x = 0, x = nx−1, and the global top/bottom rows)
     /// are reset to inflow equilibrium.
     ///
-    /// Each direction's interior row is one `copy_from_slice` of its upstream
-    /// row shifted by `E[d][0]`; the column whose upstream cell lies outside
-    /// the x extent takes inflow equilibrium. Bounce-back is then a fix-up
-    /// over the solid cells (ghost rows included), and the streamed buffer is
-    /// swapped in rather than copied back. After the swap the ghost rows hold
-    /// scratch until the next [`Lattice::set_ghost`] /
-    /// [`Lattice::set_ghost_boundary`]: every reader (`collide`, `edge_row`,
-    /// `velocity_row`, `macroscopic`, `vorticity`) reads interior rows only.
+    /// Streaming happens inside `f`: each direction's interior row is one
+    /// `copy_within` of its upstream row shifted by `E[d][0]`, and the column
+    /// whose upstream cell lies outside the x extent takes inflow equilibrium.
+    /// Rows run descending when `E[d][1] = +1` (the source row is below) and
+    /// ascending when it is −1, so every source row is read before it is
+    /// overwritten; when it is 0 a row is its own source and `copy_within`
+    /// is a memmove. Bounce-back takes the pre-stream `f[OPP[d]]` of the
+    /// target cell, which the shift of plane `OPP[d]` overwrites, so every
+    /// bounce source is saved into a preallocated buffer before any plane
+    /// moves and written back after. Only interior rows are written: the
+    /// ghost rows keep their pre-stream values until the next
+    /// [`Lattice::set_ghost`] / [`Lattice::set_ghost_boundary`], and every
+    /// reader (`collide`, `edge_row`, `velocity_row`, `macroscopic`,
+    /// `vorticity`) reads interior rows only.
     ///
-    /// Measured on a 2-core x86-64 Xeon guest (baseline SSE2 codegen): the
-    /// stream of one 512×128 slab went from 1.26–1.35 ms (a branch per cell
-    /// and direction, nine planes copied back) to 0.37–0.43 ms. With the
-    /// branch-free collide, `lbm_serial/step_256x128` went from 1.73–1.75 to
-    /// 0.77–0.81 ms and a traced `lbm_frames` run's `lbm.step_ms` from
-    /// 5.1–6.2 to 2.1–2.5 ms.
+    /// Measured on a 2-core x86-64 Xeon guest, streaming in place instead of
+    /// into a second buffer took `lbm_serial/stream_256x128` from
+    /// 0.27–0.31 to 0.10–0.13 ms and `lbm_serial/step_256x128` from
+    /// 1.03–1.18 to 0.78–1.01 ms; `lbm_frames`' `peak_rss_mb` went from 26.7
+    /// to 17.1 MB (medians of 10 pairs; 4.79 MB less on each of two ranks).
     pub fn stream(&mut self) {
-        let nx = self.cfg.nx;
-        let cells = self.cells();
-        for (d, e) in E.iter().enumerate() {
+        let (nx, rows, cells) = (self.cfg.nx, self.rows, self.cells());
+        for (v, &(_, src)) in self.saved.iter_mut().zip(&self.bounce) {
+            *v = self.f[src];
+        }
+        // The rest direction (d = 0) streams every cell onto itself.
+        let planes = self.f.chunks_exact_mut(cells).zip(E).enumerate().skip(1);
+        for (d, (plane, e)) in planes {
             let feq = equilibrium(d, 1.0, self.cfg.u0, 0.0);
-            let src = &self.f[d * cells..(d + 1) * cells];
-            let dst = &mut self.tmp[d * cells..(d + 1) * cells];
-            for ly in 1..=self.rows {
-                let from = (ly as i64 - e[1] as i64) as usize * nx;
-                let (row, up) = (&mut dst[ly * nx..(ly + 1) * nx], &src[from..from + nx]);
+            for k in 0..rows {
+                let ly = if e[1] == 1 { rows - k } else { k + 1 };
+                let (from, to) = ((ly as i64 - e[1] as i64) as usize * nx, ly * nx);
                 match e[0] {
-                    0 => row.copy_from_slice(up),
+                    0 => plane.copy_within(from..from + nx, to),
                     1 => {
-                        row[1..].copy_from_slice(&up[..nx - 1]);
-                        row[0] = feq;
+                        plane.copy_within(from..from + nx - 1, to + 1);
+                        plane[to] = feq;
                     }
                     _ => {
-                        row[..nx - 1].copy_from_slice(&up[1..]);
-                        row[nx - 1] = feq;
+                        plane.copy_within(from + 1..from + nx, to);
+                        plane[to + nx - 1] = feq;
                     }
                 }
             }
         }
-        // Bounce back: every interior destination whose upstream cell is
-        // solid takes the opposite distribution of itself. That upstream cell
-        // lies inside the x extent, so no equilibrium column is overwritten;
-        // the rest direction (d = 0) streams a cell onto itself and is skipped.
-        for &c in &self.solid_cells {
-            let (sx, sy) = ((c % nx) as i64, (c / nx) as i64);
-            for (d, e) in E.iter().enumerate().skip(1) {
-                let (x, y) = (sx + e[0] as i64, sy + e[1] as i64);
-                if (0..nx as i64).contains(&x) && (1..=self.rows as i64).contains(&y) {
-                    let i = y as usize * nx + x as usize;
-                    self.tmp[d * cells + i] = self.f[OPP[d] * cells + i];
-                }
-            }
+        for (&(dst, _), &v) in self.bounce.iter().zip(&self.saved) {
+            self.f[dst] = v;
         }
-        std::mem::swap(&mut self.f, &mut self.tmp);
         self.apply_fixed_edges();
     }
 
@@ -515,9 +527,9 @@ mod tests {
 
     #[test]
     fn stale_ghost_rows_never_leak() {
-        // `stream` swaps buffers, leaving scratch in the ghost rows of `f`
-        // (and the old distributions in `tmp`). Poison both with NaN after
-        // every stream: collide → set_ghost* → stream must not read them.
+        // `stream` writes interior rows only, leaving stale pre-stream
+        // values in the ghost rows. Poison both with NaN after every stream:
+        // collide → set_ghost* → stream must not read them.
         let cfg = Config::wind_tunnel(24, 12);
         let bar = barrier_line(6, 0, 5); // solid cells in the bottom ghost row too
         let (mut clean, mut poisoned) =
@@ -535,15 +547,125 @@ mod tests {
                 plane[..nx].fill(f64::NAN);
                 plane[cells - nx..].fill(f64::NAN);
             }
-            poisoned.tmp.fill(f64::NAN);
         }
-        let interior = |l: &Lattice| -> Vec<u64> {
-            l.f.chunks_exact(l.cells())
-                .flat_map(|p| p[l.interior()].iter().map(|v| v.to_bits()))
-                .collect()
-        };
-        assert_eq!(interior(&poisoned), interior(&clean));
+        assert_eq!(interior_bits(&poisoned), interior_bits(&clean));
         assert_eq!(poisoned.vorticity(None, None), clean.vorticity(None, None));
+    }
+
+    /// The two-buffer stream this crate used before streaming in place:
+    /// shift every plane into `tmp`, fix up bounce-back over the solid cells
+    /// from the untouched `f`, swap.
+    fn stream_two_buffer(lat: &mut Lattice, tmp: &mut Vec<f64>) {
+        let (nx, cells) = (lat.cfg.nx, lat.cells());
+        for (d, e) in E.iter().enumerate() {
+            let feq = equilibrium(d, 1.0, lat.cfg.u0, 0.0);
+            let src = &lat.f[d * cells..(d + 1) * cells];
+            let dst = &mut tmp[d * cells..(d + 1) * cells];
+            for ly in 1..=lat.rows {
+                let from = (ly as i64 - e[1] as i64) as usize * nx;
+                let (row, up) = (&mut dst[ly * nx..(ly + 1) * nx], &src[from..from + nx]);
+                match e[0] {
+                    0 => row.copy_from_slice(up),
+                    1 => {
+                        row[1..].copy_from_slice(&up[..nx - 1]);
+                        row[0] = feq;
+                    }
+                    _ => {
+                        row[..nx - 1].copy_from_slice(&up[1..]);
+                        row[nx - 1] = feq;
+                    }
+                }
+            }
+        }
+        for c in (0..cells).filter(|&c| lat.solid[c]) {
+            let (sx, sy) = ((c % nx) as i64, (c / nx) as i64);
+            for (d, e) in E.iter().enumerate().skip(1) {
+                let (x, y) = (sx + e[0] as i64, sy + e[1] as i64);
+                if (0..nx as i64).contains(&x) && (1..=lat.rows as i64).contains(&y) {
+                    let i = y as usize * nx + x as usize;
+                    tmp[d * cells + i] = lat.f[OPP[d] * cells + i];
+                }
+            }
+        }
+        std::mem::swap(&mut lat.f, tmp);
+        lat.apply_fixed_edges();
+    }
+
+    /// Deterministic value in [0, 1) from an index.
+    fn noise(i: usize) -> f64 {
+        let h = (i as u64 ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (h >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn interior_bits(l: &Lattice) -> Vec<u64> {
+        l.f.chunks_exact(l.cells())
+            .flat_map(|p| p[l.interior()].iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_stream_equals_two_buffer_stream() {
+        for nx in [2, 3, 8, 24] {
+            for rows in [1, 2, 5] {
+                let ny = rows + 4;
+                // `wind_tunnel` asks for nx ≥ 4; at nx = 2 every column is an edge.
+                let cfg = Config { nx, ny, ..Config::wind_tunnel(4, 4) };
+                for y0 in [0, 2, ny - rows] {
+                    // Solid cells in both ghost rows and both edge columns,
+                    // and a scatter of solid cells anywhere.
+                    let frame = move |x: usize, gy: usize| {
+                        x == 0 || x == nx - 1 || gy + 1 == y0 || gy == y0 + rows
+                    };
+                    let scatter = |x: usize, gy: usize| noise(gy * 31 + x) < 0.3;
+                    let barriers: [&dyn Fn(usize, usize) -> bool; 3] =
+                        [&frame, &scatter, &barrier_none()];
+                    for barrier in barriers {
+                        let shape = format!("nx {nx}, rows {rows}, y0 {y0}");
+                        let mut a = Lattice::new(cfg, y0, rows, barrier);
+                        for (i, v) in a.f.iter_mut().enumerate() {
+                            *v *= 0.9 + 0.2 * noise(i);
+                        }
+                        let mut b = Lattice::new(cfg, y0, rows, barrier);
+                        b.f.clone_from(&a.f);
+                        let mut tmp = a.f.clone();
+                        // Neighbour slabs of one row, each perturbed
+                        // differently, supply the non-boundary ghosts.
+                        let neighbour = |gy: usize, salt: usize| {
+                            let mut n = Lattice::new(cfg, gy, 1, barrier);
+                            for (i, v) in n.f.iter_mut().enumerate() {
+                                *v *= 0.9 + 0.2 * noise(i + salt);
+                            }
+                            n
+                        };
+                        let mut below = (y0 > 0).then(|| neighbour(y0 - 1, 1 << 20));
+                        let mut above = (y0 + rows < ny).then(|| neighbour(y0 + rows, 1 << 21));
+                        for step in 0..50 {
+                            for n in below.iter_mut().chain(above.iter_mut()) {
+                                n.step_serial();
+                            }
+                            for lat in [&mut a, &mut b] {
+                                lat.collide();
+                                match &below {
+                                    Some(n) => lat.set_ghost(Edge::Below, &n.edge_row(Edge::Above)),
+                                    None => lat.set_ghost_boundary(Edge::Below),
+                                }
+                                match &above {
+                                    Some(n) => lat.set_ghost(Edge::Above, &n.edge_row(Edge::Below)),
+                                    None => lat.set_ghost_boundary(Edge::Above),
+                                }
+                            }
+                            a.stream();
+                            stream_two_buffer(&mut b, &mut tmp);
+                            assert_eq!(
+                                interior_bits(&a),
+                                interior_bits(&b),
+                                "{shape}, step {step}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ struct Kill {
 /// // Rank 1 dies at its 3rd communication primitive — the send opening the
 /// // second barrier — so rank 0 blocks on a message that never comes and
 /// // fails fast with Error::PeerDead instead of waiting out the watchdog.
-/// let plan = FaultPlan::new(42).kill_rank_at_op(1, 2);
+/// let plan = FaultPlan::new().kill_rank_at_op(1, 2);
 /// let out = Universe::builder()
 ///     .timeout(Duration::from_secs(5))
 ///     .fault_plan(plan)
@@ -93,21 +93,14 @@ struct Kill {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    seed: u64,
     kills: Vec<Kill>,
     rules: Vec<MessageRule>,
 }
 
 impl FaultPlan {
-    /// Empty plan carrying `seed` (used by [`FaultPlan::seeded`] to place
-    /// faults).
-    pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, kills: Vec::new(), rules: Vec::new() }
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// Empty plan; add failures with the fluent constructors.
+    pub fn new() -> Self {
+        FaultPlan::default()
     }
 
     /// Kill world rank `rank` at its `at_op`-th (0-based) communication
@@ -151,7 +144,7 @@ impl FaultPlan {
         let h = mix64(seed);
         let rank = (h % nprocs as u64) as usize;
         let at_op = mix64(h) % max_op;
-        FaultPlan::new(seed).kill_rank_at_op(rank, at_op)
+        FaultPlan::new().kill_rank_at_op(rank, at_op)
     }
 
     /// True if the plan injects nothing.
@@ -230,7 +223,7 @@ mod tests {
 
     #[test]
     fn kill_fires_on_exact_op() {
-        let st = FaultState::new(FaultPlan::new(0).kill_rank_at_op(1, 2));
+        let st = FaultState::new(FaultPlan::new().kill_rank_at_op(1, 2));
         assert!(!st.should_kill(1, 0));
         assert!(!st.should_kill(1, 1));
         assert!(st.should_kill(1, 2));
@@ -239,7 +232,7 @@ mod tests {
 
     #[test]
     fn drop_matches_nth_only() {
-        let st = FaultState::new(FaultPlan::new(0).drop_message(0, 1, Some(7), 1));
+        let st = FaultState::new(FaultPlan::new().drop_message(0, 1, Some(7), 1));
         assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Deliver));
         assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Drop));
         assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Deliver));
@@ -247,7 +240,7 @@ mod tests {
 
     #[test]
     fn tag_filter_ignores_other_traffic() {
-        let st = FaultState::new(FaultPlan::new(0).drop_message(0, 1, Some(7), 0));
+        let st = FaultState::new(FaultPlan::new().drop_message(0, 1, Some(7), 0));
         // Collective key-tags (high bit set) never equal a user tag.
         assert!(matches!(st.on_message(0, 1, 1 << 63), MessageVerdict::Deliver));
         assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Drop));
@@ -261,10 +254,10 @@ mod tests {
             let b = crate::Universe::builder().zerocopy(true).fault_plan(plan);
             b.run(1, |comm| comm.zerocopy_active())[0]
         };
-        assert!(loans(FaultPlan::new(0)));
-        assert!(!loans(FaultPlan::new(0).kill_rank_at_op(0, 1)));
-        assert!(!loans(FaultPlan::new(0).drop_message(0, 1, None, 0)));
-        assert!(!loans(FaultPlan::new(0).delay_message(0, 1, None, 0, Duration::from_millis(1))));
+        assert!(loans(FaultPlan::new()));
+        assert!(!loans(FaultPlan::new().kill_rank_at_op(0, 1)));
+        assert!(!loans(FaultPlan::new().drop_message(0, 1, None, 0)));
+        assert!(!loans(FaultPlan::new().delay_message(0, 1, None, 0, Duration::from_millis(1))));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Duration;
 #[test]
 fn killed_rank_is_respawned_into_new_epoch() {
     let out = Universe::builder()
-        .fault_plan(FaultPlan::new(7).kill_rank_at_op(2, 3))
+        .fault_plan(FaultPlan::new().kill_rank_at_op(2, 3))
         .timeout(Duration::from_secs(30))
         .run(4, |comm| {
             let comm2 = if comm.epoch() == 0 {
@@ -66,7 +66,7 @@ fn killed_rank_is_respawned_into_new_epoch() {
 #[test]
 fn stale_message_is_fenced_not_delivered() {
     let out = Universe::builder()
-        .fault_plan(FaultPlan::new(1).delay_message(0, 1, Some(5), 0, Duration::from_millis(300)))
+        .fault_plan(FaultPlan::new().delay_message(0, 1, Some(5), 0, Duration::from_millis(300)))
         .check(true)
         .timeout(Duration::from_secs(30))
         .run(3, |comm| {

@@ -86,7 +86,7 @@ fn zerocopy_off_stages_every_size() {
 fn a_fault_plan_stages_every_size() {
     // The rule never fires (no user message carries tag 77), but a plan
     // that is installed at all stages every message.
-    let plan = FaultPlan::new(1).drop_message(0, 1, Some(77), 0);
+    let plan = FaultPlan::new().drop_message(0, 1, Some(77), 0);
     for elems in [8, 128, 16 << 10] {
         let c = exchange(loaning().fault_plan(plan.clone()), 2, elems);
         assert_staged(c, &format!("{elems} u64 messages under a fault plan"));

@@ -61,7 +61,7 @@ fn main() -> ExitCode {
              {victim} to analysis rank {}\n",
             consumer - M
         );
-        builder = builder.fault_plan(FaultPlan::new(seed).drop_message(
+        builder = builder.fault_plan(FaultPlan::new().drop_message(
             victim,
             consumer,
             Some(FRAME_TAG),

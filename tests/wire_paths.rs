@@ -69,7 +69,7 @@ fn loans_have_no_size_floor_and_every_fault_plan_stages() {
 
     // A delay-only plan stages the loan-sized exchange too, and both ranks
     // still receive exactly what was sent.
-    let plan = FaultPlan::new(7).delay_message(0, 1, None, 0, Duration::from_millis(1));
+    let plan = FaultPlan::new().delay_message(0, 1, None, 0, Duration::from_millis(1));
     let (transport, got) = run(loaning().fault_plan(plan), 1 << 20);
     assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (0, 2), "every plan stages");
     assert!(exact(&got[0], 0, 1 << 20) && exact(&got[1], 1, 1 << 20));
