@@ -103,23 +103,23 @@ pub fn load_stack(
     let plane = vol[0] * vol[1];
     let mut stats = LoadStats::default();
     let mut file = Vec::new();
-    let mut out = vec![0f32; need.count() as usize];
 
-    match method {
+    let out = match method {
         Method::NoDdr => {
             // Read every image the brick intersects; throw away the rest of
-            // each decoded image (the cost the paper eliminates).
+            // each decoded image (the cost the paper eliminates). The brick's
+            // rows arrive in ascending order, so each voxel is written once.
+            let mut out = Vec::with_capacity(need.count() as usize);
             let mut slice = vec![0f32; plane];
             for z in need.offset[2]..need.offset[2] + need.dims[2] {
                 read_slice_into(dir, z, vol, &mut file, &mut slice)?;
                 stats.images_read += 1;
                 for y in 0..need.dims[1] {
-                    let gy = need.offset[1] + y;
-                    let src = gy * vol[0] + need.offset[0];
-                    let dst = (z - need.offset[2]) * need.dims[0] * need.dims[1] + y * need.dims[0];
-                    out[dst..dst + need.dims[0]].copy_from_slice(&slice[src..src + need.dims[0]]);
+                    let src = (need.offset[1] + y) * vol[0] + need.offset[0];
+                    out.extend_from_slice(&slice[src..src + need.dims[0]]);
                 }
             }
+            out
         }
         Method::RoundRobin => {
             // One image per round: round `r` decodes this rank's `r`-th
@@ -128,16 +128,12 @@ pub fn load_stack(
             let zs: Vec<usize> = (rank..vol[2]).step_by(nprocs).collect();
             let owned = zs.iter().map(|&z| image_block(vol, z)).collect::<Result<Vec<_>, _>>()?;
             let plan = mapping(comm, &owned, need, &mut stats)?;
-            plan.reorganize_from(
-                comm,
-                |r, chunk: &mut Vec<f32>| {
-                    chunk.resize(plane, 0.0);
-                    read_slice_into(dir, zs[r], vol, &mut file, chunk)?;
-                    stats.images_read += 1;
-                    Ok::<(), LoadError>(())
-                },
-                &mut out,
-            )?;
+            plan.reorganize_from(comm, |r, chunk: &mut Vec<f32>| {
+                chunk.resize(plane, 0.0);
+                read_slice_into(dir, zs[r], vol, &mut file, chunk)?;
+                stats.images_read += 1;
+                Ok::<(), LoadError>(())
+            })?
         }
         Method::Consecutive => {
             let (z0, len) = consecutive_items(vol[2], nprocs, rank);
@@ -151,9 +147,13 @@ pub fn load_stack(
                 .then(|| Block::d3([0, 0, z0], [vol[0], vol[1], len]).expect("valid chunk"));
             let plan = mapping(comm, chunk.as_slice(), need, &mut stats)?;
             let held: &[&[f32]] = if len > 0 { &[&data] } else { &[] };
+            // Held chunks go through `reorganize`, which fills a buffer the
+            // caller owns: that one is zeroed.
+            let mut out = vec![0f32; need.count() as usize];
             plan.reorganize(comm, held, &mut out)?;
+            out
         }
-    }
+    };
     Ok((need, out, stats))
 }
 
@@ -247,6 +247,7 @@ pub fn load_multipage(
     let (owned, chunks): (&[Block], &[&[f32]]) =
         if rank == 0 { (&[domain], &[&data]) } else { (&[], &[]) };
     let plan = mapping(comm, owned, need, &mut stats)?;
+    // A held chunk goes through `reorganize`, into a zeroed buffer.
     let mut out = vec![0f32; need.count() as usize];
     plan.reorganize(comm, chunks, &mut out)?;
     Ok((need, out, stats))

@@ -216,8 +216,8 @@ fn fifty_seeded_cases_are_byte_identical_across_paths() {
 
 /// Execute `case` through the producer-driven entry: each owned chunk is
 /// generated when its round asks for it, in the one buffer every round
-/// reuses. Returns each rank's need buffer and the rounds its producer was
-/// called for, in call order.
+/// reuses. Returns each rank's need buffer, as the entry returns it, and the
+/// rounds its producer was called for, in call order.
 fn run_produced(case: &Case) -> Vec<(Vec<u64>, Vec<usize>)> {
     let layouts = &case.layouts;
     let (kind, nprocs) = (case.kind, case.nprocs);
@@ -227,19 +227,15 @@ fn run_produced(case: &Case) -> Vec<(Vec<u64>, Vec<usize>)> {
         let plan = desc
             .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
             .unwrap();
-        let mut need = vec![u64::MAX; me.need.count() as usize];
         let mut asked = Vec::new();
-        plan.reorganize_from(
-            comm,
-            |round, chunk: &mut Vec<u64>| {
+        let need = plan
+            .reorganize_from(comm, |round, chunk: &mut Vec<u64>| {
                 asked.push(round);
                 chunk.clear();
                 chunk.extend(me.owned[round].coords().map(cell_value));
                 Ok::<(), DdrError>(())
-            },
-            &mut need,
-        )
-        .unwrap();
+            })
+            .unwrap();
         (need, asked)
     })
 }

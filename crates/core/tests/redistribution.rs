@@ -244,55 +244,146 @@ fn produced_chunk_of_wrong_length_is_a_buffer_mismatch_naming_the_round() {
         let need = Block::d1(0, 8).unwrap();
         let desc = Descriptor::for_type::<u32>(1, DataKind::D1).unwrap();
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
-        let mut out = vec![0u32; 8];
 
         // The buffer comes back as round 0 left it: five elements, where
-        // chunk 1 holds three.
+        // chunk 1 holds three. No need buffer comes back.
         let err = plan
-            .reorganize_from(
-                comm,
-                |r, chunk: &mut Vec<u32>| {
-                    if r == 0 {
-                        chunk.extend(0..5);
-                    }
-                    Ok::<(), ddr_core::DdrError>(())
-                },
-                &mut out,
-            )
+            .reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
+                if r == 0 {
+                    chunk.extend(0..5);
+                }
+                Ok::<(), ddr_core::DdrError>(())
+            })
             .unwrap_err();
         assert!(
             matches!(&err, ddr_core::DdrError::BufferMismatch { detail } if detail.starts_with("round 1:")),
             "{err}"
         );
 
-        // A need buffer of the wrong length is refused before the producer
+        // An element type of the wrong size is refused before the producer
         // is asked for anything.
-        let refused = plan.reorganize_from(
-            comm,
-            |_, _: &mut Vec<u32>| -> Result<(), ddr_core::DdrError> { unreachable!("not called") },
-            &mut out[..7],
-        );
+        let refused = plan
+            .reorganize_from(comm, |_, _: &mut Vec<u64>| -> Result<(), ddr_core::DdrError> {
+                unreachable!("not called")
+            });
         assert!(matches!(refused, Err(ddr_core::DdrError::BufferMismatch { .. })));
 
         // A producer's own error comes back as it is, from the round it
-        // happened in.
+        // happened in, with no buffer.
         let mut asked = Vec::new();
-        let own = plan.reorganize_from(
-            comm,
-            |r, chunk: &mut Vec<u32>| {
-                asked.push(r);
-                chunk.resize(5, 0);
-                if r == 1 {
-                    Err(ProducerError::Own("slice unreadable".into()))
-                } else {
-                    Ok(())
-                }
-            },
-            &mut out,
-        );
+        let own = plan.reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
+            asked.push(r);
+            chunk.resize(5, 0);
+            if r == 1 {
+                Err(ProducerError::Own("slice unreadable".into()))
+            } else {
+                Ok(())
+            }
+        });
         assert_eq!(own, Err(ProducerError::Own("slice unreadable".into())));
         assert_eq!(asked, [0, 1]);
+
+        // The same plan still fills its need afterwards.
+        let out = plan
+            .reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
+                *chunk = if r == 0 { (0..5).collect() } else { (5..8).collect() };
+                Ok::<(), ddr_core::DdrError>(())
+            })
+            .unwrap();
+        assert_eq!(out, (0..8).collect::<Vec<u32>>());
     });
+}
+
+/// A message lost on the wire fails the produced run with
+/// [`ddr_core::DdrError::Incomplete`] naming its source, and returns no
+/// buffer: the elements that message carried were never written.
+#[test]
+fn dropped_message_fails_a_produced_run_naming_the_source() {
+    // `compute_local_plan` sends no setup traffic, so rank 0's first message
+    // to rank 1 is round 0's.
+    let d1 = |off, len| Block::d1(off, len).unwrap();
+    let layouts = vec![
+        Layout { owned: vec![d1(0, 4), d1(8, 4)], need: d1(0, 6) },
+        Layout { owned: vec![d1(4, 4), d1(12, 4)], need: d1(2, 14) },
+    ];
+    let layouts = &layouts;
+    let out = Universe::builder()
+        .timeout(std::time::Duration::from_millis(300))
+        .fault_plan(minimpi::FaultPlan::new().drop_message(0, 1, None, 0))
+        .run(2, move |comm| {
+            let me = &layouts[comm.rank()];
+            let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
+            let plan = ddr_core::compute_local_plan(comm.rank(), layouts, &desc).unwrap();
+            plan.reorganize_from(comm, |r, chunk: &mut Vec<u64>| {
+                *chunk = fill(&me.owned[r]);
+                Ok::<(), ddr_core::DdrError>(())
+            })
+        });
+    assert_eq!(out[0].as_ref().unwrap(), &fill(&layouts[0].need));
+    match &out[1] {
+        Err(ddr_core::DdrError::Incomplete(report)) => {
+            assert_eq!(report.dead_peers, vec![0]);
+            assert_eq!(report.rounds[0].failed_sources, vec![0]);
+            assert!(report.rounds[1].failed_sources.is_empty());
+        }
+        other => panic!("rank 1: expected Incomplete, got {other:?}"),
+    }
+}
+
+/// Layouts whose receives do not tile every need: a `Relaxed` need that
+/// overhangs the domain, and a `Skip`-admitted owner overlap. The produced
+/// run zeroes its buffer first, so uncovered cells read 0; every covered
+/// cell holds what `reorganize` writes on the same layout.
+#[test]
+fn untiled_needs_read_zero_where_nothing_lands() {
+    let d1 = |off, len| Block::d1(off, len).unwrap();
+    let cases = [
+        (
+            ValidationPolicy::Relaxed,
+            vec![
+                Layout { owned: vec![d1(0, 8)], need: d1(4, 8) },
+                Layout { owned: vec![d1(8, 8)], need: d1(10, 10) },
+            ],
+        ),
+        (
+            ValidationPolicy::Skip,
+            vec![
+                Layout { owned: vec![d1(0, 10)], need: d1(0, 16) },
+                Layout { owned: vec![d1(6, 10), d1(20, 4)], need: d1(4, 24) },
+            ],
+        ),
+    ];
+    for (policy, layouts) in cases {
+        let layouts = &layouts;
+        let out = Universe::run(2, move |comm| {
+            let me = &layouts[comm.rank()];
+            let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
+            let plan = desc.setup_data_mapping_with(comm, &me.owned, me.need, policy).unwrap();
+            let produced = plan
+                .reorganize_from(comm, |r, chunk: &mut Vec<u64>| {
+                    *chunk = fill(&me.owned[r]);
+                    Ok::<(), ddr_core::DdrError>(())
+                })
+                .unwrap();
+            let owned_data: Vec<Vec<u64>> = me.owned.iter().map(fill).collect();
+            let refs: Vec<&[u64]> = owned_data.iter().map(|v| v.as_slice()).collect();
+            let mut held = vec![u64::MAX; me.need.count() as usize];
+            plan.reorganize(comm, &refs, &mut held).unwrap();
+            (produced, held)
+        });
+        let holes = out.iter().filter(|(_, held)| held.contains(&u64::MAX)).count();
+        assert!(holes > 0, "{policy:?}: the case has a hole");
+        for (rank, (produced, held)) in out.iter().enumerate() {
+            let need = layouts[rank].need;
+            let covered = |x: usize| {
+                layouts.iter().any(|l| l.owned.iter().any(|b| b.intersect(&d1(x, 1)).is_some()))
+            };
+            for (i, x) in (need.offset[0]..need.offset[0] + need.dims[0]).enumerate() {
+                let want = if covered(x) { held[i] } else { 0 };
+                assert_eq!(produced[i], want, "{policy:?} rank {rank} cell {x}");
+            }
+        }
+    }
 }
 
 /// A caller-side error type for [`ddr_core::Plan::reorganize_from`]: its own

@@ -11,8 +11,9 @@ use crate::comm::{coll_key_tag, Comm};
 use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
 use crate::mailbox::{Envelope, Payload};
-use crate::pod::{bytes_of, vec_from_bytes, Pod};
+use crate::pod::{as_uninit_mut, bytes_of, vec_from_bytes, Pod};
 use crate::zerocopy::{ZcCell, ZcWait};
+use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -260,7 +261,8 @@ impl Comm {
             .collect();
         let recvs: Vec<Vec<Datatype>> =
             recv_types.iter().map(|dt| part(dt).into_iter().collect()).collect();
-        self.alltoallw_impl(&sends, recv_buf, &recvs, false).map(|_| ())
+        // SAFETY: the receive engine only stores initialized bytes.
+        self.alltoallw_impl(&sends, unsafe { as_uninit_mut(recv_buf) }, &recvs, false).map(|_| ())
     }
 
     /// `MPI_Alltoallw` whose messages are lists of parts. For every
@@ -292,6 +294,25 @@ impl Comm {
         recv_buf: &mut [u8],
         recvs: &[Vec<Datatype>],
     ) -> Result<ExchangeReport> {
+        // SAFETY: the receive engine only stores initialized bytes.
+        self.alltoallw_impl(sends, unsafe { as_uninit_mut(recv_buf) }, recvs, true)
+    }
+
+    /// [`Comm::alltoallw_parts`] into storage that may be uninitialized, such
+    /// as a fresh `Vec`'s spare capacity (see [`crate::uninit_bytes_of_mut`]).
+    /// The exchange only stores into `recv_buf` and never reads it: a staged
+    /// unpack, a loan claim and the self-copy each write their receive parts
+    /// and nothing else. So when the call returns `Ok` with a complete
+    /// report, every byte of every selection in `recvs` is initialized;
+    /// bytes outside them, or in the parts of a failed source, are left as
+    /// they were.
+    #[track_caller]
+    pub fn alltoallw_parts_uninit(
+        &self,
+        sends: &[Vec<(&[u8], Datatype)>],
+        recv_buf: &mut [MaybeUninit<u8>],
+        recvs: &[Vec<Datatype>],
+    ) -> Result<ExchangeReport> {
         self.alltoallw_impl(sends, recv_buf, recvs, true)
     }
 
@@ -308,7 +329,7 @@ impl Comm {
     fn alltoallw_impl(
         &self,
         sends: &[Vec<(&[u8], Datatype)>],
-        recv_buf: &mut [u8],
+        recv_buf: &mut [MaybeUninit<u8>],
         recvs: &[Vec<Datatype>],
         salvage: bool,
     ) -> Result<ExchangeReport> {
@@ -398,7 +419,7 @@ impl Comm {
         key_tag: u64,
         env: Envelope,
         dts: &[Datatype],
-        recv_buf: &mut [u8],
+        recv_buf: &mut [MaybeUninit<u8>],
     ) -> Result<()> {
         // Signature check happens *before* the payload is consumed: failing a
         // staged message leaves `recv_buf` untouched, and dropping an
@@ -408,7 +429,7 @@ impl Comm {
         match env.payload {
             Payload::Bytes(packed) => {
                 let _unpack = ddrtrace::span_arg("minimpi", "unpack", "bytes", packed.len() as i64);
-                let res = unpack_parts(&packed, dts, |dt, p| dt.unpack(p, recv_buf));
+                let res = unpack_parts(&packed, dts, |dt, p| dt.unpack_into(p, recv_buf));
                 // The buffer came from the sender's pool.acquire; the pool is
                 // world-shared, so recycling here closes the loop.
                 self.world.pool.release(packed);
@@ -495,7 +516,7 @@ impl Exchange<'_> {
     /// which sweeps what is still queued for this exchange — dropping a
     /// queued zero-copy envelope revokes its loan, releasing the sender
     /// immediately — and revokes this rank's own outstanding loans.
-    fn wait(mut self, recv_buf: &mut [u8]) -> Result<ExchangeReport> {
+    fn wait(mut self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<ExchangeReport> {
         let comm = self.comm;
         comm.sched_point("alltoallw_wait");
         let me = comm.rank();
@@ -539,7 +560,7 @@ impl Exchange<'_> {
     /// Self-transfer: the self parts paired in order, each a direct
     /// selection-to-selection copy (no staging in either mode — faults
     /// never apply to self-messages).
-    fn self_copy(&self, recv_buf: &mut [u8]) -> Result<()> {
+    fn self_copy(&self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<()> {
         let me = self.comm.rank();
         let (sends, recvs) = (&self.sends[me], &self.recvs[me]);
         let (sent, expected) = (message_len(sends.iter().map(|(_, dt)| dt)), message_len(recvs));

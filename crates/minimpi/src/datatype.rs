@@ -14,6 +14,8 @@
 
 use crate::error::{Error, Result};
 use crate::kernels::{self, RunShape};
+use crate::pod::as_uninit_mut;
+use std::mem::MaybeUninit;
 
 /// Maximum dimensionality supported (the paper supports 1-D, 2-D and 3-D).
 pub const MAX_DIMS: usize = 3;
@@ -173,12 +175,7 @@ impl Subarray {
     /// Unpack `packed` bytes (as produced by [`Subarray::pack`]) into the
     /// selected rectangle of `dst` (the full array, as bytes).
     pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) -> Result<()> {
-        self.check_buf(dst.len())?;
-        if packed.len() != self.packed_len() {
-            return Err(Error::SizeMismatch { expected: self.packed_len(), got: packed.len() });
-        }
-        kernels::unpack_runs(packed, &self.shape, dst);
-        Ok(())
+        Datatype::Subarray(*self).unpack(packed, dst)
     }
 
     /// Copy the rectangle directly from `src` into the rectangle described by
@@ -198,6 +195,8 @@ impl Subarray {
                 ),
             });
         }
+        // SAFETY: copy_selection only stores initialized bytes into `dst`.
+        let dst = unsafe { as_uninit_mut(dst) };
         copy_selection(src, &Datatype::Subarray(*self), dst, &Datatype::Subarray(*dst_type))
     }
 }
@@ -282,17 +281,18 @@ fn for_each_run_pair(src_dt: &Datatype, dst_dt: &Datatype, mut f: impl FnMut(usi
 /// `dst`, on the calling thread. Both buffers are validated against their
 /// datatypes up front, and the selections must pack to the same length.
 /// The single copy routine behind `copy_to`, self-sends and the zero-copy
-/// claim.
+/// claim. It only stores into `dst`, so `dst` may be uninitialized: on `Ok`
+/// every byte of `dst_dt`'s selection is initialized.
 ///
 /// A side that is a single run is a packed image already, so the copy is
 /// the other side's kernel — its scatter ([`kernels::unpack_runs`]) or its
 /// gather ([`kernels::pack_runs_to`]) — and lane-width runs vectorise. Only
 /// a copy strided on both sides walks the two run streams in lockstep, one
-/// `copy_from_slice` per stretch contiguous in both.
+/// pointer copy per stretch contiguous in both.
 pub(crate) fn copy_selection(
     src: &[u8],
     src_dt: &Datatype,
-    dst: &mut [u8],
+    dst: &mut [MaybeUninit<u8>],
     dst_dt: &Datatype,
 ) -> Result<()> {
     src_dt.check_bounds(src.len())?;
@@ -308,7 +308,11 @@ pub(crate) fn copy_selection(
         kernels::pack_runs_to(src, &from, &mut dst[to.base..to.base + len]);
     } else {
         for_each_run_pair(src_dt, dst_dt, |s, d, n| {
-            dst[d..d + n].copy_from_slice(&src[s..s + n]);
+            let (from, to) = (&src[s..s + n], &mut dst[d..d + n]);
+            // SAFETY: both stretches are `n` bytes, bounds-checked by the
+            // slicing above, and cannot overlap (one is borrowed shared, the
+            // other exclusively).
+            unsafe { std::ptr::copy_nonoverlapping(from.as_ptr(), to.as_mut_ptr().cast(), n) };
         });
     }
     Ok(())
@@ -398,32 +402,20 @@ impl Datatype {
 
     /// Unpack `packed` into this datatype's selection of `dst`.
     pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) -> Result<()> {
-        match self {
-            Datatype::Empty => {
-                if packed.is_empty() {
-                    Ok(())
-                } else {
-                    Err(Error::SizeMismatch { expected: 0, got: packed.len() })
-                }
-            }
-            Datatype::Contiguous { len_bytes, offset } => {
-                if packed.len() != *len_bytes {
-                    return Err(Error::SizeMismatch { expected: *len_bytes, got: packed.len() });
-                }
-                let end = offset + len_bytes;
-                if end > dst.len() {
-                    return Err(Error::DatatypeMismatch {
-                        detail: format!(
-                            "contiguous range {offset}..{end} exceeds buffer of {} bytes",
-                            dst.len()
-                        ),
-                    });
-                }
-                dst[*offset..end].copy_from_slice(packed);
-                Ok(())
-            }
-            Datatype::Subarray(s) => s.unpack(packed, dst),
+        // SAFETY: unpack_into only stores initialized bytes into `dst`.
+        self.unpack_into(packed, unsafe { as_uninit_mut(dst) })
+    }
+
+    /// Unpack `packed` into this datatype's selection of `dst`: the receive
+    /// engine's staged path. It only stores, so `dst` may be uninitialized:
+    /// on `Ok` every byte of the selection is initialized.
+    pub(crate) fn unpack_into(&self, packed: &[u8], dst: &mut [MaybeUninit<u8>]) -> Result<()> {
+        self.check_bounds(dst.len())?;
+        if packed.len() != self.packed_len() {
+            return Err(Error::SizeMismatch { expected: self.packed_len(), got: packed.len() });
         }
+        kernels::unpack_runs(packed, &self.shape(), dst);
+        Ok(())
     }
 }
 
@@ -566,6 +558,56 @@ mod tests {
         dt.pack_into(&[], &mut out).unwrap();
         assert!(out.is_empty());
         assert!(dt.unpack(&[1], &mut []).is_err());
+    }
+
+    /// `copy_selection` only stores into its destination, on each route:
+    /// the gather into a single run, the scatter out of one, and the
+    /// lockstep walk of two strided sides. Each case fills a fresh
+    /// allocation exactly, so under Miri a byte read before it was written,
+    /// or never written, is an error.
+    #[test]
+    fn copy_selection_into_uninit_storage_on_every_route() {
+        let src: Vec<u8> = (0..16).collect();
+        let sub = |sizes, subsizes, starts| {
+            Datatype::Subarray(Subarray::d2(sizes, subsizes, starts, 1).unwrap())
+        };
+        let whole = Datatype::Contiguous { len_bytes: 8, offset: 0 };
+        // (source selection, destination selection) pairs that tile an
+        // 8-byte (gather) or 16-byte (scatter, lockstep) destination.
+        let routes = [
+            ("gather", vec![(sub([4, 4], [2, 4], [1, 0]), whole)], 8),
+            (
+                "scatter",
+                vec![
+                    (Datatype::Contiguous { len_bytes: 8, offset: 0 }, sub([4, 4], [2, 4], [0, 0])),
+                    (Datatype::Contiguous { len_bytes: 8, offset: 8 }, sub([4, 4], [2, 4], [2, 0])),
+                ],
+                16,
+            ),
+            (
+                "lockstep",
+                vec![
+                    (sub([8, 2], [4, 2], [0, 0]), sub([4, 4], [2, 4], [0, 0])),
+                    (sub([8, 2], [4, 2], [4, 0]), sub([4, 4], [2, 4], [2, 0])),
+                ],
+                16,
+            ),
+        ];
+        for (route, pairs, len) in routes {
+            let mut dst = Vec::<u8>::with_capacity(len);
+            let spare = &mut dst.spare_capacity_mut()[..len];
+            let mut staged = vec![0u8; len];
+            for (from, to) in &pairs {
+                copy_selection(&src, from, spare, to).unwrap();
+                let mut packed = Vec::new();
+                from.pack_into(&src, &mut packed).unwrap();
+                to.unpack(&packed, &mut staged).unwrap();
+            }
+            // SAFETY: the destination selections tile [0, len) and each
+            // copy returned `Ok`, so every byte was stored.
+            unsafe { dst.set_len(len) };
+            assert_eq!(dst, staged, "{route}");
+        }
     }
 
     #[test]

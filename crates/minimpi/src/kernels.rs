@@ -25,6 +25,11 @@
 //! All three run on the calling thread at every size: a rank moves its own
 //! bytes with its own core.
 //!
+//! Every destination is a `&mut [MaybeUninit<u8>]`, and a kernel only
+//! stores through it: the same code fills an initialized receive buffer
+//! (viewed as `MaybeUninit`, which is sound because only initialized bytes
+//! are stored) and a fresh allocation nobody zeroed.
+//!
 //! While a trace is recording ([`ddrtrace::enabled`]) every kernel call
 //! bumps a process-global counter for its tier, published as `pack.*`
 //! metrics in the ddr-trace report; an untraced run leaves them alone, so
@@ -185,24 +190,16 @@ fn count(shape: &RunShape) {
 pub(crate) fn pack_runs(src: &[u8], shape: &RunShape, out: &mut Vec<u8>) {
     let (start, total) = (out.len(), shape.total_bytes());
     out.reserve(total);
-    pack_impl(src, shape, &mut out.spare_capacity_mut()[..total]);
-    // SAFETY: pack_impl initialized all `total` bytes past `start`, inside
-    // the capacity reserved above.
+    pack_runs_to(src, shape, &mut out.spare_capacity_mut()[..total]);
+    // SAFETY: pack_runs_to initialized all `total` bytes past `start`,
+    // inside the capacity reserved above.
     unsafe { out.set_len(start + total) };
 }
 
-/// Gather the selection out of `src` into `dst`, which is exactly the
-/// selection's packed length: the pack side of a selection-to-selection
-/// copy into a single run.
-pub(crate) fn pack_runs_to(src: &[u8], shape: &RunShape, dst: &mut [u8]) {
-    // SAFETY: `[u8]` and `[MaybeUninit<u8>]` have the same layout, and
-    // pack_impl only ever stores initialized bytes through it.
-    pack_impl(src, shape, unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) });
-}
-
 /// The gather kernel: store the selection's packed image into `dst`, which
-/// must be exactly the selection's packed length.
-fn pack_impl(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
+/// must be exactly the selection's packed length — a packed buffer, or the
+/// single-run destination of a selection-to-selection copy.
+pub(crate) fn pack_runs_to(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
     let total = shape.total_bytes();
     assert_eq!(dst.len(), total, "destination is not the selection's packed length");
     if total == 0 {
@@ -237,36 +234,35 @@ fn pack_impl(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
     count(shape);
 }
 
-/// Scatter `packed` (exactly the selection's packed bytes) into `dst`.
-pub(crate) fn unpack_runs(packed: &[u8], shape: &RunShape, dst: &mut [u8]) {
+/// The scatter kernel: store `packed` (exactly the selection's packed
+/// bytes) into the selection's runs of `dst`. It only stores, so `dst` may
+/// be uninitialized: the bytes of the selection are initialized afterwards
+/// and every other byte is left as it was.
+pub(crate) fn unpack_runs(packed: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<u8>]) {
     let total = shape.total_bytes();
-    debug_assert_eq!(packed.len(), total);
+    assert_eq!(packed.len(), total, "source is not the selection's packed length");
     if total == 0 {
         return;
     }
     assert!(shape.max_end() <= dst.len(), "run shape exceeds destination buffer");
-    if shape.nruns == 1 {
-        dst[shape.base..shape.base + shape.run_bytes].copy_from_slice(packed);
-        count(shape);
-        return;
-    }
+    let (srcp, dstp) = (packed.as_ptr(), dst.as_mut_ptr().cast::<u8>());
     // SAFETY: destination runs are in-bounds by the `max_end` assert;
     // source cursor positions cover exactly `packed`.
     unsafe {
-        let srcp = packed.as_ptr();
         match shape.run_bytes {
-            1 => scatter_lanes::<1>(srcp, shape, dst.as_mut_ptr()),
-            2 => scatter_lanes::<2>(srcp, shape, dst.as_mut_ptr()),
-            4 => scatter_lanes::<4>(srcp, shape, dst.as_mut_ptr()),
-            8 => scatter_lanes::<8>(srcp, shape, dst.as_mut_ptr()),
-            12 => scatter_lanes::<12>(srcp, shape, dst.as_mut_ptr()),
-            16 => scatter_lanes::<16>(srcp, shape, dst.as_mut_ptr()),
-            32 => scatter_lanes::<32>(srcp, shape, dst.as_mut_ptr()),
-            64 => scatter_lanes::<64>(srcp, shape, dst.as_mut_ptr()),
+            n if shape.nruns == 1 => std::ptr::copy_nonoverlapping(srcp, dstp.add(shape.base), n),
+            1 => scatter_lanes::<1>(srcp, shape, dstp),
+            2 => scatter_lanes::<2>(srcp, shape, dstp),
+            4 => scatter_lanes::<4>(srcp, shape, dstp),
+            8 => scatter_lanes::<8>(srcp, shape, dstp),
+            12 => scatter_lanes::<12>(srcp, shape, dstp),
+            16 => scatter_lanes::<16>(srcp, shape, dstp),
+            32 => scatter_lanes::<32>(srcp, shape, dstp),
+            64 => scatter_lanes::<64>(srcp, shape, dstp),
             n => {
                 let mut cur = srcp;
                 for (off, _) in ByteRuns::from_shape(shape) {
-                    std::ptr::copy_nonoverlapping(cur, dst.as_mut_ptr().add(off), n);
+                    std::ptr::copy_nonoverlapping(cur, dstp.add(off), n);
                     cur = cur.add(n);
                 }
             }
@@ -353,11 +349,46 @@ mod tests {
         for run in [1usize, 2, 4, 7, 8, 12, 16, 64] {
             let shape = shape_2d(13, run, 6, run + 2, 3, 6 * (run + 2) + 9);
             let packed = reference_pack(&src, &shape);
-            let mut dst = vec![0u8; src.len()];
+            let mut dst = vec![MaybeUninit::new(0u8); src.len()];
             unpack_runs(&packed, &shape, &mut dst);
             // Re-gathering the scattered bytes restores the packed image.
-            assert_eq!(reference_pack(&dst, &shape), packed, "run width {run}");
+            assert_eq!(reference_pack(&init(&dst), &shape), packed, "run width {run}");
         }
+    }
+
+    /// Bytes that were created initialized.
+    fn init(bytes: &[MaybeUninit<u8>]) -> Vec<u8> {
+        // SAFETY: every caller builds `bytes` from `MaybeUninit::new`.
+        bytes.iter().map(|b| unsafe { b.assume_init() }).collect()
+    }
+
+    /// The scatter only stores: two interleaved selections that tile a fresh
+    /// allocation leave every byte initialized, through each tier — fused,
+    /// lanes (4-byte runs) and the per-run loop (5-byte runs). Under Miri a
+    /// byte the scatter read, or failed to write, is an error.
+    #[test]
+    fn scatter_into_uninit_storage_through_every_tier() {
+        for run in [4usize, 5] {
+            let (n0, n1) = (3, 2);
+            let total = 2 * run * n0 * n1;
+            let even = shape_2d(0, run, n0, 2 * run, n1, 2 * run * n0);
+            let odd = RunShape { base: run, ..even };
+            let mut dst = Vec::<u8>::with_capacity(total);
+            let spare = &mut dst.spare_capacity_mut()[..total];
+            unpack_runs(&vec![1u8; total / 2], &even, spare);
+            unpack_runs(&vec![2u8; total / 2], &odd, spare);
+            // SAFETY: the two selections tile [0, total) and each was
+            // scattered in full.
+            unsafe { dst.set_len(total) };
+            let want = (0..total).map(|i| if (i / run) % 2 == 0 { 1 } else { 2 });
+            assert!(dst.iter().copied().eq(want), "run width {run}");
+        }
+        let packed: Vec<u8> = (0..32).collect();
+        let mut dst = Vec::<u8>::with_capacity(32);
+        unpack_runs(&packed, &RunShape::contiguous(0, 32), &mut dst.spare_capacity_mut()[..32]);
+        // SAFETY: the fused selection is the whole allocation.
+        unsafe { dst.set_len(32) };
+        assert_eq!(dst, packed);
     }
 
     /// The counters record only while a trace does, so the recorder is on
@@ -383,8 +414,8 @@ mod tests {
         pack_runs(&src, &RunShape::EMPTY, &mut out);
         pack_runs(&src, &RunShape::contiguous(4, 0), &mut out);
         assert!(out.is_empty());
-        let mut dst = [9u8; 16];
+        let mut dst = [MaybeUninit::new(9u8); 16];
         unpack_runs(&[], &RunShape::EMPTY, &mut dst);
-        assert_eq!(dst, [9u8; 16]);
+        assert_eq!(init(&dst), [9u8; 16]);
     }
 }

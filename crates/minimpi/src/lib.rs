@@ -153,6 +153,6 @@ pub use datatype::{ByteRuns, Datatype, Subarray};
 pub use elastic::RecoveryCounters;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
-pub use pod::{bytes_of, bytes_of_mut, Pod};
+pub use pod::{bytes_of, bytes_of_mut, uninit_bytes_of_mut, Pod};
 pub use universe::{Universe, UniverseBuilder};
 pub use zerocopy::{PoolStats, TransportCounters};

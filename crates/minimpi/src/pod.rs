@@ -1,5 +1,7 @@
 //! Plain-old-data marker trait used for typed message payloads.
 
+use std::mem::MaybeUninit;
+
 /// Marker for types that can be sent as raw bytes.
 ///
 /// # Safety
@@ -44,6 +46,38 @@ pub fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
 }
 
+/// View uninitialized storage for POD values as uninitialized bytes: a
+/// receive destination for [`crate::Comm::alltoallw_parts_uninit`]. Sound
+/// for any `T`, because neither side of the view has a validity invariant;
+/// the values become `T` only once every byte was written, which the caller
+/// asserts when it assumes them initialized.
+pub fn uninit_bytes_of_mut<T: Pod>(s: &mut [MaybeUninit<T>]) -> &mut [MaybeUninit<u8>] {
+    // SAFETY: `MaybeUninit<T>` has `T`'s size and no padding invariants, and
+    // `MaybeUninit<u8>` accepts every byte, initialized or not.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            s.as_mut_ptr().cast::<MaybeUninit<u8>>(),
+            std::mem::size_of_val(s),
+        )
+    }
+}
+
+/// View initialized bytes as a receive destination, so the `&mut [u8]`
+/// entry points share the one receive engine with
+/// [`crate::Comm::alltoallw_parts_uninit`].
+///
+/// # Safety
+/// Only initialized bytes may be stored through the returned slice: it
+/// aliases `bytes`, which is `[u8]` again once the borrow ends. Every
+/// receive path in this crate only copies bytes in — a staged unpack, a
+/// loan claim and a self-copy each store and never read — so each may be
+/// handed this view.
+pub(crate) unsafe fn as_uninit_mut(bytes: &mut [u8]) -> &mut [MaybeUninit<u8>] {
+    // SAFETY: `[u8]` and `[MaybeUninit<u8>]` have the same layout; the
+    // caller upholds that only initialized bytes are stored.
+    unsafe { &mut *(bytes as *mut [u8] as *mut [MaybeUninit<u8>]) }
+}
+
 /// Copy raw bytes into a freshly allocated, correctly aligned `Vec<T>`.
 ///
 /// Returns `None` when `bytes.len()` is not a multiple of `size_of::<T>()`.
@@ -82,6 +116,19 @@ mod tests {
         let mut v = [0u32; 2];
         bytes_of_mut(&mut v).copy_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
         assert_eq!(v, [1u32.to_le(), 2u32.to_le()]);
+    }
+
+    #[test]
+    fn uninit_bytes_of_mut_covers_the_elements() {
+        let mut v = Vec::<u32>::with_capacity(2);
+        let bytes = uninit_bytes_of_mut(&mut v.spare_capacity_mut()[..2]);
+        assert_eq!(bytes.len(), 8);
+        for (i, b) in bytes.iter_mut().enumerate() {
+            b.write(i as u8);
+        }
+        // SAFETY: all eight bytes of both elements were written above.
+        unsafe { v.set_len(2) };
+        assert_eq!(v, [u32::from_le_bytes([0, 1, 2, 3]), u32::from_le_bytes([4, 5, 6, 7])]);
     }
 
     #[test]
