@@ -19,12 +19,16 @@ trait ChunkSource<T> {
     /// What fetching a chunk can fail with; the loop's own errors convert
     /// into it.
     type Error: From<DdrError>;
+    /// How many consecutive rounds one exchange carries.
+    const ROUNDS_PER_EXCHANGE: usize;
     fn chunks(&mut self, rounds: Range<usize>) -> std::result::Result<Vec<&[T]>, Self::Error>;
 }
 
-/// The trivial source: every chunk already sits in the caller's memory.
+/// The trivial source: every chunk already sits in the caller's memory, so
+/// every round rides one exchange.
 impl<T> ChunkSource<T> for &[&[T]] {
     type Error = DdrError;
+    const ROUNDS_PER_EXCHANGE: usize = usize::MAX;
     fn chunks(&mut self, rounds: Range<usize>) -> Result<Vec<&[T]>> {
         Ok(self[rounds].to_vec())
     }
@@ -43,6 +47,7 @@ where
     F: FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
 {
     type Error = E;
+    const ROUNDS_PER_EXCHANGE: usize = 1;
     fn chunks(&mut self, rounds: Range<usize>) -> std::result::Result<Vec<&[T]>, E> {
         debug_assert_eq!(rounds.len(), 1, "one buffer holds one round's chunk");
         (self.fill)(rounds.start, &mut self.buf)?;
@@ -124,10 +129,8 @@ impl Plan {
     /// needed-block buffer according to this plan — the paper's
     /// `DDR_ReorganizeData` (§III-C). The paper runs one `alltoallw` per
     /// round because MPI stages every message, so rounds bound staging
-    /// memory. A zero-copy loan stages nothing, so when the universe loans
-    /// every round rides one exchange; when it stages, consecutive rounds
-    /// share one while their chunks fit under [`Plan::STAGING_BOUND`]
-    /// ([`Plan::exchanges`]).
+    /// memory. A zero-copy loan stages nothing, so every round rides one
+    /// exchange.
     ///
     /// May be called any number of times with fresh data; the mapping is
     /// reused (the paper's "dynamic data" property).
@@ -138,10 +141,8 @@ impl Plan {
     /// [`PartialCompletion`] report of exactly what was delivered and lost,
     /// per peer and per round. Salvage is per exchange: a source lost in an
     /// exchange is lost in every round of it that received from that
-    /// source. Under loans that is one exchange, so a peer that dies loses
-    /// everything it would have sent; under a fault plan (which stages)
-    /// the rounds group under [`Plan::STAGING_BOUND`] and salvage stays per
-    /// group.
+    /// source. Held chunks ride one exchange, so a peer that dies or whose
+    /// message is dropped loses everything it would have sent.
     pub fn reorganize<T: Element>(
         &self,
         comm: &Comm,
@@ -158,11 +159,8 @@ impl Plan {
     /// account for what this call moved. Hard errors (mismatched buffers,
     /// this rank itself fault-killed) are still `Err`. The stats are
     /// derived from the plan and the recorded failures — never from wire
-    /// observations — so every field but [`RedistStats::exchanges`] is
-    /// identical whichever data-movement path (zero-copy or staged) carried
-    /// the bytes. `exchanges` counts the physical exchanges, which depend on
-    /// the path (one when the universe loans), and equals
-    /// [`Plan::expected_stats`] on the same universe.
+    /// observations — so a run that loses nothing reports
+    /// [`Plan::expected_stats`].
     pub fn reorganize_with_stats<T: Element>(
         &self,
         comm: &Comm,
@@ -171,7 +169,7 @@ impl Plan {
     ) -> Result<(PartialCompletion, RedistStats)> {
         self.check_buffers(comm, owned, need)?;
         let need = bytes_of_mut(need);
-        self.run_rounds(owned, |s, r| comm.alltoallw_parts(s, need, r), exchange_bound(comm))
+        self.run_rounds(owned, |s, r| comm.alltoallw_parts(s, need, r))
     }
 
     /// [`Plan::reorganize`] for chunks that are produced rather than held,
@@ -222,7 +220,7 @@ impl Plan {
         }
         let source = Produced { fill: produce, buf: Vec::new() };
         let (report, _) =
-            self.run_rounds(source, |s, r| comm.alltoallw_parts_uninit(s, bytes, r), 0)?;
+            self.run_rounds(source, |s, r| comm.alltoallw_parts_uninit(s, bytes, r))?;
         complete(report)?;
         // SAFETY: all `n` elements are initialized, and any bytes are a valid
         // `T: Pod`. Untiled, the buffer was zeroed above. Tiled, the tiling
@@ -252,12 +250,10 @@ impl Plan {
     }
 
     /// The [`RedistStats`] a fully successful execution of this plan will
-    /// report (what [`Plan::reorganize_with_stats`] returns when nothing
-    /// fails) on the universe it was set up on. A plan from
-    /// [`crate::compute_local_plan`] has met no universe, so its count of
-    /// exchanges is the paper's: one per round.
+    /// report: what [`Plan::reorganize_with_stats`] returns when nothing
+    /// fails, on any universe.
     pub fn expected_stats(&self) -> RedistStats {
-        RedistStats::from_plan(self, self.exchange_bound.unwrap_or(0), &[])
+        RedistStats::from_plan(self, &[])
     }
 
     /// The one round loop behind every entry point. `exchange(sends, recvs)`
@@ -266,12 +262,9 @@ impl Plan {
     /// peer death. A source lost in an exchange is lost in every round of it
     /// that received from that source.
     ///
-    /// Exchange-synchronous: one blocking exchange per group of
-    /// [`Plan::exchanges`] under `bound`. Loaned, `bound` is `usize::MAX`
-    /// and every round rides one exchange. Staged, a round whose chunks
-    /// exceed `bound` is an exchange of its own, as in the paper, and stages
-    /// at most that round's bytes; a shared exchange stages at most `bound`
-    /// bytes per message.
+    /// Exchange-synchronous: one blocking exchange per
+    /// [`ChunkSource::ROUNDS_PER_EXCHANGE`] consecutive rounds — all of
+    /// them for held chunks, one for produced ones.
     fn run_rounds<T: Pod, S: ChunkSource<T>>(
         &self,
         mut source: S,
@@ -279,11 +272,13 @@ impl Plan {
             &[Vec<(&[u8], Datatype)>],
             &[Vec<Datatype>],
         ) -> minimpi::Result<ExchangeReport>,
-        bound: usize,
     ) -> std::result::Result<(PartialCompletion, RedistStats), S::Error> {
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
+        let (n, step) = (self.rounds.len(), S::ROUNDS_PER_EXCHANGE);
         let mut failures = Vec::new();
-        for group in self.exchanges(bound) {
+        let mut exchanges = 0;
+        for group in (0..n).step_by(step).map(|start| start..start.saturating_add(step).min(n)) {
+            exchanges += 1;
             let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", group.len() as i64);
             let owned = group.start.min(self.owned.len())..group.end.min(self.owned.len());
             let chunks = if owned.is_empty() { Vec::new() } else { source.chunks(owned)? };
@@ -318,7 +313,7 @@ impl Plan {
                 failures.extend(lost.map(|r| (r, peer)));
             }
         }
-        let stats = RedistStats::from_plan(self, bound, &failures);
+        let stats = RedistStats { exchanges, ..RedistStats::from_plan(self, &failures) };
         if ddrtrace::enabled() {
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
@@ -328,17 +323,6 @@ impl Plan {
             ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
         }
         Ok((PartialCompletion::from_failures(self, &failures), stats))
-    }
-}
-
-/// The bound `comm`'s universe groups held rounds by. A universe that loans
-/// stages nothing, so every round rides one exchange; otherwise
-/// [`Plan::STAGING_BOUND`] caps what a shared exchange stages.
-pub(crate) fn exchange_bound(comm: &Comm) -> usize {
-    if comm.zerocopy_active() {
-        usize::MAX
-    } else {
-        Plan::STAGING_BOUND
     }
 }
 

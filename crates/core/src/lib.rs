@@ -13,8 +13,9 @@
 //!    owns and the single block it needs; layouts are allgathered and every
 //!    rank computes the geometric overlaps into a reusable [`Plan`],
 //! 3. **Move the data** — [`Plan::reorganize`] (`DDR_ReorganizeData`,
-//!    §III-C): one `alltoallw` with subarray datatypes per round, where the
-//!    round count equals the maximum number of chunks owned by any rank.
+//!    §III-C): the paper's rounds, whose count equals the maximum number of
+//!    chunks owned by any rank, ride one `alltoallw` of subarray datatypes,
+//!    each message a zero-copy loan.
 //!
 //! Ownership must be *mutually exclusive and complete* over the domain;
 //! needed blocks may overlap between ranks and may leave parts of the domain
@@ -24,8 +25,8 @@
 //! [`Descriptor::setup_multi_mapping`] takes any number of them per rank (the
 //! paper's "more data patterns" future work): a [`MultiPlan`] is a list of
 //! ordinary [`Plan`]s, one per need index, made, checked and run by the same
-//! code — one `alltoallw` per (need, round), with [`Plan::reorganize`]'s
-//! failure semantics.
+//! code — one `alltoallw` per need, with [`Plan::reorganize`]'s failure
+//! semantics.
 //!
 //! The plan is independent of the data, so when the application's data is
 //! dynamic (a running simulation) the mapping is set up once and

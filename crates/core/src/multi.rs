@@ -12,8 +12,8 @@
 //! is one rectangle, though, so a [`MultiPlan`] is a list of ordinary
 //! [`Plan`]s: plan `k` fills every rank's `k`-th needed block, and is built,
 //! checked and executed by the code every single-need plan goes through —
-//! one exchange per need and per group of [`Plan::exchanges`], in the one
-//! round loop behind [`Plan::reorganize`]. Every rank holds the global maximum need count of
+//! one exchange per need, in the one round loop behind
+//! [`Plan::reorganize`]. Every rank holds the global maximum need count of
 //! plans so the collectives match across ranks (a rank with fewer needs
 //! joins with a plan that only sends); `alltoallw` elides empty pairs, so
 //! the messages on the wire are exactly the non-empty overlaps.
@@ -41,8 +41,8 @@ pub struct MultiPlan {
 
 impl MultiPlan {
     /// Number of logical communication rounds (max owned-chunk count over
-    /// ranks); executing the plan takes, per need index, the exchanges of
-    /// [`Plan::reorganize`]: one when the universe loans.
+    /// ranks); executing the plan takes, per need index, the one exchange of
+    /// [`Plan::reorganize`].
     pub fn num_rounds(&self) -> usize {
         self.num_rounds
     }
@@ -121,7 +121,8 @@ impl Descriptor {
         let all = self.declared(comm, owned, needs, policy)?;
         let _p = ddrtrace::span("redist", "compute_plan");
         let max_needs = all.needs.iter().map(Vec::len).max().unwrap_or(0);
-        let plans = (0..max_needs).map(|k| all.plan(comm, k, self)).collect::<Result<_>>()?;
+        let plans =
+            (0..max_needs).map(|k| all.plan(comm.rank(), k, self)).collect::<Result<_>>()?;
         let num_rounds = all.owned.iter().map(Vec::len).max().unwrap_or(0);
         Ok(MultiPlan { needs: needs.to_vec(), plans, num_rounds })
     }

@@ -2,7 +2,6 @@
 
 use crate::block::Block;
 use minimpi::Subarray;
-use std::ops::Range;
 
 /// One rectangular transfer between this rank and a peer within one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,24 +64,9 @@ pub struct Plan {
     /// fewer needed blocks than its peers: such a plan only sends.
     pub(crate) need: Option<Block>,
     pub(crate) rounds: Vec<RoundPlan>,
-    /// Per round, the largest chunk any rank owns in it, in bytes: no
-    /// message of that round can be larger.
-    pub(crate) round_bytes: Vec<u64>,
-    /// The bound the universe a setup call built this plan on groups its
-    /// rounds by ([`Plan::exchanges`]); `None` from
-    /// [`crate::compute_local_plan`], which meets no universe.
-    pub(crate) exchange_bound: Option<usize>,
 }
 
 impl Plan {
-    /// The most bytes a shared staged exchange stages per message:
-    /// consecutive rounds share a staged exchange while their largest chunks
-    /// sum to at most this, so a fault plan or `DDR_NO_ZEROCOPY` still
-    /// bounds staging memory as the paper's rounds do, in fewer exchanges
-    /// (16 KiB chunks go four to an exchange). A universe that loans stages
-    /// nothing and runs every round in one exchange instead.
-    pub const STAGING_BOUND: usize = 64 << 10;
-
     /// Rank this plan belongs to.
     pub fn rank(&self) -> usize {
         self.rank
@@ -110,7 +94,7 @@ impl Plan {
 
     /// Number of logical communication rounds (the paper's `MPI_Alltoallw`
     /// calls): the maximum number of chunks owned by any one rank (paper
-    /// §III-C). [`Plan::exchanges`] says how many exchanges carry them.
+    /// §III-C). [`Plan::reorganize`] carries them all in one exchange.
     pub fn num_rounds(&self) -> usize {
         self.rounds.len()
     }
@@ -118,35 +102,6 @@ impl Plan {
     /// Per-round transfer descriptions.
     pub fn rounds(&self) -> &[RoundPlan] {
         &self.rounds
-    }
-
-    /// The physical exchanges that carry the logical rounds under a bound
-    /// of `bound` bytes: consecutive rounds share one exchange while the sum
-    /// of their largest chunks stays within it. A message is never larger
-    /// than its chunk, so no message of a shared exchange exceeds the bound.
-    /// A round whose largest chunk exceeds the bound runs alone, bound 0
-    /// gives one exchange per round and `usize::MAX` gives one exchange.
-    /// [`Plan::reorganize`] groups by `usize::MAX` when its universe loans
-    /// and by [`Plan::STAGING_BOUND`] when it stages. Every plan of a
-    /// mapping holds every rank's chunk sizes, so every rank derives the
-    /// same boundaries.
-    pub fn exchanges(&self, bound: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        let bytes = &self.round_bytes;
-        let mut start = 0;
-        std::iter::from_fn(move || {
-            let mut sum = *bytes.get(start)?;
-            let mut end = start + 1;
-            while let Some(&b) = bytes.get(end) {
-                sum = sum.saturating_add(b);
-                if sum > bound as u64 {
-                    break;
-                }
-                end += 1;
-            }
-            let group = start..end;
-            start = end;
-            Some(group)
-        })
     }
 
     /// Total bytes this rank sends to other ranks across all rounds.

@@ -60,9 +60,8 @@ fn ghost_halo_exchange_via_multi_need() {
 #[test]
 fn loan_sized_halos_ride_the_zero_copy_path() {
     // 16 rows × 1024 u64 = 128 KiB per halo: a multi-need plan's bytes move
-    // through `alltoallw`, so they are lent, not packed. Zero-copy is
-    // requested explicitly so `DDR_NO_ZEROCOPY` cannot change the case.
-    let transport = ghost_halo_exchange(Universe::builder().zerocopy(true), (1024, 64, 2), 16);
+    // through `alltoallw`, so they are lent, not packed.
+    let transport = ghost_halo_exchange(Universe::builder(), (1024, 64, 2), 16);
     assert!(transport.zerocopy_msgs > 0, "{transport:?}");
 }
 

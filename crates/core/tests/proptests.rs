@@ -5,7 +5,7 @@ use ddr_core::decompose::{brick, near_cubic_grid, round_robin_items};
 use ddr_core::{
     compute_local_plan, Block, DataKind, Descriptor, Layout, Plan, Transfer, ValidationPolicy,
 };
-use minimpi::Universe;
+use minimpi::{FaultPlan, Universe};
 use proptest::prelude::*;
 
 /// Recursively split `domain` into `n_parts` disjoint covering blocks using
@@ -312,18 +312,16 @@ proptest! {
         .unwrap();
     }
 
-    /// Many chunks, loaned or staged: loaned, every round rides one
-    /// exchange; staged, rounds group under `Plan::STAGING_BOUND` into
-    /// exchanges of every size (chunks here run from a few bytes to a few
-    /// hundred KiB). Either way the output must equal the serial oracle, the
-    /// executed stats must be what the plan predicts, and every rank must
-    /// group the rounds identically.
+    /// Many chunks (from a few bytes to a few hundred KiB) ride one loaned
+    /// exchange, with or without a fault plan installed (one whose rule
+    /// never fires): the output must equal the serial oracle, and the
+    /// executed stats must be what the plan predicts, one exchange included.
     #[test]
     fn coalesced_exchanges_match_the_oracle_and_the_plan(
         w in 4usize..300,
         h in 4usize..300,
         nprocs in 1usize..5,
-        zerocopy in any::<bool>(),
+        planned in any::<bool>(),
         seeds in prop::collection::vec(any::<u64>(), 4..8),
     ) {
         let domain = Block::d2([0, 0], [w, h]).unwrap();
@@ -338,8 +336,11 @@ proptest! {
             .map(|(r, o)| Layout { owned: o, need: random_subblock(&domain, seeds[r % seeds.len()]) })
             .collect();
         let layouts = &layouts;
-        let bound = if zerocopy { usize::MAX } else { Plan::STAGING_BOUND };
-        let groups = Universe::builder().zerocopy(zerocopy).run(nprocs, move |comm| {
+        let mut builder = Universe::builder();
+        if planned {
+            builder = builder.fault_plan(FaultPlan::new().drop_message(0, 0, Some(77), 0));
+        }
+        builder.run(nprocs, move |comm| {
             let me = &layouts[comm.rank()];
             let desc = Descriptor::for_type::<u64>(nprocs, DataKind::D2).unwrap();
             let plan = desc
@@ -355,18 +356,11 @@ proptest! {
                 prop_assert_eq!(*got, cell_value(coord), "coord {:?}", coord);
             }
             prop_assert_eq!(stats, plan.expected_stats());
-            let groups: Vec<_> = plan.exchanges(bound).collect();
-            prop_assert_eq!(stats.exchanges, groups.len());
-            if zerocopy {
-                prop_assert_eq!(stats.exchanges, usize::from(stats.rounds > 0));
-            }
-            Ok::<_, TestCaseError>(groups)
+            prop_assert_eq!(stats.exchanges, usize::from(stats.rounds > 0));
+            Ok::<_, TestCaseError>(())
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-        for (r, g) in groups.iter().enumerate() {
-            prop_assert_eq!(g, &groups[0], "rank {} groups differently", r);
-        }
     }
 
     #[test]

@@ -460,11 +460,9 @@ fn multiround_chaos_soak_recovers_from_kills_and_drops() {
             // Kill arm: mirror the respawn soak, but with a two-round
             // exchange under fire and zero-copy loans outstanding.
             let plan = FaultPlan::seeded(seed, n, max_op);
-            let out = Universe::builder()
-                .zerocopy(true)
-                .timeout(Duration::from_secs(30))
-                .fault_plan(plan)
-                .run(n, move |comm| {
+            let out = Universe::builder().timeout(Duration::from_secs(30)).fault_plan(plan).run(
+                n,
+                move |comm| {
                     let rec = if comm.epoch() == 0 {
                         comm.set_timeout(Duration::from_millis(800));
                         let _ = two_round_step(comm, &domain);
@@ -483,7 +481,8 @@ fn multiround_chaos_soak_recovers_from_kills_and_drops() {
                     assert_eq!(c.epoch(), 1, "seed {seed}: recovery must land in epoch 1");
                     assert_eq!(c.size(), n, "seed {seed}: respawn must restore membership");
                     Some(two_round_step(c, &domain).unwrap())
-                });
+                },
+            );
             let finished = out.iter().filter(|o| o.is_some()).count();
             assert!(finished >= n - 1, "seed {seed}: at most one original thread may die");
             for (r, res) in out.iter().enumerate() {
@@ -553,7 +552,6 @@ fn backpressure_chaos_soak_stays_byte_identical() {
             let plan = FaultPlan::seeded(seed, n, max_op);
             let out = Universe::builder()
                 .flow_control(1, 512)
-                .zerocopy(true)
                 .check(seed % 4 == 0)
                 .timeout(Duration::from_secs(30))
                 .fault_plan(plan)
@@ -600,10 +598,10 @@ fn backpressure_chaos_soak_stays_byte_identical() {
     assert!(hits >= 6, "only {hits}/12 drop seeds hit real traffic");
 }
 
-/// End-to-end elasticity under the deadlock checker AND under zero-copy: a
-/// rank disappears mid-redistribution (after the mapping, before its
-/// exchange — so with zero-copy active its peers' loans must be revoked,
-/// not stranded), survivors reconfigure, the replacement joins epoch 1, and
+/// End-to-end elasticity with and without the deadlock checker, on
+/// zero-copy loans: a rank disappears mid-redistribution (after the
+/// mapping, before its exchange — so its peers' loans must be revoked, not
+/// stranded), survivors reconfigure, the replacement joins epoch 1, and
 /// the next redistribution is byte-identical to the unfaulted reference.
 #[test]
 fn elastic_e2e_under_checker_and_zerocopy() {
@@ -614,12 +612,9 @@ fn elastic_e2e_under_checker_and_zerocopy() {
         epoch1_step(&c, &domain)
     });
 
-    for (check, zerocopy) in [(true, false), (false, true), (true, true)] {
-        let out = Universe::builder()
-            .check(check)
-            .zerocopy(zerocopy)
-            .timeout(Duration::from_secs(30))
-            .run(n, move |comm| {
+    for check in [false, true] {
+        let out =
+            Universe::builder().check(check).timeout(Duration::from_secs(30)).run(n, move |comm| {
                 let rec = if comm.epoch() == 0 {
                     let r = comm.rank();
                     let owned = vec![slab(&domain, 1, n, r).unwrap()];
@@ -642,15 +637,15 @@ fn elastic_e2e_under_checker_and_zerocopy() {
                 let c = rec.as_ref().unwrap_or(comm);
                 assert_eq!(c.epoch(), 1);
                 let counters = c.recovery_counters();
-                assert_eq!(counters.respawns, 1, "check={check} zerocopy={zerocopy}");
+                assert_eq!(counters.respawns, 1, "check={check}");
                 Some(epoch1_step(c, &domain))
             });
-        assert_eq!(out[2], None, "check={check} zerocopy={zerocopy}");
+        assert_eq!(out[2], None, "check={check}");
         for r in [0, 1, 3] {
             assert_eq!(
                 out[r].as_ref().unwrap(),
                 &reference[r],
-                "check={check} zerocopy={zerocopy} rank {r}: bytes must match unfaulted run"
+                "check={check} rank {r}: bytes must match unfaulted run"
             );
         }
     }

@@ -27,7 +27,6 @@ fn alltoallw_under_check_is_clean_across_schedules() {
         let len = 512usize;
         let out = Universe::builder()
             .check(true)
-            .zerocopy(true)
             .sched_seed(seed)
             .timeout(Duration::from_secs(20))
             .try_run(n, move |comm| {
@@ -74,7 +73,6 @@ fn multiround_reorganize_under_check_is_clean_across_schedules() {
         let n = 3usize;
         let out = Universe::builder()
             .check(true)
-            .zerocopy(true)
             .sched_seed(seed)
             .timeout(Duration::from_secs(20))
             .run(n, move |comm| {

@@ -235,13 +235,10 @@ impl Comm {
     /// construction). The self-transfer is a direct selection-to-selection
     /// copy.
     ///
-    /// When the universe's zero-copy fast path is active (the default; see
-    /// [`crate::UniverseBuilder::zerocopy`] and `DDR_NO_ZEROCOPY`), every
-    /// message, whatever its size, is delivered by the *receiver* copying
-    /// straight out of the sender's `send_buf` — no pack/unpack staging
-    /// buffers exist anywhere. With a fault plan installed, or with the fast
-    /// path disabled, messages stage through the universe's shared buffer
-    /// pool instead.
+    /// Every message, whatever its size, is a zero-copy loan: the
+    /// *receiver* copies straight out of the sender's `send_buf`, and no
+    /// pack/unpack staging buffer exists anywhere. A fault plan's message
+    /// rules act on the loan.
     ///
     /// This is the one-part case of [`Comm::alltoallw_parts`]: the same
     /// engine, aborting on the first failed source.
@@ -274,12 +271,10 @@ impl Comm {
     /// carries over per message: `sends[d]` on rank `r` packs to as many
     /// bytes as `recvs[r]` on rank `d` expects.
     ///
-    /// With zero-copy active every message is one loan of all its parts,
-    /// whatever its size, and the receiver copies part `i` of the loan into
-    /// its receive part `i`, so under loans `sends[d]` and `recvs[r]` must
-    /// also agree part by part (count and each part's packed length), as the
-    /// self parts always must. Otherwise a message stages through one pooled
-    /// buffer.
+    /// Every message is one loan of all its parts, whatever its size, and
+    /// the receiver copies part `i` of the loan into its receive part `i`,
+    /// so `sends[d]` and `recvs[r]` must also agree part by part (count and
+    /// each part's packed length), as the self parts always must.
     ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
@@ -300,9 +295,9 @@ impl Comm {
 
     /// [`Comm::alltoallw_parts`] into storage that may be uninitialized, such
     /// as a fresh `Vec`'s spare capacity (see [`crate::uninit_bytes_of_mut`]).
-    /// The exchange only stores into `recv_buf` and never reads it: a staged
-    /// unpack, a loan claim and the self-copy each write their receive parts
-    /// and nothing else. So when the call returns `Ok` with a complete
+    /// The exchange only stores into `recv_buf` and never reads it: a loan
+    /// claim and the self-copy each write their receive parts and nothing
+    /// else. So when the call returns `Ok` with a complete
     /// report, every byte of every selection in `recvs` is initialized;
     /// bytes outside them, or in the parts of a failed source, are left as
     /// they were.
@@ -321,8 +316,8 @@ impl Comm {
     /// aborts the exchange or is recorded in the report while the remaining
     /// sources are drained.
     ///
-    /// Post-then-wait on an [`Exchange`] guard: the send phase runs eagerly
-    /// (loaning or staging each message), then `wait` drains every source.
+    /// Post-then-wait on an [`Exchange`] guard: the send phase lends each
+    /// message eagerly, then `wait` drains every source.
     /// Whichever way the call leaves — clean, abort, a mid-post error, a
     /// panic — the guard drains or revokes its zero-copy loans.
     #[track_caller]
@@ -350,7 +345,6 @@ impl Comm {
         self.sched_point("alltoallw_post");
         let me = self.rank();
         let tag = coll_key_tag(seq, 0);
-        let zerocopy = self.world.zerocopy_active();
         let span = ddrtrace::span_arg("minimpi", "alltoallw", "seq", seq as i64);
 
         // The guard is built before the send phase so that a mid-post error
@@ -373,25 +367,20 @@ impl Comm {
         // a hard error even under salvage — or with a structured Timeout if
         // a full pair sees no pop for the whole watchdog window.
         for (d, parts) in sends.iter().enumerate() {
-            let len = message_len(parts.iter().map(|(_, dt)| dt));
-            if d == me || len == 0 {
+            if d == me || message_len(parts.iter().map(|(_, dt)| dt)) == 0 {
                 continue;
             }
-            if zerocopy {
-                let cell = self.deposit_shared(d, tag, parts)?;
+            // A loan a fault rule withheld has no cell: nothing to wait on.
+            if let Some(cell) = self.deposit_shared(d, tag, parts)? {
                 xchg.loans.push((d, cell));
-            } else {
-                let _pack = ddrtrace::span_arg("minimpi", "pack", "bytes", len as i64);
-                self.deposit_packed(d, tag, parts)?;
             }
         }
         xchg.wait(recv_buf)
     }
 
     /// Drop every message still queued under an exchange's data tag. Called
-    /// when the exchange leaves early: dropping a staged payload discards
-    /// bytes nobody will read, and dropping a zero-copy envelope revokes its
-    /// loan via [`crate::zerocopy::ZcHandle`]'s `Drop`, so the
+    /// when the exchange leaves early: dropping a zero-copy envelope revokes
+    /// its loan via [`crate::zerocopy::ZcHandle`]'s `Drop`, so the
     /// alive-but-departing receiver cannot strand a healthy sender on the
     /// watchdog.
     fn sweep_exchange(&self, tag: u64) {
@@ -409,10 +398,9 @@ impl Comm {
     }
 
     /// Place one received alltoallw message into `recv_buf` through its
-    /// parts `dts`, in order. A staged payload is unpacked part by part; a
-    /// zero-copy loan is claimed once and each lent part copied straight out
-    /// of the sender's buffers into the receive part it pairs with, in one
-    /// traversal inside [`Comm::claim_loan`].
+    /// parts `dts`, in order: the loan is claimed once and each lent part
+    /// copied straight out of the sender's buffers into the receive part it
+    /// pairs with, in one traversal inside [`Comm::claim_loan`].
     fn deliver_alltoallw(
         &self,
         src: usize,
@@ -421,38 +409,32 @@ impl Comm {
         dts: &[Datatype],
         recv_buf: &mut [MaybeUninit<u8>],
     ) -> Result<()> {
-        // Signature check happens *before* the payload is consumed: failing a
-        // staged message leaves `recv_buf` untouched, and dropping an
-        // unclaimed zero-copy envelope revokes the loan, releasing its
+        // Signature check happens *before* the payload is consumed: dropping
+        // an unclaimed zero-copy envelope revokes the loan, releasing its
         // sender.
         self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &TypeSig::of_parts(dts))?;
-        match env.payload {
-            Payload::Bytes(packed) => {
-                let _unpack = ddrtrace::span_arg("minimpi", "unpack", "bytes", packed.len() as i64);
-                let res = unpack_parts(&packed, dts, |dt, p| dt.unpack_into(p, recv_buf));
-                // The buffer came from the sender's pool.acquire; the pool is
-                // world-shared, so recycling here closes the loop.
-                self.world.pool.release(packed);
-                res
-            }
-            Payload::Shared(h) => {
-                // Parts pair in order, as the self parts do, so they must
-                // agree before anything is claimed. Dropping the unclaimed
-                // envelope revokes the loan, releasing its sender.
-                if !h.dts().map(Datatype::packed_len).eq(dts.iter().map(Datatype::packed_len)) {
-                    let lent: Vec<usize> = h.dts().map(Datatype::packed_len).collect();
-                    let want: Vec<usize> = dts.iter().map(Datatype::packed_len).collect();
-                    return Err(Error::DatatypeMismatch {
-                        detail: format!(
-                            "a loan of parts of {lent:?} bytes from rank {src} into parts of \
-                             {want:?} bytes"
-                        ),
-                    });
-                }
-                let _zc = ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.packed_len() as i64);
-                self.claim_loan(src, &h, |i, lent, dt| copy_selection(lent, dt, recv_buf, &dts[i]))
-            }
+        // Owned bytes under an alltoallw tag come from a peer that called a
+        // different collective at this position.
+        let Payload::Shared(h) = env.payload else {
+            return Err(Error::CollectiveMismatch {
+                detail: format!("alltoallw: rank {src} sent owned bytes where a loan belongs"),
+            });
+        };
+        // Parts pair in order, as the self parts do, so they must agree
+        // before anything is claimed. Dropping the unclaimed envelope
+        // revokes the loan, releasing its sender.
+        if !h.dts().map(Datatype::packed_len).eq(dts.iter().map(Datatype::packed_len)) {
+            let lent: Vec<usize> = h.dts().map(Datatype::packed_len).collect();
+            let want: Vec<usize> = dts.iter().map(Datatype::packed_len).collect();
+            return Err(Error::DatatypeMismatch {
+                detail: format!(
+                    "a loan of parts of {lent:?} bytes from rank {src} into parts of {want:?} \
+                     bytes"
+                ),
+            });
         }
+        let _zc = ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.packed_len() as i64);
+        self.claim_loan(src, &h, |i, lent, dt| copy_selection(lent, dt, recv_buf, &dts[i]))
     }
 }
 
@@ -461,31 +443,9 @@ fn message_len<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> usize {
     dts.into_iter().map(Datatype::packed_len).sum()
 }
 
-/// Walk a packed message part by part: `unpack(dt, bytes)` gets each part's
-/// datatype and its slice of `packed`, in order. A message whose length is
-/// not the parts' total is a [`Error::SizeMismatch`], found before any part
-/// is unpacked.
-fn unpack_parts(
-    packed: &[u8],
-    dts: &[Datatype],
-    mut unpack: impl FnMut(&Datatype, &[u8]) -> Result<()>,
-) -> Result<()> {
-    let expected = message_len(dts);
-    if packed.len() != expected {
-        return Err(Error::SizeMismatch { expected, got: packed.len() });
-    }
-    let mut at = 0;
-    for dt in dts {
-        let end = at + dt.packed_len();
-        unpack(dt, &packed[at..end])?;
-        at = end;
-    }
-    Ok(())
-}
-
 /// One alltoallw exchange between its send phase and its completion.
 ///
-/// Soundness anchor of the zero-copy fast path: send buffers are lent to
+/// Soundness anchor of the zero-copy loan: send buffers are lent to
 /// peers as raw pointers, so the borrow the guard holds must stay alive
 /// while any peer might still read them — and *every* exit path must drain
 /// the loans. [`Exchange::wait`] does so on completion; the `Drop` impl
@@ -558,8 +518,7 @@ impl Exchange<'_> {
     }
 
     /// Self-transfer: the self parts paired in order, each a direct
-    /// selection-to-selection copy (no staging in either mode — faults
-    /// never apply to self-messages).
+    /// selection-to-selection copy (faults never apply to self-messages).
     fn self_copy(&self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<()> {
         let me = self.comm.rank();
         let (sends, recvs) = (&self.sends[me], &self.recvs[me]);
@@ -676,15 +635,17 @@ mod tests {
             let len = 32 + (mix64(seed ^ 0xA11_0C8) % 4096) as usize;
             let watchdog = Duration::from_secs(30);
             let start = Instant::now();
-            let out = Universe::builder().zerocopy(true).timeout(watchdog).run(3, move |comm| {
+            // Rank 0's lent buffer: owned out here, so it outlives every rank
+            // thread of `run` and is freed after it returns.
+            let lent = vec![0xAB; len];
+            let out = Universe::builder().timeout(watchdog).run(3, |comm| {
                 let me = comm.rank();
                 let tag = coll_key_tag(0, 0);
                 let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
                 if me == 0 {
                     // Loan to rank 1 only, then die with it outstanding.
-                    let buf: &'static [u8] = Box::leak(vec![0xAB; len].into_boxed_slice());
-                    let cell = comm.deposit_shared(1, tag, &[(buf, contig(0, len))]).unwrap();
-                    drop(cell); // nobody waits: the buffer is leaked
+                    let cell = comm.deposit_shared(1, tag, &[(&lent, contig(0, len))]).unwrap();
+                    drop(cell); // nobody waits: `lent` outlives the run
                     return Ok(());
                 }
                 if me == 1 {

@@ -9,10 +9,7 @@ use crate::life::{Liveness, ShrinkBarrier};
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::sched::SchedState;
-use crate::zerocopy::{
-    zerocopy_env_default, BufferPool, PoolStats, TransportCells, TransportCounters, ZcCell,
-    ZcHandle,
-};
+use crate::zerocopy::{BufferPool, PoolStats, TransportCells, TransportCounters, ZcCell, ZcHandle};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,11 +38,7 @@ pub(crate) struct WorldState {
     /// clean run can be used to place kills in a faulty one.
     pub ops: Vec<AtomicU64>,
     pub default_timeout: Duration,
-    /// Whether the zero-copy fast path is allowed for this universe (builder
-    /// override, else `DDR_NO_ZEROCOPY`). A fault plan additionally forces
-    /// the staged path — see [`WorldState::zerocopy_active`].
-    pub zerocopy: bool,
-    /// Shared staging-buffer pool for the pack/unpack path.
+    /// Shared staging-buffer pool for eager point-to-point sends.
     pub pool: BufferPool,
     /// Wire-path counters (zero-copy vs staged deliveries).
     pub transport: TransportCells,
@@ -68,7 +61,6 @@ impl WorldState {
         default_timeout: Duration,
         fault_plan: Option<FaultPlan>,
         check: bool,
-        zerocopy: Option<bool>,
         respawn: Option<bool>,
         sched_seed: Option<u64>,
         (pair_msgs, pair_bytes): (usize, usize),
@@ -88,7 +80,6 @@ impl WorldState {
                 .map(|s| SchedState::new(s, n)),
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
             default_timeout,
-            zerocopy: zerocopy.unwrap_or_else(zerocopy_env_default),
             pool: BufferPool::default(),
             transport: TransportCells::default(),
             elastic: ElasticState::new(n),
@@ -114,13 +105,6 @@ impl WorldState {
             self.transport.fenced_msgs.fetch_add(fenced, Ordering::Relaxed);
         }
         fenced
-    }
-
-    /// Whether exchanges should take the zero-copy fast path. Every
-    /// (non-empty) fault plan forces staging: drop and delay rules act on an
-    /// in-flight copy, which a loan doesn't have.
-    pub fn zerocopy_active(&self) -> bool {
-        self.zerocopy && self.faults.is_none()
     }
 
     pub fn is_alive(&self, world_rank: usize) -> bool {
@@ -434,11 +418,35 @@ impl Comm {
         self.deposit_staged(dest, key_tag, payload, None)
     }
 
-    /// Deposit owned, packed bytes — the staged data path. `sig` is the
-    /// datatype signature to stamp (typed sends and datatype-carrying
-    /// collective fragments pass theirs; `None` means untyped bytes). A
-    /// dropped or fenced message returns before [`Comm::enqueue`], the only
-    /// step that reserves anything.
+    /// Apply the fault plan's message rules to the message about to go to
+    /// `dest` under `key_tag`, staged or loaned alike: `false` means it is
+    /// not deposited. A dropped message vanishes. A delayed one is deposited
+    /// after its delay, unless the world reconfigured meanwhile: delivering
+    /// it into the new epoch would be exactly the stale match the fence
+    /// exists to prevent, so it is counted as fenced and dropped.
+    fn passes_faults(&self, dest: usize, key_tag: u64) -> bool {
+        let Some(faults) = &self.world.faults else {
+            return true;
+        };
+        match faults.on_message(self.world_rank(), self.members[dest], key_tag) {
+            MessageVerdict::Deliver => true,
+            MessageVerdict::Drop => false,
+            MessageVerdict::DeliverAfter(d) => {
+                std::thread::sleep(d);
+                if self.world.epoch() == self.epoch {
+                    return true;
+                }
+                self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
+                ddrtrace::instant_arg("minimpi", "fenced_msg", "epoch", self.epoch as i64);
+                false
+            }
+        }
+    }
+
+    /// Deposit owned bytes — the path of eager point-to-point sends and of
+    /// every collective but `alltoallw`. `sig` is the datatype signature to
+    /// stamp (typed sends pass theirs; `None` means untyped bytes). A dropped or fenced message returns before
+    /// [`Comm::enqueue`], the only step that reserves anything.
     pub(crate) fn deposit_staged(
         &self,
         dest: usize,
@@ -449,57 +457,24 @@ impl Comm {
         self.sched_point("send");
         self.fault_tick()?;
         let stamp = self.send_stamp(sig, payload.len());
-        if let Some(faults) = &self.world.faults {
-            let (src_w, dst_w) = (self.world_rank(), self.members[dest]);
-            match faults.on_message(src_w, dst_w, key_tag) {
-                MessageVerdict::Deliver => {}
-                MessageVerdict::Drop => return Ok(()),
-                MessageVerdict::DeliverAfter(d) => {
-                    std::thread::sleep(d);
-                    // The world may have reconfigured while this message was
-                    // delayed in flight; delivering it into the new epoch
-                    // would be exactly the stale match the fence exists to
-                    // prevent. Count it and drop it.
-                    if self.world.epoch() != self.epoch {
-                        self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                        ddrtrace::instant_arg("minimpi", "fenced_msg", "epoch", self.epoch as i64);
-                        return Ok(());
-                    }
-                }
-            }
+        if !self.passes_faults(dest, key_tag) {
+            return Ok(());
         }
         self.enqueue(dest, key_tag, Payload::Bytes(payload), stamp)?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Pack `parts` — each a datatype's selection of its own buffer — back to
-    /// back into one pool buffer and deposit it.
-    pub(crate) fn deposit_packed(
-        &self,
-        dest: usize,
-        key_tag: u64,
-        parts: &[(&[u8], Datatype)],
-    ) -> Result<()> {
-        let mut packed = self.world.pool.acquire(parts.iter().map(|(_, dt)| dt.packed_len()).sum());
-        for (buf, dt) in parts {
-            dt.pack_into(buf, &mut packed)?;
-        }
-        let sig = TypeSig::of_parts(parts.iter().map(|(_, dt)| dt));
-        self.deposit_staged(dest, key_tag, packed, Some(sig))
-    }
-
     /// Deposit a zero-copy loan of one message into `dest`'s mailbox: every
     /// `(buffer, selection)` part of `parts`, in order. Each part's bounds
-    /// are checked here, where the staged path would have failed packing.
-    /// Returns the completion cell the caller **must** drive to `Done` or
-    /// `Revoked` (via [`ZcCell::wait`]) before the buffers' borrows end —
-    /// that wait is what makes the receiver's raw-pointer reads sound.
+    /// are checked here, before anything is lent. Returns the completion
+    /// cell the caller **must** drive to `Done` or `Revoked` (via
+    /// [`ZcCell::wait`]) before the buffers' borrows end — that wait is what
+    /// makes the receiver's raw-pointer reads sound — or `None` when a fault
+    /// rule withheld the loan, so there is nothing to wait on.
     ///
     /// A loan is a pointer hand-off: the receiver reads the sender's own
-    /// buffers, pinned by the caller's borrows until the loan settles.
-    /// Callers must have checked [`WorldState::zerocopy_active`]: under a
-    /// fault plan every message stages, which is where the injector acts. A
+    /// buffers, pinned by the caller's borrows until the loan settles. A
     /// sender cannot write during a live loan: the caller's shared borrows of
     /// the buffers outlive the wait on the returned cell.
     pub(crate) fn deposit_shared(
@@ -507,14 +482,18 @@ impl Comm {
         dest: usize,
         key_tag: u64,
         parts: &[(&[u8], Datatype)],
-    ) -> Result<Arc<ZcCell>> {
+    ) -> Result<Option<Arc<ZcCell>>> {
         for (buf, dt) in parts {
             dt.check_bounds(buf.len())?;
         }
         self.sched_point("lend");
-        // Same op accounting as `deposit_staged`, so op positions (the fault
-        // plan coordinate system) are identical across wire paths.
+        // Same op accounting and fault rules as `deposit_staged`, so op and
+        // message positions (the fault plan's coordinates) count every
+        // message alike.
         self.fault_tick()?;
+        if !self.passes_faults(dest, key_tag) {
+            return Ok(None);
+        }
         let cell = Arc::new(ZcCell::default());
         let stamp = self.send_stamp(Some(TypeSig::of_parts(parts.iter().map(|(_, dt)| dt))), 0);
         // A loan occupies a slot in the pair but stages no bytes. A refused
@@ -522,7 +501,7 @@ impl Comm {
         let handle = ZcHandle::new(parts, Arc::clone(&cell));
         self.enqueue(dest, key_tag, Payload::Shared(handle), stamp)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
-        Ok(cell)
+        Ok(Some(cell))
     }
 
     /// The one zero-copy claim: claim the loan, let `copy_part(i, lent,
@@ -635,12 +614,6 @@ impl Comm {
     /// and how often (and how long) senders parked on a full pair.
     pub fn transport_counters(&self) -> TransportCounters {
         self.world.transport.snapshot()
-    }
-
-    /// Whether exchanges on this universe currently take the zero-copy fast
-    /// path (builder / `DDR_NO_ZEROCOPY` opt-out, and no fault plan).
-    pub fn zerocopy_active(&self) -> bool {
-        self.world.zerocopy_active()
     }
 
     // ------------------------------------------------------------------

@@ -402,19 +402,12 @@ impl Datatype {
 
     /// Unpack `packed` into this datatype's selection of `dst`.
     pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) -> Result<()> {
-        // SAFETY: unpack_into only stores initialized bytes into `dst`.
-        self.unpack_into(packed, unsafe { as_uninit_mut(dst) })
-    }
-
-    /// Unpack `packed` into this datatype's selection of `dst`: the receive
-    /// engine's staged path. It only stores, so `dst` may be uninitialized:
-    /// on `Ok` every byte of the selection is initialized.
-    pub(crate) fn unpack_into(&self, packed: &[u8], dst: &mut [MaybeUninit<u8>]) -> Result<()> {
         self.check_bounds(dst.len())?;
         if packed.len() != self.packed_len() {
             return Err(Error::SizeMismatch { expected: self.packed_len(), got: packed.len() });
         }
-        kernels::unpack_runs(packed, &self.shape(), dst);
+        // SAFETY: unpack_runs only stores initialized bytes into `dst`.
+        kernels::unpack_runs(packed, &self.shape(), unsafe { as_uninit_mut(dst) });
         Ok(())
     }
 }

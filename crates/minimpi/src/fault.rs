@@ -13,35 +13,35 @@
 //!   registry marks it dead and interrupts every blocked receiver so peers
 //!   fail fast with [`crate::Error::PeerDead`] instead of burning the full
 //!   watchdog timeout.
-//! - **Drop** — a matched in-flight message is silently discarded,
-//!   modelling a missing message.
-//! - **Delay** — a matched in-flight message is stalled for a fixed duration
-//!   (sender-side), modelling congestion and, past the watchdog, a hang.
+//! - **Drop** — a matched message is never deposited, modelling a missing
+//!   message: the receiver waits out its watchdog, and a dropped loan leaves
+//!   its sender nothing to wait on.
+//! - **Delay** — a matched message is stalled for a fixed duration before
+//!   its deposit (sender-side), modelling congestion and, past the
+//!   watchdog, a hang.
 //!
-//! There is no corruption kind: a staged payload is an owned buffer moved
-//! through an in-process mailbox, so nothing between sender and receiver can
-//! damage its bytes. The one real source of a wrong byte is a bug in the
-//! pack/unpack kernels, which the oracle suites test directly.
-//!
-//! Message rules act on a message's *in-flight copy*, which a zero-copy loan
-//! doesn't have, so a universe with any non-empty plan (kill-only ones
-//! included) stages every message.
+//! Rules act at the deposit, so they apply alike to an eager send's owned
+//! bytes and to an `alltoallw` zero-copy loan, and a fault plan changes no
+//! message's wire path. There is no corruption kind: neither an owned buffer
+//! moved through an in-process mailbox nor a loan has bytes that anything
+//! between sender and receiver could damage. The one real source of a wrong
+//! byte is a bug in the copy kernels, which the oracle suites test directly.
 
 use crate::comm::Tag;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// What to do with a matched in-flight message.
+/// What to do with a matched message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Discard the message; the receiver never sees it.
+    /// Withhold the message; the receiver never sees it.
     Drop,
     /// Stall delivery by this long (the sending rank sleeps — minimpi sends
     /// are otherwise instantaneous).
     Delay(Duration),
 }
 
-/// Pattern selecting one in-flight message: the `nth` (0-based) message from
+/// Pattern selecting one message: the `nth` (0-based) message from
 /// world rank `src` to world rank `dst`, optionally restricted to a user
 /// `tag` (`None` matches any traffic, including collective phases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +153,7 @@ impl FaultPlan {
     }
 }
 
-/// Verdict for one in-flight message after rule matching.
+/// Verdict for one message after rule matching.
 pub(crate) enum MessageVerdict {
     Deliver,
     Drop,
@@ -246,18 +246,41 @@ mod tests {
         assert!(matches!(st.on_message(0, 1, 7), MessageVerdict::Drop));
     }
 
-    /// Any non-empty plan turns the zero-copy path off — a loan has no
-    /// in-flight copy to inject into; an empty one is no plan at all.
+    /// A dropped loan is a missing message: the receiver's watchdog names
+    /// the source in a `Timeout`, and the sender, with no loan out to wait
+    /// on, returns at once rather than after the watchdog.
     #[test]
-    fn staging_forced_by_every_non_empty_plan() {
-        let loans = |plan: FaultPlan| {
-            let b = crate::Universe::builder().zerocopy(true).fault_plan(plan);
-            b.run(1, |comm| comm.zerocopy_active())[0]
-        };
-        assert!(loans(FaultPlan::new()));
-        assert!(!loans(FaultPlan::new().kill_rank_at_op(0, 1)));
-        assert!(!loans(FaultPlan::new().drop_message(0, 1, None, 0)));
-        assert!(!loans(FaultPlan::new().delay_message(0, 1, None, 0, Duration::from_millis(1))));
+    fn a_dropped_loan_times_the_receiver_out_and_frees_the_sender() {
+        use crate::{Datatype, Error, Universe};
+        use std::sync::Barrier;
+        use std::time::Instant;
+        let watchdog = Duration::from_millis(600);
+        // The sender stays alive until the receiver has timed out, so the
+        // receiver's wait ends on the watchdog, not on a departed peer.
+        let done = Barrier::new(2);
+        let plan = FaultPlan::new().drop_message(0, 1, None, 0);
+        let out = Universe::builder().timeout(watchdog).fault_plan(plan).run(2, |comm| {
+            let contig = Datatype::Contiguous { len_bytes: 64, offset: 0 };
+            let types = match comm.rank() {
+                0 => [Datatype::Empty, contig],
+                _ => [contig, Datatype::Empty],
+            };
+            // Both ranks lend 64 bytes to the other; only 0 → 1 is dropped.
+            let (send, mut recv) = ([7u8; 64], [0u8; 64]);
+            let start = Instant::now();
+            let res = comm.alltoallw(&send, &types, &mut recv, &types).map(|()| recv);
+            let took = start.elapsed();
+            done.wait();
+            (res, took, comm.transport_counters().zerocopy_msgs)
+        });
+        let (got, sender_took, loans) = &out[0];
+        assert_eq!(*got, Ok([7u8; 64]), "the loan from rank 1 still lands");
+        assert!(*sender_took < watchdog / 2, "the sender waited {sender_took:?}");
+        assert_eq!(*loans, 1, "the withheld loan is not counted");
+        match &out[1].0 {
+            Err(Error::Timeout { rank: 1, src: Some(0), .. }) => {}
+            other => panic!("the receiver must time out naming rank 0: {other:?}"),
+        }
     }
 
     #[test]

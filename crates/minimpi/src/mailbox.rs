@@ -673,7 +673,7 @@ mod tests {
         Universe::builder().check(true).flow_control(1, 0).timeout(short).run(2, |comm| {
             if comm.rank() == 0 {
                 let (first, second) = ([1u8; 64], [2u8; 64]);
-                let cell = comm.deposit_shared(1, tag, &[(&first, dt)]).unwrap();
+                let cell = comm.deposit_shared(1, tag, &[(&first, dt)]).unwrap().unwrap();
                 let err = comm.deposit_shared(1, tag, &[(&second, dt)]).unwrap_err();
                 assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
                 gate.wait();

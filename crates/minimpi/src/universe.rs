@@ -35,7 +35,6 @@ pub struct UniverseBuilder {
     timeout: Option<Duration>,
     fault_plan: Option<FaultPlan>,
     check: Option<bool>,
-    zerocopy: Option<bool>,
     respawn: Option<bool>,
     sched_seed: Option<u64>,
     trace: Option<PathBuf>,
@@ -63,17 +62,6 @@ impl UniverseBuilder {
     /// and spawns no detector thread.
     pub fn check(mut self, on: bool) -> Self {
         self.check = Some(on);
-        self
-    }
-
-    /// Enable (or force off) the zero-copy exchange fast path for this
-    /// universe, overriding the `DDR_NO_ZEROCOPY` environment variable.
-    /// Unlike the (process-global, race-prone in parallel test runners)
-    /// environment variable, this override is scoped to one universe — the
-    /// differential test harness uses it to run the same exchange through
-    /// both wire paths. Fault plans force the staged path regardless.
-    pub fn zerocopy(mut self, on: bool) -> Self {
-        self.zerocopy = Some(on);
         self
     }
 
@@ -152,7 +140,6 @@ impl UniverseBuilder {
             timeout,
             self.fault_plan.clone(),
             check_on,
-            self.zerocopy,
             self.respawn,
             self.sched_seed,
             self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),

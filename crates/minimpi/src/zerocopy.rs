@@ -16,17 +16,19 @@
 //!   (peer death, watchdog) can revoke safely: either the claim wins and the
 //!   sender waits out the (bounded) memcpy, or the revoke wins and the
 //!   receiver never dereferences a pointer.
-//! * [`BufferPool`] — reusable staging buffers for the paths that still must
-//!   pack (fault-injected routes, explicit opt-out), with a high-water-mark
-//!   trim so a one-off huge exchange does not pin memory forever.
+//! * [`BufferPool`] — reusable buffers for eager point-to-point sends
+//!   (`intransit` frames, `lbm` halos), with a high-water-mark trim so a
+//!   one-off huge message does not pin memory forever.
 //!
 //! The copy itself always runs on the claiming rank's own thread, part by
 //! part (`datatype::copy_selection`): one thread per rank moves that rank's
 //! bytes.
 //!
-//! When zero-copy is active every `alltoallw` message loans, whatever its
-//! size or number of parts. Measured with a symmetric 2-rank `alltoallw`
-//! (µs per exchange, staged vs loaned, three runs each, 2 ranks on 2 cores):
+//! Every `alltoallw` message loans, whatever its size or number of parts,
+//! and fault rules (drop, delay) act on the loan itself. A second, staged
+//! `alltoallw` arm (pack into a pooled buffer, enqueue, unpack) existed
+//! until this measurement retired it: a symmetric 2-rank `alltoallw` (µs
+//! per exchange, staged vs loaned, three runs each, 2 ranks on 2 cores):
 //!
 //! | message | staged      | loaned    |
 //! |---------|-------------|-----------|
@@ -47,7 +49,8 @@
 //! `rounds_small_2d` shape (8 rounds of 8 KiB parts), two staged exchanges
 //! per op before and one loaned exchange after, went from 42–46 to 24–31 µs
 //! per op pinned to one core, and from 27–31 to 13–15 µs on two (three runs
-//! each).
+//! each). So the staged arm was deleted, and the 1–2 µs a lone small loan
+//! costs at ranks > cores is the accepted price of one wire path.
 
 use crate::datatype::Datatype;
 use crate::wait::{spin_until, Resolved, Waiter};
@@ -293,7 +296,8 @@ const POOL_MIN_RETAIN: usize = 64 * 1024;
 /// Hard cap on parked buffer count.
 const POOL_MAX_BUFFERS: usize = 64;
 
-/// A shared pool of staging buffers for the pack/unpack (legacy) path.
+/// A shared pool of buffers for eager point-to-point sends
+/// ([`crate::Comm::acquire_staging`]); `alltoallw` loans and never stages.
 ///
 /// `acquire` hands out a cleared `Vec<u8>` with at least the requested
 /// capacity; `release` parks it for reuse. The release path trims the free
@@ -388,9 +392,11 @@ impl BufferPool {
 /// Which wire path messages took, for tests and benches to introspect.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportCounters {
-    /// Messages delivered by the zero-copy rendezvous.
+    /// Messages delivered by the zero-copy rendezvous: every `alltoallw`
+    /// message a fault rule did not withhold.
     pub zerocopy_msgs: u64,
-    /// Messages staged through pack buffers.
+    /// Messages that carried owned bytes: eager point-to-point sends and the
+    /// other collectives' fragments.
     pub staged_msgs: u64,
     /// Zero-copy loans that were revoked before the receiver copied them.
     pub revoked_msgs: u64,
@@ -428,13 +434,6 @@ impl TransportCells {
             stalled_ms: self.stalled_us.load(Ordering::Relaxed) / 1000,
         }
     }
-}
-
-/// Reads `DDR_NO_ZEROCOPY`: a truthy value disables the zero-copy fast path
-/// for the whole process. There is no size floor: with zero-copy on, every
-/// `alltoallw` message loans (the measurements are in the module doc).
-pub(crate) fn zerocopy_env_default() -> bool {
-    !crate::env::flag("DDR_NO_ZEROCOPY").unwrap_or(false)
 }
 
 #[cfg(test)]

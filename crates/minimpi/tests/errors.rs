@@ -250,32 +250,30 @@ fn send_phase_error_after_a_loan_drains_it() {
     let watchdog = Duration::from_secs(30);
     for late in [false, true] {
         let start = Instant::now();
-        let out =
-            Universe::builder().check(true).zerocopy(true).timeout(watchdog).run(3, move |comm| {
-                let contig = Datatype::Contiguous { len_bytes: len, offset: 0 };
-                let empty = Datatype::Empty;
-                let mut recv = vec![0u8; len];
-                if comm.rank() > 0 {
-                    if late && comm.rank() == 1 {
-                        comm.recv_bytes(0, FAILED)?;
-                    }
-                    let res = comm.alltoallw(&[], &[empty; 3], &mut recv, &[contig, empty, empty]);
-                    return res.map(|()| recv);
+        let out = Universe::builder().check(true).timeout(watchdog).run(3, move |comm| {
+            let contig = Datatype::Contiguous { len_bytes: len, offset: 0 };
+            let empty = Datatype::Empty;
+            let mut recv = vec![0u8; len];
+            if comm.rank() > 0 {
+                if late && comm.rank() == 1 {
+                    comm.recv_bytes(0, FAILED)?;
                 }
-                let send = vec![9u8; len];
-                let past_the_end = Datatype::Contiguous { len_bytes: len, offset: 1 };
-                let before = comm.transport_counters().zerocopy_msgs;
-                let res =
-                    comm.alltoallw(&send, &[empty, contig, past_the_end], &mut recv, &[empty; 3]);
-                assert!(
-                    comm.transport_counters().zerocopy_msgs > before,
-                    "the loan to rank 1 must have gone out before the bounds check failed"
-                );
-                if late {
-                    comm.send_bytes(1, FAILED, &[])?;
-                }
-                res.map(|()| recv)
-            });
+                let res = comm.alltoallw(&[], &[empty; 3], &mut recv, &[contig, empty, empty]);
+                return res.map(|()| recv);
+            }
+            let send = vec![9u8; len];
+            let past_the_end = Datatype::Contiguous { len_bytes: len, offset: 1 };
+            let before = comm.transport_counters().zerocopy_msgs;
+            let res = comm.alltoallw(&send, &[empty, contig, past_the_end], &mut recv, &[empty; 3]);
+            assert!(
+                comm.transport_counters().zerocopy_msgs > before,
+                "the loan to rank 1 must have gone out before the bounds check failed"
+            );
+            if late {
+                comm.send_bytes(1, FAILED, &[])?;
+            }
+            res.map(|()| recv)
+        });
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "late={late}: a loan was stranded until the watchdog"
@@ -306,7 +304,7 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
     for (what, recv_parts) in cases {
         let watchdog = Duration::from_secs(30);
         let start = Instant::now();
-        let out = Universe::builder().zerocopy(true).timeout(watchdog).run(2, |comm| {
+        let out = Universe::builder().timeout(watchdog).run(2, |comm| {
             let send: Vec<u8> = (0..64).collect();
             let mut recv = vec![0xEE; 64];
             let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);

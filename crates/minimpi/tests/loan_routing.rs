@@ -1,6 +1,5 @@
-//! Which wire path an `alltoallw` message takes: with zero-copy active every
-//! message loans, whatever its size or number of parts; with zero-copy off,
-//! or under any fault plan, every message stages.
+//! The one wire path an `alltoallw` message takes: every message loans,
+//! whatever its size or number of parts, and under any fault plan.
 
 use minimpi::{Datatype, FaultPlan, Subarray, TransportCounters, Universe, UniverseBuilder};
 
@@ -32,37 +31,26 @@ fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> TransportCounte
     out[0]
 }
 
-/// The zero-copy universe, requested explicitly so `DDR_NO_ZEROCOPY`
-/// cannot change the case.
-fn loaning() -> UniverseBuilder {
-    Universe::builder().zerocopy(true)
-}
-
 fn assert_loaned(c: TransportCounters, what: &str) {
     assert!(c.zerocopy_msgs > 0, "{what} must loan: {c:?}");
     assert_eq!(c.staged_msgs, 0, "{what} must not stage: {c:?}");
 }
 
-fn assert_staged(c: TransportCounters, what: &str) {
-    assert_eq!(c.zerocopy_msgs, 0, "{what} must not loan: {c:?}");
-    assert!(c.staged_msgs > 0, "{what} must stage: {c:?}");
-}
-
 #[test]
 fn small_messages_loan() {
     // 128 u64 = 1 KiB per pair.
-    assert_loaned(exchange(loaning(), 4, 128), "1 KiB messages");
+    assert_loaned(exchange(Universe::builder(), 4, 128), "1 KiB messages");
 }
 
 #[test]
 fn large_messages_loan() {
     // 16 Ki u64 = 128 KiB per pair.
-    assert_loaned(exchange(loaning(), 4, 16 << 10), "128 KiB messages");
+    assert_loaned(exchange(Universe::builder(), 4, 16 << 10), "128 KiB messages");
 }
 
 #[test]
 fn tiny_messages_loan() {
-    assert_loaned(exchange(loaning(), 4, 8), "64-byte messages");
+    assert_loaned(exchange(Universe::builder(), 4, 8), "64-byte messages");
 }
 
 #[test]
@@ -70,26 +58,22 @@ fn messages_of_exactly_64_kib_loan() {
     // 8 Ki u64 = 64 KiB, and one element either side of it: there is no
     // size floor below which a message stages.
     for elems in [(8 << 10) - 1, 8 << 10, (8 << 10) + 1] {
-        assert_loaned(exchange(loaning(), 2, elems), &format!("{elems} u64 messages"));
+        assert_loaned(exchange(Universe::builder(), 2, elems), &format!("{elems} u64 messages"));
     }
 }
 
 #[test]
-fn zerocopy_off_stages_every_size() {
-    for elems in [8, 128, 16 << 10] {
-        let c = exchange(Universe::builder().zerocopy(false), 2, elems);
-        assert_staged(c, &format!("{elems} u64 messages with zero-copy off"));
-    }
-}
-
-#[test]
-fn a_fault_plan_stages_every_size() {
-    // The rule never fires (no user message carries tag 77), but a plan
-    // that is installed at all stages every message.
-    let plan = FaultPlan::new().drop_message(0, 1, Some(77), 0);
-    for elems in [8, 128, 16 << 10] {
-        let c = exchange(loaning().fault_plan(plan.clone()), 2, elems);
-        assert_staged(c, &format!("{elems} u64 messages under a fault plan"));
+fn a_fault_plan_still_loans_every_size() {
+    // Neither plan fires (no user message carries tag 77, and no rank
+    // reaches op 10 000), but both are installed: rules act on the loan,
+    // so a plan changes no message's wire path.
+    let plans = [
+        FaultPlan::new().drop_message(0, 1, Some(77), 0),
+        FaultPlan::new().kill_rank_at_op(1, 10_000),
+    ];
+    for (plan, elems) in plans.iter().flat_map(|p| [8, 128, 16 << 10].map(|e| (p, e))) {
+        let c = exchange(Universe::builder().fault_plan(plan.clone()), 2, elems);
+        assert_loaned(c, &format!("{elems} u64 messages under {plan:?}"));
     }
 }
 
@@ -98,7 +82,7 @@ fn a_fault_plan_stages_every_size() {
 /// of the loan fills receive part `i`.
 #[test]
 fn multi_part_message_loans_and_lands_part_by_part_in_order() {
-    let out = loaning().run(2, |comm| {
+    let out = Universe::builder().run(2, |comm| {
         let (me, peer) = (comm.rank(), 1 - comm.rank());
         let a: Vec<u8> = (0..64).map(|i| (100 * me + i) as u8).collect();
         // An 8x8 grid; its centre 4x4 is sixteen bytes in four runs.

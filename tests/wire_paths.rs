@@ -1,6 +1,6 @@
-//! Which wire path an `alltoallw` message takes, seen through the facade's
-//! transport counters: a zero-copy loan at every size by default, staged
-//! bytes with zero-copy off, and staged bytes under any fault plan.
+//! The one wire path an `alltoallw` message takes, seen through the
+//! facade's transport counters: a zero-copy loan at every size, also under
+//! a fault plan, whose rules act on the loan.
 
 use ddr::minimpi::{
     Comm, Datatype, Error, FaultPlan, TransportCounters, Universe, UniverseBuilder,
@@ -40,37 +40,27 @@ fn run(builder: UniverseBuilder, len: usize) -> (TransportCounters, Vec<Got>) {
 
 type Got = Result<Vec<u8>, Error>;
 
-/// Zero-copy requested explicitly, so `DDR_NO_ZEROCOPY` cannot change the
-/// case, and everything else default.
-fn loaning() -> UniverseBuilder {
-    Universe::builder().zerocopy(true)
-}
-
 /// Rank `r` received exactly what its peer sent.
 fn exact(got: &Got, r: usize, len: usize) -> bool {
     got.as_ref().is_ok_and(|bytes| *bytes == payload(1 - r, len))
 }
 
 #[test]
-fn loans_have_no_size_floor_and_every_fault_plan_stages() {
+fn loans_have_no_size_floor_and_every_fault_plan_loans() {
     // A large exchange loans both messages.
-    let (transport, got) = run(loaning(), 1 << 20);
+    let (transport, got) = run(Universe::builder(), 1 << 20);
     assert!(exact(&got[0], 0, 1 << 20) && exact(&got[1], 1, 1 << 20));
     assert_eq!(transport.zerocopy_msgs, 2);
 
-    // So does a small one: there is no size floor under a loan. With
-    // zero-copy off the same exchange stages both messages.
-    let (transport, got) = run(loaning(), 1 << 10);
+    // So does a small one: there is no size floor under a loan.
+    let (transport, got) = run(Universe::builder(), 1 << 10);
     assert!(exact(&got[0], 0, 1 << 10) && exact(&got[1], 1, 1 << 10));
     assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (2, 0));
-    let (transport, got) = run(Universe::builder().zerocopy(false), 1 << 10);
-    assert!(exact(&got[0], 0, 1 << 10) && exact(&got[1], 1, 1 << 10));
-    assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (0, 2));
 
-    // A delay-only plan stages the loan-sized exchange too, and both ranks
-    // still receive exactly what was sent.
+    // A delay-only plan delays the loan itself: both messages still loan,
+    // and both ranks still receive exactly what was sent.
     let plan = FaultPlan::new().delay_message(0, 1, None, 0, Duration::from_millis(1));
-    let (transport, got) = run(loaning().fault_plan(plan), 1 << 20);
-    assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (0, 2), "every plan stages");
+    let (transport, got) = run(Universe::builder().fault_plan(plan), 1 << 20);
+    assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (2, 0), "a plan still loans");
     assert!(exact(&got[0], 0, 1 << 20) && exact(&got[1], 1, 1 << 20));
 }
