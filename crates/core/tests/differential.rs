@@ -2,8 +2,8 @@
 //! redistributed through the one wire path — every cross-rank `alltoallw`
 //! message a zero-copy loan — and every receive buffer must equal the
 //! serial oracle byte for byte (every needed cell holds its globally unique
-//! value), with the [`RedistStats`] the plan predicts, also under
-//! `check(true)` and under a fault plan, whose rules act on the loans. The
+//! value), with the [`RedistStats`] the plan predicts, also under a fault
+//! plan, whose rules act on the loans. The
 //! headline property: a producer → consumer → producer round-trip is the
 //! identity on the data. The same cases also run through
 //! `Plan::reorganize_from`, which produces each chunk in its round instead
@@ -136,11 +136,11 @@ struct RankRun {
     counters: TransportCounters,
 }
 
-/// Execute `case` as held chunks, with the runtime checker on or off.
-fn run_path(case: &Case, check: bool) -> Vec<RankRun> {
+/// Execute `case` as held chunks.
+fn run_path(case: &Case) -> Vec<RankRun> {
     let layouts = &case.layouts;
     let (kind, nprocs) = (case.kind, case.nprocs);
-    Universe::builder().check(check).run(nprocs, move |comm| {
+    Universe::run(nprocs, move |comm| {
         let me = &layouts[comm.rank()];
         let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
         let plan = desc
@@ -189,7 +189,7 @@ fn assert_matches_oracle(seed: u64, case: &Case, runs: &[RankRun]) {
 fn fifty_seeded_cases_match_the_oracle() {
     for seed in 0..50u64 {
         let case = case_from_seed(seed);
-        assert_matches_oracle(seed, &case, &run_path(&case, false));
+        assert_matches_oracle(seed, &case, &run_path(&case));
     }
 }
 
@@ -245,7 +245,7 @@ fn produced_and_held_chunks_are_byte_identical_to_the_oracle() {
         (0..50u64).map(|s| (s, case_from_seed(s))).chain([(u64::MAX, ragged_case())])
     {
         let produced = run_produced(&case);
-        let held = run_path(&case, false);
+        let held = run_path(&case);
         let chunks: Vec<usize> = case.layouts.iter().map(|l| l.owned.len()).collect();
         ragged += chunks.iter().any(|&c| c != chunks[0]) as usize;
         for (r, ((need, asked), held)) in produced.iter().zip(&held).enumerate() {
@@ -257,16 +257,6 @@ fn produced_and_held_chunks_are_byte_identical_to_the_oracle() {
         }
     }
     assert!(ragged > 0, "no case had ranks with different chunk counts");
-}
-
-/// A subset re-run under `check(true)`: the collective-matching checker's
-/// control traffic must not perturb the exchange.
-#[test]
-fn differential_holds_under_check_mode() {
-    for seed in 0..10u64 {
-        let case = case_from_seed(seed);
-        assert_matches_oracle(seed, &case, &run_path(&case, true));
-    }
 }
 
 /// Held chunks ride one loaned exchange: here eight 32 KiB column-slab
@@ -286,7 +276,7 @@ fn held_chunks_ride_one_loaned_exchange() {
             })
             .collect(),
     };
-    let runs = run_path(&case, false);
+    let runs = run_path(&case);
     assert_matches_oracle(0, &case, &runs);
     for (r, run) in runs.iter().enumerate() {
         assert_eq!((run.stats.rounds, run.stats.exchanges), (8, 1), "rank {r}");
@@ -340,29 +330,27 @@ fn a_fault_plan_acts_on_loans_and_a_drop_loses_one_message() {
 
 /// Multi-MiB differential: a repartition whose every cross-rank transfer is
 /// 8 MiB — far past cache — while the transpose geometry (x-slabs to
-/// y-slabs) keeps the per-row runs strided. Checked or not, the loan's claim
-/// copy must reproduce the analytically known cell values exactly.
+/// y-slabs) keeps the per-row runs strided. The loan's claim copy must
+/// reproduce the analytically known cell values exactly.
 #[test]
-fn multi_mib_transpose_matches_the_oracle_with_and_without_check() {
+fn multi_mib_transpose_matches_the_oracle() {
     let domain = Block::d2([0, 0], [2048, 2048]).unwrap();
     let nprocs = 2;
-    for check in [false, true] {
-        let out = Universe::builder().check(check).run(nprocs, move |comm| {
-            let r = comm.rank();
-            let desc = Descriptor::for_type::<u64>(nprocs, DataKind::D2).unwrap();
-            let owned = [decompose::slab(&domain, 0, nprocs, r).unwrap()];
-            let need = decompose::slab(&domain, 1, nprocs, r).unwrap();
-            let plan =
-                desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Strict).unwrap();
-            let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
-            let mut buf = vec![u64::MAX; need.count() as usize];
-            plan.reorganize(comm, &[&data], &mut buf).unwrap();
-            (need, buf)
-        });
-        for (r, (need, buf)) in out.iter().enumerate() {
-            for (i, (coord, &got)) in need.coords().zip(buf).enumerate() {
-                assert_eq!(got, cell_value(coord), "check={check}: rank {r} cell {i} wrong");
-            }
+    let out = Universe::run(nprocs, move |comm| {
+        let r = comm.rank();
+        let desc = Descriptor::for_type::<u64>(nprocs, DataKind::D2).unwrap();
+        let owned = [decompose::slab(&domain, 0, nprocs, r).unwrap()];
+        let need = decompose::slab(&domain, 1, nprocs, r).unwrap();
+        let plan =
+            desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Strict).unwrap();
+        let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
+        let mut buf = vec![u64::MAX; need.count() as usize];
+        plan.reorganize(comm, &[&data], &mut buf).unwrap();
+        (need, buf)
+    });
+    for (r, (need, buf)) in out.iter().enumerate() {
+        for (i, (coord, &got)) in need.coords().zip(buf).enumerate() {
+            assert_eq!(got, cell_value(coord), "rank {r} cell {i} wrong");
         }
     }
 }

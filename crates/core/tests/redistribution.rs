@@ -481,3 +481,20 @@ fn dense_and_neighbour_only_mappings_redistribute() {
         }
     });
 }
+
+#[test]
+fn three_rounds_of_column_slabs_to_row_slabs() {
+    // Rank r owns column slabs r, r+3, r+6 of nine and needs a row slab:
+    // three back-to-back rounds, every one with cross-rank traffic.
+    use ddr_core::decompose::slab;
+    let domain = Block::d2([0, 0], [12, 12]).unwrap();
+    let layouts: Vec<Layout> = (0..3)
+        .map(|r| Layout {
+            owned: (0..3).map(|k| slab(&domain, 1, 9, r + 3 * k).unwrap()).collect(),
+            need: slab(&domain, 0, 3, r).unwrap(),
+        })
+        .collect();
+    for _ in 0..16 {
+        check_redistribution(DataKind::D2, &layouts, ValidationPolicy::Strict);
+    }
+}

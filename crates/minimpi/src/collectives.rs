@@ -4,10 +4,11 @@
 //! namespace keyed by a per-communicator sequence number, so user traffic and
 //! concurrent collectives on *different* communicators can never interfere.
 //! Every member of a communicator must call each collective in the same
-//! order — the standard MPI contract.
+//! order — the standard MPI contract. The key tag also names the collective
+//! ([`Coll`]), so a rank that breaks the contract is never matched across
+//! collectives.
 
-use crate::check::{CollFingerprint, CollectiveKind, TypeSig};
-use crate::comm::{coll_key_tag, Comm};
+use crate::comm::{coll_key_tag, elems_agree, Coll, Comm};
 use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
 use crate::mailbox::{Envelope, Payload};
@@ -57,22 +58,20 @@ impl Comm {
 
     /// Block until every rank in the communicator has entered the barrier.
     /// Dissemination algorithm: `ceil(log2 n)` rounds.
-    #[track_caller]
     pub fn barrier(&self) -> Result<()> {
         let n = self.size();
         if n == 1 {
             return Ok(());
         }
         let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Barrier, None))?;
         let _coll = ddrtrace::span("minimpi", "barrier");
         let mut dist = 1usize;
         let mut phase = 0u64;
         while dist < n {
             let to = (self.rank() + dist) % n;
             let from = (self.rank() + n - dist) % n;
-            self.deposit_to(to, coll_key_tag(seq, phase), Vec::new())?;
-            self.take_from(from, coll_key_tag(seq, phase))?;
+            self.deposit_to(to, coll_key_tag(seq, Coll::Barrier, phase), Vec::new())?;
+            self.take_from(from, coll_key_tag(seq, Coll::Barrier, phase))?;
             dist <<= 1;
             phase += 1;
         }
@@ -86,14 +85,18 @@ impl Comm {
     /// Broadcast bytes from `root` to all ranks. On non-root ranks the
     /// returned vector is the received payload; on the root it is a copy of
     /// `data`. Binomial tree, `O(log n)` depth.
-    #[track_caller]
     pub fn broadcast_bytes(&self, root: usize, data: &[u8]) -> Result<Vec<u8>> {
+        self.broadcast_as(Coll::Broadcast, root, data)
+    }
+
+    /// [`Comm::broadcast_bytes`] under `coll`'s tags: allgather and
+    /// allreduce broadcast as themselves.
+    fn broadcast_as(&self, coll: Coll, root: usize, data: &[u8]) -> Result<Vec<u8>> {
         let n = self.size();
         if root >= n {
             return Err(Error::RankOutOfRange { rank: root, size: n });
         }
-        let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Broadcast, Some(root)))?;
+        let tag = coll_key_tag(self.next_coll_seq(), coll, 0);
         let relative = (self.rank() + n - root) % n;
 
         let mut payload: Option<Vec<u8>> = if relative == 0 { Some(data.to_vec()) } else { None };
@@ -103,7 +106,7 @@ impl Comm {
         while mask < n {
             if relative & mask != 0 {
                 let src = (self.rank() + n - mask) % n;
-                payload = Some(self.take_from(src, coll_key_tag(seq, 0))?);
+                payload = Some(self.take_from(src, tag)?);
                 break;
             }
             mask <<= 1;
@@ -119,7 +122,7 @@ impl Comm {
         while mask > 0 {
             if relative + mask < n {
                 let dst = (self.rank() + mask) % n;
-                self.deposit_to(dst, coll_key_tag(seq, 0), payload.clone())?;
+                self.deposit_to(dst, tag, payload.clone())?;
             }
             mask >>= 1;
         }
@@ -132,44 +135,45 @@ impl Comm {
 
     /// Gather each rank's (variable-length) bytes at `root`. Returns
     /// `Some(parts)` on the root (indexed by rank) and `None` elsewhere.
-    #[track_caller]
     pub fn gather_bytes(&self, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
+        self.gather_as(Coll::Gather, root, data)
+    }
+
+    /// [`Comm::gather_bytes`] under `coll`'s tags.
+    fn gather_as(&self, coll: Coll, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
         let n = self.size();
         if root >= n {
             return Err(Error::RankOutOfRange { rank: root, size: n });
         }
-        let seq = self.next_coll_seq();
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Gather, Some(root)))?;
+        let tag = coll_key_tag(self.next_coll_seq(), coll, 0);
         if self.rank() == root {
             let mut parts = vec![Vec::new(); n];
             parts[root] = data.to_vec();
             for (src, part) in parts.iter_mut().enumerate() {
                 if src != root {
-                    *part = self.take_from(src, coll_key_tag(seq, 0))?;
+                    *part = self.take_from(src, tag)?;
                 }
             }
             Ok(Some(parts))
         } else {
-            self.deposit_to(root, coll_key_tag(seq, 0), data.to_vec())?;
+            self.deposit_to(root, tag, data.to_vec())?;
             Ok(None)
         }
     }
 
     /// Allgather of variable-length byte buffers: every rank receives every
     /// rank's contribution, indexed by rank. Gather-to-0 + broadcast.
-    #[track_caller]
     pub fn allgather_bytes(&self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let gathered = self.gather_bytes(0, data)?;
+        let gathered = self.gather_as(Coll::Allgather, 0, data)?;
         let encoded = match gathered {
             Some(parts) => encode_multi(&parts),
             None => Vec::new(),
         };
-        let all = self.broadcast_bytes(0, &encoded)?;
+        let all = self.broadcast_as(Coll::Allgather, 0, &encoded)?;
         decode_multi(&all)
     }
 
     /// Typed allgather: every rank receives every rank's slice.
-    #[track_caller]
     pub fn allgather<T: Pod>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
         self.allgather_bytes(bytes_of(data))?
             .iter()
@@ -198,9 +202,8 @@ impl Comm {
     /// rank 0, folded there in rank order (deterministic for non-associative
     /// float ops) and broadcast. All ranks must contribute slices of the
     /// same length.
-    #[track_caller]
     pub fn try_allreduce<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Result<Vec<T>> {
-        let reduced = match self.gather_bytes(0, bytes_of(data))? {
+        let reduced = match self.gather_as(Coll::Allreduce, 0, bytes_of(data))? {
             None => Vec::new(),
             Some(parts) => {
                 let mut acc = data.to_vec();
@@ -216,7 +219,7 @@ impl Comm {
                 bytes_of(&acc).to_vec()
             }
         };
-        let all = self.broadcast_bytes(0, &reduced)?;
+        let all = self.broadcast_as(Coll::Allreduce, 0, &reduced)?;
         vec_from_bytes(&all)
             .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: all.len() })
     }
@@ -242,7 +245,6 @@ impl Comm {
     ///
     /// This is the one-part case of [`Comm::alltoallw_parts`]: the same
     /// engine, aborting on the first failed source.
-    #[track_caller]
     pub fn alltoallw(
         &self,
         send_buf: &[u8],
@@ -273,8 +275,9 @@ impl Comm {
     ///
     /// Every message is one loan of all its parts, whatever its size, and
     /// the receiver copies part `i` of the loan into its receive part `i`,
-    /// so `sends[d]` and `recvs[r]` must also agree part by part (count and
-    /// each part's packed length), as the self parts always must.
+    /// so `sends[d]` and `recvs[r]` must also agree part by part (count, and
+    /// each part's packed length and element size), as the self parts always
+    /// must.
     ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
@@ -282,7 +285,6 @@ impl Comm {
     /// [`ExchangeReport`]. Errors that indicate *this* rank cannot continue
     /// (it was fault-killed mid-exchange, or its own arguments are
     /// malformed) are still returned as `Err`.
-    #[track_caller]
     pub fn alltoallw_parts(
         &self,
         sends: &[Vec<(&[u8], Datatype)>],
@@ -301,7 +303,6 @@ impl Comm {
     /// report, every byte of every selection in `recvs` is initialized;
     /// bytes outside them, or in the parts of a failed source, are left as
     /// they were.
-    #[track_caller]
     pub fn alltoallw_parts_uninit(
         &self,
         sends: &[Vec<(&[u8], Datatype)>],
@@ -320,7 +321,6 @@ impl Comm {
     /// message eagerly, then `wait` drains every source.
     /// Whichever way the call leaves — clean, abort, a mid-post error, a
     /// panic — the guard drains or revokes its zero-copy loans.
-    #[track_caller]
     fn alltoallw_impl(
         &self,
         sends: &[Vec<(&[u8], Datatype)>],
@@ -339,12 +339,10 @@ impl Comm {
             });
         }
         let seq = self.next_coll_seq();
-        // Both entries share one wire protocol, so both record the same
-        // kind: they may legitimately pair across ranks.
-        self.record_collective(seq, CollFingerprint::here(CollectiveKind::Alltoallw, None))?;
-        self.sched_point("alltoallw_post");
         let me = self.rank();
-        let tag = coll_key_tag(seq, 0);
+        // Both entries share one wire protocol, so both tag as one
+        // collective: they may legitimately pair across ranks.
+        let tag = coll_key_tag(seq, Coll::Alltoallw, 0);
         let span = ddrtrace::span_arg("minimpi", "alltoallw", "seq", seq as i64);
 
         // The guard is built before the send phase so that a mid-post error
@@ -404,32 +402,29 @@ impl Comm {
     fn deliver_alltoallw(
         &self,
         src: usize,
-        key_tag: u64,
         env: Envelope,
         dts: &[Datatype],
         recv_buf: &mut [MaybeUninit<u8>],
     ) -> Result<()> {
-        // Signature check happens *before* the payload is consumed: dropping
-        // an unclaimed zero-copy envelope revokes the loan, releasing its
-        // sender.
-        self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &TypeSig::of_parts(dts))?;
-        // Owned bytes under an alltoallw tag come from a peer that called a
-        // different collective at this position.
+        // Only alltoallw deposits under an alltoallw tag, and it only lends.
         let Payload::Shared(h) = env.payload else {
-            return Err(Error::CollectiveMismatch {
+            return Err(Error::Internal {
                 detail: format!("alltoallw: rank {src} sent owned bytes where a loan belongs"),
             });
         };
-        // Parts pair in order, as the self parts do, so they must agree
-        // before anything is claimed. Dropping the unclaimed envelope
-        // revokes the loan, releasing its sender.
-        if !h.dts().map(Datatype::packed_len).eq(dts.iter().map(Datatype::packed_len)) {
-            let lent: Vec<usize> = h.dts().map(Datatype::packed_len).collect();
-            let want: Vec<usize> = dts.iter().map(Datatype::packed_len).collect();
+        // Parts pair in order, as the self parts do, so they must agree in
+        // count, length and element size before anything is claimed.
+        // Dropping the unclaimed envelope revokes the loan, releasing its
+        // sender.
+        let shape = |dt: &Datatype| (dt.packed_len(), dt.elem_size());
+        let (lent, want) = (|| h.dts().map(shape), || dts.iter().map(shape));
+        let agree = |(a, b): ((usize, u32), (usize, u32))| a.0 == b.0 && elems_agree(a.1, b.1);
+        if lent().count() != dts.len() || !lent().zip(want()).all(agree) {
+            let (lent, want): (Vec<_>, Vec<_>) = (lent().collect(), want().collect());
             return Err(Error::DatatypeMismatch {
                 detail: format!(
-                    "a loan of parts of {lent:?} bytes from rank {src} into parts of {want:?} \
-                     bytes"
+                    "a loan of (bytes, element size) parts {lent:?} from rank {src} into parts \
+                     {want:?}"
                 ),
             });
         }
@@ -478,7 +473,6 @@ impl Exchange<'_> {
     /// immediately — and revokes this rank's own outstanding loans.
     fn wait(mut self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<ExchangeReport> {
         let comm = self.comm;
-        comm.sched_point("alltoallw_wait");
         let me = comm.rank();
         self.self_copy(recv_buf)?;
         // Receive phase: under salvage, drain every source and record
@@ -489,7 +483,7 @@ impl Exchange<'_> {
             }
             let res = comm
                 .take_envelope_from(s, self.tag)
-                .and_then(|env| comm.deliver_alltoallw(s, self.tag, env, dts, recv_buf));
+                .and_then(|env| comm.deliver_alltoallw(s, env, dts, recv_buf));
             match res {
                 Ok(()) => {}
                 // Malformed local arguments are hard errors in both modes.
@@ -551,7 +545,6 @@ impl Exchange<'_> {
         let comm = self.comm;
         let mut revoked = 0;
         for (dest, cell) in self.loans.drain(..) {
-            comm.sched_point("zc_wait");
             // A dead receiver can never claim the loan — revoke right away
             // rather than burning the watchdog.
             let waiter = &comm.my_mailbox().waiter;
@@ -640,7 +633,7 @@ mod tests {
             let lent = vec![0xAB; len];
             let out = Universe::builder().timeout(watchdog).run(3, |comm| {
                 let me = comm.rank();
-                let tag = coll_key_tag(0, 0);
+                let tag = coll_key_tag(0, Coll::Alltoallw, 0);
                 let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
                 if me == 0 {
                     // Loan to rank 1 only, then die with it outstanding.

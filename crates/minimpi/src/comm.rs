@@ -1,6 +1,5 @@
 //! Communicators and point-to-point messaging.
 
-use crate::check::{CheckCounters, CheckState, CollFingerprint, TypeSig};
 use crate::datatype::Datatype;
 use crate::elastic::ElasticState;
 use crate::error::{Error, Result};
@@ -8,7 +7,6 @@ use crate::fault::{mix64, FaultPlan, FaultState, MessageVerdict};
 use crate::life::{Liveness, ShrinkBarrier};
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
-use crate::sched::SchedState;
 use crate::zerocopy::{BufferPool, PoolStats, TransportCells, TransportCounters, ZcCell, ZcHandle};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,12 +25,6 @@ pub(crate) struct WorldState {
     pub liveness: Liveness,
     pub shrink: ShrinkBarrier,
     pub faults: Option<FaultState>,
-    /// Correctness-checking state (collective epoch log + wait-for graph);
-    /// `None` unless checking was enabled on the universe builder.
-    pub check: Option<CheckState>,
-    /// Seeded schedule-perturbation state; `None` (zero cost) unless a
-    /// schedule seed was set via the builder or `DDR_SCHED_SEED`.
-    pub sched: Option<SchedState>,
     /// Communication ops performed so far, per world rank. Counted whether
     /// or not a fault plan is installed, so op positions observed in a
     /// clean run can be used to place kills in a faulty one.
@@ -55,14 +47,11 @@ pub(crate) struct WorldState {
 }
 
 impl WorldState {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         n: usize,
         default_timeout: Duration,
         fault_plan: Option<FaultPlan>,
-        check: bool,
         respawn: Option<bool>,
-        sched_seed: Option<u64>,
         (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
         // Decided once, from what the universe can observe: spin only when
@@ -74,10 +63,6 @@ impl WorldState {
             shrink: ShrinkBarrier::default(),
             // An empty plan injects nothing, so it is no plan.
             faults: fault_plan.filter(|p| !p.is_empty()).map(FaultState::new),
-            check: check.then(|| CheckState::new(n)),
-            sched: sched_seed
-                .or_else(crate::sched::sched_seed_env_default)
-                .map(|s| SchedState::new(s, n)),
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
             default_timeout,
             pool: BufferPool::default(),
@@ -139,13 +124,19 @@ impl WorldState {
 
 // Internal key-tag namespace: user tags and collective sequence numbers must
 // never collide. User tag t  -> key tag = t (< 2^32).
-// Collective (seq, phase)    -> key tag = COLL_BIT | seq << PHASE_BITS | phase.
+// Collective (seq, coll, phase) -> key tag =
+//     COLL_BIT | seq << PHASE_BITS | coll << COLL_SHIFT | phase.
+// A barrier has ceil(log2 n) < 64 phases and every other collective one, so
+// the low 6 bits of the 12-bit phase field hold the phase and the high 6 the
+// collective's code.
 const COLL_BIT: u64 = 1 << 63;
 const PHASE_BITS: u32 = 12;
 const PHASE_MASK: u64 = (1 << PHASE_BITS) - 1;
+const COLL_SHIFT: u32 = 6;
 
 /// Sentinel tag reported by shrink-rendezvous timeouts (no message traffic
-/// is involved, so there is no real tag to report).
+/// is involved, so there is no real tag to report). Both sentinels carry
+/// collective code 63, which no [`Coll`] has.
 const SHRINK_TAG: u64 = COLL_BIT | PHASE_MASK;
 
 /// Sentinel tag reported by reconfigure-rendezvous timeouts.
@@ -155,13 +146,32 @@ fn user_key_tag(tag: Tag) -> u64 {
     tag as u64
 }
 
-pub(crate) fn coll_key_tag(seq: u64, phase: u64) -> u64 {
-    debug_assert!(phase <= PHASE_MASK);
-    COLL_BIT | (seq << PHASE_BITS) | phase
+/// Which collective a message belongs to. Its code is part of the key tag,
+/// so a message of one collective never matches a receive of another: ranks
+/// that call different collectives at the same position wait, and end in
+/// [`Error::Timeout`] or [`Error::PeerDead`], instead of each taking the
+/// other's bytes.
+#[derive(Clone, Copy)]
+pub(crate) enum Coll {
+    Barrier = 1,
+    Broadcast,
+    Gather,
+    Allgather,
+    Allreduce,
+    Alltoallw,
+}
+
+const COLL_NAMES: [&str; 7] =
+    ["?", "barrier", "broadcast", "gather", "allgather", "allreduce", "alltoallw"];
+
+pub(crate) fn coll_key_tag(seq: u64, coll: Coll, phase: u64) -> u64 {
+    debug_assert!(phase < 1 << COLL_SHIFT);
+    COLL_BIT | (seq << PHASE_BITS) | ((coll as u64) << COLL_SHIFT) | phase
 }
 
 /// Human-readable description of a raw key tag for diagnostics: user tags
-/// print as-is, collective tags decode to sequence number and phase.
+/// print as-is, collective tags decode to collective, sequence number and
+/// phase.
 pub(crate) fn describe_key_tag(key_tag: u64) -> String {
     if key_tag & COLL_BIT == 0 {
         return format!("user tag {key_tag}");
@@ -173,7 +183,9 @@ pub(crate) fn describe_key_tag(key_tag: u64) -> String {
         return "reconfigure rendezvous".to_string();
     }
     let body = key_tag & !COLL_BIT;
-    format!("collective #{} phase {}", body >> PHASE_BITS, body & PHASE_MASK)
+    let coll = COLL_NAMES.get(((body & PHASE_MASK) >> COLL_SHIFT) as usize).unwrap_or(&"?");
+    let phase = body & ((1 << COLL_SHIFT) - 1);
+    format!("{coll} #{} phase {phase}", body >> PHASE_BITS)
 }
 
 /// A communicator: a rank's handle onto an ordered group of ranks.
@@ -321,15 +333,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Maybe-delay hook for the seeded schedule explorer: a no-op (one
-    /// `Option` branch) unless a schedule seed is set.
-    #[inline]
-    pub(crate) fn sched_point(&self, point: &'static str) {
-        if let Some(s) = &self.world.sched {
-            s.perturb(self.world_rank(), point);
-        }
-    }
-
     /// Match-time admission — the one gate every envelope popped from this
     /// rank's mailbox passes before it is delivered. The epoch fence comes
     /// first: an envelope stamped by a different membership epoch is never
@@ -345,58 +348,18 @@ impl Comm {
         Some(env)
     }
 
-    /// Datatype signature to stamp on an outgoing envelope; `None` (no work
-    /// at all) when checking is off. `sig` defaults to an untyped-bytes
-    /// signature of `payload_len`.
-    fn send_stamp(&self, sig: Option<TypeSig>, payload_len: usize) -> Option<TypeSig> {
-        self.world.check.as_ref().map(|_| sig.unwrap_or_else(|| TypeSig::bytes(payload_len as u64)))
-    }
-
-    /// With checking enabled, verify a sender's stamped datatype signature
-    /// against the receiver's declared expectation; no-op otherwise (or when
-    /// the envelope predates checking, e.g. hand-built test envelopes).
-    pub(crate) fn verify_type_sig(
-        &self,
-        src: usize,
-        key_tag: u64,
-        got: Option<&TypeSig>,
-        want: &TypeSig,
-    ) -> Result<()> {
-        let (Some(check), Some(got)) = (&self.world.check, got) else {
-            return Ok(());
-        };
-        if want.accepts(got) {
-            return Ok(());
-        }
-        check.note_type_mismatch();
-        Err(Error::TypeMismatch { src, dst: self.rank, tag: key_tag, expected: *want, got: *got })
-    }
-
-    /// Snapshot of the checker's violation counters, or `None` when checking
-    /// is off. Counts are world-wide (shared by every communicator handle).
-    pub fn check_counters(&self) -> Option<CheckCounters> {
-        self.world.check.as_ref().map(|c| c.counters())
-    }
-
     /// The one place an envelope is built and queued: stamped with this
     /// handle's rank and epoch, then reserved-and-enqueued in `dest`'s
     /// mailbox under (communicator, this rank, `key_tag`). What varies by
-    /// payload kind — the stamp — is decided by the `deposit_*` caller. The envelope counts against this pair's depth and parks
+    /// payload kind — the element size — is decided by the `deposit_*`
+    /// caller. The envelope counts against this pair's depth and parks
     /// while the pair is full: no pop within [`Comm::timeout`] is
     /// [`Error::Timeout`] naming `dest`; the receiver's death, this rank's
     /// own fault-kill or an epoch bump unparks with the matching error.
-    fn enqueue(
-        &self,
-        dest: usize,
-        key_tag: u64,
-        payload: Payload,
-        type_sig: Option<TypeSig>,
-    ) -> Result<()> {
+    fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) -> Result<()> {
         let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
-        self.sched_point("credit");
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        let env =
-            Envelope { src: self.rank, epoch: self.epoch, payload, type_sig, pair: src_world };
+        let env = Envelope { src: self.rank, epoch: self.epoch, payload, elem, pair: src_world };
         let abort = || {
             if !self.world.is_alive(src_world) {
                 return Some(Error::PeerDead { rank: self.rank });
@@ -415,7 +378,7 @@ impl Comm {
 
     /// [`Comm::deposit_staged`] of untyped bytes.
     pub(crate) fn deposit_to(&self, dest: usize, key_tag: u64, payload: Vec<u8>) -> Result<()> {
-        self.deposit_staged(dest, key_tag, payload, None)
+        self.deposit_staged(dest, key_tag, payload, 1)
     }
 
     /// Apply the fault plan's message rules to the message about to go to
@@ -444,23 +407,22 @@ impl Comm {
     }
 
     /// Deposit owned bytes — the path of eager point-to-point sends and of
-    /// every collective but `alltoallw`. `sig` is the datatype signature to
-    /// stamp (typed sends pass theirs; `None` means untyped bytes). A dropped or fenced message returns before
-    /// [`Comm::enqueue`], the only step that reserves anything.
+    /// every collective but `alltoallw`. `elem` is the element size to stamp
+    /// (typed sends pass theirs; `1` means untyped bytes). A dropped or
+    /// fenced message returns before [`Comm::enqueue`], the only step that
+    /// reserves anything.
     pub(crate) fn deposit_staged(
         &self,
         dest: usize,
         key_tag: u64,
         payload: Vec<u8>,
-        sig: Option<TypeSig>,
+        elem: u32,
     ) -> Result<()> {
-        self.sched_point("send");
         self.fault_tick()?;
-        let stamp = self.send_stamp(sig, payload.len());
         if !self.passes_faults(dest, key_tag) {
             return Ok(());
         }
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), stamp)?;
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), elem)?;
         self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -486,7 +448,6 @@ impl Comm {
         for (buf, dt) in parts {
             dt.check_bounds(buf.len())?;
         }
-        self.sched_point("lend");
         // Same op accounting and fault rules as `deposit_staged`, so op and
         // message positions (the fault plan's coordinates) count every
         // message alike.
@@ -495,11 +456,11 @@ impl Comm {
             return Ok(None);
         }
         let cell = Arc::new(ZcCell::default());
-        let stamp = self.send_stamp(Some(TypeSig::of_parts(parts.iter().map(|(_, dt)| dt))), 0);
         // A loan occupies a slot in the pair but stages no bytes. A refused
-        // one was dropped — and so revoked — by the mailbox.
+        // one was dropped — and so revoked — by the mailbox. Its parts carry
+        // their own element sizes, so the envelope stamps untyped bytes.
         let handle = ZcHandle::new(parts, Arc::clone(&cell));
-        self.enqueue(dest, key_tag, Payload::Shared(handle), stamp)?;
+        self.enqueue(dest, key_tag, Payload::Shared(handle), 1)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(Some(cell))
     }
@@ -516,7 +477,6 @@ impl Comm {
         loan: &ZcHandle,
         mut copy_part: impl FnMut(usize, &[u8], &Datatype) -> Result<()>,
     ) -> Result<()> {
-        self.sched_point("zc_claim");
         if !loan.cell.try_claim() {
             // The sender revoked the loan (timeout / death) before we got
             // here; the payload is unrecoverable.
@@ -553,40 +513,20 @@ impl Comm {
     }
 
     pub(crate) fn take_envelope_from(&self, src: usize, key_tag: u64) -> Result<Envelope> {
-        self.sched_point("recv");
         self.fault_tick()?;
         let key: MsgKey = (self.comm_id, src, key_tag);
         let src_world = self.members[src];
-        let me_world = self.world_rank();
-        if let Some(check) = &self.world.check {
-            check.begin_wait(me_world, src_world, key);
-        }
-        let wait = ddrtrace::span_arg("minimpi", "mailbox_wait", "src", src as i64);
-        let outcome = loop {
-            let o = self.my_mailbox().take_watched(key, self.timeout.get(), || {
-                !self.world.is_alive(src_world)
-                    || self.world.check.as_ref().is_some_and(|c| c.is_deadlocked(me_world))
-            });
-            match o {
+        let _wait = ddrtrace::span_arg("minimpi", "mailbox_wait", "src", src as i64);
+        loop {
+            let dead = || !self.world.is_alive(src_world);
+            match self.my_mailbox().take_watched(key, self.timeout.get(), dead) {
                 TakeOutcome::Delivered(env) => match self.admit(env) {
-                    Some(env) => break TakeOutcome::Delivered(env),
+                    Some(env) => return Ok(env),
                     None => continue,
                 },
-                o => break o,
+                TakeOutcome::TimedOut => return Err(self.timed_out(Some(src), key_tag)),
+                TakeOutcome::Aborted => return Err(Error::PeerDead { rank: src }),
             }
-        };
-        drop(wait);
-        let deadlock =
-            self.world.check.as_ref().and_then(|c| {
-                c.finish_wait(me_world, matches!(outcome, TakeOutcome::Delivered(_)))
-            });
-        match outcome {
-            TakeOutcome::Delivered(env) => Ok(env),
-            TakeOutcome::TimedOut => Err(self.timed_out(Some(src), key_tag)),
-            TakeOutcome::Aborted => match deadlock {
-                Some(report) => Err(Error::Deadlock(Box::new(report))),
-                None => Err(Error::PeerDead { rank: src }),
-            },
         }
     }
 
@@ -626,16 +566,14 @@ impl Comm {
         self.deposit_to(dest, user_key_tag(tag), data.to_vec())
     }
 
-    /// Send a slice of POD values to `dest` with `tag`. With checking
-    /// enabled the element size is stamped into the envelope so a typed
-    /// receive with a different element type fails with
-    /// [`Error::TypeMismatch`] instead of silently reinterpreting bytes.
+    /// Send a slice of POD values to `dest` with `tag`. The element size is
+    /// stamped into the envelope, so a typed receive with a different
+    /// element size fails with [`Error::DatatypeMismatch`] instead of
+    /// silently reinterpreting bytes.
     pub fn send<T: Pod>(&self, dest: usize, tag: Tag, data: &[T]) -> Result<()> {
         self.check_rank(dest)?;
-        let bytes = bytes_of(data).to_vec();
-        let sig =
-            TypeSig { extent: bytes.len() as u64, elem: std::mem::size_of::<T>() as u32, shape: 0 };
-        self.deposit_staged(dest, user_key_tag(tag), bytes, Some(sig))
+        let elem = std::mem::size_of::<T>() as u32;
+        self.deposit_staged(dest, user_key_tag(tag), bytes_of(data).to_vec(), elem)
     }
 
     /// Send an owned byte buffer without copying it.
@@ -650,20 +588,28 @@ impl Comm {
         self.take_from(src, user_key_tag(tag))
     }
 
-    /// Typed receive: take the envelope, verify the sender's datatype
-    /// signature against `want` *before* consuming the payload (a mismatched
-    /// zero-copy loan is dropped, revoking it), then materialize.
-    fn take_from_typed(&self, src: usize, key_tag: u64, want: TypeSig) -> Result<Vec<u8>> {
+    /// Typed receive of `T`s: take the envelope and check the sender's
+    /// element size against `T`'s before the bytes are reinterpreted. Sizes
+    /// conflict only when both sides are wider than a byte: untyped bytes
+    /// pass any typed receive, and any message passes a byte receive.
+    fn take_from_typed<T: Pod>(&self, src: usize, key_tag: u64) -> Result<Vec<u8>> {
         let env = self.take_envelope_from(src, key_tag)?;
-        self.verify_type_sig(src, key_tag, env.type_sig.as_ref(), &want)?;
+        let want = std::mem::size_of::<T>() as u32;
+        if !elems_agree(env.elem, want) {
+            return Err(Error::DatatypeMismatch {
+                detail: format!(
+                    "rank {src} sent {}-byte elements, received as {want}-byte elements",
+                    env.elem
+                ),
+            });
+        }
         self.materialize(src, env)
     }
 
     /// Receive a `Vec<T>` of POD values from `src` with `tag`.
     pub fn recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Result<Vec<T>> {
         self.check_rank(src)?;
-        let want = TypeSig { extent: 0, elem: std::mem::size_of::<T>() as u32, shape: 0 };
-        let bytes = self.take_from_typed(src, user_key_tag(tag), want)?;
+        let bytes = self.take_from_typed::<T>(src, user_key_tag(tag))?;
         vec_from_bytes(&bytes)
             .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: bytes.len() })
     }
@@ -673,8 +619,7 @@ impl Comm {
     pub fn recv_into<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) -> Result<()> {
         self.check_rank(src)?;
         let want = std::mem::size_of_val(buf);
-        let sig = TypeSig { extent: want as u64, elem: std::mem::size_of::<T>() as u32, shape: 0 };
-        let bytes = self.take_from_typed(src, user_key_tag(tag), sig)?;
+        let bytes = self.take_from_typed::<T>(src, user_key_tag(tag))?;
         if bytes.len() != want {
             return Err(Error::SizeMismatch { expected: want, got: bytes.len() });
         }
@@ -685,7 +630,6 @@ impl Comm {
     /// Non-blocking receive attempt.
     pub fn try_recv_bytes(&self, src: usize, tag: Tag) -> Result<Option<Vec<u8>>> {
         self.check_rank(src)?;
-        self.sched_point("try_recv");
         self.fault_tick()?;
         while let Some(env) = self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
             if let Some(env) = self.admit(env) {
@@ -702,7 +646,6 @@ impl Comm {
     /// Collective: split this communicator into disjoint sub-communicators,
     /// one per distinct `color`. Members of each child are ordered by their
     /// rank in the parent (MPI's `key` is fixed to the parent rank).
-    #[track_caller]
     pub fn split(&self, color: u64) -> Result<Comm> {
         let all: Vec<(u64, usize)> =
             self.allgather(&[color])?.into_iter().enumerate().map(|(r, c)| (c[0], r)).collect();
@@ -784,18 +727,13 @@ impl Comm {
         self.coll_seq.set(s + 1);
         s
     }
+}
 
-    /// With checking enabled, verify this rank's collective call number
-    /// `seq` against what other members recorded for the same slot; no-op
-    /// (one always-false branch) otherwise.
-    pub(crate) fn record_collective(&self, seq: u64, fp: CollFingerprint) -> Result<()> {
-        if let Some(check) = &self.world.check {
-            check
-                .record_collective(self.comm_id, seq, self.rank, self.size(), fp)
-                .map_err(Error::CollectiveDiverged)?;
-        }
-        Ok(())
-    }
+/// Whether element sizes `a` and `b` may describe the same bytes: they
+/// conflict only when both are wider than one byte, because a byte-granular
+/// side (untyped bytes, a contiguous selection) can pair with any element.
+pub(crate) fn elems_agree(a: u32, b: u32) -> bool {
+    a <= 1 || b <= 1 || a == b
 }
 
 /// Watchdog timeout used when none is set on the [`crate::Universe`]

@@ -344,6 +344,14 @@ impl Datatype {
         }
     }
 
+    /// Bytes per element: a subarray's element size, `1` for raw bytes.
+    pub(crate) fn elem_size(&self) -> u32 {
+        match self {
+            Datatype::Subarray(s) => s.elem_size as u32,
+            _ => 1,
+        }
+    }
+
     /// Iterate this datatype's selection as contiguous `(offset, len)` byte
     /// runs in packed order (see [`Subarray::byte_runs`]).
     pub fn byte_runs(&self) -> ByteRuns {

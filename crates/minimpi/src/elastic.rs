@@ -12,9 +12,8 @@
 //! 2. **Epoch bump.** The lowest-ranked survivor acts as leader: it bumps
 //!    the world's membership **epoch**, sweeps every mailbox of messages
 //!    stamped with the old epoch (revoking any stale zero-copy loans, which
-//!    releases their blocked senders), resets the checker's collective log
-//!    and wait-for graph, and — when respawn is enabled — revives each dead
-//!    rank and queues a respawn request for the supervisor running on the
+//!    releases their blocked senders), and — when respawn is enabled —
+//!    revives each dead rank and queues a respawn request for the supervisor running on the
 //!    main thread.
 //! 3. **Fencing.** Every envelope carries the epoch of the communicator
 //!    handle that sent it. Stale envelopes are rejected at three points:
@@ -117,11 +116,9 @@ impl ElasticState {
         self.cv.notify_all();
     }
 
-    /// Non-leader side: block until the world epoch reaches `target`.
-    /// Deliberately invisible to the deadlock detector — this wait is part
-    /// of the reconfigure protocol, not a message receive, and the leader is
-    /// guaranteed to publish (it cannot be fault-killed between agreement
-    /// and publication). Returns `false` on timeout.
+    /// Non-leader side: block until the world epoch reaches `target`. The
+    /// leader is guaranteed to publish (it cannot be fault-killed between
+    /// agreement and publication). Returns `false` on timeout.
     fn wait_for_epoch(&self, target: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut g = self.lock();
@@ -237,7 +234,6 @@ impl Comm {
             return Err(Error::StaleEpoch { comm_epoch: self.epoch, world_epoch: entry_epoch });
         }
         let timeout = self.timeout();
-        self.sched_point("reconfig");
         let generation = self.reconfig_seq.get();
         self.reconfig_seq.set(generation + 1);
         let span = ddrtrace::span("minimpi", "reconfigure");
@@ -272,18 +268,12 @@ impl Comm {
         }
 
         if survivors.first() == Some(&me_world) {
-            // Leader duties, in a deliberate order. Reset the checker first:
-            // every survivor is parked in this rendezvous, so all remaining
-            // checker state is orphaned by the old epoch. Revive the dead
-            // *before* publishing the epoch, so no survivor can wake up and
+            // Leader duties, in a deliberate order. Revive the dead *before* publishing the epoch, so no survivor can wake up and
             // fail a send to a replacement that still reads as dead. Sweep
             // after publishing: the sweep keeps only new-epoch messages, and
             // publishing first closes the window where a fault-delayed
             // deposit could slip in behind the sweep (its deposit-time fence
             // only fires once the epoch has moved).
-            if let Some(check) = &self.world.check {
-                check.reset_for_epoch();
-            }
             let dead: Vec<usize> =
                 self.members.iter().copied().filter(|w| !survivors.contains(w)).collect();
             let mut revived = Vec::new();

@@ -23,21 +23,6 @@ fn warn_once(name: &'static str, value: &str, expected: &str) {
     }
 }
 
-/// A boolean flag: `1`/`true`/`yes`/`on` (any case) is true, `0`/`false`/
-/// `no`/`off` is false, unset is `None`. Anything else warns once and reads
-/// as `None`.
-pub fn flag(name: &'static str) -> Option<bool> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" | "" => Some(false),
-        _ => {
-            warn_once(name, &raw, "a boolean (1/true/yes/on or 0/false/no/off)");
-            None
-        }
-    }
-}
-
 /// An unsigned integer. Malformed values warn once and read as `None`.
 pub fn u64_var(name: &'static str) -> Option<u64> {
     let raw = std::env::var(name).ok()?;
@@ -68,15 +53,6 @@ mod tests {
 
     // Env mutation races other tests in this binary; these tests only use
     // variable names nothing else reads.
-
-    #[test]
-    fn flag_values() {
-        std::env::set_var("DDR_TEST_FLAG_A", "yes");
-        assert_eq!(flag("DDR_TEST_FLAG_A"), Some(true));
-        std::env::set_var("DDR_TEST_FLAG_A", "OFF");
-        assert_eq!(flag("DDR_TEST_FLAG_A"), Some(false));
-        assert_eq!(flag("DDR_TEST_FLAG_UNSET"), None);
-    }
 
     #[test]
     fn malformed_warns_once_and_is_ignored() {

@@ -1,6 +1,5 @@
 //! Error type for runtime failures.
 
-use crate::check::{DeadlockReport, DivergenceReport, TypeSig};
 use std::fmt;
 
 /// Errors surfaced by the minimpi runtime.
@@ -52,7 +51,10 @@ pub enum Error {
         /// What actually arrived, in bytes.
         got: usize,
     },
-    /// A datatype does not fit the buffer it is applied to.
+    /// A datatype does not fit the buffer it is applied to, or the two sides
+    /// of a transfer disagree on its shape: a loan's parts against the
+    /// receive parts (count, bytes, element size), or a typed receive's
+    /// element size against the sender's.
     DatatypeMismatch {
         /// Human-readable description of the mismatch.
         detail: String,
@@ -62,32 +64,6 @@ pub enum Error {
     CollectiveMismatch {
         /// Human-readable description of the mismatch.
         detail: String,
-    },
-    /// With checking enabled ([`crate::UniverseBuilder::check`]), two ranks
-    /// of one communicator disagreed on which collective call comes next —
-    /// detected and reported *before* any byte moves, instead of
-    /// deadlocking. The report names both ranks, both operations (with
-    /// root/signature) and both call sites.
-    CollectiveDiverged(Box<DivergenceReport>),
-    /// With checking enabled, the wait-for-graph detector found this rank in
-    /// a confirmed receive cycle. The report lists every member of the cycle
-    /// and what it was waiting for — the watchdog never needs to fire.
-    Deadlock(Box<DeadlockReport>),
-    /// With checking enabled, a receive matched a message whose datatype
-    /// signature (extent, element size, subarray shape) disagrees with what
-    /// the receiver declared — caught before the bytes are silently
-    /// reinterpreted.
-    TypeMismatch {
-        /// Sender (communicator-local).
-        src: usize,
-        /// Receiver (communicator-local).
-        dst: usize,
-        /// Raw key tag of the mismatched message.
-        tag: u64,
-        /// Signature the receiver declared.
-        expected: TypeSig,
-        /// Signature stamped by the sender.
-        got: TypeSig,
     },
     /// The communicator handle predates the current membership epoch: a
     /// [`crate::Comm::reconfigure`] completed since this handle was built, so
@@ -160,17 +136,6 @@ impl fmt::Display for Error {
             }
             Error::DatatypeMismatch { detail } => write!(f, "datatype mismatch: {detail}"),
             Error::CollectiveMismatch { detail } => write!(f, "collective mismatch: {detail}"),
-            Error::CollectiveDiverged(report) => {
-                write!(f, "collective divergence: {report}")
-            }
-            Error::Deadlock(report) => write!(f, "{report}"),
-            Error::TypeMismatch { src, dst, tag, expected, got } => {
-                let op = crate::comm::describe_key_tag(*tag);
-                write!(
-                    f,
-                    "datatype signature mismatch: rank {src} sent {got} but rank {dst} expected {expected} ({op})"
-                )
-            }
             Error::StaleEpoch { comm_epoch, world_epoch } => write!(
                 f,
                 "communicator from epoch {comm_epoch} used after reconfiguration to epoch {world_epoch} — rebuild it via reconfigure()"

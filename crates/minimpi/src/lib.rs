@@ -56,32 +56,31 @@
 //! new epoch — so capacity lost to a failure is restored instead of
 //! permanently degraded. Every message envelope carries its sender's epoch;
 //! stale-epoch traffic (including in-flight zero-copy loans, which are
-//! revoked) is fenced rather than matched, and the checker state is reset
-//! across the bump so a reconfigure never produces a false
-//! [`Error::Deadlock`] or [`Error::Timeout`]. See [`RecoveryCounters`] and
+//! revoked) is fenced rather than matched. See [`RecoveryCounters`] and
 //! [`UniverseBuilder::respawn`].
 //!
-//! ## Correctness checking
+//! ## What is checked, always
 //!
-//! `Universe::builder().check(true)` (or `DDR_CHECK=1`) turns on three
-//! runtime analyses, each convicting a mistake a safe program can make:
+//! There is no checking mode: every check rides data each message already
+//! carries, and a universe runs no thread besides its rank threads.
 //!
-//! * **Collective matching** — every collective records a fingerprint
-//!   (operation kind, root, datatype signature) keyed by its per-communicator
-//!   sequence number; the first rank whose fingerprint disagrees with its
-//!   peers fails immediately with [`Error::CollectiveDiverged`], naming both
-//!   ranks, both operations and both call sites, instead of deadlocking.
-//! * **Wait-for-graph deadlock detection** — blocked receives register
-//!   wait-for edges; a detector thread runs cycle detection and converts a
-//!   confirmed cycle into [`Error::Deadlock`] on every member, listing the
-//!   full cycle, long before the watchdog would fire.
-//! * **Datatype signature verification** — sends stamp a [`TypeSig`]
-//!   (extent, element size, subarray shape) into the envelope; typed
-//!   receives and `alltoallw` deliveries that disagree fail with
-//!   [`Error::TypeMismatch`] before the bytes are reinterpreted.
+//! * **Collectives match by kind** — a collective's key tag holds its
+//!   sequence number *and* which collective it is, so ranks that call
+//!   different collectives at the same position never take each other's
+//!   bytes; they wait, and end in [`Error::Timeout`] or [`Error::PeerDead`].
+//! * **Element sizes agree** — a typed send stamps its element size on the
+//!   envelope and a typed receive of another size fails with
+//!   [`Error::DatatypeMismatch`]; an `alltoallw` loan's parts must match the
+//!   receive parts in count, bytes and element size before any is claimed.
+//!   Sizes conflict only when both sides are wider than one byte.
+//! * **Every wait is bounded** — a receive cycle ends in [`Error::Timeout`]
+//!   on each member, naming the peer it waited on.
 //!
-//! When checking is off (the default) the cost is one `Option` branch per
-//! operation and no detector thread exists.
+//! One divergence stays silent: when no rank posts a receive, no rank
+//! waits. Two ranks that each pass themselves as a `broadcast_bytes` root,
+//! or a broadcast root against gather leaves of the same root, all return
+//! `Ok`, as under an MPI without a checking tool. No `ddr-core` collective
+//! takes a root.
 //!
 //! ## Bounded mailboxes
 //!
@@ -100,17 +99,6 @@
 //! about one wake-up's worth (20 µs), then parks on its condvar. A universe
 //! with more ranks than cores never spins; there is no setting.
 //!
-//! ## Deterministic schedule exploration
-//!
-//! `Universe::builder().sched_seed(s)` (or `DDR_SCHED_SEED=s`) arms a seeded
-//! scheduler hook at every wait/poll point: sends, receives, zero-copy
-//! claims and the reconfigure rendezvous may yield or sleep for a few
-//! hundred microseconds — all as a pure function of (seed, rank, op count),
-//! so a given seed replays the same perturbation. An
-//! explorer (see the `ddrcheck` crate) sweeps a budget of seeds and stops at
-//! the first failure. Unseeded, the hook is one `Option` branch per
-//! operation.
-//!
 //! ## Example
 //!
 //! ```
@@ -126,7 +114,6 @@
 
 #![warn(missing_docs)]
 
-mod check;
 mod collectives;
 mod comm;
 mod datatype;
@@ -138,15 +125,10 @@ mod kernels;
 mod life;
 mod mailbox;
 mod pod;
-mod sched;
 mod universe;
 mod wait;
 mod zerocopy;
 
-pub use check::{
-    CheckCounters, CollFingerprint, CollectiveKind, DeadlockReport, DivergenceReport, PendingRecv,
-    TypeSig,
-};
 pub use collectives::ExchangeReport;
 pub use comm::{Comm, Tag};
 pub use datatype::{ByteRuns, Datatype, Subarray};

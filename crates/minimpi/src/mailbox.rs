@@ -48,9 +48,9 @@ pub(crate) struct Envelope {
     pub src: usize,
     pub epoch: u64,
     pub payload: Payload,
-    /// Sender's datatype signature, stamped when checking is enabled and
-    /// verified against the receiver's declared expectation.
-    pub type_sig: Option<crate::check::TypeSig>,
+    /// Element size of the payload in bytes, stamped by typed sends and
+    /// checked by typed receives; `1` for untyped bytes.
+    pub elem: u32,
     /// Sender's *world* rank, whose pair this envelope counts against
     /// (envelopes carry communicator-local ranks, but the bound must survive
     /// splits and renumbering).
@@ -348,9 +348,8 @@ impl Mailbox {
         fenced
     }
 
-    /// Whether a message with `key` is currently queued (used by the
-    /// deadlock detector to rule out satisfiable waits — with eager sends,
-    /// an in-flight message is always already queued here).
+    /// Whether a message with `key` is currently queued.
+    #[cfg(test)]
     pub fn contains(&self, key: MsgKey) -> bool {
         self.lock().by_key.contains_key(&key)
     }
@@ -388,7 +387,7 @@ mod tests {
 
     /// A data envelope from world rank `src`, counted against its pair.
     fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
-        Envelope { src, epoch: 0, payload: Payload::Bytes(bytes), type_sig: None, pair: src }
+        Envelope { src, epoch: 0, payload: Payload::Bytes(bytes), elem: 1, pair: src }
     }
 
     /// A mailbox with no depth bound and no spin, in a universe of 3.
@@ -667,10 +666,10 @@ mod tests {
     fn refused_loan_is_revoked_and_forgotten() {
         use crate::{Datatype, Error, Universe};
         let gate = std::sync::Barrier::new(2);
-        let tag = crate::comm::coll_key_tag(0, 0);
+        let tag = crate::comm::coll_key_tag(0, crate::comm::Coll::Alltoallw, 0);
         let dt = Datatype::Contiguous { len_bytes: 64, offset: 0 };
         let short = Duration::from_millis(50);
-        Universe::builder().check(true).flow_control(1, 0).timeout(short).run(2, |comm| {
+        Universe::builder().flow_control(1, 0).timeout(short).run(2, |comm| {
             if comm.rank() == 0 {
                 let (first, second) = ([1u8; 64], [2u8; 64]);
                 let cell = comm.deposit_shared(1, tag, &[(&first, dt)]).unwrap().unwrap();

@@ -7,7 +7,6 @@ use crate::fault::FaultPlan;
 use crate::wait::Resolved;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,9 +33,7 @@ const RANK_STACK_BYTES: usize = 8 * 1024 * 1024;
 pub struct UniverseBuilder {
     timeout: Option<Duration>,
     fault_plan: Option<FaultPlan>,
-    check: Option<bool>,
     respawn: Option<bool>,
-    sched_seed: Option<u64>,
     trace: Option<PathBuf>,
     flow: Option<(usize, usize)>,
 }
@@ -55,16 +52,6 @@ impl UniverseBuilder {
         self
     }
 
-    /// Enable (or force off) MPI-correctness checking: collective-matching
-    /// verification and wait-for-graph deadlock detection. When unset, the
-    /// `DDR_CHECK` environment variable decides (`1`/`true` = on, default
-    /// off). Disabled checking costs a single `Option` branch per operation
-    /// and spawns no detector thread.
-    pub fn check(mut self, on: bool) -> Self {
-        self.check = Some(on);
-        self
-    }
-
     /// Choose the [`crate::Comm::reconfigure`] policy: with respawn on (the
     /// default), every dead member is replaced by a fresh thread re-running
     /// the universe closure in the new epoch, so the communicator keeps its
@@ -72,21 +59,6 @@ impl UniverseBuilder {
     /// fencing the old epoch).
     pub fn respawn(mut self, on: bool) -> Self {
         self.respawn = Some(on);
-        self
-    }
-
-    /// Seed the deterministic schedule explorer for this universe: every
-    /// wait/poll point (sends, receives, zero-copy claims, reconfigure
-    /// rendezvous) consults a per-rank counterful hash of this
-    /// seed and may yield or inject a short adversarial delay — so different
-    /// seeds exercise different (but individually reproducible) interleavings.
-    /// When unset, `DDR_SCHED_SEED` decides; with neither, the hook
-    /// compiles down to one `Option` branch per operation. Orthogonal to
-    /// [`UniverseBuilder::check`]: seed + check convicts deadlocks,
-    /// divergences and type mismatches under perturbed timing, seed alone
-    /// just perturbs it.
-    pub fn sched_seed(mut self, seed: u64) -> Self {
-        self.sched_seed = Some(seed);
         self
     }
 
@@ -134,14 +106,11 @@ impl UniverseBuilder {
     {
         assert!(n > 0, "Universe::run requires at least one rank");
         let timeout = self.timeout.unwrap_or_else(default_timeout);
-        let check_on = self.check.unwrap_or_else(crate::check::check_env_default);
         let world = Arc::new(WorldState::new(
             n,
             timeout,
             self.fault_plan.clone(),
-            check_on,
             self.respawn,
-            self.sched_seed,
             self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),
         ));
         // Tracing: the builder's path wins over `DDR_TRACE`. If a capture
@@ -166,16 +135,7 @@ impl UniverseBuilder {
                 n - 1,
             );
         }
-        let shutdown = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let detector = world.check.is_some().then(|| {
-                let world = Arc::clone(&world);
-                let shutdown = &shutdown;
-                std::thread::Builder::new()
-                    .name("ddr-check-detector".into())
-                    .spawn_scoped(scope, move || crate::check::detector_loop(&world, shutdown))
-                    .expect("failed to spawn deadlock detector thread")
-            });
             let mut handles = Vec::with_capacity(n);
             for rank in 0..n {
                 let world = Arc::clone(&world);
@@ -229,15 +189,10 @@ impl UniverseBuilder {
                     .expect("failed to spawn respawned rank thread");
                 respawned.push(handle);
             }
-            // Collect every rank's outcome before re-raising any panic: the
-            // detector must be shut down and joined first, or resuming a
-            // panic here would leave the scope blocked on it forever.
+            // Collect every rank's outcome before re-raising any panic, so
+            // the trace below is written either way.
             let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
             let respawn_outcomes: Vec<_> = respawned.into_iter().map(|h| h.join()).collect();
-            shutdown.store(true, Ordering::Release);
-            if let Some(d) = detector {
-                let _ = d.join();
-            }
             if ddrtrace::enabled() {
                 record_world_metrics(&world);
             }
@@ -318,12 +273,6 @@ fn record_world_metrics(world: &WorldState) {
         ] {
             ddrtrace::metrics::add("wait", name, mb.waiter.count(how));
         }
-    }
-    if let Some(check) = &world.check {
-        let c = check.counters();
-        ddrtrace::metrics::add("check", "deadlocks", c.deadlocks);
-        ddrtrace::metrics::add("check", "divergences", c.divergences);
-        ddrtrace::metrics::add("check", "type_mismatches", c.type_mismatches);
     }
 }
 
@@ -407,15 +356,6 @@ mod tests {
         let out =
             Universe::builder().timeout(Duration::from_millis(1234)).run(1, |comm| comm.timeout());
         assert_eq!(out, vec![Duration::from_millis(1234)]);
-    }
-
-    #[test]
-    fn check_enabled_runs_clean_programs_unchanged() {
-        // Matched collectives under full checking: same results, no reports.
-        let out = Universe::builder()
-            .check(true)
-            .run(3, |comm| comm.allreduce(&[comm.rank() as u64 + 1], |a, b| a + b)[0]);
-        assert_eq!(out, vec![6, 6, 6]);
     }
 
     #[test]

@@ -174,8 +174,7 @@ impl ZcCell {
     }
 
     /// Whether the loan reached a terminal state (`Done` or `Revoked`) — i.e.
-    /// its sender is no longer (or never was) on the hook. Used by the
-    /// checker's finalize-time loan-leak scan.
+    /// its sender is no longer (or never was) on the hook.
     pub fn is_terminal(&self) -> bool {
         matches!(self.state.load(Ordering::Acquire), DONE | REVOKED)
     }

@@ -215,9 +215,7 @@ fn message_order_preserved_per_sender_and_tag() {
 #[test]
 fn recv_timeout_reports_deadlock() {
     use std::time::Duration;
-    // Checking pinned off: under `DDR_CHECK=1` the two ranks' mutual wait is
-    // convicted as a deadlock before the watchdog this test is about fires.
-    let out = Universe::builder().check(false).run(2, |comm| {
+    let out = Universe::run(2, |comm| {
         if comm.rank() == 1 {
             comm.set_timeout(Duration::from_millis(50));
             let err = comm.recv_bytes(0, 42).err();
@@ -277,4 +275,29 @@ fn collectives_compose_in_sequence() {
             comm.barrier().unwrap();
         }
     });
+}
+
+/// Every rank sends every other a rank-stamped 512-byte segment, each a
+/// loan; every segment must arrive exactly. Repeated, because the order in
+/// which loans are claimed varies from run to run.
+#[test]
+fn alltoallw_all_pairs_delivers_every_segment() {
+    let (n, len) = (4usize, 512usize);
+    for _ in 0..16 {
+        let out = Universe::run(n, |comm| {
+            let me = comm.rank();
+            let send: Vec<u8> = (0..n * len).map(|i| (me as u8) ^ (i as u8)).collect();
+            let mut recv = vec![0u8; n * len];
+            let types: Vec<Datatype> =
+                (0..n).map(|r| Datatype::Contiguous { len_bytes: len, offset: r * len }).collect();
+            comm.alltoallw(&send, &types, &mut recv, &types).unwrap();
+            recv
+        });
+        for recv in out {
+            for (r, chunk) in recv.chunks(len).enumerate() {
+                let want: Vec<u8> = (0..len).map(|i| (r as u8) ^ ((r * len + i) as u8)).collect();
+                assert_eq!(chunk, &want[..], "segment from rank {r}");
+            }
+        }
+    }
 }

@@ -1,15 +1,9 @@
 //! Every [`minimpi::Error`] variant: its `Display` rendering and, where the
 //! runtime can be driven into it, the failure path that produces it.
 
-use minimpi::{
-    CollFingerprint, CollectiveKind, Datatype, DeadlockReport, DivergenceReport, Error,
-    PendingRecv, TypeSig, Universe,
-};
+use minimpi::{Comm, Datatype, Error, Subarray, Universe};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-fn fingerprint(kind: CollectiveKind, root: usize, line: u32) -> CollFingerprint {
-    CollFingerprint { kind, root, file: "app.rs", line }
-}
 
 /// One representative value per variant — a match here fails to compile when
 /// a variant is added without extending this coverage.
@@ -17,33 +11,19 @@ fn all_variants() -> Vec<Error> {
     let variants = vec![
         Error::RankOutOfRange { rank: 9, size: 4 },
         Error::Timeout { rank: 1, src: Some(2), tag: 77, comm_id: 5 },
+        // A collective's tag names it: barrier #3, phase 1.
+        Error::Timeout {
+            rank: 1,
+            src: Some(0),
+            tag: (1 << 63) | (3 << 12) | (1 << 6) | 1,
+            comm_id: 5,
+        },
         // No source: a rendezvous, here under the shrink sentinel tag.
         Error::Timeout { rank: 1, src: None, tag: (1 << 63) | 0xfff, comm_id: 5 },
         Error::PeerDead { rank: 3 },
         Error::SizeMismatch { expected: 16, got: 12 },
         Error::DatatypeMismatch { detail: "subarray exceeds buffer".into() },
         Error::CollectiveMismatch { detail: "counts differ".into() },
-        Error::CollectiveDiverged(Box::new(DivergenceReport {
-            comm_id: 5,
-            index: 3,
-            rank_a: 0,
-            fp_a: fingerprint(CollectiveKind::Barrier, usize::MAX, 10),
-            rank_b: 2,
-            fp_b: fingerprint(CollectiveKind::Broadcast, 0, 20),
-        })),
-        Error::Deadlock(Box::new(DeadlockReport {
-            cycle: vec![
-                PendingRecv { rank: 0, awaited: 1, comm_id: 0, tag: 7 },
-                PendingRecv { rank: 1, awaited: 0, comm_id: 0, tag: 7 },
-            ],
-        })),
-        Error::TypeMismatch {
-            src: 0,
-            dst: 1,
-            tag: 7,
-            expected: TypeSig { extent: 16, elem: 2, shape: 0 },
-            got: TypeSig { extent: 16, elem: 4, shape: 0 },
-        },
         Error::StaleEpoch { comm_epoch: 0, world_epoch: 2 },
         Error::Internal { detail: "split: world rank 2 missing from its own color group".into() },
     ];
@@ -55,9 +35,6 @@ fn all_variants() -> Vec<Error> {
             | Error::SizeMismatch { .. }
             | Error::DatatypeMismatch { .. }
             | Error::CollectiveMismatch { .. }
-            | Error::CollectiveDiverged(_)
-            | Error::Deadlock(_)
-            | Error::TypeMismatch { .. }
             | Error::StaleEpoch { .. }
             | Error::Internal { .. } => {}
         }
@@ -70,17 +47,12 @@ fn display_is_informative_for_every_variant() {
     let expected = [
         "rank 9 out of range for communicator of size 4",
         "rank 1: waiting on rank 2 (user tag 77 on comm 0x5) timed out — likely deadlock",
+        "rank 1: waiting on rank 0 (barrier #3 phase 1 on comm 0x5) timed out — likely deadlock",
         "rank 1: shrink rendezvous on comm 0x5 timed out — likely deadlock",
         "rank 3 is dead (fault-killed, panicked, or exited) — failing fast",
         "message size mismatch: expected 16 bytes, got 12",
         "datatype mismatch: subarray exceeds buffer",
         "collective mismatch: counts differ",
-        "collective divergence: collective #3 on comm 0x5: rank 0 called barrier at app.rs:10 \
-         but rank 2 called broadcast(root 0) at app.rs:20",
-        "deadlock cycle of 2 ranks: rank 0 waits on rank 1 (user tag 7 on comm 0x0); \
-         rank 1 waits on rank 0 (user tag 7 on comm 0x0)",
-        "datatype signature mismatch: rank 0 sent (extent 16B, elem 4B) but rank 1 \
-         expected (extent 16B, elem 2B) (user tag 7)",
         "communicator from epoch 0 used after reconfiguration to epoch 2 — \
          rebuild it via reconfigure()",
         "internal runtime invariant violated: split: world rank 2 missing from its own color group",
@@ -109,9 +81,7 @@ fn rank_out_of_range_from_send_and_recv() {
 
 #[test]
 fn timeout_from_never_sent_message() {
-    // Checking pinned off: under `DDR_CHECK=1` the self-wait is convicted as
-    // a deadlock before the watchdog this test is about can fire.
-    let out = Universe::builder().check(false).run(1, |comm| {
+    let out = Universe::run(1, |comm| {
         comm.set_timeout(Duration::from_millis(50));
         comm.recv_bytes(0, 42).unwrap_err()
     });
@@ -161,10 +131,10 @@ fn size_mismatch_from_typed_receive() {
 }
 
 #[test]
-fn typed_send_recv_matches_under_check() {
-    // Same element type and count on both sides: checking must not get in
-    // the way of a correct program.
-    let out = Universe::builder().check(true).run(2, |comm| {
+fn typed_send_recv_matches() {
+    // Same element type and count on both sides: the element-size stamp must
+    // not get in the way of a correct program.
+    let out = Universe::run(2, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 5, &[1u32, 2, 3]).unwrap();
             vec![]
@@ -175,35 +145,36 @@ fn typed_send_recv_matches_under_check() {
     assert_eq!(out[1], vec![1u32, 2, 3]);
 }
 
+/// Element sizes that both exceed one byte and differ are a
+/// `DatatypeMismatch`, whether the byte count divides evenly (u32s as u16s,
+/// or 8 f32s as 4 f64s) or not — the bytes are never reinterpreted.
 #[test]
-fn type_mismatch_from_wrong_element_type_under_check() {
-    // u32s received as u16s: the byte count happens to divide evenly, so
-    // without checking this silently reinterprets — with checking it fails
-    // with the stamped signature in hand.
-    let out = Universe::builder().check(true).run(2, |comm| {
+fn wrong_element_size_is_a_datatype_mismatch() {
+    let out = Universe::run(2, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 5, &[1u32, 2]).unwrap();
-            None
+            comm.send(1, 6, &[1.5f32; 8]).unwrap();
+            vec![]
         } else {
-            Some(comm.recv_vec::<u16>(0, 5).unwrap_err())
+            vec![comm.recv_vec::<u16>(0, 5).unwrap_err(), comm.recv_vec::<f64>(0, 6).unwrap_err()]
         }
     });
-    match out[1].clone().unwrap() {
-        Error::TypeMismatch { src: 0, dst: 1, expected, got, .. } => {
-            assert_eq!(expected.elem, 2);
-            assert_eq!(got.elem, 4);
-            assert_eq!(got.extent, 8);
-        }
-        other => panic!("expected TypeMismatch, got {other}"),
-    }
+    let detail =
+        |sent, got| format!("rank 0 sent {sent}-byte elements, received as {got}-byte elements");
+    assert_eq!(
+        out[1],
+        vec![
+            Error::DatatypeMismatch { detail: detail(4, 2) },
+            Error::DatatypeMismatch { detail: detail(4, 8) },
+        ]
+    );
 }
 
 #[test]
-fn type_mismatch_from_truncating_receive_under_check() {
-    // The receiver's buffer declares a 4-byte extent but the sender shipped
-    // 8: caught as a signature mismatch before any bytes are copied (without
-    // checking, this surfaces later as SizeMismatch).
-    let out = Universe::builder().check(true).run(2, |comm| {
+fn truncating_typed_receive_is_a_size_mismatch() {
+    // The receiver's buffer holds 4 bytes but the sender shipped 8 of the
+    // same element size.
+    let out = Universe::run(2, |comm| {
         if comm.rank() == 0 {
             comm.send(1, 5, &[1u32, 2]).unwrap();
             None
@@ -212,21 +183,14 @@ fn type_mismatch_from_truncating_receive_under_check() {
             Some(comm.recv_into::<u32>(0, 5, &mut buf).unwrap_err())
         }
     });
-    match out[1].clone().unwrap() {
-        Error::TypeMismatch { expected, got, .. } => {
-            assert_eq!(expected.extent, 4);
-            assert_eq!(got.extent, 8);
-        }
-        other => panic!("expected TypeMismatch, got {other}"),
-    }
+    assert_eq!(out[1], Some(Error::SizeMismatch { expected: 4, got: 8 }));
 }
 
 #[test]
-fn untyped_send_passes_typed_receive_under_check() {
-    // Raw-byte sends carry an untyped-bytes signature (elem 1); a typed
-    // receive accepts it — the wildcard exists so byte-level framing and
-    // typed consumption can legally mix.
-    let out = Universe::builder().check(true).run(2, |comm| {
+fn untyped_send_passes_typed_receive() {
+    // Raw-byte sends stamp element size 1, which a typed receive accepts —
+    // so byte-level framing and typed consumption can legally mix.
+    let out = Universe::run(2, |comm| {
         if comm.rank() == 0 {
             comm.send_bytes(1, 5, &7u64.to_le_bytes()).unwrap();
             0
@@ -250,7 +214,7 @@ fn send_phase_error_after_a_loan_drains_it() {
     let watchdog = Duration::from_secs(30);
     for late in [false, true] {
         let start = Instant::now();
-        let out = Universe::builder().check(true).timeout(watchdog).run(3, move |comm| {
+        let out = Universe::builder().timeout(watchdog).run(3, move |comm| {
             let contig = Datatype::Contiguous { len_bytes: len, offset: 0 };
             let empty = Datatype::Empty;
             let mut recv = vec![0u8; len];
@@ -342,4 +306,186 @@ fn collective_mismatch_from_wrong_datatype_count() {
     let detail = "alltoallw: expected 2 send and recv types, got 1 and 1".into();
     assert_eq!(out[0], Err(Error::CollectiveMismatch { detail }));
     assert_eq!(out[1], Err(Error::PeerDead { rank: 0 }));
+}
+
+/// A receive cycle ends in `Timeout` on every member, each naming the peer it
+/// waited on. The ranks hold their results until every one has timed out: a
+/// rank that returns retires, and a peer still waiting on it would fail fast
+/// with `PeerDead` instead.
+#[test]
+fn receive_cycle_times_out_on_every_rank_naming_its_peer() {
+    for n in [2, 3] {
+        let all_waited = Barrier::new(n);
+        let out = Universe::builder().timeout(Duration::from_millis(100)).run(n, |comm| {
+            let res = comm.recv_bytes((comm.rank() + 1) % n, 7).map(drop);
+            all_waited.wait();
+            res
+        });
+        for (rank, res) in out.into_iter().enumerate() {
+            let src = Some((rank + 1) % n);
+            assert_eq!(res, Err(Error::Timeout { rank, src, tag: 7, comm_id: 0 }), "{n} ranks");
+        }
+    }
+}
+
+/// Ranks 0 and 1 wait on each other; ranks 2 and 3 do legitimate work and
+/// complete untouched.
+#[test]
+fn receive_cycle_spares_innocent_bystanders() {
+    let cycle_done = Barrier::new(2);
+    let out =
+        Universe::builder().timeout(Duration::from_millis(200)).run(4, |comm| match comm.rank() {
+            r @ (0 | 1) => {
+                let res = comm.recv_bytes(1 - r, 5).map(|_| 0);
+                cycle_done.wait();
+                res
+            }
+            2 => {
+                std::thread::sleep(Duration::from_millis(20));
+                comm.send_bytes(3, 6, &[42]).map(|_| 1)
+            }
+            _ => comm.recv_bytes(2, 6).map(|v| v[0] as usize),
+        });
+    assert_eq!(out[0], Err(Error::Timeout { rank: 0, src: Some(1), tag: 5, comm_id: 0 }));
+    assert_eq!(out[1], Err(Error::Timeout { rank: 1, src: Some(0), tag: 5, comm_id: 0 }));
+    assert_eq!(out[2], Ok(1));
+    assert_eq!(out[3], Ok(42));
+}
+
+#[test]
+fn checking_off_still_times_out() {
+    let out = Universe::builder().timeout(Duration::from_millis(100)).run(2, |comm| {
+        let peer = 1 - comm.rank();
+        comm.recv_bytes(peer, 3).map(|_| ())
+    });
+    // The first rank to give up reports Timeout and is marked dead; its
+    // peer may then fail fast with PeerDead instead of timing out itself.
+    assert!(out.iter().any(|r| matches!(r, Err(Error::Timeout { .. }))), "got {out:?}");
+    for r in &out {
+        assert!(matches!(r, Err(Error::Timeout { .. }) | Err(Error::PeerDead { .. })), "got {r:?}");
+    }
+}
+
+/// A message of several parts pairs with the receive parts one by one, in
+/// element size too: two parts of four 4-byte words received as two parts
+/// of two 8-byte words — equal lengths — are a `DatatypeMismatch`, found
+/// before the loan is claimed, so the receive buffer is untouched and the
+/// sender completes.
+#[test]
+fn mismatched_coalesced_message_is_a_datatype_mismatch() {
+    let out = Universe::builder().timeout(Duration::from_secs(30)).run(2, |comm| {
+        let words = |count, at, elem| {
+            Datatype::Subarray(Subarray::d1(16, count, at, elem).expect("valid subarray"))
+        };
+        let send = [7u8; 128];
+        let mut recv = vec![0u8; 128];
+        let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+        if comm.rank() == 0 {
+            sends[1] = vec![(&send[..], words(4, 0, 4)), (&send[..], words(4, 8, 4))];
+        } else {
+            recvs[0] = vec![words(2, 0, 8), words(2, 4, 8)];
+        }
+        let res = comm.alltoallw_parts(&sends, &mut recv, &recvs);
+        (res.map(|report| report.is_complete()), recv)
+    });
+    assert_eq!(out[0], (Ok(true), vec![0; 128]));
+    match &out[1] {
+        (Err(Error::DatatypeMismatch { detail }), recv) => {
+            assert!(detail.contains("[(16, 4), (16, 4)]"), "{detail}");
+            assert!(detail.contains("[(16, 8), (16, 8)]"), "{detail}");
+            assert_eq!(recv, &vec![0; 128], "a mismatched loan must not be copied");
+        }
+        other => panic!("expected a DatatypeMismatch, got {other:?}"),
+    }
+}
+
+/// The collectives of [`divergent_collectives_never_all_succeed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Coll {
+    Barrier,
+    Broadcast,
+    Gather,
+    Allgather,
+    Allreduce,
+    Alltoallw,
+}
+
+fn call(coll: Coll, comm: &Comm) -> minimpi::Result<()> {
+    let mine = [comm.rank() as u8];
+    match coll {
+        Coll::Barrier => comm.barrier(),
+        Coll::Broadcast => comm.broadcast_bytes(0, &mine).map(drop),
+        Coll::Gather => comm.gather_bytes(0, &mine).map(drop),
+        Coll::Allgather => comm.allgather(&mine).map(drop),
+        Coll::Allreduce => comm.try_allreduce(&mine, |a, b| a + b).map(drop),
+        Coll::Alltoallw => {
+            let n = comm.size();
+            let byte = |offset| Datatype::Contiguous { len_bytes: 1, offset };
+            let recv_types: Vec<Datatype> = (0..n).map(byte).collect();
+            comm.alltoallw(&mine, &vec![byte(0); n], &mut vec![0; n], &recv_types)
+        }
+    }
+}
+
+/// Rank 0 calls one collective and every other rank another, for every
+/// ordered pair at 2 and 3 ranks. The collective's kind is part of its key
+/// tag, so no rank takes another collective's bytes: some rank waits, and
+/// the run ends in an error. The one exception is the documented residual:
+/// a broadcast root against gather leaves posts no receive anywhere, so
+/// every rank returns `Ok`, as under an MPI without a checking tool.
+#[test]
+fn divergent_collectives_never_all_succeed() {
+    use Coll::*;
+    let colls = [Barrier, Broadcast, Gather, Allgather, Allreduce, Alltoallw];
+    for n in [2, 3] {
+        for (a, b) in colls.iter().flat_map(|&a| colls.iter().map(move |&b| (a, b))) {
+            if a == b {
+                continue;
+            }
+            let out = Universe::builder()
+                .timeout(Duration::from_millis(100))
+                .run(n, |comm| call(if comm.rank() == 0 { a } else { b }, comm));
+            let outcome = Error::root_cause(out);
+            if (a, b) == (Broadcast, Gather) {
+                assert_eq!(outcome, Ok(vec![(); n]), "{n} ranks: the no-receive residual");
+            } else {
+                assert!(outcome.is_err(), "{n} ranks: rank 0 {a:?} against {b:?} succeeded");
+            }
+        }
+    }
+}
+
+/// Ranks that disagree on a broadcast root fail when some rank waits on a
+/// non-root; two ranks that each pass themselves as root post no receive
+/// and both return `Ok` — the same residual.
+#[test]
+fn disagreeing_broadcast_roots() {
+    let timeout = Duration::from_millis(100);
+    let out = Universe::builder()
+        .timeout(timeout)
+        .run(3, |comm| comm.broadcast_bytes(if comm.rank() == 2 { 1 } else { 0 }, &[9]).map(drop));
+    assert!(Error::root_cause(out).is_err());
+    let out = Universe::builder()
+        .timeout(timeout)
+        .run(2, |comm| comm.broadcast_bytes(comm.rank(), &[9]).map(drop));
+    assert_eq!(Error::root_cause(out), Ok(vec![(), ()]));
+}
+
+/// Divergence inside one child communicator does not touch the other.
+#[test]
+fn divergence_in_one_split_child_spares_the_other() {
+    let out = Universe::builder().timeout(Duration::from_millis(200)).run(4, |comm| {
+        let child = comm.split(comm.rank() as u64 % 2)?;
+        if comm.rank() % 2 == 1 {
+            child.barrier()?;
+            assert_eq!(child.broadcast_bytes(1, &[7u8])?, vec![7]);
+            Ok(())
+        } else if child.rank() == 0 {
+            child.barrier()
+        } else {
+            child.broadcast_bytes(0, &[]).map(drop)
+        }
+    });
+    assert!(out[0].is_err() && out[2].is_err(), "{out:?}");
+    assert_eq!((&out[1], &out[3]), (&Ok(()), &Ok(())));
 }

@@ -120,3 +120,46 @@ fn byte_window_backpressures_independently_of_message_window() {
         });
     assert!(out[0] >= 1, "200-byte sends through a 256-byte window must park");
 }
+
+/// Both ranks post two sends into 1-message windows before either receives,
+/// so each parks on a full pair that only the other's receive could free.
+/// The watchdog ends it in a structured `Timeout` naming the peer.
+#[test]
+fn head_of_line_credit_deadlock_times_out() {
+    let out = Universe::builder().flow_control(1, 1 << 20).timeout(Duration::from_millis(300)).run(
+        2,
+        |comm| {
+            let other = 1 - comm.rank();
+            comm.send_bytes(other, 3, &[1u8; 32])?;
+            comm.send_bytes(other, 3, &[2u8; 32])?;
+            comm.recv_bytes(other, 3)?;
+            comm.recv_bytes(other, 3).map(drop)
+        },
+    );
+    let cause = Error::root_cause(out);
+    assert!(matches!(cause, Err(Error::Timeout { src: Some(_), tag: 3, .. })), "{cause:?}");
+}
+
+/// A ring of sends through 1-message windows: each iteration's send races
+/// the downstream drain and parks on losing interleavings, and each receive
+/// gives the upstream pair its slot back, so every byte arrives. Repeated,
+/// because which sends park varies from run to run.
+#[test]
+fn credit_gated_ring_delivers_exact_bytes() {
+    let n = 3usize;
+    for _ in 0..16 {
+        let out = Universe::builder()
+            .flow_control(1, 256)
+            .timeout(Duration::from_secs(10))
+            .try_run(n, |comm| {
+                let me = comm.rank();
+                let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+                for i in 0..4u8 {
+                    comm.send_bytes(next, 5, &[(me as u8) ^ i; 96])?;
+                    assert_eq!(comm.recv_bytes(prev, 5)?, vec![(prev as u8) ^ i; 96]);
+                }
+                Ok(())
+            });
+        assert_eq!(out, Ok(vec![(); n]));
+    }
+}

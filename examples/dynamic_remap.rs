@@ -11,8 +11,7 @@
 //! slab): `alltoallw` elides every empty transfer, so the one path sends
 //! only the messages the mapping has.
 //!
-//! The universes run with correctness checking on; any error exits non-zero
-//! with the diagnostic.
+//! Any error exits non-zero with the diagnostic.
 //!
 //! Run with: `cargo run --release --example dynamic_remap`
 
@@ -45,7 +44,7 @@ fn need_block(domain: &Block, sparse: bool, r: usize) -> Block {
 fn run(sparse: bool) -> Result<(f64, usize, usize), String> {
     let domain = Block::d3([0, 0, 0], DOMAIN).unwrap();
     let t0 = Instant::now();
-    let outcomes = Universe::builder().check(true).run(NPROCS, move |comm| {
+    let outcomes = Universe::run(NPROCS, move |comm| {
         let r = comm.rank();
         let owned = vec![slab(&domain, 2, NPROCS, r).unwrap()];
         let need = need_block(&domain, sparse, r);

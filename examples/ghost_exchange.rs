@@ -47,9 +47,7 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    // Correctness checking on: a mismatched collective or send/recv cycle in
-    // the staging exchange fails fast with a structured report.
-    let outcomes = Universe::builder().check(true).run(NPROCS, |comm| {
+    let outcomes = Universe::run(NPROCS, |comm| {
         let r = comm.rank();
         let my_slab = slab(&domain, 1, NPROCS, r).unwrap();
         let owned = vec![my_slab];

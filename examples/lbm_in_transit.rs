@@ -49,9 +49,7 @@ fn main() -> ExitCode {
     println!("analysis layout (Figure 5): {gx}x{gy} near-square grid over {NX}x{NY}\n");
 
     // DDR_FAULT_SEED drops one frame in flight, deterministically.
-    // Checking on: collective divergence or a send/recv cycle across the
-    // 14 ranks fails fast with a structured report instead of hanging.
-    let mut builder = Universe::builder().check(true);
+    let mut builder = Universe::builder();
     if let Some(seed) = ddr::minimpi::env::u64_var("DDR_FAULT_SEED") {
         let victim = (seed % M as u64) as usize;
         let consumer = M + producer_targets(M, N)[victim];

@@ -7,8 +7,7 @@
 //! performs the redistribution with the three DDR calls, and shows the data
 //! movement of Figure 1.
 //!
-//! The universe runs with correctness checking on; if a rank reports an
-//! error the example prints it and exits non-zero.
+//! If a rank reports an error the example prints it and exits non-zero.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -64,8 +63,7 @@ fn main() -> ExitCode {
     println!("Table I parameter values (P1 rank, P3 #chunks, P4/P5 owned dims/offsets,");
     println!("P6/P7 needed dims/offset):\n");
 
-    // Runtime checking on: collective matching + deadlock detection.
-    let outcomes = Universe::builder().check(true).run(4, rank_body);
+    let outcomes = Universe::run(4, rank_body);
     let mut results = Vec::with_capacity(outcomes.len());
     for (rank, outcome) in outcomes.into_iter().enumerate() {
         match outcome {

@@ -7,8 +7,7 @@
 //! volume by brick-decomposed direct volume rendering and composites the
 //! final image.
 //!
-//! The universes run with correctness checking on, and any error exits
-//! non-zero with its diagnostic.
+//! Any error exits non-zero with its diagnostic.
 //!
 //! Run with: `cargo run --release --example tiff_stack_dvr`
 //! Outputs: `target/tiff_stack_dvr/tooth.ppm` and `tooth.jpg`
@@ -35,7 +34,7 @@ fn main() -> ExitCode {
     for method in [Method::NoDdr, Method::RoundRobin, Method::Consecutive] {
         let dir = stack_dir.clone();
         let t0 = Instant::now();
-        let outcomes = Universe::builder().check(true).run(NPROCS, move |comm| {
+        let outcomes = Universe::run(NPROCS, move |comm| {
             load_stack(comm, &dir, VOL, method).map(|r| r.2).map_err(|e| e.to_string())
         });
         let dt = t0.elapsed();
@@ -66,7 +65,7 @@ fn main() -> ExitCode {
     // renderer runs.
     println!("\nrendering and compositing over the communicator…");
     let dir = stack_dir.clone();
-    let outcomes = Universe::builder().check(true).run(NPROCS, move |comm| {
+    let outcomes = Universe::run(NPROCS, move |comm| {
         let (block, data, _) =
             load_stack(comm, &dir, VOL, Method::Consecutive).map_err(|e| e.to_string())?;
         let tf = volren::TransferFunction::tooth();

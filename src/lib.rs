@@ -8,7 +8,6 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | `Descriptor` / `setup_data_mapping` / `reorganize` — the DDR library |
-//! | [`check`] | deterministic schedule exploration over minimpi scheduler seeds (`explore`) |
 //! | [`minimpi`] | in-process MPI-like runtime (ranks, collectives, `alltoallw` + subarrays) |
 //! | [`netsim`] | calibrated Cooley cluster cost model for paper-scale projection |
 //! | [`dtiff`] | baseline TIFF codec (use case 1's image stacks) |
@@ -24,7 +23,6 @@
 pub use ddr_core as core;
 pub use ddr_lbm as lbm;
 pub use ddr_netsim as netsim;
-pub use ddrcheck as check;
 pub use ddrtrace as trace;
 pub use dtiff;
 pub use intransit;

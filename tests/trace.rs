@@ -168,56 +168,3 @@ fn tracing_off_adds_less_than_one_percent() {
          opaque no-op call (bound +{bound_ns} ns)"
     );
 }
-
-/// The same guard for the concurrency checker: with checking off the checker
-/// is simply absent (`Option::None`), so every hook — send stamping, type
-/// verification, scheduler points, and the public
-/// [`minimpi::Comm::check_counters`] — reduces to one discriminant test.
-///
-/// The accessor is timed against an identical loop over an opaque function
-/// that returns `None` without reading anything, min of N for each, and the
-/// difference per call is bounded by a small constant. Both loops run on the
-/// same core in the same moment, so machine load cancels; a disabled path
-/// that locks, allocates or touches shared state costs tens of ns more per
-/// call and fails every run. At the bound, the ~4.7k hooks of a staged
-/// 8-iteration 256×256 redistribution cost under 0.01 ms, about 1 % of it.
-/// The guard does not divide by that redistribution's wall clock: it has
-/// become fast enough that the ratio sits at the budget and flips with load.
-#[test]
-fn checking_off_adds_less_than_one_percent() {
-    let _serial = CAPTURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
-    #[inline(never)]
-    fn returns_none(comm: &minimpi::Comm) -> Option<minimpi::CheckCounters> {
-        std::hint::black_box(comm);
-        None
-    }
-
-    // Extra ns per call a disabled hook may cost over `returns_none`. Debug
-    // builds inline nothing, so the accessor's `as_ref().map(..)` are calls
-    // there too; an uncontended `Mutex` lock costs ~20 ns in release and
-    // ~60 ns in debug.
-    let bound_ns = if cfg!(debug_assertions) { 20.0 } else { 3.0 };
-    let (accessor_ns, baseline_ns) = Universe::run(1, |comm| {
-        assert!(comm.check_counters().is_none(), "checking must be off for this guard");
-        let ns_per_call = |f: &dyn Fn(&minimpi::Comm) -> Option<minimpi::CheckCounters>| {
-            const OPS: u32 = 20_000;
-            let start = Instant::now();
-            for _ in 0..OPS {
-                std::hint::black_box(f(std::hint::black_box(comm)));
-            }
-            start.elapsed().as_secs_f64() * 1e9 / OPS as f64
-        };
-        let (mut accessor, mut baseline) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..25 {
-            accessor = accessor.min(ns_per_call(&|c| c.check_counters()));
-            baseline = baseline.min(ns_per_call(&returns_none));
-        }
-        (accessor, baseline)
-    })[0];
-    assert!(
-        accessor_ns - baseline_ns < bound_ns,
-        "disabled checking too expensive: check_counters() {accessor_ns:.2} ns per call vs \
-         {baseline_ns:.2} ns for a call returning None (bound +{bound_ns} ns)"
-    );
-}
