@@ -44,7 +44,7 @@ impl Descriptor {
     /// whose elements are `elem_size` bytes.
     pub fn new(nprocs: usize, kind: DataKind, elem_size: usize) -> Result<Self> {
         if nprocs == 0 {
-            return Err(DdrError::ProcessCountMismatch { descriptor: 0, actual: 0 });
+            return Err(DdrError::NoProcesses);
         }
         if elem_size == 0 {
             return Err(DdrError::InvalidBlock("element size must be > 0".into()));
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_procs_and_zero_elem() {
-        assert!(Descriptor::new(0, DataKind::D1, 4).is_err());
+        assert_eq!(Descriptor::new(0, DataKind::D1, 4), Err(DdrError::NoProcesses));
         assert!(Descriptor::new(4, DataKind::D1, 0).is_err());
     }
 }

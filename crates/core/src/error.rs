@@ -47,6 +47,24 @@ pub enum DdrError {
         /// Processes observed at the call site.
         actual: usize,
     },
+    /// A plan, or the call that builds one, names a rank other than the
+    /// calling process's.
+    RankMismatch {
+        /// Rank the plan names.
+        plan: usize,
+        /// Rank of the calling process.
+        actual: usize,
+    },
+    /// A rank outside `0..nprocs`.
+    RankOutOfRange {
+        /// The offending rank.
+        rank: usize,
+        /// Number of processes.
+        nprocs: usize,
+    },
+    /// A descriptor for zero processes: there is nobody to redistribute
+    /// between.
+    NoProcesses,
     /// Failure in the underlying message-passing runtime.
     Mpi(minimpi::Error),
     /// A redistribution lost data to dead or unresponsive peers but drained
@@ -76,6 +94,13 @@ impl fmt::Display for DdrError {
                 f,
                 "process count mismatch: descriptor says {descriptor}, call site has {actual}"
             ),
+            DdrError::RankMismatch { plan, actual } => {
+                write!(f, "rank mismatch: plan was built for rank {plan}, called on rank {actual}")
+            }
+            DdrError::RankOutOfRange { rank, nprocs } => {
+                write!(f, "rank {rank} is out of range for {nprocs} processes")
+            }
+            DdrError::NoProcesses => write!(f, "a descriptor needs at least one process"),
             DdrError::Mpi(e) => write!(f, "mpi error: {e}"),
             DdrError::Incomplete(report) => {
                 write!(f, "redistribution incomplete: {report}")

@@ -1,6 +1,5 @@
 //! Execution of a redistribution plan — the paper's `DDR_ReorganizeData`.
 
-use crate::block::Block;
 use crate::error::{DdrError, Result};
 use crate::plan::Plan;
 use crate::recover::PartialCompletion;
@@ -55,14 +54,28 @@ where
     }
 }
 
+/// What one pass of the round loop leaves: the `(round, peer)` receives it
+/// lost, and the number of exchanges that carried its rounds. Both reports
+/// of a run — [`PartialCompletion`] and [`RedistStats`] — are derived from
+/// it on demand, so a run that lost nothing and records no trace builds
+/// neither.
+#[derive(Debug, Default)]
+pub(crate) struct Run {
+    pub(crate) failures: Vec<(usize, usize)>,
+    exchanges: usize,
+}
+
 impl Plan {
     /// What every entry point checks before the first message.
     fn check_call<T: Pod>(&self, comm: &Comm) -> Result<()> {
-        if comm.size() != self.nprocs || comm.rank() != self.rank {
+        if comm.size() != self.nprocs {
             return Err(DdrError::ProcessCountMismatch {
                 descriptor: self.nprocs,
                 actual: comm.size(),
             });
+        }
+        if comm.rank() != self.rank {
+            return Err(DdrError::RankMismatch { plan: self.rank, actual: comm.rank() });
         }
         if std::mem::size_of::<T>() != self.elem_size {
             return Err(DdrError::BufferMismatch {
@@ -133,7 +146,9 @@ impl Plan {
     /// exchange.
     ///
     /// May be called any number of times with fresh data; the mapping is
-    /// reused (the paper's "dynamic data" property).
+    /// reused (the paper's "dynamic data" property). The exchange's part
+    /// lists are the plan's own, built once by the setup call, so a call
+    /// only binds its buffers to them.
     ///
     /// On peer failure (a rank died or dropped out mid-exchange) the
     /// remaining exchanges are still drained so every byte that can arrive
@@ -149,8 +164,9 @@ impl Plan {
         owned: &[&[T]],
         need: &mut [T],
     ) -> Result<()> {
-        let (report, _) = self.reorganize_with_stats(comm, owned, need)?;
-        complete(report)
+        self.check_buffers(comm, owned, need)?;
+        let run = self.run_held(comm, owned, need)?;
+        self.complete(&run)
     }
 
     /// Degraded-mode redistribution: like [`Plan::reorganize`], but a
@@ -168,8 +184,20 @@ impl Plan {
         need: &mut [T],
     ) -> Result<(PartialCompletion, RedistStats)> {
         self.check_buffers(comm, owned, need)?;
+        let run = self.run_held(comm, owned, need)?;
+        Ok((PartialCompletion::from_failures(self, &run.failures), self.stats(&run)))
+    }
+
+    /// The held-chunk run behind [`Plan::reorganize`], over buffers the
+    /// caller checked with [`Plan::check_buffers`].
+    pub(crate) fn run_held<T: Pod>(
+        &self,
+        comm: &Comm,
+        owned: &[&[T]],
+        need: &mut [T],
+    ) -> Result<Run> {
         let need = bytes_of_mut(need);
-        self.run_rounds(owned, |s, r| comm.alltoallw_parts(s, need, r))
+        self.run_rounds(owned, |b, s, r| comm.alltoallw_parts(b, s, need, r))
     }
 
     /// [`Plan::reorganize`] for chunks that are produced rather than held,
@@ -182,7 +210,8 @@ impl Plan {
     /// memory instead of all. `produce` is called once per owned chunk, in
     /// round order, and never for the padded rounds of a rank that owns
     /// fewer chunks than its peers. Each round is an exchange of its own,
-    /// because the one buffer holds one round's chunk.
+    /// because the one buffer holds one round's chunk; it passes the
+    /// round's slice of the plan's part lists.
     ///
     /// When this rank's receive regions tile its needed block — pairwise
     /// disjoint, their element counts summing to the block's — the exchange
@@ -191,10 +220,8 @@ impl Plan {
     /// (a need overhanging the domain under [`crate::ValidationPolicy::Relaxed`],
     /// owned blocks overlapping under [`crate::ValidationPolicy::Skip`]) the
     /// buffer is zeroed before the first round, so an element no round
-    /// delivers reads 0. The tiling check compares every pair of this rank's
-    /// receive regions, across all rounds, once per call: `k(k − 1)/2` block
-    /// intersections for `k` regions, about 8 000 for the 128 regions a
-    /// rank of a 2-rank, 128-image stack load receives.
+    /// delivers reads 0. Whether the regions tile is a fact of the plan,
+    /// decided once when it was built.
     ///
     /// Any error returns no buffer: a producer's error, a
     /// [`DdrError::BufferMismatch`], a lossy exchange
@@ -212,16 +239,14 @@ impl Plan {
     ) -> std::result::Result<Vec<T>, E> {
         self.check_call::<T>(comm)?;
         let n = self.need_count() as usize;
-        let tiled = self.recvs_tile_need();
         let mut need = Vec::with_capacity(n);
         let bytes = uninit_bytes_of_mut(&mut need.spare_capacity_mut()[..n]);
-        if !tiled {
+        if !self.tiled {
             bytes.fill(MaybeUninit::new(0));
         }
         let source = Produced { fill: produce, buf: Vec::new() };
-        let (report, _) =
-            self.run_rounds(source, |s, r| comm.alltoallw_parts_uninit(s, bytes, r))?;
-        complete(report)?;
+        let run = self.run_rounds(source, |b, s, r| comm.alltoallw_parts_uninit(b, s, bytes, r))?;
+        self.complete(&run)?;
         // SAFETY: all `n` elements are initialized, and any bytes are a valid
         // `T: Pod`. Untiled, the buffer was zeroed above. Tiled, the tiling
         // proof: the receive regions are pairwise disjoint subsets of the
@@ -233,22 +258,6 @@ impl Plan {
         Ok(need)
     }
 
-    /// Whether this rank's receive regions, across all rounds, tile its
-    /// needed block: pairwise disjoint, and their counts sum to the block's.
-    /// Each region lies inside the block, so then every element is received
-    /// exactly once. Pairwise, so `k(k − 1)/2` intersections for `k`
-    /// regions.
-    fn recvs_tile_need(&self) -> bool {
-        let regions: Vec<&Block> =
-            self.rounds.iter().flat_map(|r| r.recvs.iter().map(|t| &t.region)).collect();
-        let total: u64 = regions.iter().map(|b| b.count()).sum();
-        total == self.need_count()
-            && regions
-                .iter()
-                .enumerate()
-                .all(|(i, a)| regions[i + 1..].iter().all(|b| a.intersect(b).is_none()))
-    }
-
     /// The [`RedistStats`] a fully successful execution of this plan will
     /// report: what [`Plan::reorganize_with_stats`] returns when nothing
     /// fails, on any universe.
@@ -256,10 +265,27 @@ impl Plan {
         RedistStats::from_plan(self, &[])
     }
 
-    /// The one round loop behind every entry point. `exchange(sends, recvs)`
-    /// runs one salvaging `alltoallw` into the need buffer the entry point
-    /// holds. Drains every exchange so the maximum amount of data survives a
-    /// peer death. A source lost in an exchange is lost in every round of it
+    /// What `run` moved, as [`Plan::reorganize_with_stats`] reports it.
+    fn stats(&self, run: &Run) -> RedistStats {
+        RedistStats { exchanges: run.exchanges, ..RedistStats::from_plan(self, &run.failures) }
+    }
+
+    /// A run that lost nothing is `Ok`, and builds no report; a lossy one is
+    /// the [`DdrError::Incomplete`] that [`Plan::reorganize`] promises.
+    fn complete(&self, run: &Run) -> Result<()> {
+        if run.failures.is_empty() {
+            return Ok(());
+        }
+        let report = PartialCompletion::from_failures(self, &run.failures);
+        Err(DdrError::Incomplete(Box::new(report)))
+    }
+
+    /// The one round loop behind every entry point. `exchange(bufs, sends,
+    /// recvs)` runs one salvaging `alltoallw` into the need buffer the entry
+    /// point holds: `bufs` are the exchange's chunks, and `sends`/`recvs`
+    /// each peer's slice of the plan's part lists for the exchange's rounds.
+    /// Drains every exchange so the maximum amount of data survives a peer
+    /// death. A source lost in an exchange is lost in every round of it
     /// that received from that source.
     ///
     /// Exchange-synchronous: one blocking exchange per
@@ -269,52 +295,63 @@ impl Plan {
         &self,
         mut source: S,
         mut exchange: impl FnMut(
-            &[Vec<(&[u8], Datatype)>],
-            &[Vec<Datatype>],
+            &[&[u8]],
+            &[&[(usize, Datatype)]],
+            &[&[Datatype]],
         ) -> minimpi::Result<ExchangeReport>,
-    ) -> std::result::Result<(PartialCompletion, RedistStats), S::Error> {
+    ) -> std::result::Result<Run, S::Error> {
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
         let (n, step) = (self.rounds.len(), S::ROUNDS_PER_EXCHANGE);
-        let mut failures = Vec::new();
-        let mut exchanges = 0;
+        let mut run = Run::default();
         for group in (0..n).step_by(step).map(|start| start..start.saturating_add(step).min(n)) {
-            exchanges += 1;
+            run.exchanges += 1;
             let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", group.len() as i64);
             let owned = group.start.min(self.owned.len())..group.end.min(self.owned.len());
-            let chunks = if owned.is_empty() { Vec::new() } else { source.chunks(owned)? };
-            let mut sends: Vec<Vec<(&[u8], Datatype)>> = vec![Vec::new(); self.nprocs];
-            let mut recvs: Vec<Vec<Datatype>> = vec![Vec::new(); self.nprocs];
-            for r in group.clone() {
-                if let Some(block) = self.owned.get(r) {
-                    let chunk = chunks[r - group.start];
-                    if chunk.len() as u64 != block.count() {
-                        return Err(DdrError::BufferMismatch {
-                            detail: format!(
-                                "round {r}: chunk has {} elements but chunk {:?} holds {}",
-                                chunk.len(),
-                                block,
-                                block.count()
-                            ),
-                        }
-                        .into());
+            let chunks =
+                if owned.is_empty() { Vec::new() } else { source.chunks(owned.clone())? };
+            for (c, chunk) in owned.zip(&chunks) {
+                let block = &self.owned[c];
+                if chunk.len() as u64 != block.count() {
+                    return Err(DdrError::BufferMismatch {
+                        detail: format!(
+                            "round {c}: chunk has {} elements but chunk {:?} holds {}",
+                            chunk.len(),
+                            block,
+                            block.count()
+                        ),
                     }
-                    for t in &self.rounds[r].sends {
-                        sends[t.peer].push((bytes_of(chunk), Datatype::Subarray(t.subarray)));
-                    }
-                }
-                for t in &self.rounds[r].recvs {
-                    recvs[t.peer].push(Datatype::Subarray(t.subarray));
+                    .into());
                 }
             }
-            let report = exchange(&sends, &recvs).map_err(DdrError::from)?;
+            let bufs: Vec<&[u8]> = chunks.into_iter().map(bytes_of).collect();
+            let sends: Vec<&[(usize, Datatype)]> = self.parts.sends(group.clone()).collect();
+            // `bufs` holds this exchange's chunks only, so a later exchange's
+            // parts name their chunk from its first round.
+            let rebased: Vec<(usize, Datatype)>;
+            let sends = if group.start == 0 {
+                sends
+            } else {
+                rebased = sends.concat().into_iter().map(|(c, dt)| (c - group.start, dt)).collect();
+                let mut rest = &rebased[..];
+                sends
+                    .iter()
+                    .map(|s| {
+                        let (head, tail) = rest.split_at(s.len());
+                        rest = tail;
+                        head
+                    })
+                    .collect()
+            };
+            let recvs: Vec<&[Datatype]> = self.parts.recvs(group.clone()).collect();
+            let report = exchange(&bufs, &sends, &recvs).map_err(DdrError::from)?;
             for (peer, _) in report.failed {
                 let lost =
                     group.clone().filter(|&r| self.rounds[r].recvs.iter().any(|t| t.peer == peer));
-                failures.extend(lost.map(|r| (r, peer)));
+                run.failures.extend(lost.map(|r| (r, peer)));
             }
         }
-        let stats = RedistStats { exchanges, ..RedistStats::from_plan(self, &failures) };
         if ddrtrace::enabled() {
+            let stats = self.stats(&run);
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
             ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
@@ -322,16 +359,7 @@ impl Plan {
             ddrtrace::metrics::add("redist", "exchanges", stats.exchanges as u64);
             ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
         }
-        Ok((PartialCompletion::from_failures(self, &failures), stats))
-    }
-}
-
-/// A lossy exchange as the error [`Plan::reorganize`] promises.
-pub(crate) fn complete(report: PartialCompletion) -> Result<()> {
-    if report.is_complete() {
-        Ok(())
-    } else {
-        Err(DdrError::Incomplete(Box::new(report)))
+        Ok(run)
     }
 }
 
@@ -370,7 +398,7 @@ mod tests {
             .collect();
         for plan in plans(DataKind::D3, &layouts) {
             assert_eq!(plan.need().dims, [4, 4, 6]);
-            assert!(plan.recvs_tile_need());
+            assert!(plan.tiled);
         }
     }
 
@@ -381,8 +409,7 @@ mod tests {
             Layout { owned: vec![d1(0, 8)], need: d1(4, 8) },
             Layout { owned: vec![d1(8, 8)], need: d1(10, 10) },
         ];
-        let tiled: Vec<bool> =
-            plans(DataKind::D1, &layouts).iter().map(Plan::recvs_tile_need).collect();
+        let tiled: Vec<bool> = plans(DataKind::D1, &layouts).iter().map(|p| p.tiled).collect();
         assert_eq!(tiled, [true, false]);
     }
 
@@ -393,8 +420,7 @@ mod tests {
             Layout { owned: vec![d1(0, 10)], need: d1(0, 16) },
             Layout { owned: vec![d1(6, 10)], need: d1(6, 4) },
         ];
-        let tiled: Vec<bool> =
-            plans(DataKind::D1, &layouts).iter().map(Plan::recvs_tile_need).collect();
+        let tiled: Vec<bool> = plans(DataKind::D1, &layouts).iter().map(|p| p.tiled).collect();
         assert_eq!(tiled, [false, false]);
         // Ten cells and six overlapping them sum to the sixteen needed, but
         // leave [10, 16) unfilled: the count alone would pass, disjointness
@@ -406,7 +432,7 @@ mod tests {
         let plan = &plans(DataKind::D1, &layouts)[0];
         let regions = plan.rounds.iter().flat_map(|r| &r.recvs).map(|t| t.region.count());
         assert_eq!(regions.sum::<u64>(), plan.need().count());
-        assert!(!plan.recvs_tile_need());
+        assert!(!plan.tiled);
     }
 
     /// A plan without a needed block (a multi-need rank that declared fewer
@@ -414,11 +440,8 @@ mod tests {
     /// chunk has nobody to go to either.
     #[test]
     fn an_empty_need_is_tiled() {
-        let layouts = [Layout { owned: vec![d1(0, 4)], need: d1(0, 4) }];
-        let mut plan = plans(DataKind::D1, &layouts).remove(0);
-        plan.need = None;
-        plan.rounds = vec![RoundPlan::default()];
-        assert!(plan.recvs_tile_need());
+        let plan = Plan::new(0, 1, 4, vec![d1(0, 4)], None, vec![RoundPlan::default()]);
+        assert!(plan.tiled);
         let got = Universe::run(1, |comm| {
             plan.reorganize_from(comm, |_, chunk: &mut Vec<u32>| {
                 *chunk = vec![7; 4];
@@ -438,7 +461,7 @@ mod tests {
         {
             let layouts = [Layout { owned: vec![d1(0, 6), d1(6, 4)], need }];
             let plan = plans(DataKind::D1, &layouts).remove(0);
-            assert_eq!(plan.recvs_tile_need(), need.offset[0] == 2);
+            assert_eq!(plan.tiled, need.offset[0] == 2);
             let got = Universe::run(1, |comm| {
                 plan.reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
                     let b = layouts[0].owned[r];

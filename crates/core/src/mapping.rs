@@ -41,7 +41,7 @@ fn plan_core(
         return Err(DdrError::ProcessCountMismatch { descriptor: desc.nprocs(), actual: nprocs });
     }
     if rank >= nprocs {
-        return Err(DdrError::ProcessCountMismatch { descriptor: nprocs, actual: rank });
+        return Err(DdrError::RankOutOfRange { rank, nprocs });
     }
     let elem_size = desc.elem_size();
     let ndims = desc.kind().ndims();
@@ -88,7 +88,7 @@ fn plan_core(
         rounds.push(round);
     }
 
-    Ok(Plan { rank, nprocs, elem_size, owned: my_owned.to_vec(), need: my_need, rounds })
+    Ok(Plan::new(rank, nprocs, elem_size, my_owned.to_vec(), my_need, rounds))
 }
 
 impl Declared {
@@ -274,11 +274,14 @@ mod tests {
             compute_local_plan(0, &e1_layouts(), &desc).unwrap_err(),
             DdrError::ProcessCountMismatch { descriptor: 8, actual: 4 }
         ));
-        // A rank outside the layouts is the same error.
+    }
+
+    #[test]
+    fn rank_outside_the_layouts_rejected() {
         let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
-        assert!(matches!(
-            compute_local_plan(5, &e1_layouts(), &desc).unwrap_err(),
-            DdrError::ProcessCountMismatch { descriptor: 4, actual: 5 }
-        ));
+        assert_eq!(
+            compute_local_plan(5, &e1_layouts(), &desc),
+            Err(DdrError::RankOutOfRange { rank: 5, nprocs: 4 })
+        );
     }
 }

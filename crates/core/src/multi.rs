@@ -21,7 +21,7 @@
 use crate::block::Block;
 use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
-use crate::exec::complete;
+use crate::exec::Run;
 use crate::plan::Plan;
 use crate::recover::PartialCompletion;
 use crate::validate::ValidationPolicy;
@@ -85,20 +85,28 @@ impl MultiPlan {
         for (k, plan) in self.plans.iter().enumerate() {
             plan.check_buffers(comm, owned, needs.get(k).map_or(&[][..], |b| b))?;
         }
-        let parts = self
+        let runs = self
             .plans
             .iter()
             .enumerate()
             .map(|(k, plan)| {
-                let need = needs.get_mut(k).map_or(&mut [][..], |b| b);
-                Ok(plan.reorganize_with_stats(comm, owned, need)?.0)
+                plan.run_held(comm, owned, needs.get_mut(k).map_or(&mut [][..], |b| b))
             })
-            .collect::<Result<Vec<PartialCompletion>>>()?;
-        let merged = parts.into_iter().reduce(|mut all, part| {
-            all.merge(part);
-            all
-        });
-        merged.map_or(Ok(()), complete)
+            .collect::<Result<Vec<Run>>>()?;
+        if runs.iter().all(|run| run.failures.is_empty()) {
+            return Ok(());
+        }
+        let merged = self
+            .plans
+            .iter()
+            .zip(&runs)
+            .map(|(plan, run)| PartialCompletion::from_failures(plan, &run.failures))
+            .reduce(|mut all, part| {
+                all.merge(part);
+                all
+            })
+            .expect("a lost receive belongs to a plan");
+        Err(DdrError::Incomplete(Box::new(merged)))
     }
 }
 

@@ -77,8 +77,11 @@ pub fn ddr_setup_data_mapping(
     desc: &Descriptor,
 ) -> Result<Plan> {
     let ndims = desc.kind().ndims();
-    if rank != comm.rank() || nprocs != comm.size() {
+    if nprocs != comm.size() {
         return Err(DdrError::ProcessCountMismatch { descriptor: nprocs, actual: comm.size() });
+    }
+    if rank != comm.rank() {
+        return Err(DdrError::RankMismatch { plan: rank, actual: comm.rank() });
     }
     if dims_own.len() != nchunks * ndims || offsets_own.len() != nchunks * ndims {
         return Err(DdrError::InvalidBlock(format!(

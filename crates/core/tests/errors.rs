@@ -1,9 +1,9 @@
 //! Propagation of every [`minimpi::Error`] variant into ddr-core's
 //! [`DdrError`] domain, including through `reorganize`.
 
-use ddr_core::{Block, DataKind, DdrError, Descriptor};
+use ddr_core::{compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout};
 use minimpi::{Error as MpiError, FaultPlan, Universe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn all_mpi_variants() -> Vec<MpiError> {
     vec![
@@ -84,4 +84,37 @@ fn death_during_setup_propagates_peer_dead_from_setup_collectives() {
         });
     assert_eq!(out[0], Some(DdrError::Mpi(MpiError::PeerDead { rank: 0 })));
     assert_eq!(out[1], Some(DdrError::Mpi(MpiError::PeerDead { rank: 0 })));
+}
+
+/// A plan run by the wrong rank of a right-sized communicator names both
+/// ranks, not a process count. Each rank runs its peer's plan, so both
+/// return the error before any message and nobody waits on the watchdog.
+#[test]
+fn plan_run_on_the_wrong_rank_names_both_ranks() {
+    let d1 = |offset, len| Block::d1(offset, len).unwrap();
+    let layouts = [
+        Layout { owned: vec![d1(0, 4)], need: d1(4, 4) },
+        Layout { owned: vec![d1(4, 4)], need: d1(0, 4) },
+    ];
+    let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();
+    let start = Instant::now();
+    let out = Universe::builder().timeout(Duration::from_secs(30)).run(2, |comm| {
+        let plan = compute_local_plan(1 - comm.rank(), &layouts, &desc).unwrap();
+        let held = plan.reorganize(comm, &[&[0u32; 4]], &mut [0u32; 4]);
+        let produced = plan.reorganize_from(comm, |_, chunk: &mut Vec<u32>| {
+            *chunk = vec![0; 4];
+            Ok::<_, DdrError>(())
+        });
+        (held, produced.map(drop))
+    });
+    assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
+    for (rank, (held, produced)) in out.into_iter().enumerate() {
+        let want = DdrError::RankMismatch { plan: 1 - rank, actual: rank };
+        assert_eq!(
+            want.to_string(),
+            format!("rank mismatch: plan was built for rank {}, called on rank {rank}", 1 - rank)
+        );
+        assert_eq!(held, Err(want.clone()), "rank {rank}, held chunks");
+        assert_eq!(produced, Err(want), "rank {rank}, produced chunks");
+    }
 }

@@ -252,26 +252,36 @@ impl Comm {
         recv_buf: &mut [u8],
         recv_types: &[Datatype],
     ) -> Result<()> {
-        // An empty selection is no part at all.
-        let part = |dt: &Datatype| (*dt != Datatype::Empty).then_some(*dt);
-        let sends: Vec<Vec<(&[u8], Datatype)>> = send_types
-            .iter()
-            .map(|dt| part(dt).map(|dt| (send_buf, dt)).into_iter().collect())
-            .collect();
-        let recvs: Vec<Vec<Datatype>> =
-            recv_types.iter().map(|dt| part(dt).into_iter().collect()).collect();
+        // An empty selection is no part at all; every other part lends the
+        // one send buffer.
+        fn part<'a, T>(x: &'a T, dt: &Datatype) -> &'a [T] {
+            if *dt == Datatype::Empty {
+                &[]
+            } else {
+                std::slice::from_ref(x)
+            }
+        }
+        let parts: Vec<(usize, Datatype)> = send_types.iter().map(|dt| (0, *dt)).collect();
+        let sends: Vec<&[(usize, Datatype)]> = parts.iter().map(|p| part(p, &p.1)).collect();
+        let recvs: Vec<&[Datatype]> = recv_types.iter().map(|dt| part(dt, dt)).collect();
         // SAFETY: the receive engine only stores initialized bytes.
-        self.alltoallw_impl(&sends, unsafe { as_uninit_mut(recv_buf) }, &recvs, false).map(|_| ())
+        let recv_buf = unsafe { as_uninit_mut(recv_buf) };
+        self.alltoallw_impl(&[send_buf], &sends, recv_buf, &recvs, false).map(|_| ())
     }
 
     /// `MPI_Alltoallw` whose messages are lists of parts. For every
-    /// destination `d`, `sends[d]` is an ordered list of `(buffer,
-    /// selection)` parts, packed back to back into one message; for every
-    /// source `s`, `recvs[s]` is the ordered list of selections of
-    /// `recv_buf` that source's message unpacks into. The self parts are
-    /// copied pairwise, in order. The contract of [`Comm::alltoallw`]
-    /// carries over per message: `sends[d]` on rank `r` packs to as many
-    /// bytes as `recvs[r]` on rank `d` expects.
+    /// destination `d`, `sends[d]` is an ordered list of `(buffer index,
+    /// selection)` parts, each selecting from `bufs[index]`, packed back to
+    /// back into one message; for every source `s`, `recvs[s]` is the
+    /// ordered list of selections of `recv_buf` that source's message
+    /// unpacks into. The self parts are copied pairwise, in order. The
+    /// contract of [`Comm::alltoallw`] carries over per message: `sends[d]`
+    /// on rank `r` packs to as many bytes as `recvs[r]` on rank `d` expects.
+    ///
+    /// The lists are slices, so a caller that runs the same exchange many
+    /// times keeps them and binds only `bufs` per call. A part naming an
+    /// index past `bufs`, or a selection reaching past its buffer, is an
+    /// error before anything is sent.
     ///
     /// Every message is one loan of all its parts, whatever its size, and
     /// the receiver copies part `i` of the loan into its receive part `i`,
@@ -287,12 +297,13 @@ impl Comm {
     /// malformed) are still returned as `Err`.
     pub fn alltoallw_parts(
         &self,
-        sends: &[Vec<(&[u8], Datatype)>],
+        bufs: &[&[u8]],
+        sends: &[&[(usize, Datatype)]],
         recv_buf: &mut [u8],
-        recvs: &[Vec<Datatype>],
+        recvs: &[&[Datatype]],
     ) -> Result<ExchangeReport> {
         // SAFETY: the receive engine only stores initialized bytes.
-        self.alltoallw_impl(sends, unsafe { as_uninit_mut(recv_buf) }, recvs, true)
+        self.alltoallw_impl(bufs, sends, unsafe { as_uninit_mut(recv_buf) }, recvs, true)
     }
 
     /// [`Comm::alltoallw_parts`] into storage that may be uninitialized, such
@@ -305,11 +316,12 @@ impl Comm {
     /// they were.
     pub fn alltoallw_parts_uninit(
         &self,
-        sends: &[Vec<(&[u8], Datatype)>],
+        bufs: &[&[u8]],
+        sends: &[&[(usize, Datatype)]],
         recv_buf: &mut [MaybeUninit<u8>],
-        recvs: &[Vec<Datatype>],
+        recvs: &[&[Datatype]],
     ) -> Result<ExchangeReport> {
-        self.alltoallw_impl(sends, recv_buf, recvs, true)
+        self.alltoallw_impl(bufs, sends, recv_buf, recvs, true)
     }
 
     /// The one engine behind [`Comm::alltoallw`] and
@@ -323,9 +335,10 @@ impl Comm {
     /// panic — the guard drains or revokes its zero-copy loans.
     fn alltoallw_impl(
         &self,
-        sends: &[Vec<(&[u8], Datatype)>],
+        bufs: &[&[u8]],
+        sends: &[&[(usize, Datatype)]],
         recv_buf: &mut [MaybeUninit<u8>],
-        recvs: &[Vec<Datatype>],
+        recvs: &[&[Datatype]],
         salvage: bool,
     ) -> Result<ExchangeReport> {
         let n = self.size();
@@ -336,6 +349,15 @@ impl Comm {
                     sends.len(),
                     recvs.len()
                 ),
+            });
+        }
+        // Every part names one of `bufs`, the self parts too: checked before
+        // the first deposit, so a list naming a missing buffer sends nothing.
+        if let Some((i, _)) =
+            sends.iter().flat_map(|parts| parts.iter()).find(|p| p.0 >= bufs.len())
+        {
+            return Err(Error::CollectiveMismatch {
+                detail: format!("alltoallw: a send part names buffer {i} of {}", bufs.len()),
             });
         }
         let seq = self.next_coll_seq();
@@ -351,6 +373,7 @@ impl Comm {
         let mut xchg = Exchange {
             comm: self,
             tag,
+            bufs,
             sends,
             recvs,
             salvage,
@@ -369,7 +392,7 @@ impl Comm {
                 continue;
             }
             // A loan a fault rule withheld has no cell: nothing to wait on.
-            if let Some(cell) = self.deposit_shared(d, tag, parts)? {
+            if let Some(cell) = self.deposit_shared(d, tag, bufs, parts)? {
                 xchg.loans.push((d, cell));
             }
         }
@@ -451,8 +474,9 @@ struct Exchange<'a> {
     comm: &'a Comm,
     /// Key tag every message of this exchange travels under.
     tag: u64,
-    sends: &'a [Vec<(&'a [u8], Datatype)>],
-    recvs: &'a [Vec<Datatype>],
+    bufs: &'a [&'a [u8]],
+    sends: &'a [&'a [(usize, Datatype)]],
+    recvs: &'a [&'a [Datatype]],
     salvage: bool,
     loans: Vec<(usize, Arc<ZcCell>)>,
     failed: Vec<(usize, Error)>,
@@ -477,7 +501,7 @@ impl Exchange<'_> {
         self.self_copy(recv_buf)?;
         // Receive phase: under salvage, drain every source and record
         // failures; otherwise abort on the first one.
-        for (s, dts) in self.recvs.iter().enumerate() {
+        for (s, &dts) in self.recvs.iter().enumerate() {
             if s == me || message_len(dts) == 0 {
                 continue;
             }
@@ -515,7 +539,7 @@ impl Exchange<'_> {
     /// selection-to-selection copy (faults never apply to self-messages).
     fn self_copy(&self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<()> {
         let me = self.comm.rank();
-        let (sends, recvs) = (&self.sends[me], &self.recvs[me]);
+        let (sends, recvs) = (self.sends[me], self.recvs[me]);
         let (sent, expected) = (message_len(sends.iter().map(|(_, dt)| dt)), message_len(recvs));
         if sent == 0 && expected == 0 {
             return Ok(());
@@ -533,8 +557,8 @@ impl Exchange<'_> {
                 ),
             });
         }
-        for ((buf, send_dt), recv_dt) in sends.iter().zip(recvs) {
-            copy_selection(buf, send_dt, recv_buf, recv_dt)?;
+        for ((i, send_dt), recv_dt) in sends.iter().zip(recvs) {
+            copy_selection(self.bufs[*i], send_dt, recv_buf, recv_dt)?;
         }
         Ok(())
     }
@@ -637,7 +661,8 @@ mod tests {
                 let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
                 if me == 0 {
                     // Loan to rank 1 only, then die with it outstanding.
-                    let cell = comm.deposit_shared(1, tag, &[(&lent, contig(0, len))]).unwrap();
+                    let cell =
+                        comm.deposit_shared(1, tag, &[&lent], &[(0, contig(0, len))]).unwrap();
                     drop(cell); // nobody waits: `lent` outlives the run
                     return Ok(());
                 }
@@ -647,15 +672,12 @@ mod tests {
                     // The loan under test → rank 2, in `nparts` parts.
                     let half = len / 2;
                     let lent = match nparts {
-                        1 => vec![(&send[..], contig(0, len))],
-                        _ => vec![
-                            (&send[..], contig(half, len - half)),
-                            (&send[..], contig(0, half)),
-                        ],
+                        1 => vec![(0, contig(0, len))],
+                        _ => vec![(0, contig(half, len - half)), (0, contig(0, half))],
                     };
-                    let sends = [vec![], vec![], lent];
-                    let recvs = [vec![contig(0, len)], vec![], vec![]]; // rank 0's hand deposit
-                    let res = comm.alltoallw_parts(&sends, &mut recv, &recvs);
+                    let sends: [&[_]; 3] = [&[], &[], &lent];
+                    let recvs: [&[_]; 3] = [&[contig(0, len)], &[], &[]]; // rank 0's hand deposit
+                    let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
                     assert_eq!(recv, vec![0xAB; len]);
                     // The loan to rank 2 must have come back *revoked* —
                     // this rank counted it on its own completion path.

@@ -428,8 +428,10 @@ impl Comm {
     }
 
     /// Deposit a zero-copy loan of one message into `dest`'s mailbox: every
-    /// `(buffer, selection)` part of `parts`, in order. Each part's bounds
-    /// are checked here, before anything is lent. Returns the completion
+    /// `(buffer index, selection)` part of `parts`, in order, each selecting
+    /// from `bufs[index]`. The caller has checked every index (`alltoallw`
+    /// does, before its first deposit); each part's bounds are checked here,
+    /// before anything is lent. Returns the completion
     /// cell the caller **must** drive to `Done` or `Revoked` (via
     /// [`ZcCell::wait`]) before the buffers' borrows end — that wait is what
     /// makes the receiver's raw-pointer reads sound — or `None` when a fault
@@ -443,10 +445,11 @@ impl Comm {
         &self,
         dest: usize,
         key_tag: u64,
-        parts: &[(&[u8], Datatype)],
+        bufs: &[&[u8]],
+        parts: &[(usize, Datatype)],
     ) -> Result<Option<Arc<ZcCell>>> {
-        for (buf, dt) in parts {
-            dt.check_bounds(buf.len())?;
+        for (i, dt) in parts {
+            dt.check_bounds(bufs[*i].len())?;
         }
         // Same op accounting and fault rules as `deposit_staged`, so op and
         // message positions (the fault plan's coordinates) count every
@@ -459,7 +462,7 @@ impl Comm {
         // A loan occupies a slot in the pair but stages no bytes. A refused
         // one was dropped — and so revoked — by the mailbox. Its parts carry
         // their own element sizes, so the envelope stamps untyped bytes.
-        let handle = ZcHandle::new(parts, Arc::clone(&cell));
+        let handle = ZcHandle::new(bufs, parts, Arc::clone(&cell));
         self.enqueue(dest, key_tag, Payload::Shared(handle), 1)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(Some(cell))

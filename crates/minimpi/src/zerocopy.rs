@@ -204,11 +204,13 @@ pub(crate) struct ZcHandle {
 unsafe impl Send for ZcHandle {}
 
 impl ZcHandle {
-    /// Lend every `(buffer, selection)` part of `parts`, reporting
-    /// completion through `cell`.
-    pub fn new(parts: &[(&[u8], Datatype)], cell: Arc<ZcCell>) -> Self {
-        let parts =
-            parts.iter().map(|(buf, dt)| LentPart { ptr: buf.as_ptr(), len: buf.len(), dt: *dt });
+    /// Lend every `(buffer index, selection)` part of `parts`, each
+    /// selecting from `bufs[index]`, reporting completion through `cell`.
+    pub fn new(bufs: &[&[u8]], parts: &[(usize, Datatype)], cell: Arc<ZcCell>) -> Self {
+        let parts = parts.iter().map(|&(i, dt)| {
+            let buf = bufs[i];
+            LentPart { ptr: buf.as_ptr(), len: buf.len(), dt }
+        });
         ZcHandle { parts: parts.collect(), cell }
     }
 
@@ -546,7 +548,7 @@ mod tests {
             let cell = Arc::new(ZcCell::default());
             let buf = vec![0u8; 16];
             let dt = Datatype::Contiguous { len_bytes: 16, offset: 0 };
-            drop(ZcHandle::new(&[(&buf, dt)], Arc::clone(&cell)));
+            drop(ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)));
             // The loan is dead: the receiver can no longer claim it, and a
             // sender blocked in wait() observes the revocation immediately.
             assert!(!cell.try_claim());
@@ -561,7 +563,7 @@ mod tests {
             assert!(cell.try_claim());
             let buf = vec![0u8; 4];
             let dt = Datatype::Contiguous { len_bytes: 4, offset: 0 };
-            drop(ZcHandle::new(&[(&buf, dt)], Arc::clone(&cell)));
+            drop(ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)));
             cell.finish();
             assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Done);
         }
@@ -576,10 +578,10 @@ mod tests {
         let a: Vec<u8> = (0..32).collect();
         let b: Vec<u8> = (100..116).collect();
         let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
-        let parts = [(&b[..], contig(8, 8)), (&a[..], contig(0, 4)), (&a[..], contig(28, 4))];
+        let parts = [(1, contig(8, 8)), (0, contig(0, 4)), (0, contig(28, 4))];
         for waiter in policies() {
             let cell = Arc::new(ZcCell::default());
-            let handle = ZcHandle::new(&parts, Arc::clone(&cell));
+            let handle = ZcHandle::new(&[&a, &b], &parts, Arc::clone(&cell));
             assert_eq!(handle.packed_len(), 16);
             let lens: Vec<usize> = handle.dts().map(Datatype::packed_len).collect();
             assert_eq!(lens, [8, 4, 4]);

@@ -271,13 +271,14 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
         let out = Universe::builder().timeout(watchdog).run(2, |comm| {
             let send: Vec<u8> = (0..64).collect();
             let mut recv = vec![0xEE; 64];
-            let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+            let lent = [(0, contig(0, 32)), (0, contig(32, 32))];
+            let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
             if comm.rank() == 0 {
-                sends[1] = vec![(&send[..], contig(0, 32)), (&send[..], contig(32, 32))];
+                sends[1] = &lent;
             } else {
-                recvs[0] = recv_parts.clone();
+                recvs[0] = &recv_parts;
             }
-            let res = comm.alltoallw_parts(&sends, &mut recv, &recvs);
+            let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
             (res.map(|report| report.is_complete()), recv, comm.transport_counters())
         });
         assert!(
@@ -290,6 +291,37 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
         let (res, recv, _) = &out[1];
         assert!(matches!(res, Err(Error::DatatypeMismatch { .. })), "{what}: {res:?}");
         assert_eq!(recv, &vec![0xEE; 64], "{what}: the receive buffer is untouched");
+    }
+}
+
+/// A send part names its buffer by index, so an index past `bufs` is a
+/// `CollectiveMismatch` found before the first deposit. Rank 0's message to
+/// rank 1 is well formed and goes first in send order, yet nothing leaves:
+/// no loan is counted, rank 1's buffer is untouched, and both receivers
+/// report rank 0 dead at once instead of waiting out the watchdog.
+#[test]
+fn send_part_naming_a_missing_buffer_deposits_nothing() {
+    let start = Instant::now();
+    let out = Universe::builder().timeout(Duration::from_secs(30)).run(3, |comm| {
+        let send = [7u8; 16];
+        let mut recv = [0xEE; 16];
+        let whole = Datatype::Contiguous { len_bytes: 16, offset: 0 };
+        let (good, bad) = ([(0, whole)], [(1, whole)]);
+        let (mut sends, mut recvs): ([&[_]; 3], [&[_]; 3]) = ([&[]; 3], [&[]; 3]);
+        if comm.rank() == 0 {
+            (sends[1], sends[2]) = (&good, &bad);
+        } else {
+            recvs[0] = std::slice::from_ref(&whole);
+        }
+        let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
+        (res.map(|report| report.failed), recv, comm.transport_counters().zerocopy_msgs)
+    });
+    assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
+    let detail = "alltoallw: a send part names buffer 1 of 1".into();
+    assert_eq!(out[0], (Err(Error::CollectiveMismatch { detail }), [0xEE; 16], 0));
+    for (rank, (res, recv, _)) in out.iter().enumerate().skip(1) {
+        assert_eq!(res, &Ok(vec![(0, Error::PeerDead { rank: 0 })]), "rank {rank}");
+        assert_eq!(recv, &[0xEE; 16], "rank {rank}: nothing was deposited");
     }
 }
 
@@ -379,13 +411,15 @@ fn mismatched_coalesced_message_is_a_datatype_mismatch() {
         };
         let send = [7u8; 128];
         let mut recv = vec![0u8; 128];
-        let (mut sends, mut recvs) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
+        let lent = [(0, words(4, 0, 4)), (0, words(4, 8, 4))];
+        let want = [words(2, 0, 8), words(2, 4, 8)];
+        let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
         if comm.rank() == 0 {
-            sends[1] = vec![(&send[..], words(4, 0, 4)), (&send[..], words(4, 8, 4))];
+            sends[1] = &lent;
         } else {
-            recvs[0] = vec![words(2, 0, 8), words(2, 4, 8)];
+            recvs[0] = &want;
         }
-        let res = comm.alltoallw_parts(&sends, &mut recv, &recvs);
+        let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
         (res.map(|report| report.is_complete()), recv)
     });
     assert_eq!(out[0], (Ok(true), vec![0; 128]));

@@ -89,12 +89,13 @@ fn multi_part_message_loans_and_lands_part_by_part_in_order() {
         let b: Vec<u8> = (0..64).map(|i| (100 * me + 64 + i) as u8).collect();
         let centre = Datatype::Subarray(Subarray::d2([8, 8], [4, 4], [2, 2], 1).unwrap());
         let contig = |offset| Datatype::Contiguous { len_bytes: 16, offset };
-        let mut sends = vec![Vec::new(); 2];
-        sends[peer] = vec![(&a[..], contig(48)), (&b[..], centre), (&a[..], contig(0))];
-        let mut recvs = vec![Vec::new(); 2];
-        recvs[peer] = vec![contig(32), contig(0), contig(16)];
+        let (lent, want) =
+            ([(0, contig(48)), (1, centre), (0, contig(0))], [contig(32), contig(0), contig(16)]);
+        let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
+        (sends[peer], recvs[peer]) = (&lent, &want);
         let mut recv = vec![0u8; 48];
-        let report = comm.alltoallw_parts(&sends, &mut recv, &recvs).expect("exchange succeeds");
+        let report =
+            comm.alltoallw_parts(&[&a, &b], &sends, &mut recv, &recvs).expect("exchange succeeds");
         assert!(report.is_complete(), "{report:?}");
         // Each rank's loan is counted before its barrier message.
         comm.barrier().expect("barrier");
