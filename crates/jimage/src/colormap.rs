@@ -54,8 +54,36 @@ impl Colormap {
     pub fn map(&self, t: f32) -> [u8; 3] {
         let t = if t.is_nan() { 0.0 } else { t };
         let n = self.stops.len();
-        let (first, last) = (self.stops[0], self.stops[n - 1]);
         let hi = 1 + self.stops[1..n - 1].iter().filter(|&&(s, _)| s < t).count();
+        self.color(t, hi)
+    }
+
+    /// [`Colormap::map`] of each value of `ts` (at most [`MAP_BLOCK`]) into
+    /// the matching three bytes of `out`, in two passes over stack arrays:
+    /// first every value's segment, counted one interior stop at a time
+    /// across all values, then every color. Each value goes through the same
+    /// operations as in `map`.
+    pub(crate) fn map_block(&self, ts: &[f32], out: &mut [u8]) {
+        let mut t = [0f32; MAP_BLOCK];
+        let mut hi = [1usize; MAP_BLOCK];
+        let (t, hi) = (&mut t[..ts.len()], &mut hi[..ts.len()]);
+        for (t, &v) in t.iter_mut().zip(ts) {
+            *t = if v.is_nan() { 0.0 } else { v };
+        }
+        for &(s, _) in &self.stops[1..self.stops.len() - 1] {
+            for (hi, &t) in hi.iter_mut().zip(&*t) {
+                *hi += usize::from(s < t);
+            }
+        }
+        for ((px, &t), &hi) in out.chunks_exact_mut(3).zip(&*t).zip(&*hi) {
+            px.copy_from_slice(&self.color(t, hi));
+        }
+    }
+
+    /// The color of a non-NaN `t` whose segment ends at stop `hi`.
+    #[inline(always)]
+    fn color(&self, t: f32, hi: usize) -> [u8; 3] {
+        let (first, last) = (self.stops[0], self.stops[self.stops.len() - 1]);
         let (t0, c0) = self.stops[hi - 1];
         let (t1, c1) = self.stops[hi];
         let f = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
@@ -70,6 +98,9 @@ impl Colormap {
         }
     }
 }
+
+/// Most values [`Colormap::map_block`] maps in one call.
+pub(crate) const MAP_BLOCK: usize = 64;
 
 /// `v.round().clamp(0.0, 255.0) as u8`, bit for bit, without the `roundf`
 /// call: `v + 0.5` is exact in `f64` whenever the sum reaches 1, so the

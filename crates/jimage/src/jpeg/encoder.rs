@@ -7,16 +7,25 @@ use super::tables::{
     BASE_LUMA_QUANT, DC_CHROMA, DC_LUMA, ZIGZAG,
 };
 use super::Subsampling;
-use crate::error::Result;
+use crate::error::{ImageError, Result};
 use crate::rgb::RgbImage;
 
-/// One padded component plane, level-shifted to be centered on zero.
-struct Plane {
+/// Rows of one padded component plane, level-shifted to be centered on
+/// zero: one MCU row of it, `data.len() / w` rows of `w` values.
+struct Band {
     w: usize,
     data: Vec<f32>,
 }
 
-impl Plane {
+impl Band {
+    fn new(w: usize, rows: usize) -> Self {
+        Band { w, data: vec![0f32; w * rows] }
+    }
+
+    fn rows(&self) -> usize {
+        self.data.len() / self.w
+    }
+
     fn block(&self, bx: usize, by: usize) -> [f32; 64] {
         let mut out = [0f32; 64];
         for y in 0..8 {
@@ -25,6 +34,121 @@ impl Plane {
         }
         out
     }
+}
+
+/// Fill each band of one MCU row: band row `j` comes from source row
+/// `y0 + j`, or from row `h − 1` where that lies below the image. `convert`
+/// writes a source row of `w` pixels (`src` holds `h` rows) into the first
+/// `w` values of each band's row; the rest of the row repeats its last value.
+fn fill_bands<const C: usize>(
+    bands: &mut [Band; C],
+    src: &[u8],
+    (w, h): (usize, usize),
+    y0: usize,
+    convert: fn(&[u8], [&mut [f32]; C]),
+) {
+    let stride = src.len() / h;
+    let w1 = bands[0].w;
+    for j in 0..bands[0].rows() {
+        let sy = (y0 + j).min(h - 1);
+        let mut out = bands.each_mut().map(|b| &mut b.data[j * w1..(j + 1) * w1]);
+        convert(&src[sy * stride..(sy + 1) * stride], out.each_mut().map(|row| &mut row[..w]));
+        for row in out {
+            let edge = row[w - 1];
+            row[w..].fill(edge);
+        }
+    }
+}
+
+/// JFIF's RGB → YCbCr, Y level-shifted, over one row of pixels.
+fn ycbcr_row(src: &[u8], [y, cb, cr]: [&mut [f32]; 3]) {
+    let px = src.chunks_exact(3).zip(y.iter_mut().zip(cb.iter_mut()).zip(cr.iter_mut()));
+    for (p, ((y, cb), cr)) in px {
+        let (r, g, b) = (p[0] as f32, p[1] as f32, p[2] as f32);
+        *y = 0.299 * r + 0.587 * g + 0.114 * b - 128.0;
+        *cb = -0.168_736 * r - 0.331_264 * g + 0.5 * b;
+        *cr = 0.5 * r - 0.418_688 * g - 0.081_312 * b;
+    }
+}
+
+/// Level-shifted gray values of one row of pixels.
+fn gray_row(src: &[u8], [y]: [&mut [f32]; 1]) {
+    for (y, &g) in y.iter_mut().zip(src) {
+        *y = g as f32 - 128.0;
+    }
+}
+
+/// 2×2 box filter of a 4:2:0 chroma band, summed `0 + a0 + a1 + b0 + b1`.
+fn downsample(src: &Band, out: &mut Band) {
+    let (w1, cw) = (src.w, out.w);
+    for (out, pair) in out.data.chunks_exact_mut(cw).zip(src.data.chunks_exact(2 * w1)) {
+        let (a, b) = pair.split_at(w1);
+        for ((o, a), b) in out.iter_mut().zip(a.chunks_exact(2)).zip(b.chunks_exact(2)) {
+            *o = (0.0 + a[0] + a[1] + b[0] + b[1]) / 4.0;
+        }
+    }
+}
+
+/// The Y, Cb and Cr bands of one MCU row of an RGB image, allocated once
+/// per image and rebuilt for each MCU row. The image is padded by edge
+/// replication to MCU multiples; for 4:2:0 chroma is then box-filtered down.
+///
+/// Each source row's pixels are zipped with the three band rows, and the
+/// 4:2:0 box filter runs over row pairs, keeping the `0 + a0 + a1 + b0 + b1`
+/// summation order. Measured on a 2-core x86-64 Xeon guest, together with
+/// the quantiser's [`round_half_away`] (which replaced a `roundf` call per
+/// coefficient), `jpeg/encode_512x512_q/75` went from 4.8–7.9 ms (one
+/// bounds-asserted `img.get` per padded pixel) to 3.1–4.6 ms, and a traced
+/// `lbm_frames` run's `jimage.encode_ms` from 1.8–2.0 to 1.0–1.1 ms, with
+/// whole-frame planes (≈ 900 KiB per 256² frame, 81 minor faults per call).
+/// The bands (56 KiB at 256 wide, no faults) and the lane-parallel
+/// [`fdct_8x8`] took `jimage.encode_ms` from 1.09–1.23 to 0.98–1.04 ms (3
+/// alternating pairs).
+struct McuRow {
+    full: [Band; 3],
+    /// The 4:2:0 chroma bands: half as wide, 8 rows.
+    half: Option<[Band; 2]>,
+}
+
+impl McuRow {
+    fn new(w1: usize, sub: Subsampling) -> Self {
+        let (rows, half) = match sub {
+            Subsampling::S444 => (8, None),
+            Subsampling::S420 => (16, Some(std::array::from_fn(|_| Band::new(w1 / 2, 8)))),
+        };
+        McuRow { full: std::array::from_fn(|_| Band::new(w1, rows)), half }
+    }
+
+    /// Build MCU row `my` of `img` and return its Y, Cb and Cr bands.
+    fn build(&mut self, img: &RgbImage, my: usize) -> [&Band; 3] {
+        let y0 = my * self.full[0].rows();
+        fill_bands(&mut self.full, &img.data, (img.width, img.height), y0, ycbcr_row);
+        let [y, cb, cr] = &self.full;
+        match &mut self.half {
+            None => [y, cb, cr],
+            Some([half_cb, half_cr]) => {
+                downsample(cb, half_cb);
+                downsample(cr, half_cr);
+                [y, half_cb, half_cr]
+            }
+        }
+    }
+}
+
+/// Check the dimensions a baseline frame header can carry, then the buffer
+/// length they imply for `channels` bytes per pixel.
+fn check_frame(width: usize, height: usize, channels: usize, len: usize) -> Result<()> {
+    let max = u16::MAX as usize;
+    if width == 0 || height == 0 || width > max || height > max {
+        return Err(ImageError::Unsupported(format!(
+            "JPEG dimensions must be 1..={max}, got {width}x{height}"
+        )));
+    }
+    let expected = channels * width * height;
+    if len != expected {
+        return Err(ImageError::DimensionMismatch { expected, got: len });
+    }
+    Ok(())
 }
 
 /// `r.round() as i32`, bit for bit, without the `roundf` call: `|r| + 0.5`
@@ -137,77 +261,9 @@ fn dht_payload(class_id: u8, spec: &HuffSpec) -> Vec<u8> {
     p
 }
 
-/// Build the three padded, level-shifted YCbCr planes. The full-resolution
-/// image is padded by edge replication to MCU multiples; chroma is then
-/// box-filtered down by the sampling factors.
-///
-/// Each source row's pixels are zipped with the three plane rows, and the
-/// 4:2:0 box filter runs over row pairs, keeping the `0 + a0 + a1 + b0 + b1`
-/// summation order. Measured on a 2-core x86-64 Xeon guest, together with
-/// the quantiser's [`round_half_away`] (which replaced a `roundf` call per
-/// coefficient), `jpeg/encode_512x512_q/75` went from 4.8–7.9 ms (one
-/// bounds-asserted `img.get` per padded pixel) to 3.1–4.6 ms, and a traced
-/// `lbm_frames` run's `jimage.encode_ms` from 1.8–2.0 to 1.0–1.1 ms.
-fn build_planes(img: &RgbImage, sub: Subsampling) -> (Plane, Plane, Plane, usize, usize) {
-    let (mcu_w, mcu_h) = match sub {
-        Subsampling::S444 => (8, 8),
-        Subsampling::S420 => (16, 16),
-    };
-    let mcux = img.width.div_ceil(mcu_w).max(1);
-    let mcuy = img.height.div_ceil(mcu_h).max(1);
-    let w1 = mcux * mcu_w;
-    let h1 = mcuy * mcu_h;
-
-    let (w, h) = (img.width, img.height);
-    let mut y = vec![0f32; w1 * h1];
-    let mut cb = vec![0f32; w1 * h1];
-    let mut cr = vec![0f32; w1 * h1];
-    let rows = y.chunks_exact_mut(w1).zip(cb.chunks_exact_mut(w1)).zip(cr.chunks_exact_mut(w1));
-    for (((y, cb), cr), src) in rows.zip(img.data.chunks_exact(3 * w)) {
-        let px = src.chunks_exact(3).zip(y.iter_mut().zip(cb.iter_mut()).zip(cr.iter_mut()));
-        for (p, ((y, cb), cr)) in px {
-            let (r, g, b) = (p[0] as f32, p[1] as f32, p[2] as f32);
-            *y = 0.299 * r + 0.587 * g + 0.114 * b - 128.0;
-            *cb = -0.168_736 * r - 0.331_264 * g + 0.5 * b;
-            *cr = 0.5 * r - 0.418_688 * g - 0.081_312 * b;
-        }
-        for row in [y, cb, cr] {
-            let edge = row[w - 1];
-            row[w..].fill(edge);
-        }
-    }
-    for plane in [&mut y, &mut cb, &mut cr] {
-        for yy in h..h1 {
-            plane.copy_within((h - 1) * w1..h * w1, yy * w1);
-        }
-    }
-    let y_plane = Plane { w: w1, data: y };
-    if sub == Subsampling::S444 {
-        return (y_plane, Plane { w: w1, data: cb }, Plane { w: w1, data: cr }, mcux, mcuy);
-    }
-    let cw = w1 / 2;
-    let downsample = |src: &[f32]| -> Plane {
-        let mut out = vec![0f32; cw * (h1 / 2)];
-        for (out, pair) in out.chunks_exact_mut(cw).zip(src.chunks_exact(2 * w1)) {
-            let (a, b) = pair.split_at(w1);
-            for ((o, a), b) in out.iter_mut().zip(a.chunks_exact(2)).zip(b.chunks_exact(2)) {
-                *o = (0.0 + a[0] + a[1] + b[0] + b[1]) / 4.0;
-            }
-        }
-        Plane { w: cw, data: out }
-    };
-    let cb_plane = downsample(&cb);
-    let cr_plane = downsample(&cr);
-    (y_plane, cb_plane, cr_plane, mcux, mcuy)
-}
-
 /// Encode an RGB image as a baseline JFIF JPEG at the given quality (1-100).
 pub fn encode_with(img: &RgbImage, quality: u8, sub: Subsampling) -> Result<Vec<u8>> {
-    assert!(img.width > 0 && img.height > 0, "cannot encode an empty image");
-    assert!(
-        img.width <= u16::MAX as usize && img.height <= u16::MAX as usize,
-        "JPEG dimensions are limited to 65535"
-    );
+    check_frame(img.width, img.height, 3, img.data.len())?;
     let lq = scale_quant_table(&BASE_LUMA_QUANT, quality);
     let cq = scale_quant_table(&BASE_CHROMA_QUANT, quality);
     let (hs, vs) = match sub {
@@ -248,20 +304,23 @@ pub fn encode_with(img: &RgbImage, quality: u8, sub: Subsampling) -> Result<Vec<
     push_marker(&mut out, 0xC4, &dht_payload(0x11, &AC_CHROMA));
     push_marker(&mut out, 0xDA, &[3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]);
 
-    let (yp, cbp, crp, mcux, mcuy) = build_planes(img, sub);
+    let (hs, vs) = (hs as usize, vs as usize);
+    let mcux = img.width.div_ceil(8 * hs);
+    let mut bands = McuRow::new(mcux * 8 * hs, sub);
     let mut enc_y = BlockEncoder::new(&DC_LUMA, &AC_LUMA, lq);
     let mut enc_cb = BlockEncoder::new(&DC_CHROMA, &AC_CHROMA, cq);
     let mut enc_cr = BlockEncoder::new(&DC_CHROMA, &AC_CHROMA, cq);
     let mut w = BitWriter::new(out);
-    for my in 0..mcuy {
+    for my in 0..img.height.div_ceil(8 * vs) {
+        let [yb, cbb, crb] = bands.build(img, my);
         for mx in 0..mcux {
-            for bv in 0..vs as usize {
-                for bh in 0..hs as usize {
-                    enc_y.encode(yp.block(mx * hs as usize + bh, my * vs as usize + bv), &mut w);
+            for bv in 0..vs {
+                for bh in 0..hs {
+                    enc_y.encode(yb.block(mx * hs + bh, bv), &mut w);
                 }
             }
-            enc_cb.encode(cbp.block(mx, my), &mut w);
-            enc_cr.encode(crp.block(mx, my), &mut w);
+            enc_cb.encode(cbb.block(mx, 0), &mut w);
+            enc_cr.encode(crb.block(mx, 0), &mut w);
         }
     }
     let mut out = w.finish();
@@ -272,12 +331,7 @@ pub fn encode_with(img: &RgbImage, quality: u8, sub: Subsampling) -> Result<Vec<
 /// Encode an 8-bit grayscale image as a single-component baseline JPEG —
 /// the natural output format for DVR of grayscale CT data.
 pub fn encode_gray(gray: &[u8], width: usize, height: usize, quality: u8) -> Result<Vec<u8>> {
-    assert!(width > 0 && height > 0, "cannot encode an empty image");
-    assert_eq!(gray.len(), width * height, "buffer must match dimensions");
-    assert!(
-        width <= u16::MAX as usize && height <= u16::MAX as usize,
-        "JPEG dimensions are limited to 65535"
-    );
+    check_frame(width, height, 1, gray.len())?;
     let lq = scale_quant_table(&BASE_LUMA_QUANT, quality);
 
     let mut out = Vec::with_capacity(gray.len() / 8 + 512);
@@ -294,24 +348,15 @@ pub fn encode_gray(gray: &[u8], width: usize, height: usize, quality: u8) -> Res
     push_marker(&mut out, 0xC4, &dht_payload(0x10, &AC_LUMA));
     push_marker(&mut out, 0xDA, &[1, 1, 0x00, 0, 63, 0]);
 
-    // Pad to 8-pixel multiples by edge replication, level-shifted.
+    // One band of 8 rows, padded to 8-pixel multiples by edge replication.
     let bw = width.div_ceil(8);
-    let bh = height.div_ceil(8);
-    let w1 = bw * 8;
-    let plane: Vec<f32> = (0..bh * 8)
-        .flat_map(|y| {
-            let sy = y.min(height - 1);
-            (0..w1).map(move |x| (x, sy))
-        })
-        .map(|(x, sy)| gray[sy * width + x.min(width - 1)] as f32 - 128.0)
-        .collect();
-    let plane = Plane { w: w1, data: plane };
-
+    let mut band = [Band::new(bw * 8, 8)];
     let mut enc = BlockEncoder::new(&DC_LUMA, &AC_LUMA, lq);
     let mut writer = BitWriter::new(out);
-    for by in 0..bh {
+    for by in 0..height.div_ceil(8) {
+        fill_bands(&mut band, gray, (width, height), by * 8, gray_row);
         for bx in 0..bw {
-            enc.encode(plane.block(bx, by), &mut writer);
+            enc.encode(band[0].block(bx, 0), &mut writer);
         }
     }
     let mut out = writer.finish();
@@ -323,8 +368,9 @@ pub fn encode_gray(gray: &[u8], width: usize, height: usize, quality: u8) -> Res
 mod tests {
     use super::*;
 
-    /// `build_planes` as it was before the row-slice loops: one `img.get`
-    /// per padded pixel, then a per-output-pixel box filter.
+    /// The whole-frame planes as they were built before the row-slice
+    /// loops: one `img.get` per padded pixel, then a per-output-pixel box
+    /// filter.
     fn reference_planes(img: &RgbImage, sub: Subsampling) -> [Vec<f32>; 3] {
         let (hs, vs) = if sub == Subsampling::S444 { (1, 1) } else { (2, 2) };
         let w1 = img.width.div_ceil(8 * hs) * 8 * hs;
@@ -359,26 +405,103 @@ mod tests {
         planes
     }
 
+    fn random_bytes(state: &mut u64, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                *state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (*state >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn planes_equal_the_scalar_reference_bit_for_bit() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for (w, h) in [(1, 1), (7, 3), (16, 16), (17, 33), (70, 36), (64, 9)] {
-            let data = (0..3 * w * h)
-                .map(|_| {
-                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    (state >> 56) as u8
-                })
-                .collect();
-            let img = RgbImage::new(w, h, data).unwrap();
+        for (w, h) in [(1, 1), (7, 3), (16, 16), (17, 33), (70, 36), (64, 9), (256, 256)] {
+            let img = RgbImage::new(w, h, random_bytes(&mut state, 3 * w * h)).unwrap();
             for sub in [Subsampling::S420, Subsampling::S444] {
-                let (y, cb, cr, _, _) = build_planes(&img, sub);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let [ry, rcb, rcr] = reference_planes(&img, sub);
-                assert_eq!(bits(&y.data), bits(&ry), "Y of {w}x{h} {sub:?}");
-                assert_eq!(bits(&cb.data), bits(&rcb), "Cb of {w}x{h} {sub:?}");
-                assert_eq!(bits(&cr.data), bits(&rcr), "Cr of {w}x{h} {sub:?}");
+                let mcu = if sub == Subsampling::S444 { 8 } else { 16 };
+                let mut bands = McuRow::new(w.div_ceil(mcu) * mcu, sub);
+                let mut planes = [Vec::new(), Vec::new(), Vec::new()];
+                for my in 0..h.div_ceil(mcu) {
+                    for (plane, band) in planes.iter_mut().zip(bands.build(&img, my)) {
+                        plane.extend_from_slice(&band.data);
+                    }
+                }
+                let reference = reference_planes(&img, sub);
+                for ((plane, want), name) in planes.iter().zip(&reference).zip(["Y", "Cb", "Cr"]) {
+                    assert_eq!(bits(plane), bits(want), "{name} of {w}x{h} {sub:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn gray_plane_equals_the_scalar_reference_bit_for_bit() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for (w, h) in [(1, 1), (7, 3), (9, 17), (64, 8)] {
+            let gray = random_bytes(&mut state, w * h);
+            let (w1, h1) = (w.div_ceil(8) * 8, h.div_ceil(8) * 8);
+            // The per-pixel `flat_map` the gray encoder built its plane with.
+            let reference: Vec<f32> = (0..h1)
+                .flat_map(|y| {
+                    let sy = y.min(h - 1);
+                    (0..w1).map(move |x| (x, sy))
+                })
+                .map(|(x, sy)| gray[sy * w + x.min(w - 1)] as f32 - 128.0)
+                .collect();
+            let mut band = [Band::new(w1, 8)];
+            let mut plane = Vec::new();
+            for by in 0..h1 / 8 {
+                fill_bands(&mut band, &gray, (w, h), by * 8, gray_row);
+                plane.extend_from_slice(&band[0].data);
+            }
+            assert_eq!(bits(&plane), bits(&reference), "{w}x{h}");
+        }
+    }
+
+    #[test]
+    fn short_or_long_data_is_a_dimension_mismatch() {
+        // Public fields let a caller build an image whose data does not
+        // cover its dimensions; it used to encode the missing rows gray.
+        let mut img = RgbImage::filled(32, 32, [200, 10, 10]);
+        img.data.truncate(3 * 32 * 16);
+        for sub in [Subsampling::S420, Subsampling::S444] {
+            assert!(matches!(
+                encode_with(&img, 75, sub),
+                Err(ImageError::DimensionMismatch { expected: 3072, got: 1536 })
+            ));
+        }
+        img.data.resize(3 * 32 * 33, 0);
+        assert!(matches!(
+            encode_with(&img, 75, Subsampling::S420),
+            Err(ImageError::DimensionMismatch { expected: 3072, got: 3168 })
+        ));
+        assert!(matches!(
+            encode_gray(&[0; 15], 4, 4, 75),
+            Err(ImageError::DimensionMismatch { expected: 16, got: 15 })
+        ));
+    }
+
+    #[test]
+    fn empty_or_oversized_dimensions_are_unsupported() {
+        for (w, h) in [(0, 4), (4, 0), (0, 0), (65_536, 1), (1, 65_536)] {
+            let img = RgbImage { width: w, height: h, data: vec![0; 3 * w * h] };
+            assert!(
+                matches!(encode_with(&img, 75, Subsampling::S420), Err(ImageError::Unsupported(_))),
+                "{w}x{h}"
+            );
+            assert!(
+                matches!(encode_gray(&vec![0; w * h], w, h, 75), Err(ImageError::Unsupported(_))),
+                "gray {w}x{h}"
+            );
+        }
+        // The largest allowed extent still encodes.
+        assert!(encode_gray(&vec![7; 65_535], 65_535, 1, 75).is_ok());
     }
 
     #[test]

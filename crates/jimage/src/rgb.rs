@@ -1,6 +1,6 @@
 //! 8-bit RGB image buffers.
 
-use crate::colormap::Colormap;
+use crate::colormap::{Colormap, MAP_BLOCK};
 use crate::error::{ImageError, Result};
 
 /// An 8-bit RGB image, rows top-to-bottom, pixels left-to-right,
@@ -59,14 +59,18 @@ impl RgbImage {
     /// paper's visualization step ("apply a colormap in order to create an
     /// image").
     ///
-    /// `t` is normalized in one pass over the field (a loop of divides that
-    /// vectorises; fused into the mapping loop it measured 20–30 % slower),
-    /// then mapped into a pre-sized buffer by the branch-free
-    /// [`Colormap::map`]. Measured on a
-    /// 2-core x86-64 Xeon guest, `colormap/map_512x512_field` went from
-    /// 6.8–7.9 ms (a linear stop search, `roundf` and an `extend_from_slice`
-    /// per pixel) to 3.2–4.6 ms, and a traced `lbm_frames` run's
-    /// `jimage.colormap_ms` from 2.1–2.3 to 1.1–1.2 ms.
+    /// The field is mapped in blocks of 64 values: each block's `t` is
+    /// normalized into a stack array (a loop of divides that vectorises),
+    /// then the colormap maps the block into the image, with the arithmetic
+    /// of [`Colormap::map`] per pixel.
+    /// Measured on a 2-core x86-64 Xeon guest, `colormap/map_512x512_field`
+    /// went from 6.8–7.9 ms (a linear stop search, `roundf` and an
+    /// `extend_from_slice` per pixel) to 3.2–4.6 ms with a whole-field `t`
+    /// vector and a branch-free [`Colormap::map`] per pixel. The blocks drop
+    /// that vector (256 KiB per 256² frame) and took a traced `lbm_frames`
+    /// run's `jimage.colormap_ms` from 1.18–1.21 to 1.07–1.11 ms (3
+    /// alternating pairs). What remains is the per-pixel color: its three
+    /// saturating float-to-byte casts alone take ≈ 0.4 ms per 256² frame.
     pub fn from_scalar_field(
         width: usize,
         height: usize,
@@ -77,10 +81,14 @@ impl RgbImage {
     ) -> Self {
         assert_eq!(field.len(), width * height, "field length must match dimensions");
         let span = if vmax > vmin { vmax - vmin } else { 1.0 };
-        let t: Vec<f32> = field.iter().map(|&v| ((v - vmin) / span).clamp(0.0, 1.0)).collect();
         let mut data = vec![0u8; 3 * field.len()];
-        for (px, &t) in data.chunks_exact_mut(3).zip(&t) {
-            px.copy_from_slice(&cmap.map(t));
+        let mut t = [0f32; MAP_BLOCK];
+        for (px, values) in data.chunks_mut(3 * MAP_BLOCK).zip(field.chunks(MAP_BLOCK)) {
+            let t = &mut t[..values.len()];
+            for (t, &v) in t.iter_mut().zip(values) {
+                *t = ((v - vmin) / span).clamp(0.0, 1.0);
+            }
+            cmap.map_block(t, px);
         }
         RgbImage { width, height, data }
     }
@@ -137,6 +145,74 @@ mod tests {
         assert_eq!(img.get(0, 0), cmap.map(0.0)); // clamped low -> blue end
         assert_eq!(img.get(1, 0), cmap.map(0.5)); // middle -> white
         assert_eq!(img.get(2, 0), cmap.map(1.0)); // clamped high -> red end
+    }
+
+    #[test]
+    fn scalar_field_equals_colormap_map_per_pixel() {
+        let unsorted_with_duplicate = Colormap::from_stops(vec![
+            (0.7, [10, 250, 3]),
+            (0.2, [200, 17, 90]),
+            (0.7, [255, 128, 0]),
+            (1.0, [1, 2, 3]),
+            (0.0, [40, 40, 40]),
+        ]);
+        let maps = [
+            Colormap::blue_white_red(),
+            Colormap::grayscale(),
+            Colormap::tooth(),
+            unsorted_with_duplicate,
+        ];
+        // `Colormap::map`'s sweep of `t`: every 2^-20 step over
+        // [-0.01, 1.01], a stride through all f32 bit patterns, the specials.
+        // Over [0, 1] a value normalizes to itself.
+        let dense = (0..).map(|i| -0.01 + i as f64 / (1 << 20) as f64).take_while(|&t| t <= 1.01);
+        let strided = (0..=u32::MAX).step_by(4093).map(f32::from_bits);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::from_bits(1),
+            0.0,
+            -0.0,
+        ];
+        // Every stop position and its neighbours, where the segment changes.
+        let stops = [0.2f32, 0.35, 0.5, 0.65, 0.7, 0.85]
+            .into_iter()
+            .flat_map(|t| [t, f32::from_bits(t.to_bits() - 1), f32::from_bits(t.to_bits() + 1)]);
+        let sweep = dense.map(|t| t as f32).chain(strided).chain(specials).chain(stops);
+        let field: Vec<f32> = sweep.collect();
+        // Every value of the sweep in one field, and for the frame path's map
+        // moved into its range; then every length up to two blocks and a
+        // half, for other ranges too, over a spread of the sweep moved into
+        // the range.
+        let to = |(lo, hi): (f32, f32), t: &[f32]| -> Vec<f32> {
+            t.iter().map(|&t| lo + (hi - lo) * t).collect()
+        };
+        let frame = to((-0.08, 0.08), &field);
+        let spread: Vec<f32> = field.iter().step_by(9973).copied().collect();
+        let ranges = [(0.0, 1.0), (-0.08, 0.08), (3.0, 3.0)];
+        let moved = ranges.map(|range| to(range, &spread));
+        for cmap in &maps {
+            let mut runs = vec![(&field[..], (0.0, 1.0))];
+            if *cmap == Colormap::blue_white_red() {
+                runs.push((&frame[..], (-0.08, 0.08)));
+            }
+            for (values, &range) in moved.iter().zip(&ranges) {
+                runs.extend((0..=160).map(|n| (&values[..n], range)));
+            }
+            for (values, (vmin, vmax)) in runs {
+                let span = if vmax > vmin { vmax - vmin } else { 1.0 };
+                let n = values.len();
+                let img = RgbImage::from_scalar_field(n, 1, values, vmin, vmax, cmap);
+                for (px, &v) in img.data.chunks_exact(3).zip(values) {
+                    let want = cmap.map(((v - vmin) / span).clamp(0.0, 1.0));
+                    assert_eq!(px, want, "v = {v:e}, [{vmin}, {vmax}], n = {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -362,15 +362,20 @@ impl Lattice {
     /// one-sided difference is used, so the distributed result equals the
     /// serial one exactly.
     ///
-    /// Velocities of rows −1..=rows are computed once, in one pass over the
-    /// nine plane slices, into `nx × (rows + 2)` arrays whose outer rows hold
-    /// the halos — or, at a domain edge, a copy of the edge row, which makes
-    /// the central difference the one-sided one. The stencil then indexes
-    /// rows directly, and the divisions by 2 become exact multiplies by 0.5.
+    /// Velocities run through a ring of three rows, computed once each in
+    /// one pass over the nine plane slices. Row −1 and row `rows` are the
+    /// halos — or, at a domain edge, the edge row again, which makes the
+    /// central difference the one-sided one. The stencil then indexes rows
+    /// directly, and the divisions by 2 become exact multiplies by 0.5.
     /// Measured on a 2-core x86-64 Xeon guest, `lbm_vorticity/extract_256x128`
     /// went from 1.06–1.09 ms (a closure with edge branches over a
-    /// `Vec<(f64, f64)>` of `velocity_row`s) to 0.18–0.20 ms, and a traced
-    /// `lbm_frames` run's `lbm.vorticity_ms` from 2.1–2.8 to 0.9–1.0 ms.
+    /// `Vec<(f64, f64)>` of `velocity_row`s) to 0.18–0.20 ms with whole-slab
+    /// `nx × (rows + 2)` velocity arrays. Those two arrays (532 KiB each at
+    /// 512 × 128) sat at glibc's mmap threshold, so every call mapped and
+    /// faulted them in afresh: 292 minor faults per call on a 512 × 128 slab.
+    /// The ring (24 KiB at nx = 512) faults none, and took a traced
+    /// `lbm_frames` run's `lbm.vorticity_ms` from 0.96–1.16 to 0.58–0.61 ms
+    /// (3 alternating pairs).
     pub fn vorticity(
         &self,
         below: Option<&[(f64, f64)]>,
@@ -378,28 +383,41 @@ impl Lattice {
     ) -> Vec<f32> {
         let nx = self.cfg.nx;
         let rows = self.rows;
-        let mut ux = vec![0f64; nx * (rows + 2)];
-        let mut uy = vec![0f64; nx * (rows + 2)];
         let (interior, cells) = (self.interior(), self.cells());
         let p: [&[f64]; 9] =
             std::array::from_fn(|d| &self.f[d * cells..(d + 1) * cells][interior.clone()]);
-        let cells = ux[interior.clone()].iter_mut().zip(&mut uy[interior.clone()]);
-        for (i, ((u, v), &solid)) in cells.zip(&self.solid[interior]).enumerate() {
-            let (_, cu, cv) = moments(std::array::from_fn(|d| p[d][i]));
-            (*u, *v) = if solid { (0.0, 0.0) } else { (cu, cv) };
-        }
-        for (halo, ghost, edge) in [(below, 0, nx), (above, (rows + 1) * nx, rows * nx)] {
-            for x in 0..nx {
-                (ux[ghost + x], uy[ghost + x]) = match halo {
-                    Some(row) => row[x],
-                    None => (ux[edge + x], uy[edge + x]),
-                };
+        let solid = &self.solid[interior];
+        // Velocities of row `k − 1` ∈ −1..=rows, solid cells (0, 0).
+        let velocities = |k: usize, ux: &mut [f64], uy: &mut [f64]| {
+            let halo = match k {
+                0 => below,
+                k if k == rows + 1 => above,
+                _ => None,
+            };
+            if let Some(row) = halo {
+                for ((u, v), &h) in ux.iter_mut().zip(uy.iter_mut()).zip(&row[..nx]) {
+                    (*u, *v) = h;
+                }
+                return;
             }
+            let r = k.clamp(1, rows) * nx - nx;
+            let q: [&[f64]; 9] = std::array::from_fn(|d| &p[d][r..r + nx]);
+            let cells = ux.iter_mut().zip(uy.iter_mut()).zip(&solid[r..r + nx]);
+            for (i, ((u, v), &solid)) in cells.enumerate() {
+                let (_, cu, cv) = moments(std::array::from_fn(|d| q[d][i]));
+                (*u, *v) = if solid { (0.0, 0.0) } else { (cu, cv) };
+            }
+        };
+        // Ring slot `k % 3` holds row `k − 1`.
+        let slot = |k: usize| k % 3 * nx..(k % 3 + 1) * nx;
+        let (mut ux, mut uy) = (vec![0f64; 3 * nx], vec![0f64; 3 * nx]);
+        for k in 0..2 {
+            velocities(k, &mut ux[slot(k)], &mut uy[slot(k)]);
         }
         let mut out = vec![0f32; nx * rows];
         for (ly, out) in out.chunks_exact_mut(nx).enumerate() {
-            let r = (ly + 1) * nx;
-            let (ux_lo, ux_hi, uy_row) = (&ux[r - nx..r], &ux[r + nx..r + 2 * nx], &uy[r..r + nx]);
+            velocities(ly + 2, &mut ux[slot(ly + 2)], &mut uy[slot(ly + 2)]);
+            let (ux_lo, ux_hi, uy_row) = (&ux[slot(ly)], &ux[slot(ly + 2)], &uy[slot(ly + 1)]);
             let one_sided = (ly == 0 && below.is_none()) || (ly == rows - 1 && above.is_none());
             let dy = if one_sided { 1.0 } else { 0.5 };
             // Columns 0 and nx − 1 difference one-sided over one cell.

@@ -1,8 +1,10 @@
 //! Memory footprint of a slab: `Lattice::new` holds one set of nine
-//! distribution planes, and a time step allocates nothing.
+//! distribution planes, a time step allocates nothing, and `vorticity`
+//! allocates nothing large besides the field it returns.
 //!
-//! A counting global allocator records the bytes each thread asks for, so the
-//! guard reads the solver's own allocations, not the process RSS.
+//! A counting global allocator records the bytes each thread asks for, and
+//! how many of its allocations reach [`LARGE`], so the guards read the
+//! solver's own allocations, not the process RSS.
 
 use ddr_lbm::{barrier_line, Config, Edge, Lattice};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,10 +14,18 @@ struct Counting;
 
 thread_local! {
     static BYTES: Cell<usize> = const { Cell::new(0) };
+    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
+
+/// Size from which an allocation counts as large: well below glibc's mmap
+/// threshold, so a per-call temporary that size would show.
+const LARGE: usize = 64 << 10;
 
 fn count(bytes: usize) {
     let _ = BYTES.try_with(|b| b.set(b.get() + bytes));
+    if bytes >= LARGE {
+        let _ = LARGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -55,6 +65,13 @@ fn allocated(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
+/// Allocations of at least [`LARGE`] bytes this thread makes while running `f`.
+fn large_allocations(f: impl FnOnce()) -> usize {
+    let before = LARGE_ALLOCS.with(Cell::get);
+    f();
+    LARGE_ALLOCS.with(Cell::get) - before
+}
+
 #[test]
 fn one_distribution_buffer_and_no_allocation_per_step() {
     let (nx, ny) = (64, 32);
@@ -86,4 +103,21 @@ fn one_distribution_buffer_and_no_allocation_per_step() {
     for step in 0..10 {
         assert_eq!(allocated(|| serial.step_serial()), 0, "step_serial allocated at step {step}");
     }
+}
+
+#[test]
+fn vorticity_allocates_one_large_buffer_its_field() {
+    let (nx, rows) = (512, 128);
+    let cfg = Config::wind_tunnel(nx, 3 * rows);
+    let mut lat = Lattice::new(cfg, rows, rows, &barrier_line(100, 100, 300));
+    let halo = Lattice::new(cfg, 2 * rows, 1, &barrier_line(100, 100, 300)).velocity_row(0);
+    lat.collide();
+    lat.set_ghost_boundary(Edge::Below);
+    lat.set_ghost_boundary(Edge::Above);
+    lat.stream();
+    let warm = lat.vorticity(None, Some(&halo));
+    let mut field = Vec::new();
+    let large = large_allocations(|| field = lat.vorticity(None, Some(&halo)));
+    assert_eq!(field, warm);
+    assert_eq!(large, 1, "vorticity of a {nx}x{rows} slab: large allocations, its field included");
 }
