@@ -69,18 +69,18 @@ impl Value {
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(src: &str) -> Result<Value, String> {
-    let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, bytes: src.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -185,12 +185,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (possibly multi-byte).
+                    // Copy the run of unescaped bytes up to the next `"` or
+                    // `\` in one piece. Both are ASCII, so the run ends on a
+                    // char boundary of `src`.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = s.chars().next().ok_or_else(|| "empty".to_string())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    out.push_str(&self.src[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -267,6 +269,35 @@ mod tests {
         assert!(parse("{} extra").is_err());
         assert!(parse(r#"{"a": "#).is_err());
         assert!(parse(r#"["unterminated"#).is_err());
+    }
+
+    /// A multi-MB chrome-shaped trace with a non-ASCII track name. Copying
+    /// one scalar at a time used to re-validate the rest of the document
+    /// for each, which took minutes at this size.
+    #[test]
+    fn multi_megabyte_trace_parses_in_linear_time() {
+        const EVENTS: usize = 50_000;
+        let mut doc = String::from("{\"metrics\": {}, \"traceEvents\": [\n");
+        doc.push_str(
+            r#"{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"rank 0 · Käse"}}"#,
+        );
+        for i in 0..EVENTS {
+            doc.push_str(&format!(
+                ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"cat\":\"redist\",\"name\":\"exchange\",\
+                 \"ts\":{}.5,\"dur\":12.25,\"args\":{{\"round\":{}}}}}",
+                i % 2,
+                i * 40,
+                i % 64
+            ));
+        }
+        doc.push_str("\n]}\n");
+        assert!(doc.len() > 5 << 20, "{} bytes", doc.len());
+        let v = parse(&doc).unwrap();
+        let events = v.get("traceEvents").unwrap().as_array().unwrap();
+        assert_eq!(events.len(), EVENTS + 1);
+        let name = events[0].get("args").unwrap().get("name").unwrap();
+        assert_eq!(name.as_str(), Some("rank 0 · Käse"));
+        assert_eq!(events[EVENTS].get("name").unwrap().as_str(), Some("exchange"));
     }
 
     #[test]

@@ -63,6 +63,7 @@ impl Colormap {
     /// first every value's segment, counted one interior stop at a time
     /// across all values, then every color. Each value goes through the same
     /// operations as in `map`.
+    #[inline(always)]
     pub(crate) fn map_block(&self, ts: &[f32], out: &mut [u8]) {
         let mut t = [0f32; MAP_BLOCK];
         let mut hi = [1usize; MAP_BLOCK];

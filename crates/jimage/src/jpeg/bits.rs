@@ -17,6 +17,7 @@ impl BitWriter {
     }
 
     /// Append the `len` low bits of `value`, MSB first.
+    #[inline(always)]
     pub fn put(&mut self, value: u32, len: u8) {
         debug_assert!(len <= 24, "put supports at most 24 bits at a time");
         debug_assert!(len as u32 == 32 || value >> len == 0, "value wider than len");

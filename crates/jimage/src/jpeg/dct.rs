@@ -33,7 +33,9 @@ fn basis_t() -> &'static [[f32; 8]; 8] {
 /// row, and adds one input term to all eight at a time, so the compiler
 /// vectorises across them. Every output still sums its terms in input order
 /// from 0.0, as a loop over that output alone would, so the coefficients are
-/// bit-identical to it.
+/// bit-identical to it. It is `#[inline(always)]` so the JPEG encoder's AVX2
+/// build gets its own copy, eight f32 lanes wide, one row per add.
+#[inline(always)]
 pub fn fdct_8x8(block: &mut [f32; 64]) {
     let (m, mt) = (basis(), basis_t());
     let mut tmp = [0f32; 64];

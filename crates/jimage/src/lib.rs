@@ -26,6 +26,42 @@
 
 #![warn(missing_docs)]
 
+/// Defines `$name`, which runs `$body` compiled for AVX2 (through the
+/// `#[target_feature]` wrapper `$avx2`) when the CPU has it, and the
+/// baseline build of `$body` otherwise. `$body` and everything it calls on
+/// the hot path are `#[inline(always)]`, so each build is its own copy of
+/// the one source. Rust neither contracts `a * b + c` into an FMA nor
+/// reassociates, so the two builds agree to the bit; only `avx2` is
+/// enabled, not `fma`.
+///
+/// The wrapper is an `unsafe fn` rather than a safe `#[target_feature]` fn
+/// so the crate keeps building on Rust 1.85.
+macro_rules! avx2_dispatch {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+            = $body:ident, $avx2:ident;
+    ) => {
+        /// # Safety
+        /// The CPU must have AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+
+        $(#[$attr])*
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2, checked just above.
+                return unsafe { $avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
 mod colormap;
 mod error;
 pub mod jpeg;

@@ -3,6 +3,40 @@
 use crate::config::Config;
 use crate::d2q9::{equilibrium, E, OPP};
 
+/// Defines `$name`, which runs `$body` compiled for AVX2 (through the
+/// `#[target_feature]` wrapper `$avx2`) when the CPU has it, and the
+/// baseline build of `$body` otherwise. `$body` is `#[inline(always)]`, so
+/// each build is its own copy of the one source. Rust neither contracts
+/// `a * b + c` into an FMA nor reassociates, so the two builds agree to the
+/// bit; only `avx2` is enabled, not `fma`.
+///
+/// The wrapper is an `unsafe fn` rather than a safe `#[target_feature]` fn
+/// so the crate keeps building on Rust 1.85.
+macro_rules! avx2_dispatch {
+    (
+        $(#[$attr:meta])*
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident, $avx2:ident;
+    ) => {
+        /// # Safety
+        /// The CPU must have AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+
+        $(#[$attr])*
+        fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2, checked just above.
+                return unsafe { $avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
 /// Which slab edge a halo operation refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Edge {
@@ -57,8 +91,12 @@ fn moments(f: [f64; 9]) -> (f64, f64, f64) {
 /// cell keeps its values through a select rather than a branch, so the loop
 /// vectorises. Measured on a 2-core x86-64 Xeon guest, one 512×128 slab's
 /// collide went from 1.9–2.2 ms (a branch, a `macroscopic` call and nine
-/// `idx` lookups per cell) to 1.0–1.3 ms.
-fn collide_cells(omega: f64, solid: &[bool], planes: [&mut [f64]; 9]) {
+/// `idx` lookups per cell) to 1.0–1.3 ms. Its AVX2 build (four f64 lanes
+/// instead of two) took a traced `lbm_frames` run's `lbm.step_ms` (collide,
+/// halo exchange and stream of a 512 × 128 slab) from 1.89–2.14 to
+/// 1.20–1.36 ms (6 runs each, alternating).
+#[inline(always)]
+fn collide_cells_body(omega: f64, solid: &[bool], planes: [&mut [f64]; 9]) {
     let n = solid.len();
     let mut p = planes.map(|plane| &mut plane[..n]);
     for (i, &is_solid) in solid.iter().enumerate() {
@@ -69,6 +107,12 @@ fn collide_cells(omega: f64, solid: &[bool], planes: [&mut [f64]; 9]) {
             plane[i] = if is_solid { v } else { v + omega * (feq - v) };
         }
     }
+}
+
+avx2_dispatch! {
+    /// [`collide_cells_body`], the AVX2 build where the CPU has it.
+    fn collide_cells(omega: f64, solid: &[bool], planes: [&mut [f64]; 9])
+        = collide_cells_body, collide_cells_avx2;
 }
 
 impl Lattice {
@@ -375,64 +419,100 @@ impl Lattice {
     /// faulted them in afresh: 292 minor faults per call on a 512 × 128 slab.
     /// The ring (24 KiB at nx = 512) faults none, and took a traced
     /// `lbm_frames` run's `lbm.vorticity_ms` from 0.96–1.16 to 0.58–0.61 ms
-    /// (3 alternating pairs).
+    /// (3 alternating pairs). The AVX2 build, with the row's velocities an
+    /// `#[inline(always)]` fn rather than a closure so that build reaches
+    /// them, took it from 0.51–0.61 to 0.42–0.46 ms (6 runs each,
+    /// alternating).
     pub fn vorticity(
         &self,
         below: Option<&[(f64, f64)]>,
         above: Option<&[(f64, f64)]>,
     ) -> Vec<f32> {
-        let nx = self.cfg.nx;
-        let rows = self.rows;
-        let (interior, cells) = (self.interior(), self.cells());
-        let p: [&[f64]; 9] =
-            std::array::from_fn(|d| &self.f[d * cells..(d + 1) * cells][interior.clone()]);
-        let solid = &self.solid[interior];
-        // Velocities of row `k − 1` ∈ −1..=rows, solid cells (0, 0).
-        let velocities = |k: usize, ux: &mut [f64], uy: &mut [f64]| {
-            let halo = match k {
-                0 => below,
-                k if k == rows + 1 => above,
-                _ => None,
-            };
-            if let Some(row) = halo {
-                for ((u, v), &h) in ux.iter_mut().zip(uy.iter_mut()).zip(&row[..nx]) {
-                    (*u, *v) = h;
-                }
-                return;
-            }
-            let r = k.clamp(1, rows) * nx - nx;
-            let q: [&[f64]; 9] = std::array::from_fn(|d| &p[d][r..r + nx]);
-            let cells = ux.iter_mut().zip(uy.iter_mut()).zip(&solid[r..r + nx]);
-            for (i, ((u, v), &solid)) in cells.enumerate() {
-                let (_, cu, cv) = moments(std::array::from_fn(|d| q[d][i]));
-                (*u, *v) = if solid { (0.0, 0.0) } else { (cu, cv) };
-            }
-        };
-        // Ring slot `k % 3` holds row `k − 1`.
-        let slot = |k: usize| k % 3 * nx..(k % 3 + 1) * nx;
-        let (mut ux, mut uy) = (vec![0f64; 3 * nx], vec![0f64; 3 * nx]);
-        for k in 0..2 {
-            velocities(k, &mut ux[slot(k)], &mut uy[slot(k)]);
-        }
-        let mut out = vec![0f32; nx * rows];
-        for (ly, out) in out.chunks_exact_mut(nx).enumerate() {
-            velocities(ly + 2, &mut ux[slot(ly + 2)], &mut uy[slot(ly + 2)]);
-            let (ux_lo, ux_hi, uy_row) = (&ux[slot(ly)], &ux[slot(ly + 2)], &uy[slot(ly + 1)]);
-            let one_sided = (ly == 0 && below.is_none()) || (ly == rows - 1 && above.is_none());
-            let dy = if one_sided { 1.0 } else { 0.5 };
-            // Columns 0 and nx − 1 difference one-sided over one cell.
-            for x in [0, nx - 1] {
-                let duy_dx = uy_row[(x + 1).min(nx - 1)] - uy_row[x.saturating_sub(1)];
-                out[x] = (duy_dx - (ux_hi[x] - ux_lo[x]) * dy) as f32;
-            }
-            let inner = 1..nx.max(2) - 1;
-            let stencil = uy_row.windows(3).zip(&ux_hi[inner.clone()]).zip(&ux_lo[inner.clone()]);
-            for (o, ((w, &hi), &lo)) in out[inner].iter_mut().zip(stencil) {
-                *o = ((w[2] - w[0]) * 0.5 - (hi - lo) * dy) as f32;
-            }
-        }
-        out
+        vorticity_field(self, below, above)
     }
+}
+
+/// Velocities of ring row `k − 1` ∈ −1..=rows of a slab whose interior
+/// planes are `p` and mask `solid`, into `ux` / `uy` (solid cells (0, 0)),
+/// or the `halo` row's velocities when there is one. Rows −1 and `rows`
+/// without a halo are the edge rows again.
+#[inline(always)]
+fn velocities(
+    p: &[&[f64]; 9],
+    solid: &[bool],
+    k: usize,
+    halo: Option<&[(f64, f64)]>,
+    ux: &mut [f64],
+    uy: &mut [f64],
+) {
+    let nx = ux.len();
+    if let Some(row) = halo {
+        for ((u, v), &h) in ux.iter_mut().zip(uy.iter_mut()).zip(&row[..nx]) {
+            (*u, *v) = h;
+        }
+        return;
+    }
+    let r = k.clamp(1, solid.len() / nx) * nx - nx;
+    let q: [&[f64]; 9] = std::array::from_fn(|d| &p[d][r..r + nx]);
+    let cells = ux.iter_mut().zip(uy.iter_mut()).zip(&solid[r..r + nx]);
+    for (i, ((u, v), &solid)) in cells.enumerate() {
+        let (_, cu, cv) = moments(std::array::from_fn(|d| q[d][i]));
+        (*u, *v) = if solid { (0.0, 0.0) } else { (cu, cv) };
+    }
+}
+
+/// [`Lattice::vorticity`] of `lat`.
+#[inline(always)]
+fn vorticity_field_body(
+    lat: &Lattice,
+    below: Option<&[(f64, f64)]>,
+    above: Option<&[(f64, f64)]>,
+) -> Vec<f32> {
+    let nx = lat.cfg.nx;
+    let rows = lat.rows;
+    let (interior, cells) = (lat.interior(), lat.cells());
+    let p: [&[f64]; 9] =
+        std::array::from_fn(|d| &lat.f[d * cells..(d + 1) * cells][interior.clone()]);
+    let solid = &lat.solid[interior];
+    let halo = |k: usize| match k {
+        0 => below,
+        k if k == rows + 1 => above,
+        _ => None,
+    };
+    // Ring slot `k % 3` holds row `k − 1`.
+    let slot = |k: usize| k % 3 * nx..(k % 3 + 1) * nx;
+    let (mut ux, mut uy) = (vec![0f64; 3 * nx], vec![0f64; 3 * nx]);
+    for k in 0..2 {
+        velocities(&p, solid, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
+    }
+    let mut out = vec![0f32; nx * rows];
+    for (ly, out) in out.chunks_exact_mut(nx).enumerate() {
+        let k = ly + 2;
+        velocities(&p, solid, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
+        let (ux_lo, ux_hi, uy_row) = (&ux[slot(ly)], &ux[slot(ly + 2)], &uy[slot(ly + 1)]);
+        let one_sided = (ly == 0 && below.is_none()) || (ly == rows - 1 && above.is_none());
+        let dy = if one_sided { 1.0 } else { 0.5 };
+        // Columns 0 and nx − 1 difference one-sided over one cell.
+        for x in [0, nx - 1] {
+            let duy_dx = uy_row[(x + 1).min(nx - 1)] - uy_row[x.saturating_sub(1)];
+            out[x] = (duy_dx - (ux_hi[x] - ux_lo[x]) * dy) as f32;
+        }
+        let inner = 1..nx.max(2) - 1;
+        let stencil = uy_row.windows(3).zip(&ux_hi[inner.clone()]).zip(&ux_lo[inner.clone()]);
+        for (o, ((w, &hi), &lo)) in out[inner].iter_mut().zip(stencil) {
+            *o = ((w[2] - w[0]) * 0.5 - (hi - lo) * dy) as f32;
+        }
+    }
+    out
+}
+
+avx2_dispatch! {
+    /// [`vorticity_field_body`], the AVX2 build where the CPU has it.
+    fn vorticity_field(
+        lat: &Lattice,
+        below: Option<&[(f64, f64)]>,
+        above: Option<&[(f64, f64)]>,
+    ) -> Vec<f32> = vorticity_field_body, vorticity_field_avx2;
 }
 
 #[cfg(test)]
@@ -682,6 +762,70 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A slab of `rows` rows at `y0` in an `nx × ny` domain with a scatter
+    /// of solid cells, its distributions perturbed by noise.
+    fn noisy_slab(nx: usize, ny: usize, y0: usize, rows: usize, salt: usize) -> Lattice {
+        let cfg = Config { nx, ny, ..Config::wind_tunnel(4, 4) };
+        let scatter = move |x: usize, gy: usize| noise(gy * 131 + x + salt) < 0.2;
+        let mut lat = Lattice::new(cfg, y0, rows, &scatter);
+        for (i, v) in lat.f.iter_mut().enumerate() {
+            *v *= 0.8 + 0.4 * noise(i + salt);
+        }
+        lat
+    }
+
+    /// The dispatched `collide_cells` (the AVX2 build on a CPU that has it)
+    /// against its body called directly (the baseline build), to the bit.
+    #[test]
+    fn collide_builds_agree_to_the_bit() {
+        for (nx, rows) in [(2, 1), (7, 3), (64, 33), (515, 6)] {
+            for omega in [0.6, 1.0, 1.7, 1.99] {
+                let lat = noisy_slab(nx, rows + 2, 1, rows, nx + rows);
+                let n = lat.solid.len();
+                let (mut a, mut b) = (lat.f.clone(), lat.f.clone());
+                for _ in 0..3 {
+                    let mut pa = a.chunks_exact_mut(n);
+                    collide_cells(omega, &lat.solid, std::array::from_fn(|_| pa.next().unwrap()));
+                    let mut pb = b.chunks_exact_mut(n);
+                    let pb = std::array::from_fn(|_| pb.next().unwrap());
+                    collide_cells_body(omega, &lat.solid, pb);
+                }
+                let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "nx {nx}, rows {rows}, omega {omega}");
+            }
+        }
+    }
+
+    /// The dispatched `vorticity` against its body called directly, to the
+    /// bit, with halo rows and with one-sided domain edges.
+    #[test]
+    fn vorticity_builds_agree_to_the_bit() {
+        for (nx, rows) in [(2, 1), (5, 2), (64, 17), (515, 6)] {
+            let lat = noisy_slab(nx, rows + 2, 1, rows, 3 * nx + rows);
+            let halo = |salt: usize| -> Vec<(f64, f64)> {
+                (0..nx)
+                    .map(|x| (0.2 * noise(x + salt) - 0.1, 0.2 * noise(x + 2 * salt) - 0.1))
+                    .collect()
+            };
+            let (below, above) = (halo(1 << 20), halo(1 << 21));
+            for (b, a) in [
+                (None, None),
+                (Some(&below[..]), None),
+                (None, Some(&above[..])),
+                (Some(&below[..]), Some(&above[..])),
+            ] {
+                let bits = |v: Vec<f32>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(lat.vorticity(b, a)),
+                    bits(vorticity_field_body(&lat, b, a)),
+                    "nx {nx}, rows {rows}, below {}, above {}",
+                    b.is_some(),
+                    a.is_some()
+                );
             }
         }
     }
