@@ -80,8 +80,8 @@ pub use error::{DdrError, Result};
 pub use exec::Element;
 pub use layout::Layout;
 pub use mapping::compute_local_plan;
-pub use multi::{recover_multi_mappings, remap_multi, MultiPlan, RemapSpec};
+pub use multi::MultiPlan;
 pub use plan::{Plan, RoundPlan, Transfer};
 pub use recover::{PartialCompletion, RoundReport};
-pub use stats::{GlobalStats, RedistStats, RemapStats};
+pub use stats::{GlobalStats, RedistStats};
 pub use validate::{validate, Domain, ValidationPolicy};

@@ -57,6 +57,12 @@ impl MultiPlan {
         self.plans.iter().map(Plan::total_sent_bytes).sum()
     }
 
+    /// The ordinary plans this one runs: plan `k` fills every rank's `k`-th
+    /// needed block.
+    pub fn plans(&self) -> &[Plan] {
+        &self.plans
+    }
+
     /// Collective: move data from owned-chunk buffers into the needed-block
     /// buffers (one per declared need, in order). Reusable across time steps.
     ///
@@ -134,57 +140,4 @@ impl Descriptor {
         let num_rounds = all.owned.iter().map(Vec::len).max().unwrap_or(0);
         Ok(MultiPlan { needs: needs.to_vec(), plans, num_rounds })
     }
-}
-
-/// One mapping to rebuild during a single-epoch, multi-descriptor recovery:
-/// the pre-failure descriptor plus what this rank still owns and now needs.
-#[derive(Debug, Clone, Copy)]
-pub struct RemapSpec<'a> {
-    /// Descriptor the mapping was originally built with (its process count
-    /// is replaced by the recovered communicator's size).
-    pub desc: &'a Descriptor,
-    /// Chunks this rank still holds (a replacement passes `&[]`).
-    pub owned: &'a [Block],
-    /// Blocks this rank must hold afterwards.
-    pub needs: &'a [Block],
-}
-
-/// Rebuild several descriptors' mappings on one (already reconfigured)
-/// communicator — every plan sees the identical membership and epoch.
-///
-/// Collective over `comm`; all ranks must pass specs in the same order.
-/// Validation runs [`ValidationPolicy::Degraded`], as in single-descriptor
-/// recovery. Survivors normally reach this through
-/// [`recover_multi_mappings`]; respawned ranks call it directly with their
-/// entry communicator.
-pub fn remap_multi(comm: &Comm, specs: &[RemapSpec<'_>]) -> Result<Vec<MultiPlan>> {
-    specs
-        .iter()
-        .map(|s| {
-            let desc = Descriptor::new(comm.size(), s.desc.kind(), s.desc.elem_size())?;
-            desc.setup_multi_mapping(comm, s.owned, s.needs, ValidationPolicy::Degraded)
-        })
-        .collect()
-}
-
-/// Multi-descriptor analogue of [`Descriptor::recover_mapping`]: survivors
-/// agree on the failure **once** — a single
-/// [`minimpi::Comm::reconfigure`], hence a single epoch bump — and every
-/// descriptor's mapping is rebuilt on that same communicator. Running
-/// per-descriptor recoveries instead would burn one membership epoch each
-/// and could interleave with further failures, leaving descriptors mapped
-/// over *different* member sets.
-///
-/// With respawn on (the default) the returned communicator has the
-/// original size and the replacement ranks re-enter through the universe
-/// closure, where they should call [`remap_multi`] with the same specs; with
-/// respawn disabled this degrades to a shrinking recovery like the
-/// single-descriptor path.
-pub fn recover_multi_mappings(
-    comm: &Comm,
-    specs: &[RemapSpec<'_>],
-) -> Result<(Comm, Vec<MultiPlan>)> {
-    let recovered = comm.reconfigure().map_err(DdrError::Mpi)?;
-    let plans = remap_multi(&recovered, specs)?;
-    Ok((recovered, plans))
 }

@@ -21,7 +21,6 @@
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::plan::Plan;
-use crate::stats::RemapStats;
 use crate::validate::ValidationPolicy;
 use crate::Block;
 use minimpi::Comm;
@@ -159,50 +158,10 @@ impl Descriptor {
         need: Block,
     ) -> Result<(Comm, Plan)> {
         let survivors = comm.shrink().map_err(crate::DdrError::Mpi)?;
-        let (plan, _stats) =
-            self.remap_with(&survivors, owned, need, ValidationPolicy::Degraded)?;
+        let desc = Descriptor::new(survivors.size(), self.kind(), self.elem_size())?;
+        let plan =
+            desc.setup_data_mapping_with(&survivors, owned, need, ValidationPolicy::Degraded)?;
         Ok((survivors, plan))
-    }
-
-    /// General remap — the successor of [`Descriptor::recover_mapping`] that
-    /// handles **shrink and grow**: collective over a communicator whose
-    /// membership may differ from this descriptor's process count, typically
-    /// the handle [`minimpi::Comm::reconfigure`] returned (survivors) or the
-    /// entry handle of a respawned rank.
-    ///
-    /// Each rank declares the chunks it holds *now* (a replacement rank that
-    /// lost everything passes `&[]`) and the block it must hold afterwards.
-    /// The descriptor is re-sized to the communicator; data kind and element
-    /// size carry over. Validation runs under
-    /// [`ValidationPolicy::Degraded`], since after a failure the surviving
-    /// chunks legitimately may not cover the domain.
-    ///
-    /// The returned plan is **delta-minimal** by construction: owned ∩
-    /// needed overlaps become local copies, so a rank whose new block is
-    /// already resident moves zero bytes over the network — which the
-    /// accompanying [`RemapStats`] states exactly (and exports as
-    /// `remap.moved_bytes` / `remap.retained_bytes` when tracing is on).
-    pub fn remap(&self, comm: &Comm, owned: &[Block], need: Block) -> Result<(Plan, RemapStats)> {
-        self.remap_with(comm, owned, need, ValidationPolicy::Degraded)
-    }
-
-    /// [`Descriptor::remap`] with an explicit validation policy (e.g.
-    /// [`ValidationPolicy::Strict`] for planned, lossless regrids).
-    pub fn remap_with(
-        &self,
-        comm: &Comm,
-        owned: &[Block],
-        need: Block,
-        policy: ValidationPolicy,
-    ) -> Result<(Plan, RemapStats)> {
-        let desc = Descriptor::new(comm.size(), self.kind(), self.elem_size())?;
-        let plan = desc.setup_data_mapping_with(comm, owned, need, policy)?;
-        let stats = RemapStats::from_plan(&plan);
-        if ddrtrace::enabled() {
-            ddrtrace::metrics::add("remap", "moved_bytes", stats.moved_bytes);
-            ddrtrace::metrics::add("remap", "retained_bytes", stats.retained_bytes);
-        }
-        Ok((plan, stats))
     }
 }
 

@@ -83,51 +83,6 @@ impl RedistStats {
     }
 }
 
-/// Byte accounting of a remap: how much of the rank's new layout was already
-/// resident versus how much must cross the network.
-///
-/// Derived purely from plan geometry, so it is available *before* any data
-/// moves — the delta-minimality contract ("a rank whose needed block is
-/// already covered by its owned chunks moves zero bytes") is checkable at
-/// mapping time. `moved_bytes + retained_bytes` always equals the byte size
-/// of the rank's needed block (under complete coverage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RemapStats {
-    /// Bytes that must arrive from other ranks to satisfy the new layout.
-    pub moved_bytes: u64,
-    /// Bytes of the new layout already held locally (owned ∩ needed
-    /// overlap) — satisfied by a local copy, never shipped.
-    pub retained_bytes: u64,
-}
-
-impl RemapStats {
-    /// Account a plan's receive side: peer transfers move, self-overlap is
-    /// retained.
-    pub fn from_plan(plan: &Plan) -> RemapStats {
-        RemapStats {
-            moved_bytes: plan.total_recv_bytes(),
-            retained_bytes: plan.total_local_bytes(),
-        }
-    }
-
-    /// Bytes the plan delivers into the needed block in total.
-    pub fn total_bytes(&self) -> u64 {
-        self.moved_bytes + self.retained_bytes
-    }
-
-    /// True when this rank's part of the remap is a pure no-op on the wire:
-    /// everything it needs, it already has.
-    pub fn is_stationary(&self) -> bool {
-        self.moved_bytes == 0
-    }
-}
-
-impl std::fmt::Display for RemapStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} bytes moved, {} retained", self.moved_bytes, self.retained_bytes)
-    }
-}
-
 /// Exact per-round, per-rank communication volumes for a redistribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalStats {

@@ -270,117 +270,45 @@ fn rank_killed_mid_halo_exchange_yields_partial_completion_on_every_survivor() {
 }
 
 // ---------------------------------------------------------------------------
-// Elastic recovery of several descriptors in one epoch.
+// Recovery of several descriptors over one shrink.
 // ---------------------------------------------------------------------------
 
-use ddr_core::{recover_multi_mappings, remap_multi, RemapSpec};
-
-/// Shrink: two descriptors with different element types recover through ONE
-/// reconfigure — `recover_multi_mappings` bumps the epoch once and remaps
-/// every descriptor over the same survivor communicator.
+/// Two descriptors with different element types recover over ONE shrink:
+/// each gets a fresh `setup_multi_mapping` under `Degraded` on the same
+/// survivor communicator, so both are mapped over the same member set.
 #[test]
-fn two_descriptors_recover_in_a_single_epoch() {
+fn two_descriptors_recover_over_one_shrink() {
     let n = 3usize;
     let d_a = Block::d1(0, 24).unwrap();
     let d_b = Block::d2([0, 0], [6, 6]).unwrap();
-    let out = minimpi::Universe::builder().respawn(false).timeout(Duration::from_secs(30)).run(
-        n,
-        move |comm| {
-            if comm.rank() == 2 {
-                return None; // departs; the others recover both descriptors
-            }
-            let desc_a = Descriptor::for_type::<u64>(n, DataKind::D1).unwrap();
-            let desc_b = Descriptor::for_type::<u32>(n, DataKind::D2).unwrap();
-            let owned_a = [ddr_core::decompose::slab(&d_a, 0, n, comm.rank()).unwrap()];
-            let owned_b = [ddr_core::decompose::slab(&d_b, 1, n, comm.rank()).unwrap()];
-            let (rec, plans) = recover_multi_mappings(
-                comm,
-                &[
-                    RemapSpec { desc: &desc_a, owned: &owned_a, needs: &owned_a },
-                    RemapSpec { desc: &desc_b, owned: &owned_b, needs: &owned_b },
-                ],
-            )
-            .unwrap();
-            assert_eq!(rec.epoch(), 1, "both descriptors share one epoch bump");
-            assert_eq!(rec.size(), 2);
-            assert_eq!(plans.len(), 2);
-
-            // Both plans execute on the recovered communicator: each rank
-            // still holds its own slab, so the remap is a pure local copy.
-            let data_a: Vec<u64> = owned_a[0].coords().map(cell_value).collect();
-            let mut got_a = [vec![u64::MAX; data_a.len()]];
-            let mut refs_a: Vec<&mut [u64]> = got_a.iter_mut().map(|v| v.as_mut_slice()).collect();
-            plans[0].reorganize(&rec, &[&data_a], &mut refs_a).unwrap();
-            assert_eq!(got_a[0], data_a);
-
-            let data_b: Vec<u32> = owned_b[0].coords().map(|c| cell_value(c) as u32).collect();
-            let mut got_b = [vec![u32::MAX; data_b.len()]];
-            let mut refs_b: Vec<&mut [u32]> = got_b.iter_mut().map(|v| v.as_mut_slice()).collect();
-            plans[1].reorganize(&rec, &[&data_b], &mut refs_b).unwrap();
-            assert_eq!(got_b[0], data_b);
-            Some(rec.recovery_counters().epoch)
-        },
-    );
-    assert_eq!(out, vec![Some(1), Some(1), None]);
-}
-
-/// Respawn: after a casualty, survivors reconfigure and call `remap_multi`;
-/// the replacement enters already in the new epoch and calls `remap_multi`
-/// directly with nothing owned. Rotated needs force real traffic into the
-/// replacement for BOTH descriptors, all under one epoch.
-#[test]
-fn respawned_rank_rejoins_every_descriptor_in_one_epoch() {
-    let n = 3usize;
-    let d_a = Block::d1(0, 24).unwrap();
-    let d_b = Block::d1(0, 12).unwrap();
-    minimpi::Universe::builder().timeout(Duration::from_secs(30)).run(n, move |comm| {
-        let rec2 = if comm.epoch() == 0 {
-            if comm.rank() == 2 {
-                return; // dies; reconfigure respawns it into epoch 1
-            }
-            Some(comm.reconfigure().unwrap())
-        } else {
-            None // replacement: `comm` is already the reconfigured one
-        };
-        let rec = rec2.as_ref().unwrap_or(comm);
-        let r = rec.rank();
-        assert_eq!(rec.epoch(), 1);
-        let desc_a = Descriptor::for_type::<u64>(n, DataKind::D1).unwrap();
-        let desc_b = Descriptor::for_type::<u64>(n, DataKind::D1).unwrap();
-        // Everything was owned by the survivors; the replacement owns nothing
-        // but needs a slab of each descriptor's domain.
-        let owned_a =
-            if r == 2 { vec![] } else { vec![ddr_core::decompose::slab(&d_a, 0, 2, r).unwrap()] };
-        let owned_b =
-            if r == 2 { vec![] } else { vec![ddr_core::decompose::slab(&d_b, 0, 2, r).unwrap()] };
-        let need_a = [ddr_core::decompose::slab(&d_a, 0, n, r).unwrap()];
-        let need_b = [ddr_core::decompose::slab(&d_b, 0, n, r).unwrap()];
-        let plans = remap_multi(
-            rec,
-            &[
-                RemapSpec { desc: &desc_a, owned: &owned_a, needs: &need_a },
-                RemapSpec { desc: &desc_b, owned: &owned_b, needs: &need_b },
-            ],
-        )
-        .unwrap();
-
-        for (plan, owned, need, salt) in
-            [(&plans[0], &owned_a, &need_a[0], 0u64), (&plans[1], &owned_b, &need_b[0], 1 << 50)]
-        {
-            let data: Vec<Vec<u64>> =
-                owned.iter().map(|b| b.coords().map(|c| cell_value(c) + salt).collect()).collect();
-            let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut buf = [vec![u64::MAX; need.count() as usize]];
-            let mut out: Vec<&mut [u64]> = buf.iter_mut().map(|v| v.as_mut_slice()).collect();
-            plan.reorganize(rec, &refs, &mut out).unwrap();
-            for (got, coord) in buf[0].iter().zip(need.coords()) {
-                assert_eq!(*got, cell_value(coord) + salt, "rank {r}");
-            }
+    let out = Universe::builder().timeout(Duration::from_secs(30)).run(n, move |comm| {
+        if comm.rank() == 2 {
+            return None; // departs; the others recover both descriptors
         }
-        // One barrier proves all three ranks — replacement included — agree.
-        let counters = rec.recovery_counters();
-        assert_eq!(counters.epoch, 1, "rank {r}: exactly one epoch for both descriptors");
-        assert_eq!(counters.respawns, 1);
-        rec.barrier().unwrap();
+        let owned_a = [ddr_core::decompose::slab(&d_a, 0, n, comm.rank()).unwrap()];
+        let owned_b = [ddr_core::decompose::slab(&d_b, 1, n, comm.rank()).unwrap()];
+        let rec = comm.shrink().unwrap();
+        assert_eq!(rec.size(), 2);
+        let desc_a = Descriptor::for_type::<u64>(rec.size(), DataKind::D1).unwrap();
+        let desc_b = Descriptor::for_type::<u32>(rec.size(), DataKind::D2).unwrap();
+        let degraded = ValidationPolicy::Degraded;
+        let plan_a = desc_a.setup_multi_mapping(&rec, &owned_a, &owned_a, degraded).unwrap();
+        let plan_b = desc_b.setup_multi_mapping(&rec, &owned_b, &owned_b, degraded).unwrap();
+
+        // Both plans execute on the recovered communicator: each rank
+        // still holds its own slab, so the remap is a pure local copy.
+        let data_a: Vec<u64> = owned_a[0].coords().map(cell_value).collect();
+        let mut got_a = [vec![u64::MAX; data_a.len()]];
+        let mut refs_a: Vec<&mut [u64]> = got_a.iter_mut().map(|v| v.as_mut_slice()).collect();
+        plan_a.reorganize(&rec, &[&data_a], &mut refs_a).unwrap();
+        assert_eq!(got_a[0], data_a);
+
+        let data_b: Vec<u32> = owned_b[0].coords().map(|c| cell_value(c) as u32).collect();
+        let mut got_b = [vec![u32::MAX; data_b.len()]];
+        let mut refs_b: Vec<&mut [u32]> = got_b.iter_mut().map(|v| v.as_mut_slice()).collect();
+        plan_b.reorganize(&rec, &[&data_b], &mut refs_b).unwrap();
+        assert_eq!(got_b[0], data_b);
+        Some(plan_a.total_sent_bytes() + plan_b.total_sent_bytes())
     });
+    assert_eq!(out, vec![Some(0), Some(0), None], "unchanged ranks move nothing");
 }

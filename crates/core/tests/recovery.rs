@@ -5,6 +5,7 @@
 
 use ddr_core::{
     compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout, PartialCompletion,
+    ValidationPolicy,
 };
 use minimpi::{Comm, FaultPlan, Universe};
 use std::time::{Duration, Instant};
@@ -244,82 +245,61 @@ fn recover_mapping_from_clean_state_is_identity_shrink() {
 }
 
 // ---------------------------------------------------------------------------
-// Elastic remap: epoch-fenced shrink AND grow via Comm::reconfigure.
+// Resizing as a fresh mapping: grow and shrink without a recovery protocol.
 // ---------------------------------------------------------------------------
 
-/// Shrink without respawn: survivors keep the slabs they already hold, so
-/// the remap is delta-minimal — zero bytes cross the network, everything is
-/// retained, and RemapStats says so before any data moves.
+/// Shrink: the leaving rank declares no need through `setup_multi_mapping`
+/// (it joins with a send-only plan), and the staying ranks keep the slabs
+/// they already hold, so the mapping is delta-minimal — zero bytes cross the
+/// network, everything is a local copy, and the plan says so before any data
+/// moves.
 #[test]
-fn remap_shrink_unchanged_ranks_move_zero_bytes() {
-    let domain = Block::d1(0, 32).unwrap();
-    let out =
-        Universe::builder().respawn(false).timeout(Duration::from_secs(30)).run(4, move |comm| {
-            let r = comm.rank();
-            if r == 3 {
-                return None; // departs; survivors shrink into epoch 1
-            }
-            let rec = comm.reconfigure().unwrap();
-            let desc = Descriptor::for_type::<u32>(4, DataKind::D1).unwrap();
-            let owned = [ddr_core::decompose::slab(&domain, 0, 4, r).unwrap()];
-            let (plan, stats) = desc.remap(&rec, &owned, owned[0]).unwrap();
-            assert!(stats.is_stationary(), "rank {r}: unchanged rank must move zero bytes");
-            assert_eq!(stats.moved_bytes, 0);
-            assert_eq!(stats.retained_bytes, owned[0].count() * 4);
-            assert_eq!(plan.total_sent_bytes(), 0);
-            assert_eq!(plan.total_recv_bytes(), 0);
-            Some((rec.size(), rec.epoch()))
-        });
-    assert_eq!(out, vec![Some((3, 1)), Some((3, 1)), Some((3, 1)), None]);
-}
-
-/// Grow with respawn: a consumer dies before the initial scatter; the
-/// reconfigured (full-size) communicator remaps with the replacement
-/// declaring nothing owned. The root's quarter never moves (delta-minimal),
-/// every other rank — including the replacement — receives exactly its
-/// quarter, and the executed redistribution is bitwise correct.
-#[test]
-fn remap_grow_feeds_respawned_rank_and_is_delta_minimal() {
+fn shrink_mapping_keeps_unchanged_ranks_at_zero_moved_bytes() {
     let domain = Block::d1(0, 32).unwrap();
     let out = Universe::builder().timeout(Duration::from_secs(30)).run(4, move |comm| {
-        let rec = if comm.epoch() == 0 {
-            if comm.rank() == 1 {
-                return None; // dies holding nothing: only the rank is lost
-            }
-            Some(comm.reconfigure().unwrap())
-        } else {
-            None // the replacement enters already inside epoch 1
-        };
-        let c = rec.as_ref().unwrap_or(comm);
-        let r = c.rank();
+        let r = comm.rank();
+        let owned = [ddr_core::decompose::slab(&domain, 0, 4, r).unwrap()];
+        let needs: &[Block] = if r == 3 { &[] } else { &owned };
+        let desc = Descriptor::for_type::<u32>(4, DataKind::D1).unwrap();
+        let plan =
+            desc.setup_multi_mapping(comm, &owned, needs, ValidationPolicy::Degraded).unwrap();
+        let plan = &plan.plans()[0];
+        if r != 3 {
+            assert_eq!(plan.total_recv_bytes(), 0, "rank {r}: unchanged rank moves zero bytes");
+            assert_eq!(plan.total_local_bytes(), owned[0].count() * 4);
+        }
+        assert_eq!(plan.total_sent_bytes(), 0);
+        (plan.total_recv_bytes(), plan.total_local_bytes())
+    });
+    assert_eq!(out, vec![(0, 32), (0, 32), (0, 32), (0, 0)]);
+}
+
+/// Grow: one rank holds the whole domain and the joining ranks own `&[]` on
+/// the world communicator. The holder's quarter never moves (delta-minimal),
+/// every other rank receives exactly its quarter, and the executed
+/// redistribution is bitwise correct.
+#[test]
+fn grow_mapping_feeds_joining_ranks_and_is_delta_minimal() {
+    let domain = Block::d1(0, 32).unwrap();
+    Universe::builder().timeout(Duration::from_secs(30)).run(4, move |comm| {
+        let r = comm.rank();
         let desc = Descriptor::for_type::<u32>(4, DataKind::D1).unwrap();
         let owned: Vec<Block> = if r == 0 { vec![domain] } else { vec![] };
         let need = ddr_core::decompose::slab(&domain, 0, 4, r).unwrap();
-        let (plan, stats) = desc.remap(c, &owned, need).unwrap();
+        let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
         let quarter_bytes = need.count() * 4;
         if r == 0 {
-            assert!(stats.is_stationary(), "root's own quarter is already resident");
-            assert_eq!(stats.retained_bytes, quarter_bytes);
+            assert_eq!(plan.total_recv_bytes(), 0, "the holder's own quarter is resident");
+            assert_eq!(plan.total_local_bytes(), quarter_bytes);
         } else {
-            assert_eq!(stats.moved_bytes, quarter_bytes);
-            assert_eq!(stats.retained_bytes, 0);
+            assert_eq!(plan.total_recv_bytes(), quarter_bytes);
+            assert_eq!(plan.total_local_bytes(), 0);
         }
         let data: Vec<u32> = (0..32).collect();
         let refs: Vec<&[u32]> = if r == 0 { vec![&data] } else { vec![] };
         let mut got = vec![u32::MAX; 8];
-        plan.reorganize(c, &refs, &mut got).unwrap();
+        plan.reorganize(comm, &refs, &mut got).unwrap();
         let want: Vec<u32> = (r as u32 * 8..r as u32 * 8 + 8).collect();
-        assert_eq!(got, want, "rank {r} (epoch {})", c.epoch());
-        // Allgather proves all four ranks — replacement included — executed
-        // the same plan on the same communicator.
-        let sizes = c.allgather(&[got.len() as u64]).unwrap();
-        assert_eq!(sizes, vec![vec![8u64]; 4]);
-        Some(c.recovery_counters())
+        assert_eq!(got, want, "rank {r}");
     });
-    assert_eq!(out[1], None);
-    for r in [0, 2, 3] {
-        let counters = out[r].expect("survivor must finish");
-        assert_eq!(counters.epoch, 1);
-        assert_eq!(counters.respawns, 1);
-    }
 }

@@ -28,25 +28,15 @@
 //! transport: each consumer's mailbox is a bounded queue per sender, so
 //! [`send_frame`] parks once a pair is full (`minimpi`'s
 //! `TransportCounters::credit_waits`).
-//!
-//! Both halves are **elastic**: after a [`minimpi::Comm::reconfigure`] the
-//! [`Repartitioner`] detects the epoch bump (and any [`Repartitioner::resize`]
-//! of the consumer group) at the next frame boundary and rebuilds its mapping
-//! collectively, while the [`FrameReceiver`] classifies frames fenced by the
-//! membership change as reconfiguration loss ([`FrameStats::reconfigured`])
-//! instead of deadline misses — no retry budget is burned on traffic that can
-//! never arrive.
 
 #![warn(missing_docs)]
 
 mod frame;
 mod repartition;
 mod resources;
-mod schedule;
 mod stream;
 
 pub use frame::{recv_frames, send_frame, Frame, FRAME_TAG};
 pub use repartition::{analysis_block, Repartitioner};
 pub use resources::{consumer_sources, producer_targets, split_resources, Role};
-pub use schedule::OutputSchedule;
 pub use stream::{FrameReceiver, FrameRecvConfig, FrameStats};

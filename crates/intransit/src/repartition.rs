@@ -12,28 +12,21 @@ use minimpi::Comm;
 /// **reused** for every subsequent step as long as the incoming layout stays
 /// the same — exactly the paper's dynamic-data usage, where
 /// `DDR_SetupDataMapping` runs once and `DDR_ReorganizeData` runs per step.
+/// A plan is pure geometry: it is rebuilt when the needed block, the
+/// incoming layout, or the communicator's size or this rank's place in it
+/// changes, and nothing else.
 pub struct Repartitioner {
     need: Block,
     plan: Option<Plan>,
     owned: Vec<Block>,
     policy: ValidationPolicy,
-    /// Membership epoch the current plan was built in. A reconfigured
-    /// analysis communicator (different epoch, possibly different size)
-    /// invalidates the plan even when the frame layout is unchanged.
-    epoch: Option<u64>,
 }
 
 impl Repartitioner {
     /// Create a repartitioner delivering into `need`. Incoming frames must
     /// tile the domain exactly ([`ValidationPolicy::Strict`]).
     pub fn new(need: Block) -> Self {
-        Repartitioner {
-            need,
-            plan: None,
-            owned: Vec::new(),
-            policy: ValidationPolicy::Strict,
-            epoch: None,
-        }
+        Repartitioner { need, plan: None, owned: Vec::new(), policy: ValidationPolicy::Strict }
     }
 
     /// Loss-tolerant repartitioner for streams received with skip-ahead
@@ -42,13 +35,7 @@ impl Repartitioner {
     /// the whole domain still redistributes what arrived. Cells nobody
     /// delivered keep the output buffer's initial value (zero).
     pub fn degraded(need: Block) -> Self {
-        Repartitioner {
-            need,
-            plan: None,
-            owned: Vec::new(),
-            policy: ValidationPolicy::Degraded,
-            epoch: None,
-        }
+        Repartitioner { need, plan: None, owned: Vec::new(), policy: ValidationPolicy::Degraded }
     }
 
     /// The block this rank assembles each step.
@@ -57,16 +44,18 @@ impl Repartitioner {
     }
 
     /// Swap the needed block for a resized consumer group. Local and cheap:
-    /// the old plan is dropped, and the next [`Repartitioner::redistribute`]
-    /// — the next frame boundary — rebuilds the mapping collectively over
-    /// whatever (typically reconfigured) communicator it is given, which is
-    /// the epoch barrier that keeps the swap atomic across the group.
+    /// a changed need drops the old plan, and the next
+    /// [`Repartitioner::redistribute`] — the next frame boundary — rebuilds
+    /// the mapping collectively over whatever (typically shrunk)
+    /// communicator it is given, so the swap lands on every rank at once.
     pub fn resize(&mut self, need: Block) {
-        if ddrtrace::enabled() && need != self.need {
-            ddrtrace::instant_arg("intransit", "consumer_resize", "cells", need.count() as i64);
+        if need != self.need {
+            if ddrtrace::enabled() {
+                ddrtrace::instant_arg("intransit", "consumer_resize", "cells", need.count() as i64);
+            }
+            self.need = need;
+            self.plan = None;
         }
-        self.need = need;
-        self.plan = None;
     }
 
     /// Number of communication rounds of the established plan.
@@ -79,25 +68,22 @@ impl Repartitioner {
     /// (x fastest within [`Repartitioner::need`]).
     ///
     /// A rank that received no frames participates with zero owned chunks.
-    /// If the incoming layout changes between steps the mapping is rebuilt
-    /// transparently.
+    /// If the incoming layout or the communicator's shape changes between
+    /// steps the mapping is rebuilt transparently.
     pub fn redistribute(&mut self, analysis: &Comm, frames: &[Frame]) -> Result<Vec<f32>> {
         let _span = ddrtrace::span_arg("intransit", "repartition", "frames", frames.len() as i64);
         let owned: Vec<Block> = frames.iter().map(|f| f.block).collect();
-        // Layout changes (including the first call) trigger a mapping setup;
-        // all ranks must agree, so the "changed" flag is agreed collectively.
-        let epoch_changed = self.epoch.is_some_and(|e| e != analysis.epoch());
-        let changed = (self.plan.is_none() || owned != self.owned || epoch_changed) as u64;
-        let any_changed = analysis.allgather(&[changed])?.iter().any(|v| v[0] != 0);
+        // Layout or shape changes (including the first call) trigger a
+        // mapping setup; all ranks must agree, so the "changed" flag is
+        // agreed collectively.
+        let same_shape = |p: &Plan| (p.nprocs(), p.rank()) == (analysis.size(), analysis.rank());
+        let changed = !(self.plan.as_ref().is_some_and(same_shape) && owned == self.owned);
+        let any_changed = analysis.allgather(&[changed as u64])?.iter().any(|v| v[0] != 0);
         if any_changed {
-            if epoch_changed && ddrtrace::enabled() {
-                ddrtrace::instant_arg("intransit", "epoch_remap", "epoch", analysis.epoch() as i64);
-            }
             let desc = Descriptor::for_type::<f32>(analysis.size(), DataKind::D2)?;
             self.plan =
                 Some(desc.setup_data_mapping_with(analysis, &owned, self.need, self.policy)?);
-            self.owned = owned.clone();
-            self.epoch = Some(analysis.epoch());
+            self.owned = owned;
         }
         let plan = self.plan.as_ref().expect("plan established above");
         let refs: Vec<&[f32]> = frames.iter().map(|f| f.data.as_slice()).collect();
@@ -205,60 +191,51 @@ mod tests {
         assert!(blocks.iter().all(|b| b.dims[0] == 8 && b.dims[1] == 8));
         assert!(analysis_block(64, 32, 32, 32).is_err());
     }
-    /// Mid-stream consumer-group resize: a consumer dies after step 0, the
-    /// survivors reconfigure (shrink), swap needs with `resize`, and the
-    /// next frame boundary rebuilds the mapping over the epoch-1
-    /// communicator. The old handle is fenced, the new layout assembles
-    /// correctly.
+    /// Mid-stream consumer-group resize: a consumer departs after step 0,
+    /// the survivors shrink, swap needs with `resize`, and the next frame
+    /// boundary rebuilds the mapping over the shrunk communicator.
     #[test]
     fn consumer_group_resize_swaps_mapping_at_frame_boundary() {
-        use std::time::Duration;
         let (nx, ny) = (12usize, 6usize);
         let domain = Block::d2([0, 0], [nx, ny]).unwrap();
-        minimpi::Universe::builder().respawn(false).timeout(Duration::from_secs(30)).run(
-            3,
-            move |comm| {
-                let c = comm.rank();
-                let mk = |blk: Block, step: u64| {
-                    let data = blk.coords().map(|co| field_at(co[0], co[1], step)).collect();
-                    Frame::new(step, blk, data)
-                };
-                // Step 0: three consumers, row slabs in, bricks out.
-                let mut rep = Repartitioner::new(analysis_block(nx, ny, 3, c).unwrap());
-                let slab0 = ddr_core::decompose::slab(&domain, 1, 3, c).unwrap();
-                let out = rep.redistribute(comm, &[mk(slab0, 0)]).unwrap();
-                for (v, co) in out.iter().zip(rep.need().coords()) {
-                    assert_eq!(*v, field_at(co[0], co[1], 0));
-                }
-                if c == 2 {
-                    return; // departs between frames
-                }
-                // Survivors: one epoch bump, then resize to the 2-consumer
-                // layout. The swap lands at the next redistribute.
-                let rec = comm.reconfigure().unwrap();
-                assert_eq!(rec.epoch(), 1);
-                assert_eq!(rec.size(), 2);
-                rep.resize(analysis_block(nx, ny, 2, rec.rank()).unwrap());
-                // The pre-reconfiguration handle is fenced off.
-                assert!(rep.redistribute(comm, &[]).is_err(), "stale handle must fail");
-                rep.resize(analysis_block(nx, ny, 2, rec.rank()).unwrap());
-                let slab1 = ddr_core::decompose::slab(&domain, 1, 2, rec.rank()).unwrap();
-                let out = rep.redistribute(&rec, &[mk(slab1, 1)]).unwrap();
-                for (v, co) in out.iter().zip(rep.need().coords()) {
-                    assert_eq!(*v, field_at(co[0], co[1], 1), "epoch-1 layout at {co:?}");
-                }
-            },
-        );
+        Universe::run(3, move |comm| {
+            let c = comm.rank();
+            let mk = |blk: Block, step: u64| {
+                let data = blk.coords().map(|co| field_at(co[0], co[1], step)).collect();
+                Frame::new(step, blk, data)
+            };
+            // Step 0: three consumers, row slabs in, bricks out.
+            let mut rep = Repartitioner::new(analysis_block(nx, ny, 3, c).unwrap());
+            let slab0 = ddr_core::decompose::slab(&domain, 1, 3, c).unwrap();
+            let out = rep.redistribute(comm, &[mk(slab0, 0)]).unwrap();
+            for (v, co) in out.iter().zip(rep.need().coords()) {
+                assert_eq!(*v, field_at(co[0], co[1], 0));
+            }
+            if c == 2 {
+                return; // departs between frames
+            }
+            // Survivors: one shrink, then resize to the 2-consumer layout.
+            // The swap lands at the next redistribute.
+            let rec = comm.shrink().unwrap();
+            assert_eq!(rec.size(), 2);
+            rep.resize(analysis_block(nx, ny, 2, rec.rank()).unwrap());
+            let slab1 = ddr_core::decompose::slab(&domain, 1, 2, rec.rank()).unwrap();
+            let out = rep.redistribute(&rec, &[mk(slab1, 1)]).unwrap();
+            assert_eq!(rep.num_rounds(), Some(1));
+            for (v, co) in out.iter().zip(rep.need().coords()) {
+                assert_eq!(*v, field_at(co[0], co[1], 1), "shrunk layout at {co:?}");
+            }
+        });
     }
 
-    /// An epoch bump alone — same layout, same size — must force a remap:
-    /// the plan was built for the old communicator generation.
+    /// A shrink that loses nobody keeps every rank's place, so the plan —
+    /// pure geometry — is reused on the child communicator, and still
+    /// delivers exactly.
     #[test]
-    fn epoch_bump_invalidates_plan_without_layout_change() {
-        use std::time::Duration;
+    fn identity_shrink_reuses_the_plan() {
         let (nx, ny) = (8usize, 4usize);
         let domain = Block::d2([0, 0], [nx, ny]).unwrap();
-        minimpi::Universe::builder().timeout(Duration::from_secs(30)).run(2, move |comm| {
+        Universe::run(2, move |comm| {
             let c = comm.rank();
             let mk = |blk: Block, step: u64| {
                 let data = blk.coords().map(|co| field_at(co[0], co[1], step)).collect();
@@ -267,8 +244,10 @@ mod tests {
             let mut rep = Repartitioner::new(analysis_block(nx, ny, 2, c).unwrap());
             let slab = ddr_core::decompose::slab(&domain, 1, 2, c).unwrap();
             rep.redistribute(comm, &[mk(slab, 0)]).unwrap();
-            let rec = comm.reconfigure().unwrap();
+            let before = rep.plan.clone();
+            let rec = comm.shrink().unwrap();
             let out = rep.redistribute(&rec, &[mk(slab, 1)]).unwrap();
+            assert_eq!(rep.plan, before, "same shape, same plan");
             for (v, co) in out.iter().zip(rep.need().coords()) {
                 assert_eq!(*v, field_at(co[0], co[1], 1));
             }

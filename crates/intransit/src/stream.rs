@@ -59,24 +59,14 @@ pub struct FrameStats {
     pub retries: u64,
     /// Frames older than the step being assembled, discarded on arrival.
     pub stale: u64,
-    /// Skips attributed to an epoch reconfiguration fencing the expected
-    /// frame (subset of `skipped`): traffic sent before the membership
-    /// change can never be delivered, so these are not deadline misses.
-    pub reconfigured: u64,
 }
 
 impl fmt::Display for FrameStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} received, {} skipped ({} from dead sources, {} to reconfiguration), \
-             {} retries, {} stale",
-            self.received,
-            self.skipped,
-            self.dead_sources,
-            self.reconfigured,
-            self.retries,
-            self.stale
+            "{} received, {} skipped ({} from dead sources), {} retries, {} stale",
+            self.received, self.skipped, self.dead_sources, self.retries, self.stale
         )
     }
 }
@@ -89,7 +79,6 @@ impl FrameStats {
         self.dead_sources += other.dead_sources;
         self.retries += other.retries;
         self.stale += other.stale;
-        self.reconfigured += other.reconfigured;
     }
 }
 
@@ -107,26 +96,17 @@ pub struct FrameReceiver {
     stats: FrameStats,
     /// Future frames that arrived while an earlier one was lost, per source.
     stash: HashMap<usize, Frame>,
-    /// Membership epoch observed on the previous `recv_step` call, used to
-    /// classify the first miss after a reconfiguration as fenced loss.
-    epoch: Option<u64>,
 }
 
 impl FrameReceiver {
     /// Receiver pulling from `sources` (ranks on the communicator passed to
     /// [`FrameReceiver::recv_step`]) with the given tuning.
     pub fn new(sources: Vec<usize>, cfg: FrameRecvConfig) -> Self {
-        FrameReceiver {
-            sources,
-            cfg,
-            stats: FrameStats::default(),
-            stash: HashMap::new(),
-            epoch: None,
-        }
+        FrameReceiver { sources, cfg, stats: FrameStats::default(), stash: HashMap::new() }
     }
 
     /// Replace the source list after the producer or consumer group was
-    /// resized (ranks may have been renumbered by a reconfiguration).
+    /// resized (ranks may have been renumbered by a shrink).
     /// Stashed frames from sources no longer present are dropped.
     pub fn set_sources(&mut self, sources: Vec<usize>) {
         self.stash.retain(|s, _| sources.contains(s));
@@ -144,28 +124,17 @@ impl FrameReceiver {
     /// what it has. Errors are reserved for real faults on *this* rank
     /// (death, garbled payloads), never for peer loss.
     pub fn recv_step(&mut self, comm: &Comm, step: u64) -> Result<Vec<Frame>> {
-        // An epoch bump between steps means the membership changed: frames
-        // sent before it were fenced and can never arrive, so misses this
-        // step are classified as reconfiguration loss, not deadline misses.
-        let reconfigured = self.epoch.is_some_and(|e| e != comm.epoch());
-        self.epoch = Some(comm.epoch());
         let sources = self.sources.clone();
         let mut frames = Vec::with_capacity(sources.len());
         for src in sources {
-            if let Some(frame) = self.recv_one(comm, src, step, reconfigured)? {
+            if let Some(frame) = self.recv_one(comm, src, step)? {
                 frames.push(frame);
             }
         }
         Ok(frames)
     }
 
-    fn recv_one(
-        &mut self,
-        comm: &Comm,
-        src: usize,
-        step: u64,
-        reconfigured: bool,
-    ) -> Result<Option<Frame>> {
+    fn recv_one(&mut self, comm: &Comm, src: usize, step: u64) -> Result<Option<Frame>> {
         let _wait = ddrtrace::span_arg("intransit", "frame_wait", "src", src as i64);
         // A frame stashed during an earlier skip may already settle this step.
         if let Some(stashed) = self.stash.get(&src) {
@@ -179,20 +148,11 @@ impl FrameReceiver {
             } else {
                 // A future frame is already queued: per-source delivery is
                 // ordered, so this step's frame can never arrive.
-                return Ok(self.skip_missing(
-                    comm,
-                    src,
-                    step,
-                    reconfigured,
-                    "a later frame already arrived",
-                ));
+                return Ok(self.skip(comm, src, step, "a later frame already arrived"));
             }
         }
 
-        // Fenced traffic cannot be retried into existence: after a
-        // reconfiguration one deadline (for a live re-send) is enough.
-        let retries = if reconfigured { 0 } else { self.cfg.retries };
-        for attempt in 0..=retries {
+        for attempt in 0..=self.cfg.retries {
             if attempt > 0 {
                 self.stats.retries += 1;
                 ddrtrace::instant_arg("intransit", "frame_retry", "attempt", attempt as i64);
@@ -216,13 +176,7 @@ impl FrameReceiver {
                             continue;
                         }
                         self.stash.insert(src, frame);
-                        return Ok(self.skip_missing(
-                            comm,
-                            src,
-                            step,
-                            reconfigured,
-                            "a later frame arrived instead",
-                        ));
+                        return Ok(self.skip(comm, src, step, "a later frame arrived instead"));
                     }
                     None => {
                         if !comm.is_alive(src) {
@@ -237,25 +191,7 @@ impl FrameReceiver {
                 }
             }
         }
-        Ok(self.skip_missing(comm, src, step, reconfigured, "deadline exceeded on every attempt"))
-    }
-
-    /// Classify and record a missing frame: after an epoch bump the loss is
-    /// attributed to the reconfiguration fence (the frame was swept and can
-    /// never arrive), otherwise to the stated transport cause.
-    fn skip_missing(
-        &mut self,
-        comm: &Comm,
-        src: usize,
-        step: u64,
-        reconfigured: bool,
-        why: &str,
-    ) -> Option<Frame> {
-        if reconfigured {
-            self.stats.reconfigured += 1;
-            return self.skip(comm, src, step, "frame fenced by epoch reconfiguration");
-        }
-        self.skip(comm, src, step, why)
+        Ok(self.skip(comm, src, step, "deadline exceeded on every attempt"))
     }
 
     /// Record and log a skipped frame; always yields `None`.
@@ -391,66 +327,12 @@ mod tests {
 
     #[test]
     fn stats_display_and_merge() {
-        let mut a = FrameStats {
-            received: 3,
-            skipped: 1,
-            dead_sources: 1,
-            retries: 2,
-            stale: 0,
-            reconfigured: 1,
-        };
-        let b = FrameStats {
-            received: 5,
-            skipped: 0,
-            dead_sources: 0,
-            retries: 0,
-            stale: 2,
-            reconfigured: 0,
-        };
+        let mut a = FrameStats { received: 3, skipped: 1, dead_sources: 1, retries: 2, stale: 0 };
+        let b = FrameStats { received: 5, skipped: 0, dead_sources: 0, retries: 0, stale: 2 };
         a.merge(&b);
         assert_eq!(a.received, 8);
         assert_eq!(a.stale, 2);
         let s = a.to_string();
         assert!(s.contains("8 received") && s.contains("1 skipped"), "{s}");
-    }
-
-    /// A frame sent before a reconfiguration is fenced at the epoch bump;
-    /// the receiver must classify the miss as reconfiguration loss — fast,
-    /// without burning the retry budget — and resume on the new epoch.
-    #[test]
-    fn fenced_frame_is_classified_as_reconfiguration_loss() {
-        let out = Universe::builder().timeout(Duration::from_secs(20)).run(2, |comm| {
-            if comm.rank() == 0 {
-                send_frame(comm, 1, 1, blk(), vec![1.0; 4]).unwrap();
-                // Step 2's frame goes out on the doomed epoch...
-                send_frame(comm, 1, 2, blk(), vec![2.0; 4]).unwrap();
-                std::thread::sleep(Duration::from_millis(100));
-                let c2 = comm.reconfigure().unwrap();
-                // ...and step 3's on the new one.
-                send_frame(&c2, 1, 3, blk(), vec![3.0; 4]).unwrap();
-                (FrameStats::default(), 0)
-            } else {
-                let mut rx = FrameReceiver::new(vec![0], fast_cfg());
-                let first = rx.recv_step(comm, 1).unwrap();
-                assert_eq!(first.len(), 1);
-                let c2 = comm.reconfigure().unwrap();
-                let start = Instant::now();
-                let lost = rx.recv_step(&c2, 2).unwrap();
-                assert!(lost.is_empty(), "fenced frame must not be delivered");
-                // One deadline, no retries: well under the full retry budget.
-                assert!(start.elapsed() < Duration::from_millis(450));
-                let third = rx.recv_step(&c2, 3).unwrap();
-                assert_eq!(third.len(), 1);
-                assert_eq!(third[0].step, 3);
-                (*rx.stats(), c2.recovery_counters().fenced_msgs)
-            }
-        });
-        let (stats, fenced) = &out[1];
-        assert_eq!(stats.received, 2);
-        assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.reconfigured, 1, "the miss is reconfiguration loss");
-        assert_eq!(stats.dead_sources, 0);
-        assert_eq!(stats.retries, 0);
-        assert!(*fenced >= 1, "the swept frame must be counted as fenced");
     }
 }

@@ -630,11 +630,10 @@ mod tests {
         }
     }
 
-    /// Satellite regression for elastic recovery: a receiver that aborts an
-    /// exchange early (because some *other* source died) must not strand a
-    /// healthy sender's zero-copy loan until the watchdog fires. Seeded over
-    /// several message sizes, with the loan under test of one part and of
-    /// two.
+    /// A receiver that aborts an exchange early (because some *other*
+    /// source died) must not strand a healthy sender's zero-copy loan until
+    /// the watchdog fires. Seeded over several message sizes, with the loan
+    /// under test of one part and of two.
     ///
     /// Geometry per run (3 ranks, zero-copy):
     /// * rank 0 hand-deposits a loan to rank 1 under the exchange's tag,

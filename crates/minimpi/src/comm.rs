@@ -1,7 +1,6 @@
 //! Communicators and point-to-point messaging.
 
 use crate::datatype::Datatype;
-use crate::elastic::ElasticState;
 use crate::error::{Error, Result};
 use crate::fault::{mix64, FaultPlan, FaultState, MessageVerdict};
 use crate::life::{Liveness, ShrinkBarrier};
@@ -34,16 +33,6 @@ pub(crate) struct WorldState {
     pub pool: BufferPool,
     /// Wire-path counters (zero-copy vs staged deliveries).
     pub transport: TransportCells,
-    /// Membership-epoch state: current epoch, respawn supervisor queue, and
-    /// recovery counters (see [`crate::elastic`]).
-    pub elastic: ElasticState,
-    /// Rendezvous for [`Comm::reconfigure`]'s agreement step. A second
-    /// barrier instance so reconfigure generations can never collide with
-    /// shrink generations on the same communicator.
-    pub reconfig: ShrinkBarrier,
-    /// Whether reconfigure respawns replacements for dead ranks (builder
-    /// override, default true).
-    pub respawn: bool,
 }
 
 impl WorldState {
@@ -51,7 +40,6 @@ impl WorldState {
         n: usize,
         default_timeout: Duration,
         fault_plan: Option<FaultPlan>,
-        respawn: Option<bool>,
         (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
         // Decided once, from what the universe can observe: spin only when
@@ -67,58 +55,23 @@ impl WorldState {
             default_timeout,
             pool: BufferPool::default(),
             transport: TransportCells::default(),
-            elastic: ElasticState::new(n),
-            reconfig: ShrinkBarrier::default(),
-            respawn: respawn.unwrap_or(true),
         }
-    }
-
-    /// Current membership epoch (bumped by every completed reconfigure).
-    pub fn epoch(&self) -> u64 {
-        self.elastic.epoch()
-    }
-
-    /// Drop every queued message that does not carry `current_epoch`,
-    /// crediting the fenced-message counter. Stale zero-copy loans are
-    /// revoked by the drop, releasing their senders.
-    pub fn sweep_stale(&self, current_epoch: u64) -> u64 {
-        let mut fenced = 0u64;
-        for mb in &self.mailboxes {
-            fenced += mb.sweep_stale(current_epoch);
-        }
-        if fenced > 0 {
-            self.transport.fenced_msgs.fetch_add(fenced, Ordering::Relaxed);
-        }
-        fenced
     }
 
     pub fn is_alive(&self, world_rank: usize) -> bool {
         self.liveness.is_alive(world_rank)
     }
 
-    /// Mark a world rank dead and wake every blocked receiver, parked sender
-    /// and pending shrink round so they re-check liveness. Idempotent.
+    /// Mark a world rank dead — fault-killed, or its thread finished — and
+    /// wake every blocked receiver, parked sender and pending shrink round
+    /// so they re-check liveness. Idempotent.
     pub fn mark_dead(&self, world_rank: usize) {
         if self.liveness.mark_dead(world_rank) {
-            self.on_death();
+            for mb in &self.mailboxes {
+                mb.interrupt();
+            }
+            self.shrink.on_death(&self.liveness);
         }
-    }
-
-    /// A rank thread running as `incarnation` of `world_rank` finished:
-    /// departed (or crashed) ranks count as dead, so peers blocked on them
-    /// fail fast — unless the rank was already revived for a replacement.
-    pub fn retire(&self, world_rank: usize, incarnation: u64) {
-        if self.liveness.retire(world_rank, incarnation) {
-            self.on_death();
-        }
-    }
-
-    fn on_death(&self) {
-        for mb in &self.mailboxes {
-            mb.interrupt();
-        }
-        self.shrink.on_death(&self.liveness);
-        self.reconfig.on_death(&self.liveness);
     }
 }
 
@@ -135,12 +88,9 @@ const PHASE_MASK: u64 = (1 << PHASE_BITS) - 1;
 const COLL_SHIFT: u32 = 6;
 
 /// Sentinel tag reported by shrink-rendezvous timeouts (no message traffic
-/// is involved, so there is no real tag to report). Both sentinels carry
-/// collective code 63, which no [`Coll`] has.
+/// is involved, so there is no real tag to report). It carries collective
+/// code 63, which no [`Coll`] has.
 const SHRINK_TAG: u64 = COLL_BIT | PHASE_MASK;
-
-/// Sentinel tag reported by reconfigure-rendezvous timeouts.
-pub(crate) const RECONFIG_TAG: u64 = COLL_BIT | (PHASE_MASK - 1);
 
 fn user_key_tag(tag: Tag) -> u64 {
     tag as u64
@@ -179,9 +129,6 @@ pub(crate) fn describe_key_tag(key_tag: u64) -> String {
     if key_tag == SHRINK_TAG {
         return "shrink rendezvous".to_string();
     }
-    if key_tag == RECONFIG_TAG {
-        return "reconfigure rendezvous".to_string();
-    }
     let body = key_tag & !COLL_BIT;
     let coll = COLL_NAMES.get(((body & PHASE_MASK) >> COLL_SHIFT) as usize).unwrap_or(&"?");
     let phase = body & ((1 << COLL_SHIFT) - 1);
@@ -200,16 +147,11 @@ pub struct Comm {
     pub(crate) rank: usize,
     /// World rank of each communicator member, indexed by communicator rank.
     pub(crate) members: Arc<Vec<usize>>,
-    /// Membership epoch this handle was built in. Envelopes are stamped with
-    /// it; a handle whose epoch is no longer current fails every operation
-    /// with [`Error::StaleEpoch`] (see [`Comm::reconfigure`]).
-    pub(crate) epoch: u64,
     /// Per-rank collective sequence number; identical across members because
     /// collectives are called in the same order by all of them.
     pub(crate) coll_seq: Cell<u64>,
     split_seq: Cell<u64>,
     shrink_seq: Cell<u64>,
-    pub(crate) reconfig_seq: Cell<u64>,
     timeout: Cell<Duration>,
 }
 
@@ -217,18 +159,16 @@ impl Comm {
     pub(crate) fn world_comm(world: Arc<WorldState>, rank: usize) -> Self {
         let n = world.mailboxes.len();
         let timeout = world.default_timeout;
-        let epoch = world.epoch();
-        Comm::derived(world, 0, rank, Arc::new((0..n).collect()), epoch, timeout)
+        Comm::derived(world, 0, rank, Arc::new((0..n).collect()), timeout)
     }
 
-    /// Build a derived communicator handle (child of split/shrink/reconfigure
-    /// or a respawned rank's entry handle) with fresh sequence counters.
-    pub(crate) fn derived(
+    /// Build a derived communicator handle (child of split/shrink) with
+    /// fresh sequence counters.
+    fn derived(
         world: Arc<WorldState>,
         comm_id: u64,
         rank: usize,
         members: Arc<Vec<usize>>,
-        epoch: u64,
         timeout: Duration,
     ) -> Self {
         Comm {
@@ -236,20 +176,11 @@ impl Comm {
             comm_id,
             rank,
             members,
-            epoch,
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
             shrink_seq: Cell::new(0),
-            reconfig_seq: Cell::new(0),
             timeout: Cell::new(timeout),
         }
-    }
-
-    /// Membership epoch this communicator handle belongs to. `0` until the
-    /// first [`Comm::reconfigure`]; a respawned rank can use `epoch() > 0`
-    /// to detect that it is a replacement joining mid-run.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// This rank's index within the communicator.
@@ -315,14 +246,6 @@ impl Comm {
         if !self.world.is_alive(w) {
             return Err(Error::PeerDead { rank: self.rank });
         }
-        // The epoch fence: a handle from before the last reconfigure can
-        // neither send (its envelopes would be stamped stale) nor receive
-        // (it would match against a dead namespace). Checked before the op
-        // counter so fault-plan op coordinates are unaffected.
-        let world_epoch = self.world.epoch();
-        if world_epoch != self.epoch {
-            return Err(Error::StaleEpoch { comm_epoch: self.epoch, world_epoch });
-        }
         let op = self.world.ops[w].fetch_add(1, Ordering::Relaxed);
         if let Some(faults) = &self.world.faults {
             if faults.should_kill(w, op) {
@@ -333,43 +256,22 @@ impl Comm {
         Ok(())
     }
 
-    /// Match-time admission — the one gate every envelope popped from this
-    /// rank's mailbox passes before it is delivered. The epoch fence comes
-    /// first: an envelope stamped by a different membership epoch is never
-    /// delivered; it is counted, traced and dropped here (the drop revokes
-    /// any zero-copy loan it carried, releasing its sender) and `None` tells
-    /// the caller to keep waiting for a current-epoch message.
-    pub(crate) fn admit(&self, env: Envelope) -> Option<Envelope> {
-        if env.epoch != self.epoch {
-            self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-            ddrtrace::instant_arg("minimpi", "fenced_msg", "src", env.src as i64);
-            return None;
-        }
-        Some(env)
-    }
-
-    /// The one place an envelope is built and queued: stamped with this
-    /// handle's rank and epoch, then reserved-and-enqueued in `dest`'s
-    /// mailbox under (communicator, this rank, `key_tag`). What varies by
-    /// payload kind — the element size — is decided by the `deposit_*`
-    /// caller. The envelope counts against this pair's depth and parks
-    /// while the pair is full: no pop within [`Comm::timeout`] is
-    /// [`Error::Timeout`] naming `dest`; the receiver's death, this rank's
-    /// own fault-kill or an epoch bump unparks with the matching error.
+    /// The one place an envelope is built and queued: reserved-and-enqueued
+    /// in `dest`'s mailbox under (communicator, this rank, `key_tag`). What varies by payload kind —
+    /// the element size — is decided by the `deposit_*` caller. The envelope
+    /// counts against this pair's depth and parks while the pair is full: no
+    /// pop within [`Comm::timeout`] is [`Error::Timeout`] naming `dest`; the
+    /// receiver's death or this rank's own fault-kill unparks with
+    /// [`Error::PeerDead`].
     fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) -> Result<()> {
         let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        let env = Envelope { src: self.rank, epoch: self.epoch, payload, elem, pair: src_world };
+        let env = Envelope { payload, elem, pair: src_world };
         let abort = || {
             if !self.world.is_alive(src_world) {
                 return Some(Error::PeerDead { rank: self.rank });
             }
-            if !self.world.is_alive(dst_world) {
-                return Some(Error::PeerDead { rank: dest });
-            }
-            let world_epoch = self.world.epoch();
-            (world_epoch != self.epoch)
-                .then_some(Error::StaleEpoch { comm_epoch: self.epoch, world_epoch })
+            (!self.world.is_alive(dst_world)).then_some(Error::PeerDead { rank: dest })
         };
         self.world.mailboxes[dst_world]
             .deposit(key, env, self.timeout.get(), abort, &self.world.transport)
@@ -383,10 +285,8 @@ impl Comm {
 
     /// Apply the fault plan's message rules to the message about to go to
     /// `dest` under `key_tag`, staged or loaned alike: `false` means it is
-    /// not deposited. A dropped message vanishes. A delayed one is deposited
-    /// after its delay, unless the world reconfigured meanwhile: delivering
-    /// it into the new epoch would be exactly the stale match the fence
-    /// exists to prevent, so it is counted as fenced and dropped.
+    /// not deposited. A dropped message vanishes; a delayed one is deposited
+    /// after its delay.
     fn passes_faults(&self, dest: usize, key_tag: u64) -> bool {
         let Some(faults) = &self.world.faults else {
             return true;
@@ -396,20 +296,15 @@ impl Comm {
             MessageVerdict::Drop => false,
             MessageVerdict::DeliverAfter(d) => {
                 std::thread::sleep(d);
-                if self.world.epoch() == self.epoch {
-                    return true;
-                }
-                self.world.transport.fenced_msgs.fetch_add(1, Ordering::Relaxed);
-                ddrtrace::instant_arg("minimpi", "fenced_msg", "epoch", self.epoch as i64);
-                false
+                true
             }
         }
     }
 
     /// Deposit owned bytes — the path of eager point-to-point sends and of
     /// every collective but `alltoallw`. `elem` is the element size to stamp
-    /// (typed sends pass theirs; `1` means untyped bytes). A dropped or
-    /// fenced message returns before [`Comm::enqueue`], the only step that
+    /// (typed sends pass theirs; `1` means untyped bytes). A dropped
+    /// message returns before [`Comm::enqueue`], the only step that
     /// reserves anything.
     pub(crate) fn deposit_staged(
         &self,
@@ -520,16 +415,11 @@ impl Comm {
         let key: MsgKey = (self.comm_id, src, key_tag);
         let src_world = self.members[src];
         let _wait = ddrtrace::span_arg("minimpi", "mailbox_wait", "src", src as i64);
-        loop {
-            let dead = || !self.world.is_alive(src_world);
-            match self.my_mailbox().take_watched(key, self.timeout.get(), dead) {
-                TakeOutcome::Delivered(env) => match self.admit(env) {
-                    Some(env) => return Ok(env),
-                    None => continue,
-                },
-                TakeOutcome::TimedOut => return Err(self.timed_out(Some(src), key_tag)),
-                TakeOutcome::Aborted => return Err(Error::PeerDead { rank: src }),
-            }
+        let dead = || !self.world.is_alive(src_world);
+        match self.my_mailbox().take_watched(key, self.timeout.get(), dead) {
+            TakeOutcome::Delivered(env) => Ok(env),
+            TakeOutcome::TimedOut => Err(self.timed_out(Some(src), key_tag)),
+            TakeOutcome::Aborted => Err(Error::PeerDead { rank: src }),
         }
     }
 
@@ -634,12 +524,10 @@ impl Comm {
     pub fn try_recv_bytes(&self, src: usize, tag: Tag) -> Result<Option<Vec<u8>>> {
         self.check_rank(src)?;
         self.fault_tick()?;
-        while let Some(env) = self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
-            if let Some(env) = self.admit(env) {
-                return Ok(Some(self.materialize(src, env)?));
-            }
+        match self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
+            Some(env) => self.materialize(src, env).map(Some),
+            None => Ok(None),
         }
-        Ok(None)
     }
 
     // ------------------------------------------------------------------
@@ -670,7 +558,6 @@ impl Comm {
             child_id,
             new_rank,
             Arc::new(members),
-            self.epoch,
             self.timeout.get(),
         ))
     }
@@ -688,6 +575,12 @@ impl Comm {
     /// Unlike other collectives this does not send messages (it agrees via
     /// shared state), so it cannot itself be killed by a fault plan — a rank
     /// that reached `shrink` alive will complete it.
+    ///
+    /// Whatever a survivor sent this rank on this communicator and this rank
+    /// has not taken — the tail of an exchange abandoned on a death — is
+    /// discarded here: every survivor has entered, so nothing more of it can
+    /// come, and each envelope gives its slot in the pair's window back for
+    /// the child. A discarded zero-copy loan is revoked.
     pub fn shrink(&self) -> Result<Comm> {
         let generation = self.shrink_seq.get();
         self.shrink_seq.set(generation + 1);
@@ -710,6 +603,7 @@ impl Comm {
                 ),
             }
         })?;
+        self.my_mailbox().discard(self.comm_id, &survivors);
         // Derive the child id identically on every survivor.
         let mut child_id = mix64(self.comm_id ^ mix64(0x5421_494e_4b21 ^ generation));
         for &w in survivors.iter() {
@@ -720,7 +614,6 @@ impl Comm {
             child_id,
             new_rank,
             Arc::new((*survivors).clone()),
-            self.epoch,
             self.timeout.get(),
         ))
     }

@@ -25,8 +25,8 @@ pub enum Error {
         /// Waiting rank (communicator-local).
         rank: usize,
         /// The peer that was waited on: the source of a receive, or the
-        /// destination a parked send needed room at. `None` for a rendezvous
-        /// (shrink, reconfigure), which waits on no single rank.
+        /// destination a parked send needed room at. `None` for the shrink
+        /// rendezvous, which waits on no single rank.
         src: Option<usize>,
         /// Raw key tag of the awaited message. User tags are `< 2^32`;
         /// larger values are internal collective sequence numbers (the
@@ -64,17 +64,6 @@ pub enum Error {
     CollectiveMismatch {
         /// Human-readable description of the mismatch.
         detail: String,
-    },
-    /// The communicator handle predates the current membership epoch: a
-    /// [`crate::Comm::reconfigure`] completed since this handle was built, so
-    /// any traffic it could produce would be fenced as stale. The holder must
-    /// switch to the communicator returned by `reconfigure` (or call
-    /// `reconfigure` itself, on a handle from the current epoch).
-    StaleEpoch {
-        /// Epoch the communicator handle was created in.
-        comm_epoch: u64,
-        /// Current world membership epoch.
-        world_epoch: u64,
     },
     /// A runtime invariant was violated (e.g. a rendezvous protocol state
     /// that should be unreachable). Converted from what used to be panics in
@@ -136,10 +125,6 @@ impl fmt::Display for Error {
             }
             Error::DatatypeMismatch { detail } => write!(f, "datatype mismatch: {detail}"),
             Error::CollectiveMismatch { detail } => write!(f, "collective mismatch: {detail}"),
-            Error::StaleEpoch { comm_epoch, world_epoch } => write!(
-                f,
-                "communicator from epoch {comm_epoch} used after reconfiguration to epoch {world_epoch} — rebuild it via reconfigure()"
-            ),
             Error::Internal { detail } => {
                 write!(f, "internal runtime invariant violated: {detail}")
             }

@@ -48,17 +48,6 @@
 //! [`Comm::shrink`] lets survivors agree on a new communicator containing
 //! only live ranks — the substrate for DDR's shrink-and-remap recovery.
 //!
-//! ## Elastic membership
-//!
-//! [`Comm::reconfigure`] goes beyond shrink: the survivors agree, the world
-//! enters a new **membership epoch**, and (by default) every dead rank is
-//! respawned as a fresh thread re-running the universe closure inside the
-//! new epoch — so capacity lost to a failure is restored instead of
-//! permanently degraded. Every message envelope carries its sender's epoch;
-//! stale-epoch traffic (including in-flight zero-copy loans, which are
-//! revoked) is fenced rather than matched. See [`RecoveryCounters`] and
-//! [`UniverseBuilder::respawn`].
-//!
 //! ## What is checked, always
 //!
 //! There is no checking mode: every check rides data each message already
@@ -88,11 +77,11 @@
 //! 1024 messages / 32 MiB of staged bytes per sender (resized only by
 //! [`UniverseBuilder::flow_control`]). A sender whose pair is full parks
 //! until the receiver pops, under the same watchdog and liveness rule as a
-//! receive — [`Error::Timeout`], [`Error::PeerDead`] or
-//! [`Error::StaleEpoch`], never a hang — and
+//! receive — [`Error::Timeout`] or [`Error::PeerDead`], never a hang — and
 //! [`TransportCounters::credit_waits`] / `stalled_ms` count how often that
-//! happened. The depth lives in the mailbox, so the epoch sweep performed by
-//! [`Comm::reconfigure`] resets every pair exactly.
+//! happened. [`Comm::shrink`] discards what survivors left queued for each
+//! other on the parent communicator, so a pair's window is whole again on
+//! the shrunk child.
 //!
 //! Every blocking wait on the data path — a receive, a sender parked on a
 //! full pair, a lender waiting for its loan to be copied — checks, spins for
@@ -117,7 +106,6 @@
 mod collectives;
 mod comm;
 mod datatype;
-mod elastic;
 pub mod env;
 mod error;
 mod fault;
@@ -132,7 +120,6 @@ mod zerocopy;
 pub use collectives::ExchangeReport;
 pub use comm::{Comm, Tag};
 pub use datatype::{ByteRuns, Datatype, Subarray};
-pub use elastic::RecoveryCounters;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
 pub use pod::{bytes_of, bytes_of_mut, uninit_bytes_of_mut, Pod};

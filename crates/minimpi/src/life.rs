@@ -14,55 +14,29 @@
 //! never stuck waiting for a casualty to arrive.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Per-world-rank liveness: an alive flag (bit 0) packed with the rank's
-/// incarnation (the remaining bits — how many times it has been revived).
-/// Ranks transition alive → dead on failure; the reconfigure leader may
-/// transition a rank back dead → alive, in a new incarnation, when a
-/// replacement thread is about to be respawned in a new epoch.
+/// Per-world-rank liveness: one alive flag per rank, which only ever goes
+/// from alive to dead.
 pub(crate) struct Liveness {
-    state: Vec<AtomicU64>,
+    alive: Vec<AtomicBool>,
 }
-
-const ALIVE: u64 = 1;
 
 impl Liveness {
     pub fn new(n: usize) -> Self {
-        Liveness { state: (0..n).map(|_| AtomicU64::new(ALIVE)).collect() }
+        Liveness { alive: (0..n).map(|_| AtomicBool::new(true)).collect() }
     }
 
     pub fn is_alive(&self, world_rank: usize) -> bool {
-        self.state[world_rank].load(Ordering::Acquire) & ALIVE != 0
+        self.alive[world_rank].load(Ordering::Acquire)
     }
 
-    /// Kill whichever incarnation currently holds the rank. Returns `true`
-    /// if this call performed the transition (idempotent).
+    /// Mark the rank dead. Returns `true` if this call performed the
+    /// transition (idempotent).
     pub fn mark_dead(&self, world_rank: usize) -> bool {
-        self.state[world_rank].fetch_and(!ALIVE, Ordering::AcqRel) & ALIVE != 0
-    }
-
-    /// A rank thread of `incarnation` finished: mark the rank dead only if
-    /// that incarnation still holds it. A killed thread that exits *after*
-    /// the leader revived the rank for its replacement must not take the
-    /// replacement down with it. Returns `true` if the rank went dead.
-    pub fn retire(&self, world_rank: usize, incarnation: u64) -> bool {
-        let held = incarnation << 1 | ALIVE;
-        self.state[world_rank]
-            .compare_exchange(held, held & !ALIVE, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Resurrect a dead rank ahead of a respawn and return its new
-    /// incarnation. Only the reconfigure leader calls this, after the
-    /// survivor set has been agreed, so peers never see the rank flap: it
-    /// goes dead → (agreement) → alive-with-replacement.
-    pub fn revive(&self, world_rank: usize) -> u64 {
-        let incarnation = (self.state[world_rank].load(Ordering::Acquire) >> 1) + 1;
-        self.state[world_rank].store(incarnation << 1 | ALIVE, Ordering::Release);
-        incarnation
+        self.alive[world_rank].swap(false, Ordering::AcqRel)
     }
 }
 
@@ -170,17 +144,6 @@ mod tests {
         assert!(!l.mark_dead(1));
         assert!(!l.is_alive(1));
         assert!(l.is_alive(0));
-    }
-
-    #[test]
-    fn zombie_retire_cannot_kill_its_replacement() {
-        let l = Liveness::new(1);
-        assert!(l.mark_dead(0), "the fault plan kills incarnation 0");
-        assert_eq!(l.revive(0), 1);
-        assert!(!l.retire(0, 0), "the killed thread exits after the revive");
-        assert!(l.is_alive(0), "the replacement must still hold the rank");
-        assert!(l.retire(0, 1), "the replacement's own exit retires it");
-        assert!(!l.is_alive(0));
     }
 
     #[test]

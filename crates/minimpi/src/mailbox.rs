@@ -40,13 +40,9 @@ pub(crate) enum Payload {
     Shared(ZcHandle),
 }
 
-/// A message queued for delivery, from communicator-local rank `src`.
-/// `epoch` is the membership epoch of the *sending* communicator handle; receivers and the
-/// reconfigure-time sweep reject envelopes whose epoch is not current
-/// (dropping a stale `Shared` payload revokes the loan, waking its sender).
+/// A message queued for delivery. Dropping a queued `Shared` payload
+/// revokes the loan, waking its sender.
 pub(crate) struct Envelope {
-    pub src: usize,
-    pub epoch: u64,
     pub payload: Payload,
     /// Element size of the payload in bytes, stamped by typed sends and
     /// checked by typed receives; `1` for untyped bytes.
@@ -79,9 +75,8 @@ struct Pair {
 struct Queues {
     by_key: HashMap<MsgKey, VecDeque<Envelope>>,
     /// Queued depth per sending world rank. Charged by `deposit`, given back
-    /// by every pop and by the epoch sweep — all under this one lock, which
-    /// is what makes the sweep an exact reset across
-    /// [`crate::Comm::reconfigure`].
+    /// by every pop and by [`Mailbox::discard`] — all under this one lock,
+    /// so a pair counts exactly what is still queued.
     pairs: Vec<Pair>,
     /// Senders currently waiting for room (spinning or asleep on `room`).
     parked: usize,
@@ -91,7 +86,7 @@ struct Queues {
     sleepers: usize,
 }
 
-/// Give a popped or swept envelope's slot back to its pair.
+/// Give a popped or discarded envelope's slot back to its pair.
 fn give_back(pairs: &mut [Pair], env: &Envelope) {
     pairs[env.pair].msgs -= 1;
     pairs[env.pair].bytes -= env.staged_len();
@@ -109,7 +104,7 @@ pub(crate) struct Mailbox {
     queues: Mutex<Queues>,
     cv: Condvar,
     /// Sibling of `cv` on the same mutex: parked senders wait here, pops and
-    /// sweeps signal it.
+    /// discards signal it.
     room: Condvar,
     /// Event sequence number, bumped under `queues`' lock by everything that
     /// notifies a condvar. A spinning waiter holds no lock and watches this
@@ -162,7 +157,7 @@ impl Mailbox {
     /// Reserve a slot in the sender's pair and enqueue `env` — one step under
     /// one lock, so nothing is ever reserved without being queued. A full
     /// pair parks the sender on `room` under [`Mailbox::wait_until`]'s rule:
-    /// until a pop or sweep makes room, `abort()` yields an error
+    /// until a pop or discard makes room, `abort()` yields an error
     /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`) — counted, with
     /// the time parked, in `stalls`. A refused envelope is dropped (revoking
     /// a loan it carried) and leaves no count behind.
@@ -315,37 +310,27 @@ impl Mailbox {
         self.pop(&mut self.lock(), key)
     }
 
-    /// Drop every queued envelope whose epoch is not `current_epoch` and
-    /// return how many were fenced. Called by the reconfigure leader after
-    /// the epoch bump: pre-reconfiguration messages must never match a
-    /// post-reconfiguration receive, and dropping a stale zero-copy loan
-    /// revokes it so its sender is released instead of waiting out the
-    /// watchdog. Every discarded envelope gives its slot back, so the sweep
-    /// leaves each pair counting exactly what is still queued; senders parked
-    /// here are woken either way — the epoch they wait in may be the one
-    /// that just ended.
-    pub fn sweep_stale(&self, current_epoch: u64) -> u64 {
+    /// Drop every envelope queued on communicator `comm_id` by one of the
+    /// world ranks `senders`, giving each one's slot back to its pair and
+    /// waking any sender parked for room. Dropping a loan revokes it.
+    pub fn discard(&self, comm_id: u64, senders: &[usize]) {
         let mut q = self.lock();
         let Queues { by_key, pairs, .. } = &mut *q;
-        let mut fenced = 0u64;
-        by_key.retain(|_, dq| {
-            dq.retain(|env| {
-                let keep = env.epoch == current_epoch;
-                if !keep {
-                    fenced += 1;
-                    give_back(pairs, env);
-                }
-                keep
-            });
+        by_key.retain(|key, dq| {
+            if key.0 == comm_id {
+                dq.retain(|env| {
+                    let keep = !senders.contains(&env.pair);
+                    if !keep {
+                        give_back(pairs, env);
+                    }
+                    keep
+                });
+            }
             !dq.is_empty()
         });
         self.bump();
         drop(q);
-        if fenced > 0 {
-            self.cv.notify_all();
-        }
         self.room.notify_all();
-        fenced
     }
 
     /// Whether a message with `key` is currently queued.
@@ -387,7 +372,7 @@ mod tests {
 
     /// A data envelope from world rank `src`, counted against its pair.
     fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
-        Envelope { src, epoch: 0, payload: Payload::Bytes(bytes), elem: 1, pair: src }
+        Envelope { payload: Payload::Bytes(bytes), elem: 1, pair: src }
     }
 
     /// A mailbox with no depth bound and no spin, in a universe of 3.
@@ -616,18 +601,23 @@ mod tests {
     }
 
     #[test]
-    fn sweep_frees_the_pair_and_wakes_the_parked_sender() {
-        let mb = Arc::new(Mailbox::bounded(2, 2, 0, Duration::ZERO));
+    fn discard_frees_the_pair_and_wakes_the_parked_sender() {
+        let mb = Arc::new(Mailbox::bounded(3, 2, 0, Duration::ZERO));
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
+        // Another sender on the same communicator is not named: it stays.
+        put(&mb, (1, 2, 7), bytes_env(2, vec![9]), LONG).unwrap();
+        let child = (2, 0, 7);
         let mb2 = Arc::clone(&mb);
-        let next = Envelope { epoch: 1, ..bytes_env(0, vec![3]) };
-        let h = std::thread::spawn(move || put(&mb2, KEY, next, LONG));
+        let h = std::thread::spawn(move || put(&mb2, child, bytes_env(0, vec![3]), LONG));
+        // Sender 0's next message, on another communicator, waits for room.
         until_parked(&mb);
-        assert_eq!(mb.sweep_stale(1), 2);
+        mb.discard(KEY.0, &[0]);
         h.join().unwrap().unwrap();
-        assert_eq!(depth(&mb, 0), (1, 1), "the sweep is an exact reset of the pair");
-        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![3]);
+        assert_eq!(depth(&mb, 0), (1, 1), "the discard gave both slots back");
+        assert!(mb.try_take(KEY).is_none());
+        assert_eq!(into_bytes(mb.try_take(child).unwrap()), vec![3]);
+        assert_eq!(into_bytes(mb.try_take((1, 2, 7)).unwrap()), vec![9]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Launching a set of ranks.
 
 use crate::comm::{default_timeout, Comm, WorldState};
-use crate::elastic::SupervisorEvent;
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use crate::wait::Resolved;
@@ -33,7 +32,6 @@ const RANK_STACK_BYTES: usize = 8 * 1024 * 1024;
 pub struct UniverseBuilder {
     timeout: Option<Duration>,
     fault_plan: Option<FaultPlan>,
-    respawn: Option<bool>,
     trace: Option<PathBuf>,
     flow: Option<(usize, usize)>,
 }
@@ -52,21 +50,11 @@ impl UniverseBuilder {
         self
     }
 
-    /// Choose the [`crate::Comm::reconfigure`] policy: with respawn on (the
-    /// default), every dead member is replaced by a fresh thread re-running
-    /// the universe closure in the new epoch, so the communicator keeps its
-    /// size; with respawn off, reconfigure shrinks to the survivors (still
-    /// fencing the old epoch).
-    pub fn respawn(mut self, on: bool) -> Self {
-        self.respawn = Some(on);
-        self
-    }
-
     /// Resize every `(sender, receiver)` pair's mailbox bound: at most
     /// `msgs` messages and `bytes` staged payload bytes queued per pair
     /// (default 1024 messages, 32 MiB; `0` lifts the respective bound). A
-    /// sender whose pair is full parks until the receiver pops (or an epoch
-    /// sweep discards) enough envelopes. A single message larger than the
+    /// sender whose pair is full parks until the receiver pops (or a
+    /// [`crate::Comm::shrink`] discards) enough envelopes. A single message larger than the
     /// byte bound is still admitted when the pair is empty (stop-and-wait),
     /// so oversize transfers degrade instead of erroring. The defaults are
     /// out of reach of DDR traffic; this setter exists for the suites that
@@ -110,7 +98,6 @@ impl UniverseBuilder {
             n,
             timeout,
             self.fault_plan.clone(),
-            self.respawn,
             self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),
         ));
         // Tracing: the builder's path wins over `DDR_TRACE`. If a capture
@@ -148,8 +135,7 @@ impl UniverseBuilder {
                         let _body = ddrtrace::span("rank", "rank_body");
                         let comm = Comm::world_comm(Arc::clone(&world), rank);
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                        world.retire(rank, 0);
-                        world.elastic.rank_finished();
+                        world.mark_dead(rank);
                         match out {
                             Ok(v) => v,
                             Err(payload) => std::panic::resume_unwind(payload),
@@ -158,41 +144,9 @@ impl UniverseBuilder {
                     .expect("failed to spawn rank thread");
                 handles.push(handle);
             }
-            // Respawn supervisor: reconfigure queues a request per dead rank
-            // being replaced; each spawns a fresh thread re-running `f` with
-            // a communicator already in the new epoch. The loop ends only
-            // when every thread — initial and respawned — has finished, so
-            // the joins below never block on unfinished work.
-            let mut respawned = Vec::new();
-            while let SupervisorEvent::Spawn(req) = world.elastic.next_event() {
-                let world = Arc::clone(&world);
-                let f = &f;
-                let (rank, incarnation) = (req.world_rank, req.incarnation);
-                let handle = std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(RANK_STACK_BYTES)
-                    .spawn_scoped(scope, move || {
-                        ddrtrace::set_track(rank as u32, &format!("rank-{rank}"));
-                        let _body = ddrtrace::span("rank", "rank_body");
-                        let comm = Comm::respawned_comm(Arc::clone(&world), &req);
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                        world.retire(rank, incarnation);
-                        world.elastic.rank_finished();
-                        // A replacement's result is observable only
-                        // through its communication; `run` returns
-                        // the *initial* ranks' results.
-                        match out {
-                            Ok(_) => (),
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                    .expect("failed to spawn respawned rank thread");
-                respawned.push(handle);
-            }
             // Collect every rank's outcome before re-raising any panic, so
             // the trace below is written either way.
             let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let respawn_outcomes: Vec<_> = respawned.into_iter().map(|h| h.join()).collect();
             if ddrtrace::enabled() {
                 record_world_metrics(&world);
             }
@@ -211,11 +165,6 @@ impl UniverseBuilder {
                             eprintln!("minimpi: failed to write trace to {}: {e}", path.display())
                         }
                     }
-                }
-            }
-            for o in respawn_outcomes {
-                if let Err(payload) = o {
-                    std::panic::resume_unwind(payload);
                 }
             }
             outcomes
@@ -251,9 +200,6 @@ fn record_world_metrics(world: &WorldState) {
     ddrtrace::metrics::add("minimpi.pool", "trimmed_bytes", p.trimmed_bytes);
     ddrtrace::metrics::set("minimpi.pool", "free_bytes", p.free_bytes as u64);
     ddrtrace::metrics::set("minimpi.pool", "high_water_bytes", p.high_water_bytes as u64);
-    ddrtrace::metrics::set("recover", "epoch", world.epoch());
-    ddrtrace::metrics::add("recover", "respawns", world.elastic.respawns());
-    ddrtrace::metrics::add("recover", "fenced_msgs", t.fenced_msgs);
     // Pack-kernel counters are process-global monotone totals (the kernel
     // layer has no per-world state), so publish with `set`, not `add` —
     // `add` would double-count them across universes in one process.

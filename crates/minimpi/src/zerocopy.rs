@@ -117,7 +117,7 @@ impl ZcCell {
             match self.state.load(Ordering::Acquire) {
                 DONE => break ZcWait::Done,
                 // A third party revoked the loan (the queued envelope was
-                // discarded — epoch fence, aborted exchange, teardown).
+                // discarded — shrink, aborted exchange, teardown).
                 REVOKED => break ZcWait::Revoked,
                 // Expired or aborted: revoke. Losing the CAS race means the
                 // receiver just claimed it — its memcpy is in flight and
@@ -157,7 +157,7 @@ impl ZcCell {
 
     /// Third party (neither endpoint actively copying): revoke the loan if it
     /// was never claimed, waking the blocked sender. Used when a queued
-    /// `Shared` envelope is discarded — epoch fencing, an aborted exchange
+    /// `Shared` envelope is discarded — a shrink, an aborted exchange
     /// draining its round, mailbox teardown — so the sender observes
     /// `Revoked` promptly instead of waiting out the watchdog. A loan already
     /// being copied (or finished) is left alone.
@@ -243,7 +243,7 @@ impl ZcHandle {
 
 /// Dropping a handle that was never claimed revokes the loan. This is what
 /// makes "discard the envelope" a complete operation: any path that throws a
-/// queued `Shared` message away (epoch sweep, aborted exchange, universe
+/// queued `Shared` message away (shrink, aborted exchange, universe
 /// teardown) automatically releases the sender blocked on the cell.
 impl Drop for ZcHandle {
     fn drop(&mut self) {
@@ -401,9 +401,6 @@ pub struct TransportCounters {
     pub staged_msgs: u64,
     /// Zero-copy loans that were revoked before the receiver copied them.
     pub revoked_msgs: u64,
-    /// Stale-epoch messages rejected by the membership fence instead of
-    /// being delivered (swept at reconfiguration or caught at match time).
-    pub fenced_msgs: u64,
     /// Deposits that found their pair's mailbox bound full and had to park
     /// (`flow.credit_waits` in the trace). DDR traffic never reaches the
     /// bound; a non-zero count means a producer is outrunning its consumer.
@@ -419,7 +416,6 @@ pub(crate) struct TransportCells {
     pub zerocopy_msgs: AtomicU64,
     pub staged_msgs: AtomicU64,
     pub revoked_msgs: AtomicU64,
-    pub fenced_msgs: AtomicU64,
     pub credit_waits: AtomicU64,
     pub stalled_us: AtomicU64,
 }
@@ -430,7 +426,6 @@ impl TransportCells {
             zerocopy_msgs: self.zerocopy_msgs.load(Ordering::Relaxed),
             staged_msgs: self.staged_msgs.load(Ordering::Relaxed),
             revoked_msgs: self.revoked_msgs.load(Ordering::Relaxed),
-            fenced_msgs: self.fenced_msgs.load(Ordering::Relaxed),
             credit_waits: self.credit_waits.load(Ordering::Relaxed),
             stalled_ms: self.stalled_us.load(Ordering::Relaxed) / 1000,
         }

@@ -24,7 +24,6 @@ fn all_variants() -> Vec<Error> {
         Error::SizeMismatch { expected: 16, got: 12 },
         Error::DatatypeMismatch { detail: "subarray exceeds buffer".into() },
         Error::CollectiveMismatch { detail: "counts differ".into() },
-        Error::StaleEpoch { comm_epoch: 0, world_epoch: 2 },
         Error::Internal { detail: "split: world rank 2 missing from its own color group".into() },
     ];
     for v in &variants {
@@ -35,7 +34,6 @@ fn all_variants() -> Vec<Error> {
             | Error::SizeMismatch { .. }
             | Error::DatatypeMismatch { .. }
             | Error::CollectiveMismatch { .. }
-            | Error::StaleEpoch { .. }
             | Error::Internal { .. } => {}
         }
     }
@@ -53,8 +51,6 @@ fn display_is_informative_for_every_variant() {
         "message size mismatch: expected 16 bytes, got 12",
         "datatype mismatch: subarray exceeds buffer",
         "collective mismatch: counts differ",
-        "communicator from epoch 0 used after reconfiguration to epoch 2 — \
-         rebuild it via reconfigure()",
         "internal runtime invariant violated: split: world rank 2 missing from its own color group",
     ];
     for (e, want) in all_variants().iter().zip(expected) {

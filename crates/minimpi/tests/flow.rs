@@ -1,6 +1,6 @@
 //! Integration tests for the per-pair mailbox bound: a full pair parks its
 //! sender, a park that sees no pop fails structurally, a dead receiver
-//! unparks it, and reconfiguration resets every pair exactly.
+//! unparks it, and a shrink hands stranded slots back.
 
 use minimpi::{Error, Universe};
 use std::time::{Duration, Instant};
@@ -64,36 +64,43 @@ fn parked_sender_unparks_into_peer_dead_when_the_receiver_dies() {
     assert!(elapsed < Duration::from_secs(10), "death must unpark, took {elapsed:?}");
 }
 
-/// Reconfiguration must be an exact credit reset: messages fenced by the
-/// epoch sweep hand their credits back, so a window filled on the old
-/// epoch is empty on the new one — no leaked credits (which would shrink
-/// the window forever), no duplicates.
+/// A shrink leaves no stranded credits: survivor→survivor messages still
+/// queued on the parent communicator are discarded at the shrink and hand
+/// their slots back, so a window filled on the parent is whole on the child —
+/// no leaked credits (which would shrink the window forever), and nothing
+/// from the parent is delivered on the child.
 #[test]
-fn reconfigure_sweep_returns_fenced_credits() {
+fn shrink_returns_stranded_credits() {
     let out = Universe::builder().flow_control(2, 1 << 20).timeout(Duration::from_millis(500)).run(
-        2,
+        3,
         |comm| {
+            if comm.rank() == 2 {
+                return Vec::new(); // departs: the others shrink without it
+            }
             if comm.rank() == 0 {
                 // Fill the whole window with messages rank 1 never takes.
                 comm.send(1, 7, &[1u8; 128]).unwrap();
                 comm.send(1, 7, &[2u8; 128]).unwrap();
-                let c2 = comm.reconfigure().unwrap();
-                // The sweep returned both credits: two more sends must go
-                // through without parking out the watchdog.
+            }
+            let child = comm.shrink().unwrap();
+            assert_eq!(child.size(), 2);
+            if child.rank() == 0 {
+                // The shrink returned both slots: a full window's worth of
+                // sends goes through without parking out the watchdog.
                 let start = Instant::now();
-                c2.send(1, 8, &[3u8; 128]).unwrap();
-                c2.send(1, 8, &[4u8; 128]).unwrap();
+                child.send(1, 7, &[3u8; 128]).unwrap();
+                child.send(1, 7, &[4u8; 128]).unwrap();
                 assert!(start.elapsed() < Duration::from_millis(400));
                 Vec::new()
             } else {
-                let c2 = comm.reconfigure().unwrap();
-                let a = c2.recv_bytes(0, 8).unwrap();
-                let b = c2.recv_bytes(0, 8).unwrap();
+                let a = child.recv_bytes(0, 7).unwrap();
+                let b = child.recv_bytes(0, 7).unwrap();
+                assert_eq!(comm.try_recv_bytes(0, 7), Ok(None), "the parent's tail is gone");
                 vec![a[0], b[0]]
             }
         },
     );
-    assert_eq!(out[1], vec![3, 4], "only new-epoch messages may be delivered");
+    assert_eq!(out[1], vec![3, 4], "only the child's messages are delivered");
 }
 
 /// Byte credits are a window too: a pair saturated by bytes (not message
