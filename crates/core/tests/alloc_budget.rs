@@ -49,12 +49,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Held `reorganize` calls each rank makes and counts.
+const CALLS: u64 = 32;
+
 /// Allocations each of 2 ranks makes in 32 held `reorganize` calls of a
 /// plan with `rounds` rounds: rank `r` owns every second 64-byte strip of a line, as
 /// in a round-robin deal, and needs its half of the line.
 fn allocs_per_call(rounds: usize) -> Vec<u64> {
     const STRIP: usize = 16;
-    const CALLS: u64 = 32;
     let len = 2 * rounds * STRIP;
     let layouts: Vec<Layout> = (0..2)
         .map(|r| Layout {
@@ -95,4 +97,16 @@ fn allocs_per_call(rounds: usize) -> Vec<u64> {
 fn held_reorganize_allocates_the_same_for_8_and_64_rounds() {
     let (eight, sixty_four) = (allocs_per_call(8), allocs_per_call(64));
     assert_eq!(eight, sixty_four, "allocations in 32 calls on each rank, 8 vs 64 rounds");
+}
+
+/// A held `reorganize` allocates at most 5 times per rank per call: a loan
+/// borrows the plan's part list instead of copying it, and a mailbox queues
+/// it with its key in one FIFO instead of a fresh per-key queue.
+#[test]
+fn held_reorganize_allocates_at_most_5_times_per_call() {
+    let total = allocs_per_call(8);
+    assert!(
+        total.iter().all(|&n| n <= 5 * CALLS),
+        "allocations in {CALLS} calls per rank: {total:?}"
+    );
 }

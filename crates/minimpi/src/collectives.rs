@@ -287,7 +287,8 @@ impl Comm {
     /// the receiver copies part `i` of the loan into its receive part `i`,
     /// so `sends[d]` and `recvs[r]` must also agree part by part (count, and
     /// each part's packed length and element size), as the self parts always
-    /// must.
+    /// must. A loan that does not is refused uncopied: the receiver reports
+    /// [`Error::DatatypeMismatch`] and the sender counts the loan revoked.
     ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
@@ -392,30 +393,13 @@ impl Comm {
                 continue;
             }
             // A loan a fault rule withheld has no cell: nothing to wait on.
-            if let Some(cell) = self.deposit_shared(d, tag, bufs, parts)? {
+            // SAFETY: `xchg` borrows `bufs` and `sends` for its whole life
+            // and drains every loan before it ends, on every exit path.
+            if let Some(cell) = unsafe { self.deposit_shared(d, tag, bufs, parts) }? {
                 xchg.loans.push((d, cell));
             }
         }
         xchg.wait(recv_buf)
-    }
-
-    /// Drop every message still queued under an exchange's data tag. Called
-    /// when the exchange leaves early: dropping a zero-copy envelope revokes
-    /// its loan via [`crate::zerocopy::ZcHandle`]'s `Drop`, so the
-    /// alive-but-departing receiver cannot strand a healthy sender on the
-    /// watchdog.
-    fn sweep_exchange(&self, tag: u64) {
-        let mb = self.my_mailbox();
-        let mut swept = 0i64;
-        for s in 0..self.size() {
-            while let Some(env) = mb.try_take((self.comm_id, s, tag)) {
-                drop(env);
-                swept += 1;
-            }
-        }
-        if swept > 0 {
-            ddrtrace::instant_arg("minimpi", "exchange_sweep", "msgs", swept);
-        }
     }
 
     /// Place one received alltoallw message into `recv_buf` through its
@@ -436,23 +420,26 @@ impl Comm {
             });
         };
         // Parts pair in order, as the self parts do, so they must agree in
-        // count, length and element size before anything is claimed.
-        // Dropping the unclaimed envelope revokes the loan, releasing its
-        // sender.
-        let shape = |dt: &Datatype| (dt.packed_len(), dt.elem_size());
-        let (lent, want) = (|| h.dts().map(shape), || dts.iter().map(shape));
-        let agree = |(a, b): ((usize, u32), (usize, u32))| a.0 == b.0 && elems_agree(a.1, b.1);
-        if lent().count() != dts.len() || !lent().zip(want()).all(agree) {
-            let (lent, want): (Vec<_>, Vec<_>) = (lent().collect(), want().collect());
-            return Err(Error::DatatypeMismatch {
-                detail: format!(
-                    "a loan of (bytes, element size) parts {lent:?} from rank {src} into parts \
-                     {want:?}"
-                ),
-            });
-        }
-        let _zc = ddrtrace::span_arg("minimpi", "zc_copy", "bytes", h.packed_len() as i64);
-        self.claim_loan(src, &h, |i, lent, dt| copy_selection(lent, dt, recv_buf, &dts[i]))
+        // count, length and element size before anything is copied; a loan
+        // that does not is refused under its claim, releasing its sender.
+        let mut zc = None;
+        let agree = |lent: &[(usize, Datatype)]| {
+            let shape = |dt: &Datatype| (dt.packed_len(), dt.elem_size());
+            let (lent, want) = (|| lent.iter().map(|p| shape(&p.1)), || dts.iter().map(shape));
+            let pairs = |(a, b): ((usize, u32), (usize, u32))| a.0 == b.0 && elems_agree(a.1, b.1);
+            if lent().count() != dts.len() || !lent().zip(want()).all(pairs) {
+                let (lent, want): (Vec<_>, Vec<_>) = (lent().collect(), want().collect());
+                return Err(Error::DatatypeMismatch {
+                    detail: format!(
+                        "a loan of (bytes, element size) parts {lent:?} from rank {src} into \
+                         parts {want:?}"
+                    ),
+                });
+            }
+            zc = Some(ddrtrace::span_arg("minimpi", "zc_copy", "bytes", message_len(dts) as i64));
+            Ok(())
+        };
+        self.claim_loan(src, &h, agree, |i, lent, dt| copy_selection(lent, dt, recv_buf, &dts[i]))
     }
 }
 
@@ -463,13 +450,13 @@ fn message_len<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> usize {
 
 /// One alltoallw exchange between its send phase and its completion.
 ///
-/// Soundness anchor of the zero-copy loan: send buffers are lent to
-/// peers as raw pointers, so the borrow the guard holds must stay alive
-/// while any peer might still read them — and *every* exit path must drain
-/// the loans. [`Exchange::wait`] does so on completion; the `Drop` impl
-/// covers early exits (an abort, a mid-post error, a panic) by revoking
-/// unclaimed loans immediately and waiting out claims already in flight (a
-/// bounded memcpy).
+/// Soundness anchor of the zero-copy loan: send buffers and their part
+/// lists are lent to peers as raw pointers, so the borrows the guard holds
+/// must stay alive while any peer might still read them — and *every* exit
+/// path must drain the loans. [`Exchange::wait`] does so on completion; the
+/// `Drop` impl covers early exits (an abort, a mid-post error, a panic) by
+/// revoking unclaimed loans immediately and waiting out claims already in
+/// flight (a bounded memcpy).
 struct Exchange<'a> {
     comm: &'a Comm,
     /// Key tag every message of this exchange travels under.
@@ -489,12 +476,10 @@ struct Exchange<'a> {
 }
 
 impl Exchange<'_> {
-    /// Block until every source resolved, then finish the exchange: drain
-    /// the zero-copy loans and report per-source failures (salvage mode),
-    /// or abort on the first (plain mode). An abort returns through Drop,
-    /// which sweeps what is still queued for this exchange — dropping a
-    /// queued zero-copy envelope revokes its loan, releasing the sender
-    /// immediately — and revokes this rank's own outstanding loans.
+    /// Block until every source resolved, then drain the loans and report
+    /// per-source failures (salvage mode), or abort on the first (plain
+    /// mode) through Drop, which sweeps this exchange's queued remainder —
+    /// revoking each queued loan — and revokes this rank's own loans.
     fn wait(mut self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<ExchangeReport> {
         let comm = self.comm;
         let me = comm.rank();
@@ -563,8 +548,8 @@ impl Exchange<'_> {
         Ok(())
     }
 
-    /// Wait until every loan was copied or revoked, giving receivers until
-    /// `deadline`. Returns the number revoked.
+    /// Wait until every loan was copied, revoked or refused, giving receivers
+    /// until `deadline`. Returns the number revoked or refused.
     fn drain_loans(&mut self, deadline: Instant) -> u64 {
         let comm = self.comm;
         let mut revoked = 0;
@@ -585,8 +570,14 @@ impl Drop for Exchange<'_> {
     fn drop(&mut self) {
         if !self.settled {
             // Left early (an abort, a mid-post error or a panic): nobody will
-            // receive the rest of this exchange.
-            self.comm.sweep_exchange(self.tag);
+            // receive the rest of this exchange, so drop what is queued under
+            // its tag. Each dropped loan is revoked, so a departing receiver
+            // cannot strand a healthy sender on the watchdog.
+            let (id, tag) = (self.comm.comm_id, self.tag);
+            let swept = self.comm.my_mailbox().discard(|key, _| (key.0, key.2) == (id, tag));
+            if swept > 0 {
+                ddrtrace::instant_arg("minimpi", "exchange_sweep", "msgs", swept as i64);
+            }
         }
         // Every exit path drains the zero-copy loans: revoke anything still
         // unclaimed *now*; claims already in flight are waited out so the
@@ -651,18 +642,21 @@ mod tests {
             let len = 32 + (mix64(seed ^ 0xA11_0C8) % 4096) as usize;
             let watchdog = Duration::from_secs(30);
             let start = Instant::now();
-            // Rank 0's lent buffer: owned out here, so it outlives every rank
-            // thread of `run` and is freed after it returns.
+            // Rank 0's lent buffer and tables: owned out here, so they outlive
+            // every rank thread of `run` and are freed after it returns.
             let lent = vec![0xAB; len];
+            let lent_bufs: [&[u8]; 1] = [&lent];
+            let lent_parts = [(0, Datatype::Contiguous { len_bytes: len, offset: 0 })];
             let out = Universe::builder().timeout(watchdog).run(3, |comm| {
                 let me = comm.rank();
                 let tag = coll_key_tag(0, Coll::Alltoallw, 0);
                 let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
                 if me == 0 {
                     // Loan to rank 1 only, then die with it outstanding.
-                    let cell =
-                        comm.deposit_shared(1, tag, &[&lent], &[(0, contig(0, len))]).unwrap();
-                    drop(cell); // nobody waits: `lent` outlives the run
+                    // SAFETY: nobody waits on the cell, but `lent_bufs` and
+                    // `lent_parts` outlive the run and so every read of them.
+                    let cell = unsafe { comm.deposit_shared(1, tag, &lent_bufs, &lent_parts) };
+                    drop(cell.unwrap());
                     return Ok(());
                 }
                 if me == 1 {

@@ -256,13 +256,12 @@ impl Comm {
         Ok(())
     }
 
-    /// The one place an envelope is built and queued: reserved-and-enqueued
-    /// in `dest`'s mailbox under (communicator, this rank, `key_tag`). What varies by payload kind —
-    /// the element size — is decided by the `deposit_*` caller. The envelope
-    /// counts against this pair's depth and parks while the pair is full: no
-    /// pop within [`Comm::timeout`] is [`Error::Timeout`] naming `dest`; the
-    /// receiver's death or this rank's own fault-kill unparks with
-    /// [`Error::PeerDead`].
+    /// The one place an envelope is built and queued in `dest`'s mailbox,
+    /// under (communicator, this rank, `key_tag`), with the element size its
+    /// `deposit_*` caller decided. It counts against this pair's depth and
+    /// parks while the pair is full: no pop within [`Comm::timeout`] is
+    /// [`Error::Timeout`] naming `dest`; the receiver's death or this rank's
+    /// own fault-kill unparks with [`Error::PeerDead`].
     fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) -> Result<()> {
         let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
@@ -325,18 +324,16 @@ impl Comm {
     /// Deposit a zero-copy loan of one message into `dest`'s mailbox: every
     /// `(buffer index, selection)` part of `parts`, in order, each selecting
     /// from `bufs[index]`. The caller has checked every index (`alltoallw`
-    /// does, before its first deposit); each part's bounds are checked here,
-    /// before anything is lent. Returns the completion
-    /// cell the caller **must** drive to `Done` or `Revoked` (via
-    /// [`ZcCell::wait`]) before the buffers' borrows end — that wait is what
-    /// makes the receiver's raw-pointer reads sound — or `None` when a fault
-    /// rule withheld the loan, so there is nothing to wait on.
+    /// does, before its first deposit); each part's bounds are checked here.
+    /// Returns the completion cell, or `None` when a fault rule withheld the
+    /// loan. Nothing is copied: the receiver reads `bufs`, `parts` and the
+    /// buffers themselves.
     ///
-    /// A loan is a pointer hand-off: the receiver reads the sender's own
-    /// buffers, pinned by the caller's borrows until the loan settles. A
-    /// sender cannot write during a live loan: the caller's shared borrows of
-    /// the buffers outlive the wait on the returned cell.
-    pub(crate) fn deposit_shared(
+    /// # Safety
+    /// As for [`ZcHandle::new`]: the caller must drive the returned cell to
+    /// `Done` or `Revoked` ([`ZcCell::wait`]) before the borrows of `bufs`,
+    /// `parts` or any buffer end, writing to none of them meanwhile.
+    pub(crate) unsafe fn deposit_shared(
         &self,
         dest: usize,
         key_tag: u64,
@@ -357,22 +354,25 @@ impl Comm {
         // A loan occupies a slot in the pair but stages no bytes. A refused
         // one was dropped — and so revoked — by the mailbox. Its parts carry
         // their own element sizes, so the envelope stamps untyped bytes.
-        let handle = ZcHandle::new(bufs, parts, Arc::clone(&cell));
+        // SAFETY: the caller keeps `ZcHandle::new`'s contract.
+        let handle = unsafe { ZcHandle::new(bufs, parts, Arc::clone(&cell)) };
         self.enqueue(dest, key_tag, Payload::Shared(handle), 1)?;
         self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
         Ok(Some(cell))
     }
 
-    /// The one zero-copy claim: claim the loan, let `copy_part(i, lent,
-    /// selection)` move each lent part `i` into the receiver's own storage,
-    /// in message order — one traversal, nothing else — then release the
-    /// sender. The first failing part ends the copy. **A claimed loan always
-    /// reaches `finish`**: once the claim succeeded the sender is parked
-    /// until then, so nothing may return early in between.
+    /// The one zero-copy claim. Claim the loan; only then read its part list
+    /// and let `agree` accept it, or refuse it with an error, which ends the
+    /// loan `Revoked` uncopied. Accepted, `copy_part(i, lent, selection)`
+    /// moves each part `i` into the receiver's storage in message order (the
+    /// first failure ends the copy) and `finish` releases the sender. **A
+    /// claimed loan always reaches `finish` or `refuse`**: the sender is
+    /// parked until then, so nothing may return early in between.
     pub(crate) fn claim_loan(
         &self,
         src: usize,
         loan: &ZcHandle,
+        agree: impl FnOnce(&[(usize, Datatype)]) -> Result<()>,
         mut copy_part: impl FnMut(usize, &[u8], &Datatype) -> Result<()>,
     ) -> Result<()> {
         if !loan.cell.try_claim() {
@@ -381,11 +381,13 @@ impl Comm {
             return Err(Error::PeerDead { rank: src });
         }
         // SAFETY: the claim succeeded, so the sender is blocked in
-        // ZcCell::wait and its buffers stay alive until finish(); the lent
-        // slices do not outlive this statement.
-        let res = unsafe { loan.parts() }
-            .enumerate()
-            .try_for_each(|(i, (lent, dt))| copy_part(i, lent, dt));
+        // ZcCell::wait until the refuse() or finish() below, the last use.
+        let (bufs, parts) = unsafe { loan.lent() };
+        if let Err(e) = agree(parts) {
+            loan.cell.refuse();
+            return Err(e);
+        }
+        let res = parts.iter().enumerate().try_for_each(|(i, (b, dt))| copy_part(i, bufs[*b], dt));
         loan.cell.finish();
         res
     }
@@ -398,8 +400,8 @@ impl Comm {
         match env.payload {
             Payload::Bytes(b) => Ok(b),
             Payload::Shared(h) => {
-                let mut out = Vec::with_capacity(h.packed_len());
-                self.claim_loan(src, &h, |_, lent, dt| dt.pack_into(lent, &mut out))?;
+                let mut out = Vec::new();
+                self.claim_loan(src, &h, |_| Ok(()), |_, lent, dt| dt.pack_into(lent, &mut out))?;
                 Ok(out)
             }
         }
@@ -603,7 +605,8 @@ impl Comm {
                 ),
             }
         })?;
-        self.my_mailbox().discard(self.comm_id, &survivors);
+        self.my_mailbox()
+            .discard(|key, env| key.0 == self.comm_id && survivors.contains(&env.pair));
         // Derive the child id identically on every survivor.
         let mut child_id = mix64(self.comm_id ^ mix64(0x5421_494e_4b21 ^ generation));
         for &w in survivors.iter() {

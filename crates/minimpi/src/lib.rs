@@ -60,7 +60,7 @@
 //! * **Element sizes agree** — a typed send stamps its element size on the
 //!   envelope and a typed receive of another size fails with
 //!   [`Error::DatatypeMismatch`]; an `alltoallw` loan's parts must match the
-//!   receive parts in count, bytes and element size before any is claimed.
+//!   receive parts in count, bytes and element size, or it is refused uncopied.
 //!   Sizes conflict only when both sides are wider than one byte.
 //! * **Every wait is bounded** — a receive cycle ends in [`Error::Timeout`]
 //!   on each member, naming the peer it waited on.

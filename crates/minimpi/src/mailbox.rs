@@ -3,7 +3,7 @@
 
 use crate::wait::{spin_until, Resolved, Waiter};
 use crate::zerocopy::{TransportCells, ZcHandle};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -35,8 +35,8 @@ pub(crate) type MsgKey = (u64, usize, u64);
 pub(crate) enum Payload {
     /// Owned packed bytes, transferred with the envelope.
     Bytes(Vec<u8>),
-    /// A lent region of the sender's buffer; the sender blocks until the
-    /// receiver copies it (or the loan is revoked).
+    /// A loan of the sender's buffers and part list; the sender blocks until
+    /// the receiver copies it (or the loan is revoked or refused).
     Shared(ZcHandle),
 }
 
@@ -73,7 +73,11 @@ struct Pair {
 
 #[derive(Default)]
 struct Queues {
-    by_key: HashMap<MsgKey, VecDeque<Envelope>>,
+    /// Every queued envelope with its key, in arrival order; a take pops the
+    /// first with its key. One scanned queue, not a map of queues: a DDR pair
+    /// holds at most two messages ([`PAIR_MSGS`]) and collective keys never
+    /// repeat, so a map would insert and remove an entry per message.
+    fifo: VecDeque<(MsgKey, Envelope)>,
     /// Queued depth per sending world rank. Charged by `deposit`, given back
     /// by every pop and by [`Mailbox::discard`] — all under this one lock,
     /// so a pair counts exactly what is still queued.
@@ -92,7 +96,7 @@ fn give_back(pairs: &mut [Pair], env: &Envelope) {
     pairs[env.pair].bytes -= env.staged_len();
 }
 
-/// One rank's incoming message store — a bounded queue per sender.
+/// One rank's incoming message store — one queue, bounded per sender.
 ///
 /// Senders deposit into the receiving rank's mailbox and notify the condvar;
 /// receivers block until a matching key has a queued message. FIFO order is
@@ -184,7 +188,7 @@ impl Mailbox {
         }
         q.pairs[src].msgs += 1;
         q.pairs[src].bytes += bytes;
-        q.by_key.entry(key).or_default().push_back(env);
+        q.fifo.push_back((key, env));
         self.bump();
         let asleep = q.sleepers > 0;
         drop(q);
@@ -292,11 +296,8 @@ impl Mailbox {
     /// The one pop: every delivery gives its slot back and wakes parked
     /// senders under the lock the caller already holds.
     fn pop(&self, q: &mut Queues, key: MsgKey) -> Option<Envelope> {
-        let dq = q.by_key.get_mut(&key)?;
-        let env = dq.pop_front()?;
-        if dq.is_empty() {
-            q.by_key.remove(&key);
-        }
+        let at = q.fifo.iter().position(|(k, _)| *k == key)?;
+        let (_, env) = q.fifo.remove(at)?;
         give_back(&mut q.pairs, &env);
         if q.parked > 0 {
             self.bump();
@@ -310,48 +311,41 @@ impl Mailbox {
         self.pop(&mut self.lock(), key)
     }
 
-    /// Drop every envelope queued on communicator `comm_id` by one of the
-    /// world ranks `senders`, giving each one's slot back to its pair and
-    /// waking any sender parked for room. Dropping a loan revokes it.
-    pub fn discard(&self, comm_id: u64, senders: &[usize]) {
+    /// Drop every queued envelope `doomed(key, envelope)` selects, giving
+    /// each one's slot back to its pair and waking any sender parked for
+    /// room. Dropping a loan revokes it. Returns how many were dropped.
+    pub fn discard(&self, doomed: impl Fn(&MsgKey, &Envelope) -> bool) -> usize {
         let mut q = self.lock();
-        let Queues { by_key, pairs, .. } = &mut *q;
-        by_key.retain(|key, dq| {
-            if key.0 == comm_id {
-                dq.retain(|env| {
-                    let keep = !senders.contains(&env.pair);
-                    if !keep {
-                        give_back(pairs, env);
-                    }
-                    keep
-                });
+        let Queues { fifo, pairs, .. } = &mut *q;
+        let before = fifo.len();
+        fifo.retain(|(key, env)| {
+            let doomed = doomed(key, env);
+            if doomed {
+                give_back(pairs, env);
             }
-            !dq.is_empty()
+            !doomed
         });
+        let dropped = before - fifo.len();
         self.bump();
         drop(q);
         self.room.notify_all();
+        dropped
     }
 
     /// Whether a message with `key` is currently queued.
     #[cfg(test)]
     pub fn contains(&self, key: MsgKey) -> bool {
-        self.lock().by_key.contains_key(&key)
+        self.lock().fifo.iter().any(|(k, _)| *k == key)
     }
 
     /// Number of queued messages (diagnostics only).
     #[cfg(test)]
     pub fn pending(&self) -> usize {
-        self.lock().by_key.values().map(|d| d.len()).sum()
+        self.lock().fifo.len()
     }
 }
 
 /// Result of a blocking mailbox retrieval.
-///
-/// `Delivered` is much larger than the unit variants, but every take site
-/// destructures the outcome immediately — boxing the envelope would add an
-/// allocation per delivery for a value that never outlives the match.
-#[allow(clippy::large_enum_variant)]
 pub(crate) enum TakeOutcome {
     /// A matching message arrived (or was already queued).
     Delivered(Envelope),
@@ -436,6 +430,19 @@ mod tests {
         assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![1]);
         assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![2]);
         assert_eq!(mb.pending(), 0);
+    }
+
+    /// Order is per key, by arrival, across interleaved keys and senders: a
+    /// take skips envelopes of other keys and pops the first of its own.
+    #[test]
+    fn per_key_fifo_across_interleaved_keys_and_senders() {
+        let mb = unbounded();
+        let (a, b) = (KEY, (1, 2, 9));
+        for (key, src, byte) in [(a, 0, 1), (b, 2, 11), (a, 0, 2), (b, 2, 12)] {
+            put(&mb, key, bytes_env(src, vec![byte]), LONG).unwrap();
+        }
+        let got: Vec<u8> = [b, a, a, b].map(|k| into_bytes(mb.take(k, LONG).unwrap())[0]).to_vec();
+        assert_eq!((got, mb.pending()), (vec![11, 1, 2, 12], 0));
     }
 
     /// A zero spin budget never spins: a blocked take goes straight to its
@@ -612,7 +619,7 @@ mod tests {
         let h = std::thread::spawn(move || put(&mb2, child, bytes_env(0, vec![3]), LONG));
         // Sender 0's next message, on another communicator, waits for room.
         until_parked(&mb);
-        mb.discard(KEY.0, &[0]);
+        mb.discard(|key, env| key.0 == KEY.0 && env.pair == 0);
         h.join().unwrap().unwrap();
         assert_eq!(depth(&mb, 0), (1, 1), "the discard gave both slots back");
         assert!(mb.try_take(KEY).is_none());
@@ -662,8 +669,14 @@ mod tests {
         Universe::builder().flow_control(1, 0).timeout(short).run(2, |comm| {
             if comm.rank() == 0 {
                 let (first, second) = ([1u8; 64], [2u8; 64]);
-                let cell = comm.deposit_shared(1, tag, &[&first], &[(0, dt)]).unwrap().unwrap();
-                let err = comm.deposit_shared(1, tag, &[&second], &[(0, dt)]).unwrap_err();
+                let (first_bufs, second_bufs, parts): ([&[u8]; 1], [&[u8]; 1], _) =
+                    ([&first], [&second], [(0, dt)]);
+                // SAFETY: the loan's tables and buffer outlive its wait below.
+                let cell = unsafe { comm.deposit_shared(1, tag, &first_bufs, &parts) };
+                let cell = cell.unwrap().unwrap();
+                // SAFETY: the full pair refuses this loan, revoking it in the call.
+                let err = unsafe { comm.deposit_shared(1, tag, &second_bufs, &parts) };
+                let err = err.unwrap_err();
                 assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
                 gate.wait();
                 let done = cell.wait(&comm.my_mailbox().waiter, Instant::now() + LONG, || false);

@@ -10,18 +10,10 @@ use std::time::{Duration, Instant};
 
 /// How long a blocked rank spins before it parks: about what a park + wake
 /// costs, so a wait never burns more CPU than the sleep it avoids would have
-/// taken.
-///
-/// Measured at PR 21 with the repository benchmark, 2 ranks / 2 cores: a
-/// parked peer's wake-up puts `p2p.rtt_us` at 22.9 µs, a peer still spinning
-/// answers in 1.6 µs, and `rounds_small_2d` (8 rounds of 8 KiB) paid the
-/// wake-up every round — `op_ms_p50` 0.171–0.224 ms parking only, 0.041–0.052
-/// with this spin (10 of 10 alternating pairs), 1441 waits resolved from the
-/// spin against 5 parks. The sizing prototype read the same gain at 50 µs
-/// with more drift on the copy-bound workload, so the budget stays at one
-/// wake-up's worth. A constant, not a knob: the only thing that should change
-/// it is a different wake-up cost, and [`spin_budget`] already turns it off
-/// where spinning cannot help.
+/// taken. The measurement that sized it is in DESIGN.md ("Waiting: check,
+/// spin, park"). A constant, not a knob: only a different wake-up cost
+/// should change it, and [`spin_budget`] already turns it off where spinning
+/// cannot help.
 pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(20);
 
 /// The spin budget of a universe of `ranks` rank threads: [`SPIN_BUDGET`]

@@ -8,53 +8,31 @@
 //! fast:
 //!
 //! * [`ZcCell`] / [`ZcHandle`] — a rendezvous protocol for lending borrowed
-//!   send buffers across threads. The sender deposits a handle (one raw
-//!   pointer + datatype per part of the message, and a completion cell) and
-//!   **blocks at the end of the collective** until the loan was either
-//!   copied (`Done`) or provably never will be (`Revoked`). The receiver
-//!   must *claim* the loan before touching it, so a sender that gives up
-//!   (peer death, watchdog) can revoke safely: either the claim wins and the
-//!   sender waits out the (bounded) memcpy, or the revoke wins and the
-//!   receiver never dereferences a pointer.
+//!   send buffers across threads. The sender deposits a handle (pointers to
+//!   its own buffer table and `(buffer index, datatype)` part list, both
+//!   borrowed like the buffers, and a completion cell) and **blocks at the
+//!   end of the collective** until the loan was either copied (`Done`) or
+//!   provably never will be (`Revoked`). The receiver must *claim* the loan
+//!   before it reads anything through the handle, the part list included, so
+//!   a sender that gives up (peer death, watchdog) can revoke safely: either
+//!   the claim wins and the sender waits out the (bounded) memcpy, or the
+//!   revoke wins and the receiver never dereferences a pointer. A claimed
+//!   loan whose parts do not pair with the receiver's is refused uncopied,
+//!   which the sender also reads as `Revoked`.
 //! * [`BufferPool`] — reusable buffers for eager point-to-point sends
 //!   (`intransit` frames, `lbm` halos), with a high-water-mark trim so a
 //!   one-off huge message does not pin memory forever.
 //!
 //! The copy itself always runs on the claiming rank's own thread, part by
 //! part (`datatype::copy_selection`): one thread per rank moves that rank's
-//! bytes.
-//!
-//! Every `alltoallw` message loans, whatever its size or number of parts,
-//! and fault rules (drop, delay) act on the loan itself. A second, staged
-//! `alltoallw` arm (pack into a pooled buffer, enqueue, unpack) existed
-//! until this measurement retired it: a symmetric 2-rank `alltoallw` (µs
-//! per exchange, staged vs loaned, three runs each, 2 ranks on 2 cores):
-//!
-//! | message | staged      | loaned    |
-//! |---------|-------------|-----------|
-//! | 64 B    | 2.3–2.4     | 2.1–2.9   |
-//! | 1 KiB   | 2.7–3.7     | 2.1–2.9   |
-//! | 8 KiB   | 4.5–5.3     | 2.2–3.1   |
-//! | 32 KiB  | 10.3–12.8   | 2.8–3.2   |
-//! | 64 KiB  | 20.8–21.1   | 3.8–4.1   |
-//!
-//! (One 32 KiB loaned run read 47.6 µs, a one-off stall the other sizes of
-//! the same run did not show; the range gives the other two.) So at ranks ≤
-//! cores a loan is never slower. Pinned to one core
-//! (`taskset -c 0`, so the spin budget is 0 and every wait parks), a lone
-//! loan of 8 KiB or less costs 1–2 µs more than staging it (64 B: 3.0–3.3
-//! staged vs 5.1–5.4 loaned; 8 KiB: 4.8–5.0 vs 5.9–6.3), while 32 KiB and
-//! up still favour the loan. Loaning everything is what lets held chunks
-//! ride one exchange, and that collapse wins even there: the
-//! `rounds_small_2d` shape (8 rounds of 8 KiB parts), two staged exchanges
-//! per op before and one loaned exchange after, went from 42–46 to 24–31 µs
-//! per op pinned to one core, and from 27–31 to 13–15 µs on two (three runs
-//! each). So the staged arm was deleted, and the 1–2 µs a lone small loan
-//! costs at ranks > cores is the accepted price of one wire path.
+//! bytes. Every `alltoallw` message loans, whatever its size or number of
+//! parts, and fault rules (drop, delay) act on the loan itself. The staged
+//! arm a loan replaced, and the per-size measurement that retired it, are in
+//! the README's zero-copy section.
 
 use crate::datatype::Datatype;
 use crate::wait::{spin_until, Resolved, Waiter};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -68,12 +46,16 @@ const DONE: u8 = 2;
 const REVOKED: u8 = 3;
 
 /// Completion state of one loan, shared between the sending and receiving
-/// rank. State machine: `Pending → Copying → Done` (receiver) or
+/// rank. State machine: `Pending → Copying → Done` (receiver copies),
+/// `Pending → Copying → Revoked` (receiver refuses what it claimed) or
 /// `Pending → Revoked` (sender giving up). The claim CAS makes the two
 /// races — revoke-vs-claim and wait-vs-finish — well ordered.
 #[derive(Debug, Default)]
 pub(crate) struct ZcCell {
     state: AtomicU8,
+    /// The lender is asleep on `cv`, or about to be under `lock`: only then
+    /// does settling the loan take the lock and wake it.
+    parked: AtomicBool,
     lock: Mutex<()>,
     cv: Condvar,
 }
@@ -83,8 +65,8 @@ pub(crate) struct ZcCell {
 pub(crate) enum ZcWait {
     /// The receiver copied the region.
     Done,
-    /// The sender revoked the loan; the pointer was never (and will never
-    /// be) dereferenced.
+    /// The loan was revoked, or refused by the receiver that claimed it; the
+    /// region was never (and will never be) copied.
     Revoked,
 }
 
@@ -97,9 +79,24 @@ impl ZcCell {
 
     /// Receiver side: mark the copy complete and wake the sender.
     pub fn finish(&self) {
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.state.store(DONE, Ordering::Release);
-        self.cv.notify_all();
+        self.state.store(DONE, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Receiver side: give a claimed loan back uncopied; the sender reads `Revoked`.
+    pub fn refuse(&self) {
+        self.state.store(REVOKED, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Wake a parked lender after a terminal store. With both sides `SeqCst`
+    /// either the lender's re-check sees the new state or this sees it
+    /// parked; a lender that is spinning costs no lock and no futex call.
+    fn wake(&self) {
+        if self.parked.load(Ordering::SeqCst) {
+            let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.cv.notify_all();
+        }
     }
 
     /// Sender side: block until the region is copied, revoking the loan if
@@ -117,7 +114,8 @@ impl ZcCell {
             match self.state.load(Ordering::Acquire) {
                 DONE => break ZcWait::Done,
                 // A third party revoked the loan (the queued envelope was
-                // discarded — shrink, aborted exchange, teardown).
+                // discarded — shrink, aborted exchange, teardown), or the
+                // receiver refused it.
                 REVOKED => break ZcWait::Revoked,
                 // Expired or aborted: revoke. Losing the CAS race means the
                 // receiver just claimed it — its memcpy is in flight and
@@ -140,111 +138,84 @@ impl ZcCell {
             }
             how = Resolved::Park;
             let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.parked.store(true, Ordering::SeqCst);
             if !self.is_terminal() {
-                // Re-check under the lock so a finish() or a third party's
-                // revoke cannot slot between the state load and the wait.
-                // Bounded wait keeps the abort condition live even if no
-                // notification ever comes.
+                // Re-check after announcing the park so a settle cannot slot
+                // between the state load and the wait. Bounded wait keeps
+                // the abort condition live even if no notification comes.
                 let _ = self
                     .cv
                     .wait_timeout(guard, Duration::from_millis(25))
                     .unwrap_or_else(|e| e.into_inner());
             }
+            self.parked.store(false, Ordering::SeqCst);
         };
         waiter.note(how);
         outcome
     }
 
-    /// Third party (neither endpoint actively copying): revoke the loan if it
-    /// was never claimed, waking the blocked sender. Used when a queued
-    /// `Shared` envelope is discarded — a shrink, an aborted exchange
-    /// draining its round, mailbox teardown — so the sender observes
-    /// `Revoked` promptly instead of waiting out the watchdog. A loan already
-    /// being copied (or finished) is left alone.
-    pub fn revoke_if_pending(&self) -> bool {
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        let revoked = self
-            .state
-            .compare_exchange(PENDING, REVOKED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
-        if revoked {
-            self.cv.notify_all();
+    /// Third party (a discarded envelope): revoke the loan if it was never
+    /// claimed, so its sender reads `Revoked` at once instead of waiting out
+    /// the watchdog. A claimed loan is left alone.
+    pub fn revoke_if_pending(&self) {
+        let cas =
+            self.state.compare_exchange(PENDING, REVOKED, Ordering::SeqCst, Ordering::Acquire);
+        if cas.is_ok() {
+            self.wake();
         }
-        revoked
     }
 
     /// Whether the loan reached a terminal state (`Done` or `Revoked`) — i.e.
     /// its sender is no longer (or never was) on the hook.
     pub fn is_terminal(&self) -> bool {
-        matches!(self.state.load(Ordering::Acquire), DONE | REVOKED)
+        matches!(self.state.load(Ordering::SeqCst), DONE | REVOKED)
     }
 }
 
-/// One part of a loan: a sender buffer (as raw parts) and the datatype
-/// selecting the part's bytes within it.
-struct LentPart {
-    ptr: *const u8,
-    len: usize,
-    dt: Datatype,
-}
-
-/// A loan travelling through a mailbox: every part of one message, in
-/// message order, and the completion cell the sender is waiting on. A
-/// one-part message is the `n = 1` case.
+/// A loan travelling through a mailbox: the sender's buffer table and part
+/// list, borrowed, not copied, and the completion cell the sender waits on.
 pub(crate) struct ZcHandle {
-    parts: Vec<LentPart>,
+    bufs: *const [&'static [u8]],
+    parts: *const [(usize, Datatype)],
     /// Completion cell shared with the sender.
     pub cell: Arc<ZcCell>,
 }
 
-// SAFETY: the raw pointers cross threads by design. The sender guarantees
-// the pointed-to buffers outlive the rendezvous (it blocks in ZcCell::wait
-// until Done/Revoked before the borrows end), and the receiver only reads
-// them between a successful try_claim() and finish().
+// SAFETY: the raw pointers cross threads by design: `ZcHandle::new`'s
+// contract keeps what they point to alive, and the receiver reads it only
+// between a successful try_claim() and finish() or refuse().
 unsafe impl Send for ZcHandle {}
 
 impl ZcHandle {
     /// Lend every `(buffer index, selection)` part of `parts`, each
     /// selecting from `bufs[index]`, reporting completion through `cell`.
-    pub fn new(bufs: &[&[u8]], parts: &[(usize, Datatype)], cell: Arc<ZcCell>) -> Self {
-        let parts = parts.iter().map(|&(i, dt)| {
-            let buf = bufs[i];
-            LentPart { ptr: buf.as_ptr(), len: buf.len(), dt }
-        });
-        ZcHandle { parts: parts.collect(), cell }
+    ///
+    /// # Safety
+    /// `bufs`, `parts` and every buffer in `bufs` must stay alive and
+    /// unwritten until `cell` is `Done` or `Revoked` (the lender waits for
+    /// that in [`ZcCell::wait`]), and every index in `parts` must be in
+    /// `bufs`.
+    pub unsafe fn new(bufs: &[&[u8]], parts: &[(usize, Datatype)], cell: Arc<ZcCell>) -> Self {
+        let bufs = std::ptr::slice_from_raw_parts(bufs.as_ptr().cast(), bufs.len());
+        ZcHandle { bufs, parts, cell }
     }
 
-    /// The selections of the lent parts, in message order. Reads no lent
-    /// byte, so a receiver may compare them before it claims.
-    pub fn dts(&self) -> impl Iterator<Item = &Datatype> {
-        self.parts.iter().map(|p| &p.dt)
-    }
-
-    /// The lent parts, each its buffer and selection, in message order.
+    /// The lent table: the sender's buffers and its parts, in message order.
     ///
     /// # Safety
     /// Callable only between a successful [`ZcCell::try_claim`] and the
-    /// matching [`ZcCell::finish`], while the sender is still blocked in
-    /// [`ZcCell::wait`] — that is what keeps the borrows alive — and the
-    /// slices must not be used after that `finish`.
-    pub unsafe fn parts(&self) -> impl Iterator<Item = (&[u8], &Datatype)> {
-        self.parts.iter().map(|p| {
-            // SAFETY: per the function contract the sender's buffers are
-            // alive and not mutated for the duration of the claim.
-            (unsafe { std::slice::from_raw_parts(p.ptr, p.len) }, &p.dt)
-        })
-    }
-
-    /// Number of payload bytes this handle carries.
-    pub fn packed_len(&self) -> usize {
-        self.dts().map(Datatype::packed_len).sum()
+    /// matching [`ZcCell::finish`] or [`ZcCell::refuse`] (the sender is
+    /// blocked in [`ZcCell::wait`] until then), and the slices must not be
+    /// used after that.
+    pub unsafe fn lent(&self) -> (&[&[u8]], &[(usize, Datatype)]) {
+        // SAFETY: `new`'s contract keeps the tables alive until the settle.
+        unsafe { (&*self.bufs, &*self.parts) }
     }
 }
 
-/// Dropping a handle that was never claimed revokes the loan. This is what
-/// makes "discard the envelope" a complete operation: any path that throws a
-/// queued `Shared` message away (shrink, aborted exchange, universe
-/// teardown) automatically releases the sender blocked on the cell.
+/// Dropping a handle that was never claimed revokes the loan, so any path
+/// that throws a queued `Shared` message away (shrink, aborted exchange,
+/// universe teardown) releases the sender blocked on the cell.
 impl Drop for ZcHandle {
     fn drop(&mut self) {
         self.cell.revoke_if_pending();
@@ -303,8 +274,7 @@ const POOL_MAX_BUFFERS: usize = 64;
 /// `acquire` hands out a cleared `Vec<u8>` with at least the requested
 /// capacity; `release` parks it for reuse. The release path trims the free
 /// list against a decaying high-water mark of recent demand, so pool memory
-/// stays bounded by current traffic instead of the historical maximum
-/// (the fix for `pack_into`-era unbounded staging growth).
+/// stays bounded by current traffic instead of the historical maximum.
 #[derive(Default)]
 pub(crate) struct BufferPool {
     inner: Mutex<PoolInner>,
@@ -445,23 +415,45 @@ mod tests {
         [Waiter::default(), Waiter::new(LONG)]
     }
 
+    /// What a lender's wait on a claimed loan returns when this thread
+    /// settles it; `expired` starts the wait past its deadline, aborting. A
+    /// lender with no spin budget is settled once parked and must wake within
+    /// 5 ms, far inside its 25 ms backstop: no settle may skip its wake.
+    fn settle_claimed(waiter: &Waiter, expired: bool, settle: fn(&ZcCell)) -> ZcWait {
+        let cell = ZcCell::default();
+        assert!(cell.try_claim());
+        let deadline = Instant::now() + if expired { Duration::ZERO } else { LONG };
+        let (out, late) = std::thread::scope(|s| {
+            let h = s.spawn(|| (cell.wait(waiter, deadline, || expired), Instant::now()));
+            while waiter.spin.is_zero() && !cell.parked.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let settled = Instant::now();
+            settle(&cell);
+            let (out, woke) = h.join().unwrap();
+            (out, woke - settled)
+        });
+        assert!(cell.is_terminal() && !cell.try_claim());
+        assert!(!waiter.spin.is_zero() || late < Duration::from_millis(5), "woke {late:?} late");
+        out
+    }
+
+    /// The done path, spinning or parked. A settle skips the lock and the
+    /// futex wake unless the lender is parked, so no wake-up may be lost: 50
+    /// parked lenders in a row must each be woken by `finish`.
     #[test]
-    fn cell_done_path() {
+    fn parked_lender_is_woken_by_finish() {
         for waiter in policies() {
-            let cell = Arc::new(ZcCell::default());
-            let c2 = Arc::clone(&cell);
-            let h = std::thread::spawn(move || {
-                assert!(c2.try_claim());
-                c2.finish();
-            });
-            assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || false), ZcWait::Done);
-            h.join().unwrap();
+            for _ in 0..50 {
+                assert_eq!(settle_claimed(&waiter, false, ZcCell::finish), ZcWait::Done);
+            }
+            assert_eq!(waiter.count(Resolved::Park), if waiter.spin.is_zero() { 50 } else { 0 });
         }
     }
 
     /// A copy that finishes inside the budget releases the lender from its
-    /// spin: it never touches the cell's mutex (held here throughout — a
-    /// lender that locked would hang) and never parks.
+    /// spin: neither it nor `finish` touches the cell's mutex (held here
+    /// throughout — either side locking would hang) and it never parks.
     #[test]
     fn done_inside_the_spin_returns_without_locking() {
         let (cell, waiter) = (ZcCell::default(), Waiter::new(LONG));
@@ -478,7 +470,7 @@ mod tests {
                 std::thread::yield_now();
             }
             assert!(cell.try_claim());
-            cell.state.store(DONE, Ordering::Release);
+            cell.finish();
             h.join().unwrap()
         });
         drop(held);
@@ -502,14 +494,7 @@ mod tests {
     #[test]
     fn expired_wait_on_a_claimed_loan_waits_for_done() {
         for waiter in policies() {
-            let cell = ZcCell::default();
-            assert!(cell.try_claim());
-            std::thread::scope(|s| {
-                let h = s.spawn(|| cell.wait(&waiter, Instant::now(), || true));
-                std::thread::yield_now();
-                cell.finish();
-                assert_eq!(h.join().unwrap(), ZcWait::Done);
-            });
+            assert_eq!(settle_claimed(&waiter, true, ZcCell::finish), ZcWait::Done);
         }
     }
 
@@ -543,7 +528,8 @@ mod tests {
             let cell = Arc::new(ZcCell::default());
             let buf = vec![0u8; 16];
             let dt = Datatype::Contiguous { len_bytes: 16, offset: 0 };
-            drop(ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)));
+            // SAFETY: the handle dies in this statement, before its tables.
+            drop(unsafe { ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)) });
             // The loan is dead: the receiver can no longer claim it, and a
             // sender blocked in wait() observes the revocation immediately.
             assert!(!cell.try_claim());
@@ -558,36 +544,38 @@ mod tests {
             assert!(cell.try_claim());
             let buf = vec![0u8; 4];
             let dt = Datatype::Contiguous { len_bytes: 4, offset: 0 };
-            drop(ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)));
+            // SAFETY: the handle dies in this statement, before its tables.
+            drop(unsafe { ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)) });
             cell.finish();
             assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Done);
         }
     }
 
     /// A three-part loan over two buffers, lent from one thread and claimed,
-    /// copied part by part and finished on another: the receiver reads every
-    /// part through its raw pointer, in message order, while the lender is
-    /// blocked, and the lender wakes to `Done`.
+    /// copied part by part and finished on another: the receiver reads the
+    /// lent table and every part through its raw pointers, in message order,
+    /// while the lender is blocked, and the lender wakes to `Done`.
     #[test]
     fn three_part_loan_over_two_buffers_is_copied_in_order() {
         let a: Vec<u8> = (0..32).collect();
         let b: Vec<u8> = (100..116).collect();
         let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
-        let parts = [(1, contig(8, 8)), (0, contig(0, 4)), (0, contig(28, 4))];
+        let (bufs, parts): ([&[u8]; 2], _) =
+            ([&a, &b], [(1, contig(8, 8)), (0, contig(0, 4)), (0, contig(28, 4))]);
         for waiter in policies() {
             let cell = Arc::new(ZcCell::default());
-            let handle = ZcHandle::new(&[&a, &b], &parts, Arc::clone(&cell));
-            assert_eq!(handle.packed_len(), 16);
-            let lens: Vec<usize> = handle.dts().map(Datatype::packed_len).collect();
-            assert_eq!(lens, [8, 4, 4]);
+            // SAFETY: the tables outlive the loop; `wait` below sees `Done`.
+            let handle = unsafe { ZcHandle::new(&bufs, &parts, Arc::clone(&cell)) };
             let got = std::thread::scope(|s| {
                 let copier = s.spawn(move || {
                     assert!(handle.cell.try_claim());
                     let mut out = Vec::new();
                     // SAFETY: the claim succeeded and the lender is blocked in
                     // wait() until finish() below; the slices die first.
-                    for (lent, dt) in unsafe { handle.parts() } {
-                        dt.pack_into(lent, &mut out).unwrap();
+                    let (lent, lent_parts) = unsafe { handle.lent() };
+                    assert!(lent_parts.iter().map(|p| p.1.packed_len()).eq([8, 4, 4]));
+                    for (i, dt) in lent_parts {
+                        dt.pack_into(lent[*i], &mut out).unwrap();
                     }
                     handle.cell.finish();
                     out
@@ -598,6 +586,16 @@ mod tests {
             let want: Vec<u8> =
                 b[8..16].iter().chain(&a[0..4]).chain(&a[28..32]).copied().collect();
             assert_eq!(got, want);
+        }
+    }
+
+    /// A receiver that claims a loan and then refuses it (its parts do not
+    /// pair) ends it `Revoked`, uncopied: the lender's wait reads `Revoked`,
+    /// parked or spinning, and nobody can claim the loan again.
+    #[test]
+    fn claimed_then_refused_loan_is_revoked() {
+        for waiter in policies() {
+            assert_eq!(settle_claimed(&waiter, false, ZcCell::refuse), ZcWait::Revoked);
         }
     }
 
