@@ -193,66 +193,6 @@ pub fn write_phantom_stack(dir: &Path, vol: [usize; 3]) -> Result<(), LoadError>
     Ok(())
 }
 
-/// Generate the phantom volume as a **single multi-page TIFF** — the other
-/// file layout CT instruments emit. Returns the file path.
-pub fn write_phantom_multipage(path: &Path, vol: [usize; 3]) -> Result<(), LoadError> {
-    let bytes = dtiff::encode_multipage(
-        &phantom_slices(vol),
-        dtiff::Endian::Little,
-        dtiff::Compression::None,
-    )?;
-    std::fs::write(path, bytes).map_err(dtiff::TiffError::from)?;
-    Ok(())
-}
-
-/// Load a multi-page TIFF volume: rank 0 reads and decodes the whole file,
-/// then DDR scatters the bricks. A single shared file cannot be divided
-/// among readers the way a per-slice stack can — this loader demonstrates
-/// DDR covering that producer layout too (one rank owns everything; every
-/// rank needs its brick).
-pub fn load_multipage(
-    comm: &Comm,
-    path: &Path,
-    vol: [usize; 3],
-) -> Result<(Block, Vec<f32>, LoadStats), LoadError> {
-    let nprocs = comm.size();
-    let rank = comm.rank();
-    let domain = Block::d3([0, 0, 0], vol).expect("valid volume");
-    let counts = near_cubic_grid(nprocs);
-    let need = brick(&domain, counts, rank).expect("brick within domain");
-    let mut stats = LoadStats::default();
-
-    let mut data = Vec::new();
-    if rank == 0 {
-        let bytes = std::fs::read(path).map_err(dtiff::TiffError::from)?;
-        let pages = dtiff::Page::all(&bytes)?;
-        if pages.len() != vol[2] {
-            return Err(LoadError::Shape(format!(
-                "file holds {} pages, volume says {}",
-                pages.len(),
-                vol[2]
-            )));
-        }
-        if let Some(z) =
-            pages.iter().position(|p| p.width() as usize != vol[0] || p.height() as usize != vol[1])
-        {
-            return Err(LoadError::Shape(format!("page {z} has wrong dimensions")));
-        }
-        data.resize(domain.count() as usize, 0f32);
-        for (page, slice) in pages.iter().zip(data.chunks_exact_mut(vol[0] * vol[1])) {
-            page.decode_normalized_into(slice)?;
-        }
-        stats.images_read = pages.len();
-    }
-    let (owned, chunks): (&[Block], &[&[f32]]) =
-        if rank == 0 { (&[domain], &[&data]) } else { (&[], &[]) };
-    let plan = mapping(comm, owned, need, &mut stats)?;
-    // A held chunk goes through `reorganize`, into a zeroed buffer.
-    let mut out = vec![0f32; need.count() as usize];
-    plan.reorganize(comm, chunks, &mut out)?;
-    Ok((need, out, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,34 +285,6 @@ mod tests {
         match &got[0] {
             Err(LoadError::Shape(m)) => assert_eq!(m, "slice 0 is 8x4, volume says 4x8"),
             other => panic!("{other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn multipage_volume_loads_identically_to_per_slice_stack() {
-        let vol = [16usize, 12, 10];
-        let dir = tmpdir("multipage");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("volume.tif");
-        write_phantom_multipage(&file, vol).unwrap();
-        let stack_dir = dir.join("stack");
-        write_phantom_stack(&stack_dir, vol).unwrap();
-
-        for nprocs in [1usize, 8] {
-            let f2 = file.clone();
-            let multi = Universe::run(nprocs, move |comm| load_multipage(comm, &f2, vol).unwrap());
-            let s2 = stack_dir.clone();
-            let stack = Universe::run(nprocs, move |comm| {
-                load_stack(comm, &s2, vol, Method::Consecutive).unwrap()
-            });
-            for ((bm, dm, _), (bs, ds, _)) in multi.iter().zip(stack.iter()) {
-                assert_eq!(bm, bs);
-                assert_eq!(dm, ds);
-            }
-            // The file is decoded exactly once, by rank 0.
-            let reads: usize = multi.iter().map(|(_, _, s)| s.images_read).sum();
-            assert_eq!(reads, vol[2]);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

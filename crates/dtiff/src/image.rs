@@ -11,27 +11,6 @@ pub enum Endian {
     Big,
 }
 
-/// Compression scheme of an encoded TIFF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// No compression (TIFF scheme 1) — the paper's benchmark stacks.
-    #[default]
-    None,
-    /// PackBits run-length encoding (TIFF scheme 32773), common in
-    /// instrument-produced medical stacks.
-    PackBits,
-}
-
-impl Compression {
-    /// TIFF `Compression` tag value.
-    pub fn tag_value(self) -> u16 {
-        match self {
-            Compression::None => 1,
-            Compression::PackBits => 32773,
-        }
-    }
-}
-
 /// Sample kind of a grayscale image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PixelKind {

@@ -7,21 +7,22 @@
 //! image from file, even if the application only needs the values of a few
 //! pixels"*. This crate reproduces that substrate: a real strip-based
 //! grayscale TIFF reader and writer (8/16/32-bit unsigned and 32-bit float,
-//! little- or big-endian, baseline/uncompressed), plus helpers for image
-//! stacks on disk.
+//! little- or big-endian, baseline/uncompressed, one page per file), plus
+//! helpers for image stacks on disk. A file with more than one page decodes
+//! as its first.
 //!
 //! Decoding deliberately goes through the whole file. "Whole-image cost"
-//! means: every strip of the page is located, bounds-checked, (PackBits)
-//! decompressed, endian-converted and widened, whether the caller wants one
-//! pixel or all of them — so the loader exhibits the cost structure the
-//! paper's experiments measure. It does not mean extra copies. One strip
-//! walker ([`Page`]) feeds two sinks, the typed [`TiffImage::decode`] and
-//! the loader's [`TiffImage::decode_normalized_into`], and both write each
-//! sample once, straight from the file's bytes: no assembled byte vector of
-//! all strips, and on the normalized route no typed `Vec<u16>` and no
-//! per-index [`PixelData::get_f64`] either. A [`Page`] is a parsed,
-//! validated IFD whose samples have not been touched, so a caller can refuse
-//! an image of the wrong shape before paying for it.
+//! means: every strip of the page is located, bounds-checked, endian-converted
+//! and widened, whether the caller wants one pixel or all of them — so the
+//! loader exhibits the cost structure the paper's experiments measure. It
+//! does not mean extra copies. One strip walker ([`Page`]) feeds two sinks,
+//! the typed [`TiffImage::decode`] and the loader's
+//! [`TiffImage::decode_normalized_into`], and both write each sample once,
+//! straight from the file's bytes: no assembled byte vector of all strips,
+//! and on the normalized route no typed `Vec<u16>` and no per-index
+//! [`PixelData::get_f64`] either. A [`Page`] is a parsed, validated IFD whose
+//! samples have not been touched, so a caller can refuse an image of the
+//! wrong shape before paying for it.
 //!
 //! One thing the walker is stricter about than a byte-assembling decoder: a
 //! strip whose contribution ends in the middle of a sample is
@@ -39,13 +40,11 @@
 
 mod error;
 mod image;
-mod packbits;
 mod reader;
 mod stack;
 mod writer;
 
 pub use error::{Result, TiffError};
-pub use image::{Compression, Endian, PixelData, PixelKind, TiffImage};
+pub use image::{Endian, PixelData, PixelKind, TiffImage};
 pub use reader::Page;
 pub use stack::{read_stack_slice, stack_paths, stack_slice_path, write_stack};
-pub use writer::encode_multipage;

@@ -1,8 +1,7 @@
 //! Baseline TIFF decoding.
 
 use crate::error::{Result, TiffError};
-use crate::image::{Compression, Endian, PixelData, PixelKind, TiffImage};
-use crate::packbits;
+use crate::image::{Endian, PixelData, PixelKind, TiffImage};
 use crate::writer::{
     TAG_BITS_PER_SAMPLE, TAG_COMPRESSION, TAG_IMAGE_LENGTH, TAG_IMAGE_WIDTH, TAG_PHOTOMETRIC,
     TAG_ROWS_PER_STRIP, TAG_SAMPLES_PER_PIXEL, TAG_SAMPLE_FORMAT, TAG_STRIP_BYTE_COUNTS,
@@ -81,19 +80,13 @@ impl RawEntry {
 
 impl TiffImage {
     /// Decode the first page of a baseline grayscale TIFF (either byte
-    /// order).
+    /// order). Later pages, if any, are never visited.
     ///
     /// Decoding walks **all** strips of the image — the whole-image cost
     /// the paper's loading analysis depends on — and converts samples to
     /// native byte order.
     pub fn decode(bytes: &[u8]) -> Result<TiffImage> {
         Page::first(bytes)?.decode()
-    }
-
-    /// Decode **all** pages of a (possibly multi-page) TIFF, following the
-    /// IFD chain.
-    pub fn decode_all(bytes: &[u8]) -> Result<Vec<TiffImage>> {
-        Page::all(bytes)?.iter().map(Page::decode).collect()
     }
 
     /// [`Page::decode_normalized_into`] on the first page; returns the
@@ -141,12 +134,8 @@ pub struct Page<'a> {
     width: u32,
     height: u32,
     kind: PixelKind,
-    compression: Compression,
     offsets: RawEntry,
     counts: RawEntry,
-    rows_per_strip: usize,
-    /// Offset of the next page's IFD (0 = end of chain).
-    next_ifd: usize,
 }
 
 impl<'a> Page<'a> {
@@ -154,21 +143,6 @@ impl<'a> Page<'a> {
     pub fn first(bytes: &'a [u8]) -> Result<Page<'a>> {
         let (endian, ifd) = parse_header(bytes)?;
         Page::at(Cursor { data: bytes, endian }, ifd)
-    }
-
-    /// Parse the IFD of every page, following the chain.
-    pub fn all(bytes: &'a [u8]) -> Result<Vec<Page<'a>>> {
-        let (endian, mut ifd) = parse_header(bytes)?;
-        let mut pages = Vec::new();
-        while ifd != 0 {
-            let page = Page::at(Cursor { data: bytes, endian }, ifd)?;
-            if page.next_ifd != 0 && page.next_ifd <= ifd {
-                return Err(TiffError::Malformed("IFD chain does not advance".into()));
-            }
-            ifd = page.next_ifd;
-            pages.push(page);
-        }
-        Ok(pages)
     }
 
     /// Width in pixels.
@@ -217,14 +191,12 @@ impl<'a> Page<'a> {
             return Err(TiffError::Malformed("zero image dimension".into()));
         }
 
-        let compression = match find(TAG_COMPRESSION)? {
-            Some(e) => match e.scalar(&cur)? {
-                1 => Compression::None,
-                32773 => Compression::PackBits,
-                c => return Err(TiffError::Unsupported(format!("compression {c}"))),
-            },
-            None => Compression::None,
-        };
+        if let Some(e) = find(TAG_COMPRESSION)? {
+            let c = e.scalar(&cur)?;
+            if c != 1 {
+                return Err(TiffError::Unsupported(format!("compression {c}")));
+            }
+        }
         if let Some(e) = find(TAG_SAMPLES_PER_PIXEL)? {
             let spp = e.scalar(&cur)?;
             if spp != 1 {
@@ -256,11 +228,11 @@ impl<'a> Page<'a> {
                 )))
             }
         };
-        // A strip unpacks to at most 64 times its size (PackBits: 2 bytes
-        // give 128), so dimensions beyond that are not backed by the file.
-        // Refused here, before any buffer is sized from them.
+        // Uncompressed strips hold their samples byte for byte, so dimensions
+        // needing more bytes than the file has are not backed by it. Refused
+        // here, before any buffer is sized from them.
         let pixels = width as usize * height as usize;
-        if pixels.checked_mul(kind.sample_bytes()).is_none_or(|b| b / 64 > cur.data.len()) {
+        if pixels.checked_mul(kind.sample_bytes()).is_none_or(|b| b > cur.data.len()) {
             return Err(TiffError::Truncated { context: "pixel data" });
         }
 
@@ -272,39 +244,25 @@ impl<'a> Page<'a> {
                 offsets.count, counts.count
             )));
         }
-        // RowsPerStrip bounds how many decompressed bytes each strip holds.
-        let rows_per_strip = match find(TAG_ROWS_PER_STRIP)? {
-            Some(e) => e.scalar(&cur)? as usize,
-            None => height as usize,
-        };
-        if rows_per_strip == 0 {
+        if find(TAG_ROWS_PER_STRIP)?.map(|e| e.scalar(&cur)).transpose()? == Some(0) {
             return Err(TiffError::Malformed("RowsPerStrip is zero".into()));
         }
-        let next_ifd = cur.u32_at(ifd + 2 + n_entries * 12)? as usize;
-        Ok(Page {
-            cur,
-            width,
-            height,
-            kind,
-            compression,
-            offsets,
-            counts,
-            rows_per_strip,
-            next_ifd,
-        })
+        // The IFD ends in the next page's offset. Later pages are never
+        // read, but an IFD cut short is a truncated file.
+        cur.u32_at(ifd + 2 + n_entries * 12)?;
+        Ok(Page { cur, width, height, kind, offsets, counts })
     }
 
     fn pixels(&self) -> usize {
         self.width as usize * self.height as usize
     }
 
-    /// The one strip walker. Every strip of the page is bounds-checked and,
-    /// under PackBits, decompressed, in file order — also the strips past
-    /// the image's last row. `sink` gets each strip's bytes, whole samples
-    /// only, clipped to what the dimensions still need.
+    /// The one strip walker. Every strip of the page is bounds-checked, in
+    /// file order — also the strips past the image's last row. `sink` gets
+    /// each strip's bytes, whole samples only, clipped to what the
+    /// dimensions still need.
     fn for_each_strip(&self, mut sink: impl FnMut(&[u8])) -> Result<()> {
         let sample = self.kind.sample_bytes();
-        let row_bytes = self.width as usize * sample;
         let expected_bytes = self.pixels() * sample;
         let mut missing = expected_bytes;
         for s in 0..self.offsets.count as usize {
@@ -315,17 +273,6 @@ impl<'a> Page<'a> {
                 .data
                 .get(off..off + len)
                 .ok_or(TiffError::Truncated { context: "strip data" })?;
-            let unpacked;
-            let strip = match self.compression {
-                Compression::None => strip,
-                Compression::PackBits => {
-                    let first_row = s * self.rows_per_strip;
-                    let rows =
-                        self.rows_per_strip.min((self.height as usize).saturating_sub(first_row));
-                    unpacked = packbits::decompress(strip, rows * row_bytes)?;
-                    &unpacked
-                }
-            };
             let take = strip.len().min(missing);
             if take % sample != 0 {
                 return Err(TiffError::Malformed(format!("strip {s} ends inside a sample")));

@@ -1,8 +1,7 @@
 //! Baseline TIFF encoding.
 
 use crate::error::Result;
-use crate::image::{Compression, Endian, TiffImage};
-use crate::packbits;
+use crate::image::{Endian, TiffImage};
 
 // Tag ids (TIFF 6.0 baseline).
 pub(crate) const TAG_IMAGE_WIDTH: u16 = 256;
@@ -54,21 +53,16 @@ struct Entry {
 
 impl TiffImage {
     /// Encode as a single-page baseline TIFF in the requested byte order,
-    /// uncompressed.
+    /// uncompressed: header, strips, IFD, out-of-line strip tables.
     pub fn encode(&self, endian: Endian) -> Result<Vec<u8>> {
-        self.encode_with(endian, Compression::None)
-    }
+        let mut out = Out { buf: Vec::with_capacity(self.data.len() * 4 + 256), endian };
+        match endian {
+            Endian::Little => out.buf.extend_from_slice(b"II"),
+            Endian::Big => out.buf.extend_from_slice(b"MM"),
+        }
+        out.u16(42);
+        out.u32(0); // first IFD offset; patched once the strips are placed
 
-    /// Encode as a single-page baseline TIFF in the requested byte order
-    /// and compression scheme.
-    pub fn encode_with(&self, endian: Endian, compression: Compression) -> Result<Vec<u8>> {
-        encode_multipage(std::slice::from_ref(self), endian, compression)
-    }
-
-    /// Append this image as one page: strips, IFD, out-of-line tables.
-    /// Returns (this page's IFD offset, byte position of its next-IFD
-    /// pointer) so pages can be chained.
-    fn append_page(&self, out: &mut Out, compression: Compression) -> Result<(u32, usize)> {
         let rows_per_strip =
             (STRIP_TARGET_BYTES / self.row_bytes().max(1)).clamp(1, self.height.max(1) as usize);
         let n_strips = (self.height as usize).div_ceil(rows_per_strip).max(1);
@@ -83,20 +77,8 @@ impl TiffImage {
             let start = s * strip_bytes;
             let end = ((s + 1) * strip_bytes).min(pixel_bytes.len());
             strip_offsets.push(out.buf.len() as u32);
-            match compression {
-                Compression::None => {
-                    strip_counts.push((end - start) as u32);
-                    out.buf.extend_from_slice(&pixel_bytes[start..end]);
-                }
-                Compression::PackBits => {
-                    let mut packed = Vec::new();
-                    for row in pixel_bytes[start..end].chunks(self.row_bytes().max(1)) {
-                        packbits::compress_row(row, &mut packed);
-                    }
-                    strip_counts.push(packed.len() as u32);
-                    out.buf.extend_from_slice(&packed);
-                }
-            }
+            strip_counts.push((end - start) as u32);
+            out.buf.extend_from_slice(&pixel_bytes[start..end]);
         }
 
         // IFD position must be word-aligned.
@@ -104,6 +86,11 @@ impl TiffImage {
             out.buf.push(0);
         }
         let ifd_offset = out.buf.len() as u32;
+        let ptr = match endian {
+            Endian::Little => ifd_offset.to_le_bytes(),
+            Endian::Big => ifd_offset.to_be_bytes(),
+        };
+        out.buf[4..8].copy_from_slice(&ptr);
 
         let strips_inline = n_strips == 1;
         let entries = vec![
@@ -115,12 +102,7 @@ impl TiffImage {
                 count: 1,
                 value: self.kind().bits() as u32,
             },
-            Entry {
-                tag: TAG_COMPRESSION,
-                typ: TYPE_SHORT,
-                count: 1,
-                value: compression.tag_value() as u32,
-            },
+            Entry { tag: TAG_COMPRESSION, typ: TYPE_SHORT, count: 1, value: 1 },
             Entry { tag: TAG_PHOTOMETRIC, typ: TYPE_SHORT, count: 1, value: 1 },
             Entry {
                 tag: TAG_STRIP_OFFSETS,
@@ -173,8 +155,7 @@ impl TiffImage {
                 out.u32(v);
             }
         }
-        let next_ifd_ptr_pos = out.buf.len();
-        out.u32(0); // next IFD; patched when another page follows
+        out.u32(0); // no next IFD
 
         if !strips_inline {
             for &o in &strip_offsets {
@@ -185,37 +166,6 @@ impl TiffImage {
             }
         }
 
-        Ok((ifd_offset, next_ifd_ptr_pos))
+        Ok(out.buf)
     }
-}
-
-/// Encode several images as one multi-page TIFF (chained IFDs) — the
-/// single-file form some CT instruments emit instead of one file per slice.
-pub fn encode_multipage(
-    images: &[TiffImage],
-    endian: Endian,
-    compression: Compression,
-) -> Result<Vec<u8>> {
-    assert!(!images.is_empty(), "a TIFF needs at least one page");
-    let cap: usize = images.iter().map(|i| i.data.len() * 4 + 256).sum();
-    let mut out = Out { buf: Vec::with_capacity(cap + 8), endian };
-    match endian {
-        Endian::Little => out.buf.extend_from_slice(b"II"),
-        Endian::Big => out.buf.extend_from_slice(b"MM"),
-    }
-    out.u16(42);
-    let header_ptr_pos = out.buf.len();
-    out.u32(0);
-
-    let mut prev_ptr_pos = header_ptr_pos;
-    for img in images {
-        let (ifd_offset, next_ptr_pos) = img.append_page(&mut out, compression)?;
-        let ptr = match endian {
-            Endian::Little => ifd_offset.to_le_bytes(),
-            Endian::Big => ifd_offset.to_be_bytes(),
-        };
-        out.buf[prev_ptr_pos..prev_ptr_pos + 4].copy_from_slice(&ptr);
-        prev_ptr_pos = next_ptr_pos;
-    }
-    Ok(out.buf)
 }

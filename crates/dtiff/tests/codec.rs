@@ -1,5 +1,5 @@
 //! TIFF codec tests: roundtrips, cross-endian decode, multi-strip handling,
-//! malformed-input rejection, and stack I/O.
+//! outside-input rejection, and stack I/O.
 
 use dtiff::{Endian, PixelData, PixelKind, TiffError, TiffImage};
 
@@ -104,21 +104,15 @@ fn rejects_garbage_and_truncation() {
 
 #[test]
 fn rejects_unsupported_compression() {
-    let mut bytes = gradient_u8(8, 8).encode(Endian::Little).unwrap();
-    // Find the IFD and rewrite the Compression entry's value to 5 (LZW).
-    let ifd = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let n = u16::from_le_bytes(bytes[ifd..ifd + 2].try_into().unwrap()) as usize;
-    let mut patched = false;
-    for i in 0..n {
-        let pos = ifd + 2 + i * 12;
-        let tag = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap());
-        if tag == 259 {
-            bytes[pos + 8] = 5;
-            patched = true;
+    // LZW (5) and run-length scheme 32773: only uncompressed strips are read.
+    for scheme in [5u32, 32773] {
+        let mut bytes = gradient_u8(8, 8).encode(Endian::Little).unwrap();
+        patch_tag(&mut bytes, 259, scheme);
+        match TiffImage::decode(&bytes) {
+            Err(TiffError::Unsupported(m)) => assert_eq!(m, format!("compression {scheme}")),
+            other => panic!("compression {scheme}: {other:?}"),
         }
     }
-    assert!(patched);
-    assert!(matches!(TiffImage::decode(&bytes), Err(TiffError::Unsupported(_))));
 }
 
 #[test]
@@ -174,124 +168,6 @@ fn stack_paths_are_sorted_and_padded() {
     assert_eq!(sorted, paths);
 }
 
-#[test]
-fn packbits_roundtrip_all_kinds() {
-    use dtiff::Compression;
-    let n = 33 * 17;
-    let images = [
-        TiffImage::new(33, 17, PixelData::U8((0..n).map(|i| (i / 40) as u8).collect())).unwrap(),
-        TiffImage::new(33, 17, PixelData::U16((0..n).map(|i| (i % 7) as u16).collect())).unwrap(),
-        TiffImage::new(33, 17, PixelData::U32((0..n).map(|i| i as u32).collect())).unwrap(),
-    ];
-    for img in images {
-        for endian in [Endian::Little, Endian::Big] {
-            let bytes = img.encode_with(endian, Compression::PackBits).unwrap();
-            let back = TiffImage::decode(&bytes).unwrap();
-            assert_eq!(back, img);
-        }
-    }
-}
-
-#[test]
-fn packbits_shrinks_smooth_data() {
-    use dtiff::Compression;
-    // A mostly-uniform slice (like the air around a CT specimen).
-    let mut pixels = vec![0u8; 256 * 256];
-    for y in 100..140 {
-        for x in 100..150 {
-            pixels[y * 256 + x] = 200;
-        }
-    }
-    let img = TiffImage::new(256, 256, PixelData::U8(pixels)).unwrap();
-    let plain = img.encode(Endian::Little).unwrap();
-    let packed = img.encode_with(Endian::Little, Compression::PackBits).unwrap();
-    assert!(packed.len() * 10 < plain.len(), "{} vs {}", packed.len(), plain.len());
-    assert_eq!(TiffImage::decode(&packed).unwrap(), img);
-}
-
-#[test]
-fn packbits_multistrip_roundtrip() {
-    use dtiff::Compression;
-    // Big enough for several 64 KiB strips.
-    let img = {
-        let data: Vec<u32> =
-            (0..256 * 512).map(|i| if i % 97 < 50 { 7 } else { i as u32 }).collect();
-        TiffImage::new(256, 512, PixelData::U32(data)).unwrap()
-    };
-    let bytes = img.encode_with(Endian::Little, Compression::PackBits).unwrap();
-    assert_eq!(TiffImage::decode(&bytes).unwrap(), img);
-}
-
-#[test]
-fn packbits_corrupt_stream_rejected() {
-    use dtiff::Compression;
-    let img = TiffImage::new(64, 64, PixelData::U8(vec![5; 4096])).unwrap();
-    let bytes = img.encode_with(Endian::Little, Compression::PackBits).unwrap();
-    // Truncating the compressed strips must fail cleanly.
-    assert!(TiffImage::decode(&bytes[..16]).is_err());
-}
-
-#[test]
-fn multipage_roundtrip() {
-    use dtiff::{encode_multipage, Compression};
-    let pages: Vec<TiffImage> = (0..5u32)
-        .map(|p| {
-            TiffImage::new(10, 6, PixelData::U16((0..60).map(|i| (p * 500 + i) as u16).collect()))
-                .unwrap()
-        })
-        .collect();
-    for endian in [Endian::Little, Endian::Big] {
-        for compression in [Compression::None, Compression::PackBits] {
-            let bytes = encode_multipage(&pages, endian, compression).unwrap();
-            let back = TiffImage::decode_all(&bytes).unwrap();
-            assert_eq!(back, pages, "{endian:?} {compression:?}");
-            // decode() sees the first page only.
-            assert_eq!(TiffImage::decode(&bytes).unwrap(), pages[0]);
-        }
-    }
-}
-
-#[test]
-fn multipage_mixed_kinds_and_sizes() {
-    use dtiff::encode_multipage;
-    let pages = vec![
-        TiffImage::new(4, 4, PixelData::U8((0..16).collect())).unwrap(),
-        TiffImage::new(300, 2, PixelData::U32((0..600).map(|i| i as u32).collect())).unwrap(),
-        TiffImage::new(1, 1, PixelData::F32(vec![3.5])).unwrap(),
-    ];
-    let bytes = encode_multipage(&pages, Endian::Little, dtiff::Compression::None).unwrap();
-    assert_eq!(TiffImage::decode_all(&bytes).unwrap(), pages);
-}
-
-#[test]
-fn single_page_decode_all_yields_one() {
-    let img = gradient_u8(12, 12);
-    let pages = TiffImage::decode_all(&img.encode(Endian::Little).unwrap()).unwrap();
-    assert_eq!(pages, vec![img]);
-}
-
-#[test]
-fn cyclic_ifd_chain_rejected() {
-    // Build a 2-page file and patch page 2's next pointer back to page 1's
-    // IFD to form a loop; decode_all must error, not spin.
-    use dtiff::encode_multipage;
-    let pages = vec![gradient_u8(4, 4), gradient_u8(4, 4)];
-    let mut bytes = encode_multipage(&pages, Endian::Little, dtiff::Compression::None).unwrap();
-    let first_ifd = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    // Page 1's next pointer sits right after its 12-byte entries.
-    let ifd = first_ifd as usize;
-    let n = u16::from_le_bytes(bytes[ifd..ifd + 2].try_into().unwrap()) as usize;
-    let second_ptr_pos = {
-        let second_ifd =
-            u32::from_le_bytes(bytes[ifd + 2 + n * 12..ifd + 6 + n * 12].try_into().unwrap())
-                as usize;
-        let n2 = u16::from_le_bytes(bytes[second_ifd..second_ifd + 2].try_into().unwrap()) as usize;
-        second_ifd + 2 + n2 * 12
-    };
-    bytes[second_ptr_pos..second_ptr_pos + 4].copy_from_slice(&first_ifd.to_le_bytes());
-    assert!(TiffImage::decode_all(&bytes).is_err());
-}
-
 /// The normalization oracle, written out independently of the codec: the
 /// typed decode, widened per index and divided by the kind's full scale.
 fn normalized_reference(img: &TiffImage) -> Vec<f32> {
@@ -318,7 +194,7 @@ fn assert_normalized_matches(img: &TiffImage, bytes: &[u8], what: &str) {
 }
 
 /// Pins both `f32`-divide arms exhaustively; the u32 and f32 arms are
-/// covered by `..._for_every_kind_compression_and_ragged_strips`.
+/// covered by `..._for_every_kind_and_ragged_strips`.
 #[test]
 fn normalized_decode_is_bit_identical_for_every_u8_and_u16_value() {
     let images = [
@@ -334,8 +210,7 @@ fn normalized_decode_is_bit_identical_for_every_u8_and_u16_value() {
 }
 
 #[test]
-fn normalized_decode_matches_for_every_kind_compression_and_ragged_strips() {
-    use dtiff::Compression;
+fn normalized_decode_matches_for_every_kind_and_ragged_strips() {
     // 300 u32 columns are 1200 B a row, so 54 rows fill a 64 KiB strip and
     // 131 rows make strips of 54, 54 and 23: the last one is short.
     let (w, h) = (300u32, 131u32);
@@ -350,36 +225,37 @@ fn normalized_decode_matches_for_every_kind_compression_and_ragged_strips() {
             PixelData::U32((0..n).map(|i| if i == 0 { u32::MAX } else { mix(i) }).collect()),
         ),
         TiffImage::new(w, h, PixelData::F32((0..n).map(|i| mix(i) as f32 / 3e9 - 0.25).collect())),
-        // Runs, so PackBits has something to pack.
-        TiffImage::new(
-            w,
-            h,
-            PixelData::U16((0..n).map(|i| ((i / 500) as u16).wrapping_mul(4099)).collect()),
-        ),
     ];
     for img in images {
         let img = img.unwrap();
         for endian in [Endian::Little, Endian::Big] {
-            for compression in [Compression::None, Compression::PackBits] {
-                let bytes = img.encode_with(endian, compression).unwrap();
-                let what = format!("{:?} {endian:?} {compression:?}", img.kind());
-                assert_normalized_matches(&img, &bytes, &what);
-            }
+            let bytes = img.encode(endian).unwrap();
+            let what = format!("{:?} {endian:?}", img.kind());
+            assert_normalized_matches(&img, &bytes, &what);
         }
     }
+}
+
+/// Byte position of `tag`'s entry in the little-endian IFD at `ifd`.
+fn entry_pos(bytes: &[u8], ifd: usize, tag: u16) -> usize {
+    let n = u16::from_le_bytes(bytes[ifd..ifd + 2].try_into().unwrap()) as usize;
+    (0..n)
+        .map(|i| ifd + 2 + i * 12)
+        .find(|&pos| u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) == tag)
+        .expect("tag present")
+}
+
+/// Offset of the first IFD of a little-endian file.
+fn first_ifd(bytes: &[u8]) -> usize {
+    u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize
 }
 
 /// Overwrite the 4-byte value field of `tag` in the first IFD of a
 /// little-endian file (for a one-strip image the strip's offset and byte
 /// count sit inline there).
 fn patch_tag(bytes: &mut [u8], tag: u16, value: u32) {
-    let ifd = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let n = u16::from_le_bytes(bytes[ifd..ifd + 2].try_into().unwrap()) as usize;
-    let pos = (0..n)
-        .map(|i| ifd + 2 + i * 12)
-        .find(|&pos| u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) == tag)
-        .expect("tag present");
-    bytes[pos + 8..pos + 12].copy_from_slice(&value.to_le_bytes());
+    let pos = entry_pos(bytes, first_ifd(bytes), tag) + 8;
+    bytes[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
 }
 
 #[test]
@@ -432,19 +308,51 @@ fn both_decodes_reject_bad_strips_with_the_same_structured_errors() {
 
 #[test]
 fn pages_expose_dimensions_before_any_sample_is_decoded() {
-    use dtiff::{encode_multipage, Compression, Page};
-    let pages = vec![gradient_u8(4, 6), gradient_u32(9, 2)];
-    let mut bytes = encode_multipage(&pages, Endian::Big, Compression::None).unwrap();
-    // Wreck the first page's strip data: the IFDs still parse.
+    use dtiff::Page;
+    let img = gradient_u8(4, 6);
+    let mut bytes = img.encode(Endian::Little).unwrap();
+    // Wreck the strip data: the IFD still parses.
     bytes[8..32].fill(0xFF);
-    let parsed = Page::all(&bytes).unwrap();
-    let dims: Vec<_> = parsed.iter().map(|p| (p.width(), p.height(), p.kind())).collect();
-    assert_eq!(dims, [(4, 6, PixelKind::U8), (9, 2, PixelKind::U32)]);
-    assert_eq!(parsed[1].decode().unwrap(), pages[1]);
+    let page = Page::first(&bytes).unwrap();
+    assert_eq!((page.width(), page.height(), page.kind()), (4, 6, PixelKind::U8));
     // Dimensions no file of this size can back are refused before anything
     // is allocated for them.
     let mut huge = gradient_u8(8, 8).encode(Endian::Little).unwrap();
     patch_tag(&mut huge, 256, u32::MAX);
     patch_tag(&mut huge, 257, u32::MAX);
     assert!(matches!(Page::first(&huge), Err(TiffError::Truncated { context: "pixel data" })));
+}
+
+/// A two-page file decodes as its first page, and the chain is never
+/// walked: the second page's next-IFD pointer aims back at the first, a
+/// cycle a chain walker would have to detect.
+#[test]
+fn two_page_file_decodes_as_its_first_page() {
+    let (first, second) = (gradient_u8(4, 6), gradient_u32(9, 2));
+    let mut bytes = first.encode(Endian::Little).unwrap();
+    if bytes.len() % 2 == 1 {
+        bytes.push(0);
+    }
+    // Append the second file without its 8-byte header; its offsets shift.
+    let shift = bytes.len() - 8;
+    let tail = second.encode(Endian::Little).unwrap();
+    bytes.extend_from_slice(&tail[8..]);
+    let (one, two) = (first_ifd(&bytes), first_ifd(&tail) + shift);
+    let strip = entry_pos(&bytes, two, 273) + 8; // StripOffsets, one strip: inline
+    let moved = u32::from_le_bytes(bytes[strip..strip + 4].try_into().unwrap()) + shift as u32;
+    bytes[strip..strip + 4].copy_from_slice(&moved.to_le_bytes());
+    let next = |ifd: usize, bytes: &[u8]| {
+        ifd + 2 + 12 * u16::from_le_bytes(bytes[ifd..ifd + 2].try_into().unwrap()) as usize
+    };
+    let (next_one, next_two) = (next(one, &bytes), next(two, &bytes));
+    bytes[next_one..next_one + 4].copy_from_slice(&(two as u32).to_le_bytes());
+    bytes[next_two..next_two + 4].copy_from_slice(&(one as u32).to_le_bytes());
+
+    assert_eq!(TiffImage::decode(&bytes).unwrap(), first);
+    let mut out = vec![0f32; 24];
+    assert_eq!(TiffImage::decode_normalized_into(&bytes, &mut out).unwrap(), (4, 6));
+    // The appended page is well formed: a file that starts at its IFD
+    // decodes to `second`.
+    bytes[4..8].copy_from_slice(&(two as u32).to_le_bytes());
+    assert_eq!(TiffImage::decode(&bytes).unwrap(), second);
 }

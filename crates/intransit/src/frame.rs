@@ -83,11 +83,11 @@ impl Frame {
     /// communicator bridging the two resources).
     ///
     /// The wire buffer is checked out of the universe's shared staging pool
-    /// and ownership moves with the message; receivers that release it after
-    /// decoding ([`recv_frames`], `FrameReceiver`) complete the cycle, so a
-    /// steady-state stream double-buffers through the pool — the producer
-    /// encodes frame *F+1* into a buffer the consumer already returned while
-    /// the consumer is still unpacking *F* — instead of allocating per frame.
+    /// and ownership moves with the message; [`recv_frames`] releases it after
+    /// decoding, completing the cycle. So a steady-state stream double-buffers
+    /// through the pool — the producer encodes frame *F+1* into a buffer the
+    /// consumer already returned while the consumer is still unpacking *F* —
+    /// instead of allocating per frame.
     pub fn send(&self, comm: &Comm, dest: usize) -> Result<()> {
         let mut buf = comm.acquire_staging(self.encoded_len());
         self.encode_into(&mut buf);

@@ -18,11 +18,14 @@
 //!   with step tagging,
 //! * [`Repartitioner`] — DDR-backed reorganization on the analysis side:
 //!   the mapping is computed once and reused every time step, the paper's
-//!   "the mapping … remains constant" property,
-//! * [`FrameReceiver`] — loss-tolerant reception: per-frame deadlines,
-//!   bounded retry with backoff, and skip-ahead past lost frames, with
-//!   [`FrameStats`] accounting; pair with [`Repartitioner::degraded`] so a
-//!   step missing a frame still redistributes and renders.
+//!   "the mapping … remains constant" property.
+//!
+//! Reception blocks, as the paper's "receive the frames, then
+//! `DDR_ReorganizeData`" does, and a broken stream fails structurally: a
+//! dead producer is `PeerDead` on its consumer, a frame lost mid-stream is a
+//! `CollectiveMismatch` naming the step (the next frame arrives in its
+//! place, since per-source delivery is FIFO), and a lost last frame is the
+//! watchdog's `Timeout`.
 //!
 //! A producer that outruns its analysis resource is held back by the
 //! transport: each consumer's mailbox is a bounded queue per sender, so
@@ -34,9 +37,7 @@
 mod frame;
 mod repartition;
 mod resources;
-mod stream;
 
 pub use frame::{recv_frames, send_frame, Frame, FRAME_TAG};
 pub use repartition::{analysis_block, Repartitioner};
 pub use resources::{consumer_sources, producer_targets, split_resources, Role};
-pub use stream::{FrameReceiver, FrameRecvConfig, FrameStats};

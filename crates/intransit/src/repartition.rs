@@ -1,7 +1,7 @@
 //! DDR-backed repartitioning on the analysis resource.
 
 use crate::frame::Frame;
-use ddr_core::{Block, DataKind, DdrError, Descriptor, Plan, Result, ValidationPolicy};
+use ddr_core::{Block, DataKind, DdrError, Descriptor, Plan, Result};
 use minimpi::Comm;
 
 /// Reorganizes incoming frames (the producer's layout) into this analysis
@@ -19,23 +19,13 @@ pub struct Repartitioner {
     need: Block,
     plan: Option<Plan>,
     owned: Vec<Block>,
-    policy: ValidationPolicy,
 }
 
 impl Repartitioner {
     /// Create a repartitioner delivering into `need`. Incoming frames must
-    /// tile the domain exactly ([`ValidationPolicy::Strict`]).
+    /// tile the domain exactly.
     pub fn new(need: Block) -> Self {
-        Repartitioner { need, plan: None, owned: Vec::new(), policy: ValidationPolicy::Strict }
-    }
-
-    /// Loss-tolerant repartitioner for streams received with skip-ahead
-    /// (see [`crate::FrameReceiver`]): validation is relaxed to
-    /// [`ValidationPolicy::Degraded`], so a step whose frames do not cover
-    /// the whole domain still redistributes what arrived. Cells nobody
-    /// delivered keep the output buffer's initial value (zero).
-    pub fn degraded(need: Block) -> Self {
-        Repartitioner { need, plan: None, owned: Vec::new(), policy: ValidationPolicy::Degraded }
+        Repartitioner { need, plan: None, owned: Vec::new() }
     }
 
     /// The block this rank assembles each step.
@@ -81,8 +71,7 @@ impl Repartitioner {
         let any_changed = analysis.allgather(&[changed as u64])?.iter().any(|v| v[0] != 0);
         if any_changed {
             let desc = Descriptor::for_type::<f32>(analysis.size(), DataKind::D2)?;
-            self.plan =
-                Some(desc.setup_data_mapping_with(analysis, &owned, self.need, self.policy)?);
+            self.plan = Some(desc.setup_data_mapping(analysis, &owned, self.need)?);
             self.owned = owned;
         }
         let plan = self.plan.as_ref().expect("plan established above");

@@ -2,14 +2,14 @@
 //! N analysis ranks, which repartition with DDR and render — and the
 //! assembled field must match a serial simulation exactly.
 
-use ddr_core::Block;
+use ddr_core::{Block, DdrError};
 use ddr_lbm::{barrier_line, Config, DistributedLbm, Lattice};
 use intransit::{
     analysis_block, consumer_sources, producer_targets, recv_frames, send_frame, split_resources,
-    FrameReceiver, FrameRecvConfig, Repartitioner, Role, FRAME_TAG,
+    Repartitioner, Role, FRAME_TAG,
 };
 use jimage::{jpeg, Colormap, RgbImage};
-use minimpi::{FaultPlan, Universe};
+use minimpi::{Error as MpiError, FaultPlan, Universe};
 use std::time::{Duration, Instant};
 
 const M: usize = 6; // simulation ranks
@@ -107,87 +107,131 @@ fn analysis_side_renders_and_compresses() {
     assert_eq!((back.width, back.height), (NX, NY));
 }
 
-#[test]
-fn dropped_frame_skips_ahead_and_later_steps_are_exact() {
-    // Acceptance criterion: a dropped in-transit frame makes the consumer
-    // skip ahead and keep streaming, with the skip visible in its stats.
-    // M=2 producers stream 3 steps to N=2 consumers; the injected fault
-    // drops producer 0's step-2 frame (its 2nd message to world rank 2).
-    let m = 2usize;
-    let n = 2usize;
+/// How one rank's run of [`faulty_stream`] ended.
+#[derive(Debug)]
+enum Ended {
+    /// Every step was received and redistributed.
+    Done,
+    /// `recv_frames` failed at this step.
+    Recv(u64, MpiError),
+    /// `redistribute` failed at this step.
+    Redistribute(u64, DdrError),
+    /// A producer, whatever became of it.
+    Producer,
+}
+
+/// M=2 producers stream 3 steps of an 8x6 field to N=2 consumers under
+/// `plan`, and every rank meets at a world barrier at the end, so a producer
+/// is still alive while its consumer waits. A consumer stops at its first
+/// error. Returns how each rank ended and how long the run took.
+fn faulty_stream(plan: FaultPlan) -> (Vec<Ended>, Duration) {
+    let (m, n) = (2usize, 2usize);
     let (nx, ny) = (8usize, 6usize);
-    let steps = 3u64;
     let value = |x: usize, y: usize, step: u64| (x + 10 * y) as f32 + 1000.0 * step as f32;
-
     let start = Instant::now();
-    let out = Universe::builder()
-        .timeout(Duration::from_secs(20))
-        .fault_plan(FaultPlan::new().drop_message(0, m, Some(FRAME_TAG), 1))
-        .run(m + n, move |world| {
-            let (role, group) = split_resources(world, m).unwrap();
-            match role {
-                Role::Simulation => {
-                    let p = group.rank();
-                    let (y0, rows) = ddr_core::decompose::split_axis(ny, m, p);
-                    let block = Block::d2([0, y0], [nx, rows]).unwrap();
-                    let consumer_world = m + producer_targets(m, n)[p];
-                    for step in 1..=steps {
-                        let data = block.coords().map(|c| value(c[0], c[1], step)).collect();
-                        send_frame(world, consumer_world, step, block, data).unwrap();
+    let out = Universe::builder().timeout(UNIVERSE_TIMEOUT).fault_plan(plan).run(m + n, |world| {
+        let (role, group) = split_resources(world, m).unwrap();
+        match role {
+            Role::Simulation => {
+                let p = group.rank();
+                let (y0, rows) = ddr_core::decompose::split_axis(ny, m, p);
+                let block = Block::d2([0, y0], [nx, rows]).unwrap();
+                let consumer_world = m + producer_targets(m, n)[p];
+                for step in 1..=3 {
+                    let data = block.coords().map(|c| value(c[0], c[1], step)).collect();
+                    if send_frame(world, consumer_world, step, block, data).is_err() {
+                        return Ended::Producer;
                     }
-                    (Vec::new(), 0u64)
                 }
-                Role::Analysis => {
-                    let c = group.rank();
-                    let need = analysis_block(nx, ny, n, c).unwrap();
-                    let mut rep = Repartitioner::degraded(need);
-                    let cfg = FrameRecvConfig {
-                        deadline: Duration::from_millis(200),
-                        retries: 1,
-                        backoff: Duration::from_millis(20),
-                        poll: Duration::from_micros(200),
-                    };
-                    let mut rx = FrameReceiver::new(consumer_sources(m, n, c), cfg);
-                    let mut fields = Vec::new();
-                    for step in 1..=steps {
-                        let frames = rx.recv_step(world, step).unwrap();
-                        let covered: Vec<Block> = frames.iter().map(|f| f.block).collect();
-                        let field = rep.redistribute(&group, &frames).unwrap();
-                        fields.push((covered, field));
-                    }
-                    (fields, rx.stats().skipped)
-                }
+                let _ = world.barrier();
+                Ended::Producer
             }
-        });
-    // Nothing stalled for the watchdog.
-    assert!(start.elapsed() < Duration::from_secs(10));
-
-    // Exactly one skip, on the consumer fed by producer 0.
-    let skipped: Vec<u64> = out.iter().skip(m).map(|(_, s)| *s).collect();
-    assert_eq!(skipped.iter().sum::<u64>(), 1, "one dropped frame, one skip");
-
-    for step0 in 0..steps as usize {
-        let step = step0 as u64 + 1;
-        // What the analysis resource collectively received this step: the
-        // redistribution spreads it to whoever needs it.
-        let covered: Vec<Block> =
-            out.iter().skip(m).flat_map(|(fields, _)| fields[step0].0.clone()).collect();
-        for (ci, (fields, _)) in out.iter().skip(m).enumerate() {
-            assert_eq!(fields.len() as u64, steps, "consumer kept streaming");
-            let need = analysis_block(nx, ny, n, ci).unwrap();
-            let field = &fields[step0].1;
-            for (v, co) in field.iter().zip(need.coords()) {
-                let delivered = covered.iter().any(|b| {
-                    (0..2).all(|d| co[d] >= b.offset[d] && co[d] < b.offset[d] + b.dims[d])
-                });
-                if delivered {
-                    assert_eq!(*v, value(co[0], co[1], step), "step {step} at {co:?}");
-                } else {
-                    assert_eq!(*v, 0.0, "lost cell {co:?} must stay zero-filled");
+            Role::Analysis => {
+                // A frame that never comes is the watchdog's to report: bound
+                // this rank's waits on the world handle well inside the
+                // universe's timeout, which the analysis group keeps.
+                world.set_timeout(FRAME_WAIT);
+                let c = group.rank();
+                let need = analysis_block(nx, ny, n, c).unwrap();
+                let mut rep = Repartitioner::new(need);
+                let sources = consumer_sources(m, n, c);
+                for step in 1..=3 {
+                    let frames = match recv_frames(world, &sources, Some(step)) {
+                        Ok(frames) => frames,
+                        Err(e) => return Ended::Recv(step, e),
+                    };
+                    match rep.redistribute(&group, &frames) {
+                        Ok(field) => {
+                            for (v, co) in field.iter().zip(need.coords()) {
+                                assert_eq!(*v, value(co[0], co[1], step), "step {step} at {co:?}");
+                            }
+                        }
+                        Err(e) => return Ended::Redistribute(step, e),
+                    }
                 }
+                let _ = world.barrier();
+                Ended::Done
             }
         }
+    });
+    (out, start.elapsed())
+}
+
+const UNIVERSE_TIMEOUT: Duration = Duration::from_secs(20);
+const FRAME_WAIT: Duration = Duration::from_millis(500);
+
+/// The consumer not fed by the fault ends `Ok`, or in a named error from
+/// `redistribute` at the step its peer failed on; never in a hang or a
+/// wrong field.
+fn other_consumer_is_ok_or_named(ended: &Ended, step: u64) {
+    let named = match ended {
+        Ended::Done => true,
+        Ended::Redistribute(at, e) => {
+            *at == step
+                && matches!(e, DdrError::Incomplete(_) | DdrError::Mpi(MpiError::PeerDead { .. }))
+        }
+        _ => false,
+    };
+    assert!(named, "{ended:?}");
+}
+
+/// The blocking frame path fails structurally, never silently: a killed
+/// producer, a frame dropped mid-stream and a dropped last frame each end
+/// their consumer in a named error, and the run ends well inside the
+/// universe's timeout.
+#[test]
+fn blocking_frame_path_fails_structurally() {
+    // World rank 0 (producer 0) feeds world rank 2 (consumer 0). Its ops 0-4
+    // are `split_resources`' allgather, op 5 its step-1 send and op 6 its
+    // step-2 send: step 1 arrives, step 2 never does.
+    const KILL_OP: u64 = 6;
+    let (out, took) = faulty_stream(FaultPlan::new().kill_rank_at_op(0, KILL_OP));
+    assert!(matches!(out[2], Ended::Recv(2, MpiError::PeerDead { rank: 0 })), "{:?}", out[2]);
+    other_consumer_is_ok_or_named(&out[3], 2);
+    assert!(took < UNIVERSE_TIMEOUT / 4, "a dead producer took {took:?}");
+
+    // Step 2's frame is lost: step 3's arrives in its place (per-source
+    // delivery is FIFO), and the step check names both.
+    let (out, took) = faulty_stream(FaultPlan::new().drop_message(0, 2, Some(FRAME_TAG), 1));
+    match &out[2] {
+        Ended::Recv(2, MpiError::CollectiveMismatch { detail }) => {
+            assert_eq!(detail, "frame step 3 does not match expected 2")
+        }
+        other => panic!("{other:?}"),
     }
+    other_consumer_is_ok_or_named(&out[3], 2);
+    assert!(took < UNIVERSE_TIMEOUT / 4, "a dropped frame took {took:?}");
+
+    // The last frame is lost: nothing can take its place, and the producer
+    // is alive at the barrier, so the wait ends in the watchdog's Timeout.
+    let (out, took) = faulty_stream(FaultPlan::new().drop_message(0, 2, Some(FRAME_TAG), 2));
+    assert!(
+        matches!(out[2], Ended::Recv(3, MpiError::Timeout { rank: 2, src: Some(0), .. })),
+        "{:?}",
+        out[2]
+    );
+    other_consumer_is_ok_or_named(&out[3], 3);
+    assert!(took >= FRAME_WAIT && took < UNIVERSE_TIMEOUT / 4, "a lost last frame took {took:?}");
 }
 
 #[test]

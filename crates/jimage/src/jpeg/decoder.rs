@@ -88,7 +88,8 @@ fn segment(data: &[u8], pos: usize, len: usize) -> Result<&[u8]> {
         .ok_or_else(|| ImageError::Malformed("truncated segment payload".into()))
 }
 
-/// Decode a baseline JFIF JPEG (grayscale or YCbCr, sampling factors 1-2).
+/// Decode a baseline JFIF JPEG (three-component YCbCr, sampling factors
+/// 1-2). Any other component count is [`ImageError::Unsupported`].
 pub fn decode(bytes: &[u8]) -> Result<RgbImage> {
     if bytes.len() < 4 || bytes[0] != 0xFF || bytes[1] != 0xD8 {
         return Err(ImageError::Malformed("missing SOI marker".into()));
@@ -171,7 +172,7 @@ fn parse_sof0(d: &mut Decoder, seg: &[u8]) -> Result<()> {
         return Err(ImageError::Malformed("zero dimension in SOF0".into()));
     }
     let n = seg[5] as usize;
-    if n != 1 && n != 3 {
+    if n != 3 {
         return Err(ImageError::Unsupported(format!("{n}-component scan")));
     }
     if seg.len() < 6 + 3 * n {
@@ -315,7 +316,6 @@ fn decode_scan(d: &Decoder, bytes: &[u8], pos: usize) -> Result<RgbImage> {
     }
 
     // Upsample to full padded resolution and convert to RGB.
-    let w1 = mcux * hmax * 8;
     let mut out = vec![0u8; 3 * d.width * d.height];
     let sample = |ci: usize, x: usize, y: usize| -> f32 {
         let c = &d.comps[ci];
@@ -324,23 +324,14 @@ fn decode_scan(d: &Decoder, bytes: &[u8], pos: usize) -> Result<RgbImage> {
         let sy = y * c.v / vmax;
         planes[ci][sy * plane_w + sx] as f32
     };
-    let _ = w1;
     for y in 0..d.height {
         for x in 0..d.width {
-            let (r8, g8, b8);
-            if d.comps.len() == 1 {
-                let v = sample(0, x, y);
-                r8 = v;
-                g8 = v;
-                b8 = v;
-            } else {
-                let yv = sample(0, x, y);
-                let cb = sample(1, x, y) - 128.0;
-                let cr = sample(2, x, y) - 128.0;
-                r8 = yv + 1.402 * cr;
-                g8 = yv - 0.344_136 * cb - 0.714_136 * cr;
-                b8 = yv + 1.772 * cb;
-            }
+            let yv = sample(0, x, y);
+            let cb = sample(1, x, y) - 128.0;
+            let cr = sample(2, x, y) - 128.0;
+            let r8 = yv + 1.402 * cr;
+            let g8 = yv - 0.344_136 * cb - 0.714_136 * cr;
+            let b8 = yv + 1.772 * cb;
             let i = 3 * (y * d.width + x);
             out[i] = r8.round().clamp(0.0, 255.0) as u8;
             out[i + 1] = g8.round().clamp(0.0, 255.0) as u8;

@@ -37,24 +37,19 @@ impl Band {
     }
 }
 
-/// Fill each band of one MCU row: band row `j` comes from source row
-/// `y0 + j`, or from row `h − 1` where that lies below the image. `convert`
-/// writes a source row of `w` pixels (`src` holds `h` rows) into the first
-/// `w` values of each band's row; the rest of the row repeats its last value.
+/// Fill the Y, Cb and Cr bands of one MCU row: band row `j` comes from
+/// source row `y0 + j`, or from row `h − 1` where that lies below the image.
+/// [`ycbcr_row`] converts a source row of `w` pixels (`src` holds `h` rows)
+/// into the first `w` values of each band's row; the rest of the row repeats
+/// its last value.
 #[inline(always)]
-fn fill_bands<const C: usize>(
-    bands: &mut [Band; C],
-    src: &[u8],
-    (w, h): (usize, usize),
-    y0: usize,
-    convert: fn(&[u8], [&mut [f32]; C]),
-) {
+fn fill_bands(bands: &mut [Band; 3], src: &[u8], (w, h): (usize, usize), y0: usize) {
     let stride = src.len() / h;
     let w1 = bands[0].w;
     for j in 0..bands[0].rows() {
         let sy = (y0 + j).min(h - 1);
         let mut out = bands.each_mut().map(|b| &mut b.data[j * w1..(j + 1) * w1]);
-        convert(&src[sy * stride..(sy + 1) * stride], out.each_mut().map(|row| &mut row[..w]));
+        ycbcr_row(&src[sy * stride..(sy + 1) * stride], out.each_mut().map(|row| &mut row[..w]));
         for row in out {
             let edge = row[w - 1];
             row[w..].fill(edge);
@@ -71,13 +66,6 @@ fn ycbcr_row(src: &[u8], [y, cb, cr]: [&mut [f32]; 3]) {
         *y = 0.299 * r + 0.587 * g + 0.114 * b - 128.0;
         *cb = -0.168_736 * r - 0.331_264 * g + 0.5 * b;
         *cr = 0.5 * r - 0.418_688 * g - 0.081_312 * b;
-    }
-}
-
-/// Level-shifted gray values of one row of pixels.
-fn gray_row(src: &[u8], [y]: [&mut [f32]; 1]) {
-    for (y, &g) in y.iter_mut().zip(src) {
-        *y = g as f32 - 128.0;
     }
 }
 
@@ -130,7 +118,7 @@ impl McuRow {
     #[inline(always)]
     fn build(&mut self, img: &RgbImage, my: usize) -> [&Band; 3] {
         let y0 = my * self.full[0].rows();
-        fill_bands(&mut self.full, &img.data, (img.width, img.height), y0, ycbcr_row);
+        fill_bands(&mut self.full, &img.data, (img.width, img.height), y0);
         let [y, cb, cr] = &self.full;
         match &mut self.half {
             None => [y, cb, cr],
@@ -144,17 +132,18 @@ impl McuRow {
 }
 
 /// Check the dimensions a baseline frame header can carry, then the buffer
-/// length they imply for `channels` bytes per pixel.
-fn check_frame(width: usize, height: usize, channels: usize, len: usize) -> Result<()> {
+/// length they imply at 3 bytes per pixel.
+fn check_frame(img: &RgbImage) -> Result<()> {
+    let (width, height) = (img.width, img.height);
     let max = u16::MAX as usize;
     if width == 0 || height == 0 || width > max || height > max {
         return Err(ImageError::Unsupported(format!(
             "JPEG dimensions must be 1..={max}, got {width}x{height}"
         )));
     }
-    let expected = channels * width * height;
-    if len != expected {
-        return Err(ImageError::DimensionMismatch { expected, got: len });
+    let expected = 3 * width * height;
+    if img.data.len() != expected {
+        return Err(ImageError::DimensionMismatch { expected, got: img.data.len() });
     }
     Ok(())
 }
@@ -273,7 +262,7 @@ fn dht_payload(class_id: u8, spec: &HuffSpec) -> Vec<u8> {
 /// [`encode_with`], inlined into each build.
 #[inline(always)]
 fn encode_with_body(img: &RgbImage, quality: u8, sub: Subsampling) -> Result<Vec<u8>> {
-    check_frame(img.width, img.height, 3, img.data.len())?;
+    check_frame(img)?;
     let lq = scale_quant_table(&BASE_LUMA_QUANT, quality);
     let cq = scale_quant_table(&BASE_CHROMA_QUANT, quality);
     let (hs, vs) = match sub {
@@ -343,42 +332,6 @@ avx2_dispatch! {
     /// (1-100).
     pub fn encode_with(img: &RgbImage, quality: u8, sub: Subsampling) -> Result<Vec<u8>>
         = encode_with_body, encode_with_avx2;
-}
-
-/// Encode an 8-bit grayscale image as a single-component baseline JPEG —
-/// the natural output format for DVR of grayscale CT data.
-pub fn encode_gray(gray: &[u8], width: usize, height: usize, quality: u8) -> Result<Vec<u8>> {
-    check_frame(width, height, 1, gray.len())?;
-    let lq = scale_quant_table(&BASE_LUMA_QUANT, quality);
-
-    let mut out = Vec::with_capacity(gray.len() / 8 + 512);
-    out.extend_from_slice(&[0xFF, 0xD8]);
-    push_marker(&mut out, 0xE0, &[b'J', b'F', b'I', b'F', 0, 1, 1, 0, 0, 1, 0, 1, 0, 0]);
-    push_marker(&mut out, 0xDB, &dqt_payload(0, &lq));
-    let (w, h) = (width as u16, height as u16);
-    push_marker(
-        &mut out,
-        0xC0,
-        &[8, (h >> 8) as u8, h as u8, (w >> 8) as u8, w as u8, 1, 1, 0x11, 0],
-    );
-    push_marker(&mut out, 0xC4, &dht_payload(0x00, &DC_LUMA));
-    push_marker(&mut out, 0xC4, &dht_payload(0x10, &AC_LUMA));
-    push_marker(&mut out, 0xDA, &[1, 1, 0x00, 0, 63, 0]);
-
-    // One band of 8 rows, padded to 8-pixel multiples by edge replication.
-    let bw = width.div_ceil(8);
-    let mut band = [Band::new(bw * 8, 8)];
-    let mut enc = BlockEncoder::new(&DC_LUMA, &AC_LUMA, lq);
-    let mut writer = BitWriter::new(out);
-    for by in 0..height.div_ceil(8) {
-        fill_bands(&mut band, gray, (width, height), by * 8, gray_row);
-        for bx in 0..bw {
-            enc.encode(band[0].block(bx, 0), &mut writer);
-        }
-    }
-    let mut out = writer.finish();
-    out.extend_from_slice(&[0xFF, 0xD9]);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -457,30 +410,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gray_plane_equals_the_scalar_reference_bit_for_bit() {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        for (w, h) in [(1, 1), (7, 3), (9, 17), (64, 8)] {
-            let gray = random_bytes(&mut state, w * h);
-            let (w1, h1) = (w.div_ceil(8) * 8, h.div_ceil(8) * 8);
-            // The per-pixel `flat_map` the gray encoder built its plane with.
-            let reference: Vec<f32> = (0..h1)
-                .flat_map(|y| {
-                    let sy = y.min(h - 1);
-                    (0..w1).map(move |x| (x, sy))
-                })
-                .map(|(x, sy)| gray[sy * w + x.min(w - 1)] as f32 - 128.0)
-                .collect();
-            let mut band = [Band::new(w1, 8)];
-            let mut plane = Vec::new();
-            for by in 0..h1 / 8 {
-                fill_bands(&mut band, &gray, (w, h), by * 8, gray_row);
-                plane.extend_from_slice(&band[0].data);
-            }
-            assert_eq!(bits(&plane), bits(&reference), "{w}x{h}");
-        }
-    }
-
     /// The dispatched `encode_with` (the AVX2 build on a CPU that has it)
     /// against its body called directly (the baseline build), byte for
     /// byte, on a colormapped vortex field and on an image whose channels
@@ -533,10 +462,6 @@ mod tests {
             encode_with(&img, 75, Subsampling::S420),
             Err(ImageError::DimensionMismatch { expected: 3072, got: 3168 })
         ));
-        assert!(matches!(
-            encode_gray(&[0; 15], 4, 4, 75),
-            Err(ImageError::DimensionMismatch { expected: 16, got: 15 })
-        ));
     }
 
     #[test]
@@ -547,13 +472,10 @@ mod tests {
                 matches!(encode_with(&img, 75, Subsampling::S420), Err(ImageError::Unsupported(_))),
                 "{w}x{h}"
             );
-            assert!(
-                matches!(encode_gray(&vec![0; w * h], w, h, 75), Err(ImageError::Unsupported(_))),
-                "gray {w}x{h}"
-            );
         }
         // The largest allowed extent still encodes.
-        assert!(encode_gray(&vec![7; 65_535], 65_535, 1, 75).is_ok());
+        let widest = RgbImage::filled(65_535, 1, [7, 7, 7]);
+        assert!(encode_with(&widest, 75, Subsampling::S420).is_ok());
     }
 
     #[test]

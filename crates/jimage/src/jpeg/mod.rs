@@ -17,7 +17,7 @@ mod encoder;
 mod tables;
 
 pub use decoder::decode;
-pub use encoder::{encode_gray, encode_with};
+pub use encoder::encode_with;
 
 pub use dct::{fdct_8x8, idct_8x8};
 

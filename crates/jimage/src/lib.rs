@@ -8,7 +8,7 @@
 //! * [`RgbImage`] — 8-bit RGB buffers,
 //! * [`Colormap`] — the paper's blue-white-red diverging map plus grayscale
 //!   and a warm "tooth" transfer ramp for volume rendering,
-//! * [`pnm`] — PPM/PGM for loss-free debugging output,
+//! * [`pnm`] — PPM for loss-free debugging output,
 //! * [`jpeg`] — a baseline JFIF **encoder and decoder** (sequential DCT,
 //!   Huffman, 4:4:4 or 4:2:0 chroma subsampling) with the standard Annex-K
 //!   quantization/Huffman tables and IJG-style quality scaling.

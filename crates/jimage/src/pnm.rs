@@ -1,5 +1,5 @@
-//! PPM (P6) and PGM (P5) binary I/O — loss-free image dumps for debugging
-//! and for the raw-output side of the Table IV comparison.
+//! PPM (P6) binary I/O — loss-free image dumps for debugging and for the
+//! raw-output side of the Table IV comparison.
 
 use crate::error::{ImageError, Result};
 use crate::rgb::RgbImage;
@@ -18,17 +18,6 @@ pub fn encode_ppm(img: &RgbImage) -> Vec<u8> {
 pub fn write_ppm(path: &Path, img: &RgbImage) -> Result<()> {
     std::fs::write(path, encode_ppm(img))?;
     Ok(())
-}
-
-/// Encode an 8-bit grayscale buffer as binary PGM (P5).
-pub fn encode_pgm(width: usize, height: usize, gray: &[u8]) -> Result<Vec<u8>> {
-    if gray.len() != width * height {
-        return Err(ImageError::DimensionMismatch { expected: width * height, got: gray.len() });
-    }
-    let mut out = Vec::with_capacity(gray.len() + 32);
-    write!(out, "P5\n{width} {height}\n255\n").expect("vec write");
-    out.extend_from_slice(gray);
-    Ok(out)
 }
 
 /// Decode a binary PPM (P6) stream.
@@ -116,13 +105,5 @@ mod tests {
         assert!(decode_ppm(b"P6\n2 2\n255\n\x00").is_err()); // short payload
         assert!(decode_ppm(b"P6\n2 2\n65535\n").is_err()); // 16-bit maxval
         assert!(decode_ppm(b"P6\n2\n").is_err());
-    }
-
-    #[test]
-    fn pgm_encoding() {
-        let enc = encode_pgm(2, 2, &[1, 2, 3, 4]).unwrap();
-        assert!(enc.starts_with(b"P5\n2 2\n255\n"));
-        assert_eq!(&enc[enc.len() - 4..], &[1, 2, 3, 4]);
-        assert!(encode_pgm(2, 2, &[0; 5]).is_err());
     }
 }

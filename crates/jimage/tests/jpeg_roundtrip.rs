@@ -111,8 +111,26 @@ fn decoder_rejects_corruption() {
     }
 }
 
+/// A well-formed baseline stream of one 8x8 block in a single (grayscale)
+/// component: every table holds one 1-bit code for symbol 0, so the scan is
+/// DC category 0 then EOB, `00` padded with ones.
+fn one_component_jpeg() -> Vec<u8> {
+    let mut b = vec![0xFF, 0xD8];
+    b.extend([0xFF, 0xDB, 0x00, 0x43, 0x00]); // DQT 0: all ones
+    b.extend([1u8; 64]);
+    b.extend([0xFF, 0xC0, 0x00, 0x0B, 8, 0, 8, 0, 8, 1, 1, 0x11, 0]); // SOF0, 8x8, 1 component
+    for class_id in [0x00, 0x10] {
+        b.extend([0xFF, 0xC4, 0x00, 0x14, class_id, 1]); // DHT: one code of length 1
+        b.extend([0u8; 15]);
+        b.push(0);
+    }
+    b.extend([0xFF, 0xDA, 0x00, 0x08, 1, 1, 0x00, 0, 63, 0]); // SOS
+    b.extend([0x3F, 0xFF, 0xD9]);
+    b
+}
+
 #[test]
-fn decoder_rejects_progressive_sof() {
+fn decoder_rejects_progressive_and_one_component_frames() {
     let mut bytes = jpeg::encode(&vortex_frame(16, 16), 75).unwrap();
     // Rewrite SOF0 (FFC0) into SOF2 (FFC2 — progressive).
     for i in 0..bytes.len() - 1 {
@@ -122,6 +140,11 @@ fn decoder_rejects_progressive_sof() {
         }
     }
     assert!(matches!(jpeg::decode(&bytes), Err(ImageError::Unsupported(_))));
+    // Only three-component YCbCr frames decode.
+    match jpeg::decode(&one_component_jpeg()) {
+        Err(ImageError::Unsupported(m)) => assert_eq!(m, "1-component scan"),
+        other => panic!("{other:?}"),
+    }
 }
 
 #[test]
@@ -144,52 +167,4 @@ fn decoded_colors_match_colormap_semantics() {
     let right = back.get(56, 32);
     assert!(left[2] > 180 && left[0] < 100, "left {left:?} should be blue");
     assert!(right[0] > 180 && right[2] < 100, "right {right:?} should be red");
-}
-
-#[test]
-fn grayscale_roundtrip() {
-    // A smooth ramp with structure; decoded image must be near-identical
-    // gray (r == g == b) at every pixel.
-    let (w, h) = (100usize, 60usize);
-    let gray: Vec<u8> = (0..w * h)
-        .map(|i| {
-            let x = (i % w) as f32 / w as f32;
-            let y = (i / w) as f32 / h as f32;
-            (127.0 + 120.0 * (x * 9.0).sin() * (y * 5.0).cos()) as u8
-        })
-        .collect();
-    let bytes = jpeg::encode_gray(&gray, w, h, 90).unwrap();
-    let back = jpeg::decode(&bytes).unwrap();
-    assert_eq!((back.width, back.height), (w, h));
-    let mut total_err = 0u64;
-    for y in 0..h {
-        for x in 0..w {
-            let [r, g, b] = back.get(x, y);
-            assert_eq!(r, g);
-            assert_eq!(g, b);
-            total_err += (r as i32 - gray[y * w + x] as i32).unsigned_abs() as u64;
-        }
-    }
-    let mad = total_err as f64 / (w * h) as f64;
-    assert!(mad < 4.0, "grayscale mad {mad}");
-}
-
-#[test]
-fn grayscale_is_smaller_than_color() {
-    let (w, h) = (128usize, 128usize);
-    let gray: Vec<u8> = (0..w * h).map(|i| ((i * 7) % 251) as u8).collect();
-    let g_bytes = jpeg::encode_gray(&gray, w, h, 75).unwrap().len();
-    let rgb: Vec<u8> = gray.iter().flat_map(|&v| [v, v, v]).collect();
-    let img = RgbImage::new(w, h, rgb).unwrap();
-    let c_bytes = jpeg::encode(&img, 75).unwrap().len();
-    assert!(g_bytes < c_bytes, "{g_bytes} vs {c_bytes}");
-}
-
-#[test]
-fn grayscale_odd_sizes() {
-    for (w, h) in [(1usize, 1usize), (9, 7), (8, 8), (17, 3)] {
-        let gray: Vec<u8> = (0..w * h).map(|i| (i * 31 % 256) as u8).collect();
-        let back = jpeg::decode(&jpeg::encode_gray(&gray, w, h, 85).unwrap()).unwrap();
-        assert_eq!((back.width, back.height), (w, h));
-    }
 }

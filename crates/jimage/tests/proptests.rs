@@ -53,25 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn grayscale_any_size_roundtrips(
-        w in 1usize..70,
-        h in 1usize..70,
-        quality in 1u8..=100,
-        seed in any::<u64>(),
-    ) {
-        let mut s = seed | 1;
-        let gray: Vec<u8> = (0..w * h)
-            .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (s >> 56) as u8
-            })
-            .collect();
-        let bytes = jpeg::encode_gray(&gray, w, h, quality).unwrap();
-        let back = jpeg::decode(&bytes).unwrap();
-        prop_assert_eq!((back.width, back.height), (w, h));
-    }
-
-    #[test]
     fn corrupted_streams_never_panic(
         seed in any::<u64>(),
         flip_at_ppm in 0.0f64..1.0,

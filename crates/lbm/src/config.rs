@@ -42,16 +42,6 @@ pub fn barrier_line(x: usize, y0: usize, y1: usize) -> Box<BarrierFn> {
     Box::new(move |cx, cy| cx == x && (y0..=y1).contains(&cy))
 }
 
-/// A solid disc obstacle (the classic cylinder-in-crossflow benchmark).
-pub fn barrier_circle(cx: usize, cy: usize, radius: usize) -> Box<BarrierFn> {
-    let r2 = (radius * radius) as i64;
-    Box::new(move |x, y| {
-        let dx = x as i64 - cx as i64;
-        let dy = y as i64 - cy as i64;
-        dx * dx + dy * dy <= r2
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -362,32 +362,6 @@ impl Lattice {
         self.stream();
     }
 
-    /// Density of the slab interior as `f32` (another of the paper's
-    /// streamable variables: "many other variables (e.g. velocity, density,
-    /// etc.) … could also be streamed and rendered").
-    pub fn density(&self) -> Vec<f32> {
-        (0..self.rows)
-            .flat_map(|ly| (0..self.cfg.nx).map(move |x| (x, ly)))
-            .map(|(x, ly)| self.macroscopic(x, ly).0 as f32)
-            .collect()
-    }
-
-    /// Flow speed |u| of the slab interior as `f32`.
-    pub fn speed(&self) -> Vec<f32> {
-        (0..self.rows)
-            .flat_map(|ly| (0..self.cfg.nx).map(move |x| (x, ly)))
-            .map(|(x, ly)| {
-                let (_, ux, uy) = self.macroscopic(x, ly);
-                ((ux * ux + uy * uy).sqrt()) as f32
-            })
-            .collect()
-    }
-
-    /// Whether the interior cell at `(x, ly)` is solid.
-    pub fn is_solid(&self, x: usize, ly: usize) -> bool {
-        self.solid[(ly + 1) * self.cfg.nx + x]
-    }
-
     /// Velocity of every cell of interior row `ly`, as `(ux, uy)` pairs.
     pub fn velocity_row(&self, ly: usize) -> Vec<(f64, f64)> {
         (0..self.cfg.nx)

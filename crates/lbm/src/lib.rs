@@ -27,7 +27,7 @@ mod d2q9;
 mod dist;
 mod lattice;
 
-pub use config::{barrier_circle, barrier_line, barrier_none, BarrierFn, Config};
+pub use config::{barrier_line, barrier_none, BarrierFn, Config};
 pub use d2q9::{E, OPP, W};
 pub use dist::{split_rows, DistributedLbm};
 pub use lattice::{Edge, Lattice};

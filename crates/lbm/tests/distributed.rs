@@ -99,34 +99,3 @@ fn uneven_rank_counts_cover_domain() {
     // Uniform flow preserved.
     assert!(dv.iter().all(|&(ux, uy)| (ux - cfg.u0).abs() < 1e-12 && uy.abs() < 1e-12));
 }
-
-#[test]
-fn circular_barrier_flow_stays_stable_and_sheds() {
-    use ddr_lbm::barrier_circle;
-    let cfg = Config::wind_tunnel(96, 48);
-    let barrier = barrier_circle(24, 24, 5);
-    let (vel, vort) = serial_fields(cfg, &barrier, 400);
-    assert!(vel.iter().all(|(ux, uy)| ux.is_finite() && uy.is_finite()));
-    // Shedding behind the cylinder: both rotation senses present.
-    assert!(vort.iter().any(|&v| v > 1e-4) && vort.iter().any(|&v| v < -1e-4));
-    // Solid interior has zero velocity.
-    let center = vel[24 * 96 + 24];
-    assert_eq!(center, (0.0, 0.0));
-}
-
-#[test]
-fn density_and_speed_observables() {
-    use ddr_lbm::{barrier_none, Lattice};
-    let cfg = Config::wind_tunnel(32, 16);
-    let none = barrier_none();
-    let mut lat = Lattice::new(cfg, 0, 16, &none);
-    lat.step_serial();
-    let rho = lat.density();
-    let speed = lat.speed();
-    assert_eq!(rho.len(), 32 * 16);
-    assert_eq!(speed.len(), 32 * 16);
-    // Uniform inflow: density 1, speed u0 everywhere.
-    assert!(rho.iter().all(|&r| (r - 1.0).abs() < 1e-5));
-    assert!(speed.iter().all(|&s| (s - cfg.u0 as f32).abs() < 1e-5));
-    assert!(!lat.is_solid(3, 3));
-}

@@ -522,16 +522,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Non-blocking receive attempt.
-    pub fn try_recv_bytes(&self, src: usize, tag: Tag) -> Result<Option<Vec<u8>>> {
-        self.check_rank(src)?;
-        self.fault_tick()?;
-        match self.my_mailbox().try_take((self.comm_id, src, user_key_tag(tag))) {
-            Some(env) => self.materialize(src, env).map(Some),
-            None => Ok(None),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Communicator management
     // ------------------------------------------------------------------

@@ -307,6 +307,7 @@ impl Mailbox {
     }
 
     /// Non-blocking probe-and-take.
+    #[cfg(test)]
     pub fn try_take(&self, key: MsgKey) -> Option<Envelope> {
         self.pop(&mut self.lock(), key)
     }
@@ -625,6 +626,30 @@ mod tests {
         assert!(mb.try_take(KEY).is_none());
         assert_eq!(into_bytes(mb.try_take(child).unwrap()), vec![3]);
         assert_eq!(into_bytes(mb.try_take((1, 2, 7)).unwrap()), vec![9]);
+    }
+
+    /// A shrink discards what a survivor left queued for another on the
+    /// parent communicator: once the child's messages are taken, the
+    /// parent's key holds nothing.
+    #[test]
+    fn shrink_leaves_nothing_queued_on_the_parent() {
+        let out = crate::Universe::builder().timeout(LONG).run(3, |comm| {
+            if comm.rank() == 2 {
+                return None; // departs: the others shrink without it
+            }
+            if comm.rank() == 0 {
+                comm.send(1, 7, &[1u8; 128]).unwrap();
+                comm.send(1, 7, &[2u8; 128]).unwrap();
+            }
+            let child = comm.shrink().unwrap();
+            if child.rank() == 0 {
+                child.send(1, 7, &[3u8; 128]).unwrap();
+                return None;
+            }
+            assert_eq!(child.recv_bytes(0, 7).unwrap(), vec![3u8; 128]);
+            Some(comm.my_mailbox().try_take((comm.comm_id, 0, 7)).is_none())
+        });
+        assert_eq!(out[1], Some(true), "the parent's tail is gone");
     }
 
     #[test]

@@ -32,8 +32,5 @@ mod transfer;
 pub use dist::composite_gather;
 pub use image::RgbaImage;
 pub use phantom::phantom_tooth;
-pub use render::{
-    composite, render_brick, render_brick_along, render_brick_shaded, render_volume,
-    render_volume_along, Axis, BrickImage, Lighting,
-};
+pub use render::{composite, render_brick, render_volume, BrickImage};
 pub use transfer::TransferFunction;

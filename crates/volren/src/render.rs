@@ -3,32 +3,6 @@
 use crate::image::RgbaImage;
 use crate::transfer::TransferFunction;
 
-/// Orthographic viewing axis. Rays march along the chosen axis from its low
-/// coordinate side; the image plane is spanned by the other two axes in
-/// `(fastest, slower)` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Axis {
-    /// View along +x: image plane is (y, z).
-    X,
-    /// View along +y: image plane is (x, z).
-    Y,
-    /// View along +z: image plane is (x, y) — the default and the paper's
-    /// stacked-slice orientation.
-    #[default]
-    Z,
-}
-
-impl Axis {
-    /// The (image-u, image-v, march) axis indices.
-    fn layout(self) -> (usize, usize, usize) {
-        match self {
-            Axis::X => (1, 2, 0),
-            Axis::Y => (0, 2, 1),
-            Axis::Z => (0, 1, 2),
-        }
-    }
-}
-
 /// A rendered brick: the partial image of one sub-box of the volume, plus
 /// where it sits in image space and along the viewing axis.
 #[derive(Debug, Clone)]
@@ -52,135 +26,26 @@ pub fn render_brick(
     offset: [usize; 3],
     tf: &TransferFunction,
 ) -> BrickImage {
-    render_brick_along(data, dims, offset, tf, Axis::Z)
-}
-
-/// Ray-cast one brick along an arbitrary viewing [`Axis`].
-pub fn render_brick_along(
-    data: &[f32],
-    dims: [usize; 3],
-    offset: [usize; 3],
-    tf: &TransferFunction,
-    axis: Axis,
-) -> BrickImage {
     assert_eq!(data.len(), dims[0] * dims[1] * dims[2], "brick buffer does not match dims");
-    let (ua, va, ma) = axis.layout();
-    let (uw, vh, md) = (dims[ua], dims[va], dims[ma]);
-    let mut image = RgbaImage::transparent(uw, vh);
-    let mut coord = [0usize; 3];
-    for v in 0..vh {
-        for u in 0..uw {
-            // Front-to-back along the march axis within the brick.
-            for m in 0..md {
-                coord[ua] = u;
-                coord[va] = v;
-                coord[ma] = m;
-                let s = data[coord[0] + dims[0] * (coord[1] + dims[1] * coord[2])];
-                let (rgb, alpha) = tf.classify(s);
+    let [nx, ny, nz] = dims;
+    let mut image = RgbaImage::transparent(nx, ny);
+    for y in 0..ny {
+        for x in 0..nx {
+            // Front-to-back along z within the brick.
+            for z in 0..nz {
+                let (rgb, alpha) = tf.classify(data[x + nx * (y + ny * z)]);
                 if alpha > 0.0 {
-                    image.shade(u, v, rgb, alpha);
+                    image.shade(x, y, rgb, alpha);
                 }
             }
         }
     }
-    BrickImage { x0: offset[ua], y0: offset[va], z0: offset[ma], image }
+    BrickImage { x0: offset[0], y0: offset[1], z0: offset[2], image }
 }
 
 /// Render a whole volume in one pass — the serial reference image.
 pub fn render_volume(data: &[f32], dims: [usize; 3], tf: &TransferFunction) -> RgbaImage {
     render_brick(data, dims, [0, 0, 0], tf).image
-}
-
-/// Render a whole volume along an arbitrary viewing axis.
-pub fn render_volume_along(
-    data: &[f32],
-    dims: [usize; 3],
-    tf: &TransferFunction,
-    axis: Axis,
-) -> RgbaImage {
-    render_brick_along(data, dims, [0, 0, 0], tf, axis).image
-}
-
-/// Lighting model for shaded rendering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Lighting {
-    /// Direction *towards* the light (normalized internally).
-    pub direction: [f32; 3],
-    /// Ambient floor in `[0, 1]`; diffuse fills the rest.
-    pub ambient: f32,
-}
-
-impl Default for Lighting {
-    fn default() -> Self {
-        Lighting { direction: [0.4, -0.6, -0.7], ambient: 0.35 }
-    }
-}
-
-/// Ray-cast one brick with gradient-based diffuse shading (central
-/// differences inside the brick, one-sided at its faces).
-///
-/// Shading reads neighboring voxels, so at internal brick faces the
-/// one-sided gradient differs slightly from what a whole-volume render
-/// computes there — composited shaded bricks approximate (rather than
-/// bit-match) the single-pass shaded image. The unshaded path
-/// ([`render_brick_along`]) remains exact.
-pub fn render_brick_shaded(
-    data: &[f32],
-    dims: [usize; 3],
-    offset: [usize; 3],
-    tf: &TransferFunction,
-    axis: Axis,
-    light: Lighting,
-) -> BrickImage {
-    assert_eq!(data.len(), dims[0] * dims[1] * dims[2], "brick buffer does not match dims");
-    let norm = {
-        let d = light.direction;
-        let len = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt().max(1e-12);
-        [d[0] / len, d[1] / len, d[2] / len]
-    };
-    let at = |c: [usize; 3]| data[c[0] + dims[0] * (c[1] + dims[1] * c[2])];
-    let gradient = |c: [usize; 3]| -> [f32; 3] {
-        let mut g = [0f32; 3];
-        for (d, gd) in g.iter_mut().enumerate() {
-            let lo = c[d].saturating_sub(1);
-            let hi = (c[d] + 1).min(dims[d] - 1);
-            let mut a = c;
-            a[d] = hi;
-            let mut b = c;
-            b[d] = lo;
-            *gd = (at(a) - at(b)) / (hi - lo).max(1) as f32;
-        }
-        g
-    };
-
-    let (ua, va, ma) = axis.layout();
-    let mut image = RgbaImage::transparent(dims[ua], dims[va]);
-    let mut coord = [0usize; 3];
-    for v in 0..dims[va] {
-        for u in 0..dims[ua] {
-            for m in 0..dims[ma] {
-                coord[ua] = u;
-                coord[va] = v;
-                coord[ma] = m;
-                let (rgb, alpha) = tf.classify(at(coord));
-                if alpha <= 0.0 {
-                    continue;
-                }
-                let g = gradient(coord);
-                let glen = (g[0] * g[0] + g[1] * g[1] + g[2] * g[2]).sqrt();
-                // Surface normal points against the gradient (bright
-                // material on dark background).
-                let diffuse = if glen > 1e-6 {
-                    ((-g[0] * norm[0] - g[1] * norm[1] - g[2] * norm[2]) / glen).max(0.0)
-                } else {
-                    1.0 // homogeneous interior: fully lit
-                };
-                let shade = light.ambient + (1.0 - light.ambient) * diffuse;
-                image.shade(u, v, [rgb[0] * shade, rgb[1] * shade, rgb[2] * shade], alpha);
-            }
-        }
-    }
-    BrickImage { x0: offset[ua], y0: offset[va], z0: offset[ma], image }
 }
 
 /// Composite brick images into the full picture of a `width × height`
@@ -286,129 +151,6 @@ mod tests {
         // Center pixel hits the tooth; corner pixel is air.
         assert!(img.get(16, 16)[3] > 0.3);
         assert!(img.get(0, 0)[3] < 0.2);
-    }
-
-    #[test]
-    fn axis_views_differ_but_all_show_the_phantom() {
-        let dims = [24, 28, 32];
-        let vol = phantom_tooth(dims);
-        let tf = TransferFunction::tooth();
-        let z = render_volume_along(&vol, dims, &tf, Axis::Z);
-        let x = render_volume_along(&vol, dims, &tf, Axis::X);
-        let y = render_volume_along(&vol, dims, &tf, Axis::Y);
-        assert_eq!((z.width, z.height), (24, 28));
-        assert_eq!((x.width, x.height), (28, 32));
-        assert_eq!((y.width, y.height), (24, 32));
-        for img in [&z, &x, &y] {
-            assert!(img.max_alpha() > 0.5);
-        }
-    }
-
-    #[test]
-    fn brick_split_reproduces_reference_on_each_axis() {
-        let dims = [16, 16, 16];
-        let vol = phantom_tooth(dims);
-        let tf = TransferFunction::tooth();
-        for axis in [Axis::X, Axis::Y, Axis::Z] {
-            let reference = render_volume_along(&vol, dims, &tf, axis);
-            // Split along the march axis into two halves and composite.
-            let (_, _, ma) = axis.layout();
-            let mut half_dims = dims;
-            half_dims[ma] = 8;
-            let extract = |m0: usize| -> Vec<f32> {
-                let mut out = Vec::new();
-                for z in 0..half_dims[2] {
-                    for y in 0..half_dims[1] {
-                        for x in 0..half_dims[0] {
-                            let mut c = [x, y, z];
-                            c[ma] += m0;
-                            out.push(vol[c[0] + 16 * (c[1] + 16 * c[2])]);
-                        }
-                    }
-                }
-                out
-            };
-            let mut off_back = [0usize; 3];
-            off_back[ma] = 8;
-            let front = render_brick_along(&extract(0), half_dims, [0, 0, 0], &tf, axis);
-            let back = render_brick_along(&extract(8), half_dims, off_back, &tf, axis);
-            let composed = composite(reference.width, reference.height, vec![back, front]);
-            let d = reference
-                .data
-                .iter()
-                .zip(&composed.data)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0f32, f32::max);
-            assert!(d < 1e-5, "{axis:?}: {d}");
-        }
-    }
-
-    #[test]
-    fn shading_darkens_unlit_faces() {
-        let dims = [24, 24, 24];
-        let vol = phantom_tooth(dims);
-        let tf = TransferFunction::tooth();
-        let flat = render_volume(&vol, dims, &tf);
-        let shaded =
-            render_brick_shaded(&vol, dims, [0, 0, 0], &tf, Axis::Z, Lighting::default()).image;
-        // Shading only ever attenuates (shade factor <= 1), and must darken
-        // at least some surface pixels.
-        let mut any_darker = false;
-        for (s, f) in shaded.data.chunks_exact(4).zip(flat.data.chunks_exact(4)) {
-            assert!(s[0] <= f[0] + 1e-5 && s[1] <= f[1] + 1e-5 && s[2] <= f[2] + 1e-5);
-            if s[0] + 1e-3 < f[0] {
-                any_darker = true;
-            }
-        }
-        assert!(any_darker, "shading had no visible effect");
-        // Alpha is unaffected by shading.
-        for (s, f) in shaded.data.chunks_exact(4).zip(flat.data.chunks_exact(4)) {
-            assert!((s[3] - f[3]).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn light_direction_changes_the_image() {
-        let dims = [24, 24, 24];
-        let vol = phantom_tooth(dims);
-        let tf = TransferFunction::tooth();
-        let a = render_brick_shaded(
-            &vol,
-            dims,
-            [0, 0, 0],
-            &tf,
-            Axis::Z,
-            Lighting { direction: [1.0, 0.0, 0.0], ambient: 0.2 },
-        )
-        .image;
-        let b = render_brick_shaded(
-            &vol,
-            dims,
-            [0, 0, 0],
-            &tf,
-            Axis::Z,
-            Lighting { direction: [-1.0, 0.0, 0.0], ambient: 0.2 },
-        )
-        .image;
-        assert_ne!(a.data, b.data);
-    }
-
-    #[test]
-    fn shaded_bricks_composite_close_to_single_pass() {
-        let dims = [16, 16, 16];
-        let vol = phantom_tooth(dims);
-        let tf = TransferFunction::tooth();
-        let light = Lighting::default();
-        let reference = render_brick_shaded(&vol, dims, [0, 0, 0], &tf, Axis::Z, light).image;
-        let half = 16 * 16 * 8;
-        let front = render_brick_shaded(&vol[..half], [16, 16, 8], [0, 0, 0], &tf, Axis::Z, light);
-        let back = render_brick_shaded(&vol[half..], [16, 16, 8], [0, 0, 8], &tf, Axis::Z, light);
-        let composed = composite(16, 16, vec![front, back]);
-        // One-sided gradients at the internal face make this approximate.
-        let mean: f32 =
-            reference.data.iter().zip(&composed.data).map(|(a, b)| (a - b).abs()).sum::<f32>()
-                / reference.data.len() as f32;
-        assert!(mean < 0.02, "mean diff {mean}");
     }
 
     #[test]

@@ -10,22 +10,16 @@
 //!
 //! Run with: `cargo run --release --example lbm_in_transit`
 //! Outputs: `target/lbm_in_transit/frame_*.jpg`
-//!
-//! Set `DDR_FAULT_SEED=<n>` to inject a deterministic fault: one streamed
-//! frame (chosen by the seed) is dropped in flight. The analysis side then
-//! demonstrates degraded-mode streaming — it skips ahead after the per-frame
-//! deadline, keeps rendering, and reports the skip in its stream stats.
 
 use ddr::core::Block;
 use ddr::lbm::{barrier_line, Config, DistributedLbm};
-use ddr::minimpi::{FaultPlan, Universe};
+use ddr::minimpi::Universe;
 use intransit::{
-    analysis_block, consumer_sources, producer_targets, send_frame, split_resources, FrameReceiver,
-    FrameRecvConfig, FrameStats, Repartitioner, Role, FRAME_TAG,
+    analysis_block, consumer_sources, producer_targets, recv_frames, send_frame, split_resources,
+    Repartitioner, Role,
 };
 use jimage::{jpeg, Colormap, RgbImage};
 use std::process::ExitCode;
-use std::time::Duration;
 
 const M: usize = 10; // simulation ranks (Figure 4 uses 10 -> 4)
 const N: usize = 4; // analysis ranks
@@ -48,28 +42,9 @@ fn main() -> ExitCode {
     let (gx, gy) = ddr::core::decompose::near_square_grid(N);
     println!("analysis layout (Figure 5): {gx}x{gy} near-square grid over {NX}x{NY}\n");
 
-    // DDR_FAULT_SEED drops one frame in flight, deterministically.
-    let mut builder = Universe::builder();
-    if let Some(seed) = ddr::minimpi::env::u64_var("DDR_FAULT_SEED") {
-        let victim = (seed % M as u64) as usize;
-        let consumer = M + producer_targets(M, N)[victim];
-        let nth = seed % (STEPS / OUTPUT_EVERY) as u64;
-        println!(
-            "fault injection (seed {seed}): dropping frame #{nth} from simulation rank \
-             {victim} to analysis rank {}\n",
-            consumer - M
-        );
-        builder = builder.fault_plan(FaultPlan::new().drop_message(
-            victim,
-            consumer,
-            Some(FRAME_TAG),
-            nth,
-        ));
-    }
-
     let cfg = Config::wind_tunnel(NX, NY);
     let out_dir2 = out_dir.clone();
-    let outcomes = builder.run(M + N, move |world| -> Result<_, String> {
+    let outcomes = Universe::run(M + N, move |world| -> Result<_, String> {
         let err = |e: &dyn std::fmt::Display| e.to_string();
         let barrier = barrier_line(NX / 4, NY * 2 / 5, NY * 3 / 5);
         let (role, group) = split_resources(world, M).map_err(|e| err(&e))?;
@@ -87,29 +62,20 @@ fn main() -> ExitCode {
                             .map_err(|e| err(&e))?;
                     }
                 }
-                Ok((0usize, 0usize, FrameStats::default()))
+                Ok((0usize, 0usize))
             }
             Role::Analysis => {
                 let c = group.rank();
                 let need = analysis_block(NX, NY, N, c).map_err(|e| err(&e))?;
-                // Degraded mode: a step with a lost frame still redistributes
-                // and renders — undelivered cells stay at zero.
-                let mut rep = Repartitioner::degraded(need);
-                // The deadline must comfortably exceed the simulation's
-                // inter-output time, or healthy frames would be skipped.
-                let mut rx = FrameReceiver::new(
-                    consumer_sources(M, N, c),
-                    FrameRecvConfig {
-                        deadline: Duration::from_secs(2),
-                        ..FrameRecvConfig::default()
-                    },
-                );
+                let mut rep = Repartitioner::new(need);
+                let sources = consumer_sources(M, N, c);
                 let cmap = Colormap::blue_white_red();
                 let mut jpeg_bytes = 0usize;
                 let mut raw_bytes = 0usize;
                 for step in 1..=STEPS {
                     if step % OUTPUT_EVERY == 0 {
-                        let frames = rx.recv_step(world, step as u64).map_err(|e| err(&e))?;
+                        let frames =
+                            recv_frames(world, &sources, Some(step as u64)).map_err(|e| err(&e))?;
                         let field = rep.redistribute(&group, &frames).map_err(|e| err(&e))?;
                         raw_bytes += field.len() * 4;
                         let img = RgbImage::from_scalar_field(
@@ -126,7 +92,7 @@ fn main() -> ExitCode {
                         std::fs::write(path, bytes).map_err(|e| err(&e))?;
                     }
                 }
-                Ok((raw_bytes, jpeg_bytes, *rx.stats()))
+                Ok((raw_bytes, jpeg_bytes))
             }
         }
     });
@@ -142,14 +108,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let raw: usize = results.iter().map(|(r, _, _)| r).sum();
-    let jpg: usize = results.iter().map(|(_, j, _)| j).sum();
-    let mut stats = FrameStats::default();
-    for (_, _, s) in &results {
-        stats.merge(s);
-    }
+    let raw: usize = results.iter().map(|(r, _)| r).sum();
+    let jpg: usize = results.iter().map(|(_, j)| j).sum();
     println!("saved {} frames x {N} tiles to {}", STEPS / OUTPUT_EVERY, out_dir.display());
-    println!("stream stats: {stats}");
     println!(
         "raw vorticity would be {raw} bytes; JPEG tiles are {jpg} bytes — {:.2}% data reduction (Table IV effect)",
         100.0 * (1.0 - jpg as f64 / raw as f64)

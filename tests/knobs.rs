@@ -32,7 +32,7 @@ fn scan(dir: &Path, out: &mut BTreeSet<String>) {
 fn readme_knob_table_matches_the_code() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut read_by_code = BTreeSet::new();
-    // `examples/` is in scope because `DDR_FAULT_SEED` is read there.
+    // `examples/` is in scope so that a variable an example reads needs a row too.
     for dir in ["src", "examples"] {
         scan(&root.join(dir), &mut read_by_code);
     }
