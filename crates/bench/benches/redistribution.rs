@@ -36,7 +36,7 @@ fn run_cycle(nprocs: usize, domain: Block, chunks_per_rank: usize, reps: usize) 
         let data: Vec<Vec<f32>> =
             owned.iter().map(|b| vec![comm.rank() as f32; b.count() as usize]).collect();
         let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
-        let mut out = vec![0f32; need.count() as usize];
+        let mut out = Vec::new();
         for _ in 0..reps {
             plan.reorganize(comm, &refs, &mut out).unwrap();
         }

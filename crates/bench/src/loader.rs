@@ -8,7 +8,7 @@
 
 use crate::tiffcase::{image_block, Method};
 use ddr_core::decompose::{brick, consecutive_items, near_cubic_grid};
-use ddr_core::{Block, DataKind, Descriptor, Plan, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Plan, Produce, ValidationPolicy};
 use dtiff::TiffImage;
 use minimpi::Comm;
 use std::io::Read;
@@ -128,12 +128,15 @@ pub fn load_stack(
             let zs: Vec<usize> = (rank..vol[2]).step_by(nprocs).collect();
             let owned = zs.iter().map(|&z| image_block(vol, z)).collect::<Result<Vec<_>, _>>()?;
             let plan = mapping(comm, &owned, need, &mut stats)?;
-            plan.reorganize_from(comm, |r, chunk: &mut Vec<f32>| {
+            let mut out = Vec::new();
+            let produce = Produce(|r, chunk: &mut Vec<f32>| {
                 chunk.resize(plane, 0.0);
                 read_slice_into(dir, zs[r], vol, &mut file, chunk)?;
                 stats.images_read += 1;
                 Ok::<(), LoadError>(())
-            })?
+            });
+            plan.reorganize(comm, produce, &mut out)?;
+            out
         }
         Method::Consecutive => {
             let (z0, len) = consecutive_items(vol[2], nprocs, rank);
@@ -147,9 +150,7 @@ pub fn load_stack(
                 .then(|| Block::d3([0, 0, z0], [vol[0], vol[1], len]).expect("valid chunk"));
             let plan = mapping(comm, chunk.as_slice(), need, &mut stats)?;
             let held: &[&[f32]] = if len > 0 { &[&data] } else { &[] };
-            // Held chunks go through `reorganize`, which fills a buffer the
-            // caller owns: that one is zeroed.
-            let mut out = vec![0f32; need.count() as usize];
+            let mut out = Vec::new();
             plan.reorganize(comm, held, &mut out)?;
             out
         }

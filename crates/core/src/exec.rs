@@ -4,70 +4,99 @@ use crate::error::{DdrError, Result};
 use crate::plan::Plan;
 use crate::recover::PartialCompletion;
 use crate::stats::RedistStats;
-use minimpi::{bytes_of, bytes_of_mut, uninit_bytes_of_mut, Comm, Datatype, ExchangeReport, Pod};
+use minimpi::{bytes_of, uninit_bytes_of_mut, Comm, Datatype, Pod};
 use std::mem::MaybeUninit;
-use std::ops::Range;
+use std::ops::{Index, Range, RangeFull};
 
 /// Marker trait for element types DDR can move: any plain-old-data type.
 pub use minimpi::Pod as Element;
 
-/// Where the round loop gets an exchange's owned chunks from. Asked once
-/// per exchange, in round order, and only for rounds this rank owns a chunk
-/// in.
-trait ChunkSource<T> {
-    /// What fetching a chunk can fail with; the loop's own errors convert
-    /// into it.
-    type Error: From<DdrError>;
-    /// How many consecutive rounds one exchange carries.
-    const ROUNDS_PER_EXCHANGE: usize;
-    fn chunks(&mut self, rounds: Range<usize>) -> std::result::Result<Vec<&[T]>, Self::Error>;
+mod sealed {
+    pub trait Sealed {}
 }
 
-/// The trivial source: every chunk already sits in the caller's memory, so
-/// every round rides one exchange.
-impl<T> ChunkSource<T> for &[&[T]] {
+/// Where [`Plan::reorganize`] gets this rank's owned chunks from: held in
+/// the caller's memory, or made round by round by a [`Produce`].
+///
+/// Held chunks are any `&S` that indexes as a slice of `C: AsRef<[T]>` —
+/// `&[&[T]]`, `&Vec<&[T]>`, `&[Vec<T>]`, `&[&v; N]` — in owned-chunk order,
+/// and every round rides one exchange. Sealed: these two are the only
+/// sources.
+pub trait ChunkSource<T>: sealed::Sealed {
+    /// What fetching a chunk can fail with; the call's own errors convert
+    /// into it.
+    type Error: From<DdrError>;
+    /// How many chunks a held source holds; `None` for a producer.
+    fn held(&self) -> Option<usize>;
+    /// The owned chunks of consecutive `rounds`, asked once per exchange in
+    /// round order; a producer makes its one chunk in `scratch`.
+    fn chunks<'a>(
+        &'a mut self,
+        rounds: Range<usize>,
+        scratch: &'a mut Vec<T>,
+    ) -> std::result::Result<Vec<&'a [T]>, Self::Error>;
+}
+
+impl<S: ?Sized> sealed::Sealed for &S {}
+
+impl<'s, T, C: 's, S> ChunkSource<T> for &'s S
+where
+    S: ?Sized + Index<RangeFull, Output = [C]>,
+    C: AsRef<[T]>,
+{
     type Error = DdrError;
-    const ROUNDS_PER_EXCHANGE: usize = usize::MAX;
-    fn chunks(&mut self, rounds: Range<usize>) -> Result<Vec<&[T]>> {
-        Ok(self[rounds].to_vec())
+    fn held(&self) -> Option<usize> {
+        Some(self[..].len())
+    }
+    fn chunks<'a>(&'a mut self, rounds: Range<usize>, _: &'a mut Vec<T>) -> Result<Vec<&'a [T]>> {
+        Ok(self[..][rounds].iter().map(AsRef::as_ref).collect())
     }
 }
 
-/// A source that makes each chunk when its round comes, in one buffer that
-/// every round reuses — so it runs one round per exchange.
-struct Produced<T, F> {
-    fill: F,
-    buf: Vec<T>,
-}
+/// A [`ChunkSource`] that makes each owned chunk when its round comes.
+///
+/// Right before round `r`'s exchange, the closure `f(r, &mut chunk)` must
+/// leave exactly owned chunk `r`'s elements in `chunk` (anything else is
+/// [`DdrError::BufferMismatch`] naming the round). `chunk` is one buffer,
+/// handed back as the previous round left it, so a rank that owns many
+/// chunks — a reader walking a stack of images — keeps one of them in
+/// memory instead of all. The closure is called once per owned chunk, in
+/// round order, and never for the padded rounds of a rank that owns fewer
+/// chunks than its peers. Each round is an exchange of its own, because the
+/// one buffer holds one round's chunk.
+///
+/// The closure's own error `E` returns at once. The peers are then inside
+/// that round, and see this rank's exit as any other dead peer: a
+/// structured error, within the watchdog.
+pub struct Produce<F>(pub F);
 
-impl<T, E, F> ChunkSource<T> for Produced<T, F>
+impl<F> sealed::Sealed for Produce<F> {}
+
+impl<T, E, F> ChunkSource<T> for Produce<F>
 where
     E: From<DdrError>,
     F: FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
 {
     type Error = E;
-    const ROUNDS_PER_EXCHANGE: usize = 1;
-    fn chunks(&mut self, rounds: Range<usize>) -> std::result::Result<Vec<&[T]>, E> {
+    fn held(&self) -> Option<usize> {
+        None
+    }
+    fn chunks<'a>(
+        &'a mut self,
+        rounds: Range<usize>,
+        scratch: &'a mut Vec<T>,
+    ) -> std::result::Result<Vec<&'a [T]>, E> {
         debug_assert_eq!(rounds.len(), 1, "one buffer holds one round's chunk");
-        (self.fill)(rounds.start, &mut self.buf)?;
-        Ok(vec![&self.buf])
+        (self.0)(rounds.start, scratch)?;
+        Ok(vec![scratch])
     }
 }
 
-/// What one pass of the round loop leaves: the `(round, peer)` receives it
-/// lost, and the number of exchanges that carried its rounds. Both reports
-/// of a run — [`PartialCompletion`] and [`RedistStats`] — are derived from
-/// it on demand, so a run that lost nothing and records no trace builds
-/// neither.
-#[derive(Debug, Default)]
-pub(crate) struct Run {
-    pub(crate) failures: Vec<(usize, usize)>,
-    exchanges: usize,
-}
-
 impl Plan {
-    /// What every entry point checks before the first message.
-    fn check_call<T: Pod>(&self, comm: &Comm) -> Result<()> {
+    /// What every call checks before the first message: this plan's
+    /// communicator, rank and element size, and a held source's chunk
+    /// count.
+    fn check_call<T: Pod>(&self, comm: &Comm, held: Option<usize>) -> Result<()> {
         if comm.size() != self.nprocs {
             return Err(DdrError::ProcessCountMismatch {
                 descriptor: self.nprocs,
@@ -86,229 +115,141 @@ impl Plan {
                 ),
             });
         }
-        Ok(())
-    }
-
-    /// Elements of the needed block (0 for a plan that only sends).
-    fn need_count(&self) -> u64 {
-        self.need.map_or(0, |b| b.count())
-    }
-
-    /// [`Plan::check_call`], plus the need buffer's and every owned chunk's
-    /// length: a mismatch found here never leaves peers waiting inside a
-    /// round.
-    pub(crate) fn check_buffers<T: Pod>(
-        &self,
-        comm: &Comm,
-        owned: &[&[T]],
-        need: &[T],
-    ) -> Result<()> {
-        self.check_call::<T>(comm)?;
-        let need_count = self.need_count();
-        if need.len() as u64 != need_count {
+        if let Some(k) = held.filter(|&k| k != self.owned.len()) {
             return Err(DdrError::BufferMismatch {
                 detail: format!(
-                    "need buffer has {} elements but block {:?} holds {need_count}",
-                    need.len(),
-                    self.need,
-                ),
-            });
-        }
-        if owned.len() != self.owned.len() {
-            return Err(DdrError::BufferMismatch {
-                detail: format!(
-                    "{} owned buffers passed but {} chunks registered",
-                    owned.len(),
+                    "{k} owned buffers passed but {} chunks registered",
                     self.owned.len()
                 ),
             });
         }
-        for (c, (buf, blk)) in owned.iter().zip(self.owned.iter()).enumerate() {
-            if buf.len() as u64 != blk.count() {
-                return Err(DdrError::BufferMismatch {
-                    detail: format!(
-                        "owned buffer {c} has {} elements but chunk {:?} holds {}",
-                        buf.len(),
-                        blk,
-                        blk.count()
-                    ),
-                });
-            }
-        }
         Ok(())
     }
 
-    /// Collective: move data from each rank's owned-chunk buffers into its
-    /// needed-block buffer according to this plan — the paper's
-    /// `DDR_ReorganizeData` (§III-C). The paper runs one `alltoallw` per
-    /// round because MPI stages every message, so rounds bound staging
-    /// memory. A zero-copy loan stages nothing, so every round rides one
-    /// exchange.
+    /// Collective: move this rank's owned chunks, taken from `source`, into
+    /// its needed block in `need` — the paper's `DDR_ReorganizeData`
+    /// (§III-C). May be called any number of times with fresh data; the
+    /// mapping is reused (the paper's "dynamic data" property), and so is
+    /// `need`'s allocation.
     ///
-    /// May be called any number of times with fresh data; the mapping is
-    /// reused (the paper's "dynamic data" property). The exchange's part
-    /// lists are the plan's own, built once by the setup call, so a call
-    /// only binds its buffers to them.
+    /// The paper runs one `alltoallw` per round because MPI stages every
+    /// message, so rounds bound staging memory. A zero-copy loan stages
+    /// nothing, so held chunks ride one exchange for every round; a
+    /// [`Produce`] takes one exchange per round. Each exchange passes its
+    /// rounds' slice of the part lists the setup call built with the plan,
+    /// so a call only binds its buffers to them.
     ///
-    /// On peer failure (a rank died or dropped out mid-exchange) the
-    /// remaining exchanges are still drained so every byte that can arrive
-    /// does, and the call returns [`DdrError::Incomplete`] carrying a
-    /// [`PartialCompletion`] report of exactly what was delivered and lost,
-    /// per peer and per round. Salvage is per exchange: a source lost in an
-    /// exchange is lost in every round of it that received from that
-    /// source. Held chunks ride one exchange, so a peer that dies or whose
-    /// message is dropped loses everything it would have sent.
-    pub fn reorganize<T: Element>(
+    /// `need` is cleared, written through its spare capacity and given the
+    /// needed block's element count only after the last exchange. When
+    /// this rank's receive regions tile its needed block — pairwise
+    /// disjoint, their counts summing to the block's, a fact of the plan —
+    /// every element is written exactly once and nothing zeroes `need`
+    /// first. Otherwise (a need overhanging the domain under
+    /// [`crate::ValidationPolicy::Relaxed`], owned blocks overlapping under
+    /// [`crate::ValidationPolicy::Skip`]) it is zeroed first, so an element
+    /// no round delivers reads 0.
+    ///
+    /// On peer failure (a rank died, or its loan was dropped) every
+    /// exchange is still drained, so every byte that can arrive does. The
+    /// receive regions lost read 0, `need` has its full length, and the
+    /// call returns [`DdrError::Incomplete`] carrying a [`PartialCompletion`]
+    /// of what was delivered and lost, per peer and per round. A source
+    /// lost in an exchange is lost in every round of it that received from
+    /// that source. Any other error — a mismatched buffer, a producer's own
+    /// error, this rank fault-killed — leaves `need` empty.
+    pub fn reorganize<T: Element, S: ChunkSource<T>>(
         &self,
         comm: &Comm,
-        owned: &[&[T]],
-        need: &mut [T],
-    ) -> Result<()> {
-        self.check_buffers(comm, owned, need)?;
-        let run = self.run_held(comm, owned, need)?;
-        self.complete(&run)
-    }
-
-    /// Degraded-mode redistribution: like [`Plan::reorganize`], but a
-    /// lossy exchange is an `Ok` outcome — the returned
-    /// [`PartialCompletion`] says what arrived, and the [`RedistStats`]
-    /// account for what this call moved. Hard errors (mismatched buffers,
-    /// this rank itself fault-killed) are still `Err`. The stats are
-    /// derived from the plan and the recorded failures — never from wire
-    /// observations — so a run that loses nothing reports
-    /// [`Plan::expected_stats`].
-    pub fn reorganize_with_stats<T: Element>(
-        &self,
-        comm: &Comm,
-        owned: &[&[T]],
-        need: &mut [T],
-    ) -> Result<(PartialCompletion, RedistStats)> {
-        self.check_buffers(comm, owned, need)?;
-        let run = self.run_held(comm, owned, need)?;
-        Ok((PartialCompletion::from_failures(self, &run.failures), self.stats(&run)))
-    }
-
-    /// The held-chunk run behind [`Plan::reorganize`], over buffers the
-    /// caller checked with [`Plan::check_buffers`].
-    pub(crate) fn run_held<T: Pod>(
-        &self,
-        comm: &Comm,
-        owned: &[&[T]],
-        need: &mut [T],
-    ) -> Result<Run> {
-        let need = bytes_of_mut(need);
-        self.run_rounds(owned, |b, s, r| comm.alltoallw_parts(b, s, need, r))
-    }
-
-    /// [`Plan::reorganize`] for chunks that are produced rather than held,
-    /// returning the need buffer it fills: right before round `r`'s
-    /// exchange, `produce(r, &mut chunk)` must leave exactly owned chunk
-    /// `r`'s elements in `chunk` (anything else is
-    /// [`DdrError::BufferMismatch`] naming the round). `chunk` is one buffer,
-    /// handed back as the previous round left it, so a rank that owns many
-    /// chunks — a reader walking a stack of images — keeps one of them in
-    /// memory instead of all. `produce` is called once per owned chunk, in
-    /// round order, and never for the padded rounds of a rank that owns
-    /// fewer chunks than its peers. Each round is an exchange of its own,
-    /// because the one buffer holds one round's chunk; it passes the
-    /// round's slice of the plan's part lists.
-    ///
-    /// When this rank's receive regions tile its needed block — pairwise
-    /// disjoint, their element counts summing to the block's — the exchange
-    /// writes each element exactly once, straight into the returned
-    /// buffer's fresh allocation, and nothing zeroes it first. Otherwise
-    /// (a need overhanging the domain under [`crate::ValidationPolicy::Relaxed`],
-    /// owned blocks overlapping under [`crate::ValidationPolicy::Skip`]) the
-    /// buffer is zeroed before the first round, so an element no round
-    /// delivers reads 0. Whether the regions tile is a fact of the plan,
-    /// decided once when it was built.
-    ///
-    /// Any error returns no buffer: a producer's error, a
-    /// [`DdrError::BufferMismatch`], a lossy exchange
-    /// ([`DdrError::Incomplete`]) or a hard transport error. Salvaging what
-    /// a lossy exchange did deliver is [`Plan::reorganize_with_stats`]'s job,
-    /// over a buffer the caller holds.
-    ///
-    /// A producer's own failure `E` returns at once. The peers are then
-    /// inside that round, and see this rank's exit as any other dead peer:
-    /// a structured error, within the watchdog.
-    pub fn reorganize_from<T: Element, E: From<DdrError>>(
-        &self,
-        comm: &Comm,
-        produce: impl FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
-    ) -> std::result::Result<Vec<T>, E> {
-        self.check_call::<T>(comm)?;
-        let n = self.need_count() as usize;
-        let mut need = Vec::with_capacity(n);
+        source: S,
+        need: &mut Vec<T>,
+    ) -> std::result::Result<(), S::Error> {
+        let held = source.held();
+        self.check_call::<T>(comm, held)?;
+        let n = self.need.map_or(0, |b| b.count()) as usize;
+        need.clear();
+        need.reserve(n);
         let bytes = uninit_bytes_of_mut(&mut need.spare_capacity_mut()[..n]);
         if !self.tiled {
             bytes.fill(MaybeUninit::new(0));
         }
-        let source = Produced { fill: produce, buf: Vec::new() };
-        let run = self.run_rounds(source, |b, s, r| comm.alltoallw_parts_uninit(b, s, bytes, r))?;
-        self.complete(&run)?;
+        let failures = self.exchange_rounds(comm, source, bytes)?;
+        let lost =
+            (!failures.is_empty()).then(|| PartialCompletion::from_failures(self, &failures));
+        if let Some(report) = &lost {
+            self.zero_lost(report, bytes);
+        }
         // SAFETY: all `n` elements are initialized, and any bytes are a valid
         // `T: Pod`. Untiled, the buffer was zeroed above. Tiled, the tiling
         // proof: the receive regions are pairwise disjoint subsets of the
         // needed block whose counts sum to its count, so their selections
-        // cover every byte. And the completion check: `complete` found no
-        // receive lost, and `alltoallw_parts_uninit` stores every byte of the
-        // selections of each source it does not report lost.
+        // cover every byte. `alltoallw_parts_uninit` stores every byte of the
+        // selections of each source it does not report lost, and
+        // `zero_lost` every byte of those it does.
         unsafe { need.set_len(n) };
-        Ok(need)
-    }
-
-    /// The [`RedistStats`] a fully successful execution of this plan will
-    /// report: what [`Plan::reorganize_with_stats`] returns when nothing
-    /// fails, on any universe.
-    pub fn expected_stats(&self) -> RedistStats {
-        RedistStats::from_plan(self, &[])
-    }
-
-    /// What `run` moved, as [`Plan::reorganize_with_stats`] reports it.
-    fn stats(&self, run: &Run) -> RedistStats {
-        RedistStats { exchanges: run.exchanges, ..RedistStats::from_plan(self, &run.failures) }
-    }
-
-    /// A run that lost nothing is `Ok`, and builds no report; a lossy one is
-    /// the [`DdrError::Incomplete`] that [`Plan::reorganize`] promises.
-    fn complete(&self, run: &Run) -> Result<()> {
-        if run.failures.is_empty() {
-            return Ok(());
+        if ddrtrace::enabled() {
+            let mut stats = RedistStats::from_plan(self, lost.as_ref());
+            if held.is_none() {
+                stats.exchanges = stats.rounds;
+            }
+            ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
+            ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
+            ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
+            ddrtrace::metrics::add("redist", "rounds", stats.rounds as u64);
+            ddrtrace::metrics::add("redist", "exchanges", stats.exchanges as u64);
+            ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
         }
-        let report = PartialCompletion::from_failures(self, &run.failures);
-        Err(DdrError::Incomplete(Box::new(report)))
+        match lost {
+            None => Ok(()),
+            Some(report) => Err(DdrError::Incomplete(Box::new(report)).into()),
+        }
     }
 
-    /// The one round loop behind every entry point. `exchange(bufs, sends,
-    /// recvs)` runs one salvaging `alltoallw` into the need buffer the entry
-    /// point holds: `bufs` are the exchange's chunks, and `sends`/`recvs`
-    /// each peer's slice of the plan's part lists for the exchange's rounds.
-    /// Drains every exchange so the maximum amount of data survives a peer
-    /// death. A source lost in an exchange is lost in every round of it
-    /// that received from that source.
-    ///
-    /// Exchange-synchronous: one blocking exchange per
-    /// [`ChunkSource::ROUNDS_PER_EXCHANGE`] consecutive rounds — all of
-    /// them for held chunks, one for produced ones.
-    fn run_rounds<T: Pod, S: ChunkSource<T>>(
+    /// The [`RedistStats`] a fully successful held-chunk run of this plan
+    /// accounts for, on any universe.
+    pub fn expected_stats(&self) -> RedistStats {
+        RedistStats::from_plan(self, None)
+    }
+
+    /// Zero every receive region `report` names as lost in a tiled need
+    /// buffer: the exchange left them unwritten. An untiled buffer was
+    /// zeroed in full before the exchange, and a lost region there may
+    /// overlap a delivered one, so it is left as it is.
+    fn zero_lost(&self, report: &PartialCompletion, need: &mut [MaybeUninit<u8>]) {
+        if !self.tiled {
+            return;
+        }
+        for (round, lost) in self.rounds.iter().zip(&report.rounds) {
+            for t in round.recvs.iter().filter(|t| lost.failed_sources.contains(&t.peer)) {
+                for (offset, len) in t.subarray.byte_runs() {
+                    need[offset..offset + len].fill(MaybeUninit::new(0));
+                }
+            }
+        }
+    }
+
+    /// The round loop: one salvaging `alltoallw` into `need` per exchange —
+    /// all rounds at once for a held source, one per round for a producer —
+    /// each passing its chunks and each peer's slice of the plan's part
+    /// lists for its rounds. Drains every exchange so the maximum amount of
+    /// data survives a peer death. Returns the `(round, peer)` receives lost.
+    fn exchange_rounds<T: Pod, S: ChunkSource<T>>(
         &self,
+        comm: &Comm,
         mut source: S,
-        mut exchange: impl FnMut(
-            &[&[u8]],
-            &[&[(usize, Datatype)]],
-            &[&[Datatype]],
-        ) -> minimpi::Result<ExchangeReport>,
-    ) -> std::result::Result<Run, S::Error> {
+        need: &mut [MaybeUninit<u8>],
+    ) -> std::result::Result<Vec<(usize, usize)>, S::Error> {
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
-        let (n, step) = (self.rounds.len(), S::ROUNDS_PER_EXCHANGE);
-        let mut run = Run::default();
+        let n = self.rounds.len();
+        let step = source.held().map_or(1, |_| usize::MAX);
+        let (mut failures, mut scratch) = (Vec::new(), Vec::new());
         for group in (0..n).step_by(step).map(|start| start..start.saturating_add(step).min(n)) {
-            run.exchanges += 1;
             let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", group.len() as i64);
             let owned = group.start.min(self.owned.len())..group.end.min(self.owned.len());
-            let chunks =
-                if owned.is_empty() { Vec::new() } else { source.chunks(owned.clone())? };
+            let chunks = if owned.is_empty() {
+                Vec::new()
+            } else {
+                source.chunks(owned.clone(), &mut scratch)?
+            };
             for (c, chunk) in owned.zip(&chunks) {
                 let block = &self.owned[c];
                 if chunk.len() as u64 != block.count() {
@@ -343,33 +284,28 @@ impl Plan {
                     .collect()
             };
             let recvs: Vec<&[Datatype]> = self.parts.recvs(group.clone()).collect();
-            let report = exchange(&bufs, &sends, &recvs).map_err(DdrError::from)?;
+            let report =
+                comm.alltoallw_parts_uninit(&bufs, &sends, need, &recvs).map_err(DdrError::from)?;
             for (peer, _) in report.failed {
                 let lost =
                     group.clone().filter(|&r| self.rounds[r].recvs.iter().any(|t| t.peer == peer));
-                run.failures.extend(lost.map(|r| (r, peer)));
+                failures.extend(lost.map(|r| (r, peer)));
             }
         }
-        if ddrtrace::enabled() {
-            let stats = self.stats(&run);
-            ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
-            ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
-            ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
-            ddrtrace::metrics::add("redist", "rounds", stats.rounds as u64);
-            ddrtrace::metrics::add("redist", "exchanges", stats.exchanges as u64);
-            ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
-        }
-        Ok(run)
+        Ok(failures)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Produce;
     use crate::decompose::{brick, near_cubic_grid};
+    use crate::recover::PartialCompletion;
     use crate::{
         compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout, Plan, RoundPlan,
     };
     use minimpi::Universe;
+    use std::mem::MaybeUninit;
 
     fn d1(offset: usize, len: usize) -> Block {
         Block::d1(offset, len).unwrap()
@@ -437,23 +373,23 @@ mod tests {
 
     /// A plan without a needed block (a multi-need rank that declared fewer
     /// blocks than its peers) receives nothing: an empty tiling. Alone, its
-    /// chunk has nobody to go to either.
+    /// chunk has nobody to go to either, and a buffer handed in comes back
+    /// empty.
     #[test]
     fn an_empty_need_is_tiled() {
         let plan = Plan::new(0, 1, 4, vec![d1(0, 4)], None, vec![RoundPlan::default()]);
         assert!(plan.tiled);
         let got = Universe::run(1, |comm| {
-            plan.reorganize_from(comm, |_, chunk: &mut Vec<u32>| {
-                *chunk = vec![7; 4];
-                Ok::<_, DdrError>(())
-            })
+            let mut need = vec![9u32; 3];
+            plan.reorganize(comm, &[[7u32; 4]], &mut need).map(|()| need)
         });
         assert_eq!(got[0].as_deref(), Ok(&[][..]));
     }
 
-    /// One rank, two produced chunks: the tiled need is written once, into
-    /// fresh storage, and the overhanging one reads 0 where nothing lands.
-    /// Small enough for Miri, which reports any byte read before a write.
+    /// One rank, two chunks, held and produced, into a buffer reused from a
+    /// longer call: the tiled need is written once, through the spare
+    /// capacity, and the overhanging one reads 0 where nothing lands. Small
+    /// enough for Miri, which reports any byte read before a write.
     #[test]
     fn one_rank_fills_tiled_and_untiled_needs() {
         for (need, want) in
@@ -462,14 +398,74 @@ mod tests {
             let layouts = [Layout { owned: vec![d1(0, 6), d1(6, 4)], need }];
             let plan = plans(DataKind::D1, &layouts).remove(0);
             assert_eq!(plan.tiled, need.offset[0] == 2);
+            let chunk = |r: usize| {
+                let b = layouts[0].owned[r];
+                (b.offset[0] as u32..(b.offset[0] + b.dims[0]) as u32).collect::<Vec<u32>>()
+            };
             let got = Universe::run(1, |comm| {
-                plan.reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
-                    let b = layouts[0].owned[r];
-                    *chunk = (b.offset[0] as u32..(b.offset[0] + b.dims[0]) as u32).collect();
+                let mut held = vec![u32::MAX; 12];
+                plan.reorganize(comm, &[chunk(0), chunk(1)], &mut held)?;
+                let mut produced = Vec::new();
+                let make = Produce(|r, buf: &mut Vec<u32>| {
+                    *buf = chunk(r);
                     Ok::<_, DdrError>(())
-                })
+                });
+                plan.reorganize(comm, make, &mut produced)?;
+                Ok::<_, DdrError>((held, produced))
             });
-            assert_eq!(got[0].as_ref(), Ok(&want));
+            assert_eq!(got[0], Ok((want.clone(), want)));
         }
+    }
+
+    /// A buffer poisoned with `0xA5` bytes, as the exchange would leave
+    /// the unwritten parts of a need of `len` bytes.
+    fn poisoned(len: usize) -> Vec<MaybeUninit<u8>> {
+        vec![MaybeUninit::new(0xA5); len]
+    }
+
+    /// Each byte of `buf`, read back as an element index of 4-byte
+    /// elements: `Some(i)` where it reads 0, `None` where it is poisoned.
+    fn zeroed_elements(buf: &[MaybeUninit<u8>]) -> Vec<usize> {
+        // SAFETY: every byte was initialized by `poisoned` or `zero_lost`.
+        let bytes: Vec<u8> = buf.iter().map(|b| unsafe { b.assume_init() }).collect();
+        let zero = |e: &[u8]| e.iter().all(|&b| b == 0);
+        bytes.chunks(4).enumerate().filter(|(_, e)| zero(e)).map(|(i, _)| i).collect()
+    }
+
+    /// Rank 0 of two needs [2, 10) from a chunk of its own, [0, 6), and
+    /// one of rank 1's, [6, 10): tiled. Losing rank 1 zeroes exactly the
+    /// four elements rank 1 would have delivered; losing nobody zeroes
+    /// nothing.
+    #[test]
+    fn a_lost_source_zeroes_exactly_its_regions_of_a_tiled_need() {
+        let layouts = [
+            Layout { owned: vec![d1(0, 6)], need: d1(2, 8) },
+            Layout { owned: vec![d1(6, 4)], need: d1(0, 1) },
+        ];
+        let plan = plans(DataKind::D1, &layouts).remove(0);
+        assert!(plan.tiled);
+        for (failures, want) in [(vec![(0, 1)], vec![4, 5, 6, 7]), (vec![], vec![])] {
+            let report = PartialCompletion::from_failures(&plan, &failures);
+            let mut buf = poisoned(8 * 4);
+            plan.zero_lost(&report, &mut buf);
+            assert_eq!(zeroed_elements(&buf), want, "failures {failures:?}");
+        }
+    }
+
+    /// An untiled need was zeroed in full before its exchange; a lost
+    /// region may overlap a delivered one there, so nothing is zeroed
+    /// again.
+    #[test]
+    fn a_lost_source_leaves_an_untiled_need_as_it_is() {
+        let layouts = [
+            Layout { owned: vec![d1(0, 6)], need: d1(2, 12) },
+            Layout { owned: vec![d1(6, 4)], need: d1(0, 1) },
+        ];
+        let plan = plans(DataKind::D1, &layouts).remove(0);
+        assert!(!plan.tiled);
+        let report = PartialCompletion::from_failures(&plan, &[(0, 1)]);
+        let mut buf = poisoned(12 * 4);
+        plan.zero_lost(&report, &mut buf);
+        assert_eq!(zeroed_elements(&buf), Vec::<usize>::new());
     }
 }

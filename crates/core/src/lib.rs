@@ -13,9 +13,10 @@
 //!    owns and the single block it needs; layouts are allgathered and every
 //!    rank computes the geometric overlaps into a reusable [`Plan`],
 //! 3. **Move the data** — [`Plan::reorganize`] (`DDR_ReorganizeData`,
-//!    §III-C): the paper's rounds, whose count equals the maximum number of
-//!    chunks owned by any rank, ride one `alltoallw` of subarray datatypes,
-//!    each message a zero-copy loan.
+//!    §III-C), from chunks the caller holds or a [`Produce`] makes round by
+//!    round, into a `Vec` it reuses: the paper's rounds, whose count equals
+//!    the maximum number of chunks owned by any rank, ride `alltoallw`s of
+//!    subarray datatypes, each message a zero-copy loan.
 //!
 //! Ownership must be *mutually exclusive and complete* over the domain;
 //! needed blocks may overlap between ranks and may leave parts of the domain
@@ -51,7 +52,7 @@
 //!     let row = |y: usize| (0..8).map(|x| (y * 8 + x) as f32).collect::<Vec<_>>();
 //!     let data_own = [row(r), row(r + 4)];
 //!     let refs: Vec<&[f32]> = data_own.iter().map(|v| v.as_slice()).collect();
-//!     let mut data_need = vec![0f32; 16];
+//!     let mut data_need = Vec::new();
 //!     plan.reorganize(comm, &refs, &mut data_need).unwrap();
 //!     data_need
 //! });
@@ -77,7 +78,7 @@ mod validate;
 pub use block::{bounding_box, Block, MAX_DIMS};
 pub use descriptor::{DataKind, Descriptor};
 pub use error::{DdrError, Result};
-pub use exec::Element;
+pub use exec::{ChunkSource, Element, Produce};
 pub use layout::Layout;
 pub use mapping::compute_local_plan;
 pub use multi::MultiPlan;

@@ -12,20 +12,19 @@
 //! is one rectangle, though, so a [`MultiPlan`] is a list of ordinary
 //! [`Plan`]s: plan `k` fills every rank's `k`-th needed block, and is built,
 //! checked and executed by the code every single-need plan goes through —
-//! one exchange per need, in the one round loop behind
-//! [`Plan::reorganize`]. Every rank holds the global maximum need count of
-//! plans so the collectives match across ranks (a rank with fewer needs
-//! joins with a plan that only sends); `alltoallw` elides empty pairs, so
-//! the messages on the wire are exactly the non-empty overlaps.
+//! one [`Plan::reorganize`] per need. Every rank holds the global maximum
+//! need count of plans so the collectives match across ranks (a rank with
+//! fewer needs joins with a plan that only sends); `alltoallw` elides empty
+//! pairs, so the messages on the wire are exactly the non-empty overlaps.
 
 use crate::block::Block;
 use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
-use crate::exec::Run;
+use crate::exec::Element;
 use crate::plan::Plan;
 use crate::recover::PartialCompletion;
 use crate::validate::ValidationPolicy;
-use minimpi::{Comm, Pod};
+use minimpi::Comm;
 
 /// A reusable generalized redistribution plan (multi-block receive side).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,25 +56,27 @@ impl MultiPlan {
         self.plans.iter().map(Plan::total_sent_bytes).sum()
     }
 
-    /// The ordinary plans this one runs: plan `k` fills every rank's `k`-th
-    /// needed block.
+    /// The ordinary plans this one runs for this rank's needs: plan `k`
+    /// fills every rank's `k`-th needed block. A rank that declared fewer
+    /// needs than a peer also joins that peer's further plans, but only
+    /// sends in them; those are not handed out.
     pub fn plans(&self) -> &[Plan] {
-        &self.plans
+        &self.plans[..self.needs.len()]
     }
 
     /// Collective: move data from owned-chunk buffers into the needed-block
     /// buffers (one per declared need, in order). Reusable across time steps.
     ///
-    /// Every buffer is checked before the first exchange. Failure semantics
-    /// are [`Plan::reorganize`]'s: when a peer dies mid-exchange every
-    /// remaining round of every need is still drained, and the call returns
+    /// One [`Plan::reorganize`] per need index, each with its failure
+    /// semantics: when a peer dies mid-exchange every remaining exchange of
+    /// every need is still drained, and the call returns
     /// [`DdrError::Incomplete`] with one [`PartialCompletion`] whose round
     /// `r` sums round `r` of every need.
-    pub fn reorganize<T: Pod>(
+    pub fn reorganize<T: Element>(
         &self,
         comm: &Comm,
         owned: &[&[T]],
-        needs: &mut [&mut [T]],
+        needs: &mut [Vec<T>],
     ) -> Result<()> {
         if needs.len() != self.needs.len() {
             return Err(DdrError::BufferMismatch {
@@ -87,32 +88,18 @@ impl MultiPlan {
             });
         }
         // A rank with fewer than `k + 1` needs still joins plan `k`: it may
-        // send, and receives nothing into an empty buffer.
+        // send, and receives nothing.
+        let (mut lost, mut none) = (None::<PartialCompletion>, Vec::new());
         for (k, plan) in self.plans.iter().enumerate() {
-            plan.check_buffers(comm, owned, needs.get(k).map_or(&[][..], |b| b))?;
+            match plan.reorganize(comm, owned, needs.get_mut(k).unwrap_or(&mut none)) {
+                Err(DdrError::Incomplete(part)) => match &mut lost {
+                    Some(all) => all.merge(*part),
+                    None => lost = Some(*part),
+                },
+                other => other?,
+            }
         }
-        let runs = self
-            .plans
-            .iter()
-            .enumerate()
-            .map(|(k, plan)| {
-                plan.run_held(comm, owned, needs.get_mut(k).map_or(&mut [][..], |b| b))
-            })
-            .collect::<Result<Vec<Run>>>()?;
-        if runs.iter().all(|run| run.failures.is_empty()) {
-            return Ok(());
-        }
-        let merged = self
-            .plans
-            .iter()
-            .zip(&runs)
-            .map(|(plan, run)| PartialCompletion::from_failures(plan, &run.failures))
-            .reduce(|mut all, part| {
-                all.merge(part);
-                all
-            })
-            .expect("a lost receive belongs to a plan");
-        Err(DdrError::Incomplete(Box::new(merged)))
+        lost.map_or(Ok(()), |all| Err(DdrError::Incomplete(Box::new(all))))
     }
 }
 

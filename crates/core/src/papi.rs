@@ -27,7 +27,7 @@
 //!     let row = |y: usize| (0..8).map(|x| (y * 8 + x) as f32).collect::<Vec<_>>();
 //!     let own = [row(rank), row(rank + 4)];
 //!     let own_refs: Vec<&[f32]> = own.iter().map(|v| v.as_slice()).collect();
-//!     let mut need = vec![0f32; 16];
+//!     let mut need = Vec::new();
 //!     ddr_reorganize_data(comm, 4, &own_refs, &mut need, &plan).unwrap();
 //!     need
 //! });
@@ -117,12 +117,13 @@ pub fn ddr_setup_data_mapping(
     desc.setup_data_mapping(comm, &owned, need)
 }
 
-/// `DDR_ReorganizeData`: exchange the data between processes (§III-C).
+/// `DDR_ReorganizeData`: exchange the data between processes (§III-C) —
+/// [`Plan::reorganize`] over held chunks, after checking `nprocs`.
 pub fn ddr_reorganize_data<T: Element>(
     comm: &Comm,
     nprocs: usize,
     data_own: &[&[T]],
-    data_need: &mut [T],
+    data_need: &mut Vec<T>,
     plan: &Plan,
 ) -> Result<()> {
     if nprocs != comm.size() {

@@ -8,22 +8,21 @@
 
 use crate::layout::Layout;
 use crate::plan::Plan;
+use crate::recover::PartialCompletion;
 
 /// Per-rank accounting of one *executed* redistribution.
 ///
-/// Derived from the plan's transfer list minus the recorded per-round
-/// failures — never from wire observations — so two executions of the same
-/// plan that lose the same receives report identical stats, and one that
-/// loses nothing reports [`Plan::expected_stats`]. The differential test
-/// harness checks exactly this.
+/// Derived from the plan's transfer list and the [`PartialCompletion`] a
+/// lossy run returns — never from wire observations — so two executions
+/// of the same plan that lose the same receives report identical stats,
+/// and one that loses nothing reports [`Plan::expected_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RedistStats {
     /// Number of logical communication rounds executed (the paper's
     /// `MPI_Alltoallw` calls).
     pub rounds: usize,
-    /// Number of physical exchanges that carried them: one for
-    /// [`Plan::reorganize`] when there are rounds, one per round for
-    /// [`Plan::reorganize_from`].
+    /// Number of physical exchanges that carried them: one for held chunks
+    /// when there are rounds, one per round for a [`crate::Produce`].
     pub exchanges: usize,
     /// Bytes shipped to other ranks.
     pub sent_bytes: u64,
@@ -43,10 +42,11 @@ pub struct RedistStats {
 }
 
 impl RedistStats {
-    /// Account an executed [`Plan::reorganize`] of `plan` — every round in
-    /// one exchange — given the `(round, peer)` receive failures its
-    /// exchange reported.
-    pub fn from_plan(plan: &Plan, failures: &[(usize, usize)]) -> RedistStats {
+    /// Account a held-chunk [`Plan::reorganize`] of `plan` — every round in
+    /// one exchange — that lost what `lost` names: `None` for a run that
+    /// returned `Ok`, the report of its [`crate::DdrError::Incomplete`]
+    /// otherwise.
+    pub fn from_plan(plan: &Plan, lost: Option<&PartialCompletion>) -> RedistStats {
         let mut s = RedistStats {
             rounds: plan.rounds.len(),
             exchanges: usize::from(!plan.rounds.is_empty()),
@@ -65,7 +65,8 @@ impl RedistStats {
                 if t.peer == plan.rank {
                     continue; // the self-overlap is counted on the send side
                 }
-                if failures.contains(&(r, t.peer)) {
+                let round_lost = lost.and_then(|pc| pc.rounds.get(r));
+                if round_lost.is_some_and(|l| l.failed_sources.contains(&t.peer)) {
                     s.failed_recvs += 1;
                     s.lost_bytes += t.bytes();
                 } else {

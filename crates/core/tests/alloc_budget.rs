@@ -75,7 +75,7 @@ fn allocs_per_call(rounds: usize) -> Vec<u64> {
             .map(|b| (b.offset[0]..b.offset[0] + STRIP).map(|x| x as u32).collect())
             .collect();
         let refs: Vec<&[u32]> = chunks.iter().map(Vec::as_slice).collect();
-        let mut need = vec![0u32; len / 2];
+        let mut need = Vec::new();
         // Warm up: mailboxes and wait queues reach their steady size.
         for _ in 0..8 {
             plan.reorganize(comm, &refs, &mut need).unwrap();
@@ -85,6 +85,7 @@ fn allocs_per_call(rounds: usize) -> Vec<u64> {
             plan.reorganize(comm, &refs, &mut need).unwrap();
         }
         let total = allocs() - before;
+        assert_eq!(need.len(), len / 2);
         let start = me.need.offset[0] as u32;
         assert!(need.iter().zip(start..).all(|(&got, want)| got == want), "wrong bytes");
         total

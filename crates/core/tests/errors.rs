@@ -1,7 +1,7 @@
 //! Propagation of every [`minimpi::Error`] variant into ddr-core's
 //! [`DdrError`] domain, including through `reorganize`.
 
-use ddr_core::{compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout};
+use ddr_core::{compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout, Produce};
 use minimpi::{Error as MpiError, FaultPlan, Universe};
 use std::time::{Duration, Instant};
 
@@ -55,8 +55,7 @@ fn self_death_mid_reorganize_propagates_peer_dead_and_peers_get_incomplete() {
             let (desc, owned, need) = swap_scenario(comm);
             let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
             let data = [comm.rank() as f32, 10.0];
-            let mut got = [0f32; 2];
-            plan.reorganize(comm, &[&data], &mut got)
+            plan.reorganize(comm, &[&data], &mut Vec::new())
         });
 
     // The casualty sees its own death as a hard MPI error…
@@ -100,12 +99,12 @@ fn plan_run_on_the_wrong_rank_names_both_ranks() {
     let start = Instant::now();
     let out = Universe::builder().timeout(Duration::from_secs(30)).run(2, |comm| {
         let plan = compute_local_plan(1 - comm.rank(), &layouts, &desc).unwrap();
-        let held = plan.reorganize(comm, &[&[0u32; 4]], &mut [0u32; 4]);
-        let produced = plan.reorganize_from(comm, |_, chunk: &mut Vec<u32>| {
+        let held = plan.reorganize(comm, &[[0u32; 4]], &mut Vec::new());
+        let produce = Produce(|_, chunk: &mut Vec<u32>| {
             *chunk = vec![0; 4];
             Ok::<_, DdrError>(())
         });
-        (held, produced.map(drop))
+        (held, plan.reorganize(comm, produce, &mut Vec::new()))
     });
     assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
     for (rank, (held, produced)) in out.into_iter().enumerate() {

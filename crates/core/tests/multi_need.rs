@@ -35,16 +35,10 @@ fn ghost_halo_exchange(
             desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
 
         let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
-        let mut bufs: Vec<Vec<u64>> =
-            needs.iter().map(|b| vec![u64::MAX; b.count() as usize]).collect();
-        {
-            let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-            plan.reorganize(comm, &[&data], &mut refs).unwrap();
-        }
+        let mut bufs = vec![Vec::new(); needs.len()];
+        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
         for (buf, blk) in bufs.iter().zip(&needs) {
-            for (got, coord) in buf.iter().zip(blk.coords()) {
-                assert_eq!(*got, cell_value(coord), "rank {r} block {blk:?}");
-            }
+            assert_eq!(buf, &blk.coords().map(cell_value).collect::<Vec<_>>(), "rank {r} {blk:?}");
         }
         comm.barrier().unwrap();
         comm.transport_counters()
@@ -88,15 +82,10 @@ fn scattered_multi_block_gather() {
         let plan =
             desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
         let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
-        let mut bufs: Vec<Vec<u64>> = needs.iter().map(|b| vec![0; b.count() as usize]).collect();
-        let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        plan.reorganize(comm, &[&data], &mut refs).unwrap();
-        if r == 0 {
-            for (buf, blk) in bufs.iter().zip(&needs) {
-                for (got, coord) in buf.iter().zip(blk.coords()) {
-                    assert_eq!(*got, cell_value(coord));
-                }
-            }
+        let mut bufs = vec![Vec::new(); needs.len()];
+        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        for (buf, blk) in bufs.iter().zip(&needs) {
+            assert_eq!(buf, &blk.coords().map(cell_value).collect::<Vec<_>>());
         }
     });
 }
@@ -118,20 +107,17 @@ fn multi_plan_reused_across_steps_with_ragged_chunks() {
         let plan =
             desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
         assert_eq!(plan.num_rounds(), 3);
+        let mut bufs = vec![Vec::new(); needs.len()];
         for step in 0..4u64 {
             let data: Vec<Vec<u64>> = owned
                 .iter()
                 .map(|b| b.coords().map(|c| cell_value(c) + step * 7919).collect())
                 .collect();
             let data_refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut bufs: Vec<Vec<u64>> =
-                needs.iter().map(|b| vec![0; b.count() as usize]).collect();
-            let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-            plan.reorganize(comm, &data_refs, &mut refs).unwrap();
+            plan.reorganize(comm, &data_refs, &mut bufs).unwrap();
             for (buf, blk) in bufs.iter().zip(&needs) {
-                for (got, coord) in buf.iter().zip(blk.coords()) {
-                    assert_eq!(*got, cell_value(coord) + step * 7919);
-                }
+                let want: Vec<u64> = blk.coords().map(|c| cell_value(c) + step * 7919).collect();
+                assert_eq!(buf, &want);
             }
         }
     });
@@ -148,25 +134,22 @@ fn multi_buffer_mismatches_rejected() {
             desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
         let ok = vec![0u32; 4];
         // Wrong need buffer count.
-        let mut empty: Vec<&mut [u32]> = Vec::new();
-        assert!(plan.reorganize(comm, &[&ok], &mut empty).is_err());
-        // Wrong need buffer length.
-        let mut short = vec![0u32; 3];
-        let mut refs: Vec<&mut [u32]> = vec![short.as_mut_slice()];
-        assert!(plan.reorganize(comm, &[&ok], &mut refs).is_err());
+        let mut bufs: Vec<Vec<u32>> = Vec::new();
+        assert!(plan.reorganize(comm, &[&ok], &mut bufs).is_err());
+        // Wrong owned buffer length.
+        bufs.push(Vec::new());
+        assert!(plan.reorganize(comm, &[&ok[..3]], &mut bufs).is_err());
         // Correct call still works afterwards.
         let data: Vec<u32> = (0..4).map(|i| (r * 4 + i) as u32).collect();
-        let mut buf = vec![0u32; 4];
-        let mut refs: Vec<&mut [u32]> = vec![buf.as_mut_slice()];
-        plan.reorganize(comm, &[&data], &mut refs).unwrap();
-        assert_eq!(buf, ((1 - r) as u32 * 4..(1 - r) as u32 * 4 + 4).collect::<Vec<_>>());
+        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        assert_eq!(bufs[0], ((1 - r) as u32 * 4..(1 - r) as u32 * 4 + 4).collect::<Vec<_>>());
     });
 }
 
 /// `Strict` checks every declared need, not only ownership: the last rank's
 /// lower halo lies one row past the domain edge.
 #[test]
-fn strict_rejects_a_halo_past_the_domain_edge_and_relaxed_leaves_it_untouched() {
+fn strict_rejects_a_halo_past_the_domain_edge_and_relaxed_leaves_it_zero() {
     let (nx, ny, n) = (8usize, 12, 3usize);
     let domain = Block::d2([0, 0], [nx, ny]).unwrap();
     Universe::run(n, |comm| {
@@ -184,15 +167,11 @@ fn strict_rejects_a_halo_past_the_domain_edge_and_relaxed_leaves_it_untouched() 
         let plan =
             desc.setup_multi_mapping(comm, &[slab], &needs, ValidationPolicy::Relaxed).unwrap();
         let data: Vec<u64> = slab.coords().map(cell_value).collect();
-        let mut bufs: Vec<Vec<u64>> =
-            needs.iter().map(|b| vec![u64::MAX; b.count() as usize]).collect();
-        let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        plan.reorganize(comm, &[&data], &mut refs).unwrap();
+        let mut bufs = vec![Vec::new(); needs.len()];
+        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
         for (buf, blk) in bufs.iter().zip(&needs) {
-            for (got, coord) in buf.iter().zip(blk.coords()) {
-                let want = if coord[1] < ny { cell_value(coord) } else { u64::MAX };
-                assert_eq!(*got, want, "rank {r} block {blk:?}");
-            }
+            let want = |c: [usize; 3]| if c[1] < ny { cell_value(c) } else { 0 };
+            assert_eq!(buf, &blk.coords().map(want).collect::<Vec<_>>(), "rank {r} {blk:?}");
         }
     });
 }
@@ -212,7 +191,7 @@ fn periodic_halo_needs(r: usize) -> [Block; 3] {
 }
 
 /// Per rank: the op count after setup, what `reorganize` returned, and the
-/// need buffers (sentinel `u64::MAX` where nothing landed).
+/// need buffers (0 where nothing landed).
 type HaloOutcome = (u64, Result<(), DdrError>, Vec<Vec<u64>>);
 
 fn periodic_halo_exchange(faults: FaultPlan) -> Vec<HaloOutcome> {
@@ -224,10 +203,8 @@ fn periodic_halo_exchange(faults: FaultPlan) -> Vec<HaloOutcome> {
             desc.setup_multi_mapping(comm, &needs[..1], &needs, ValidationPolicy::Strict).unwrap();
         let ops = comm.op_count();
         let data: Vec<u64> = needs[0].coords().map(cell_value).collect();
-        let mut bufs: Vec<Vec<u64>> =
-            needs.iter().map(|b| vec![u64::MAX; b.count() as usize]).collect();
-        let mut refs: Vec<&mut [u64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        let outcome = plan.reorganize(comm, &[&data], &mut refs);
+        let mut bufs = vec![Vec::new(); needs.len()];
+        let outcome = plan.reorganize(comm, &[&data], &mut bufs);
         (ops, outcome, bufs)
     })
 }
@@ -258,15 +235,37 @@ fn rank_killed_mid_halo_exchange_yields_partial_completion_on_every_survivor() {
         };
         assert_eq!((report.rank, &report.dead_peers), (r, &vec![victim]));
         assert_eq!(report.missing_bytes(), (HALO_DOMAIN.0 * 8) as u64, "one halo row lost");
-        // Everything the dead rank did not feed arrived, in every block.
+        // Everything the dead rank did not feed arrived, in every block,
+        // and what it did not reads 0.
         for (buf, blk) in bufs.iter().zip(&periodic_halo_needs(r)) {
             let lost = victim_slab.intersect(blk).is_some();
-            for (got, coord) in buf.iter().zip(blk.coords()) {
-                let want = if lost { u64::MAX } else { cell_value(coord) };
-                assert_eq!(*got, want, "rank {r} block {blk:?}");
-            }
+            let want = |c| if lost { 0 } else { cell_value(c) };
+            assert_eq!(buf, &blk.coords().map(want).collect::<Vec<_>>(), "rank {r} {blk:?}");
         }
     }
+}
+
+/// A rank that declared fewer needs than a peer is handed only its own
+/// plans: every one of them has a needed block to read, and the peer's
+/// extra need is still delivered.
+#[test]
+fn plans_are_this_ranks_own_even_when_a_peer_needs_more() {
+    let out = Universe::run(2, |comm| {
+        let r = comm.rank();
+        let owned = [Block::d1(r * 4, 4).unwrap()];
+        let needs: Vec<Block> = (0..2 - r).map(|k| Block::d1(k * 4, 4).unwrap()).collect();
+        let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();
+        let plan =
+            desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
+        let read: Vec<Block> = plan.plans().iter().map(|p| *p.need()).collect();
+        assert_eq!(read, needs, "rank {r}");
+        let data: Vec<u32> = (r as u32 * 4..r as u32 * 4 + 4).collect();
+        let mut bufs = vec![Vec::new(); needs.len()];
+        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        bufs
+    });
+    assert_eq!(out[0], [vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
+    assert_eq!(out[1], [vec![0, 1, 2, 3]]);
 }
 
 // ---------------------------------------------------------------------------
@@ -298,15 +297,13 @@ fn two_descriptors_recover_over_one_shrink() {
         // Both plans execute on the recovered communicator: each rank
         // still holds its own slab, so the remap is a pure local copy.
         let data_a: Vec<u64> = owned_a[0].coords().map(cell_value).collect();
-        let mut got_a = [vec![u64::MAX; data_a.len()]];
-        let mut refs_a: Vec<&mut [u64]> = got_a.iter_mut().map(|v| v.as_mut_slice()).collect();
-        plan_a.reorganize(&rec, &[&data_a], &mut refs_a).unwrap();
+        let mut got_a = [Vec::new()];
+        plan_a.reorganize(&rec, &[&data_a], &mut got_a).unwrap();
         assert_eq!(got_a[0], data_a);
 
         let data_b: Vec<u32> = owned_b[0].coords().map(|c| cell_value(c) as u32).collect();
-        let mut got_b = [vec![u32::MAX; data_b.len()]];
-        let mut refs_b: Vec<&mut [u32]> = got_b.iter_mut().map(|v| v.as_mut_slice()).collect();
-        plan_b.reorganize(&rec, &[&data_b], &mut refs_b).unwrap();
+        let mut got_b = [Vec::new()];
+        plan_b.reorganize(&rec, &[&data_b], &mut got_b).unwrap();
         assert_eq!(got_b[0], data_b);
         Some(plan_a.total_sent_bytes() + plan_b.total_sent_bytes())
     });

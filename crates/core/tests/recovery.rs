@@ -5,7 +5,7 @@
 
 use ddr_core::{
     compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout, PartialCompletion,
-    ValidationPolicy,
+    RedistStats, ValidationPolicy,
 };
 use minimpi::{Comm, FaultPlan, Universe};
 use std::time::{Duration, Instant};
@@ -56,8 +56,7 @@ fn run_kill_and_recover(plan: FaultPlan, victim: usize) -> Vec<RankOutcome> {
 
         let data_own = [row_data(r), row_data(r + 4)];
         let refs: Vec<&[f32]> = data_own.iter().map(|v| v.as_slice()).collect();
-        let mut need = vec![-1.0f32; 16];
-        let first = plan.reorganize(comm, &refs, &mut need);
+        let first = plan.reorganize(comm, &refs, &mut Vec::new());
         if first.is_ok() {
             return (first, None);
         }
@@ -67,8 +66,8 @@ fn run_kill_and_recover(plan: FaultPlan, victim: usize) -> Vec<RankOutcome> {
         }
         // Shrink-and-remap: survivors keep their own chunks and needs.
         let (sub, plan2) = desc.recover_mapping(comm, &owned, e1_need(r)).unwrap();
-        let mut need2 = vec![-1.0f32; 16];
-        plan2.reorganize_with_stats(&sub, &refs, &mut need2).unwrap();
+        let mut need2 = Vec::new();
+        plan2.reorganize(&sub, &refs, &mut need2).unwrap();
         (first, Some((sub.size(), need2)))
     })
 }
@@ -106,7 +105,7 @@ fn killed_producer_yields_partial_completion_and_recovery_is_bitwise_correct() {
 
         // Recovery ran over the 3 survivors and is bitwise correct for all
         // elements not owned by the dead rank (its rows y=1 and y=5 are
-        // gone; those stay at the -1 sentinel).
+        // gone; those read 0).
         let (sub_size, need2) = recovered.as_ref().expect("survivor must recover");
         assert_eq!(*sub_size, 3);
         let need_blk = e1_need(r);
@@ -115,7 +114,7 @@ fn killed_producer_yields_partial_completion_and_recovery_is_bitwise_correct() {
                 let (gx, gy) = (need_blk.offset[0] + lx, need_blk.offset[1] + ly);
                 let got = need2[ly * 4 + lx];
                 if gy == victim || gy == victim + 4 {
-                    assert_eq!(got, -1.0, "rank {r}: lost cell ({gx},{gy}) must stay unfilled");
+                    assert_eq!(got, 0.0, "rank {r}: lost cell ({gx},{gy}) must read 0");
                 } else {
                     assert_eq!(got, cell(gx, gy), "rank {r}: cell ({gx},{gy})");
                 }
@@ -161,8 +160,7 @@ fn dropped_message_surfaces_as_timeout_in_report_without_hanging() {
             let plan = desc.setup_data_mapping(comm, &e1_owned(r), e1_need(r)).unwrap();
             let data_own = [row_data(r), row_data(r + 4)];
             let refs: Vec<&[f32]> = data_own.iter().map(|v| v.as_slice()).collect();
-            let mut need = vec![0f32; 16];
-            plan.reorganize(comm, &refs, &mut need)
+            plan.reorganize(comm, &refs, &mut Vec::new())
         });
     assert!(out[0].is_ok() && out[1].is_ok() && out[2].is_ok());
     match &out[3] {
@@ -206,17 +204,22 @@ fn dropped_coalesced_message_fails_every_round_that_received_from_the_peer() {
                 .map(|b| (b.offset[0]..b.offset[0] + b.dims[0]).map(|x| x as u32).collect())
                 .collect();
             let refs: Vec<&[u32]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut need = vec![u32::MAX; 12];
-            let (report, stats) = plan.reorganize_with_stats(comm, &refs, &mut need).unwrap();
-            (report, stats, need)
+            let mut need = Vec::new();
+            let report = match plan.reorganize(comm, &refs, &mut need) {
+                Ok(()) => None,
+                Err(DdrError::Incomplete(report)) => Some(report),
+                Err(e) => panic!("rank {r}: {e}"),
+            };
+            (RedistStats::from_plan(&plan, report.as_deref()), report, need)
         });
-    let (report, stats, need) = &out[0];
-    assert!(report.is_complete(), "{report}");
+    let (stats, report, need) = &out[0];
+    assert_eq!(report, &None);
     assert_eq!(need, &(0..12).collect::<Vec<u32>>());
-    assert_eq!((stats.rounds, stats.exchanges), (3, 1));
+    assert_eq!(stats.rounds, 3);
 
-    let (report, stats, need) = &out[1];
-    assert_eq!((stats.rounds, stats.exchanges), (3, 1));
+    let (stats, report, need) = &out[1];
+    let report = report.as_ref().expect("rank 1 loses rank 0's message");
+    assert_eq!(stats.rounds, 3);
     assert_eq!(report.dead_peers, vec![0]);
     let failed: Vec<&[usize]> = report.rounds.iter().map(|r| &r.failed_sources[..]).collect();
     assert_eq!(failed, [&[0][..], &[], &[0]], "every round that received from 0, and only those");
@@ -227,7 +230,7 @@ fn dropped_coalesced_message_fails_every_round_that_received_from_the_peer() {
     assert_eq!(report.delivered_bytes() + report.missing_bytes(), 12 * 4);
     assert_eq!((stats.failed_recvs, stats.lost_bytes), (2, 36));
     assert_eq!(stats.local_bytes, 12);
-    let mut want = vec![u32::MAX; 9];
+    let mut want = vec![0; 9];
     want.extend(21..24);
     assert_eq!(need, &want);
 }
@@ -263,12 +266,11 @@ fn shrink_mapping_keeps_unchanged_ranks_at_zero_moved_bytes() {
         let desc = Descriptor::for_type::<u32>(4, DataKind::D1).unwrap();
         let plan =
             desc.setup_multi_mapping(comm, &owned, needs, ValidationPolicy::Degraded).unwrap();
-        let plan = &plan.plans()[0];
-        if r != 3 {
-            assert_eq!(plan.total_recv_bytes(), 0, "rank {r}: unchanged rank moves zero bytes");
-            assert_eq!(plan.total_local_bytes(), owned[0].count() * 4);
-        }
         assert_eq!(plan.total_sent_bytes(), 0);
+        // The leaving rank needs nothing, so it is handed no plan.
+        let Some(plan) = plan.plans().first() else { return (0, 0) };
+        assert_eq!(plan.total_recv_bytes(), 0, "rank {r}: unchanged rank moves zero bytes");
+        assert_eq!(plan.total_local_bytes(), owned[0].count() * 4);
         (plan.total_recv_bytes(), plan.total_local_bytes())
     });
     assert_eq!(out, vec![(0, 32), (0, 32), (0, 32), (0, 0)]);
@@ -297,7 +299,7 @@ fn grow_mapping_feeds_joining_ranks_and_is_delta_minimal() {
         }
         let data: Vec<u32> = (0..32).collect();
         let refs: Vec<&[u32]> = if r == 0 { vec![&data] } else { vec![] };
-        let mut got = vec![u32::MAX; 8];
+        let mut got = Vec::new();
         plan.reorganize(comm, &refs, &mut got).unwrap();
         let want: Vec<u32> = (r as u32 * 8..r as u32 * 8 + 8).collect();
         assert_eq!(got, want, "rank {r}");

@@ -1,7 +1,7 @@
 //! End-to-end redistribution tests: real rank threads, real exchanges,
 //! verified against a global reference array.
 
-use ddr_core::{Block, DataKind, Descriptor, Layout, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Layout, Produce, ValidationPolicy};
 use minimpi::Universe;
 
 /// Global reference value at a coordinate: unique per cell.
@@ -24,11 +24,9 @@ fn check_redistribution(kind: DataKind, layouts: &[Layout], policy: ValidationPo
         let plan = desc.setup_data_mapping_with(comm, &me.owned, me.need, policy).unwrap();
         let owned_data: Vec<Vec<u64>> = me.owned.iter().map(fill).collect();
         let refs: Vec<&[u64]> = owned_data.iter().map(|v| v.as_slice()).collect();
-        let mut need = vec![u64::MAX; me.need.count() as usize];
+        let mut need = Vec::new();
         plan.reorganize(comm, &refs, &mut need).unwrap();
-        for (got, coord) in need.iter().zip(me.need.coords()) {
-            assert_eq!(*got, cell_value(coord), "rank {} coord {:?}", comm.rank(), coord);
-        }
+        assert_eq!(need, fill(&me.need), "rank {}", comm.rank());
     });
 }
 
@@ -74,8 +72,9 @@ fn e1_table_1_parameter_values() {
         assert_eq!(plan.num_rounds(), 2);
         let own0: Vec<f32> = (0..8).map(|x| (rank * 8 + x) as f32).collect();
         let own1: Vec<f32> = (0..8).map(|x| ((rank + 4) * 8 + x) as f32).collect();
-        let mut need = vec![0f32; 16];
+        let mut need = Vec::new();
         ddr_reorganize_data(comm, 4, &[&own0, &own1], &mut need, &plan).unwrap();
+        assert_eq!(need.len(), 16);
         // Verify the quadrant contents.
         let (right, bottom) = (rank % 2, rank / 2);
         for y in 0..4 {
@@ -178,14 +177,12 @@ fn dynamic_data_reuses_plan_across_timesteps() {
         let need = ddr_core::decompose::brick(&domain, [2, 2, 1], r).unwrap();
         let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
+        let mut out = Vec::new();
         for step in 0..5u64 {
-            let data: Vec<u64> =
-                owned[0].coords().map(|c| cell_value(c) + step * 1_000_000_007).collect();
-            let mut out = vec![0u64; need.count() as usize];
+            let at = |c| cell_value(c) + step * 1_000_000_007;
+            let data: Vec<u64> = owned[0].coords().map(at).collect();
             plan.reorganize(comm, &[&data], &mut out).unwrap();
-            for (got, coord) in out.iter().zip(need.coords()) {
-                assert_eq!(*got, cell_value(coord) + step * 1_000_000_007);
-            }
+            assert_eq!(out, need.coords().map(at).collect::<Vec<_>>());
         }
     });
 }
@@ -203,37 +200,35 @@ fn buffer_mismatches_are_rejected() {
 
         // Wrong element type (u64 instead of u32).
         let bad_elems = vec![0u64; 4];
-        let mut need_buf64 = vec![0u64; 4];
         assert!(matches!(
-            plan.reorganize(comm, &[&bad_elems], &mut need_buf64),
+            plan.reorganize(comm, &[&bad_elems], &mut Vec::new()),
             Err(ddr_core::DdrError::BufferMismatch { .. })
         ));
 
         // Wrong owned buffer length.
         let short = vec![0u32; 3];
-        let mut need_buf = vec![0u32; 4];
+        let mut need_buf = Vec::new();
         assert!(matches!(
             plan.reorganize(comm, &[&short], &mut need_buf),
             Err(ddr_core::DdrError::BufferMismatch { .. })
         ));
 
-        // Wrong chunk count.
+        // Wrong chunk count, too many and none.
         let ok = vec![0u32; 4];
         assert!(matches!(
             plan.reorganize(comm, &[&ok, &ok], &mut need_buf),
             Err(ddr_core::DdrError::BufferMismatch { .. })
         ));
-
-        // Wrong need length.
-        let mut short_need = vec![0u32; 3];
+        let none: [&[u32]; 0] = [];
         assert!(matches!(
-            plan.reorganize(comm, &[&ok], &mut short_need),
+            plan.reorganize(comm, &none, &mut need_buf),
             Err(ddr_core::DdrError::BufferMismatch { .. })
         ));
 
         // Correct buffers still work afterwards (errors had no side effects
         // on the communicator state).
         plan.reorganize(comm, &[&ok], &mut need_buf).unwrap();
+        assert_eq!(need_buf, [0; 4]);
     });
 }
 
@@ -246,32 +241,37 @@ fn produced_chunk_of_wrong_length_is_a_buffer_mismatch_naming_the_round() {
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
 
         // The buffer comes back as round 0 left it: five elements, where
-        // chunk 1 holds three. No need buffer comes back.
+        // chunk 1 holds three. The need buffer comes back empty.
+        let mut out = vec![9; 8];
         let err = plan
-            .reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
-                if r == 0 {
-                    chunk.extend(0..5);
-                }
-                Ok::<(), ddr_core::DdrError>(())
-            })
+            .reorganize(
+                comm,
+                Produce(|r, chunk: &mut Vec<u32>| {
+                    if r == 0 {
+                        chunk.extend(0..5);
+                    }
+                    Ok::<(), ddr_core::DdrError>(())
+                }),
+                &mut out,
+            )
             .unwrap_err();
         assert!(
             matches!(&err, ddr_core::DdrError::BufferMismatch { detail } if detail.starts_with("round 1:")),
             "{err}"
         );
+        assert_eq!(out, []);
 
         // An element type of the wrong size is refused before the producer
         // is asked for anything.
-        let refused = plan
-            .reorganize_from(comm, |_, _: &mut Vec<u64>| -> Result<(), ddr_core::DdrError> {
-                unreachable!("not called")
-            });
+        let not_called =
+            |_, _: &mut Vec<u64>| -> Result<(), ddr_core::DdrError> { unreachable!("not called") };
+        let refused = plan.reorganize(comm, Produce(not_called), &mut Vec::new());
         assert!(matches!(refused, Err(ddr_core::DdrError::BufferMismatch { .. })));
 
         // A producer's own error comes back as it is, from the round it
-        // happened in, with no buffer.
+        // happened in, with an empty buffer.
         let mut asked = Vec::new();
-        let own = plan.reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
+        let produce = Produce(|r, chunk: &mut Vec<u32>| {
             asked.push(r);
             chunk.resize(5, 0);
             if r == 1 {
@@ -280,23 +280,24 @@ fn produced_chunk_of_wrong_length_is_a_buffer_mismatch_naming_the_round() {
                 Ok(())
             }
         });
+        let own = plan.reorganize(comm, produce, &mut out);
         assert_eq!(own, Err(ProducerError::Own("slice unreadable".into())));
         assert_eq!(asked, [0, 1]);
+        assert_eq!(out, []);
 
         // The same plan still fills its need afterwards.
-        let out = plan
-            .reorganize_from(comm, |r, chunk: &mut Vec<u32>| {
-                *chunk = if r == 0 { (0..5).collect() } else { (5..8).collect() };
-                Ok::<(), ddr_core::DdrError>(())
-            })
-            .unwrap();
+        let produce = Produce(|r, chunk: &mut Vec<u32>| {
+            *chunk = if r == 0 { (0..5).collect() } else { (5..8).collect() };
+            Ok::<(), ddr_core::DdrError>(())
+        });
+        plan.reorganize(comm, produce, &mut out).unwrap();
         assert_eq!(out, (0..8).collect::<Vec<u32>>());
     });
 }
 
 /// A message lost on the wire fails the produced run with
-/// [`ddr_core::DdrError::Incomplete`] naming its source, and returns no
-/// buffer: the elements that message carried were never written.
+/// [`ddr_core::DdrError::Incomplete`] naming its source, and the elements
+/// that message carried read 0.
 #[test]
 fn dropped_message_fails_a_produced_run_naming_the_source() {
     // `compute_local_plan` sends no setup traffic, so rank 0's first message
@@ -314,26 +315,31 @@ fn dropped_message_fails_a_produced_run_naming_the_source() {
             let me = &layouts[comm.rank()];
             let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
             let plan = ddr_core::compute_local_plan(comm.rank(), layouts, &desc).unwrap();
-            plan.reorganize_from(comm, |r, chunk: &mut Vec<u64>| {
+            let produce = Produce(|r: usize, chunk: &mut Vec<u64>| {
                 *chunk = fill(&me.owned[r]);
                 Ok::<(), ddr_core::DdrError>(())
-            })
+            });
+            let mut need = Vec::new();
+            (plan.reorganize(comm, produce, &mut need), need)
         });
-    assert_eq!(out[0].as_ref().unwrap(), &fill(&layouts[0].need));
+    assert_eq!(out[0], (Ok(()), fill(&layouts[0].need)));
     match &out[1] {
-        Err(ddr_core::DdrError::Incomplete(report)) => {
+        (Err(ddr_core::DdrError::Incomplete(report)), need) => {
             assert_eq!(report.dead_peers, vec![0]);
             assert_eq!(report.rounds[0].failed_sources, vec![0]);
             assert!(report.rounds[1].failed_sources.is_empty());
+            // Round 0 lost [2, 4) from rank 0; everything else arrived.
+            let mut want = fill(&layouts[1].need);
+            want[..2].fill(0);
+            assert_eq!(need, &want);
         }
         other => panic!("rank 1: expected Incomplete, got {other:?}"),
     }
 }
 
 /// Layouts whose receives do not tile every need: a `Relaxed` need that
-/// overhangs the domain, and a `Skip`-admitted owner overlap. The produced
-/// run zeroes its buffer first, so uncovered cells read 0; every covered
-/// cell holds what `reorganize` writes on the same layout.
+/// overhangs the domain, and a `Skip`-admitted owner overlap. The buffer is
+/// zeroed first, so uncovered cells read 0, held and produced alike.
 #[test]
 fn untiled_needs_read_zero_where_nothing_lands() {
     let d1 = |off, len| Block::d1(off, len).unwrap();
@@ -359,35 +365,35 @@ fn untiled_needs_read_zero_where_nothing_lands() {
             let me = &layouts[comm.rank()];
             let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
             let plan = desc.setup_data_mapping_with(comm, &me.owned, me.need, policy).unwrap();
-            let produced = plan
-                .reorganize_from(comm, |r, chunk: &mut Vec<u64>| {
-                    *chunk = fill(&me.owned[r]);
-                    Ok::<(), ddr_core::DdrError>(())
-                })
-                .unwrap();
+            let mut produced = Vec::new();
+            let produce = Produce(|r: usize, chunk: &mut Vec<u64>| {
+                *chunk = fill(&me.owned[r]);
+                Ok::<(), ddr_core::DdrError>(())
+            });
+            plan.reorganize(comm, produce, &mut produced).unwrap();
             let owned_data: Vec<Vec<u64>> = me.owned.iter().map(fill).collect();
-            let refs: Vec<&[u64]> = owned_data.iter().map(|v| v.as_slice()).collect();
-            let mut held = vec![u64::MAX; me.need.count() as usize];
-            plan.reorganize(comm, &refs, &mut held).unwrap();
+            let mut held = vec![u64::MAX; 3];
+            plan.reorganize(comm, &owned_data, &mut held).unwrap();
             (produced, held)
         });
-        let holes = out.iter().filter(|(_, held)| held.contains(&u64::MAX)).count();
-        assert!(holes > 0, "{policy:?}: the case has a hole");
+        let mut holes = 0;
         for (rank, (produced, held)) in out.iter().enumerate() {
             let need = layouts[rank].need;
             let covered = |x: usize| {
                 layouts.iter().any(|l| l.owned.iter().any(|b| b.intersect(&d1(x, 1)).is_some()))
             };
-            for (i, x) in (need.offset[0]..need.offset[0] + need.dims[0]).enumerate() {
-                let want = if covered(x) { held[i] } else { 0 };
-                assert_eq!(produced[i], want, "{policy:?} rank {rank} cell {x}");
-            }
+            let xs = need.offset[0]..need.offset[0] + need.dims[0];
+            holes += xs.clone().filter(|&x| !covered(x)).count();
+            let want: Vec<u64> = xs.map(|x| if covered(x) { x as u64 } else { 0 }).collect();
+            assert_eq!(produced, &want, "{policy:?} rank {rank}, produced");
+            assert_eq!(held, &want, "{policy:?} rank {rank}, held");
         }
+        assert!(holes > 0, "{policy:?}: the case has a hole");
     }
 }
 
-/// A caller-side error type for [`ddr_core::Plan::reorganize_from`]: its own
-/// failures, or the redistribution's.
+/// A caller-side error type for a [`Produce`]: its own failures, or the
+/// redistribution's.
 #[derive(Debug, PartialEq)]
 enum ProducerError {
     Own(String),
@@ -437,21 +443,18 @@ fn elem_sizes_from_1_to_16_bytes() {
         let desc = Descriptor::for_type::<u8>(n, DataKind::D1).unwrap();
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
         let data: Vec<u8> = owned[0].coords().map(|c| c[0] as u8).collect();
-        let mut out = vec![0u8; need.count() as usize];
+        let mut out = Vec::new();
         plan.reorganize(comm, &[&data], &mut out).unwrap();
-        for (got, coord) in out.iter().zip(need.coords()) {
-            assert_eq!(*got as usize, coord[0]);
-        }
+        assert_eq!(out, need.coords().map(|c| c[0] as u8).collect::<Vec<_>>());
 
         let desc = Descriptor::for_type::<[u64; 2]>(n, DataKind::D1).unwrap();
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
         let data: Vec<[u64; 2]> =
             owned[0].coords().map(|c| [c[0] as u64, (c[0] * 2) as u64]).collect();
-        let mut out = vec![[0u64; 2]; need.count() as usize];
+        let mut out = Vec::new();
         plan.reorganize(comm, &[&data], &mut out).unwrap();
-        for (got, coord) in out.iter().zip(need.coords()) {
-            assert_eq!(*got, [coord[0] as u64, (coord[0] * 2) as u64]);
-        }
+        let want: Vec<[u64; 2]> = need.coords().map(|c| [c[0] as u64, (c[0] * 2) as u64]).collect();
+        assert_eq!(out, want);
     });
 }
 
@@ -473,11 +476,9 @@ fn dense_and_neighbour_only_mappings_redistribute() {
             let widest = comm.allreduce(&[plan.neighbor_count() as u64], u64::max)[0];
             assert_eq!(widest as usize, max_neighbors);
             let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
-            let mut out = vec![0u64; need.count() as usize];
+            let mut out = Vec::new();
             plan.reorganize(comm, &[&data], &mut out).unwrap();
-            for (got, coord) in out.iter().zip(need.coords()) {
-                assert_eq!(*got, cell_value(coord));
-            }
+            assert_eq!(out, fill(&need));
         }
     });
 }

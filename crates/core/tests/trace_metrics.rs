@@ -23,9 +23,8 @@ fn multi_need_reorganize_publishes_redist_metrics_and_exchange_spans() {
         let plan =
             desc.setup_multi_mapping(comm, &[slab], &needs, ValidationPolicy::Strict).unwrap();
         let data = vec![7u32; slab.count() as usize];
-        let mut bufs: Vec<Vec<u32>> = needs.iter().map(|b| vec![0; b.count() as usize]).collect();
-        let mut refs: Vec<&mut [u32]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        plan.reorganize(comm, &[&data], &mut refs).unwrap();
+        let mut bufs = vec![Vec::new(); needs.len()];
+        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
         comm.barrier().unwrap();
         plan.total_sent_bytes()
     });

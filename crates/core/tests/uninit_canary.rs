@@ -1,5 +1,5 @@
 //! Canary for reads of uninitialized memory, which AddressSanitizer cannot
-//! see. `Plan::reorganize_from` writes a tiled need straight into a fresh
+//! see. `Plan::reorganize` writes a tiled need straight into the caller's
 //! `Vec`'s spare capacity: the loan claims and the self-copy are the only
 //! writers, and the length is set after the exchange. Every allocation of
 //! this test binary is poisoned with `0xA5` bytes, so an element the
@@ -8,7 +8,7 @@
 //! (below 2^32) — instead of whatever the allocator left there.
 
 use ddr_core::decompose::{brick, near_cubic_grid, slab};
-use ddr_core::{Block, DataKind, DdrError, Descriptor};
+use ddr_core::{Block, DataKind, DdrError, Descriptor, Produce};
 use minimpi::Universe;
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -47,8 +47,9 @@ fn value(domain: &Block, c: [usize; 3]) -> u64 {
 }
 
 /// Each rank owns `owned(rank)` and needs `need(rank)` of `domain`; every
-/// rank's need comes back from a produced-chunk run and must equal the
-/// serial oracle.
+/// rank's need comes back from a produced-chunk run into a fresh `Vec`, and
+/// from a held-chunk run into a `Vec` whose poisoned capacity exceeds the
+/// need, and each must equal the serial oracle.
 fn check(
     n: usize,
     domain: Block,
@@ -61,19 +62,25 @@ fn check(
         let (mine, want) = (owned(r), need(r));
         let desc = Descriptor::for_type::<u64>(n, kind).unwrap();
         let plan = desc.setup_data_mapping(comm, &mine, want).unwrap();
-        let got = plan
-            .reorganize_from(comm, |round, chunk: &mut Vec<u64>| {
-                *chunk = mine[round].coords().map(|c| value(&domain, c)).collect();
-                Ok::<_, DdrError>(())
-            })
-            .unwrap();
-        (want, got)
+        let chunk = |b: &Block| b.coords().map(|c| value(&domain, c)).collect::<Vec<u64>>();
+        let mut produced = Vec::new();
+        let make = Produce(|round, buf: &mut Vec<u64>| {
+            *buf = chunk(&mine[round]);
+            Ok::<_, DdrError>(())
+        });
+        plan.reorganize(comm, make, &mut produced).unwrap();
+        let held_chunks: Vec<Vec<u64>> = mine.iter().map(chunk).collect();
+        let mut held = Vec::with_capacity(want.count() as usize + 7);
+        plan.reorganize(comm, &held_chunks, &mut held).unwrap();
+        (want, produced, held)
     });
-    for (r, (want, got)) in out.iter().enumerate() {
-        let unwritten = got.iter().filter(|&&v| v >> 32 != 0).count();
-        assert_eq!(unwritten, 0, "rank {r}: {unwritten} elements were never written");
+    for (r, (want, produced, held)) in out.iter().enumerate() {
         let oracle: Vec<u64> = want.coords().map(|c| value(&domain, c)).collect();
-        assert_eq!(got, &oracle, "rank {r}");
+        for (path, got) in [("produced", produced), ("held", held)] {
+            let unwritten = got.iter().filter(|&&v| v >> 32 != 0).count();
+            assert_eq!(unwritten, 0, "rank {r}, {path}: {unwritten} elements were never written");
+            assert_eq!(got, &oracle, "rank {r}, {path}");
+        }
     }
 }
 

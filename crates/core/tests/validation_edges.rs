@@ -86,8 +86,7 @@ fn producer_consumer_elem_size_disagreement_surfaces_as_an_error() {
         let need = Block::d1((1 - r) * 4, 4).unwrap();
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
         let send = vec![0u8; 4 * elem_size];
-        let mut recv = vec![0u8; 4 * elem_size];
-        plan.reorganize(comm, &[&send], &mut recv).err()
+        plan.reorganize(comm, &[&send], &mut Vec::new()).err()
     });
     assert!(
         results.iter().any(|e| e.is_some()),

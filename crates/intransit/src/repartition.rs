@@ -76,7 +76,7 @@ impl Repartitioner {
         }
         let plan = self.plan.as_ref().expect("plan established above");
         let refs: Vec<&[f32]> = frames.iter().map(|f| f.data.as_slice()).collect();
-        let mut out = vec![0f32; self.need.count() as usize];
+        let mut out = Vec::new();
         plan.reorganize(analysis, &refs, &mut out)?;
         Ok(out)
     }

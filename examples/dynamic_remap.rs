@@ -51,7 +51,7 @@ fn run(sparse: bool) -> Result<(f64, usize, usize), String> {
         let desc = Descriptor::for_type::<f32>(NPROCS, DataKind::D3)?;
         // Mapping once…
         let plan = desc.setup_data_mapping(comm, &owned, need)?;
-        let mut out = vec![0f32; need.count() as usize];
+        let mut out = Vec::new();
         // …reorganize every step with fresh data.
         for step in 0..STEPS {
             let data: Vec<f32> = owned[0].coords().map(|c| field(c, step)).collect();

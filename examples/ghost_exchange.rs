@@ -67,11 +67,8 @@ fn main() -> ExitCode {
         let plan = desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict)?;
 
         let data: Vec<f64> = my_slab.coords().map(|c| field(c[0], c[1])).collect();
-        let mut bufs: Vec<Vec<f64>> = needs.iter().map(|b| vec![0.0; b.count() as usize]).collect();
-        {
-            let mut refs: Vec<&mut [f64]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-            plan.reorganize(comm, &[&data], &mut refs)?;
-        }
+        let mut bufs = vec![Vec::new(); needs.len()];
+        plan.reorganize(comm, &[&data], &mut bufs)?;
 
         // Stencil over the slab using the received halos.
         let rows = my_slab.dims[1];

@@ -50,7 +50,7 @@ fn rank_body(comm: &ddr::minimpi::Comm) -> Result<RankResult, DdrError> {
     let row = |y: usize| -> Vec<f32> { (0..8).map(|x| (y * 8 + x) as f32).collect() };
     let data_own = [row(rank), row(rank + 4)];
     let refs: Vec<&[f32]> = data_own.iter().map(|v| v.as_slice()).collect();
-    let mut data_need = vec![0f32; 16];
+    let mut data_need = Vec::new();
 
     // Line 10: exchange the data (collective, reusable per time step).
     ddr_reorganize_data(comm, 4, &refs, &mut data_need, &plan)?;

@@ -25,10 +25,9 @@ fn redistribute_once(builder: minimpi::UniverseBuilder, dim: usize, iters: usize
         let plan =
             desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Strict).unwrap();
         let data: Vec<u64> = (0..owned[0].count()).collect();
-        let mut out = vec![0u64; need.count() as usize];
+        let mut out = Vec::new();
         for _ in 0..iters {
-            let (report, _) = plan.reorganize_with_stats(comm, &[&data], &mut out).unwrap();
-            assert!(report.is_complete());
+            plan.reorganize(comm, &[&data], &mut out).unwrap();
         }
     });
 }
