@@ -13,7 +13,7 @@ use ddr_core::{
     decompose, Block, DataKind, DdrError, Descriptor, Layout, Produce, RedistStats,
     ValidationPolicy,
 };
-use minimpi::{FaultPlan, PoolStats, TransportCounters, Universe};
+use minimpi::{Counter, Counts, FaultPlan, Universe};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -133,7 +133,7 @@ fn case_from_seed(seed: u64) -> Case {
 struct RankRun {
     need: Vec<u64>,
     stats: RedistStats,
-    counters: TransportCounters,
+    counters: Counts,
 }
 
 /// Execute `case` as held chunks.
@@ -151,7 +151,7 @@ fn run_path(case: &Case) -> Vec<RankRun> {
         let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
         let mut need = Vec::new();
         plan.reorganize(comm, &refs, &mut need).unwrap();
-        RankRun { need, stats: plan.expected_stats(), counters: comm.transport_counters() }
+        RankRun { need, stats: plan.expected_stats(), counters: comm.counters() }
     })
 }
 
@@ -171,7 +171,7 @@ fn assert_matches_oracle(seed: u64, case: &Case, runs: &[RankRun]) {
     // sees at least its own loan.
     let cross_rank: u64 = runs.iter().map(|run| run.stats.messages_sent).sum();
     if cross_rank > 0 {
-        let seen = runs.iter().map(|run| run.counters.zerocopy_msgs).max().unwrap();
+        let seen = runs.iter().map(|run| run.counters[Counter::ZerocopyMsgs]).max().unwrap();
         assert!(seen > 0, "seed {seed}: cross-rank messages flowed but no loan was made");
     }
 }
@@ -272,7 +272,7 @@ fn held_chunks_ride_one_loaned_exchange() {
     assert_matches_oracle(0, &case, &runs);
     for (r, run) in runs.iter().enumerate() {
         assert_eq!(run.stats.rounds, 8, "rank {r}");
-        assert_eq!(run.counters.zerocopy_msgs, 2, "rank {r}: {:?}", run.counters);
+        assert_eq!(run.counters[Counter::ZerocopyMsgs], 2, "rank {r}: {:?}", run.counters);
     }
 }
 
@@ -306,12 +306,12 @@ fn a_fault_plan_acts_on_loans_and_a_drop_loses_one_message() {
                 Err(e) => panic!("rank {r}: {e}"),
             };
             let stats = RedistStats::from_plan(&plan, report.as_deref());
-            (need, report, stats, comm.transport_counters())
+            (need, report, stats, comm.counters())
         });
     // Row 4's right half, the message dropped.
     let dropped = |c: [usize; 3]| c[1] == 4 && c[0] >= 4;
     for (r, (need, report, stats, counters)) in out.iter().enumerate() {
-        assert!(counters.zerocopy_msgs > 0, "rank {r}: no loan under a fault plan");
+        assert!(counters[Counter::ZerocopyMsgs] > 0, "rank {r}: no loan under a fault plan");
         for (v, c) in need.iter().zip(e1_need(r).coords()) {
             let want = if r == 3 && dropped(c) { 0 } else { cell_value(c) };
             assert_eq!(*v, want, "rank {r}: {c:?}");
@@ -352,49 +352,6 @@ fn multi_mib_transpose_matches_the_oracle() {
             assert_eq!(got, cell_value(coord), "rank {r} cell {i} wrong");
         }
     }
-}
-
-/// Pool hygiene: 100 rounds of eager point-to-point sends — each rank ships
-/// its 2 KiB slab round a ring in a pooled buffer, the receiver returning it
-/// to the pool, as `intransit` frames do — must keep the universe's buffer
-/// pool bounded by its high-water trim policy, not grow with the iteration
-/// count.
-#[test]
-fn pool_stays_bounded_across_hundred_eager_send_rounds() {
-    let out: Vec<(PoolStats, u64)> = Universe::builder().run(4, |comm| {
-        let (r, n) = (comm.rank(), comm.size());
-        let domain = Block::d2([0, 0], [32, 32]).unwrap();
-        let mine: Vec<u64> =
-            decompose::slab(&domain, 0, n, r).unwrap().coords().map(cell_value).collect();
-        let theirs: Vec<u64> = decompose::slab(&domain, 0, n, (r + n - 1) % n)
-            .unwrap()
-            .coords()
-            .map(cell_value)
-            .collect();
-        let bytes = minimpi::bytes_of(&mine);
-        for _ in 0..100 {
-            let mut buf = comm.acquire_staging(bytes.len());
-            buf.extend_from_slice(bytes);
-            comm.send_bytes_owned((r + 1) % n, 0, buf).unwrap();
-            let got = comm.recv_bytes((r + n - 1) % n, 0).unwrap();
-            assert_eq!(got, minimpi::bytes_of(&theirs));
-            comm.release_staging(got);
-        }
-        comm.barrier().unwrap();
-        (comm.pool_stats(), bytes.len() as u64)
-    });
-    let per_iter: u64 = out.iter().map(|(_, b)| b).sum();
-    let stats = &out[0].0;
-    // Demand-proportional bound: the trim policy retains at most
-    // POOL_SLACK (8) times one epoch's demand, with a small fixed floor.
-    let bound = 64 * 1024 + 8 * per_iter as usize;
-    assert!(
-        stats.free_bytes <= bound,
-        "pool retained {} bytes, demand-derived bound is {bound}",
-        stats.free_bytes
-    );
-    assert!(stats.free_buffers <= 64, "pool holds {} buffers", stats.free_buffers);
-    assert!(stats.reuse_hits > 0, "100 rounds should recycle staging buffers");
 }
 
 proptest! {

@@ -2,7 +2,7 @@
 //! ghost/halo layouts, scattered gathers, and reuse across steps.
 
 use ddr_core::{Block, DataKind, DdrError, Descriptor, ValidationPolicy};
-use minimpi::{FaultPlan, TransportCounters, Universe, UniverseBuilder};
+use minimpi::{Counter, Counts, FaultPlan, Universe, UniverseBuilder};
 use std::time::{Duration, Instant};
 
 fn cell_value(c: [usize; 3]) -> u64 {
@@ -17,7 +17,7 @@ fn ghost_halo_exchange(
     builder: UniverseBuilder,
     (nx, ny, n): (usize, usize, usize),
     halo: usize,
-) -> TransportCounters {
+) -> Counts {
     let domain = Block::d2([0, 0], [nx, ny]).unwrap();
     let out = builder.run(n, |comm| {
         let r = comm.rank();
@@ -41,7 +41,7 @@ fn ghost_halo_exchange(
             assert_eq!(buf, &blk.coords().map(cell_value).collect::<Vec<_>>(), "rank {r} {blk:?}");
         }
         comm.barrier().unwrap();
-        comm.transport_counters()
+        comm.counters()
     });
     out[0]
 }
@@ -56,7 +56,7 @@ fn loan_sized_halos_ride_the_zero_copy_path() {
     // 16 rows × 1024 u64 = 128 KiB per halo: a multi-need plan's bytes move
     // through `alltoallw`, so they are lent, not packed.
     let transport = ghost_halo_exchange(Universe::builder(), (1024, 64, 2), 16);
-    assert!(transport.zerocopy_msgs > 0, "{transport:?}");
+    assert!(transport[Counter::ZerocopyMsgs] > 0, "{transport:?}");
 }
 
 #[test]

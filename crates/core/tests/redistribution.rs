@@ -473,7 +473,7 @@ fn dense_and_neighbour_only_mappings_redistribute() {
         let sparse_need = slab(&domain, 2, n, (r + 1) % n).unwrap();
         for (need, max_neighbors) in [(dense_need, n - 1), (sparse_need, 2)] {
             let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
-            let widest = comm.allreduce(&[plan.neighbor_count() as u64], u64::max)[0];
+            let widest = comm.allreduce(&[plan.neighbor_count() as u64], u64::max).unwrap()[0];
             assert_eq!(widest as usize, max_neighbors);
             let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
             let mut out = Vec::new();

@@ -79,7 +79,7 @@ fn reorganize_interleaved_with_unrelated_collectives() {
             // Unrelated chatter.
             let peer = (r + 1) % n;
             comm.send(peer, 7777, &[step]).unwrap();
-            let sum = comm.allreduce(&[r as u64], |a, b| a + b)[0];
+            let sum = comm.allreduce(&[r as u64], |a, b| a + b).unwrap()[0];
             assert_eq!(sum, (n * (n - 1) / 2) as u64);
 
             let data: Vec<u64> = owned[0].coords().map(|c| cell_value(c) + step).collect();
@@ -99,8 +99,9 @@ fn repeated_universes_do_not_leak() {
     // management under churn.
     for i in 0..60 {
         let n = 1 + i % 4;
-        let sums =
-            Universe::run(n, |comm| comm.allreduce(&[comm.rank() as u64 + 1], |a, b| a + b)[0]);
+        let sums = Universe::run(n, |comm| {
+            comm.allreduce(&[comm.rank() as u64 + 1], |a, b| a + b).unwrap()[0]
+        });
         assert!(sums.iter().all(|&s| s == (n * (n + 1) / 2) as u64));
     }
 }

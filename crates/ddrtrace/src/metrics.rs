@@ -2,9 +2,8 @@
 //!
 //! One process-global table of monotonically accumulated `u64` values keyed
 //! by `"scope.name"` (e.g. `"minimpi.transport.zerocopy_msgs"`). The redist
-//! stats, transport counters and buffer-pool stats that used to live in three
-//! unrelated structs all land here at the end of a traced run, so the trace
-//! file and the `ddr-trace` report show one coherent table.
+//! stats and minimpi's counter table both land here at the end of a traced
+//! run, so the trace file and the `ddr-trace` report show one coherent table.
 //!
 //! Like the event rings, the registry is only written while tracing is
 //! enabled; `capture::start` resets it so each capture window reports its own

@@ -33,23 +33,16 @@ impl Frame {
         8 * 8 + self.data.len() * 4
     }
 
-    /// Serialize into `out` (appended; callers pass a cleared buffer). Split
-    /// from [`Frame::encode`] so the send path can reuse pooled staging
-    /// buffers instead of allocating per frame.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
+    /// The wire bytes: a 64-byte header (step, dimension count, offset, dims)
+    /// and the payload.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.step.to_le_bytes());
         out.extend_from_slice(&(self.block.ndims as u64).to_le_bytes());
         for v in self.block.offset.iter().chain(self.block.dims.iter()) {
             out.extend_from_slice(&(*v as u64).to_le_bytes());
         }
         out.extend_from_slice(bytes_of(&self.data));
-    }
-
-    #[cfg(test)]
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
         out
     }
 
@@ -80,18 +73,11 @@ impl Frame {
     }
 
     /// Send this frame to `dest` on `comm` (typically the world
-    /// communicator bridging the two resources).
-    ///
-    /// The wire buffer is checked out of the universe's shared staging pool
-    /// and ownership moves with the message; [`recv_frames`] releases it after
-    /// decoding, completing the cycle. So a steady-state stream double-buffers
-    /// through the pool — the producer encodes frame *F+1* into a buffer the
-    /// consumer already returned while the consumer is still unpacking *F* —
-    /// instead of allocating per frame.
+    /// communicator bridging the two resources). The encoded buffer is
+    /// allocated at its exact length and moves with the message; the
+    /// receiver drops it after decoding.
     pub fn send(&self, comm: &Comm, dest: usize) -> Result<()> {
-        let mut buf = comm.acquire_staging(self.encoded_len());
-        self.encode_into(&mut buf);
-        comm.send_bytes_owned(dest, FRAME_TAG, buf)
+        comm.send_bytes_owned(dest, FRAME_TAG, self.encode())
     }
 }
 
@@ -106,12 +92,7 @@ pub fn send_frame(comm: &Comm, dest: usize, step: u64, block: Block, data: Vec<f
 pub fn recv_frames(comm: &Comm, sources: &[usize], expect_step: Option<u64>) -> Result<Vec<Frame>> {
     let mut frames = Vec::with_capacity(sources.len());
     for &src in sources {
-        let bytes = comm.recv_bytes(src, FRAME_TAG)?;
-        let frame = Frame::decode(&bytes);
-        // Decode copies the payload out, so the wire buffer can go straight
-        // back to the shared pool for the producer's next frame.
-        comm.release_staging(bytes);
-        frames.push(frame?);
+        frames.push(Frame::decode(&comm.recv_bytes(src, FRAME_TAG)?)?);
     }
     if let Some(step) = expect_step.or_else(|| frames.first().map(|f| f.step)) {
         for f in &frames {
@@ -172,34 +153,6 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].block, Block::d2([0, 0], [4, 2]).unwrap());
         assert_eq!(frames[1].data, vec![1.0; 8]);
-    }
-
-    /// Streaming many frames must cycle wire buffers through the shared
-    /// staging pool (producer re-acquires what the consumer released), not
-    /// allocate a fresh buffer per frame.
-    #[test]
-    fn streamed_frames_recycle_pool_buffers() {
-        use minimpi::Universe;
-        let hits = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                for step in 0..8u64 {
-                    let block = Block::d1(0, 64).unwrap();
-                    send_frame(comm, 1, step, block, vec![step as f32; 64]).unwrap();
-                    // Wait for the consumer's ack so the released buffer is
-                    // back in the pool before the next frame is encoded.
-                    comm.recv_vec::<u8>(1, 99).unwrap();
-                }
-                0
-            } else {
-                for step in 0..8u64 {
-                    let frames = recv_frames(comm, &[0], Some(step)).unwrap();
-                    assert_eq!(frames[0].data[0], step as f32);
-                    comm.send(0, 99, &[1u8]).unwrap();
-                }
-                comm.pool_stats().reuse_hits
-            }
-        });
-        assert!(hits[1] > 0, "frame staging must come from the shared pool, got {:?}", hits[1]);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! A producer that outruns its analysis resource is held back by the
 //! transport: each consumer's mailbox is a bounded queue per sender, so
-//! [`send_frame`] parks once a pair is full (`minimpi`'s
-//! `TransportCounters::credit_waits`).
+//! [`send_frame`] parks once a pair is full (counted in
+//! [`minimpi::Counter::CreditWaits`]).
 
 #![warn(missing_docs)]
 

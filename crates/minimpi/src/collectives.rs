@@ -9,13 +9,13 @@
 //! collectives.
 
 use crate::comm::{coll_key_tag, elems_agree, Coll, Comm};
+use crate::counters::Counter;
 use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
 use crate::mailbox::{Envelope, Payload};
 use crate::pod::{as_uninit_mut, bytes_of, vec_from_bytes, Pod};
 use crate::zerocopy::{ZcCell, ZcWait};
 use std::mem::MaybeUninit;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -188,21 +188,11 @@ impl Comm {
     // Allreduce
     // ------------------------------------------------------------------
 
-    /// Element-wise reduction delivered to all ranks.
-    ///
-    /// # Panics
-    /// Panics if the underlying communication fails (see [`Comm::try_allreduce`]
-    /// for the fallible variant).
-    #[track_caller]
-    pub fn allreduce<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Vec<T> {
-        self.try_allreduce(data, op).expect("allreduce failed")
-    }
-
-    /// Fallible element-wise reduction delivered to all ranks: gathered at
-    /// rank 0, folded there in rank order (deterministic for non-associative
-    /// float ops) and broadcast. All ranks must contribute slices of the
-    /// same length.
-    pub fn try_allreduce<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Result<Vec<T>> {
+    /// Element-wise reduction delivered to all ranks: gathered at rank 0,
+    /// folded there in rank order (deterministic for non-associative float
+    /// ops) and broadcast. All ranks must contribute slices of the same
+    /// length.
+    pub fn allreduce<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Result<Vec<T>> {
         let reduced = match self.gather_as(Coll::Allreduce, 0, bytes_of(data))? {
             None => Vec::new(),
             Some(parts) => {
@@ -439,7 +429,11 @@ impl Comm {
             zc = Some(ddrtrace::span_arg("minimpi", "zc_copy", "bytes", message_len(dts) as i64));
             Ok(())
         };
-        self.claim_loan(src, &h, agree, |i, lent, dt| copy_selection(lent, dt, recv_buf, &dts[i]))
+        // Each part is counted in this rank's slot by the tier that moved it.
+        let copy = |i, lent: &[u8], dt: &Datatype| {
+            copy_selection(lent, dt, recv_buf, &dts[i]).map(|(tier, n)| self.count(tier, n))
+        };
+        self.claim_loan(src, &h, agree, copy)
     }
 }
 
@@ -512,9 +506,7 @@ impl Exchange<'_> {
         {
             let _complete = ddrtrace::span("minimpi", "zc_complete");
             let revoked = self.drain_loans(Instant::now() + comm.timeout());
-            if revoked > 0 {
-                comm.world.transport.revoked_msgs.fetch_add(revoked, Ordering::Relaxed);
-            }
+            comm.count(Counter::RevokedMsgs, revoked);
         }
         self.settled = true;
         Ok(ExchangeReport { failed: std::mem::take(&mut self.failed) })
@@ -543,7 +535,8 @@ impl Exchange<'_> {
             });
         }
         for ((i, send_dt), recv_dt) in sends.iter().zip(recvs) {
-            copy_selection(self.bufs[*i], send_dt, recv_buf, recv_dt)?;
+            let (tier, n) = copy_selection(self.bufs[*i], send_dt, recv_buf, recv_dt)?;
+            self.comm.count(tier, n);
         }
         Ok(())
     }
@@ -556,8 +549,7 @@ impl Exchange<'_> {
         for (dest, cell) in self.loans.drain(..) {
             // A dead receiver can never claim the loan — revoke right away
             // rather than burning the watchdog.
-            let waiter = &comm.my_mailbox().waiter;
-            if cell.wait(waiter, deadline, || !comm.is_alive(dest)) == ZcWait::Revoked {
+            if cell.wait(comm.waiter(), deadline, || !comm.is_alive(dest)) == ZcWait::Revoked {
                 ddrtrace::instant_arg("minimpi", "zc_revoke", "dest", dest as i64);
                 revoked += 1;
             }
@@ -674,7 +666,7 @@ mod tests {
                     assert_eq!(recv, vec![0xAB; len]);
                     // The loan to rank 2 must have come back *revoked* —
                     // this rank counted it on its own completion path.
-                    assert!(comm.transport_counters().revoked_msgs >= 1);
+                    assert!(comm.counters()[Counter::RevokedMsgs] >= 1);
                     return res.map(|report| assert!(report.is_complete(), "{report:?}"));
                 }
                 // Rank 2: make sure rank 1's loan is already queued, so the

@@ -1,12 +1,14 @@
 //! Communicators and point-to-point messaging.
 
+use crate::counters::{Counter, Counts, Slot};
 use crate::datatype::Datatype;
 use crate::error::{Error, Result};
 use crate::fault::{mix64, FaultPlan, FaultState, MessageVerdict};
 use crate::life::{Liveness, ShrinkBarrier};
-use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload, TakeOutcome};
+use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
-use crate::zerocopy::{BufferPool, PoolStats, TransportCells, TransportCounters, ZcCell, ZcHandle};
+use crate::wait::Waiter;
+use crate::zerocopy::{ZcCell, ZcHandle};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,9 +18,9 @@ use std::time::Duration;
 /// collective traffic lives in a disjoint internal namespace.
 pub type Tag = u32;
 
-/// Shared state of one [`crate::Universe`] run: a mailbox per world rank,
-/// the liveness registry, the shrink rendezvous, and (optionally) the
-/// installed fault plan's runtime state.
+/// Shared state of one [`crate::Universe`] run: a mailbox and a counter slot
+/// per world rank, the liveness registry, the shrink rendezvous, and
+/// (optionally) the installed fault plan's runtime state.
 pub(crate) struct WorldState {
     pub mailboxes: Vec<Mailbox>,
     pub liveness: Liveness,
@@ -29,10 +31,12 @@ pub(crate) struct WorldState {
     /// clean run can be used to place kills in a faulty one.
     pub ops: Vec<AtomicU64>,
     pub default_timeout: Duration,
-    /// Shared staging-buffer pool for eager point-to-point sends.
-    pub pool: BufferPool,
-    /// Wire-path counters (zero-copy vs staged deliveries).
-    pub transport: TransportCells,
+    /// How long a blocked rank spins before it parks, decided once from
+    /// what the universe can observe: spin only when every rank can have a
+    /// core to itself.
+    pub spin: Duration,
+    /// The counter table, one slot per world rank.
+    pub counters: Vec<Slot>,
 }
 
 impl WorldState {
@@ -42,19 +46,16 @@ impl WorldState {
         fault_plan: Option<FaultPlan>,
         (pair_msgs, pair_bytes): (usize, usize),
     ) -> Self {
-        // Decided once, from what the universe can observe: spin only when
-        // every rank can have a core to itself.
-        let spin = crate::wait::spin_budget(n);
         WorldState {
-            mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes, spin)).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes)).collect(),
             liveness: Liveness::new(n),
             shrink: ShrinkBarrier::default(),
             // An empty plan injects nothing, so it is no plan.
             faults: fault_plan.filter(|p| !p.is_empty()).map(FaultState::new),
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
             default_timeout,
-            pool: BufferPool::default(),
-            transport: TransportCells::default(),
+            spin: crate::wait::spin_budget(n),
+            counters: (0..n).map(|_| Slot::default()).collect(),
         }
     }
 
@@ -273,7 +274,7 @@ impl Comm {
             (!self.world.is_alive(dst_world)).then_some(Error::PeerDead { rank: dest })
         };
         self.world.mailboxes[dst_world]
-            .deposit(key, env, self.timeout.get(), abort, &self.world.transport)
+            .deposit(key, env, self.timeout.get(), self.waiter(), abort)
             .map_err(|refused| refused.unwrap_or_else(|| self.timed_out(Some(dest), key_tag)))
     }
 
@@ -317,7 +318,7 @@ impl Comm {
             return Ok(());
         }
         self.enqueue(dest, key_tag, Payload::Bytes(payload), elem)?;
-        self.world.transport.staged_msgs.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::StagedMsgs, 1);
         Ok(())
     }
 
@@ -357,7 +358,7 @@ impl Comm {
         // SAFETY: the caller keeps `ZcHandle::new`'s contract.
         let handle = unsafe { ZcHandle::new(bufs, parts, Arc::clone(&cell)) };
         self.enqueue(dest, key_tag, Payload::Shared(handle), 1)?;
-        self.world.transport.zerocopy_msgs.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::ZerocopyMsgs, 1);
         Ok(Some(cell))
     }
 
@@ -417,38 +418,29 @@ impl Comm {
         let key: MsgKey = (self.comm_id, src, key_tag);
         let src_world = self.members[src];
         let _wait = ddrtrace::span_arg("minimpi", "mailbox_wait", "src", src as i64);
-        let dead = || !self.world.is_alive(src_world);
-        match self.my_mailbox().take_watched(key, self.timeout.get(), dead) {
-            TakeOutcome::Delivered(env) => Ok(env),
-            TakeOutcome::TimedOut => Err(self.timed_out(Some(src), key_tag)),
-            TakeOutcome::Aborted => Err(Error::PeerDead { rank: src }),
-        }
+        let dead = || (!self.world.is_alive(src_world)).then_some(Error::PeerDead { rank: src });
+        self.my_mailbox()
+            .take(key, self.timeout.get(), self.waiter(), dead)
+            .map_err(|dead| dead.unwrap_or_else(|| self.timed_out(Some(src), key_tag)))
     }
 
-    /// Occupancy and traffic counters of the universe's shared
-    /// staging-buffer pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.world.pool.stats()
+    /// This universe's counters so far, summed over its ranks: which wire
+    /// path messages took, how often (and how long) senders parked on a full
+    /// pair, how blocking waits resolved, and which copy tier moved the
+    /// exchanges' bytes. A traced universe reports the same sums in its
+    /// metrics registry.
+    pub fn counters(&self) -> Counts {
+        Counts::sum(&self.world.counters)
     }
 
-    /// Get a cleared buffer with at least `cap` capacity from the universe's
-    /// shared staging pool. Pair with [`Comm::release_staging`] — the pool
-    /// is shared across ranks, so a buffer sent to a peer can be recycled by
-    /// the receiver.
-    pub fn acquire_staging(&self, cap: usize) -> Vec<u8> {
-        self.world.pool.acquire(cap)
+    /// Add `n` to counter `c` in this rank's own slot.
+    pub(crate) fn count(&self, c: Counter, n: u64) {
+        self.world.counters[self.world_rank()].add(c, n);
     }
 
-    /// Return a staging buffer to the universe's shared pool (its content is
-    /// discarded; oversized capacity may be trimmed).
-    pub fn release_staging(&self, buf: Vec<u8>) {
-        self.world.pool.release(buf)
-    }
-
-    /// Counters of which wire path messages took so far in this universe,
-    /// and how often (and how long) senders parked on a full pair.
-    pub fn transport_counters(&self) -> TransportCounters {
-        self.world.transport.snapshot()
+    /// This rank's wait policy, tallying into its own slot.
+    pub(crate) fn waiter(&self) -> Waiter<'_> {
+        Waiter { spin: self.world.spin, tally: &self.world.counters[self.world_rank()] }
     }
 
     // ------------------------------------------------------------------

@@ -12,6 +12,7 @@
 //! `[sx, sy]`, element `(x, y)` lives at linear index `x + sx * y`; for 3-D
 //! `[sx, sy, sz]`, element `(x, y, z)` lives at `x + sx * (y + sy * z)`.
 
+use crate::counters::Counter;
 use crate::error::{Error, Result};
 use crate::kernels::{self, RunShape};
 use crate::pod::as_uninit_mut;
@@ -198,6 +199,7 @@ impl Subarray {
         // SAFETY: copy_selection only stores initialized bytes into `dst`.
         let dst = unsafe { as_uninit_mut(dst) };
         copy_selection(src, &Datatype::Subarray(*self), dst, &Datatype::Subarray(*dst_type))
+            .map(drop)
     }
 }
 
@@ -289,12 +291,16 @@ fn for_each_run_pair(src_dt: &Datatype, dst_dt: &Datatype, mut f: impl FnMut(usi
 /// gather ([`kernels::pack_runs_to`]) — and lane-width runs vectorise. Only
 /// a copy strided on both sides walks the two run streams in lockstep, one
 /// pointer copy per stretch contiguous in both.
+///
+/// Returns the `pack.*` counter of the tier that moved the bytes and its
+/// increment: one fused run, or the bytes moved through the lane loops or
+/// one pointer copy per run (the lockstep walk is such a loop).
 pub(crate) fn copy_selection(
     src: &[u8],
     src_dt: &Datatype,
     dst: &mut [MaybeUninit<u8>],
     dst_dt: &Datatype,
-) -> Result<()> {
+) -> Result<(Counter, u64)> {
     src_dt.check_bounds(src.len())?;
     dst_dt.check_bounds(dst.len())?;
     let (from, to) = (src_dt.shape(), dst_dt.shape());
@@ -304,8 +310,10 @@ pub(crate) fn copy_selection(
     }
     if from.nruns <= 1 {
         kernels::unpack_runs(&src[from.base..from.base + len], &to, dst);
+        Ok(tier(&to))
     } else if to.nruns <= 1 {
         kernels::pack_runs_to(src, &from, &mut dst[to.base..to.base + len]);
+        Ok(tier(&from))
     } else {
         for_each_run_pair(src_dt, dst_dt, |s, d, n| {
             let (from, to) = (&src[s..s + n], &mut dst[d..d + n]);
@@ -314,8 +322,21 @@ pub(crate) fn copy_selection(
             // other exclusively).
             unsafe { std::ptr::copy_nonoverlapping(from.as_ptr(), to.as_mut_ptr().cast(), n) };
         });
+        Ok((Counter::PackScalarBytes, len as u64))
     }
-    Ok(())
+}
+
+/// The `pack.*` counter, and its increment, of one kernel call that gathers
+/// or scatters `shape`'s selection.
+fn tier(shape: &RunShape) -> (Counter, u64) {
+    match shape.nruns {
+        0 => (Counter::PackFusedRuns, 0),
+        1 => (Counter::PackFusedRuns, 1),
+        _ if kernels::is_lane_width(shape.run_bytes) => {
+            (Counter::PackVectorBytes, shape.total_bytes() as u64)
+        }
+        _ => (Counter::PackScalarBytes, shape.total_bytes() as u64),
+    }
 }
 
 /// Wire-facing datatype used by [`crate::Comm::alltoallw`].

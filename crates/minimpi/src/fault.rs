@@ -271,7 +271,7 @@ mod tests {
             let res = comm.alltoallw(&send, &types, &mut recv, &types).map(|()| recv);
             let took = start.elapsed();
             done.wait();
-            (res, took, comm.transport_counters().zerocopy_msgs)
+            (res, took, comm.counters()[crate::Counter::ZerocopyMsgs])
         });
         let (got, sender_took, loans) = &out[0];
         assert_eq!(*got, Ok([7u8; 64]), "the loan from rank 1 still lands");

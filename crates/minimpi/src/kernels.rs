@@ -23,21 +23,16 @@
 //!    run.
 //!
 //! All three run on the calling thread at every size: a rank moves its own
-//! bytes with its own core.
+//! bytes with its own core. The exchange counts each copy against its tier
+//! in the copying rank's `pack.*` counters (`datatype::copy_selection`).
 //!
 //! Every destination is a `&mut [MaybeUninit<u8>]`, and a kernel only
 //! stores through it: the same code fills an initialized receive buffer
 //! (viewed as `MaybeUninit`, which is sound because only initialized bytes
 //! are stored) and a fresh allocation nobody zeroed.
-//!
-//! While a trace is recording ([`ddrtrace::enabled`]) every kernel call
-//! bumps a process-global counter for its tier, published as `pack.*`
-//! metrics in the ddr-trace report; an untraced run leaves them alone, so
-//! rank threads never contend on them.
 
 use crate::datatype::ByteRuns;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The derived run structure of a subarray selection, computed once at
 /// [`crate::Subarray::new`] time and cached on the datatype, so iterating or
@@ -132,31 +127,6 @@ impl RunShape {
     }
 }
 
-/// Per-kernel dispatch counters, process-global (the kernels have no world
-/// handle). Exported as `pack.*` metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PackCounters {
-    /// Selections moved as a single fused memcpy (runs merged to one).
-    pub fused_runs: u64,
-    /// Bytes moved through the fixed-width lane gather/scatter loops.
-    pub vector_bytes: u64,
-    /// Bytes moved through the scalar per-run loop (non-lane run widths).
-    pub scalar_bytes: u64,
-}
-
-static FUSED_RUNS: AtomicU64 = AtomicU64::new(0);
-static VECTOR_BYTES: AtomicU64 = AtomicU64::new(0);
-static SCALAR_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-global kernel counters (monotone totals).
-pub fn snapshot() -> PackCounters {
-    PackCounters {
-        fused_runs: FUSED_RUNS.load(Ordering::Relaxed),
-        vector_bytes: VECTOR_BYTES.load(Ordering::Relaxed),
-        scalar_bytes: SCALAR_BYTES.load(Ordering::Relaxed),
-    }
-}
-
 /// Run widths that go through the lane loops. Covers the element sizes the
 /// DDR stack actually moves (u8..f64 and small multiples — a strided column
 /// of f32 is a 4-byte lane, a pair of f64 a 16-byte one).
@@ -167,23 +137,8 @@ pub fn snapshot() -> PackCounters {
 /// `unpack_column_major_1x1024` 10.0 → 31.4 µs, `unpack_inner_stride_1elem`
 /// 4.1 → 9.3 µs, `pencil_1x1x128` 0.11 → 0.32 µs — while non-lane widths
 /// (`thin_columns_32x512`, 128-byte runs) did not slow down.
-const fn is_lane_width(n: usize) -> bool {
+pub(crate) const fn is_lane_width(n: usize) -> bool {
     matches!(n, 1 | 2 | 4 | 8 | 12 | 16 | 32 | 64)
-}
-
-/// Count one kernel call of `shape` against its tier — only while a trace
-/// is recording, the one time anything reads the counters.
-fn count(shape: &RunShape) {
-    if !ddrtrace::enabled() || shape.nruns == 0 {
-        return;
-    }
-    if shape.nruns == 1 {
-        FUSED_RUNS.fetch_add(1, Ordering::Relaxed);
-    } else if is_lane_width(shape.run_bytes) {
-        VECTOR_BYTES.fetch_add(shape.total_bytes() as u64, Ordering::Relaxed);
-    } else {
-        SCALAR_BYTES.fetch_add(shape.total_bytes() as u64, Ordering::Relaxed);
-    }
 }
 
 /// Gather the selection out of `src`, appending to `out`.
@@ -231,7 +186,6 @@ pub(crate) fn pack_runs_to(src: &[u8], shape: &RunShape, dst: &mut [MaybeUninit<
             }
         }
     }
-    count(shape);
 }
 
 /// The scatter kernel: store `packed` (exactly the selection's packed
@@ -268,7 +222,6 @@ pub(crate) fn unpack_runs(packed: &[u8], shape: &RunShape, dst: &mut [MaybeUnini
             }
         }
     }
-    count(shape);
 }
 
 /// Strided gather with a compile-time run width: one `[u8; N]` load/store
@@ -391,20 +344,12 @@ mod tests {
         assert_eq!(dst, packed);
     }
 
-    /// The counters record only while a trace does, so the recorder is on
-    /// for the test's duration.
     #[test]
-    fn fused_single_run_is_one_memcpy() {
+    fn fused_single_run_packs_its_stretch() {
         let src: Vec<u8> = (0..64).collect();
-        let shape = RunShape::contiguous(8, 16);
-        ddrtrace::capture::start();
-        let before = snapshot().fused_runs;
         let mut out = Vec::new();
-        pack_runs(&src, &shape, &mut out);
-        let after = snapshot().fused_runs;
-        ddrtrace::capture::stop();
+        pack_runs(&src, &RunShape::contiguous(8, 16), &mut out);
         assert_eq!(out, &src[8..24]);
-        assert_eq!(after, before + 1);
     }
 
     #[test]

@@ -78,8 +78,8 @@
 //! [`UniverseBuilder::flow_control`]). A sender whose pair is full parks
 //! until the receiver pops, under the same watchdog and liveness rule as a
 //! receive — [`Error::Timeout`] or [`Error::PeerDead`], never a hang — and
-//! [`TransportCounters::credit_waits`] / `stalled_ms` count how often that
-//! happened. [`Comm::shrink`] discards what survivors left queued for each
+//! [`Counter::CreditWaits`] / [`Counter::StalledMs`] count how often and how
+//! long that happened. [`Comm::shrink`] discards what survivors left queued for each
 //! other on the parent communicator, so a pair's window is whole again on
 //! the shrunk child.
 //!
@@ -88,6 +88,10 @@
 //! about one wake-up's worth (20 µs), then parks on its condvar. A universe
 //! with more ranks than cores never spins; there is no setting.
 //!
+//! Every statistic lives in one counter table with a slot per rank:
+//! [`Comm::counters`] returns the universe's sums, indexed by [`Counter`],
+//! and a traced universe adds the same sums to its metrics registry.
+//!
 //! ## Example
 //!
 //! ```
@@ -95,8 +99,7 @@
 //!
 //! let sums = Universe::run(4, |comm| {
 //!     let mine = vec![comm.rank() as u64 + 1];
-//!     let total: u64 = comm.allreduce(&mine, |a, b| a + b)[0];
-//!     total
+//!     comm.allreduce(&mine, |a, b| a + b).unwrap()[0]
 //! });
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
@@ -105,6 +108,7 @@
 
 mod collectives;
 mod comm;
+mod counters;
 mod datatype;
 pub mod env;
 mod error;
@@ -119,9 +123,9 @@ mod zerocopy;
 
 pub use collectives::ExchangeReport;
 pub use comm::{Comm, Tag};
+pub use counters::{Counter, Counts};
 pub use datatype::{ByteRuns, Datatype, Subarray};
 pub use error::{Error, Result};
 pub use fault::{FaultAction, FaultPlan, MessageMatcher};
 pub use pod::{bytes_of, bytes_of_mut, uninit_bytes_of_mut, Pod};
 pub use universe::{Universe, UniverseBuilder};
-pub use zerocopy::{PoolStats, TransportCounters};

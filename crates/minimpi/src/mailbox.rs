@@ -1,8 +1,9 @@
 //! Per-rank message stores with blocking, tag-matched retrieval and a
 //! per-pair depth bound.
 
-use crate::wait::{spin_until, Resolved, Waiter};
-use crate::zerocopy::{TransportCells, ZcHandle};
+use crate::counters::Counter;
+use crate::wait::{spin_until, Waiter};
+use crate::zerocopy::ZcHandle;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -116,9 +117,6 @@ pub(crate) struct Mailbox {
     /// on both sides: the number publishes nothing — whoever sees it move
     /// takes the lock before reading anything the event changed.
     events: AtomicU64,
-    /// The owning rank's wait policy and tally; its lender waits
-    /// ([`crate::zerocopy::ZcCell::wait`]) go through it too.
-    pub waiter: Waiter,
     /// Per-pair depth in messages and staged bytes; `0` = unbounded.
     max_msgs: usize,
     max_bytes: usize,
@@ -126,16 +124,14 @@ pub(crate) struct Mailbox {
 
 impl Mailbox {
     /// The mailbox of one rank in a universe of `n`, holding at most
-    /// `max_msgs` messages and `max_bytes` staged bytes per sender; waits on
-    /// it spin for `spin` before they park.
-    pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize, spin: Duration) -> Self {
+    /// `max_msgs` messages and `max_bytes` staged bytes per sender.
+    pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize) -> Self {
         let queues = Queues { pairs: vec![Pair::default(); n], ..Default::default() };
         Mailbox {
             queues: Mutex::new(queues),
             cv: Condvar::new(),
             room: Condvar::new(),
             events: AtomicU64::new(0),
-            waiter: Waiter::new(spin),
             max_msgs,
             max_bytes,
         }
@@ -163,27 +159,27 @@ impl Mailbox {
     /// pair parks the sender on `room` under [`Mailbox::wait_until`]'s rule:
     /// until a pop or discard makes room, `abort()` yields an error
     /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`) — counted, with
-    /// the time parked, in `stalls`. A refused envelope is dropped (revoking
-    /// a loan it carried) and leaves no count behind.
+    /// the time parked, in the sender's `waiter` tally. A refused envelope is
+    /// dropped (revoking a loan it carried) and leaves no count behind.
     pub fn deposit<E>(
         &self,
         key: MsgKey,
         env: Envelope,
         timeout: Duration,
+        waiter: Waiter,
         abort: impl Fn() -> Option<E>,
-        stalls: &TransportCells,
     ) -> Result<(), Option<E>> {
         let mut q = self.lock();
         let (src, bytes) = (env.pair, env.staged_len());
         if !self.has_room(q.pairs[src], bytes) {
             let start = Instant::now();
-            stalls.credit_waits.fetch_add(1, Ordering::Relaxed);
+            waiter.tally.add(Counter::CreditWaits, 1);
             q.parked += 1;
             let room = |q: &mut Queues| self.has_room(q.pairs[src], bytes).then_some(());
-            let (guard, admitted) = self.wait_until(&self.room, q, timeout, abort, room);
+            let (guard, admitted) = self.wait_until(&self.room, q, timeout, waiter, abort, room);
             q = guard;
             q.parked -= 1;
-            stalls.stalled_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+            waiter.tally.add(Counter::StalledMs, start.elapsed().as_micros() as u64);
             admitted?;
         }
         q.pairs[src].msgs += 1;
@@ -211,31 +207,18 @@ impl Mailbox {
         self.room.notify_all();
     }
 
-    /// Block until a message with `key` is available, or `deadline` passes.
-    /// Returns `None` on timeout.
-    #[cfg(test)]
-    pub fn take(&self, key: MsgKey, timeout: Duration) -> Option<Envelope> {
-        match self.take_watched(key, timeout, || false) {
-            TakeOutcome::Delivered(env) => Some(env),
-            _ => None,
-        }
-    }
-
-    /// Block until a message with `key` is available ([`TakeOutcome::Delivered`]),
-    /// `timeout` passes, or `abort()` reports true while no matching message
-    /// is queued ([`TakeOutcome::Aborted`]).
-    pub fn take_watched(
+    /// Block until a message with `key` is available, `abort()` yields an
+    /// error while none is queued (`Err(Some(_))`), or `timeout` passes
+    /// (`Err(None)`). The receiver waits under its own `waiter`.
+    pub fn take<E>(
         &self,
         key: MsgKey,
         timeout: Duration,
-        abort: impl Fn() -> bool,
-    ) -> TakeOutcome {
+        waiter: Waiter,
+        abort: impl Fn() -> Option<E>,
+    ) -> Result<Envelope, Option<E>> {
         let pop = |q: &mut Queues| self.pop(q, key);
-        match self.wait_until(&self.cv, self.lock(), timeout, || abort().then_some(()), pop).1 {
-            Ok(env) => TakeOutcome::Delivered(env),
-            Err(Some(())) => TakeOutcome::Aborted,
-            Err(None) => TakeOutcome::TimedOut,
-        }
+        self.wait_until(&self.cv, self.lock(), timeout, waiter, abort, pop).1
     }
 
     /// The one blocking wait, for receivers (on `cv`) and parked senders (on
@@ -255,13 +238,14 @@ impl Mailbox {
         cv: &Condvar,
         mut q: MutexGuard<'a, Queues>,
         timeout: Duration,
+        waiter: Waiter,
         abort: impl Fn() -> Option<E>,
         ready: impl Fn(&mut Queues) -> Option<T>,
     ) -> (MutexGuard<'a, Queues>, Result<T, Option<E>>) {
         let start = Instant::now();
         let deadline = start + timeout;
-        let spin_end = (start + self.waiter.spin).min(deadline);
-        let mut how = Resolved::Immediate;
+        let spin_end = (start + waiter.spin).min(deadline);
+        let mut how = Counter::WaitImmediate;
         let outcome = loop {
             if let Some(t) = ready(&mut q) {
                 break Ok(t);
@@ -274,14 +258,14 @@ impl Mailbox {
                 break Err(None);
             }
             if now < spin_end {
-                how = Resolved::SpinHit;
+                how = Counter::WaitSpinHits;
                 let seen = self.events.load(Ordering::Relaxed);
                 drop(q);
                 spin_until(spin_end, || self.events.load(Ordering::Relaxed) != seen);
                 q = self.lock();
                 continue;
             }
-            how = Resolved::Park;
+            how = Counter::WaitParks;
             q.sleepers += 1;
             q = match cv.wait_timeout(q, deadline - now) {
                 Ok((guard, _)) => guard,
@@ -289,7 +273,7 @@ impl Mailbox {
             };
             q.sleepers -= 1;
         };
-        self.waiter.note(how);
+        waiter.tally.add(how, 1);
         (q, outcome)
     }
 
@@ -346,19 +330,10 @@ impl Mailbox {
     }
 }
 
-/// Result of a blocking mailbox retrieval.
-pub(crate) enum TakeOutcome {
-    /// A matching message arrived (or was already queued).
-    Delivered(Envelope),
-    /// The watchdog deadline passed with no matching message.
-    TimedOut,
-    /// The abort condition fired — e.g. the awaited peer is dead.
-    Aborted,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Slot;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -370,14 +345,45 @@ mod tests {
         Envelope { payload: Payload::Bytes(bytes), elem: 1, pair: src }
     }
 
+    /// A mailbox, the spin its waits run under and the slot they tally in:
+    /// a receive's and a parked sender's alike.
+    struct Rig {
+        mb: Mailbox,
+        spin: Duration,
+        tally: Slot,
+    }
+
+    impl Rig {
+        fn new(n: usize, msgs: usize, bytes: usize, spin: Duration) -> Rig {
+            Rig { mb: Mailbox::bounded(n, msgs, bytes), spin, tally: Slot::default() }
+        }
+
+        fn waiter(&self) -> Waiter<'_> {
+            Waiter { spin: self.spin, tally: &self.tally }
+        }
+
+        /// A blocking take with no abort rule; `None` on timeout.
+        fn recv(&self, key: MsgKey, timeout: Duration) -> Option<Envelope> {
+            self.mb.take(key, timeout, self.waiter(), || None::<()>).ok()
+        }
+    }
+
+    impl std::ops::Deref for Rig {
+        type Target = Mailbox;
+
+        fn deref(&self) -> &Mailbox {
+            &self.mb
+        }
+    }
+
     /// A mailbox with no depth bound and no spin, in a universe of 3.
-    fn unbounded() -> Mailbox {
-        Mailbox::bounded(3, 0, 0, Duration::ZERO)
+    fn unbounded() -> Rig {
+        Rig::new(3, 0, 0, Duration::ZERO)
     }
 
     /// Deposit with no abort rule: `Err(None)` is a timeout.
-    fn put(mb: &Mailbox, key: MsgKey, env: Envelope, timeout: Duration) -> Result<(), Option<()>> {
-        mb.deposit(key, env, timeout, || None, &TransportCells::default())
+    fn put(mb: &Rig, key: MsgKey, env: Envelope, timeout: Duration) -> Result<(), Option<()>> {
+        mb.deposit(key, env, timeout, mb.waiter(), || None)
     }
 
     fn into_bytes(env: Envelope) -> Vec<u8> {
@@ -412,9 +418,9 @@ mod tests {
     }
 
     /// How `mb`'s waits resolved so far: (immediate, spin hits, parks).
-    fn resolved(mb: &Mailbox) -> (u64, u64, u64) {
-        let w = &mb.waiter;
-        (w.count(Resolved::Immediate), w.count(Resolved::SpinHit), w.count(Resolved::Park))
+    fn resolved(mb: &Rig) -> (u64, u64, u64) {
+        let w = &mb.tally;
+        (w.get(Counter::WaitImmediate), w.get(Counter::WaitSpinHits), w.get(Counter::WaitParks))
     }
 
     /// (messages, staged bytes) world rank `src` has queued in `mb`.
@@ -428,8 +434,8 @@ mod tests {
         let mb = unbounded();
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
-        assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![1]);
-        assert_eq!(into_bytes(mb.take(KEY, LONG).unwrap()), vec![2]);
+        assert_eq!(into_bytes(mb.recv(KEY, LONG).unwrap()), vec![1]);
+        assert_eq!(into_bytes(mb.recv(KEY, LONG).unwrap()), vec![2]);
         assert_eq!(mb.pending(), 0);
     }
 
@@ -442,7 +448,7 @@ mod tests {
         for (key, src, byte) in [(a, 0, 1), (b, 2, 11), (a, 0, 2), (b, 2, 12)] {
             put(&mb, key, bytes_env(src, vec![byte]), LONG).unwrap();
         }
-        let got: Vec<u8> = [b, a, a, b].map(|k| into_bytes(mb.take(k, LONG).unwrap())[0]).to_vec();
+        let got: Vec<u8> = [b, a, a, b].map(|k| into_bytes(mb.recv(k, LONG).unwrap())[0]).to_vec();
         assert_eq!((got, mb.pending()), (vec![11, 1, 2, 12], 0));
     }
 
@@ -452,7 +458,7 @@ mod tests {
     fn take_blocks_until_deposit() {
         let mb = Arc::new(unbounded());
         let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || mb2.take(KEY, LONG));
+        let h = std::thread::spawn(move || mb2.recv(KEY, LONG));
         until_asleep(&mb);
         put(&mb, KEY, bytes_env(0, vec![42]), LONG).unwrap();
         assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![42]);
@@ -461,28 +467,27 @@ mod tests {
 
     #[test]
     fn deposit_inside_the_budget_is_delivered_without_a_park() {
-        let mb = Mailbox::bounded(2, 0, 0, LONG);
+        let mb = Rig::new(2, 0, 0, LONG);
         let spinning = AtomicBool::new(false);
         let watch = || {
             spinning.store(true, Ordering::Release);
-            false
+            None::<()>
         };
         let got = std::thread::scope(|s| {
-            let h = s.spawn(|| mb.take_watched(KEY, LONG, watch));
+            let h = s.spawn(|| mb.take(KEY, LONG, mb.waiter(), watch));
             until_raised(&spinning);
             put(&mb, KEY, bytes_env(0, vec![7]), LONG).unwrap();
             h.join().unwrap()
         });
-        let TakeOutcome::Delivered(env) = got else { panic!("expected delivery") };
-        assert_eq!(into_bytes(env), vec![7]);
+        assert_eq!(into_bytes(got.unwrap()), vec![7]);
         assert_eq!(resolved(&mb), (0, 1, 0));
     }
 
     #[test]
     fn deposit_after_the_budget_is_delivered_with_one_park() {
-        let mb = Mailbox::bounded(2, 0, 0, Duration::from_micros(1));
+        let mb = Rig::new(2, 0, 0, Duration::from_micros(1));
         std::thread::scope(|s| {
-            let h = s.spawn(|| mb.take(KEY, LONG));
+            let h = s.spawn(|| mb.recv(KEY, LONG));
             until_asleep(&mb);
             put(&mb, KEY, bytes_env(0, vec![8]), LONG).unwrap();
             assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![8]);
@@ -492,20 +497,20 @@ mod tests {
 
     #[test]
     fn interrupt_ends_a_spinning_wait_with_aborted() {
-        let mb = Mailbox::bounded(2, 0, 0, LONG);
+        let mb = Rig::new(2, 0, 0, LONG);
         let (spinning, dead) = (AtomicBool::new(false), AtomicBool::new(false));
         let peer_died = || {
             spinning.store(true, Ordering::Release);
-            dead.load(Ordering::Acquire)
+            dead.load(Ordering::Acquire).then_some("peer dead")
         };
         let got = std::thread::scope(|s| {
-            let h = s.spawn(|| mb.take_watched(KEY, LONG, peer_died));
+            let h = s.spawn(|| mb.take(KEY, LONG, mb.waiter(), peer_died));
             until_raised(&spinning);
             dead.store(true, Ordering::Release);
             mb.interrupt();
             h.join().unwrap()
         });
-        assert!(matches!(got, TakeOutcome::Aborted));
+        assert!(matches!(got, Err(Some("peer dead"))));
         assert_eq!(resolved(&mb), (0, 1, 0), "the wait ended in its spin, not after a park");
     }
 
@@ -513,12 +518,12 @@ mod tests {
     /// on the first check and a short one at its deadline.
     #[test]
     fn spin_never_outlasts_the_deadline() {
-        let mb = Mailbox::bounded(2, 0, 0, LONG);
+        let mb = Rig::new(2, 0, 0, LONG);
         let start = Instant::now();
-        assert!(matches!(mb.take_watched(KEY, Duration::ZERO, || false), TakeOutcome::TimedOut));
+        assert!(mb.recv(KEY, Duration::ZERO).is_none());
         assert_eq!(resolved(&mb), (1, 0, 0));
         let short = Duration::from_millis(5);
-        assert!(matches!(mb.take_watched(KEY, short, || false), TakeOutcome::TimedOut));
+        assert!(mb.recv(KEY, short).is_none());
         assert_eq!(resolved(&mb), (1, 1, 0));
         assert!(start.elapsed() < LONG / 2);
     }
@@ -526,7 +531,7 @@ mod tests {
     #[test]
     fn take_times_out() {
         let mb = unbounded();
-        assert!(mb.take((0, 0, 0), Duration::from_millis(20)).is_none());
+        assert!(mb.recv((0, 0, 0), Duration::from_millis(20)).is_none());
     }
 
     #[test]
@@ -539,33 +544,29 @@ mod tests {
 
     #[test]
     fn full_pair_parks_and_resumes_on_pop() {
-        let mb = Arc::new(Mailbox::bounded(2, 1, 0, Duration::ZERO));
+        let mb = Arc::new(Rig::new(2, 1, 0, Duration::ZERO));
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
-        let stalls = Arc::new(TransportCells::default());
-        let (mb2, stalls2) = (Arc::clone(&mb), Arc::clone(&stalls));
-        let h = std::thread::spawn(move || {
-            mb2.deposit(KEY, bytes_env(0, vec![2]), LONG, || None::<()>, &stalls2)
-        });
+        let mb2 = Arc::clone(&mb);
+        let h = std::thread::spawn(move || put(&mb2, KEY, bytes_env(0, vec![2]), LONG));
         until_parked(&mb);
         assert_eq!(mb.pending(), 1, "a parked sender has queued nothing");
         assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
         h.join().unwrap().unwrap();
         assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![2]);
-        assert_eq!((depth(&mb, 0), stalls.snapshot().credit_waits), ((0, 0), 1));
+        assert_eq!((depth(&mb, 0), mb.tally.get(Counter::CreditWaits)), ((0, 0), 1));
     }
 
     #[test]
     fn pop_during_the_spin_releases_the_parked_sender() {
-        let mb = Mailbox::bounded(2, 1, 0, LONG);
+        let mb = Rig::new(2, 1, 0, LONG);
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         let spinning = AtomicBool::new(false);
-        let stalls = TransportCells::default();
         let watch = || {
             spinning.store(true, Ordering::Release);
             None::<()>
         };
         std::thread::scope(|s| {
-            let h = s.spawn(|| mb.deposit(KEY, bytes_env(0, vec![2]), LONG, watch, &stalls));
+            let h = s.spawn(|| mb.deposit(KEY, bytes_env(0, vec![2]), LONG, mb.waiter(), watch));
             until_raised(&spinning);
             assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
             h.join().unwrap().unwrap();
@@ -584,21 +585,21 @@ mod tests {
         assert_eq!((spin_budget(cores), spin_budget(cores + 1)), (SPIN_BUDGET, Duration::ZERO));
         let n = cores + 1;
         let spin_hits = crate::Universe::builder().run(n, |comm| {
-            assert!(comm.my_mailbox().waiter.spin.is_zero());
+            assert!(comm.waiter().spin.is_zero());
             let (next, prev) = ((comm.rank() + 1) % n, (comm.rank() + n - 1) % n);
             for round in 0..8u8 {
                 comm.send_bytes(next, 1, &[round]).unwrap();
                 assert_eq!(comm.recv_bytes(prev, 1).unwrap(), vec![round]);
             }
             comm.barrier().unwrap();
-            comm.my_mailbox().waiter.count(Resolved::SpinHit)
+            comm.counters()[Counter::WaitSpinHits]
         });
         assert_eq!(spin_hits, vec![0; n]);
     }
 
     #[test]
     fn oversize_message_enters_an_empty_pair_and_the_next_waits() {
-        let mb = Mailbox::bounded(2, 4, 64, Duration::ZERO);
+        let mb = Rig::new(2, 4, 64, Duration::ZERO);
         // 100 > 64, but the pair is empty: stop-and-wait admission.
         put(&mb, KEY, bytes_env(0, vec![0; 100]), LONG).unwrap();
         // Pair non-empty now: even a small follow-up must wait.
@@ -610,7 +611,7 @@ mod tests {
 
     #[test]
     fn discard_frees_the_pair_and_wakes_the_parked_sender() {
-        let mb = Arc::new(Mailbox::bounded(3, 2, 0, Duration::ZERO));
+        let mb = Arc::new(Rig::new(3, 2, 0, Duration::ZERO));
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
         // Another sender on the same communicator is not named: it stays.
@@ -654,13 +655,13 @@ mod tests {
 
     #[test]
     fn abort_unparks_with_its_error_and_leaves_no_count() {
-        let mb = Arc::new(Mailbox::bounded(2, 1, 0, Duration::ZERO));
+        let mb = Arc::new(Rig::new(2, 1, 0, Duration::ZERO));
         put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
         let dead = Arc::new(AtomicBool::new(false));
         let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
         let h = std::thread::spawn(move || {
             let abort = || dead2.load(Ordering::Acquire).then_some("peer dead");
-            mb2.deposit(KEY, bytes_env(0, vec![2]), LONG, abort, &TransportCells::default())
+            mb2.deposit(KEY, bytes_env(0, vec![2]), LONG, mb2.waiter(), abort)
         });
         until_parked(&mb);
         dead.store(true, Ordering::Release);
@@ -671,7 +672,7 @@ mod tests {
 
     #[test]
     fn pairs_are_independent_and_span_every_tag() {
-        let mb = Mailbox::bounded(3, 1, 0, Duration::ZERO);
+        let mb = Rig::new(3, 1, 0, Duration::ZERO);
         let now = Duration::ZERO;
         put(&mb, KEY, bytes_env(0, vec![1]), now).unwrap();
         // A different sender has its own depth at this receiver ...
@@ -704,11 +705,11 @@ mod tests {
                 let err = err.unwrap_err();
                 assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
                 gate.wait();
-                let done = cell.wait(&comm.my_mailbox().waiter, Instant::now() + LONG, || false);
+                let done = cell.wait(comm.waiter(), Instant::now() + LONG, || false);
                 assert_eq!(done, crate::zerocopy::ZcWait::Done);
                 comm.set_timeout(LONG);
                 comm.send_bytes(1, 3, &second).unwrap();
-                assert_eq!(comm.transport_counters().credit_waits, 1);
+                assert_eq!(comm.counters()[Counter::CreditWaits], 1);
             } else {
                 gate.wait();
                 assert_eq!(comm.take_from(0, tag).unwrap(), vec![1u8; 64]);

@@ -1,9 +1,9 @@
 //! Launching a set of ranks.
 
 use crate::comm::{default_timeout, Comm, WorldState};
+use crate::counters::{Counts, NAMES};
 use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
-use crate::wait::Resolved;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ const RANK_STACK_BYTES: usize = 8 * 1024 * 1024;
 ///
 /// let sums = Universe::builder()
 ///     .timeout(Duration::from_secs(10))
-///     .run(4, |comm| comm.allreduce(&[comm.rank() as u64], |a, b| a + b)[0]);
+///     .run(4, |comm| comm.allreduce(&[comm.rank() as u64], |a, b| a + b).unwrap()[0]);
 /// assert_eq!(sums, vec![6, 6, 6, 6]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -186,39 +186,13 @@ impl UniverseBuilder {
     }
 }
 
-/// Fold this world's pool and transport counters into the unified metrics
-/// registry. Traffic counters accumulate across universes within one capture
-/// window; occupancy values are gauges and overwrite.
+/// Add this world's counter table, summed over its ranks, to the metrics
+/// registry, one row per counter. Within one capture window the rows
+/// accumulate across universes; each window reports only its own.
 fn record_world_metrics(world: &WorldState) {
-    let t = world.transport.snapshot();
-    ddrtrace::metrics::add("minimpi.transport", "zerocopy_msgs", t.zerocopy_msgs);
-    ddrtrace::metrics::add("minimpi.transport", "staged_msgs", t.staged_msgs);
-    ddrtrace::metrics::add("minimpi.transport", "revoked_msgs", t.revoked_msgs);
-    let p = world.pool.stats();
-    ddrtrace::metrics::add("minimpi.pool", "acquires", p.acquires);
-    ddrtrace::metrics::add("minimpi.pool", "reuse_hits", p.reuse_hits);
-    ddrtrace::metrics::add("minimpi.pool", "trimmed_bytes", p.trimmed_bytes);
-    ddrtrace::metrics::set("minimpi.pool", "free_bytes", p.free_bytes as u64);
-    ddrtrace::metrics::set("minimpi.pool", "high_water_bytes", p.high_water_bytes as u64);
-    // Pack-kernel counters are process-global monotone totals (the kernel
-    // layer has no per-world state), so publish with `set`, not `add` —
-    // `add` would double-count them across universes in one process.
-    let k = crate::kernels::snapshot();
-    ddrtrace::metrics::set("pack", "fused_runs", k.fused_runs);
-    ddrtrace::metrics::set("pack", "vector_bytes", k.vector_bytes);
-    ddrtrace::metrics::set("pack", "scalar_bytes", k.scalar_bytes);
-    ddrtrace::metrics::add("flow", "credit_waits", t.credit_waits);
-    ddrtrace::metrics::add("flow", "stalled_ms", t.stalled_ms);
-    // How every blocking wait of the data path (mailbox and loan cell alike)
-    // resolved: the evidence the spin-before-park budget is judged by.
-    for mb in &world.mailboxes {
-        for (name, how) in [
-            ("immediate", Resolved::Immediate),
-            ("spin_hits", Resolved::SpinHit),
-            ("parks", Resolved::Park),
-        ] {
-            ddrtrace::metrics::add("wait", name, mb.waiter.count(how));
-        }
+    let counts = Counts::sum(&world.counters);
+    for ((scope, name, _), value) in NAMES.iter().zip(counts.0) {
+        ddrtrace::metrics::add(scope, name, value);
     }
 }
 

@@ -2,10 +2,10 @@
 //! worth, then park*. [`crate::mailbox::Mailbox`] (receivers and parked
 //! senders) and [`crate::zerocopy::ZcCell`] (lenders) both wait this way;
 //! this module holds what they share — the budget, the rule that decides
-//! whether a universe spins at all, the spin itself, and the per-rank
-//! [`Waiter`] that carries the policy and tallies how each wait resolved.
+//! whether a universe spins at all, the spin itself, and the [`Waiter`]
+//! that carries the policy and the slot each wait's resolution is tallied in.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counters::Slot;
 use std::time::{Duration, Instant};
 
 /// How long a blocked rank spins before it parks: about what a park + wake
@@ -36,41 +36,16 @@ pub(crate) fn spin_until(until: Instant, hit: impl Fn() -> bool) {
     }
 }
 
-/// How a blocking wait ended up resolving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Resolved {
-    /// What it waited for was already there on the first check.
-    Immediate = 0,
-    /// It arrived while the waiter was spinning: no sleep, no wake-up.
-    SpinHit = 1,
-    /// The waiter slept on its condvar at least once.
-    Park = 2,
-}
-
-/// One rank's wait policy and the tally of how its waits resolved. The
-/// policy is a value handed to whoever waits, not a global, so a test can
-/// drive both sides of it.
-///
-/// The tally is statistics only (hence `Relaxed`), surfaced as
-/// `wait.{immediate,spin_hits,parks}` in the trace's metrics registry when a
-/// traced universe ends.
-#[derive(Debug, Default)]
-pub(crate) struct Waiter {
-    /// Spin this long before parking; zero (the `Default`) parks at once.
+/// One waiting rank's policy, and the slot it tallies each wait's
+/// resolution in: `wait.immediate` (what it waited for was already there on
+/// the first check), `wait.spin_hits` (it arrived during the spin) or
+/// `wait.parks` (the waiter slept at least once). The policy is a value
+/// handed to whoever waits, not a global, so a test can drive both sides of
+/// it.
+#[derive(Clone, Copy)]
+pub(crate) struct Waiter<'a> {
+    /// Spin this long before parking; zero parks at once.
     pub spin: Duration,
-    resolved: [AtomicU64; 3],
-}
-
-impl Waiter {
-    pub fn new(spin: Duration) -> Self {
-        Waiter { spin, ..Default::default() }
-    }
-
-    pub fn note(&self, how: Resolved) {
-        self.resolved[how as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn count(&self, how: Resolved) -> u64 {
-        self.resolved[how as usize].load(Ordering::Relaxed)
-    }
+    /// The waiting rank's own counter slot.
+    pub tally: &'a Slot,
 }

@@ -4,24 +4,18 @@
 //! message does not need MPI's pack → send → unpack staging: the *receiver*
 //! can copy each part of the message straight out of the sender's source
 //! buffers into its own destination buffer, with zero intermediate
-//! allocations. This module provides the two pieces that make that safe and
-//! fast:
-//!
-//! * [`ZcCell`] / [`ZcHandle`] — a rendezvous protocol for lending borrowed
-//!   send buffers across threads. The sender deposits a handle (pointers to
-//!   its own buffer table and `(buffer index, datatype)` part list, both
-//!   borrowed like the buffers, and a completion cell) and **blocks at the
-//!   end of the collective** until the loan was either copied (`Done`) or
-//!   provably never will be (`Revoked`). The receiver must *claim* the loan
-//!   before it reads anything through the handle, the part list included, so
-//!   a sender that gives up (peer death, watchdog) can revoke safely: either
-//!   the claim wins and the sender waits out the (bounded) memcpy, or the
-//!   revoke wins and the receiver never dereferences a pointer. A claimed
-//!   loan whose parts do not pair with the receiver's is refused uncopied,
-//!   which the sender also reads as `Revoked`.
-//! * [`BufferPool`] — reusable buffers for eager point-to-point sends
-//!   (`intransit` frames, `lbm` halos), with a high-water-mark trim so a
-//!   one-off huge message does not pin memory forever.
+//! allocations. [`ZcCell`] / [`ZcHandle`] make that safe: a rendezvous
+//! protocol for lending borrowed send buffers across threads. The sender
+//! deposits a handle (pointers to its own buffer table and `(buffer index,
+//! datatype)` part list, both borrowed like the buffers, and a completion
+//! cell) and **blocks at the end of the collective** until the loan was
+//! either copied (`Done`) or provably never will be (`Revoked`). The
+//! receiver must *claim* the loan before it reads anything through the
+//! handle, the part list included, so a sender that gives up (peer death,
+//! watchdog) can revoke safely: either the claim wins and the sender waits
+//! out the (bounded) memcpy, or the revoke wins and the receiver never
+//! dereferences a pointer. A claimed loan whose parts do not pair with the
+//! receiver's is refused uncopied, which the sender also reads as `Revoked`.
 //!
 //! The copy itself always runs on the claiming rank's own thread, part by
 //! part (`datatype::copy_selection`): one thread per rank moves that rank's
@@ -30,10 +24,11 @@
 //! arm a loan replaced, and the per-size measurement that retired it, are in
 //! the README's zero-copy section.
 
+use crate::counters::Counter;
 use crate::datatype::Datatype;
-use crate::wait::{spin_until, Resolved, Waiter};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use crate::wait::{spin_until, Waiter};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -107,9 +102,9 @@ impl ZcCell {
     /// Check, spin, then park, under the lender's `waiter`: the spin watches
     /// `state` alone and takes no lock, so a copy that finishes inside the
     /// budget (never past `deadline`) costs the lender no sleep.
-    pub fn wait(&self, waiter: &Waiter, deadline: Instant, abort: impl Fn() -> bool) -> ZcWait {
+    pub fn wait(&self, waiter: Waiter, deadline: Instant, abort: impl Fn() -> bool) -> ZcWait {
         let spin_end = (Instant::now() + waiter.spin).min(deadline);
-        let mut how = Resolved::Immediate;
+        let mut how = Counter::WaitImmediate;
         let outcome = loop {
             match self.state.load(Ordering::Acquire) {
                 DONE => break ZcWait::Done,
@@ -132,11 +127,11 @@ impl ZcCell {
                 _ => {}
             }
             if Instant::now() < spin_end {
-                how = Resolved::SpinHit;
+                how = Counter::WaitSpinHits;
                 spin_until(spin_end, || self.is_terminal());
                 continue;
             }
-            how = Resolved::Park;
+            how = Counter::WaitParks;
             let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
             self.parked.store(true, Ordering::SeqCst);
             if !self.is_terminal() {
@@ -150,7 +145,7 @@ impl ZcCell {
             }
             self.parked.store(false, Ordering::SeqCst);
         };
-        waiter.note(how);
+        waiter.tally.add(how, 1);
         outcome
     }
 
@@ -222,204 +217,23 @@ impl Drop for ZcHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Staging-buffer pool
-// ---------------------------------------------------------------------------
-
-/// Snapshot of [`BufferPool`] occupancy and traffic, for tests, benches and
-/// diagnostics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Buffers currently parked in the free list.
-    pub free_buffers: usize,
-    /// Bytes of capacity currently parked in the free list.
-    pub free_bytes: usize,
-    /// Largest `free_bytes` ever observed.
-    pub high_water_bytes: usize,
-    /// Total acquisitions served.
-    pub acquires: u64,
-    /// Acquisitions served by reuse instead of allocation.
-    pub reuse_hits: u64,
-    /// Bytes of capacity released back to the allocator by the trim policy.
-    pub trimmed_bytes: u64,
-}
-
-#[derive(Default)]
-struct PoolInner {
-    /// Free buffers, kept sorted by capacity (ascending) for best-fit.
-    free: Vec<Vec<u8>>,
-    free_bytes: usize,
-    /// Largest single request seen in the current / previous demand epoch.
-    epoch_demand: usize,
-    prev_demand: usize,
-    epoch_acquires: u32,
-    stats: PoolStats,
-}
-
-/// How many acquisitions one demand epoch spans. Two epochs after a demand
-/// spike ends, the high-water mark has fully decayed and the trim policy
-/// releases the excess capacity.
-const POOL_EPOCH: u32 = 64;
-/// Retained capacity is bounded by `POOL_SLACK ×` the recent peak request
-/// (enough to stage every concurrent round of a typical exchange).
-const POOL_SLACK: usize = 8;
-/// Capacity floor below which the pool never bothers trimming.
-const POOL_MIN_RETAIN: usize = 64 * 1024;
-/// Hard cap on parked buffer count.
-const POOL_MAX_BUFFERS: usize = 64;
-
-/// A shared pool of buffers for eager point-to-point sends
-/// ([`crate::Comm::acquire_staging`]); `alltoallw` loans and never stages.
-///
-/// `acquire` hands out a cleared `Vec<u8>` with at least the requested
-/// capacity; `release` parks it for reuse. The release path trims the free
-/// list against a decaying high-water mark of recent demand, so pool memory
-/// stays bounded by current traffic instead of the historical maximum.
-#[derive(Default)]
-pub(crate) struct BufferPool {
-    inner: Mutex<PoolInner>,
-}
-
-impl BufferPool {
-    fn lock(&self) -> MutexGuard<'_, PoolInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Get a cleared buffer with capacity at least `cap` (best fit, else a
-    /// fresh allocation).
-    pub fn acquire(&self, cap: usize) -> Vec<u8> {
-        let mut inner = self.lock();
-        inner.stats.acquires += 1;
-        inner.epoch_acquires += 1;
-        inner.epoch_demand = inner.epoch_demand.max(cap);
-        if inner.epoch_acquires >= POOL_EPOCH {
-            inner.prev_demand = inner.epoch_demand;
-            inner.epoch_demand = 0;
-            inner.epoch_acquires = 0;
-        }
-        // Best fit: first free buffer (sorted ascending) that can hold `cap`.
-        if let Some(i) = inner.free.iter().position(|b| b.capacity() >= cap) {
-            let mut buf = inner.free.remove(i);
-            inner.free_bytes -= buf.capacity();
-            inner.stats.reuse_hits += 1;
-            buf.clear();
-            return buf;
-        }
-        drop(inner);
-        // A checkout the free list could not serve: fresh allocation.
-        ddrtrace::instant_arg("minimpi", "pool_alloc", "bytes", cap as i64);
-        Vec::with_capacity(cap)
-    }
-
-    /// Return a buffer to the pool (content is discarded). Oversized
-    /// capacity beyond the recent-demand watermark is released immediately.
-    pub fn release(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        buf.clear();
-        let cap = buf.capacity();
-        let mut inner = self.lock();
-        let at = inner.free.partition_point(|b| b.capacity() < cap);
-        inner.free.insert(at, buf);
-        inner.free_bytes += cap;
-        inner.stats.high_water_bytes = inner.stats.high_water_bytes.max(inner.free_bytes);
-        let bound = (inner.epoch_demand.max(inner.prev_demand) * POOL_SLACK).max(POOL_MIN_RETAIN);
-        // Trim largest-first: big stale buffers are the ones that pin memory.
-        let mut trimmed = 0u64;
-        while inner.free_bytes > bound || inner.free.len() > POOL_MAX_BUFFERS {
-            match inner.free.pop() {
-                Some(b) => {
-                    inner.free_bytes -= b.capacity();
-                    inner.stats.trimmed_bytes += b.capacity() as u64;
-                    trimmed += b.capacity() as u64;
-                }
-                None => break,
-            }
-        }
-        drop(inner);
-        if ddrtrace::enabled() {
-            if trimmed > 0 {
-                ddrtrace::instant_arg("minimpi", "pool_trim", "bytes", trimmed as i64);
-            }
-            ddrtrace::counter("pool_free_bytes", self.lock().free_bytes as i64);
-        }
-    }
-
-    /// Current occupancy / traffic counters.
-    pub fn stats(&self) -> PoolStats {
-        let inner = self.lock();
-        let mut s = inner.stats;
-        s.free_buffers = inner.free.len();
-        s.free_bytes = inner.free_bytes;
-        s
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transport counters
-// ---------------------------------------------------------------------------
-
-/// Which wire path messages took, for tests and benches to introspect.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportCounters {
-    /// Messages delivered by the zero-copy rendezvous: every `alltoallw`
-    /// message a fault rule did not withhold.
-    pub zerocopy_msgs: u64,
-    /// Messages that carried owned bytes: eager point-to-point sends and the
-    /// other collectives' fragments.
-    pub staged_msgs: u64,
-    /// Zero-copy loans that were revoked before the receiver copied them.
-    pub revoked_msgs: u64,
-    /// Deposits that found their pair's mailbox bound full and had to park
-    /// (`flow.credit_waits` in the trace). DDR traffic never reaches the
-    /// bound; a non-zero count means a producer is outrunning its consumer.
-    pub credit_waits: u64,
-    /// Total time senders spent parked on a full pair, in milliseconds
-    /// (`flow.stalled_ms` in the trace).
-    pub stalled_ms: u64,
-}
-
-/// Atomic backing store for [`TransportCounters`], kept on the world state.
-#[derive(Debug, Default)]
-pub(crate) struct TransportCells {
-    pub zerocopy_msgs: AtomicU64,
-    pub staged_msgs: AtomicU64,
-    pub revoked_msgs: AtomicU64,
-    pub credit_waits: AtomicU64,
-    pub stalled_us: AtomicU64,
-}
-
-impl TransportCells {
-    pub fn snapshot(&self) -> TransportCounters {
-        TransportCounters {
-            zerocopy_msgs: self.zerocopy_msgs.load(Ordering::Relaxed),
-            staged_msgs: self.staged_msgs.load(Ordering::Relaxed),
-            revoked_msgs: self.revoked_msgs.load(Ordering::Relaxed),
-            credit_waits: self.credit_waits.load(Ordering::Relaxed),
-            stalled_ms: self.stalled_us.load(Ordering::Relaxed) / 1000,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Slot;
 
     const LONG: Duration = Duration::from_secs(10);
 
     /// Both sides of the wait policy: park at once, and a spin long enough
     /// that whatever the test does next lands inside it. Every cell outcome
     /// below must be the same under either.
-    fn policies() -> [Waiter; 2] {
-        [Waiter::default(), Waiter::new(LONG)]
-    }
+    const POLICIES: [Duration; 2] = [Duration::ZERO, LONG];
 
     /// What a lender's wait on a claimed loan returns when this thread
     /// settles it; `expired` starts the wait past its deadline, aborting. A
     /// lender with no spin budget is settled once parked and must wake within
     /// 5 ms, far inside its 25 ms backstop: no settle may skip its wake.
-    fn settle_claimed(waiter: &Waiter, expired: bool, settle: fn(&ZcCell)) -> ZcWait {
+    fn settle_claimed(waiter: Waiter, expired: bool, settle: fn(&ZcCell)) -> ZcWait {
         let cell = ZcCell::default();
         assert!(cell.try_claim());
         let deadline = Instant::now() + if expired { Duration::ZERO } else { LONG };
@@ -443,11 +257,13 @@ mod tests {
     /// parked lenders in a row must each be woken by `finish`.
     #[test]
     fn parked_lender_is_woken_by_finish() {
-        for waiter in policies() {
+        for spin in POLICIES {
+            let tally = Slot::default();
             for _ in 0..50 {
-                assert_eq!(settle_claimed(&waiter, false, ZcCell::finish), ZcWait::Done);
+                let waiter = Waiter { spin, tally: &tally };
+                assert_eq!(settle_claimed(waiter, false, ZcCell::finish), ZcWait::Done);
             }
-            assert_eq!(waiter.count(Resolved::Park), if waiter.spin.is_zero() { 50 } else { 0 });
+            assert_eq!(tally.get(Counter::WaitParks), if spin.is_zero() { 50 } else { 0 });
         }
     }
 
@@ -456,7 +272,8 @@ mod tests {
     /// throughout — either side locking would hang) and it never parks.
     #[test]
     fn done_inside_the_spin_returns_without_locking() {
-        let (cell, waiter) = (ZcCell::default(), Waiter::new(LONG));
+        let (cell, tally) = (ZcCell::default(), Slot::default());
+        let waiter = Waiter { spin: LONG, tally: &tally };
         let spinning = std::sync::atomic::AtomicBool::new(false);
         let held = cell.lock.lock().unwrap();
         // The abort check runs right before the spin starts.
@@ -465,7 +282,7 @@ mod tests {
             false
         };
         let out = std::thread::scope(|s| {
-            let h = s.spawn(|| cell.wait(&waiter, Instant::now() + LONG, watch));
+            let h = s.spawn(|| cell.wait(waiter, Instant::now() + LONG, watch));
             while !spinning.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
@@ -475,16 +292,17 @@ mod tests {
         });
         drop(held);
         assert_eq!(out, ZcWait::Done);
-        assert_eq!((waiter.count(Resolved::SpinHit), waiter.count(Resolved::Park)), (1, 0));
+        assert_eq!((tally.get(Counter::WaitSpinHits), tally.get(Counter::WaitParks)), (1, 0));
     }
 
     #[test]
     fn cell_revoke_on_timeout_blocks_claim() {
-        for waiter in policies() {
-            let cell = ZcCell::default();
-            assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Revoked);
+        for spin in POLICIES {
+            let (cell, tally) = (ZcCell::default(), Slot::default());
+            let waiter = Waiter { spin, tally: &tally };
+            assert_eq!(cell.wait(waiter, Instant::now(), || false), ZcWait::Revoked);
             assert!(!cell.try_claim());
-            assert_eq!(waiter.count(Resolved::Immediate), 1, "an expired wait spins for nothing");
+            assert_eq!(tally.get(Counter::WaitImmediate), 1, "an expired wait spins for nothing");
         }
     }
 
@@ -493,8 +311,10 @@ mod tests {
     /// return while the receiver can dereference the pointer.
     #[test]
     fn expired_wait_on_a_claimed_loan_waits_for_done() {
-        for waiter in policies() {
-            assert_eq!(settle_claimed(&waiter, true, ZcCell::finish), ZcWait::Done);
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
+            assert_eq!(settle_claimed(waiter, true, ZcCell::finish), ZcWait::Done);
         }
     }
 
@@ -503,7 +323,9 @@ mod tests {
     /// and the receiver never touches the loan.
     #[test]
     fn revoke_racing_claim_has_one_winner() {
-        for waiter in policies() {
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
             for _ in 0..if cfg!(miri) { 4 } else { 200 } {
                 let cell = ZcCell::default();
                 std::thread::scope(|s| {
@@ -514,7 +336,7 @@ mod tests {
                         }
                         claimed
                     });
-                    let out = cell.wait(&waiter, Instant::now() + LONG, || true);
+                    let out = cell.wait(waiter, Instant::now() + LONG, || true);
                     let claimed = h.join().unwrap();
                     assert_eq!(out, if claimed { ZcWait::Done } else { ZcWait::Revoked });
                 });
@@ -524,7 +346,9 @@ mod tests {
 
     #[test]
     fn dropping_unclaimed_handle_revokes_loan() {
-        for waiter in policies() {
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
             let cell = Arc::new(ZcCell::default());
             let buf = vec![0u8; 16];
             let dt = Datatype::Contiguous { len_bytes: 16, offset: 0 };
@@ -533,13 +357,15 @@ mod tests {
             // The loan is dead: the receiver can no longer claim it, and a
             // sender blocked in wait() observes the revocation immediately.
             assert!(!cell.try_claim());
-            assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || false), ZcWait::Revoked);
+            assert_eq!(cell.wait(waiter, Instant::now() + LONG, || false), ZcWait::Revoked);
         }
     }
 
     #[test]
     fn dropping_claimed_handle_does_not_disturb_copy() {
-        for waiter in policies() {
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
             let cell = Arc::new(ZcCell::default());
             assert!(cell.try_claim());
             let buf = vec![0u8; 4];
@@ -547,7 +373,7 @@ mod tests {
             // SAFETY: the handle dies in this statement, before its tables.
             drop(unsafe { ZcHandle::new(&[&buf], &[(0, dt)], Arc::clone(&cell)) });
             cell.finish();
-            assert_eq!(cell.wait(&waiter, Instant::now(), || false), ZcWait::Done);
+            assert_eq!(cell.wait(waiter, Instant::now(), || false), ZcWait::Done);
         }
     }
 
@@ -562,7 +388,9 @@ mod tests {
         let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
         let (bufs, parts): ([&[u8]; 2], _) =
             ([&a, &b], [(1, contig(8, 8)), (0, contig(0, 4)), (0, contig(28, 4))]);
-        for waiter in policies() {
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
             let cell = Arc::new(ZcCell::default());
             // SAFETY: the tables outlive the loop; `wait` below sees `Done`.
             let handle = unsafe { ZcHandle::new(&bufs, &parts, Arc::clone(&cell)) };
@@ -580,7 +408,7 @@ mod tests {
                     handle.cell.finish();
                     out
                 });
-                assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || false), ZcWait::Done);
+                assert_eq!(cell.wait(waiter, Instant::now() + LONG, || false), ZcWait::Done);
                 copier.join().unwrap()
             });
             let want: Vec<u8> =
@@ -594,48 +422,20 @@ mod tests {
     /// parked or spinning, and nobody can claim the loan again.
     #[test]
     fn claimed_then_refused_loan_is_revoked() {
-        for waiter in policies() {
-            assert_eq!(settle_claimed(&waiter, false, ZcCell::refuse), ZcWait::Revoked);
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
+            assert_eq!(settle_claimed(waiter, false, ZcCell::refuse), ZcWait::Revoked);
         }
     }
 
     #[test]
     fn cell_abort_revokes() {
-        for waiter in policies() {
+        for spin in POLICIES {
+            let tally = Slot::default();
+            let waiter = Waiter { spin, tally: &tally };
             let cell = ZcCell::default();
-            assert_eq!(cell.wait(&waiter, Instant::now() + LONG, || true), ZcWait::Revoked);
+            assert_eq!(cell.wait(waiter, Instant::now() + LONG, || true), ZcWait::Revoked);
         }
-    }
-
-    #[test]
-    fn pool_reuses_and_clears() {
-        let pool = BufferPool::default();
-        let mut a = pool.acquire(100);
-        a.extend_from_slice(&[1, 2, 3]);
-        let cap = a.capacity();
-        pool.release(a);
-        let b = pool.acquire(50);
-        assert!(b.is_empty());
-        assert_eq!(b.capacity(), cap);
-        assert_eq!(pool.stats().reuse_hits, 1);
-    }
-
-    #[test]
-    fn pool_trims_oversized_capacity_after_demand_decays() {
-        let pool = BufferPool::default();
-        // One huge staging buffer, then two epochs of small traffic.
-        let huge = pool.acquire(32 << 20);
-        pool.release(huge);
-        for _ in 0..(2 * POOL_EPOCH) {
-            let b = pool.acquire(1024);
-            pool.release(b);
-        }
-        let s = pool.stats();
-        assert!(
-            s.free_bytes <= (1024 * POOL_SLACK).max(POOL_MIN_RETAIN),
-            "pool retained {} bytes after demand decayed",
-            s.free_bytes
-        );
-        assert!(s.trimmed_bytes >= (32 << 20) as u64);
     }
 }

@@ -86,7 +86,7 @@ fn allgather_variable_lengths() {
 fn allreduce_sum() {
     let out = Universe::run(8, |comm| {
         let mine = vec![comm.rank() as u64, 1];
-        comm.allreduce(&mine, |a, b| a + b)
+        comm.allreduce(&mine, |a, b| a + b).unwrap()
     });
     for got in out {
         assert_eq!(got, vec![28, 8]); // 0+..+7 = 28
@@ -96,7 +96,8 @@ fn allreduce_sum() {
 #[test]
 fn allreduce_is_rank_ordered_for_nonassociative_ops() {
     // Subtraction is order-sensitive: ((0 - 1) - 2) - 3 = -6.
-    let out = Universe::run(4, |comm| comm.allreduce(&[comm.rank() as i64], |a, b| a - b)[0]);
+    let out =
+        Universe::run(4, |comm| comm.allreduce(&[comm.rank() as i64], |a, b| a - b).unwrap()[0]);
     assert_eq!(out, vec![-6; 4]);
 }
 
@@ -151,7 +152,7 @@ fn split_into_two_groups_with_independent_collectives() {
     let out = Universe::run(10, |comm| {
         let color = if comm.rank() < 6 { 0u64 } else { 1u64 };
         let sub = comm.split(color).unwrap();
-        let sum = sub.allreduce(&[comm.rank() as u64], |a, b| a + b)[0];
+        let sum = sub.allreduce(&[comm.rank() as u64], |a, b| a + b).unwrap()[0];
         (color, sub.rank(), sub.size(), sum)
     });
     for (rank, (color, sub_rank, sub_size, sum)) in out.into_iter().enumerate() {
@@ -190,7 +191,7 @@ fn one_color_split_gives_isolated_namespace() {
         let peer = (comm.rank() + 1) % 4;
         let from = (comm.rank() + 3) % 4;
         comm.send(peer, 1, &[comm.rank() as u32]).unwrap();
-        let s = dup.allreduce(&[1u64], |a, b| a + b)[0];
+        let s = dup.allreduce(&[1u64], |a, b| a + b).unwrap()[0];
         assert_eq!(s, 4);
         let got = comm.recv_vec::<u32>(from, 1).unwrap();
         assert_eq!(got, vec![from as u32]);
@@ -270,7 +271,7 @@ fn collectives_compose_in_sequence() {
             for (r, l) in layouts.iter().enumerate() {
                 assert_eq!(l[0], r as u64 * 100 + iter);
             }
-            let sum = comm.allreduce(&[iter], |a, b| a + b)[0];
+            let sum = comm.allreduce(&[iter], |a, b| a + b).unwrap()[0];
             assert_eq!(sum, iter * n as u64);
             comm.barrier().unwrap();
         }

@@ -1,7 +1,7 @@
 //! Every [`minimpi::Error`] variant: its `Display` rendering and, where the
 //! runtime can be driven into it, the failure path that produces it.
 
-use minimpi::{Comm, Datatype, Error, Subarray, Universe};
+use minimpi::{Comm, Counter, Datatype, Error, Subarray, Universe};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -223,10 +223,10 @@ fn send_phase_error_after_a_loan_drains_it() {
             }
             let send = vec![9u8; len];
             let past_the_end = Datatype::Contiguous { len_bytes: len, offset: 1 };
-            let before = comm.transport_counters().zerocopy_msgs;
+            let before = comm.counters()[Counter::ZerocopyMsgs];
             let res = comm.alltoallw(&send, &[empty, contig, past_the_end], &mut recv, &[empty; 3]);
             assert!(
-                comm.transport_counters().zerocopy_msgs > before,
+                comm.counters()[Counter::ZerocopyMsgs] > before,
                 "the loan to rank 1 must have gone out before the bounds check failed"
             );
             if late {
@@ -275,7 +275,7 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
                 recvs[0] = &recv_parts;
             }
             let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
-            (res.map(|report| report.is_complete()), recv, comm.transport_counters())
+            (res.map(|report| report.is_complete()), recv, comm.counters())
         });
         assert!(
             start.elapsed() < Duration::from_secs(10),
@@ -283,7 +283,10 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
         );
         let (res, _, counters) = &out[0];
         assert_eq!(res, &Ok(true), "{what}: the sender completes");
-        assert!(counters.revoked_msgs >= 1, "{what}: the loan comes back revoked: {counters:?}");
+        assert!(
+            counters[Counter::RevokedMsgs] >= 1,
+            "{what}: the loan comes back revoked: {counters:?}"
+        );
         let (res, recv, _) = &out[1];
         assert!(matches!(res, Err(Error::DatatypeMismatch { .. })), "{what}: {res:?}");
         assert_eq!(recv, &vec![0xEE; 64], "{what}: the receive buffer is untouched");
@@ -310,7 +313,7 @@ fn send_part_naming_a_missing_buffer_deposits_nothing() {
             recvs[0] = std::slice::from_ref(&whole);
         }
         let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
-        (res.map(|report| report.failed), recv, comm.transport_counters().zerocopy_msgs)
+        (res.map(|report| report.failed), recv, comm.counters()[Counter::ZerocopyMsgs])
     });
     assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
     let detail = "alltoallw: a send part names buffer 1 of 1".into();
@@ -447,7 +450,7 @@ fn call(coll: Coll, comm: &Comm) -> minimpi::Result<()> {
         Coll::Broadcast => comm.broadcast_bytes(0, &mine).map(drop),
         Coll::Gather => comm.gather_bytes(0, &mine).map(drop),
         Coll::Allgather => comm.allgather(&mine).map(drop),
-        Coll::Allreduce => comm.try_allreduce(&mine, |a, b| a + b).map(drop),
+        Coll::Allreduce => comm.allreduce(&mine, |a, b| a + b).map(drop),
         Coll::Alltoallw => {
             let n = comm.size();
             let byte = |offset| Datatype::Contiguous { len_bytes: 1, offset };

@@ -2,7 +2,7 @@
 //! sender, a park that sees no pop fails structurally, a dead receiver
 //! unparks it, and a shrink hands stranded slots back.
 
-use minimpi::{Error, Universe};
+use minimpi::{Counter, Error, Universe};
 use std::time::{Duration, Instant};
 
 /// A sender whose window fills against a live but unresponsive peer must
@@ -47,11 +47,11 @@ fn parked_sender_unparks_into_peer_dead_when_the_receiver_dies() {
                 comm.send(1, 9, &[1u8; 32]).unwrap(); // fills the pair
                 let start = Instant::now();
                 let err = comm.send(1, 9, &[2u8; 32]).unwrap_err();
-                Some((err, start.elapsed(), comm.transport_counters().credit_waits))
+                Some((err, start.elapsed(), comm.counters()[Counter::CreditWaits]))
             } else {
                 // Leave (= die) only once rank 0 is parked behind its first
                 // message, which this rank never takes.
-                while comm.transport_counters().credit_waits == 0 {
+                while comm.counters()[Counter::CreditWaits] == 0 {
                     std::thread::yield_now();
                 }
                 None
@@ -114,7 +114,7 @@ fn byte_window_backpressures_independently_of_message_window() {
                 for i in 0..6u8 {
                     comm.send(1, 3, &[i; 200]).unwrap(); // 200 of 256 bytes
                 }
-                comm.transport_counters().credit_waits
+                comm.counters()[Counter::CreditWaits]
             } else {
                 std::thread::sleep(Duration::from_millis(100));
                 for i in 0..6u8 {

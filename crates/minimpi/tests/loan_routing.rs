@@ -1,11 +1,11 @@
 //! The one wire path an `alltoallw` message takes: every message loans,
 //! whatever its size or number of parts, and under any fault plan.
 
-use minimpi::{Datatype, FaultPlan, Subarray, TransportCounters, Universe, UniverseBuilder};
+use minimpi::{Counter, Counts, Datatype, FaultPlan, Subarray, Universe, UniverseBuilder};
 
 /// Run one contiguous alltoallw of `elems` u64 elements per pair on `n`
 /// ranks of `builder`'s universe; return rank 0's counters.
-fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> TransportCounters {
+fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> Counts {
     let out = builder.run(n, move |comm| {
         let n = comm.size();
         let send: Vec<u64> = (0..elems * n).map(|i| i as u64).collect();
@@ -26,14 +26,14 @@ fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> TransportCounte
         for chunk in recv.chunks(elems) {
             assert_eq!(chunk, mine);
         }
-        comm.transport_counters()
+        comm.counters()
     });
     out[0]
 }
 
-fn assert_loaned(c: TransportCounters, what: &str) {
-    assert!(c.zerocopy_msgs > 0, "{what} must loan: {c:?}");
-    assert_eq!(c.staged_msgs, 0, "{what} must not stage: {c:?}");
+fn assert_loaned(c: Counts, what: &str) {
+    assert!(c[Counter::ZerocopyMsgs] > 0, "{what} must loan: {c:?}");
+    assert_eq!(c[Counter::StagedMsgs], 0, "{what} must not stage: {c:?}");
 }
 
 #[test]
@@ -99,7 +99,7 @@ fn multi_part_message_loans_and_lands_part_by_part_in_order() {
         assert!(report.is_complete(), "{report:?}");
         // Each rank's loan is counted before its barrier message.
         comm.barrier().expect("barrier");
-        (recv, comm.transport_counters())
+        (recv, comm.counters())
     });
     for (me, (recv, _)) in out.iter().enumerate() {
         let peer = 1 - me;
@@ -111,5 +111,5 @@ fn multi_part_message_loans_and_lands_part_by_part_in_order() {
         assert_eq!(recv, &want, "rank {me}");
     }
     let c = out[0].1;
-    assert_eq!(c.zerocopy_msgs, 2, "one loan per multi-part message: {c:?}");
+    assert_eq!(c[Counter::ZerocopyMsgs], 2, "one loan per multi-part message: {c:?}");
 }

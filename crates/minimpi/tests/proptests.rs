@@ -32,8 +32,8 @@ proptest! {
         let values_ref = &values;
         let outs = Universe::run(nprocs, move |comm| {
             let mine = [values_ref[comm.rank()]];
-            let mx = comm.allreduce(&mine, i64::max)[0];
-            let mn = comm.allreduce(&mine, i64::min)[0];
+            let mx = comm.allreduce(&mine, i64::max).unwrap()[0];
+            let mn = comm.allreduce(&mine, i64::min).unwrap()[0];
             (mx, mn)
         });
         let expect_max = values[..nprocs].iter().copied().max().unwrap();
@@ -59,7 +59,7 @@ proptest! {
                     assert_eq!(v[0], (round * nprocs + r) as u64);
                 }
                 comm.barrier().unwrap();
-                let sum = comm.allreduce(&[1u64], |a, b| a + b)[0];
+                let sum = comm.allreduce(&[1u64], |a, b| a + b).unwrap()[0];
                 assert_eq!(sum, nprocs as u64);
                 let bc = comm.broadcast_bytes(round % nprocs, &[round as u8]).unwrap();
                 assert_eq!(bc, vec![round as u8]);

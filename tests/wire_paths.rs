@@ -2,9 +2,7 @@
 //! facade's transport counters: a zero-copy loan at every size, also under
 //! a fault plan, whose rules act on the loan.
 
-use ddr::minimpi::{
-    Comm, Datatype, Error, FaultPlan, TransportCounters, Universe, UniverseBuilder,
-};
+use ddr::minimpi::{Comm, Counter, Counts, Datatype, Error, FaultPlan, Universe, UniverseBuilder};
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -27,12 +25,12 @@ fn exchange(comm: &Comm, len: usize) -> Result<Vec<u8>, Error> {
 /// counters once *both* ranks are done, and what each rank received; the
 /// rendezvous is a thread barrier because a `Comm::barrier` would add
 /// staged messages of its own.
-fn run(builder: UniverseBuilder, len: usize) -> (TransportCounters, Vec<Got>) {
+fn run(builder: UniverseBuilder, len: usize) -> (Counts, Vec<Got>) {
     let done = Barrier::new(2);
     let out = builder.timeout(Duration::from_secs(20)).run(2, |comm| {
         let got = exchange(comm, len);
         done.wait();
-        (got, comm.transport_counters())
+        (got, comm.counters())
     });
     let transport = out[0].1;
     (transport, out.into_iter().map(|(got, _)| got).collect())
@@ -50,17 +48,21 @@ fn loans_have_no_size_floor_and_every_fault_plan_loans() {
     // A large exchange loans both messages.
     let (transport, got) = run(Universe::builder(), 1 << 20);
     assert!(exact(&got[0], 0, 1 << 20) && exact(&got[1], 1, 1 << 20));
-    assert_eq!(transport.zerocopy_msgs, 2);
+    assert_eq!(transport[Counter::ZerocopyMsgs], 2);
 
     // So does a small one: there is no size floor under a loan.
     let (transport, got) = run(Universe::builder(), 1 << 10);
     assert!(exact(&got[0], 0, 1 << 10) && exact(&got[1], 1, 1 << 10));
-    assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (2, 0));
+    assert_eq!((transport[Counter::ZerocopyMsgs], transport[Counter::StagedMsgs]), (2, 0));
 
     // A delay-only plan delays the loan itself: both messages still loan,
     // and both ranks still receive exactly what was sent.
     let plan = FaultPlan::new().delay_message(0, 1, None, 0, Duration::from_millis(1));
     let (transport, got) = run(Universe::builder().fault_plan(plan), 1 << 20);
-    assert_eq!((transport.zerocopy_msgs, transport.staged_msgs), (2, 0), "a plan still loans");
+    assert_eq!(
+        (transport[Counter::ZerocopyMsgs], transport[Counter::StagedMsgs]),
+        (2, 0),
+        "a plan still loans"
+    );
     assert!(exact(&got[0], 0, 1 << 20) && exact(&got[1], 1, 1 << 20));
 }
