@@ -3,7 +3,7 @@
 
 use ddr_core::decompose::{brick, near_cubic_grid, slab};
 use ddr_core::{Block, DataKind, DdrError, Descriptor, Plan, ValidationPolicy};
-use minimpi::{Error as MpiError, FaultPlan, Universe, UniverseBuilder};
+use minimpi::{Error as MpiError, FaultPlan, Universe};
 use std::time::{Duration, Instant};
 
 fn cell_value(c: [usize; 3]) -> u64 {
@@ -79,7 +79,7 @@ fn reorganize_interleaved_with_unrelated_collectives() {
             // Unrelated chatter.
             let peer = (r + 1) % n;
             comm.send(peer, 7777, &[step]).unwrap();
-            let sum = comm.allreduce(&[r as u64], |a, b| a + b).unwrap()[0];
+            let sum: u64 = comm.allgather(&[r as u64]).unwrap().iter().map(|p| p[0]).sum();
             assert_eq!(sum, (n * (n - 1) / 2) as u64);
 
             let data: Vec<u64> = owned[0].coords().map(|c| cell_value(c) + step).collect();
@@ -100,7 +100,7 @@ fn repeated_universes_do_not_leak() {
     for i in 0..60 {
         let n = 1 + i % 4;
         let sums = Universe::run(n, |comm| {
-            comm.allreduce(&[comm.rank() as u64 + 1], |a, b| a + b).unwrap()[0]
+            comm.allgather(&[comm.rank() as u64 + 1]).unwrap().iter().map(|p| p[0]).sum::<u64>()
         });
         assert!(sums.iter().all(|&s| s == (n * (n + 1) / 2) as u64));
     }
@@ -278,12 +278,13 @@ fn run_two_round(
 /// salvaged result whose cells are either lost or equal to the oracle — the
 /// victim's loss naming `src` in `dead_peers` — or in a structured fallout
 /// error, never a hang. Returns whether the drop hit real traffic.
-fn drop_seed(seed: u64, n: usize, domain: Block, builder: UniverseBuilder) -> bool {
+fn drop_seed(seed: u64, n: usize, domain: Block) -> bool {
     let src = (seed as usize / 2) % n;
     let dest = (src + 1 + (seed as usize / 3) % (n - 1)) % n;
     let occurrence = (seed / 5) % 4;
     let plan = FaultPlan::new().drop_message(src, dest, None, occurrence);
-    let out = builder.timeout(Duration::from_millis(500)).fault_plan(plan).run(n, move |comm| {
+    let builder = Universe::builder().timeout(Duration::from_millis(500)).fault_plan(plan);
+    let out = builder.run(n, move |comm| {
         let (owned, need, plan) = two_round_plan(comm, &domain)?;
         match run_two_round(comm, &plan, &owned) {
             (got, Ok(())) => Ok((need, got, None)),
@@ -314,9 +315,8 @@ fn drop_seed(seed: u64, n: usize, domain: Block, builder: UniverseBuilder) -> bo
     hit
 }
 
-/// Seeded kill soak over the two-round layout: each seed names a mailbox
-/// bound (unbounded, or one message / 512 bytes per pair, so senders sit
-/// behind nearly-closed pairs), a victim and an op of the victim's exchange.
+/// Seeded kill soak over the two-round layout: each seed names a victim and
+/// an op of the victim's exchange.
 /// Whatever the seed:
 ///
 /// * every survivor fails fast naming the victim — `Incomplete` listing only
@@ -347,20 +347,14 @@ fn kill_soak_fails_fast_and_recovery_matches_the_serial_oracle() {
     let span = (0..n).map(|r| total_ops[r] - setup_ops[r]).min().unwrap();
     assert!(span >= 2, "the exchange has {span} ops");
 
-    let seeds = (2 * n as u64 * span).max(20);
+    let seeds = (n as u64 * span).max(10);
     let mut hits = 0u64;
     for seed in 0..seeds {
-        let backpressured = seed % 2 == 1;
-        let victim = (seed as usize / 2) % n;
-        let at_op = setup_ops[victim] + (seed / (2 * n as u64)) % span;
-        let builder = if backpressured {
-            Universe::builder().flow_control(1, 512)
-        } else {
-            Universe::builder()
-        };
-        let case = format!("seed {seed} (victim {victim} at op {at_op}, bounded {backpressured})");
+        let victim = seed as usize % n;
+        let at_op = setup_ops[victim] + (seed / n as u64) % span;
+        let case = format!("seed {seed} (victim {victim} at op {at_op})");
         let start = Instant::now();
-        let out = builder
+        let out = Universe::builder()
             .timeout(Duration::from_secs(30))
             .fault_plan(FaultPlan::new().kill_rank_at_op(victim, at_op))
             .run(n, move |comm| {
@@ -420,31 +414,23 @@ fn kill_soak_fails_fast_and_recovery_matches_the_serial_oracle() {
     assert!(2 * hits >= seeds, "only {hits}/{seeds} kills were seen by a survivor");
 }
 
-/// Odd-seed drop soak (see [`drop_seed`]), unbounded and behind one-message
-/// / 512-byte pairs: whether a drop hits an exchange payload or a setup
-/// collective, the loss is structured and fast, and every cell that arrived
-/// is exact — no hang and no leak.
+/// Odd-seed drop soak (see [`drop_seed`]): whether a drop hits an exchange
+/// payload or a setup collective, the loss is structured and fast, and every
+/// cell that arrived is exact — no hang and no leak.
 #[test]
 fn drop_soak_loses_structurally_and_never_hangs() {
     let n = 4usize;
     let domain = Block::d2([0, 0], [16, 16]).unwrap();
-    for bounded in [false, true] {
-        let mut hits = 0u32;
-        for seed in (1..24u64).step_by(2) {
-            let builder = if bounded {
-                Universe::builder().flow_control(1, 512)
-            } else {
-                Universe::builder()
-            };
-            let start = Instant::now();
-            hits += u32::from(drop_seed(seed, n, domain, builder));
-            assert!(
-                start.elapsed() < Duration::from_secs(15),
-                "seed {seed} (bounded {bounded}): resolution must not burn the watchdog"
-            );
-        }
-        // The drop arm must actually have hit real traffic on a decent share
-        // of its seeds, not miss every time.
-        assert!(hits >= 6, "bounded {bounded}: only {hits}/12 drop seeds hit real traffic");
+    let mut hits = 0u32;
+    for seed in (1..24u64).step_by(2) {
+        let start = Instant::now();
+        hits += u32::from(drop_seed(seed, n, domain));
+        assert!(
+            start.elapsed() < Duration::from_secs(15),
+            "seed {seed}: resolution must not burn the watchdog"
+        );
     }
+    // The drop arm must actually have hit real traffic on a decent share of
+    // its seeds, not miss every time.
+    assert!(hits >= 6, "only {hits}/12 drop seeds hit real traffic");
 }

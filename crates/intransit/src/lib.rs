@@ -27,10 +27,14 @@
 //! place, since per-source delivery is FIFO), and a lost last frame is the
 //! watchdog's `Timeout`.
 //!
-//! A producer that outruns its analysis resource is held back by the
-//! transport: each consumer's mailbox is a bounded queue per sender, so
-//! [`send_frame`] parks once a pair is full (counted in
-//! [`minimpi::Counter::CreditWaits`]).
+//! Frames queue eagerly at the consumer: [`send_frame`] never waits, and a
+//! producer that outruns its analysis resource grows the consumer's
+//! mailbox. The paper's socket backpressure is not reproduced. At the
+//! example's shape (10 producers, 4 consumers, a 640x256 field, 10 frames
+//! of about 66 KB per producer) a per-sender bound of 32 MiB never engaged
+//! even with every frame queued before the first receive, and it left peak
+//! RSS unchanged (about 10 MB either way); it first engaged at 504 frames
+//! per producer, and there it cut peak RSS by under 2 %.
 
 #![warn(missing_docs)]
 

@@ -92,6 +92,53 @@ fn lbm_to_analysis_in_transit_matches_serial() {
     }
 }
 
+/// Sends are eager: a consumer that takes its first frame only after every
+/// producer has sent its whole stream still gets every frame, in step order,
+/// and repartitions each step bit-exactly. The shape is `lbm_in_transit`'s:
+/// 10 producers, 4 consumers, a 640x256 field, 10 frames per producer, so
+/// about 0.67 MB waits in each consumer's mailbox per producer before the
+/// first receive.
+#[test]
+fn consumer_that_starts_after_the_whole_stream_gets_every_frame() {
+    let (m, n, nx, ny, frames) = (10usize, 4usize, 640usize, 256usize, 10u64);
+    let value = |x: usize, y: usize, step: u64| (x + nx * y) as f32 * 0.25 + step as f32;
+    let out = Universe::run(m + n, |world| {
+        let (role, group) = split_resources(world, m).unwrap();
+        match role {
+            Role::Simulation => {
+                let p = group.rank();
+                let (y0, rows) = ddr_core::decompose::split_axis(ny, m, p);
+                let block = Block::d2([0, y0], [nx, rows]).unwrap();
+                let consumer_world = m + producer_targets(m, n)[p];
+                for step in 0..frames {
+                    let data = block.coords().map(|c| value(c[0], c[1], step)).collect();
+                    send_frame(world, consumer_world, step, block, data).unwrap();
+                }
+                // Every frame is queued before any consumer leaves this barrier.
+                world.barrier().unwrap();
+                0
+            }
+            Role::Analysis => {
+                world.barrier().unwrap();
+                let c = group.rank();
+                let need = analysis_block(nx, ny, n, c).unwrap();
+                let mut rep = Repartitioner::new(need);
+                let sources = consumer_sources(m, n, c);
+                for step in 0..frames {
+                    let got = recv_frames(world, &sources, Some(step)).unwrap();
+                    assert_eq!(got.len(), sources.len(), "step {step}");
+                    let field = rep.redistribute(&group, &got).unwrap();
+                    let want: Vec<f32> =
+                        need.coords().map(|co| value(co[0], co[1], step)).collect();
+                    assert_eq!(field, want, "consumer {c} step {step}");
+                }
+                sources.len() * frames as usize
+            }
+        }
+    });
+    assert_eq!(out.iter().sum::<usize>(), m * frames as usize, "every frame arrived");
+}
+
 #[test]
 fn analysis_side_renders_and_compresses() {
     // The paper's Table IV path on a small scale: assembled vorticity ->

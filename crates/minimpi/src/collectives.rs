@@ -20,7 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Encode a list of byte buffers into one buffer (u64 count + u64 lengths +
-/// concatenated payloads). Used to ship gathered results through broadcast.
+/// concatenated payloads). Used to ship allgather's gathered parts through
+/// its broadcast.
 fn encode_multi(parts: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = parts.iter().map(|p| p.len()).sum();
     let mut out = Vec::with_capacity(8 + 8 * parts.len() + total);
@@ -79,57 +80,6 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Broadcast
-    // ------------------------------------------------------------------
-
-    /// Broadcast bytes from `root` to all ranks. On non-root ranks the
-    /// returned vector is the received payload; on the root it is a copy of
-    /// `data`. Binomial tree, `O(log n)` depth.
-    pub fn broadcast_bytes(&self, root: usize, data: &[u8]) -> Result<Vec<u8>> {
-        self.broadcast_as(Coll::Broadcast, root, data)
-    }
-
-    /// [`Comm::broadcast_bytes`] under `coll`'s tags: allgather and
-    /// allreduce broadcast as themselves.
-    fn broadcast_as(&self, coll: Coll, root: usize, data: &[u8]) -> Result<Vec<u8>> {
-        let n = self.size();
-        if root >= n {
-            return Err(Error::RankOutOfRange { rank: root, size: n });
-        }
-        let tag = coll_key_tag(self.next_coll_seq(), coll, 0);
-        let relative = (self.rank() + n - root) % n;
-
-        let mut payload: Option<Vec<u8>> = if relative == 0 { Some(data.to_vec()) } else { None };
-
-        // Receive phase: find the bit that identifies our parent.
-        let mut mask = 1usize;
-        while mask < n {
-            if relative & mask != 0 {
-                let src = (self.rank() + n - mask) % n;
-                payload = Some(self.take_from(src, tag)?);
-                break;
-            }
-            mask <<= 1;
-        }
-        // Send phase: forward to children below our identifying bit.
-        let payload = payload.ok_or_else(|| Error::Internal {
-            detail: format!(
-                "bcast: rank {} has no payload after the receive phase (root {root}, n {n})",
-                self.rank()
-            ),
-        })?;
-        let mut mask = mask >> 1;
-        while mask > 0 {
-            if relative + mask < n {
-                let dst = (self.rank() + mask) % n;
-                self.deposit_to(dst, tag, payload.clone())?;
-            }
-            mask >>= 1;
-        }
-        Ok(payload)
-    }
-
-    // ------------------------------------------------------------------
     // Gather / Allgather
     // ------------------------------------------------------------------
 
@@ -161,57 +111,51 @@ impl Comm {
         }
     }
 
-    /// Allgather of variable-length byte buffers: every rank receives every
-    /// rank's contribution, indexed by rank. Gather-to-0 + broadcast.
-    pub fn allgather_bytes(&self, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let gathered = self.gather_as(Coll::Allgather, 0, data)?;
-        let encoded = match gathered {
-            Some(parts) => encode_multi(&parts),
-            None => Vec::new(),
-        };
-        let all = self.broadcast_as(Coll::Allgather, 0, &encoded)?;
-        decode_multi(&all)
+    /// Allgather's second leg: broadcast bytes from rank 0 to all ranks
+    /// under allgather's tags — rank 0's `data` on rank 0, the received
+    /// payload elsewhere. Binomial tree, `O(log n)` depth.
+    fn broadcast_as_allgather(&self, data: &[u8]) -> Result<Vec<u8>> {
+        let n = self.size();
+        let tag = coll_key_tag(self.next_coll_seq(), Coll::Allgather, 0);
+        let me = self.rank();
+        let mut payload: Option<Vec<u8>> = if me == 0 { Some(data.to_vec()) } else { None };
+
+        // Receive phase: find the bit that identifies our parent.
+        let mut mask = 1usize;
+        while mask < n {
+            if me & mask != 0 {
+                payload = Some(self.take_from(me - mask, tag)?);
+                break;
+            }
+            mask <<= 1;
+        }
+        // Send phase: forward to children below our identifying bit.
+        let payload = payload.ok_or_else(|| Error::Internal {
+            detail: format!("bcast: rank {me} has no payload after the receive phase (n {n})"),
+        })?;
+        let mut mask = mask >> 1;
+        while mask > 0 {
+            if me + mask < n {
+                self.deposit_to(me + mask, tag, payload.clone())?;
+            }
+            mask >>= 1;
+        }
+        Ok(payload)
     }
 
-    /// Typed allgather: every rank receives every rank's slice.
+    /// Allgather: every rank receives every rank's (variable-length) slice,
+    /// indexed by rank. Gather to rank 0, then a broadcast of the gathered
+    /// parts.
     pub fn allgather<T: Pod>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
-        self.allgather_bytes(bytes_of(data))?
+        let gathered = self.gather_as(Coll::Allgather, 0, bytes_of(data))?;
+        let encoded = gathered.map_or_else(Vec::new, |parts| encode_multi(&parts));
+        decode_multi(&self.broadcast_as_allgather(&encoded)?)?
             .iter()
             .map(|p| {
                 vec_from_bytes(p)
                     .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: p.len() })
             })
             .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Allreduce
-    // ------------------------------------------------------------------
-
-    /// Element-wise reduction delivered to all ranks: gathered at rank 0,
-    /// folded there in rank order (deterministic for non-associative float
-    /// ops) and broadcast. All ranks must contribute slices of the same
-    /// length.
-    pub fn allreduce<T: Pod>(&self, data: &[T], op: impl Fn(T, T) -> T) -> Result<Vec<T>> {
-        let reduced = match self.gather_as(Coll::Allreduce, 0, bytes_of(data))? {
-            None => Vec::new(),
-            Some(parts) => {
-                let mut acc = data.to_vec();
-                for part in &parts[1..] {
-                    let part = vec_from_bytes(part).filter(|p: &Vec<T>| p.len() == acc.len());
-                    let part = part.ok_or_else(|| Error::CollectiveMismatch {
-                        detail: "allreduce: contribution lengths differ across ranks".into(),
-                    })?;
-                    for (a, &b) in acc.iter_mut().zip(&part) {
-                        *a = op(*a, b);
-                    }
-                }
-                bytes_of(&acc).to_vec()
-            }
-        };
-        let all = self.broadcast_as(Coll::Allreduce, 0, &reduced)?;
-        vec_from_bytes(&all)
-            .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: all.len() })
     }
 
     // ------------------------------------------------------------------
@@ -233,8 +177,8 @@ impl Comm {
     /// pack/unpack staging buffer exists anywhere. A fault plan's message
     /// rules act on the loan.
     ///
-    /// This is the one-part case of [`Comm::alltoallw_parts`]: the same
-    /// engine, aborting on the first failed source.
+    /// This is the one-part case of [`Comm::alltoallw_parts_uninit`]: the
+    /// same engine, aborting on the first failed source.
     pub fn alltoallw(
         &self,
         send_buf: &[u8],
@@ -259,14 +203,16 @@ impl Comm {
         self.alltoallw_impl(&[send_buf], &sends, recv_buf, &recvs, false).map(|_| ())
     }
 
-    /// `MPI_Alltoallw` whose messages are lists of parts. For every
-    /// destination `d`, `sends[d]` is an ordered list of `(buffer index,
-    /// selection)` parts, each selecting from `bufs[index]`, packed back to
-    /// back into one message; for every source `s`, `recvs[s]` is the
-    /// ordered list of selections of `recv_buf` that source's message
-    /// unpacks into. The self parts are copied pairwise, in order. The
-    /// contract of [`Comm::alltoallw`] carries over per message: `sends[d]`
-    /// on rank `r` packs to as many bytes as `recvs[r]` on rank `d` expects.
+    /// `MPI_Alltoallw` whose messages are lists of parts, into storage that
+    /// may be uninitialized, such as a fresh `Vec`'s spare capacity (see
+    /// [`crate::uninit_bytes_of_mut`]). For every destination `d`,
+    /// `sends[d]` is an ordered list of `(buffer index, selection)` parts,
+    /// each selecting from `bufs[index]`, packed back to back into one
+    /// message; for every source `s`, `recvs[s]` is the ordered list of
+    /// selections of `recv_buf` that source's message unpacks into. The self
+    /// parts are copied pairwise, in order. The contract of
+    /// [`Comm::alltoallw`] carries over per message: `sends[d]` on rank `r`
+    /// packs to as many bytes as `recvs[r]` on rank `d` expects.
     ///
     /// The lists are slices, so a caller that runs the same exchange many
     /// times keeps them and binds only `bufs` per call. A part naming an
@@ -280,31 +226,18 @@ impl Comm {
     /// must. A loan that does not is refused uncopied: the receiver reports
     /// [`Error::DatatypeMismatch`] and the sender counts the loan revoked.
     ///
+    /// The exchange only stores into `recv_buf` and never reads it: a loan
+    /// claim and the self-copy each write their receive parts and nothing
+    /// else. So when the call returns `Ok` with a complete report, every byte
+    /// of every selection in `recvs` is initialized; bytes outside them, or
+    /// in the parts of a failed source, are left as they were.
+    ///
     /// A failed receive from one source does not abort the exchange: the
     /// remaining sources are still drained so the maximum amount of data
     /// survives, and the per-source failures are reported in an
     /// [`ExchangeReport`]. Errors that indicate *this* rank cannot continue
     /// (it was fault-killed mid-exchange, or its own arguments are
     /// malformed) are still returned as `Err`.
-    pub fn alltoallw_parts(
-        &self,
-        bufs: &[&[u8]],
-        sends: &[&[(usize, Datatype)]],
-        recv_buf: &mut [u8],
-        recvs: &[&[Datatype]],
-    ) -> Result<ExchangeReport> {
-        // SAFETY: the receive engine only stores initialized bytes.
-        self.alltoallw_impl(bufs, sends, unsafe { as_uninit_mut(recv_buf) }, recvs, true)
-    }
-
-    /// [`Comm::alltoallw_parts`] into storage that may be uninitialized, such
-    /// as a fresh `Vec`'s spare capacity (see [`crate::uninit_bytes_of_mut`]).
-    /// The exchange only stores into `recv_buf` and never reads it: a loan
-    /// claim and the self-copy each write their receive parts and nothing
-    /// else. So when the call returns `Ok` with a complete
-    /// report, every byte of every selection in `recvs` is initialized;
-    /// bytes outside them, or in the parts of a failed source, are left as
-    /// they were.
     pub fn alltoallw_parts_uninit(
         &self,
         bufs: &[&[u8]],
@@ -316,7 +249,7 @@ impl Comm {
     }
 
     /// The one engine behind [`Comm::alltoallw`] and
-    /// [`Comm::alltoallw_parts`]: `salvage` decides whether a failed source
+    /// [`Comm::alltoallw_parts_uninit`]: `salvage` decides whether a failed source
     /// aborts the exchange or is recorded in the report while the remaining
     /// sources are drained.
     ///
@@ -374,10 +307,8 @@ impl Comm {
             _span: span,
         };
 
-        // Send phase (buffered; parks only while a peer's mailbox holds this
-        // pair's full depth). A deposit fails if this rank itself is dead —
-        // a hard error even under salvage — or with a structured Timeout if
-        // a full pair sees no pop for the whole watchdog window.
+        // Send phase (eager: a deposit never waits). A deposit fails only if
+        // this rank itself is dead — a hard error even under salvage.
         for (d, parts) in sends.iter().enumerate() {
             if d == me || message_len(parts.iter().map(|(_, dt)| dt)) == 0 {
                 continue;
@@ -662,7 +593,9 @@ mod tests {
                     };
                     let sends: [&[_]; 3] = [&[], &[], &lent];
                     let recvs: [&[_]; 3] = [&[contig(0, len)], &[], &[]]; // rank 0's hand deposit
-                    let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
+                                                                          // SAFETY: the exchange only stores initialized bytes.
+                    let recv_buf = unsafe { as_uninit_mut(&mut recv) };
+                    let res = comm.alltoallw_parts_uninit(&[&send], &sends, recv_buf, &recvs);
                     assert_eq!(recv, vec![0xAB; len]);
                     // The loan to rank 2 must have come back *revoked* —
                     // this rank counted it on its own completion path.

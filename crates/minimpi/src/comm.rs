@@ -40,14 +40,9 @@ pub(crate) struct WorldState {
 }
 
 impl WorldState {
-    pub fn new(
-        n: usize,
-        default_timeout: Duration,
-        fault_plan: Option<FaultPlan>,
-        (pair_msgs, pair_bytes): (usize, usize),
-    ) -> Self {
+    pub fn new(n: usize, default_timeout: Duration, fault_plan: Option<FaultPlan>) -> Self {
         WorldState {
-            mailboxes: (0..n).map(|_| Mailbox::bounded(n, pair_msgs, pair_bytes)).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             liveness: Liveness::new(n),
             shrink: ShrinkBarrier::default(),
             // An empty plan injects nothing, so it is no plan.
@@ -64,8 +59,8 @@ impl WorldState {
     }
 
     /// Mark a world rank dead — fault-killed, or its thread finished — and
-    /// wake every blocked receiver, parked sender and pending shrink round
-    /// so they re-check liveness. Idempotent.
+    /// wake every blocked receiver and pending shrink round so they re-check
+    /// liveness. Idempotent.
     pub fn mark_dead(&self, world_rank: usize) {
         if self.liveness.mark_dead(world_rank) {
             for mb in &self.mailboxes {
@@ -105,15 +100,12 @@ fn user_key_tag(tag: Tag) -> u64 {
 #[derive(Clone, Copy)]
 pub(crate) enum Coll {
     Barrier = 1,
-    Broadcast,
     Gather,
     Allgather,
-    Allreduce,
     Alltoallw,
 }
 
-const COLL_NAMES: [&str; 7] =
-    ["?", "barrier", "broadcast", "gather", "allgather", "allreduce", "alltoallw"];
+const COLL_NAMES: [&str; 5] = ["?", "barrier", "gather", "allgather", "alltoallw"];
 
 pub(crate) fn coll_key_tag(seq: u64, coll: Coll, phase: u64) -> u64 {
     debug_assert!(phase < 1 << COLL_SHIFT);
@@ -195,7 +187,7 @@ impl Comm {
     }
 
     /// This rank's index within the original world communicator.
-    pub fn world_rank(&self) -> usize {
+    pub(crate) fn world_rank(&self) -> usize {
         self.members[self.rank]
     }
 
@@ -259,23 +251,11 @@ impl Comm {
 
     /// The one place an envelope is built and queued in `dest`'s mailbox,
     /// under (communicator, this rank, `key_tag`), with the element size its
-    /// `deposit_*` caller decided. It counts against this pair's depth and
-    /// parks while the pair is full: no pop within [`Comm::timeout`] is
-    /// [`Error::Timeout`] naming `dest`; the receiver's death or this rank's
-    /// own fault-kill unparks with [`Error::PeerDead`].
-    fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) -> Result<()> {
-        let (src_world, dst_world) = (self.world_rank(), self.members[dest]);
+    /// `deposit_*` caller decided. Eager: it never waits on the receiver.
+    fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) {
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        let env = Envelope { payload, elem, pair: src_world };
-        let abort = || {
-            if !self.world.is_alive(src_world) {
-                return Some(Error::PeerDead { rank: self.rank });
-            }
-            (!self.world.is_alive(dst_world)).then_some(Error::PeerDead { rank: dest })
-        };
-        self.world.mailboxes[dst_world]
-            .deposit(key, env, self.timeout.get(), self.waiter(), abort)
-            .map_err(|refused| refused.unwrap_or_else(|| self.timed_out(Some(dest), key_tag)))
+        let env = Envelope { payload, elem, sender: self.world_rank() };
+        self.world.mailboxes[self.members[dest]].deposit(key, env);
     }
 
     /// [`Comm::deposit_staged`] of untyped bytes.
@@ -304,8 +284,7 @@ impl Comm {
     /// Deposit owned bytes — the path of eager point-to-point sends and of
     /// every collective but `alltoallw`. `elem` is the element size to stamp
     /// (typed sends pass theirs; `1` means untyped bytes). A dropped
-    /// message returns before [`Comm::enqueue`], the only step that
-    /// reserves anything.
+    /// message returns before [`Comm::enqueue`].
     pub(crate) fn deposit_staged(
         &self,
         dest: usize,
@@ -317,7 +296,7 @@ impl Comm {
         if !self.passes_faults(dest, key_tag) {
             return Ok(());
         }
-        self.enqueue(dest, key_tag, Payload::Bytes(payload), elem)?;
+        self.enqueue(dest, key_tag, Payload::Bytes(payload), elem);
         self.count(Counter::StagedMsgs, 1);
         Ok(())
     }
@@ -352,12 +331,11 @@ impl Comm {
             return Ok(None);
         }
         let cell = Arc::new(ZcCell::default());
-        // A loan occupies a slot in the pair but stages no bytes. A refused
-        // one was dropped — and so revoked — by the mailbox. Its parts carry
-        // their own element sizes, so the envelope stamps untyped bytes.
+        // Its parts carry their own element sizes, so the envelope stamps
+        // untyped bytes.
         // SAFETY: the caller keeps `ZcHandle::new`'s contract.
         let handle = unsafe { ZcHandle::new(bufs, parts, Arc::clone(&cell)) };
-        self.enqueue(dest, key_tag, Payload::Shared(handle), 1)?;
+        self.enqueue(dest, key_tag, Payload::Shared(handle), 1);
         self.count(Counter::ZerocopyMsgs, 1);
         Ok(Some(cell))
     }
@@ -425,10 +403,9 @@ impl Comm {
     }
 
     /// This universe's counters so far, summed over its ranks: which wire
-    /// path messages took, how often (and how long) senders parked on a full
-    /// pair, how blocking waits resolved, and which copy tier moved the
-    /// exchanges' bytes. A traced universe reports the same sums in its
-    /// metrics registry.
+    /// path messages took, how blocking waits resolved, and which copy tier
+    /// moved the exchanges' bytes. A traced universe reports the same sums in
+    /// its metrics registry.
     pub fn counters(&self) -> Counts {
         Counts::sum(&self.world.counters)
     }
@@ -446,12 +423,6 @@ impl Comm {
     // ------------------------------------------------------------------
     // Point-to-point
     // ------------------------------------------------------------------
-
-    /// Send raw bytes to `dest` with `tag`. Buffered: returns immediately.
-    pub fn send_bytes(&self, dest: usize, tag: Tag, data: &[u8]) -> Result<()> {
-        self.check_rank(dest)?;
-        self.deposit_to(dest, user_key_tag(tag), data.to_vec())
-    }
 
     /// Send a slice of POD values to `dest` with `tag`. The element size is
     /// stamped into the envelope, so a typed receive with a different
@@ -563,8 +534,7 @@ impl Comm {
     /// Whatever a survivor sent this rank on this communicator and this rank
     /// has not taken — the tail of an exchange abandoned on a death — is
     /// discarded here: every survivor has entered, so nothing more of it can
-    /// come, and each envelope gives its slot in the pair's window back for
-    /// the child. A discarded zero-copy loan is revoked.
+    /// come. A discarded zero-copy loan is revoked.
     pub fn shrink(&self) -> Result<Comm> {
         let generation = self.shrink_seq.get();
         self.shrink_seq.set(generation + 1);
@@ -588,7 +558,7 @@ impl Comm {
             }
         })?;
         self.my_mailbox()
-            .discard(|key, env| key.0 == self.comm_id && survivors.contains(&env.pair));
+            .discard(|key, env| key.0 == self.comm_id && survivors.contains(&env.sender));
         // Derive the child id identically on every survivor.
         let mut child_id = mix64(self.comm_id ^ mix64(0x5421_494e_4b21 ^ generation));
         for &w in survivors.iter() {

@@ -9,8 +9,8 @@ use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every counter a rank keeps; the discriminant indexes the name table and the
-/// slot. The sender counts its deposits and parks, the lender its revoked
-/// loans, every waiter its waits, and the copying rank its exchange copies.
+/// slot. The sender counts its deposits, the lender its revoked loans, every
+/// waiter its waits, and the copying rank its exchange copies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// `alltoallw` messages lent zero-copy (a withheld loan is not counted).
@@ -19,11 +19,6 @@ pub enum Counter {
     StagedMsgs,
     /// Loans revoked, or refused by their receiver, instead of copied.
     RevokedMsgs,
-    /// Deposits that found their pair's mailbox full and parked; non-zero
-    /// means a producer is outrunning its consumer.
-    CreditWaits,
-    /// Milliseconds senders spent parked on a full pair (summed in µs).
-    StalledMs,
     /// Blocking waits whose object was there on the first check.
     WaitImmediate,
     /// Blocking waits resolved while spinning: no sleep, no wake-up.
@@ -39,23 +34,20 @@ pub enum Counter {
     PackScalarBytes,
 }
 
-const N: usize = 11;
+const N: usize = 9;
 
-/// Registry scope and name of each counter, in [`Counter`] order, and how
-/// many slot units make one registry unit. `benchmark/` and `ddr-trace`
-/// read several of these rows by name.
-pub(crate) const NAMES: [(&str, &str, u64); N] = [
-    ("minimpi.transport", "zerocopy_msgs", 1),
-    ("minimpi.transport", "staged_msgs", 1),
-    ("minimpi.transport", "revoked_msgs", 1),
-    ("flow", "credit_waits", 1),
-    ("flow", "stalled_ms", 1000),
-    ("wait", "immediate", 1),
-    ("wait", "spin_hits", 1),
-    ("wait", "parks", 1),
-    ("pack", "fused_runs", 1),
-    ("pack", "vector_bytes", 1),
-    ("pack", "scalar_bytes", 1),
+/// Registry scope and name of each counter, in [`Counter`] order.
+/// `benchmark/` and `ddr-trace` read several of these rows by name.
+pub(crate) const NAMES: [(&str, &str); N] = [
+    ("minimpi.transport", "zerocopy_msgs"),
+    ("minimpi.transport", "staged_msgs"),
+    ("minimpi.transport", "revoked_msgs"),
+    ("wait", "immediate"),
+    ("wait", "spin_hits"),
+    ("wait", "parks"),
+    ("pack", "fused_runs"),
+    ("pack", "vector_bytes"),
+    ("pack", "scalar_bytes"),
 ];
 
 /// One rank's counters. Aligned to two cache lines, the unit adjacent-line
@@ -76,18 +68,14 @@ impl Slot {
     }
 }
 
-/// A universe's counters so far, summed over its ranks, in registry units.
-/// Index it with a [`Counter`].
+/// A universe's counters so far, summed over its ranks. Index it with a
+/// [`Counter`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts(pub(crate) [u64; N]);
 
 impl Counts {
     pub(crate) fn sum(slots: &[Slot]) -> Counts {
-        let mut counts = [0; N];
-        for (i, (count, (_, _, unit))) in counts.iter_mut().zip(NAMES).enumerate() {
-            *count = slots.iter().map(|s| s.0[i].load(Ordering::Relaxed)).sum::<u64>() / unit;
-        }
-        Counts(counts)
+        Counts(std::array::from_fn(|i| slots.iter().map(|s| s.0[i].load(Ordering::Relaxed)).sum()))
     }
 }
 
@@ -108,15 +96,13 @@ mod tests {
     /// columns null without an error.
     #[test]
     fn names_are_the_registry_rows_readers_look_up() {
-        let names: Vec<String> = NAMES.iter().map(|(s, n, _)| format!("{s}.{n}")).collect();
+        let names: Vec<String> = NAMES.iter().map(|(s, n)| format!("{s}.{n}")).collect();
         assert_eq!(
             names,
             [
                 "minimpi.transport.zerocopy_msgs",
                 "minimpi.transport.staged_msgs",
                 "minimpi.transport.revoked_msgs",
-                "flow.credit_waits",
-                "flow.stalled_ms",
                 "wait.immediate",
                 "wait.spin_hits",
                 "wait.parks",
@@ -129,14 +115,14 @@ mod tests {
     }
 
     #[test]
-    fn counts_sum_the_ranks_in_registry_units() {
+    fn counts_sum_the_ranks() {
         let slots = [Slot::default(), Slot::default()];
-        slots[0].add(Counter::CreditWaits, 2);
-        slots[1].add(Counter::CreditWaits, 3);
-        slots[0].add(Counter::StalledMs, 700);
-        slots[1].add(Counter::StalledMs, 800);
+        slots[0].add(Counter::RevokedMsgs, 2);
+        slots[1].add(Counter::RevokedMsgs, 3);
+        slots[0].add(Counter::PackScalarBytes, 700);
+        slots[1].add(Counter::PackScalarBytes, 800);
         let counts = Counts::sum(&slots);
-        assert_eq!((counts[Counter::CreditWaits], counts[Counter::StalledMs]), (5, 1));
+        assert_eq!((counts[Counter::RevokedMsgs], counts[Counter::PackScalarBytes]), (5, 1500));
         assert_eq!(counts[Counter::ZerocopyMsgs], 0);
     }
 }

@@ -16,16 +16,14 @@ pub enum Error {
         /// Communicator size.
         size: usize,
     },
-    /// A blocking wait — a receive, or a send parked on a full pair — did
-    /// not complete within the watchdog timeout: almost always a deadlock or
-    /// a mismatched send/recv pair. Carries the full pending op so the hang
-    /// is diagnosable: who waited, on whom, for what tag, on which
-    /// communicator.
+    /// A blocking receive or rendezvous did not complete within the watchdog
+    /// timeout: almost always a deadlock or a mismatched send/recv pair.
+    /// Carries the full pending op so the hang is diagnosable: who waited, on
+    /// whom, for what tag, on which communicator.
     Timeout {
         /// Waiting rank (communicator-local).
         rank: usize,
-        /// The peer that was waited on: the source of a receive, or the
-        /// destination a parked send needed room at. `None` for the shrink
+        /// The source the receive waited on. `None` for the shrink
         /// rendezvous, which waits on no single rank.
         src: Option<usize>,
         /// Raw key tag of the awaited message. User tags are `< 2^32`;
@@ -73,29 +71,6 @@ pub enum Error {
         /// Which invariant broke, and where.
         detail: String,
     },
-}
-
-impl Error {
-    /// Collapse the per-rank outcomes of one run into every result or the
-    /// error that explains the failure: the first error (by rank order) that
-    /// is not [`Error::PeerDead`], else the first `PeerDead`. A rank that
-    /// fails and exits makes its peers fail fast with `PeerDead`, so
-    /// collecting by rank order alone reports whichever rank is lower —
-    /// fallout as often as cause.
-    pub fn root_cause<R>(outcomes: Vec<Result<R>>) -> Result<Vec<R>> {
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut fallout = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(e @ Error::PeerDead { .. }) => {
-                    fallout.get_or_insert(e);
-                }
-                Err(cause) => return Err(cause),
-            }
-        }
-        fallout.map_or(Ok(results), Err)
-    }
 }
 
 impl fmt::Display for Error {

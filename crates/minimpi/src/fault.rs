@@ -33,7 +33,7 @@ use std::time::Duration;
 
 /// What to do with a matched message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Withhold the message; the receiver never sees it.
     Drop,
     /// Stall delivery by this long (the sending rank sleeps — minimpi sends
@@ -45,7 +45,7 @@ pub enum FaultAction {
 /// world rank `src` to world rank `dst`, optionally restricted to a user
 /// `tag` (`None` matches any traffic, including collective phases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MessageMatcher {
+pub(crate) struct MessageMatcher {
     /// Sender, as a world rank.
     pub src: usize,
     /// Receiver, as a world rank.

@@ -12,12 +12,12 @@
 //! * a [`Universe`] that launches `n` ranks and hands each a [`Comm`],
 //! * reliable, ordered, tag-matched point-to-point messaging
 //!   ([`Comm::send`], [`Comm::recv_vec`], byte-level variants),
-//! * collectives: [`Comm::barrier`], [`Comm::broadcast_bytes`],
-//!   [`Comm::gather_bytes`], [`Comm::allgather`], [`Comm::allreduce`], and
-//!   crucially [`Comm::alltoallw`] with **subarray datatypes** ([`Datatype`],
-//!   [`Subarray`]) — the operation the paper builds data redistribution on —
-//!   and its multi-part form [`Comm::alltoallw_parts`], which carries several
-//!   rounds' selections per peer in one message,
+//! * collectives: [`Comm::barrier`], [`Comm::gather_bytes`],
+//!   [`Comm::allgather`], and crucially [`Comm::alltoallw`] with **subarray
+//!   datatypes** ([`Datatype`], [`Subarray`]) — the operation the paper
+//!   builds data redistribution on — and its multi-part form
+//!   [`Comm::alltoallw_parts_uninit`], which carries several rounds'
+//!   selections per peer in one message into uninitialized storage,
 //! * communicator splitting ([`Comm::split`]) so disjoint rank groups (e.g. a
 //!   simulation resource and an analysis resource) can run their own
 //!   collectives, as in the paper's in-transit streaming use case.
@@ -25,7 +25,8 @@
 //! ## Semantics
 //!
 //! * Sends are **eager and buffered**: `send` never blocks on the receiver
-//!   (as if every message fit MPI's eager threshold). Messages between a
+//!   (as if every message fit MPI's eager threshold), and a rank's mailbox
+//!   has no bound. Messages between a
 //!   (communicator, sender, tag) triple and a receiver are delivered in FIFO
 //!   order, matching MPI's non-overtaking guarantee.
 //! * Receives block until a matching message arrives, with a configurable
@@ -66,27 +67,15 @@
 //!   on each member, naming the peer it waited on.
 //!
 //! One divergence stays silent: when no rank posts a receive, no rank
-//! waits. Two ranks that each pass themselves as a `broadcast_bytes` root,
-//! or a broadcast root against gather leaves of the same root, all return
-//! `Ok`, as under an MPI without a checking tool. No `ddr-core` collective
-//! takes a root.
+//! waits. Two [`Comm::gather_bytes`] callers that each name the other as
+//! root are both leaves, and both return `Ok`, as under an MPI without a
+//! checking tool. Its one caller is `volren::dist`; no `ddr-core`
+//! collective takes a root.
 //!
-//! ## Bounded mailboxes
-//!
-//! Sends are eager but not unbounded: each rank's mailbox holds at most
-//! 1024 messages / 32 MiB of staged bytes per sender (resized only by
-//! [`UniverseBuilder::flow_control`]). A sender whose pair is full parks
-//! until the receiver pops, under the same watchdog and liveness rule as a
-//! receive — [`Error::Timeout`] or [`Error::PeerDead`], never a hang — and
-//! [`Counter::CreditWaits`] / [`Counter::StalledMs`] count how often and how
-//! long that happened. [`Comm::shrink`] discards what survivors left queued for each
-//! other on the parent communicator, so a pair's window is whole again on
-//! the shrunk child.
-//!
-//! Every blocking wait on the data path — a receive, a sender parked on a
-//! full pair, a lender waiting for its loan to be copied — checks, spins for
-//! about one wake-up's worth (20 µs), then parks on its condvar. A universe
-//! with more ranks than cores never spins; there is no setting.
+//! Every blocking wait on the data path — a receive, or a lender waiting for
+//! its loan to be copied — checks, spins for about one wake-up's worth
+//! (20 µs), then parks on its condvar. A universe with more ranks than cores
+//! never spins; there is no setting.
 //!
 //! Every statistic lives in one counter table with a slot per rank:
 //! [`Comm::counters`] returns the universe's sums, indexed by [`Counter`],
@@ -98,8 +87,8 @@
 //! use minimpi::Universe;
 //!
 //! let sums = Universe::run(4, |comm| {
-//!     let mine = vec![comm.rank() as u64 + 1];
-//!     comm.allreduce(&mine, |a, b| a + b).unwrap()[0]
+//!     let all = comm.allgather(&[comm.rank() as u64 + 1]).unwrap();
+//!     all.iter().map(|p| p[0]).sum::<u64>()
 //! });
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
@@ -110,7 +99,7 @@ mod collectives;
 mod comm;
 mod counters;
 mod datatype;
-pub mod env;
+mod env;
 mod error;
 mod fault;
 mod kernels;
@@ -126,6 +115,6 @@ pub use comm::{Comm, Tag};
 pub use counters::{Counter, Counts};
 pub use datatype::{ByteRuns, Datatype, Subarray};
 pub use error::{Error, Result};
-pub use fault::{FaultAction, FaultPlan, MessageMatcher};
-pub use pod::{bytes_of, bytes_of_mut, uninit_bytes_of_mut, Pod};
+pub use fault::FaultPlan;
+pub use pod::{bytes_of, uninit_bytes_of_mut, Pod};
 pub use universe::{Universe, UniverseBuilder};

@@ -1,5 +1,4 @@
-//! Per-rank message stores with blocking, tag-matched retrieval and a
-//! per-pair depth bound.
+//! Per-rank message stores with blocking, tag-matched retrieval.
 
 use crate::counters::Counter;
 use crate::wait::{spin_until, Waiter};
@@ -8,22 +7,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Default per-pair depth: messages one sender may have queued at one
-/// receiver before its next deposit parks.
-///
-/// A safety net for a producer that outruns its consumer (the in-transit
-/// stream; the paper had a socket buffer for this), not a tuning knob: a
-/// traced `--smoke` run of the four `BENCHMARK.json` workloads at PR 16
-/// (2 ranks / 2 cores) read `flow.credit_waits` 0 and `flow.stalled_ms` 0 on
-/// all of them, with peak staged bytes of 264 B / 16 KiB / 7 KiB / 72 KiB
-/// against this 32 MiB — `reorganize` runs one exchange at a time, so a pair never
-/// holds more than two DDR messages. Only
-/// [`crate::UniverseBuilder::flow_control`] resizes it, for the suites that
-/// must *reach* the bound.
-pub(crate) const PAIR_MSGS: usize = 1024;
-/// Default per-pair depth in staged payload bytes (see [`PAIR_MSGS`]).
-pub(crate) const PAIR_BYTES: usize = 32 << 20;
 
 /// Key identifying a message stream: (communicator id, sender's rank within
 /// that communicator, tag). The tag space is split between user tags and
@@ -48,95 +31,45 @@ pub(crate) struct Envelope {
     /// Element size of the payload in bytes, stamped by typed sends and
     /// checked by typed receives; `1` for untyped bytes.
     pub elem: u32,
-    /// Sender's *world* rank, whose pair this envelope counts against
-    /// (envelopes carry communicator-local ranks, but the bound must survive
-    /// splits and renumbering).
-    pub pair: usize,
-}
-
-impl Envelope {
-    /// Bytes this envelope holds against its pair's byte bound: the staged
-    /// payload. A loan occupies a slot but stages nothing.
-    fn staged_len(&self) -> usize {
-        match &self.payload {
-            Payload::Bytes(b) => b.len(),
-            Payload::Shared(_) => 0,
-        }
-    }
-}
-
-/// What one sender currently has queued here.
-#[derive(Default, Clone, Copy)]
-struct Pair {
-    msgs: usize,
-    bytes: usize,
+    /// Sender's *world* rank. Keys carry communicator-local ranks; a shrink
+    /// discards the parent's queued tail by who sent it.
+    pub sender: usize,
 }
 
 #[derive(Default)]
 struct Queues {
     /// Every queued envelope with its key, in arrival order; a take pops the
     /// first with its key. One scanned queue, not a map of queues: a DDR pair
-    /// holds at most two messages ([`PAIR_MSGS`]) and collective keys never
-    /// repeat, so a map would insert and remove an entry per message.
+    /// holds at most two messages (`reorganize` runs one exchange at a time)
+    /// and collective keys never repeat, so a map would insert and remove an
+    /// entry per message.
     fifo: VecDeque<(MsgKey, Envelope)>,
-    /// Queued depth per sending world rank. Charged by `deposit`, given back
-    /// by every pop and by [`Mailbox::discard`] — all under this one lock,
-    /// so a pair counts exactly what is still queued.
-    pairs: Vec<Pair>,
-    /// Senders currently waiting for room (spinning or asleep on `room`).
-    parked: usize,
-    /// Threads currently asleep in [`Mailbox::wait_until`], on either
-    /// condvar. A deposit that finds none skips its notify: std's futex
-    /// condvar makes the wake syscall whether or not anyone waits.
+    /// Threads currently asleep in [`Mailbox::take`]. A deposit that finds
+    /// none skips its notify: std's futex condvar makes the wake syscall
+    /// whether or not anyone waits.
     sleepers: usize,
 }
 
-/// Give a popped or discarded envelope's slot back to its pair.
-fn give_back(pairs: &mut [Pair], env: &Envelope) {
-    pairs[env.pair].msgs -= 1;
-    pairs[env.pair].bytes -= env.staged_len();
-}
-
-/// One rank's incoming message store — one queue, bounded per sender.
+/// One rank's incoming message store — one unbounded queue.
 ///
-/// Senders deposit into the receiving rank's mailbox and notify the condvar;
-/// receivers block until a matching key has a queued message. FIFO order is
-/// preserved per key, matching MPI's non-overtaking rule for messages with
-/// the same (source, tag, communicator). A sender whose pair is full parks
-/// on `room` until the receiver pops, under the same deadline / abort rule
-/// receives use.
+/// Senders deposit into the receiving rank's mailbox and never wait, as
+/// under MPI's eager protocol; receivers block until a matching key has a
+/// queued message. FIFO order is preserved per key, matching MPI's
+/// non-overtaking rule for messages with the same (source, tag,
+/// communicator).
+#[derive(Default)]
 pub(crate) struct Mailbox {
     queues: Mutex<Queues>,
     cv: Condvar,
-    /// Sibling of `cv` on the same mutex: parked senders wait here, pops and
-    /// discards signal it.
-    room: Condvar,
     /// Event sequence number, bumped under `queues`' lock by everything that
-    /// notifies a condvar. A spinning waiter holds no lock and watches this
+    /// notifies `cv`. A spinning waiter holds no lock and watches this
     /// instead, re-taking the lock only when something happened. `Relaxed`
     /// on both sides: the number publishes nothing — whoever sees it move
     /// takes the lock before reading anything the event changed.
     events: AtomicU64,
-    /// Per-pair depth in messages and staged bytes; `0` = unbounded.
-    max_msgs: usize,
-    max_bytes: usize,
 }
 
 impl Mailbox {
-    /// The mailbox of one rank in a universe of `n`, holding at most
-    /// `max_msgs` messages and `max_bytes` staged bytes per sender.
-    pub fn bounded(n: usize, max_msgs: usize, max_bytes: usize) -> Self {
-        let queues = Queues { pairs: vec![Pair::default(); n], ..Default::default() };
-        Mailbox {
-            queues: Mutex::new(queues),
-            cv: Condvar::new(),
-            room: Condvar::new(),
-            events: AtomicU64::new(0),
-            max_msgs,
-            max_bytes,
-        }
-    }
-
     /// Tell spinning waiters something happened. Call with the lock held.
     fn bump(&self) {
         self.events.fetch_add(1, Ordering::Relaxed);
@@ -146,44 +79,9 @@ impl Mailbox {
         self.queues.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether `pair` can take one more message of `bytes`. A message larger
-    /// than the whole byte bound is admitted into an *empty* pair, so
-    /// oversize transfers degrade to stop-and-wait instead of never fitting.
-    fn has_room(&self, pair: Pair, bytes: usize) -> bool {
-        (self.max_msgs == 0 || pair.msgs < self.max_msgs)
-            && (self.max_bytes == 0 || pair.bytes == 0 || pair.bytes + bytes <= self.max_bytes)
-    }
-
-    /// Reserve a slot in the sender's pair and enqueue `env` — one step under
-    /// one lock, so nothing is ever reserved without being queued. A full
-    /// pair parks the sender on `room` under [`Mailbox::wait_until`]'s rule:
-    /// until a pop or discard makes room, `abort()` yields an error
-    /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`) — counted, with
-    /// the time parked, in the sender's `waiter` tally. A refused envelope is
-    /// dropped (revoking a loan it carried) and leaves no count behind.
-    pub fn deposit<E>(
-        &self,
-        key: MsgKey,
-        env: Envelope,
-        timeout: Duration,
-        waiter: Waiter,
-        abort: impl Fn() -> Option<E>,
-    ) -> Result<(), Option<E>> {
+    /// Enqueue `env` under `key` and wake any receiver. Never waits.
+    pub fn deposit(&self, key: MsgKey, env: Envelope) {
         let mut q = self.lock();
-        let (src, bytes) = (env.pair, env.staged_len());
-        if !self.has_room(q.pairs[src], bytes) {
-            let start = Instant::now();
-            waiter.tally.add(Counter::CreditWaits, 1);
-            q.parked += 1;
-            let room = |q: &mut Queues| self.has_room(q.pairs[src], bytes).then_some(());
-            let (guard, admitted) = self.wait_until(&self.room, q, timeout, waiter, abort, room);
-            q = guard;
-            q.parked -= 1;
-            waiter.tally.add(Counter::StalledMs, start.elapsed().as_micros() as u64);
-            admitted?;
-        }
-        q.pairs[src].msgs += 1;
-        q.pairs[src].bytes += bytes;
         q.fifo.push_back((key, env));
         self.bump();
         let asleep = q.sleepers > 0;
@@ -192,11 +90,10 @@ impl Mailbox {
             // Receivers may be waiting on any key; notify them all.
             self.cv.notify_all();
         }
-        Ok(())
     }
 
-    /// Wake every blocked receiver and parked sender so they re-check their
-    /// liveness conditions (used when a rank dies or departs).
+    /// Wake every blocked receiver so it re-checks its liveness condition
+    /// (used when a rank dies or departs).
     pub fn interrupt(&self) {
         // Take the lock so the wakeup cannot slot between a waiter's
         // condition check and its wait.
@@ -204,12 +101,21 @@ impl Mailbox {
         self.bump();
         drop(q);
         self.cv.notify_all();
-        self.room.notify_all();
     }
 
     /// Block until a message with `key` is available, `abort()` yields an
     /// error while none is queued (`Err(Some(_))`), or `timeout` passes
-    /// (`Err(None)`). The receiver waits under its own `waiter`.
+    /// (`Err(None)`). Every wakeup re-checks in that order, so a queued
+    /// message always wins over the abort condition ("messages sent before
+    /// death are deliverable") and a deposit that races the deadline still
+    /// counts.
+    ///
+    /// Check, spin, then park: for the first `waiter.spin` of the wait (never
+    /// past the deadline) the lock is released and the waiter watches
+    /// `events`; every event sends it back through the checks above. Nothing
+    /// is lost in between — `events` is read under the lock the checks ran
+    /// under, and the park that follows re-checks under the lock again. How
+    /// the wait resolved is tallied in the receiver's `waiter` slot.
     pub fn take<E>(
         &self,
         key: MsgKey,
@@ -217,38 +123,14 @@ impl Mailbox {
         waiter: Waiter,
         abort: impl Fn() -> Option<E>,
     ) -> Result<Envelope, Option<E>> {
-        let pop = |q: &mut Queues| self.pop(q, key);
-        self.wait_until(&self.cv, self.lock(), timeout, waiter, abort, pop).1
-    }
-
-    /// The one blocking wait, for receivers (on `cv`) and parked senders (on
-    /// `room`) alike: block until `ready` yields, `abort()` yields an error
-    /// (`Err(Some(_))`), or `timeout` passes (`Err(None)`). Every wakeup
-    /// re-checks in that order, so a queued message always wins over the
-    /// abort condition ("messages sent before death are deliverable") and a
-    /// deposit or pop that races the deadline still counts.
-    ///
-    /// Check, spin, then park: for the first `waiter.spin` of the wait (never
-    /// past the deadline) the lock is released and the waiter watches
-    /// `events`; every event sends it back through the checks above. Nothing
-    /// is lost in between — `events` is read under the lock the checks ran
-    /// under, and the park that follows re-checks under the lock again.
-    fn wait_until<'a, T, E>(
-        &'a self,
-        cv: &Condvar,
-        mut q: MutexGuard<'a, Queues>,
-        timeout: Duration,
-        waiter: Waiter,
-        abort: impl Fn() -> Option<E>,
-        ready: impl Fn(&mut Queues) -> Option<T>,
-    ) -> (MutexGuard<'a, Queues>, Result<T, Option<E>>) {
         let start = Instant::now();
         let deadline = start + timeout;
         let spin_end = (start + waiter.spin).min(deadline);
         let mut how = Counter::WaitImmediate;
+        let mut q = self.lock();
         let outcome = loop {
-            if let Some(t) = ready(&mut q) {
-                break Ok(t);
+            if let Some(env) = Self::pop(&mut q, key) {
+                break Ok(env);
             }
             if let Some(e) = abort() {
                 break Err(Some(e));
@@ -267,54 +149,35 @@ impl Mailbox {
             }
             how = Counter::WaitParks;
             q.sleepers += 1;
-            q = match cv.wait_timeout(q, deadline - now) {
+            q = match self.cv.wait_timeout(q, deadline - now) {
                 Ok((guard, _)) => guard,
                 Err(e) => e.into_inner().0,
             };
             q.sleepers -= 1;
         };
         waiter.tally.add(how, 1);
-        (q, outcome)
+        outcome
     }
 
-    /// The one pop: every delivery gives its slot back and wakes parked
-    /// senders under the lock the caller already holds.
-    fn pop(&self, q: &mut Queues, key: MsgKey) -> Option<Envelope> {
+    /// The one pop, under the lock the caller already holds.
+    fn pop(q: &mut Queues, key: MsgKey) -> Option<Envelope> {
         let at = q.fifo.iter().position(|(k, _)| *k == key)?;
-        let (_, env) = q.fifo.remove(at)?;
-        give_back(&mut q.pairs, &env);
-        if q.parked > 0 {
-            self.bump();
-            self.room.notify_all();
-        }
-        Some(env)
+        q.fifo.remove(at).map(|(_, env)| env)
     }
 
     /// Non-blocking probe-and-take.
     #[cfg(test)]
     pub fn try_take(&self, key: MsgKey) -> Option<Envelope> {
-        self.pop(&mut self.lock(), key)
+        Self::pop(&mut self.lock(), key)
     }
 
-    /// Drop every queued envelope `doomed(key, envelope)` selects, giving
-    /// each one's slot back to its pair and waking any sender parked for
-    /// room. Dropping a loan revokes it. Returns how many were dropped.
+    /// Drop every queued envelope `doomed(key, envelope)` selects. Dropping a
+    /// loan revokes it. Returns how many were dropped.
     pub fn discard(&self, doomed: impl Fn(&MsgKey, &Envelope) -> bool) -> usize {
         let mut q = self.lock();
-        let Queues { fifo, pairs, .. } = &mut *q;
-        let before = fifo.len();
-        fifo.retain(|(key, env)| {
-            let doomed = doomed(key, env);
-            if doomed {
-                give_back(pairs, env);
-            }
-            !doomed
-        });
-        let dropped = before - fifo.len();
-        self.bump();
-        drop(q);
-        self.room.notify_all();
-        dropped
+        let before = q.fifo.len();
+        q.fifo.retain(|(key, env)| !doomed(key, env));
+        before - q.fifo.len()
     }
 
     /// Whether a message with `key` is currently queued.
@@ -340,13 +203,13 @@ mod tests {
     const KEY: MsgKey = (1, 0, 7);
     const LONG: Duration = Duration::from_secs(10);
 
-    /// A data envelope from world rank `src`, counted against its pair.
+    /// A data envelope from world rank `src`.
     fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
-        Envelope { payload: Payload::Bytes(bytes), elem: 1, pair: src }
+        Envelope { payload: Payload::Bytes(bytes), elem: 1, sender: src }
     }
 
-    /// A mailbox, the spin its waits run under and the slot they tally in:
-    /// a receive's and a parked sender's alike.
+    /// A mailbox, the spin its receives run under and the slot they tally in.
+    #[derive(Default)]
     struct Rig {
         mb: Mailbox,
         spin: Duration,
@@ -354,8 +217,8 @@ mod tests {
     }
 
     impl Rig {
-        fn new(n: usize, msgs: usize, bytes: usize, spin: Duration) -> Rig {
-            Rig { mb: Mailbox::bounded(n, msgs, bytes), spin, tally: Slot::default() }
+        fn new(spin: Duration) -> Rig {
+            Rig { spin, ..Rig::default() }
         }
 
         fn waiter(&self) -> Waiter<'_> {
@@ -376,16 +239,6 @@ mod tests {
         }
     }
 
-    /// A mailbox with no depth bound and no spin, in a universe of 3.
-    fn unbounded() -> Rig {
-        Rig::new(3, 0, 0, Duration::ZERO)
-    }
-
-    /// Deposit with no abort rule: `Err(None)` is a timeout.
-    fn put(mb: &Rig, key: MsgKey, env: Envelope, timeout: Duration) -> Result<(), Option<()>> {
-        mb.deposit(key, env, timeout, mb.waiter(), || None)
-    }
-
     fn into_bytes(env: Envelope) -> Vec<u8> {
         match env.payload {
             Payload::Bytes(b) => b,
@@ -393,24 +246,17 @@ mod tests {
         }
     }
 
-    /// Spin until a sender is parked on `mb`.
-    fn until_parked(mb: &Mailbox) {
-        while mb.lock().parked == 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Spin until a waiter is asleep on one of `mb`'s condvars.
+    /// Spin until a receiver is asleep on `mb`'s condvar.
     fn until_asleep(mb: &Mailbox) {
         while mb.lock().sleepers == 0 {
             std::thread::yield_now();
         }
     }
 
-    /// Spin until `flag` is raised. A waiter raises it from its abort check,
-    /// which runs under the lock right before the wait spins or parks — so
-    /// whoever takes the lock after seeing it finds the waiter doing one of
-    /// the two.
+    /// Spin until `flag` is raised. A receiver raises it from its abort
+    /// check, which runs under the lock right before the wait spins or parks
+    /// — so whoever takes the lock after seeing it finds the receiver doing
+    /// one of the two.
     fn until_raised(flag: &AtomicBool) {
         while !flag.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -423,17 +269,11 @@ mod tests {
         (w.get(Counter::WaitImmediate), w.get(Counter::WaitSpinHits), w.get(Counter::WaitParks))
     }
 
-    /// (messages, staged bytes) world rank `src` has queued in `mb`.
-    fn depth(mb: &Mailbox, src: usize) -> (usize, usize) {
-        let p = mb.lock().pairs[src];
-        (p.msgs, p.bytes)
-    }
-
     #[test]
     fn deposit_take_fifo() {
-        let mb = unbounded();
-        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
-        put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
+        let mb = Rig::default();
+        mb.deposit(KEY, bytes_env(0, vec![1]));
+        mb.deposit(KEY, bytes_env(0, vec![2]));
         assert_eq!(into_bytes(mb.recv(KEY, LONG).unwrap()), vec![1]);
         assert_eq!(into_bytes(mb.recv(KEY, LONG).unwrap()), vec![2]);
         assert_eq!(mb.pending(), 0);
@@ -443,10 +283,10 @@ mod tests {
     /// take skips envelopes of other keys and pops the first of its own.
     #[test]
     fn per_key_fifo_across_interleaved_keys_and_senders() {
-        let mb = unbounded();
+        let mb = Rig::default();
         let (a, b) = (KEY, (1, 2, 9));
         for (key, src, byte) in [(a, 0, 1), (b, 2, 11), (a, 0, 2), (b, 2, 12)] {
-            put(&mb, key, bytes_env(src, vec![byte]), LONG).unwrap();
+            mb.deposit(key, bytes_env(src, vec![byte]));
         }
         let got: Vec<u8> = [b, a, a, b].map(|k| into_bytes(mb.recv(k, LONG).unwrap())[0]).to_vec();
         assert_eq!((got, mb.pending()), (vec![11, 1, 2, 12], 0));
@@ -456,18 +296,18 @@ mod tests {
     /// condvar.
     #[test]
     fn take_blocks_until_deposit() {
-        let mb = Arc::new(unbounded());
+        let mb = Arc::new(Rig::default());
         let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || mb2.recv(KEY, LONG));
         until_asleep(&mb);
-        put(&mb, KEY, bytes_env(0, vec![42]), LONG).unwrap();
+        mb.deposit(KEY, bytes_env(0, vec![42]));
         assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![42]);
         assert_eq!(resolved(&mb), (0, 0, 1));
     }
 
     #[test]
     fn deposit_inside_the_budget_is_delivered_without_a_park() {
-        let mb = Rig::new(2, 0, 0, LONG);
+        let mb = Rig::new(LONG);
         let spinning = AtomicBool::new(false);
         let watch = || {
             spinning.store(true, Ordering::Release);
@@ -476,7 +316,7 @@ mod tests {
         let got = std::thread::scope(|s| {
             let h = s.spawn(|| mb.take(KEY, LONG, mb.waiter(), watch));
             until_raised(&spinning);
-            put(&mb, KEY, bytes_env(0, vec![7]), LONG).unwrap();
+            mb.deposit(KEY, bytes_env(0, vec![7]));
             h.join().unwrap()
         });
         assert_eq!(into_bytes(got.unwrap()), vec![7]);
@@ -485,11 +325,11 @@ mod tests {
 
     #[test]
     fn deposit_after_the_budget_is_delivered_with_one_park() {
-        let mb = Rig::new(2, 0, 0, Duration::from_micros(1));
+        let mb = Rig::new(Duration::from_micros(1));
         std::thread::scope(|s| {
             let h = s.spawn(|| mb.recv(KEY, LONG));
             until_asleep(&mb);
-            put(&mb, KEY, bytes_env(0, vec![8]), LONG).unwrap();
+            mb.deposit(KEY, bytes_env(0, vec![8]));
             assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![8]);
         });
         assert_eq!(resolved(&mb), (0, 0, 1));
@@ -497,7 +337,7 @@ mod tests {
 
     #[test]
     fn interrupt_ends_a_spinning_wait_with_aborted() {
-        let mb = Rig::new(2, 0, 0, LONG);
+        let mb = Rig::new(LONG);
         let (spinning, dead) = (AtomicBool::new(false), AtomicBool::new(false));
         let peer_died = || {
             spinning.store(true, Ordering::Release);
@@ -518,7 +358,7 @@ mod tests {
     /// on the first check and a short one at its deadline.
     #[test]
     fn spin_never_outlasts_the_deadline() {
-        let mb = Rig::new(2, 0, 0, LONG);
+        let mb = Rig::new(LONG);
         let start = Instant::now();
         assert!(mb.recv(KEY, Duration::ZERO).is_none());
         assert_eq!(resolved(&mb), (1, 0, 0));
@@ -530,49 +370,16 @@ mod tests {
 
     #[test]
     fn take_times_out() {
-        let mb = unbounded();
+        let mb = Rig::default();
         assert!(mb.recv((0, 0, 0), Duration::from_millis(20)).is_none());
     }
 
     #[test]
     fn try_take_nonblocking() {
-        let mb = unbounded();
+        let mb = Rig::default();
         assert!(mb.try_take(KEY).is_none());
-        put(&mb, KEY, bytes_env(0, vec![5]), LONG).unwrap();
+        mb.deposit(KEY, bytes_env(0, vec![5]));
         assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![5]);
-    }
-
-    #[test]
-    fn full_pair_parks_and_resumes_on_pop() {
-        let mb = Arc::new(Rig::new(2, 1, 0, Duration::ZERO));
-        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
-        let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || put(&mb2, KEY, bytes_env(0, vec![2]), LONG));
-        until_parked(&mb);
-        assert_eq!(mb.pending(), 1, "a parked sender has queued nothing");
-        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
-        h.join().unwrap().unwrap();
-        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![2]);
-        assert_eq!((depth(&mb, 0), mb.tally.get(Counter::CreditWaits)), ((0, 0), 1));
-    }
-
-    #[test]
-    fn pop_during_the_spin_releases_the_parked_sender() {
-        let mb = Rig::new(2, 1, 0, LONG);
-        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
-        let spinning = AtomicBool::new(false);
-        let watch = || {
-            spinning.store(true, Ordering::Release);
-            None::<()>
-        };
-        std::thread::scope(|s| {
-            let h = s.spawn(|| mb.deposit(KEY, bytes_env(0, vec![2]), LONG, mb.waiter(), watch));
-            until_raised(&spinning);
-            assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![1]);
-            h.join().unwrap().unwrap();
-        });
-        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![2]);
-        assert_eq!(resolved(&mb), (0, 1, 0));
     }
 
     /// The ranks-vs-cores selection, park-only side: a universe with more
@@ -588,7 +395,7 @@ mod tests {
             assert!(comm.waiter().spin.is_zero());
             let (next, prev) = ((comm.rank() + 1) % n, (comm.rank() + n - 1) % n);
             for round in 0..8u8 {
-                comm.send_bytes(next, 1, &[round]).unwrap();
+                comm.send(next, 1, &[round]).unwrap();
                 assert_eq!(comm.recv_bytes(prev, 1).unwrap(), vec![round]);
             }
             comm.barrier().unwrap();
@@ -597,33 +404,17 @@ mod tests {
         assert_eq!(spin_hits, vec![0; n]);
     }
 
+    /// A discard drops exactly the envelopes it selects: one sender's on one
+    /// communicator, not another sender's there nor its own elsewhere.
     #[test]
-    fn oversize_message_enters_an_empty_pair_and_the_next_waits() {
-        let mb = Rig::new(2, 4, 64, Duration::ZERO);
-        // 100 > 64, but the pair is empty: stop-and-wait admission.
-        put(&mb, KEY, bytes_env(0, vec![0; 100]), LONG).unwrap();
-        // Pair non-empty now: even a small follow-up must wait.
-        assert_eq!(put(&mb, KEY, bytes_env(0, vec![0; 8]), Duration::ZERO), Err(None));
-        mb.try_take(KEY).unwrap();
-        put(&mb, KEY, bytes_env(0, vec![0; 8]), LONG).unwrap();
-        assert_eq!(depth(&mb, 0), (1, 8));
-    }
-
-    #[test]
-    fn discard_frees_the_pair_and_wakes_the_parked_sender() {
-        let mb = Arc::new(Rig::new(3, 2, 0, Duration::ZERO));
-        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
-        put(&mb, KEY, bytes_env(0, vec![2]), LONG).unwrap();
-        // Another sender on the same communicator is not named: it stays.
-        put(&mb, (1, 2, 7), bytes_env(2, vec![9]), LONG).unwrap();
+    fn discard_drops_only_the_selected_envelopes() {
+        let mb = Rig::default();
+        mb.deposit(KEY, bytes_env(0, vec![1]));
+        mb.deposit(KEY, bytes_env(0, vec![2]));
+        mb.deposit((1, 2, 7), bytes_env(2, vec![9]));
         let child = (2, 0, 7);
-        let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || put(&mb2, child, bytes_env(0, vec![3]), LONG));
-        // Sender 0's next message, on another communicator, waits for room.
-        until_parked(&mb);
-        mb.discard(|key, env| key.0 == KEY.0 && env.pair == 0);
-        h.join().unwrap().unwrap();
-        assert_eq!(depth(&mb, 0), (1, 1), "the discard gave both slots back");
+        mb.deposit(child, bytes_env(0, vec![3]));
+        assert_eq!(mb.discard(|key, env| key.0 == KEY.0 && env.sender == 0), 2);
         assert!(mb.try_take(KEY).is_none());
         assert_eq!(into_bytes(mb.try_take(child).unwrap()), vec![3]);
         assert_eq!(into_bytes(mb.try_take((1, 2, 7)).unwrap()), vec![9]);
@@ -651,70 +442,5 @@ mod tests {
             Some(comm.my_mailbox().try_take((comm.comm_id, 0, 7)).is_none())
         });
         assert_eq!(out[1], Some(true), "the parent's tail is gone");
-    }
-
-    #[test]
-    fn abort_unparks_with_its_error_and_leaves_no_count() {
-        let mb = Arc::new(Rig::new(2, 1, 0, Duration::ZERO));
-        put(&mb, KEY, bytes_env(0, vec![1]), LONG).unwrap();
-        let dead = Arc::new(AtomicBool::new(false));
-        let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
-        let h = std::thread::spawn(move || {
-            let abort = || dead2.load(Ordering::Acquire).then_some("peer dead");
-            mb2.deposit(KEY, bytes_env(0, vec![2]), LONG, mb2.waiter(), abort)
-        });
-        until_parked(&mb);
-        dead.store(true, Ordering::Release);
-        mb.interrupt();
-        assert_eq!(h.join().unwrap(), Err(Some("peer dead")));
-        assert_eq!((depth(&mb, 0), mb.pending()), ((1, 1), 1));
-    }
-
-    #[test]
-    fn pairs_are_independent_and_span_every_tag() {
-        let mb = Rig::new(3, 1, 0, Duration::ZERO);
-        let now = Duration::ZERO;
-        put(&mb, KEY, bytes_env(0, vec![1]), now).unwrap();
-        // A different sender has its own depth at this receiver ...
-        put(&mb, (1, 2, 7), bytes_env(2, vec![2]), now).unwrap();
-        // ... while the full sender waits under any tag.
-        assert_eq!(put(&mb, (1, 0, 9), bytes_env(0, vec![3]), now), Err(None));
-        assert_eq!(put(&mb, KEY, bytes_env(0, vec![4]), now), Err(None));
-        assert_eq!((depth(&mb, 0), depth(&mb, 1), depth(&mb, 2)), ((1, 1), (0, 0), (1, 1)));
-    }
-
-    /// A refused loan is revoked by the drop of its envelope and holds no
-    /// slot once the pair drains.
-    #[test]
-    fn refused_loan_is_revoked_and_forgotten() {
-        use crate::{Datatype, Error, Universe};
-        let gate = std::sync::Barrier::new(2);
-        let tag = crate::comm::coll_key_tag(0, crate::comm::Coll::Alltoallw, 0);
-        let dt = Datatype::Contiguous { len_bytes: 64, offset: 0 };
-        let short = Duration::from_millis(50);
-        Universe::builder().flow_control(1, 0).timeout(short).run(2, |comm| {
-            if comm.rank() == 0 {
-                let (first, second) = ([1u8; 64], [2u8; 64]);
-                let (first_bufs, second_bufs, parts): ([&[u8]; 1], [&[u8]; 1], _) =
-                    ([&first], [&second], [(0, dt)]);
-                // SAFETY: the loan's tables and buffer outlive its wait below.
-                let cell = unsafe { comm.deposit_shared(1, tag, &first_bufs, &parts) };
-                let cell = cell.unwrap().unwrap();
-                // SAFETY: the full pair refuses this loan, revoking it in the call.
-                let err = unsafe { comm.deposit_shared(1, tag, &second_bufs, &parts) };
-                let err = err.unwrap_err();
-                assert!(matches!(err, Error::Timeout { rank: 0, src: Some(1), .. }), "{err}");
-                gate.wait();
-                let done = cell.wait(comm.waiter(), Instant::now() + LONG, || false);
-                assert_eq!(done, crate::zerocopy::ZcWait::Done);
-                comm.set_timeout(LONG);
-                comm.send_bytes(1, 3, &second).unwrap();
-                assert_eq!(comm.counters()[Counter::CreditWaits], 1);
-            } else {
-                gate.wait();
-                assert_eq!(comm.take_from(0, tag).unwrap(), vec![1u8; 64]);
-                assert_eq!(comm.recv_bytes(0, 3).unwrap(), vec![2u8; 64]);
-            }
-        });
     }
 }

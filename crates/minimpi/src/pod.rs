@@ -40,7 +40,7 @@ pub fn bytes_of<T: Pod>(s: &[T]) -> &[u8] {
 }
 
 /// View a mutable slice of POD values as raw bytes.
-pub fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
+pub(crate) fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
     // SAFETY: as in `bytes_of`; any bit pattern written through the returned
     // slice is a valid `T` because `T: Pod`.
     unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s)) }

@@ -2,7 +2,6 @@
 
 use crate::comm::{default_timeout, Comm, WorldState};
 use crate::counters::{Counts, NAMES};
-use crate::error::{Error, Result};
 use crate::fault::FaultPlan;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -23,9 +22,9 @@ const RANK_STACK_BYTES: usize = 8 * 1024 * 1024;
 /// use minimpi::Universe;
 /// use std::time::Duration;
 ///
-/// let sums = Universe::builder()
-///     .timeout(Duration::from_secs(10))
-///     .run(4, |comm| comm.allreduce(&[comm.rank() as u64], |a, b| a + b).unwrap()[0]);
+/// let sums = Universe::builder().timeout(Duration::from_secs(10)).run(4, |comm| {
+///     comm.allgather(&[comm.rank() as u64]).unwrap().iter().map(|p| p[0]).sum::<u64>()
+/// });
 /// assert_eq!(sums, vec![6, 6, 6, 6]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -33,7 +32,6 @@ pub struct UniverseBuilder {
     timeout: Option<Duration>,
     fault_plan: Option<FaultPlan>,
     trace: Option<PathBuf>,
-    flow: Option<(usize, usize)>,
 }
 
 impl UniverseBuilder {
@@ -47,20 +45,6 @@ impl UniverseBuilder {
     /// Install a deterministic fault plan, replayed identically every run.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Resize every `(sender, receiver)` pair's mailbox bound: at most
-    /// `msgs` messages and `bytes` staged payload bytes queued per pair
-    /// (default 1024 messages, 32 MiB; `0` lifts the respective bound). A
-    /// sender whose pair is full parks until the receiver pops (or a
-    /// [`crate::Comm::shrink`] discards) enough envelopes. A single message larger than the
-    /// byte bound is still admitted when the pair is empty (stop-and-wait),
-    /// so oversize transfers degrade instead of erroring. The defaults are
-    /// out of reach of DDR traffic; this setter exists for the suites that
-    /// must reach the bound.
-    pub fn flow_control(mut self, msgs: usize, bytes: usize) -> Self {
-        self.flow = Some((msgs, bytes));
         self
     }
 
@@ -94,12 +78,7 @@ impl UniverseBuilder {
     {
         assert!(n > 0, "Universe::run requires at least one rank");
         let timeout = self.timeout.unwrap_or_else(default_timeout);
-        let world = Arc::new(WorldState::new(
-            n,
-            timeout,
-            self.fault_plan.clone(),
-            self.flow.unwrap_or((crate::mailbox::PAIR_MSGS, crate::mailbox::PAIR_BYTES)),
-        ));
+        let world = Arc::new(WorldState::new(n, timeout, self.fault_plan.clone()));
         // Tracing: the builder's path wins over `DDR_TRACE`. If a capture
         // window is already open (a bench tracing across several universes),
         // this run only contributes events — the window's owner writes them.
@@ -173,17 +152,6 @@ impl UniverseBuilder {
                 .collect()
         })
     }
-
-    /// Like [`UniverseBuilder::run`] but for fallible rank bodies: returns
-    /// all results or the error that explains the failure
-    /// ([`Error::root_cause`]), not a peer's [`Error::PeerDead`] fallout.
-    pub fn try_run<R, F>(&self, n: usize, f: F) -> Result<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&Comm) -> Result<R> + Sync,
-    {
-        Error::root_cause(self.run(n, f))
-    }
 }
 
 /// Add this world's counter table, summed over its ranks, to the metrics
@@ -191,7 +159,7 @@ impl UniverseBuilder {
 /// accumulate across universes; each window reports only its own.
 fn record_world_metrics(world: &WorldState) {
     let counts = Counts::sum(&world.counters);
-    for ((scope, name, _), value) in NAMES.iter().zip(counts.0) {
+    for ((scope, name), value) in NAMES.iter().zip(counts.0) {
         ddrtrace::metrics::add(scope, name, value);
     }
 }
@@ -211,16 +179,6 @@ impl Universe {
     {
         Self::builder().run(n, f)
     }
-
-    /// Like [`Universe::run`] but for fallible rank bodies. See
-    /// [`UniverseBuilder::try_run`].
-    pub fn try_run<R, F>(n: usize, f: F) -> Result<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&Comm) -> Result<R> + Sync,
-    {
-        Self::builder().try_run(n, f)
-    }
 }
 
 #[cfg(test)]
@@ -237,32 +195,6 @@ mod tests {
     fn single_rank_world() {
         let out = Universe::run(1, |comm| (comm.rank(), comm.size()));
         assert_eq!(out, vec![(0, 1)]);
-    }
-
-    #[test]
-    fn try_run_propagates_errors() {
-        let boom = Error::Internal { detail: "boom".into() };
-        let r =
-            Universe::try_run(3, |comm| if comm.rank() == 1 { Err(boom.clone()) } else { Ok(()) });
-        assert_eq!(r, Err(boom));
-        assert_eq!(Universe::try_run(2, |comm| Ok(comm.rank())), Ok(vec![0, 1]));
-    }
-
-    #[test]
-    fn try_run_reports_the_cause_not_the_peer_dead_fallout() {
-        // Rank 0 hands rank 1 a message and blocks receiving the reply; rank
-        // 1 fails instead of replying, so rank 0 fails with PeerDead. Rank
-        // order alone would report rank 0's fallout.
-        let r = Universe::try_run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_bytes(1, 0, b"go")?;
-                comm.recv_bytes(1, 1).map(|_| ())
-            } else {
-                comm.recv_bytes(0, 0)?;
-                comm.send_bytes(2, 1, b"reply")
-            }
-        });
-        assert_eq!(r, Err(Error::RankOutOfRange { rank: 2, size: 2 }));
     }
 
     #[test]

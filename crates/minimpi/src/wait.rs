@@ -1,6 +1,6 @@
 //! The data path's one wait discipline: *check, spin for about one wake-up's
-//! worth, then park*. [`crate::mailbox::Mailbox`] (receivers and parked
-//! senders) and [`crate::zerocopy::ZcCell`] (lenders) both wait this way;
+//! worth, then park*. [`crate::mailbox::Mailbox`] (receivers) and
+//! [`crate::zerocopy::ZcCell`] (lenders) both wait this way;
 //! this module holds what they share — the budget, the rule that decides
 //! whether a universe spins at all, the spin itself, and the [`Waiter`]
 //! that carries the policy and the slot each wait's resolution is tallied in.

@@ -24,29 +24,18 @@ fn barrier_orders_side_effects() {
     assert!(seen.into_iter().all(|s| s == 6));
 }
 
+/// Allgather's broadcast leg carries one rank's large contribution to every
+/// rank, whole.
 #[test]
-fn broadcast_from_each_root() {
-    for root in 0..5 {
-        let out = Universe::run(5, |comm| {
-            let data: Vec<u8> = if comm.rank() == root { vec![root as u8, 99, 7] } else { vec![] };
-            comm.broadcast_bytes(root, &data).unwrap()
-        });
-        for got in out {
-            assert_eq!(got, vec![root as u8, 99, 7]);
-        }
-    }
-}
-
-#[test]
-fn broadcast_large_payload() {
+fn allgather_large_payload() {
     let out = Universe::run(9, |comm| {
         let data: Vec<u64> = if comm.rank() == 3 { (0..100_000).collect() } else { vec![] };
-        let got = comm.broadcast_bytes(3, minimpi::bytes_of(&data)).unwrap();
-        (got.len(), got[8 * 12_345])
+        let got = comm.allgather(&data).unwrap().swap_remove(3);
+        (got.len(), got[12_345])
     });
     for (len, v) in out {
-        assert_eq!(len, 800_000);
-        assert_eq!(v, (12_345 % 256) as u8);
+        assert_eq!(len, 100_000);
+        assert_eq!(v, 12_345);
     }
 }
 
@@ -82,22 +71,27 @@ fn allgather_variable_lengths() {
     }
 }
 
+/// Element-wise sum over ranks: an allgather, then a local fold.
+fn sum_over_ranks(comm: &minimpi::Comm, mine: &[u64]) -> Vec<u64> {
+    let all = comm.allgather(mine).unwrap();
+    (0..mine.len()).map(|i| all.iter().map(|p| p[i]).sum()).collect()
+}
+
 #[test]
-fn allreduce_sum() {
-    let out = Universe::run(8, |comm| {
-        let mine = vec![comm.rank() as u64, 1];
-        comm.allreduce(&mine, |a, b| a + b).unwrap()
-    });
+fn allgather_then_fold_sums() {
+    let out = Universe::run(8, |comm| sum_over_ranks(comm, &[comm.rank() as u64, 1]));
     for got in out {
         assert_eq!(got, vec![28, 8]); // 0+..+7 = 28
     }
 }
 
 #[test]
-fn allreduce_is_rank_ordered_for_nonassociative_ops() {
+fn allgather_folds_in_rank_order_for_nonassociative_ops() {
     // Subtraction is order-sensitive: ((0 - 1) - 2) - 3 = -6.
-    let out =
-        Universe::run(4, |comm| comm.allreduce(&[comm.rank() as i64], |a, b| a - b).unwrap()[0]);
+    let out = Universe::run(4, |comm| {
+        let all = comm.allgather(&[comm.rank() as i64]).unwrap();
+        all.iter().map(|p| p[0]).reduce(|a, b| a - b).unwrap()
+    });
     assert_eq!(out, vec![-6; 4]);
 }
 
@@ -112,7 +106,7 @@ fn alltoallw_transposes_a_block_distributed_matrix() {
         // stored as an 8x2 local array.
         let own: Vec<u32> = (0..16).map(|i| ((2 * me + i / 8) * 8 + i % 8) as u32).collect();
         // I need columns 2*me..2*me+2, stored as a 2x8 local array.
-        let mut need = vec![0u32; 16];
+        let mut need = vec![0u8; 16 * 4];
 
         let send_types: Vec<Datatype> = (0..n)
             .map(|d| {
@@ -128,14 +122,8 @@ fn alltoallw_transposes_a_block_distributed_matrix() {
             })
             .collect();
 
-        comm.alltoallw(
-            minimpi::bytes_of(&own),
-            &send_types,
-            minimpi::bytes_of_mut(&mut need),
-            &recv_types,
-        )
-        .unwrap();
-        need
+        comm.alltoallw(minimpi::bytes_of(&own), &send_types, &mut need, &recv_types).unwrap();
+        need.chunks(4).map(|b| u32::from_ne_bytes(b.try_into().unwrap())).collect::<Vec<_>>()
     });
 
     for (me, need) in out.into_iter().enumerate() {
@@ -152,7 +140,7 @@ fn split_into_two_groups_with_independent_collectives() {
     let out = Universe::run(10, |comm| {
         let color = if comm.rank() < 6 { 0u64 } else { 1u64 };
         let sub = comm.split(color).unwrap();
-        let sum = sub.allreduce(&[comm.rank() as u64], |a, b| a + b).unwrap()[0];
+        let sum = sum_over_ranks(&sub, &[comm.rank() as u64])[0];
         (color, sub.rank(), sub.size(), sum)
     });
     for (rank, (color, sub_rank, sub_size, sum)) in out.into_iter().enumerate() {
@@ -191,7 +179,7 @@ fn one_color_split_gives_isolated_namespace() {
         let peer = (comm.rank() + 1) % 4;
         let from = (comm.rank() + 3) % 4;
         comm.send(peer, 1, &[comm.rank() as u32]).unwrap();
-        let s = dup.allreduce(&[1u64], |a, b| a + b).unwrap()[0];
+        let s = sum_over_ranks(&dup, &[1])[0];
         assert_eq!(s, 4);
         let got = comm.recv_vec::<u32>(from, 1).unwrap();
         assert_eq!(got, vec![from as u32]);
@@ -222,7 +210,7 @@ fn recv_timeout_reports_deadlock() {
             let err = comm.recv_bytes(0, 42).err();
             // Release rank 0, which stays alive (blocked) during our wait so
             // the watchdog — not the fail-fast liveness path — fires.
-            comm.send_bytes(0, 43, &[]).unwrap();
+            comm.send::<u8>(0, 43, &[]).unwrap();
             err
         } else {
             comm.recv_bytes(1, 43).unwrap();
@@ -250,7 +238,7 @@ fn recv_from_departed_rank_fails_fast_with_peer_dead() {
 fn typed_recv_rejects_misaligned_length() {
     let out = Universe::run(2, |comm| {
         if comm.rank() == 0 {
-            comm.send_bytes(1, 0, &[1, 2, 3]).unwrap(); // 3 bytes, not a u32 multiple
+            comm.send(1, 0, &[1u8, 2, 3]).unwrap(); // 3 bytes, not a u32 multiple
             None
         } else {
             comm.recv_vec::<u32>(0, 0).err()
@@ -262,7 +250,7 @@ fn typed_recv_rejects_misaligned_length() {
 #[test]
 fn collectives_compose_in_sequence() {
     // A realistic mixed workload: allgather layouts, alltoallw exchange,
-    // allreduce a checksum — repeated, on the same communicator.
+    // sum a checksum over ranks — repeated, on the same communicator.
     let n = 4;
     Universe::run(n, |comm| {
         for iter in 0..10u64 {
@@ -271,7 +259,7 @@ fn collectives_compose_in_sequence() {
             for (r, l) in layouts.iter().enumerate() {
                 assert_eq!(l[0], r as u64 * 100 + iter);
             }
-            let sum = comm.allreduce(&[iter], |a, b| a + b).unwrap()[0];
+            let sum = sum_over_ranks(comm, &[iter])[0];
             assert_eq!(sum, iter * n as u64);
             comm.barrier().unwrap();
         }

@@ -32,10 +32,9 @@ fn window(routes: &[(bool, bool)]) -> ((u64, u64, u64), Counts) {
     for &(send_columns, recv_columns) in routes {
         counts = Universe::run(2, |comm| {
             let send: Vec<f32> = (0..64).map(|i| (100 * comm.rank() + i) as f32).collect();
-            let mut recv = vec![0f32; 64];
+            let mut recv = vec![0u8; 64 * 4];
             let (send_types, recv_types) = (halves(send_columns), halves(recv_columns));
-            let (send, recv_bytes) = (minimpi::bytes_of(&send), minimpi::bytes_of_mut(&mut recv));
-            comm.alltoallw(send, &send_types, recv_bytes, &recv_types).unwrap();
+            comm.alltoallw(minimpi::bytes_of(&send), &send_types, &mut recv, &recv_types).unwrap();
             both_done.wait();
             comm.counters()
         })[0];

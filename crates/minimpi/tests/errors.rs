@@ -2,8 +2,28 @@
 //! runtime can be driven into it, the failure path that produces it.
 
 use minimpi::{Comm, Counter, Datatype, Error, Subarray, Universe};
+use std::mem::MaybeUninit;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
+
+/// [`Comm::alltoallw_parts_uninit`] into an initialized buffer, so a test
+/// can check which bytes it left alone.
+fn parts_exchange(
+    comm: &Comm,
+    bufs: &[&[u8]],
+    sends: &[&[(usize, Datatype)]],
+    recv: &mut [u8],
+    recvs: &[&[Datatype]],
+) -> minimpi::Result<minimpi::ExchangeReport> {
+    let mut out: Vec<MaybeUninit<u8>> = recv.iter().map(|&b| MaybeUninit::new(b)).collect();
+    let res = comm.alltoallw_parts_uninit(bufs, sends, &mut out, recvs);
+    for (r, b) in recv.iter_mut().zip(&out) {
+        // SAFETY: every byte started initialized, and the exchange stores
+        // only initialized bytes.
+        *r = unsafe { b.assume_init() };
+    }
+    res
+}
 
 /// One representative value per variant — a match here fails to compile when
 /// a variant is added without extending this coverage.
@@ -95,24 +115,6 @@ fn peer_dead_from_departed_rank() {
     assert_eq!(out[0], Some(Error::PeerDead { rank: 1 }));
 }
 
-/// One rank's watchdog fires and it exits; the other then fails fast with
-/// `PeerDead`. Whichever rank is lower, the timeout is the cause to report.
-#[test]
-fn root_cause_prefers_the_cause_over_peer_dead_fallout() {
-    let dead = Error::PeerDead { rank: 1 };
-    let timeout = Error::Timeout { rank: 1, src: Some(0), tag: 3, comm_id: 0 };
-    for outcomes in [
-        vec![Err::<(), _>(dead.clone()), Err(timeout.clone())],
-        vec![Err(timeout.clone()), Err(dead.clone())],
-    ] {
-        assert_eq!(Error::root_cause(outcomes), Err(timeout.clone()));
-    }
-    // Nothing but fallout: the first PeerDead stands in for the cause.
-    let only_fallout = vec![Ok(0), Err(dead.clone()), Err(Error::PeerDead { rank: 0 })];
-    assert_eq!(Error::root_cause(only_fallout), Err(dead));
-    assert_eq!(Error::root_cause(vec![Ok(1), Ok(2)]), Ok(vec![1, 2]));
-}
-
 #[test]
 fn size_mismatch_from_typed_receive() {
     let out = Universe::run(2, |comm| {
@@ -188,7 +190,7 @@ fn untyped_send_passes_typed_receive() {
     // so byte-level framing and typed consumption can legally mix.
     let out = Universe::run(2, |comm| {
         if comm.rank() == 0 {
-            comm.send_bytes(1, 5, &7u64.to_le_bytes()).unwrap();
+            comm.send_bytes_owned(1, 5, 7u64.to_le_bytes().to_vec()).unwrap();
             0
         } else {
             comm.recv_vec::<u64>(0, 5).unwrap()[0]
@@ -230,7 +232,7 @@ fn send_phase_error_after_a_loan_drains_it() {
                 "the loan to rank 1 must have gone out before the bounds check failed"
             );
             if late {
-                comm.send_bytes(1, FAILED, &[])?;
+                comm.send::<u8>(1, FAILED, &[])?;
             }
             res.map(|()| recv)
         });
@@ -274,7 +276,7 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
             } else {
                 recvs[0] = &recv_parts;
             }
-            let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
+            let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
             (res.map(|report| report.is_complete()), recv, comm.counters())
         });
         assert!(
@@ -312,7 +314,7 @@ fn send_part_naming_a_missing_buffer_deposits_nothing() {
         } else {
             recvs[0] = std::slice::from_ref(&whole);
         }
-        let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
+        let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
         (res.map(|report| report.failed), recv, comm.counters()[Counter::ZerocopyMsgs])
     });
     assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
@@ -373,7 +375,7 @@ fn receive_cycle_spares_innocent_bystanders() {
             }
             2 => {
                 std::thread::sleep(Duration::from_millis(20));
-                comm.send_bytes(3, 6, &[42]).map(|_| 1)
+                comm.send(3, 6, &[42u8]).map(|_| 1)
             }
             _ => comm.recv_bytes(2, 6).map(|v| v[0] as usize),
         });
@@ -418,7 +420,7 @@ fn mismatched_coalesced_message_is_a_datatype_mismatch() {
         } else {
             recvs[0] = &want;
         }
-        let res = comm.alltoallw_parts(&[&send], &sends, &mut recv, &recvs);
+        let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
         (res.map(|report| report.is_complete()), recv)
     });
     assert_eq!(out[0], (Ok(true), vec![0; 128]));
@@ -436,10 +438,8 @@ fn mismatched_coalesced_message_is_a_datatype_mismatch() {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Coll {
     Barrier,
-    Broadcast,
     Gather,
     Allgather,
-    Allreduce,
     Alltoallw,
 }
 
@@ -447,10 +447,8 @@ fn call(coll: Coll, comm: &Comm) -> minimpi::Result<()> {
     let mine = [comm.rank() as u8];
     match coll {
         Coll::Barrier => comm.barrier(),
-        Coll::Broadcast => comm.broadcast_bytes(0, &mine).map(drop),
         Coll::Gather => comm.gather_bytes(0, &mine).map(drop),
         Coll::Allgather => comm.allgather(&mine).map(drop),
-        Coll::Allreduce => comm.allreduce(&mine, |a, b| a + b).map(drop),
         Coll::Alltoallw => {
             let n = comm.size();
             let byte = |offset| Datatype::Contiguous { len_bytes: 1, offset };
@@ -463,13 +461,12 @@ fn call(coll: Coll, comm: &Comm) -> minimpi::Result<()> {
 /// Rank 0 calls one collective and every other rank another, for every
 /// ordered pair at 2 and 3 ranks. The collective's kind is part of its key
 /// tag, so no rank takes another collective's bytes: some rank waits, and
-/// the run ends in an error. The one exception is the documented residual:
-/// a broadcast root against gather leaves posts no receive anywhere, so
-/// every rank returns `Ok`, as under an MPI without a checking tool.
+/// the run ends in an error. Rank 0 always waits on someone here — it is
+/// the gather root the others name — so no pair is silent.
 #[test]
 fn divergent_collectives_never_all_succeed() {
     use Coll::*;
-    let colls = [Barrier, Broadcast, Gather, Allgather, Allreduce, Alltoallw];
+    let colls = [Barrier, Gather, Allgather, Alltoallw];
     for n in [2, 3] {
         for (a, b) in colls.iter().flat_map(|&a| colls.iter().map(move |&b| (a, b))) {
             if a == b {
@@ -478,30 +475,29 @@ fn divergent_collectives_never_all_succeed() {
             let out = Universe::builder()
                 .timeout(Duration::from_millis(100))
                 .run(n, |comm| call(if comm.rank() == 0 { a } else { b }, comm));
-            let outcome = Error::root_cause(out);
-            if (a, b) == (Broadcast, Gather) {
-                assert_eq!(outcome, Ok(vec![(); n]), "{n} ranks: the no-receive residual");
-            } else {
-                assert!(outcome.is_err(), "{n} ranks: rank 0 {a:?} against {b:?} succeeded");
-            }
+            assert!(
+                out.iter().any(Result::is_err),
+                "{n} ranks: rank 0 {a:?} against {b:?} succeeded"
+            );
         }
     }
 }
 
-/// Ranks that disagree on a broadcast root fail when some rank waits on a
-/// non-root; two ranks that each pass themselves as root post no receive
-/// and both return `Ok` — the same residual.
+/// Ranks that disagree on a gather root fail when some root waits on a rank
+/// that sent elsewhere. The one silent divergence: two ranks that each name
+/// the other as root are both leaves, post no receive and both return
+/// `Ok(None)`, as under an MPI without a checking tool.
 #[test]
-fn disagreeing_broadcast_roots() {
+fn disagreeing_gather_roots() {
     let timeout = Duration::from_millis(100);
     let out = Universe::builder()
         .timeout(timeout)
-        .run(3, |comm| comm.broadcast_bytes(if comm.rank() == 2 { 1 } else { 0 }, &[9]).map(drop));
-    assert!(Error::root_cause(out).is_err());
+        .run(3, |comm| comm.gather_bytes(if comm.rank() == 2 { 1 } else { 0 }, &[9]).map(drop));
+    assert!(out.iter().any(Result::is_err), "{out:?}");
     let out = Universe::builder()
         .timeout(timeout)
-        .run(2, |comm| comm.broadcast_bytes(comm.rank(), &[9]).map(drop));
-    assert_eq!(Error::root_cause(out), Ok(vec![(), ()]));
+        .run(2, |comm| comm.gather_bytes(1 - comm.rank(), &[9]));
+    assert_eq!(out, [Ok(None), Ok(None)]);
 }
 
 /// Divergence inside one child communicator does not touch the other.
@@ -511,12 +507,12 @@ fn divergence_in_one_split_child_spares_the_other() {
         let child = comm.split(comm.rank() as u64 % 2)?;
         if comm.rank() % 2 == 1 {
             child.barrier()?;
-            assert_eq!(child.broadcast_bytes(1, &[7u8])?, vec![7]);
+            assert_eq!(child.allgather(&[comm.rank() as u8])?, vec![vec![1], vec![3]]);
             Ok(())
         } else if child.rank() == 0 {
             child.barrier()
         } else {
-            child.broadcast_bytes(0, &[]).map(drop)
+            child.allgather::<u8>(&[]).map(drop)
         }
     });
     assert!(out[0].is_err() && out[2].is_err(), "{out:?}");

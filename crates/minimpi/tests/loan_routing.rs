@@ -9,7 +9,7 @@ fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> Counts {
     let out = builder.run(n, move |comm| {
         let n = comm.size();
         let send: Vec<u64> = (0..elems * n).map(|i| i as u64).collect();
-        let mut recv = vec![0u64; elems * n];
+        let mut recv = vec![0u8; 8 * elems * n];
         let types: Vec<Datatype> = (0..n)
             .map(|p| {
                 Datatype::Subarray(
@@ -17,13 +17,13 @@ fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> Counts {
                 )
             })
             .collect();
-        comm.alltoallw(minimpi::bytes_of(&send), &types, minimpi::bytes_of_mut(&mut recv), &types)
+        comm.alltoallw(minimpi::bytes_of(&send), &types, &mut recv, &types)
             .expect("exchange succeeds");
         // Every rank holds the same pattern and sends its block at offset
         // `me*elems` to us, so each received chunk equals our own block.
         let me = comm.rank();
-        let mine = &send[me * elems..(me + 1) * elems];
-        for chunk in recv.chunks(elems) {
+        let mine = minimpi::bytes_of(&send[me * elems..(me + 1) * elems]);
+        for chunk in recv.chunks(8 * elems) {
             assert_eq!(chunk, mine);
         }
         comm.counters()
@@ -93,10 +93,14 @@ fn multi_part_message_loans_and_lands_part_by_part_in_order() {
             ([(0, contig(48)), (1, centre), (0, contig(0))], [contig(32), contig(0), contig(16)]);
         let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
         (sends[peer], recvs[peer]) = (&lent, &want);
-        let mut recv = vec![0u8; 48];
-        let report =
-            comm.alltoallw_parts(&[&a, &b], &sends, &mut recv, &recvs).expect("exchange succeeds");
+        let mut recv = Vec::with_capacity(48);
+        let report = comm
+            .alltoallw_parts_uninit(&[&a, &b], &sends, recv.spare_capacity_mut(), &recvs)
+            .expect("exchange succeeds");
         assert!(report.is_complete(), "{report:?}");
+        // SAFETY: a complete exchange initialized every byte of `want`'s
+        // three parts, which tile the 48 bytes.
+        unsafe { recv.set_len(48) };
         // Each rank's loan is counted before its barrier message.
         comm.barrier().expect("barrier");
         (recv, comm.counters())

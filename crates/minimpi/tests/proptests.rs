@@ -8,13 +8,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn allgather_bytes_arbitrary_content(
+    fn allgather_arbitrary_content(
         nprocs in 1usize..6,
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 6),
     ) {
         let payloads_ref = &payloads;
         let outs = Universe::run(nprocs, move |comm| {
-            comm.allgather_bytes(&payloads_ref[comm.rank()]).unwrap()
+            comm.allgather::<u8>(&payloads_ref[comm.rank()]).unwrap()
         });
         for all in outs {
             prop_assert_eq!(all.len(), nprocs);
@@ -25,15 +25,16 @@ proptest! {
     }
 
     #[test]
-    fn allreduce_max_and_min(
+    fn allgather_folds_to_max_and_min(
         nprocs in 1usize..7,
         values in prop::collection::vec(any::<i64>(), 7),
     ) {
         let values_ref = &values;
         let outs = Universe::run(nprocs, move |comm| {
             let mine = [values_ref[comm.rank()]];
-            let mx = comm.allreduce(&mine, i64::max).unwrap()[0];
-            let mn = comm.allreduce(&mine, i64::min).unwrap()[0];
+            let all = comm.allgather(&mine).unwrap();
+            let mx = all.iter().map(|p| p[0]).max().unwrap();
+            let mn = all.iter().map(|p| p[0]).min().unwrap();
             (mx, mn)
         });
         let expect_max = values[..nprocs].iter().copied().max().unwrap();
@@ -59,10 +60,9 @@ proptest! {
                     assert_eq!(v[0], (round * nprocs + r) as u64);
                 }
                 comm.barrier().unwrap();
-                let sum = comm.allreduce(&[1u64], |a, b| a + b).unwrap()[0];
-                assert_eq!(sum, nprocs as u64);
-                let bc = comm.broadcast_bytes(round % nprocs, &[round as u8]).unwrap();
-                assert_eq!(bc, vec![round as u8]);
+                let root = round % nprocs;
+                let got = comm.gather_bytes(root, &[round as u8]).unwrap();
+                assert_eq!(got, (comm.rank() == root).then(|| vec![vec![round as u8]; nprocs]));
             }
         });
     }
