@@ -1,5 +1,7 @@
 //! Scalar-to-color maps.
 
+use crate::trunc_clamped;
+
 /// A piecewise-linear colormap over `t ∈ [0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Colormap {
@@ -58,27 +60,9 @@ impl Colormap {
         self.color(t, hi)
     }
 
-    /// [`Colormap::map`] of each value of `ts` (at most [`MAP_BLOCK`]) into
-    /// the matching three bytes of `out`, in two passes over stack arrays:
-    /// first every value's segment, counted one interior stop at a time
-    /// across all values, then every color. Each value goes through the same
-    /// operations as in `map`.
-    #[inline(always)]
-    pub(crate) fn map_block(&self, ts: &[f32], out: &mut [u8]) {
-        let mut t = [0f32; MAP_BLOCK];
-        let mut hi = [1usize; MAP_BLOCK];
-        let (t, hi) = (&mut t[..ts.len()], &mut hi[..ts.len()]);
-        for (t, &v) in t.iter_mut().zip(ts) {
-            *t = if v.is_nan() { 0.0 } else { v };
-        }
-        for &(s, _) in &self.stops[1..self.stops.len() - 1] {
-            for (hi, &t) in hi.iter_mut().zip(&*t) {
-                *hi += usize::from(s < t);
-            }
-        }
-        for ((px, &t), &hi) in out.chunks_exact_mut(3).zip(&*t).zip(&*hi) {
-            px.copy_from_slice(&self.color(t, hi));
-        }
+    /// The stops, sorted by `t`.
+    pub(crate) fn stops(&self) -> &[(f32, [u8; 3])] {
+        &self.stops
     }
 
     /// The color of a non-NaN `t` whose segment ends at stop `hi`.
@@ -100,16 +84,13 @@ impl Colormap {
     }
 }
 
-/// Most values [`Colormap::map_block`] maps in one call.
-pub(crate) const MAP_BLOCK: usize = 64;
-
 /// `v.round().clamp(0.0, 255.0) as u8`, bit for bit, without the `roundf`
-/// call: `v + 0.5` is exact in `f64` whenever the sum reaches 1, so the
-/// truncating cast floors it, and the cast saturates where the clamp did
-/// (NaN gives 0).
-#[inline]
-fn round_u8(v: f32) -> u8 {
-    (f64::from(v) + 0.5) as u8
+/// call: `v + 0.5` is exact in `f64` whenever the sum reaches 1, so
+/// [`trunc_clamped`] floors it, and it saturates where the clamp did (NaN
+/// gives 0).
+#[inline(always)]
+pub(crate) fn round_u8(v: f32) -> u8 {
+    trunc_clamped(f64::from(v) + 0.5, 0, 255) as u8
 }
 
 #[cfg(test)]

@@ -62,6 +62,23 @@ macro_rules! avx2_dispatch {
     };
 }
 
+/// `(v as i32).clamp(lo, hi)`, bit for bit for every `v`: NaN gives 0, and
+/// the clamp comes before a truncating convert instead of after the
+/// saturating `as`. LLVM does not vectorise the saturating cast: behind it,
+/// the quantiser's loop ran one scalar `cvttsd2si` per coefficient, where
+/// this form converts four lanes per `cvttpd2dq` in the AVX2 build and two
+/// in the baseline one. The crate's float-to-integer conversions all go
+/// through here.
+#[inline(always)]
+fn trunc_clamped(v: f64, lo: i32, hi: i32) -> i32 {
+    let v = if v.is_nan() { 0.0 } else { v };
+    let v = if v < f64::from(lo) { f64::from(lo) } else { v };
+    let v = if v > f64::from(hi) { f64::from(hi) } else { v };
+    // SAFETY: `v` is not NaN and lies in `lo..=hi`, so it is finite and its
+    // truncation is an `i32`.
+    unsafe { v.to_int_unchecked() }
+}
+
 mod colormap;
 mod error;
 pub mod jpeg;

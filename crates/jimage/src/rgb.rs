@@ -1,6 +1,6 @@
 //! 8-bit RGB image buffers.
 
-use crate::colormap::{Colormap, MAP_BLOCK};
+use crate::colormap::{round_u8, Colormap};
 use crate::error::{ImageError, Result};
 
 /// An 8-bit RGB image, rows top-to-bottom, pixels left-to-right,
@@ -59,22 +59,9 @@ impl RgbImage {
     /// paper's visualization step ("apply a colormap in order to create an
     /// image").
     ///
-    /// The field is mapped in blocks of 64 values: each block's `t` is
-    /// normalized into a stack array (a loop of divides that vectorises),
-    /// then the colormap maps the block into the image, with the arithmetic
-    /// of [`Colormap::map`] per pixel.
-    /// Measured on a 2-core x86-64 Xeon guest, `colormap/map_512x512_field`
-    /// went from 6.8–7.9 ms (a linear stop search, `roundf` and an
-    /// `extend_from_slice` per pixel) to 3.2–4.6 ms with a whole-field `t`
-    /// vector and a branch-free [`Colormap::map`] per pixel. The blocks drop
-    /// that vector (256 KiB per 256² frame) and took a traced `lbm_frames`
-    /// run's `jimage.colormap_ms` from 1.18–1.21 to 1.07–1.11 ms (3
-    /// alternating pairs). What remains is the per-pixel color: its three
-    /// saturating float-to-byte casts alone take ≈ 0.4 ms per 256² frame.
-    /// The AVX2 build (with `Colormap::map_block` inlined into it) reads
-    /// 0.96–1.03 ms against 1.05–1.12 ms for the baseline build in a binary
-    /// whose other frame kernels run AVX2 (6 runs each, alternating), and
-    /// 0.94–1.09 ms where no kernel has an AVX2 build.
+    /// Each value goes through the operations of [`Colormap::map`], so
+    /// the image equals `map` of each normalized value, byte for byte; the
+    /// field is mapped in lane loops over blocks of 64 values.
     pub fn from_scalar_field(
         width: usize,
         height: usize,
@@ -106,20 +93,80 @@ impl RgbImage {
     }
 }
 
+/// Values [`colormap_field_body`] maps per block, one lane each.
+const LANES: usize = 64;
+
 /// The interleaved pixels of [`RgbImage::from_scalar_field`].
+///
+/// Each block of [`LANES`] values runs as lane loops, with the operations
+/// [`Colormap::map`] applies to one value. Every lane starts on the first
+/// segment and takes the segment starting at each interior stop below its
+/// `t`, so it ends on the segment whose end `map` counts its way to; the
+/// stop colors ride packed one per word. A loop each then takes the
+/// fraction, the three lerps into one packed color, the end-stop selection
+/// and the byte stores. The ragged last block runs the same loops and
+/// stores only its own pixels.
+///
+/// On two 256² vorticity tiles of the 512 × 256 lattice (direct calls, min
+/// of 40 timings, 2-core x86-64 Xeon guest) the AVX2 build takes 0.24–0.29
+/// ms against 0.59–0.62 ms for the per-pixel [`Colormap::map`] loop this
+/// replaced, and the baseline build 0.44–0.47 against 0.55–0.59 ms. Taking
+/// each lane's segment by index instead (the count of stops below `t`, then
+/// a fetch of its constants) was 37 % slower in the AVX2 build and 6 % in
+/// the baseline one: neither build gathers in vectors, so the fetch runs
+/// one lane at a time.
 #[inline(always)]
 fn colormap_field_body(field: &[f32], vmin: f32, vmax: f32, cmap: &Colormap) -> Vec<u8> {
     let span = if vmax > vmin { vmax - vmin } else { 1.0 };
+    let stops: Vec<(f32, u32)> =
+        cmap.stops().iter().map(|&(s, [r, g, b])| (s, u32::from_le_bytes([r, g, b, 0]))).collect();
+    let (first, last) = (stops[0], stops[stops.len() - 1]);
     let mut data = vec![0u8; 3 * field.len()];
-    let mut t = [0f32; MAP_BLOCK];
-    for (px, values) in data.chunks_mut(3 * MAP_BLOCK).zip(field.chunks(MAP_BLOCK)) {
-        let t = &mut t[..values.len()];
+    let mut t = [0f32; LANES];
+    for (px, values) in data.chunks_mut(3 * LANES).zip(field.chunks(LANES)) {
         for (t, &v) in t.iter_mut().zip(values) {
-            *t = ((v - vmin) / span).clamp(0.0, 1.0);
+            let v = ((v - vmin) / span).clamp(0.0, 1.0);
+            *t = if v.is_nan() { 0.0 } else { v };
         }
-        cmap.map_block(t, px);
+        let ((s0, a), (s1, b)) = (stops[0], stops[1]);
+        let (mut t0, mut t1, mut c0, mut c1) = ([s0; LANES], [s1; LANES], [a; LANES], [b; LANES]);
+        for w in stops[1..].windows(2) {
+            let ((s0, a), (s1, b)) = (w[0], w[1]);
+            for i in 0..LANES {
+                let here = s0 < t[i];
+                t0[i] = if here { s0 } else { t0[i] };
+                t1[i] = if here { s1 } else { t1[i] };
+                c0[i] = if here { a } else { c0[i] };
+                c1[i] = if here { b } else { c1[i] };
+            }
+        }
+        let mut f = [0f32; LANES];
+        for (((f, &t), &t0), &t1) in f.iter_mut().zip(&t).zip(&t0).zip(&t1) {
+            *f = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
+        }
+        let mut rgb = [0u32; LANES];
+        for (((rgb, &f), &c0), &c1) in rgb.iter_mut().zip(&f).zip(&c0).zip(&c1) {
+            for ch in 0..3 {
+                let (c0, c1) = (channel(c0, ch), channel(c1, ch));
+                *rgb |= u32::from(round_u8(c0 + f * (c1 - c0))) << (8 * ch);
+            }
+        }
+        for (rgb, &t) in rgb.iter_mut().zip(&t) {
+            let end = if t <= first.0 { first.1 } else { last.1 };
+            *rgb = if t <= first.0 || t >= last.0 { end } else { *rgb };
+        }
+        for (px, rgb) in px.chunks_exact_mut(3).zip(&rgb) {
+            px.copy_from_slice(&rgb.to_le_bytes()[..3]);
+        }
     }
     data
+}
+
+/// Channel `ch` of a packed color, as the `f32` that [`Colormap::map`]
+/// converts the byte to.
+#[inline(always)]
+fn channel(rgb: u32, ch: usize) -> f32 {
+    ((rgb >> (8 * ch)) & 0xff) as f32
 }
 
 avx2_dispatch! {

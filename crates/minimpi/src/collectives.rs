@@ -544,6 +544,33 @@ mod tests {
         }
     }
 
+    /// Allgather's broadcast leg carries allgather's kind, as its gather leg
+    /// does: a rank left waiting in it times out on an allgather tag. The
+    /// divergence tests in `tests/errors.rs` pin only each collective's
+    /// first message.
+    #[test]
+    fn allgather_broadcast_leg_is_tagged_allgather() {
+        // Rank 0 posts nothing and outlives rank 1's wait, so rank 1 times
+        // out instead of seeing a dead peer.
+        let rank_1_done = std::sync::Barrier::new(2);
+        let out = Universe::builder().timeout(Duration::from_millis(100)).run(2, |comm| {
+            if comm.rank() == 0 {
+                rank_1_done.wait();
+                return Ok(());
+            }
+            // The gather leg (sequence 0) is a send; the wait is the
+            // broadcast leg's receive (sequence 1).
+            let res = comm.allgather(&[1u8]).map(drop);
+            rank_1_done.wait();
+            res
+        });
+        let want = coll_key_tag(1, Coll::Allgather, 0);
+        match &out[1] {
+            Err(Error::Timeout { src: Some(0), tag, .. }) if *tag == want => {}
+            other => panic!("expected a timeout on {want:#x}, got {other:?}"),
+        }
+    }
+
     /// A receiver that aborts an exchange early (because some *other*
     /// source died) must not strand a healthy sender's zero-copy loan until
     /// the watchdog fires. Seeded over several message sizes, with the loan
