@@ -61,7 +61,7 @@ pub fn near_square_grid(n: usize) -> (usize, usize) {
     let mut best = (n, 1);
     let mut r = 1;
     while r * r <= n {
-        if n % r == 0 {
+        if n.is_multiple_of(r) {
             best = (n / r, r);
         }
         r += 1;
@@ -78,11 +78,11 @@ pub fn near_cubic_grid(n: usize) -> [usize; 3] {
     let mut best_score = n as f64;
     let mut a = 1;
     while a * a * a <= n {
-        if n % a == 0 {
+        if n.is_multiple_of(a) {
             let m = n / a;
             let mut b = a;
             while b * b <= m {
-                if m % b == 0 {
+                if m.is_multiple_of(b) {
                     let c = m / b;
                     let score = c as f64 / a as f64; // c >= b >= a
                     if score < best_score {

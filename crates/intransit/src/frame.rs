@@ -48,7 +48,7 @@ impl Frame {
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<Frame> {
         const HDR: usize = 8 * 8;
-        if bytes.len() < HDR || (bytes.len() - HDR) % 4 != 0 {
+        if bytes.len() < HDR || !(bytes.len() - HDR).is_multiple_of(4) {
             return Err(MpiError::SizeMismatch { expected: HDR, got: bytes.len() });
         }
         let u = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());

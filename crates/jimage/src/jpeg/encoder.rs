@@ -415,12 +415,16 @@ mod tests {
         }
     }
 
-    /// The dispatched `encode_with` (the AVX2 build on a CPU that has it)
-    /// against its body called directly (the baseline build), byte for
-    /// byte, on a colormapped vortex field and on an image whose channels
-    /// are three bytes of each field value's bits.
+    /// The encoder's AVX2 build, where this CPU runs it, called directly,
+    /// against the baseline build, byte for byte, on a colormapped vortex
+    /// field and on an image whose channels are three bytes of each field
+    /// value's bits.
     #[test]
+    #[cfg(target_arch = "x86_64")]
     fn encoder_builds_agree_to_the_byte() {
+        if !crate::cpu_has("avx2") {
+            return;
+        }
         let cmap = crate::Colormap::blue_white_red();
         for (w, h) in [(70, 36), (256, 256)] {
             let field: Vec<f32> = (0..w * h)
@@ -440,7 +444,8 @@ mod tests {
                 for sub in [Subsampling::S420, Subsampling::S444] {
                     for quality in [75, 100] {
                         assert_eq!(
-                            encode_with(img, quality, sub).unwrap(),
+                            // SAFETY: the CPU has AVX2, checked at the top.
+                            unsafe { encode_with_avx2(img, quality, sub) }.unwrap(),
                             encode_with_body(img, quality, sub).unwrap(),
                             "{name} {w}x{h} {sub:?} q{quality}"
                         );

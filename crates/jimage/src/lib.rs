@@ -26,40 +26,78 @@
 
 #![warn(missing_docs)]
 
-/// Defines `$name`, which runs `$body` compiled for AVX2 (through the
-/// `#[target_feature]` wrapper `$avx2`) when the CPU has it, and the
-/// baseline build of `$body` otherwise. `$body` and everything it calls on
-/// the hot path are `#[inline(always)]`, so each build is its own copy of
-/// the one source. Rust neither contracts `a * b + c` into an FMA nor
-/// reassociates, so the two builds agree to the bit; only `avx2` is
-/// enabled, not `fma`.
-///
-/// The wrapper is an `unsafe fn` rather than a safe `#[target_feature]` fn
-/// so the crate keeps building on Rust 1.85.
+/// Defines `$name`, which runs `$body` compiled for AVX-512 (through the
+/// `#[target_feature]` wrapper `$avx512`, where one is named) or AVX2
+/// (`$avx2`), the widest the CPU has, and the baseline build of `$body`
+/// otherwise. `$body` and everything it calls on the hot path are
+/// `#[inline(always)]`, so each build is its own copy of the one source.
+/// Rust neither contracts `a * b + c` into an FMA nor reassociates, so the
+/// builds agree to the bit; `fma` is never enabled. A kernel names an
+/// `$avx512` wrapper only where that build beats its AVX2 build by direct
+/// call. The AVX-512 target features need Rust 1.89.
 macro_rules! avx2_dispatch {
     (
         $(#[$attr:meta])*
         $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
-            = $body:ident, $avx2:ident;
+            = $body:ident, $avx2:ident $(, $avx512:ident)?;
     ) => {
-        /// # Safety
-        /// The CPU must have AVX2.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
-            $body($($arg),*)
-        }
+        avx2_dispatch!(@wrapper "avx2", $avx2, $body, ($($arg: $ty),*) $(-> $ret)?);
+        avx2_dispatch!(@avx512 [$($avx512)?], $body, ($($arg: $ty),*) $(-> $ret)?);
 
         $(#[$attr])*
         $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU has AVX2, checked just above.
-                return unsafe { $avx2($($arg),*) };
+            {
+                avx2_dispatch!(@call [$($avx512)?] ($($arg),*));
+                if is_x86_feature_detected!("avx2") {
+                    // SAFETY: the CPU has AVX2, checked just above.
+                    return unsafe { $avx2($($arg),*) };
+                }
             }
             $body($($arg),*)
         }
     };
+    (@wrapper $features:literal, $wrapper:ident, $body:ident,
+        ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+        /// # Safety
+        #[doc = concat!("The CPU must have `", $features, "`.")]
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn $wrapper($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+    };
+    (@avx512 [], $($rest:tt)*) => {};
+    (@avx512 [$avx512:ident], $body:ident, $($sig:tt)*) => {
+        avx2_dispatch!(@wrapper "avx512f,avx512bw,avx512dq,avx512vl", $avx512, $body, $($sig)*);
+    };
+    (@call [] $args:tt) => {};
+    (@call [$avx512:ident] ($($arg:ident),*)) => {
+        if $crate::has_avx512() {
+            // SAFETY: the CPU has AVX-512 F, BW, DQ and VL, checked just above.
+            return unsafe { $avx512($($arg),*) };
+        }
+    };
+}
+
+/// Whether the CPU has the AVX-512 subsets that an `$avx512` build of
+/// `avx2_dispatch!` enables.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+}
+
+/// Whether the CPU has the features of the wrapper for `build`.
+#[cfg(all(test, target_arch = "x86_64"))]
+fn cpu_has(build: &str) -> bool {
+    match build {
+        "avx2" => is_x86_feature_detected!("avx2"),
+        "avx512" => has_avx512(),
+        _ => unreachable!("no {build} build"),
+    }
 }
 
 /// `(v as i32).clamp(lo, hi)`, bit for bit for every `v`: NaN gives 0, and

@@ -2,39 +2,69 @@
 
 use crate::config::Config;
 use crate::d2q9::{equilibrium, E, OPP};
+use std::ops::Range;
 
-/// Defines `$name`, which runs `$body` compiled for AVX2 (through the
-/// `#[target_feature]` wrapper `$avx2`) when the CPU has it, and the
-/// baseline build of `$body` otherwise. `$body` is `#[inline(always)]`, so
-/// each build is its own copy of the one source. Rust neither contracts
-/// `a * b + c` into an FMA nor reassociates, so the two builds agree to the
-/// bit; only `avx2` is enabled, not `fma`.
-///
-/// The wrapper is an `unsafe fn` rather than a safe `#[target_feature]` fn
-/// so the crate keeps building on Rust 1.85.
+/// Defines `$name`, which runs `$body` compiled for AVX-512 (through the
+/// `#[target_feature]` wrapper `$avx512`, where one is named) or AVX2
+/// (`$avx2`), the widest the CPU has, and the baseline build of `$body`
+/// otherwise. `$body` is `#[inline(always)]`, so each build is its own copy
+/// of the one source. Rust neither contracts `a * b + c` into an FMA nor
+/// reassociates, so the builds agree to the bit; `fma` is never enabled.
+/// A kernel names an `$avx512` wrapper only where that build beats its AVX2
+/// build by direct call. The AVX-512 target features need Rust 1.89.
 macro_rules! avx2_dispatch {
     (
         $(#[$attr:meta])*
-        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident, $avx2:ident;
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+            = $body:ident, $avx2:ident $(, $avx512:ident)?;
     ) => {
-        /// # Safety
-        /// The CPU must have AVX2.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
-            $body($($arg),*)
-        }
+        avx2_dispatch!(@wrapper "avx2", $avx2, $body, ($($arg: $ty),*) $(-> $ret)?);
+        avx2_dispatch!(@avx512 [$($avx512)?], $body, ($($arg: $ty),*) $(-> $ret)?);
 
         $(#[$attr])*
         fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU has AVX2, checked just above.
-                return unsafe { $avx2($($arg),*) };
+            {
+                avx2_dispatch!(@call [$($avx512)?] ($($arg),*));
+                if is_x86_feature_detected!("avx2") {
+                    // SAFETY: the CPU has AVX2, checked just above.
+                    return unsafe { $avx2($($arg),*) };
+                }
             }
             $body($($arg),*)
         }
     };
+    (@wrapper $features:literal, $wrapper:ident, $body:ident,
+        ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+        /// # Safety
+        #[doc = concat!("The CPU must have `", $features, "`.")]
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn $wrapper($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+    };
+    (@avx512 [], $($rest:tt)*) => {};
+    (@avx512 [$avx512:ident], $body:ident, $($sig:tt)*) => {
+        avx2_dispatch!(@wrapper "avx512f,avx512bw,avx512dq,avx512vl", $avx512, $body, $($sig)*);
+    };
+    (@call [] $args:tt) => {};
+    (@call [$avx512:ident] ($($arg:ident),*)) => {
+        if has_avx512() {
+            // SAFETY: the CPU has AVX-512 F, BW, DQ and VL, checked just above.
+            return unsafe { $avx512($($arg),*) };
+        }
+    };
+}
+
+/// Whether the CPU has the AVX-512 subsets that an `$avx512` build of
+/// `avx2_dispatch!` enables.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
 }
 
 /// Which slab edge a halo operation refers to.
@@ -49,17 +79,22 @@ pub enum Edge {
 /// A horizontal slab of the global lattice: `rows` interior rows starting at
 /// global row `y0`, plus one ghost row on each side. A lattice spanning the
 /// whole domain (`y0 = 0`, `rows = ny`) is the serial reference solver.
+///
+/// Cells are numbered `c = (y + 1) * nx + x`, y ∈ -1..=rows, and each
+/// direction plane holds them in a ring of `cells` values that starts at
+/// its own offset, so streaming moves an offset rather than the data.
 pub struct Lattice {
     cfg: Config,
     y0: usize,
     rows: usize,
-    /// Distributions: `f[d * stride + (y + 1) * nx + x]`, y ∈ -1..=rows.
+    /// Distributions: cell `c` of plane `d` at `f[d * cells + (off[d] + c) % cells]`.
     f: Vec<f64>,
-    /// Solid mask over interior + ghost rows.
+    /// Where each plane's ring puts cell 0.
+    off: [usize; 9],
+    /// Solid mask over interior + ghost rows, by cell.
     solid: Vec<bool>,
-    /// Bounce-back `(destination, source)` index pairs into `f`: direction
-    /// `d` of an interior cell whose upstream cell is solid, and the opposite
-    /// direction of that same cell.
+    /// Bounce-back `(d, c)`: direction `d` of interior cell `c`, whose
+    /// upstream cell is solid, takes direction `OPP[d]` of `c` itself.
     bounce: Vec<(usize, usize)>,
     /// Pre-stream values of the bounce sources, one per pair.
     saved: Vec<f64>,
@@ -85,6 +120,46 @@ fn moments(f: [f64; 9]) -> (f64, f64, f64) {
     (rho, ux, uy)
 }
 
+/// Where cell `c` sits in a ring of `cells` cells that starts at `off`.
+#[inline(always)]
+fn ring_pos(off: usize, cells: usize, c: usize) -> usize {
+    let p = off + c;
+    if p >= cells {
+        p - cells
+    } else {
+        p
+    }
+}
+
+/// Splits the cells `range` of planes whose rings start at `off` into runs
+/// that no ring wraps inside: at most one run more than there are planes.
+/// Yields each run and where it starts in each plane.
+struct Runs<'a> {
+    off: &'a [usize; 9],
+    cells: usize,
+    range: Range<usize>,
+}
+
+impl Iterator for Runs<'_> {
+    type Item = (Range<usize>, [usize; 9]);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let Range { start, end } = self.range;
+        if start >= end {
+            return None;
+        }
+        let mut stop = end;
+        let at = self.off.map(|off| {
+            let p = ring_pos(off, self.cells, start);
+            stop = stop.min(start + self.cells - p);
+            p
+        });
+        self.range.start = stop;
+        Some((start..stop, at))
+    }
+}
+
 /// BGK collision of `solid.len()` consecutive cells, given as the same range
 /// of each direction plane. Every plane is cut to that one length first, so
 /// the loop reads each cell's nine values without a bounds check, and a solid
@@ -94,7 +169,8 @@ fn moments(f: [f64; 9]) -> (f64, f64, f64) {
 /// `idx` lookups per cell) to 1.0–1.3 ms. Its AVX2 build (four f64 lanes
 /// instead of two) took a traced `lbm_frames` run's `lbm.step_ms` (collide,
 /// halo exchange and stream of a 512 × 128 slab) from 1.89–2.14 to
-/// 1.20–1.36 ms (6 runs each, alternating).
+/// 1.20–1.36 ms (6 runs each, alternating). Its AVX-512 build (eight lanes)
+/// takes a direct call on that slab's interior from 0.50 to 0.36 ms.
 #[inline(always)]
 fn collide_cells_body(omega: f64, solid: &[bool], planes: [&mut [f64]; 9]) {
     let n = solid.len();
@@ -110,9 +186,9 @@ fn collide_cells_body(omega: f64, solid: &[bool], planes: [&mut [f64]; 9]) {
 }
 
 avx2_dispatch! {
-    /// [`collide_cells_body`], the AVX2 build where the CPU has it.
+    /// [`collide_cells_body`], the AVX-512 or AVX2 build where the CPU has it.
     fn collide_cells(omega: f64, solid: &[bool], planes: [&mut [f64]; 9])
-        = collide_cells_body, collide_cells_avx2;
+        = collide_cells_body, collide_cells_avx2, collide_cells_avx512;
 }
 
 impl Lattice {
@@ -156,13 +232,12 @@ impl Lattice {
             for (d, e) in E.iter().enumerate().skip(1) {
                 let (x, y) = (sx + e[0] as i64, sy + e[1] as i64);
                 if (0..nx as i64).contains(&x) && (1..=rows as i64).contains(&y) {
-                    let i = y as usize * nx + x as usize;
-                    bounce.push((d * cells + i, OPP[d] * cells + i));
+                    bounce.push((d, y as usize * nx + x as usize));
                 }
             }
         }
         let saved = vec![0.0; bounce.len()];
-        Lattice { cfg, y0, rows, f, solid, bounce, saved }
+        Lattice { cfg, y0, rows, f, off: [0; 9], solid, bounce, saved }
     }
 
     /// Simulation configuration.
@@ -185,9 +260,30 @@ impl Lattice {
         self.cfg.nx * (self.rows + 2)
     }
 
+    /// Index into `f` of cell `c` of plane `d`.
     #[inline]
-    fn idx(&self, d: usize, x: usize, ly: i64) -> usize {
-        d * self.cells() + ((ly + 1) as usize) * self.cfg.nx + x
+    fn at(&self, d: usize, c: usize) -> usize {
+        let cells = self.cells();
+        d * cells + ring_pos(self.off[d], cells, c)
+    }
+
+    /// The ranges of `f` that hold row `ly` (−1..=rows) of plane `d`: the
+    /// second is empty unless the row wraps the plane's ring.
+    fn row(&self, d: usize, ly: i64) -> [Range<usize>; 2] {
+        let (nx, cells) = (self.cfg.nx, self.cells());
+        let start = self.at(d, (ly + 1) as usize * nx);
+        let end = start + nx;
+        let ring_end = (d + 1) * cells;
+        if end <= ring_end {
+            [start..end, end..end]
+        } else {
+            [start..ring_end, d * cells..end - cells]
+        }
+    }
+
+    /// Inflow equilibrium of each direction, the fixed value of edge cells.
+    fn inflow(&self) -> [f64; 9] {
+        std::array::from_fn(|d| equilibrium(d, 1.0, self.cfg.u0, 0.0))
     }
 
     /// Density and velocity at interior cell `(x, ly)` (slab-local row).
@@ -196,22 +292,27 @@ impl Lattice {
         if self.solid[c] {
             return (1.0, 0.0, 0.0);
         }
-        let cells = self.cells();
-        moments(std::array::from_fn(|d| self.f[d * cells + c]))
+        moments(std::array::from_fn(|d| self.f[self.at(d, c)]))
     }
 
-    /// Plane-local index range of the interior rows.
-    fn interior(&self) -> std::ops::Range<usize> {
+    /// Cells of the interior rows.
+    fn interior(&self) -> Range<usize> {
         self.cfg.nx..self.cfg.nx * (self.rows + 1)
     }
 
-    /// BGK collision on all interior fluid cells.
+    /// BGK collision on all interior fluid cells, one run at a time.
     pub fn collide(&mut self) {
-        let (interior, cells) = (self.interior(), self.cells());
-        let mut planes = self.f.chunks_exact_mut(cells);
-        let planes =
-            std::array::from_fn(|_| &mut planes.next().expect("nine planes")[interior.clone()]);
-        collide_cells(self.cfg.omega, &self.solid[interior], planes);
+        let (cells, omega) = (self.cells(), self.cfg.omega);
+        let runs = Runs { off: &self.off, cells, range: self.interior() };
+        for (run, at) in runs {
+            let n = run.len();
+            let mut planes = self.f.chunks_exact_mut(cells).zip(at);
+            let planes = std::array::from_fn(|_| {
+                let (plane, at) = planes.next().expect("nine planes");
+                &mut plane[at..at + n]
+            });
+            collide_cells(omega, &self.solid[run], planes);
+        }
     }
 
     /// Post-collision distributions of an interior edge row, packed as
@@ -221,11 +322,10 @@ impl Lattice {
             Edge::Below => 0i64,
             Edge::Above => self.rows as i64 - 1,
         };
-        let nx = self.cfg.nx;
-        let mut out = Vec::with_capacity(9 * nx);
+        let mut out = Vec::with_capacity(9 * self.cfg.nx);
         for d in 0..9 {
-            for x in 0..nx {
-                out.push(self.f[self.idx(d, x, ly)]);
+            for part in self.row(d, ly) {
+                out.extend_from_slice(&self.f[part]);
             }
         }
         out
@@ -242,10 +342,11 @@ impl Lattice {
             Edge::Below => -1i64,
             Edge::Above => self.rows as i64,
         };
-        for d in 0..9 {
-            for x in 0..nx {
-                let i = self.idx(d, x, ly);
-                self.f[i] = data[d * nx + x];
+        for (d, mut data) in data.chunks_exact(nx).enumerate() {
+            for part in self.row(d, ly) {
+                let (head, tail) = data.split_at(part.len());
+                self.f[part].copy_from_slice(head);
+                data = tail;
             }
         }
     }
@@ -253,16 +354,18 @@ impl Lattice {
     /// Fill a ghost row with inflow equilibrium (used at global boundaries,
     /// where the paper keeps edge cells at fixed values).
     pub fn set_ghost_boundary(&mut self, edge: Edge) {
-        let nx = self.cfg.nx;
         let ly = match edge {
             Edge::Below => -1i64,
             Edge::Above => self.rows as i64,
         };
-        for d in 0..9 {
-            let feq = equilibrium(d, 1.0, self.cfg.u0, 0.0);
-            for x in 0..nx {
-                let i = self.idx(d, x, ly);
-                self.f[i] = feq;
+        self.fill_row(ly, self.inflow());
+    }
+
+    /// Set every cell of row `ly` to `feq`, direction by direction.
+    fn fill_row(&mut self, ly: i64, feq: [f64; 9]) {
+        for (d, feq) in feq.into_iter().enumerate() {
+            for part in self.row(d, ly) {
+                self.f[part].fill(feq);
             }
         }
     }
@@ -275,53 +378,39 @@ impl Lattice {
     /// domain edge cells (x = 0, x = nx−1, and the global top/bottom rows)
     /// are reset to inflow equilibrium.
     ///
-    /// Streaming happens inside `f`: each direction's interior row is one
-    /// `copy_within` of its upstream row shifted by `E[d][0]`, and the column
-    /// whose upstream cell lies outside the x extent takes inflow equilibrium.
-    /// Rows run descending when `E[d][1] = +1` (the source row is below) and
-    /// ascending when it is −1, so every source row is read before it is
-    /// overwritten; when it is 0 a row is its own source and `copy_within`
-    /// is a memmove. Bounce-back takes the pre-stream `f[OPP[d]]` of the
-    /// target cell, which the shift of plane `OPP[d]` overwrites, so every
-    /// bounce source is saved into a preallocated buffer before any plane
-    /// moves and written back after. Only interior rows are written: the
-    /// ghost rows keep their pre-stream values until the next
-    /// [`Lattice::set_ghost`] / [`Lattice::set_ghost_boundary`], and every
+    /// Cell `c` takes cell `c − (E[d][1]·nx + E[d][0])` of plane `d`, so
+    /// moving the start of each plane's ring back by that much streams every
+    /// cell at once, and no distribution moves. A cell in column 0 or
+    /// nx − 1 whose upstream column is outside the slab then holds a value
+    /// from the far end of a neighbouring row (or a ghost row has wrapped
+    /// round the ring); the fixed edge columns overwrite the former, and the
+    /// ghost rows are rewritten by the next [`Lattice::set_ghost`] /
+    /// [`Lattice::set_ghost_boundary`] before any reader sees them: every
     /// reader (`collide`, `edge_row`, `velocity_row`, `macroscopic`,
-    /// `vorticity`) reads interior rows only.
+    /// `vorticity`) reads interior rows only. Bounce-back takes the
+    /// pre-stream `f[OPP[d]]` of the target cell, so every bounce source is
+    /// saved into a preallocated buffer before any ring moves and written
+    /// back after.
     ///
-    /// Measured on a 2-core x86-64 Xeon guest, streaming in place instead of
-    /// into a second buffer took `lbm_serial/stream_256x128` from
-    /// 0.27–0.31 to 0.10–0.13 ms and `lbm_serial/step_256x128` from
-    /// 1.03–1.18 to 0.78–1.01 ms; `lbm_frames`' `peak_rss_mb` went from 26.7
-    /// to 17.1 MB (medians of 10 pairs; 4.79 MB less on each of two ranks).
+    /// The stream thus writes the bounce pairs and the fixed edges only.
+    /// Measured on a 2-core x86-64 Xeon guest, a direct call on a 512 × 128
+    /// slab took 0.16 ms when it copied every plane in place, and takes
+    /// 0.012 ms (EXPERIMENTS.md, "What did the stream's copy and the vector
+    /// width cost?").
     pub fn stream(&mut self) {
-        let (nx, rows, cells) = (self.cfg.nx, self.rows, self.cells());
-        for (v, &(_, src)) in self.saved.iter_mut().zip(&self.bounce) {
-            *v = self.f[src];
+        let (nx, cells) = (self.cfg.nx, self.cells());
+        for (v, &(d, c)) in self.saved.iter_mut().zip(&self.bounce) {
+            let d = OPP[d];
+            *v = self.f[d * cells + ring_pos(self.off[d], cells, c)];
         }
         // The rest direction (d = 0) streams every cell onto itself.
-        let planes = self.f.chunks_exact_mut(cells).zip(E).enumerate().skip(1);
-        for (d, (plane, e)) in planes {
-            let feq = equilibrium(d, 1.0, self.cfg.u0, 0.0);
-            for k in 0..rows {
-                let ly = if e[1] == 1 { rows - k } else { k + 1 };
-                let (from, to) = ((ly as i64 - e[1] as i64) as usize * nx, ly * nx);
-                match e[0] {
-                    0 => plane.copy_within(from..from + nx, to),
-                    1 => {
-                        plane.copy_within(from..from + nx - 1, to + 1);
-                        plane[to] = feq;
-                    }
-                    _ => {
-                        plane.copy_within(from + 1..from + nx, to);
-                        plane[to + nx - 1] = feq;
-                    }
-                }
-            }
+        for (off, e) in self.off.iter_mut().zip(E).skip(1) {
+            let shift = e[1] as isize * nx as isize + e[0] as isize;
+            *off = (*off as isize - shift).rem_euclid(cells as isize) as usize;
         }
-        for (&(dst, _), &v) in self.bounce.iter().zip(&self.saved) {
-            self.f[dst] = v;
+        for (&(d, c), &v) in self.bounce.iter().zip(&self.saved) {
+            let i = self.at(d, c);
+            self.f[i] = v;
         }
         self.apply_fixed_edges();
     }
@@ -329,26 +418,18 @@ impl Lattice {
     /// Reset the global domain edges to inflow equilibrium ("certain cells,
     /// including the edges, are kept at fixed values").
     fn apply_fixed_edges(&mut self) {
-        let nx = self.cfg.nx;
-        let fix_cell = |this: &mut Self, x: usize, ly: i64| {
-            for d in 0..9 {
-                let i = this.idx(d, x, ly);
-                this.f[i] = equilibrium(d, 1.0, this.cfg.u0, 0.0);
+        let (nx, rows, feq) = (self.cfg.nx, self.rows, self.inflow());
+        for c in (1..=rows).flat_map(|ly| [ly * nx, ly * nx + nx - 1]) {
+            for (d, &feq) in feq.iter().enumerate() {
+                let i = self.at(d, c);
+                self.f[i] = feq;
             }
-        };
-        for ly in 0..self.rows as i64 {
-            fix_cell(self, 0, ly);
-            fix_cell(self, nx - 1, ly);
         }
         if self.y0 == 0 {
-            for x in 0..nx {
-                fix_cell(self, x, 0);
-            }
+            self.fill_row(0, feq);
         }
-        if self.y0 + self.rows == self.cfg.ny {
-            for x in 0..nx {
-                fix_cell(self, x, self.rows as i64 - 1);
-            }
+        if self.y0 + rows == self.cfg.ny {
+            self.fill_row(rows as i64 - 1, feq);
         }
     }
 
@@ -406,14 +487,13 @@ impl Lattice {
     }
 }
 
-/// Velocities of ring row `k − 1` ∈ −1..=rows of a slab whose interior
-/// planes are `p` and mask `solid`, into `ux` / `uy` (solid cells (0, 0)),
-/// or the `halo` row's velocities when there is one. Rows −1 and `rows`
-/// without a halo are the edge rows again.
+/// Velocities of ring row `k − 1` ∈ −1..=rows of `lat` into `ux` / `uy`
+/// (solid cells (0, 0)), or the `halo` row's velocities when there is one.
+/// Rows −1 and `rows` without a halo are the edge rows again. The row is
+/// read one run at a time, where a plane's ring wraps inside it.
 #[inline(always)]
 fn velocities(
-    p: &[&[f64]; 9],
-    solid: &[bool],
+    lat: &Lattice,
     k: usize,
     halo: Option<&[(f64, f64)]>,
     ux: &mut [f64],
@@ -426,12 +506,16 @@ fn velocities(
         }
         return;
     }
-    let r = k.clamp(1, solid.len() / nx) * nx - nx;
-    let q: [&[f64]; 9] = std::array::from_fn(|d| &p[d][r..r + nx]);
-    let cells = ux.iter_mut().zip(uy.iter_mut()).zip(&solid[r..r + nx]);
-    for (i, ((u, v), &solid)) in cells.enumerate() {
-        let (_, cu, cv) = moments(std::array::from_fn(|d| q[d][i]));
-        (*u, *v) = if solid { (0.0, 0.0) } else { (cu, cv) };
+    let cells = lat.cells();
+    let first = k.clamp(1, lat.rows) * nx;
+    for (run, at) in (Runs { off: &lat.off, cells, range: first..first + nx }) {
+        let (n, x) = (run.len(), run.start - first);
+        let q: [&[f64]; 9] = std::array::from_fn(|d| &lat.f[d * cells + at[d]..][..n]);
+        let lanes = ux[x..x + n].iter_mut().zip(&mut uy[x..x + n]).zip(&lat.solid[run]);
+        for (i, ((u, v), &solid)) in lanes.enumerate() {
+            let (_, cu, cv) = moments(std::array::from_fn(|d| q[d][i]));
+            (*u, *v) = if solid { (0.0, 0.0) } else { (cu, cv) };
+        }
     }
 }
 
@@ -444,10 +528,6 @@ fn vorticity_field_body(
 ) -> Vec<f32> {
     let nx = lat.cfg.nx;
     let rows = lat.rows;
-    let (interior, cells) = (lat.interior(), lat.cells());
-    let p: [&[f64]; 9] =
-        std::array::from_fn(|d| &lat.f[d * cells..(d + 1) * cells][interior.clone()]);
-    let solid = &lat.solid[interior];
     let halo = |k: usize| match k {
         0 => below,
         k if k == rows + 1 => above,
@@ -457,12 +537,12 @@ fn vorticity_field_body(
     let slot = |k: usize| k % 3 * nx..(k % 3 + 1) * nx;
     let (mut ux, mut uy) = (vec![0f64; 3 * nx], vec![0f64; 3 * nx]);
     for k in 0..2 {
-        velocities(&p, solid, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
+        velocities(lat, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
     }
     let mut out = vec![0f32; nx * rows];
     for (ly, out) in out.chunks_exact_mut(nx).enumerate() {
         let k = ly + 2;
-        velocities(&p, solid, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
+        velocities(lat, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
         let (ux_lo, ux_hi, uy_row) = (&ux[slot(ly)], &ux[slot(ly + 2)], &uy[slot(ly + 1)]);
         let one_sided = (ly == 0 && below.is_none()) || (ly == rows - 1 && above.is_none());
         let dy = if one_sided { 1.0 } else { 0.5 };
@@ -585,23 +665,28 @@ mod tests {
         let cfg = Config::wind_tunnel(8, 8);
         let none = barrier_none();
         let mut a = Lattice::new(cfg, 0, 4, &none);
-        let b = Lattice::new(cfg, 4, 4, &none);
+        let mut b = Lattice::new(cfg, 4, 4, &none);
+        // Streams move the rings, so rows wrap some of them.
+        for _ in 0..3 {
+            a.stream();
+            b.stream();
+        }
         let payload = b.edge_row(Edge::Below);
         assert_eq!(payload.len(), 9 * 8);
         a.set_ghost(Edge::Above, &payload);
         // Ghost row now mirrors b's bottom interior row.
         for d in 0..9 {
             for x in 0..8 {
-                assert_eq!(a.f[a.idx(d, x, 4)], b.f[b.idx(d, x, 0)]);
+                assert_eq!(value(&a, d, x, 4), value(&b, d, x, 0));
             }
         }
     }
 
     #[test]
     fn stale_ghost_rows_never_leak() {
-        // `stream` writes interior rows only, leaving stale pre-stream
-        // values in the ghost rows. Poison both with NaN after every stream:
-        // collide → set_ghost* → stream must not read them.
+        // `stream` leaves whatever its rings moved into the ghost rows.
+        // Poison both with NaN after every stream: collide → set_ghost* →
+        // stream must not read them.
         let cfg = Config::wind_tunnel(24, 12);
         let bar = barrier_line(6, 0, 5); // solid cells in the bottom ghost row too
         let (mut clean, mut poisoned) =
@@ -614,25 +699,31 @@ mod tests {
                 lat.set_ghost(Edge::Above, &halo);
                 lat.stream();
             }
-            let (nx, cells) = (cfg.nx, poisoned.cells());
-            for plane in poisoned.f.chunks_exact_mut(cells) {
-                plane[..nx].fill(f64::NAN);
-                plane[cells - nx..].fill(f64::NAN);
+            for ly in [-1, poisoned.rows as i64] {
+                poisoned.fill_row(ly, [f64::NAN; 9]);
             }
         }
         assert_eq!(interior_bits(&poisoned), interior_bits(&clean));
         assert_eq!(poisoned.vorticity(None, None), clean.vorticity(None, None));
     }
 
-    /// The two-buffer stream this crate used before streaming in place:
-    /// shift every plane into `tmp`, fix up bounce-back over the solid cells
-    /// from the untouched `f`, swap.
-    fn stream_two_buffer(lat: &mut Lattice, tmp: &mut Vec<f64>) {
+    /// Direction `d` of cell `(x, ly)`, through the rings.
+    fn value(lat: &Lattice, d: usize, x: usize, ly: i64) -> f64 {
+        lat.f[lat.at(d, (ly + 1) as usize * lat.cfg.nx + x)]
+    }
+
+    /// The two-buffer stream this crate used before streaming in place, on
+    /// cells read and written through the rings: shift every plane of a
+    /// copy into `new`, fix up bounce-back over the solid cells from the
+    /// copy, write `new`'s interior rows back.
+    fn stream_two_buffer(lat: &mut Lattice) {
         let (nx, cells) = (lat.cfg.nx, lat.cells());
+        let old: Vec<f64> = (0..9 * cells).map(|i| lat.f[lat.at(i / cells, i % cells)]).collect();
+        let mut new = old.clone();
         for (d, e) in E.iter().enumerate() {
             let feq = equilibrium(d, 1.0, lat.cfg.u0, 0.0);
-            let src = &lat.f[d * cells..(d + 1) * cells];
-            let dst = &mut tmp[d * cells..(d + 1) * cells];
+            let src = &old[d * cells..(d + 1) * cells];
+            let dst = &mut new[d * cells..(d + 1) * cells];
             for ly in 1..=lat.rows {
                 let from = (ly as i64 - e[1] as i64) as usize * nx;
                 let (row, up) = (&mut dst[ly * nx..(ly + 1) * nx], &src[from..from + nx]);
@@ -655,11 +746,16 @@ mod tests {
                 let (x, y) = (sx + e[0] as i64, sy + e[1] as i64);
                 if (0..nx as i64).contains(&x) && (1..=lat.rows as i64).contains(&y) {
                     let i = y as usize * nx + x as usize;
-                    tmp[d * cells + i] = lat.f[OPP[d] * cells + i];
+                    new[d * cells + i] = old[OPP[d] * cells + i];
                 }
             }
         }
-        std::mem::swap(&mut lat.f, tmp);
+        for d in 0..9 {
+            for c in lat.interior() {
+                let i = lat.at(d, c);
+                lat.f[i] = new[d * cells + c];
+            }
+        }
         lat.apply_fixed_edges();
     }
 
@@ -669,10 +765,18 @@ mod tests {
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
+    /// Scale direction `d` of cell `c` by `lo + span · noise(d · cells + c + salt)`.
+    fn perturb(lat: &mut Lattice, lo: f64, span: f64, salt: usize) {
+        let cells = lat.cells();
+        for i in 0..9 * cells {
+            let at = lat.at(i / cells, i % cells);
+            lat.f[at] *= lo + span * noise(i + salt);
+        }
+    }
+
+    /// The interior cells of every plane, in cell order.
     fn interior_bits(l: &Lattice) -> Vec<u64> {
-        l.f.chunks_exact(l.cells())
-            .flat_map(|p| p[l.interior()].iter().map(|v| v.to_bits()))
-            .collect()
+        (0..9).flat_map(|d| l.interior().map(move |c| l.f[l.at(d, c)].to_bits())).collect()
     }
 
     #[test]
@@ -694,19 +798,14 @@ mod tests {
                     for barrier in barriers {
                         let shape = format!("nx {nx}, rows {rows}, y0 {y0}");
                         let mut a = Lattice::new(cfg, y0, rows, barrier);
-                        for (i, v) in a.f.iter_mut().enumerate() {
-                            *v *= 0.9 + 0.2 * noise(i);
-                        }
+                        perturb(&mut a, 0.9, 0.2, 0);
                         let mut b = Lattice::new(cfg, y0, rows, barrier);
-                        b.f.clone_from(&a.f);
-                        let mut tmp = a.f.clone();
+                        perturb(&mut b, 0.9, 0.2, 0);
                         // Neighbour slabs of one row, each perturbed
                         // differently, supply the non-boundary ghosts.
                         let neighbour = |gy: usize, salt: usize| {
                             let mut n = Lattice::new(cfg, gy, 1, barrier);
-                            for (i, v) in n.f.iter_mut().enumerate() {
-                                *v *= 0.9 + 0.2 * noise(i + salt);
-                            }
+                            perturb(&mut n, 0.9, 0.2, salt);
                             n
                         };
                         let mut below = (y0 > 0).then(|| neighbour(y0 - 1, 1 << 20));
@@ -727,7 +826,7 @@ mod tests {
                                 }
                             }
                             a.stream();
-                            stream_two_buffer(&mut b, &mut tmp);
+                            stream_two_buffer(&mut b);
                             assert_eq!(
                                 interior_bits(&a),
                                 interior_bits(&b),
@@ -746,40 +845,65 @@ mod tests {
         let cfg = Config { nx, ny, ..Config::wind_tunnel(4, 4) };
         let scatter = move |x: usize, gy: usize| noise(gy * 131 + x + salt) < 0.2;
         let mut lat = Lattice::new(cfg, y0, rows, &scatter);
-        for (i, v) in lat.f.iter_mut().enumerate() {
-            *v *= 0.8 + 0.4 * noise(i + salt);
-        }
+        perturb(&mut lat, 0.8, 0.4, salt);
         lat
     }
 
-    /// The dispatched `collide_cells` (the AVX2 build on a CPU that has it)
-    /// against its body called directly (the baseline build), to the bit.
+    /// Whether the CPU has the features of the wrapper for `build`.
+    #[cfg(target_arch = "x86_64")]
+    fn cpu_has(build: &str) -> bool {
+        match build {
+            "avx2" => is_x86_feature_detected!("avx2"),
+            "avx512" => has_avx512(),
+            _ => unreachable!("no {build} build"),
+        }
+    }
+
+    /// Every wrapper of `collide_cells` this CPU runs, each called directly,
+    /// against the baseline build, to the bit.
     #[test]
+    #[cfg(target_arch = "x86_64")]
     fn collide_builds_agree_to_the_bit() {
+        type Collide = unsafe fn(f64, &[bool], [&mut [f64]; 9]);
+        let wrappers: [(&str, Collide); 2] =
+            [("avx2", collide_cells_avx2), ("avx512", collide_cells_avx512)];
         for (nx, rows) in [(2, 1), (7, 3), (64, 33), (515, 6)] {
             for omega in [0.6, 1.0, 1.7, 1.99] {
                 let lat = noisy_slab(nx, rows + 2, 1, rows, nx + rows);
                 let n = lat.solid.len();
-                let (mut a, mut b) = (lat.f.clone(), lat.f.clone());
-                for _ in 0..3 {
-                    let mut pa = a.chunks_exact_mut(n);
-                    collide_cells(omega, &lat.solid, std::array::from_fn(|_| pa.next().unwrap()));
-                    let mut pb = b.chunks_exact_mut(n);
-                    let pb = std::array::from_fn(|_| pb.next().unwrap());
-                    collide_cells_body(omega, &lat.solid, pb);
+                let f: Vec<f64> = (0..9 * n).map(|i| lat.f[lat.at(i / n, i % n)]).collect();
+                let bits = |collide: &dyn Fn([&mut [f64]; 9])| {
+                    let mut f = f.clone();
+                    for _ in 0..3 {
+                        let mut planes = f.chunks_exact_mut(n);
+                        collide(std::array::from_fn(|_| planes.next().unwrap()));
+                    }
+                    f.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let baseline = bits(&|planes| collide_cells_body(omega, &lat.solid, planes));
+                for (build, wrapper) in wrappers.into_iter().filter(|&(b, _)| cpu_has(b)) {
+                    // SAFETY: the CPU has the wrapper's features, checked by `cpu_has`.
+                    let wide = bits(&|planes| unsafe { wrapper(omega, &lat.solid, planes) });
+                    assert_eq!(wide, baseline, "{build}, nx {nx}, rows {rows}, omega {omega}");
                 }
-                let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a), bits(&b), "nx {nx}, rows {rows}, omega {omega}");
             }
         }
     }
 
-    /// The dispatched `vorticity` against its body called directly, to the
-    /// bit, with halo rows and with one-sided domain edges.
+    /// The vorticity's AVX2 build, where this CPU runs it, called directly,
+    /// against the baseline build, to the bit, with halo rows and with
+    /// one-sided domain edges, on rings that wrap inside rows.
     #[test]
+    #[cfg(target_arch = "x86_64")]
     fn vorticity_builds_agree_to_the_bit() {
+        if !cpu_has("avx2") {
+            return;
+        }
         for (nx, rows) in [(2, 1), (5, 2), (64, 17), (515, 6)] {
-            let lat = noisy_slab(nx, rows + 2, 1, rows, 3 * nx + rows);
+            let mut lat = noisy_slab(nx, rows + 2, 1, rows, 3 * nx + rows);
+            for _ in 0..3 {
+                lat.stream();
+            }
             let halo = |salt: usize| -> Vec<(f64, f64)> {
                 (0..nx)
                     .map(|x| (0.2 * noise(x + salt) - 0.1, 0.2 * noise(x + 2 * salt) - 0.1))
@@ -794,7 +918,8 @@ mod tests {
             ] {
                 let bits = |v: Vec<f32>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(lat.vorticity(b, a)),
+                    // SAFETY: the CPU has AVX2, checked at the top.
+                    bits(unsafe { vorticity_field_avx2(&lat, b, a) }),
                     bits(vorticity_field_body(&lat, b, a)),
                     "nx {nx}, rows {rows}, below {}, above {}",
                     b.is_some(),

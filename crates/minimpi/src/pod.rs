@@ -83,7 +83,7 @@ pub(crate) unsafe fn as_uninit_mut(bytes: &mut [u8]) -> &mut [MaybeUninit<u8>] {
 /// Returns `None` when `bytes.len()` is not a multiple of `size_of::<T>()`.
 pub(crate) fn vec_from_bytes<T: Pod>(bytes: &[u8]) -> Option<Vec<T>> {
     let esz = std::mem::size_of::<T>();
-    if esz == 0 || bytes.len() % esz != 0 {
+    if esz == 0 || !bytes.len().is_multiple_of(esz) {
         return None;
     }
     let n = bytes.len() / esz;

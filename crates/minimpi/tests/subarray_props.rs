@@ -215,7 +215,7 @@ fn check_copy_matches_pack_unpack(
 ) -> Result<(), TestCaseError> {
     let mut s = seed | 1;
     let run_bytes = RUN_WIDTHS[width_class % RUN_WIDTHS.len()];
-    let elem = [4, 2, 1].into_iter().find(|e| run_bytes % e == 0).unwrap();
+    let elem = [4, 2, 1].into_iter().find(|&e| run_bytes.is_multiple_of(e)).unwrap();
     let width = run_bytes / elem;
     let rows = 2 + (mix(&mut s) % 6) as usize;
     let strided_side = strided(&mut s, width, rows, elem);
@@ -223,7 +223,7 @@ fn check_copy_matches_pack_unpack(
         0 => (single_run(&mut s, width * rows, elem), strided_side),
         1 => (strided_side, single_run(&mut s, width * rows, elem)),
         _ => {
-            let doubled = rows % 2 == 0 && rows >= 4 && mix(&mut s) % 2 == 0;
+            let doubled = rows.is_multiple_of(2) && rows >= 4 && mix(&mut s).is_multiple_of(2);
             let (w2, r2) = if doubled { (2 * width, rows / 2) } else { (width, rows) };
             (strided_side, strided(&mut s, w2, r2, elem))
         }
