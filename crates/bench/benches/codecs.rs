@@ -2,7 +2,7 @@
 //! JPEG encode (the in-transit analysis output path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dtiff::{Endian, PixelData, TiffImage};
+use dtiff::{extend_normalized_u16, Endian, Page, PixelData, TiffImage};
 use jimage::{jpeg, Colormap, RgbImage};
 use std::hint::black_box;
 
@@ -23,17 +23,26 @@ fn bench_tiff(c: &mut Criterion) {
     });
 
     // One slice of the `tiff_stack_load` stack: the typed decode, and the
-    // loader's route straight to normalized `f32` in a reused buffer.
+    // loader's two steps — the raw 16-bit decode into a reused buffer, then
+    // the normalize pass into a reused `f32` plane.
     let slice = TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap();
     let bytes = slice.encode(Endian::Little).unwrap();
     g.throughput(Throughput::Bytes(bytes.len() as u64));
     g.bench_function("decode_256x256_u16", |b| {
         b.iter(|| black_box(TiffImage::decode(black_box(&bytes)).unwrap().width));
     });
-    let mut plane = vec![0f32; 256 * 256];
-    g.bench_function("decode_normalized_256x256_u16", |b| {
+    let mut samples = vec![0u16; 256 * 256];
+    g.bench_function("decode_u16_into_256x256", |b| {
         b.iter(|| {
-            TiffImage::decode_normalized_into(black_box(&bytes), &mut plane).unwrap();
+            Page::first(black_box(&bytes)).unwrap().decode_u16_into(&mut samples).unwrap();
+            black_box(samples[0])
+        });
+    });
+    let mut plane = Vec::with_capacity(256 * 256);
+    g.bench_function("extend_normalized_256x256_u16", |b| {
+        b.iter(|| {
+            plane.clear();
+            extend_normalized_u16(&mut plane, black_box(&samples));
             black_box(plane[0])
         });
     });

@@ -12,17 +12,17 @@
 //! as its first.
 //!
 //! Decoding deliberately goes through the whole file. "Whole-image cost"
-//! means: every strip of the page is located, bounds-checked, endian-converted
-//! and widened, whether the caller wants one pixel or all of them — so the
-//! loader exhibits the cost structure the paper's experiments measure. It
+//! means: every strip of the page is located, bounds-checked and
+//! endian-converted, whether the caller wants one pixel or all of them — so
+//! the loader exhibits the cost structure the paper's experiments measure. It
 //! does not mean extra copies. One strip walker ([`Page`]) feeds two sinks,
-//! the typed [`TiffImage::decode`] and the loader's
-//! [`TiffImage::decode_normalized_into`], and both write each sample once,
-//! straight from the file's bytes: no assembled byte vector of all strips,
-//! and on the normalized route no typed `Vec<u16>` and no per-index
-//! [`PixelData::get_f64`] either. A [`Page`] is a parsed, validated IFD whose
-//! samples have not been touched, so a caller can refuse an image of the
-//! wrong shape before paying for it.
+//! the typed [`TiffImage::decode`] and the loader's [`Page::decode_u16_into`]
+//! into a buffer the caller reuses, and both write each sample once, straight
+//! from the file's bytes: no assembled byte vector of all strips. A [`Page`]
+//! is a parsed, validated IFD whose samples have not been touched, so a
+//! caller can refuse an image of the wrong shape or sample kind before paying
+//! for it. The loader widens the 16-bit samples to normalized `f32` once,
+//! after they have been redistributed, with [`extend_normalized_u16`].
 //!
 //! One thing the walker is stricter about than a byte-assembling decoder: a
 //! strip whose contribution ends in the middle of a sample is
@@ -40,11 +40,13 @@
 
 mod error;
 mod image;
+mod normalize;
 mod reader;
 mod stack;
 mod writer;
 
 pub use error::{Result, TiffError};
 pub use image::{Endian, PixelData, PixelKind, TiffImage};
+pub use normalize::extend_normalized_u16;
 pub use reader::Page;
 pub use stack::{read_stack_slice, stack_paths, stack_slice_path, write_stack};

@@ -88,14 +88,6 @@ impl TiffImage {
     pub fn decode(bytes: &[u8]) -> Result<TiffImage> {
         Page::first(bytes)?.decode()
     }
-
-    /// [`Page::decode_normalized_into`] on the first page; returns the
-    /// page's `(width, height)`.
-    pub fn decode_normalized_into(bytes: &[u8], out: &mut [f32]) -> Result<(u32, u32)> {
-        let page = Page::first(bytes)?;
-        page.decode_normalized_into(out)?;
-        Ok((page.width, page.height))
-    }
 }
 
 /// Validate magic and return (endian, first IFD offset).
@@ -114,16 +106,6 @@ fn parse_header(bytes: &[u8]) -> Result<(Endian, usize)> {
         return Err(TiffError::BadMagic);
     }
     Ok((endian, cur.u32_at(4)? as usize))
-}
-
-/// The value full-scale samples of `kind` normalize to 1.0 at.
-fn full_scale(kind: PixelKind) -> f64 {
-    match kind {
-        PixelKind::U8 => 255.0,
-        PixelKind::U16 => 65535.0,
-        PixelKind::U32 => u32::MAX as f64,
-        PixelKind::F32 => 1.0,
-    }
 }
 
 /// One page of a TIFF file: its IFD parsed and validated, its samples not
@@ -290,20 +272,18 @@ impl<'a> Page<'a> {
     }
 
     /// Walk the strips once and store every sample in `out` (one slot per
-    /// pixel): `W` file bytes → `le` or `be`, chosen once for the page →
-    /// `map`.
-    fn samples_into<const W: usize, S, T>(
+    /// pixel): `W` file bytes → `le` or `be`, chosen once for the page.
+    fn samples_into<const W: usize, T>(
         &self,
         out: &mut [T],
-        le: impl Fn([u8; W]) -> S,
-        be: impl Fn([u8; W]) -> S,
-        map: impl Fn(S) -> T,
+        le: impl Fn([u8; W]) -> T,
+        be: impl Fn([u8; W]) -> T,
     ) -> Result<()> {
         debug_assert_eq!((W, out.len()), (self.kind.sample_bytes(), self.pixels()));
         let mut rest = out;
         match self.cur.endian {
-            Endian::Little => self.for_each_strip(|b| convert(b, &mut rest, |c| map(le(c)))),
-            Endian::Big => self.for_each_strip(|b| convert(b, &mut rest, |c| map(be(c)))),
+            Endian::Little => self.for_each_strip(|b| convert(b, &mut rest, &le)),
+            Endian::Big => self.for_each_strip(|b| convert(b, &mut rest, &be)),
         }
     }
 
@@ -313,7 +293,7 @@ impl<'a> Page<'a> {
         macro_rules! native {
             ($t:ty, $variant:ident) => {{
                 let mut v = vec![<$t>::default(); n];
-                self.samples_into(&mut v, <$t>::from_le_bytes, <$t>::from_be_bytes, |x| x)?;
+                self.samples_into(&mut v, <$t>::from_le_bytes, <$t>::from_be_bytes)?;
                 PixelData::$variant(v)
             }};
         }
@@ -326,42 +306,24 @@ impl<'a> Page<'a> {
         TiffImage::new(self.width, self.height, data)
     }
 
-    /// Decode this page straight to normalized `f32`: `out[i]` becomes
-    /// `(sample_i as f64 / full_scale) as f32`, where full scale is 255,
-    /// 65 535, `u32::MAX` or (for float samples) 1 — bit for bit what
-    /// [`PixelData::get_f64`] divided by that scale gives, without the typed
-    /// image in between. `out` must hold exactly `width × height` values;
-    /// anything else is [`TiffError::DimensionMismatch`] and converts
-    /// nothing.
-    ///
-    /// u8/u16 samples divide in `f32` with the same bits: sample and odd scale
-    /// are exact, so the quotient rounds once and sits ≥ 2⁻⁴¹ (relative) from
-    /// any midpoint, beyond the f64 divide's 2⁻⁵³ error. A u32 is not exact in
-    /// `f32`, so u32 (and float) samples keep the f64 route.
-    ///
-    /// Measured (`crates/bench/benches/codecs.rs`, one 256×256 16-bit slice
-    /// of the `tiff_stack_load` stack, 2 vCPUs, three alternating runs):
-    /// `tiff/decode_normalized_256x256_u16` 47.2–49.0 µs dividing in `f64`,
-    /// 18.0–18.3 µs dividing in `f32`.
-    pub fn decode_normalized_into(&self, out: &mut [f32]) -> Result<()> {
+    /// Decode this page's 16-bit samples into `out`, in native byte order:
+    /// every strip walked and bounds-checked as [`Page::decode`] does, and
+    /// no conversion — from a little-endian file on a little-endian host the
+    /// samples are a byte copy. `out` must hold exactly `width × height`
+    /// samples ([`TiffError::DimensionMismatch`] otherwise), and a page of
+    /// any other sample kind is [`TiffError::Unsupported`]; either refusal
+    /// writes nothing. [`crate::extend_normalized_u16`] widens the samples.
+    pub fn decode_u16_into(&self, out: &mut [u16]) -> Result<()> {
+        if self.kind != PixelKind::U16 {
+            return Err(TiffError::Unsupported(format!(
+                "{:?} samples where 16-bit ones are wanted",
+                self.kind
+            )));
+        }
         if out.len() != self.pixels() {
             return Err(TiffError::DimensionMismatch { expected: self.pixels(), got: out.len() });
         }
-        let scale = full_scale(self.kind);
-        macro_rules! normalized {
-            ($t:ty, $div:ty) => {{
-                let scale = scale as $div;
-                self.samples_into(out, <$t>::from_le_bytes, <$t>::from_be_bytes, |x| {
-                    (<$div>::from(x) / scale) as f32
-                })
-            }};
-        }
-        match self.kind {
-            PixelKind::U8 => normalized!(u8, f32),
-            PixelKind::U16 => normalized!(u16, f32),
-            PixelKind::U32 => normalized!(u32, f64),
-            PixelKind::F32 => normalized!(f32, f64),
-        }
+        self.samples_into(out, u16::from_le_bytes, u16::from_be_bytes)
     }
 }
 

@@ -1,7 +1,7 @@
 //! TIFF codec tests: roundtrips, cross-endian decode, multi-strip handling,
 //! outside-input rejection, and stack I/O.
 
-use dtiff::{Endian, PixelData, PixelKind, TiffError, TiffImage};
+use dtiff::{Endian, Page, PixelData, PixelKind, TiffError, TiffImage};
 
 fn gradient_u8(w: u32, h: u32) -> TiffImage {
     let data: Vec<u8> = (0..w as usize * h as usize).map(|i| (i % 251) as u8).collect();
@@ -169,70 +169,67 @@ fn stack_paths_are_sorted_and_padded() {
 }
 
 /// The normalization oracle, written out independently of the codec: the
-/// typed decode, widened per index and divided by the kind's full scale.
+/// typed decode, widened per index and divided by the full scale.
 fn normalized_reference(img: &TiffImage) -> Vec<f32> {
-    let scale = match img.kind() {
-        PixelKind::U8 => 255.0,
-        PixelKind::U16 => 65535.0,
-        PixelKind::U32 => u32::MAX as f64,
-        PixelKind::F32 => 1.0,
-    };
-    (0..img.data.len()).map(|i| (img.data.get_f64(i) / scale) as f32).collect()
+    (0..img.data.len()).map(|i| (img.data.get_f64(i) / 65535.0) as f32).collect()
 }
 
-/// Both decodes of `bytes` agree with `img`, the normalized one bit for bit.
-fn assert_normalized_matches(img: &TiffImage, bytes: &[u8], what: &str) {
+/// Both decodes of the 16-bit `bytes` agree with `img`, and the loader's
+/// two steps — the raw decode, then [`dtiff::extend_normalized_u16`] — with
+/// the oracle, bit for bit.
+fn assert_u16_decode_matches(img: &TiffImage, bytes: &[u8], what: &str) {
     assert_eq!(&TiffImage::decode(bytes).unwrap(), img, "{what}: typed decode");
-    let mut out = vec![f32::NAN; img.data.len()];
-    let dims = TiffImage::decode_normalized_into(bytes, &mut out).unwrap();
-    assert_eq!(dims, (img.width, img.height), "{what}: dimensions");
+    let page = Page::first(bytes).unwrap();
+    assert_eq!((page.width(), page.height()), (img.width, img.height), "{what}: dimensions");
+    let mut samples = vec![0u16; img.data.len()];
+    page.decode_u16_into(&mut samples).unwrap();
+    assert_eq!(PixelData::U16(samples.clone()), img.data, "{what}: raw decode");
+    let mut out = Vec::new();
+    dtiff::extend_normalized_u16(&mut out, &samples);
     let want = normalized_reference(img);
     assert!(
-        out.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "{what}: normalized decode differs from (get_f64 / scale) as f32"
+        out.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()) && out.len() == want.len(),
+        "{what}: normalized samples differ from (get_f64 / 65535) as f32"
     );
 }
 
-/// Pins both `f32`-divide arms exhaustively; the u32 and f32 arms are
-/// covered by `..._for_every_kind_and_ragged_strips`.
 #[test]
-fn normalized_decode_is_bit_identical_for_every_u8_and_u16_value() {
-    let images = [
-        TiffImage::new(16, 16, PixelData::U8((0..=u8::MAX).collect())).unwrap(),
-        TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap(),
-    ];
-    for img in &images {
-        for endian in [Endian::Little, Endian::Big] {
-            let what = format!("{:?} {endian:?}", img.kind());
-            assert_normalized_matches(img, &img.encode(endian).unwrap(), &what);
-        }
+fn u16_decode_and_normalize_are_bit_identical_for_every_value() {
+    let img = TiffImage::new(256, 256, PixelData::U16((0..=u16::MAX).collect())).unwrap();
+    for endian in [Endian::Little, Endian::Big] {
+        assert_u16_decode_matches(&img, &img.encode(endian).unwrap(), &format!("{endian:?}"));
     }
 }
 
 #[test]
-fn normalized_decode_matches_for_every_kind_and_ragged_strips() {
-    // 300 u32 columns are 1200 B a row, so 54 rows fill a 64 KiB strip and
-    // 131 rows make strips of 54, 54 and 23: the last one is short.
+fn u16_decode_handles_ragged_strips_and_refuses_other_kinds() {
+    // 300 u16 columns are 600 B a row, so 109 rows fill a 64 KiB strip and
+    // 131 rows make strips of 109 and 22: the last one is short.
     let (w, h) = (300u32, 131u32);
     let n = (w * h) as usize;
     let mix = |i: usize| (i as u32).wrapping_mul(2654435761);
-    let images = [
+    let img = TiffImage::new(w, h, PixelData::U16((0..n).map(|i| (mix(i) >> 16) as u16).collect()))
+        .unwrap();
+    for endian in [Endian::Little, Endian::Big] {
+        let what = format!("ragged {endian:?}");
+        assert_u16_decode_matches(&img, &img.encode(endian).unwrap(), &what);
+    }
+    let others = [
         TiffImage::new(w, h, PixelData::U8((0..n).map(|i| (mix(i) >> 24) as u8).collect())),
-        TiffImage::new(w, h, PixelData::U16((0..n).map(|i| (mix(i) >> 16) as u16).collect())),
-        TiffImage::new(
-            w,
-            h,
-            PixelData::U32((0..n).map(|i| if i == 0 { u32::MAX } else { mix(i) }).collect()),
-        ),
-        TiffImage::new(w, h, PixelData::F32((0..n).map(|i| mix(i) as f32 / 3e9 - 0.25).collect())),
+        TiffImage::new(w, h, PixelData::U32((0..n).map(mix).collect())),
+        TiffImage::new(w, h, PixelData::F32((0..n).map(|i| mix(i) as f32 / 3e9).collect())),
     ];
-    for img in images {
+    for img in others {
         let img = img.unwrap();
-        for endian in [Endian::Little, Endian::Big] {
-            let bytes = img.encode(endian).unwrap();
-            let what = format!("{:?} {endian:?}", img.kind());
-            assert_normalized_matches(&img, &bytes, &what);
+        let bytes = img.encode(Endian::Little).unwrap();
+        let mut out = vec![7u16; n];
+        match Page::first(&bytes).unwrap().decode_u16_into(&mut out) {
+            Err(TiffError::Unsupported(m)) => {
+                assert_eq!(m, format!("{:?} samples where 16-bit ones are wanted", img.kind()))
+            }
+            other => panic!("{:?}: {other:?}", img.kind()),
         }
+        assert!(out.iter().all(|&v| v == 7), "{:?}: a refusal wrote samples", img.kind());
     }
 }
 
@@ -263,10 +260,10 @@ fn both_decodes_reject_bad_strips_with_the_same_structured_errors() {
     const STRIP_BYTE_COUNTS: u16 = 279;
     let img = TiffImage::new(16, 8, PixelData::U16((0..128).collect())).unwrap();
     let good = img.encode(Endian::Little).unwrap();
-    let mut out = vec![0f32; 128];
+    let mut out = vec![0u16; 128];
     let mut both = |bytes: &[u8]| {
         let typed = TiffImage::decode(bytes).unwrap_err();
-        (typed, TiffImage::decode_normalized_into(bytes, &mut out).unwrap_err())
+        (typed, Page::first(bytes).unwrap().decode_u16_into(&mut out).unwrap_err())
     };
 
     // A strip that runs past the end of the file.
@@ -298,17 +295,16 @@ fn both_decodes_reject_bad_strips_with_the_same_structured_errors() {
     assert!(matches!((a, b), (TiffError::Malformed(_), TiffError::Malformed(_))));
 
     // An output buffer of the wrong length converts nothing.
-    let mut wrong = vec![7f32; 127];
+    let mut wrong = vec![7u16; 127];
     assert!(matches!(
-        TiffImage::decode_normalized_into(&good, &mut wrong),
+        Page::first(&good).unwrap().decode_u16_into(&mut wrong),
         Err(TiffError::DimensionMismatch { expected: 128, got: 127 })
     ));
-    assert!(wrong.iter().all(|&v| v == 7.0));
+    assert!(wrong.iter().all(|&v| v == 7));
 }
 
 #[test]
 fn pages_expose_dimensions_before_any_sample_is_decoded() {
-    use dtiff::Page;
     let img = gradient_u8(4, 6);
     let mut bytes = img.encode(Endian::Little).unwrap();
     // Wreck the strip data: the IFD still parses.
@@ -349,8 +345,8 @@ fn two_page_file_decodes_as_its_first_page() {
     bytes[next_two..next_two + 4].copy_from_slice(&(one as u32).to_le_bytes());
 
     assert_eq!(TiffImage::decode(&bytes).unwrap(), first);
-    let mut out = vec![0f32; 24];
-    assert_eq!(TiffImage::decode_normalized_into(&bytes, &mut out).unwrap(), (4, 6));
+    let page = Page::first(&bytes).unwrap();
+    assert_eq!((page.width(), page.height(), page.kind()), (4, 6, PixelKind::U8));
     // The appended page is well formed: a file that starts at its IFD
     // decodes to `second`.
     bytes[4..8].copy_from_slice(&(two as u32).to_le_bytes());
