@@ -6,97 +6,15 @@ use crate::recover::PartialCompletion;
 use crate::stats::RedistStats;
 use minimpi::{bytes_of, uninit_bytes_of_mut, Comm, Datatype, Pod};
 use std::mem::MaybeUninit;
-use std::ops::{Index, Range, RangeFull};
 
 /// Marker trait for element types DDR can move: any plain-old-data type.
 pub use minimpi::Pod as Element;
 
-mod sealed {
-    pub trait Sealed {}
-}
-
-/// Where [`Plan::reorganize`] gets this rank's owned chunks from: held in
-/// the caller's memory, or made round by round by a [`Produce`].
-///
-/// Held chunks are any `&S` that indexes as a slice of `C: AsRef<[T]>` —
-/// `&[&[T]]`, `&Vec<&[T]>`, `&[Vec<T>]`, `&[&v; N]` — in owned-chunk order,
-/// and every round rides one exchange. Sealed: these two are the only
-/// sources.
-pub trait ChunkSource<T>: sealed::Sealed {
-    /// What fetching a chunk can fail with; the call's own errors convert
-    /// into it.
-    type Error: From<DdrError>;
-    /// How many chunks a held source holds; `None` for a producer.
-    fn held(&self) -> Option<usize>;
-    /// The owned chunks of consecutive `rounds`, asked once per exchange in
-    /// round order; a producer makes its one chunk in `scratch`.
-    fn chunks<'a>(
-        &'a mut self,
-        rounds: Range<usize>,
-        scratch: &'a mut Vec<T>,
-    ) -> std::result::Result<Vec<&'a [T]>, Self::Error>;
-}
-
-impl<S: ?Sized> sealed::Sealed for &S {}
-
-impl<'s, T, C: 's, S> ChunkSource<T> for &'s S
-where
-    S: ?Sized + Index<RangeFull, Output = [C]>,
-    C: AsRef<[T]>,
-{
-    type Error = DdrError;
-    fn held(&self) -> Option<usize> {
-        Some(self[..].len())
-    }
-    fn chunks<'a>(&'a mut self, rounds: Range<usize>, _: &'a mut Vec<T>) -> Result<Vec<&'a [T]>> {
-        Ok(self[..][rounds].iter().map(AsRef::as_ref).collect())
-    }
-}
-
-/// A [`ChunkSource`] that makes each owned chunk when its round comes.
-///
-/// Right before round `r`'s exchange, the closure `f(r, &mut chunk)` must
-/// leave exactly owned chunk `r`'s elements in `chunk` (anything else is
-/// [`DdrError::BufferMismatch`] naming the round). `chunk` is one buffer,
-/// handed back as the previous round left it, so a rank that owns many
-/// chunks — a reader walking a stack of images — keeps one of them in
-/// memory instead of all. The closure is called once per owned chunk, in
-/// round order, and never for the padded rounds of a rank that owns fewer
-/// chunks than its peers. Each round is an exchange of its own, because the
-/// one buffer holds one round's chunk.
-///
-/// The closure's own error `E` returns at once. The peers are then inside
-/// that round, and see this rank's exit as any other dead peer: a
-/// structured error, within the watchdog.
-pub struct Produce<F>(pub F);
-
-impl<F> sealed::Sealed for Produce<F> {}
-
-impl<T, E, F> ChunkSource<T> for Produce<F>
-where
-    E: From<DdrError>,
-    F: FnMut(usize, &mut Vec<T>) -> std::result::Result<(), E>,
-{
-    type Error = E;
-    fn held(&self) -> Option<usize> {
-        None
-    }
-    fn chunks<'a>(
-        &'a mut self,
-        rounds: Range<usize>,
-        scratch: &'a mut Vec<T>,
-    ) -> std::result::Result<Vec<&'a [T]>, E> {
-        debug_assert_eq!(rounds.len(), 1, "one buffer holds one round's chunk");
-        (self.0)(rounds.start, scratch)?;
-        Ok(vec![scratch])
-    }
-}
-
 impl Plan {
     /// What every call checks before the first message: this plan's
-    /// communicator, rank and element size, and a held source's chunk
-    /// count.
-    fn check_call<T: Pod>(&self, comm: &Comm, held: Option<usize>) -> Result<()> {
+    /// communicator, rank and element size, and the owned chunks' count and
+    /// lengths.
+    fn check_call<T: Pod, C: AsRef<[T]>>(&self, comm: &Comm, owned: &[C]) -> Result<()> {
         if comm.size() != self.nprocs {
             return Err(DdrError::ProcessCountMismatch {
                 descriptor: self.nprocs,
@@ -115,66 +33,75 @@ impl Plan {
                 ),
             });
         }
-        if let Some(k) = held.filter(|&k| k != self.owned.len()) {
+        if owned.len() != self.owned.len() {
             return Err(DdrError::BufferMismatch {
                 detail: format!(
-                    "{k} owned buffers passed but {} chunks registered",
+                    "{} owned buffers passed but {} chunks registered",
+                    owned.len(),
                     self.owned.len()
                 ),
             });
         }
+        for (c, (chunk, block)) in owned.iter().zip(&self.owned).enumerate() {
+            let len = chunk.as_ref().len();
+            if len as u64 != block.count() {
+                return Err(DdrError::BufferMismatch {
+                    detail: format!(
+                        "round {c}: chunk has {len} elements but chunk {block:?} holds {}",
+                        block.count()
+                    ),
+                });
+            }
+        }
         Ok(())
     }
 
-    /// Collective: move this rank's owned chunks, taken from `source`, into
-    /// its needed block in `need` — the paper's `DDR_ReorganizeData`
+    /// Collective: move this rank's `owned` chunks, in owned-chunk order,
+    /// into its needed block in `need` — the paper's `DDR_ReorganizeData`
     /// (§III-C). May be called any number of times with fresh data; the
     /// mapping is reused (the paper's "dynamic data" property), and so is
     /// `need`'s allocation.
     ///
     /// The paper runs one `alltoallw` per round because MPI stages every
     /// message, so rounds bound staging memory. A zero-copy loan stages
-    /// nothing, so held chunks ride one exchange for every round; a
-    /// [`Produce`] takes one exchange per round. Each exchange passes its
-    /// rounds' slice of the part lists the setup call built with the plan,
-    /// so a call only binds its buffers to them.
+    /// nothing, so every round rides one exchange, passing the part lists
+    /// the setup call built with the plan: a call only binds its buffers to
+    /// them. A caller that must bound its memory splits the work into
+    /// several plans, as the stack loader does with its z-slabs.
     ///
     /// `need` is cleared, written through its spare capacity and given the
-    /// needed block's element count only after the last exchange. When
-    /// this rank's receive regions tile its needed block — pairwise
-    /// disjoint, their counts summing to the block's, a fact of the plan —
-    /// every element is written exactly once and nothing zeroes `need`
-    /// first. Otherwise (a need overhanging the domain under
+    /// needed block's element count only after the exchange. When this
+    /// rank's receive regions tile its needed block — pairwise disjoint,
+    /// their counts summing to the block's, a fact of the plan — every
+    /// element is written exactly once and nothing zeroes `need` first.
+    /// Otherwise (a need overhanging the domain under
     /// [`crate::ValidationPolicy::Relaxed`], owned blocks overlapping under
     /// [`crate::ValidationPolicy::Skip`]) it is zeroed first, so an element
     /// no round delivers reads 0.
     ///
-    /// On peer failure (a rank died, or its loan was dropped) every
-    /// exchange is still drained, so every byte that can arrive does. The
-    /// receive regions lost read 0, `need` has its full length, and the
-    /// call returns [`DdrError::Incomplete`] carrying a [`PartialCompletion`]
-    /// of what was delivered and lost, per peer and per round. A source
-    /// lost in an exchange is lost in every round of it that received from
-    /// that source. Any other error — a mismatched buffer, a producer's own
-    /// error, this rank fault-killed — leaves `need` empty.
-    pub fn reorganize<T: Element, S: ChunkSource<T>>(
+    /// On peer failure (a rank died, or its loan was dropped) the exchange
+    /// is still drained, so every byte that can arrive does. The receive
+    /// regions lost read 0, `need` has its full length, and the call
+    /// returns [`DdrError::Incomplete`] carrying a [`PartialCompletion`] of
+    /// what was delivered and lost, per peer and per round: a lost source
+    /// is lost in every round that received from it. Any other error — a
+    /// mismatched buffer, this rank fault-killed — leaves `need` empty.
+    pub fn reorganize<T: Element, C: AsRef<[T]>>(
         &self,
         comm: &Comm,
-        source: S,
+        owned: &[C],
         need: &mut Vec<T>,
-    ) -> std::result::Result<(), S::Error> {
-        let held = source.held();
-        self.check_call::<T>(comm, held)?;
-        let n = self.need.map_or(0, |b| b.count()) as usize;
+    ) -> Result<()> {
         need.clear();
+        self.check_call::<T, C>(comm, owned)?;
+        let n = self.need.map_or(0, |b| b.count()) as usize;
         need.reserve(n);
         let bytes = uninit_bytes_of_mut(&mut need.spare_capacity_mut()[..n]);
         if !self.tiled {
             bytes.fill(MaybeUninit::new(0));
         }
-        let failures = self.exchange_rounds(comm, source, bytes)?;
-        let lost =
-            (!failures.is_empty()).then(|| PartialCompletion::from_failures(self, &failures));
+        let failed = self.exchange_rounds(comm, owned, bytes)?;
+        let lost = (!failed.is_empty()).then(|| PartialCompletion::from_failures(self, &failed));
         if let Some(report) = &lost {
             self.zero_lost(report, bytes);
         }
@@ -187,10 +114,7 @@ impl Plan {
         // `zero_lost` every byte of those it does.
         unsafe { need.set_len(n) };
         if ddrtrace::enabled() {
-            let mut stats = RedistStats::from_plan(self, lost.as_ref());
-            if held.is_none() {
-                stats.exchanges = stats.rounds;
-            }
+            let stats = RedistStats::from_plan(self, lost.as_ref());
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
             ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
@@ -200,110 +124,61 @@ impl Plan {
         }
         match lost {
             None => Ok(()),
-            Some(report) => Err(DdrError::Incomplete(Box::new(report)).into()),
+            Some(report) => Err(DdrError::Incomplete(Box::new(report))),
         }
     }
 
-    /// The [`RedistStats`] a fully successful held-chunk run of this plan
-    /// accounts for, on any universe.
+    /// The [`RedistStats`] a fully successful run of this plan accounts
+    /// for, on any universe.
     pub fn expected_stats(&self) -> RedistStats {
         RedistStats::from_plan(self, None)
     }
 
-    /// Zero every receive region `report` names as lost in a tiled need
-    /// buffer: the exchange left them unwritten. An untiled buffer was
-    /// zeroed in full before the exchange, and a lost region there may
-    /// overlap a delivered one, so it is left as it is.
+    /// Zero every receive region from a peer `report` names as lost in a
+    /// tiled need buffer: the exchange left them unwritten. An untiled
+    /// buffer was zeroed in full before the exchange, and a lost region
+    /// there may overlap a delivered one, so it is left as it is.
     fn zero_lost(&self, report: &PartialCompletion, need: &mut [MaybeUninit<u8>]) {
         if !self.tiled {
             return;
         }
-        for (round, lost) in self.rounds.iter().zip(&report.rounds) {
-            for t in round.recvs.iter().filter(|t| lost.failed_sources.contains(&t.peer)) {
-                for (offset, len) in t.subarray.byte_runs() {
-                    need[offset..offset + len].fill(MaybeUninit::new(0));
-                }
+        let recvs = self.rounds.iter().flat_map(|r| &r.recvs);
+        for t in recvs.filter(|t| report.dead_peers.contains(&t.peer)) {
+            for (offset, len) in t.subarray.byte_runs() {
+                need[offset..offset + len].fill(MaybeUninit::new(0));
             }
         }
     }
 
-    /// The round loop: one salvaging `alltoallw` into `need` per exchange —
-    /// all rounds at once for a held source, one per round for a producer —
-    /// each passing its chunks and each peer's slice of the plan's part
-    /// lists for its rounds. Drains every exchange so the maximum amount of
-    /// data survives a peer death. Returns the `(round, peer)` receives lost.
-    fn exchange_rounds<T: Pod, S: ChunkSource<T>>(
+    /// Every round in one salvaging `alltoallw` into `need`, passing the
+    /// chunks and each peer's part lists; none when there are no rounds.
+    /// Drains every source, so the maximum amount of data survives a peer
+    /// death. Returns the peers whose message was lost.
+    fn exchange_rounds<T: Pod, C: AsRef<[T]>>(
         &self,
         comm: &Comm,
-        mut source: S,
+        owned: &[C],
         need: &mut [MaybeUninit<u8>],
-    ) -> std::result::Result<Vec<(usize, usize)>, S::Error> {
-        let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
-        let n = self.rounds.len();
-        let step = source.held().map_or(1, |_| usize::MAX);
-        let (mut failures, mut scratch) = (Vec::new(), Vec::new());
-        for group in (0..n).step_by(step).map(|start| start..start.saturating_add(step).min(n)) {
-            let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", group.len() as i64);
-            let owned = group.start.min(self.owned.len())..group.end.min(self.owned.len());
-            let chunks = if owned.is_empty() {
-                Vec::new()
-            } else {
-                source.chunks(owned.clone(), &mut scratch)?
-            };
-            for (c, chunk) in owned.zip(&chunks) {
-                let block = &self.owned[c];
-                if chunk.len() as u64 != block.count() {
-                    return Err(DdrError::BufferMismatch {
-                        detail: format!(
-                            "round {c}: chunk has {} elements but chunk {:?} holds {}",
-                            chunk.len(),
-                            block,
-                            block.count()
-                        ),
-                    }
-                    .into());
-                }
-            }
-            let bufs: Vec<&[u8]> = chunks.into_iter().map(bytes_of).collect();
-            let sends: Vec<&[(usize, Datatype)]> = self.parts.sends(group.clone()).collect();
-            // `bufs` holds this exchange's chunks only, so a later exchange's
-            // parts name their chunk from its first round.
-            let rebased: Vec<(usize, Datatype)>;
-            let sends = if group.start == 0 {
-                sends
-            } else {
-                rebased = sends.concat().into_iter().map(|(c, dt)| (c - group.start, dt)).collect();
-                let mut rest = &rebased[..];
-                sends
-                    .iter()
-                    .map(|s| {
-                        let (head, tail) = rest.split_at(s.len());
-                        rest = tail;
-                        head
-                    })
-                    .collect()
-            };
-            let recvs: Vec<&[Datatype]> = self.parts.recvs(group.clone()).collect();
-            let report =
-                comm.alltoallw_parts_uninit(&bufs, &sends, need, &recvs).map_err(DdrError::from)?;
-            for (peer, _) in report.failed {
-                let lost =
-                    group.clone().filter(|&r| self.rounds[r].recvs.iter().any(|t| t.peer == peer));
-                failures.extend(lost.map(|r| (r, peer)));
-            }
+    ) -> Result<Vec<usize>> {
+        let rounds = self.rounds.len() as i64;
+        let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", rounds);
+        if rounds == 0 {
+            return Ok(Vec::new());
         }
-        Ok(failures)
+        let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", rounds);
+        let bufs: Vec<&[u8]> = owned.iter().map(|c| bytes_of(c.as_ref())).collect();
+        let sends: Vec<&[(usize, Datatype)]> = self.parts.sends.iter().map(Vec::as_slice).collect();
+        let recvs: Vec<&[Datatype]> = self.parts.recvs.iter().map(Vec::as_slice).collect();
+        let report = comm.alltoallw_parts_uninit(&bufs, &sends, need, &recvs)?;
+        Ok(report.failed.into_iter().map(|(peer, _)| peer).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Produce;
     use crate::decompose::{brick, near_cubic_grid};
     use crate::recover::PartialCompletion;
-    use crate::{
-        compute_local_plan, Block, DataKind, DdrError, Descriptor, Layout, Plan, RoundPlan,
-    };
+    use crate::{compute_local_plan, Block, DataKind, Descriptor, Layout, Plan, RoundPlan};
     use minimpi::Universe;
     use std::mem::MaybeUninit;
 
@@ -386,10 +261,10 @@ mod tests {
         assert_eq!(got[0].as_deref(), Ok(&[][..]));
     }
 
-    /// One rank, two chunks, held and produced, into a buffer reused from a
-    /// longer call: the tiled need is written once, through the spare
-    /// capacity, and the overhanging one reads 0 where nothing lands. Small
-    /// enough for Miri, which reports any byte read before a write.
+    /// One rank, two chunks, into a buffer reused from a longer call: the
+    /// tiled need is written once, through the spare capacity, and the
+    /// overhanging one reads 0 where nothing lands. Small enough for Miri,
+    /// which reports any byte read before a write.
     #[test]
     fn one_rank_fills_tiled_and_untiled_needs() {
         for (need, want) in
@@ -403,17 +278,10 @@ mod tests {
                 (b.offset[0] as u32..(b.offset[0] + b.dims[0]) as u32).collect::<Vec<u32>>()
             };
             let got = Universe::run(1, |comm| {
-                let mut held = vec![u32::MAX; 12];
-                plan.reorganize(comm, &[chunk(0), chunk(1)], &mut held)?;
-                let mut produced = Vec::new();
-                let make = Produce(|r, buf: &mut Vec<u32>| {
-                    *buf = chunk(r);
-                    Ok::<_, DdrError>(())
-                });
-                plan.reorganize(comm, make, &mut produced)?;
-                Ok::<_, DdrError>((held, produced))
+                let mut need = vec![u32::MAX; 12];
+                plan.reorganize(comm, &[chunk(0), chunk(1)], &mut need).map(|()| need)
             });
-            assert_eq!(got[0], Ok((want.clone(), want)));
+            assert_eq!(got[0], Ok(want));
         }
     }
 
@@ -444,7 +312,7 @@ mod tests {
         ];
         let plan = plans(DataKind::D1, &layouts).remove(0);
         assert!(plan.tiled);
-        for (failures, want) in [(vec![(0, 1)], vec![4, 5, 6, 7]), (vec![], vec![])] {
+        for (failures, want) in [(vec![1], vec![4, 5, 6, 7]), (vec![], vec![])] {
             let report = PartialCompletion::from_failures(&plan, &failures);
             let mut buf = poisoned(8 * 4);
             plan.zero_lost(&report, &mut buf);
@@ -463,7 +331,7 @@ mod tests {
         ];
         let plan = plans(DataKind::D1, &layouts).remove(0);
         assert!(!plan.tiled);
-        let report = PartialCompletion::from_failures(&plan, &[(0, 1)]);
+        let report = PartialCompletion::from_failures(&plan, &[1]);
         let mut buf = poisoned(12 * 4);
         plan.zero_lost(&report, &mut buf);
         assert_eq!(zeroed_elements(&buf), Vec::<usize>::new());

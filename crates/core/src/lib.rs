@@ -13,10 +13,10 @@
 //!    owns and the single block it needs; layouts are allgathered and every
 //!    rank computes the geometric overlaps into a reusable [`Plan`],
 //! 3. **Move the data** — [`Plan::reorganize`] (`DDR_ReorganizeData`,
-//!    §III-C), from chunks the caller holds or a [`Produce`] makes round by
-//!    round, into a `Vec` it reuses: the paper's rounds, whose count equals
-//!    the maximum number of chunks owned by any rank, ride `alltoallw`s of
-//!    subarray datatypes, each message a zero-copy loan.
+//!    §III-C), from the chunks the caller holds into a `Vec` it reuses: the
+//!    paper's rounds, whose count equals the maximum number of chunks owned
+//!    by any rank, ride one `alltoallw` of subarray datatypes, each message
+//!    a zero-copy loan.
 //!
 //! Ownership must be *mutually exclusive and complete* over the domain;
 //! needed blocks may overlap between ranks and may leave parts of the domain
@@ -78,7 +78,7 @@ mod validate;
 pub use block::{bounding_box, Block, MAX_DIMS};
 pub use descriptor::{DataKind, Descriptor};
 pub use error::{DdrError, Result};
-pub use exec::{ChunkSource, Element, Produce};
+pub use exec::Element;
 pub use layout::Layout;
 pub use mapping::compute_local_plan;
 pub use multi::MultiPlan;

@@ -118,7 +118,7 @@ pub fn ddr_setup_data_mapping(
 }
 
 /// `DDR_ReorganizeData`: exchange the data between processes (§III-C) —
-/// [`Plan::reorganize`] over held chunks, after checking `nprocs`.
+/// [`Plan::reorganize`], after checking `nprocs`.
 pub fn ddr_reorganize_data<T: Element>(
     comm: &Comm,
     nprocs: usize,

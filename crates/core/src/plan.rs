@@ -2,7 +2,6 @@
 
 use crate::block::Block;
 use minimpi::{Datatype, Subarray};
-use std::ops::Range;
 
 #[cfg(test)]
 mod facts;
@@ -53,13 +52,9 @@ impl RoundPlan {
     }
 }
 
-/// A plan's `alltoallw` part lists, built once with the plan: every
-/// exchange of the plan passes slices of them, so running it only binds
-/// buffers.
-///
-/// Each peer's parts sit in round order, so the parts of any consecutive
-/// rounds are one sub-slice per peer: all rounds for held chunks, one round
-/// for produced ones.
+/// A plan's `alltoallw` part lists, built once with the plan: its one
+/// exchange passes each peer's whole list, so running it only binds
+/// buffers. Each peer's parts sit in round order.
 ///
 /// Built once per plan, because rebuilding them cost every call. On 2 cores
 /// with 2 ranks, ten alternating pairs of the benchmark's
@@ -70,27 +65,15 @@ impl RoundPlan {
 /// Traced, 3 pairs: `exec.reorganize_ms` 18.9 → 14.6 µs, the same 4 µs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Parts {
-    nprocs: usize,
     /// Per peer, the `(owned-chunk index, selection)` send parts.
-    sends: Vec<Vec<(usize, Datatype)>>,
+    pub(crate) sends: Vec<Vec<(usize, Datatype)>>,
     /// Per peer, the selections of the needed block received.
-    recvs: Vec<Vec<Datatype>>,
-    /// `send_at[r * nprocs + p]`: where round `r`'s parts start in
-    /// `sends[p]`, for `r` in `0..=rounds`.
-    send_at: Vec<usize>,
-    /// The same for `recvs`.
-    recv_at: Vec<usize>,
+    pub(crate) recvs: Vec<Vec<Datatype>>,
 }
 
 impl Parts {
     fn new(nprocs: usize, rounds: &[RoundPlan]) -> Parts {
-        let mut parts = Parts {
-            nprocs,
-            sends: vec![Vec::new(); nprocs],
-            recvs: vec![Vec::new(); nprocs],
-            send_at: vec![0; nprocs],
-            recv_at: vec![0; nprocs],
-        };
+        let mut parts = Parts { sends: vec![Vec::new(); nprocs], recvs: vec![Vec::new(); nprocs] };
         for (r, round) in rounds.iter().enumerate() {
             for t in &round.sends {
                 parts.sends[t.peer].push((r, Datatype::Subarray(t.subarray)));
@@ -98,31 +81,8 @@ impl Parts {
             for t in &round.recvs {
                 parts.recvs[t.peer].push(Datatype::Subarray(t.subarray));
             }
-            parts.send_at.extend(parts.sends.iter().map(Vec::len));
-            parts.recv_at.extend(parts.recvs.iter().map(Vec::len));
         }
         parts
-    }
-
-    /// Each peer's send parts of rounds `rounds`, in peer order.
-    pub(crate) fn sends(
-        &self,
-        rounds: Range<usize>,
-    ) -> impl Iterator<Item = &[(usize, Datatype)]> + '_ {
-        let (a, b) = (rounds.start * self.nprocs, rounds.end * self.nprocs);
-        self.sends
-            .iter()
-            .enumerate()
-            .map(move |(p, s)| &s[self.send_at[a + p]..self.send_at[b + p]])
-    }
-
-    /// Each peer's receive parts of rounds `rounds`, in peer order.
-    pub(crate) fn recvs(&self, rounds: Range<usize>) -> impl Iterator<Item = &[Datatype]> + '_ {
-        let (a, b) = (rounds.start * self.nprocs, rounds.end * self.nprocs);
-        self.recvs
-            .iter()
-            .enumerate()
-            .map(move |(p, s)| &s[self.recv_at[a + p]..self.recv_at[b + p]])
     }
 }
 

@@ -4,10 +4,9 @@
 //!
 //! - `tiled` is true exactly when every cell of the needed block is covered
 //!   by exactly one owned chunk, counted on a cell-owner array;
-//! - each peer's per-round sub-slices, concatenated in round order, equal
-//!   its held (all-round) list;
-//! - both equal `rounds[r].sends` / `rounds[r].recvs` filtered by peer, in
-//!   round order.
+//! - each peer's part lists equal the round-ordered concatenation of
+//!   `rounds[r].sends` / `rounds[r].recvs` filtered by peer, every send
+//!   naming its round's chunk.
 //!
 //! Scope: every partition of a 1-D domain of length ≤ 8 among ≤ 3 ranks with
 //! ≤ 2 chunks each (`Strict` owners), every pair of possibly overlapping
@@ -24,34 +23,17 @@ fn check(layouts: &[Layout], rank: usize, desc: &Descriptor) {
     let plan = compute_local_plan(rank, layouts, desc).unwrap();
     let case = || format!("rank {rank} of {layouts:?}");
     assert_eq!(plan.tiled, covered_once(layouts, &layouts[rank].need), "tiled: {}", case());
-    let (n, rounds) = (plan.nprocs, plan.rounds.len());
-    let held_sends: Vec<_> = plan.parts.sends(0..rounds).collect();
-    let held_recvs: Vec<_> = plan.parts.recvs(0..rounds).collect();
-    assert_eq!((held_sends.len(), held_recvs.len()), (n, n), "{}", case());
+    let n = plan.nprocs;
+    assert_eq!((plan.parts.sends.len(), plan.parts.recvs.len()), (n, n), "{}", case());
     for p in 0..n {
-        // Walk the held lists round by round: each round's sub-slice must be
-        // the next piece of them, and must be the round's transfers.
-        let (mut s_at, mut r_at) = (0, 0);
+        let (mut sends, mut recvs) = (Vec::new(), Vec::new());
         for (r, round) in plan.rounds.iter().enumerate() {
-            let sends = plan.parts.sends(r..r + 1).nth(p).unwrap();
-            let recvs = plan.parts.recvs(r..r + 1).nth(p).unwrap();
-            assert_eq!(Some(sends), held_sends[p].get(s_at..s_at + sends.len()), "{}", case());
-            assert_eq!(Some(recvs), held_recvs[p].get(r_at..r_at + recvs.len()), "{}", case());
-            (s_at, r_at) = (s_at + sends.len(), r_at + recvs.len());
-            let to_p = |ts: &[Transfer]| -> Vec<Datatype> {
-                ts.iter().filter(|t| t.peer == p).map(|t| Datatype::Subarray(t.subarray)).collect()
-            };
-            let send_dts: Vec<Datatype> = sends
-                .iter()
-                .map(|&(c, dt)| {
-                    assert_eq!(c, r, "round {r} sends its own chunk: {}", case());
-                    dt
-                })
-                .collect();
-            assert_eq!(send_dts, to_p(&round.sends), "round {r}, peer {p} sends: {}", case());
-            assert_eq!(recvs, to_p(&round.recvs), "round {r}, peer {p} recvs: {}", case());
+            let subarray = |t: &Transfer| Datatype::Subarray(t.subarray);
+            sends.extend(round.sends.iter().filter(|t| t.peer == p).map(|t| (r, subarray(t))));
+            recvs.extend(round.recvs.iter().filter(|t| t.peer == p).map(subarray));
         }
-        assert_eq!((s_at, r_at), (held_sends[p].len(), held_recvs[p].len()), "{}", case());
+        assert_eq!(plan.parts.sends[p], sends, "peer {p} sends: {}", case());
+        assert_eq!(plan.parts.recvs[p], recvs, "peer {p} recvs: {}", case());
     }
 }
 

@@ -56,37 +56,28 @@ pub struct PartialCompletion {
 }
 
 impl PartialCompletion {
-    /// Build the report from the plan and the set of `(round, peer)` receive
-    /// failures observed during a salvaged reorganize.
-    pub(crate) fn from_failures(plan: &Plan, failures: &[(usize, usize)]) -> Self {
+    /// Build the report from the plan and the peers whose message a
+    /// salvaged reorganize lost: one exchange carries every round, so each
+    /// is lost in every round that received from it.
+    pub(crate) fn from_failures(plan: &Plan, failed: &[usize]) -> Self {
         let rank = plan.rank();
         let rounds = plan
             .rounds()
             .iter()
             .enumerate()
             .map(|(r, round)| {
-                let failed: Vec<usize> = round
-                    .recvs
-                    .iter()
-                    .map(|t| t.peer)
-                    .filter(|&p| failures.contains(&(r, p)))
-                    .collect();
-                let missing_bytes: u64 = round
-                    .recvs
-                    .iter()
-                    .filter(|t| failed.contains(&t.peer))
-                    .map(|t| t.bytes())
-                    .sum();
+                let lost = || round.recvs.iter().filter(|t| failed.contains(&t.peer));
+                let missing_bytes: u64 = lost().map(|t| t.bytes()).sum();
                 let expected: u64 = round.recv_bytes(rank) + round.local_bytes(rank);
                 RoundReport {
                     round: r,
                     delivered_bytes: expected - missing_bytes,
                     missing_bytes,
-                    failed_sources: failed,
+                    failed_sources: lost().map(|t| t.peer).collect(),
                 }
             })
             .collect::<Vec<_>>();
-        let mut dead_peers: Vec<usize> = failures.iter().map(|&(_, p)| p).collect();
+        let mut dead_peers = failed.to_vec();
         dead_peers.sort_unstable();
         dead_peers.dedup();
         PartialCompletion { rank, dead_peers, rounds }
@@ -190,8 +181,8 @@ mod tests {
         let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
         let plan = compute_local_plan(0, &e1_layouts(), &desc).unwrap();
         // Rank 0's round-0 receives: one 4x1 half-row (16 bytes) from each
-        // of ranks 0..4. Lose rank 2 in round 0.
-        let pc = PartialCompletion::from_failures(&plan, &[(0, 2)]);
+        // of ranks 0..4; round 1 sends it nothing. Lose rank 2.
+        let pc = PartialCompletion::from_failures(&plan, &[2]);
         assert_eq!(pc.dead_peers, vec![2]);
         assert_eq!(pc.rounds[0].missing_bytes, 16);
         assert_eq!(pc.rounds[0].delivered_bytes, 48);
@@ -217,7 +208,7 @@ mod tests {
     fn display_reads_naturally() {
         let desc = Descriptor::new(4, DataKind::D2, 4).unwrap();
         let plan = compute_local_plan(0, &e1_layouts(), &desc).unwrap();
-        let pc = PartialCompletion::from_failures(&plan, &[(0, 2)]);
+        let pc = PartialCompletion::from_failures(&plan, &[2]);
         let s = pc.to_string();
         assert!(s.contains("48 of 64 bytes delivered"), "{s}");
         assert!(s.contains("[2]"), "{s}");

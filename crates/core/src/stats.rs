@@ -21,8 +21,8 @@ pub struct RedistStats {
     /// Number of logical communication rounds executed (the paper's
     /// `MPI_Alltoallw` calls).
     pub rounds: usize,
-    /// Number of physical exchanges that carried them: one for held chunks
-    /// when there are rounds, one per round for a [`crate::Produce`].
+    /// Number of physical exchanges that carried them: one when there are
+    /// rounds.
     pub exchanges: usize,
     /// Bytes shipped to other ranks.
     pub sent_bytes: u64,
@@ -42,8 +42,8 @@ pub struct RedistStats {
 }
 
 impl RedistStats {
-    /// Account a held-chunk [`Plan::reorganize`] of `plan` — every round in
-    /// one exchange — that lost what `lost` names: `None` for a run that
+    /// Account a [`Plan::reorganize`] of `plan` — every round in one
+    /// exchange — that lost what `lost` names: `None` for a run that
     /// returned `Ok`, the report of its [`crate::DdrError::Incomplete`]
     /// otherwise.
     pub fn from_plan(plan: &Plan, lost: Option<&PartialCompletion>) -> RedistStats {

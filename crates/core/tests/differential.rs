@@ -5,13 +5,10 @@
 //! value), also under a fault plan, whose rules act on the loans: there a
 //! lost region reads 0 and the [`RedistStats`] derived from the plan and
 //! the loss report count it. The headline property: a producer → consumer
-//! → producer round-trip is the identity on the data. The same cases also
-//! run through a [`Produce`], which makes each chunk in its round instead
-//! of holding them all.
+//! → producer round-trip is the identity on the data.
 
 use ddr_core::{
-    decompose, Block, DataKind, DdrError, Descriptor, Layout, Produce, RedistStats,
-    ValidationPolicy,
+    decompose, Block, DataKind, DdrError, Descriptor, Layout, RedistStats, ValidationPolicy,
 };
 use minimpi::{Counter, Counts, FaultPlan, Universe};
 use proptest::prelude::*;
@@ -176,40 +173,6 @@ fn assert_matches_oracle(seed: u64, case: &Case, runs: &[RankRun]) {
     }
 }
 
-/// The core differential suite: 50 seeded layout pairs against the oracle.
-#[test]
-fn fifty_seeded_cases_match_the_oracle() {
-    for seed in 0..50u64 {
-        let case = case_from_seed(seed);
-        assert_matches_oracle(seed, &case, &run_path(&case));
-    }
-}
-
-/// Execute `case` through the producer-driven entry: each owned chunk is
-/// generated when its round asks for it, in the one buffer every round
-/// reuses. Returns each rank's need buffer, as the entry returns it, and the
-/// rounds its producer was called for, in call order.
-fn run_produced(case: &Case) -> Vec<(Vec<u64>, Vec<usize>)> {
-    let layouts = &case.layouts;
-    let (kind, nprocs) = (case.kind, case.nprocs);
-    Universe::builder().run(nprocs, move |comm| {
-        let me = &layouts[comm.rank()];
-        let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
-        let plan = desc
-            .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
-            .unwrap();
-        let (mut asked, mut need) = (Vec::new(), Vec::new());
-        let produce = Produce(|round: usize, chunk: &mut Vec<u64>| {
-            asked.push(round);
-            chunk.clear();
-            chunk.extend(me.owned[round].coords().map(cell_value));
-            Ok::<(), DdrError>(())
-        });
-        plan.reorganize(comm, produce, &mut need).unwrap();
-        (need, asked)
-    })
-}
-
 /// Rank 0 owns three chunks, rank 1 one, rank 2 none: three rounds, of which
 /// rank 1 pads two and rank 2 all.
 fn ragged_case() -> Case {
@@ -225,27 +188,17 @@ fn ragged_case() -> Case {
     }
 }
 
-/// The producer-driven and the slice-driven entry are one loop: both must
-/// reproduce the serial oracle byte for byte on the suite's layouts, and the
-/// producer must be asked for each owned chunk exactly once, in round order,
-/// and never for a padded round.
+/// The core differential suite: 50 seeded layout pairs and the ragged case
+/// against the oracle, some of them with ranks of different chunk counts.
 #[test]
-fn produced_and_held_chunks_are_byte_identical_to_the_oracle() {
+fn fifty_seeded_cases_match_the_oracle() {
     let mut ragged = 0;
     for (seed, case) in
         (0..50u64).map(|s| (s, case_from_seed(s))).chain([(u64::MAX, ragged_case())])
     {
-        let produced = run_produced(&case);
-        let held = run_path(&case);
         let chunks: Vec<usize> = case.layouts.iter().map(|l| l.owned.len()).collect();
         ragged += chunks.iter().any(|&c| c != chunks[0]) as usize;
-        for (r, ((need, asked), held)) in produced.iter().zip(&held).enumerate() {
-            let want = oracle(&case, r);
-            assert_eq!(need, &want, "seed {seed}: rank {r} produced-chunk buffer wrong");
-            assert_eq!(held.need, want, "seed {seed}: rank {r} held-chunk buffer wrong");
-            let owned: Vec<usize> = (0..chunks[r]).collect();
-            assert_eq!(asked, &owned, "seed {seed}: rank {r} producer calls");
-        }
+        assert_matches_oracle(seed, &case, &run_path(&case));
     }
     assert!(ragged > 0, "no case had ranks with different chunk counts");
 }

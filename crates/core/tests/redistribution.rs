@@ -1,7 +1,7 @@
 //! End-to-end redistribution tests: real rank threads, real exchanges,
 //! verified against a global reference array.
 
-use ddr_core::{Block, DataKind, Descriptor, Layout, Produce, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Layout, ValidationPolicy};
 use minimpi::Universe;
 
 /// Global reference value at a coordinate: unique per cell.
@@ -229,117 +229,28 @@ fn buffer_mismatches_are_rejected() {
         // on the communicator state).
         plan.reorganize(comm, &[&ok], &mut need_buf).unwrap();
         assert_eq!(need_buf, [0; 4]);
-    });
-}
 
-#[test]
-fn produced_chunk_of_wrong_length_is_a_buffer_mismatch_naming_the_round() {
-    Universe::run(1, |comm| {
-        let owned = [Block::d1(0, 5).unwrap(), Block::d1(5, 3).unwrap()];
-        let need = Block::d1(0, 8).unwrap();
-        let desc = Descriptor::for_type::<u32>(1, DataKind::D1).unwrap();
+        // Two chunks per rank, chunk 1 one element short: refused naming
+        // its round, with the need buffer that came in full left empty.
+        let owned = [Block::d1(4 * r, 2).unwrap(), Block::d1(4 * r + 2, 2).unwrap()];
         let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
-
-        // The buffer comes back as round 0 left it: five elements, where
-        // chunk 1 holds three. The need buffer comes back empty.
-        let mut out = vec![9; 8];
-        let err = plan
-            .reorganize(
-                comm,
-                Produce(|r, chunk: &mut Vec<u32>| {
-                    if r == 0 {
-                        chunk.extend(0..5);
-                    }
-                    Ok::<(), ddr_core::DdrError>(())
-                }),
-                &mut out,
-            )
-            .unwrap_err();
+        let chunks: Vec<Vec<u32>> =
+            owned.iter().map(|b| b.coords().map(|c| c[0] as u32).collect()).collect();
+        let short = &chunks[1][..1];
+        let err = plan.reorganize(comm, &[&chunks[0][..], short], &mut need_buf).unwrap_err();
         assert!(
             matches!(&err, ddr_core::DdrError::BufferMismatch { detail } if detail.starts_with("round 1:")),
             "{err}"
         );
-        assert_eq!(out, []);
-
-        // An element type of the wrong size is refused before the producer
-        // is asked for anything.
-        let not_called =
-            |_, _: &mut Vec<u64>| -> Result<(), ddr_core::DdrError> { unreachable!("not called") };
-        let refused = plan.reorganize(comm, Produce(not_called), &mut Vec::new());
-        assert!(matches!(refused, Err(ddr_core::DdrError::BufferMismatch { .. })));
-
-        // A producer's own error comes back as it is, from the round it
-        // happened in, with an empty buffer.
-        let mut asked = Vec::new();
-        let produce = Produce(|r, chunk: &mut Vec<u32>| {
-            asked.push(r);
-            chunk.resize(5, 0);
-            if r == 1 {
-                Err(ProducerError::Own("slice unreadable".into()))
-            } else {
-                Ok(())
-            }
-        });
-        let own = plan.reorganize(comm, produce, &mut out);
-        assert_eq!(own, Err(ProducerError::Own("slice unreadable".into())));
-        assert_eq!(asked, [0, 1]);
-        assert_eq!(out, []);
-
-        // The same plan still fills its need afterwards.
-        let produce = Produce(|r, chunk: &mut Vec<u32>| {
-            *chunk = if r == 0 { (0..5).collect() } else { (5..8).collect() };
-            Ok::<(), ddr_core::DdrError>(())
-        });
-        plan.reorganize(comm, produce, &mut out).unwrap();
-        assert_eq!(out, (0..8).collect::<Vec<u32>>());
+        assert_eq!(need_buf, []);
+        plan.reorganize(comm, &chunks, &mut need_buf).unwrap();
+        assert_eq!(need_buf, need.coords().map(|c| c[0] as u32).collect::<Vec<_>>());
     });
-}
-
-/// A message lost on the wire fails the produced run with
-/// [`ddr_core::DdrError::Incomplete`] naming its source, and the elements
-/// that message carried read 0.
-#[test]
-fn dropped_message_fails_a_produced_run_naming_the_source() {
-    // `compute_local_plan` sends no setup traffic, so rank 0's first message
-    // to rank 1 is round 0's.
-    let d1 = |off, len| Block::d1(off, len).unwrap();
-    let layouts = vec![
-        Layout { owned: vec![d1(0, 4), d1(8, 4)], need: d1(0, 6) },
-        Layout { owned: vec![d1(4, 4), d1(12, 4)], need: d1(2, 14) },
-    ];
-    let layouts = &layouts;
-    let out = Universe::builder()
-        .timeout(std::time::Duration::from_millis(300))
-        .fault_plan(minimpi::FaultPlan::new().drop_message(0, 1, None, 0))
-        .run(2, move |comm| {
-            let me = &layouts[comm.rank()];
-            let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
-            let plan = ddr_core::compute_local_plan(comm.rank(), layouts, &desc).unwrap();
-            let produce = Produce(|r: usize, chunk: &mut Vec<u64>| {
-                *chunk = fill(&me.owned[r]);
-                Ok::<(), ddr_core::DdrError>(())
-            });
-            let mut need = Vec::new();
-            (plan.reorganize(comm, produce, &mut need), need)
-        });
-    assert_eq!(out[0], (Ok(()), fill(&layouts[0].need)));
-    match &out[1] {
-        (Err(ddr_core::DdrError::Incomplete(report)), need) => {
-            assert_eq!(report.dead_peers, vec![0]);
-            assert_eq!(report.rounds[0].failed_sources, vec![0]);
-            assert!(report.rounds[1].failed_sources.is_empty());
-            // Round 0 lost [2, 4) from rank 0; everything else arrived.
-            let mut want = fill(&layouts[1].need);
-            want[..2].fill(0);
-            assert_eq!(need, &want);
-        }
-        other => panic!("rank 1: expected Incomplete, got {other:?}"),
-    }
 }
 
 /// Layouts whose receives do not tile every need: a `Relaxed` need that
 /// overhangs the domain, and a `Skip`-admitted owner overlap. The buffer is
-/// zeroed first, so uncovered cells read 0, held and produced alike.
+/// zeroed first, so uncovered cells read 0.
 #[test]
 fn untiled_needs_read_zero_where_nothing_lands() {
     let d1 = |off, len| Block::d1(off, len).unwrap();
@@ -365,19 +276,13 @@ fn untiled_needs_read_zero_where_nothing_lands() {
             let me = &layouts[comm.rank()];
             let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
             let plan = desc.setup_data_mapping_with(comm, &me.owned, me.need, policy).unwrap();
-            let mut produced = Vec::new();
-            let produce = Produce(|r: usize, chunk: &mut Vec<u64>| {
-                *chunk = fill(&me.owned[r]);
-                Ok::<(), ddr_core::DdrError>(())
-            });
-            plan.reorganize(comm, produce, &mut produced).unwrap();
             let owned_data: Vec<Vec<u64>> = me.owned.iter().map(fill).collect();
             let mut held = vec![u64::MAX; 3];
             plan.reorganize(comm, &owned_data, &mut held).unwrap();
-            (produced, held)
+            held
         });
         let mut holes = 0;
-        for (rank, (produced, held)) in out.iter().enumerate() {
+        for (rank, held) in out.iter().enumerate() {
             let need = layouts[rank].need;
             let covered = |x: usize| {
                 layouts.iter().any(|l| l.owned.iter().any(|b| b.intersect(&d1(x, 1)).is_some()))
@@ -385,24 +290,9 @@ fn untiled_needs_read_zero_where_nothing_lands() {
             let xs = need.offset[0]..need.offset[0] + need.dims[0];
             holes += xs.clone().filter(|&x| !covered(x)).count();
             let want: Vec<u64> = xs.map(|x| if covered(x) { x as u64 } else { 0 }).collect();
-            assert_eq!(produced, &want, "{policy:?} rank {rank}, produced");
-            assert_eq!(held, &want, "{policy:?} rank {rank}, held");
+            assert_eq!(held, &want, "{policy:?} rank {rank}");
         }
         assert!(holes > 0, "{policy:?}: the case has a hole");
-    }
-}
-
-/// A caller-side error type for a [`Produce`]: its own failures, or the
-/// redistribution's.
-#[derive(Debug, PartialEq)]
-enum ProducerError {
-    Own(String),
-    Ddr(ddr_core::DdrError),
-}
-
-impl From<ddr_core::DdrError> for ProducerError {
-    fn from(e: ddr_core::DdrError) -> Self {
-        ProducerError::Ddr(e)
     }
 }
 

@@ -8,7 +8,7 @@
 //! (below 2^32) — instead of whatever the allocator left there.
 
 use ddr_core::decompose::{brick, near_cubic_grid, slab};
-use ddr_core::{Block, DataKind, DdrError, Descriptor, Produce};
+use ddr_core::{Block, DataKind, Descriptor};
 use minimpi::Universe;
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -47,9 +47,8 @@ fn value(domain: &Block, c: [usize; 3]) -> u64 {
 }
 
 /// Each rank owns `owned(rank)` and needs `need(rank)` of `domain`; every
-/// rank's need comes back from a produced-chunk run into a fresh `Vec`, and
-/// from a held-chunk run into a `Vec` whose poisoned capacity exceeds the
-/// need, and each must equal the serial oracle.
+/// rank's need comes back into a `Vec` whose poisoned capacity exceeds the
+/// need, and must equal the serial oracle.
 fn check(
     n: usize,
     domain: Block,
@@ -63,24 +62,16 @@ fn check(
         let desc = Descriptor::for_type::<u64>(n, kind).unwrap();
         let plan = desc.setup_data_mapping(comm, &mine, want).unwrap();
         let chunk = |b: &Block| b.coords().map(|c| value(&domain, c)).collect::<Vec<u64>>();
-        let mut produced = Vec::new();
-        let make = Produce(|round, buf: &mut Vec<u64>| {
-            *buf = chunk(&mine[round]);
-            Ok::<_, DdrError>(())
-        });
-        plan.reorganize(comm, make, &mut produced).unwrap();
-        let held_chunks: Vec<Vec<u64>> = mine.iter().map(chunk).collect();
-        let mut held = Vec::with_capacity(want.count() as usize + 7);
-        plan.reorganize(comm, &held_chunks, &mut held).unwrap();
-        (want, produced, held)
+        let chunks: Vec<Vec<u64>> = mine.iter().map(chunk).collect();
+        let mut got = Vec::with_capacity(want.count() as usize + 7);
+        plan.reorganize(comm, &chunks, &mut got).unwrap();
+        (want, got)
     });
-    for (r, (want, produced, held)) in out.iter().enumerate() {
+    for (r, (want, got)) in out.iter().enumerate() {
         let oracle: Vec<u64> = want.coords().map(|c| value(&domain, c)).collect();
-        for (path, got) in [("produced", produced), ("held", held)] {
-            let unwritten = got.iter().filter(|&&v| v >> 32 != 0).count();
-            assert_eq!(unwritten, 0, "rank {r}, {path}: {unwritten} elements were never written");
-            assert_eq!(got, &oracle, "rank {r}, {path}");
-        }
+        let unwritten = got.iter().filter(|&&v| v >> 32 != 0).count();
+        assert_eq!(unwritten, 0, "rank {r}: {unwritten} elements were never written");
+        assert_eq!(got, &oracle, "rank {r}");
     }
 }
 
