@@ -1,6 +1,5 @@
 //! Error domain of the DDR library.
 
-use crate::recover::PartialCompletion;
 use std::fmt;
 
 /// Errors reported by DDR setup and redistribution.
@@ -65,13 +64,9 @@ pub enum DdrError {
     /// A descriptor for zero processes: there is nobody to redistribute
     /// between.
     NoProcesses,
-    /// Failure in the underlying message-passing runtime.
+    /// Failure in the underlying message-passing runtime, a dead or
+    /// unresponsive peer among them.
     Mpi(minimpi::Error),
-    /// A redistribution lost data to dead or unresponsive peers but drained
-    /// everything else; the report states exactly what arrived and what was
-    /// lost, per peer and per round. Recover with
-    /// [`crate::Descriptor::recover_mapping`].
-    Incomplete(Box<PartialCompletion>),
 }
 
 impl fmt::Display for DdrError {
@@ -102,9 +97,6 @@ impl fmt::Display for DdrError {
             }
             DdrError::NoProcesses => write!(f, "a descriptor needs at least one process"),
             DdrError::Mpi(e) => write!(f, "mpi error: {e}"),
-            DdrError::Incomplete(report) => {
-                write!(f, "redistribution incomplete: {report}")
-            }
         }
     }
 }

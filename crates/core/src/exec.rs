@@ -2,7 +2,6 @@
 
 use crate::error::{DdrError, Result};
 use crate::plan::Plan;
-use crate::recover::PartialCompletion;
 use crate::stats::RedistStats;
 use minimpi::{bytes_of, uninit_bytes_of_mut, Comm, Datatype, Pod};
 use std::mem::MaybeUninit;
@@ -79,13 +78,13 @@ impl Plan {
     /// [`crate::ValidationPolicy::Skip`]) it is zeroed first, so an element
     /// no round delivers reads 0.
     ///
-    /// On peer failure (a rank died, or its loan was dropped) the exchange
-    /// is still drained, so every byte that can arrive does. The receive
-    /// regions lost read 0, `need` has its full length, and the call
-    /// returns [`DdrError::Incomplete`] carrying a [`PartialCompletion`] of
-    /// what was delivered and lost, per peer and per round: a lost source
-    /// is lost in every round that received from it. Any other error — a
-    /// mismatched buffer, this rank fault-killed — leaves `need` empty.
+    /// Every error leaves `need` empty. A peer that fails to deliver — it
+    /// died, its loan was dropped, the watchdog expired — is
+    /// [`DdrError::Mpi`] of [`minimpi::Error::PeerDead`] or
+    /// [`minimpi::Error::Timeout`] naming it, returned only after the
+    /// exchange drained every other peer, so a survivor never fails naming
+    /// another survivor. There is no partial result and no recovery: a
+    /// caller that must go on with fewer ranks sets up a fresh mapping.
     pub fn reorganize<T: Element, C: AsRef<[T]>>(
         &self,
         comm: &Comm,
@@ -100,87 +99,51 @@ impl Plan {
         if !self.tiled {
             bytes.fill(MaybeUninit::new(0));
         }
-        let failed = self.exchange_rounds(comm, owned, bytes)?;
-        let lost = (!failed.is_empty()).then(|| PartialCompletion::from_failures(self, &failed));
-        if let Some(report) = &lost {
-            self.zero_lost(report, bytes);
-        }
+        self.exchange_rounds(comm, owned, bytes)?;
         // SAFETY: all `n` elements are initialized, and any bytes are a valid
         // `T: Pod`. Untiled, the buffer was zeroed above. Tiled, the tiling
         // proof: the receive regions are pairwise disjoint subsets of the
         // needed block whose counts sum to its count, so their selections
-        // cover every byte. `alltoallw_parts_uninit` stores every byte of the
-        // selections of each source it does not report lost, and
-        // `zero_lost` every byte of those it does.
+        // cover every byte, and `alltoallw_parts_uninit` returned `Ok`, so it
+        // stored every byte of every selection.
         unsafe { need.set_len(n) };
         if ddrtrace::enabled() {
-            let stats = RedistStats::from_plan(self, lost.as_ref());
+            let stats = RedistStats::from_plan(self);
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
             ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
             ddrtrace::metrics::add("redist", "rounds", stats.rounds as u64);
             ddrtrace::metrics::add("redist", "exchanges", stats.exchanges as u64);
-            ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
         }
-        match lost {
-            None => Ok(()),
-            Some(report) => Err(DdrError::Incomplete(Box::new(report))),
-        }
+        Ok(())
     }
 
-    /// The [`RedistStats`] a fully successful run of this plan accounts
-    /// for, on any universe.
-    pub fn expected_stats(&self) -> RedistStats {
-        RedistStats::from_plan(self, None)
-    }
-
-    /// Zero every receive region from a peer `report` names as lost in a
-    /// tiled need buffer: the exchange left them unwritten. An untiled
-    /// buffer was zeroed in full before the exchange, and a lost region
-    /// there may overlap a delivered one, so it is left as it is.
-    fn zero_lost(&self, report: &PartialCompletion, need: &mut [MaybeUninit<u8>]) {
-        if !self.tiled {
-            return;
-        }
-        let recvs = self.rounds.iter().flat_map(|r| &r.recvs);
-        for t in recvs.filter(|t| report.dead_peers.contains(&t.peer)) {
-            for (offset, len) in t.subarray.byte_runs() {
-                need[offset..offset + len].fill(MaybeUninit::new(0));
-            }
-        }
-    }
-
-    /// Every round in one salvaging `alltoallw` into `need`, passing the
-    /// chunks and each peer's part lists; none when there are no rounds.
-    /// Drains every source, so the maximum amount of data survives a peer
-    /// death. Returns the peers whose message was lost.
+    /// Every round in one `alltoallw` into `need`, passing the chunks and
+    /// each peer's part lists; none when there are no rounds.
     fn exchange_rounds<T: Pod, C: AsRef<[T]>>(
         &self,
         comm: &Comm,
         owned: &[C],
         need: &mut [MaybeUninit<u8>],
-    ) -> Result<Vec<usize>> {
+    ) -> Result<()> {
         let rounds = self.rounds.len() as i64;
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", rounds);
         if rounds == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let _exchange = ddrtrace::span_arg("redist", "exchange", "rounds", rounds);
         let bufs: Vec<&[u8]> = owned.iter().map(|c| bytes_of(c.as_ref())).collect();
         let sends: Vec<&[(usize, Datatype)]> = self.parts.sends.iter().map(Vec::as_slice).collect();
         let recvs: Vec<&[Datatype]> = self.parts.recvs.iter().map(Vec::as_slice).collect();
-        let report = comm.alltoallw_parts_uninit(&bufs, &sends, need, &recvs)?;
-        Ok(report.failed.into_iter().map(|(peer, _)| peer).collect())
+        Ok(comm.alltoallw_parts_uninit(&bufs, &sends, need, &recvs)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::decompose::{brick, near_cubic_grid};
-    use crate::recover::PartialCompletion;
     use crate::{compute_local_plan, Block, DataKind, Descriptor, Layout, Plan, RoundPlan};
     use minimpi::Universe;
-    use std::mem::MaybeUninit;
 
     fn d1(offset: usize, len: usize) -> Block {
         Block::d1(offset, len).unwrap()
@@ -283,57 +246,5 @@ mod tests {
             });
             assert_eq!(got[0], Ok(want));
         }
-    }
-
-    /// A buffer poisoned with `0xA5` bytes, as the exchange would leave
-    /// the unwritten parts of a need of `len` bytes.
-    fn poisoned(len: usize) -> Vec<MaybeUninit<u8>> {
-        vec![MaybeUninit::new(0xA5); len]
-    }
-
-    /// Each byte of `buf`, read back as an element index of 4-byte
-    /// elements: `Some(i)` where it reads 0, `None` where it is poisoned.
-    fn zeroed_elements(buf: &[MaybeUninit<u8>]) -> Vec<usize> {
-        // SAFETY: every byte was initialized by `poisoned` or `zero_lost`.
-        let bytes: Vec<u8> = buf.iter().map(|b| unsafe { b.assume_init() }).collect();
-        let zero = |e: &[u8]| e.iter().all(|&b| b == 0);
-        bytes.chunks(4).enumerate().filter(|(_, e)| zero(e)).map(|(i, _)| i).collect()
-    }
-
-    /// Rank 0 of two needs [2, 10) from a chunk of its own, [0, 6), and
-    /// one of rank 1's, [6, 10): tiled. Losing rank 1 zeroes exactly the
-    /// four elements rank 1 would have delivered; losing nobody zeroes
-    /// nothing.
-    #[test]
-    fn a_lost_source_zeroes_exactly_its_regions_of_a_tiled_need() {
-        let layouts = [
-            Layout { owned: vec![d1(0, 6)], need: d1(2, 8) },
-            Layout { owned: vec![d1(6, 4)], need: d1(0, 1) },
-        ];
-        let plan = plans(DataKind::D1, &layouts).remove(0);
-        assert!(plan.tiled);
-        for (failures, want) in [(vec![1], vec![4, 5, 6, 7]), (vec![], vec![])] {
-            let report = PartialCompletion::from_failures(&plan, &failures);
-            let mut buf = poisoned(8 * 4);
-            plan.zero_lost(&report, &mut buf);
-            assert_eq!(zeroed_elements(&buf), want, "failures {failures:?}");
-        }
-    }
-
-    /// An untiled need was zeroed in full before its exchange; a lost
-    /// region may overlap a delivered one there, so nothing is zeroed
-    /// again.
-    #[test]
-    fn a_lost_source_leaves_an_untiled_need_as_it_is() {
-        let layouts = [
-            Layout { owned: vec![d1(0, 6)], need: d1(2, 12) },
-            Layout { owned: vec![d1(6, 4)], need: d1(0, 1) },
-        ];
-        let plan = plans(DataKind::D1, &layouts).remove(0);
-        assert!(!plan.tiled);
-        let report = PartialCompletion::from_failures(&plan, &[1]);
-        let mut buf = poisoned(12 * 4);
-        plan.zero_lost(&report, &mut buf);
-        assert_eq!(zeroed_elements(&buf), Vec::<usize>::new());
     }
 }

@@ -71,7 +71,6 @@ mod mapping;
 mod multi;
 pub mod papi;
 mod plan;
-mod recover;
 mod stats;
 mod validate;
 
@@ -83,6 +82,5 @@ pub use layout::Layout;
 pub use mapping::compute_local_plan;
 pub use multi::MultiPlan;
 pub use plan::{Plan, RoundPlan, Transfer};
-pub use recover::{PartialCompletion, RoundReport};
 pub use stats::{GlobalStats, RedistStats};
 pub use validate::{validate, Domain, ValidationPolicy};

@@ -22,7 +22,6 @@ use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
 use crate::exec::Element;
 use crate::plan::Plan;
-use crate::recover::PartialCompletion;
 use crate::validate::ValidationPolicy;
 use minimpi::Comm;
 
@@ -68,10 +67,10 @@ impl MultiPlan {
     /// buffers (one per declared need, in order). Reusable across time steps.
     ///
     /// One [`Plan::reorganize`] per need index, each with its failure
-    /// semantics: when a peer dies mid-exchange every remaining exchange of
-    /// every need is still drained, and the call returns
-    /// [`DdrError::Incomplete`] with one [`PartialCompletion`] whose round
-    /// `r` sums round `r` of every need.
+    /// semantics. Every need's exchange runs even after an earlier one
+    /// failed, so a rank never leaves its peers waiting on an exchange it
+    /// skipped; the call returns the first error, with every need buffer
+    /// left empty.
     pub fn reorganize<T: Element>(
         &self,
         comm: &Comm,
@@ -89,17 +88,14 @@ impl MultiPlan {
         }
         // A rank with fewer than `k + 1` needs still joins plan `k`: it may
         // send, and receives nothing.
-        let (mut lost, mut none) = (None::<PartialCompletion>, Vec::new());
+        let (mut first, mut none) = (Ok(()), Vec::new());
         for (k, plan) in self.plans.iter().enumerate() {
-            match plan.reorganize(comm, owned, needs.get_mut(k).unwrap_or(&mut none)) {
-                Err(DdrError::Incomplete(part)) => match &mut lost {
-                    Some(all) => all.merge(*part),
-                    None => lost = Some(*part),
-                },
-                other => other?,
-            }
+            first = first.and(plan.reorganize(comm, owned, needs.get_mut(k).unwrap_or(&mut none)));
         }
-        lost.map_or(Ok(()), |all| Err(DdrError::Incomplete(Box::new(all))))
+        if first.is_err() {
+            needs.iter_mut().for_each(Vec::clear);
+        }
+        first
     }
 }
 

@@ -8,14 +8,12 @@
 
 use crate::layout::Layout;
 use crate::plan::Plan;
-use crate::recover::PartialCompletion;
 
-/// Per-rank accounting of one *executed* redistribution.
+/// Per-rank accounting of one successful [`Plan::reorganize`].
 ///
-/// Derived from the plan's transfer list and the [`PartialCompletion`] a
-/// lossy run returns — never from wire observations — so two executions
-/// of the same plan that lose the same receives report identical stats,
-/// and one that loses nothing reports [`Plan::expected_stats`].
+/// Derived from the plan's transfer list, never from wire observations, so
+/// every successful execution of a plan reports the same stats on any
+/// universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RedistStats {
     /// Number of logical communication rounds executed (the paper's
@@ -26,7 +24,7 @@ pub struct RedistStats {
     pub exchanges: usize,
     /// Bytes shipped to other ranks.
     pub sent_bytes: u64,
-    /// Bytes successfully received from other ranks.
+    /// Bytes received from other ranks.
     pub recv_bytes: u64,
     /// Bytes satisfied locally (owned ∩ needed overlap).
     pub local_bytes: u64,
@@ -35,24 +33,18 @@ pub struct RedistStats {
     pub messages_sent: u64,
     /// Non-empty per-round transfers received from other ranks.
     pub messages_recv: u64,
-    /// Receives that failed (peer dead / dropped / timed out).
-    pub failed_recvs: u64,
-    /// Bytes those failed receives would have delivered.
-    pub lost_bytes: u64,
 }
 
 impl RedistStats {
-    /// Account a [`Plan::reorganize`] of `plan` — every round in one
-    /// exchange — that lost what `lost` names: `None` for a run that
-    /// returned `Ok`, the report of its [`crate::DdrError::Incomplete`]
-    /// otherwise.
-    pub fn from_plan(plan: &Plan, lost: Option<&PartialCompletion>) -> RedistStats {
+    /// Account a successful [`Plan::reorganize`] of `plan`: every round in
+    /// one exchange.
+    pub fn from_plan(plan: &Plan) -> RedistStats {
         let mut s = RedistStats {
             rounds: plan.rounds.len(),
             exchanges: usize::from(!plan.rounds.is_empty()),
             ..RedistStats::default()
         };
-        for (r, round) in plan.rounds.iter().enumerate() {
+        for round in &plan.rounds {
             for t in &round.sends {
                 if t.peer == plan.rank {
                     s.local_bytes += t.bytes();
@@ -65,14 +57,8 @@ impl RedistStats {
                 if t.peer == plan.rank {
                     continue; // the self-overlap is counted on the send side
                 }
-                let round_lost = lost.and_then(|pc| pc.rounds.get(r));
-                if round_lost.is_some_and(|l| l.failed_sources.contains(&t.peer)) {
-                    s.failed_recvs += 1;
-                    s.lost_bytes += t.bytes();
-                } else {
-                    s.recv_bytes += t.bytes();
-                    s.messages_recv += 1;
-                }
+                s.recv_bytes += t.bytes();
+                s.messages_recv += 1;
             }
         }
         s

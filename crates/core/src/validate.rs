@@ -16,12 +16,6 @@ pub enum ValidationPolicy {
     /// blocks to extend outside the domain (those elements are simply never
     /// written — useful for ghost-padded consumers).
     Relaxed,
-    /// Degraded-mode recovery: check only that owned chunks are pairwise
-    /// disjoint. Coverage may be incomplete (dead producers' chunks are
-    /// gone) and needs may reach outside the surviving domain — consumers
-    /// accept that the unmatched elements stay unfilled. Used by
-    /// shrink-and-remap recovery after a rank failure.
-    Degraded,
     /// Skip validation entirely. For very large chunk counts where the
     /// caller guarantees the contract by construction.
     Skip,
@@ -95,10 +89,6 @@ pub fn validate(
             }
         }
         active.push(entry);
-    }
-
-    if matches!(policy, ValidationPolicy::Degraded) {
-        return Ok(Domain { bbox, owned_elems });
     }
 
     // Completeness: disjoint blocks inside the bbox cover it iff the volumes
@@ -207,25 +197,6 @@ mod tests {
             layout(vec![Block::d1(4, 6).unwrap()], Block::d1(4, 4).unwrap()),
         ];
         assert!(validate(&ls, ValidationPolicy::Skip).is_ok());
-    }
-
-    #[test]
-    fn degraded_allows_holes_but_rejects_overlap() {
-        // A survivor layout with rank 2's rows missing: incomplete coverage
-        // must pass under Degraded...
-        let mut ls = e1_layouts();
-        ls.remove(2);
-        assert!(matches!(
-            validate(&ls, ValidationPolicy::Strict).unwrap_err(),
-            DdrError::OwnershipIncomplete { .. }
-        ));
-        assert!(validate(&ls, ValidationPolicy::Degraded).is_ok());
-        // ...but overlapping ownership is still a hard error.
-        ls[1].owned[0] = Block::d2([0, 0], [8, 1]).unwrap();
-        assert!(matches!(
-            validate(&ls, ValidationPolicy::Degraded).unwrap_err(),
-            DdrError::OwnershipOverlap { .. }
-        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 fn all_mpi_variants() -> Vec<MpiError> {
     vec![
         MpiError::RankOutOfRange { rank: 9, size: 4 },
-        MpiError::Timeout { rank: 1, src: Some(2), tag: 77, comm_id: 0 },
+        MpiError::Timeout { rank: 1, src: 2, tag: 77, comm_id: 0 },
         MpiError::PeerDead { rank: 3 },
         MpiError::SizeMismatch { expected: 16, got: 12 },
         MpiError::DatatypeMismatch { detail: "d".into() },
@@ -39,7 +39,7 @@ fn swap_scenario(comm: &minimpi::Comm) -> (Descriptor, [Block; 1], Block) {
 }
 
 #[test]
-fn self_death_mid_reorganize_propagates_peer_dead_and_peers_get_incomplete() {
+fn self_death_mid_reorganize_propagates_peer_dead_on_both_ranks() {
     // Probe the op count at the end of setup, then kill rank 1 exactly
     // there: its first op *inside* reorganize.
     let at = Universe::run(2, |comm| {
@@ -55,18 +55,14 @@ fn self_death_mid_reorganize_propagates_peer_dead_and_peers_get_incomplete() {
             let (desc, owned, need) = swap_scenario(comm);
             let plan = desc.setup_data_mapping(comm, &owned, need).unwrap();
             let data = [comm.rank() as f32, 10.0];
-            plan.reorganize(comm, &[&data], &mut Vec::new())
+            let mut got = Vec::new();
+            plan.reorganize(comm, &[&data], &mut got).map(|()| got)
         });
 
-    // The casualty sees its own death as a hard MPI error…
-    assert_eq!(out[1], Err(DdrError::Mpi(MpiError::PeerDead { rank: 1 })));
-    // …while the survivor gets the structured partial-completion report.
-    match &out[0] {
-        Err(DdrError::Incomplete(report)) => {
-            assert_eq!(report.dead_peers, vec![1]);
-            assert!(report.missing_bytes() > 0);
-        }
-        other => panic!("survivor: expected Incomplete, got {other:?}"),
+    // The casualty sees its own death, and the survivor, starved of the
+    // casualty's row, fails naming it: the same runtime error on both.
+    for got in &out {
+        assert_eq!(got, &Err(DdrError::Mpi(MpiError::PeerDead { rank: 1 })));
     }
 }
 

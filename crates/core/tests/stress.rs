@@ -111,8 +111,8 @@ fn seeded_fault_sweep_never_hangs() {
     // One injected kill per seed, scattered over the whole execution — from
     // the first setup collective to the last exchange round. Whatever the
     // failure point, every rank must resolve quickly with either clean
-    // completion, a well-formed PartialCompletion, or a fail-fast runtime
-    // error; a hang (watchdog burn) fails the elapsed-time assertion.
+    // completion or a fail-fast runtime error; a hang (watchdog burn) fails
+    // the elapsed-time assertion.
     let n = 4usize;
     let domain = Block::d2([0, 0], [16, 16]).unwrap();
     let scenario = move |comm: &minimpi::Comm| -> Result<(), DdrError> {
@@ -138,7 +138,6 @@ fn seeded_fault_sweep_never_hangs() {
     .unwrap();
     assert!(max_op > 0);
 
-    let expected_bytes = 16 * 4 * 8; // one 16x4 column slab of u64
     for seed in 0..24u64 {
         let plan = FaultPlan::seeded(seed, n, max_op);
         let start = Instant::now();
@@ -153,19 +152,8 @@ fn seeded_fault_sweep_never_hangs() {
                 // Kill landed past this run's ops, or missed this rank's
                 // dependencies entirely.
                 Ok(()) => {}
-                // Structured partial delivery: accounting must add up.
-                Err(DdrError::Incomplete(report)) => {
-                    assert_eq!(report.rank, r, "seed {seed}");
-                    assert!(!report.dead_peers.is_empty(), "seed {seed}");
-                    assert!(report.missing_bytes() > 0, "seed {seed}");
-                    assert_eq!(
-                        report.delivered_bytes() + report.missing_bytes(),
-                        expected_bytes,
-                        "seed {seed} rank {r}: accounting must cover the plan"
-                    );
-                }
                 // Fail-fast runtime faults: the casualty's own death, or a
-                // peer death during a setup collective.
+                // peer death during setup or the exchange.
                 Err(DdrError::Mpi(MpiError::PeerDead { .. }))
                 | Err(DdrError::Mpi(MpiError::Timeout { .. })) => {}
                 other => panic!("seed {seed} rank {r}: unexpected outcome {other:?}"),
@@ -229,19 +217,9 @@ fn ragged_three_round_layout_under_stress() {
 // Fail-fast soaks: kills and drops landing anywhere in a two-round exchange.
 // ---------------------------------------------------------------------------
 
-/// What a salvaged redistribution leaves in every cell it lost.
-const LOST: u64 = 0;
-
-/// The soaks' cell values: [`cell_value`] plus one, so no cell that
-/// arrived reads [`LOST`].
-fn value(c: [usize; 3]) -> u64 {
-    cell_value(c) + 1
-}
-
 /// The two-round layout on `n` ranks: rank `r` owns two row slabs (two
 /// rounds) and needs a column slab — so a fault injected anywhere in the
-/// exchange lands either mid-round (with loans outstanding) or between the
-/// rounds.
+/// exchange lands with loans outstanding from either round.
 fn two_round_layout(domain: &Block, n: usize, r: usize) -> (Vec<Block>, Block) {
     let owned = vec![slab(domain, 1, 2 * n, r).unwrap(), slab(domain, 1, 2 * n, r + n).unwrap()];
     (owned, slab(domain, 0, n, r).unwrap())
@@ -260,24 +238,23 @@ fn two_round_plan(
     Ok((owned, need, plan))
 }
 
-/// Run `plan` over the oracle's values of `owned`: the need buffer (lost
-/// cells hold [`LOST`]) and the outcome of [`Plan::reorganize`].
+/// Run `plan` over the oracle's values of `owned`: the need buffer and the
+/// outcome of [`Plan::reorganize`].
 fn run_two_round(
     c: &minimpi::Comm,
     plan: &Plan,
     owned: &[Block],
 ) -> (Vec<u64>, Result<(), DdrError>) {
-    let data: Vec<Vec<u64>> = owned.iter().map(|b| b.coords().map(value).collect()).collect();
+    let data: Vec<Vec<u64>> = owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
     let mut out = Vec::new();
     let res = plan.reorganize(c, &data, &mut out);
     (out, res)
 }
 
 /// One drop seed of a chaos soak: the seeded `(src, dest, occurrence)`
-/// message is dropped under a 500 ms watchdog. Every rank ends in a
-/// salvaged result whose cells are either lost or equal to the oracle — the
-/// victim's loss naming `src` in `dead_peers` — or in a structured fallout
-/// error, never a hang. Returns whether the drop hit real traffic.
+/// message is dropped under a 500 ms watchdog. Every rank either completes
+/// equal to the oracle or fails with a structured runtime error and an
+/// empty need, never a hang. Returns whether the drop hit real traffic.
 fn drop_seed(seed: u64, n: usize, domain: Block) -> bool {
     let src = (seed as usize / 2) % n;
     let dest = (src + 1 + (seed as usize / 3) % (n - 1)) % n;
@@ -286,29 +263,25 @@ fn drop_seed(seed: u64, n: usize, domain: Block) -> bool {
     let builder = Universe::builder().timeout(Duration::from_millis(500)).fault_plan(plan);
     let out = builder.run(n, move |comm| {
         let (owned, need, plan) = two_round_plan(comm, &domain)?;
-        match run_two_round(comm, &plan, &owned) {
-            (got, Ok(())) => Ok((need, got, None)),
-            (got, Err(DdrError::Incomplete(report))) => Ok((need, got, Some(report))),
-            (_, Err(e)) => Err(e),
-        }
+        let (got, res) = run_two_round(comm, &plan, &owned);
+        Ok((need, got, res))
     });
+    // The receiver's timeout, or its fallout on peers: a dead peer.
+    let structured = |e: &DdrError| {
+        matches!(e, DdrError::Mpi(MpiError::PeerDead { .. } | MpiError::Timeout { .. }))
+    };
     let mut hit = false;
     for (r, res) in out.iter().enumerate() {
         match res {
-            Ok((need, got, report)) => {
-                let lost = got.iter().filter(|&&v| v == LOST).count() as u64;
-                let missing = report.as_ref().map_or(0, |p| p.missing_bytes());
-                assert_eq!(8 * lost, missing, "seed {seed} rank {r}: {report:?}");
-                for (v, co) in got.iter().zip(need.coords()) {
-                    assert!(*v == LOST || *v == value(co), "seed {seed} rank {r}: {co:?}");
-                }
-                if let Some(report) = report {
-                    assert!(r != dest || report.dead_peers.contains(&src), "seed {seed}: {report}");
-                    hit = true;
-                }
+            Ok((need, got, Ok(()))) => {
+                assert_eq!(got, &need.coords().map(cell_value).collect::<Vec<_>>(), "seed {seed}")
             }
-            // The victim's timeout, or its fallout on peers: a dead peer.
-            Err(DdrError::Mpi(MpiError::PeerDead { .. } | MpiError::Timeout { .. })) => hit = true,
+            Ok((_, got, Err(e))) if structured(e) => {
+                assert!(got.is_empty(), "seed {seed} rank {r}: an error leaves need empty");
+                hit = true
+            }
+            // A drop in the setup collectives fails the setup.
+            Err(e) if structured(e) => hit = true,
             other => panic!("seed {seed} rank {r}: unexpected outcome {other:?}"),
         }
     }
@@ -316,22 +289,16 @@ fn drop_seed(seed: u64, n: usize, domain: Block) -> bool {
 }
 
 /// Seeded kill soak over the two-round layout: each seed names a victim and
-/// an op of the victim's exchange.
-/// Whatever the seed:
-///
-/// * every survivor fails fast naming the victim — `Incomplete` listing only
-///   it, or `PeerDead` for it — or completes, and never waits out the
-///   watchdog;
-/// * every cell that arrived is exact, and the report accounts for the rest;
-/// * a `recover_mapping` retry on the survivors delivers, byte for byte, the
-///   serial oracle over what the survivors hold: the victim's cells stay
-///   [`LOST`], every other cell is exact.
+/// an op of the victim's exchange. Whatever the seed, every survivor fails
+/// fast naming the victim — `PeerDead` for it, or a `Timeout` waiting on
+/// it — with its need empty, or completes equal to the serial oracle; and
+/// no run comes near the watchdog.
 ///
 /// Kills are drawn from the exchange, not the setup collectives: there every
 /// rank waits only on the ranks that feed it, so a death is seen by exactly
 /// the ranks it starves.
 #[test]
-fn kill_soak_fails_fast_and_recovery_matches_the_serial_oracle() {
+fn kill_soak_fails_every_survivor_fast_naming_the_victim() {
     let n = 4usize;
     let domain = Block::d2([0, 0], [16, 16]).unwrap();
     let op_counts = |full: bool| {
@@ -358,53 +325,31 @@ fn kill_soak_fails_fast_and_recovery_matches_the_serial_oracle() {
             .timeout(Duration::from_secs(30))
             .fault_plan(FaultPlan::new().kill_rank_at_op(victim, at_op))
             .run(n, move |comm| {
-                let (owned, need, plan) = two_round_plan(comm, &domain).unwrap();
-                let first = run_two_round(comm, &plan, &owned);
-                if !comm.is_alive(comm.rank()) {
-                    return (first, None);
-                }
-                let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
-                let (sub, retry) = desc.recover_mapping(comm, &owned, need).unwrap();
-                let (got, res) = run_two_round(&sub, &retry, &owned);
-                (first, Some((sub.size(), got, res)))
+                let (owned, _, plan) = two_round_plan(comm, &domain).unwrap();
+                run_two_round(comm, &plan, &owned)
             });
         assert!(start.elapsed() < Duration::from_secs(10), "{case}: burned the watchdog");
 
-        let survivors: Vec<Block> = (0..n)
-            .filter(|&s| s != victim)
-            .flat_map(|s| two_round_layout(&domain, n, s).0)
-            .collect();
-        let held = |co: [usize; 3]| survivors.iter().any(|b| b.linear_index(co).is_some());
         let mut hit = false;
-        for (r, ((got, res), recovered)) in out.iter().enumerate() {
+        for (r, (got, res)) in out.iter().enumerate() {
             if r == victim {
                 assert!(res.is_err(), "{case}: the victim cannot complete");
-                assert!(recovered.is_none(), "{case}: the victim must not recover");
                 continue;
             }
-            let need = two_round_layout(&domain, n, r).1;
-            let lost = got.iter().filter(|&&v| v == LOST).count() as u64;
             match res {
-                Ok(()) => assert_eq!(lost, 0, "{case} rank {r}"),
-                Err(DdrError::Incomplete(report)) => {
-                    assert_eq!(report.dead_peers, [victim], "{case} rank {r}");
-                    assert_eq!(8 * lost, report.missing_bytes(), "{case} rank {r}: {report}");
-                    hit = true;
+                Ok(()) => {
+                    let need = two_round_layout(&domain, n, r).1;
+                    assert_eq!(got, &need.coords().map(cell_value).collect::<Vec<_>>(), "{case}")
                 }
-                Err(DdrError::Mpi(MpiError::PeerDead { rank })) if *rank == victim => hit = true,
+                Err(DdrError::Mpi(
+                    MpiError::PeerDead { rank: named } | MpiError::Timeout { src: named, .. },
+                )) if *named == victim => {
+                    assert!(got.is_empty(), "{case} rank {r}: an error leaves need empty");
+                    hit = true
+                }
                 other => {
-                    panic!("{case} rank {r}: expected a loss naming the victim, got {other:?}")
+                    panic!("{case} rank {r}: expected an error naming the victim, got {other:?}")
                 }
-            }
-            for (v, co) in got.iter().zip(need.coords()) {
-                assert!(*v == LOST || *v == value(co), "{case} rank {r}: {co:?}");
-            }
-
-            let (size, got, res) = recovered.as_ref().expect("a survivor recovers");
-            assert_eq!((*size, res), (n - 1, &Ok(())), "{case} rank {r}");
-            for (v, co) in got.iter().zip(need.coords()) {
-                let want = if held(co) { value(co) } else { LOST };
-                assert_eq!(*v, want, "{case} rank {r}: recovered cell {co:?}");
             }
         }
         hits += u64::from(hit);
@@ -416,7 +361,7 @@ fn kill_soak_fails_fast_and_recovery_matches_the_serial_oracle() {
 
 /// Odd-seed drop soak (see [`drop_seed`]): whether a drop hits an exchange
 /// payload or a setup collective, the loss is structured and fast, and every
-/// cell that arrived is exact — no hang and no leak.
+/// rank that completes is exact — no hang and no leak.
 #[test]
 fn drop_soak_loses_structurally_and_never_hangs() {
     let n = 4usize;

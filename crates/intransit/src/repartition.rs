@@ -12,9 +12,8 @@ use minimpi::Comm;
 /// **reused** for every subsequent step as long as the incoming layout stays
 /// the same — exactly the paper's dynamic-data usage, where
 /// `DDR_SetupDataMapping` runs once and `DDR_ReorganizeData` runs per step.
-/// A plan is pure geometry: it is rebuilt when the needed block, the
-/// incoming layout, or the communicator's size or this rank's place in it
-/// changes, and nothing else.
+/// A plan is pure geometry: it is rebuilt when the incoming layout, or the
+/// communicator's size or this rank's place in it changes, and nothing else.
 pub struct Repartitioner {
     need: Block,
     plan: Option<Plan>,
@@ -31,21 +30,6 @@ impl Repartitioner {
     /// The block this rank assembles each step.
     pub fn need(&self) -> &Block {
         &self.need
-    }
-
-    /// Swap the needed block for a resized consumer group. Local and cheap:
-    /// a changed need drops the old plan, and the next
-    /// [`Repartitioner::redistribute`] — the next frame boundary — rebuilds
-    /// the mapping collectively over whatever (typically shrunk)
-    /// communicator it is given, so the swap lands on every rank at once.
-    pub fn resize(&mut self, need: Block) {
-        if need != self.need {
-            if ddrtrace::enabled() {
-                ddrtrace::instant_arg("intransit", "consumer_resize", "cells", need.count() as i64);
-            }
-            self.need = need;
-            self.plan = None;
-        }
     }
 
     /// Number of communication rounds of the established plan.
@@ -179,67 +163,5 @@ mod tests {
         assert_eq!(total, 64 * 32);
         assert!(blocks.iter().all(|b| b.dims[0] == 8 && b.dims[1] == 8));
         assert!(analysis_block(64, 32, 32, 32).is_err());
-    }
-    /// Mid-stream consumer-group resize: a consumer departs after step 0,
-    /// the survivors shrink, swap needs with `resize`, and the next frame
-    /// boundary rebuilds the mapping over the shrunk communicator.
-    #[test]
-    fn consumer_group_resize_swaps_mapping_at_frame_boundary() {
-        let (nx, ny) = (12usize, 6usize);
-        let domain = Block::d2([0, 0], [nx, ny]).unwrap();
-        Universe::run(3, move |comm| {
-            let c = comm.rank();
-            let mk = |blk: Block, step: u64| {
-                let data = blk.coords().map(|co| field_at(co[0], co[1], step)).collect();
-                Frame::new(step, blk, data)
-            };
-            // Step 0: three consumers, row slabs in, bricks out.
-            let mut rep = Repartitioner::new(analysis_block(nx, ny, 3, c).unwrap());
-            let slab0 = ddr_core::decompose::slab(&domain, 1, 3, c).unwrap();
-            let out = rep.redistribute(comm, &[mk(slab0, 0)]).unwrap();
-            for (v, co) in out.iter().zip(rep.need().coords()) {
-                assert_eq!(*v, field_at(co[0], co[1], 0));
-            }
-            if c == 2 {
-                return; // departs between frames
-            }
-            // Survivors: one shrink, then resize to the 2-consumer layout.
-            // The swap lands at the next redistribute.
-            let rec = comm.shrink().unwrap();
-            assert_eq!(rec.size(), 2);
-            rep.resize(analysis_block(nx, ny, 2, rec.rank()).unwrap());
-            let slab1 = ddr_core::decompose::slab(&domain, 1, 2, rec.rank()).unwrap();
-            let out = rep.redistribute(&rec, &[mk(slab1, 1)]).unwrap();
-            assert_eq!(rep.num_rounds(), Some(1));
-            for (v, co) in out.iter().zip(rep.need().coords()) {
-                assert_eq!(*v, field_at(co[0], co[1], 1), "shrunk layout at {co:?}");
-            }
-        });
-    }
-
-    /// A shrink that loses nobody keeps every rank's place, so the plan —
-    /// pure geometry — is reused on the child communicator, and still
-    /// delivers exactly.
-    #[test]
-    fn identity_shrink_reuses_the_plan() {
-        let (nx, ny) = (8usize, 4usize);
-        let domain = Block::d2([0, 0], [nx, ny]).unwrap();
-        Universe::run(2, move |comm| {
-            let c = comm.rank();
-            let mk = |blk: Block, step: u64| {
-                let data = blk.coords().map(|co| field_at(co[0], co[1], step)).collect();
-                Frame::new(step, blk, data)
-            };
-            let mut rep = Repartitioner::new(analysis_block(nx, ny, 2, c).unwrap());
-            let slab = ddr_core::decompose::slab(&domain, 1, 2, c).unwrap();
-            rep.redistribute(comm, &[mk(slab, 0)]).unwrap();
-            let before = rep.plan.clone();
-            let rec = comm.shrink().unwrap();
-            let out = rep.redistribute(&rec, &[mk(slab, 1)]).unwrap();
-            assert_eq!(rep.plan, before, "same shape, same plan");
-            for (v, co) in out.iter().zip(rep.need().coords()) {
-                assert_eq!(*v, field_at(co[0], co[1], 1));
-            }
-        });
     }
 }

@@ -234,8 +234,7 @@ fn other_consumer_is_ok_or_named(ended: &Ended, step: u64) {
     let named = match ended {
         Ended::Done => true,
         Ended::Redistribute(at, e) => {
-            *at == step
-                && matches!(e, DdrError::Incomplete(_) | DdrError::Mpi(MpiError::PeerDead { .. }))
+            *at == step && matches!(e, DdrError::Mpi(MpiError::PeerDead { .. }))
         }
         _ => false,
     };
@@ -273,7 +272,7 @@ fn blocking_frame_path_fails_structurally() {
     // is alive at the barrier, so the wait ends in the watchdog's Timeout.
     let (out, took) = faulty_stream(FaultPlan::new().drop_message(0, 2, Some(FRAME_TAG), 2));
     assert!(
-        matches!(out[2], Ended::Recv(3, MpiError::Timeout { rank: 2, src: Some(0), .. })),
+        matches!(out[2], Ended::Recv(3, MpiError::Timeout { rank: 2, src: 0, .. })),
         "{:?}",
         out[2]
     );

@@ -177,8 +177,9 @@ impl Comm {
     /// pack/unpack staging buffer exists anywhere. A fault plan's message
     /// rules act on the loan.
     ///
-    /// This is the one-part case of [`Comm::alltoallw_parts_uninit`]: the
-    /// same engine, aborting on the first failed source.
+    /// This is the one-part case of [`Comm::alltoallw_parts_uninit`], the
+    /// same engine: a failed source is reported only after every other
+    /// source was drained.
     pub fn alltoallw(
         &self,
         send_buf: &[u8],
@@ -200,7 +201,7 @@ impl Comm {
         let recvs: Vec<&[Datatype]> = recv_types.iter().map(|dt| part(dt, dt)).collect();
         // SAFETY: the receive engine only stores initialized bytes.
         let recv_buf = unsafe { as_uninit_mut(recv_buf) };
-        self.alltoallw_impl(&[send_buf], &sends, recv_buf, &recvs, false).map(|_| ())
+        self.alltoallw_parts_uninit(&[send_buf], &sends, recv_buf, &recvs)
     }
 
     /// `MPI_Alltoallw` whose messages are lists of parts, into storage that
@@ -228,43 +229,31 @@ impl Comm {
     ///
     /// The exchange only stores into `recv_buf` and never reads it: a loan
     /// claim and the self-copy each write their receive parts and nothing
-    /// else. So when the call returns `Ok` with a complete report, every byte
-    /// of every selection in `recvs` is initialized; bytes outside them, or
-    /// in the parts of a failed source, are left as they were.
+    /// else. So when the call returns `Ok`, every byte of every selection in
+    /// `recvs` is initialized; bytes outside them are left as they were. On
+    /// `Err`, which selections were written is unspecified.
     ///
-    /// A failed receive from one source does not abort the exchange: the
-    /// remaining sources are still drained so the maximum amount of data
-    /// survives, and the per-source failures are reported in an
-    /// [`ExchangeReport`]. Errors that indicate *this* rank cannot continue
-    /// (it was fault-killed mid-exchange, or its own arguments are
-    /// malformed) are still returned as `Err`.
+    /// A source that fails to deliver (it died, its loan was withheld or
+    /// revoked, or the watchdog expired) does not end the exchange at once:
+    /// every other source is still drained, and this rank's own loans wait
+    /// for their claims until the watchdog's deadline, as on success. Only
+    /// then does the call return the first failed source's error. So a rank
+    /// does not revoke a loan a live peer is still draining towards, and
+    /// every survivor of a death fails naming the dead rank, never another
+    /// survivor. Errors that mean *this* rank cannot go on — it was
+    /// fault-killed, or its own arguments are malformed — return at once.
+    ///
+    /// Post-then-wait on an `Exchange` guard: the send phase lends each
+    /// message eagerly, then `wait` drains every source. Whichever way the
+    /// call leaves — clean, failed, a mid-post error, a panic — the guard
+    /// drains or revokes its zero-copy loans.
     pub fn alltoallw_parts_uninit(
         &self,
         bufs: &[&[u8]],
         sends: &[&[(usize, Datatype)]],
         recv_buf: &mut [MaybeUninit<u8>],
         recvs: &[&[Datatype]],
-    ) -> Result<ExchangeReport> {
-        self.alltoallw_impl(bufs, sends, recv_buf, recvs, true)
-    }
-
-    /// The one engine behind [`Comm::alltoallw`] and
-    /// [`Comm::alltoallw_parts_uninit`]: `salvage` decides whether a failed source
-    /// aborts the exchange or is recorded in the report while the remaining
-    /// sources are drained.
-    ///
-    /// Post-then-wait on an [`Exchange`] guard: the send phase lends each
-    /// message eagerly, then `wait` drains every source.
-    /// Whichever way the call leaves — clean, abort, a mid-post error, a
-    /// panic — the guard drains or revokes its zero-copy loans.
-    fn alltoallw_impl(
-        &self,
-        bufs: &[&[u8]],
-        sends: &[&[(usize, Datatype)]],
-        recv_buf: &mut [MaybeUninit<u8>],
-        recvs: &[&[Datatype]],
-        salvage: bool,
-    ) -> Result<ExchangeReport> {
+    ) -> Result<()> {
         let n = self.size();
         if sends.len() != n || recvs.len() != n {
             return Err(Error::CollectiveMismatch {
@@ -300,15 +289,13 @@ impl Comm {
             bufs,
             sends,
             recvs,
-            salvage,
             loans: Vec::new(),
-            failed: Vec::new(),
             settled: false,
             _span: span,
         };
 
         // Send phase (eager: a deposit never waits). A deposit fails only if
-        // this rank itself is dead — a hard error even under salvage.
+        // this rank itself is dead, or a part reaches past its buffer.
         for (d, parts) in sends.iter().enumerate() {
             if d == me || message_len(parts.iter().map(|(_, dt)| dt)) == 0 {
                 continue;
@@ -379,8 +366,8 @@ fn message_len<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> usize {
 /// lists are lent to peers as raw pointers, so the borrows the guard holds
 /// must stay alive while any peer might still read them — and *every* exit
 /// path must drain the loans. [`Exchange::wait`] does so on completion; the
-/// `Drop` impl covers early exits (an abort, a mid-post error, a panic) by
-/// revoking unclaimed loans immediately and waiting out claims already in
+/// `Drop` impl covers early exits (a hard error, a mid-post error, a panic)
+/// by revoking unclaimed loans immediately and waiting out claims already in
 /// flight (a bounded memcpy).
 struct Exchange<'a> {
     comm: &'a Comm,
@@ -389,10 +376,8 @@ struct Exchange<'a> {
     bufs: &'a [&'a [u8]],
     sends: &'a [&'a [(usize, Datatype)]],
     recvs: &'a [&'a [Datatype]],
-    salvage: bool,
     loans: Vec<(usize, Arc<ZcCell>)>,
-    failed: Vec<(usize, Error)>,
-    /// The exchange completed; Drop only drains loans. Left early, Drop
+    /// Every source was drained; Drop only drains loans. Left early, Drop
     /// sweeps the exchange's queued remainder first.
     settled: bool,
     /// Keeps the `minimpi/alltoallw` trace span open from post to
@@ -401,16 +386,16 @@ struct Exchange<'a> {
 }
 
 impl Exchange<'_> {
-    /// Block until every source resolved, then drain the loans and report
-    /// per-source failures (salvage mode), or abort on the first (plain
-    /// mode) through Drop, which sweeps this exchange's queued remainder —
+    /// Block until every source resolved and the loans are drained, then
+    /// return the first failed source's error. A hard error leaves at once
+    /// through Drop, which sweeps this exchange's queued remainder —
     /// revoking each queued loan — and revokes this rank's own loans.
-    fn wait(mut self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<ExchangeReport> {
+    fn wait(mut self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<()> {
         let comm = self.comm;
         let me = comm.rank();
         self.self_copy(recv_buf)?;
-        // Receive phase: under salvage, drain every source and record
-        // failures; otherwise abort on the first one.
+        // Receive phase: drain every source, keeping the first failure.
+        let mut lost = Ok(());
         for (s, &dts) in self.recvs.iter().enumerate() {
             if s == me || message_len(dts) == 0 {
                 continue;
@@ -420,16 +405,15 @@ impl Exchange<'_> {
                 .and_then(|env| comm.deliver_alltoallw(s, env, dts, recv_buf));
             match res {
                 Ok(()) => {}
-                // Malformed local arguments are hard errors in both modes.
+                // Malformed local arguments are hard errors.
                 Err(e @ (Error::DatatypeMismatch { .. } | Error::SizeMismatch { .. })) => {
                     return Err(e)
                 }
-                // Killed mid-drain: everything still missing is lost.
+                // Killed mid-drain: nothing more can arrive.
                 Err(Error::PeerDead { rank }) if rank == me && !comm.is_alive(me) => {
                     return Err(Error::PeerDead { rank })
                 }
-                Err(e) if self.salvage => self.failed.push((s, e)),
-                Err(e) => return Err(e),
+                Err(e) => lost = lost.and(Err(e)),
             }
         }
         // Completion: wait until every lent region was consumed (or revoke
@@ -440,7 +424,7 @@ impl Exchange<'_> {
             comm.count(Counter::RevokedMsgs, revoked);
         }
         self.settled = true;
-        Ok(ExchangeReport { failed: std::mem::take(&mut self.failed) })
+        lost
     }
 
     /// Self-transfer: the self parts paired in order, each a direct
@@ -492,12 +476,12 @@ impl Exchange<'_> {
 impl Drop for Exchange<'_> {
     fn drop(&mut self) {
         if !self.settled {
-            // Left early (an abort, a mid-post error or a panic): nobody will
-            // receive the rest of this exchange, so drop what is queued under
-            // its tag. Each dropped loan is revoked, so a departing receiver
-            // cannot strand a healthy sender on the watchdog.
+            // Left early (a hard error, a mid-post error or a panic): nobody
+            // will receive the rest of this exchange, so drop what is queued
+            // under its tag. Each dropped loan is revoked, so a departing
+            // receiver cannot strand a healthy sender on the watchdog.
             let (id, tag) = (self.comm.comm_id, self.tag);
-            let swept = self.comm.my_mailbox().discard(|key, _| (key.0, key.2) == (id, tag));
+            let swept = self.comm.my_mailbox().discard(|key| (key.0, key.2) == (id, tag));
             if swept > 0 {
                 ddrtrace::instant_arg("minimpi", "exchange_sweep", "msgs", swept as i64);
             }
@@ -506,21 +490,6 @@ impl Drop for Exchange<'_> {
         // unclaimed *now*; claims already in flight are waited out so the
         // borrow of the send buffers stays sound.
         self.drain_loans(Instant::now());
-    }
-}
-
-/// Per-source outcome of a salvaged exchange: which sources failed to
-/// deliver, and why.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExchangeReport {
-    /// `(source rank, error)` for every source whose contribution was lost.
-    pub failed: Vec<(usize, Error)>,
-}
-
-impl ExchangeReport {
-    /// True when every source delivered.
-    pub fn is_complete(&self) -> bool {
-        self.failed.is_empty()
     }
 }
 
@@ -566,85 +535,63 @@ mod tests {
         });
         let want = coll_key_tag(1, Coll::Allgather, 0);
         match &out[1] {
-            Err(Error::Timeout { src: Some(0), tag, .. }) if *tag == want => {}
+            Err(Error::Timeout { src: 0, tag, .. }) if *tag == want => {}
             other => panic!("expected a timeout on {want:#x}, got {other:?}"),
         }
     }
 
-    /// A receiver that aborts an exchange early (because some *other*
-    /// source died) must not strand a healthy sender's zero-copy loan until
-    /// the watchdog fires. Seeded over several message sizes, with the loan
-    /// under test of one part and of two.
+    /// A receiver that leaves an exchange early on a hard error must not
+    /// strand a healthy sender's zero-copy loan until the watchdog fires,
+    /// even while it stays alive. Seeded over several message sizes, with
+    /// the loan under test of one part and of two.
     ///
-    /// Geometry per run (3 ranks, zero-copy):
-    /// * rank 0 hand-deposits a loan to rank 1 under the exchange's tag,
-    ///   then departs — so rank 1's receive phase succeeds while rank 2's
-    ///   aborts with `PeerDead { rank: 0 }`.
-    /// * rank 1 lends `len` bytes to rank 2, as one part or two, and
-    ///   completes cleanly; without the abort-path sweep it would sit in
-    ///   `Exchange::wait` for the full watchdog, because rank 2 is alive but
-    ///   has left the exchange with the loan still queued.
+    /// Geometry per run (3 ranks, ranks 0 and 1 lending only to rank 2):
+    /// * rank 0 lends two parts where rank 2's `alltoallw` expects one, so
+    ///   rank 2 refuses the loan with a `DatatypeMismatch` and leaves its
+    ///   exchange before draining rank 1;
+    /// * rank 1 lends `len` bytes, as one part or two. Rank 2 never looks at
+    ///   that loan: only the early exit's sweep of its queued remainder
+    ///   revokes it;
     /// * rank 2 waits until rank 1's loan is queued (making the stranding
-    ///   deterministic), then aborts on the dead source.
+    ///   deterministic) and stays alive until every rank has returned, so
+    ///   without the sweep rank 1 sits in `Exchange::wait` for the full
+    ///   watchdog.
     #[test]
     fn departing_receiver_revokes_unclaimed_loans() {
         for (seed, nparts) in (0..6u64).flat_map(|seed| [(seed, 1), (seed, 2)]) {
             let len = 32 + (mix64(seed ^ 0xA11_0C8) % 4096) as usize;
-            let watchdog = Duration::from_secs(30);
             let start = Instant::now();
-            // Rank 0's lent buffer and tables: owned out here, so they outlive
-            // every rank thread of `run` and are freed after it returns.
-            let lent = vec![0xAB; len];
-            let lent_bufs: [&[u8]; 1] = [&lent];
-            let lent_parts = [(0, Datatype::Contiguous { len_bytes: len, offset: 0 })];
-            let out = Universe::builder().timeout(watchdog).run(3, |comm| {
+            let all_returned = std::sync::Barrier::new(3);
+            let out = Universe::builder().timeout(Duration::from_secs(30)).run(3, |comm| {
                 let me = comm.rank();
-                let tag = coll_key_tag(0, Coll::Alltoallw, 0);
                 let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
-                if me == 0 {
-                    // Loan to rank 1 only, then die with it outstanding.
-                    // SAFETY: nobody waits on the cell, but `lent_bufs` and
-                    // `lent_parts` outlive the run and so every read of them.
-                    let cell = unsafe { comm.deposit_shared(1, tag, &lent_bufs, &lent_parts) };
-                    drop(cell.unwrap());
-                    return Ok(());
-                }
-                if me == 1 {
-                    let send = vec![1u8; len];
-                    let mut recv = vec![0u8; len];
-                    // The loan under test → rank 2, in `nparts` parts.
+                let res = if me < 2 {
+                    let send = vec![me as u8; len];
                     let half = len / 2;
-                    let lent = match nparts {
-                        1 => vec![(0, contig(0, len))],
+                    let lent = match (me, nparts) {
+                        (1, 1) => vec![(0, contig(0, len))],
                         _ => vec![(0, contig(half, len - half)), (0, contig(0, half))],
                     };
-                    let sends: [&[_]; 3] = [&[], &[], &lent];
-                    let recvs: [&[_]; 3] = [&[contig(0, len)], &[], &[]]; // rank 0's hand deposit
-                                                                          // SAFETY: the exchange only stores initialized bytes.
-                    let recv_buf = unsafe { as_uninit_mut(&mut recv) };
-                    let res = comm.alltoallw_parts_uninit(&[&send], &sends, recv_buf, &recvs);
-                    assert_eq!(recv, vec![0xAB; len]);
-                    // The loan to rank 2 must have come back *revoked* —
-                    // this rank counted it on its own completion path.
-                    assert!(comm.counters()[Counter::RevokedMsgs] >= 1);
-                    return res.map(|report| assert!(report.is_complete(), "{report:?}"));
-                }
-                // Rank 2: make sure rank 1's loan is already queued, so the
-                // abort below is what must release it.
-                let key = (0u64, 1usize, tag);
-                while !comm.my_mailbox().contains(key) {
-                    std::thread::yield_now();
-                }
-                let mut recv = vec![0u8; 2 * len];
-                let empty = Datatype::Empty;
-                let rt = [contig(0, len), contig(len, len), empty];
-                comm.alltoallw(&[], &[empty; 3], &mut recv, &rt)
+                    let (sends, recvs): ([&[_]; 3], [&[_]; 3]) = ([&[], &[], &lent], [&[]; 3]);
+                    comm.alltoallw_parts_uninit(&[&send], &sends, &mut [], &recvs)
+                } else {
+                    let tag = coll_key_tag(0, Coll::Alltoallw, 0);
+                    while !comm.my_mailbox().contains((0, 1, tag)) {
+                        std::thread::yield_now();
+                    }
+                    let mut recv = vec![0u8; 2 * len];
+                    let empty = Datatype::Empty;
+                    let rt = [contig(0, len), contig(len, len), empty];
+                    comm.alltoallw(&[], &[empty; 3], &mut recv, &rt)
+                };
+                all_returned.wait();
+                (res, comm.counters()[Counter::RevokedMsgs])
             });
             let elapsed = start.elapsed();
             let case = format!("seed {seed}, {nparts} part(s)");
-            assert_eq!(out[0], Ok(()), "{case}");
-            assert_eq!(out[1], Ok(()), "{case}: sender must complete");
-            assert_eq!(out[2], Err(Error::PeerDead { rank: 0 }), "{case}");
+            assert_eq!(out[0], (Ok(()), 2), "{case}: rank 0's loan is refused");
+            assert_eq!(out[1], (Ok(()), 2), "{case}: rank 1's loan is revoked");
+            assert!(matches!(out[2].0, Err(Error::DatatypeMismatch { .. })), "{case}: {out:?}");
             // Liveness: nowhere near the watchdog. Without the sweep, rank 1
             // burns the full 30 s waiting on its loan.
             assert!(

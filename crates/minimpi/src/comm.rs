@@ -4,7 +4,7 @@ use crate::counters::{Counter, Counts, Slot};
 use crate::datatype::Datatype;
 use crate::error::{Error, Result};
 use crate::fault::{mix64, FaultPlan, FaultState, MessageVerdict};
-use crate::life::{Liveness, ShrinkBarrier};
+use crate::life::Liveness;
 use crate::mailbox::{Envelope, Mailbox, MsgKey, Payload};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
 use crate::wait::Waiter;
@@ -19,12 +19,11 @@ use std::time::Duration;
 pub type Tag = u32;
 
 /// Shared state of one [`crate::Universe`] run: a mailbox and a counter slot
-/// per world rank, the liveness registry, the shrink rendezvous, and
-/// (optionally) the installed fault plan's runtime state.
+/// per world rank, the liveness registry, and (optionally) the installed
+/// fault plan's runtime state.
 pub(crate) struct WorldState {
     pub mailboxes: Vec<Mailbox>,
     pub liveness: Liveness,
-    pub shrink: ShrinkBarrier,
     pub faults: Option<FaultState>,
     /// Communication ops performed so far, per world rank. Counted whether
     /// or not a fault plan is installed, so op positions observed in a
@@ -44,7 +43,6 @@ impl WorldState {
         WorldState {
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             liveness: Liveness::new(n),
-            shrink: ShrinkBarrier::default(),
             // An empty plan injects nothing, so it is no plan.
             faults: fault_plan.filter(|p| !p.is_empty()).map(FaultState::new),
             ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -59,14 +57,12 @@ impl WorldState {
     }
 
     /// Mark a world rank dead — fault-killed, or its thread finished — and
-    /// wake every blocked receiver and pending shrink round so they re-check
-    /// liveness. Idempotent.
+    /// wake every blocked receiver so it re-checks liveness. Idempotent.
     pub fn mark_dead(&self, world_rank: usize) {
         if self.liveness.mark_dead(world_rank) {
             for mb in &self.mailboxes {
                 mb.interrupt();
             }
-            self.shrink.on_death(&self.liveness);
         }
     }
 }
@@ -82,11 +78,6 @@ const COLL_BIT: u64 = 1 << 63;
 const PHASE_BITS: u32 = 12;
 const PHASE_MASK: u64 = (1 << PHASE_BITS) - 1;
 const COLL_SHIFT: u32 = 6;
-
-/// Sentinel tag reported by shrink-rendezvous timeouts (no message traffic
-/// is involved, so there is no real tag to report). It carries collective
-/// code 63, which no [`Coll`] has.
-const SHRINK_TAG: u64 = COLL_BIT | PHASE_MASK;
 
 fn user_key_tag(tag: Tag) -> u64 {
     tag as u64
@@ -119,9 +110,6 @@ pub(crate) fn describe_key_tag(key_tag: u64) -> String {
     if key_tag & COLL_BIT == 0 {
         return format!("user tag {key_tag}");
     }
-    if key_tag == SHRINK_TAG {
-        return "shrink rendezvous".to_string();
-    }
     let body = key_tag & !COLL_BIT;
     let coll = COLL_NAMES.get(((body & PHASE_MASK) >> COLL_SHIFT) as usize).unwrap_or(&"?");
     let phase = body & ((1 << COLL_SHIFT) - 1);
@@ -144,7 +132,6 @@ pub struct Comm {
     /// collectives are called in the same order by all of them.
     pub(crate) coll_seq: Cell<u64>,
     split_seq: Cell<u64>,
-    shrink_seq: Cell<u64>,
     timeout: Cell<Duration>,
 }
 
@@ -155,8 +142,8 @@ impl Comm {
         Comm::derived(world, 0, rank, Arc::new((0..n).collect()), timeout)
     }
 
-    /// Build a derived communicator handle (child of split/shrink) with
-    /// fresh sequence counters.
+    /// Build a derived communicator handle (a child of split) with fresh
+    /// sequence counters.
     fn derived(
         world: Arc<WorldState>,
         comm_id: u64,
@@ -171,7 +158,6 @@ impl Comm {
             members,
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
-            shrink_seq: Cell::new(0),
             timeout: Cell::new(timeout),
         }
     }
@@ -201,9 +187,9 @@ impl Comm {
         self.timeout.set(t);
     }
 
-    /// The watchdog's verdict on a wait for `src` (`None`: a rendezvous)
-    /// under `tag` that outlived this handle's timeout.
-    pub(crate) fn timed_out(&self, src: Option<usize>, tag: u64) -> Error {
+    /// The watchdog's verdict on a wait for `src` under `tag` that outlived
+    /// this handle's timeout.
+    pub(crate) fn timed_out(&self, src: usize, tag: u64) -> Error {
         Error::Timeout { rank: self.rank, src, tag, comm_id: self.comm_id }
     }
 
@@ -254,7 +240,7 @@ impl Comm {
     /// `deposit_*` caller decided. Eager: it never waits on the receiver.
     fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) {
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
-        let env = Envelope { payload, elem, sender: self.world_rank() };
+        let env = Envelope { payload, elem };
         self.world.mailboxes[self.members[dest]].deposit(key, env);
     }
 
@@ -399,7 +385,7 @@ impl Comm {
         let dead = || (!self.world.is_alive(src_world)).then_some(Error::PeerDead { rank: src });
         self.my_mailbox()
             .take(key, self.timeout.get(), self.waiter(), dead)
-            .map_err(|dead| dead.unwrap_or_else(|| self.timed_out(Some(src), key_tag)))
+            .map_err(|dead| dead.unwrap_or_else(|| self.timed_out(src, key_tag)))
     }
 
     /// This universe's counters so far, summed over its ranks: which wire
@@ -513,62 +499,6 @@ impl Comm {
             child_id,
             new_rank,
             Arc::new(members),
-            self.timeout.get(),
-        ))
-    }
-
-    /// Collective over the *surviving* members: agree on the set of members
-    /// still alive and return a new communicator containing exactly them, in
-    /// parent rank order (the moral equivalent of `MPI_Comm_shrink` from
-    /// ULFM).
-    ///
-    /// Every surviving member must call `shrink` the same number of times;
-    /// dead members are excused — the rendezvous completes as soon as all
-    /// currently-alive members have entered, and is re-evaluated whenever a
-    /// rank dies, so survivors never wait out the watchdog on a casualty.
-    ///
-    /// Unlike other collectives this does not send messages (it agrees via
-    /// shared state), so it cannot itself be killed by a fault plan — a rank
-    /// that reached `shrink` alive will complete it.
-    ///
-    /// Whatever a survivor sent this rank on this communicator and this rank
-    /// has not taken — the tail of an exchange abandoned on a death — is
-    /// discarded here: every survivor has entered, so nothing more of it can
-    /// come. A discarded zero-copy loan is revoked.
-    pub fn shrink(&self) -> Result<Comm> {
-        let generation = self.shrink_seq.get();
-        self.shrink_seq.set(generation + 1);
-        let survivors = self
-            .world
-            .shrink
-            .enter(
-                (self.comm_id, generation),
-                &self.members,
-                self.world_rank(),
-                &self.world.liveness,
-                self.timeout.get(),
-            )
-            .ok_or(self.timed_out(None, SHRINK_TAG))?;
-        let new_rank = survivors.iter().position(|&w| w == self.world_rank()).ok_or_else(|| {
-            Error::Internal {
-                detail: format!(
-                    "shrink: world rank {} absent from the agreed survivor set",
-                    self.world_rank()
-                ),
-            }
-        })?;
-        self.my_mailbox()
-            .discard(|key, env| key.0 == self.comm_id && survivors.contains(&env.sender));
-        // Derive the child id identically on every survivor.
-        let mut child_id = mix64(self.comm_id ^ mix64(0x5421_494e_4b21 ^ generation));
-        for &w in survivors.iter() {
-            child_id = mix64(child_id ^ w as u64);
-        }
-        Ok(Comm::derived(
-            Arc::clone(&self.world),
-            child_id,
-            new_rank,
-            Arc::new((*survivors).clone()),
             self.timeout.get(),
         ))
     }

@@ -84,37 +84,6 @@ impl Subarray {
         Ok(Subarray { ndims, sizes, subsizes, starts, elem_size, shape })
     }
 
-    /// 1-D convenience constructor.
-    pub fn d1(size: usize, subsize: usize, start: usize, elem_size: usize) -> Result<Self> {
-        Self::new(1, [size, 1, 1], [subsize, 1, 1], [start, 0, 0], elem_size)
-    }
-
-    /// 2-D convenience constructor (`x` fastest-varying).
-    pub fn d2(
-        sizes: [usize; 2],
-        subsizes: [usize; 2],
-        starts: [usize; 2],
-        elem_size: usize,
-    ) -> Result<Self> {
-        Self::new(
-            2,
-            [sizes[0], sizes[1], 1],
-            [subsizes[0], subsizes[1], 1],
-            [starts[0], starts[1], 0],
-            elem_size,
-        )
-    }
-
-    /// 3-D convenience constructor (`x` fastest-varying).
-    pub fn d3(
-        sizes: [usize; 3],
-        subsizes: [usize; 3],
-        starts: [usize; 3],
-        elem_size: usize,
-    ) -> Result<Self> {
-        Self::new(3, sizes, subsizes, starts, elem_size)
-    }
-
     /// Number of elements selected by the rectangle.
     pub fn count(&self) -> usize {
         self.subsizes[0] * self.subsizes[1] * self.subsizes[2]
@@ -444,6 +413,40 @@ impl Datatype {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Convenience constructors for these tests.
+    impl Subarray {
+        /// 1-D convenience constructor.
+        fn d1(size: usize, subsize: usize, start: usize, elem_size: usize) -> Result<Self> {
+            Self::new(1, [size, 1, 1], [subsize, 1, 1], [start, 0, 0], elem_size)
+        }
+
+        /// 2-D convenience constructor (`x` fastest-varying).
+        fn d2(
+            sizes: [usize; 2],
+            subsizes: [usize; 2],
+            starts: [usize; 2],
+            elem_size: usize,
+        ) -> Result<Self> {
+            Self::new(
+                2,
+                [sizes[0], sizes[1], 1],
+                [subsizes[0], subsizes[1], 1],
+                [starts[0], starts[1], 0],
+                elem_size,
+            )
+        }
+
+        /// 3-D convenience constructor (`x` fastest-varying).
+        fn d3(
+            sizes: [usize; 3],
+            subsizes: [usize; 3],
+            starts: [usize; 3],
+            elem_size: usize,
+        ) -> Result<Self> {
+            Self::new(3, sizes, subsizes, starts, elem_size)
+        }
+    }
 
     fn arr2d(w: usize, h: usize) -> Vec<u8> {
         (0..w * h).map(|i| i as u8).collect()

@@ -16,16 +16,14 @@ pub enum Error {
         /// Communicator size.
         size: usize,
     },
-    /// A blocking receive or rendezvous did not complete within the watchdog
-    /// timeout: almost always a deadlock or a mismatched send/recv pair.
+    /// A blocking receive did not complete within the watchdog timeout: almost always a deadlock or a mismatched send/recv pair.
     /// Carries the full pending op so the hang is diagnosable: who waited, on
     /// whom, for what tag, on which communicator.
     Timeout {
         /// Waiting rank (communicator-local).
         rank: usize,
-        /// The source the receive waited on. `None` for the shrink
-        /// rendezvous, which waits on no single rank.
-        src: Option<usize>,
+        /// The source the receive waited on (communicator-local).
+        src: usize,
         /// Raw key tag of the awaited message. User tags are `< 2^32`;
         /// larger values are internal collective sequence numbers (the
         /// `Display` impl decodes both).
@@ -81,16 +79,10 @@ impl fmt::Display for Error {
             }
             Error::Timeout { rank, src, tag, comm_id } => {
                 let op = crate::comm::describe_key_tag(*tag);
-                match src {
-                    Some(s) => write!(
-                        f,
-                        "rank {rank}: waiting on rank {s} ({op} on comm {comm_id:#x}) timed out — likely deadlock"
-                    ),
-                    None => write!(
-                        f,
-                        "rank {rank}: {op} on comm {comm_id:#x} timed out — likely deadlock"
-                    ),
-                }
+                write!(
+                    f,
+                    "rank {rank}: waiting on rank {src} ({op} on comm {comm_id:#x}) timed out — likely deadlock"
+                )
             }
             Error::PeerDead { rank } => {
                 write!(f, "rank {rank} is dead (fault-killed, panicked, or exited) — failing fast")

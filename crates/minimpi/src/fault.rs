@@ -278,7 +278,7 @@ mod tests {
         assert!(*sender_took < watchdog / 2, "the sender waited {sender_took:?}");
         assert_eq!(*loans, 1, "the withheld loan is not counted");
         match &out[1].0 {
-            Err(Error::Timeout { rank: 1, src: Some(0), .. }) => {}
+            Err(Error::Timeout { rank: 1, src: 0, .. }) => {}
             other => panic!("the receiver must time out naming rank 0: {other:?}"),
         }
     }

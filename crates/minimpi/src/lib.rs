@@ -45,9 +45,10 @@
 //! faults trigger on counters, never on wall clock. A **liveness registry**
 //! tracks dead ranks (fault-killed, panicked, or returned early); blocking
 //! receives and collectives aimed at a dead peer fail fast with
-//! [`Error::PeerDead`] instead of burning the watchdog timeout, and
-//! [`Comm::shrink`] lets survivors agree on a new communicator containing
-//! only live ranks — the substrate for DDR's shrink-and-remap recovery.
+//! [`Error::PeerDead`] instead of burning the watchdog timeout. There is no
+//! recovery: an `alltoallw` that loses a source still drains every other
+//! one and settles its own loans, then returns the lost source's error, so
+//! every survivor of a death fails naming the dead rank.
 //!
 //! ## What is checked, always
 //!
@@ -110,7 +111,6 @@ mod universe;
 mod wait;
 mod zerocopy;
 
-pub use collectives::ExchangeReport;
 pub use comm::{Comm, Tag};
 pub use counters::{Counter, Counts};
 pub use datatype::{ByteRuns, Datatype, Subarray};

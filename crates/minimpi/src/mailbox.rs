@@ -31,9 +31,6 @@ pub(crate) struct Envelope {
     /// Element size of the payload in bytes, stamped by typed sends and
     /// checked by typed receives; `1` for untyped bytes.
     pub elem: u32,
-    /// Sender's *world* rank. Keys carry communicator-local ranks; a shrink
-    /// discards the parent's queued tail by who sent it.
-    pub sender: usize,
 }
 
 #[derive(Default)]
@@ -171,12 +168,12 @@ impl Mailbox {
         Self::pop(&mut self.lock(), key)
     }
 
-    /// Drop every queued envelope `doomed(key, envelope)` selects. Dropping a
+    /// Drop every queued envelope whose key `doomed` selects. Dropping a
     /// loan revokes it. Returns how many were dropped.
-    pub fn discard(&self, doomed: impl Fn(&MsgKey, &Envelope) -> bool) -> usize {
+    pub fn discard(&self, doomed: impl Fn(&MsgKey) -> bool) -> usize {
         let mut q = self.lock();
         let before = q.fifo.len();
-        q.fifo.retain(|(key, env)| !doomed(key, env));
+        q.fifo.retain(|(key, _)| !doomed(key));
         before - q.fifo.len()
     }
 
@@ -204,8 +201,8 @@ mod tests {
     const LONG: Duration = Duration::from_secs(10);
 
     /// A data envelope from world rank `src`.
-    fn bytes_env(src: usize, bytes: Vec<u8>) -> Envelope {
-        Envelope { payload: Payload::Bytes(bytes), elem: 1, sender: src }
+    fn bytes_env(bytes: Vec<u8>) -> Envelope {
+        Envelope { payload: Payload::Bytes(bytes), elem: 1 }
     }
 
     /// A mailbox, the spin its receives run under and the slot they tally in.
@@ -272,8 +269,8 @@ mod tests {
     #[test]
     fn deposit_take_fifo() {
         let mb = Rig::default();
-        mb.deposit(KEY, bytes_env(0, vec![1]));
-        mb.deposit(KEY, bytes_env(0, vec![2]));
+        mb.deposit(KEY, bytes_env(vec![1]));
+        mb.deposit(KEY, bytes_env(vec![2]));
         assert_eq!(into_bytes(mb.recv(KEY, LONG).unwrap()), vec![1]);
         assert_eq!(into_bytes(mb.recv(KEY, LONG).unwrap()), vec![2]);
         assert_eq!(mb.pending(), 0);
@@ -285,8 +282,8 @@ mod tests {
     fn per_key_fifo_across_interleaved_keys_and_senders() {
         let mb = Rig::default();
         let (a, b) = (KEY, (1, 2, 9));
-        for (key, src, byte) in [(a, 0, 1), (b, 2, 11), (a, 0, 2), (b, 2, 12)] {
-            mb.deposit(key, bytes_env(src, vec![byte]));
+        for (key, byte) in [(a, 1), (b, 11), (a, 2), (b, 12)] {
+            mb.deposit(key, bytes_env(vec![byte]));
         }
         let got: Vec<u8> = [b, a, a, b].map(|k| into_bytes(mb.recv(k, LONG).unwrap())[0]).to_vec();
         assert_eq!((got, mb.pending()), (vec![11, 1, 2, 12], 0));
@@ -300,7 +297,7 @@ mod tests {
         let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || mb2.recv(KEY, LONG));
         until_asleep(&mb);
-        mb.deposit(KEY, bytes_env(0, vec![42]));
+        mb.deposit(KEY, bytes_env(vec![42]));
         assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![42]);
         assert_eq!(resolved(&mb), (0, 0, 1));
     }
@@ -316,7 +313,7 @@ mod tests {
         let got = std::thread::scope(|s| {
             let h = s.spawn(|| mb.take(KEY, LONG, mb.waiter(), watch));
             until_raised(&spinning);
-            mb.deposit(KEY, bytes_env(0, vec![7]));
+            mb.deposit(KEY, bytes_env(vec![7]));
             h.join().unwrap()
         });
         assert_eq!(into_bytes(got.unwrap()), vec![7]);
@@ -329,7 +326,7 @@ mod tests {
         std::thread::scope(|s| {
             let h = s.spawn(|| mb.recv(KEY, LONG));
             until_asleep(&mb);
-            mb.deposit(KEY, bytes_env(0, vec![8]));
+            mb.deposit(KEY, bytes_env(vec![8]));
             assert_eq!(into_bytes(h.join().unwrap().unwrap()), vec![8]);
         });
         assert_eq!(resolved(&mb), (0, 0, 1));
@@ -378,7 +375,7 @@ mod tests {
     fn try_take_nonblocking() {
         let mb = Rig::default();
         assert!(mb.try_take(KEY).is_none());
-        mb.deposit(KEY, bytes_env(0, vec![5]));
+        mb.deposit(KEY, bytes_env(vec![5]));
         assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![5]);
     }
 
@@ -409,38 +406,14 @@ mod tests {
     #[test]
     fn discard_drops_only_the_selected_envelopes() {
         let mb = Rig::default();
-        mb.deposit(KEY, bytes_env(0, vec![1]));
-        mb.deposit(KEY, bytes_env(0, vec![2]));
-        mb.deposit((1, 2, 7), bytes_env(2, vec![9]));
+        mb.deposit(KEY, bytes_env(vec![1]));
+        mb.deposit(KEY, bytes_env(vec![2]));
+        mb.deposit((1, 2, 7), bytes_env(vec![9]));
         let child = (2, 0, 7);
-        mb.deposit(child, bytes_env(0, vec![3]));
-        assert_eq!(mb.discard(|key, env| key.0 == KEY.0 && env.sender == 0), 2);
+        mb.deposit(child, bytes_env(vec![3]));
+        assert_eq!(mb.discard(|key| key.0 == KEY.0 && key.1 == 0), 2);
         assert!(mb.try_take(KEY).is_none());
         assert_eq!(into_bytes(mb.try_take(child).unwrap()), vec![3]);
         assert_eq!(into_bytes(mb.try_take((1, 2, 7)).unwrap()), vec![9]);
-    }
-
-    /// A shrink discards what a survivor left queued for another on the
-    /// parent communicator: once the child's messages are taken, the
-    /// parent's key holds nothing.
-    #[test]
-    fn shrink_leaves_nothing_queued_on_the_parent() {
-        let out = crate::Universe::builder().timeout(LONG).run(3, |comm| {
-            if comm.rank() == 2 {
-                return None; // departs: the others shrink without it
-            }
-            if comm.rank() == 0 {
-                comm.send(1, 7, &[1u8; 128]).unwrap();
-                comm.send(1, 7, &[2u8; 128]).unwrap();
-            }
-            let child = comm.shrink().unwrap();
-            if child.rank() == 0 {
-                child.send(1, 7, &[3u8; 128]).unwrap();
-                return None;
-            }
-            assert_eq!(child.recv_bytes(0, 7).unwrap(), vec![3u8; 128]);
-            Some(comm.my_mailbox().try_take((comm.comm_id, 0, 7)).is_none())
-        });
-        assert_eq!(out[1], Some(true), "the parent's tail is gone");
     }
 }

@@ -109,7 +109,7 @@ impl ZcCell {
             match self.state.load(Ordering::Acquire) {
                 DONE => break ZcWait::Done,
                 // A third party revoked the loan (the queued envelope was
-                // discarded — shrink, aborted exchange, teardown), or the
+                // discarded — an exchange left early, teardown), or the
                 // receiver refused it.
                 REVOKED => break ZcWait::Revoked,
                 // Expired or aborted: revoke. Losing the CAS race means the
@@ -209,7 +209,7 @@ impl ZcHandle {
 }
 
 /// Dropping a handle that was never claimed revokes the loan, so any path
-/// that throws a queued `Shared` message away (shrink, aborted exchange,
+/// that throws a queued `Shared` message away (an exchange left early,
 /// universe teardown) releases the sender blocked on the cell.
 impl Drop for ZcHandle {
     fn drop(&mut self) {

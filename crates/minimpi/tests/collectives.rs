@@ -111,14 +111,18 @@ fn alltoallw_transposes_a_block_distributed_matrix() {
         let send_types: Vec<Datatype> = (0..n)
             .map(|d| {
                 // To rank d: the 2-wide column band [2d..2d+2) of my 8x2 rows.
-                Datatype::Subarray(Subarray::d2([8, 2], [2, 2], [2 * d, 0], 4).unwrap())
+                Datatype::Subarray(
+                    Subarray::new(2, [8, 2, 1], [2, 2, 1], [2 * d, 0, 0], 4).unwrap(),
+                )
             })
             .collect();
         let recv_types: Vec<Datatype> = (0..n)
             .map(|s| {
                 // From rank s: its 2 rows of my 2-wide column band, placed at
                 // row offset 2*s of my 2x8 local array.
-                Datatype::Subarray(Subarray::d2([2, 8], [2, 2], [0, 2 * s], 4).unwrap())
+                Datatype::Subarray(
+                    Subarray::new(2, [2, 8, 1], [2, 2, 1], [0, 2 * s, 0], 4).unwrap(),
+                )
             })
             .collect();
 
@@ -217,7 +221,7 @@ fn recv_timeout_reports_deadlock() {
             None
         }
     });
-    assert!(matches!(out[1], Some(minimpi::Error::Timeout { rank: 1, src: Some(0), tag: 42, .. })));
+    assert!(matches!(out[1], Some(minimpi::Error::Timeout { rank: 1, src: 0, tag: 42, .. })));
 }
 
 #[test]

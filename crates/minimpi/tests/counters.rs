@@ -14,7 +14,9 @@ static CAPTURE: Mutex<()> = Mutex::new(());
 fn halves(columns: bool) -> Vec<Datatype> {
     let half = |p: usize| {
         let (sub, start) = if columns { ([4, 8], [4 * p, 0]) } else { ([8, 4], [0, 4 * p]) };
-        Datatype::Subarray(Subarray::d2([8, 8], sub, start, 4).unwrap())
+        Datatype::Subarray(
+            Subarray::new(2, [8, 8, 1], [sub[0], sub[1], 1], [start[0], start[1], 0], 4).unwrap(),
+        )
     };
     vec![half(0), half(1)]
 }

@@ -1,7 +1,7 @@
 //! Every [`minimpi::Error`] variant: its `Display` rendering and, where the
 //! runtime can be driven into it, the failure path that produces it.
 
-use minimpi::{Comm, Counter, Datatype, Error, Subarray, Universe};
+use minimpi::{Comm, Counter, Datatype, Error, FaultPlan, Subarray, Universe};
 use std::mem::MaybeUninit;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ fn parts_exchange(
     sends: &[&[(usize, Datatype)]],
     recv: &mut [u8],
     recvs: &[&[Datatype]],
-) -> minimpi::Result<minimpi::ExchangeReport> {
+) -> minimpi::Result<()> {
     let mut out: Vec<MaybeUninit<u8>> = recv.iter().map(|&b| MaybeUninit::new(b)).collect();
     let res = comm.alltoallw_parts_uninit(bufs, sends, &mut out, recvs);
     for (r, b) in recv.iter_mut().zip(&out) {
@@ -30,16 +30,9 @@ fn parts_exchange(
 fn all_variants() -> Vec<Error> {
     let variants = vec![
         Error::RankOutOfRange { rank: 9, size: 4 },
-        Error::Timeout { rank: 1, src: Some(2), tag: 77, comm_id: 5 },
+        Error::Timeout { rank: 1, src: 2, tag: 77, comm_id: 5 },
         // A collective's tag names it: barrier #3, phase 1.
-        Error::Timeout {
-            rank: 1,
-            src: Some(0),
-            tag: (1 << 63) | (3 << 12) | (1 << 6) | 1,
-            comm_id: 5,
-        },
-        // No source: a rendezvous, here under the shrink sentinel tag.
-        Error::Timeout { rank: 1, src: None, tag: (1 << 63) | 0xfff, comm_id: 5 },
+        Error::Timeout { rank: 1, src: 0, tag: (1 << 63) | (3 << 12) | (1 << 6) | 1, comm_id: 5 },
         Error::PeerDead { rank: 3 },
         Error::SizeMismatch { expected: 16, got: 12 },
         Error::DatatypeMismatch { detail: "subarray exceeds buffer".into() },
@@ -66,7 +59,6 @@ fn display_is_informative_for_every_variant() {
         "rank 9 out of range for communicator of size 4",
         "rank 1: waiting on rank 2 (user tag 77 on comm 0x5) timed out — likely deadlock",
         "rank 1: waiting on rank 0 (barrier #3 phase 1 on comm 0x5) timed out — likely deadlock",
-        "rank 1: shrink rendezvous on comm 0x5 timed out — likely deadlock",
         "rank 3 is dead (fault-killed, panicked, or exited) — failing fast",
         "message size mismatch: expected 16 bytes, got 12",
         "datatype mismatch: subarray exceeds buffer",
@@ -101,7 +93,7 @@ fn timeout_from_never_sent_message() {
         comm.set_timeout(Duration::from_millis(50));
         comm.recv_bytes(0, 42).unwrap_err()
     });
-    assert_eq!(out[0], Error::Timeout { rank: 0, src: Some(0), tag: 42, comm_id: 0 });
+    assert_eq!(out[0], Error::Timeout { rank: 0, src: 0, tag: 42, comm_id: 0 });
 }
 
 #[test]
@@ -277,14 +269,14 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
                 recvs[0] = &recv_parts;
             }
             let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
-            (res.map(|report| report.is_complete()), recv, comm.counters())
+            (res, recv, comm.counters())
         });
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "{what}: a loan waited out the watchdog"
         );
         let (res, _, counters) = &out[0];
-        assert_eq!(res, &Ok(true), "{what}: the sender completes");
+        assert_eq!(res, &Ok(()), "{what}: the sender completes");
         assert!(
             counters[Counter::RevokedMsgs] >= 1,
             "{what}: the loan comes back revoked: {counters:?}"
@@ -315,14 +307,62 @@ fn send_part_naming_a_missing_buffer_deposits_nothing() {
             recvs[0] = std::slice::from_ref(&whole);
         }
         let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
-        (res.map(|report| report.failed), recv, comm.counters()[Counter::ZerocopyMsgs])
+        (res, recv, comm.counters()[Counter::ZerocopyMsgs])
     });
     assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
     let detail = "alltoallw: a send part names buffer 1 of 1".into();
     assert_eq!(out[0], (Err(Error::CollectiveMismatch { detail }), [0xEE; 16], 0));
     for (rank, (res, recv, _)) in out.iter().enumerate().skip(1) {
-        assert_eq!(res, &Ok(vec![(0, Error::PeerDead { rank: 0 })]), "rank {rank}");
+        assert_eq!(res, &Err(Error::PeerDead { rank: 0 }), "rank {rank}");
         assert_eq!(recv, &[0xEE; 16], "rank {rank}: nothing was deposited");
+    }
+}
+
+/// A death anywhere in an `alltoallw` is the dead rank's alone: for every
+/// victim of 4 ranks, killed at every op of its exchange, each other rank
+/// returns `Ok` with every byte delivered or an error naming the victim,
+/// never a survivor. A survivor drains every source and settles its own
+/// loans before it returns, so none revokes a loan another survivor still
+/// has to claim.
+#[test]
+fn a_death_in_alltoallw_is_attributed_to_the_victim() {
+    const N: usize = 4;
+    const LEN: usize = 256;
+    let byte = |src: usize, at: usize| (src * 31 + at) as u8;
+    let exchange = |comm: &Comm| {
+        let me = comm.rank();
+        let send: Vec<u8> = (0..N * LEN).map(|at| byte(me, at)).collect();
+        let mut recv = vec![0u8; N * LEN];
+        let types: Vec<Datatype> =
+            (0..N).map(|p| Datatype::Contiguous { len_bytes: LEN, offset: p * LEN }).collect();
+        comm.alltoallw(&send, &types, &mut recv, &types).map(|()| recv)
+    };
+    let ops = Universe::run(N, |comm| exchange(comm).map(|_| comm.op_count()).unwrap());
+    for victim in 0..N {
+        for at_op in 0..ops[victim] {
+            let case = format!("victim {victim} at op {at_op}");
+            let start = Instant::now();
+            let out = Universe::builder()
+                .timeout(Duration::from_secs(30))
+                .fault_plan(FaultPlan::new().kill_rank_at_op(victim, at_op))
+                .run(N, exchange);
+            assert!(start.elapsed() < Duration::from_secs(10), "{case}: burned the watchdog");
+            assert_eq!(out[victim], Err(Error::PeerDead { rank: victim }), "{case}");
+            for (r, res) in out.iter().enumerate().filter(|&(r, _)| r != victim) {
+                match res {
+                    Ok(recv) => {
+                        let want: Vec<u8> = (0..N)
+                            .flat_map(|s| (0..LEN).map(move |i| byte(s, r * LEN + i)))
+                            .collect();
+                        assert_eq!(recv, &want, "{case}: rank {r}");
+                    }
+                    Err(Error::PeerDead { rank: named } | Error::Timeout { src: named, .. }) => {
+                        assert_eq!(*named, victim, "{case}: rank {r} blamed a survivor")
+                    }
+                    Err(e) => panic!("{case}: rank {r}: {e}"),
+                }
+            }
+        }
     }
 }
 
@@ -355,7 +395,7 @@ fn receive_cycle_times_out_on_every_rank_naming_its_peer() {
             res
         });
         for (rank, res) in out.into_iter().enumerate() {
-            let src = Some((rank + 1) % n);
+            let src = (rank + 1) % n;
             assert_eq!(res, Err(Error::Timeout { rank, src, tag: 7, comm_id: 0 }), "{n} ranks");
         }
     }
@@ -379,8 +419,8 @@ fn receive_cycle_spares_innocent_bystanders() {
             }
             _ => comm.recv_bytes(2, 6).map(|v| v[0] as usize),
         });
-    assert_eq!(out[0], Err(Error::Timeout { rank: 0, src: Some(1), tag: 5, comm_id: 0 }));
-    assert_eq!(out[1], Err(Error::Timeout { rank: 1, src: Some(0), tag: 5, comm_id: 0 }));
+    assert_eq!(out[0], Err(Error::Timeout { rank: 0, src: 1, tag: 5, comm_id: 0 }));
+    assert_eq!(out[1], Err(Error::Timeout { rank: 1, src: 0, tag: 5, comm_id: 0 }));
     assert_eq!(out[2], Ok(1));
     assert_eq!(out[3], Ok(42));
 }
@@ -408,7 +448,10 @@ fn checking_off_still_times_out() {
 fn mismatched_coalesced_message_is_a_datatype_mismatch() {
     let out = Universe::builder().timeout(Duration::from_secs(30)).run(2, |comm| {
         let words = |count, at, elem| {
-            Datatype::Subarray(Subarray::d1(16, count, at, elem).expect("valid subarray"))
+            Datatype::Subarray(
+                Subarray::new(1, [16, 1, 1], [count, 1, 1], [at, 0, 0], elem)
+                    .expect("valid subarray"),
+            )
         };
         let send = [7u8; 128];
         let mut recv = vec![0u8; 128];
@@ -421,9 +464,9 @@ fn mismatched_coalesced_message_is_a_datatype_mismatch() {
             recvs[0] = &want;
         }
         let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
-        (res.map(|report| report.is_complete()), recv)
+        (res, recv)
     });
-    assert_eq!(out[0], (Ok(true), vec![0; 128]));
+    assert_eq!(out[0], (Ok(()), vec![0; 128]));
     match &out[1] {
         (Err(Error::DatatypeMismatch { detail }), recv) => {
             assert!(detail.contains("[(16, 4), (16, 4)]"), "{detail}");

@@ -13,7 +13,8 @@ fn exchange(builder: UniverseBuilder, n: usize, elems: usize) -> Counts {
         let types: Vec<Datatype> = (0..n)
             .map(|p| {
                 Datatype::Subarray(
-                    Subarray::d1(elems * n, elems, p * elems, 8).expect("valid subarray"),
+                    Subarray::new(1, [elems * n, 1, 1], [elems, 1, 1], [p * elems, 0, 0], 8)
+                        .expect("valid subarray"),
                 )
             })
             .collect();
@@ -87,17 +88,16 @@ fn multi_part_message_loans_and_lands_part_by_part_in_order() {
         let a: Vec<u8> = (0..64).map(|i| (100 * me + i) as u8).collect();
         // An 8x8 grid; its centre 4x4 is sixteen bytes in four runs.
         let b: Vec<u8> = (0..64).map(|i| (100 * me + 64 + i) as u8).collect();
-        let centre = Datatype::Subarray(Subarray::d2([8, 8], [4, 4], [2, 2], 1).unwrap());
+        let centre =
+            Datatype::Subarray(Subarray::new(2, [8, 8, 1], [4, 4, 1], [2, 2, 0], 1).unwrap());
         let contig = |offset| Datatype::Contiguous { len_bytes: 16, offset };
         let (lent, want) =
             ([(0, contig(48)), (1, centre), (0, contig(0))], [contig(32), contig(0), contig(16)]);
         let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
         (sends[peer], recvs[peer]) = (&lent, &want);
         let mut recv = Vec::with_capacity(48);
-        let report = comm
-            .alltoallw_parts_uninit(&[&a, &b], &sends, recv.spare_capacity_mut(), &recvs)
+        comm.alltoallw_parts_uninit(&[&a, &b], &sends, recv.spare_capacity_mut(), &recvs)
             .expect("exchange succeeds");
-        assert!(report.is_complete(), "{report:?}");
         // SAFETY: a complete exchange initialized every byte of `want`'s
         // three parts, which tile the 48 bytes.
         unsafe { recv.set_len(48) };

@@ -54,6 +54,12 @@ fn subarray_from_seed(seed: u64, edge: u64) -> Subarray {
 }
 
 /// Distinct nonzero filler for each byte position.
+/// A 1-D subarray of exactly `sa`'s elements, start to end.
+fn flat_like(sa: &Subarray) -> Subarray {
+    let n = sa.count();
+    Subarray::new(1, [n, 1, 1], [n, 1, 1], [0; 3], sa.elem_size).unwrap()
+}
+
 fn filled(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i % 251 + 1) as u8).collect()
 }
@@ -116,7 +122,7 @@ fn check_against_reference(seed: u64, edge: u64) -> Result<(), TestCaseError> {
 
     // copy_to into a flat destination is pack without the intermediate.
     if sa.count() > 0 {
-        let flat = Subarray::d1(sa.count(), sa.count(), 0, sa.elem_size).unwrap();
+        let flat = flat_like(&sa);
         let mut direct = vec![0u8; flat.full_len()];
         sa.copy_to(&src, &flat, &mut direct).unwrap();
         prop_assert_eq!(direct, expect);
@@ -172,7 +178,7 @@ fn check_roundtrip(seed: u64, edge: u64) -> Result<(), TestCaseError> {
     // copy_to into a contiguous destination of the same element count must
     // equal pack (the degenerate zero-copy case).
     if sa.count() > 0 {
-        let flat = Subarray::d1(sa.count(), sa.count(), 0, sa.elem_size).unwrap();
+        let flat = flat_like(&sa);
         let mut direct = vec![0u8; flat.full_len()];
         sa.copy_to(&src, &flat, &mut direct).unwrap();
         prop_assert_eq!(direct, packed);
@@ -191,7 +197,7 @@ fn strided(s: &mut u64, width: usize, rows: usize, elem: usize) -> Subarray {
     let extra = (mix(s) % 3) as usize;
     let x0 = (mix(s) % (pad as u64 + 1)) as usize;
     let y0 = (mix(s) % (extra as u64 + 1)) as usize;
-    Subarray::d2([width + pad, rows + extra], [width, rows], [x0, y0], elem).unwrap()
+    Subarray::new(2, [width + pad, rows + extra, 1], [width, rows, 1], [x0, y0, 0], elem).unwrap()
 }
 
 /// A single-run selection of `count` elements of `elem` bytes, at a seeded
@@ -199,7 +205,7 @@ fn strided(s: &mut u64, width: usize, rows: usize, elem: usize) -> Subarray {
 fn single_run(s: &mut u64, count: usize, elem: usize) -> Subarray {
     let extra = (mix(s) % 5) as usize;
     let start = (mix(s) % (extra as u64 + 1)) as usize;
-    Subarray::d1(count + extra, count, start, elem).unwrap()
+    Subarray::new(1, [count + extra, 1, 1], [count, 1, 1], [start, 0, 0], elem).unwrap()
 }
 
 /// `copy_to` must equal `pack` then `unpack` byte for byte — bytes outside
@@ -314,14 +320,14 @@ proptest! {
             if b.count() != a.count() || b.elem_size != a.elem_size {
                 // Equal-count random pairs are rare; fall back to a flat
                 // destination, which is always constructible.
-                b = Subarray::d1(a.count(), a.count(), 0, a.elem_size).unwrap();
+                b = flat_like(&a);
             }
         }
         let src = filled(a.full_len());
         let mut mid = vec![0u8; b.full_len()];
         a.copy_to(&src, &b, &mut mid).unwrap();
         let mut back = vec![0u8; a.count() * a.elem_size];
-        let flat = Subarray::d1(a.count(), a.count(), 0, a.elem_size).unwrap();
+        let flat = flat_like(&a);
         b.copy_to(&mid, &flat, &mut back).unwrap();
         prop_assert_eq!(back, a.pack(&src).unwrap());
     }
