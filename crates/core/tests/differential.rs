@@ -231,11 +231,12 @@ fn held_chunks_ride_one_loaned_exchange() {
 }
 
 /// A fault plan's rules act on the loans: the exchange still loans, and a
-/// dropped loan is a lost message. E1's only 0 → 3 message of the whole
-/// program is the exchange's (row 4's right half): dropped, rank 3 times out
-/// on rank 0 with its need empty, and every other rank equals the oracle.
-/// The ranks stay alive until all have returned, so rank 3's wait ends in
-/// the watchdog, not in rank 0's exit.
+/// dropped loan is a lost message. E1's second 0 → 3 message is the
+/// exchange's (row 4's right half), after the set-up allgather's: dropped,
+/// rank 3 times out on rank 0 with its need empty, and every other rank
+/// equals the oracle. The ranks stay alive until all have returned, so rank
+/// 3's wait ends in the watchdog, not in rank 0's exit; a set-up error is
+/// carried past that barrier, so it fails the test instead of hanging it.
 #[test]
 fn a_fault_plan_acts_on_loans_and_a_drop_fails_only_its_receiver() {
     fn e1_owned(r: usize) -> [Block; 2] {
@@ -247,17 +248,18 @@ fn a_fault_plan_acts_on_loans_and_a_drop_fails_only_its_receiver() {
     let all_returned = Barrier::new(4);
     let out = Universe::builder()
         .timeout(Duration::from_millis(300))
-        .fault_plan(FaultPlan::new().drop_message(0, 3, None, 0))
+        .fault_plan(FaultPlan::new().drop_message(0, 3, None, 1))
         .run(4, |comm| {
             let r = comm.rank();
             let desc = Descriptor::for_type::<u64>(4, DataKind::D2).unwrap();
-            let plan = desc.setup_data_mapping(comm, &e1_owned(r), e1_need(r)).unwrap();
             let data: Vec<Vec<u64>> =
                 e1_owned(r).iter().map(|b| b.coords().map(cell_value).collect()).collect();
             let mut need = Vec::new();
-            let res = plan.reorganize(comm, &data, &mut need);
+            let res = desc
+                .setup_data_mapping(comm, &e1_owned(r), e1_need(r))
+                .map(|plan| plan.reorganize(comm, &data, &mut need));
             all_returned.wait();
-            (res, need, comm.counters())
+            (res.expect("set-up"), need, comm.counters())
         });
     for (r, (res, need, counters)) in out.iter().enumerate() {
         assert!(counters[Counter::ZerocopyMsgs] > 0, "rank {r}: no loan under a fault plan");

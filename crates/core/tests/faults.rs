@@ -101,15 +101,17 @@ fn dropped_coalesced_message_times_out_its_receiver_naming_the_source() {
         .fault_plan(FaultPlan::new().drop_message(0, 1, None, 0))
         .run(2, |comm| {
             let r = comm.rank();
-            let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();
-            let plan = compute_local_plan(r, &layouts, &desc).unwrap();
             let data: Vec<Vec<u32>> = layouts[r]
                 .owned
                 .iter()
                 .map(|b| (b.offset[0]..b.offset[0] + b.dims[0]).map(|x| x as u32).collect())
                 .collect();
             let mut need = Vec::new();
-            let res = plan.reorganize(comm, &data, &mut need);
+            // A set-up error is carried past the barrier, so it fails the
+            // test instead of leaving the peer on the barrier.
+            let res = Descriptor::for_type::<u32>(2, DataKind::D1)
+                .and_then(|desc| compute_local_plan(r, &layouts, &desc))
+                .and_then(|plan| plan.reorganize(comm, &data, &mut need));
             both_returned.wait();
             (res, need)
         });

@@ -247,11 +247,13 @@ fn other_consumer_is_ok_or_named(ended: &Ended, step: u64) {
 /// universe's timeout.
 #[test]
 fn blocking_frame_path_fails_structurally() {
-    // World rank 0 (producer 0) feeds world rank 2 (consumer 0). Its ops 0-4
-    // are `split_resources`' allgather, op 5 its step-1 send and op 6 its
-    // step-2 send: step 1 arrives, step 2 never does.
-    const KILL_OP: u64 = 6;
-    let (out, took) = faulty_stream(FaultPlan::new().kill_rank_at_op(0, KILL_OP));
+    // World rank 0 (producer 0) feeds world rank 2 (consumer 0). After the
+    // ops of `split_resources`, probed on a clean run, come its step-1 send
+    // and its step-2 send: killed at the latter, step 1 arrives and step 2
+    // never does.
+    let split_ops = Universe::run(4, |world| split_resources(world, 2).map(|_| world.op_count()));
+    let kill_op = split_ops[0].as_ref().expect("clean split") + 1;
+    let (out, took) = faulty_stream(FaultPlan::new().kill_rank_at_op(0, kill_op));
     assert!(matches!(out[2], Ended::Recv(2, MpiError::PeerDead { rank: 0 })), "{:?}", out[2]);
     other_consumer_is_ok_or_named(&out[3], 2);
     assert!(took < UNIVERSE_TIMEOUT / 4, "a dead producer took {took:?}");
@@ -278,6 +280,30 @@ fn blocking_frame_path_fails_structurally() {
     );
     other_consumer_is_ok_or_named(&out[3], 3);
     assert!(took >= FRAME_WAIT && took < UNIVERSE_TIMEOUT / 4, "a lost last frame took {took:?}");
+}
+
+/// A send to a dead rank fails fast, naming it, instead of queueing a frame
+/// nobody will take: rank 1 dies at its first op, and once rank 0's receive
+/// has seen the death, its typed send and its frame send both fail.
+#[test]
+fn sends_to_a_dead_rank_fail_naming_it() {
+    let out = Universe::builder()
+        .timeout(UNIVERSE_TIMEOUT)
+        .fault_plan(FaultPlan::new().kill_rank_at_op(1, 0))
+        .run(2, |comm| {
+            if comm.rank() == 1 {
+                return vec![comm.recv_bytes(0, 0).map(drop)];
+            }
+            let block = Block::d2([0, 0], [2, 1]).unwrap();
+            vec![
+                comm.recv_bytes(1, 0).map(drop),
+                comm.send(1, 0, &[1u32, 2]),
+                send_frame(comm, 1, 1, block, vec![0.5; 2]),
+            ]
+        });
+    let dead = || Err(MpiError::PeerDead { rank: 1 });
+    assert_eq!(out[1], [dead()], "the casualty itself");
+    assert_eq!(out[0], [dead(), dead(), dead()], "receive, send, frame send");
 }
 
 #[test]

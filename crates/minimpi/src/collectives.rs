@@ -19,39 +19,6 @@ use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Encode a list of byte buffers into one buffer (u64 count + u64 lengths +
-/// concatenated payloads). Used to ship allgather's gathered parts through
-/// its broadcast.
-fn encode_multi(parts: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(8 + 8 * parts.len() + total);
-    out.extend_from_slice(&(parts.len() as u64).to_le_bytes());
-    for p in parts {
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-    }
-    for p in parts {
-        out.extend_from_slice(p);
-    }
-    out
-}
-
-fn decode_multi(buf: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let fail = || Error::SizeMismatch { expected: 8, got: buf.len() };
-    let word = |i: usize| Some(u64::from_le_bytes(buf.get(8 * i..8 * i + 8)?.try_into().ok()?));
-    // The header is input from the wire: a count or length it cannot back
-    // with bytes is rejected before anything is sized or summed from it.
-    let n = word(0).filter(|&n| n < (buf.len() / 8) as u64).ok_or_else(fail)? as usize;
-    let mut parts = Vec::with_capacity(n);
-    let mut cursor = 8 + 8 * n;
-    for i in 0..n {
-        let len = usize::try_from(word(1 + i).ok_or_else(fail)?).map_err(|_| fail())?;
-        let end = cursor.checked_add(len).filter(|&e| e <= buf.len()).ok_or_else(fail)?;
-        parts.push(buf[cursor..end].to_vec());
-        cursor = end;
-    }
-    Ok(parts)
-}
-
 impl Comm {
     // ------------------------------------------------------------------
     // Barrier
@@ -80,79 +47,33 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Gather / Allgather
+    // Allgather
     // ------------------------------------------------------------------
 
-    /// Gather each rank's (variable-length) bytes at `root`. Returns
-    /// `Some(parts)` on the root (indexed by rank) and `None` elsewhere.
-    pub fn gather_bytes(&self, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.gather_as(Coll::Gather, root, data)
-    }
-
-    /// [`Comm::gather_bytes`] under `coll`'s tags.
-    fn gather_as(&self, coll: Coll, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        let n = self.size();
-        if root >= n {
-            return Err(Error::RankOutOfRange { rank: root, size: n });
-        }
-        let tag = coll_key_tag(self.next_coll_seq(), coll, 0);
-        if self.rank() == root {
-            let mut parts = vec![Vec::new(); n];
-            parts[root] = data.to_vec();
-            for (src, part) in parts.iter_mut().enumerate() {
-                if src != root {
-                    *part = self.take_from(src, tag)?;
-                }
-            }
-            Ok(Some(parts))
-        } else {
-            self.deposit_to(root, tag, data.to_vec())?;
-            Ok(None)
-        }
-    }
-
-    /// Allgather's second leg: broadcast bytes from rank 0 to all ranks
-    /// under allgather's tags — rank 0's `data` on rank 0, the received
-    /// payload elsewhere. Binomial tree, `O(log n)` depth.
-    fn broadcast_as_allgather(&self, data: &[u8]) -> Result<Vec<u8>> {
-        let n = self.size();
-        let tag = coll_key_tag(self.next_coll_seq(), Coll::Allgather, 0);
-        let me = self.rank();
-        let mut payload: Option<Vec<u8>> = if me == 0 { Some(data.to_vec()) } else { None };
-
-        // Receive phase: find the bit that identifies our parent.
-        let mut mask = 1usize;
-        while mask < n {
-            if me & mask != 0 {
-                payload = Some(self.take_from(me - mask, tag)?);
-                break;
-            }
-            mask <<= 1;
-        }
-        // Send phase: forward to children below our identifying bit.
-        let payload = payload.ok_or_else(|| Error::Internal {
-            detail: format!("bcast: rank {me} has no payload after the receive phase (n {n})"),
-        })?;
-        let mut mask = mask >> 1;
-        while mask > 0 {
-            if me + mask < n {
-                self.deposit_to(me + mask, tag, payload.clone())?;
-            }
-            mask >>= 1;
-        }
-        Ok(payload)
-    }
-
     /// Allgather: every rank receives every rank's (variable-length) slice,
-    /// indexed by rank. Gather to rank 0, then a broadcast of the gathered
-    /// parts.
+    /// indexed by rank. Each rank sends its slice straight to every peer,
+    /// then takes one from each: `2(n − 1)` ops, one phase.
+    ///
+    /// A send that fails — this rank was killed, or the peer is dead — does
+    /// not stop the sends to the other peers, so a survivor waiting on this
+    /// rank still gets its slice; the first such error is returned once all
+    /// were tried.
     pub fn allgather<T: Pod>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
-        let gathered = self.gather_as(Coll::Allgather, 0, bytes_of(data))?;
-        let encoded = gathered.map_or_else(Vec::new, |parts| encode_multi(&parts));
-        decode_multi(&self.broadcast_as_allgather(&encoded)?)?
-            .iter()
-            .map(|p| {
-                vec_from_bytes(p)
+        let (n, me) = (self.size(), self.rank());
+        let tag = coll_key_tag(self.next_coll_seq(), Coll::Allgather, 0);
+        let bytes = bytes_of(data);
+        let mut sent = Ok(());
+        for d in (0..n).filter(|&d| d != me) {
+            sent = sent.and(self.deposit_to(d, tag, bytes.to_vec()));
+        }
+        sent?;
+        (0..n)
+            .map(|s| {
+                if s == me {
+                    return Ok(data.to_vec());
+                }
+                let p = self.take_from(s, tag)?;
+                vec_from_bytes(&p)
                     .ok_or(Error::SizeMismatch { expected: std::mem::size_of::<T>(), got: p.len() })
             })
             .collect()
@@ -499,46 +420,6 @@ mod tests {
     use crate::fault::mix64;
     use crate::Universe;
     use std::time::Duration;
-
-    /// A damaged `encode_multi` header — a count that wraps `8 + 8 * n`, a
-    /// length that overflows the cursor — is a structured error, not a panic.
-    #[test]
-    fn decode_multi_rejects_overflowing_headers() {
-        let good = encode_multi(&[vec![1, 2, 3], vec![4]]);
-        assert_eq!(decode_multi(&good).unwrap(), [vec![1, 2, 3], vec![4]]);
-        for (word, value) in [(0, 1u64 << 61), (1, u64::MAX)] {
-            let mut bad = good.clone();
-            bad[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
-            assert!(matches!(decode_multi(&bad), Err(Error::SizeMismatch { .. })), "word {word}");
-        }
-    }
-
-    /// Allgather's broadcast leg carries allgather's kind, as its gather leg
-    /// does: a rank left waiting in it times out on an allgather tag. The
-    /// divergence tests in `tests/errors.rs` pin only each collective's
-    /// first message.
-    #[test]
-    fn allgather_broadcast_leg_is_tagged_allgather() {
-        // Rank 0 posts nothing and outlives rank 1's wait, so rank 1 times
-        // out instead of seeing a dead peer.
-        let rank_1_done = std::sync::Barrier::new(2);
-        let out = Universe::builder().timeout(Duration::from_millis(100)).run(2, |comm| {
-            if comm.rank() == 0 {
-                rank_1_done.wait();
-                return Ok(());
-            }
-            // The gather leg (sequence 0) is a send; the wait is the
-            // broadcast leg's receive (sequence 1).
-            let res = comm.allgather(&[1u8]).map(drop);
-            rank_1_done.wait();
-            res
-        });
-        let want = coll_key_tag(1, Coll::Allgather, 0);
-        match &out[1] {
-            Err(Error::Timeout { src: 0, tag, .. }) if *tag == want => {}
-            other => panic!("expected a timeout on {want:#x}, got {other:?}"),
-        }
-    }
 
     /// A receiver that leaves an exchange early on a hard error must not
     /// strand a healthy sender's zero-copy loan until the watchdog fires,

@@ -91,12 +91,11 @@ fn user_key_tag(tag: Tag) -> u64 {
 #[derive(Clone, Copy)]
 pub(crate) enum Coll {
     Barrier = 1,
-    Gather,
     Allgather,
     Alltoallw,
 }
 
-const COLL_NAMES: [&str; 5] = ["?", "barrier", "gather", "allgather", "alltoallw"];
+const COLL_NAMES: [&str; 4] = ["?", "barrier", "allgather", "alltoallw"];
 
 pub(crate) fn coll_key_tag(seq: u64, coll: Coll, phase: u64) -> u64 {
     debug_assert!(phase < 1 << COLL_SHIFT);
@@ -205,7 +204,7 @@ impl Comm {
     }
 
     /// Is communicator member `r` still alive?
-    pub fn is_alive(&self, r: usize) -> bool {
+    pub(crate) fn is_alive(&self, r: usize) -> bool {
         self.world.is_alive(self.members[r])
     }
 
@@ -269,8 +268,9 @@ impl Comm {
 
     /// Deposit owned bytes — the path of eager point-to-point sends and of
     /// every collective but `alltoallw`. `elem` is the element size to stamp
-    /// (typed sends pass theirs; `1` means untyped bytes). A dropped
-    /// message returns before [`Comm::enqueue`].
+    /// (typed sends pass theirs; `1` means untyped bytes). A send to a dead
+    /// rank fails [`Error::PeerDead`] naming it, since nobody will take it;
+    /// a dropped message returns before [`Comm::enqueue`].
     pub(crate) fn deposit_staged(
         &self,
         dest: usize,
@@ -279,6 +279,9 @@ impl Comm {
         elem: u32,
     ) -> Result<()> {
         self.fault_tick()?;
+        if !self.is_alive(dest) {
+            return Err(Error::PeerDead { rank: dest });
+        }
         if !self.passes_faults(dest, key_tag) {
             return Ok(());
         }

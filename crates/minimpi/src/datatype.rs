@@ -120,15 +120,15 @@ impl Subarray {
     /// `(byte_offset, byte_len)`, in packed (row-major, coordinate 0
     /// fastest) order. Fully covered leading dimensions are merged into
     /// longer runs, so a full-array selection yields exactly one run. The
-    /// run structure is cached at construction ([`kernels::RunShape`]), so
-    /// this is a field copy, not a re-derivation.
+    /// run structure is cached at construction, so this is a field copy,
+    /// not a re-derivation.
     pub fn byte_runs(&self) -> ByteRuns {
         ByteRuns::from_shape(&self.shape)
     }
 
     /// Pack the selected rectangle out of `src` (the full array, as bytes)
     /// and append it to `out`, through the tiered kernel dispatcher
-    /// (fused memcpy / lane gather / per-run loop — see [`crate::kernels`]).
+    /// (fused memcpy / lane gather / per-run loop).
     pub fn pack_into(&self, src: &[u8], out: &mut Vec<u8>) -> Result<()> {
         self.check_buf(src.len())?;
         kernels::pack_runs(src, &self.shape, out);

@@ -12,8 +12,8 @@
 //! * a [`Universe`] that launches `n` ranks and hands each a [`Comm`],
 //! * reliable, ordered, tag-matched point-to-point messaging
 //!   ([`Comm::send`], [`Comm::recv_vec`], byte-level variants),
-//! * collectives: [`Comm::barrier`], [`Comm::gather_bytes`],
-//!   [`Comm::allgather`], and crucially [`Comm::alltoallw`] with **subarray
+//! * collectives: [`Comm::barrier`], [`Comm::allgather`], and crucially
+//!   [`Comm::alltoallw`] with **subarray
 //!   datatypes** ([`Datatype`], [`Subarray`]) — the operation the paper
 //!   builds data redistribution on — and its multi-part form
 //!   [`Comm::alltoallw_parts_uninit`], which carries several rounds'
@@ -44,7 +44,7 @@
 //! matched in-flight messages — identically on every run, because
 //! faults trigger on counters, never on wall clock. A **liveness registry**
 //! tracks dead ranks (fault-killed, panicked, or returned early); blocking
-//! receives and collectives aimed at a dead peer fail fast with
+//! receives, sends and collectives aimed at a dead peer fail fast with
 //! [`Error::PeerDead`] instead of burning the watchdog timeout. There is no
 //! recovery: an `alltoallw` that loses a source still drains every other
 //! one and settles its own loans, then returns the lost source's error, so
@@ -67,11 +67,8 @@
 //! * **Every wait is bounded** — a receive cycle ends in [`Error::Timeout`]
 //!   on each member, naming the peer it waited on.
 //!
-//! One divergence stays silent: when no rank posts a receive, no rank
-//! waits. Two [`Comm::gather_bytes`] callers that each name the other as
-//! root are both leaves, and both return `Ok`, as under an MPI without a
-//! checking tool. Its one caller is `volren::dist`; no `ddr-core`
-//! collective takes a root.
+//! No collective takes a root, and every one posts a receive from a peer,
+//! so no divergence is silent.
 //!
 //! Every blocking wait on the data path — a receive, or a lender waiting for
 //! its loan to be copied — checks, spins for about one wake-up's worth

@@ -36,8 +36,11 @@ fn window(routes: &[(bool, bool)]) -> ((u64, u64, u64), Counts) {
             let send: Vec<f32> = (0..64).map(|i| (100 * comm.rank() + i) as f32).collect();
             let mut recv = vec![0u8; 64 * 4];
             let (send_types, recv_types) = (halves(send_columns), halves(recv_columns));
-            comm.alltoallw(minimpi::bytes_of(&send), &send_types, &mut recv, &recv_types).unwrap();
+            // Carried past the barrier, so a failing exchange fails the test
+            // instead of leaving its peer on the barrier.
+            let res = comm.alltoallw(minimpi::bytes_of(&send), &send_types, &mut recv, &recv_types);
             both_done.wait();
+            res.unwrap();
             comm.counters()
         })[0];
     }

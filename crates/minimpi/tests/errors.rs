@@ -481,7 +481,6 @@ fn mismatched_coalesced_message_is_a_datatype_mismatch() {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Coll {
     Barrier,
-    Gather,
     Allgather,
     Alltoallw,
 }
@@ -490,7 +489,6 @@ fn call(coll: Coll, comm: &Comm) -> minimpi::Result<()> {
     let mine = [comm.rank() as u8];
     match coll {
         Coll::Barrier => comm.barrier(),
-        Coll::Gather => comm.gather_bytes(0, &mine).map(drop),
         Coll::Allgather => comm.allgather(&mine).map(drop),
         Coll::Alltoallw => {
             let n = comm.size();
@@ -504,12 +502,12 @@ fn call(coll: Coll, comm: &Comm) -> minimpi::Result<()> {
 /// Rank 0 calls one collective and every other rank another, for every
 /// ordered pair at 2 and 3 ranks. The collective's kind is part of its key
 /// tag, so no rank takes another collective's bytes: some rank waits, and
-/// the run ends in an error. Rank 0 always waits on someone here — it is
-/// the gather root the others name — so no pair is silent.
+/// the run ends in an error: every collective posts a receive from a peer,
+/// so no pair is silent.
 #[test]
 fn divergent_collectives_never_all_succeed() {
     use Coll::*;
-    let colls = [Barrier, Gather, Allgather, Alltoallw];
+    let colls = [Barrier, Allgather, Alltoallw];
     for n in [2, 3] {
         for (a, b) in colls.iter().flat_map(|&a| colls.iter().map(move |&b| (a, b))) {
             if a == b {
@@ -524,23 +522,6 @@ fn divergent_collectives_never_all_succeed() {
             );
         }
     }
-}
-
-/// Ranks that disagree on a gather root fail when some root waits on a rank
-/// that sent elsewhere. The one silent divergence: two ranks that each name
-/// the other as root are both leaves, post no receive and both return
-/// `Ok(None)`, as under an MPI without a checking tool.
-#[test]
-fn disagreeing_gather_roots() {
-    let timeout = Duration::from_millis(100);
-    let out = Universe::builder()
-        .timeout(timeout)
-        .run(3, |comm| comm.gather_bytes(if comm.rank() == 2 { 1 } else { 0 }, &[9]).map(drop));
-    assert!(out.iter().any(Result::is_err), "{out:?}");
-    let out = Universe::builder()
-        .timeout(timeout)
-        .run(2, |comm| comm.gather_bytes(1 - comm.rank(), &[9]));
-    assert_eq!(out, [Ok(None), Ok(None)]);
 }
 
 /// Divergence inside one child communicator does not touch the other.

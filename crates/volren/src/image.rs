@@ -30,13 +30,14 @@ impl RgbaImage {
         [self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]]
     }
 
-    /// Composite `src` *under* the already-accumulated content of `self`
-    /// (front-to-back `over`): `dst += (1 - dst.a) * src`.
+    /// Composite the premultiplied pixels `src` *under* the
+    /// already-accumulated content of `self` (front-to-back `over`):
+    /// `dst += (1 - dst.a) * src`.
     ///
     /// `self` holds everything in front of `src`; both must be equal size.
-    pub fn under(&mut self, src: &RgbaImage) {
-        assert_eq!((self.width, self.height), (src.width, src.height), "size mismatch");
-        for (d, s) in self.data.chunks_exact_mut(4).zip(src.data.chunks_exact(4)) {
+    pub fn under(&mut self, src: &[f32]) {
+        assert_eq!(self.data.len(), src.len(), "size mismatch");
+        for (d, s) in self.data.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
             let transmittance = 1.0 - d[3];
             for c in 0..4 {
                 d[c] += transmittance * s[c];
@@ -107,7 +108,7 @@ mod tests {
         let mut back = RgbaImage::transparent(1, 1);
         back.shade(0, 0, samples[1].0, samples[1].1);
         back.shade(0, 0, samples[2].0, samples[2].1);
-        front.under(&back);
+        front.under(&back.data);
         for c in 0..4 {
             assert!((front.get(0, 0)[c] - reference.get(0, 0)[c]).abs() < 1e-6);
         }

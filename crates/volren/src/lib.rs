@@ -19,6 +19,8 @@
 //! * [`TransferFunction`] — scalar → color/opacity classification,
 //! * [`render_brick`] — ray-cast one brick into a partial RGBA image,
 //! * [`composite`] — combine brick images into the final picture,
+//! * [`composite_gather`] — the same over a communicator: one DDR plan moves
+//!   every brick image to rank 0, which folds them front to back,
 //! * [`RgbaImage`] — premultiplied float RGBA accumulation buffers.
 
 #![warn(missing_docs)]

@@ -60,9 +60,9 @@ fn main() -> ExitCode {
     }
 
     // Fully distributed DVR: each rank loads (DDR), renders its brick, and
-    // the partial images are composited over the communicator at rank 0 —
-    // the same load → render → composite pipeline the paper's multi-GPU
-    // renderer runs.
+    // a second DDR plan moves the partial images to rank 0, which
+    // composites them — the same load → render → composite pipeline the
+    // paper's multi-GPU renderer runs.
     println!("\nrendering and compositing over the communicator…");
     let dir = stack_dir.clone();
     let outcomes = Universe::run(NPROCS, move |comm| {
@@ -70,7 +70,7 @@ fn main() -> ExitCode {
             load_stack(comm, &dir, VOL, Method::Consecutive).map_err(|e| e.to_string())?;
         let tf = volren::TransferFunction::tooth();
         let brick = volren::render_brick(&data, block.dims, block.offset, &tf);
-        volren::composite_gather(comm, 0, VOL[0], VOL[1], &brick).map_err(|e| e.to_string())
+        volren::composite_gather(comm, VOL[0], VOL[1], &brick).map_err(|e| e.to_string())
     });
     let mut images = Vec::with_capacity(outcomes.len());
     for (rank, o) in outcomes.into_iter().enumerate() {
