@@ -48,9 +48,9 @@ fn bench_unpack(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pathological-stride shapes — the kernel dispatcher's worst cases, where
-/// runs are too short to amortize per-run overhead and the lane gather (or
-/// scalar fallback) carries the whole selection:
+/// Pathological-stride shapes — the selection copy's worst cases, where
+/// runs are too short to amortize the per-run copy that carries the whole
+/// selection:
 /// * column-major extraction: a single column of a wide row-major array, one
 ///   4-byte element per run, maximal stride;
 /// * inner-dim stride of one element: every other element of each row, so no

@@ -25,12 +25,12 @@ pub enum Counter {
     WaitSpinHits,
     /// Blocking waits that slept on their condvar at least once.
     WaitParks,
-    /// Exchange copies that were one `memcpy`: both sides a single run.
+    /// Exchange copies of one run into one run.
     PackFusedRuns,
-    /// Exchange bytes moved by the fixed-width lane gather and scatter loops.
+    /// Exchange bytes moved by the 64-byte run loop.
     PackVectorBytes,
-    /// Exchange bytes moved one pointer copy per run: a width with no lane
-    /// loop, or a copy strided on both sides.
+    /// Exchange bytes moved by one runtime-length copy per run: every other
+    /// width, and a copy strided on both sides.
     PackScalarBytes,
 }
 

@@ -39,7 +39,7 @@ pub struct Subarray {
     /// Size in bytes of one array element.
     pub elem_size: usize,
     /// Fused run structure, derived once at construction so `byte_runs` and
-    /// the pack/unpack kernels never re-derive the dimension merge. Fully a
+    /// the selection copy never re-derive the dimension merge. Fully a
     /// function of the fields above (`PartialEq` stays consistent).
     shape: RunShape,
 }
@@ -127,12 +127,9 @@ impl Subarray {
     }
 
     /// Pack the selected rectangle out of `src` (the full array, as bytes)
-    /// and append it to `out`, through the tiered kernel dispatcher
-    /// (fused memcpy / lane gather / per-run loop).
+    /// and append it to `out`.
     pub fn pack_into(&self, src: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        self.check_buf(src.len())?;
-        kernels::pack_runs(src, &self.shape, out);
-        Ok(())
+        Datatype::Subarray(*self).pack_into(src, out)
     }
 
     /// Pack the selected rectangle into a fresh buffer.
@@ -149,10 +146,8 @@ impl Subarray {
     }
 
     /// Copy the rectangle directly from `src` into the rectangle described by
-    /// `dst_type` in `dst`, without an intermediate packed buffer. A side
-    /// that is a single run makes the copy the other side's pack or unpack
-    /// kernel; two strided sides are walked run pair by run pair. Used for
-    /// self-sends and the zero-copy exchange.
+    /// `dst_type` in `dst`, without an intermediate packed buffer, through
+    /// the one selection copy (`copy_selection`).
     pub fn copy_to(&self, src: &[u8], dst_type: &Subarray, dst: &mut [u8]) -> Result<()> {
         if self.count() != dst_type.count() || self.elem_size != dst_type.elem_size {
             return Err(Error::DatatypeMismatch {
@@ -251,19 +246,20 @@ fn for_each_run_pair(src_dt: &Datatype, dst_dt: &Datatype, mut f: impl FnMut(usi
 /// Copy `src_dt`'s selection of `src` directly into `dst_dt`'s selection of
 /// `dst`, on the calling thread. Both buffers are validated against their
 /// datatypes up front, and the selections must pack to the same length.
-/// The single copy routine behind `copy_to`, self-sends and the zero-copy
-/// claim. It only stores into `dst`, so `dst` may be uninitialized: on `Ok`
-/// every byte of `dst_dt`'s selection is initialized.
+/// The one code that moves selection bytes: `pack_into`, `unpack` and
+/// `copy_to` (a packed buffer is a [`Datatype::Contiguous`] side), self-sends
+/// and the zero-copy claim. It only stores into `dst`, so `dst` may be
+/// uninitialized: on `Ok` every byte of `dst_dt`'s selection is initialized.
 ///
-/// A side that is a single run is a packed image already, so the copy is
-/// the other side's kernel — its scatter ([`kernels::unpack_runs`]) or its
-/// gather ([`kernels::pack_runs_to`]) — and lane-width runs vectorise. Only
-/// a copy strided on both sides walks the two run streams in lockstep, one
-/// pointer copy per stretch contiguous in both.
+/// Two paths: a side that is a single run is a packed image already, so one
+/// loop walks the other side's runs ([`kernels::copy_runs`]); a copy strided
+/// on both sides walks the two run streams in lockstep, one pointer copy per
+/// stretch contiguous in both.
 ///
-/// Returns the `pack.*` counter of the tier that moved the bytes and its
-/// increment: one fused run, or the bytes moved through the lane loops or
-/// one pointer copy per run (the lockstep walk is such a loop).
+/// Returns the `pack.*` counter of the route that moved the bytes and its
+/// increment: one fused run when the walked side is a single run, else the
+/// bytes moved by the 64-byte loop or by one pointer copy per run (the
+/// lockstep walk is such a loop).
 pub(crate) fn copy_selection(
     src: &[u8],
     src_dt: &Datatype,
@@ -277,13 +273,7 @@ pub(crate) fn copy_selection(
     if len != to.total_bytes() {
         return Err(Error::SizeMismatch { expected: to.total_bytes(), got: len });
     }
-    if from.nruns <= 1 {
-        kernels::unpack_runs(&src[from.base..from.base + len], &to, dst);
-        Ok(tier(&to))
-    } else if to.nruns <= 1 {
-        kernels::pack_runs_to(src, &from, &mut dst[to.base..to.base + len]);
-        Ok(tier(&from))
-    } else {
+    if from.nruns > 1 && to.nruns > 1 {
         for_each_run_pair(src_dt, dst_dt, |s, d, n| {
             let (from, to) = (&src[s..s + n], &mut dst[d..d + n]);
             // SAFETY: both stretches are `n` bytes, bounds-checked by the
@@ -291,21 +281,14 @@ pub(crate) fn copy_selection(
             // other exclusively).
             unsafe { std::ptr::copy_nonoverlapping(from.as_ptr(), to.as_mut_ptr().cast(), n) };
         });
-        Ok((Counter::PackScalarBytes, len as u64))
+        return Ok((Counter::PackScalarBytes, len as u64));
     }
-}
-
-/// The `pack.*` counter, and its increment, of one kernel call that gathers
-/// or scatters `shape`'s selection.
-fn tier(shape: &RunShape) -> (Counter, u64) {
-    match shape.nruns {
-        0 => (Counter::PackFusedRuns, 0),
-        1 => (Counter::PackFusedRuns, 1),
-        _ if kernels::is_lane_width(shape.run_bytes) => {
-            (Counter::PackVectorBytes, shape.total_bytes() as u64)
-        }
-        _ => (Counter::PackScalarBytes, shape.total_bytes() as u64),
-    }
+    let walked = kernels::copy_runs(src, &from, dst, &to);
+    Ok(match walked.nruns {
+        0 | 1 => (Counter::PackFusedRuns, walked.nruns as u64),
+        _ if walked.run_bytes == kernels::LANE => (Counter::PackVectorBytes, len as u64),
+        _ => (Counter::PackScalarBytes, len as u64),
+    })
 }
 
 /// Wire-facing datatype used by [`crate::Comm::alltoallw`].
@@ -362,51 +345,38 @@ impl Datatype {
     pub(crate) fn check_bounds(&self, buf_len: usize) -> Result<()> {
         match self {
             Datatype::Empty => Ok(()),
-            Datatype::Contiguous { len_bytes, offset } => {
-                let end = offset + len_bytes;
-                if end > buf_len {
-                    return Err(Error::DatatypeMismatch {
-                        detail: format!(
-                            "contiguous range {offset}..{end} exceeds buffer of {buf_len} bytes"
-                        ),
-                    });
-                }
-                Ok(())
-            }
+            Datatype::Contiguous { len_bytes, offset } => match offset.checked_add(*len_bytes) {
+                Some(end) if end <= buf_len => Ok(()),
+                _ => Err(Error::DatatypeMismatch {
+                    detail: format!(
+                        "contiguous range of {len_bytes} bytes at {offset} exceeds buffer of \
+                         {buf_len} bytes"
+                    ),
+                }),
+            },
             Datatype::Subarray(s) => s.check_buf(buf_len),
         }
     }
 
     /// Pack this datatype's selection out of `src`, appending to `out`.
     pub fn pack_into(&self, src: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        match self {
-            Datatype::Empty => Ok(()),
-            Datatype::Contiguous { len_bytes, offset } => {
-                let end = offset + len_bytes;
-                if end > src.len() {
-                    return Err(Error::DatatypeMismatch {
-                        detail: format!(
-                            "contiguous range {offset}..{end} exceeds buffer of {} bytes",
-                            src.len()
-                        ),
-                    });
-                }
-                out.extend_from_slice(&src[*offset..end]);
-                Ok(())
-            }
-            Datatype::Subarray(s) => s.pack_into(src, out),
-        }
+        // Checked before `reserve`, which a bogus length would abort.
+        self.check_bounds(src.len())?;
+        let (start, len) = (out.len(), self.packed_len());
+        out.reserve(len);
+        let packed = Datatype::Contiguous { len_bytes: len, offset: 0 };
+        copy_selection(src, self, &mut out.spare_capacity_mut()[..len], &packed)?;
+        // SAFETY: copy_selection returned `Ok`, so it initialized all `len`
+        // bytes of the packed side, inside the capacity reserved above.
+        unsafe { out.set_len(start + len) };
+        Ok(())
     }
 
     /// Unpack `packed` into this datatype's selection of `dst`.
     pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) -> Result<()> {
-        self.check_bounds(dst.len())?;
-        if packed.len() != self.packed_len() {
-            return Err(Error::SizeMismatch { expected: self.packed_len(), got: packed.len() });
-        }
-        // SAFETY: unpack_runs only stores initialized bytes into `dst`.
-        kernels::unpack_runs(packed, &self.shape(), unsafe { as_uninit_mut(dst) });
-        Ok(())
+        let from = Datatype::Contiguous { len_bytes: packed.len(), offset: 0 };
+        // SAFETY: copy_selection only stores initialized bytes into `dst`.
+        copy_selection(packed, &from, unsafe { as_uninit_mut(dst) }, self).map(drop)
     }
 }
 
@@ -575,6 +545,16 @@ mod tests {
         assert_eq!(dst, [0, 0, 3, 4, 5, 0]);
     }
 
+    /// An offset and a length whose sum overflows fail as a mismatch, on
+    /// both sides of the copy, instead of panicking.
+    #[test]
+    fn overflowing_contiguous_range_is_a_datatype_mismatch() {
+        let dt = Datatype::Contiguous { len_bytes: usize::MAX, offset: 2 };
+        let mismatch = |r: Result<()>| matches!(r, Err(Error::DatatypeMismatch { .. }));
+        assert!(mismatch(dt.pack_into(&[0u8; 16], &mut Vec::new())));
+        assert!(mismatch(dt.unpack(&[0u8; 4], &mut [0u8; 16])));
+    }
+
     #[test]
     fn empty_datatype() {
         let dt = Datatype::Empty;
@@ -624,9 +604,12 @@ mod tests {
             let mut staged = vec![0u8; len];
             for (from, to) in &pairs {
                 copy_selection(&src, from, spare, to).unwrap();
-                let mut packed = Vec::new();
-                from.pack_into(&src, &mut packed).unwrap();
-                to.unpack(&packed, &mut staged).unwrap();
+                // The reference moves one byte at a time along the runs.
+                let bytes = |dt: &Datatype| dt.byte_runs().flat_map(|(o, l)| o..o + l).collect();
+                let (src_at, dst_at): (Vec<usize>, Vec<usize>) = (bytes(from), bytes(to));
+                for (s, d) in src_at.into_iter().zip(dst_at) {
+                    staged[d] = src[s];
+                }
             }
             // SAFETY: the destination selections tile [0, len) and each
             // copy returned `Ok`, so every byte was stored.
