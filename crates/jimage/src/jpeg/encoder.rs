@@ -177,11 +177,25 @@ fn magnitude_bits(v: i32, cat: u8) -> u32 {
     }
 }
 
+/// One component's entropy coder, with a memo for flat blocks.
+///
+/// A block whose 64 samples have the same bits always quantises the same,
+/// so the coder keeps the bits and DC of the last flat block whose AC
+/// coefficients all quantised to zero; a flat block with those bits emits
+/// that DC's difference and EOB, as the full path would, and skips
+/// [`fdct_8x8`] and the quantiser. On 48 `lbm_frames`-shaped 256² tiles
+/// (three barrier positions, steps 20–300), 93.8–95.1 % of the blocks are
+/// flat after the band build, and the memo hits 99.8 % of them. A direct
+/// call of [`encode_with`] (AVX2 build, 2-vCPU Xeon guest) on those tiles
+/// went from 0.34 to 0.135 ms, and on an all-white frame from 0.27 to
+/// 0.106 ms (medians of six interleaved rounds); the band build is the rest.
 struct BlockEncoder {
     dc_codes: [(u16, u8); 256],
     ac_codes: [(u16, u8); 256],
     quant: [u16; 64],
     dc_pred: i32,
+    /// The sample bits and quantised DC of the last flat block memoised.
+    flat: Option<(u32, i32)>,
 }
 
 impl BlockEncoder {
@@ -191,26 +205,34 @@ impl BlockEncoder {
             ac_codes: build_codes(&ac.bits, ac.values),
             quant,
             dc_pred: 0,
+            flat: None,
         }
     }
 
     #[inline(always)]
     fn encode(&mut self, mut block: [f32; 64], w: &mut BitWriter) {
+        // Flat: all bits equal sample 0's. Eight lanes so the AVX2 build uses
+        // `ymm` ops and one `vptest`; one fold over 64 compiled to extracts.
+        let bits = block[0].to_bits();
+        let mut lanes = [0u32; 8];
+        for row in block.chunks_exact(8) {
+            for (l, v) in lanes.iter_mut().zip(row) {
+                *l |= v.to_bits() ^ bits;
+            }
+        }
+        let flat = lanes == [0; 8];
+        if let Some((_, dc)) = self.flat.filter(|&(memo, _)| flat && memo == bits) {
+            self.put_dc(dc, w);
+            let (code, len) = self.ac_codes[0x00]; // EOB
+            w.put(code as u32, len);
+            return;
+        }
         fdct_8x8(&mut block);
         let mut q = [0i32; 64];
         for ((q, &f), &d) in q.iter_mut().zip(&block).zip(&self.quant) {
             *q = round_half_away(f / d as f32);
         }
-        // DC difference.
-        let dc = q[0];
-        let diff = dc - self.dc_pred;
-        self.dc_pred = dc;
-        let cat = category(diff);
-        let (code, len) = self.dc_codes[cat as usize];
-        w.put(code as u32, len);
-        if cat > 0 {
-            w.put(magnitude_bits(diff, cat), cat);
-        }
+        self.put_dc(q[0], w);
         // AC run-length coding over the zigzag scan.
         let mut run = 0u32;
         for &nat in &ZIGZAG[1..] {
@@ -235,6 +257,22 @@ impl BlockEncoder {
         if run > 0 {
             let (code, len) = self.ac_codes[0x00]; // EOB
             w.put(code as u32, len);
+        }
+        if flat && run == 63 {
+            self.flat = Some((bits, q[0]));
+        }
+    }
+
+    /// The DC difference against the previous block's DC.
+    #[inline(always)]
+    fn put_dc(&mut self, dc: i32, w: &mut BitWriter) {
+        let diff = dc - self.dc_pred;
+        self.dc_pred = dc;
+        let cat = category(diff);
+        let (code, len) = self.dc_codes[cat as usize];
+        w.put(code as u32, len);
+        if cat > 0 {
+            w.put(magnitude_bits(diff, cat), cat);
         }
     }
 }

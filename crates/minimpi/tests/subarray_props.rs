@@ -87,8 +87,9 @@ fn reference_pack(sa: &Subarray, src: &[u8]) -> Vec<u8> {
 
 /// The kernel-vs-scalar-reference property, shared with the committed
 /// regression corpus below: `pack`, `pack_into`, `unpack`, and `copy_to`
-/// must all agree with [`reference_pack`]'s coordinate walk whichever
-/// kernel tier (fused memcpy, lane gather, scalar fallback) dispatch picks.
+/// must all agree with [`reference_pack`]'s coordinate walk on either path
+/// of the one selection copy: the run loop when one side is a single run,
+/// the lockstep walk when both sides are strided.
 fn check_against_reference(seed: u64, edge: u64) -> Result<(), TestCaseError> {
     let sa = subarray_from_seed(seed, edge);
     let src = filled(sa.full_len());
@@ -186,8 +187,8 @@ fn check_roundtrip(seed: u64, edge: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Run widths in bytes: every lane width of the kernels (1, 2, 4, 8, 12, 16,
-/// 32, 64) and widths the lane loops do not take.
+/// Run widths in bytes: 64, the one width the run loop moves as a fixed
+/// `[u8; 64]`, and widths around it that it copies at their runtime length.
 const RUN_WIDTHS: [usize; 14] = [1, 2, 3, 4, 5, 8, 12, 16, 24, 32, 40, 64, 65, 100];
 
 /// A strided 2-D selection of `rows` runs of `width` elements of `elem`
