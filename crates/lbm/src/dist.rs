@@ -7,7 +7,7 @@ use minimpi::{Comm, Result as MpiResult};
 /// Halo-exchange tag namespace (user tags; one per direction per purpose).
 const TAG_F_UP: u32 = 0x4C42_0001; // post-collision rows moving upward
 const TAG_F_DOWN: u32 = 0x4C42_0002;
-const TAG_V_UP: u32 = 0x4C42_0003; // velocity rows for vorticity stencils
+const TAG_V_UP: u32 = 0x4C42_0003; // `ux` rows for vorticity stencils
 const TAG_V_DOWN: u32 = 0x4C42_0004;
 
 /// The paper's simulation-side decomposition: "the simulation application
@@ -18,6 +18,8 @@ pub struct DistributedLbm {
     lattice: Lattice,
     rank: usize,
     nprocs: usize,
+    /// Whether `vorticity` has run the next step's collide already.
+    collided: bool,
 }
 
 impl DistributedLbm {
@@ -31,10 +33,13 @@ impl DistributedLbm {
         let nprocs = comm.size();
         let rank = comm.rank();
         let (y0, rows) = split_rows(cfg.ny, nprocs, rank);
-        DistributedLbm { lattice: Lattice::new(cfg, y0, rows, barrier), rank, nprocs }
+        let lattice = Lattice::new(cfg, y0, rows, barrier);
+        DistributedLbm { lattice, rank, nprocs, collided: false }
     }
 
-    /// The underlying slab.
+    /// The underlying slab. After [`DistributedLbm::vorticity`] and until
+    /// the next [`DistributedLbm::step`], it holds the next step's
+    /// post-collision values, not the state the vorticity was taken of.
     pub fn lattice(&self) -> &Lattice {
         &self.lattice
     }
@@ -44,12 +49,18 @@ impl DistributedLbm {
         (self.lattice.y0(), self.lattice.rows())
     }
 
-    /// Advance one time step: collide, exchange halo rows with the (at most
-    /// two) neighbors, stream.
+    /// The ranks of the slabs below and above, where there are any.
+    fn neighbours(&self) -> (Option<usize>, Option<usize>) {
+        (self.rank.checked_sub(1), Some(self.rank + 1).filter(|&a| a < self.nprocs))
+    }
+
+    /// Advance one time step: collide (unless [`DistributedLbm::vorticity`]
+    /// has), exchange halo rows with the (at most two) neighbors, stream.
     pub fn step(&mut self, comm: &Comm) -> MpiResult<()> {
-        self.lattice.collide();
-        let below = self.rank.checked_sub(1);
-        let above = if self.rank + 1 < self.nprocs { Some(self.rank + 1) } else { None };
+        if !std::mem::take(&mut self.collided) {
+            self.lattice.collide();
+        }
+        let (below, above) = self.neighbours();
 
         // Send both edges first (buffered), then receive: no deadlock.
         if let Some(b) = below {
@@ -78,30 +89,35 @@ impl DistributedLbm {
 
     /// Vorticity of this slab, with velocity halos exchanged so the stencil
     /// matches the serial solver exactly.
-    pub fn vorticity(&self, comm: &Comm) -> MpiResult<Vec<f32>> {
-        let below = self.rank.checked_sub(1);
-        let above = if self.rank + 1 < self.nprocs { Some(self.rank + 1) } else { None };
-        let pack = |row: Vec<(f64, f64)>| -> Vec<f64> {
-            row.into_iter().flat_map(|(a, b)| [a, b]).collect()
-        };
-        let unpack = |flat: Vec<f64>| -> Vec<(f64, f64)> {
-            flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
-        };
-        if let Some(b) = below {
-            comm.send(b, TAG_V_DOWN, &pack(self.lattice.velocity_row(0)))?;
-        }
-        if let Some(a) = above {
-            comm.send(a, TAG_V_UP, &pack(self.lattice.velocity_row(self.lattice.rows() - 1)))?;
-        }
-        let ghost_below = match below {
-            Some(b) => Some(unpack(comm.recv_vec(b, TAG_V_UP)?)),
-            None => None,
-        };
-        let ghost_above = match above {
-            Some(a) => Some(unpack(comm.recv_vec(a, TAG_V_DOWN)?)),
-            None => None,
-        };
-        Ok(self.lattice.vorticity(ghost_below.as_deref(), ghost_above.as_deref()))
+    ///
+    /// It runs the next step's collide in the same sweep
+    /// ([`Lattice::vorticity`]'s velocities are the moments the collide
+    /// computes from the same distributions), so the next
+    /// [`DistributedLbm::step`] skips its own. Each op of a step-then-frame
+    /// loop thus sweeps the slab once, not twice.
+    ///
+    /// # Panics
+    /// Panics when called twice without a [`DistributedLbm::step`] between:
+    /// the slab then holds post-collision values, not the state of a step.
+    pub fn vorticity(&mut self, comm: &Comm) -> MpiResult<Vec<f32>> {
+        assert!(
+            !self.collided,
+            "DistributedLbm::vorticity takes one frame per step: call `step` before the next `vorticity`"
+        );
+        self.collided = true;
+        let (below, above) = self.neighbours();
+        self.lattice.collide_vorticity(|bottom, top| {
+            if let Some(b) = below {
+                comm.send(b, TAG_V_DOWN, bottom)?;
+            }
+            if let Some(a) = above {
+                comm.send(a, TAG_V_UP, top)?;
+            }
+            Ok([
+                below.map(|b| comm.recv_vec(b, TAG_V_UP)).transpose()?,
+                above.map(|a| comm.recv_vec(a, TAG_V_DOWN)).transpose()?,
+            ])
+        })
     }
 }
 

@@ -16,7 +16,7 @@ macro_rules! avx2_dispatch {
     (
         $(#[$attr:meta])*
         fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
-            = $body:ident, $avx2:ident $(, $avx512:ident)?;
+            = $body:path, $avx2:ident $(, $avx512:ident)?;
     ) => {
         avx2_dispatch!(@wrapper "avx2", $avx2, $body, ($($arg: $ty),*) $(-> $ret)?);
         avx2_dispatch!(@avx512 [$($avx512)?], $body, ($($arg: $ty),*) $(-> $ret)?);
@@ -34,7 +34,7 @@ macro_rules! avx2_dispatch {
             $body($($arg),*)
         }
     };
-    (@wrapper $features:literal, $wrapper:ident, $body:ident,
+    (@wrapper $features:literal, $wrapper:ident, $body:path,
         ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
         /// # Safety
         #[doc = concat!("The CPU must have `", $features, "`.")]
@@ -45,7 +45,7 @@ macro_rules! avx2_dispatch {
         }
     };
     (@avx512 [], $($rest:tt)*) => {};
-    (@avx512 [$avx512:ident], $body:ident, $($sig:tt)*) => {
+    (@avx512 [$avx512:ident], $body:path, $($sig:tt)*) => {
         avx2_dispatch!(@wrapper "avx512f,avx512bw,avx512dq,avx512vl", $avx512, $body, $($sig)*);
     };
     (@call [] $args:tt) => {};
@@ -98,6 +98,10 @@ pub struct Lattice {
     bounce: Vec<(usize, usize)>,
     /// Pre-stream values of the bounce sources, one per pair.
     saved: Vec<f64>,
+    /// Velocities `collide_velocities` yields, five rows of `nx` each: the
+    /// rows a [`Lattice::collide_vorticity`] sweep keeps.
+    ux: Vec<f64>,
+    uy: Vec<f64>,
 }
 
 /// Density and velocity of one cell from its nine distributions, summed in
@@ -171,24 +175,61 @@ impl Iterator for Runs<'_> {
 /// halo exchange and stream of a 512 × 128 slab) from 1.89–2.14 to
 /// 1.20–1.36 ms (6 runs each, alternating). Its AVX-512 build (eight lanes)
 /// takes a direct call on that slab's interior from 0.50 to 0.36 ms.
+///
+/// With `YIELD`, each cell's pre-collision velocity also goes to `ux` /
+/// `uy` (solid cells (0, 0)), the values [`Lattice::vorticity`] computes
+/// from the same distributions, so a sweep that collides ahead of the next
+/// step reads the vorticity's velocities off the collide. Without it the
+/// velocity slices are not touched, and a plain collide stores nothing
+/// more than the nine planes: a store on that path, the one most steps
+/// take, cost the criterion step benches 15–18 %.
 #[inline(always)]
-fn collide_cells_body(omega: f64, solid: &[bool], planes: [&mut [f64]; 9]) {
+fn collide_body<const YIELD: bool>(
+    omega: f64,
+    solid: &[bool],
+    planes: [&mut [f64]; 9],
+    ux: &mut [f64],
+    uy: &mut [f64],
+) {
     let n = solid.len();
     let mut p = planes.map(|plane| &mut plane[..n]);
+    let (ux, uy) = if YIELD { (&mut ux[..n], &mut uy[..n]) } else { (ux, uy) };
     for (i, &is_solid) in solid.iter().enumerate() {
-        let (rho, ux, uy) = moments(std::array::from_fn(|d| p[d][i]));
+        let (rho, cu, cv) = moments(std::array::from_fn(|d| p[d][i]));
         for (d, plane) in p.iter_mut().enumerate() {
-            let feq = equilibrium(d, rho, ux, uy);
+            let feq = equilibrium(d, rho, cu, cv);
             let v = plane[i];
             plane[i] = if is_solid { v } else { v + omega * (feq - v) };
+        }
+        if YIELD {
+            (ux[i], uy[i]) = if is_solid { (0.0, 0.0) } else { (cu, cv) };
         }
     }
 }
 
 avx2_dispatch! {
-    /// [`collide_cells_body`], the AVX-512 or AVX2 build where the CPU has it.
-    fn collide_cells(omega: f64, solid: &[bool], planes: [&mut [f64]; 9])
-        = collide_cells_body, collide_cells_avx2, collide_cells_avx512;
+    /// [`collide_body`] for [`Lattice::collide`], storing no velocity (`ux`
+    /// and `uy` may be empty), the AVX-512 or AVX2 build where the CPU has
+    /// it.
+    fn collide_cells(
+        omega: f64,
+        solid: &[bool],
+        planes: [&mut [f64]; 9],
+        ux: &mut [f64],
+        uy: &mut [f64],
+    ) = collide_body::<false>, collide_cells_avx2, collide_cells_avx512;
+}
+
+avx2_dispatch! {
+    /// [`collide_body`] for [`Lattice::collide_vorticity`], storing each
+    /// cell's velocity, the AVX-512 or AVX2 build where the CPU has it.
+    fn collide_velocities(
+        omega: f64,
+        solid: &[bool],
+        planes: [&mut [f64]; 9],
+        ux: &mut [f64],
+        uy: &mut [f64],
+    ) = collide_body::<true>, collide_velocities_avx2, collide_velocities_avx512;
 }
 
 impl Lattice {
@@ -237,7 +278,8 @@ impl Lattice {
             }
         }
         let saved = vec![0.0; bounce.len()];
-        Lattice { cfg, y0, rows, f, off: [0; 9], solid, bounce, saved }
+        let (ux, uy) = (vec![0.0; 5 * nx], vec![0.0; 5 * nx]);
+        Lattice { cfg, y0, rows, f, off: [0; 9], solid, bounce, saved, ux, uy }
     }
 
     /// Simulation configuration.
@@ -311,8 +353,72 @@ impl Lattice {
                 let (plane, at) = planes.next().expect("nine planes");
                 &mut plane[at..at + n]
             });
-            collide_cells(omega, &self.solid[run], planes);
+            collide_cells(omega, &self.solid[run], planes, &mut [], &mut []);
         }
+    }
+
+    /// [`Lattice::collide`] of interior row `ly` alone, one run at a time,
+    /// its velocities into velocity slot `s`.
+    fn collide_row(&mut self, ly: usize, s: usize) {
+        let (nx, cells, omega) = (self.cfg.nx, self.cells(), self.cfg.omega);
+        let first = (ly + 1) * nx;
+        let (ux, uy) = (&mut self.ux[s * nx..][..nx], &mut self.uy[s * nx..][..nx]);
+        for (run, at) in (Runs { off: &self.off, cells, range: first..first + nx }) {
+            let (n, x) = (run.len(), run.start - first);
+            let mut planes = self.f.chunks_exact_mut(cells).zip(at);
+            let planes = std::array::from_fn(|_| {
+                let (plane, at) = planes.next().expect("nine planes");
+                &mut plane[at..at + n]
+            });
+            let (ux, uy) = (&mut ux[x..x + n], &mut uy[x..x + n]);
+            collide_velocities(omega, &self.solid[run], planes, ux, uy);
+        }
+    }
+
+    /// [`Lattice::vorticity`] of the slab as it stands, computed while the
+    /// slab runs the next time step's [`Lattice::collide`], in one sweep:
+    /// each row's collide yields its velocities into a ring of rows, and the
+    /// stencil follows one row behind. `exchange` gets the `ux` rows of
+    /// interior rows 0 and `rows − 1` and returns the neighbours' `ux` rows
+    /// below and above (`None` at a domain edge), with which rows 0 and
+    /// `rows − 1` are finished. The stencil reads only `ux` across a row, so
+    /// that is all a halo carries. Both the field and the collide are bit
+    /// for bit those of `vorticity` then `collide`.
+    pub(crate) fn collide_vorticity<Err>(
+        &mut self,
+        exchange: impl FnOnce(&[f64], &[f64]) -> Result<[Option<Vec<f64>>; 2], Err>,
+    ) -> Result<Vec<f32>, Err> {
+        let (nx, rows) = (self.cfg.nx, self.rows);
+        // Rows 0 and 1 keep slots 0 and 1 until the halos arrive; later
+        // rows go round slots 2..5.
+        let slot = |ly: usize| if ly < 2 { ly } else { 2 + ly % 3 };
+        let row = |ly: usize| slot(ly) * nx..(slot(ly) + 1) * nx;
+        let mut out = vec![0f32; nx * rows];
+        for ly in 0..rows {
+            self.collide_row(ly, slot(ly));
+            // Rows 1..rows − 1 have both neighbours inside the slab.
+            if let Some(mid) = ly.checked_sub(1).filter(|&mid| mid >= 1) {
+                let (lo, hi) = (&self.ux[row(mid - 1)], &self.ux[row(ly)]);
+                stencil_row(&mut out[mid * nx..][..nx], lo, &self.uy[row(mid)], hi, 0.5);
+            }
+        }
+        let [below, above] = exchange(&self.ux[row(0)], &self.ux[row(rows - 1)])?;
+        // As in `vorticity_field_body`: without a halo, the edge row stands
+        // in for it and the difference is one-sided.
+        for ly in [0, rows - 1].into_iter().take(rows.min(2)) {
+            let lo = match &below {
+                Some(h) if ly == 0 => &h[..nx],
+                _ => &self.ux[row(ly.saturating_sub(1))],
+            };
+            let hi = match &above {
+                Some(h) if ly == rows - 1 => &h[..nx],
+                _ => &self.ux[row((ly + 1).min(rows - 1))],
+            };
+            let one_sided = (ly == 0 && below.is_none()) || (ly == rows - 1 && above.is_none());
+            let dy = if one_sided { 1.0 } else { 0.5 };
+            stencil_row(&mut out[ly * nx..][..nx], lo, &self.uy[row(ly)], hi, dy);
+        }
+        Ok(out)
     }
 
     /// Post-collision distributions of an interior edge row, packed as
@@ -478,6 +584,10 @@ impl Lattice {
     /// `#[inline(always)]` fn rather than a closure so that build reaches
     /// them, took it from 0.51–0.61 to 0.42–0.46 ms (6 runs each,
     /// alternating).
+    ///
+    /// This is the serial field, computed from the slab as it stands;
+    /// [`crate::DistributedLbm::vorticity`] computes the same field, bit for
+    /// bit, inside the next step's collide.
     pub fn vorticity(
         &self,
         below: Option<&[(f64, f64)]>,
@@ -543,21 +653,35 @@ fn vorticity_field_body(
     for (ly, out) in out.chunks_exact_mut(nx).enumerate() {
         let k = ly + 2;
         velocities(lat, k, halo(k), &mut ux[slot(k)], &mut uy[slot(k)]);
-        let (ux_lo, ux_hi, uy_row) = (&ux[slot(ly)], &ux[slot(ly + 2)], &uy[slot(ly + 1)]);
         let one_sided = (ly == 0 && below.is_none()) || (ly == rows - 1 && above.is_none());
         let dy = if one_sided { 1.0 } else { 0.5 };
-        // Columns 0 and nx − 1 difference one-sided over one cell.
-        for x in [0, nx - 1] {
-            let duy_dx = uy_row[(x + 1).min(nx - 1)] - uy_row[x.saturating_sub(1)];
-            out[x] = (duy_dx - (ux_hi[x] - ux_lo[x]) * dy) as f32;
-        }
-        let inner = 1..nx.max(2) - 1;
-        let stencil = uy_row.windows(3).zip(&ux_hi[inner.clone()]).zip(&ux_lo[inner.clone()]);
-        for (o, ((w, &hi), &lo)) in out[inner].iter_mut().zip(stencil) {
-            *o = ((w[2] - w[0]) * 0.5 - (hi - lo) * dy) as f32;
-        }
+        stencil_row_body(out, &ux[slot(ly)], &uy[slot(ly + 1)], &ux[slot(ly + 2)], dy);
     }
     out
+}
+
+/// One row of the vorticity stencil into `out`: `∂uy/∂x` from the row's
+/// own `uy`, `∂ux/∂y` from the rows below and above, scaled by `dy` (0.5
+/// for a central difference, 1 for a one-sided one). Columns 0 and nx − 1
+/// difference one-sided over one cell.
+#[inline(always)]
+fn stencil_row_body(out: &mut [f32], ux_lo: &[f64], uy_row: &[f64], ux_hi: &[f64], dy: f64) {
+    let nx = out.len();
+    for x in [0, nx - 1] {
+        let duy_dx = uy_row[(x + 1).min(nx - 1)] - uy_row[x.saturating_sub(1)];
+        out[x] = (duy_dx - (ux_hi[x] - ux_lo[x]) * dy) as f32;
+    }
+    let inner = 1..nx.max(2) - 1;
+    let stencil = uy_row.windows(3).zip(&ux_hi[inner.clone()]).zip(&ux_lo[inner.clone()]);
+    for (o, ((w, &hi), &lo)) in out[inner].iter_mut().zip(stencil) {
+        *o = ((w[2] - w[0]) * 0.5 - (hi - lo) * dy) as f32;
+    }
+}
+
+avx2_dispatch! {
+    /// [`stencil_row_body`], the AVX2 build where the CPU has it.
+    fn stencil_row(out: &mut [f32], ux_lo: &[f64], uy_row: &[f64], ux_hi: &[f64], dy: f64)
+        = stencil_row_body, stencil_row_avx2;
 }
 
 avx2_dispatch! {
@@ -859,33 +983,117 @@ mod tests {
         }
     }
 
-    /// Every wrapper of `collide_cells` this CPU runs, each called directly,
-    /// against the baseline build, to the bit.
+    /// Every wrapper of `collide_cells` and `collide_velocities` this CPU
+    /// runs, each called directly, against the baseline builds, to the bit:
+    /// the distributions each of three collides leaves and the velocities
+    /// each `collide_velocities` yields. Both kernels leave the same
+    /// distributions, and `collide_cells` stores no velocity.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn collide_builds_agree_to_the_bit() {
-        type Collide = unsafe fn(f64, &[bool], [&mut [f64]; 9]);
-        let wrappers: [(&str, Collide); 2] =
-            [("avx2", collide_cells_avx2), ("avx512", collide_cells_avx512)];
+        type Collide = unsafe fn(f64, &[bool], [&mut [f64]; 9], &mut [f64], &mut [f64]);
+        let wrappers: [(&str, Collide, Collide); 2] = [
+            ("avx2", collide_cells_avx2, collide_velocities_avx2),
+            ("avx512", collide_cells_avx512, collide_velocities_avx512),
+        ];
         for (nx, rows) in [(2, 1), (7, 3), (64, 33), (515, 6)] {
             for omega in [0.6, 1.0, 1.7, 1.99] {
                 let lat = noisy_slab(nx, rows + 2, 1, rows, nx + rows);
-                let n = lat.solid.len();
+                let (n, solid) = (lat.solid.len(), &lat.solid[..]);
                 let f: Vec<f64> = (0..9 * n).map(|i| lat.f[lat.at(i / n, i % n)]).collect();
-                let bits = |collide: &dyn Fn([&mut [f64]; 9])| {
-                    let mut f = f.clone();
+                // The distributions after three collides, then every velocity.
+                let bits = |collide: Collide| {
+                    let (mut f, mut u) = (f.clone(), Vec::new());
                     for _ in 0..3 {
+                        let (mut ux, mut uy) = (vec![f64::NAN; n], vec![f64::NAN; n]);
                         let mut planes = f.chunks_exact_mut(n);
-                        collide(std::array::from_fn(|_| planes.next().unwrap()));
+                        let planes = std::array::from_fn(|_| planes.next().unwrap());
+                        // SAFETY: a wrapper comes in only if `cpu_has` its build.
+                        unsafe { collide(omega, solid, planes, &mut ux, &mut uy) };
+                        u.extend(ux.into_iter().chain(uy));
                     }
-                    f.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    f.iter().chain(&u).map(|v| v.to_bits()).collect::<Vec<_>>()
                 };
-                let baseline = bits(&|planes| collide_cells_body(omega, &lat.solid, planes));
-                for (build, wrapper) in wrappers.into_iter().filter(|&(b, _)| cpu_has(b)) {
-                    // SAFETY: the CPU has the wrapper's features, checked by `cpu_has`.
-                    let wide = bits(&|planes| unsafe { wrapper(omega, &lat.solid, planes) });
-                    assert_eq!(wide, baseline, "{build}, nx {nx}, rows {rows}, omega {omega}");
+                let baseline = bits(collide_body::<true>);
+                let mut no_velocity = baseline.clone();
+                no_velocity[9 * n..].fill(f64::NAN.to_bits());
+                let plain: [(&str, Collide, Collide); 1] =
+                    [("baseline", collide_body::<false>, collide_body::<true>)];
+                let wide = wrappers.into_iter().filter(|&(b, ..)| cpu_has(b));
+                for (build, cells, velocities) in plain.into_iter().chain(wide) {
+                    let shape = format!("{build}, nx {nx}, rows {rows}, omega {omega}");
+                    assert_eq!(bits(cells), no_velocity, "collide_cells, {shape}");
+                    assert_eq!(bits(velocities), baseline, "collide_velocities, {shape}");
                 }
+            }
+        }
+    }
+
+    /// The stencil's AVX2 build, where this CPU runs it, called directly,
+    /// against the baseline build, to the bit, at both values of `dy`.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn stencil_builds_agree_to_the_bit() {
+        if !cpu_has("avx2") {
+            return;
+        }
+        for nx in [1, 2, 3, 8, 515] {
+            let row =
+                |salt: usize| -> Vec<f64> { (0..nx).map(|x| noise(x + salt) - 0.5).collect() };
+            let (lo, uy, hi) = (row(0), row(1 << 20), row(1 << 21));
+            for dy in [0.5, 1.0] {
+                let (mut wide, mut baseline) = (vec![f32::NAN; nx], vec![f32::NAN; nx]);
+                // SAFETY: the CPU has AVX2, checked at the top.
+                unsafe { stencil_row_avx2(&mut wide, &lo, &uy, &hi, dy) };
+                stencil_row_body(&mut baseline, &lo, &uy, &hi, dy);
+                let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&wide), bits(&baseline), "nx {nx}, dy {dy}");
+            }
+        }
+    }
+
+    /// A slab collided ahead by `collide_vorticity` yields the field
+    /// `vorticity` computes, hands `exchange` the `ux` of its edge rows and
+    /// is left as `collide` leaves it, to the bit, with and without halos,
+    /// on rings that wrap inside rows, at every slab height the sweep's
+    /// slots treat apart. A halo's `uy` (NaN here) is never read.
+    #[test]
+    fn collide_vorticity_equals_vorticity_then_collide() {
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (nx, rows) in [(2, 1), (5, 2), (9, 3), (7, 4), (64, 5), (515, 17)] {
+            let slab = || {
+                let mut lat = noisy_slab(nx, rows + 2, 1, rows, 5 * nx + rows);
+                for _ in 0..3 {
+                    lat.stream();
+                }
+                lat
+            };
+            let halo =
+                |salt: usize| -> Vec<f64> { (0..nx).map(|x| noise(x + salt) - 0.5).collect() };
+            let (below, above) = (halo(1 << 20), halo(1 << 21));
+            let pairs =
+                |ux: &[f64]| -> Vec<(f64, f64)> { ux.iter().map(|&u| (u, f64::NAN)).collect() };
+            let (pairs_below, pairs_above) = (pairs(&below), pairs(&above));
+            for (b, a) in [(false, false), (true, false), (false, true), (true, true)] {
+                let shape = format!("nx {nx}, rows {rows}, below {b}, above {a}");
+                let mut lat = slab();
+                let ux_row =
+                    |ly| -> Vec<f64> { lat.velocity_row(ly).iter().map(|v| v.0).collect() };
+                let edges = [ux_row(0), ux_row(rows - 1)].concat();
+                let field =
+                    lat.vorticity(b.then_some(&pairs_below[..]), a.then_some(&pairs_above[..]));
+                lat.collide();
+
+                let mut ahead = slab();
+                let mut sent = Vec::new();
+                let swept = ahead.collide_vorticity(|bottom, top| {
+                    sent = [bottom, top].concat();
+                    Ok::<_, ()>([b.then(|| below.clone()), a.then(|| above.clone())])
+                });
+                let to_bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(to_bits(&swept.unwrap()), to_bits(&field), "{shape}");
+                assert_eq!(bits(&sent), bits(&edges), "{shape}");
+                assert_eq!(interior_bits(&ahead), interior_bits(&lat), "{shape}");
             }
         }
     }

@@ -18,7 +18,9 @@
 //! * [`DistributedLbm`] — the slab-decomposed solver over a
 //!   [`minimpi::Comm`], bit-identical to the serial solver,
 //! * vorticity extraction ([`Lattice::vorticity`]) — the "variable of
-//!   interest" rendered by the paper's analysis application.
+//!   interest" rendered by the paper's analysis application;
+//!   [`DistributedLbm::vorticity`] takes it in the same sweep as the next
+//!   step's collide, so a step-then-frame loop sweeps each slab once.
 
 #![warn(missing_docs)]
 

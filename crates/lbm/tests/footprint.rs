@@ -1,12 +1,14 @@
 //! Memory footprint of a slab: `Lattice::new` holds one set of nine
 //! distribution planes, a time step allocates nothing, and `vorticity`
-//! allocates nothing large besides the field it returns.
+//! allocates nothing large besides the field it returns — also where
+//! `DistributedLbm::vorticity` runs the next step's collide.
 //!
 //! A counting global allocator records the bytes each thread asks for, and
 //! how many of its allocations reach [`LARGE`], so the guards read the
 //! solver's own allocations, not the process RSS.
 
-use ddr_lbm::{barrier_line, Config, Edge, Lattice};
+use ddr_lbm::{barrier_line, Config, DistributedLbm, Edge, Lattice};
+use minimpi::Universe;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -120,4 +122,37 @@ fn vorticity_allocates_one_large_buffer_its_field() {
     let large = large_allocations(|| field = lat.vorticity(None, Some(&halo)));
     assert_eq!(field, warm);
     assert_eq!(large, 1, "vorticity of a {nx}x{rows} slab: large allocations, its field included");
+}
+
+#[test]
+fn distributed_vorticity_allocates_its_field_and_the_next_step_nothing_large() {
+    let (nx, rows) = (512, 128);
+    let cfg = Config::wind_tunnel(nx, 2 * rows);
+    let per_frame = Universe::run(2, |comm| {
+        // The barrier crosses the edge between the two slabs.
+        let mut sim = DistributedLbm::new(cfg, comm, &*barrier_line(100, 100, 200));
+        (0..4)
+            .map(|_| {
+                let step = large_allocations(|| sim.step(comm).unwrap());
+                let mut field = Vec::new();
+                let vorticity = large_allocations(|| field = sim.vorticity(comm).unwrap());
+                assert_eq!(field.len(), nx * rows);
+                (step, vorticity)
+            })
+            .collect::<Vec<_>>()
+    });
+    for (rank, frames) in per_frame.iter().enumerate() {
+        // From the second frame on, the step runs after a vorticity that
+        // collided ahead.
+        for (frame, &(step, vorticity)) in frames.iter().enumerate() {
+            assert_eq!(
+                vorticity, 1,
+                "rank {rank}, frame {frame}: vorticity's large allocations, its field included"
+            );
+            assert_eq!(
+                step, 0,
+                "rank {rank}, frame {frame}: large allocations of the step after a vorticity"
+            );
+        }
+    }
 }
