@@ -14,7 +14,7 @@
 
 use crate::tiffcase::Method;
 use ddr_core::decompose::{brick, consecutive_items, near_cubic_grid};
-use ddr_core::{Block, DataKind, Descriptor, MultiPlan, ValidationPolicy};
+use ddr_core::{Block, DataKind, Descriptor, Plan, ValidationPolicy};
 use dtiff::{extend_normalized_u16, PixelKind, TiffImage};
 use minimpi::Comm;
 use std::io::Read;
@@ -202,7 +202,7 @@ impl Loader<'_> {
     /// again only where a slab's layout differs from the one before (a
     /// brick's or a consecutive range's z boundary inside it, the tail
     /// slab). A rank whose brick misses a slab declares no needed block for
-    /// it, so the plan is a [`MultiPlan`], in which such a rank only sends.
+    /// it, and only sends.
     fn slabs(
         &mut self,
         comm: &Comm,
@@ -229,7 +229,7 @@ impl Loader<'_> {
             _ => vec![0u16; SLAB_IMAGES_PER_RANK * plane],
         };
 
-        let mut plan: Option<(Vec<SlabLayout>, MultiPlan)> = None;
+        let mut plan: Option<(Vec<SlabLayout>, Plan)> = None;
         let mut arrived: Vec<u16> = Vec::new();
         for lo in (0..vol[2]).step_by(depth) {
             let hi = (lo + depth).min(vol[2]);
@@ -265,7 +265,7 @@ impl Loader<'_> {
             };
             let needs: &mut [Vec<u16>] =
                 if need.is_some() { std::slice::from_mut(&mut arrived) } else { &mut [] };
-            p.reorganize(comm, &chunks, needs)?;
+            p.reorganize_needs(comm, &chunks, needs)?;
             self.stats.bytes_sent += p.total_sent_bytes();
             if need.is_some() {
                 extend_normalized_u16(out, &arrived);

@@ -15,7 +15,7 @@ pub struct Layout {
     pub need: Block,
 }
 
-/// What every rank declared, as the allgather behind both setup calls
+/// What every rank declared, as the allgather behind the setup calls
 /// returns it: `owned[r]` and `needs[r]` are rank `r`'s. The paper's
 /// single-need mapping is the case where every `needs[r]` holds one block.
 pub(crate) struct Declared {

@@ -23,11 +23,10 @@
 //! unconsumed — both checked by [`ValidationPolicy`].
 //!
 //! Beyond the paper's single needed block,
-//! [`Descriptor::setup_multi_mapping`] takes any number of them per rank (the
-//! paper's "more data patterns" future work): a [`MultiPlan`] is a list of
-//! ordinary [`Plan`]s, one per need index, made, checked and run by the same
-//! code — one `alltoallw` per need, with [`Plan::reorganize`]'s failure
-//! semantics.
+//! [`Descriptor::setup_multi_mapping`] takes zero or more per rank (the
+//! paper's "more data patterns" future work), and
+//! [`Plan::reorganize_needs`] fills them all in the same one exchange: a
+//! receive part names its need, as a send part names its chunk.
 //!
 //! The plan is independent of the data, so when the application's data is
 //! dynamic (a running simulation) the mapping is set up once and
@@ -68,7 +67,6 @@ mod error;
 mod exec;
 mod layout;
 mod mapping;
-mod multi;
 pub mod papi;
 mod plan;
 mod stats;
@@ -80,7 +78,6 @@ pub use error::{DdrError, Result};
 pub use exec::Element;
 pub use layout::Layout;
 pub use mapping::compute_local_plan;
-pub use multi::MultiPlan;
 pub use plan::{Plan, RoundPlan, Transfer};
 pub use stats::{GlobalStats, RedistStats};
 pub use validate::{validate, Domain, ValidationPolicy};

@@ -10,7 +10,7 @@
 use crate::block::Block;
 use crate::descriptor::Descriptor;
 use crate::error::{DdrError, Result};
-use crate::layout::{exchange_layouts, Declared, Layout};
+use crate::layout::{exchange_layouts, Layout};
 use crate::plan::{Plan, RoundPlan, Transfer};
 use crate::validate::{validate, ValidationPolicy};
 use minimpi::Comm;
@@ -23,17 +23,17 @@ use minimpi::Comm;
 /// of chunks that any one process owns".
 pub fn compute_local_plan(rank: usize, layouts: &[Layout], desc: &Descriptor) -> Result<Plan> {
     let owned: Vec<&[Block]> = layouts.iter().map(|l| l.owned.as_slice()).collect();
-    let need: Vec<Option<Block>> = layouts.iter().map(|l| Some(l.need)).collect();
-    plan_core(rank, &owned, &need, desc)
+    let needs: Vec<&[Block]> = layouts.iter().map(|l| std::slice::from_ref(&l.need)).collect();
+    plan_core(rank, &owned, &needs, desc)
 }
 
-/// The one geometry loop. `owned[r]` are rank `r`'s chunks and `need[r]` the
-/// block it receives into; a rank with `None` only sends (a multi-need
-/// mapping's rank that declared fewer blocks than its peers).
+/// The one geometry loop. `owned[r]` are rank `r`'s chunks and `needs[r]`
+/// the blocks it receives into, zero or more: each round intersects every
+/// rank's chunk with every declared need once.
 fn plan_core(
     rank: usize,
     owned: &[&[Block]],
-    need: &[Option<Block>],
+    needs: &[&[Block]],
     desc: &Descriptor,
 ) -> Result<Plan> {
     let nprocs = owned.len();
@@ -45,8 +45,8 @@ fn plan_core(
     }
     let elem_size = desc.elem_size();
     let ndims = desc.kind().ndims();
-    for (r, (chunks, need)) in owned.iter().zip(need).enumerate() {
-        for b in chunks.iter().chain(need) {
+    for (r, (chunks, needs)) in owned.iter().zip(needs).enumerate() {
+        for b in chunks.iter().chain(needs.iter()) {
             if b.ndims != ndims {
                 return Err(DdrError::InvalidBlock(format!(
                     "rank {r}: block has {} dims but descriptor declares {}",
@@ -56,49 +56,35 @@ fn plan_core(
         }
     }
 
-    let (my_owned, my_need) = (owned[rank], need[rank]);
+    let (my_owned, my_needs) = (owned[rank], needs[rank]);
     let num_rounds = owned.iter().map(|chunks| chunks.len()).max().unwrap_or(0);
     let mut rounds = Vec::with_capacity(num_rounds);
     for r in 0..num_rounds {
         let mut round = RoundPlan::default();
-        // Sends: my r-th chunk intersected with every rank's need.
+        // Sends: my r-th chunk intersected with every rank's needs.
         if let Some(chunk) = my_owned.get(r) {
-            for (d, peer_need) in need.iter().enumerate() {
-                if let Some(region) = peer_need.and_then(|n| chunk.intersect(&n)) {
-                    round.sends.push(Transfer {
-                        peer: d,
-                        region,
-                        subarray: chunk.subarray_for(&region, elem_size)?,
-                    });
+            for (d, peer_needs) in needs.iter().enumerate() {
+                for (k, peer_need) in peer_needs.iter().enumerate() {
+                    if let Some(region) = chunk.intersect(peer_need) {
+                        let subarray = chunk.subarray_for(&region, elem_size)?;
+                        round.sends.push(Transfer { peer: d, need: k, region, subarray });
+                    }
                 }
             }
         }
-        // Receives: every rank's r-th chunk intersected with my need.
-        if let Some(my_need) = my_need {
-            for (s, chunks) in owned.iter().enumerate() {
-                if let Some(region) = chunks.get(r).and_then(|c| c.intersect(&my_need)) {
-                    round.recvs.push(Transfer {
-                        peer: s,
-                        region,
-                        subarray: my_need.subarray_for(&region, elem_size)?,
-                    });
+        // Receives: every rank's r-th chunk intersected with my needs.
+        for (s, chunk) in owned.iter().enumerate().filter_map(|(s, c)| Some((s, c.get(r)?))) {
+            for (k, my_need) in my_needs.iter().enumerate() {
+                if let Some(region) = chunk.intersect(my_need) {
+                    let subarray = my_need.subarray_for(&region, elem_size)?;
+                    round.recvs.push(Transfer { peer: s, need: k, region, subarray });
                 }
             }
         }
         rounds.push(round);
     }
 
-    Ok(Plan::new(rank, nprocs, elem_size, my_owned.to_vec(), my_need, rounds))
-}
-
-impl Declared {
-    /// Rank `rank`'s plan for need index `k`: the ordinary plan that fills
-    /// every rank's `k`-th needed block.
-    pub(crate) fn plan(&self, rank: usize, k: usize, desc: &Descriptor) -> Result<Plan> {
-        let owned: Vec<&[Block]> = self.owned.iter().map(Vec::as_slice).collect();
-        let need: Vec<Option<Block>> = self.needs.iter().map(|n| n.get(k).copied()).collect();
-        plan_core(rank, &owned, &need, desc)
-    }
+    Ok(Plan::new(rank, nprocs, elem_size, my_owned.to_vec(), my_needs.to_vec(), rounds))
 }
 
 impl Descriptor {
@@ -120,21 +106,27 @@ impl Descriptor {
         need: Block,
         policy: ValidationPolicy,
     ) -> Result<Plan> {
-        let _setup = ddrtrace::span("redist", "setup_mapping");
-        let all = self.declared(comm, owned, &[need], policy)?;
-        let _p = ddrtrace::span("redist", "compute_plan");
-        all.plan(comm.rank(), 0, self)
+        self.setup_multi_mapping(comm, owned, &[need], policy)
     }
 
-    /// What both setup calls start with: gather every rank's declaration and
-    /// check it under `policy`.
-    pub(crate) fn declared(
+    /// Collective: [`Descriptor::setup_data_mapping_with`] for any number of
+    /// needed blocks per rank, zero included (the paper's "more data
+    /// patterns" future work, §V): a rank's own slab plus its halos, or a
+    /// rank that only sends. [`Plan::reorganize_needs`] fills them all in one
+    /// exchange.
+    ///
+    /// Ownership is validated like the base API; needed blocks may overlap
+    /// freely (including with this rank's own needs), and under
+    /// [`ValidationPolicy::Strict`] every one of them must lie inside the
+    /// domain.
+    pub fn setup_multi_mapping(
         &self,
         comm: &Comm,
         owned: &[Block],
         needs: &[Block],
         policy: ValidationPolicy,
-    ) -> Result<Declared> {
+    ) -> Result<Plan> {
+        let _setup = ddrtrace::span("redist", "setup_mapping");
         if comm.size() != self.nprocs() {
             return Err(DdrError::ProcessCountMismatch {
                 descriptor: self.nprocs(),
@@ -145,11 +137,14 @@ impl Descriptor {
             let _x = ddrtrace::span("redist", "layout_exchange");
             exchange_layouts(comm, owned, needs)?
         };
-        let _v = ddrtrace::span("redist", "validate_layouts");
         let owned: Vec<&[Block]> = all.owned.iter().map(Vec::as_slice).collect();
         let needs: Vec<&[Block]> = all.needs.iter().map(Vec::as_slice).collect();
-        validate(&owned, &needs, policy)?;
-        Ok(all)
+        {
+            let _v = ddrtrace::span("redist", "validate_layouts");
+            validate(&owned, &needs, policy)?;
+        }
+        let _p = ddrtrace::span("redist", "compute_plan");
+        plan_core(comm.rank(), &owned, &needs, self)
     }
 }
 

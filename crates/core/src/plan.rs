@@ -11,6 +11,9 @@ mod facts;
 pub struct Transfer {
     /// Peer rank (sender or receiver depending on direction).
     pub peer: usize,
+    /// Index of the needed block it fills, among the receiving rank's
+    /// (the peer's for sends, this rank's for receives).
+    pub need: usize,
     /// The transferred region, in global coordinates.
     pub region: Block,
     /// Subarray selecting `region` inside the local buffer: the owned
@@ -29,9 +32,11 @@ impl Transfer {
 /// paper: round `r` exchanges every rank's `r`-th owned chunk).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundPlan {
-    /// Outgoing transfers from this rank's round-`r` chunk, ordered by peer.
+    /// Outgoing transfers from this rank's round-`r` chunk, ordered by
+    /// (peer, need index).
     pub sends: Vec<Transfer>,
-    /// Incoming transfers into this rank's needed block, ordered by peer.
+    /// Incoming transfers into this rank's needed blocks, ordered by
+    /// (peer, need index).
     pub recvs: Vec<Transfer>,
 }
 
@@ -54,7 +59,9 @@ impl RoundPlan {
 
 /// A plan's `alltoallw` part lists, built once with the plan: its one
 /// exchange passes each peer's whole list, so running it only binds
-/// buffers. Each peer's parts sit in round order.
+/// buffers. Each peer's parts sit in (round, need index) order, so a chunk
+/// that meets two of a receiver's needs in one round is two parts of one
+/// message.
 ///
 /// Built once per plan, because rebuilding them cost every call. On 2 cores
 /// with 2 ranks, ten alternating pairs of the benchmark's
@@ -67,8 +74,8 @@ impl RoundPlan {
 pub(crate) struct Parts {
     /// Per peer, the `(owned-chunk index, selection)` send parts.
     pub(crate) sends: Vec<Vec<(usize, Datatype)>>,
-    /// Per peer, the selections of the needed block received.
-    pub(crate) recvs: Vec<Vec<Datatype>>,
+    /// Per peer, the `(need index, selection)` receive parts.
+    pub(crate) recvs: Vec<Vec<(usize, Datatype)>>,
 }
 
 impl Parts {
@@ -79,7 +86,7 @@ impl Parts {
                 parts.sends[t.peer].push((r, Datatype::Subarray(t.subarray)));
             }
             for t in &round.recvs {
-                parts.recvs[t.peer].push(Datatype::Subarray(t.subarray));
+                parts.recvs[t.peer].push((t.need, Datatype::Subarray(t.subarray)));
             }
         }
         parts
@@ -88,54 +95,58 @@ impl Parts {
 
 /// A complete redistribution plan for one rank.
 ///
-/// Computed once by [`crate::Descriptor::setup_data_mapping`]; reusable for
-/// any number of [`Plan::reorganize`] calls while the layout stays the same —
-/// the "dynamic data" property of paper §III-C. Everything a call could know
-/// in advance — the exchange's part lists, whether the receives tile the
-/// needed block — is derived once, when the plan is built.
+/// Computed once by [`crate::Descriptor::setup_data_mapping`] (the paper's
+/// one needed block) or [`crate::Descriptor::setup_multi_mapping`] (zero or
+/// more); reusable for any number of [`Plan::reorganize`] calls while the
+/// layout stays the same — the "dynamic data" property of paper §III-C.
+/// Everything a call could know in advance — the exchange's part lists,
+/// whether the receives tile each needed block — is derived once, when the
+/// plan is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     pub(crate) rank: usize,
     pub(crate) nprocs: usize,
     pub(crate) elem_size: usize,
     pub(crate) owned: Vec<Block>,
-    /// `None` only inside a [`crate::MultiPlan`], for a rank that declared
-    /// fewer needed blocks than its peers: such a plan only sends.
-    pub(crate) need: Option<Block>,
+    /// The blocks this rank receives into, in declaration order: one in the
+    /// paper's mapping, none for a rank that only sends.
+    pub(crate) needs: Vec<Block>,
     pub(crate) rounds: Vec<RoundPlan>,
     /// `rounds` as `alltoallw` part lists.
     pub(crate) parts: Parts,
-    /// Whether the receive regions, across all rounds, tile the needed
-    /// block: pairwise disjoint, their counts summing to the block's. Each
-    /// lies inside the block, so then every element is received exactly
-    /// once.
-    pub(crate) tiled: bool,
+    /// Per need, whether its receive regions, across all rounds, tile it:
+    /// pairwise disjoint, their counts summing to the block's. Each lies
+    /// inside the block, so then every element is received exactly once.
+    pub(crate) tiled: Vec<bool>,
 }
 
 impl Plan {
-    /// The one constructor: derives the part lists and the tiling from
+    /// The one constructor: derives the part lists and the tilings from
     /// `rounds`, so they cannot disagree with it. The tiling check compares
-    /// every pair of receive regions: `k(k − 1)/2` block intersections for
-    /// `k` regions, about 8 000 for the 128 regions a rank of a 2-rank,
-    /// 128-image stack load receives.
+    /// every pair of one need's receive regions: `k(k − 1)/2` block
+    /// intersections for `k` regions, about 8 000 for the 128 regions a rank
+    /// of a 2-rank, 128-image stack load receives.
     pub(crate) fn new(
         rank: usize,
         nprocs: usize,
         elem_size: usize,
         owned: Vec<Block>,
-        need: Option<Block>,
+        needs: Vec<Block>,
         rounds: Vec<RoundPlan>,
     ) -> Plan {
-        let regions: Vec<&Block> =
-            rounds.iter().flat_map(|r| r.recvs.iter().map(|t| &t.region)).collect();
-        let total: u64 = regions.iter().map(|b| b.count()).sum();
-        let tiled = total == need.map_or(0, |b| b.count())
-            && regions
-                .iter()
-                .enumerate()
-                .all(|(i, a)| regions[i + 1..].iter().all(|b| a.intersect(b).is_none()));
+        let tiled = (0..needs.len())
+            .map(|k| {
+                let into_k = rounds.iter().flat_map(|r| &r.recvs).filter(|t| t.need == k);
+                let regions: Vec<&Block> = into_k.map(|t| &t.region).collect();
+                regions.iter().map(|b| b.count()).sum::<u64>() == needs[k].count()
+                    && regions
+                        .iter()
+                        .enumerate()
+                        .all(|(i, a)| regions[i + 1..].iter().all(|b| a.intersect(b).is_none()))
+            })
+            .collect();
         let parts = Parts::new(nprocs, &rounds);
-        Plan { rank, nprocs, elem_size, owned, need, rounds, parts, tiled }
+        Plan { rank, nprocs, elem_size, owned, needs, rounds, parts, tiled }
     }
 
     /// Rank this plan belongs to.
@@ -158,9 +169,23 @@ impl Plan {
         &self.owned
     }
 
-    /// Block this rank receives into.
+    /// The block this rank receives into, in a plan with the paper's one
+    /// needed block.
+    ///
+    /// # Panics
+    /// If the plan has zero or several needed blocks, as a
+    /// [`crate::Descriptor::setup_multi_mapping`] plan may; read
+    /// [`Plan::needs`] there.
     pub fn need(&self) -> &Block {
-        self.need.as_ref().expect("a plan handed out by a setup call has a needed block")
+        match self.needs.as_slice() {
+            [need] => need,
+            needs => panic!("Plan::need on a plan with {} needed blocks", needs.len()),
+        }
+    }
+
+    /// The blocks this rank receives into, in declaration order.
+    pub fn needs(&self) -> &[Block] {
+        &self.needs
     }
 
     /// Number of logical communication rounds (the paper's `MPI_Alltoallw`

@@ -22,7 +22,7 @@ use minimpi::Datatype;
 fn check(layouts: &[Layout], rank: usize, desc: &Descriptor) {
     let plan = compute_local_plan(rank, layouts, desc).unwrap();
     let case = || format!("rank {rank} of {layouts:?}");
-    assert_eq!(plan.tiled, covered_once(layouts, &layouts[rank].need), "tiled: {}", case());
+    assert_eq!(plan.tiled, [covered_once(layouts, &layouts[rank].need)], "tiled: {}", case());
     let n = plan.nprocs;
     assert_eq!((plan.parts.sends.len(), plan.parts.recvs.len()), (n, n), "{}", case());
     for p in 0..n {
@@ -30,7 +30,7 @@ fn check(layouts: &[Layout], rank: usize, desc: &Descriptor) {
         for (r, round) in plan.rounds.iter().enumerate() {
             let subarray = |t: &Transfer| Datatype::Subarray(t.subarray);
             sends.extend(round.sends.iter().filter(|t| t.peer == p).map(|t| (r, subarray(t))));
-            recvs.extend(round.recvs.iter().filter(|t| t.peer == p).map(subarray));
+            recvs.extend(round.recvs.iter().filter(|t| t.peer == p).map(|t| (t.need, subarray(t))));
         }
         assert_eq!(plan.parts.sends[p], sends, "peer {p} sends: {}", case());
         assert_eq!(plan.parts.recvs[p], recvs, "peer {p} recvs: {}", case());

@@ -344,7 +344,7 @@ proptest! {
                 .setup_multi_mapping(comm, &[slab], chunks, ValidationPolicy::Strict)
                 .unwrap();
             let mut rebuilt = vec![Vec::new(); chunks.len()];
-            back.reorganize(comm, &[&slab_buf], &mut rebuilt).unwrap();
+            back.reorganize_needs(comm, &[&slab_buf], &mut rebuilt).unwrap();
             for (orig, got) in data.iter().zip(&rebuilt) {
                 prop_assert_eq!(orig, got, "round-trip lost data");
             }

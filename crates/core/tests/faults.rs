@@ -129,7 +129,7 @@ fn dropped_coalesced_message_times_out_its_receiver_naming_the_source() {
 // ---------------------------------------------------------------------------
 
 /// Shrink: the leaving rank declares no need through `setup_multi_mapping`
-/// (it joins with a send-only plan), and the staying ranks keep the slabs
+/// (its plan only sends), and the staying ranks keep the slabs
 /// they already hold, so the mapping is delta-minimal — zero bytes cross the
 /// network, everything is a local copy, and the plan says so before any data
 /// moves.
@@ -143,11 +143,15 @@ fn fewer_ranks_mapping_keeps_unchanged_ranks_at_zero_moved_bytes() {
         let desc = Descriptor::for_type::<u32>(4, DataKind::D1).unwrap();
         let plan = desc.setup_multi_mapping(comm, &owned, needs, ValidationPolicy::Strict).unwrap();
         assert_eq!(plan.total_sent_bytes(), 0);
-        // The leaving rank needs nothing, so it is handed no plan.
-        let Some(plan) = plan.plans().first() else { return (0, 0) };
+        let moved = (plan.total_recv_bytes(), plan.total_local_bytes());
+        // The leaving rank needs nothing, so its plan receives and keeps
+        // nothing.
+        if needs.is_empty() {
+            return moved;
+        }
         assert_eq!(plan.total_recv_bytes(), 0, "rank {r}: unchanged rank moves zero bytes");
         assert_eq!(plan.total_local_bytes(), owned[0].count() * 4);
-        (plan.total_recv_bytes(), plan.total_local_bytes())
+        moved
     });
     assert_eq!(out, vec![(0, 32), (0, 32), (0, 32), (0, 0)]);
 }

@@ -36,7 +36,7 @@ fn ghost_halo_exchange(
 
         let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
         let mut bufs = vec![Vec::new(); needs.len()];
-        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        plan.reorganize_needs(comm, &[&data], &mut bufs).unwrap();
         for (buf, blk) in bufs.iter().zip(&needs) {
             assert_eq!(buf, &blk.coords().map(cell_value).collect::<Vec<_>>(), "rank {r} {blk:?}");
         }
@@ -83,7 +83,7 @@ fn scattered_multi_block_gather() {
             desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
         let data: Vec<u64> = owned[0].coords().map(cell_value).collect();
         let mut bufs = vec![Vec::new(); needs.len()];
-        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        plan.reorganize_needs(comm, &[&data], &mut bufs).unwrap();
         for (buf, blk) in bufs.iter().zip(&needs) {
             assert_eq!(buf, &blk.coords().map(cell_value).collect::<Vec<_>>());
         }
@@ -114,7 +114,7 @@ fn multi_plan_reused_across_steps_with_ragged_chunks() {
                 .map(|b| b.coords().map(|c| cell_value(c) + step * 7919).collect())
                 .collect();
             let data_refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-            plan.reorganize(comm, &data_refs, &mut bufs).unwrap();
+            plan.reorganize_needs(comm, &data_refs, &mut bufs).unwrap();
             for (buf, blk) in bufs.iter().zip(&needs) {
                 let want: Vec<u64> = blk.coords().map(|c| cell_value(c) + step * 7919).collect();
                 assert_eq!(buf, &want);
@@ -135,13 +135,13 @@ fn multi_buffer_mismatches_rejected() {
         let ok = vec![0u32; 4];
         // Wrong need buffer count.
         let mut bufs: Vec<Vec<u32>> = Vec::new();
-        assert!(plan.reorganize(comm, &[&ok], &mut bufs).is_err());
+        assert!(plan.reorganize_needs(comm, &[&ok], &mut bufs).is_err());
         // Wrong owned buffer length.
         bufs.push(Vec::new());
-        assert!(plan.reorganize(comm, &[&ok[..3]], &mut bufs).is_err());
+        assert!(plan.reorganize_needs(comm, &[&ok[..3]], &mut bufs).is_err());
         // Correct call still works afterwards.
         let data: Vec<u32> = (0..4).map(|i| (r * 4 + i) as u32).collect();
-        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        plan.reorganize_needs(comm, &[&data], &mut bufs).unwrap();
         assert_eq!(bufs[0], ((1 - r) as u32 * 4..(1 - r) as u32 * 4 + 4).collect::<Vec<_>>());
     });
 }
@@ -168,7 +168,7 @@ fn strict_rejects_a_halo_past_the_domain_edge_and_relaxed_leaves_it_zero() {
             desc.setup_multi_mapping(comm, &[slab], &needs, ValidationPolicy::Relaxed).unwrap();
         let data: Vec<u64> = slab.coords().map(cell_value).collect();
         let mut bufs = vec![Vec::new(); needs.len()];
-        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        plan.reorganize_needs(comm, &[&data], &mut bufs).unwrap();
         for (buf, blk) in bufs.iter().zip(&needs) {
             let want = |c: [usize; 3]| if c[1] < ny { cell_value(c) } else { 0 };
             assert_eq!(buf, &blk.coords().map(want).collect::<Vec<_>>(), "rank {r} {blk:?}");
@@ -204,13 +204,13 @@ fn periodic_halo_exchange(faults: FaultPlan) -> Vec<HaloOutcome> {
         let ops = comm.op_count();
         let data: Vec<u64> = needs[0].coords().map(cell_value).collect();
         let mut bufs = vec![Vec::new(); needs.len()];
-        let outcome = plan.reorganize(comm, &[&data], &mut bufs);
+        let outcome = plan.reorganize_needs(comm, &[&data], &mut bufs);
         (ops, outcome, bufs)
     })
 }
 
 /// A multi-need exchange fails the way `Plan::reorganize` does: each
-/// survivor the dead rank owed a halo row runs every need's exchange, then
+/// survivor the dead rank owed a halo row drains the one exchange, then
 /// fails naming it, with every need buffer empty.
 #[test]
 fn rank_killed_mid_halo_exchange_fails_every_starved_survivor_naming_it() {
@@ -230,11 +230,10 @@ fn rank_killed_mid_halo_exchange_fails_every_starved_survivor_naming_it() {
     }
 }
 
-/// A rank that declared fewer needs than a peer is handed only its own
-/// plans: every one of them has a needed block to read, and the peer's
-/// extra need is still delivered.
+/// A rank that declared fewer needs than a peer reads only its own needed
+/// blocks from its plan, and the peer's extra need is still delivered.
 #[test]
-fn plans_are_this_ranks_own_even_when_a_peer_needs_more() {
+fn needs_are_this_ranks_own_even_when_a_peer_needs_more() {
     let out = Universe::run(2, |comm| {
         let r = comm.rank();
         let owned = [Block::d1(r * 4, 4).unwrap()];
@@ -242,13 +241,46 @@ fn plans_are_this_ranks_own_even_when_a_peer_needs_more() {
         let desc = Descriptor::for_type::<u32>(2, DataKind::D1).unwrap();
         let plan =
             desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
-        let read: Vec<Block> = plan.plans().iter().map(|p| *p.need()).collect();
+        let read: Vec<Block> = plan.needs().to_vec();
         assert_eq!(read, needs, "rank {r}");
         let data: Vec<u32> = (r as u32 * 4..r as u32 * 4 + 4).collect();
         let mut bufs = vec![Vec::new(); needs.len()];
-        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        plan.reorganize_needs(comm, &[&data], &mut bufs).unwrap();
         bufs
     });
     assert_eq!(out[0], [vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
     assert_eq!(out[1], [vec![0, 1, 2, 3]]);
+}
+
+/// One exchange, whatever the need count: on a line of 8 cells, rank 0 owns
+/// all of it and needs two overlapping blocks, rank 1 owns nothing and needs
+/// two overlapping blocks, each rank's declared out of offset order. Rank
+/// 0's one chunk meets all four needs in its one round, so its message to
+/// rank 1 is two parts of one loan, and its self-copy two parts as well;
+/// each part lands in the buffer of the need it names.
+#[test]
+fn one_chunk_feeds_two_overlapping_needs_of_one_receiver_in_one_loan() {
+    let d1 = |offset, len| Block::d1(offset, len).unwrap();
+    let out = Universe::run(2, |comm| {
+        let r = comm.rank();
+        let owned: Vec<Block> = if r == 0 { vec![d1(0, 8)] } else { vec![] };
+        let needs = if r == 0 { [d1(2, 4), d1(0, 3)] } else { [d1(3, 5), d1(1, 4)] };
+        let desc = Descriptor::for_type::<u64>(2, DataKind::D1).unwrap();
+        let plan =
+            desc.setup_multi_mapping(comm, &owned, &needs, ValidationPolicy::Strict).unwrap();
+        let round = &plan.rounds()[0];
+        let parts = |ts: &[ddr_core::Transfer]| ts.iter().map(|t| (t.peer, t.need)).collect();
+        let (sends, recvs): (Vec<_>, Vec<_>) = (parts(&round.sends), parts(&round.recvs));
+        let data: Vec<Vec<u64>> =
+            owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
+        let mut bufs = vec![vec![u64::MAX; 9]; 2];
+        plan.reorganize_needs(comm, &data, &mut bufs).unwrap();
+        for (buf, blk) in bufs.iter().zip(&needs) {
+            assert_eq!(buf, &blk.coords().map(cell_value).collect::<Vec<_>>(), "rank {r} {blk:?}");
+        }
+        comm.barrier().unwrap();
+        (sends, recvs, comm.counters()[Counter::ZerocopyMsgs])
+    });
+    assert_eq!(out[0], (vec![(0, 0), (0, 1), (1, 0), (1, 1)], vec![(0, 0), (0, 1)], 1));
+    assert_eq!(out[1], (vec![], vec![(0, 0), (0, 1)], 1));
 }

@@ -292,7 +292,7 @@ proptest! {
                 .collect();
             let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
             let mut bufs = vec![Vec::new(); needs_ref[r].len()];
-            plan.reorganize(comm, &refs, &mut bufs).unwrap();
+            plan.reorganize_needs(comm, &refs, &mut bufs).unwrap();
             for (buf, blk) in bufs.iter().zip(&needs_ref[r]) {
                 let want: Vec<u64> = blk.coords().map(cell_value).collect();
                 prop_assert_eq!(buf, &want, "block {:?}", blk);

@@ -24,7 +24,7 @@ fn multi_need_reorganize_publishes_redist_metrics_and_exchange_spans() {
             desc.setup_multi_mapping(comm, &[slab], &needs, ValidationPolicy::Strict).unwrap();
         let data = vec![7u32; slab.count() as usize];
         let mut bufs = vec![Vec::new(); needs.len()];
-        plan.reorganize(comm, &[&data], &mut bufs).unwrap();
+        plan.reorganize_needs(comm, &[&data], &mut bufs).unwrap();
         comm.barrier().unwrap();
         plan.total_sent_bytes()
     });
@@ -34,11 +34,10 @@ fn multi_need_reorganize_publishes_redist_metrics_and_exchange_spans() {
     assert_eq!(sent.iter().sum::<u64>(), 4 * (nx * 4) as u64);
     assert_eq!(get("redist.sent_bytes"), Some(sent.iter().sum()));
     assert_eq!(get("redist.messages_sent"), Some(4));
-    // One exchange per (rank, need index), up to the most needs any rank
-    // has: each need's plan has one round, so staged or loaned it is one
-    // exchange.
+    // One exchange per rank, whatever its need count: every need's parts
+    // ride the plan's one round.
     let exchanges =
         trace.events.iter().filter(|e| (e.cat, e.name) == ("redist", "exchange")).count();
-    assert_eq!(exchanges, n * 3);
-    assert_eq!(get("redist.exchanges"), Some((n * 3) as u64));
+    assert_eq!(exchanges, n);
+    assert_eq!(get("redist.exchanges"), Some(n as u64));
 }

@@ -8,7 +8,7 @@
 //! (below 2^32) — instead of whatever the allocator left there.
 
 use ddr_core::decompose::{brick, near_cubic_grid, slab};
-use ddr_core::{Block, DataKind, Descriptor};
+use ddr_core::{Block, DataKind, Descriptor, ValidationPolicy};
 use minimpi::Universe;
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -97,4 +97,34 @@ fn column_slabs_into_row_slabs_write_every_element() {
         vec![slab(&domain, 0, 2 * n, r).unwrap(), slab(&domain, 0, 2 * n, r + n).unwrap()]
     };
     check(n, domain, cols, |r| slab(&domain, 1, n, r).unwrap());
+}
+
+/// Row slabs with periodic one-row halos, and a fourth need inside the
+/// rank's own slab, overlapping its first: four needs filled by one
+/// exchange, each through its own buffer's spare capacity.
+#[test]
+fn slab_halos_and_an_overlapping_need_write_every_element() {
+    let (n, domain) = (3, Block::d2([0, 0], [10, 12]).unwrap());
+    let out = Universe::run(n, |comm| {
+        let mine = slab(&domain, 1, n, comm.rank()).unwrap();
+        let (y0, y1) = (mine.offset[1], mine.offset[1] + mine.dims[1]);
+        let row = |y: usize| Block::d2([0, y % 12], [10, 1]).unwrap();
+        let needs = [mine, row(y0 + 11), row(y1), Block::d2([3, y0 + 1], [4, 2]).unwrap()];
+        let desc = Descriptor::for_type::<u64>(n, DataKind::D2).unwrap();
+        let strict = ValidationPolicy::Strict;
+        let plan = desc.setup_multi_mapping(comm, &[mine], &needs, strict).unwrap();
+        let chunk: Vec<u64> = mine.coords().map(|c| value(&domain, c)).collect();
+        let mut got: Vec<Vec<u64>> =
+            needs.iter().map(|b| Vec::with_capacity(b.count() as usize + 7)).collect();
+        plan.reorganize_needs(comm, &[chunk], &mut got).unwrap();
+        (needs, got)
+    });
+    for (r, (needs, got)) in out.iter().enumerate() {
+        for (k, (want, got)) in needs.iter().zip(got).enumerate() {
+            let oracle: Vec<u64> = want.coords().map(|c| value(&domain, c)).collect();
+            let unwritten = got.iter().filter(|&&v| v >> 32 != 0).count();
+            assert_eq!(unwritten, 0, "rank {r} need {k}: {unwritten} elements were never written");
+            assert_eq!(got, &oracle, "rank {r} need {k}");
+        }
+    }
 }

@@ -580,20 +580,19 @@ impl Lattice {
     /// faulted them in afresh: 292 minor faults per call on a 512 × 128 slab.
     /// The ring (24 KiB at nx = 512) faults none, and took a traced
     /// `lbm_frames` run's `lbm.vorticity_ms` from 0.96–1.16 to 0.58–0.61 ms
-    /// (3 alternating pairs). The AVX2 build, with the row's velocities an
-    /// `#[inline(always)]` fn rather than a closure so that build reaches
-    /// them, took it from 0.51–0.61 to 0.42–0.46 ms (6 runs each,
-    /// alternating).
+    /// (3 alternating pairs).
     ///
     /// This is the serial field, computed from the slab as it stands;
     /// [`crate::DistributedLbm::vorticity`] computes the same field, bit for
-    /// bit, inside the next step's collide.
+    /// bit, inside the next step's collide. So no timed path runs this one:
+    /// it is the oracle of the tests, the goldens and the benchmark's
+    /// untimed check, and has only the baseline build.
     pub fn vorticity(
         &self,
         below: Option<&[(f64, f64)]>,
         above: Option<&[(f64, f64)]>,
     ) -> Vec<f32> {
-        vorticity_field(self, below, above)
+        vorticity_field_body(self, below, above)
     }
 }
 
@@ -601,7 +600,6 @@ impl Lattice {
 /// (solid cells (0, 0)), or the `halo` row's velocities when there is one.
 /// Rows −1 and `rows` without a halo are the edge rows again. The row is
 /// read one run at a time, where a plane's ring wraps inside it.
-#[inline(always)]
 fn velocities(
     lat: &Lattice,
     k: usize,
@@ -630,7 +628,6 @@ fn velocities(
 }
 
 /// [`Lattice::vorticity`] of `lat`.
-#[inline(always)]
 fn vorticity_field_body(
     lat: &Lattice,
     below: Option<&[(f64, f64)]>,
@@ -682,15 +679,6 @@ avx2_dispatch! {
     /// [`stencil_row_body`], the AVX2 build where the CPU has it.
     fn stencil_row(out: &mut [f32], ux_lo: &[f64], uy_row: &[f64], ux_hi: &[f64], dy: f64)
         = stencil_row_body, stencil_row_avx2;
-}
-
-avx2_dispatch! {
-    /// [`vorticity_field_body`], the AVX2 build where the CPU has it.
-    fn vorticity_field(
-        lat: &Lattice,
-        below: Option<&[(f64, f64)]>,
-        above: Option<&[(f64, f64)]>,
-    ) -> Vec<f32> = vorticity_field_body, vorticity_field_avx2;
 }
 
 #[cfg(test)]
@@ -1094,45 +1082,6 @@ mod tests {
                 assert_eq!(to_bits(&swept.unwrap()), to_bits(&field), "{shape}");
                 assert_eq!(bits(&sent), bits(&edges), "{shape}");
                 assert_eq!(interior_bits(&ahead), interior_bits(&lat), "{shape}");
-            }
-        }
-    }
-
-    /// The vorticity's AVX2 build, where this CPU runs it, called directly,
-    /// against the baseline build, to the bit, with halo rows and with
-    /// one-sided domain edges, on rings that wrap inside rows.
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn vorticity_builds_agree_to_the_bit() {
-        if !cpu_has("avx2") {
-            return;
-        }
-        for (nx, rows) in [(2, 1), (5, 2), (64, 17), (515, 6)] {
-            let mut lat = noisy_slab(nx, rows + 2, 1, rows, 3 * nx + rows);
-            for _ in 0..3 {
-                lat.stream();
-            }
-            let halo = |salt: usize| -> Vec<(f64, f64)> {
-                (0..nx)
-                    .map(|x| (0.2 * noise(x + salt) - 0.1, 0.2 * noise(x + 2 * salt) - 0.1))
-                    .collect()
-            };
-            let (below, above) = (halo(1 << 20), halo(1 << 21));
-            for (b, a) in [
-                (None, None),
-                (Some(&below[..]), None),
-                (None, Some(&above[..])),
-                (Some(&below[..]), Some(&above[..])),
-            ] {
-                let bits = |v: Vec<f32>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    // SAFETY: the CPU has AVX2, checked at the top.
-                    bits(unsafe { vorticity_field_avx2(&lat, b, a) }),
-                    bits(vorticity_field_body(&lat, b, a)),
-                    "nx {nx}, rows {rows}, below {}, above {}",
-                    b.is_some(),
-                    a.is_some()
-                );
             }
         }
     }

@@ -99,8 +99,8 @@ impl Comm {
     /// rules act on the loan.
     ///
     /// This is the one-part case of [`Comm::alltoallw_parts_uninit`], the
-    /// same engine: a failed source is reported only after every other
-    /// source was drained.
+    /// same engine, into one receive buffer: a failed source is reported
+    /// only after every other source was drained.
     pub fn alltoallw(
         &self,
         send_buf: &[u8],
@@ -108,21 +108,16 @@ impl Comm {
         recv_buf: &mut [u8],
         recv_types: &[Datatype],
     ) -> Result<()> {
-        // An empty selection is no part at all; every other part lends the
-        // one send buffer.
-        fn part<'a, T>(x: &'a T, dt: &Datatype) -> &'a [T] {
-            if *dt == Datatype::Empty {
-                &[]
-            } else {
-                std::slice::from_ref(x)
-            }
+        // Every selection is a part of buffer 0; an empty one is no part.
+        fn one_part_each(parts: &[(usize, Datatype)]) -> Vec<&[(usize, Datatype)]> {
+            parts.chunks(1).map(|p| if p[0].1 == Datatype::Empty { &p[..0] } else { p }).collect()
         }
-        let parts: Vec<(usize, Datatype)> = send_types.iter().map(|dt| (0, *dt)).collect();
-        let sends: Vec<&[(usize, Datatype)]> = parts.iter().map(|p| part(p, &p.1)).collect();
-        let recvs: Vec<&[Datatype]> = recv_types.iter().map(|dt| part(dt, dt)).collect();
+        let parts = |types: &[Datatype]| types.iter().map(|dt| (0, *dt)).collect::<Vec<_>>();
+        let (send_parts, recv_parts) = (parts(send_types), parts(recv_types));
+        let (sends, recvs) = (one_part_each(&send_parts), one_part_each(&recv_parts));
         // SAFETY: the receive engine only stores initialized bytes.
         let recv_buf = unsafe { as_uninit_mut(recv_buf) };
-        self.alltoallw_parts_uninit(&[send_buf], &sends, recv_buf, &recvs)
+        self.alltoallw_parts_uninit(&[send_buf], &sends, &mut [recv_buf], &recvs)
     }
 
     /// `MPI_Alltoallw` whose messages are lists of parts, into storage that
@@ -131,15 +126,16 @@ impl Comm {
     /// `sends[d]` is an ordered list of `(buffer index, selection)` parts,
     /// each selecting from `bufs[index]`, packed back to back into one
     /// message; for every source `s`, `recvs[s]` is the ordered list of
-    /// selections of `recv_buf` that source's message unpacks into. The self
-    /// parts are copied pairwise, in order. The contract of
-    /// [`Comm::alltoallw`] carries over per message: `sends[d]` on rank `r`
-    /// packs to as many bytes as `recvs[r]` on rank `d` expects.
+    /// `(buffer index, selection)` parts of `recv_bufs` that source's
+    /// message unpacks into. The self parts are copied pairwise, in order.
+    /// The contract of [`Comm::alltoallw`] carries over per message:
+    /// `sends[d]` on rank `r` packs to as many bytes as `recvs[r]` on rank
+    /// `d` expects.
     ///
-    /// The lists are slices, so a caller that runs the same exchange many
-    /// times keeps them and binds only `bufs` per call. A part naming an
-    /// index past `bufs`, or a selection reaching past its buffer, is an
-    /// error before anything is sent.
+    /// The lists are borrowed, so a caller that runs the same exchange many
+    /// times keeps them and binds only the buffers per call. A part naming an
+    /// index past `bufs` or `recv_bufs`, or a selection reaching past its
+    /// send buffer, is an error before anything is sent.
     ///
     /// Every message is one loan of all its parts, whatever its size, and
     /// the receiver copies part `i` of the loan into its receive part `i`,
@@ -148,11 +144,11 @@ impl Comm {
     /// must. A loan that does not is refused uncopied: the receiver reports
     /// [`Error::DatatypeMismatch`] and the sender counts the loan revoked.
     ///
-    /// The exchange only stores into `recv_buf` and never reads it: a loan
-    /// claim and the self-copy each write their receive parts and nothing
-    /// else. So when the call returns `Ok`, every byte of every selection in
-    /// `recvs` is initialized; bytes outside them are left as they were. On
-    /// `Err`, which selections were written is unspecified.
+    /// The exchange only stores into `recv_bufs` and never reads them: a
+    /// loan claim and the self-copy each write their receive parts and
+    /// nothing else. So when the call returns `Ok`, every byte of every
+    /// selection in `recvs` is initialized; bytes outside them are left as
+    /// they were. On `Err`, which selections were written is unspecified.
     ///
     /// A source that fails to deliver (it died, its loan was withheld or
     /// revoked, or the watchdog expired) does not end the exchange at once:
@@ -168,13 +164,17 @@ impl Comm {
     /// message eagerly, then `wait` drains every source. Whichever way the
     /// call leaves — clean, failed, a mid-post error, a panic — the guard
     /// drains or revokes its zero-copy loans.
-    pub fn alltoallw_parts_uninit(
+    pub fn alltoallw_parts_uninit<S, R>(
         &self,
         bufs: &[&[u8]],
-        sends: &[&[(usize, Datatype)]],
-        recv_buf: &mut [MaybeUninit<u8>],
-        recvs: &[&[Datatype]],
-    ) -> Result<()> {
+        sends: &[S],
+        recv_bufs: &mut [&mut [MaybeUninit<u8>]],
+        recvs: &[R],
+    ) -> Result<()>
+    where
+        S: AsRef<[(usize, Datatype)]>,
+        R: AsRef<[(usize, Datatype)]>,
+    {
         let n = self.size();
         if sends.len() != n || recvs.len() != n {
             return Err(Error::CollectiveMismatch {
@@ -185,13 +185,16 @@ impl Comm {
                 ),
             });
         }
-        // Every part names one of `bufs`, the self parts too: checked before
-        // the first deposit, so a list naming a missing buffer sends nothing.
-        if let Some((i, _)) =
-            sends.iter().flat_map(|parts| parts.iter()).find(|p| p.0 >= bufs.len())
-        {
+        // Every part names one of its side's buffers, the self parts too:
+        // checked before the first deposit, so a list naming a missing
+        // buffer sends nothing.
+        let missing =
+            missing_buffer(sends, bufs.len()).map(|i| ("send", i, bufs.len())).or_else(|| {
+                missing_buffer(recvs, recv_bufs.len()).map(|i| ("receive", i, recv_bufs.len()))
+            });
+        if let Some((side, i, of)) = missing {
             return Err(Error::CollectiveMismatch {
-                detail: format!("alltoallw: a send part names buffer {i} of {}", bufs.len()),
+                detail: format!("alltoallw: a {side} part names buffer {i} of {of}"),
             });
         }
         let seq = self.next_coll_seq();
@@ -218,7 +221,8 @@ impl Comm {
         // Send phase (eager: a deposit never waits). A deposit fails only if
         // this rank itself is dead, or a part reaches past its buffer.
         for (d, parts) in sends.iter().enumerate() {
-            if d == me || message_len(parts.iter().map(|(_, dt)| dt)) == 0 {
+            let parts = parts.as_ref();
+            if d == me || message_len(parts) == 0 {
                 continue;
             }
             // A loan a fault rule withheld has no cell: nothing to wait on.
@@ -228,10 +232,10 @@ impl Comm {
                 xchg.loans.push((d, cell));
             }
         }
-        xchg.wait(recv_buf)
+        xchg.wait(recv_bufs)
     }
 
-    /// Place one received alltoallw message into `recv_buf` through its
+    /// Place one received alltoallw message into `recv_bufs` through its
     /// parts `dts`, in order: the loan is claimed once and each lent part
     /// copied straight out of the sender's buffers into the receive part it
     /// pairs with, in one traversal inside [`Comm::claim_loan`].
@@ -239,8 +243,8 @@ impl Comm {
         &self,
         src: usize,
         env: Envelope,
-        dts: &[Datatype],
-        recv_buf: &mut [MaybeUninit<u8>],
+        dts: &[(usize, Datatype)],
+        recv_bufs: &mut [&mut [MaybeUninit<u8>]],
     ) -> Result<()> {
         // Only alltoallw deposits under an alltoallw tag, and it only lends.
         let Payload::Shared(h) = env.payload else {
@@ -253,8 +257,8 @@ impl Comm {
         // that does not is refused under its claim, releasing its sender.
         let mut zc = None;
         let agree = |lent: &[(usize, Datatype)]| {
-            let shape = |dt: &Datatype| (dt.packed_len(), dt.elem_size());
-            let (lent, want) = (|| lent.iter().map(|p| shape(&p.1)), || dts.iter().map(shape));
+            let shape = |p: &(usize, Datatype)| (p.1.packed_len(), p.1.elem_size());
+            let (lent, want) = (|| lent.iter().map(shape), || dts.iter().map(shape));
             let pairs = |(a, b): ((usize, u32), (usize, u32))| a.0 == b.0 && elems_agree(a.1, b.1);
             if lent().count() != dts.len() || !lent().zip(want()).all(pairs) {
                 let (lent, want): (Vec<_>, Vec<_>) = (lent().collect(), want().collect());
@@ -269,16 +273,22 @@ impl Comm {
             Ok(())
         };
         // Each part is counted in this rank's slot by the tier that moved it.
-        let copy = |i, lent: &[u8], dt: &Datatype| {
-            copy_selection(lent, dt, recv_buf, &dts[i]).map(|(tier, n)| self.count(tier, n))
+        let copy = |i: usize, lent: &[u8], dt: &Datatype| {
+            let (k, want) = &dts[i];
+            copy_selection(lent, dt, &mut *recv_bufs[*k], want).map(|(tier, n)| self.count(tier, n))
         };
         self.claim_loan(src, &h, agree, copy)
     }
 }
 
-/// Bytes one message of parts `dts` packs to.
-fn message_len<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> usize {
-    dts.into_iter().map(Datatype::packed_len).sum()
+/// Bytes one message of parts `parts` packs to.
+fn message_len(parts: &[(usize, Datatype)]) -> usize {
+    parts.iter().map(|(_, dt)| dt.packed_len()).sum()
+}
+
+/// The first buffer index a part of `lists` names at or past `count`.
+fn missing_buffer<L: AsRef<[(usize, Datatype)]>>(lists: &[L], count: usize) -> Option<usize> {
+    lists.iter().flat_map(|l| l.as_ref()).map(|p| p.0).find(|&i| i >= count)
 }
 
 /// One alltoallw exchange between its send phase and its completion.
@@ -290,13 +300,13 @@ fn message_len<'a>(dts: impl IntoIterator<Item = &'a Datatype>) -> usize {
 /// `Drop` impl covers early exits (a hard error, a mid-post error, a panic)
 /// by revoking unclaimed loans immediately and waiting out claims already in
 /// flight (a bounded memcpy).
-struct Exchange<'a> {
+struct Exchange<'a, S, R> {
     comm: &'a Comm,
     /// Key tag every message of this exchange travels under.
     tag: u64,
     bufs: &'a [&'a [u8]],
-    sends: &'a [&'a [(usize, Datatype)]],
-    recvs: &'a [&'a [Datatype]],
+    sends: &'a [S],
+    recvs: &'a [R],
     loans: Vec<(usize, Arc<ZcCell>)>,
     /// Every source was drained; Drop only drains loans. Left early, Drop
     /// sweeps the exchange's queued remainder first.
@@ -306,24 +316,25 @@ struct Exchange<'a> {
     _span: ddrtrace::SpanGuard,
 }
 
-impl Exchange<'_> {
+impl<S: AsRef<[(usize, Datatype)]>, R: AsRef<[(usize, Datatype)]>> Exchange<'_, S, R> {
     /// Block until every source resolved and the loans are drained, then
     /// return the first failed source's error. A hard error leaves at once
     /// through Drop, which sweeps this exchange's queued remainder —
     /// revoking each queued loan — and revokes this rank's own loans.
-    fn wait(mut self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<()> {
+    fn wait(mut self, recv_bufs: &mut [&mut [MaybeUninit<u8>]]) -> Result<()> {
         let comm = self.comm;
         let me = comm.rank();
-        self.self_copy(recv_buf)?;
+        self.self_copy(recv_bufs)?;
         // Receive phase: drain every source, keeping the first failure.
         let mut lost = Ok(());
-        for (s, &dts) in self.recvs.iter().enumerate() {
+        for (s, dts) in self.recvs.iter().enumerate() {
+            let dts = dts.as_ref();
             if s == me || message_len(dts) == 0 {
                 continue;
             }
             let res = comm
                 .take_envelope_from(s, self.tag)
-                .and_then(|env| comm.deliver_alltoallw(s, env, dts, recv_buf));
+                .and_then(|env| comm.deliver_alltoallw(s, env, dts, recv_bufs));
             match res {
                 Ok(()) => {}
                 // Malformed local arguments are hard errors.
@@ -350,10 +361,10 @@ impl Exchange<'_> {
 
     /// Self-transfer: the self parts paired in order, each a direct
     /// selection-to-selection copy (faults never apply to self-messages).
-    fn self_copy(&self, recv_buf: &mut [MaybeUninit<u8>]) -> Result<()> {
+    fn self_copy(&self, recv_bufs: &mut [&mut [MaybeUninit<u8>]]) -> Result<()> {
         let me = self.comm.rank();
-        let (sends, recvs) = (self.sends[me], self.recvs[me]);
-        let (sent, expected) = (message_len(sends.iter().map(|(_, dt)| dt)), message_len(recvs));
+        let (sends, recvs) = (self.sends[me].as_ref(), self.recvs[me].as_ref());
+        let (sent, expected) = (message_len(sends), message_len(recvs));
         if sent == 0 && expected == 0 {
             return Ok(());
         }
@@ -370,13 +381,15 @@ impl Exchange<'_> {
                 ),
             });
         }
-        for ((i, send_dt), recv_dt) in sends.iter().zip(recvs) {
-            let (tier, n) = copy_selection(self.bufs[*i], send_dt, recv_buf, recv_dt)?;
+        for ((i, send_dt), (k, recv_dt)) in sends.iter().zip(recvs) {
+            let (tier, n) = copy_selection(self.bufs[*i], send_dt, &mut *recv_bufs[*k], recv_dt)?;
             self.comm.count(tier, n);
         }
         Ok(())
     }
+}
 
+impl<S, R> Exchange<'_, S, R> {
     /// Wait until every loan was copied, revoked or refused, giving receivers
     /// until `deadline`. Returns the number revoked or refused.
     fn drain_loans(&mut self, deadline: Instant) -> u64 {
@@ -394,7 +407,7 @@ impl Exchange<'_> {
     }
 }
 
-impl Drop for Exchange<'_> {
+impl<S, R> Drop for Exchange<'_, S, R> {
     fn drop(&mut self) {
         if !self.settled {
             // Left early (a hard error, a mid-post error or a panic): nobody

@@ -6,17 +6,17 @@ use std::mem::MaybeUninit;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-/// [`Comm::alltoallw_parts_uninit`] into an initialized buffer, so a test
+/// [`Comm::alltoallw_parts_uninit`] into one initialized buffer, so a test
 /// can check which bytes it left alone.
 fn parts_exchange(
     comm: &Comm,
     bufs: &[&[u8]],
     sends: &[&[(usize, Datatype)]],
     recv: &mut [u8],
-    recvs: &[&[Datatype]],
+    recvs: &[&[(usize, Datatype)]],
 ) -> minimpi::Result<()> {
     let mut out: Vec<MaybeUninit<u8>> = recv.iter().map(|&b| MaybeUninit::new(b)).collect();
-    let res = comm.alltoallw_parts_uninit(bufs, sends, &mut out, recvs);
+    let res = comm.alltoallw_parts_uninit(bufs, sends, &mut [&mut out], recvs);
     for (r, b) in recv.iter_mut().zip(&out) {
         // SAFETY: every byte started initialized, and the exchange stores
         // only initialized bytes.
@@ -253,8 +253,10 @@ fn send_phase_error_after_a_loan_drains_it() {
 #[test]
 fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
     let contig = |offset, len_bytes| Datatype::Contiguous { len_bytes, offset };
-    let cases =
-        [("part count", vec![contig(0, 64)]), ("part length", vec![contig(0, 16), contig(16, 48)])];
+    let cases = [
+        ("part count", vec![(0, contig(0, 64))]),
+        ("part length", vec![(0, contig(0, 16)), (0, contig(16, 48))]),
+    ];
     for (what, recv_parts) in cases {
         let watchdog = Duration::from_secs(30);
         let start = Instant::now();
@@ -287,34 +289,43 @@ fn loan_whose_parts_disagree_with_the_receiver_is_a_datatype_mismatch() {
     }
 }
 
-/// A send part names its buffer by index, so an index past `bufs` is a
-/// `CollectiveMismatch` found before the first deposit. Rank 0's message to
-/// rank 1 is well formed and goes first in send order, yet nothing leaves:
-/// no loan is counted, rank 1's buffer is untouched, and both receivers
-/// report rank 0 dead at once instead of waiting out the watchdog.
+/// A part names its buffer by index, a send part one of `bufs` and a
+/// receive part one of the receive buffers, so an index past either table
+/// is a `CollectiveMismatch` found before the first deposit. Rank 0's
+/// message to rank 1 is well formed and goes first in send order, yet
+/// nothing leaves: no loan is counted, rank 1's buffer is untouched, and
+/// both receivers report rank 0 dead at once instead of waiting out the
+/// watchdog. In the receive case the bad part is rank 0's own self part.
 #[test]
-fn send_part_naming_a_missing_buffer_deposits_nothing() {
-    let start = Instant::now();
-    let out = Universe::builder().timeout(Duration::from_secs(30)).run(3, |comm| {
-        let send = [7u8; 16];
-        let mut recv = [0xEE; 16];
-        let whole = Datatype::Contiguous { len_bytes: 16, offset: 0 };
-        let (good, bad) = ([(0, whole)], [(1, whole)]);
-        let (mut sends, mut recvs): ([&[_]; 3], [&[_]; 3]) = ([&[]; 3], [&[]; 3]);
-        if comm.rank() == 0 {
-            (sends[1], sends[2]) = (&good, &bad);
-        } else {
-            recvs[0] = std::slice::from_ref(&whole);
+fn a_part_naming_a_missing_buffer_deposits_nothing() {
+    for side in ["send", "receive"] {
+        let start = Instant::now();
+        let out = Universe::builder().timeout(Duration::from_secs(30)).run(3, |comm| {
+            let send = [7u8; 16];
+            let mut recv = [0xEE; 16];
+            let whole = Datatype::Contiguous { len_bytes: 16, offset: 0 };
+            let (good, bad) = ([(0, whole)], [(1, whole)]);
+            let (mut sends, mut recvs): ([&[_]; 3], [&[_]; 3]) = ([&[]; 3], [&[]; 3]);
+            if comm.rank() == 0 && side == "send" {
+                (sends[1], sends[2]) = (&good, &bad);
+            } else if comm.rank() == 0 {
+                (sends[0], sends[1], sends[2], recvs[0]) = (&good, &good, &good, &bad);
+            } else {
+                recvs[0] = &good;
+            }
+            let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
+            (res, recv, comm.counters()[Counter::ZerocopyMsgs])
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{side}: a rank waited out the watchdog"
+        );
+        let detail = format!("alltoallw: a {side} part names buffer 1 of 1");
+        assert_eq!(out[0], (Err(Error::CollectiveMismatch { detail }), [0xEE; 16], 0), "{side}");
+        for (rank, (res, recv, _)) in out.iter().enumerate().skip(1) {
+            assert_eq!(res, &Err(Error::PeerDead { rank: 0 }), "{side}: rank {rank}");
+            assert_eq!(recv, &[0xEE; 16], "{side}: rank {rank}: nothing was deposited");
         }
-        let res = parts_exchange(comm, &[&send], &sends, &mut recv, &recvs);
-        (res, recv, comm.counters()[Counter::ZerocopyMsgs])
-    });
-    assert!(start.elapsed() < Duration::from_secs(10), "a rank waited out the watchdog");
-    let detail = "alltoallw: a send part names buffer 1 of 1".into();
-    assert_eq!(out[0], (Err(Error::CollectiveMismatch { detail }), [0xEE; 16], 0));
-    for (rank, (res, recv, _)) in out.iter().enumerate().skip(1) {
-        assert_eq!(res, &Err(Error::PeerDead { rank: 0 }), "rank {rank}");
-        assert_eq!(recv, &[0xEE; 16], "rank {rank}: nothing was deposited");
     }
 }
 
@@ -456,7 +467,7 @@ fn mismatched_coalesced_message_is_a_datatype_mismatch() {
         let send = [7u8; 128];
         let mut recv = vec![0u8; 128];
         let lent = [(0, words(4, 0, 4)), (0, words(4, 8, 4))];
-        let want = [words(2, 0, 8), words(2, 4, 8)];
+        let want = [(0, words(2, 0, 8)), (0, words(2, 4, 8))];
         let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
         if comm.rank() == 0 {
             sends[1] = &lent;

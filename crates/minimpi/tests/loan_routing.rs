@@ -91,12 +91,14 @@ fn multi_part_message_loans_and_lands_part_by_part_in_order() {
         let centre =
             Datatype::Subarray(Subarray::new(2, [8, 8, 1], [4, 4, 1], [2, 2, 0], 1).unwrap());
         let contig = |offset| Datatype::Contiguous { len_bytes: 16, offset };
-        let (lent, want) =
-            ([(0, contig(48)), (1, centre), (0, contig(0))], [contig(32), contig(0), contig(16)]);
+        let (lent, want) = (
+            [(0, contig(48)), (1, centre), (0, contig(0))],
+            [(0, contig(32)), (0, contig(0)), (0, contig(16))],
+        );
         let (mut sends, mut recvs): ([&[_]; 2], [&[_]; 2]) = ([&[]; 2], [&[]; 2]);
         (sends[peer], recvs[peer]) = (&lent, &want);
         let mut recv = Vec::with_capacity(48);
-        comm.alltoallw_parts_uninit(&[&a, &b], &sends, recv.spare_capacity_mut(), &recvs)
+        comm.alltoallw_parts_uninit(&[&a, &b], &sends, &mut [recv.spare_capacity_mut()], &recvs)
             .expect("exchange succeeds");
         // SAFETY: a complete exchange initialized every byte of `want`'s
         // three parts, which tile the 48 bytes.

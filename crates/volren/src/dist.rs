@@ -36,7 +36,7 @@ pub fn composite_gather(
     let desc = Descriptor::for_type::<f32>(comm.size(), DataKind::D3)?;
     let plan = desc.setup_multi_mapping(comm, &[chunk], needs, ValidationPolicy::Strict)?;
     let mut layers = vec![Vec::new(); needs.len()];
-    plan.reorganize(comm, &[&img.data], &mut layers)?;
+    plan.reorganize_needs(comm, &[&img.data], &mut layers)?;
     Ok(layers.pop().map(|layers| {
         let mut out = RgbaImage::transparent(width, height);
         layers.chunks_exact(4 * width * height).for_each(|layer| out.under(layer));

@@ -4,8 +4,9 @@
 //! needed block; its future work calls for "more data patterns". This
 //! example uses the `setup_multi_mapping` extension to stage a stencil
 //! computation: each rank's needed data is its own slab **plus** one-row
-//! halos from both neighbors — three blocks, declared directly, with DDR
-//! computing who sends what.
+//! halos from both neighbors — up to three blocks, declared directly, with
+//! DDR computing who sends what. One `reorganize_needs` fills them all in
+//! one exchange.
 //!
 //! A 5-point Laplacian is then applied using the halos and verified against
 //! a serial computation of the whole domain.
@@ -68,7 +69,7 @@ fn main() -> ExitCode {
 
         let data: Vec<f64> = my_slab.coords().map(|c| field(c[0], c[1])).collect();
         let mut bufs = vec![Vec::new(); needs.len()];
-        plan.reorganize(comm, &[&data], &mut bufs)?;
+        plan.reorganize_needs(comm, &[&data], &mut bufs)?;
 
         // Stencil over the slab using the received halos.
         let rows = my_slab.dims[1];
