@@ -99,8 +99,8 @@ fn report(doc: &Value) -> Result<String, String> {
             fmt_ns(r.max_ns),
             r.tracks.len()
         ));
-        // Beside the time spent waiting, how the waits resolved (mailbox and
-        // loan cell alike): a parked wait paid a wake-up, a spin hit did not.
+        // Beside the time spent waiting, how the waits resolved (receives and
+        // lenders alike): a parked wait paid a wake-up, a spin hit did not.
         if phase == "minimpi/mailbox_wait" {
             if let Some(parks) = metric("wait.parks") {
                 let immediate = metric("wait.immediate").unwrap_or(0.0);

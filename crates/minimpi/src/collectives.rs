@@ -14,7 +14,7 @@ use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
 use crate::mailbox::{Envelope, Payload};
 use crate::pod::{as_uninit_mut, bytes_of, vec_from_bytes, Pod};
-use crate::zerocopy::{ZcCell, ZcWait};
+use crate::zerocopy::{await_loans, Loan, Step, ZcCell};
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::Instant;
@@ -236,9 +236,12 @@ impl Comm {
     }
 
     /// Place one received alltoallw message into `recv_bufs` through its
-    /// parts `dts`, in order: the loan is claimed once and each lent part
-    /// copied straight out of the sender's buffers into the receive part it
-    /// pairs with, in one traversal inside [`Comm::claim_loan`].
+    /// parts `dts`, in order: claim the loan, and only then read its part
+    /// list; copy each lent part straight out of the sender's buffers into
+    /// the receive part it pairs with, or refuse the loan uncopied if the
+    /// parts do not pair. **A claimed loan always reaches its finish or
+    /// refuse**: the sender waits until then, so nothing may return early in
+    /// between.
     fn deliver_alltoallw(
         &self,
         src: usize,
@@ -247,38 +250,54 @@ impl Comm {
         recv_bufs: &mut [&mut [MaybeUninit<u8>]],
     ) -> Result<()> {
         // Only alltoallw deposits under an alltoallw tag, and it only lends.
-        let Payload::Shared(h) = env.payload else {
+        let Payload::Shared(loan) = env.payload else {
             return Err(Error::Internal {
                 detail: format!("alltoallw: rank {src} sent owned bytes where a loan belongs"),
             });
         };
-        // Parts pair in order, as the self parts do, so they must agree in
-        // count, length and element size before anything is copied; a loan
-        // that does not is refused under its claim, releasing its sender.
-        let mut zc = None;
-        let agree = |lent: &[(usize, Datatype)]| {
-            let shape = |p: &(usize, Datatype)| (p.1.packed_len(), p.1.elem_size());
-            let (lent, want) = (|| lent.iter().map(shape), || dts.iter().map(shape));
-            let pairs = |(a, b): ((usize, u32), (usize, u32))| a.0 == b.0 && elems_agree(a.1, b.1);
-            if lent().count() != dts.len() || !lent().zip(want()).all(pairs) {
-                let (lent, want): (Vec<_>, Vec<_>) = (lent().collect(), want().collect());
-                return Err(Error::DatatypeMismatch {
-                    detail: format!(
-                        "a loan of (bytes, element size) parts {lent:?} from rank {src} into \
-                         parts {want:?}"
-                    ),
-                });
-            }
-            zc = Some(ddrtrace::span_arg("minimpi", "zc_copy", "bytes", message_len(dts) as i64));
-            Ok(())
-        };
-        // Each part is counted in this rank's slot by the tier that moved it.
-        let copy = |i: usize, lent: &[u8], dt: &Datatype| {
-            let (k, want) = &dts[i];
-            copy_selection(lent, dt, &mut *recv_bufs[*k], want).map(|(tier, n)| self.count(tier, n))
-        };
-        self.claim_loan(src, &h, agree, copy)
+        if !loan.cell.take(Step::Claim) {
+            // The sender revoked the loan (timeout / death) before we got
+            // here; the payload is unrecoverable.
+            return Err(Error::PeerDead { rank: src });
+        }
+        // SAFETY: the claim succeeded, so the sender waits until the settle
+        // below, after the last use of the slices.
+        let (bufs, parts) = unsafe { loan.lent() };
+        let paired = pair_parts(src, parts, dts);
+        let step = if paired.is_ok() { Step::Finish } else { Step::Refuse };
+        let res = paired.and_then(|()| {
+            let _zc = ddrtrace::span_arg("minimpi", "zc_copy", "bytes", message_len(dts) as i64);
+            // Each part is counted in this rank's slot by the tier that moved it.
+            parts.iter().zip(dts).try_for_each(|((b, dt), (k, want))| {
+                let (tier, n) = copy_selection(bufs[*b], dt, &mut *recv_bufs[*k], want)?;
+                self.count(tier, n);
+                Ok(())
+            })
+        });
+        // Store, then tell the lender, which waits on its own mailbox and
+        // so sees the store on its next check.
+        loan.cell.take(step);
+        self.mailbox(src).notify();
+        res
     }
+}
+
+/// Whether a loan's parts `lent` from `src` pair in order with the receive
+/// parts `want`, as the self parts must: in count, and each part's packed
+/// length and element size.
+fn pair_parts(src: usize, lent: &[(usize, Datatype)], want: &[(usize, Datatype)]) -> Result<()> {
+    let shape = |p: &(usize, Datatype)| (p.1.packed_len(), p.1.elem_size());
+    let pairs = |(a, b): ((usize, u32), (usize, u32))| a.0 == b.0 && elems_agree(a.1, b.1);
+    if lent.len() == want.len() && lent.iter().map(shape).zip(want.iter().map(shape)).all(pairs) {
+        return Ok(());
+    }
+    let (lent, want): (Vec<_>, Vec<_>) =
+        (lent.iter().map(shape).collect(), want.iter().map(shape).collect());
+    Err(Error::DatatypeMismatch {
+        detail: format!(
+            "a loan of (bytes, element size) parts {lent:?} from rank {src} into parts {want:?}"
+        ),
+    })
 }
 
 /// Bytes one message of parts `parts` packs to.
@@ -390,15 +409,19 @@ impl<S: AsRef<[(usize, Datatype)]>, R: AsRef<[(usize, Datatype)]>> Exchange<'_, 
 }
 
 impl<S, R> Exchange<'_, S, R> {
-    /// Wait until every loan was copied, revoked or refused, giving receivers
-    /// until `deadline`. Returns the number revoked or refused.
+    /// Wait, once for all of them, until every loan was copied, revoked or
+    /// refused, giving receivers until `deadline`; a dead receiver's loan is
+    /// revoked at once rather than burning the watchdog. Returns the number
+    /// revoked or refused.
     fn drain_loans(&mut self, deadline: Instant) -> u64 {
+        if self.loans.is_empty() {
+            return 0;
+        }
         let comm = self.comm;
+        await_loans(comm.my_mailbox(), comm.waiter(), deadline, &self.loans, |d| !comm.is_alive(d));
         let mut revoked = 0;
         for (dest, cell) in self.loans.drain(..) {
-            // A dead receiver can never claim the loan — revoke right away
-            // rather than burning the watchdog.
-            if cell.wait(comm.waiter(), deadline, || !comm.is_alive(dest)) == ZcWait::Revoked {
+            if cell.state() == Loan::Revoked {
                 ddrtrace::instant_arg("minimpi", "zc_revoke", "dest", dest as i64);
                 revoked += 1;
             }
@@ -412,10 +435,16 @@ impl<S, R> Drop for Exchange<'_, S, R> {
         if !self.settled {
             // Left early (a hard error, a mid-post error or a panic): nobody
             // will receive the rest of this exchange, so drop what is queued
-            // under its tag. Each dropped loan is revoked, so a departing
-            // receiver cannot strand a healthy sender on the watchdog.
-            let (id, tag) = (self.comm.comm_id, self.tag);
-            let swept = self.comm.my_mailbox().discard(|key| (key.0, key.2) == (id, tag));
+            // under its tag. Each dropped loan is revoked and its sender
+            // told, so a departing receiver cannot strand a healthy sender on
+            // the watchdog.
+            let (comm, id, tag) = (self.comm, self.comm.comm_id, self.tag);
+            let mut swept = 0;
+            while let Some((key, env)) = comm.my_mailbox().try_take(|k| (k.0, k.2) == (id, tag)) {
+                drop(env);
+                comm.mailbox(key.1).notify();
+                swept += 1;
+            }
             if swept > 0 {
                 ddrtrace::instant_arg("minimpi", "exchange_sweep", "msgs", swept as i64);
             }
@@ -493,5 +522,57 @@ mod tests {
                 "{case}: took {elapsed:?}, a loan was stranded"
             );
         }
+    }
+
+    /// An `alltoallw` in which rank 0 lends one 64-byte message to each
+    /// other rank and receives none, and every other rank runs `receiver`
+    /// instead of receiving; rank 0 returns its exchange's result and how
+    /// its own waits resolved, (immediate + spin hits + parks).
+    fn lend_from_rank_0(n: usize, receiver: impl Fn(&Comm) + Sync) -> (Result<()>, u64, Duration) {
+        let start = Instant::now();
+        let out = Universe::builder().timeout(Duration::from_secs(10)).run(n, |comm| {
+            if comm.rank() != 0 {
+                receiver(comm);
+                return None;
+            }
+            let send = [7u8; 64];
+            let lent = [(0, Datatype::Contiguous { len_bytes: 64, offset: 0 })];
+            let sends: Vec<&[_]> = (0..n).map(|d| if d == 0 { &[][..] } else { &lent }).collect();
+            let res = comm.alltoallw_parts_uninit(&[&send], &sends, &mut [], &vec![&[][..]; n]);
+            let slot = &comm.world.counters[0];
+            let waits = [Counter::WaitImmediate, Counter::WaitSpinHits, Counter::WaitParks];
+            Some((res, waits.iter().map(|&c| slot.get(c)).sum()))
+        });
+        let (res, waits) = out.into_iter().next().flatten().unwrap();
+        (res, waits, start.elapsed())
+    }
+
+    /// A lender waits for all its loans at once: three receivers, one wait
+    /// resolution.
+    #[test]
+    fn a_lender_waits_once_per_exchange() {
+        let (res, waits, _) = lend_from_rank_0(4, |comm| {
+            let mut recv = [0u8; 64];
+            let mut rt = [Datatype::Empty; 4];
+            rt[0] = Datatype::Contiguous { len_bytes: 64, offset: 0 };
+            comm.alltoallw(&[], &[Datatype::Empty; 4], &mut recv, &rt).unwrap();
+            assert_eq!(recv, [7; 64]);
+        });
+        assert_eq!((res, waits), (Ok(()), 1));
+    }
+
+    /// A lender asleep on its mailbox is woken by its receiver's death: the
+    /// receiver leaves without claiming once the lender sleeps, and its
+    /// `mark_dead` notifies every mailbox — nothing polls, and the 10 s
+    /// watchdog is far off.
+    #[test]
+    fn a_receivers_death_wakes_its_sleeping_lender() {
+        let (res, waits, took) = lend_from_rank_0(2, |comm| {
+            while comm.mailbox(0).sleepers() == 0 {
+                std::thread::yield_now();
+            }
+        });
+        assert_eq!((res, waits), (Ok(()), 1));
+        assert!(took < Duration::from_secs(2), "took {took:?}");
     }
 }

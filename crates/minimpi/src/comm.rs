@@ -57,11 +57,13 @@ impl WorldState {
     }
 
     /// Mark a world rank dead — fault-killed, or its thread finished — and
-    /// wake every blocked receiver so it re-checks liveness. Idempotent.
+    /// wake every blocked rank so it re-checks liveness: a receiver waiting
+    /// on the dead rank, or a lender whose loan it can no longer claim.
+    /// Idempotent.
     pub fn mark_dead(&self, world_rank: usize) {
         if self.liveness.mark_dead(world_rank) {
             for mb in &self.mailboxes {
-                mb.interrupt();
+                mb.notify();
             }
         }
     }
@@ -199,8 +201,13 @@ impl Comm {
         Ok(())
     }
 
+    /// Communicator member `r`'s mailbox.
+    pub(crate) fn mailbox(&self, r: usize) -> &Mailbox {
+        &self.world.mailboxes[self.members[r]]
+    }
+
     pub(crate) fn my_mailbox(&self) -> &Mailbox {
-        &self.world.mailboxes[self.members[self.rank]]
+        self.mailbox(self.rank)
     }
 
     /// Is communicator member `r` still alive?
@@ -240,7 +247,7 @@ impl Comm {
     fn enqueue(&self, dest: usize, key_tag: u64, payload: Payload, elem: u32) {
         let key: MsgKey = (self.comm_id, self.rank, key_tag);
         let env = Envelope { payload, elem };
-        self.world.mailboxes[self.members[dest]].deposit(key, env);
+        self.mailbox(dest).deposit(key, env);
     }
 
     /// [`Comm::deposit_staged`] of untyped bytes.
@@ -299,9 +306,10 @@ impl Comm {
     /// buffers themselves.
     ///
     /// # Safety
-    /// As for [`ZcHandle::new`]: the caller must drive the returned cell to
-    /// `Done` or `Revoked` ([`ZcCell::wait`]) before the borrows of `bufs`,
-    /// `parts` or any buffer end, writing to none of them meanwhile.
+    /// As for [`ZcHandle::new`]: the caller must wait for the returned cell
+    /// to be `Done` or `Revoked` ([`crate::zerocopy::await_loans`]) before
+    /// the borrows of `bufs`, `parts` or any buffer end, writing to none of
+    /// them meanwhile.
     pub(crate) unsafe fn deposit_shared(
         &self,
         dest: usize,
@@ -329,49 +337,15 @@ impl Comm {
         Ok(Some(cell))
     }
 
-    /// The one zero-copy claim. Claim the loan; only then read its part list
-    /// and let `agree` accept it, or refuse it with an error, which ends the
-    /// loan `Revoked` uncopied. Accepted, `copy_part(i, lent, selection)`
-    /// moves each part `i` into the receiver's storage in message order (the
-    /// first failure ends the copy) and `finish` releases the sender. **A
-    /// claimed loan always reaches `finish` or `refuse`**: the sender is
-    /// parked until then, so nothing may return early in between.
-    pub(crate) fn claim_loan(
-        &self,
-        src: usize,
-        loan: &ZcHandle,
-        agree: impl FnOnce(&[(usize, Datatype)]) -> Result<()>,
-        mut copy_part: impl FnMut(usize, &[u8], &Datatype) -> Result<()>,
-    ) -> Result<()> {
-        if !loan.cell.try_claim() {
-            // The sender revoked the loan (timeout / death) before we got
-            // here; the payload is unrecoverable.
-            return Err(Error::PeerDead { rank: src });
-        }
-        // SAFETY: the claim succeeded, so the sender is blocked in
-        // ZcCell::wait until the refuse() or finish() below, the last use.
-        let (bufs, parts) = unsafe { loan.lent() };
-        if let Err(e) = agree(parts) {
-            loan.cell.refuse();
-            return Err(e);
-        }
-        let res = parts.iter().enumerate().try_for_each(|(i, (b, dt))| copy_part(i, bufs[*b], dt));
-        loan.cell.finish();
-        res
-    }
-
-    /// Turn a received envelope into owned bytes. For zero-copy loans this
-    /// is the slow path (generic receives don't have a destination selection
-    /// to copy into directly): claim, pack every part out of the sender's
-    /// buffers, release.
-    pub(crate) fn materialize(&self, src: usize, env: Envelope) -> Result<Vec<u8>> {
+    /// Turn a received envelope into owned bytes. Only `alltoallw` lends,
+    /// under key tags no other receive takes, so a loan here is a bug; the
+    /// dropped handle revokes it.
+    fn materialize(&self, src: usize, env: Envelope) -> Result<Vec<u8>> {
         match env.payload {
             Payload::Bytes(b) => Ok(b),
-            Payload::Shared(h) => {
-                let mut out = Vec::new();
-                self.claim_loan(src, &h, |_| Ok(()), |_, lent, dt| dt.pack_into(lent, &mut out))?;
-                Ok(out)
-            }
+            Payload::Shared(_) => Err(Error::Internal {
+                detail: format!("rank {src} lent a loan where owned bytes belong"),
+            }),
         }
     }
 

@@ -71,9 +71,11 @@
 //! so no divergence is silent.
 //!
 //! Every blocking wait on the data path — a receive, or a lender waiting for
-//! its loan to be copied — checks, spins for about one wake-up's worth
-//! (20 µs), then parks on its condvar. A universe with more ranks than cores
-//! never spins; there is no setting.
+//! its exchange's loans to be copied — is one loop on the rank's own
+//! mailbox: it checks, spins for about one wake-up's worth (20 µs), then
+//! parks on its condvar. A settled loan, like a deposit or a death, is an
+//! event on that mailbox. A universe with more ranks than cores never spins;
+//! there is no setting.
 //!
 //! Every statistic lives in one counter table with a slot per rank:
 //! [`Comm::counters`] returns the universe's sums, indexed by [`Counter`],

@@ -2,10 +2,11 @@
 //!
 //! Every world rank has a liveness flag. A rank is marked dead when a
 //! [`crate::FaultPlan`] kill fires, when its closure panics, or when it
-//! returns while peers are still running. Marking a rank dead interrupts
-//! every mailbox so blocked receivers re-check their abort conditions and
+//! returns while peers are still running. Marking a rank dead notifies
+//! every mailbox, so blocked receivers re-check their abort conditions and
 //! fail fast with [`crate::Error::PeerDead`] instead of waiting out the
-//! watchdog.
+//! watchdog, and a lender revokes the loans the dead rank can no longer
+//! claim.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,7 +1,7 @@
 //! Per-rank message stores with blocking, tag-matched retrieval.
 
 use crate::counters::Counter;
-use crate::wait::{spin_until, Waiter};
+use crate::wait::Waiter;
 use crate::zerocopy::ZcHandle;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +25,7 @@ pub(crate) enum Payload {
 }
 
 /// A message queued for delivery. Dropping a queued `Shared` payload
-/// revokes the loan, waking its sender.
+/// revokes the loan.
 pub(crate) struct Envelope {
     pub payload: Payload,
     /// Element size of the payload in bytes, stamped by typed sends and
@@ -33,27 +33,30 @@ pub(crate) struct Envelope {
     pub elem: u32,
 }
 
+/// What a mailbox's lock guards.
 #[derive(Default)]
-struct Queues {
+pub(crate) struct Queues {
     /// Every queued envelope with its key, in arrival order; a take pops the
     /// first with its key. One scanned queue, not a map of queues: a DDR pair
     /// holds at most two messages (`reorganize` runs one exchange at a time)
     /// and collective keys never repeat, so a map would insert and remove an
     /// entry per message.
     fifo: VecDeque<(MsgKey, Envelope)>,
-    /// Threads currently asleep in [`Mailbox::take`]. A deposit that finds
+    /// Threads currently asleep in [`Mailbox::wait`]. An event that finds
     /// none skips its notify: std's futex condvar makes the wake syscall
     /// whether or not anyone waits.
     sleepers: usize,
 }
 
-/// One rank's incoming message store — one unbounded queue.
+/// One rank's incoming message store — one unbounded queue — and the place
+/// its rank thread blocks.
 ///
 /// Senders deposit into the receiving rank's mailbox and never wait, as
 /// under MPI's eager protocol; receivers block until a matching key has a
 /// queued message. FIFO order is preserved per key, matching MPI's
 /// non-overtaking rule for messages with the same (source, tag,
-/// communicator).
+/// communicator). A lender waits for its loans here too: a settled loan is
+/// an event on its lender's mailbox.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     queues: Mutex<Queues>,
@@ -67,88 +70,81 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    /// Tell spinning waiters something happened. Call with the lock held.
-    fn bump(&self) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn lock(&self) -> MutexGuard<'_, Queues> {
         self.queues.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueue `env` under `key` and wake any receiver. Never waits.
-    pub fn deposit(&self, key: MsgKey, env: Envelope) {
+    /// Record an event: run `change` and bump `events` under the lock, then
+    /// wake the sleepers, if there are any, to re-check.
+    fn event(&self, change: impl FnOnce(&mut Queues)) {
         let mut q = self.lock();
-        q.fifo.push_back((key, env));
-        self.bump();
+        change(&mut q);
+        self.events.fetch_add(1, Ordering::Relaxed);
         let asleep = q.sleepers > 0;
         drop(q);
         if asleep {
-            // Receivers may be waiting on any key; notify them all.
             self.cv.notify_all();
         }
     }
 
-    /// Wake every blocked receiver so it re-checks its liveness condition
-    /// (used when a rank dies or departs).
-    pub fn interrupt(&self) {
-        // Take the lock so the wakeup cannot slot between a waiter's
-        // condition check and its wait.
-        let q = self.lock();
-        self.bump();
-        drop(q);
-        self.cv.notify_all();
+    /// Enqueue `env` under `key` and wake any receiver. Never waits.
+    pub fn deposit(&self, key: MsgKey, env: Envelope) {
+        self.event(|q| q.fifo.push_back((key, env)));
     }
 
-    /// Block until a message with `key` is available, `abort()` yields an
-    /// error while none is queued (`Err(Some(_))`), or `timeout` passes
-    /// (`Err(None)`). Every wakeup re-checks in that order, so a queued
-    /// message always wins over the abort condition ("messages sent before
-    /// death are deliverable") and a deposit that races the deadline still
-    /// counts.
+    /// Send this mailbox's waiter back through its check: a rank died or
+    /// departed, or a loan it lent was settled. Whoever calls it has already
+    /// stored what changed.
+    pub fn notify(&self) {
+        self.event(|_| ());
+    }
+
+    /// The one blocking wait: until `ready(queues, expired)` returns `Some`,
+    /// where `expired` says `deadline` has passed. `ready` runs under the
+    /// lock, first at once and then after every event, and decides alone
+    /// when the wait ends — past the deadline too.
     ///
     /// Check, spin, then park: for the first `waiter.spin` of the wait (never
     /// past the deadline) the lock is released and the waiter watches
-    /// `events`; every event sends it back through the checks above. Nothing
-    /// is lost in between — `events` is read under the lock the checks ran
-    /// under, and the park that follows re-checks under the lock again. How
-    /// the wait resolved is tallied in the receiver's `waiter` slot.
-    pub fn take<E>(
+    /// `events`; every event sends it back through `ready`. Nothing is lost
+    /// in between — `events` is read under the lock `ready` ran under, and a
+    /// park is counted in `sleepers` under that same lock, so an event either
+    /// comes before the check or wakes the sleeper. A park lasts until the
+    /// deadline or an event; past the deadline, until an event. How the wait
+    /// resolved is tallied in `waiter`'s slot.
+    pub fn wait<T>(
         &self,
-        key: MsgKey,
-        timeout: Duration,
+        deadline: Instant,
         waiter: Waiter,
-        abort: impl Fn() -> Option<E>,
-    ) -> Result<Envelope, Option<E>> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let spin_end = (start + waiter.spin).min(deadline);
+        mut ready: impl FnMut(&mut Queues, bool) -> Option<T>,
+    ) -> T {
+        let spin_end = (Instant::now() + waiter.spin).min(deadline);
         let mut how = Counter::WaitImmediate;
         let mut q = self.lock();
         let outcome = loop {
-            if let Some(env) = Self::pop(&mut q, key) {
-                break Ok(env);
-            }
-            if let Some(e) = abort() {
-                break Err(Some(e));
-            }
             let now = Instant::now();
-            if now >= deadline {
-                break Err(None);
+            if let Some(out) = ready(&mut q, now >= deadline) {
+                break out;
             }
             if now < spin_end {
                 how = Counter::WaitSpinHits;
                 let seen = self.events.load(Ordering::Relaxed);
                 drop(q);
-                spin_until(spin_end, || self.events.load(Ordering::Relaxed) != seen);
+                while self.events.load(Ordering::Relaxed) == seen && Instant::now() < spin_end {
+                    std::hint::spin_loop();
+                }
                 q = self.lock();
                 continue;
             }
             how = Counter::WaitParks;
             q.sleepers += 1;
-            q = match self.cv.wait_timeout(q, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(e) => e.into_inner().0,
+            q = if now < deadline {
+                match self.cv.wait_timeout(q, deadline - now) {
+                    Ok((guard, _)) => guard,
+                    Err(e) => e.into_inner().0,
+                }
+            } else {
+                self.cv.wait(q).unwrap_or_else(|e| e.into_inner())
             };
             q.sleepers -= 1;
         };
@@ -156,37 +152,38 @@ impl Mailbox {
         outcome
     }
 
-    /// The one pop, under the lock the caller already holds.
-    fn pop(q: &mut Queues, key: MsgKey) -> Option<Envelope> {
-        let at = q.fifo.iter().position(|(k, _)| *k == key)?;
-        q.fifo.remove(at).map(|(_, env)| env)
+    /// Block until a message with `key` is available, `abort()` yields an
+    /// error while none is queued (`Err(Some(_))`), or `timeout` passes
+    /// (`Err(None)`): [`Mailbox::wait`], checking in that order, so a queued
+    /// message always wins over the abort condition ("messages sent before
+    /// death are deliverable") and a deposit that races the deadline still
+    /// counts.
+    pub fn take<E>(
+        &self,
+        key: MsgKey,
+        timeout: Duration,
+        waiter: Waiter,
+        abort: impl Fn() -> Option<E>,
+    ) -> Result<Envelope, Option<E>> {
+        self.wait(Instant::now() + timeout, waiter, |q, expired| {
+            match Self::pop(q, |k| *k == key) {
+                Some((_, env)) => Some(Ok(env)),
+                None => abort().map(|e| Err(Some(e))).or(expired.then_some(Err(None))),
+            }
+        })
     }
 
-    /// Non-blocking probe-and-take.
-    #[cfg(test)]
-    pub fn try_take(&self, key: MsgKey) -> Option<Envelope> {
-        Self::pop(&mut self.lock(), key)
+    /// The one pop, under the lock the caller already holds: the first
+    /// envelope whose key `which` selects.
+    fn pop(q: &mut Queues, which: impl Fn(&MsgKey) -> bool) -> Option<(MsgKey, Envelope)> {
+        let at = q.fifo.iter().position(|(k, _)| which(k))?;
+        q.fifo.remove(at)
     }
 
-    /// Drop every queued envelope whose key `doomed` selects. Dropping a
-    /// loan revokes it. Returns how many were dropped.
-    pub fn discard(&self, doomed: impl Fn(&MsgKey) -> bool) -> usize {
-        let mut q = self.lock();
-        let before = q.fifo.len();
-        q.fifo.retain(|(key, _)| !doomed(key));
-        before - q.fifo.len()
-    }
-
-    /// Whether a message with `key` is currently queued.
-    #[cfg(test)]
-    pub fn contains(&self, key: MsgKey) -> bool {
-        self.lock().fifo.iter().any(|(k, _)| *k == key)
-    }
-
-    /// Number of queued messages (diagnostics only).
-    #[cfg(test)]
-    pub fn pending(&self) -> usize {
-        self.lock().fifo.len()
+    /// Take the first queued envelope whose key `which` selects, without
+    /// waiting.
+    pub fn try_take(&self, which: impl Fn(&MsgKey) -> bool) -> Option<(MsgKey, Envelope)> {
+        Self::pop(&mut self.lock(), which)
     }
 }
 
@@ -196,6 +193,24 @@ mod tests {
     use crate::counters::Slot;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    /// Probes the other modules' tests read a mailbox through.
+    impl Mailbox {
+        /// Whether a message with `key` is currently queued.
+        pub(crate) fn contains(&self, key: MsgKey) -> bool {
+            self.lock().fifo.iter().any(|(k, _)| *k == key)
+        }
+
+        /// Number of queued messages.
+        pub(crate) fn pending(&self) -> usize {
+            self.lock().fifo.len()
+        }
+
+        /// Number of threads asleep on this mailbox.
+        pub(crate) fn sleepers(&self) -> usize {
+            self.lock().sleepers
+        }
+    }
 
     const KEY: MsgKey = (1, 0, 7);
     const LONG: Duration = Duration::from_secs(10);
@@ -245,7 +260,7 @@ mod tests {
 
     /// Spin until a receiver is asleep on `mb`'s condvar.
     fn until_asleep(mb: &Mailbox) {
-        while mb.lock().sleepers == 0 {
+        while mb.sleepers() == 0 {
             std::thread::yield_now();
         }
     }
@@ -344,7 +359,7 @@ mod tests {
             let h = s.spawn(|| mb.take(KEY, LONG, mb.waiter(), peer_died));
             until_raised(&spinning);
             dead.store(true, Ordering::Release);
-            mb.interrupt();
+            mb.notify();
             h.join().unwrap()
         });
         assert!(matches!(got, Err(Some("peer dead"))));
@@ -371,12 +386,17 @@ mod tests {
         assert!(mb.recv((0, 0, 0), Duration::from_millis(20)).is_none());
     }
 
+    /// A non-blocking take of `key`.
+    fn try_take(mb: &Mailbox, key: MsgKey) -> Option<Envelope> {
+        mb.try_take(|k| *k == key).map(|(_, env)| env)
+    }
+
     #[test]
     fn try_take_nonblocking() {
         let mb = Rig::default();
-        assert!(mb.try_take(KEY).is_none());
+        assert!(try_take(&mb, KEY).is_none());
         mb.deposit(KEY, bytes_env(vec![5]));
-        assert_eq!(into_bytes(mb.try_take(KEY).unwrap()), vec![5]);
+        assert_eq!(into_bytes(try_take(&mb, KEY).unwrap()), vec![5]);
     }
 
     /// The ranks-vs-cores selection, park-only side: a universe with more
@@ -401,19 +421,23 @@ mod tests {
         assert_eq!(spin_hits, vec![0; n]);
     }
 
-    /// A discard drops exactly the envelopes it selects: one sender's on one
-    /// communicator, not another sender's there nor its own elsewhere.
+    /// A selecting take (an early exit's sweep) pops exactly the envelopes
+    /// it selects, oldest first: one sender's on one communicator, not
+    /// another sender's there nor its own elsewhere.
     #[test]
-    fn discard_drops_only_the_selected_envelopes() {
+    fn selecting_take_pops_only_the_selected_envelopes() {
         let mb = Rig::default();
         mb.deposit(KEY, bytes_env(vec![1]));
         mb.deposit(KEY, bytes_env(vec![2]));
         mb.deposit((1, 2, 7), bytes_env(vec![9]));
         let child = (2, 0, 7);
         mb.deposit(child, bytes_env(vec![3]));
-        assert_eq!(mb.discard(|key| key.0 == KEY.0 && key.1 == 0), 2);
-        assert!(mb.try_take(KEY).is_none());
-        assert_eq!(into_bytes(mb.try_take(child).unwrap()), vec![3]);
-        assert_eq!(into_bytes(mb.try_take((1, 2, 7)).unwrap()), vec![9]);
+        let sender_0 = |key: &MsgKey| key.0 == KEY.0 && key.1 == 0;
+        let swept: Vec<_> = std::iter::from_fn(|| mb.try_take(sender_0))
+            .map(|(k, env)| (k, into_bytes(env)))
+            .collect();
+        assert_eq!(swept, [(KEY, vec![1]), (KEY, vec![2])]);
+        assert_eq!(into_bytes(try_take(&mb, child).unwrap()), vec![3]);
+        assert_eq!(into_bytes(try_take(&mb, (1, 2, 7)).unwrap()), vec![9]);
     }
 }

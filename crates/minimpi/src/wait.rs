@@ -1,12 +1,12 @@
 //! The data path's one wait discipline: *check, spin for about one wake-up's
-//! worth, then park*. [`crate::mailbox::Mailbox`] (receivers) and
-//! [`crate::zerocopy::ZcCell`] (lenders) both wait this way;
-//! this module holds what they share — the budget, the rule that decides
-//! whether a universe spins at all, the spin itself, and the [`Waiter`]
-//! that carries the policy and the slot each wait's resolution is tallied in.
+//! worth, then park*. Its one loop is [`crate::mailbox::Mailbox::wait`]: a
+//! receiver waits there for a message, and a lender for its loans, on its
+//! own mailbox. This module holds the policy — the budget, the rule that
+//! decides whether a universe spins at all, and the [`Waiter`] that carries
+//! it with the slot each wait's resolution is tallied in.
 
 use crate::counters::Slot;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a blocked rank spins before it parks: about what a park + wake
 /// costs, so a wait never burns more CPU than the sleep it avoids would have
@@ -29,19 +29,13 @@ pub(crate) fn spin_budget(ranks: usize) -> Duration {
     }
 }
 
-/// Spin until `hit()` holds or `until` passes.
-pub(crate) fn spin_until(until: Instant, hit: impl Fn() -> bool) {
-    while !hit() && Instant::now() < until {
-        std::hint::spin_loop();
-    }
-}
-
 /// One waiting rank's policy, and the slot it tallies each wait's
 /// resolution in: `wait.immediate` (what it waited for was already there on
 /// the first check), `wait.spin_hits` (it arrived during the spin) or
-/// `wait.parks` (the waiter slept at least once). The policy is a value
-/// handed to whoever waits, not a global, so a test can drive both sides of
-/// it.
+/// `wait.parks` (the waiter slept at least once). One resolution per wait: a
+/// receive, or a lender's wait for all the loans of one exchange. The policy
+/// is a value handed to whoever waits, not a global, so a test can drive both
+/// sides of it.
 #[derive(Clone, Copy)]
 pub(crate) struct Waiter<'a> {
     /// Spin this long before parking; zero parks at once.
