@@ -3,16 +3,16 @@
 //!
 //! Two parts:
 //!
-//! 1. **Paper-scale projection** — the 128 GB synthetic stack
-//!    (4096 × 2048 × 4096 × 32-bit) on 27/64/125/216 ranks of the
-//!    calibrated Cooley model. Byte counts and round structure are exact
-//!    (from the real DDR mapping); read and network times come from the
-//!    `ddr-netsim` cost model.
+//! 1. **Paper-scale projection** — Table II, then Figure 3's series, for
+//!    the 128 GB synthetic stack (4096 × 2048 × 4096 × 32-bit) on
+//!    27/64/125/216 ranks of the calibrated Cooley model. Byte counts and
+//!    round structure are exact (from the real DDR mapping); read and
+//!    network times come from the `ddr-netsim` cost model.
 //! 2. **Measured laptop scale** — a real TIFF stack is written to a temp
 //!    directory and loaded end-to-end (decode + DDR redistribution over
 //!    in-process ranks) with all three methods, wall-clock timed.
 //!
-//! Usage: `repro_table2 [--figure3] [--no-measured] [--reps N]`
+//! Usage: `repro_table2 [--no-measured] [--reps N]`
 
 use ddr_bench::loader::{load_stack, write_phantom_stack};
 use ddr_bench::table;
@@ -59,36 +59,6 @@ fn projected_section(cluster: &ClusterSpec) {
     let best = project(PAPER_VOLUME, PAPER_ELEM, 216, Method::Consecutive, cluster).total();
     let base = project(PAPER_VOLUME, PAPER_ELEM, 216, Method::NoDdr, cluster).total();
     println!("\nmax speed-up at 216 ranks: {:.1}x (paper: 24.9x)\n", base / best);
-}
-
-fn flowsim_section(cluster: &ClusterSpec) {
-    use ddr_bench::tiffcase::project_flowsim;
-    println!("== Table II cross-check (flow-level simulation of the redistribution) ==\n");
-    table::header(&[
-        ("Processes", 10),
-        ("RR analytic", 12),
-        ("RR flowsim", 12),
-        ("C analytic", 12),
-        ("C flowsim", 12),
-    ]);
-    for &p in &PAPER_SCALES {
-        let rr_a = project(PAPER_VOLUME, PAPER_ELEM, p, Method::RoundRobin, cluster);
-        let rr_f = project_flowsim(PAPER_VOLUME, PAPER_ELEM, p, Method::RoundRobin, cluster);
-        let c_a = project(PAPER_VOLUME, PAPER_ELEM, p, Method::Consecutive, cluster);
-        let c_f = project_flowsim(PAPER_VOLUME, PAPER_ELEM, p, Method::Consecutive, cluster);
-        table::row(&[
-            (format!("{p}"), 10),
-            (table::secs(rr_a.total()), 12),
-            (table::secs(rr_f.total()), 12),
-            (table::secs(c_a.total()), 12),
-            (table::secs(c_f.total()), 12),
-        ]);
-    }
-    println!(
-        "\n(The flow simulator models ideal max-min fair sharing with no fitted contention\n\
-         parameter, so it bounds the analytic estimate from below; the gap is the fitted\n\
-         congestion penalty. The round-robin-vs-consecutive ordering is preserved.)\n"
-    );
 }
 
 fn figure3_section(cluster: &ClusterSpec) {
@@ -154,15 +124,7 @@ fn main() {
     let cluster = ClusterSpec::cooley();
 
     projected_section(&cluster);
-    if args.iter().any(|a| a == "--figure3")
-        || args.is_empty()
-        || !args.contains(&"--no-figure3".into())
-    {
-        figure3_section(&cluster);
-    }
-    if args.iter().any(|a| a == "--flowsim") {
-        flowsim_section(&cluster);
-    }
+    figure3_section(&cluster);
     if !args.iter().any(|a| a == "--no-measured") {
         measured_section(reps);
     }

@@ -3,8 +3,8 @@
 //! One binary per experiment (see DESIGN.md's experiment index):
 //!
 //! * `repro_table2` — TIFF load time, No-DDR vs DDR round-robin vs DDR
-//!   consecutive (Table II), with `--figure3` for the strong-scaling series
-//!   (Figure 3). Paper-scale numbers come from the calibrated `ddr-netsim`
+//!   consecutive (Table II), then the strong-scaling series (Figure 3).
+//!   Paper-scale numbers come from the calibrated `ddr-netsim`
 //!   Cooley model driven by **exact** byte counts from the real DDR mapping;
 //!   laptop-scale numbers are measured end-to-end on a real TIFF stack.
 //! * `repro_table3` — exact `MPI_Alltoallw` round counts and per-rank

@@ -103,9 +103,9 @@ impl Plan {
     /// receive regions into a need tile it — pairwise disjoint, their counts
     /// summing to the block's, a fact of the plan — every element is written
     /// exactly once and nothing zeroes the buffer first. Otherwise (a need
-    /// overhanging the domain under [`crate::ValidationPolicy::Relaxed`],
-    /// owned blocks overlapping under [`crate::ValidationPolicy::Skip`]) it
-    /// is zeroed first, so an element no round delivers reads 0.
+    /// overhanging the domain or owned blocks overlapping, both admitted
+    /// only under [`crate::ValidationPolicy::Skip`]) it is zeroed first, so
+    /// an element no round delivers reads 0.
     ///
     /// A buffer count other than the plan's need count is
     /// [`DdrError::BufferMismatch`], and every error leaves every buffer
@@ -217,7 +217,7 @@ mod tests {
         }
     }
 
-    /// A need overhanging the domain, as `Relaxed` admits, leaves a hole.
+    /// A need overhanging the domain, as `Skip` admits, leaves a hole.
     #[test]
     fn a_need_past_the_domain_is_a_hole() {
         let layouts = [
@@ -296,8 +296,8 @@ mod tests {
         let needs = [tiled, overhang];
         let got = Universe::run(1, |comm| {
             let desc = Descriptor::for_type::<u32>(1, DataKind::D1).unwrap();
-            let relaxed = ValidationPolicy::Relaxed;
-            let plan = desc.setup_multi_mapping(comm, &owned, &needs, relaxed).unwrap();
+            let skip = ValidationPolicy::Skip;
+            let plan = desc.setup_multi_mapping(comm, &owned, &needs, skip).unwrap();
             assert_eq!(plan.tiled, [true, false]);
             let mut bufs = vec![vec![u32::MAX; 12]; 2];
             plan.reorganize_needs(comm, &chunks, &mut bufs).map(|()| bufs)

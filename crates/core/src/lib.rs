@@ -67,7 +67,6 @@ mod error;
 mod exec;
 mod layout;
 mod mapping;
-pub mod papi;
 mod plan;
 mod stats;
 mod validate;

@@ -13,7 +13,7 @@
 //! chunk lists on a 1-D domain of length ≤ 4 among ≤ 2 ranks (`Skip`
 //! owners), and guillotine tilings of a 4×4 and a 2×2×3 domain. Needs range
 //! over every block of the domain grown by two cells (1-D) or one cell per
-//! axis (2-D, 3-D), so they also overhang it (`Relaxed`).
+//! axis (2-D, 3-D), so they also overhang it, as only `Skip` admits.
 
 use crate::{compute_local_plan, Block, DataKind, Descriptor, Layout, Transfer};
 use minimpi::Datatype;

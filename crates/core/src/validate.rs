@@ -12,12 +12,9 @@ pub enum ValidationPolicy {
     /// lies inside the domain. This is the paper's stated contract.
     #[default]
     Strict,
-    /// Check exclusivity and completeness of ownership but allow needed
-    /// blocks to extend outside the domain (those elements are simply never
-    /// written — useful for ghost-padded consumers).
-    Relaxed,
     /// Skip validation entirely. For very large chunk counts where the
-    /// caller guarantees the contract by construction.
+    /// caller guarantees the contract by construction. A need that overhangs
+    /// the domain is admitted too: the elements nothing owns read zero.
     Skip,
 }
 
@@ -97,11 +94,9 @@ pub fn validate(
         return Err(DdrError::OwnershipIncomplete { domain_elems: bbox.count(), owned_elems });
     }
 
-    if matches!(policy, ValidationPolicy::Strict) {
-        for (rank, blocks) in needs.iter().enumerate() {
-            if blocks.iter().any(|b| !bbox.contains(b)) {
-                return Err(DdrError::NeedOutsideDomain { rank });
-            }
+    for (rank, blocks) in needs.iter().enumerate() {
+        if blocks.iter().any(|b| !bbox.contains(b)) {
+            return Err(DdrError::NeedOutsideDomain { rank });
         }
     }
     Ok(Domain { bbox, owned_elems })
@@ -186,8 +181,8 @@ mod tests {
             validate(&ls, ValidationPolicy::Strict).unwrap_err(),
             DdrError::NeedOutsideDomain { rank: 3 }
         ));
-        // Relaxed allows it.
-        assert!(validate(&ls, ValidationPolicy::Relaxed).is_ok());
+        // Skip admits it.
+        assert!(validate(&ls, ValidationPolicy::Skip).is_ok());
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn zero_extent_smuggled_past_constructors_is_refused_by_setup_under_every_policy
     // `Block`'s fields are public, so a caller can zero an extent after
     // construction. The allgathered layouts are decoded through
     // `Block::new`, so every rank refuses it — even under `Skip`.
-    for policy in [ValidationPolicy::Strict, ValidationPolicy::Relaxed, ValidationPolicy::Skip] {
+    for policy in [ValidationPolicy::Strict, ValidationPolicy::Skip] {
         let results = Universe::run(2, move |comm| {
             let desc = Descriptor::for_type::<f32>(2, DataKind::D2).unwrap();
             let mut owned = Block::d2([0, comm.rank() * 4], [8, 4]).unwrap();
@@ -44,26 +44,25 @@ fn zero_extent_smuggled_past_constructors_is_refused_by_setup_under_every_policy
 
 #[test]
 fn overlapping_owned_fails_on_every_rank_under_every_checking_policy() {
-    for policy in [ValidationPolicy::Strict, ValidationPolicy::Relaxed] {
-        let results = Universe::run(3, move |comm| {
-            let desc = Descriptor::for_type::<f32>(3, DataKind::D1).unwrap();
-            // Rank r owns 8..14 when r == 1, else the clean slab [8r, 8r+8) —
-            // rank 1's chunk bleeds two elements into rank 0's.
-            let owned = if comm.rank() == 1 {
-                [Block::d1(6, 8).unwrap()]
-            } else {
-                [Block::d1(comm.rank() * 8, 8).unwrap()]
-            };
-            let need = Block::d1(comm.rank() * 8, 8).unwrap();
-            desc.setup_data_mapping_with(comm, &owned, need, policy).err()
-        });
-        for (r, e) in results.iter().enumerate() {
-            match e {
-                Some(DdrError::OwnershipOverlap { rank_a, rank_b, .. }) => {
-                    assert_eq!((*rank_a, *rank_b), (0, 1), "rank {r} under {policy:?}");
-                }
-                other => panic!("rank {r} under {policy:?}: expected overlap, got {other:?}"),
+    // `Strict` is the one policy that checks ownership.
+    let results = Universe::run(3, |comm| {
+        let desc = Descriptor::for_type::<f32>(3, DataKind::D1).unwrap();
+        // Rank r owns 8..14 when r == 1, else the clean slab [8r, 8r+8) —
+        // rank 1's chunk bleeds two elements into rank 0's.
+        let owned = if comm.rank() == 1 {
+            [Block::d1(6, 8).unwrap()]
+        } else {
+            [Block::d1(comm.rank() * 8, 8).unwrap()]
+        };
+        let need = Block::d1(comm.rank() * 8, 8).unwrap();
+        desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Strict).err()
+    });
+    for (r, e) in results.iter().enumerate() {
+        match e {
+            Some(DdrError::OwnershipOverlap { rank_a, rank_b, .. }) => {
+                assert_eq!((*rank_a, *rank_b), (0, 1), "rank {r}");
             }
+            other => panic!("rank {r}: expected overlap, got {other:?}"),
         }
     }
 }

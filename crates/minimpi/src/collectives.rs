@@ -255,13 +255,14 @@ impl Comm {
                 detail: format!("alltoallw: rank {src} sent owned bytes where a loan belongs"),
             });
         };
-        if !loan.cell.take(Step::Claim) {
+        let Some(claim) = loan.cell.claim(self.mailbox(src)) else {
             // The sender revoked the loan (timeout / death) before we got
             // here; the payload is unrecoverable.
             return Err(Error::PeerDead { rank: src });
-        }
-        // SAFETY: the claim succeeded, so the sender waits until the settle
-        // below, after the last use of the slices.
+        };
+        // SAFETY: the claim succeeded, so the sender waits until `claim`
+        // settles — below, after the last use of the slices, or in its drop
+        // if the copy unwinds.
         let (bufs, parts) = unsafe { loan.lent() };
         let paired = pair_parts(src, parts, dts);
         let step = if paired.is_ok() { Step::Finish } else { Step::Refuse };
@@ -274,10 +275,7 @@ impl Comm {
                 Ok(())
             })
         });
-        // Store, then tell the lender, which waits on its own mailbox and
-        // so sees the store on its next check.
-        loan.cell.take(step);
-        self.mailbox(src).notify();
+        claim.settle(step);
         res
     }
 }

@@ -19,12 +19,13 @@
 //!
 //! The sender waits for all its loans at once, on its own mailbox, in the
 //! mailbox's one blocking loop ([`await_loans`]). Whoever settles a loan —
-//! the receiver finishing or refusing it, a third party revoking a discarded
-//! handle — stores the new state first and then notifies the *lender's*
-//! mailbox, and the lender reads the states under that mailbox's lock: the
-//! same lost-wake-up argument a receiver relies on for deposits. A death
-//! notifies every mailbox, so a lender whose receiver died wakes too. A cell
-//! is one atomic and holds no reference to a mailbox or the world.
+//! the receiver finishing or refusing it (a [`Claim`] dropped unsettled, as
+//! by a receiver that unwinds mid-copy, refuses it), a third party revoking
+//! a discarded handle — stores the new state first and then notifies the
+//! *lender's* mailbox, and the lender reads the states under that mailbox's
+//! lock: the same lost-wake-up argument a receiver relies on for deposits. A
+//! death notifies every mailbox, so a lender whose receiver died wakes too.
+//! A cell is one atomic and holds no reference to a mailbox or the world.
 //!
 //! The copy itself always runs on the claiming rank's own thread, part by
 //! part (`datatype::copy_selection`): one thread per rank moves that rank's
@@ -117,6 +118,13 @@ impl ZcCell {
         self.0.fetch_update(Ordering::SeqCst, Ordering::SeqCst, next).is_ok()
     }
 
+    /// The receiver's claim, before it reads anything through the handle:
+    /// `None` if the loan was revoked first. The guard settles the loan when
+    /// it drops, notifying `lender`, the lender's mailbox.
+    pub fn claim<'a>(&'a self, lender: &'a Mailbox) -> Option<Claim<'a>> {
+        self.take(Step::Claim).then_some(Claim { cell: self, lender, step: Step::Refuse })
+    }
+
     /// The lender's check, under its mailbox lock: whether the loan is
     /// settled, revoking it first if it is still pending and `give_up` (the
     /// deadline passed, or its receiver died). Losing that revoke to a claim
@@ -126,6 +134,33 @@ impl ZcCell {
             self.take(Step::Revoke);
         }
         self.state().is_terminal()
+    }
+}
+
+/// A claimed loan, settled when it drops: its step (`Refuse` until
+/// [`Claim::settle`] names another), then a notify of the lender's mailbox.
+/// A receiver that unwinds mid-copy thus refuses the loan, and its lender,
+/// blocked in [`await_loans`] on a claimed loan, wakes to `Revoked` instead
+/// of waiting for a finish that never comes.
+pub(crate) struct Claim<'a> {
+    cell: &'a ZcCell,
+    lender: &'a Mailbox,
+    step: Step,
+}
+
+impl Claim<'_> {
+    /// Settle the loan with `step`: `Finish` once every part is copied.
+    pub fn settle(mut self, step: Step) {
+        self.step = step;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // Store, then tell the lender, which waits on its own mailbox and so
+        // sees the store on its next check.
+        self.cell.take(self.step);
+        self.lender.notify();
     }
 }
 
@@ -450,6 +485,39 @@ mod tests {
         }
     }
 
+    /// A receiver that unwinds while it holds a claim drops the claim, which
+    /// refuses the loan and notifies the lender: its wait, parked or
+    /// spinning, returns `Revoked` long before its deadline.
+    #[test]
+    fn a_claimer_that_unwinds_releases_its_lender() {
+        for spin in POLICIES {
+            let (lender, cell) = (Lender::new(spin), Arc::new(ZcCell::default()));
+            let claim = cell.claim(&lender.mb).expect("the loan is pending");
+            let start = Instant::now();
+            let (refused, out) = std::thread::scope(|s| {
+                let h = s.spawn(|| lender.wait(&cell, start + LONG, || false));
+                while spin.is_zero() && lender.mb.sleepers() == 0 {
+                    std::thread::yield_now();
+                }
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _claim = claim;
+                    panic!("the copy failed");
+                }));
+                assert!(unwound.is_err());
+                // A claim the unwind left standing would hold the lender
+                // forever: finish it, so that the check below fails instead.
+                let refused = cell.state() == Loan::Revoked;
+                if !refused {
+                    lender.settle(&cell, Step::Finish);
+                }
+                (refused, h.join().unwrap())
+            });
+            assert!(refused, "the unwind left the loan claimed");
+            assert_eq!(out, Loan::Revoked);
+            assert!(start.elapsed() < Duration::from_secs(1), "woke {:?} late", start.elapsed());
+        }
+    }
+
     #[test]
     fn cell_abort_revokes() {
         for spin in POLICIES {
@@ -501,8 +569,9 @@ mod tests {
         Wake,
     }
 
-    /// The receiver copying the loan, or refusing what it claimed
-    /// (`deliver_alltoallw` and its `settle`).
+    /// The receiver copying the loan, or refusing what it claimed: its parts
+    /// do not pair, or it unwinds mid-copy (`deliver_alltoallw` and its
+    /// [`Claim`]).
     const FINISHER: &[Op] = &[Op::Cell(Step::Claim), Op::Cell(Step::Finish), Op::Event, Op::Wake];
     const REFUSER: &[Op] = &[Op::Cell(Step::Claim), Op::Cell(Step::Refuse), Op::Event, Op::Wake];
     /// A third party dropping the queued handle and notifying its lender

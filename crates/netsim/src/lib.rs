@@ -13,7 +13,13 @@
 //! * [`NetModel`] — per-node NIC bandwidth with a volume-dependent
 //!   contention factor plus a per-collective software overhead, evaluated
 //!   over exact per-rank-pair byte matrices produced by `ddr-core`'s
-//!   `GlobalStats` mapping.
+//!   `GlobalStats` mapping; [`NetModel::redistribution_time`] sums a
+//!   redistribution's rounds.
+//!
+//! Each resource has one model. The contention factor is the paper's own
+//! explanation of its 27-rank result (one huge round saturating a node's
+//! single link), so a model without it, such as ideal max-min fair sharing,
+//! ranks the two DDR methods the wrong way round there.
 //!
 //! The models are deliberately simple (LogGP-flavored); their constants are
 //! calibrated in [`ClusterSpec::cooley`] against the paper's published
@@ -24,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod cluster;
-pub mod flowsim;
 mod fs;
 mod net;
 

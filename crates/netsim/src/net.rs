@@ -84,14 +84,16 @@ impl NetModel {
         self.alpha(nprocs) + link_time + mem_time
     }
 
-    /// Time for a whole redistribution: sum of its rounds.
-    pub fn redistribution_time<'a>(
+    /// Time for a whole redistribution: the sum of its rounds' times, in
+    /// round order, each round a pair-byte matrix as in
+    /// [`NetModel::alltoallw_round_time`].
+    pub fn redistribution_time(
         &self,
         nprocs: usize,
-        rounds: impl IntoIterator<Item = &'a [u64]>,
+        rounds: impl IntoIterator<Item = impl AsRef<[u64]>>,
         node_of: &[usize],
     ) -> f64 {
-        rounds.into_iter().map(|m| self.alltoallw_round_time(nprocs, m, node_of)).sum()
+        rounds.into_iter().map(|m| self.alltoallw_round_time(nprocs, m.as_ref(), node_of)).sum()
     }
 }
 

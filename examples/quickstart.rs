@@ -11,8 +11,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use ddr::core::papi::{ddr_new_data_descriptor, ddr_reorganize_data, ddr_setup_data_mapping};
-use ddr::core::{DataKind, DdrError};
+use ddr::core::{Block, DataKind, DdrError, Descriptor};
 use ddr::minimpi::Universe;
 use std::process::ExitCode;
 
@@ -22,29 +21,17 @@ fn rank_body(comm: &ddr::minimpi::Comm) -> Result<RankResult, DdrError> {
     let rank = comm.rank();
 
     // Algorithm 1, line 1: create the data descriptor.
-    let desc = ddr_new_data_descriptor(4, DataKind::D2, std::mem::size_of::<f32>())?;
+    let desc = Descriptor::for_type::<f32>(4, DataKind::D2)?;
 
-    // Lines 2-8: describe what this rank owns and what it needs.
-    let chunks_own = 2;
-    let dims_own = [8, 1, 8, 1];
-    let offsets_own = [0, rank, 0, rank + 4];
+    // Lines 2-8: describe what this rank owns (two 8x1 rows) and what it
+    // needs (one 4x4 quadrant).
+    let owned = [Block::d2([0, rank], [8, 1])?, Block::d2([0, rank + 4], [8, 1])?];
     let right = rank % 2;
     let bottom = rank / 2;
-    let dims_need = [4, 4];
-    let offsets_need = [4 * right, 4 * bottom];
+    let need = Block::d2([4 * right, 4 * bottom], [4, 4])?;
 
     // Line 9: set up the data mapping (collective).
-    let plan = ddr_setup_data_mapping(
-        comm,
-        rank,
-        4,
-        chunks_own,
-        &dims_own,
-        &offsets_own,
-        &dims_need,
-        &offsets_need,
-        &desc,
-    )?;
+    let plan = desc.setup_data_mapping(comm, &owned, need)?;
 
     // The global grid holds value y*8 + x at column x, row y.
     let row = |y: usize| -> Vec<f32> { (0..8).map(|x| (y * 8 + x) as f32).collect() };
@@ -53,8 +40,9 @@ fn rank_body(comm: &ddr::minimpi::Comm) -> Result<RankResult, DdrError> {
     let mut data_need = Vec::new();
 
     // Line 10: exchange the data (collective, reusable per time step).
-    ddr_reorganize_data(comm, 4, &refs, &mut data_need, &plan)?;
+    plan.reorganize(comm, &refs, &mut data_need)?;
 
+    let offsets_need = [need.offset[0], need.offset[1]];
     Ok((rank, offsets_need, plan.num_rounds(), plan.total_sent_bytes(), data_need))
 }
 
